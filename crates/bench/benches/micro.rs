@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
-use sensjoin_quadtree::{decode, encode, Point, PointSet, RelFlags, TreeShape};
+use sensjoin_quadtree::{decode, encode, encoded_wire_size, Point, PointSet, RelFlags, TreeShape};
 use sensjoin_query::{parse, CompiledQuery, Interval};
 use sensjoin_relation::{AttrType, Attribute, Schema};
 use sensjoin_zorder::{Dimension, ZSpace};
@@ -140,6 +140,74 @@ fn bench_quadtree(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a relay pays to learn a message's wire size: the size kernel alone
+/// against encoding and measuring, on a 1-D join space (one bit per level)
+/// and the paper's 3-D Q3 space, at subtree sizes from a leaf's
+/// neighbourhood to most of a network.
+fn bench_quadtree_sizing(c: &mut Criterion) {
+    // 80 000 cells: 17 one-bit levels.
+    let one_d = ZSpace::new(vec![Dimension::new("temp", -20.0, 60.0, 0.001)]).expect("fits");
+    let mut group = c.benchmark_group("quadtree");
+    for (dims, space) in [("1d", one_d), ("3d", zspace())] {
+        let shape = TreeShape::new(space.level_schedule(), 2);
+        for n in [64usize, 512, 4096] {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ n as u64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as f64 / (1u64 << 31) as f64
+            };
+            // Correlated readings: a few degrees, a few hundred metres.
+            let set = PointSet::from_points((0..n).map(|_| {
+                let v = [
+                    20.0 + 8.0 * next(),
+                    200.0 + 400.0 * next(),
+                    300.0 + 300.0 * next(),
+                ];
+                Point {
+                    z: space.encode(&v[..space.arity()]),
+                    flags: RelFlags::BOTH,
+                }
+            }));
+            group.throughput(Throughput::Elements(set.len() as u64));
+            let id = format!("{dims}/{n}");
+            group.bench_with_input(BenchmarkId::new("size_only", &id), &set, |b, s| {
+                b.iter(|| encoded_wire_size(black_box(s), &shape))
+            });
+            group.bench_with_input(BenchmarkId::new("encode", &id), &set, |b, s| {
+                b.iter(|| encode(black_box(s), &shape).wire_size())
+            });
+        }
+    }
+    group.finish();
+}
+
+/// One packet event on the charge path: a transmission recorded under an
+/// interned phase, per-node and per-phase counters both.
+fn bench_record_tx(c: &mut Criterion) {
+    use sensjoin_sim::{NetworkStats, NodeId};
+    let mut stats = NetworkStats::new(1024);
+    let phases = [
+        stats.intern("1-join-attribute-collection"),
+        stats.intern("2-filter-dissemination"),
+        stats.intern("3-final-result"),
+    ];
+    let mut i = 0u32;
+    c.bench_function("sim/record_tx", |b| {
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            stats.record_tx(
+                NodeId(black_box(i) % 1024),
+                48,
+                12.5,
+                phases[(i % 3) as usize],
+            );
+        })
+    });
+    black_box(stats.total_tx_packets());
+}
+
 fn bench_compression(c: &mut Criterion) {
     // A raw join-attribute stream like the §VI-B experiment compresses.
     let raw: Vec<u8> = point_population(1500, 3)
@@ -213,6 +281,8 @@ criterion_group!(
     bench_zorder,
     bench_residual,
     bench_quadtree,
+    bench_quadtree_sizing,
+    bench_record_tx,
     bench_compression,
     bench_query
 );

@@ -10,9 +10,16 @@
 //! what keeps 10⁵-node sweeps interactive.
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
-//! * the 100 000-node one-shot band join completes in < 10 s,
-//! * ns per node-event at 100 000 nodes stays ≤ 10 000,
+//! * the 100 000-node one-shot band join completes in < 10 s, under serial
+//!   waves and under forced lanes,
+//! * ns per node-event at 100 000 nodes, serial waves, stays ≤ 3 000
+//!   (measured 1 500 to 1 900 on the 2-core bench host, whose speed drifts by
+//!   a quarter between runs; ROADMAP item 4's target is 1 500),
 //! * peak RSS after the 1 000 000-node topology + tree build ≤ 1 GiB.
+//!
+//! The forced-lane figures are recorded, not gated: `WaveMode::Auto` takes
+//! lanes only when the routing tree splits (DESIGN §4.10), and whether they
+//! pay at all is ROADMAP item 4's open trial.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::{benchjson, paper_network, peak_rss_mib};
@@ -32,7 +39,7 @@ const BAND_THRESHOLD: f64 = 12.0;
 const ONE_SHOT_SIZES: [usize; 3] = [10_000, 30_000, 100_000];
 
 const ONE_SHOT_GATE_S: f64 = 10.0;
-const NODE_EVENT_GATE_NS: f64 = 10_000.0;
+const NODE_EVENT_GATE_NS: f64 = 3_000.0;
 const TREE_RSS_GATE_MIB: f64 = 1024.0;
 
 fn band_sql() -> String {
@@ -61,8 +68,7 @@ fn bench_tree_build(c: &mut Criterion) {
 }
 
 /// Whole one-shot SENS-Join executions; `serial` pins the wave engine to
-/// the cached serial order, `parallel` forces the subtree-wave fan-out
-/// (what `Auto` picks at these sizes).
+/// the cached serial order, `parallel` forces the subtree-wave fan-out.
 fn bench_one_shot(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_scaling/one_shot");
     group.sample_size(10);
@@ -116,18 +122,20 @@ fn main() {
             events.push((format!("\"{label}/{n}\"",), ns / (3.0 * n as f64)));
         }
     }
-    let par_100k_s = ns_of(results, "sim_scaling/one_shot/parallel/100000") / 1e9;
-    let par_100k_ns_event = ns_of(results, "sim_scaling/one_shot/parallel/100000") / 300_000.0;
-    let speedup_100k = ns_of(results, "sim_scaling/one_shot/serial/100000")
-        / ns_of(results, "sim_scaling/one_shot/parallel/100000");
+    let serial_100k_ns = ns_of(results, "sim_scaling/one_shot/serial/100000");
+    let parallel_100k_ns = ns_of(results, "sim_scaling/one_shot/parallel/100000");
+    let slowest_100k_s = serial_100k_ns.max(parallel_100k_ns) / 1e9;
+    let serial_100k_ns_event = serial_100k_ns / 300_000.0;
+    let speedup_100k = serial_100k_ns / parallel_100k_ns;
 
     assert!(
-        par_100k_s < ONE_SHOT_GATE_S,
-        "gate violated: 100k one-shot band join took {par_100k_s:.2} s >= {ONE_SHOT_GATE_S} s"
+        slowest_100k_s < ONE_SHOT_GATE_S,
+        "gate violated: 100k one-shot band join took {slowest_100k_s:.2} s >= {ONE_SHOT_GATE_S} s"
     );
     assert!(
-        par_100k_ns_event <= NODE_EVENT_GATE_NS,
-        "gate violated: {par_100k_ns_event:.0} ns/node-event at 100k > {NODE_EVENT_GATE_NS}"
+        serial_100k_ns_event <= NODE_EVENT_GATE_NS,
+        "gate violated: {serial_100k_ns_event:.0} ns/node-event at 100k (serial) > \
+         {NODE_EVENT_GATE_NS}"
     );
     if let Some(rss) = tree_rss_mib {
         assert!(
@@ -146,7 +154,10 @@ fn main() {
     );
     let extras = [
         ("band_threshold", format!("{BAND_THRESHOLD}")),
-        ("one_shot_100k_seconds", format!("{par_100k_s:.3}")),
+        (
+            "one_shot_100k_seconds",
+            format!("{:.3}", serial_100k_ns / 1e9),
+        ),
         ("ns_per_node_event", ns_per_event),
         ("parallel_speedup_100k", format!("{speedup_100k:.2}")),
         (
@@ -156,8 +167,8 @@ fn main() {
         (
             "gate",
             format!(
-                "\"one_shot parallel/100000 < {ONE_SHOT_GATE_S} s, \
-                 <= {NODE_EVENT_GATE_NS} ns/node-event, \
+                "\"one_shot serial/100000 and parallel/100000 < {ONE_SHOT_GATE_S} s, \
+                 serial/100000 <= {NODE_EVENT_GATE_NS} ns/node-event, \
                  1M tree build peak RSS <= {TREE_RSS_GATE_MIB} MiB\""
             ),
         ),

@@ -1742,9 +1742,9 @@ pub fn sim_scaling(n: usize, seed: u64) -> String {
     rep.para(
         "Wave-engine cost per node-event stays in the microsecond range as \
          the network grows two orders of magnitude past the paper's setting; \
-         the parallel fan-out pays off once subtrees are large enough to \
-         amortize thread hand-off (the engine auto-enables it at 4096 \
-         participants). Peak RSS is a process-wide high-water mark, so the \
+         the parallel column forces the subtree fan-out, which the engine \
+         itself takes only past 4096 participants and only when the routing \
+         tree splits into balanced lanes. Peak RSS is a process-wide high-water mark, so the \
          build rows report the cumulative maximum.",
     );
     rep.finish()

@@ -266,7 +266,7 @@ impl JoinMethod for BloomSemiJoin {
                 node_flooded[v.0 as usize] = have;
                 Some(have)
             },
-            |&have| if have { pair_size } else { 1 },
+            |have| if *have { pair_size } else { 1 },
             PHASE_BLOOM_FLOOD,
         );
 

@@ -114,10 +114,15 @@ fn record_batch(into: &mut DeltaBatchStats, b: &crate::ingest::BatchStats) {
 struct Delta {
     adds: Counts,
     dels: Counts,
+    /// Wire size, once computed; dropped when the content changes. A relay
+    /// with nothing of its own to report forwards its only child's delta —
+    /// and its size — unchanged.
+    bytes: Option<usize>,
 }
 
 impl Delta {
     fn record(&mut self, z: u64, flags: u8, sign: i64) {
+        self.bytes = None;
         let map = if sign > 0 {
             &mut self.adds
         } else {
@@ -130,6 +135,7 @@ impl Delta {
     }
 
     fn merge(&mut self, other: &Delta) {
+        self.bytes = None;
         apply_delta(&mut self.adds, &other.adds);
         apply_delta(&mut self.dels, &other.dels);
     }
@@ -168,7 +174,16 @@ impl Delta {
 
     /// Wire size: the added and removed cell sets travel quadtree-encoded;
     /// multiplicities beyond the first per (cell, role) cost one extra byte.
-    fn wire_size(&self, space: &JoinSpace) -> usize {
+    fn wire_size(&mut self, space: &JoinSpace) -> usize {
+        if let Some(bytes) = self.bytes {
+            return bytes;
+        }
+        let bytes = self.compute_wire_size(space);
+        self.bytes = Some(bytes);
+        bytes
+    }
+
+    fn compute_wire_size(&self, space: &JoinSpace) -> usize {
         if self.is_empty() {
             return 0;
         }
@@ -655,7 +670,11 @@ impl ContinuousSensJoin {
             snet.net_mut(),
             &|_| true,
             |v, received: Vec<Delta>| {
-                let mut merged = Delta::default();
+                // The first child's delta is taken as it is (with the size
+                // its sender computed); merging the rest, or recording an
+                // own change, re-sizes.
+                let mut received = received.into_iter();
+                let mut merged = received.next().unwrap_or_default();
                 for d in received {
                     merged.merge(&d);
                 }

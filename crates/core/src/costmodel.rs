@@ -144,8 +144,8 @@ impl<'a> CostModel<'a> {
         CostEstimate { packets, bytes }
     }
 
-    /// Measures the quadtree's effective bits per point by encoding the
-    /// current population once (the base station learns this for free in any
+    /// Measures the quadtree's effective bits per point by sizing the
+    /// current population's encoding once (the base station learns this for free in any
     /// execution; 2.5 bytes/point is a reasonable prior for correlated
     /// climate data).
     pub fn estimate_beta(&self) -> f64 {

@@ -103,7 +103,7 @@ pub use recovery::{
     execute_with_rebuild_reexecution, execute_with_recovery, execute_with_reexecution,
     RecoveryOutcome, MAX_REEXECUTION_ATTEMPTS,
 };
-pub use repr::JoinAttrMsg;
+pub use repr::{JoinAttrMsg, SizedSet};
 pub use scheduler::{
     EpochReport, GroupFull, GroupOutcome, GroupRunner, PlanKey, QueryGroup, QueryId, QueryPlan,
     SoloCost, MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES, PHASE_SHARED_COLLECTION, PHASE_SHARED_FILTER,
@@ -114,7 +114,7 @@ pub use sensjoin_simd::kernels_active;
 pub use snetwork::{
     attr_type_for, ExternalData, SensorNetwork, SensorNetworkBuilder, SensorNetworkError,
 };
-pub use wave::{set_wave_mode, wave_mode, WaveMode, PAR_MIN_PARTICIPANTS};
+pub use wave::{set_wave_mode, wave_mode, WaveMode, PAR_MAX_LANE_SHARE, PAR_MIN_PARTICIPANTS};
 
 /// The trait every join method implements.
 pub trait JoinMethod {

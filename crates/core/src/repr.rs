@@ -5,22 +5,81 @@ use crate::config::Representation;
 use crate::engine::JoinSpace;
 use crate::snetwork::SensorNetwork;
 use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
-use sensjoin_quadtree::{encode, PointSet, RelFlags, TreeShape};
+use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags, TreeShape};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use std::collections::BTreeSet;
 
+/// A point set in flight together with its quadtree wire size.
+///
+/// The in-network phases never need the encoded bitstring, only its length
+/// (the paper's cost is bytes on the air), and a relay often forwards a set
+/// exactly as it received it. So the size is computed by the quadtree size
+/// kernel — never by encoding — the first time it is asked for, travels with
+/// every clone, and is dropped only when the content changes: a set is
+/// costed at most once per distinct content.
+#[derive(Debug, Clone, Default)]
+pub struct SizedSet {
+    set: PointSet,
+    /// Quadtree wire size of `set` in bytes, if already computed.
+    bytes: Option<usize>,
+}
+
+impl SizedSet {
+    /// Wraps a set whose size is not known yet.
+    pub fn new(set: PointSet) -> Self {
+        Self { set, bytes: None }
+    }
+
+    /// Unwraps the set.
+    pub fn into_set(self) -> PointSet {
+        self.set
+    }
+
+    /// Size of the set's quadtree encoding under `shape`, in bytes. A set
+    /// only ever travels under one shape — its join space's.
+    pub fn wire_size(&mut self, shape: &TreeShape) -> usize {
+        *self
+            .bytes
+            .get_or_insert_with(|| encoded_wire_size(&self.set, shape))
+    }
+
+    /// Inserts one point (paper `Insert`).
+    pub fn insert(&mut self, z: u64, flags: RelFlags) {
+        if self.set.insert(z, flags) {
+            self.bytes = None;
+        }
+    }
+
+    /// Merges `other` in (paper `Union`).
+    pub fn union_with(&mut self, other: &PointSet) {
+        if other.is_empty() {
+            return;
+        }
+        self.set = self.set.union(other);
+        self.bytes = None;
+    }
+}
+
+impl std::ops::Deref for SizedSet {
+    type Target = PointSet;
+
+    fn deref(&self) -> &PointSet {
+        &self.set
+    }
+}
+
 /// A join-attribute tuple set in flight (the paper's
 /// `Join_Attr_Structure`).
 ///
-/// The semantic content is always the [`PointSet`]; `raw` additionally
+/// The semantic content is always the point set; `raw` additionally
 /// carries the naive byte serialization (quantized coordinates + flags, in
 /// contribution order, duplicates preserved) that the [`Representation::Raw`]
 /// and compressed variants of §VI-B transmit.
 #[derive(Debug, Clone, Default)]
 pub struct JoinAttrMsg {
     /// Deduplicated cells with relation flags.
-    pub set: PointSet,
+    pub set: SizedSet,
     /// Naive serialization (only maintained for non-quadtree variants).
     pub raw: Vec<u8>,
 }
@@ -33,7 +92,7 @@ impl JoinAttrMsg {
 
     /// Merges another message into this one (paper `Union`).
     pub fn merge(&mut self, other: &JoinAttrMsg) {
-        self.set = self.set.union(&other.set);
+        self.set.union_with(&other.set);
         self.raw.extend_from_slice(&other.raw);
     }
 
@@ -48,9 +107,9 @@ impl JoinAttrMsg {
     }
 
     /// Size on the wire under `repr`, in bytes.
-    pub fn wire_size(&self, repr: Representation, shape: &TreeShape) -> usize {
+    pub fn wire_size(&mut self, repr: Representation, shape: &TreeShape) -> usize {
         match repr {
-            Representation::Quadtree => encode(&self.set, shape).wire_size(),
+            Representation::Quadtree => self.set.wire_size(shape),
             Representation::Raw => self.raw.len(),
             Representation::Zlib => Lz77Huffman.compress(&self.raw).len(),
             Representation::Bzip2 => Bwt.compress(&self.raw).len(),
@@ -70,10 +129,11 @@ impl JoinAttrMsg {
         out
     }
 
-    /// Wire size of a filter under `repr`.
+    /// Wire size of a filter under `repr`, for a set that is sized once
+    /// (one that is forwarded travels as a [`SizedSet`]).
     pub fn filter_wire_size(set: &PointSet, repr: Representation, space: &JoinSpace) -> usize {
         match repr {
-            Representation::Quadtree => encode(set, space.shape()).wire_size(),
+            Representation::Quadtree => encoded_wire_size(set, space.shape()),
             Representation::Raw => Self::raw_of_set(set, space).len(),
             Representation::Zlib => Lz77Huffman.compress(&Self::raw_of_set(set, space)).len(),
             Representation::Bzip2 => Bwt.compress(&Self::raw_of_set(set, space)).len(),

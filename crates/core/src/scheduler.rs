@@ -28,15 +28,15 @@
 //! experiment).
 
 use crate::cells::NodeCells;
-use crate::config::{Representation, SensJoinConfig};
+use crate::config::SensJoinConfig;
 use crate::engine::{exact_join, JoinSpace};
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, JoinAttrMsg, NodeData};
+use crate::repr::{collect_node_data, project_to_schema, NodeData, SizedSet};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
 use sensjoin_field::FieldSpec;
-use sensjoin_quadtree::PointSet;
+use sensjoin_quadtree::{encoded_wire_size, PointSet};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
@@ -719,7 +719,7 @@ impl QueryGroup {
                 let vi = v.0 as usize;
                 let mut fulls: Vec<NodeId> = Vec::new();
                 let mut full_bytes = 0usize;
-                let mut attr_msgs: Vec<Vec<PointSet>> = Vec::new();
+                let mut attr_msgs: Vec<Vec<SizedSet>> = Vec::new();
                 for msg in received {
                     match msg {
                         GroupUp::Full { mut nodes, bytes } => {
@@ -747,24 +747,28 @@ impl QueryGroup {
                         }
                     } else {
                         st.active = true;
-                        let mut sets: Vec<PointSet> = (0..k).map(|_| PointSet::new()).collect();
-                        for m in &attr_msgs {
-                            for (s, set) in m.iter().enumerate() {
-                                sets[s] = sets[s].union(set);
+                        // A lone structure is taken as it is, with the sizes
+                        // its sender already computed.
+                        let mut sets: Vec<SizedSet> = if attr_msgs.len() == 1 {
+                            attr_msgs.pop().expect("one message")
+                        } else {
+                            let mut sets = vec![SizedSet::default(); k];
+                            for m in &attr_msgs {
+                                for (s, set) in m.iter().enumerate() {
+                                    sets[s].union_with(set);
+                                }
                             }
-                        }
+                            sets
+                        };
                         // Memorize the *received* per-query subtree sets for
                         // Selective Filter Forwarding, each under its own
                         // memory-cap check — exactly the solo rule per query.
                         if cfg.selective_forwarding {
-                            for s in 0..k {
-                                let stored = JoinAttrMsg::filter_wire_size(
-                                    &sets[s],
-                                    Representation::Quadtree,
-                                    &spaces[s],
-                                );
-                                if v == base || stored <= cfg.filter_memory_limit {
-                                    st.subtree_atts[s] = Some(sets[s].clone());
+                            for (s, set) in sets.iter_mut().enumerate() {
+                                if v == base
+                                    || set.wire_size(spaces[s].shape()) <= cfg.filter_memory_limit
+                                {
+                                    st.subtree_atts[s] = Some(PointSet::clone(set));
                                 }
                             }
                         }
@@ -803,15 +807,10 @@ impl QueryGroup {
                     *bytes
                 }
                 GroupUp::Attrs { sets } => {
-                    for (s, set) in sets.iter().enumerate() {
-                        let b = JoinAttrMsg::filter_wire_size(
-                            set,
-                            Representation::Quadtree,
-                            &spaces[s],
-                        ) as u64;
-                        solo_collection[s].fetch_add(b, Ordering::Relaxed);
+                    let present = solo_sizes(sets.iter_mut().enumerate(), &spaces);
+                    for &(s, _, bytes) in &present {
+                        solo_collection[s].fetch_add(bytes as u64, Ordering::Relaxed);
                     }
-                    let present: Vec<(usize, &PointSet)> = sets.iter().enumerate().collect();
                     merged_wire_size(&present, &sigs, &spaces)
                 }
             },
@@ -848,11 +847,11 @@ impl QueryGroup {
         // Each due query's collected set is exactly its solo population;
         // feed the presence transition into its persistent engine. The
         // resulting filter is bit-identical to a fresh `prejoin_filter`.
-        let collected = match base_msg {
-            GroupUp::Attrs { sets } => sets,
+        let collected: Vec<PointSet> = match base_msg {
+            GroupUp::Attrs { sets } => sets.into_iter().map(SizedSet::into_set).collect(),
             GroupUp::Full { .. } => unreachable!("base never applies Treecut"),
         };
-        let mut filters: Vec<PointSet> = Vec::with_capacity(k);
+        let mut filters: Vec<SizedSet> = Vec::with_capacity(k);
         for (s, &qi) in due.iter().enumerate() {
             let Registered {
                 ref query,
@@ -864,7 +863,7 @@ impl QueryGroup {
             let delta = presence_delta(population, &collected[s]);
             let filter = engine.apply_delta(query, space, &delta).clone();
             *population = collected[s].clone();
-            filters.push(filter);
+            filters.push(SizedSet::new(filter));
         }
 
         // ---- Phase 2: merged Filter-Dissemination ----
@@ -876,11 +875,11 @@ impl QueryGroup {
         let rep2 = down_wave_sync(
             snet.net_mut(),
             &participates,
-            |v, arrival: DownArrival<'_, Vec<Option<PointSet>>>| {
+            |v, arrival: DownArrival<'_, Vec<Option<SizedSet>>>| {
                 cells.with(v, |st| {
-                    let incoming: Vec<Option<&PointSet>> = match arrival {
+                    let incoming: Vec<Option<&SizedSet>> = match arrival {
                         DownArrival::Intact(f) => {
-                            st.received = f.clone();
+                            st.received = f.iter().map(|o| o.as_deref().cloned()).collect();
                             f.iter().map(|o| o.as_ref()).collect()
                         }
                         DownArrival::Origin => filters.iter().map(Some).collect(),
@@ -889,7 +888,7 @@ impl QueryGroup {
                         // retry re-runs the whole epoch, so stop forwarding.
                         DownArrival::Damaged => return None,
                     };
-                    let mut out: Vec<Option<PointSet>> = vec![None; k];
+                    let mut out: Vec<Option<SizedSet>> = vec![None; k];
                     for (s, inc) in incoming.into_iter().enumerate() {
                         let Some(inc) = inc else { continue };
                         if !selective {
@@ -900,7 +899,7 @@ impl QueryGroup {
                             Some(atts) => {
                                 let pruned = inc.intersect(atts);
                                 if !pruned.is_empty() {
-                                    out[s] = Some(pruned);
+                                    out[s] = Some(SizedSet::new(pruned));
                                 }
                             }
                             // Over the memory cap: cannot prune, forward as-is.
@@ -911,15 +910,14 @@ impl QueryGroup {
                 })
             },
             |msg| {
-                let present: Vec<(usize, &PointSet)> = msg
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(s, o)| o.as_ref().map(|set| (s, set)))
-                    .collect();
-                for &(s, set) in &present {
-                    let b = JoinAttrMsg::filter_wire_size(set, Representation::Quadtree, &spaces[s])
-                        as u64;
-                    solo_filter[s].fetch_add(b, Ordering::Relaxed);
+                let present = solo_sizes(
+                    msg.iter_mut()
+                        .enumerate()
+                        .filter_map(|(s, o)| o.as_mut().map(|set| (s, set))),
+                    &spaces,
+                );
+                for &(s, _, bytes) in &present {
+                    solo_filter[s].fetch_add(bytes as u64, Ordering::Relaxed);
                 }
                 merged_wire_size(&present, &sigs, &spaces)
             },
@@ -1061,7 +1059,7 @@ impl QueryGroup {
 /// are in the epoch's node-data tables), or every due query's cell set.
 enum GroupUp {
     Full { nodes: Vec<NodeId>, bytes: usize },
-    Attrs { sets: Vec<PointSet> },
+    Attrs { sets: Vec<SizedSet> },
 }
 
 /// Final-phase message: shipped tuples with their query-membership masks.
@@ -1115,15 +1113,31 @@ fn space_signature(space: &JoinSpace) -> SpaceSig {
     (dims, space.shape().flag_bits())
 }
 
-/// Wire size of a merged multi-query payload: slots whose spaces share a
-/// signature are encoded as one union quadtree plus, per member query, a
-/// cell-presence bitmap and one byte per cell whose flags diverge from the
-/// union's. When the member sets diverge so much that merging doesn't pay,
-/// the sender falls back to concatenating the individual encodings, so a
-/// merged message never costs more than its unshared parts — and a
-/// single-slot message costs exactly its solo encoding.
+/// The sets of a multi-query message with what each would cost encoded on
+/// its own — its solo-equivalent charge, and the "separate" term of
+/// [`merged_wire_size`]. The size is the set's cached one, so each set is
+/// costed once however often it is forwarded or asked.
+fn solo_sizes<'a>(
+    sets: impl Iterator<Item = (usize, &'a mut SizedSet)>,
+    spaces: &[JoinSpace],
+) -> Vec<(usize, &'a PointSet, usize)> {
+    sets.map(|(slot, set)| {
+        let bytes = set.wire_size(spaces[slot].shape());
+        (slot, &**set, bytes)
+    })
+    .collect()
+}
+
+/// Wire size of a merged multi-query payload, given each present slot's set
+/// and solo size ([`solo_sizes`]): slots whose spaces share a signature are
+/// encoded as one union quadtree plus, per member query, a cell-presence
+/// bitmap and one byte per cell whose flags diverge from the union's. When
+/// the member sets diverge so much that merging doesn't pay, the sender
+/// falls back to concatenating the individual encodings, so a merged message
+/// never costs more than its unshared parts — and a single-slot message
+/// costs exactly its solo encoding.
 fn merged_wire_size(
-    present: &[(usize, &PointSet)],
+    present: &[(usize, &PointSet, usize)],
     sigs: &[SpaceSig],
     spaces: &[JoinSpace],
 ) -> usize {
@@ -1134,20 +1148,17 @@ fn merged_wire_size(
             continue;
         }
         used[i] = true;
-        let (slot_i, set_i) = present[i];
+        let (slot_i, set_i, bytes_i) = present[i];
         let mut members: Vec<&PointSet> = vec![set_i];
+        let mut separate = bytes_i;
         for j in i + 1..present.len() {
-            let (slot_j, set_j) = present[j];
+            let (slot_j, set_j, bytes_j) = present[j];
             if !used[j] && sigs[slot_j] == sigs[slot_i] {
                 used[j] = true;
                 members.push(set_j);
+                separate += bytes_j;
             }
         }
-        let space = &spaces[slot_i];
-        let separate: usize = members
-            .iter()
-            .map(|m| JoinAttrMsg::filter_wire_size(m, Representation::Quadtree, space))
-            .sum();
         if members.len() == 1 {
             total += separate;
         } else {
@@ -1155,7 +1166,13 @@ fn merged_wire_size(
             for m in &members {
                 union = union.union(m);
             }
-            let mut merged = JoinAttrMsg::filter_wire_size(&union, Representation::Quadtree, space);
+            // Tenants of one template send the same set: the union is then
+            // the first member, already sized.
+            let mut merged = if union == *set_i {
+                bytes_i
+            } else {
+                encoded_wire_size(&union, spaces[slot_i].shape())
+            };
             let bitmap = union.len().div_ceil(8);
             for m in &members {
                 let diverging = union

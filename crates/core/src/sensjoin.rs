@@ -4,7 +4,7 @@ use crate::cells::NodeCells;
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, prejoin_filter, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, FullRec, JoinAttrMsg, NodeData};
+use crate::repr::{collect_node_data, project_to_schema, FullRec, JoinAttrMsg, NodeData, SizedSet};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
 use crate::JoinMethod;
@@ -71,7 +71,7 @@ struct Batch {
 #[derive(Clone)]
 enum FilterMsg {
     /// The (possibly subtree-pruned) join filter.
-    Filter(PointSet),
+    Filter(SizedSet),
     /// Conservative fallback: treat every tuple as potentially joining.
     PassThrough,
 }
@@ -298,11 +298,18 @@ impl JoinMethod for SensJoin {
                         }
                     } else {
                         st.active = true;
-                        // Merge received structures (Fig. 2 line 10).
-                        let mut ja = JoinAttrMsg::new();
-                        for m in &attr_msgs {
-                            ja.merge(m);
-                        }
+                        // Merge received structures (Fig. 2 line 10). A lone
+                        // structure is taken as it is, with the size its
+                        // sender already computed.
+                        let mut ja = if attr_msgs.len() == 1 {
+                            attr_msgs.pop().expect("one message")
+                        } else {
+                            let mut ja = JoinAttrMsg::new();
+                            for m in &attr_msgs {
+                                ja.merge(m);
+                            }
+                            ja
+                        };
                         // Memorize the subtree's join-attribute tuples for
                         // Selective Filter Forwarding — the *received* ones
                         // only (Fig. 2 line 21); own and proxied tuples are
@@ -311,15 +318,10 @@ impl JoinMethod for SensJoin {
                         // (only the §VI-B collection experiment varies the
                         // wire representation). The base station is powered
                         // and ignores the memory cap.
-                        let stored_size = JoinAttrMsg::filter_wire_size(
-                            &ja.set,
-                            Representation::Quadtree,
-                            &space,
-                        );
                         if cfg.selective_forwarding
-                            && (v == base || stored_size <= cfg.filter_memory_limit)
+                            && (v == base || ja.set.wire_size(&shape) <= cfg.filter_memory_limit)
                         {
-                            st.subtree_atts = Some(ja.set.clone());
+                            st.subtree_atts = Some(PointSet::clone(&ja.set));
                         }
                         // Act as proxy for received complete tuples (line 20)
                         // and fold their join-attribute projections in
@@ -393,10 +395,10 @@ impl JoinMethod for SensJoin {
 
         // ---- Base station: conservative pre-join (step 1a) ----
         let points = match base_msg {
-            UpMsg::Attrs(ja) => ja.set,
+            UpMsg::Attrs(ja) => ja.set.into_set(),
             UpMsg::Full { .. } => unreachable!("base never applies Treecut"),
         };
-        let filter = prejoin_filter(query, &space, &points);
+        let filter = SizedSet::new(prejoin_filter(query, &space, &points));
 
         // ---- Phase 2: Filter-Dissemination (Fig. 3) ----
         let active: Vec<bool> = states.iter().map(|s| s.active).collect();
@@ -412,7 +414,7 @@ impl JoinMethod for SensJoin {
             &participates,
             |v, arrival: DownArrival<'_, FilterMsg>| {
                 cells.with(v, |st| {
-                    let incoming: Option<&PointSet> = match arrival {
+                    let incoming: Option<&SizedSet> = match arrival {
                         DownArrival::Origin => {
                             if collection_damaged {
                                 None // base orders global pass-through
@@ -421,8 +423,8 @@ impl JoinMethod for SensJoin {
                             }
                         }
                         DownArrival::Intact(FilterMsg::Filter(f)) => {
-                            st.received_filter = Some(f.clone());
-                            st.received_filter.as_ref()
+                            st.received_filter = Some(PointSet::clone(f));
+                            Some(f)
                         }
                         // An explicit PassThrough order, or a filter copy the
                         // channel ate: either way the node must not prune and
@@ -441,7 +443,7 @@ impl JoinMethod for SensJoin {
                     match &st.subtree_atts {
                         Some(atts) => {
                             let pruned = incoming.intersect(atts);
-                            (!pruned.is_empty()).then_some(FilterMsg::Filter(pruned))
+                            (!pruned.is_empty()).then(|| FilterMsg::Filter(SizedSet::new(pruned)))
                         }
                         // Over the memory cap: cannot prune, forward as-is.
                         None => Some(FilterMsg::Filter(incoming.clone())),
@@ -451,9 +453,7 @@ impl JoinMethod for SensJoin {
             // The filter always travels in the compact quadtree form; the
             // representation knob only varies the collection step (§VI-B).
             |m| match m {
-                FilterMsg::Filter(set) => {
-                    tag + JoinAttrMsg::filter_wire_size(set, Representation::Quadtree, &space)
-                }
+                FilterMsg::Filter(set) => tag + set.wire_size(&shape),
                 FilterMsg::PassThrough => 1,
             },
             PHASE_FILTER,

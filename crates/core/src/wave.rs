@@ -37,13 +37,18 @@
 //! execution, and the per-link RNG streams end up in the same position.
 //! [`set_wave_mode`] pins execution to serial or parallel per thread (the
 //! equivalence tests rely on this); [`WaveMode::Auto`] parallelizes only
-//! past a participant threshold. Per-node protocol state mutated from
-//! `Fn + Sync` callbacks goes through [`crate::NodeCells`].
+//! past a participant threshold, and only when the routing tree actually
+//! splits into lanes. Per-node protocol state mutated from `Fn + Sync`
+//! callbacks goes through [`crate::NodeCells`].
+//!
+//! Every wave interns its phase label once ([`Network::intern_phase`]) and
+//! charges by [`sensjoin_sim::PhaseId`]; `size_of` sees each message once,
+//! mutably, so a message can carry its size to wherever it is forwarded
+//! unchanged ([`crate::SizedSet`]).
 
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{Delivery, Network, RoutingTree, Time};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 
 /// A phase's latency under the two scheduling models.
 ///
@@ -114,8 +119,10 @@ pub enum DownArrival<'a, M> {
 /// How the `_sync` waves execute (per thread; see [`set_wave_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WaveMode {
-    /// Parallelize when it pays: at least two subtree blocks, at least
-    /// [`PAR_MIN_PARTICIPANTS`] participating nodes and a multi-core host.
+    /// Parallelize when it pays: at least [`PAR_MIN_PARTICIPANTS`]
+    /// participating nodes, a multi-core host, and a routing tree whose
+    /// subtree blocks split into at least two lanes none of which holds
+    /// more than [`PAR_MAX_LANE_SHARE`] of the wave.
     #[default]
     Auto,
     /// Always run serially (reference executions).
@@ -130,6 +137,12 @@ pub enum WaveMode {
 /// paper scale (hundreds of nodes) thread spawn + ledger replay cost more
 /// than they save, so waves stay serial until well past it.
 pub const PAR_MIN_PARTICIPANTS: usize = 4096;
+
+/// The largest share of a wave's nodes one lane may hold before
+/// [`WaveMode::Auto`] declines to parallelize: beyond it the split cannot
+/// save a quarter of the serial time, less than recording and replaying
+/// every charge costs.
+pub const PAR_MAX_LANE_SHARE: f64 = 0.75;
 
 thread_local! {
     static WAVE_MODE: Cell<WaveMode> = const { Cell::new(WaveMode::Auto) };
@@ -155,22 +168,41 @@ fn worker_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Whether a wave with `participants` nodes spread over `blocks`
-/// independent subtree blocks should take the parallel path.
+/// How a wave over `items` (independent subtree blocks, `weight` nodes
+/// each, `participants` in all) is split across worker threads: contiguous
+/// runs of items, one charging lane each — or `None` to run serially.
+///
+/// [`WaveMode::Auto`] declines unless the tree can actually be split: a
+/// lane that holds more than [`PAR_MAX_LANE_SHARE`] of the wave leaves the
+/// other threads idle while the ledger replay is paid in full. That is a
+/// property of the routing tree (a corner base station whose four children
+/// include one ancestor of 99.9 % of the network), not of a workload.
 #[cfg(feature = "parallel")]
-fn go_parallel(participants: usize, blocks: usize) -> bool {
-    match wave_mode() {
-        WaveMode::ForceSerial => false,
-        WaveMode::ForceParallel => blocks >= 1,
-        WaveMode::Auto => {
-            blocks >= 2 && participants >= PAR_MIN_PARTICIPANTS && worker_threads() >= 2
+fn lane_split<T>(
+    items: &[T],
+    weight: impl Fn(&T) -> usize,
+    participants: usize,
+) -> Option<Vec<std::ops::Range<usize>>> {
+    let auto = match wave_mode() {
+        WaveMode::ForceSerial => return None,
+        WaveMode::ForceParallel => false,
+        WaveMode::Auto => true,
+    };
+    if items.is_empty() || (auto && (participants < PAR_MIN_PARTICIPANTS || worker_threads() < 2)) {
+        return None;
+    }
+    let lanes = balance(items, &weight, worker_threads());
+    if auto {
+        let heaviest = lanes
+            .iter()
+            .map(|r| items[r.clone()].iter().map(&weight).sum::<usize>())
+            .max()
+            .unwrap_or(0);
+        if lanes.len() < 2 || heaviest as f64 > PAR_MAX_LANE_SHARE * participants as f64 {
+            return None;
         }
     }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn go_parallel(_participants: usize, _blocks: usize) -> bool {
-    false
+    Some(lanes)
 }
 
 /// The wave's participants in visiting order: the routing tree's cached
@@ -209,6 +241,31 @@ fn absent_nodes(
         .collect()
 }
 
+/// Per tree level, the slowest transfer a wave saw there — the window sizes
+/// of the slotted schedule. Levels are dense, so this is a vector, not a map.
+#[derive(Default)]
+struct LevelMax(Vec<Time>);
+
+impl LevelMax {
+    fn note(&mut self, level: u32, t: Time) {
+        let l = level as usize;
+        if l >= self.0.len() {
+            self.0.resize(l + 1, 0);
+        }
+        self.0[l] = self.0[l].max(t);
+    }
+
+    fn absorb(&mut self, other: LevelMax) {
+        for (l, t) in other.0.into_iter().enumerate() {
+            self.note(l as u32, t);
+        }
+    }
+
+    fn slotted(&self) -> Time {
+        self.0.iter().sum()
+    }
+}
+
 /// A message that reached the wave's root, in serial arrival order.
 struct RootArrival<M> {
     /// `None` if the root-child's message was undecodable.
@@ -220,70 +277,84 @@ struct RootArrival<M> {
 /// Everything one contiguous run of subtree blocks contributes to an up
 /// wave. Merging chunks in block order reproduces the serial outcome.
 struct UpChunk<M> {
-    level_max: BTreeMap<u32, Time>,
+    level_max: LevelMax,
     damaged: Vec<NodeId>,
     arrivals: Vec<RootArrival<M>>,
 }
 
+/// A message on its way to a parent the wave has not visited yet.
+struct InFlight<M> {
+    to: NodeId,
+    /// `None` if undecodable: dropped whole at the parent, which still
+    /// waits for the transfer to end.
+    msg: Option<M>,
+    done: Time,
+}
+
 /// Runs the non-root part of an up wave over `order` (a contiguous run of
-/// participant subtree blocks in post-order). Scratch is proportional to
-/// `order.len()`, not the network size: per-node slots live in a sorted
-/// participant-id table probed by binary search.
+/// participant subtree blocks in post-order). In post-order a node is
+/// visited right after the last of its children's subtrees, each of which
+/// consumed its own children's messages — so a node's inbox is exactly the
+/// top of one stack of in-flight messages. No per-node table, no lookup;
+/// scratch is the stack, at most `order.len()` deep.
 fn up_chunk<M>(
     tree: &RoutingTree,
     root: NodeId,
     order: &[NodeId],
+    participates: &(impl Fn(NodeId) -> bool + ?Sized),
     produce: &mut impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: &impl Fn(&M) -> usize,
+    size_of: &impl Fn(&mut M) -> usize,
     deliver: &mut impl FnMut(NodeId, NodeId, usize) -> Delivery,
 ) -> UpChunk<M> {
-    let mut ids: Vec<NodeId> = order.to_vec();
-    ids.sort_unstable();
-    let slot = |v: NodeId| {
-        ids.binary_search(&v)
-            .expect("participants must be root-closed")
-    };
-    let mut inbox: Vec<Vec<M>> = (0..order.len()).map(|_| Vec::new()).collect();
-    // completion[slot(v)] = when v's slowest child transfer finished.
-    let mut completion: Vec<Time> = vec![0; order.len()];
+    let mut in_flight: Vec<InFlight<M>> = Vec::new();
     let mut chunk = UpChunk {
-        level_max: BTreeMap::new(),
+        level_max: LevelMax::default(),
         damaged: Vec::new(),
         arrivals: Vec::new(),
     };
     for &v in order {
-        let s = slot(v);
-        let received = std::mem::take(&mut inbox[s]);
-        let ready = completion[s];
-        let msg = produce(v, received);
+        let mine = in_flight
+            .iter()
+            .rposition(|m| m.to != v)
+            .map_or(0, |i| i + 1);
+        // When v's slowest child transfer finished.
+        let mut ready: Time = 0;
+        let mut received = Vec::with_capacity(in_flight.len() - mine);
+        for m in in_flight.drain(mine..) {
+            ready = ready.max(m.done);
+            received.extend(m.msg);
+        }
+        let mut msg = produce(v, received);
         let parent = tree.parent(v).expect("only the root has no parent");
-        let bytes = size_of(&msg);
+        // The stack discipline relies on it: a message to a parent that is
+        // never visited would sit on the stack under its siblings' inboxes.
+        assert!(
+            parent == root || participates(parent),
+            "participants must be root-closed"
+        );
+        let bytes = size_of(&mut msg);
         let d = deliver(v, parent, bytes);
         if d.time > 0 {
             let level = tree.depth(v).expect("participant is reachable");
-            let m = chunk.level_max.entry(level).or_default();
-            *m = (*m).max(d.time);
+            chunk.level_max.note(level, d.time);
         }
         let done = ready + d.time;
+        if !d.complete {
+            chunk.damaged.push(v);
+        }
+        // Undecodable message: dropped whole at the parent.
+        let msg = d.complete.then_some(msg);
         if parent == root {
-            if !d.complete {
-                chunk.damaged.push(v);
-            }
-            chunk.arrivals.push(RootArrival {
-                msg: d.complete.then_some(msg),
+            chunk.arrivals.push(RootArrival { msg, done });
+        } else {
+            in_flight.push(InFlight {
+                to: parent,
+                msg,
                 done,
             });
-        } else {
-            let p = slot(parent);
-            completion[p] = completion[p].max(done);
-            if d.complete {
-                inbox[p].push(msg);
-            } else {
-                // Undecodable message: dropped whole at the parent.
-                chunk.damaged.push(v);
-            }
         }
     }
+    debug_assert!(in_flight.is_empty(), "every message met its parent");
     chunk
 }
 
@@ -297,15 +368,12 @@ fn finish_up<M>(
     chunks: Vec<UpChunk<M>>,
     produce: &mut impl FnMut(NodeId, Vec<M>) -> M,
 ) -> (M, WaveReport) {
-    let mut level_max: BTreeMap<u32, Time> = BTreeMap::new();
+    let mut level_max = LevelMax::default();
     let mut damaged = Vec::new();
     let mut inbox = Vec::new();
     let mut ready: Time = 0;
     for chunk in chunks {
-        for (level, t) in chunk.level_max {
-            let m = level_max.entry(level).or_default();
-            *m = (*m).max(t);
-        }
+        level_max.absorb(chunk.level_max);
         damaged.extend(chunk.damaged);
         for arrival in chunk.arrivals {
             ready = ready.max(arrival.done);
@@ -316,7 +384,7 @@ fn finish_up<M>(
     let report = WaveReport {
         timing: WaveTiming {
             pipelined: ready,
-            slotted: level_max.values().sum(),
+            slotted: level_max.slotted(),
         },
         damaged,
         absent: absent_nodes(n, tree, participates),
@@ -332,25 +400,42 @@ fn finish_up<M>(
 ///
 /// For each node, `produce(node, received_from_children)` builds the message
 /// to forward; `size_of` gives its wire size in bytes (0-byte messages cost
-/// nothing). A child message lost on the lossy channel is dropped whole (the
-/// parent receives fewer messages) and the child lands in
+/// nothing) and is called once per message, before it leaves — it may cache
+/// the size in the message, so a relay that forwards the content unchanged
+/// need not cost it again. A child message lost on the lossy channel is
+/// dropped whole (the parent receives fewer messages) and the child lands in
 /// [`WaveReport::damaged`]. Returns the message produced at the root and the
 /// wave's report.
 pub fn up_wave<M>(
     net: &mut Network,
     participates: &dyn Fn(NodeId) -> bool,
+    produce: impl FnMut(NodeId, Vec<M>) -> M,
+    size_of: impl Fn(&mut M) -> usize,
+    phase: &str,
+) -> (M, WaveReport) {
+    let order = collect_participants(net.routing(), participates);
+    up_serial(net, &order, participates, produce, size_of, phase)
+}
+
+/// The serial up wave over already collected participants, charged straight
+/// through the network's [`sensjoin_sim::DeliveryPort`].
+fn up_serial<M>(
+    net: &mut Network,
+    order: &[NodeId],
+    participates: &(impl Fn(NodeId) -> bool + ?Sized),
     mut produce: impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: impl Fn(&M) -> usize,
+    size_of: impl Fn(&mut M) -> usize,
     phase: &str,
 ) -> (M, WaveReport) {
     let n = net.len();
+    let phase = net.intern_phase(phase);
     let (tree, mut port) = net.delivery_port();
     let root = tree.base();
-    let order = collect_participants(tree, participates);
     let chunk = up_chunk(
         tree,
         root,
-        &order,
+        order,
+        participates,
         &mut produce,
         &size_of,
         &mut |f, t, b| port.unicast_delivery(f, t, b, phase),
@@ -366,7 +451,7 @@ fn up_wave_on<M>(
     tree: &RoutingTree,
     participates: &dyn Fn(NodeId) -> bool,
     mut produce: impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: impl Fn(&M) -> usize,
+    size_of: impl Fn(&mut M) -> usize,
     phase: &str,
 ) -> (M, WaveReport) {
     let root = tree.base();
@@ -375,6 +460,7 @@ fn up_wave_on<M>(
         tree,
         root,
         &order,
+        participates,
         &mut produce,
         &size_of,
         &mut |f, t, b| net.unicast_delivery(f, t, b, phase),
@@ -443,32 +529,50 @@ fn balance<T>(
     out
 }
 
-/// Runs up-wave chunks on worker threads, one charging lane each. Returns
-/// outcomes in block order, so absorbing + merging sequentially reproduces
-/// the serial event sequence.
+/// The up wave's lanes: runs of whole subtree blocks of `order`, as ranges
+/// into `order` (see [`lane_split`]).
 #[cfg(feature = "parallel")]
-fn up_parallel<M: Send>(
-    net: &Network,
+fn up_lanes(
     tree: &RoutingTree,
     root: NodeId,
     order: &[NodeId],
-    produce: &(impl Fn(NodeId, Vec<M>) -> M + Sync),
-    size_of: &(impl Fn(&M) -> usize + Sync),
-    phase: &str,
-) -> Vec<(sensjoin_sim::LaneOutcome, UpChunk<M>)> {
+) -> Option<Vec<std::ops::Range<usize>>> {
     let blocks = subtree_blocks(tree, root, order);
-    let ranges = balance(&blocks, |b| b.len(), worker_threads());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
+    let lanes = lane_split(&blocks, |b| b.len(), order.len())?;
+    Some(
+        lanes
             .into_iter()
-            .map(|r| {
+            .map(|r| blocks[r.start].start..blocks[r.end - 1].end)
+            .collect(),
+    )
+}
+
+/// Runs up-wave chunks on worker threads, one charging lane each. Returns
+/// outcomes in block order, so absorbing + merging sequentially
+/// ([`absorb_lanes`]) reproduces the serial event sequence.
+#[cfg(feature = "parallel")]
+#[allow(clippy::too_many_arguments)]
+fn up_parallel<M: Send>(
+    net: &Network,
+    tree: &RoutingTree,
+    order: &[NodeId],
+    lanes: Vec<std::ops::Range<usize>>,
+    participates: &(dyn Fn(NodeId) -> bool + Sync),
+    produce: &(impl Fn(NodeId, Vec<M>) -> M + Sync),
+    size_of: &(impl Fn(&mut M) -> usize + Sync),
+    phase: sensjoin_sim::PhaseId,
+) -> Vec<(sensjoin_sim::LaneOutcome, UpChunk<M>)> {
+    let root = tree.base();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = lanes
+            .into_iter()
+            .map(|span| {
                 let mut lane = net.open_lane();
-                let span = blocks[r.start].start..blocks[r.end - 1].end;
                 let order = &order[span];
                 s.spawn(move || {
                     let mut p = |v, msgs| produce(v, msgs);
                     let mut d = |f, t, b| lane.unicast_delivery(f, t, b, phase);
-                    let chunk = up_chunk(tree, root, order, &mut p, size_of, &mut d);
+                    let chunk = up_chunk(tree, root, order, participates, &mut p, size_of, &mut d);
                     (lane.finish(), chunk)
                 })
             })
@@ -480,6 +584,19 @@ fn up_parallel<M: Send>(
     })
 }
 
+/// Replays finished lanes onto the network in block order and hands back
+/// their chunks in that order.
+#[cfg(feature = "parallel")]
+fn absorb_lanes<C>(net: &mut Network, results: Vec<(sensjoin_sim::LaneOutcome, C)>) -> Vec<C> {
+    results
+        .into_iter()
+        .map(|(outcome, chunk)| {
+            net.absorb_lane(outcome);
+            chunk
+        })
+        .collect()
+}
+
 /// [`up_wave`] with thread-shareable callbacks: parallelizes across subtree
 /// blocks per [`set_wave_mode`], with byte/packet counters, energy sums,
 /// trace rows and channel streams bit-identical to serial execution (see
@@ -488,36 +605,29 @@ pub fn up_wave_sync<M: Send>(
     net: &mut Network,
     participates: &(dyn Fn(NodeId) -> bool + Sync),
     produce: impl Fn(NodeId, Vec<M>) -> M + Sync,
-    size_of: impl Fn(&M) -> usize + Sync,
+    size_of: impl Fn(&mut M) -> usize + Sync,
     phase: &str,
 ) -> (M, WaveReport) {
-    let n = net.len();
+    let order = collect_participants(net.routing(), participates);
     #[cfg(feature = "parallel")]
-    {
-        let (order, nblocks) = {
-            let tree = net.routing();
-            let order = collect_participants(tree, participates);
-            let nblocks = subtree_blocks(tree, tree.base(), &order).len();
-            (order, nblocks)
-        };
-        if go_parallel(order.len(), nblocks) {
-            let results = {
-                let tree = net.routing();
-                up_parallel(net, tree, tree.base(), &order, &produce, &size_of, phase)
-            };
-            let mut chunks = Vec::with_capacity(results.len());
-            for (outcome, chunk) in results {
-                net.absorb_lane(outcome);
-                chunks.push(chunk);
-            }
-            let tree = net.routing();
-            let root = tree.base();
-            let mut p = |v, msgs| produce(v, msgs);
-            return finish_up(n, tree, participates, root, chunks, &mut p);
-        }
+    if let Some(lanes) = up_lanes(net.routing(), net.base(), &order) {
+        let phase = net.intern_phase(phase);
+        let results = up_parallel(
+            net,
+            net.routing(),
+            &order,
+            lanes,
+            participates,
+            &produce,
+            &size_of,
+            phase,
+        );
+        let chunks = absorb_lanes(net, results);
+        let tree = net.routing();
+        let mut p = |v, msgs| produce(v, msgs);
+        return finish_up(net.len(), tree, participates, tree.base(), chunks, &mut p);
     }
-    let _ = n;
-    up_wave(net, &participates, produce, size_of, phase)
+    up_serial(net, &order, participates, produce, size_of, phase)
 }
 
 /// [`up_wave_on`] with thread-shareable callbacks; see [`up_wave_sync`].
@@ -526,29 +636,37 @@ pub fn up_wave_on_sync<M: Send>(
     tree: &RoutingTree,
     participates: &(dyn Fn(NodeId) -> bool + Sync),
     produce: impl Fn(NodeId, Vec<M>) -> M + Sync,
-    size_of: impl Fn(&M) -> usize + Sync,
+    size_of: impl Fn(&mut M) -> usize + Sync,
     phase: &str,
 ) -> (M, WaveReport) {
     let root = tree.base();
     let order = collect_participants(tree, participates);
-    #[cfg(feature = "parallel")]
-    {
-        let nblocks = subtree_blocks(tree, root, &order).len();
-        if go_parallel(order.len(), nblocks) {
-            let results = up_parallel(net, tree, root, &order, &produce, &size_of, phase);
-            let mut chunks = Vec::with_capacity(results.len());
-            for (outcome, chunk) in results {
-                net.absorb_lane(outcome);
-                chunks.push(chunk);
-            }
-            let mut p = |v, msgs| produce(v, msgs);
-            return finish_up(net.len(), tree, participates, root, chunks, &mut p);
-        }
-    }
     let mut p = |v, msgs| produce(v, msgs);
-    let chunk = up_chunk(tree, root, &order, &mut p, &size_of, &mut |f, t, b| {
-        net.unicast_delivery(f, t, b, phase)
-    });
+    #[cfg(feature = "parallel")]
+    if let Some(lanes) = up_lanes(tree, root, &order) {
+        let phase = net.intern_phase(phase);
+        let results = up_parallel(
+            net,
+            tree,
+            &order,
+            lanes,
+            participates,
+            &produce,
+            &size_of,
+            phase,
+        );
+        let chunks = absorb_lanes(net, results);
+        return finish_up(net.len(), tree, participates, root, chunks, &mut p);
+    }
+    let chunk = up_chunk(
+        tree,
+        root,
+        &order,
+        participates,
+        &mut p,
+        &size_of,
+        &mut |f, t, b| net.unicast_delivery(f, t, b, phase),
+    );
     finish_up(net.len(), tree, participates, root, vec![chunk], &mut p)
 }
 
@@ -560,9 +678,10 @@ enum Arrival<M> {
 }
 
 /// What one contiguous run of down-wave subtrees contributes.
+#[derive(Default)]
 struct DownChunk {
     latest: Time,
-    level_max: BTreeMap<u32, Time>,
+    level_max: LevelMax,
     damaged: Vec<NodeId>,
 }
 
@@ -573,15 +692,11 @@ fn down_chunk<M: Clone>(
     tree: &RoutingTree,
     participates: &(impl Fn(NodeId) -> bool + ?Sized),
     produce: &mut impl FnMut(NodeId, DownArrival<'_, M>) -> Option<M>,
-    size_of: &impl Fn(&M) -> usize,
+    size_of: &impl Fn(&mut M) -> usize,
     seeds: Vec<(NodeId, Arrival<M>, Time)>,
     deliver: &mut impl FnMut(NodeId, &[NodeId], usize) -> sensjoin_sim::BroadcastDelivery,
 ) -> DownChunk {
-    let mut chunk = DownChunk {
-        latest: 0,
-        level_max: BTreeMap::new(),
-        damaged: Vec::new(),
-    };
+    let mut chunk = DownChunk::default();
     let mut stack: Vec<(NodeId, Arrival<M>, Time)> = seeds;
     stack.reverse(); // pop order = seed order
     let mut kids: Vec<NodeId> = Vec::new();
@@ -592,7 +707,7 @@ fn down_chunk<M: Clone>(
             Arrival::Msg(m) => produce(v, DownArrival::Intact(m)),
             Arrival::Damaged => produce(v, DownArrival::Damaged),
         };
-        let Some(out) = out else { continue };
+        let Some(mut out) = out else { continue };
         kids.clear();
         kids.extend(
             tree.children(v)
@@ -603,12 +718,11 @@ fn down_chunk<M: Clone>(
         if kids.is_empty() {
             continue;
         }
-        let bytes = size_of(&out);
+        let bytes = size_of(&mut out);
         let d = deliver(v, &kids, bytes);
         if d.time > 0 {
             let level = tree.depth(v).expect("broadcaster is reachable");
-            let m = chunk.level_max.entry(level).or_default();
-            *m = (*m).max(d.time);
+            chunk.level_max.note(level, d.time);
         }
         // Reversed push: the lowest-id child's subtree is walked first.
         for (i, &c) in kids.iter().enumerate().rev() {
@@ -637,17 +751,20 @@ fn down_chunk<M: Clone>(
 /// message to broadcast to the node's participating children (`None`
 /// suppresses forwarding — Selective Filter Forwarding's pruning). A single
 /// broadcast reaches all participating children (one transmission, one
-/// reception each — paper Fig. 3 `broadcast(SubtreeFilter)`).
+/// reception each — paper Fig. 3 `broadcast(SubtreeFilter)`). `size_of` is
+/// called once per broadcast, before the children's copies are made, so a
+/// size it caches in the message travels with every copy.
 ///
 /// Children whose copy was lost appear in [`WaveReport::damaged`].
 pub fn down_wave<M: Clone>(
     net: &mut Network,
     participates: &dyn Fn(NodeId) -> bool,
     mut produce: impl FnMut(NodeId, DownArrival<'_, M>) -> Option<M>,
-    size_of: impl Fn(&M) -> usize,
+    size_of: impl Fn(&mut M) -> usize,
     phase: &str,
 ) -> WaveReport {
     let n = net.len();
+    let phase = net.intern_phase(phase);
     let (tree, mut port) = net.delivery_port();
     let base = tree.base();
     let chunk = down_chunk(
@@ -661,53 +778,11 @@ pub fn down_wave<M: Clone>(
     WaveReport {
         timing: WaveTiming {
             pipelined: chunk.latest,
-            slotted: chunk.level_max.values().sum(),
+            slotted: chunk.level_max.slotted(),
         },
         damaged: chunk.damaged,
         absent: absent_nodes(n, tree, participates),
     }
-}
-
-/// Runs down-wave chunks on worker threads; see [`up_parallel`].
-#[cfg(feature = "parallel")]
-#[allow(clippy::type_complexity)]
-fn down_parallel<M: Clone + Send>(
-    net: &Network,
-    tree: &RoutingTree,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    mut seeds: Vec<(NodeId, Arrival<M>, Time)>,
-    produce: &(impl Fn(NodeId, DownArrival<'_, M>) -> Option<M> + Sync),
-    size_of: &(impl Fn(&M) -> usize + Sync),
-    phase: &str,
-) -> Vec<(sensjoin_sim::LaneOutcome, DownChunk)> {
-    let ranges = balance(
-        &seeds,
-        |(c, _, _)| tree.descendants(*c) as usize + 1,
-        worker_threads(),
-    );
-    let mut groups: Vec<Vec<(NodeId, Arrival<M>, Time)>> = Vec::with_capacity(ranges.len());
-    for r in ranges.into_iter().rev() {
-        groups.push(seeds.split_off(r.start));
-    }
-    groups.reverse();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|seeds| {
-                let mut lane = net.open_lane();
-                s.spawn(move || {
-                    let mut p = |v, a: DownArrival<'_, M>| produce(v, a);
-                    let mut d = |f, r: &[NodeId], b| lane.broadcast_delivery(f, r, b, phase);
-                    let chunk = down_chunk(tree, participates, &mut p, size_of, seeds, &mut d);
-                    (lane.finish(), chunk)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("down-wave worker panicked"))
-            .collect()
-    })
 }
 
 /// [`down_wave`] with thread-shareable callbacks: the root's broadcast is
@@ -718,71 +793,103 @@ pub fn down_wave_sync<M: Clone + Send>(
     net: &mut Network,
     participates: &(dyn Fn(NodeId) -> bool + Sync),
     produce: impl Fn(NodeId, DownArrival<'_, M>) -> Option<M> + Sync,
-    size_of: impl Fn(&M) -> usize + Sync,
+    size_of: impl Fn(&mut M) -> usize + Sync,
     phase: &str,
 ) -> WaveReport {
     #[cfg(feature = "parallel")]
     {
-        let n = net.len();
         let base = net.base();
-        let (kids, potential) = {
-            let tree = net.routing();
-            let kids: Vec<NodeId> = tree
-                .children(base)
-                .iter()
-                .copied()
-                .filter(|&c| participates(c))
-                .collect();
-            let potential: usize = kids.iter().map(|&c| tree.descendants(c) as usize + 1).sum();
-            (kids, potential)
-        };
-        if go_parallel(potential, kids.len()) {
-            let mut latest: Time = 0;
-            let mut level_max: BTreeMap<u32, Time> = BTreeMap::new();
-            let mut damaged: Vec<NodeId> = Vec::new();
-            let mut seeds: Vec<(NodeId, Arrival<M>, Time)> = Vec::with_capacity(kids.len());
-            // The root is charged serially: its broadcast (and the ACK
-            // frames flowing back) precede every subtree event.
-            if let Some(out) = produce(base, DownArrival::Origin) {
-                let bytes = size_of(&out);
-                let d = net.broadcast_delivery(base, &kids, bytes, phase);
-                if d.time > 0 {
-                    level_max.insert(0, d.time);
-                }
-                for (i, &c) in kids.iter().enumerate() {
-                    if bytes == 0 || d.complete[i] {
-                        seeds.push((c, Arrival::Msg(out.clone()), d.time));
-                    } else {
-                        damaged.push(c);
-                        seeds.push((c, Arrival::Damaged, d.time));
-                    }
-                }
-            }
-            let results = {
-                let tree = net.routing();
-                down_parallel(net, tree, participates, seeds, &produce, &size_of, phase)
-            };
-            for (outcome, chunk) in results {
-                net.absorb_lane(outcome);
-                latest = latest.max(chunk.latest);
-                for (level, t) in chunk.level_max {
-                    let m = level_max.entry(level).or_default();
-                    *m = (*m).max(t);
-                }
-                damaged.extend(chunk.damaged);
-            }
-            let tree = net.routing();
-            return WaveReport {
-                timing: WaveTiming {
-                    pipelined: latest,
-                    slotted: level_max.values().sum(),
-                },
-                damaged,
-                absent: absent_nodes(n, tree, participates),
-            };
+        let tree = net.routing();
+        let kids: Vec<NodeId> = tree
+            .children(base)
+            .iter()
+            .copied()
+            .filter(|&c| participates(c))
+            .collect();
+        let subtree = |c: &NodeId| tree.descendants(*c) as usize + 1;
+        let potential: usize = kids.iter().map(subtree).sum();
+        if let Some(lanes) = lane_split(&kids, subtree, potential) {
+            return down_parallel(net, &kids, lanes, participates, &produce, &size_of, phase);
         }
     }
     down_wave(net, &participates, produce, size_of, phase)
+}
+
+/// The parallel down wave: the root's broadcast to `kids` is charged
+/// serially (it, and the ACK frames flowing back, precede every subtree
+/// event), then each lane — a run of `kids` — walks its subtrees on a
+/// worker thread; see [`up_parallel`].
+#[cfg(feature = "parallel")]
+fn down_parallel<M: Clone + Send>(
+    net: &mut Network,
+    kids: &[NodeId],
+    lanes: Vec<std::ops::Range<usize>>,
+    participates: &(dyn Fn(NodeId) -> bool + Sync),
+    produce: &(impl Fn(NodeId, DownArrival<'_, M>) -> Option<M> + Sync),
+    size_of: &(impl Fn(&mut M) -> usize + Sync),
+    phase: &str,
+) -> WaveReport {
+    let n = net.len();
+    let base = net.base();
+    let phase_id = net.intern_phase(phase);
+    let mut total = DownChunk::default();
+    let mut seeds: Vec<(NodeId, Arrival<M>, Time)> = Vec::with_capacity(kids.len());
+    if let Some(mut out) = produce(base, DownArrival::Origin) {
+        let bytes = size_of(&mut out);
+        let d = net.broadcast_delivery(base, kids, bytes, phase);
+        if d.time > 0 {
+            total.level_max.note(0, d.time);
+        }
+        for (i, &c) in kids.iter().enumerate() {
+            if bytes == 0 || d.complete[i] {
+                seeds.push((c, Arrival::Msg(out.clone()), d.time));
+            } else {
+                total.damaged.push(c);
+                seeds.push((c, Arrival::Damaged, d.time));
+            }
+        }
+    }
+    if !seeds.is_empty() {
+        // One group of seeds per lane, split off back to front.
+        let mut groups: Vec<Vec<(NodeId, Arrival<M>, Time)>> = Vec::with_capacity(lanes.len());
+        for r in lanes.into_iter().rev() {
+            groups.push(seeds.split_off(r.start));
+        }
+        groups.reverse();
+        let shared: &Network = net;
+        let tree = shared.routing();
+        let results: Vec<(sensjoin_sim::LaneOutcome, DownChunk)> = std::thread::scope(|s| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|seeds| {
+                    let mut lane = shared.open_lane();
+                    s.spawn(move || {
+                        let mut p = |v, a: DownArrival<'_, M>| produce(v, a);
+                        let mut d = |f, r: &[NodeId], b| lane.broadcast_delivery(f, r, b, phase_id);
+                        let chunk = down_chunk(tree, participates, &mut p, size_of, seeds, &mut d);
+                        (lane.finish(), chunk)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("down-wave worker panicked"))
+                .collect()
+        });
+        for chunk in absorb_lanes(net, results) {
+            total.latest = total.latest.max(chunk.latest);
+            total.level_max.absorb(chunk.level_max);
+            total.damaged.extend(chunk.damaged);
+        }
+    }
+    WaveReport {
+        timing: WaveTiming {
+            pipelined: total.latest,
+            slotted: total.level_max.slotted(),
+        },
+        damaged: total.damaged,
+        absent: absent_nodes(n, net.routing(), participates),
+    }
 }
 
 #[cfg(test)]
@@ -806,7 +913,7 @@ mod tests {
             &mut net,
             &|_| true,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         assert_eq!(total, reachable);
@@ -929,7 +1036,7 @@ mod tests {
             &mut net,
             &|_| true,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         // The base only counts itself: all child messages were dropped whole.
@@ -947,7 +1054,7 @@ mod tests {
             &mut net,
             &|_| true,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         assert_eq!(total, reachable);
@@ -973,7 +1080,7 @@ mod tests {
             &mut net,
             &|_| true,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         assert!(rep.damaged.is_empty());
@@ -1034,7 +1141,7 @@ mod tests {
             &mut a,
             &participates,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         let mut b = net();
@@ -1045,7 +1152,7 @@ mod tests {
             &tree,
             &participates,
             |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-            |m| m * 4,
+            |m| *m * 4,
             "test",
         );
         assert_eq!(ma, mb);
@@ -1053,6 +1160,67 @@ mod tests {
         for v in a.topology().nodes() {
             assert_eq!(a.stats().node(v), b.stats().node(v), "{v}");
         }
+    }
+
+    /// A corner base station whose few children include one ancestor of
+    /// nearly the whole network: the tree cannot be split into lanes, so
+    /// `Auto` must run serially (one lane would do all the work and the
+    /// ledger replay would come on top) while `ForceParallel` still takes
+    /// the lane machinery.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn auto_declines_when_the_tree_does_not_split() {
+        // Placement seed 6 at paper density: base-child subtrees of 1, 4996
+        // and 2 nodes.
+        let area = Area::for_constant_density(5000);
+        let pos = Placement::UniformRandom { n: 5000 }.generate(area, 6);
+        let net = NetworkBuilder::new()
+            .base(sensjoin_sim::BaseChoice::NearestCorner)
+            .build(pos, area)
+            .unwrap();
+        let tree = net.routing();
+        let order = collect_participants(tree, &|_| true);
+        assert!(order.len() >= PAR_MIN_PARTICIPANTS);
+        let blocks = subtree_blocks(tree, tree.base(), &order);
+        let heaviest = blocks.iter().map(|b| b.len()).max().unwrap();
+        assert!(
+            blocks.len() >= 2 && heaviest as f64 > PAR_MAX_LANE_SHARE * order.len() as f64,
+            "the deployment is meant to be lopsided: {:?}",
+            blocks.iter().map(|b| b.len()).collect::<Vec<_>>()
+        );
+        set_wave_mode(WaveMode::Auto);
+        assert_eq!(up_lanes(tree, tree.base(), &order), None);
+        set_wave_mode(WaveMode::ForceParallel);
+        let forced = up_lanes(tree, tree.base(), &order);
+        set_wave_mode(WaveMode::Auto);
+        let forced = forced.expect("ForceParallel always takes lanes");
+        assert_eq!(forced.first().unwrap().start, 0);
+        assert_eq!(forced.last().unwrap().end, order.len());
+    }
+
+    /// The split rule itself, on block weights: `Auto` wants at least two
+    /// lanes and none above the share cap, wherever the heavy block sits.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn lane_split_rule() {
+        let split = |blocks: &[usize]| lane_split(blocks, |&b| b, blocks.iter().sum());
+        set_wave_mode(WaveMode::Auto);
+        // Heavy block last: `balance` yields one chunk. Heavy block second:
+        // two chunks, one of them 99.9 % of the wave. Neither is a split.
+        assert_eq!(split(&[10, 50, 33, 99_900]), None);
+        assert_eq!(split(&[10, 99_900, 50, 33]), None);
+        assert_eq!(split(&[99_993]), None);
+        // Too small to bother, however even.
+        assert_eq!(split(&[1000, 1000, 1000]), None);
+        if worker_threads() >= 2 {
+            let lanes = split(&[30_000, 30_000, 40_000]).expect("an even tree splits");
+            assert!(lanes.len() >= 2);
+        }
+        set_wave_mode(WaveMode::ForceParallel);
+        assert_eq!(split(&[10, 50, 33, 99_900]).map(|l| l.len()), Some(1));
+        set_wave_mode(WaveMode::ForceSerial);
+        assert_eq!(split(&[30_000, 30_000, 40_000]), None);
+        set_wave_mode(WaveMode::Auto);
     }
 
     #[test]
@@ -1067,7 +1235,7 @@ mod tests {
                 &mut net,
                 &|_| true,
                 |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-                |m| m * 4,
+                |m| *m * 4,
                 "test",
             );
             set_wave_mode(WaveMode::Auto);

@@ -75,6 +75,23 @@ impl BitWriter {
         }
     }
 
+    /// Appends `count` zero bits.
+    pub fn push_zeros(&mut self, count: usize) {
+        self.len += count;
+        self.buf.resize(self.len.div_ceil(8), 0);
+    }
+
+    /// Sets the already-written bit at `pos` (for fields whose content is
+    /// only known after later bits were appended).
+    ///
+    /// # Panics
+    /// Panics if `pos` is not below [`BitWriter::len_bits`].
+    #[inline]
+    pub fn set_bit(&mut self, pos: usize) {
+        assert!(pos < self.len, "bit {pos} not written yet");
+        self.buf[pos / 8] |= 0x80 >> (pos % 8);
+    }
+
     /// Number of bits written so far.
     #[inline]
     pub fn len_bits(&self) -> usize {
@@ -169,6 +186,17 @@ impl<'a> BitReader<'a> {
         Some(v)
     }
 
+    /// Skips `count` bits, or returns `None` (consuming nothing) if fewer
+    /// remain.
+    #[inline]
+    pub fn skip(&mut self, count: usize) -> Option<()> {
+        if count > self.remaining() {
+            return None;
+        }
+        self.pos += count;
+        Some(())
+    }
+
     /// Bits consumed so far.
     #[inline]
     pub fn position(&self) -> usize {
@@ -216,6 +244,17 @@ mod tests {
         assert_eq!(r.read_bits(32), Some(0xDEADBEEF));
         assert_eq!(r.read_bits(64), Some(u64::MAX));
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn set_bit_patches_written_bits() {
+        let mut w = BitWriter::new();
+        w.push_bits(0, 3);
+        w.push_zeros(9);
+        w.set_bit(0);
+        w.set_bit(9);
+        let (bytes, len) = w.finish();
+        assert_eq!((bytes, len), (vec![0b1000_0000, 0b0100_0000], 12));
     }
 
     #[test]
@@ -288,5 +327,8 @@ mod tests {
         r.read_bits(5);
         assert_eq!(r.position(), 5);
         assert_eq!(r.remaining(), 11);
+        assert_eq!(r.skip(12), None);
+        assert_eq!(r.skip(3), Some(()));
+        assert_eq!(r.read_bits(8), Some(0x55));
     }
 }

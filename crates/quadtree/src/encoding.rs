@@ -78,120 +78,201 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encodes a point set into the pointerless quadtree bitstring.
+///
+/// The list-vs-subdivide decisions come from the same [`Plan`] pass that
+/// [`encoded_len_bits`] runs; encoding only adds the pass that writes them
+/// out.
 pub fn encode(set: &PointSet, shape: &TreeShape) -> EncodedTree {
-    let mut keys: Vec<u64> = set.iter().map(|p| shape.key(p.z, p.flags.0)).collect();
-    keys.sort_unstable();
-    let mut w = BitWriter::new();
-    if !keys.is_empty() {
-        let mut scratch = Vec::new();
-        emit(&keys, 0, shape, &mut w, &mut scratch);
+    let mut keys: Vec<u64> = Vec::with_capacity(set.len());
+    for_each_key(set, shape, |k| keys.push(k));
+    // marks[i] bit l: the node at level l whose first key is keys[i]
+    // subdivides. (A node is identified by its level and first key.)
+    let mut marks = vec![0u64; keys.len()];
+    let mut plan = Plan::new(shape, |first, level| marks[first] |= 1 << level);
+    for &k in &keys {
+        plan.push(k);
     }
+    let len_bits = plan.finish();
+    let mut w = BitWriter::new();
+    emit(&keys, &marks, shape, &mut w);
+    debug_assert_eq!(w.len_bits(), len_bits);
     let (bytes, len_bits) = w.finish();
     EncodedTree { bytes, len_bits }
 }
 
-/// The exact bit length [`encode`] would produce, without encoding.
+/// The exact bit length [`encode`] would produce, without encoding: one pass
+/// over the z-sorted points, no allocation.
 pub fn encoded_len_bits(set: &PointSet, shape: &TreeShape) -> usize {
-    let mut keys: Vec<u64> = set.iter().map(|p| shape.key(p.z, p.flags.0)).collect();
-    keys.sort_unstable();
-    if keys.is_empty() {
-        0
-    } else {
-        cost(&keys, 0, shape)
-    }
+    let mut plan = Plan::new(shape, |_, _| {});
+    for_each_key(set, shape, |k| plan.push(k));
+    plan.finish()
 }
 
-/// Bits needed for the cheaper of {list, subdivide} for `keys` at `level`.
-fn cost(keys: &[u64], level: usize, shape: &TreeShape) -> usize {
-    let rem = shape.bits_below(level) as usize;
-    let list = keys.len() * (1 + rem) + 1;
-    if level == shape.levels().len() {
-        debug_assert_eq!(keys.len(), 1, "duplicate keys reached the bottom");
-        return list;
+/// [`encoded_len_bits`] in whole bytes — what [`encode`]'s
+/// [`EncodedTree::wire_size`] would report.
+pub fn encoded_wire_size(set: &PointSet, shape: &TreeShape) -> usize {
+    encoded_len_bits(set, shape).div_ceil(8)
+}
+
+/// Calls `f` with every tree key of `set` in ascending key order. The flag
+/// prefix is the top level, so the keys of one flag class are a subsequence
+/// of the z-sorted points: walking the classes present in ascending order
+/// yields sorted keys without materializing or sorting them.
+fn for_each_key(set: &PointSet, shape: &TreeShape, mut f: impl FnMut(u64)) {
+    let points = set.points();
+    if shape.flag_bits() == 0 {
+        points.iter().for_each(|p| f(p.z));
+        return;
     }
-    let k = shape.levels()[level];
-    let mut subdiv = 1 + (1usize << k);
-    for child in children(keys, level, shape) {
-        subdiv += cost(child, level + 1, shape);
-        if subdiv >= list {
-            // Early exit: subdividing can only get more expensive.
-            return list;
+    let mut classes = [0u64; 4];
+    for p in points {
+        classes[usize::from(p.flags.0 >> 6)] |= 1 << (p.flags.0 & 63);
+    }
+    for (word, &present) in classes.iter().enumerate() {
+        let mut rest = present;
+        while rest != 0 {
+            let flags = (word * 64) as u8 + rest.trailing_zeros() as u8;
+            rest &= rest - 1;
+            points
+                .iter()
+                .filter(|p| p.flags.0 == flags)
+                .for_each(|p| f(shape.key(p.z, flags)));
         }
     }
-    subdiv.min(list)
 }
 
-/// Emits the cheaper encoding of `keys` at `level`. `scratch` holds the
-/// batch-masked relative keys of a point list (computed with the vectorized
-/// AND kernel) between recursion steps.
-fn emit(keys: &[u64], level: usize, shape: &TreeShape, w: &mut BitWriter, scratch: &mut Vec<u64>) {
-    let rem = shape.bits_below(level) as usize;
-    let list_cost = keys.len() * (1 + rem) + 1;
-    let subdivide = level < shape.levels().len() && {
-        let k = shape.levels()[level];
-        let mut subdiv = 1 + (1usize << k);
-        for child in children(keys, level, shape) {
-            subdiv += cost(child, level + 1, shape);
-            if subdiv >= list_cost {
-                break;
+/// The size kernel: fed the keys in ascending order, it prices every node
+/// of the tree as the cheaper of {point list, index node + children} — the
+/// paper's decomposition threshold — and reports each node that subdivides.
+///
+/// Only nodes holding two or more keys get a frame; the frames of the
+/// current root path live in fixed per-level arrays, so a pass allocates
+/// nothing. A node with a single key always lists it (`2^k + 3 > k + 2`),
+/// which costs `bits_below(level) + 2` without descending. Each key is
+/// touched once per level it shares with a neighbour.
+struct Plan<'s, F> {
+    shape: &'s TreeShape,
+    /// Per open frame: index of the node's first key.
+    first: [usize; 64],
+    /// Per open frame: index-node header plus the children priced so far.
+    subdivided: [usize; 64],
+    /// Open frames are levels `0..depth`.
+    depth: usize,
+    prev: u64,
+    /// Keys pushed so far.
+    n: usize,
+    on_subdivide: F,
+}
+
+impl<'s, F: FnMut(usize, usize)> Plan<'s, F> {
+    /// `on_subdivide(first_key_index, level)` is called for every node whose
+    /// index-node encoding is strictly shorter than its point list.
+    fn new(shape: &'s TreeShape, on_subdivide: F) -> Self {
+        Self {
+            shape,
+            first: [0; 64],
+            subdivided: [0; 64],
+            depth: 0,
+            prev: 0,
+            n: 0,
+            on_subdivide,
+        }
+    }
+
+    fn push(&mut self, key: u64) {
+        if self.n > 0 {
+            debug_assert!(self.prev < key, "keys must ascend strictly");
+            let shared = self.shape.divergence_level(self.prev ^ key) + 1;
+            self.settle_last(shared);
+        }
+        self.prev = key;
+        self.n += 1;
+    }
+
+    /// Prices the most recent key now that the next key is known to share
+    /// exactly the nodes at levels `0..shared` with it (`shared == 0` at the
+    /// end of input), closing every frame the next key is not part of.
+    fn settle_last(&mut self, shared: usize) {
+        let last = self.n - 1;
+        // Nodes that so far held only the last key and now gain a second.
+        while self.depth < shared {
+            self.first[self.depth] = last;
+            self.subdivided[self.depth] = 1 + (1usize << self.shape.levels()[self.depth]);
+            self.depth += 1;
+        }
+        // The last key is alone below the deepest frame: a one-point list.
+        self.subdivided[self.depth - 1] += self.shape.bits_below(self.depth) as usize + 2;
+        while self.depth > shared.max(1) {
+            let cost = self.close();
+            self.subdivided[self.depth - 1] += cost;
+        }
+    }
+
+    /// Closes the deepest frame and returns the cheaper encoding's length.
+    fn close(&mut self) -> usize {
+        self.depth -= 1;
+        let l = self.depth;
+        let count = self.n - self.first[l];
+        let list = count * (1 + self.shape.bits_below(l) as usize) + 1;
+        if self.subdivided[l] < list {
+            (self.on_subdivide)(self.first[l], l);
+            self.subdivided[l]
+        } else {
+            list
+        }
+    }
+
+    /// Total bits of the root's encoding.
+    fn finish(mut self) -> usize {
+        match self.n {
+            0 => 0,
+            1 => self.shape.bits_below(0) as usize + 2,
+            _ => {
+                self.settle_last(0);
+                self.close()
             }
         }
-        subdiv < list_cost
-    };
-    if subdivide {
-        let k = shape.levels()[level];
-        w.push_bit(false);
-        let mut mask: u64 = 0;
-        for child in children(keys, level, shape) {
-            let q = quadrant(child[0], level, shape);
-            mask |= 1 << ((1u32 << k) - 1 - q);
-        }
-        w.push_bits(mask, 1 << k);
-        for child in children(keys, level, shape) {
-            emit(child, level + 1, shape, w, scratch);
-        }
-    } else {
-        let mask = if rem == 64 {
-            u64::MAX
-        } else {
-            (1u64 << rem) - 1
-        };
-        // Strip the quadrant prefix off the whole run at once, then stream
-        // the packed point list.
-        sensjoin_simd::and_mask_u64(keys, mask, scratch);
-        for &stripped in scratch.iter() {
-            w.push_bit(true);
-            w.push_bits(stripped, rem as u32);
-        }
-        w.push_bit(false);
     }
 }
 
-/// The quadrant index of `key` at `level` (its bits for that level).
-#[inline]
-fn quadrant(key: u64, level: usize, shape: &TreeShape) -> u32 {
-    let k = u32::from(shape.levels()[level]);
-    let below = shape.bits_below(level + 1);
-    ((key >> below) & ((1u64 << k) - 1)) as u32
-}
-
-/// Splits sorted `keys` into maximal runs sharing a quadrant at `level`.
-fn children<'a>(
-    keys: &'a [u64],
-    level: usize,
-    shape: &'a TreeShape,
-) -> impl Iterator<Item = &'a [u64]> + 'a {
-    let mut rest = keys;
-    std::iter::from_fn(move || {
-        if rest.is_empty() {
-            return None;
+/// Writes the encoding of sorted `keys` given the subdivision `marks` of
+/// [`encode`], left to right in one pass. An index node's child mask is
+/// written as zeros and each child sets its bit when its first key arrives.
+fn emit(keys: &[u64], marks: &[u64], shape: &TreeShape, w: &mut BitWriter) {
+    let levels = shape.levels();
+    let mut mask_at = [0usize; 64];
+    // Level of the point list being written.
+    let mut list: Option<usize> = None;
+    for (i, &key) in keys.iter().enumerate() {
+        let diverged = (i > 0).then(|| shape.divergence_level(keys[i - 1] ^ key));
+        let mut level = 0;
+        if let (Some(open), Some(d)) = (list, diverged) {
+            if d >= open {
+                // Still inside the open list's node.
+                w.push_bit(true);
+                w.push_bits(key, shape.bits_below(open));
+                continue;
+            }
+            w.push_bit(false);
+            // Every ancestor of a written list is an index node, the one at
+            // level `d` included: `key` starts a new child of it.
+            w.set_bit(mask_at[d] + shape.quadrant(key, d) as usize);
+            level = d + 1;
         }
-        let q = quadrant(rest[0], level, shape);
-        let end = rest.partition_point(|&k| quadrant(k, level, shape) == q);
-        let (head, tail) = rest.split_at(end);
-        rest = tail;
-        Some(head)
-    })
+        while level < levels.len() && marks[i] >> level & 1 == 1 {
+            w.push_bit(false);
+            mask_at[level] = w.len_bits();
+            w.push_zeros(1 << levels[level]);
+            w.set_bit(mask_at[level] + shape.quadrant(key, level) as usize);
+            level += 1;
+        }
+        list = Some(level);
+        w.push_bit(true);
+        w.push_bits(key, shape.bits_below(level));
+    }
+    if list.is_some() {
+        w.push_bit(false);
+    }
 }
 
 /// Tests whether the encoded set contains a point with cell `z` whose flags
@@ -230,9 +311,7 @@ pub fn contains_encoded(
 
 /// Whether a subtree at `level` with path `prefix` could contain the target.
 fn prefix_viable(prefix: u64, level: usize, shape: &TreeShape, z: u64, flags: RelFlags) -> bool {
-    // Bits of the full key consumed so far:
-    let consumed: u32 = shape.levels()[..level].iter().map(|&b| u32::from(b)).sum();
-    let below = shape.total_bits() - consumed;
+    let below = shape.bits_below(level);
     let fb = u32::from(shape.flag_bits());
     let zb = shape.z_bits();
     // The target z occupies the low `zb` bits of the key; flags the top.
@@ -241,7 +320,9 @@ fn prefix_viable(prefix: u64, level: usize, shape: &TreeShape, z: u64, flags: Re
             continue;
         }
         let key = if fb == 0 { z } else { (f << zb) | z };
-        if key >> below == prefix {
+        // `below == 64` only at the root of a 64-bit shape, whose prefix is
+        // empty.
+        if key.checked_shr(below).unwrap_or(0) == prefix {
             return true;
         }
         if fb == 0 {
@@ -267,7 +348,7 @@ fn scan_subtree(
     if first {
         loop {
             let pos = r.read_bits(rem).ok_or(DecodeError::UnexpectedEnd)?;
-            if matches((prefix << rem) | pos) {
+            if matches(below_prefix(prefix, rem) | pos) {
                 *found = true;
             }
             if !r.read_bit().ok_or(DecodeError::UnexpectedEnd)? {
@@ -276,39 +357,60 @@ fn scan_subtree(
         }
         Ok(())
     } else {
-        if level >= shape.levels().len() {
-            return Err(DecodeError::TooDeep);
-        }
-        let k = u32::from(shape.levels()[level]);
-        let mask = r.read_bits(1 << k).ok_or(DecodeError::UnexpectedEnd)?;
-        if mask == 0 {
-            return Err(DecodeError::EmptyMask);
-        }
-        for q in 0..(1u64 << k) {
-            if (mask >> ((1u64 << k) - 1 - q)) & 1 == 1 {
-                let child_prefix = (prefix << k) | q;
-                // Even when the branch cannot match we must *parse* it to
-                // stay positioned in the stream; but we can skip the match
-                // tests inside. (The format is not indexed, so full skipping
-                // needs a parse anyway; the saving is the key comparisons.)
-                if prefix_viable(child_prefix, level + 1, shape, z, flags) {
-                    scan_subtree(r, level + 1, child_prefix, shape, z, flags, matches, found)?;
-                } else {
-                    scan_subtree(
-                        r,
-                        level + 1,
-                        child_prefix,
-                        shape,
-                        z,
-                        flags,
-                        &|_| false,
-                        found,
-                    )?;
-                }
+        let k = u32::from(*shape.levels().get(level).ok_or(DecodeError::TooDeep)?);
+        for_each_child(r, k, |r, q| {
+            let child_prefix = (prefix << k) | q;
+            // Even when the branch cannot match we must *parse* it to stay
+            // positioned in the stream; but we can skip the match tests
+            // inside. (The format is not indexed, so full skipping needs a
+            // parse anyway; the saving is the key comparisons.)
+            if prefix_viable(child_prefix, level + 1, shape, z, flags) {
+                scan_subtree(r, level + 1, child_prefix, shape, z, flags, matches, found)
+            } else {
+                scan_subtree(
+                    r,
+                    level + 1,
+                    child_prefix,
+                    shape,
+                    z,
+                    flags,
+                    &|_| false,
+                    found,
+                )
             }
-        }
-        Ok(())
+        })
     }
+}
+
+/// Reads the `2^k`-bit child mask of an index node and calls `child` for
+/// every present quadrant, in order, with the reader positioned at that
+/// child's encoding. The mask is walked through a second cursor, so any
+/// level width up to `TreeShape`'s 16 bits decodes without a buffer.
+fn for_each_child<'a>(
+    r: &mut BitReader<'a>,
+    k: u32,
+    mut child: impl FnMut(&mut BitReader<'a>, u64) -> Result<(), DecodeError>,
+) -> Result<(), DecodeError> {
+    let mut mask = r.clone();
+    r.skip(1 << k).ok_or(DecodeError::UnexpectedEnd)?;
+    let mut empty = true;
+    for q in 0..(1u64 << k) {
+        if mask.read_bit() == Some(true) {
+            empty = false;
+            child(r, q)?;
+        }
+    }
+    if empty {
+        return Err(DecodeError::EmptyMask);
+    }
+    Ok(())
+}
+
+/// `prefix` moved above the `rem` relative bits of a point. At the root of a
+/// 64-bit shape `rem == 64` and the (empty) prefix shifts out entirely.
+#[inline]
+fn below_prefix(prefix: u64, rem: u32) -> u64 {
+    prefix.checked_shl(rem).unwrap_or(0)
 }
 
 /// Decodes a wire bitstring back into the point set.
@@ -360,7 +462,7 @@ fn read_subtree(
         // Point list: we already consumed the leading '1' of the first point.
         loop {
             let pos = r.read_bits(rem).ok_or(DecodeError::UnexpectedEnd)?;
-            out.push((prefix << rem) | pos);
+            out.push(below_prefix(prefix, rem) | pos);
             if !r.read_bit().ok_or(DecodeError::UnexpectedEnd)? {
                 break;
             }
@@ -369,20 +471,10 @@ fn read_subtree(
     } else {
         // Index node — illegal below the bottom level (only point lists can
         // appear there); corrupted streams may claim otherwise.
-        if level >= shape.levels().len() {
-            return Err(DecodeError::TooDeep);
-        }
-        let k = u32::from(shape.levels()[level]);
-        let mask = r.read_bits(1 << k).ok_or(DecodeError::UnexpectedEnd)?;
-        if mask == 0 {
-            return Err(DecodeError::EmptyMask);
-        }
-        for q in 0..(1u64 << k) {
-            if (mask >> ((1u64 << k) - 1 - q)) & 1 == 1 {
-                read_subtree(r, level + 1, (prefix << k) | q, shape, out)?;
-            }
-        }
-        Ok(())
+        let k = u32::from(*shape.levels().get(level).ok_or(DecodeError::TooDeep)?);
+        for_each_child(r, k, |r, q| {
+            read_subtree(r, level + 1, (prefix << k) | q, shape, out)
+        })
     }
 }
 

@@ -47,6 +47,8 @@ mod point;
 mod shape;
 
 pub use bits::{BitReader, BitWriter};
-pub use encoding::{contains_encoded, decode, encode, encoded_len_bits, DecodeError, EncodedTree};
+pub use encoding::{
+    contains_encoded, decode, encode, encoded_len_bits, encoded_wire_size, DecodeError, EncodedTree,
+};
 pub use point::{Point, PointSet, RelFlags};
 pub use shape::TreeShape;

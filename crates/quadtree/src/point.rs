@@ -96,15 +96,23 @@ impl PointSet {
     }
 
     /// Inserts a point, OR-ing flags if the cell is already present
-    /// (the paper's `Insert` primitive).
-    pub fn insert(&mut self, z: u64, flags: RelFlags) {
+    /// (the paper's `Insert` primitive). Returns whether the set changed.
+    pub fn insert(&mut self, z: u64, flags: RelFlags) -> bool {
         assert!(
             !flags.is_empty(),
             "points must belong to at least one relation"
         );
         match self.points.binary_search_by_key(&z, |p| p.z) {
-            Ok(i) => self.points[i].flags = self.points[i].flags.or(flags),
-            Err(i) => self.points.insert(i, Point { z, flags }),
+            Ok(i) => {
+                let merged = self.points[i].flags.or(flags);
+                let changed = merged != self.points[i].flags;
+                self.points[i].flags = merged;
+                changed
+            }
+            Err(i) => {
+                self.points.insert(i, Point { z, flags });
+                true
+            }
         }
     }
 
@@ -243,9 +251,10 @@ mod tests {
     #[test]
     fn insert_merges_flags() {
         let mut s = PointSet::new();
-        s.insert(5, RelFlags::A);
-        s.insert(5, RelFlags::B);
-        s.insert(3, RelFlags::A);
+        assert!(s.insert(5, RelFlags::A));
+        assert!(s.insert(5, RelFlags::B));
+        assert!(s.insert(3, RelFlags::A));
+        assert!(!s.insert(5, RelFlags::A), "already a member: unchanged");
         assert_eq!(s.len(), 2);
         assert_eq!(s.flags_of(5), Some(RelFlags::BOTH));
         assert_eq!(s.points()[0].z, 3); // sorted

@@ -20,6 +20,12 @@ pub struct TreeShape {
     total_bits: u32,
     /// Number of flag bits (0 if flags are not encoded).
     flag_bits: u8,
+    /// `below[l]` = key bits below level `l`: suffix sums of `levels`, with
+    /// `below[levels.len()] == 0`.
+    below: Vec<u32>,
+    /// `level_of_bit[b]` = the level whose quadrant bits include key bit `b`
+    /// (counted from the least significant); bits past the key map to 0.
+    level_of_bit: [u8; 64],
 }
 
 impl TreeShape {
@@ -46,10 +52,18 @@ impl TreeShape {
         }
         let total_bits: u32 = levels.iter().map(|&b| u32::from(b)).sum();
         assert!(total_bits <= 64, "total key bits {total_bits} exceed u64");
+        let mut below = vec![0u32; levels.len() + 1];
+        let mut level_of_bit = [0u8; 64];
+        for l in (0..levels.len()).rev() {
+            below[l] = below[l + 1] + u32::from(levels[l]);
+            level_of_bit[below[l + 1] as usize..below[l] as usize].fill(l as u8);
+        }
         Self {
             levels,
             total_bits,
             flag_bits,
+            below,
+            level_of_bit,
         }
     }
 
@@ -103,8 +117,23 @@ impl TreeShape {
 
     /// Bits remaining *below* level `l` (the relative point width inside a
     /// quadrant at depth `l`).
+    #[inline]
     pub fn bits_below(&self, l: usize) -> u32 {
-        self.levels[l..].iter().map(|&b| u32::from(b)).sum()
+        self.below[l]
+    }
+
+    /// The level at which two distinct keys part ways, given their XOR: they
+    /// share a quadrant at every level above it and differ at this one.
+    #[inline]
+    pub(crate) fn divergence_level(&self, xor: u64) -> usize {
+        debug_assert_ne!(xor, 0, "equal keys never diverge");
+        usize::from(self.level_of_bit[63 - xor.leading_zeros() as usize])
+    }
+
+    /// The quadrant index of `key` at level `l` (its bits for that level).
+    #[inline]
+    pub(crate) fn quadrant(&self, key: u64, l: usize) -> u64 {
+        (key >> self.below[l + 1]) & ((1u64 << self.levels[l]) - 1)
     }
 }
 
@@ -143,6 +172,25 @@ mod tests {
         assert_eq!(s.bits_below(0), 7);
         assert_eq!(s.bits_below(1), 5);
         assert_eq!(s.bits_below(4), 0);
+    }
+
+    #[test]
+    fn divergence_and_quadrant_follow_the_level_table() {
+        let s = TreeShape::new(&[2, 2, 1], 2);
+        // Key layout, MSB first: ff | aa | bb | c.
+        assert_eq!(s.divergence_level(0b1000000), 0);
+        assert_eq!(s.divergence_level(0b0010000), 1);
+        assert_eq!(s.divergence_level(0b0000110), 2);
+        assert_eq!(s.divergence_level(0b0000001), 3);
+        let key = (0b10 << 5) | (0b01 << 3) | (0b11 << 1);
+        assert_eq!(
+            (0..4).map(|l| s.quadrant(key, l)).collect::<Vec<_>>(),
+            [0b10, 0b01, 0b11, 0]
+        );
+        let wide = TreeShape::without_flags(&[16, 16, 16, 16]);
+        assert_eq!(wide.bits_below(0), 64);
+        assert_eq!(wide.divergence_level(1 << 63), 0);
+        assert_eq!(wide.divergence_level(1), 3);
     }
 
     #[test]

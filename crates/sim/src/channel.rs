@@ -226,15 +226,24 @@ impl Channel {
             .unwrap_or(self.default_model)
     }
 
+    /// Whether packets sent under `phase` can be lost at all — `false` only
+    /// for phases outside a [`Channel::scope_to_phases`] restriction.
+    pub fn lossy_in(&self, phase: &str) -> bool {
+        self.lossy_phases
+            .as_ref()
+            .is_none_or(|scope| scope.contains(phase))
+    }
+
     /// Draws the fate of one packet on the directed link `from → to` under
     /// phase `phase`: `true` = delivered, `false` = lost. Deterministic in
     /// the channel seed and the per-link draw sequence.
     pub fn deliver(&mut self, from: NodeId, to: NodeId, phase: &str) -> bool {
-        if let Some(scope) = &self.lossy_phases {
-            if !scope.contains(phase) {
-                return true;
-            }
-        }
+        !self.lossy_in(phase) || self.draw(from, to)
+    }
+
+    /// [`Channel::deliver`] for a phase already known to be in scope
+    /// ([`Channel::lossy_in`]).
+    pub(crate) fn draw(&mut self, from: NodeId, to: NodeId) -> bool {
         let model = self.model_for(from, to);
         if model.is_perfect() {
             return true;

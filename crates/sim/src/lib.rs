@@ -120,7 +120,7 @@ pub use reliability::{summary_bytes, ArqPolicy, BroadcastDelivery, Delivery, ACK
 pub use routing::{ParentPolicy, RepairReport, RoutingTree, POWER_AWARE_HYSTERESIS};
 pub use scheduler::{Scheduler, Time};
 pub use sink::StatLedger;
-pub use stats::{DeltaBatchStats, NetworkStats, NodeStats};
+pub use stats::{DeltaBatchStats, NetworkStats, NodeStats, PhaseId};
 pub use topology::Topology;
 pub use trace::{Trace, TraceRecord};
 

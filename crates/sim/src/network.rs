@@ -9,7 +9,7 @@ use crate::routing::{ParentPolicy, RepairReport};
 use crate::sink::{DirectSink, StatLedger, StatSink};
 use crate::{
     ArqPolicy, BroadcastDelivery, Channel, ChannelLinkState, Delivery, EnergyModel, NetworkStats,
-    RadioConfig, RoutingTree, Time, Topology, Trace, TraceRecord,
+    PhaseId, RadioConfig, RoutingTree, Time, Topology, Trace, TraceRecord,
 };
 use sensjoin_field::{Area, Position};
 use sensjoin_relation::NodeId;
@@ -609,7 +609,8 @@ impl Network {
             return RepairReport::default();
         }
         self.alive[node.0 as usize] = false;
-        self.stats.record_death(node, PHASE_REPAIR);
+        let repair = self.stats.intern(PHASE_REPAIR);
+        self.stats.record_death(node, repair);
         if let Some(t) = &mut self.trace {
             t.push_event(PHASE_REPAIR, kind, node, vec![]);
         }
@@ -724,13 +725,14 @@ impl Network {
         let on_air = BEACON_BYTES + self.radio.header_bytes;
         let tx = self.energy.tx(on_air);
         let rx = self.energy.rx(on_air);
-        self.stats.record_ack(from, BEACON_BYTES, tx, PHASE_REPAIR);
+        let repair = self.stats.intern(PHASE_REPAIR);
+        self.stats.record_ack(from, BEACON_BYTES, tx, repair);
         if let Some(b) = &mut self.battery {
             b.debit(from, tx);
         }
         for &r in self.topology.neighbors(from) {
             if self.alive[r.0 as usize] {
-                self.stats.record_energy(r, rx, PHASE_REPAIR);
+                self.stats.record_energy(r, rx, repair);
                 if let Some(b) = &mut self.battery {
                     b.debit(r, rx);
                 }
@@ -744,8 +746,9 @@ impl Network {
         let on_air = BEACON_BYTES + self.radio.header_bytes;
         let tx = self.energy.tx(on_air);
         let rx = self.energy.rx(on_air);
-        self.stats.record_ack(from, BEACON_BYTES, tx, PHASE_REPAIR);
-        self.stats.record_energy(to, rx, PHASE_REPAIR);
+        let repair = self.stats.intern(PHASE_REPAIR);
+        self.stats.record_ack(from, BEACON_BYTES, tx, repair);
+        self.stats.record_energy(to, rx, repair);
         if let Some(b) = &mut self.battery {
             b.debit(from, tx);
             b.debit(to, rx);
@@ -792,6 +795,14 @@ impl Network {
         self.channel.as_ref().is_some_and(|c| !c.is_perfect())
     }
 
+    /// The id of phase `label` in this network's statistics (see
+    /// [`NetworkStats::intern`]) — what [`DeliveryPort`] and [`LinkLane`]
+    /// charge under. Ids stay valid until the statistics are reset, taken
+    /// or restored.
+    pub fn intern_phase(&mut self, label: &str) -> PhaseId {
+        self.stats.intern(label)
+    }
+
     /// Sends `bytes` of application payload from `from` to neighbor `to`.
     /// Fragments into packets, charges both ends, and returns the transfer
     /// latency. Zero bytes cost nothing.
@@ -816,24 +827,10 @@ impl Network {
         bytes: usize,
         phase: &str,
     ) -> Delivery {
-        if bytes == 0 {
-            return Delivery::lossless(0, 0);
-        }
-        assert!(
-            self.topology.neighbors(from).contains(&to),
-            "{from} -> {to} are not neighbors"
-        );
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        debug_assert!(self.alive[to.0 as usize], "transmission to dead node {to}");
-        let (b, delivered) = self.transfer(from, &[to], bytes, phase);
-        Delivery {
-            time: b.time,
-            fragments: b.fragments,
-            delivered: delivered[0],
-            retransmissions: b.retransmissions,
-            control_packets: b.control_packets,
-            complete: b.complete[0],
-        }
+        let phase = self.intern_phase(phase);
+        self.delivery_port()
+            .1
+            .unicast_delivery(from, to, bytes, phase)
     }
 
     /// Local broadcast: one transmission per fragment at `from`, reception
@@ -861,62 +858,27 @@ impl Network {
         bytes: usize,
         phase: &str,
     ) -> BroadcastDelivery {
-        if bytes == 0 || receivers.is_empty() {
-            return BroadcastDelivery::lossless(0, 0, receivers.len());
-        }
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        for r in receivers {
-            assert!(
-                self.topology.neighbors(from).contains(r),
-                "{from} -> {r} are not neighbors"
-            );
-            debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
-        }
-        self.transfer(from, receivers, bytes, phase).0
-    }
-
-    /// The one charge point: moves a message from `from` to `receivers`,
-    /// charging every data fragment, retransmission and control frame
-    /// straight onto the network's counters. Returns the delivery report
-    /// plus per-receiver decoded-fragment counts.
-    fn transfer(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        bytes: usize,
-        phase: &str,
-    ) -> (BroadcastDelivery, Vec<usize>) {
-        let mut sink = DirectSink {
-            stats: &mut self.stats,
-            trace: self.trace.as_mut(),
-            battery: self.battery.as_mut(),
-        };
-        transfer_impl(
-            &self.radio,
-            &self.energy,
-            self.arq,
-            self.channel.as_mut(),
-            &mut sink,
-            from,
-            receivers,
-            bytes,
-            phase,
-        )
+        let phase = self.intern_phase(phase);
+        self.delivery_port()
+            .1
+            .broadcast_delivery(from, receivers, bytes, phase)
     }
 
     /// Opens an independent charging lane for one worker thread of a
     /// parallel wave. The lane borrows the immutable network structure
-    /// (topology, liveness) and owns a clone of the channel plus a
-    /// [`StatLedger`]; its `*_delivery` methods behave exactly like the
-    /// network's own, but record their charges instead of applying them.
-    /// After the thread joins, pass [`LinkLane::finish`]'s outcome to
-    /// [`Network::absorb_lane`] — replaying lanes in serial-traversal order
-    /// reproduces the serial charge sequence bit for bit (see
-    /// [`StatLedger`]).
+    /// (topology, liveness, phase labels) and owns a clone of the channel
+    /// plus a [`StatLedger`]; its `*_delivery` methods behave exactly like
+    /// the network's own, but record their charges instead of applying
+    /// them. Phases must be interned ([`Network::intern_phase`]) before the
+    /// lane opens. After the thread joins, pass [`LinkLane::finish`]'s
+    /// outcome to [`Network::absorb_lane`] — replaying lanes in
+    /// serial-traversal order reproduces the serial charge sequence bit for
+    /// bit (see [`StatLedger`]).
     pub fn open_lane(&self) -> LinkLane<'_> {
         LinkLane {
             topology: &self.topology,
             alive: &self.alive,
+            labels: &self.stats,
             radio: self.radio,
             energy: self.energy,
             arq: self.arq,
@@ -929,9 +891,9 @@ impl Network {
     /// Splits the network into its routing tree and a [`DeliveryPort`]:
     /// the port charges transfers exactly like
     /// [`Network::unicast_delivery`] / [`Network::broadcast_delivery`]
-    /// while the tree stays borrowable — so a wave engine can walk
-    /// children/parents without cloning the tree (O(n) scratch at the
-    /// scales the simulator now targets).
+    /// (which are thin wrappers over it) while the tree stays borrowable —
+    /// so a wave engine can walk children/parents without cloning the tree
+    /// (O(n) scratch at the scales the simulator now targets).
     pub fn delivery_port(&mut self) -> (&RoutingTree, DeliveryPort<'_>) {
         let Self {
             topology,
@@ -955,9 +917,11 @@ impl Network {
                 energy: *energy,
                 arq: *arq,
                 channel: channel.as_mut(),
-                stats,
-                trace: trace.as_mut(),
-                battery: battery.as_mut(),
+                sink: DirectSink {
+                    stats,
+                    trace: trace.as_mut(),
+                    battery: battery.as_mut(),
+                },
             },
         )
     }
@@ -991,6 +955,8 @@ impl Network {
 pub struct LinkLane<'a> {
     topology: &'a Topology,
     alive: &'a [bool],
+    /// Read only for phase labels (the channel's phase scoping).
+    labels: &'a NetworkStats,
     radio: RadioConfig,
     energy: EnergyModel,
     arq: ArqPolicy,
@@ -1000,9 +966,8 @@ pub struct LinkLane<'a> {
 }
 
 /// The delivery half of [`Network::delivery_port`]: mutable access to the
-/// charging machinery (stats, trace, channel) while the routing tree stays
-/// separately borrowed. Semantics are identical to the network's own
-/// delivery methods — both funnel into the same transfer engine.
+/// charging machinery (stats, trace, channel, batteries) while the routing
+/// tree stays separately borrowed.
 #[derive(Debug)]
 pub struct DeliveryPort<'a> {
     topology: &'a Topology,
@@ -1011,85 +976,48 @@ pub struct DeliveryPort<'a> {
     energy: EnergyModel,
     arq: ArqPolicy,
     channel: Option<&'a mut Channel>,
-    stats: &'a mut NetworkStats,
-    trace: Option<&'a mut Trace>,
-    battery: Option<&'a mut BatteryBank>,
+    sink: DirectSink<'a>,
 }
 
-impl DeliveryPort<'_> {
-    /// Port twin of [`Network::unicast_delivery`].
+impl<'a> DeliveryPort<'a> {
+    fn link<'s>(&'s mut self, phase: PhaseId) -> Link<'s, DirectSink<'a>> {
+        let loss_in_scope = self
+            .channel
+            .as_deref()
+            .is_some_and(|c| c.lossy_in(self.sink.stats.label(phase)));
+        Link {
+            topology: self.topology,
+            alive: self.alive,
+            radio: &self.radio,
+            energy: &self.energy,
+            arq: self.arq,
+            channel: self.channel.as_deref_mut(),
+            sink: &mut self.sink,
+            phase,
+            loss_in_scope,
+        }
+    }
+
+    /// [`Network::unicast_delivery`] under an interned phase.
     pub fn unicast_delivery(
         &mut self,
         from: NodeId,
         to: NodeId,
         bytes: usize,
-        phase: &str,
+        phase: PhaseId,
     ) -> Delivery {
-        if bytes == 0 {
-            return Delivery::lossless(0, 0);
-        }
-        assert!(
-            self.topology.neighbors(from).contains(&to),
-            "{from} -> {to} are not neighbors"
-        );
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        debug_assert!(self.alive[to.0 as usize], "transmission to dead node {to}");
-        let (b, delivered) = self.transfer(from, &[to], bytes, phase);
-        Delivery {
-            time: b.time,
-            fragments: b.fragments,
-            delivered: delivered[0],
-            retransmissions: b.retransmissions,
-            control_packets: b.control_packets,
-            complete: b.complete[0],
-        }
+        self.link(phase).unicast(from, to, bytes)
     }
 
-    /// Port twin of [`Network::broadcast_delivery`].
+    /// [`Network::broadcast_delivery`] under an interned phase.
     pub fn broadcast_delivery(
         &mut self,
         from: NodeId,
         receivers: &[NodeId],
         bytes: usize,
-        phase: &str,
+        phase: PhaseId,
     ) -> BroadcastDelivery {
-        if bytes == 0 || receivers.is_empty() {
-            return BroadcastDelivery::lossless(0, 0, receivers.len());
-        }
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        for r in receivers {
-            assert!(
-                self.topology.neighbors(from).contains(r),
-                "{from} -> {r} are not neighbors"
-            );
-            debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
-        }
-        self.transfer(from, receivers, bytes, phase).0
-    }
-
-    fn transfer(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        bytes: usize,
-        phase: &str,
-    ) -> (BroadcastDelivery, Vec<usize>) {
-        let mut sink = DirectSink {
-            stats: self.stats,
-            trace: self.trace.as_deref_mut(),
-            battery: self.battery.as_deref_mut(),
-        };
-        transfer_impl(
-            &self.radio,
-            &self.energy,
-            self.arq,
-            self.channel.as_deref_mut(),
-            &mut sink,
-            from,
-            receivers,
-            bytes,
-            phase,
-        )
+        self.link(phase).broadcast(from, receivers, bytes)
     }
 }
 
@@ -1103,83 +1031,62 @@ pub struct LaneOutcome {
 }
 
 impl LinkLane<'_> {
-    /// Lane twin of [`Network::unicast_delivery`] — identical semantics,
-    /// charges recorded instead of applied.
-    pub fn unicast_delivery(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        phase: &str,
-    ) -> Delivery {
-        if bytes == 0 {
-            return Delivery::lossless(0, 0);
-        }
-        assert!(
-            self.topology.neighbors(from).contains(&to),
-            "{from} -> {to} are not neighbors"
-        );
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        debug_assert!(self.alive[to.0 as usize], "transmission to dead node {to}");
-        let (b, delivered) = self.transfer(from, &[to], bytes, phase);
-        Delivery {
-            time: b.time,
-            fragments: b.fragments,
-            delivered: delivered[0],
-            retransmissions: b.retransmissions,
-            control_packets: b.control_packets,
-            complete: b.complete[0],
+    fn link(&mut self, phase: PhaseId) -> Link<'_, StatLedger> {
+        let loss_in_scope = self
+            .channel
+            .as_ref()
+            .is_some_and(|c| c.lossy_in(self.labels.label(phase)));
+        Link {
+            topology: self.topology,
+            alive: self.alive,
+            radio: &self.radio,
+            energy: &self.energy,
+            arq: self.arq,
+            channel: self.channel.as_mut(),
+            sink: &mut self.ledger,
+            phase,
+            loss_in_scope,
         }
     }
 
-    /// Lane twin of [`Network::broadcast_delivery`].
-    pub fn broadcast_delivery(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        bytes: usize,
-        phase: &str,
-    ) -> BroadcastDelivery {
-        if bytes == 0 || receivers.is_empty() {
-            return BroadcastDelivery::lossless(0, 0, receivers.len());
-        }
-        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        for r in receivers {
-            assert!(
-                self.topology.neighbors(from).contains(r),
-                "{from} -> {r} are not neighbors"
-            );
-            debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
-        }
-        self.transfer(from, receivers, bytes, phase).0
-    }
-
-    fn transfer(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        bytes: usize,
-        phase: &str,
-    ) -> (BroadcastDelivery, Vec<usize>) {
+    /// Remembers the directed links whose channel streams a transfer
+    /// advances (data one way, ACK/summary frames the other).
+    fn note_links(&mut self, from: NodeId, receivers: &[NodeId]) {
         if self.channel.as_ref().is_some_and(|c| !c.is_perfect()) {
-            // Remember the directed links whose streams this lane advances
-            // (data one way, ACK/summary frames the other).
             for &r in receivers {
                 self.links.push((from, r));
                 self.links.push((r, from));
             }
         }
-        transfer_impl(
-            &self.radio,
-            &self.energy,
-            self.arq,
-            self.channel.as_mut(),
-            &mut self.ledger,
-            from,
-            receivers,
-            bytes,
-            phase,
-        )
+    }
+
+    /// Lane twin of [`DeliveryPort::unicast_delivery`] — identical
+    /// semantics, charges recorded instead of applied.
+    pub fn unicast_delivery(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        phase: PhaseId,
+    ) -> Delivery {
+        if bytes > 0 {
+            self.note_links(from, &[to]);
+        }
+        self.link(phase).unicast(from, to, bytes)
+    }
+
+    /// Lane twin of [`DeliveryPort::broadcast_delivery`].
+    pub fn broadcast_delivery(
+        &mut self,
+        from: NodeId,
+        receivers: &[NodeId],
+        bytes: usize,
+        phase: PhaseId,
+    ) -> BroadcastDelivery {
+        if bytes > 0 {
+            self.note_links(from, receivers);
+        }
+        self.link(phase).broadcast(from, receivers, bytes)
     }
 
     /// Closes the lane, handing back everything [`Network::absorb_lane`]
@@ -1193,216 +1100,316 @@ impl LinkLane<'_> {
     }
 }
 
-/// Fragment sizes of a `bytes`-byte payload.
-fn fragment_sizes(radio: &RadioConfig, bytes: usize) -> Vec<usize> {
-    let full = bytes / radio.max_payload;
-    let tail = bytes % radio.max_payload;
-    std::iter::repeat_n(radio.max_payload, full)
-        .chain((tail > 0).then_some(tail))
-        .collect()
+/// The one charge point. [`DeliveryPort`] (and through it [`Network`]) and
+/// [`LinkLane`] each lend their parts to a `Link` per message, so the
+/// neighbor checks, the lossless fast path and the ARQ engine exist once;
+/// only the sink differs.
+struct Link<'a, S> {
+    topology: &'a Topology,
+    alive: &'a [bool],
+    radio: &'a RadioConfig,
+    energy: &'a EnergyModel,
+    arq: ArqPolicy,
+    channel: Option<&'a mut Channel>,
+    sink: &'a mut S,
+    phase: PhaseId,
+    /// Whether the channel may lose packets of `phase` at all (see
+    /// [`Channel::scope_to_phases`]); resolved once per message so the
+    /// label never reaches the per-packet loop.
+    loss_in_scope: bool,
 }
 
-/// The shared transfer engine behind [`Network`] and [`LinkLane`]: moves a
-/// message from `from` to `receivers`, charging every data fragment,
-/// retransmission and control frame into `sink`. Returns the delivery
-/// report plus per-receiver decoded-fragment counts.
-#[allow(clippy::too_many_arguments)]
-fn transfer_impl<S: StatSink>(
-    radio: &RadioConfig,
-    energy: &EnergyModel,
-    arq: ArqPolicy,
-    channel: Option<&mut Channel>,
-    sink: &mut S,
-    from: NodeId,
-    receivers: &[NodeId],
-    bytes: usize,
-    phase: &str,
-) -> (BroadcastDelivery, Vec<usize>) {
-    let sizes = fragment_sizes(radio, bytes);
-    let nfrags = sizes.len();
-    let lossy = channel.as_ref().is_some_and(|c| !c.is_perfect());
-    if !lossy {
-        // Lossless fast path: identical charging to the pre-channel
-        // simulator, no ARQ traffic whatsoever.
-        for &size in &sizes {
-            let on_air = size + radio.header_bytes;
-            sink.record_tx(from, size, energy.tx(on_air), phase);
-            for &r in receivers {
-                sink.record_rx(r, size, energy.rx(on_air), phase);
-            }
+impl<S: StatSink> Link<'_, S> {
+    fn check_neighbors(&self, from: NodeId, receivers: &[NodeId]) {
+        debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
+        for r in receivers {
+            assert!(
+                self.topology.neighbors(from).contains(r),
+                "{from} -> {r} are not neighbors"
+            );
+            debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
         }
-        if sink.wants_trace() {
-            sink.trace_lossless(phase, from, receivers, bytes, nfrags);
-        }
-        let d = BroadcastDelivery::lossless(radio.transfer_us(bytes), nfrags, receivers.len());
-        let delivered = vec![nfrags; receivers.len()];
-        return (d, delivered);
     }
 
-    let nrecv = receivers.len();
-    // have[f][ri]: ground truth — receiver ri decoded fragment f.
-    let mut have = vec![vec![false; nrecv]; nfrags];
-    let mut time: Time = 0;
-    let mut retx: u64 = 0;
-    let mut ctrl: u64 = 0;
-    let header = radio.header_bytes;
-    let ch = channel.expect("lossy implies a channel");
-    match arq {
-        ArqPolicy::None => {
-            for (f, &size) in sizes.iter().enumerate() {
-                let on_air = size + header;
-                sink.record_tx(from, size, energy.tx(on_air), phase);
-                time += radio.airtime_us(size);
-                for (ri, &r) in receivers.iter().enumerate() {
-                    if ch.deliver(from, r, phase) {
-                        have[f][ri] = true;
-                        sink.record_rx(r, size, energy.rx(on_air), phase);
-                    }
-                }
+    fn lossy(&self) -> bool {
+        self.channel.as_ref().is_some_and(|c| !c.is_perfect())
+    }
+
+    fn unicast(mut self, from: NodeId, to: NodeId, bytes: usize) -> Delivery {
+        if bytes == 0 {
+            return Delivery::lossless(0, 0);
+        }
+        self.check_neighbors(from, &[to]);
+        if !self.lossy() {
+            let (time, fragments) = self.charge_lossless(from, &[to], bytes);
+            return Delivery::lossless(time, fragments);
+        }
+        let (b, delivered) = self.transfer_lossy(from, &[to], bytes);
+        Delivery {
+            time: b.time,
+            fragments: b.fragments,
+            delivered: delivered[0],
+            retransmissions: b.retransmissions,
+            control_packets: b.control_packets,
+            complete: b.complete[0],
+        }
+    }
+
+    fn broadcast(mut self, from: NodeId, receivers: &[NodeId], bytes: usize) -> BroadcastDelivery {
+        if bytes == 0 || receivers.is_empty() {
+            return BroadcastDelivery::lossless(0, 0, receivers.len());
+        }
+        self.check_neighbors(from, receivers);
+        if !self.lossy() {
+            let (time, fragments) = self.charge_lossless(from, receivers, bytes);
+            return BroadcastDelivery::lossless(time, fragments, receivers.len());
+        }
+        self.transfer_lossy(from, receivers, bytes).0
+    }
+
+    /// Lossless fast path: identical charging to the pre-channel simulator,
+    /// no ARQ traffic whatsoever — and no heap allocation: fragments are
+    /// counted, not collected. Returns the transfer time and fragment count.
+    fn charge_lossless(
+        &mut self,
+        from: NodeId,
+        receivers: &[NodeId],
+        bytes: usize,
+    ) -> (Time, usize) {
+        let fragments = Fragments::of(self.radio, bytes);
+        for size in fragments.sizes() {
+            let on_air = size + self.radio.header_bytes;
+            self.sink
+                .record_tx(from, size, self.energy.tx(on_air), self.phase);
+            let rx = self.energy.rx(on_air);
+            for &r in receivers {
+                self.sink.record_rx(r, size, rx, self.phase);
             }
         }
-        ArqPolicy::AckRetransmit { max_retries } => {
-            // Stop-and-wait per fragment: retransmit until every
-            // receiver's ACK came back or the retry budget is spent.
-            for (f, &size) in sizes.iter().enumerate() {
-                let on_air = size + header;
-                let mut acked = vec![false; nrecv];
-                for attempt in 0..=max_retries {
-                    if attempt == 0 {
-                        sink.record_tx(from, size, energy.tx(on_air), phase);
-                    } else {
-                        retx += 1;
-                        sink.record_retx(from, size, energy.tx(on_air), phase);
-                        // Timeout stall before each retransmission.
-                        time += radio.hop_delay_us;
-                    }
-                    time += radio.airtime_us(size);
-                    for (ri, &r) in receivers.iter().enumerate() {
-                        if acked[ri] {
-                            continue; // receiver already done with f
-                        }
-                        if ch.deliver(from, r, phase) {
-                            if !have[f][ri] {
-                                have[f][ri] = true;
-                                sink.record_rx(r, size, energy.rx(on_air), phase);
-                            } else {
-                                // Duplicate (its earlier ACK was lost):
-                                // energy only, the copy is discarded.
-                                sink.record_energy(r, energy.rx(on_air), phase);
-                            }
-                        }
-                        if have[f][ri] {
-                            ctrl += 1;
-                            sink.record_ack(r, ACK_BYTES, energy.tx(ACK_BYTES + header), phase);
-                            time += radio.airtime_us(ACK_BYTES);
-                            if ch.deliver(r, from, phase) {
-                                acked[ri] = true;
-                                sink.record_energy(from, energy.rx(ACK_BYTES + header), phase);
-                            }
-                        }
-                    }
-                    if acked.iter().all(|&a| a) {
-                        break;
-                    }
-                }
-            }
+        if self.sink.wants_trace() {
+            self.sink
+                .trace_lossless(self.phase, from, receivers, bytes, fragments.count());
         }
-        ArqPolicy::SummaryRepair { max_rounds } => {
-            // Round 0: ship the whole fragment train once.
-            for (f, &size) in sizes.iter().enumerate() {
-                let on_air = size + header;
-                sink.record_tx(from, size, energy.tx(on_air), phase);
-                time += radio.airtime_us(size);
-                for (ri, &r) in receivers.iter().enumerate() {
-                    if ch.deliver(from, r, phase) {
-                        have[f][ri] = true;
-                        sink.record_rx(r, size, energy.rx(on_air), phase);
-                    }
-                }
-            }
-            // Repair rounds: each open receiver summarizes (OK or NACK
-            // bitmap); the sender rebroadcasts the union of NACKed
-            // fragments.
-            let sbytes = summary_bytes(nfrags);
-            let mut done = vec![false; nrecv]; // sender has the OK
-            for round in 0..=max_rounds {
-                let mut requested = vec![false; nfrags];
-                for (ri, &r) in receivers.iter().enumerate() {
-                    if done[ri] {
-                        continue;
-                    }
-                    ctrl += 1;
-                    sink.record_ack(r, sbytes, energy.tx(sbytes + header), phase);
-                    time += radio.airtime_us(sbytes);
-                    if ch.deliver(r, from, phase) {
-                        sink.record_energy(from, energy.rx(sbytes + header), phase);
-                        let missing: Vec<usize> = (0..nfrags).filter(|&f| !have[f][ri]).collect();
-                        if missing.is_empty() {
-                            done[ri] = true;
-                        } else {
-                            for f in missing {
-                                requested[f] = true;
-                            }
-                        }
-                    }
-                    // A lost summary stalls this receiver one round.
-                }
-                if done.iter().all(|&d| d) || round == max_rounds {
-                    break;
-                }
-                for (f, &size) in sizes.iter().enumerate() {
-                    if !requested[f] {
-                        continue;
-                    }
+        (self.radio.transfer_us(bytes), fragments.count())
+    }
+
+    /// The ARQ engine: moves a message from `from` to `receivers` over the
+    /// lossy channel, charging every data fragment, retransmission and
+    /// control frame into the sink. Returns the delivery report plus
+    /// per-receiver decoded-fragment counts.
+    fn transfer_lossy(
+        self,
+        from: NodeId,
+        receivers: &[NodeId],
+        bytes: usize,
+    ) -> (BroadcastDelivery, Vec<usize>) {
+        let Link {
+            radio,
+            energy,
+            arq,
+            channel,
+            sink,
+            phase,
+            loss_in_scope,
+            ..
+        } = self;
+        let ch = channel.expect("lossy implies a channel");
+        let mut deliver = |a: NodeId, b: NodeId| !loss_in_scope || ch.draw(a, b);
+        let fragments = Fragments::of(radio, bytes);
+        let nfrags = fragments.count();
+        let nrecv = receivers.len();
+        // have[f][ri]: ground truth — receiver ri decoded fragment f.
+        let mut have = vec![vec![false; nrecv]; nfrags];
+        let mut time: Time = 0;
+        let mut retx: u64 = 0;
+        let mut ctrl: u64 = 0;
+        let header = radio.header_bytes;
+        match arq {
+            ArqPolicy::None => {
+                for (f, size) in fragments.sizes().enumerate() {
                     let on_air = size + header;
-                    retx += 1;
-                    sink.record_retx(from, size, energy.tx(on_air), phase);
+                    sink.record_tx(from, size, energy.tx(on_air), phase);
                     time += radio.airtime_us(size);
                     for (ri, &r) in receivers.iter().enumerate() {
-                        if done[ri] {
-                            continue;
-                        }
-                        if have[f][ri] {
-                            // Overhears the repair it did not need.
-                            sink.record_energy(r, energy.rx(on_air), phase);
-                        } else if ch.deliver(from, r, phase) {
+                        if deliver(from, r) {
                             have[f][ri] = true;
                             sink.record_rx(r, size, energy.rx(on_air), phase);
                         }
                     }
                 }
-                time += radio.hop_delay_us; // round turnaround
+            }
+            ArqPolicy::AckRetransmit { max_retries } => {
+                // Stop-and-wait per fragment: retransmit until every
+                // receiver's ACK came back or the retry budget is spent.
+                for (f, size) in fragments.sizes().enumerate() {
+                    let on_air = size + header;
+                    let mut acked = vec![false; nrecv];
+                    for attempt in 0..=max_retries {
+                        if attempt == 0 {
+                            sink.record_tx(from, size, energy.tx(on_air), phase);
+                        } else {
+                            retx += 1;
+                            sink.record_retx(from, size, energy.tx(on_air), phase);
+                            // Timeout stall before each retransmission.
+                            time += radio.hop_delay_us;
+                        }
+                        time += radio.airtime_us(size);
+                        for (ri, &r) in receivers.iter().enumerate() {
+                            if acked[ri] {
+                                continue; // receiver already done with f
+                            }
+                            if deliver(from, r) {
+                                if !have[f][ri] {
+                                    have[f][ri] = true;
+                                    sink.record_rx(r, size, energy.rx(on_air), phase);
+                                } else {
+                                    // Duplicate (its earlier ACK was lost):
+                                    // energy only, the copy is discarded.
+                                    sink.record_energy(r, energy.rx(on_air), phase);
+                                }
+                            }
+                            if have[f][ri] {
+                                ctrl += 1;
+                                sink.record_ack(r, ACK_BYTES, energy.tx(ACK_BYTES + header), phase);
+                                time += radio.airtime_us(ACK_BYTES);
+                                if deliver(r, from) {
+                                    acked[ri] = true;
+                                    sink.record_energy(from, energy.rx(ACK_BYTES + header), phase);
+                                }
+                            }
+                        }
+                        if acked.iter().all(|&a| a) {
+                            break;
+                        }
+                    }
+                }
+            }
+            ArqPolicy::SummaryRepair { max_rounds } => {
+                // Round 0: ship the whole fragment train once.
+                for (f, size) in fragments.sizes().enumerate() {
+                    let on_air = size + header;
+                    sink.record_tx(from, size, energy.tx(on_air), phase);
+                    time += radio.airtime_us(size);
+                    for (ri, &r) in receivers.iter().enumerate() {
+                        if deliver(from, r) {
+                            have[f][ri] = true;
+                            sink.record_rx(r, size, energy.rx(on_air), phase);
+                        }
+                    }
+                }
+                // Repair rounds: each open receiver summarizes (OK or NACK
+                // bitmap); the sender rebroadcasts the union of NACKed
+                // fragments.
+                let sbytes = summary_bytes(nfrags);
+                let mut done = vec![false; nrecv]; // sender has the OK
+                for round in 0..=max_rounds {
+                    let mut requested = vec![false; nfrags];
+                    for (ri, &r) in receivers.iter().enumerate() {
+                        if done[ri] {
+                            continue;
+                        }
+                        ctrl += 1;
+                        sink.record_ack(r, sbytes, energy.tx(sbytes + header), phase);
+                        time += radio.airtime_us(sbytes);
+                        if deliver(r, from) {
+                            sink.record_energy(from, energy.rx(sbytes + header), phase);
+                            let missing: Vec<usize> =
+                                (0..nfrags).filter(|&f| !have[f][ri]).collect();
+                            if missing.is_empty() {
+                                done[ri] = true;
+                            } else {
+                                for f in missing {
+                                    requested[f] = true;
+                                }
+                            }
+                        }
+                        // A lost summary stalls this receiver one round.
+                    }
+                    if done.iter().all(|&d| d) || round == max_rounds {
+                        break;
+                    }
+                    for (f, size) in fragments.sizes().enumerate() {
+                        if !requested[f] {
+                            continue;
+                        }
+                        let on_air = size + header;
+                        retx += 1;
+                        sink.record_retx(from, size, energy.tx(on_air), phase);
+                        time += radio.airtime_us(size);
+                        for (ri, &r) in receivers.iter().enumerate() {
+                            if done[ri] {
+                                continue;
+                            }
+                            if have[f][ri] {
+                                // Overhears the repair it did not need.
+                                sink.record_energy(r, energy.rx(on_air), phase);
+                            } else if deliver(from, r) {
+                                have[f][ri] = true;
+                                sink.record_rx(r, size, energy.rx(on_air), phase);
+                            }
+                        }
+                    }
+                    time += radio.hop_delay_us; // round turnaround
+                }
             }
         }
-    }
-    time += radio.hop_delay_us;
-    // Permanent losses.
-    let mut delivered = vec![0usize; nrecv];
-    let mut complete = vec![true; nrecv];
-    for (ri, &r) in receivers.iter().enumerate() {
-        for row in have.iter() {
-            if row[ri] {
-                delivered[ri] += 1;
-            } else {
-                complete[ri] = false;
-                sink.record_loss(r, phase);
+        time += radio.hop_delay_us;
+        // Permanent losses.
+        let mut delivered = vec![0usize; nrecv];
+        let mut complete = vec![true; nrecv];
+        for (ri, &r) in receivers.iter().enumerate() {
+            for row in have.iter() {
+                if row[ri] {
+                    delivered[ri] += 1;
+                } else {
+                    complete[ri] = false;
+                    sink.record_loss(r, phase);
+                }
             }
         }
+        let acked = complete.iter().all(|&c| c);
+        if sink.wants_trace() {
+            sink.trace_delivery(phase, from, receivers, bytes, nfrags, retx, acked);
+        }
+        (
+            BroadcastDelivery {
+                time,
+                fragments: nfrags,
+                complete,
+                retransmissions: retx,
+                control_packets: ctrl,
+            },
+            delivered,
+        )
     }
-    let acked = complete.iter().all(|&c| c);
-    if sink.wants_trace() {
-        sink.trace_delivery(phase, from, receivers, bytes, nfrags, retx, acked);
+}
+
+/// How a payload splits into packets: `full` fragments of
+/// [`RadioConfig::max_payload`] bytes and, if `tail > 0`, one shorter one.
+#[derive(Clone, Copy)]
+struct Fragments {
+    max_payload: usize,
+    full: usize,
+    tail: usize,
+}
+
+impl Fragments {
+    fn of(radio: &RadioConfig, bytes: usize) -> Self {
+        Self {
+            max_payload: radio.max_payload,
+            full: bytes / radio.max_payload,
+            tail: bytes % radio.max_payload,
+        }
     }
-    (
-        BroadcastDelivery {
-            time,
-            fragments: nfrags,
-            complete,
-            retransmissions: retx,
-            control_packets: ctrl,
-        },
-        delivered,
-    )
+
+    fn count(self) -> usize {
+        self.full + usize::from(self.tail > 0)
+    }
+
+    /// Fragment payload sizes in transmission order.
+    fn sizes(self) -> impl Iterator<Item = usize> {
+        std::iter::repeat_n(self.max_payload, self.full).chain((self.tail > 0).then_some(self.tail))
+    }
 }
 
 #[cfg(test)]
@@ -1766,10 +1773,11 @@ mod tests {
         direct.unicast_delivery(kids[1], base, 0, "up");
         let mut laned = small_net();
         laned.set_tracing(true);
+        let (up, down) = (laned.intern_phase("up"), laned.intern_phase("down"));
         let mut lane = laned.open_lane();
-        lane.unicast_delivery(kids[0], base, 100, "up");
-        lane.broadcast_delivery(base, &kids, 30, "down");
-        lane.unicast_delivery(kids[1], base, 0, "up");
+        lane.unicast_delivery(kids[0], base, 100, up);
+        lane.broadcast_delivery(base, &kids, 30, down);
+        lane.unicast_delivery(kids[1], base, 0, up);
         let outcome = lane.finish();
         // Nothing lands until the lane is absorbed.
         assert_eq!(laned.stats().total_tx_packets(), 0);
@@ -1801,8 +1809,9 @@ mod tests {
         let base = a.base();
         let child = a.routing().children(base)[0];
         a.unicast_delivery(child, base, 100, "p");
+        let p = b.intern_phase("p");
         let mut lane = b.open_lane();
-        lane.unicast_delivery(child, base, 100, "p");
+        lane.unicast_delivery(child, base, 100, p);
         let outcome = lane.finish();
         b.absorb_lane(outcome);
         assert_eq!(a.stats().node(child), b.stats().node(child));

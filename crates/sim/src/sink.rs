@@ -11,24 +11,24 @@
 //! accumulation (same addition order) and every trace row (same sequence
 //! numbers) is bit-identical to serial execution.
 
-use crate::{BatteryBank, NetworkStats, Trace};
+use crate::{BatteryBank, NetworkStats, PhaseId, Trace};
 use sensjoin_relation::NodeId;
 
 /// The charge-call surface of a transfer: statistics records plus trace
 /// rows. Mirrors [`NetworkStats`]' recording methods one-to-one.
 pub(crate) trait StatSink {
-    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str);
-    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str);
-    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str);
-    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str);
-    fn record_energy(&mut self, node: NodeId, uj: f64, phase: &str);
-    fn record_loss(&mut self, node: NodeId, phase: &str);
+    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId);
+    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId);
+    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId);
+    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId);
+    fn record_energy(&mut self, node: NodeId, uj: f64, phase: PhaseId);
+    fn record_loss(&mut self, node: NodeId, phase: PhaseId);
     /// Whether trace rows should be materialized at all (gates the
     /// receiver-list allocation on the hot path).
     fn wants_trace(&self) -> bool;
     fn trace_lossless(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
@@ -37,7 +37,7 @@ pub(crate) trait StatSink {
     #[allow(clippy::too_many_arguments)]
     fn trace_delivery(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
@@ -50,6 +50,7 @@ pub(crate) trait StatSink {
 /// The serial sink: charges land immediately on the network's counters —
 /// and, when a battery bank is attached, every µJ is debited from the
 /// charged node's battery at the same call site.
+#[derive(Debug)]
 pub(crate) struct DirectSink<'a> {
     pub stats: &'a mut NetworkStats,
     pub trace: Option<&'a mut Trace>,
@@ -66,27 +67,27 @@ impl DirectSink<'_> {
 }
 
 impl StatSink for DirectSink<'_> {
-    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
+    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.stats.record_tx(node, payload, uj, phase);
         self.debit(node, uj);
     }
-    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
+    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.stats.record_rx(node, payload, uj, phase);
         self.debit(node, uj);
     }
-    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
+    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.stats.record_retx(node, payload, uj, phase);
         self.debit(node, uj);
     }
-    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
+    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.stats.record_ack(node, payload, uj, phase);
         self.debit(node, uj);
     }
-    fn record_energy(&mut self, node: NodeId, uj: f64, phase: &str) {
+    fn record_energy(&mut self, node: NodeId, uj: f64, phase: PhaseId) {
         self.stats.record_energy(node, uj, phase);
         self.debit(node, uj);
     }
-    fn record_loss(&mut self, node: NodeId, phase: &str) {
+    fn record_loss(&mut self, node: NodeId, phase: PhaseId) {
         self.stats.record_loss(node, phase);
     }
     fn wants_trace(&self) -> bool {
@@ -94,19 +95,19 @@ impl StatSink for DirectSink<'_> {
     }
     fn trace_lossless(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
         packets: usize,
     ) {
         if let Some(t) = &mut self.trace {
-            t.push(phase, from, to.to_vec(), bytes, packets);
+            t.push(self.stats.label(phase), from, to.to_vec(), bytes, packets);
         }
     }
     fn trace_delivery(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
@@ -116,7 +117,7 @@ impl StatSink for DirectSink<'_> {
     ) {
         if let Some(t) = &mut self.trace {
             t.push_delivery(
-                phase,
+                self.stats.label(phase),
                 from,
                 to.to_vec(),
                 bytes,
@@ -128,52 +129,52 @@ impl StatSink for DirectSink<'_> {
     }
 }
 
-/// One recorded charge call. Phase labels are interned per ledger (a wave
-/// charges under a single phase, so the table holds one or two entries).
+/// One recorded charge call, phase by its id in the owning network's
+/// statistics (interned before the lane opened).
 #[derive(Debug, Clone)]
 enum StatEvent {
     Tx {
         node: NodeId,
         payload: usize,
         uj: f64,
-        phase: u16,
+        phase: PhaseId,
     },
     Rx {
         node: NodeId,
         payload: usize,
         uj: f64,
-        phase: u16,
+        phase: PhaseId,
     },
     Retx {
         node: NodeId,
         payload: usize,
         uj: f64,
-        phase: u16,
+        phase: PhaseId,
     },
     Ack {
         node: NodeId,
         payload: usize,
         uj: f64,
-        phase: u16,
+        phase: PhaseId,
     },
     Energy {
         node: NodeId,
         uj: f64,
-        phase: u16,
+        phase: PhaseId,
     },
     Loss {
         node: NodeId,
-        phase: u16,
+        phase: PhaseId,
     },
     TraceLossless {
-        phase: u16,
+        phase: PhaseId,
         from: NodeId,
         to: Vec<NodeId>,
         bytes: usize,
         packets: usize,
     },
     TraceDelivery {
-        phase: u16,
+        phase: PhaseId,
         from: NodeId,
         to: Vec<NodeId>,
         bytes: usize,
@@ -189,7 +190,6 @@ enum StatEvent {
 /// (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct StatLedger {
-    phases: Vec<String>,
     events: Vec<StatEvent>,
     tracing: bool,
 }
@@ -199,18 +199,9 @@ impl StatLedger {
     /// trace attached (gates trace-row recording).
     pub(crate) fn new(tracing: bool) -> Self {
         Self {
-            phases: Vec::new(),
             events: Vec::new(),
             tracing,
         }
-    }
-
-    fn phase_id(&mut self, phase: &str) -> u16 {
-        if let Some(i) = self.phases.iter().position(|p| p == phase) {
-            return i as u16;
-        }
-        self.phases.push(phase.to_owned());
-        (self.phases.len() - 1) as u16
     }
 
     /// Replays every recorded call, in order, against `stats`, `trace` and
@@ -224,14 +215,12 @@ impl StatLedger {
         mut trace: Option<&mut Trace>,
         mut battery: Option<&mut BatteryBank>,
     ) {
-        let StatLedger { phases, events, .. } = self;
-        let phase = |id: u16| phases[id as usize].as_str();
         let debit = |battery: &mut Option<&mut BatteryBank>, node: NodeId, uj: f64| {
             if let Some(b) = battery.as_deref_mut() {
                 b.debit(node, uj);
             }
         };
-        for ev in events {
+        for ev in self.events {
             match ev {
                 StatEvent::Tx {
                     node,
@@ -239,7 +228,7 @@ impl StatLedger {
                     uj,
                     phase: p,
                 } => {
-                    stats.record_tx(node, payload, uj, phase(p));
+                    stats.record_tx(node, payload, uj, p);
                     debit(&mut battery, node, uj);
                 }
                 StatEvent::Rx {
@@ -248,7 +237,7 @@ impl StatLedger {
                     uj,
                     phase: p,
                 } => {
-                    stats.record_rx(node, payload, uj, phase(p));
+                    stats.record_rx(node, payload, uj, p);
                     debit(&mut battery, node, uj);
                 }
                 StatEvent::Retx {
@@ -257,7 +246,7 @@ impl StatLedger {
                     uj,
                     phase: p,
                 } => {
-                    stats.record_retx(node, payload, uj, phase(p));
+                    stats.record_retx(node, payload, uj, p);
                     debit(&mut battery, node, uj);
                 }
                 StatEvent::Ack {
@@ -266,15 +255,15 @@ impl StatLedger {
                     uj,
                     phase: p,
                 } => {
-                    stats.record_ack(node, payload, uj, phase(p));
+                    stats.record_ack(node, payload, uj, p);
                     debit(&mut battery, node, uj);
                 }
                 StatEvent::Energy { node, uj, phase: p } => {
-                    stats.record_energy(node, uj, phase(p));
+                    stats.record_energy(node, uj, p);
                     debit(&mut battery, node, uj);
                 }
                 StatEvent::Loss { node, phase: p } => {
-                    stats.record_loss(node, phase(p));
+                    stats.record_loss(node, p);
                 }
                 StatEvent::TraceLossless {
                     phase: p,
@@ -284,7 +273,7 @@ impl StatLedger {
                     packets,
                 } => {
                     if let Some(t) = trace.as_deref_mut() {
-                        t.push(phase(p), from, to, bytes, packets);
+                        t.push(stats.label(p), from, to, bytes, packets);
                     }
                 }
                 StatEvent::TraceDelivery {
@@ -297,7 +286,15 @@ impl StatLedger {
                     acked,
                 } => {
                     if let Some(t) = trace.as_deref_mut() {
-                        t.push_delivery(phase(p), from, to, bytes, packets, retransmissions, acked);
+                        t.push_delivery(
+                            stats.label(p),
+                            from,
+                            to,
+                            bytes,
+                            packets,
+                            retransmissions,
+                            acked,
+                        );
                     }
                 }
             }
@@ -306,8 +303,7 @@ impl StatLedger {
 }
 
 impl StatSink for StatLedger {
-    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.events.push(StatEvent::Tx {
             node,
             payload,
@@ -315,8 +311,7 @@ impl StatSink for StatLedger {
             phase,
         });
     }
-    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.events.push(StatEvent::Rx {
             node,
             payload,
@@ -324,8 +319,7 @@ impl StatSink for StatLedger {
             phase,
         });
     }
-    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.events.push(StatEvent::Retx {
             node,
             payload,
@@ -333,8 +327,7 @@ impl StatSink for StatLedger {
             phase,
         });
     }
-    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
         self.events.push(StatEvent::Ack {
             node,
             payload,
@@ -342,12 +335,10 @@ impl StatSink for StatLedger {
             phase,
         });
     }
-    fn record_energy(&mut self, node: NodeId, uj: f64, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_energy(&mut self, node: NodeId, uj: f64, phase: PhaseId) {
         self.events.push(StatEvent::Energy { node, uj, phase });
     }
-    fn record_loss(&mut self, node: NodeId, phase: &str) {
-        let phase = self.phase_id(phase);
+    fn record_loss(&mut self, node: NodeId, phase: PhaseId) {
         self.events.push(StatEvent::Loss { node, phase });
     }
     fn wants_trace(&self) -> bool {
@@ -355,7 +346,7 @@ impl StatSink for StatLedger {
     }
     fn trace_lossless(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
@@ -364,7 +355,6 @@ impl StatSink for StatLedger {
         if !self.tracing {
             return;
         }
-        let phase = self.phase_id(phase);
         self.events.push(StatEvent::TraceLossless {
             phase,
             from,
@@ -375,7 +365,7 @@ impl StatSink for StatLedger {
     }
     fn trace_delivery(
         &mut self,
-        phase: &str,
+        phase: PhaseId,
         from: NodeId,
         to: &[NodeId],
         bytes: usize,
@@ -386,7 +376,6 @@ impl StatSink for StatLedger {
         if !self.tracing {
             return;
         }
-        let phase = self.phase_id(phase);
         self.events.push(StatEvent::TraceDelivery {
             phase,
             from,

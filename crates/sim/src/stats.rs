@@ -1,7 +1,6 @@
 //! Per-node and per-phase communication statistics.
 
 use sensjoin_relation::NodeId;
-use std::collections::BTreeMap;
 
 /// Counters of one node.
 ///
@@ -65,14 +64,36 @@ impl NodeStats {
     }
 }
 
+/// An interned phase label: an index into one [`NetworkStats`]' dense
+/// per-phase table, obtained from [`NetworkStats::intern`]. Charging by id
+/// keeps strings (and their allocation and comparison) off the per-packet
+/// path; an id is only meaningful for the statistics object that issued it
+/// (and its clones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PhaseId(u16);
+
+/// One row of the per-phase table.
+#[derive(Debug, Clone)]
+struct PhaseEntry {
+    label: String,
+    stats: NodeStats,
+    /// Whether anything was ever charged under the label. Interning alone
+    /// (a wave that moved no bytes) must not make a phase appear in
+    /// [`NetworkStats::phases`].
+    charged: bool,
+}
+
 /// Aggregated statistics of a protocol execution.
 ///
 /// Phases are free-form labels (`"collection"`, `"filter"`, ...) so the cost
-/// breakdown of Fig. 15 can be produced directly.
+/// breakdown of Fig. 15 can be produced directly. Labels are interned into
+/// [`PhaseId`]s once per message or wave; the `record_*` methods index a
+/// dense table and never touch a string.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
     per_node: Vec<NodeStats>,
-    per_phase: BTreeMap<String, NodeStats>,
+    /// Indexed by [`PhaseId`], in interning order.
+    phases: Vec<PhaseEntry>,
 }
 
 impl NetworkStats {
@@ -80,93 +101,122 @@ impl NetworkStats {
     pub fn new(n: usize) -> Self {
         Self {
             per_node: vec![NodeStats::default(); n],
-            per_phase: BTreeMap::new(),
+            phases: Vec::new(),
         }
     }
 
     /// Rebuilds statistics from exported parts — the checkpoint/restore
     /// surface, pairing with [`NetworkStats::per_node`] and
-    /// [`NetworkStats::phases`].
+    /// [`NetworkStats::phases`]. A label listed twice keeps its last entry.
     pub fn from_parts(per_node: Vec<NodeStats>, per_phase: Vec<(String, NodeStats)>) -> Self {
-        Self {
+        let mut stats = Self {
             per_node,
-            per_phase: per_phase.into_iter().collect(),
+            phases: Vec::new(),
+        };
+        for (label, s) in per_phase {
+            let id = stats.intern(&label);
+            let entry = &mut stats.phases[usize::from(id.0)];
+            entry.stats = s;
+            entry.charged = true;
         }
+        stats
+    }
+
+    /// The id of phase `label` in this object's table, adding it if new.
+    /// Linear in the number of distinct labels (a handful); allocates only
+    /// the first time a label is seen.
+    pub fn intern(&mut self, label: &str) -> PhaseId {
+        let i = match self.phases.iter().position(|p| p.label == label) {
+            Some(i) => i,
+            None => {
+                self.phases.push(PhaseEntry {
+                    label: label.to_owned(),
+                    stats: NodeStats::default(),
+                    charged: false,
+                });
+                self.phases.len() - 1
+            }
+        };
+        PhaseId(u16::try_from(i).expect("fewer than 65536 distinct phase labels"))
+    }
+
+    /// The label `phase` was interned from.
+    pub fn label(&self, phase: PhaseId) -> &str {
+        &self.phases[usize::from(phase.0)].label
+    }
+
+    /// The two counter sets a charge lands on.
+    #[inline]
+    fn charge(&mut self, node: NodeId, phase: PhaseId) -> (&mut NodeStats, &mut NodeStats) {
+        let entry = &mut self.phases[usize::from(phase.0)];
+        entry.charged = true;
+        (&mut self.per_node[node.0 as usize], &mut entry.stats)
     }
 
     /// Records one transmitted packet at `node` with `payload` bytes and
     /// energy `uj`, under phase `phase`.
-    pub fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let s = &mut self.per_node[node.0 as usize];
-        s.tx_packets += 1;
-        s.tx_bytes += payload as u64;
-        s.energy_uj += uj;
-        let p = self.per_phase.entry(phase.to_owned()).or_default();
-        p.tx_packets += 1;
-        p.tx_bytes += payload as u64;
-        p.energy_uj += uj;
+    #[inline]
+    pub fn record_tx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        for c in [s, p] {
+            c.tx_packets += 1;
+            c.tx_bytes += payload as u64;
+            c.energy_uj += uj;
+        }
     }
 
     /// Records one received packet at `node`.
-    pub fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let s = &mut self.per_node[node.0 as usize];
-        s.rx_packets += 1;
-        s.rx_bytes += payload as u64;
-        s.energy_uj += uj;
-        let p = self.per_phase.entry(phase.to_owned()).or_default();
-        p.rx_packets += 1;
-        p.rx_bytes += payload as u64;
-        p.energy_uj += uj;
+    #[inline]
+    pub fn record_rx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        for c in [s, p] {
+            c.rx_packets += 1;
+            c.rx_bytes += payload as u64;
+            c.energy_uj += uj;
+        }
     }
 
     /// Records one retransmitted data fragment at `node`.
-    pub fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let s = &mut self.per_node[node.0 as usize];
-        s.retx_packets += 1;
-        s.retx_bytes += payload as u64;
-        s.energy_uj += uj;
-        let p = self.per_phase.entry(phase.to_owned()).or_default();
-        p.retx_packets += 1;
-        p.retx_bytes += payload as u64;
-        p.energy_uj += uj;
+    pub fn record_retx(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        for c in [s, p] {
+            c.retx_packets += 1;
+            c.retx_bytes += payload as u64;
+            c.energy_uj += uj;
+        }
     }
 
     /// Records one transmitted ACK / summary control frame at `node`.
-    pub fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: &str) {
-        let s = &mut self.per_node[node.0 as usize];
-        s.ack_packets += 1;
-        s.ack_bytes += payload as u64;
-        s.energy_uj += uj;
-        let p = self.per_phase.entry(phase.to_owned()).or_default();
-        p.ack_packets += 1;
-        p.ack_bytes += payload as u64;
-        p.energy_uj += uj;
+    pub fn record_ack(&mut self, node: NodeId, payload: usize, uj: f64, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        for c in [s, p] {
+            c.ack_packets += 1;
+            c.ack_bytes += payload as u64;
+            c.energy_uj += uj;
+        }
     }
 
     /// Records a permanently lost data fragment addressed to `node`.
-    pub fn record_loss(&mut self, node: NodeId, phase: &str) {
-        self.per_node[node.0 as usize].lost_packets += 1;
-        self.per_phase
-            .entry(phase.to_owned())
-            .or_default()
-            .lost_packets += 1;
+    pub fn record_loss(&mut self, node: NodeId, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        s.lost_packets += 1;
+        p.lost_packets += 1;
     }
 
     /// Records one crash-stop death of `node` (exogenous churn or battery
     /// exhaustion).
-    pub fn record_death(&mut self, node: NodeId, phase: &str) {
-        self.per_node[node.0 as usize].deaths += 1;
-        self.per_phase.entry(phase.to_owned()).or_default().deaths += 1;
+    pub fn record_death(&mut self, node: NodeId, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        s.deaths += 1;
+        p.deaths += 1;
     }
 
     /// Charges pure energy at `node` (e.g. receiving a control frame or a
     /// duplicate fragment) without touching any packet counter.
-    pub fn record_energy(&mut self, node: NodeId, uj: f64, phase: &str) {
-        self.per_node[node.0 as usize].energy_uj += uj;
-        self.per_phase
-            .entry(phase.to_owned())
-            .or_default()
-            .energy_uj += uj;
+    pub fn record_energy(&mut self, node: NodeId, uj: f64, phase: PhaseId) {
+        let (s, p) = self.charge(node, phase);
+        s.energy_uj += uj;
+        p.energy_uj += uj;
     }
 
     /// Counters of one node.
@@ -181,12 +231,17 @@ impl NetworkStats {
 
     /// Counters aggregated for a phase label (zeroes if unseen).
     pub fn phase(&self, phase: &str) -> NodeStats {
-        self.per_phase.get(phase).copied().unwrap_or_default()
+        self.phases
+            .iter()
+            .find(|p| p.label == phase)
+            .map_or_else(NodeStats::default, |p| p.stats)
     }
 
-    /// All phase labels seen.
+    /// Every phase something was charged under, in label order.
     pub fn phases(&self) -> impl Iterator<Item = (&str, &NodeStats)> {
-        self.per_phase.iter().map(|(k, v)| (k.as_str(), v))
+        let mut charged: Vec<&PhaseEntry> = self.phases.iter().filter(|p| p.charged).collect();
+        charged.sort_by(|a, b| a.label.cmp(&b.label));
+        charged.into_iter().map(|p| (p.label.as_str(), &p.stats))
     }
 
     /// Total packets transmitted network-wide — the paper's primary metric.
@@ -253,8 +308,13 @@ impl NetworkStats {
         for (a, b) in self.per_node.iter_mut().zip(&other.per_node) {
             a.add(b);
         }
-        for (k, v) in &other.per_phase {
-            self.per_phase.entry(k.clone()).or_default().add(v);
+        // The two tables may have interned their labels in different
+        // orders: match by label, never by id.
+        for theirs in other.phases.iter().filter(|p| p.charged) {
+            let id = self.intern(&theirs.label);
+            let mine = &mut self.phases[usize::from(id.0)];
+            mine.stats.add(&theirs.stats);
+            mine.charged = true;
         }
     }
 }
@@ -336,9 +396,10 @@ mod tests {
     #[test]
     fn recording_and_totals() {
         let mut s = NetworkStats::new(3);
-        s.record_tx(NodeId(1), 30, 100.0, "collect");
-        s.record_tx(NodeId(1), 18, 80.0, "final");
-        s.record_rx(NodeId(2), 30, 60.0, "collect");
+        let (collect, fin) = (s.intern("collect"), s.intern("final"));
+        s.record_tx(NodeId(1), 30, 100.0, collect);
+        s.record_tx(NodeId(1), 18, 80.0, fin);
+        s.record_rx(NodeId(2), 30, 60.0, collect);
         assert_eq!(s.total_tx_packets(), 2);
         assert_eq!(s.total_tx_bytes(), 48);
         assert_eq!(s.node(NodeId(1)).tx_packets, 2);
@@ -352,11 +413,12 @@ mod tests {
     #[test]
     fn reliability_counters() {
         let mut s = NetworkStats::new(2);
-        s.record_tx(NodeId(0), 48, 10.0, "p");
-        s.record_retx(NodeId(0), 48, 10.0, "p");
-        s.record_ack(NodeId(1), 2, 1.0, "p");
-        s.record_loss(NodeId(1), "p");
-        s.record_energy(NodeId(0), 0.5, "p");
+        let p = s.intern("p");
+        s.record_tx(NodeId(0), 48, 10.0, p);
+        s.record_retx(NodeId(0), 48, 10.0, p);
+        s.record_ack(NodeId(1), 2, 1.0, p);
+        s.record_loss(NodeId(1), p);
+        s.record_energy(NodeId(0), 0.5, p);
         assert_eq!(s.total_tx_packets(), 1);
         assert_eq!(s.total_retx_packets(), 1);
         assert_eq!(s.total_ack_packets(), 1);
@@ -368,7 +430,8 @@ mod tests {
         assert_eq!(s.phase("p").lost_packets, 1);
         assert!((s.total_energy_uj() - 21.5).abs() < 1e-9);
         let mut other = NetworkStats::new(2);
-        other.record_retx(NodeId(0), 10, 1.0, "p");
+        let p = other.intern("p");
+        other.record_retx(NodeId(0), 10, 1.0, p);
         s.merge(&other);
         assert_eq!(s.node(NodeId(0)).retx_packets, 2);
         assert_eq!(s.node(NodeId(0)).retx_bytes, 58);
@@ -378,22 +441,96 @@ mod tests {
     fn most_loaded() {
         let mut s = NetworkStats::new(3);
         assert_eq!(s.most_loaded(), Some((NodeId(0), 0)));
-        s.record_tx(NodeId(2), 10, 1.0, "p");
-        s.record_tx(NodeId(2), 10, 1.0, "p");
-        s.record_tx(NodeId(0), 10, 1.0, "p");
+        let p = s.intern("p");
+        s.record_tx(NodeId(2), 10, 1.0, p);
+        s.record_tx(NodeId(2), 10, 1.0, p);
+        s.record_tx(NodeId(0), 10, 1.0, p);
         assert_eq!(s.most_loaded(), Some((NodeId(2), 2)));
     }
 
     #[test]
     fn merge_sums() {
         let mut a = NetworkStats::new(2);
-        a.record_tx(NodeId(0), 10, 5.0, "x");
+        let x = a.intern("x");
+        a.record_tx(NodeId(0), 10, 5.0, x);
         let mut b = NetworkStats::new(2);
-        b.record_tx(NodeId(0), 20, 7.0, "x");
-        b.record_rx(NodeId(1), 20, 3.0, "y");
+        let (y, x) = (b.intern("y"), b.intern("x"));
+        b.record_tx(NodeId(0), 20, 7.0, x);
+        b.record_rx(NodeId(1), 20, 3.0, y);
         a.merge(&b);
         assert_eq!(a.node(NodeId(0)).tx_packets, 2);
         assert_eq!(a.node(NodeId(0)).tx_bytes, 30);
         assert_eq!(a.phase("y").rx_packets, 1);
+    }
+
+    fn labels(s: &NetworkStats) -> Vec<&str> {
+        s.phases().map(|(label, _)| label).collect()
+    }
+
+    #[test]
+    fn phases_come_in_label_order_and_only_once_charged() {
+        let mut s = NetworkStats::new(2);
+        // Interned in an order that is neither sorted nor reverse-sorted.
+        let ids: Vec<PhaseId> = ["2-filter", "repair", "1-collect", "3-final"]
+            .iter()
+            .map(|l| s.intern(l))
+            .collect();
+        assert_eq!(s.intern("repair"), ids[1], "interning is idempotent");
+        assert_eq!(s.label(ids[2]), "1-collect");
+        assert!(labels(&s).is_empty(), "interned is not charged");
+        s.record_energy(NodeId(0), 1.0, ids[3]);
+        s.record_loss(NodeId(1), ids[0]);
+        s.record_death(NodeId(1), ids[1]);
+        assert_eq!(labels(&s), ["2-filter", "3-final", "repair"]);
+        assert_eq!(s.phase("1-collect"), NodeStats::default());
+        // A clone keeps the table, so ids stay valid on it.
+        let mut c = s.clone();
+        c.record_tx(NodeId(0), 5, 1.0, ids[2]);
+        assert_eq!(labels(&c), ["1-collect", "2-filter", "3-final", "repair"]);
+    }
+
+    #[test]
+    fn merge_matches_labels_across_different_intern_tables() {
+        let mut a = NetworkStats::new(1);
+        let (a_x, a_y) = (a.intern("x"), a.intern("y"));
+        a.record_tx(NodeId(0), 1, 1.0, a_x);
+        a.record_tx(NodeId(0), 2, 1.0, a_y);
+        let mut b = NetworkStats::new(1);
+        // Same labels, opposite ids, plus one `a` never saw and one that was
+        // interned but never charged.
+        let (b_z, b_y, b_x, _idle) = (b.intern("z"), b.intern("y"), b.intern("x"), b.intern("w"));
+        assert_ne!(a_x, b_x);
+        b.record_tx(NodeId(0), 10, 1.0, b_x);
+        b.record_tx(NodeId(0), 20, 1.0, b_y);
+        b.record_tx(NodeId(0), 40, 1.0, b_z);
+        a.merge(&b);
+        assert_eq!(labels(&a), ["x", "y", "z"]);
+        assert_eq!(a.phase("x").tx_bytes, 11);
+        assert_eq!(a.phase("y").tx_bytes, 22);
+        assert_eq!(a.phase("z").tx_bytes, 40);
+        assert_eq!(a.total_tx_bytes(), 73);
+    }
+
+    #[test]
+    fn from_parts_round_trips_the_exported_phases() {
+        let mut s = NetworkStats::new(2);
+        let (late, early) = (s.intern("b-late"), s.intern("a-early"));
+        s.record_tx(NodeId(0), 7, 0.25, late);
+        s.record_ack(NodeId(1), 2, 0.5, early);
+        let exported: Vec<(String, NodeStats)> =
+            s.phases().map(|(l, st)| (l.to_owned(), *st)).collect();
+        assert_eq!(exported[0].0, "a-early");
+        let back = NetworkStats::from_parts(s.per_node().to_vec(), exported.clone());
+        let again: Vec<(String, NodeStats)> =
+            back.phases().map(|(l, st)| (l.to_owned(), *st)).collect();
+        assert_eq!(again, exported);
+        assert_eq!(back.per_node(), s.per_node());
+        // Like the map it replaces, a repeated label keeps its last entry.
+        let twice = NetworkStats::from_parts(
+            vec![NodeStats::default()],
+            vec![("p".into(), exported[0].1), ("p".into(), exported[1].1)],
+        );
+        assert_eq!(twice.phases().count(), 1);
+        assert_eq!(twice.phase("p"), exported[1].1);
     }
 }

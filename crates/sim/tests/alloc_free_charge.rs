@@ -1,0 +1,122 @@
+//! The charge path allocates nothing per packet event.
+//!
+//! A counting global allocator (per-thread counter, so the tests of this
+//! binary do not see each other) wraps lossless transfers through both
+//! sinks: the direct one (`DeliveryPort`, and `Network::unicast` on top of
+//! it) must not touch the heap at all, however many fragments a message
+//! has; the ledger one (`LinkLane`) only grows its event vector, a number
+//! of allocations logarithmic in the events recorded.
+
+use sensjoin_field::{Area, Placement};
+use sensjoin_sim::{Network, NetworkBuilder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System` unchanged; the only addition
+// is a thread-local counter bump, which neither allocates (const-initialized
+// `Cell`, no destructor) nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (and reallocations) `f` performs on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn net() -> Network {
+    let area = Area::new(250.0, 250.0);
+    let pos = Placement::UniformRandom { n: 80 }.generate(area, 5);
+    NetworkBuilder::new().build(pos, area).unwrap()
+}
+
+/// Message sizes from one fragment to a 21-fragment train.
+const SIZES: [usize; 5] = [1, 30, 48, 49, 1000];
+
+#[test]
+fn direct_sink_charges_without_allocating() {
+    let mut net = net();
+    let base = net.base();
+    let kids = net.routing().children(base).to_vec();
+    let phase = net.intern_phase("1-collection");
+    // Warm: the phase is interned, nothing else is lazily built.
+    net.unicast(kids[0], base, 30, "1-collection");
+
+    let packets_before = net.stats().total_tx_packets();
+    let n = allocations(|| {
+        let (_, mut port) = net.delivery_port();
+        for _ in 0..100 {
+            for bytes in SIZES {
+                let d = port.unicast_delivery(kids[0], base, bytes, phase);
+                assert!(d.complete);
+            }
+        }
+    });
+    let packets = net.stats().total_tx_packets() - packets_before;
+    assert!(packets >= 100 * 25, "{packets} packets charged");
+    assert_eq!(n, 0, "{n} allocations over {packets} unicast packets");
+
+    // The string-labelled entry point resolves the label per message — a
+    // scan of the handful of interned labels — and allocates nothing either.
+    let n = allocations(|| {
+        for bytes in SIZES {
+            net.unicast(kids[0], base, bytes, "1-collection");
+        }
+    });
+    assert_eq!(n, 0);
+
+    // A broadcast returns a per-receiver report (one vector per message);
+    // charging its packets adds nothing to that, whatever their number.
+    let one = allocations(|| {
+        net.broadcast(base, &kids, 30, "1-collection");
+    });
+    let many = allocations(|| {
+        net.broadcast(base, &kids, 1000, "1-collection");
+    });
+    assert_eq!(one, 1, "the delivery report");
+    assert_eq!(many, one, "21 fragments allocate what 1 does");
+}
+
+#[test]
+fn ledger_sink_only_grows_its_event_vector() {
+    let mut net = net();
+    let base = net.base();
+    let kid = net.routing().children(base)[0];
+    let phase = net.intern_phase("1-collection");
+    let mut lane = net.open_lane();
+    let messages = 2000;
+    let n = allocations(|| {
+        for _ in 0..messages {
+            lane.unicast_delivery(kid, base, 1000, phase);
+        }
+    });
+    // 21 fragments × (tx + rx) = 42 events per message, 84 000 in all: the
+    // vector doubles about 17 times.
+    assert!(n <= 24, "{n} allocations for {} events", messages * 42);
+    net.absorb_lane(lane.finish());
+    assert_eq!(net.stats().total_tx_packets(), messages * 21);
+}

@@ -1,10 +1,10 @@
 #![warn(missing_docs)]
 
-//! Vectorized hot kernels shared by the join engine, the Z-order codec and
-//! the quadtree encoder — each with a scalar reference implementation that
-//! is **bit-identical by construction**.
+//! Vectorized hot kernels shared by the join engine and the Z-order codec —
+//! each with a scalar reference implementation that is **bit-identical by
+//! construction**.
 //!
-//! The crate exposes three kernel families:
+//! The crate exposes two kernel families:
 //!
 //! * [`band_mask`] — the residual interval check of a band predicate
 //!   (`key ⋈ probe`, `key − probe ⋈ c`, `|key − probe| ⋈ c`) evaluated over a
@@ -16,8 +16,6 @@
 //!   signed zeros and infinities.
 //! * [`pdep_u64`] / [`pext_u64`] — parallel bit deposit/extract for Z-order
 //!   interleaving (BMI2 when available, a mask-walking loop otherwise).
-//! * [`and_mask_u64`] — a batched `key & mask` over `u64` runs feeding the
-//!   quadtree point-list emitter.
 //!
 //! With the `simd` cargo feature disabled — or at runtime on CPUs without
 //! AVX2/BMI2 — every entry point runs the scalar reference. Hardware
@@ -200,18 +198,6 @@ pub fn pext_u64(src: u64, mask: u64) -> u64 {
     pext_u64_scalar(src, mask)
 }
 
-/// Batched `key & mask` over a `u64` run (quadtree point-list emission).
-pub fn and_mask_u64(keys: &[u64], mask: u64, out: &mut Vec<u64>) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if have_avx2() {
-        // SAFETY: AVX2 presence was verified at runtime.
-        unsafe { avx2::and_mask(keys, mask, out) };
-        return;
-    }
-    out.clear();
-    out.extend(keys.iter().map(|&k| k & mask));
-}
-
 /// Which hardware fast paths this process dispatches to:
 /// `"avx2+bmi2"`, `"avx2"`, `"bmi2"` or `"scalar"`.
 pub fn kernels_active() -> &'static str {
@@ -388,24 +374,6 @@ mod avx2 {
             }
         }
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn and_mask(keys: &[u64], mask: u64, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(keys.len(), 0);
-        let mv = _mm256_set1_epi64x(mask as i64);
-        let n4 = keys.len() & !3;
-        let mut i = 0;
-        while i < n4 {
-            let kv = _mm256_loadu_si256(keys.as_ptr().add(i).cast());
-            let r = _mm256_and_si256(kv, mv);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), r);
-            i += 4;
-        }
-        for j in n4..keys.len() {
-            out[j] = keys[j] & mask;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -553,15 +521,6 @@ mod tests {
             assert_eq!(pdep_u64(src, mask), pdep_u64_scalar(src, mask));
             assert_eq!(pext_u64(src, mask), pext_u64_scalar(src, mask));
         }
-    }
-
-    #[test]
-    fn and_mask_matches_scalar() {
-        let keys: Vec<u64> = (0..37).map(|i| i * 0x0123_4567_89ab_cdef).collect();
-        let mut out = Vec::new();
-        and_mask_u64(&keys, 0x0f0f_0f0f_0f0f_0f0f, &mut out);
-        let expect: Vec<u64> = keys.iter().map(|&k| k & 0x0f0f_0f0f_0f0f_0f0f).collect();
-        assert_eq!(out, expect);
     }
 
     #[test]
