@@ -360,7 +360,7 @@ impl ContinuousSensJoin {
     }
 
     /// Serializes the executor's full mutable state (cumulative accounting
-    /// plus, when warm, the per-round [`State`]) for checkpointing. The
+    /// plus, when warm, the per-round `State`) for checkpointing. The
     /// query and config are *not* serialized — the resuming process
     /// reconstructs them deterministically and passes the query to
     /// [`ContinuousSensJoin::restore_state`].

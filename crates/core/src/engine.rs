@@ -8,16 +8,23 @@
 //! indexed predicates become O(1) membership tests, so the level scans the
 //! **intersection** of all indexed candidate sets, while the unchanged
 //! residual predicate check still runs on every survivor. Levels without an
-//! indexable predicate scan exactly like the nested-loop reference. The outermost level is chunked across threads
-//! (behind the default-on `parallel` feature) and the per-chunk outputs are
-//! merged in chunk order, so results — rows, their order, contributors, and
-//! the filter bitmask — are bit-identical to [`exact_join_nested`] /
+//! indexable predicate scan exactly like the nested-loop reference.
+//!
+//! The probes of level 1 depend on the outer tuple alone, so they are taken
+//! once, ahead of the descent ([`Hoisted`]); their candidate counts are the
+//! work estimate that decides whether the outermost level is chunked across
+//! threads (behind the default-on `parallel` feature), where the chunks are
+//! cut, and how many rows a chunk reserves. Per-chunk outputs are merged in
+//! chunk order, so results — rows, their order, contributors, and the filter
+//! bitmask — are bit-identical to [`exact_join_nested`] /
 //! [`prejoin_filter_nested`], which are retained as the plain reference
 //! implementations (and as the baseline of the `engine_scaling` benchmark).
 
 use crate::config::SensJoinConfig;
 use crate::outcome::JoinResult;
-use crate::partition::{exact_plan, filter_plan, ExactIndex, ExactProbe, FilterIndex};
+use crate::partition::{
+    exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
+};
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
 use sensjoin_query::{CompiledQuery, Interval};
@@ -192,52 +199,126 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
         .collect()
 }
 
-/// Runs `f` over contiguous chunks of `0..n_items` and returns the chunk
-/// results **in chunk order**. With the `parallel` feature (default) and
-/// `worthwhile` work, chunks run on scoped threads; otherwise a single
-/// chunk runs inline. Order-preserving merging keeps the parallel engine
-/// bit-identical to the sequential one.
-fn run_chunked<T, F>(n_items: usize, worthwhile: bool, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if worthwhile && n_items >= 2 {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n_items);
-        if threads > 1 {
-            let chunk = n_items.div_ceil(threads);
-            return std::thread::scope(|s| {
-                let f = &f;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n_items);
-                        s.spawn(move || f(lo..hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join worker panicked"))
-                    .collect()
-            });
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = worthwhile;
-    vec![f(0..n_items)]
+/// Counted descent steps below which a descent runs inline. A step costs
+/// some 50–300 ns, a spawned worker some tens of µs, and the callers with
+/// many small joins — a serve tick's per-tenant joins — already run on one
+/// thread per deployment: fanning out pays from a few milliseconds of work.
+const PAR_MIN_WORK: usize = 1 << 16;
+
+/// The level-1 probes of every outer position, taken ahead of the descent
+/// (they depend on the outer tuple alone), with the work they announce.
+struct Hoisted<P> {
+    /// Probes per outer position: the number of indexes on level 1.
+    per: usize,
+    probes: Vec<P>,
+    /// `work[i]`: descent steps counted for the outer positions below `i` —
+    /// one per outer position plus one per level-1 candidate of its driver.
+    work: Vec<usize>,
 }
 
-/// Whether the estimated descent work (outer size × inner search space)
-/// justifies spawning threads.
-fn worth_parallelizing(outer: usize, inner_sizes: impl Iterator<Item = usize>) -> bool {
-    let inner: usize = inner_sizes
-        .map(|s| s.max(1))
-        .fold(1usize, |a, b| a.saturating_mul(b));
-    outer.saturating_mul(inner) >= (1 << 13)
+impl<P> Hoisted<P> {
+    /// `probe(pos, out)` pushes outer position `pos`'s `per` probes and
+    /// returns the number of level-1 candidates they leave.
+    fn build(outer: usize, per: usize, mut probe: impl FnMut(usize, &mut Vec<P>) -> usize) -> Self {
+        let mut probes = Vec::with_capacity(outer * per);
+        let mut work = Vec::with_capacity(outer + 1);
+        let mut total = 0;
+        work.push(total);
+        for pos in 0..outer {
+            total += 1 + probe(pos, &mut probes);
+            work.push(total);
+        }
+        Self { per, probes, work }
+    }
+
+    fn of(&self, pos: usize) -> &[P] {
+        &self.probes[pos * self.per..][..self.per]
+    }
+
+    /// Level-1 candidates counted for the outer positions in `range`.
+    fn candidates(&self, range: &Range<usize>) -> usize {
+        self.work[range.end] - self.work[range.start] - range.len()
+    }
+
+    /// Cuts the outer positions into the chunks to run: one per available
+    /// thread, of about equal counted work, when the `parallel` feature is
+    /// on and the work — times `deeper`, the search space below level 1 —
+    /// reaches [`PAR_MIN_WORK`]; otherwise a single chunk.
+    fn cuts(&self, deeper: usize) -> Vec<Range<usize>> {
+        let total = *self.work.last().expect("cumulative work starts with a 0");
+        let fan_out = cfg!(feature = "parallel") && total.saturating_mul(deeper) >= PAR_MIN_WORK;
+        let parts = if fan_out {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            1
+        };
+        equal_work_cuts(&self.work, parts)
+    }
+}
+
+/// Cuts the positions `0..work.len() - 1` into at most `parts` contiguous
+/// ranges at the quantiles of the cumulative `work` (strictly increasing,
+/// from 0). No range is empty unless there is no position at all; a
+/// position heavier than a whole share leaves fewer ranges.
+fn equal_work_cuts(work: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let outer = work.len() - 1;
+    let total = work[outer] as u128;
+    let mut cuts = Vec::with_capacity(parts);
+    let mut lo = 0;
+    for part in 1..parts {
+        let target = (total * part as u128 / parts as u128) as usize;
+        let hi = work.partition_point(|&w| w < target);
+        if hi > lo {
+            cuts.push(lo..hi);
+            lo = hi;
+        }
+    }
+    if lo < outer || cuts.is_empty() {
+        cuts.push(lo..outer);
+    }
+    cuts
+}
+
+/// Runs `f(chunk index, range)` over `cuts` and returns the results **in
+/// chunk order**: the first chunk on the calling thread, every further one
+/// on a scoped thread of its own. Order-preserving merging keeps the
+/// parallel engine bit-identical to the sequential one.
+fn run_chunked<T, F>(cuts: &[Range<usize>], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> T + Sync,
+{
+    let (first, rest) = cuts.split_first().expect("at least one chunk");
+    if rest.is_empty() {
+        return vec![f(0, first.clone())];
+    }
+    std::thread::scope(|s| {
+        let f = &f;
+        let workers: Vec<_> = rest
+            .iter()
+            .enumerate()
+            .map(|(i, range)| {
+                let range = range.clone();
+                s.spawn(move || f(i + 1, range))
+            })
+            .collect();
+        let mut parts = Vec::with_capacity(cuts.len());
+        parts.push(f(0, first.clone()));
+        parts.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("join worker panicked")),
+        );
+        parts
+    })
+}
+
+/// Size of the search space below level 1: what one level-1 candidate can
+/// fan out to at worst.
+fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
+    sizes
+        .skip(2)
+        .fold(1usize, |a, b| a.saturating_mul(b.max(1)))
 }
 
 /// Computes the join filter (§IV step 1a): the set of quantized
@@ -261,6 +342,19 @@ pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSe
         let plan = filter_plan(query, &list_lens, &pred_rels, |rel, attr, pos| {
             space.attr_interval(query, &boxes[lists[rel][pos]], rel, attr)
         });
+        let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
+        let hoisted = Hoisted::build(lists[0].len(), level1.len(), |pos, out| {
+            let cell = &boxes[lists[0][pos]];
+            let mut count = list_lens.get(1).copied().unwrap_or(0);
+            for ix in level1 {
+                let runs = ix.probe(space.attr_interval(query, cell, 0, ix.probe_attr()));
+                if let Some(runs) = &runs {
+                    count = count.min(runs_len(runs));
+                }
+                out.push(runs);
+            }
+            count
+        });
         let run = FilterRun {
             query,
             space,
@@ -268,15 +362,21 @@ pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSe
             boxes: &boxes,
             pred_rels: &pred_rels,
             plan: &plan,
+            hoisted: &hoisted,
         };
-        let worthwhile = worth_parallelizing(lists[0].len(), lists.iter().skip(1).map(|l| l.len()));
-        let parts = run_chunked(lists[0].len(), worthwhile, |range| {
-            let mut local: Vec<u8> = vec![0; points.len()];
-            let mut binding: Vec<usize> = Vec::with_capacity(lists.len());
+        let cuts = hoisted.cuts(deeper_space(list_lens.iter().copied()));
+        let parts = run_chunked(&cuts, |_, range| {
+            let mut st = FilterChunk {
+                matched: vec![0; points.len()],
+                binding: Vec::with_capacity(lists.len()),
+                outer: 0,
+                probes: Vec::new(),
+            };
             for pos in range {
-                run.step(0, pos, &mut binding, &mut local);
+                st.outer = pos;
+                run.step(0, pos, &mut st);
             }
-            local
+            st.matched
         });
         for part in parts {
             for (m, p) in matched.iter_mut().zip(part) {
@@ -365,66 +465,86 @@ struct FilterRun<'a> {
     boxes: &'a [Vec<(f64, f64)>],
     pred_rels: &'a [usize],
     plan: &'a [Vec<FilterIndex>],
+    hoisted: &'a Hoisted<Option<Runs>>,
+}
+
+/// Mutable state of one chunk of the filter descent.
+struct FilterChunk {
+    /// Per point: the relation roles it matched in.
+    matched: Vec<u8>,
+    /// Point indices bound so far, one per level.
+    binding: Vec<usize>,
+    /// Role-list position of the level-0 binding.
+    outer: usize,
+    /// The open levels' probes, each level's parallel to its plan entry
+    /// (`None`: that index cannot prune for the binding).
+    probes: Vec<Option<Runs>>,
 }
 
 impl FilterRun<'_> {
-    fn descend(&self, binding: &mut Vec<usize>, matched: &mut [u8]) {
-        let rel = binding.len();
+    fn descend(&self, st: &mut FilterChunk) {
+        let rel = st.binding.len();
         if rel == self.lists.len() {
             // Full binding survived every predicate: mark all roles.
-            for (r, &idx) in binding.iter().enumerate() {
-                matched[idx] |= self.space.flag(r).0;
+            for (r, &idx) in st.binding.iter().enumerate() {
+                st.matched[idx] |= self.space.flag(r).0;
             }
             return;
         }
         // Intersect the candidate windows of every index on this level: the
         // smallest window drives, the rest degrade to rank membership tests
         // folded into the iteration. The driver's sorted runs are walked in
-        // place — `matched` is an OR-bitmask, so emission order is free and
-        // no position list is materialized per binding step.
-        let mut probes: Vec<(&FilterIndex, Vec<Range<usize>>)> = Vec::new();
-        for ix in &self.plan[rel] {
-            let probe = self.space.attr_interval(
-                self.query,
-                &self.boxes[binding[ix.probe_rel()]],
-                ix.probe_rel(),
-                ix.probe_attr(),
-            );
-            if let Some(ranges) = ix.probe(probe) {
-                probes.push((ix, ranges));
+        // place — `matched` is an OR-bitmask, so emission order is free.
+        let indexes = &self.plan[rel];
+        let base = st.probes.len();
+        if rel == 1 {
+            st.probes.extend_from_slice(self.hoisted.of(st.outer));
+        } else {
+            for ix in indexes {
+                let probe = self.space.attr_interval(
+                    self.query,
+                    &self.boxes[st.binding[ix.probe_rel()]],
+                    ix.probe_rel(),
+                    ix.probe_attr(),
+                );
+                st.probes.push(ix.probe(probe));
             }
         }
-        let Some(di) =
-            (0..probes.len()).min_by_key(|&i| probes[i].1.iter().map(|r| r.len()).sum::<usize>())
-        else {
-            for pos in 0..self.lists[rel].len() {
-                self.step(rel, pos, binding, matched);
+        let driver = (0..indexes.len())
+            .filter_map(|i| Some((i, st.probes[base + i].clone()?)))
+            .min_by_key(|(_, runs)| runs_len(runs));
+        match driver {
+            None => {
+                for pos in 0..self.lists[rel].len() {
+                    self.step(rel, pos, st);
+                }
             }
-            return;
-        };
-        let (dix, dranges) = &probes[di];
-        for r in dranges {
-            for &(_, pos) in &dix.entries()[r.clone()] {
-                let ok = probes
-                    .iter()
-                    .enumerate()
-                    .all(|(i, (ix, rs))| i == di || ix.accepts(rs, pos));
-                if ok {
-                    self.step(rel, pos as usize, binding, matched);
+            Some((di, runs)) => {
+                for run in runs {
+                    for &(_, pos) in &indexes[di].entries()[run] {
+                        let ok = indexes.iter().zip(&st.probes[base..]).enumerate().all(
+                            |(i, (ix, runs))| {
+                                i == di || runs.as_ref().is_none_or(|runs| ix.accepts(runs, pos))
+                            },
+                        );
+                        if ok {
+                            self.step(rel, pos as usize, st);
+                        }
+                    }
                 }
             }
         }
+        st.probes.truncate(base);
     }
 
     /// Binds role-list position `pos` at level `rel`, applies the residual
     /// interval check (identical to the nested reference) and recurses.
-    fn step(&self, rel: usize, pos: usize, binding: &mut Vec<usize>, matched: &mut [u8]) {
-        let idx = self.lists[rel][pos];
-        binding.push(idx);
+    fn step(&self, rel: usize, pos: usize, st: &mut FilterChunk) {
+        st.binding.push(self.lists[rel][pos]);
         let ok = {
             let env = |r: usize, a: usize| -> Interval {
                 self.space
-                    .attr_interval(self.query, &self.boxes[binding[r]], r, a)
+                    .attr_interval(self.query, &self.boxes[st.binding[r]], r, a)
             };
             self.query
                 .join_preds()
@@ -434,9 +554,9 @@ impl FilterRun<'_> {
                 .all(|(p, _)| sensjoin_query::eval_predicate_interval(p, &env).possible())
         };
         if ok {
-            self.descend(binding, matched);
+            self.descend(st);
         }
-        binding.pop();
+        st.binding.pop();
     }
 }
 
@@ -484,9 +604,9 @@ pub struct JoinComputation {
     pub contributors: BTreeSet<NodeId>,
 }
 
-/// Accumulated outputs of one (chunk of the) exact descent. Also the bridge
-/// the streaming engine ([`crate::ingest::StreamJoinEngine`]) feeds its row
-/// cache through, so both paths share one finalization.
+/// The raw outputs of an exact join, before grouping and aggregation. Also
+/// the bridge the streaming engine ([`crate::ingest::StreamJoinEngine`])
+/// feeds its row cache through, so both paths share one finalization.
 #[derive(Default)]
 pub(crate) struct ExactAcc {
     pub(crate) rows: Vec<Vec<f64>>,
@@ -505,39 +625,74 @@ pub(crate) struct ExactAcc {
 /// grouping and contributors are bit-identical to [`exact_join_nested`].
 pub fn exact_join(query: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation {
     assert_eq!(tuples.len(), query.num_relations());
-    let pred_rels = pred_max_rels(query);
     let mut acc = ExactAcc::default();
     if !query.is_const_false() {
+        let pred_rels = pred_max_rels(query);
         let plan = exact_plan(query, tuples, &pred_rels);
+        let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
+        let outer = tuples.first().map_or(0, |t| t.len());
+        let hoisted = Hoisted::build(outer, level1.len(), |pos, out| {
+            let env = |_: usize, a: usize| -> f64 { tuples[0][pos].1[a] };
+            let mut count = tuples.get(1).map_or(0, |t| t.len());
+            for ix in level1 {
+                let probe = ix.probe(&env);
+                count = count.min(probe.count());
+                out.push(probe);
+            }
+            count
+        });
         let run = ExactRun {
             query,
             tuples,
             pred_rels: &pred_rels,
             plan: &plan,
+            hoisted: &hoisted,
         };
-        if tuples.is_empty() {
+        let first = if tuples.is_empty() {
             // Zero relations: descend's base case emits the single
             // empty-binding row, exactly like the nested reference.
-            run.descend(&mut Vec::new(), &mut acc);
+            let mut chunk = run.chunk();
+            run.descend(&mut chunk);
+            chunk
         } else {
-            let worthwhile =
-                worth_parallelizing(tuples[0].len(), tuples.iter().skip(1).map(|t| t.len()));
-            let parts = run_chunked(tuples[0].len(), worthwhile, |range| {
-                let mut part = ExactAcc::default();
-                let mut binding: Vec<usize> = Vec::with_capacity(tuples.len());
-                for pos in range {
-                    run.step(0, pos, &mut binding, &mut part);
+            let cuts = hoisted.cuts(deeper_space(tuples.iter().map(|t| t.len())));
+            let mut parts = run_chunked(&cuts, |i, range| {
+                let mut chunk = run.chunk();
+                if tuples.len() == 2 {
+                    // Every row of a two-way join is a counted candidate.
+                    // The first chunk's buffer becomes the result: it takes
+                    // the other chunks' rows too. Room that stays unused is
+                    // never touched, and a refusal only means growing later.
+                    let ahead = if i == 0 { &(0..outer) } else { &range };
+                    let _ = chunk.rows.try_reserve_exact(hoisted.candidates(ahead));
                 }
-                part
-            });
+                for pos in range {
+                    run.step(0, pos, &mut chunk);
+                }
+                chunk
+            })
+            .into_iter();
             // Chunk-order merge: rows/keys concatenate to the sequential
-            // order, the contributor set unions.
+            // order, the contributor positions union.
+            let mut first = parts.next().expect("at least one chunk");
             for part in parts {
-                acc.rows.extend(part.rows);
-                acc.keys.extend(part.keys);
-                acc.contributors.extend(part.contributors);
+                first.rows.extend(part.rows);
+                first.keys.extend(part.keys);
+                for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
+                    all.union_with(seen);
+                }
             }
+            first
+        };
+        let mut origins: Vec<NodeId> = Vec::new();
+        for (rel, mut seen) in first.seen.into_iter().enumerate() {
+            seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
         }
+        acc = ExactAcc {
+            rows: first.rows,
+            keys: first.keys,
+            contributors: origins.into_iter().collect(),
+        };
     }
     finalize_exact(query, acc)
 }
@@ -552,9 +707,16 @@ pub fn exact_join_nested(
     assert_eq!(tuples.len(), query.num_relations());
     let pred_rels = pred_max_rels(query);
     let mut acc = ExactAcc::default();
+    // Per relation and tuple: whether it appears in a result row.
+    let mut used: Vec<Vec<bool>> = tuples.iter().map(|t| vec![false; t.len()]).collect();
     let mut binding: Vec<usize> = Vec::with_capacity(tuples.len());
     if !query.is_const_false() {
-        exact_descend_nested(query, tuples, &pred_rels, &mut binding, &mut acc);
+        exact_descend_nested(query, tuples, &pred_rels, &mut binding, &mut acc, &mut used);
+    }
+    for (rel, used) in used.iter().enumerate() {
+        for (idx, _) in used.iter().enumerate().filter(|(_, &u)| u) {
+            acc.contributors.insert(tuples[rel][idx].0);
+        }
     }
     finalize_exact(query, acc)
 }
@@ -593,71 +755,100 @@ struct ExactRun<'a> {
     tuples: &'a [Vec<(NodeId, Vec<f64>)>],
     pred_rels: &'a [usize],
     plan: &'a [Vec<ExactIndex<'a>>],
+    hoisted: &'a Hoisted<ExactProbe>,
+}
+
+/// Mutable state and outputs of one chunk of the exact descent. Everything
+/// but `rows`/`keys` is sized once per chunk: emitting a row allocates the
+/// row and nothing else, binding a tuple or walking a candidate nothing.
+struct ExactChunk {
+    rows: Vec<Vec<f64>>,
+    keys: Vec<Vec<f64>>,
+    /// Per relation: the tuples that reached a result row.
+    seen: Vec<PosSet>,
+    /// Per level: scratch that puts a band driver's candidate runs in
+    /// position order (empty between bindings).
+    cand: Vec<PosSet>,
+    /// The open levels' probes, each level's parallel to its plan entry.
+    probes: Vec<ExactProbe>,
+    /// Tuple positions bound so far, one per level.
+    binding: Vec<usize>,
 }
 
 impl ExactRun<'_> {
-    fn descend(&self, binding: &mut Vec<usize>, out: &mut ExactAcc) {
-        let rel = binding.len();
+    fn chunk(&self) -> ExactChunk {
+        let set = |rel: usize| PosSet::new(self.tuples[rel].len());
+        ExactChunk {
+            rows: Vec::new(),
+            keys: Vec::new(),
+            seen: (0..self.tuples.len()).map(set).collect(),
+            cand: (0..self.tuples.len()).map(set).collect(),
+            probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
+            binding: Vec::with_capacity(self.tuples.len()),
+        }
+    }
+
+    fn descend(&self, st: &mut ExactChunk) {
+        let rel = st.binding.len();
         if rel == self.tuples.len() {
+            let binding = &st.binding;
             let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-            out.rows.push(self.query.eval_select_row(&env));
+            st.rows.push(self.query.eval_select_row(&env));
             if self.query.has_group_by() {
-                out.keys.push(self.query.eval_group_key(&env));
+                st.keys.push(self.query.eval_group_key(&env));
             }
-            for (r, &idx) in binding.iter().enumerate() {
-                out.contributors.insert(self.tuples[r][idx].0);
+            for (seen, &pos) in st.seen.iter_mut().zip(binding) {
+                seen.insert(pos as u32);
             }
             return;
         }
         // Intersect the candidate sets of every index on this level: the
         // probe with the fewest candidates drives the scan, the rest degrade
-        // to O(1) membership tests folded into the iteration (no candidate
-        // window is copied or double-passed per binding step).
-        let probes: Vec<(&ExactIndex, ExactProbe)> = {
-            let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-            self.plan[rel]
-                .iter()
-                .map(|ix| (ix, ix.probe(&env)))
-                .filter(|(_, p)| !matches!(p, ExactProbe::All))
-                .collect()
-        };
-        let Some(di) = (0..probes.len()).min_by_key(|&i| probes[i].0.count(&probes[i].1)) else {
-            for pos in 0..self.tuples[rel].len() {
-                self.step(rel, pos, binding, out);
-            }
-            return;
-        };
-        let others_ok = |pos: u32| {
-            probes
-                .iter()
-                .enumerate()
-                .all(|(i, (ix, p))| i == di || ix.contains(p, pos))
-        };
-        let (dix, dprobe) = &probes[di];
-        if let Some(bucket) = dix.hash_slice(dprobe) {
-            // Equi driver: the bucket is already ascending — iterate the
-            // borrowed slice directly.
-            for &pos in bucket {
-                if others_ok(pos) {
-                    self.step(rel, pos as usize, binding, out);
-                }
-            }
+        // to O(1) membership tests folded into the iteration.
+        let indexes = &self.plan[rel];
+        let base = st.probes.len();
+        if rel == 1 {
+            st.probes.extend_from_slice(self.hoisted.of(st.binding[0]));
         } else {
-            // Band driver: runs are key-ordered, so a position sort is
-            // needed to preserve the nested loop's emission order.
-            for &pos in &dix.materialize(dprobe) {
-                if others_ok(pos) {
-                    self.step(rel, pos as usize, binding, out);
+            let binding = &st.binding;
+            let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+            st.probes.extend(indexes.iter().map(|ix| ix.probe(&env)));
+        }
+        let driver = (0..indexes.len())
+            .map(|i| (i, st.probes[base + i].count()))
+            .filter(|&(_, count)| count != usize::MAX)
+            .min_by_key(|&(_, count)| count);
+        match driver {
+            None => {
+                for pos in 0..self.tuples[rel].len() {
+                    self.step(rel, pos, st);
                 }
+            }
+            Some((di, _)) => {
+                let probe = st.probes[base + di].clone();
+                let mut scratch = std::mem::take(&mut st.cand[rel]);
+                indexes[di].for_each_candidate(&probe, &mut scratch, |pos| {
+                    let ok = indexes
+                        .iter()
+                        .zip(&st.probes[base..])
+                        .enumerate()
+                        .all(|(i, (ix, p))| i == di || ix.contains(p, pos));
+                    if ok {
+                        self.step(rel, pos as usize, st);
+                    }
+                });
+                st.cand[rel] = scratch;
             }
         }
+        st.probes.truncate(base);
     }
 
     /// Binds tuple `pos` at level `rel`, applies the residual predicate
     /// check (identical to the nested reference) and recurses.
-    fn step(&self, rel: usize, pos: usize, binding: &mut Vec<usize>, out: &mut ExactAcc) {
-        binding.push(pos);
+    fn step(&self, rel: usize, pos: usize, st: &mut ExactChunk) {
+        st.binding.push(pos);
         let ok = {
+            let binding = &st.binding;
             let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
             self.query
                 .join_preds()
@@ -667,9 +858,9 @@ impl ExactRun<'_> {
                 .all(|(p, _)| sensjoin_query::eval_predicate(p, &env))
         };
         if ok {
-            self.descend(binding, out);
+            self.descend(st);
         }
-        binding.pop();
+        st.binding.pop();
     }
 }
 
@@ -679,6 +870,7 @@ fn exact_descend_nested(
     pred_rels: &[usize],
     binding: &mut Vec<usize>,
     out: &mut ExactAcc,
+    used: &mut [Vec<bool>],
 ) {
     let rel = binding.len();
     if rel == tuples.len() {
@@ -688,7 +880,7 @@ fn exact_descend_nested(
             out.keys.push(query.eval_group_key(&env));
         }
         for (r, &idx) in binding.iter().enumerate() {
-            out.contributors.insert(tuples[r][idx].0);
+            used[r][idx] = true;
         }
         return;
     }
@@ -702,7 +894,7 @@ fn exact_descend_nested(
             .filter(|&(_, &maxrel)| maxrel == rel)
             .all(|(p, _)| sensjoin_query::eval_predicate(p, &env));
         if ok {
-            exact_descend_nested(query, tuples, pred_rels, binding, out);
+            exact_descend_nested(query, tuples, pred_rels, binding, out, used);
         }
         binding.pop();
     }
@@ -771,6 +963,24 @@ mod tests {
             }
         }
         set
+    }
+
+    #[test]
+    fn work_cuts_cover_every_position_without_empty_chunks() {
+        let cuts = |work: &[usize], parts: usize| -> Vec<(usize, usize)> {
+            let cuts = equal_work_cuts(work, parts);
+            cuts.iter().map(|r| (r.start, r.end)).collect()
+        };
+        // Ten equal positions halve; one chunk is everything.
+        let even: Vec<usize> = (0..=10).map(|i| i * 10).collect();
+        assert_eq!(cuts(&even, 2), [(0, 5), (5, 10)]);
+        assert_eq!(cuts(&even, 1), [(0, 10)]);
+        // A position heavier than a share: no empty chunk after or before.
+        assert_eq!(cuts(&[0, 1, 2, 100], 2), [(0, 3)]);
+        assert_eq!(cuts(&[0, 98, 99, 100], 4), [(0, 1), (1, 3)]);
+        // More threads than positions, and no position at all.
+        assert_eq!(cuts(&[0, 1, 2], 8), [(0, 1), (1, 2)]);
+        assert_eq!(cuts(&[0], 4), [(0, 0)]);
     }
 
     #[test]

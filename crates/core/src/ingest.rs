@@ -634,7 +634,7 @@ impl StreamJoinEngine {
     /// Per band index (relation-major order), per partition: `(bucket,
     /// lifetime arrivals, promoted)`. Tuple replay alone cannot reproduce
     /// this — arrivals count *lifetime* inserts, and a partition promoted by
-    /// long-expired traffic may hold fewer than [`PROMOTE_LEN`] live tuples.
+    /// long-expired traffic may hold fewer than `PROMOTE_LEN` live tuples.
     pub fn band_state(&self) -> Vec<Vec<(i64, u64, bool)>> {
         let mut out = Vec::new();
         for ix in self.indexes.iter().flatten() {

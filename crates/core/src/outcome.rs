@@ -51,25 +51,37 @@ impl JoinResult {
     }
 
     /// Multiset equality of results, independent of row order. Values are
-    /// compared exactly: all join methods evaluate the same expressions on
-    /// the same tuple values, so agreeing methods agree bitwise.
+    /// compared by bit pattern: all join methods evaluate the same
+    /// expressions on the same tuple values, so agreeing methods agree
+    /// bitwise — a NaN equals a NaN of the same payload, and −0.0 differs
+    /// from 0.0.
     pub fn same_result(&self, other: &JoinResult) -> bool {
         match (self, other) {
             (JoinResult::Rows(a), JoinResult::Rows(b)) => {
                 if a.len() != b.len() {
                     return false;
                 }
-                let mut x = a.clone();
-                let mut y = b.clone();
-                let key = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                x.sort_by_key(key);
-                y.sort_by_key(key);
-                x == y
+                let (x, y) = (sorted_by_bits(a), sorted_by_bits(b));
+                x.iter().zip(&y).all(|(p, q)| cmp_bits(p, q).is_eq())
             }
             (JoinResult::Aggregate(a), JoinResult::Aggregate(b)) => a == b,
             _ => false,
         }
     }
+}
+
+/// Lexicographic order on two rows' bit patterns (a shorter row sorts
+/// before its extensions).
+fn cmp_bits(p: &[f64], q: &[f64]) -> std::cmp::Ordering {
+    let bits = |v: &f64| v.to_bits();
+    p.iter().map(bits).cmp(q.iter().map(bits))
+}
+
+/// The rows in [`cmp_bits`] order, borrowed: no row is copied.
+fn sorted_by_bits(rows: &[Vec<f64>]) -> Vec<&[f64]> {
+    let mut rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    rows.sort_unstable_by(|p, q| cmp_bits(p, q));
+    rows
 }
 
 /// Everything a protocol execution produces.
@@ -121,6 +133,36 @@ mod tests {
         assert!(a.same_result(&b));
         assert!(!a.same_result(&c));
         assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn row_equality_is_bitwise() {
+        let rows = |rows: &[&[f64]]| JoinResult::Rows(rows.iter().map(|r| r.to_vec()).collect());
+        // A NaN equals itself, in any position of the multiset …
+        let nan = f64::NAN;
+        let a = rows(&[&[nan, 1.0], &[0.5, nan], &[2.0, 2.0]]);
+        let b = rows(&[&[2.0, 2.0], &[nan, 1.0], &[0.5, nan]]);
+        assert!(a.same_result(&a) && a.same_result(&b) && b.same_result(&a));
+        // … but not a NaN of another payload or sign.
+        let other = f64::from_bits(nan.to_bits() ^ 1);
+        assert!(other.is_nan());
+        assert!(!a.same_result(&rows(&[&[other, 1.0], &[0.5, nan], &[2.0, 2.0]])));
+        assert!(!a.same_result(&rows(&[&[-nan, 1.0], &[0.5, nan], &[2.0, 2.0]])));
+        // −0.0 and 0.0 are different values of a result.
+        assert!(!rows(&[&[0.0]]).same_result(&rows(&[&[-0.0]])));
+        assert!(rows(&[&[-0.0], &[0.0]]).same_result(&rows(&[&[0.0], &[-0.0]])));
+        // Duplicates count: same rows, different multiplicities.
+        let twice_a = rows(&[&[1.0], &[1.0], &[2.0]]);
+        let twice_b = rows(&[&[1.0], &[2.0], &[2.0]]);
+        assert!(!twice_a.same_result(&twice_b));
+        assert!(twice_a.same_result(&rows(&[&[2.0], &[1.0], &[1.0]])));
+        // Rows of unequal length: a prefix is not its extension, and row
+        // boundaries matter.
+        assert!(!rows(&[&[1.0]]).same_result(&rows(&[&[1.0, 2.0]])));
+        assert!(!rows(&[&[1.0, 2.0], &[3.0]]).same_result(&rows(&[&[1.0], &[2.0, 3.0]])));
+        assert!(rows(&[&[1.0, 2.0], &[1.0]]).same_result(&rows(&[&[1.0], &[1.0, 2.0]])));
+        assert!(rows(&[]).same_result(&rows(&[])));
+        assert!(!rows(&[]).same_result(&rows(&[&[]])));
     }
 
     #[test]

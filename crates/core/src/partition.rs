@@ -25,7 +25,8 @@
 //! The candidate set of a level only has to be a *superset* of the tuples
 //! the residual filter (the unchanged predicate evaluation of the old
 //! descent, which still runs on every candidate) accepts; order is restored
-//! by sorting candidate positions ascending. Two properties make the
+//! by walking candidate positions ascending (hash buckets are built that
+//! way, band runs go through a [`PosSet`]). Two properties make the
 //! superset guarantee airtight without any epsilon slack:
 //!
 //! 1. keys and probes are evaluated from the **original predicate
@@ -55,7 +56,76 @@ pub(crate) fn key_bits(v: f64) -> Option<u64> {
     }
 }
 
-/// A half-open/closed interval of *d-values* (see [`sorted_ranges`]); the
+/// At most two disjoint runs of a sorted key array, ascending; an unused
+/// slot is the empty `0..0`. Two is the most any indexed predicate accepts
+/// (`|d| > c` and `|d| = c`), so a probe result is plain data.
+pub(crate) type Runs = [Range<usize>; 2];
+
+/// Number of array positions covered by `runs`.
+pub(crate) fn runs_len(runs: &Runs) -> usize {
+    runs[0].len() + runs[1].len()
+}
+
+/// A set of tuple positions of one relation, as a bitset with a second
+/// level marking the non-zero words: inserting is two ORs, and draining
+/// visits the positions **in ascending order** in time proportional to
+/// their number (plus one summary word per 4096 positions), whatever the
+/// relation's size. The exact descent uses it twice: to put a band
+/// driver's key-ordered candidate runs back into the nested loop's position
+/// order, and to record which tuples reached a result row.
+#[derive(Default)]
+pub(crate) struct PosSet {
+    words: Vec<u64>,
+    /// Bit `w` is set iff `words[w] != 0`.
+    occupied: Vec<u64>,
+}
+
+impl PosSet {
+    /// An empty set over positions `0..len`.
+    pub(crate) fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        Self {
+            words: vec![0; words],
+            occupied: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, pos: u32) {
+        let w = (pos >> 6) as usize;
+        self.words[w] |= 1 << (pos & 63);
+        self.occupied[w >> 6] |= 1 << (w & 63);
+    }
+
+    /// Adds every position of `other` (a set over the same relation).
+    pub(crate) fn union_with(&mut self, other: &PosSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+        for (a, b) in self.occupied.iter_mut().zip(&other.occupied) {
+            *a |= b;
+        }
+    }
+
+    /// Calls `f` on every position in ascending order and leaves the set
+    /// empty, ready for the next binding.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(u32)) {
+        for (hi, summary) in self.occupied.iter_mut().enumerate() {
+            let mut live = std::mem::take(summary);
+            while live != 0 {
+                let w = hi * 64 + live.trailing_zeros() as usize;
+                live &= live - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    f((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// A half-open/closed interval of *d-values* (see [`sorted_runs`]); the
 /// accepted set of one comparison in the monotone probe coordinate.
 #[derive(Clone, Copy)]
 struct DIv {
@@ -104,80 +174,110 @@ impl DIv {
     }
 }
 
+/// The d-values one comparison accepts: the union of the (at most two)
+/// intervals present. No interval means "nothing".
+type Accepted = [Option<DIv>; 2];
+
 /// The d-intervals accepted by `d op c`, or `None` for "everything".
-/// An empty vec means "nothing".
-fn cmp_intervals(op: CmpOp, c: f64) -> Option<Vec<DIv>> {
-    Some(match op {
-        CmpOp::Lt => vec![DIv::ray_below(c, true)],
-        CmpOp::Le => vec![DIv::ray_below(c, false)],
-        CmpOp::Gt => vec![DIv::ray_above(c, true)],
-        CmpOp::Ge => vec![DIv::ray_above(c, false)],
-        CmpOp::Eq => vec![DIv::window(c, c, false)],
+fn cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
+    let iv = match op {
+        CmpOp::Lt => DIv::ray_below(c, true),
+        CmpOp::Le => DIv::ray_below(c, false),
+        CmpOp::Gt => DIv::ray_above(c, true),
+        CmpOp::Ge => DIv::ray_above(c, false),
+        CmpOp::Eq => DIv::window(c, c, false),
         CmpOp::Ne => return None, // not indexed (classified General)
-    })
+    };
+    Some([Some(iv), None])
 }
 
 /// The d-intervals accepted by `|d| op c`.
-fn abs_cmp_intervals(op: CmpOp, c: f64) -> Option<Vec<DIv>> {
+fn abs_cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
     Some(match op {
         // |d| ≥ 0, so a non-positive upper bound accepts nothing …
-        CmpOp::Lt if c <= 0.0 => vec![],
-        CmpOp::Le if c < 0.0 => vec![],
+        CmpOp::Lt if c <= 0.0 => [None, None],
+        CmpOp::Le if c < 0.0 => [None, None],
         // … and a negative lower bound accepts everything.
         CmpOp::Gt if c < 0.0 => return None,
         CmpOp::Ge if c <= 0.0 => return None,
-        CmpOp::Eq if c < 0.0 => vec![],
-        CmpOp::Lt => vec![DIv::window(-c, c, true)],
-        CmpOp::Le => vec![DIv::window(-c, c, false)],
-        CmpOp::Gt => vec![DIv::ray_below(-c, true), DIv::ray_above(c, true)],
-        CmpOp::Ge => vec![DIv::ray_below(-c, false), DIv::ray_above(c, false)],
-        CmpOp::Eq => vec![DIv::window(-c, -c, false), DIv::window(c, c, false)],
+        CmpOp::Eq if c < 0.0 => [None, None],
+        CmpOp::Lt => [Some(DIv::window(-c, c, true)), None],
+        CmpOp::Le => [Some(DIv::window(-c, c, false)), None],
+        CmpOp::Gt => [
+            Some(DIv::ray_below(-c, true)),
+            Some(DIv::ray_above(c, true)),
+        ],
+        CmpOp::Ge => [
+            Some(DIv::ray_below(-c, false)),
+            Some(DIv::ray_above(c, false)),
+        ],
+        CmpOp::Eq => [
+            Some(DIv::window(-c, -c, false)),
+            Some(DIv::window(c, c, false)),
+        ],
         CmpOp::Ne => return None,
     })
 }
 
-/// Finds the positions of `keys` (ascending) whose d-value `d(key)` lies in
-/// one of `ivs`, where `d` is monotone over the key order (`increasing`
-/// tells which way). Exact: `partition_point` over a monotone predicate.
-fn sorted_ranges(
-    keys: &[(f64, u32)],
-    d: impl Fn(f64) -> f64,
-    increasing: bool,
-    ivs: &[DIv],
-) -> Vec<Range<usize>> {
-    let mut ranges: Vec<Range<usize>> = ivs
-        .iter()
-        .filter_map(|iv| {
-            let (start, end) = if increasing {
-                (
-                    keys.partition_point(|&(k, ref _t)| iv.below(d(k))),
-                    keys.partition_point(|&(k, ref _t)| !iv.above(d(k))),
-                )
-            } else {
-                (
-                    keys.partition_point(|&(k, ref _t)| iv.above(d(k))),
-                    keys.partition_point(|&(k, ref _t)| !iv.below(d(k))),
-                )
-            };
-            (start < end).then_some(start..end)
-        })
-        .collect();
+/// The coordinate `d(key)` a band probe searches in: monotone over the
+/// ascending key order, increasing except for [`Coord::ProbeMinusKey`].
+#[derive(Clone, Copy)]
+enum Coord {
+    /// `d = key` (direct comparisons).
+    Key,
+    /// `d = key − p`: the indexed relation is the lhs of the difference.
+    KeyMinusProbe(f64),
+    /// `d = p − key`: the indexed relation is the rhs — decreasing.
+    ProbeMinusKey(f64),
+}
+
+impl Coord {
+    fn d(self, key: f64) -> f64 {
+        match self {
+            Coord::Key => key,
+            Coord::KeyMinusProbe(p) => key - p,
+            Coord::ProbeMinusKey(p) => p - key,
+        }
+    }
+}
+
+/// Finds the positions of `keys` (ascending) whose d-value lies in one of
+/// `ivs`. Exact: `partition_point` over a monotone predicate.
+fn sorted_runs(keys: &[(f64, u32)], coord: Coord, ivs: Accepted) -> Runs {
+    let increasing = !matches!(coord, Coord::ProbeMinusKey(_));
+    let [a, b] = ivs.map(|iv| {
+        let Some(iv) = iv else { return 0..0 };
+        let (start, end) = if increasing {
+            (
+                keys.partition_point(|&(k, _)| iv.below(coord.d(k))),
+                keys.partition_point(|&(k, _)| !iv.above(coord.d(k))),
+            )
+        } else {
+            (
+                keys.partition_point(|&(k, _)| iv.above(coord.d(k))),
+                keys.partition_point(|&(k, _)| !iv.below(coord.d(k))),
+            )
+        };
+        if start < end {
+            start..end
+        } else {
+            0..0
+        }
+    });
     // When `d` is decreasing, ascending d-intervals come out as descending
     // key ranges (e.g. `|d| > c`'s two rays map to a suffix run *then* a
-    // prefix run) — sort before merging touching/overlapping ranges, so the
-    // collected positions stay duplicate-free without dropping any run.
-    ranges.sort_unstable_by_key(|r| r.start);
-    let mut merged: Vec<Range<usize>> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        if let Some(last) = merged.last_mut() {
-            if r.start <= last.end {
-                last.end = last.end.max(r.end);
-                continue;
-            }
-        }
-        merged.push(r);
+    // prefix run) — order them before merging touching/overlapping runs, so
+    // the positions stay duplicate-free without dropping any run.
+    let (a, b) = if b.is_empty() || (!a.is_empty() && a.start <= b.start) {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    if !b.is_empty() && b.start <= a.end {
+        [a.start..a.end.max(b.end), 0..0]
+    } else {
+        [a, b]
     }
-    merged
 }
 
 // ---------------------------------------------------------------------------
@@ -186,12 +286,14 @@ fn sorted_ranges(
 
 /// Per-level index for the exact join.
 pub(crate) enum ExactIndex<'q> {
-    /// Equi: key-bits → positions (ascending by construction).
+    /// Equi: key-bits → a slice of `positions`.
     Hash {
         /// Probe-side expression (references `probe_rel` only).
         probe: &'q CExpr,
-        /// Key bits → tuple positions.
-        map: HashMap<u64, Vec<u32>>,
+        /// Key bits → that key's bucket in `positions`.
+        buckets: HashMap<u64, Range<usize>>,
+        /// Tuple positions grouped by key, ascending within a bucket.
+        positions: Vec<u32>,
         /// Per tuple position: its key bits (`None` for NaN keys). Used for
         /// O(1) membership tests when another index drives the scan.
         bits_of: Vec<Option<u64>>,
@@ -212,24 +314,40 @@ pub(crate) enum ExactIndex<'q> {
 }
 
 /// The outcome of probing one [`ExactIndex`] for a partial binding: an
-/// abstract candidate set that can be counted, materialized, or membership-
-/// tested without materializing.
+/// abstract candidate set — plain data — that can be counted, walked in
+/// position order, or membership-tested.
+#[derive(Clone)]
 pub(crate) enum ExactProbe {
     /// The index cannot prune for this binding (Ne forms, non-finite diff
     /// probes): every position is a candidate.
     All,
-    /// Equi probe: the positions hashed under these key bits (`None`: the
-    /// probe value is NaN — no candidate).
-    Hash(Option<u64>),
-    /// Band probe: disjoint runs of the sorted key array, ascending.
-    Ranges(Vec<Range<usize>>),
+    /// Equi probe: the bucket of `positions` hashed under the probe's key
+    /// bits (`None`: the probe value is NaN — no candidate).
+    Bucket { bits: Option<u64>, at: Range<usize> },
+    /// Band probe: runs of the sorted key array.
+    Runs(Runs),
+}
+
+impl ExactProbe {
+    /// Number of candidate positions (`usize::MAX` for [`ExactProbe::All`]).
+    pub(crate) fn count(&self) -> usize {
+        match self {
+            ExactProbe::All => usize::MAX,
+            ExactProbe::Bucket { at, .. } => at.len(),
+            ExactProbe::Runs(runs) => runs_len(runs),
+        }
+    }
 }
 
 impl ExactIndex<'_> {
     /// Probes the index for the current partial binding.
     pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> f64) -> ExactProbe {
         match self {
-            ExactIndex::Hash { probe, .. } => ExactProbe::Hash(key_bits(eval_expr(probe, env))),
+            ExactIndex::Hash { probe, buckets, .. } => {
+                let bits = key_bits(eval_expr(probe, env));
+                let at = bits.and_then(|b| buckets.get(&b)).cloned().unwrap_or(0..0);
+                ExactProbe::Bucket { bits, at }
+            }
             ExactIndex::Sorted {
                 probe,
                 keys,
@@ -240,88 +358,66 @@ impl ExactIndex<'_> {
                 let p = eval_expr(probe, env);
                 if p.is_nan() {
                     // Every comparison involving NaN is false.
-                    return ExactProbe::Ranges(Vec::new());
+                    return ExactProbe::Runs([0..0, 0..0]);
                 }
-                let (d, increasing): (Box<dyn Fn(f64) -> f64>, bool) = match form {
-                    // Direct comparisons probe the key value itself.
-                    BandForm::Direct(_) => (Box::new(|k| k), true),
-                    BandForm::Diff { .. } | BandForm::AbsDiff { .. } => {
-                        if !p.is_finite() {
-                            // inf − inf is NaN: subtraction monotonicity can
-                            // break against infinite keys. Scan everything.
-                            return ExactProbe::All;
-                        }
-                        if *key_is_lhs {
-                            (Box::new(move |k| k - p), true)
-                        } else {
-                            (Box::new(move |k| p - k), false)
-                        }
-                    }
-                };
-                let ivs = match form {
+                let (coord, ivs) = match *form {
+                    // Direct comparisons probe the key value itself:
+                    // `key op p` or `p op key` ≡ `key mirror(op) p`.
                     BandForm::Direct(op) => {
-                        // `key op p` or `p op key` ≡ `key mirror(op) p`.
-                        let op = if *key_is_lhs { *op } else { mirror(*op) };
-                        cmp_intervals(op, p)
+                        let op = if *key_is_lhs { op } else { mirror(op) };
+                        (Coord::Key, cmp_intervals(op, p))
                     }
-                    BandForm::Diff { op, c } => cmp_intervals(*op, *c),
-                    BandForm::AbsDiff { op, c } => abs_cmp_intervals(*op, *c),
+                    BandForm::Diff { .. } | BandForm::AbsDiff { .. } if !p.is_finite() => {
+                        // inf − inf is NaN: subtraction monotonicity can
+                        // break against infinite keys. Scan everything.
+                        return ExactProbe::All;
+                    }
+                    BandForm::Diff { op, c } | BandForm::AbsDiff { op, c } => {
+                        let coord = if *key_is_lhs {
+                            Coord::KeyMinusProbe(p)
+                        } else {
+                            Coord::ProbeMinusKey(p)
+                        };
+                        let ivs = if matches!(form, BandForm::Diff { .. }) {
+                            cmp_intervals(op, c)
+                        } else {
+                            abs_cmp_intervals(op, c)
+                        };
+                        (coord, ivs)
+                    }
                 };
-                let Some(ivs) = ivs else {
-                    return ExactProbe::All;
-                };
-                ExactProbe::Ranges(sorted_ranges(keys, d, increasing, &ivs))
+                match ivs {
+                    Some(ivs) => ExactProbe::Runs(sorted_runs(keys, coord, ivs)),
+                    None => ExactProbe::All,
+                }
             }
         }
     }
 
-    /// Number of candidate positions of `probe` (`usize::MAX` for
-    /// [`ExactProbe::All`]), available without materializing.
-    pub(crate) fn count(&self, probe: &ExactProbe) -> usize {
-        match probe {
-            ExactProbe::All => usize::MAX,
-            ExactProbe::Hash(bits) => {
-                let ExactIndex::Hash { map, .. } = self else {
-                    unreachable!("probe kind matches index kind");
-                };
-                bits.and_then(|b| map.get(&b)).map_or(0, |v| v.len())
-            }
-            ExactProbe::Ranges(rs) => rs.iter().map(|r| r.len()).sum(),
-        }
-    }
-
-    /// Borrows the hash bucket of an [`ExactProbe::Hash`] probe as an
-    /// ascending position slice — the zero-copy path when an equi index
-    /// drives the scan. `None` for range probes, whose runs are key-ordered
-    /// and need a position sort (see [`ExactIndex::materialize`]).
-    pub(crate) fn hash_slice(&self, probe: &ExactProbe) -> Option<&[u32]> {
+    /// Walks the candidates of `probe` — a probe of this index other than
+    /// [`ExactProbe::All`] — in ascending position order, the nested loop's
+    /// emission order. A hash bucket already is in that order; a band
+    /// probe's runs are key-ordered, so their positions are marked into
+    /// `scratch` (empty on entry and on return) and read back from it.
+    pub(crate) fn for_each_candidate(
+        &self,
+        probe: &ExactProbe,
+        scratch: &mut PosSet,
+        mut f: impl FnMut(u32),
+    ) {
         match (self, probe) {
-            (ExactIndex::Hash { map, .. }, ExactProbe::Hash(bits)) => Some(
-                bits.and_then(|b| map.get(&b))
-                    .map_or(&[][..], |v| v.as_slice()),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Materializes a range probe into ascending tuple positions (the nested
-    /// loop's emission order). Hash probes never reach here: their buckets
-    /// are already ascending and are borrowed via [`ExactIndex::hash_slice`].
-    pub(crate) fn materialize(&self, probe: &ExactProbe) -> Vec<u32> {
-        match probe {
-            ExactProbe::All => unreachable!("All probes never drive a scan"),
-            ExactProbe::Hash(_) => unreachable!("hash drivers borrow their bucket"),
-            ExactProbe::Ranges(rs) => {
-                let ExactIndex::Sorted { keys, .. } = self else {
-                    unreachable!("probe kind matches index kind");
-                };
-                let mut positions: Vec<u32> = rs
-                    .iter()
-                    .flat_map(|r| keys[r.clone()].iter().map(|&(_, pos)| pos))
-                    .collect();
-                positions.sort_unstable();
-                positions
+            (ExactIndex::Hash { positions, .. }, ExactProbe::Bucket { at, .. }) => {
+                positions[at.clone()].iter().for_each(|&pos| f(pos))
             }
+            (ExactIndex::Sorted { keys, .. }, ExactProbe::Runs(runs)) => {
+                for run in runs {
+                    for &(_, pos) in &keys[run.clone()] {
+                        scratch.insert(pos);
+                    }
+                }
+                scratch.drain(f);
+            }
+            _ => unreachable!("a driving probe comes from its own index and prunes"),
         }
     }
 
@@ -330,18 +426,18 @@ impl ExactIndex<'_> {
     pub(crate) fn contains(&self, probe: &ExactProbe, pos: u32) -> bool {
         match probe {
             ExactProbe::All => true,
-            ExactProbe::Hash(bits) => {
+            ExactProbe::Bucket { bits, .. } => {
                 let ExactIndex::Hash { bits_of, .. } = self else {
                     unreachable!("probe kind matches index kind");
                 };
                 bits.is_some() && bits_of[pos as usize] == *bits
             }
-            ExactProbe::Ranges(rs) => {
+            ExactProbe::Runs(runs) => {
                 let ExactIndex::Sorted { rank_of, .. } = self else {
                     unreachable!("probe kind matches index kind");
                 };
                 let rank = rank_of[pos as usize];
-                rank != u32::MAX && rs.iter().any(|r| r.contains(&(rank as usize)))
+                rank != u32::MAX && runs.iter().any(|r| r.contains(&(rank as usize)))
             }
         }
     }
@@ -395,18 +491,34 @@ pub(crate) fn exact_plan<'q>(
         };
         levels[rel].push(match class {
             PredClass::Equi { .. } => {
-                let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
-                let mut bits_of: Vec<Option<u64>> = Vec::with_capacity(tuples[rel].len());
-                for (pos, (_, values)) in tuples[rel].iter().enumerate() {
-                    let bits = key_bits(key_of(values));
+                let bits_of: Vec<Option<u64>> = tuples[rel]
+                    .iter()
+                    .map(|(_, values)| key_bits(key_of(values)))
+                    .collect();
+                // Counting sort by key: size every bucket, lay the buckets
+                // out back to back, then drop the positions in ascending.
+                let mut buckets: HashMap<u64, Range<usize>> = HashMap::new();
+                for bits in bits_of.iter().flatten() {
+                    buckets.entry(*bits).or_insert(0..0).end += 1;
+                }
+                let mut next = 0;
+                for bucket in buckets.values_mut() {
+                    let len = bucket.end;
+                    *bucket = next..next;
+                    next += len;
+                }
+                let mut positions = vec![0u32; next];
+                for (pos, bits) in bits_of.iter().enumerate() {
                     if let Some(bits) = bits {
-                        map.entry(bits).or_default().push(pos as u32);
+                        let bucket = buckets.get_mut(bits).expect("sized above");
+                        positions[bucket.end] = pos as u32;
+                        bucket.end += 1;
                     }
-                    bits_of.push(bits);
                 }
                 ExactIndex::Hash {
                     probe: &probe_side.expr,
-                    map,
+                    buckets,
+                    positions,
                     bits_of,
                 }
             }
@@ -476,34 +588,30 @@ struct PredSideRef {
 /// / `cmp_eq` over `Interval::sub` / `Interval::abs` images), evaluated
 /// with the same `Interval` operations — never rearranged — so an entry is
 /// excluded only if its residual check is `Tri::False`.
-// The single-element `vec![a..b]` arms really are lists of ranges: the
-// AbsDiff arms produce two.
-#[allow(clippy::single_range_in_vec_init)]
 pub(crate) fn interval_probe_ranges<T>(
     e: &[(Interval, T)],
     form: BandForm,
     key_is_lhs: bool,
     p: Interval,
-) -> Option<Vec<Range<usize>>> {
+) -> Option<Runs> {
     let n = e.len();
     // X = F − G where F is the lhs side of the form.
     let x = |k: Interval| if key_is_lhs { k.sub(p) } else { p.sub(k) };
-    let ranges: Vec<Range<usize>> = match form {
+    let one = |run: Range<usize>| [run, 0..0];
+    let ranges: Runs = match form {
         BandForm::Direct(op) => {
             // `l op r` with (l, r) = (key, probe) or (probe, key).
             let op = if key_is_lhs { op } else { mirror(op) };
             match op {
                 // possible(l < r) ⇔ l.lo < r.hi
-                CmpOp::Lt => vec![0..e.partition_point(|&(k, ref _t)| k.lo < p.hi)],
-                CmpOp::Le => vec![0..e.partition_point(|&(k, ref _t)| k.lo <= p.hi)],
+                CmpOp::Lt => one(0..e.partition_point(|&(k, ref _t)| k.lo < p.hi)),
+                CmpOp::Le => one(0..e.partition_point(|&(k, ref _t)| k.lo <= p.hi)),
                 // possible(l > r) ⇔ r.lo < l.hi
-                CmpOp::Gt => vec![e.partition_point(|&(k, ref _t)| k.hi <= p.lo)..n],
-                CmpOp::Ge => vec![e.partition_point(|&(k, ref _t)| k.hi < p.lo)..n],
+                CmpOp::Gt => one(e.partition_point(|&(k, ref _t)| k.hi <= p.lo)..n),
+                CmpOp::Ge => one(e.partition_point(|&(k, ref _t)| k.hi < p.lo)..n),
                 // possible(l = r) ⇔ the intervals overlap
-                CmpOp::Eq => vec![
-                    e.partition_point(|&(k, ref _t)| k.hi < p.lo)
-                        ..e.partition_point(|&(k, ref _t)| k.lo <= p.hi),
-                ],
+                CmpOp::Eq => one(e.partition_point(|&(k, ref _t)| k.hi < p.lo)
+                    ..e.partition_point(|&(k, ref _t)| k.lo <= p.hi)),
                 CmpOp::Ne => return None,
             }
         }
@@ -514,22 +622,18 @@ pub(crate) fn interval_probe_ranges<T>(
             // decreasing when the key is G.
             let inc = key_is_lhs;
             match op {
-                CmpOp::Lt if inc => vec![0..e.partition_point(|&(k, ref _t)| x(k).lo < c)],
-                CmpOp::Lt => vec![e.partition_point(|&(k, ref _t)| x(k).lo >= c)..n],
-                CmpOp::Le if inc => vec![0..e.partition_point(|&(k, ref _t)| x(k).lo <= c)],
-                CmpOp::Le => vec![e.partition_point(|&(k, ref _t)| x(k).lo > c)..n],
-                CmpOp::Gt if inc => vec![e.partition_point(|&(k, ref _t)| x(k).hi <= c)..n],
-                CmpOp::Gt => vec![0..e.partition_point(|&(k, ref _t)| x(k).hi > c)],
-                CmpOp::Ge if inc => vec![e.partition_point(|&(k, ref _t)| x(k).hi < c)..n],
-                CmpOp::Ge => vec![0..e.partition_point(|&(k, ref _t)| x(k).hi >= c)],
-                CmpOp::Eq if inc => vec![
-                    e.partition_point(|&(k, ref _t)| x(k).hi < c)
-                        ..e.partition_point(|&(k, ref _t)| x(k).lo <= c),
-                ],
-                CmpOp::Eq => vec![
-                    e.partition_point(|&(k, ref _t)| x(k).lo > c)
-                        ..e.partition_point(|&(k, ref _t)| x(k).hi >= c),
-                ],
+                CmpOp::Lt if inc => one(0..e.partition_point(|&(k, ref _t)| x(k).lo < c)),
+                CmpOp::Lt => one(e.partition_point(|&(k, ref _t)| x(k).lo >= c)..n),
+                CmpOp::Le if inc => one(0..e.partition_point(|&(k, ref _t)| x(k).lo <= c)),
+                CmpOp::Le => one(e.partition_point(|&(k, ref _t)| x(k).lo > c)..n),
+                CmpOp::Gt if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi <= c)..n),
+                CmpOp::Gt => one(0..e.partition_point(|&(k, ref _t)| x(k).hi > c)),
+                CmpOp::Ge if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi < c)..n),
+                CmpOp::Ge => one(0..e.partition_point(|&(k, ref _t)| x(k).hi >= c)),
+                CmpOp::Eq if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi < c)
+                    ..e.partition_point(|&(k, ref _t)| x(k).lo <= c)),
+                CmpOp::Eq => one(e.partition_point(|&(k, ref _t)| x(k).lo > c)
+                    ..e.partition_point(|&(k, ref _t)| x(k).hi >= c)),
                 CmpOp::Ne => return None,
             }
         }
@@ -541,7 +645,7 @@ pub(crate) fn interval_probe_ranges<T>(
                 CmpOp::Lt | CmpOp::Le => {
                     let strict = op == CmpOp::Lt;
                     if (strict && c <= 0.0) || (!strict && c < 0.0) {
-                        vec![]
+                        [0..0, 0..0]
                     } else if inc {
                         let lo_ok = |k: Interval| {
                             let hi = x(k).hi;
@@ -559,10 +663,8 @@ pub(crate) fn interval_probe_ranges<T>(
                                 lo <= c
                             }
                         };
-                        vec![
-                            e.partition_point(|&(k, ref _t)| lo_ok(k))
-                                ..e.partition_point(|&(k, ref _t)| hi_ok(k)),
-                        ]
+                        one(e.partition_point(|&(k, ref _t)| lo_ok(k))
+                            ..e.partition_point(|&(k, ref _t)| hi_ok(k)))
                     } else {
                         let lo_ok = |k: Interval| {
                             let lo = x(k).lo;
@@ -580,10 +682,8 @@ pub(crate) fn interval_probe_ranges<T>(
                                 hi >= -c
                             }
                         };
-                        vec![
-                            e.partition_point(|&(k, ref _t)| lo_ok(k))
-                                ..e.partition_point(|&(k, ref _t)| hi_ok(k)),
-                        ]
+                        one(e.partition_point(|&(k, ref _t)| lo_ok(k))
+                            ..e.partition_point(|&(k, ref _t)| hi_ok(k)))
                     }
                 }
                 // possible(|X| > c) ⇔ X.hi > c ∨ X.lo < −c (for c ≥ 0;
@@ -633,39 +733,35 @@ pub(crate) fn interval_probe_ranges<T>(
                         )
                     };
                     if lo_run.end >= hi_run.start {
-                        vec![0..n]
+                        one(0..n)
                     } else {
-                        vec![lo_run, hi_run]
+                        [lo_run, hi_run]
                     }
                 }
                 // possible(|X| = c): use the necessary |X|.lo ≤ c window
                 // (the residual applies the full condition).
                 CmpOp::Eq => {
                     if c < 0.0 {
-                        vec![]
+                        [0..0, 0..0]
                     } else if inc {
-                        vec![
-                            e.partition_point(|&(k, ref _t)| x(k).hi < -c)
-                                ..e.partition_point(|&(k, ref _t)| x(k).lo <= c),
-                        ]
+                        one(e.partition_point(|&(k, ref _t)| x(k).hi < -c)
+                            ..e.partition_point(|&(k, ref _t)| x(k).lo <= c))
                     } else {
-                        vec![
-                            e.partition_point(|&(k, ref _t)| x(k).lo > c)
-                                ..e.partition_point(|&(k, ref _t)| x(k).hi >= -c),
-                        ]
+                        one(e.partition_point(|&(k, ref _t)| x(k).lo > c)
+                            ..e.partition_point(|&(k, ref _t)| x(k).hi >= -c))
                     }
                 }
                 CmpOp::Ne => return None,
             }
         }
     };
-    Some(ranges.into_iter().filter(|r| r.start < r.end).collect())
+    Some(ranges.map(|r| if r.start < r.end { r } else { 0..0 }))
 }
 
 impl FilterIndex {
     /// The accepted runs of `entries` for probe interval `p`, or `None`
     /// when this predicate cannot prune for that probe.
-    pub(crate) fn probe(&self, p: Interval) -> Option<Vec<Range<usize>>> {
+    pub(crate) fn probe(&self, p: Interval) -> Option<Runs> {
         interval_probe_ranges(&self.entries, self.form, self.key_is_lhs, p)
     }
 
@@ -676,7 +772,7 @@ impl FilterIndex {
 
     /// Whether role-list position `pos` falls inside any of the accepted
     /// runs returned by [`FilterIndex::probe`]. O(runs), and runs is ≤ 2.
-    pub(crate) fn accepts(&self, ranges: &[Range<usize>], pos: u32) -> bool {
+    pub(crate) fn accepts(&self, ranges: &Runs, pos: u32) -> bool {
         let rank = self.rank_of[pos as usize] as usize;
         ranges.iter().any(|r| r.contains(&rank))
     }
@@ -758,57 +854,87 @@ pub(crate) fn filter_plan(
 mod tests {
     use super::*;
 
-    #[test]
-    fn sorted_ranges_windows_and_rays() {
-        let keys: Vec<(f64, u32)> = [1.0, 2.0, 3.0, 4.0, 5.0]
+    fn keys(values: &[f64]) -> Vec<(f64, u32)> {
+        values
             .iter()
             .enumerate()
             .map(|(i, &k)| (k, i as u32))
-            .collect();
-        // d = identity, window (2, 4]: {3, 4}.
-        let r = sorted_ranges(
-            &keys,
-            |k| k,
-            true,
-            &[DIv {
-                lo: 2.0,
-                lo_open: true,
-                hi: 4.0,
-                hi_open: false,
-            }],
-        );
-        assert_eq!(r, vec![2..4]);
-        // d = 10 − k (decreasing), ray above 7 (strict): 10−k > 7 ⇔ k < 3.
-        let r = sorted_ranges(&keys, |k| 10.0 - k, false, &[DIv::ray_above(7.0, true)]);
-        assert_eq!(r, vec![0..2]);
-        // Two overlapping rays merge.
-        let r = sorted_ranges(
-            &keys,
-            |k| k,
-            true,
-            &[DIv::ray_below(3.0, false), DIv::ray_above(2.0, false)],
-        );
-        assert_eq!(r, vec![0..5]);
+            .collect()
     }
 
     #[test]
-    fn sorted_ranges_decreasing_two_runs_both_survive() {
+    fn sorted_runs_windows_and_rays() {
+        let keys = keys(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        // d = identity, window (2, 4]: {3, 4}.
+        let iv = DIv {
+            lo: 2.0,
+            lo_open: true,
+            hi: 4.0,
+            hi_open: false,
+        };
+        assert_eq!(
+            sorted_runs(&keys, Coord::Key, [Some(iv), None]),
+            [2..4, 0..0]
+        );
+        // d = 10 − k (decreasing), ray above 7 (strict): 10−k > 7 ⇔ k < 3.
+        let r = sorted_runs(
+            &keys,
+            Coord::ProbeMinusKey(10.0),
+            [Some(DIv::ray_above(7.0, true)), None],
+        );
+        assert_eq!(r, [0..2, 0..0]);
+        // Two overlapping rays merge, in either slot order.
+        let (below, above) = (DIv::ray_below(3.0, false), DIv::ray_above(2.0, false));
+        for ivs in [[Some(below), Some(above)], [Some(above), Some(below)]] {
+            assert_eq!(sorted_runs(&keys, Coord::Key, ivs), [0..5, 0..0]);
+        }
+        // Nothing accepted, and an interval no key falls in.
+        assert_eq!(sorted_runs(&keys, Coord::Key, [None, None]), [0..0, 0..0]);
+        let gap = DIv::window(2.25, 2.75, false);
+        assert_eq!(
+            sorted_runs(&keys, Coord::Key, [None, Some(gap)]),
+            [0..0, 0..0]
+        );
+    }
+
+    #[test]
+    fn sorted_runs_decreasing_two_runs_both_survive() {
         // Probe p = 0 against keys [-4, -2, 0, 2, 4] with d(k) = p − k
         // (decreasing) and `|d| > 1`'s intervals (−∞, −1) ∪ (1, ∞): the
         // first interval is the *suffix* {2, 4}, the second the *prefix*
         // {-4, -2}. Both runs must survive the merge.
-        let keys: Vec<(f64, u32)> = [-4.0, -2.0, 0.0, 2.0, 4.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i as u32))
-            .collect();
+        let keys = keys(&[-4.0, -2.0, 0.0, 2.0, 4.0]);
         let ivs = abs_cmp_intervals(CmpOp::Gt, 1.0).unwrap();
-        let r = sorted_ranges(&keys, |k| 0.0 - k, false, &ivs);
-        assert_eq!(r, vec![0..2, 3..5]);
+        let r = sorted_runs(&keys, Coord::ProbeMinusKey(0.0), ivs);
+        assert_eq!(r, [0..2, 3..5]);
         // |d| = 2 on the same decreasing coordinate: two singleton runs.
         let ivs = abs_cmp_intervals(CmpOp::Eq, 2.0).unwrap();
-        let r = sorted_ranges(&keys, |k| 0.0 - k, false, &ivs);
-        assert_eq!(r, vec![1..2, 3..4]);
+        let r = sorted_runs(&keys, Coord::ProbeMinusKey(0.0), ivs);
+        assert_eq!(r, [1..2, 3..4]);
+        assert_eq!(runs_len(&r), 2);
+    }
+
+    #[test]
+    fn pos_set_drains_ascending_and_empties() {
+        // Positions across several words and two summary words.
+        let mut set = PosSet::new(5000);
+        let mut expect = vec![4999u32, 0, 63, 64, 4096, 4095, 777, 64];
+        for &pos in &expect {
+            set.insert(pos);
+        }
+        let mut other = PosSet::new(5000);
+        other.insert(1);
+        other.insert(4999);
+        set.union_with(&other);
+        expect.push(1);
+        expect.sort_unstable();
+        expect.dedup();
+        let mut got = Vec::new();
+        set.drain(|pos| got.push(pos));
+        assert_eq!(got, expect);
+        set.drain(|pos| panic!("{pos} left behind"));
+        // A relation without tuples has a set without storage.
+        PosSet::new(0).drain(|pos| panic!("{pos} in an empty relation"));
     }
 
     #[test]

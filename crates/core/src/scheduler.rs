@@ -32,11 +32,11 @@ use crate::config::SensJoinConfig;
 use crate::engine::{exact_join, JoinSpace};
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, NodeData, SizedSet};
+use crate::repr::{collect_node_data, NodeData, SizedSet};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
 use sensjoin_field::FieldSpec;
-use sensjoin_quadtree::{encoded_wire_size, PointSet};
+use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
@@ -652,7 +652,7 @@ impl QueryGroup {
         // Per slot, per relation: the membership flag and the referenced
         // attributes as master-schema indices, so byte accounting below
         // needs no borrow of the registration table.
-        let rel_attrs: Vec<Vec<(sensjoin_quadtree::RelFlags, Vec<usize>)>> = due
+        let rel_attrs: Vec<Vec<(RelFlags, Vec<usize>)>> = due
             .iter()
             .enumerate()
             .map(|(s, &qi)| {
@@ -1005,29 +1005,42 @@ impl QueryGroup {
         }
 
         // ---- Per-query exact joins over the shipped tuples ----
+        // Per due query and relation: the relation's flag and the master
+        // columns of its schema. One pass over the shipped entries then
+        // files each tuple under the queries of its mask, in entry order.
+        let master_col = |name: &str| master.index_of(name).expect("validated attribute");
+        let layouts: Vec<Vec<(RelFlags, Vec<usize>)>> = due
+            .iter()
+            .zip(&spaces)
+            .map(|(&qi, space)| {
+                let q = &self.queries[qi].query;
+                (0..q.num_relations())
+                    .map(|r| {
+                        let attrs = q.schema(r).attrs();
+                        let cols = attrs.iter().map(|a| master_col(a.name())).collect();
+                        (space.flag(r), cols)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut tables: Vec<Vec<Vec<_>>> =
+            layouts.iter().map(|l| vec![Vec::new(); l.len()]).collect();
+        for &(u, mask) in &final_batch.entries {
+            for s in (0..k).filter(|s| mask >> s & 1 == 1) {
+                let Some(rec) = &data[s][u.0 as usize].rec else {
+                    continue;
+                };
+                for (table, (flag, cols)) in tables[s].iter_mut().zip(&layouts[s]) {
+                    if rec.flags.intersects(*flag) {
+                        table.push((rec.origin, cols.iter().map(|&c| rec.values[c]).collect()));
+                    }
+                }
+            }
+        }
         let mut outcomes = Vec::with_capacity(k);
-        for (s, &qi) in due.iter().enumerate() {
+        for (&qi, tuples_per_rel) in due.iter().zip(&tables) {
             let q = &self.queries[qi].query;
-            let space = &self.queries[qi].space;
-            let tuples_per_rel: Vec<Vec<(NodeId, Vec<f64>)>> = (0..q.num_relations())
-                .map(|r| {
-                    let flag = space.flag(r);
-                    final_batch
-                        .entries
-                        .iter()
-                        .filter(|(_, mask)| mask >> s & 1 == 1)
-                        .filter_map(|(u, _)| data[s][u.0 as usize].rec.as_ref())
-                        .filter(|rec| rec.flags.intersects(flag))
-                        .map(|rec| {
-                            (
-                                rec.origin,
-                                project_to_schema(&master, q.schema(r), &rec.values),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let computation = exact_join(q, &tuples_per_rel);
+            let computation = exact_join(q, tuples_per_rel);
             outcomes.push(GroupOutcome {
                 id: QueryId(qi),
                 result: computation.result,

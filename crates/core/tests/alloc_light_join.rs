@@ -1,0 +1,151 @@
+//! The exact join allocates one vector per result row and, beyond that, a
+//! fixed amount per chunk — nothing per outer binding and nothing per
+//! candidate.
+//!
+//! A counting global allocator (the one of `sim/tests/alloc_free_charge.rs`,
+//! with a process-wide counter because chunks run on worker threads) wraps
+//! `exact_join` on inputs that scale the outer bindings and the candidates
+//! while the rows stay put, and on a high-output join.
+
+use sensjoin_core::{exact_join, JoinResult};
+use sensjoin_query::{parse, CompiledQuery};
+use sensjoin_relation::{AttrType, Attribute, NodeId, Schema};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+struct Counting;
+
+// A statistic: publishes no other data.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers every operation to `System` unchanged; the only addition
+// is an atomic counter bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The tests of this binary share the counter: each holds this from its
+/// first allocation to its last. (A poisoned lock only means the other test
+/// failed; the `()` inside cannot be left inconsistent.)
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Heap allocations (and reallocations) of one `exact_join`, on whatever
+/// threads it runs, and the number of rows it returned.
+fn join_allocations(cq: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> (u64, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let joined = exact_join(cq, tuples);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let JoinResult::Rows(rows) = &joined.result else {
+        panic!("a row query");
+    };
+    (allocs, rows.len() as u64)
+}
+
+fn compile(preds: &str) -> CompiledQuery {
+    let schema = Schema::new(
+        "Sensors",
+        vec![
+            Attribute::new("temp", AttrType::Celsius),
+            Attribute::new("hum", AttrType::Percent),
+        ],
+    );
+    let q = parse(&format!(
+        "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE {preds} ONCE"
+    ))
+    .unwrap();
+    CompiledQuery::compile(&q, &[schema.clone(), schema]).unwrap()
+}
+
+/// Relation `rel` with `n` tuples: temps spread evenly over [0, 10), hum
+/// 100 for the first `hot` tuples and 1 for the rest.
+fn relation(rel: usize, n: usize, hot: usize) -> Vec<(NodeId, Vec<f64>)> {
+    (0..n)
+        .map(|i| {
+            let temp = 10.0 * ((i * 7919) % n) as f64 / n as f64;
+            let hum = if i < hot { 100.0 } else { 1.0 };
+            (NodeId((rel * 100_000 + i) as u32), vec![temp, hum])
+        })
+        .collect()
+}
+
+/// Allocations a chunk may make besides its rows: its buffers, position
+/// sets and probe stack, and — for every chunk but the first — a thread.
+const PER_CHUNK: u64 = 40;
+
+/// Allocations of a join besides its chunks: indexes, hoisted probes, the
+/// contributor list.
+const PER_JOIN: u64 = 40;
+
+/// The most a join returning `rows` rows from `origins` tuples may
+/// allocate: a vector per row, a B-tree node per ≥ 6 contributors, and the
+/// fixed parts — with at most one chunk per available thread.
+fn budget(rows: u64, origins: usize) -> u64 {
+    let chunks = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
+    rows + origins as u64 / 6 + PER_JOIN + PER_CHUNK * chunks
+}
+
+#[test]
+fn allocations_do_not_grow_with_bindings_or_candidates() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // Every inner tuple is a candidate of every outer tuple (the band
+    // window spans all temps, and its index drives through the position
+    // bitset); the general predicate then keeps hot × hot pairs only. From
+    // 50 to 5 000 outer tuples the candidates go from 15 k to 1.5 M — past
+    // the fan-out threshold — and the rows stay at 20.
+    let cq = compile("|A.temp - B.temp| < 50.0 AND A.hum * B.hum > 5000.0");
+    let inner = relation(1, 300, 4);
+    for outer in [50, 500, 5000] {
+        let tuples = vec![relation(0, outer, 5), inner.clone()];
+        let (allocs, rows) = join_allocations(&cq, &tuples);
+        assert_eq!(rows, 20);
+        // 5 + 4 contributors: no outer tuple adds to the budget.
+        assert!(
+            allocs <= budget(rows, 9),
+            "{allocs} allocations for {rows} rows from {outer} outer tuples"
+        );
+    }
+    // The same through an equi driver (296 candidates per cold outer
+    // tuple) with a band membership test that keeps next to none.
+    let cq = compile("A.hum = B.hum AND |A.temp - B.temp| < 0.001");
+    for outer in [50, 500, 5000] {
+        let tuples = vec![relation(0, outer, 5), inner.clone()];
+        let (allocs, rows) = join_allocations(&cq, &tuples);
+        assert!(rows < 300, "{rows} rows");
+        assert!(
+            allocs <= budget(rows, 2 * rows as usize),
+            "{allocs} allocations for {rows} rows from {outer} outer tuples"
+        );
+    }
+}
+
+#[test]
+fn a_row_costs_one_allocation() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // ~7 % of 1 500 × 1 500 pairs: a high-output join, chunked when the
+    // `parallel` feature is on.
+    let cq = compile("A.temp - B.temp > 7.3");
+    let tuples = vec![relation(0, 1500, 0), relation(1, 1500, 0)];
+    let (allocs, rows) = join_allocations(&cq, &tuples);
+    assert!(rows > 50_000, "{rows} rows");
+    assert!(
+        allocs <= budget(rows, 3000),
+        "{allocs} allocations for {rows} rows"
+    );
+}

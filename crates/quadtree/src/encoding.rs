@@ -79,7 +79,7 @@ impl std::error::Error for DecodeError {}
 
 /// Encodes a point set into the pointerless quadtree bitstring.
 ///
-/// The list-vs-subdivide decisions come from the same [`Plan`] pass that
+/// The list-vs-subdivide decisions come from the same `Plan` pass that
 /// [`encoded_len_bits`] runs; encoding only adds the pass that writes them
 /// out.
 pub fn encode(set: &PointSet, shape: &TreeShape) -> EncodedTree {

@@ -503,7 +503,7 @@ impl RoutingTree {
     }
 
     /// Exports the defining arrays of the tree — parent and hop count per
-    /// node ([`NO_PARENT`]/`u32::MAX` for the base and unreachable nodes) —
+    /// node (`NO_PARENT`/`u32::MAX` for the base and unreachable nodes) —
     /// the checkpoint/restore surface. Everything else the tree holds is
     /// derived from these two arrays.
     pub fn export_tree(&self) -> (Vec<u32>, Vec<u32>) {

@@ -256,6 +256,273 @@ mod engine_equivalence {
     }
 }
 
+mod emission_kernel {
+    //! Deterministic inputs aimed at the exact join's emission kernel —
+    //! candidate runs put back in position order through a bitset, probes
+    //! as plain data, contributors as position sets, work-counted chunks —
+    //! each against the nested-loop reference: rows (and their order),
+    //! aggregates and contributors bit for bit.
+
+    use sensjoin::core::{exact_join, exact_join_nested};
+    use sensjoin::prelude::*;
+    use sensjoin::query::CompiledQuery;
+    use sensjoin::relation::{AttrType, Attribute, Schema};
+
+    type Tuples = Vec<Vec<(NodeId, Vec<f64>)>>;
+
+    fn compile(sql: &str) -> CompiledQuery {
+        let schema = Schema::new(
+            "Sensors",
+            vec![
+                Attribute::new("temp", AttrType::Celsius),
+                Attribute::new("hum", AttrType::Percent),
+            ],
+        );
+        let q = parse(sql).unwrap();
+        let schemas: Vec<Schema> = q.from.iter().map(|_| schema.clone()).collect();
+        CompiledQuery::compile(&q, &schemas).unwrap()
+    }
+
+    /// One relation per `(temp, hum)` list, with distinct origins.
+    fn relations(rels: &[&[(f64, f64)]]) -> Tuples {
+        rels.iter()
+            .enumerate()
+            .map(|(r, rows)| {
+                rows.iter()
+                    .enumerate()
+                    .map(|(i, &(t, h))| (NodeId((r * 100_000 + i) as u32), vec![t, h]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `n` pseudo-random `(temp, hum)` pairs: temp on a 0.25 grid over
+    /// [-8, 8) (so keys collide), hum continuous over [0, 100).
+    fn random(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        (0..n)
+            .map(|_| ((next() * 64.0).floor() * 0.25 - 8.0, next() * 100.0))
+            .collect()
+    }
+
+    fn assert_agree(sql: &str, tuples: &Tuples) -> usize {
+        let cq = compile(&format!("{sql} ONCE"));
+        let new = exact_join(&cq, tuples);
+        let old = exact_join_nested(&cq, tuples);
+        assert_eq!(new.contributors, old.contributors, "contributors: {sql}");
+        match (&new.result, &old.result) {
+            (JoinResult::Rows(a), JoinResult::Rows(b)) => {
+                let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                    rows.iter()
+                        .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(a), bits(b), "rows: {sql}");
+            }
+            (JoinResult::Aggregate(a), JoinResult::Aggregate(b)) => {
+                let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                    v.iter().map(|o| o.map(f64::to_bits)).collect()
+                };
+                assert_eq!(bits(a), bits(b), "aggregates: {sql}");
+            }
+            (a, b) => panic!("kind mismatch for {sql}: {a:?} vs {b:?}"),
+        }
+        old.result.len()
+    }
+
+    const TWO_WAY: &str = "SELECT A.temp, A.hum, B.temp, B.hum FROM Sensors A, Sensors B WHERE";
+    const THREE_WAY: &str =
+        "SELECT A.temp, B.hum, C.temp FROM Sensors A, Sensors B, Sensors C WHERE";
+
+    /// Every indexable predicate shape of a two-way join.
+    const SHAPES: [&str; 12] = [
+        "A.temp = B.temp",
+        "A.temp < B.temp",
+        "A.temp >= B.temp",
+        "A.temp - B.temp > 0.5",
+        "A.temp - B.temp <= -1.0",
+        "|A.temp - B.temp| < 1.0",
+        // Two runs of the sorted keys per probe …
+        "|A.temp - B.temp| > 1.0",
+        "|A.temp - B.temp| >= 1.5",
+        "|A.temp - B.temp| = 1.5",
+        // … and the degenerate constants: nothing, or no pruning at all.
+        "|A.temp - B.temp| < 0.0",
+        "|A.temp - B.temp| >= 0.0",
+        "|A.temp - B.temp| = 0.0",
+    ];
+
+    /// Duplicate keys, both zeros, NaN and both infinities on either side:
+    /// NaN keys are in no index, a non-finite difference probe cannot prune
+    /// (`ExactProbe::All`), and equal keys must come out in position order.
+    #[test]
+    fn special_and_duplicate_keys() {
+        let special: Vec<(f64, f64)> = [
+            1.5,
+            0.0,
+            f64::NAN,
+            -0.0,
+            1.5,
+            f64::INFINITY,
+            -2.0,
+            f64::NEG_INFINITY,
+            0.0,
+            3.0,
+            1.5,
+            f64::NAN,
+            f64::INFINITY,
+            0.5,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &t)| (t, i as f64))
+        .collect();
+        let reversed: Vec<(f64, f64)> = special.iter().rev().copied().collect();
+        let tuples = relations(&[&special, &reversed]);
+        for shape in SHAPES {
+            assert_agree(&format!("{TWO_WAY} {shape}"), &tuples);
+        }
+        // The same keys as the membership side of a shared level.
+        assert_agree(
+            &format!("{TWO_WAY} |A.temp - B.temp| >= 1.5 AND A.hum - B.hum > -6.0"),
+            &tuples,
+        );
+        assert_agree(
+            &format!("{TWO_WAY} A.temp = B.temp AND |A.hum - B.hum| > 2.0"),
+            &tuples,
+        );
+    }
+
+    /// Two and three indexable predicates on one level: the smallest
+    /// candidate set drives (through the bitset when it is a band probe,
+    /// from its bucket when it is an equi probe), the others are membership
+    /// tests — whichever of them is smallest for a given binding.
+    #[test]
+    fn several_indexes_on_one_level() {
+        let tuples = relations(&[&random(120, 7), &random(150, 8)]);
+        for preds in [
+            "|A.temp - B.temp| < 1.0 AND A.hum - B.hum > 10.0",
+            "|A.temp - B.temp| > 6.0 AND |A.hum - B.hum| < 20.0",
+            "A.temp = B.temp AND A.hum - B.hum > -20.0",
+            "A.temp = B.temp AND |A.hum - B.hum| > 80.0",
+            "A.temp - B.temp > -1.0 AND A.temp - B.temp < 1.0 AND A.hum < B.hum",
+            // An indexed and a general predicate: the residual decides.
+            "|A.temp - B.temp| < 2.0 AND A.hum * B.hum > 2500.0",
+        ] {
+            let rows = assert_agree(&format!("{TWO_WAY} {preds}"), &tuples);
+            assert!(rows > 0, "vacuous case: {preds}");
+        }
+    }
+
+    /// Three-way joins: indexes on level 1 and on level 2, probed from
+    /// either bound relation; a level without any index in between.
+    #[test]
+    fn three_way_joins() {
+        let tuples = relations(&[&random(40, 1), &random(45, 2), &random(50, 3)]);
+        for preds in [
+            "|A.temp - B.temp| < 1.0 AND B.hum - C.hum > 30.0",
+            "|A.temp - B.temp| < 1.0 AND |A.hum - C.hum| < 5.0 AND B.temp = C.temp",
+            "A.temp = B.temp AND |B.temp - C.temp| > 7.0",
+            // No predicate reaches B before C is bound: level 1 scans.
+            "A.temp - C.temp > 6.0 AND B.temp - C.temp > 6.0",
+            "A.hum * B.hum > 5000.0 AND |B.temp - C.temp| = 0.25",
+        ] {
+            let rows = assert_agree(&format!("{THREE_WAY} {preds}"), &tuples);
+            assert!(rows > 0, "vacuous case: {preds}");
+        }
+        assert_agree(
+            "SELECT MAX(A.temp), COUNT(C.hum), SUM(B.hum) FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 0.5 AND B.hum - C.hum > 40.0",
+            &tuples,
+        );
+    }
+
+    /// Relations without tuples and with a single one, on either side and
+    /// at every level.
+    #[test]
+    fn empty_and_single_tuple_relations() {
+        let some = random(30, 5);
+        let one = [(1.0, 50.0)];
+        for rels in [
+            [&[][..], &[][..]],
+            [&[][..], &some[..]],
+            [&some[..], &[][..]],
+            [&one[..], &some[..]],
+            [&some[..], &one[..]],
+            [&one[..], &one[..]],
+        ] {
+            let tuples = relations(&rels);
+            for shape in SHAPES {
+                assert_agree(&format!("{TWO_WAY} {shape}"), &tuples);
+            }
+        }
+        for rels in [
+            [&some[..], &[][..], &some[..]],
+            [&some[..], &some[..], &[][..]],
+            [&one[..], &one[..], &one[..]],
+        ] {
+            assert_agree(
+                &format!("{THREE_WAY} |A.temp - B.temp| < 9.0 AND B.hum - C.hum > -200.0"),
+                &relations(&rels),
+            );
+        }
+    }
+
+    /// Joins with enough counted work to be cut into chunks (with the
+    /// `parallel` feature): chunk-order merging of rows, group keys and
+    /// contributor sets. The skewed inputs put nearly all the work under a
+    /// few outer tuples — at the front, at the back, in one tuple — so the
+    /// cuts fall unevenly and trailing (or leading) shares hold one tuple
+    /// or none.
+    #[test]
+    fn chunked_joins_merge_in_order() {
+        let inner = random(400, 11);
+        let uniform = random(400, 12);
+        // Outer tuples far below every inner key match nothing under the
+        // band predicates below; the few at 0.0 match a third of `inner`.
+        let cold = (-100.0, 50.0);
+        let hot = (0.0, 50.0);
+        let skew = |hot_at: &[usize], n: usize| -> Vec<(f64, f64)> {
+            (0..n)
+                .map(|i| if hot_at.contains(&i) { hot } else { cold })
+                .collect()
+        };
+        for outer in [
+            uniform,
+            skew(&[0], 3),
+            skew(&[2], 3),
+            skew(&[0, 1, 2], 600),
+            skew(&[597, 598, 599], 600),
+            skew(&[300], 601),
+        ] {
+            let tuples = relations(&[&outer, &inner]);
+            for preds in [
+                "|A.temp - B.temp| < 3.0",
+                "|A.temp - B.temp| > 6.0",
+                "A.temp - B.temp > -2.5 AND A.hum - B.hum > -40.0",
+                "A.hum * B.hum > 100.0 AND A.temp - B.temp < 90.0",
+            ] {
+                assert_agree(&format!("{TWO_WAY} {preds}"), &tuples);
+            }
+            assert_agree(
+                "SELECT A.temp, COUNT(B.temp), SUM(B.hum) FROM Sensors A, Sensors B \
+                 WHERE |A.temp - B.temp| < 3.0 GROUP BY A.temp",
+                &tuples,
+            );
+        }
+        // Heavy enough to be chunked whatever the thresholds: ~70 k rows.
+        let tuples = relations(&[&random(500, 21), &inner]);
+        let rows = assert_agree(&format!("{TWO_WAY} |A.temp - B.temp| < 3.0"), &tuples);
+        assert!(rows > 60_000, "{rows} rows");
+    }
+}
+
 /// A deterministic sweep across coarse resolutions: correctness must be
 /// resolution-independent (§V-B: quantization affects cost, never the
 /// result).
