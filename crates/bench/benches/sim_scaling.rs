@@ -10,20 +10,15 @@
 //! what keeps 10⁵-node sweeps interactive.
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
-//! * the 100 000-node one-shot band join completes in < 10 s, under serial
-//!   waves and under forced lanes,
-//! * ns per node-event at 100 000 nodes, serial waves, stays ≤ 3 000
-//!   (measured 1 500 to 1 900 on the 2-core bench host, whose speed drifts by
-//!   a quarter between runs; ROADMAP item 4's target is 1 500),
+//! * the 100 000-node one-shot band join completes in < 10 s,
+//! * ns per node-event at 100 000 nodes stays ≤ 3 000 (measured 1 500 to
+//!   1 900 on the 2-core bench host, whose speed drifts by a quarter between
+//!   runs; ROADMAP item 4's target is 1 500),
 //! * peak RSS after the 1 000 000-node topology + tree build ≤ 1 GiB.
-//!
-//! The forced-lane figures are recorded, not gated: `WaveMode::Auto` takes
-//! lanes only when the routing tree splits (DESIGN §4.10), and whether they
-//! pay at all is ROADMAP item 4's open trial.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::{benchjson, paper_network, peak_rss_mib};
-use sensjoin_core::{set_wave_mode, JoinMethod, SensJoin, WaveMode};
+use sensjoin_core::{JoinMethod, SensJoin};
 use sensjoin_field::{Area, Placement};
 use sensjoin_query::parse;
 use sensjoin_sim::{NodeId, RoutingTree, Topology};
@@ -67,8 +62,9 @@ fn bench_tree_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole one-shot SENS-Join executions; `serial` pins the wave engine to
-/// the cached serial order, `parallel` forces the subtree-wave fan-out.
+/// Whole one-shot SENS-Join executions; the bench names keep their
+/// `serial` component so `BENCH_engine.json`'s recorded series stays one
+/// series.
 fn bench_one_shot(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_scaling/one_shot");
     group.sample_size(10);
@@ -77,20 +73,13 @@ fn bench_one_shot(c: &mut Criterion) {
         let cq = snet
             .compile(&parse(&band_sql()).expect("band SQL parses"))
             .expect("band SQL compiles");
-        for (label, mode) in [
-            ("serial", WaveMode::ForceSerial),
-            ("parallel", WaveMode::ForceParallel),
-        ] {
-            set_wave_mode(mode);
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    SensJoin::default()
-                        .execute(black_box(&mut snet), &cq)
-                        .expect("band join runs")
-                })
-            });
-            set_wave_mode(WaveMode::Auto);
-        }
+        group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
+            b.iter(|| {
+                SensJoin::default()
+                    .execute(black_box(&mut snet), &cq)
+                    .expect("band join runs")
+            })
+        });
     }
     group.finish();
 }
@@ -117,25 +106,20 @@ fn main() {
     let results = criterion.results();
     let mut events = Vec::new();
     for n in ONE_SHOT_SIZES {
-        for label in ["serial", "parallel"] {
-            let ns = ns_of(results, &format!("sim_scaling/one_shot/{label}/{n}"));
-            events.push((format!("\"{label}/{n}\"",), ns / (3.0 * n as f64)));
-        }
+        let ns = ns_of(results, &format!("sim_scaling/one_shot/serial/{n}"));
+        events.push((format!("\"serial/{n}\"",), ns / (3.0 * n as f64)));
     }
     let serial_100k_ns = ns_of(results, "sim_scaling/one_shot/serial/100000");
-    let parallel_100k_ns = ns_of(results, "sim_scaling/one_shot/parallel/100000");
-    let slowest_100k_s = serial_100k_ns.max(parallel_100k_ns) / 1e9;
+    let serial_100k_s = serial_100k_ns / 1e9;
     let serial_100k_ns_event = serial_100k_ns / 300_000.0;
-    let speedup_100k = serial_100k_ns / parallel_100k_ns;
 
     assert!(
-        slowest_100k_s < ONE_SHOT_GATE_S,
-        "gate violated: 100k one-shot band join took {slowest_100k_s:.2} s >= {ONE_SHOT_GATE_S} s"
+        serial_100k_s < ONE_SHOT_GATE_S,
+        "gate violated: 100k one-shot band join took {serial_100k_s:.2} s >= {ONE_SHOT_GATE_S} s"
     );
     assert!(
         serial_100k_ns_event <= NODE_EVENT_GATE_NS,
-        "gate violated: {serial_100k_ns_event:.0} ns/node-event at 100k (serial) > \
-         {NODE_EVENT_GATE_NS}"
+        "gate violated: {serial_100k_ns_event:.0} ns/node-event at 100k > {NODE_EVENT_GATE_NS}"
     );
     if let Some(rss) = tree_rss_mib {
         assert!(
@@ -154,12 +138,8 @@ fn main() {
     );
     let extras = [
         ("band_threshold", format!("{BAND_THRESHOLD}")),
-        (
-            "one_shot_100k_seconds",
-            format!("{:.3}", serial_100k_ns / 1e9),
-        ),
+        ("one_shot_100k_seconds", format!("{serial_100k_s:.3}")),
         ("ns_per_node_event", ns_per_event),
-        ("parallel_speedup_100k", format!("{speedup_100k:.2}")),
         (
             "tree_build_peak_rss_mib",
             tree_rss_mib.map_or("null".to_owned(), |r| format!("{r:.0}")),
@@ -167,8 +147,8 @@ fn main() {
         (
             "gate",
             format!(
-                "\"one_shot serial/100000 and parallel/100000 < {ONE_SHOT_GATE_S} s, \
-                 serial/100000 <= {NODE_EVENT_GATE_NS} ns/node-event, \
+                "\"one_shot serial/100000 < {ONE_SHOT_GATE_S} s and \
+                 <= {NODE_EVENT_GATE_NS} ns/node-event, \
                  1M tree build peak RSS <= {TREE_RSS_GATE_MIB} MiB\""
             ),
         ),

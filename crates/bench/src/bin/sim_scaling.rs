@@ -1,5 +1,5 @@
-//! Extension: simulator scale-out — CSR construction cost and parallel
-//! wave throughput beyond the paper's network sizes (DESIGN.md §4.10).
+//! Extension: simulator scale-out — CSR construction cost and wave
+//! throughput beyond the paper's network sizes (DESIGN.md §4.10).
 //!
 //! ```sh
 //! cargo run --release -p sensjoin-bench --bin sim_scaling

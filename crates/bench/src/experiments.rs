@@ -1651,21 +1651,17 @@ pub fn churn_tolerance(n: usize, seed: u64) -> String {
 /// {7n, 20n, 67n} nodes, topology + routing-tree builds at {67n, 667n}
 /// (100 k and 1 M at the default n = 1500).
 pub fn sim_scaling(n: usize, seed: u64) -> String {
-    use sensjoin_core::{set_wave_mode, WaveMode};
     use sensjoin_field::{Area, Placement};
     use sensjoin_sim::{RoutingTree, Topology};
     use std::time::Instant;
 
-    let mut rep =
-        Report::new("Extension — simulator scale-out (flat state, parallel subtree waves)");
+    let mut rep = Report::new("Extension — simulator scale-out (flat state, subtree-major waves)");
     rep.para(&format!(
         "The simulator stores topology adjacency and routing-tree children \
          in CSR arenas over flat per-node arrays, builds neighbor lists \
-         through a bucketed grid, and fans independent child subtrees of a \
-         synchronized wave out to worker threads — with per-thread charging \
-         lanes replayed in serial order, so parallel execution is \
-         bit-identical to serial (property-tested in \
-         `crates/core/tests/parallel_equivalence.rs`). A *node-event* is one \
+         through a bucketed grid, and walks a synchronized wave serially in \
+         the tree's cached subtree-major order with scratch proportional to \
+         the participants (DESIGN.md §4.10). A *node-event* is one \
          node's visit in one wave; a one-shot SENS-Join is three waves. \
          Band join `A.temp - B.temp > 12`, constant density, seed {seed}. \
          `cargo bench --bench sim_scaling` asserts the perf gates at the \
@@ -1709,21 +1705,13 @@ pub fn sim_scaling(n: usize, seed: u64) -> String {
         let cq = snet
             .compile(&sensjoin_query::parse(sql).expect("band SQL parses"))
             .expect("band SQL compiles");
-        let mut timed = |mode: WaveMode| {
-            set_wave_mode(mode);
-            let t = Instant::now();
-            let out = sens().execute(&mut snet, &cq).expect("band join runs");
-            let dt = t.elapsed().as_secs_f64();
-            set_wave_mode(WaveMode::Auto);
-            (dt, out)
-        };
-        let (t_serial, _) = timed(WaveMode::ForceSerial);
-        let (t_parallel, out) = timed(WaveMode::ForceParallel);
+        let t = Instant::now();
+        let out = sens().execute(&mut snet, &cq).expect("band join runs");
+        let dt = t.elapsed().as_secs_f64();
         rows.push(vec![
             format!("{m}"),
-            format!("{:.0}", 1e3 * t_serial),
-            format!("{:.0}", 1e3 * t_parallel),
-            format!("{:.0}", 1e9 * t_parallel / (3.0 * m as f64)),
+            format!("{:.0}", 1e3 * dt),
+            format!("{:.0}", 1e9 * dt / (3.0 * m as f64)),
             format!("{}", out.contributors.len()),
             format!("{}", out.result.len()),
         ]);
@@ -1731,8 +1719,7 @@ pub fn sim_scaling(n: usize, seed: u64) -> String {
     rep.table(
         &[
             "nodes",
-            "serial [ms]",
-            "parallel [ms]",
+            "one-shot join [ms]",
             "ns / node-event",
             "contributors",
             "result rows",
@@ -1741,10 +1728,8 @@ pub fn sim_scaling(n: usize, seed: u64) -> String {
     );
     rep.para(
         "Wave-engine cost per node-event stays in the microsecond range as \
-         the network grows two orders of magnitude past the paper's setting; \
-         the parallel column forces the subtree fan-out, which the engine \
-         itself takes only past 4096 participants and only when the routing \
-         tree splits into balanced lanes. Peak RSS is a process-wide high-water mark, so the \
+         the network grows two orders of magnitude past the paper's setting. \
+         Peak RSS is a process-wide high-water mark, so the \
          build rows report the cumulative maximum.",
     );
     rep.finish()

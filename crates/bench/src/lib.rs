@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Experiment harness: one function per table/figure of the paper's
 //! evaluation (§VI), shared across the `fig*` binaries and `run_all`.

@@ -16,7 +16,7 @@ use crate::engine::{exact_join, JoinSpace};
 use crate::outcome::{JoinOutcome, JoinResult, ProtocolError};
 use crate::repr::{collect_node_data, project_to_schema, FullRec};
 use crate::snetwork::SensorNetwork;
-use crate::wave::up_wave_on_sync;
+use crate::wave::up_wave_on;
 use crate::JoinMethod;
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
@@ -116,7 +116,7 @@ impl JoinMethod for MediatedJoin {
         let mediator = Self::pick_mediator(snet, &members);
         // Collection tree rooted at the mediator.
         let tree = RoutingTree::build(snet.net().topology(), mediator);
-        let (batch, rep_collect) = up_wave_on_sync(
+        let (batch, rep_collect) = up_wave_on(
             snet.net_mut(),
             &tree,
             &|_| true,

@@ -31,7 +31,6 @@
 //! Round 0 flows through the very same delta machinery (everything is an
 //! "add"), so a single code path serves cold start and steady state.
 
-use crate::cells::NodeCells;
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::JoinSpace;
 use crate::incremental::{CellCounts, FilterEngine};
@@ -40,7 +39,7 @@ use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::persist;
 use crate::repr::{collect_node_data, project_to_schema, FullRec, JoinAttrMsg};
 use crate::snetwork::SensorNetwork;
-use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
+use crate::wave::{down_wave, up_wave, DownArrival};
 
 /// Maximum number of times a continuous round is (re-)executed when data
 /// loss survives the ARQ budget (first attempt included).
@@ -664,9 +663,9 @@ impl ContinuousSensJoin {
         let base = snet.base();
 
         // ---- Phase 1: delta collection ----
-        let last_cell = NodeCells::new(&mut st.last_cell);
-        let subtree = NodeCells::new(&mut st.subtree);
-        let (base_delta, rep1) = up_wave_sync(
+        let last_cell = &mut st.last_cell;
+        let subtree = &mut st.subtree;
+        let (base_delta, rep1) = up_wave(
             snet.net_mut(),
             &|_| true,
             |v, received: Vec<Delta>| {
@@ -679,24 +678,22 @@ impl ContinuousSensJoin {
                     merged.merge(&d);
                 }
                 let cur = data[v.0 as usize].rec.as_ref().map(|r| (r.z, r.flags.0));
-                last_cell.with(v, |last| {
-                    if cur != *last {
-                        if let Some((z, f)) = *last {
-                            merged.record(z, f, -1);
-                        }
-                        if let Some((z, f)) = cur {
-                            merged.record(z, f, 1);
-                        }
-                        *last = cur;
+                let last = &mut last_cell[v.0 as usize];
+                if cur != *last {
+                    if let Some((z, f)) = *last {
+                        merged.record(z, f, -1);
                     }
-                });
-                subtree.with(v, |counts| apply_delta(counts, &merged.net()));
+                    if let Some((z, f)) = cur {
+                        merged.record(z, f, 1);
+                    }
+                    *last = cur;
+                }
+                apply_delta(&mut subtree[v.0 as usize], &merged.net());
                 merged
             },
             |d| d.wire_size(space),
             PHASE_DELTA_COLLECTION,
         );
-        drop((last_cell, subtree));
 
         // ---- Base station: incremental filter maintenance ----
         // The engine folds the round's net delta into its persistent
@@ -739,15 +736,15 @@ impl ContinuousSensJoin {
         let full_delta = FilterDelta { added, removed };
 
         // ---- Phase 2: filter-delta dissemination ----
-        let node_filter = NodeCells::new(&mut st.node_filter);
+        let node_filter = &mut st.node_filter;
         let subtree = &st.subtree;
-        let rep2 = down_wave_sync(
+        let rep2 = down_wave(
             snet.net_mut(),
             &|_| true,
             |v, arrival: DownArrival<'_, FilterDelta>| {
                 let fd: &FilterDelta = match arrival {
                     DownArrival::Intact(fd) => {
-                        node_filter.with(v, |nf| fd.apply(nf));
+                        fd.apply(&mut node_filter[v.0 as usize]);
                         fd
                     }
                     DownArrival::Origin => &full_delta, // base station originates
@@ -771,17 +768,16 @@ impl ContinuousSensJoin {
             |fd| fd.wire_size(space),
             PHASE_FILTER_DELTA,
         );
-        drop(node_filter);
         // The base's own filter view is the filter itself.
         st.node_filter[base.0 as usize] = st.filter.clone();
 
         // ---- Phase 3: ε-suppressed final phase ----
         let epsilon = self.epsilon;
         let node_filter = &st.node_filter;
-        let last_values = NodeCells::new(&mut st.last_values);
-        let matched = NodeCells::new(&mut st.matched);
+        let last_values = &mut st.last_values;
+        let matched = &mut st.matched;
         let drift_attrs = &st.drift_attrs;
-        let (final_delta, rep3) = up_wave_sync(
+        let (final_delta, rep3) = up_wave(
             snet.net_mut(),
             &|_| true,
             |v, received: Vec<FinalDelta>| {
@@ -796,37 +792,35 @@ impl ContinuousSensJoin {
                     .rec
                     .as_ref()
                     .is_some_and(|rec| node_filter[i].contains_matching(rec.z, rec.flags));
-                let was_matched = matched.with(v, |m| std::mem::replace(m, matching));
+                let was_matched = std::mem::replace(&mut matched[i], matching);
                 if matching {
                     let rec = data[i].rec.as_ref().expect("matching implies a tuple");
-                    last_values.with(v, |last| {
-                        let drifted = match last {
-                            None => true,
-                            Some(old) => drift_attrs
-                                .iter()
-                                .any(|&a| (old[a] - rec.values[a]).abs() > epsilon),
-                        };
-                        if !was_matched || drifted {
-                            *last = Some(rec.values.clone());
-                            if v != base {
-                                out.bytes += rec.bytes;
-                            }
-                            out.tuples.push(rec.clone());
+                    let last = &mut last_values[i];
+                    let drifted = match last {
+                        None => true,
+                        Some(old) => drift_attrs
+                            .iter()
+                            .any(|&a| (old[a] - rec.values[a]).abs() > epsilon),
+                    };
+                    if !was_matched || drifted {
+                        *last = Some(rec.values.clone());
+                        if v != base {
+                            out.bytes += rec.bytes;
                         }
-                    });
+                        out.tuples.push(rec.clone());
+                    }
                 } else if was_matched {
                     if v != base {
                         out.bytes += 2; // origin id retraction
                     }
                     out.retractions.push(v);
-                    last_values.with(v, |last| *last = None);
+                    last_values[i] = None;
                 }
                 out
             },
             |f| f.bytes,
             PHASE_FINAL_DELTA,
         );
-        drop((last_values, matched));
 
         // ---- Base station: cache maintenance + streaming join ----
         // The round's tuple deltas feed the persistent streaming engine,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! SENS-Join: efficient general-purpose join processing in sensor networks.
 //!
@@ -60,7 +61,6 @@
 mod adaptive;
 mod baselines;
 mod bloom;
-mod cells;
 mod config;
 mod continuous;
 mod costmodel;
@@ -84,7 +84,6 @@ pub use baselines::{MediatedJoin, PHASE_MEDIATED_COLLECTION, PHASE_MEDIATED_RESU
 pub use bloom::{
     BloomFilter, BloomSemiJoin, PHASE_BLOOM_COLLECTION, PHASE_BLOOM_FINAL, PHASE_BLOOM_FLOOD,
 };
-pub use cells::NodeCells;
 pub use config::{QuantizationConfig, Representation, SensJoinConfig};
 pub use continuous::{
     ContinuousSensJoin, MAX_ROUND_ATTEMPTS, PHASE_DELTA_COLLECTION, PHASE_FILTER_DELTA,
@@ -114,7 +113,8 @@ pub use sensjoin_simd::kernels_active;
 pub use snetwork::{
     attr_type_for, ExternalData, SensorNetwork, SensorNetworkBuilder, SensorNetworkError,
 };
-pub use wave::{set_wave_mode, wave_mode, WaveMode, PAR_MAX_LANE_SHARE, PAR_MIN_PARTICIPANTS};
+#[doc(hidden)]
+pub use wave::{wave_mode, WaveMode};
 
 /// The trait every join method implements.
 pub trait JoinMethod {

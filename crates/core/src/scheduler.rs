@@ -27,21 +27,19 @@
 //! (the §VI-B representation knob only varies the single-query collection
 //! experiment).
 
-use crate::cells::NodeCells;
 use crate::config::SensJoinConfig;
 use crate::engine::{exact_join, JoinSpace};
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
 use crate::repr::{collect_node_data, NodeData, SizedSet};
 use crate::snetwork::SensorNetwork;
-use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
+use crate::wave::{down_wave, up_wave, DownArrival};
 use sensjoin_field::FieldSpec;
 use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared Join-Attribute-Collection phase label (one up-wave for all due
 /// queries).
@@ -706,13 +704,9 @@ impl QueryGroup {
         // One up-wave; each message carries every due query's cell set (its
         // own space), merged on the wire per space signature. Treecut is
         // decided on the union tuple size, so a subtree cheap for *all*
-        // queries together exits the epoch entirely.
-        // Solo-equivalent byte accumulators: `u64` addition commutes, so
-        // relaxed atomics land on the same totals whichever thread charges
-        // a message first.
-        let solo_collection: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let cells = NodeCells::new(&mut states);
-        let (base_msg, rep1) = up_wave_sync(
+        // queries together exits the epoch entirely. `size_of` meters each
+        // message's solo-equivalent bytes into `solo` as it leaves.
+        let (base_msg, rep1) = up_wave(
             snet.net_mut(),
             &|_| true,
             |v, received: Vec<GroupUp>| {
@@ -735,91 +729,85 @@ impl QueryGroup {
                     && cfg.dmax > 0
                     && attr_msgs.is_empty()
                     && full_bytes + own_bytes <= cfg.dmax;
-                cells.with(v, |st| {
-                    if treecut {
-                        if own {
-                            fulls.push(v);
-                        }
-                        st.active = false;
-                        GroupUp::Full {
-                            nodes: fulls,
-                            bytes: full_bytes + own_bytes,
-                        }
-                    } else {
-                        st.active = true;
-                        // A lone structure is taken as it is, with the sizes
-                        // its sender already computed.
-                        let mut sets: Vec<SizedSet> = if attr_msgs.len() == 1 {
-                            attr_msgs.pop().expect("one message")
-                        } else {
-                            let mut sets = vec![SizedSet::default(); k];
-                            for m in &attr_msgs {
-                                for (s, set) in m.iter().enumerate() {
-                                    sets[s].union_with(set);
-                                }
-                            }
-                            sets
-                        };
-                        // Memorize the *received* per-query subtree sets for
-                        // Selective Filter Forwarding, each under its own
-                        // memory-cap check — exactly the solo rule per query.
-                        if cfg.selective_forwarding {
-                            for (s, set) in sets.iter_mut().enumerate() {
-                                if v == base
-                                    || set.wire_size(spaces[s].shape()) <= cfg.filter_memory_limit
-                                {
-                                    st.subtree_atts[s] = Some(PointSet::clone(set));
-                                }
-                            }
-                        }
-                        // Proxy received complete tuples and fold their
-                        // per-query projections in.
-                        for &u in &fulls {
-                            for (s, set) in sets.iter_mut().enumerate() {
-                                if let Some(rec) = &data[s][u.0 as usize].rec {
-                                    set.insert(rec.z, rec.flags);
-                                }
-                            }
-                        }
-                        st.proxy = fulls;
-                        if own {
-                            st.own = true;
-                            for (s, set) in sets.iter_mut().enumerate() {
-                                if let Some(rec) = &data[s][vi].rec {
-                                    set.insert(rec.z, rec.flags);
-                                }
-                            }
-                        }
-                        GroupUp::Attrs { sets }
+                let st = &mut states[vi];
+                if treecut {
+                    if own {
+                        fulls.push(v);
                     }
-                })
+                    st.active = false;
+                    GroupUp::Full {
+                        nodes: fulls,
+                        bytes: full_bytes + own_bytes,
+                    }
+                } else {
+                    st.active = true;
+                    // A lone structure is taken as it is, with the sizes
+                    // its sender already computed.
+                    let mut sets: Vec<SizedSet> = if attr_msgs.len() == 1 {
+                        attr_msgs.pop().expect("one message")
+                    } else {
+                        let mut sets = vec![SizedSet::default(); k];
+                        for m in &attr_msgs {
+                            for (s, set) in m.iter().enumerate() {
+                                sets[s].union_with(set);
+                            }
+                        }
+                        sets
+                    };
+                    // Memorize the *received* per-query subtree sets for
+                    // Selective Filter Forwarding, each under its own
+                    // memory-cap check — exactly the solo rule per query.
+                    if cfg.selective_forwarding {
+                        for (s, set) in sets.iter_mut().enumerate() {
+                            if v == base
+                                || set.wire_size(spaces[s].shape()) <= cfg.filter_memory_limit
+                            {
+                                st.subtree_atts[s] = Some(PointSet::clone(set));
+                            }
+                        }
+                    }
+                    // Proxy received complete tuples and fold their
+                    // per-query projections in.
+                    for &u in &fulls {
+                        for (s, set) in sets.iter_mut().enumerate() {
+                            if let Some(rec) = &data[s][u.0 as usize].rec {
+                                set.insert(rec.z, rec.flags);
+                            }
+                        }
+                    }
+                    st.proxy = fulls;
+                    if own {
+                        st.own = true;
+                        for (s, set) in sets.iter_mut().enumerate() {
+                            if let Some(rec) = &data[s][vi].rec {
+                                set.insert(rec.z, rec.flags);
+                            }
+                        }
+                    }
+                    GroupUp::Attrs { sets }
+                }
             },
             |m| match m {
                 GroupUp::Full { bytes, nodes } => {
-                    for (s, a) in solo_collection.iter().enumerate() {
-                        let sum = nodes
+                    for (s, cost) in solo.iter_mut().enumerate() {
+                        cost.collection_bytes += nodes
                             .iter()
                             .filter_map(|u| data[s][u.0 as usize].rec.as_ref())
                             .map(|r| r.bytes as u64)
                             .sum::<u64>();
-                        a.fetch_add(sum, Ordering::Relaxed);
                     }
                     *bytes
                 }
                 GroupUp::Attrs { sets } => {
                     let present = solo_sizes(sets.iter_mut().enumerate(), &spaces);
                     for &(s, _, bytes) in &present {
-                        solo_collection[s].fetch_add(bytes as u64, Ordering::Relaxed);
+                        solo[s].collection_bytes += bytes as u64;
                     }
                     merged_wire_size(&present, &sigs, &spaces)
                 }
             },
             PHASE_SHARED_COLLECTION,
         );
-        drop(cells);
-        for (s, b) in solo_collection.into_iter().enumerate() {
-            solo[s].collection_bytes = b.into_inner();
-        }
 
         // ---- Collection-damage fallback ----
         // A lost collection message can make an ancestor treecut even though
@@ -870,44 +858,41 @@ impl QueryGroup {
         let active: Vec<bool> = states.iter().map(|s| s.active).collect();
         let participates = move |v: NodeId| active[v.0 as usize];
         let selective = cfg.selective_forwarding;
-        let solo_filter: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let cells = NodeCells::new(&mut states);
-        let rep2 = down_wave_sync(
+        let rep2 = down_wave(
             snet.net_mut(),
             &participates,
             |v, arrival: DownArrival<'_, Vec<Option<SizedSet>>>| {
-                cells.with(v, |st| {
-                    let incoming: Vec<Option<&SizedSet>> = match arrival {
-                        DownArrival::Intact(f) => {
-                            st.received = f.iter().map(|o| o.as_deref().cloned()).collect();
-                            f.iter().map(|o| o.as_ref()).collect()
-                        }
-                        DownArrival::Origin => filters.iter().map(Some).collect(),
-                        // The merged filter frame is gone; this node (and its
-                        // subtree) has no usable filter view. The epoch-level
-                        // retry re-runs the whole epoch, so stop forwarding.
-                        DownArrival::Damaged => return None,
-                    };
-                    let mut out: Vec<Option<SizedSet>> = vec![None; k];
-                    for (s, inc) in incoming.into_iter().enumerate() {
-                        let Some(inc) = inc else { continue };
-                        if !selective {
-                            out[s] = Some(inc.clone());
-                            continue;
-                        }
-                        match &st.subtree_atts[s] {
-                            Some(atts) => {
-                                let pruned = inc.intersect(atts);
-                                if !pruned.is_empty() {
-                                    out[s] = Some(SizedSet::new(pruned));
-                                }
-                            }
-                            // Over the memory cap: cannot prune, forward as-is.
-                            None => out[s] = Some(inc.clone()),
-                        }
+                let st = &mut states[v.0 as usize];
+                let incoming: Vec<Option<&SizedSet>> = match arrival {
+                    DownArrival::Intact(f) => {
+                        st.received = f.iter().map(|o| o.as_deref().cloned()).collect();
+                        f.iter().map(|o| o.as_ref()).collect()
                     }
-                    out.iter().any(|o| o.is_some()).then_some(out)
-                })
+                    DownArrival::Origin => filters.iter().map(Some).collect(),
+                    // The merged filter frame is gone; this node (and its
+                    // subtree) has no usable filter view. The epoch-level
+                    // retry re-runs the whole epoch, so stop forwarding.
+                    DownArrival::Damaged => return None,
+                };
+                let mut out: Vec<Option<SizedSet>> = vec![None; k];
+                for (s, inc) in incoming.into_iter().enumerate() {
+                    let Some(inc) = inc else { continue };
+                    if !selective {
+                        out[s] = Some(inc.clone());
+                        continue;
+                    }
+                    match &st.subtree_atts[s] {
+                        Some(atts) => {
+                            let pruned = inc.intersect(atts);
+                            if !pruned.is_empty() {
+                                out[s] = Some(SizedSet::new(pruned));
+                            }
+                        }
+                        // Over the memory cap: cannot prune, forward as-is.
+                        None => out[s] = Some(inc.clone()),
+                    }
+                }
+                out.iter().any(|o| o.is_some()).then_some(out)
             },
             |msg| {
                 let present = solo_sizes(
@@ -917,16 +902,12 @@ impl QueryGroup {
                     &spaces,
                 );
                 for &(s, _, bytes) in &present {
-                    solo_filter[s].fetch_add(bytes as u64, Ordering::Relaxed);
+                    solo[s].filter_bytes += bytes as u64;
                 }
                 merged_wire_size(&present, &sigs, &spaces)
             },
             PHASE_SHARED_FILTER,
         );
-        drop(cells);
-        for (s, b) in solo_filter.into_iter().enumerate() {
-            solo[s].filter_bytes = b.into_inner();
-        }
 
         // ---- Phase 3: shared Final-Result ----
         // A node's tuple ships once, with a mask of the due queries whose
@@ -934,8 +915,7 @@ impl QueryGroup {
         // matched queries' referenced attributes plus the mask.
         let active2: Vec<bool> = states.iter().map(|s| s.active).collect();
         let participates3 = move |v: NodeId| active2[v.0 as usize];
-        let solo_final: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-        let (final_batch, rep3) = up_wave_sync(
+        let (final_batch, rep3) = up_wave(
             snet.net_mut(),
             &participates3,
             |v, received: Vec<GBatch>| {
@@ -988,10 +968,10 @@ impl QueryGroup {
             |b| {
                 for &(u, mask) in &b.entries {
                     let ui = u.0 as usize;
-                    for (s, a) in solo_final.iter().enumerate() {
+                    for (s, cost) in solo.iter_mut().enumerate() {
                         if mask >> s & 1 == 1 {
                             if let Some(rec) = &data[s][ui].rec {
-                                a.fetch_add(rec.bytes as u64, Ordering::Relaxed);
+                                cost.final_bytes += rec.bytes as u64;
                             }
                         }
                     }
@@ -1000,9 +980,6 @@ impl QueryGroup {
             },
             PHASE_SHARED_FINAL,
         );
-        for (s, b) in solo_final.into_iter().enumerate() {
-            solo[s].final_bytes = b.into_inner();
-        }
 
         // ---- Per-query exact joins over the shipped tuples ----
         // Per due query and relation: the relation's flag and the master

@@ -1,12 +1,11 @@
 //! The SENS-Join protocol (paper §IV).
 
-use crate::cells::NodeCells;
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, prejoin_filter, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::repr::{collect_node_data, project_to_schema, FullRec, JoinAttrMsg, NodeData, SizedSet};
 use crate::snetwork::SensorNetwork;
-use crate::wave::{down_wave_sync, up_wave_sync, DownArrival};
+use crate::wave::{down_wave, up_wave, DownArrival};
 use crate::JoinMethod;
 use sensjoin_quadtree::PointSet;
 use sensjoin_query::CompiledQuery;
@@ -254,8 +253,7 @@ impl JoinMethod for SensJoin {
         // ---- Phase 1: Join-Attribute-Collection (Fig. 2) ----
         let lossy = snet.net().lossy();
         let shape = space.shape().clone();
-        let cells = NodeCells::new(&mut states);
-        let (base_msg, rep1) = up_wave_sync(
+        let (base_msg, rep1) = up_wave(
             snet.net_mut(),
             &|_| true,
             |v, received: Vec<UpMsg>| {
@@ -277,66 +275,65 @@ impl JoinMethod for SensJoin {
                     && cfg.dmax > 0
                     && attr_msgs.is_empty()
                     && full_bytes + own_bytes <= cfg.dmax;
-                cells.with(v, |st| {
-                    if treecut {
-                        // Hand the complete tuples to the parent and exit the
-                        // query (Fig. 2 lines 14-18). Over a lossy channel the
-                        // node keeps a copy of the handoff until the phase
-                        // ends: if the message is reported damaged the node
-                        // re-enters the query as the tuples' proxy (otherwise
-                        // the data would exist nowhere).
-                        if lossy {
-                            st.kept = Some((own.clone(), fulls.clone()));
-                        }
-                        if let Some(rec) = own {
-                            fulls.push(rec);
-                        }
-                        st.active = false;
-                        UpMsg::Full {
-                            tuples: fulls,
-                            bytes: full_bytes + own_bytes,
-                        }
-                    } else {
-                        st.active = true;
-                        // Merge received structures (Fig. 2 line 10). A lone
-                        // structure is taken as it is, with the size its
-                        // sender already computed.
-                        let mut ja = if attr_msgs.len() == 1 {
-                            attr_msgs.pop().expect("one message")
-                        } else {
-                            let mut ja = JoinAttrMsg::new();
-                            for m in &attr_msgs {
-                                ja.merge(m);
-                            }
-                            ja
-                        };
-                        // Memorize the subtree's join-attribute tuples for
-                        // Selective Filter Forwarding — the *received* ones
-                        // only (Fig. 2 line 21); own and proxied tuples are
-                        // checked directly against the incoming filter later.
-                        // The stored form is always the compact quadtree
-                        // (only the §VI-B collection experiment varies the
-                        // wire representation). The base station is powered
-                        // and ignores the memory cap.
-                        if cfg.selective_forwarding
-                            && (v == base || ja.set.wire_size(&shape) <= cfg.filter_memory_limit)
-                        {
-                            st.subtree_atts = Some(PointSet::clone(&ja.set));
-                        }
-                        // Act as proxy for received complete tuples (line 20)
-                        // and fold their join-attribute projections in
-                        // (line 22).
-                        for rec in &fulls {
-                            ja.insert(rec.z, rec.flags, &rec.coords);
-                        }
-                        st.proxy = fulls;
-                        if let Some(rec) = own {
-                            ja.insert(rec.z, rec.flags, &rec.coords);
-                            st.own = Some(rec);
-                        }
-                        UpMsg::Attrs(ja)
+                let st = &mut states[v.0 as usize];
+                if treecut {
+                    // Hand the complete tuples to the parent and exit the
+                    // query (Fig. 2 lines 14-18). Over a lossy channel the
+                    // node keeps a copy of the handoff until the phase
+                    // ends: if the message is reported damaged the node
+                    // re-enters the query as the tuples' proxy (otherwise
+                    // the data would exist nowhere).
+                    if lossy {
+                        st.kept = Some((own.clone(), fulls.clone()));
                     }
-                })
+                    if let Some(rec) = own {
+                        fulls.push(rec);
+                    }
+                    st.active = false;
+                    UpMsg::Full {
+                        tuples: fulls,
+                        bytes: full_bytes + own_bytes,
+                    }
+                } else {
+                    st.active = true;
+                    // Merge received structures (Fig. 2 line 10). A lone
+                    // structure is taken as it is, with the size its
+                    // sender already computed.
+                    let mut ja = if attr_msgs.len() == 1 {
+                        attr_msgs.pop().expect("one message")
+                    } else {
+                        let mut ja = JoinAttrMsg::new();
+                        for m in &attr_msgs {
+                            ja.merge(m);
+                        }
+                        ja
+                    };
+                    // Memorize the subtree's join-attribute tuples for
+                    // Selective Filter Forwarding — the *received* ones
+                    // only (Fig. 2 line 21); own and proxied tuples are
+                    // checked directly against the incoming filter later.
+                    // The stored form is always the compact quadtree
+                    // (only the §VI-B collection experiment varies the
+                    // wire representation). The base station is powered
+                    // and ignores the memory cap.
+                    if cfg.selective_forwarding
+                        && (v == base || ja.set.wire_size(&shape) <= cfg.filter_memory_limit)
+                    {
+                        st.subtree_atts = Some(PointSet::clone(&ja.set));
+                    }
+                    // Act as proxy for received complete tuples (line 20)
+                    // and fold their join-attribute projections in
+                    // (line 22).
+                    for rec in &fulls {
+                        ja.insert(rec.z, rec.flags, &rec.coords);
+                    }
+                    st.proxy = fulls;
+                    if let Some(rec) = own {
+                        ja.insert(rec.z, rec.flags, &rec.coords);
+                        st.own = Some(rec);
+                    }
+                    UpMsg::Attrs(ja)
+                }
             },
             |m| match m {
                 UpMsg::Full { bytes, .. } => *bytes,
@@ -344,7 +341,6 @@ impl JoinMethod for SensJoin {
             },
             PHASE_COLLECTION,
         );
-        drop(cells);
 
         // ---- Collection-damage fallback ----
         // A node whose collection message was permanently lost re-enters
@@ -408,47 +404,45 @@ impl JoinMethod for SensJoin {
         // distinguish a real filter from a PassThrough order; lossless runs
         // stay byte-identical to the pre-channel protocol.
         let tag = usize::from(lossy);
-        let cells = NodeCells::new(&mut states);
-        let rep2 = down_wave_sync(
+        let rep2 = down_wave(
             snet.net_mut(),
             &participates,
             |v, arrival: DownArrival<'_, FilterMsg>| {
-                cells.with(v, |st| {
-                    let incoming: Option<&SizedSet> = match arrival {
-                        DownArrival::Origin => {
-                            if collection_damaged {
-                                None // base orders global pass-through
-                            } else {
-                                Some(&filter)
-                            }
+                let st = &mut states[v.0 as usize];
+                let incoming: Option<&SizedSet> = match arrival {
+                    DownArrival::Origin => {
+                        if collection_damaged {
+                            None // base orders global pass-through
+                        } else {
+                            Some(&filter)
                         }
-                        DownArrival::Intact(FilterMsg::Filter(f)) => {
-                            st.received_filter = Some(PointSet::clone(f));
-                            Some(f)
-                        }
-                        // An explicit PassThrough order, or a filter copy the
-                        // channel ate: either way the node must not prune and
-                        // must ship everything (missing filter = pass-through,
-                        // never drop a real result).
-                        DownArrival::Intact(FilterMsg::PassThrough) | DownArrival::Damaged => None,
-                    };
-                    let Some(incoming) = incoming else {
-                        st.passthrough = true;
-                        return Some(FilterMsg::PassThrough);
-                    };
-                    if !selective {
-                        // Ablation: flood the unpruned filter everywhere.
-                        return Some(FilterMsg::Filter(incoming.clone()));
                     }
-                    match &st.subtree_atts {
-                        Some(atts) => {
-                            let pruned = incoming.intersect(atts);
-                            (!pruned.is_empty()).then(|| FilterMsg::Filter(SizedSet::new(pruned)))
-                        }
-                        // Over the memory cap: cannot prune, forward as-is.
-                        None => Some(FilterMsg::Filter(incoming.clone())),
+                    DownArrival::Intact(FilterMsg::Filter(f)) => {
+                        st.received_filter = Some(PointSet::clone(f));
+                        Some(f)
                     }
-                })
+                    // An explicit PassThrough order, or a filter copy the
+                    // channel ate: either way the node must not prune and
+                    // must ship everything (missing filter = pass-through,
+                    // never drop a real result).
+                    DownArrival::Intact(FilterMsg::PassThrough) | DownArrival::Damaged => None,
+                };
+                let Some(incoming) = incoming else {
+                    st.passthrough = true;
+                    return Some(FilterMsg::PassThrough);
+                };
+                if !selective {
+                    // Ablation: flood the unpruned filter everywhere.
+                    return Some(FilterMsg::Filter(incoming.clone()));
+                }
+                match &st.subtree_atts {
+                    Some(atts) => {
+                        let pruned = incoming.intersect(atts);
+                        (!pruned.is_empty()).then(|| FilterMsg::Filter(SizedSet::new(pruned)))
+                    }
+                    // Over the memory cap: cannot prune, forward as-is.
+                    None => Some(FilterMsg::Filter(incoming.clone())),
+                }
             },
             // The filter always travels in the compact quadtree form; the
             // representation knob only varies the collection step (§VI-B).
@@ -458,7 +452,6 @@ impl JoinMethod for SensJoin {
             },
             PHASE_FILTER,
         );
-        drop(cells);
         debug_assert!(lossy || rep2.is_lossless());
 
         // ---- Churn boundary 2 (after filter dissemination) ----
@@ -476,7 +469,7 @@ impl JoinMethod for SensJoin {
         // ---- Phase 3: Final-Result-Computation (§IV-D) ----
         let active2: Vec<bool> = states.iter().map(|s| s.active).collect();
         let participates3 = move |v: NodeId| active2[v.0 as usize];
-        let (final_batch, rep3) = up_wave_sync(
+        let (final_batch, rep3) = up_wave(
             snet.net_mut(),
             &participates3,
             |v, received: Vec<Batch>| {

@@ -20,35 +20,23 @@
 //! (loss is locally detectable: the fragment train was on the air but did
 //! not decode — unlike pruning, where the parent stays silent).
 //!
-//! # Execution order and parallelism
+//! # Execution order
 //!
-//! Waves visit nodes in *subtree-major* order: an up wave walks the cached
-//! post-order of the routing tree (each base-child subtree is one
-//! contiguous block, blocks in ascending child order, the root last), a
-//! down wave walks the matching pre-order. Because independent subtrees
-//! occupy disjoint radio links and disjoint node state, the `_sync` wave
-//! variants ([`up_wave_sync`], [`down_wave_sync`]) can hand whole subtree
-//! blocks to worker threads: each thread charges its transfers into a
-//! [`sensjoin_sim::StatLedger`]-backed lane ([`Network::open_lane`]) and
-//! draws packet fates from its own clone of the per-link channel streams.
-//! Replaying the lanes in block order afterwards re-issues *exactly* the
-//! serial call sequence — every byte/packet counter, every floating-point
-//! energy accumulation and every trace row is bit-identical to serial
-//! execution, and the per-link RNG streams end up in the same position.
-//! [`set_wave_mode`] pins execution to serial or parallel per thread (the
-//! equivalence tests rely on this); [`WaveMode::Auto`] parallelizes only
-//! past a participant threshold, and only when the routing tree actually
-//! splits into lanes. Per-node protocol state mutated from `Fn + Sync`
-//! callbacks goes through [`crate::NodeCells`].
+//! Waves run serially and visit nodes in *subtree-major* order: an up wave
+//! walks the cached post-order of the routing tree (each base-child subtree
+//! is one contiguous block, blocks in ascending child order, the root
+//! last), a down wave walks the matching pre-order. Callbacks are plain
+//! `FnMut` closures over the caller's per-node state. (Why there is no
+//! parallel engine: DESIGN.md §4.10, "Why waves are serial".)
 //!
 //! Every wave interns its phase label once ([`Network::intern_phase`]) and
-//! charges by [`sensjoin_sim::PhaseId`]; `size_of` sees each message once,
+//! charges by [`sensjoin_sim::PhaseId`] through the network's
+//! [`sensjoin_sim::DeliveryPort`]; `size_of` sees each message once,
 //! mutably, so a message can carry its size to wherever it is forwarded
 //! unchanged ([`crate::SizedSet`]).
 
 use sensjoin_relation::NodeId;
-use sensjoin_sim::{Delivery, Network, RoutingTree, Time};
-use std::cell::Cell;
+use sensjoin_sim::{DeliveryPort, Network, PhaseId, RoutingTree, Time};
 
 /// A phase's latency under the two scheduling models.
 ///
@@ -116,116 +104,20 @@ pub enum DownArrival<'a, M> {
     Damaged,
 }
 
-/// How the `_sync` waves execute (per thread; see [`set_wave_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one way waves execute.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveMode {
-    /// Parallelize when it pays: at least [`PAR_MIN_PARTICIPANTS`]
-    /// participating nodes, a multi-core host, and a routing tree whose
-    /// subtree blocks split into at least two lanes none of which holds
-    /// more than [`PAR_MAX_LANE_SHARE`] of the wave.
-    #[default]
-    Auto,
-    /// Always run serially (reference executions).
-    ForceSerial,
-    /// Always take the parallel path, even for tiny waves — used by the
-    /// equivalence tests to exercise the lane machinery. Without the
-    /// `parallel` feature this degrades to serial execution.
-    ForceParallel,
+    /// One thread, subtree-major order.
+    Serial,
 }
 
-/// Minimum participating nodes before [`WaveMode::Auto`] parallelizes: at
-/// paper scale (hundreds of nodes) thread spawn + ledger replay cost more
-/// than they save, so waves stay serial until well past it.
-pub const PAR_MIN_PARTICIPANTS: usize = 4096;
-
-/// The largest share of a wave's nodes one lane may hold before
-/// [`WaveMode::Auto`] declines to parallelize: beyond it the split cannot
-/// save a quarter of the serial time, less than recording and replaying
-/// every charge costs.
-pub const PAR_MAX_LANE_SHARE: f64 = 0.75;
-
-thread_local! {
-    static WAVE_MODE: Cell<WaveMode> = const { Cell::new(WaveMode::Auto) };
-}
-
-/// Sets the execution mode of subsequent `_sync` waves *on this thread*.
-/// Thread-local so concurrently running tests (and drivers) cannot race
-/// each other's setting; worker threads a wave spawns are unaffected — the
-/// mode is read once at wave entry.
-pub fn set_wave_mode(mode: WaveMode) {
-    WAVE_MODE.with(|m| m.set(mode));
-}
-
-/// The current thread's wave execution mode.
+/// Kept for its only caller, `benchmark/src/main.rs:160`, which prints it
+/// into the host fingerprint; the next `benchmark` PR drops that field and
+/// this function (and [`WaveMode`]) together.
+#[doc(hidden)]
 pub fn wave_mode() -> WaveMode {
-    WAVE_MODE.with(|m| m.get())
-}
-
-#[cfg(feature = "parallel")]
-fn worker_threads() -> usize {
-    use std::sync::OnceLock;
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// How a wave over `items` (independent subtree blocks, `weight` nodes
-/// each, `participants` in all) is split across worker threads: contiguous
-/// runs of items, one charging lane each — or `None` to run serially.
-///
-/// [`WaveMode::Auto`] declines unless the tree can actually be split: a
-/// lane that holds more than [`PAR_MAX_LANE_SHARE`] of the wave leaves the
-/// other threads idle while the ledger replay is paid in full. That is a
-/// property of the routing tree (a corner base station whose four children
-/// include one ancestor of 99.9 % of the network), not of a workload.
-#[cfg(feature = "parallel")]
-fn lane_split<T>(
-    items: &[T],
-    weight: impl Fn(&T) -> usize,
-    participants: usize,
-) -> Option<Vec<std::ops::Range<usize>>> {
-    let auto = match wave_mode() {
-        WaveMode::ForceSerial => return None,
-        WaveMode::ForceParallel => false,
-        WaveMode::Auto => true,
-    };
-    if items.is_empty() || (auto && (participants < PAR_MIN_PARTICIPANTS || worker_threads() < 2)) {
-        return None;
-    }
-    let lanes = balance(items, &weight, worker_threads());
-    if auto {
-        let heaviest = lanes
-            .iter()
-            .map(|r| items[r.clone()].iter().map(&weight).sum::<usize>())
-            .max()
-            .unwrap_or(0);
-        if lanes.len() < 2 || heaviest as f64 > PAR_MAX_LANE_SHARE * participants as f64 {
-            return None;
-        }
-    }
-    Some(lanes)
-}
-
-/// The wave's participants in visiting order: the routing tree's cached
-/// post-order filtered by `participates`. Subtree blocks stay contiguous
-/// (filtering preserves order, and root-closedness means a block is either
-/// fully absent or keeps its root-child as its last element); the tree root
-/// is the final element.
-fn collect_participants(
-    tree: &RoutingTree,
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
-) -> Vec<NodeId> {
-    let mut parts: Vec<NodeId> = tree
-        .bottom_up_order()
-        .iter()
-        .copied()
-        .filter(|&v| participates(v))
-        .collect();
-    assert_eq!(
-        parts.pop(),
-        Some(tree.base()),
-        "the tree root always participates"
-    );
-    parts
+    WaveMode::Serial
 }
 
 /// Participants the wave never visited: alive-and-claimed nodes that are
@@ -233,7 +125,7 @@ fn collect_participants(
 fn absent_nodes(
     n: usize,
     tree: &RoutingTree,
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
+    participates: &dyn Fn(NodeId) -> bool,
 ) -> Vec<NodeId> {
     (0..n as u32)
         .map(NodeId)
@@ -255,31 +147,9 @@ impl LevelMax {
         self.0[l] = self.0[l].max(t);
     }
 
-    fn absorb(&mut self, other: LevelMax) {
-        for (l, t) in other.0.into_iter().enumerate() {
-            self.note(l as u32, t);
-        }
-    }
-
     fn slotted(&self) -> Time {
         self.0.iter().sum()
     }
-}
-
-/// A message that reached the wave's root, in serial arrival order.
-struct RootArrival<M> {
-    /// `None` if the root-child's message was undecodable.
-    msg: Option<M>,
-    /// When the transfer into the root finished (pipelined schedule).
-    done: Time,
-}
-
-/// Everything one contiguous run of subtree blocks contributes to an up
-/// wave. Merging chunks in block order reproduces the serial outcome.
-struct UpChunk<M> {
-    level_max: LevelMax,
-    damaged: Vec<NodeId>,
-    arrivals: Vec<RootArrival<M>>,
 }
 
 /// A message on its way to a parent the wave has not visited yet.
@@ -289,107 +159,6 @@ struct InFlight<M> {
     /// waits for the transfer to end.
     msg: Option<M>,
     done: Time,
-}
-
-/// Runs the non-root part of an up wave over `order` (a contiguous run of
-/// participant subtree blocks in post-order). In post-order a node is
-/// visited right after the last of its children's subtrees, each of which
-/// consumed its own children's messages — so a node's inbox is exactly the
-/// top of one stack of in-flight messages. No per-node table, no lookup;
-/// scratch is the stack, at most `order.len()` deep.
-fn up_chunk<M>(
-    tree: &RoutingTree,
-    root: NodeId,
-    order: &[NodeId],
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
-    produce: &mut impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: &impl Fn(&mut M) -> usize,
-    deliver: &mut impl FnMut(NodeId, NodeId, usize) -> Delivery,
-) -> UpChunk<M> {
-    let mut in_flight: Vec<InFlight<M>> = Vec::new();
-    let mut chunk = UpChunk {
-        level_max: LevelMax::default(),
-        damaged: Vec::new(),
-        arrivals: Vec::new(),
-    };
-    for &v in order {
-        let mine = in_flight
-            .iter()
-            .rposition(|m| m.to != v)
-            .map_or(0, |i| i + 1);
-        // When v's slowest child transfer finished.
-        let mut ready: Time = 0;
-        let mut received = Vec::with_capacity(in_flight.len() - mine);
-        for m in in_flight.drain(mine..) {
-            ready = ready.max(m.done);
-            received.extend(m.msg);
-        }
-        let mut msg = produce(v, received);
-        let parent = tree.parent(v).expect("only the root has no parent");
-        // The stack discipline relies on it: a message to a parent that is
-        // never visited would sit on the stack under its siblings' inboxes.
-        assert!(
-            parent == root || participates(parent),
-            "participants must be root-closed"
-        );
-        let bytes = size_of(&mut msg);
-        let d = deliver(v, parent, bytes);
-        if d.time > 0 {
-            let level = tree.depth(v).expect("participant is reachable");
-            chunk.level_max.note(level, d.time);
-        }
-        let done = ready + d.time;
-        if !d.complete {
-            chunk.damaged.push(v);
-        }
-        // Undecodable message: dropped whole at the parent.
-        let msg = d.complete.then_some(msg);
-        if parent == root {
-            chunk.arrivals.push(RootArrival { msg, done });
-        } else {
-            in_flight.push(InFlight {
-                to: parent,
-                msg,
-                done,
-            });
-        }
-    }
-    debug_assert!(in_flight.is_empty(), "every message met its parent");
-    chunk
-}
-
-/// Merges up-wave chunks in block order, runs the root's `produce` and
-/// assembles the report — the tail every up-wave flavor shares.
-fn finish_up<M>(
-    n: usize,
-    tree: &RoutingTree,
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
-    root: NodeId,
-    chunks: Vec<UpChunk<M>>,
-    produce: &mut impl FnMut(NodeId, Vec<M>) -> M,
-) -> (M, WaveReport) {
-    let mut level_max = LevelMax::default();
-    let mut damaged = Vec::new();
-    let mut inbox = Vec::new();
-    let mut ready: Time = 0;
-    for chunk in chunks {
-        level_max.absorb(chunk.level_max);
-        damaged.extend(chunk.damaged);
-        for arrival in chunk.arrivals {
-            ready = ready.max(arrival.done);
-            inbox.extend(arrival.msg);
-        }
-    }
-    let msg = produce(root, inbox);
-    let report = WaveReport {
-        timing: WaveTiming {
-            pipelined: ready,
-            slotted: level_max.slotted(),
-        },
-        damaged,
-        absent: absent_nodes(n, tree, participates),
-    };
-    (msg, report)
 }
 
 /// Runs a leaf→root wave over all nodes for which `participates` holds
@@ -410,264 +179,108 @@ pub fn up_wave<M>(
     net: &mut Network,
     participates: &dyn Fn(NodeId) -> bool,
     produce: impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: impl Fn(&mut M) -> usize,
-    phase: &str,
-) -> (M, WaveReport) {
-    let order = collect_participants(net.routing(), participates);
-    up_serial(net, &order, participates, produce, size_of, phase)
-}
-
-/// The serial up wave over already collected participants, charged straight
-/// through the network's [`sensjoin_sim::DeliveryPort`].
-fn up_serial<M>(
-    net: &mut Network,
-    order: &[NodeId],
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
-    mut produce: impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: impl Fn(&mut M) -> usize,
+    size_of: impl FnMut(&mut M) -> usize,
     phase: &str,
 ) -> (M, WaveReport) {
     let n = net.len();
     let phase = net.intern_phase(phase);
-    let (tree, mut port) = net.delivery_port();
-    let root = tree.base();
-    let chunk = up_chunk(
-        tree,
-        root,
-        order,
-        participates,
-        &mut produce,
-        &size_of,
-        &mut |f, t, b| port.unicast_delivery(f, t, b, phase),
-    );
-    finish_up(n, tree, participates, root, vec![chunk], &mut produce)
+    let (tree, port) = net.delivery_port();
+    up_run(n, tree, port, participates, produce, size_of, phase)
 }
 
-/// [`up_wave`] over an explicit routing tree with a serial `FnMut`
-/// callback; the thread-shareable variant is [`up_wave_on_sync`].
-#[cfg(test)]
-fn up_wave_on<M>(
+/// [`up_wave`] over an explicit routing tree instead of the network's own.
+pub fn up_wave_on<M>(
     net: &mut Network,
     tree: &RoutingTree,
     participates: &dyn Fn(NodeId) -> bool,
+    produce: impl FnMut(NodeId, Vec<M>) -> M,
+    size_of: impl FnMut(&mut M) -> usize,
+    phase: &str,
+) -> (M, WaveReport) {
+    let n = net.len();
+    let phase = net.intern_phase(phase);
+    let (_, port) = net.delivery_port();
+    up_run(n, tree, port, participates, produce, size_of, phase)
+}
+
+/// The up wave both entry points share: walks `tree`'s cached post-order
+/// filtered by `participates` (filtering keeps subtree blocks contiguous,
+/// the tree root comes last). In post-order a node is visited right after
+/// the last of its children's subtrees, each of which consumed its own
+/// children's messages — so a node's inbox is exactly the top of one stack
+/// of in-flight messages. No per-node table, no lookup; scratch is the
+/// stack, at most as deep as the wave has participants.
+fn up_run<M>(
+    n: usize,
+    tree: &RoutingTree,
+    mut port: DeliveryPort<'_>,
+    participates: &dyn Fn(NodeId) -> bool,
     mut produce: impl FnMut(NodeId, Vec<M>) -> M,
-    size_of: impl Fn(&mut M) -> usize,
-    phase: &str,
+    mut size_of: impl FnMut(&mut M) -> usize,
+    phase: PhaseId,
 ) -> (M, WaveReport) {
     let root = tree.base();
-    let order = collect_participants(tree, participates);
-    let chunk = up_chunk(
-        tree,
-        root,
-        &order,
-        participates,
-        &mut produce,
-        &size_of,
-        &mut |f, t, b| net.unicast_delivery(f, t, b, phase),
-    );
-    finish_up(
-        net.len(),
-        tree,
-        participates,
-        root,
-        vec![chunk],
-        &mut produce,
-    )
-}
-
-/// Splits `order` (contiguous subtree blocks) at block boundaries — a block
-/// ends at each direct child of `root`.
-#[cfg(feature = "parallel")]
-fn subtree_blocks(
-    tree: &RoutingTree,
-    root: NodeId,
-    order: &[NodeId],
-) -> Vec<std::ops::Range<usize>> {
-    let mut blocks = Vec::new();
-    let mut start = 0;
-    for (i, &v) in order.iter().enumerate() {
-        if tree.parent(v) == Some(root) {
-            blocks.push(start..i + 1);
-            start = i + 1;
+    assert!(participates(root), "the tree root always participates");
+    let mut level_max = LevelMax::default();
+    let mut damaged = Vec::new();
+    let mut in_flight: Vec<InFlight<M>> = Vec::new();
+    for &v in tree.bottom_up_order() {
+        if v == root || !participates(v) {
+            continue;
         }
-    }
-    debug_assert_eq!(start, order.len(), "trailing nodes outside any block");
-    blocks
-}
-
-/// Greedily groups consecutive items into at most `max_chunks` contiguous
-/// runs of roughly equal total weight.
-#[cfg(feature = "parallel")]
-fn balance<T>(
-    items: &[T],
-    weight: impl Fn(&T) -> usize,
-    max_chunks: usize,
-) -> Vec<std::ops::Range<usize>> {
-    let chunks = max_chunks.clamp(1, items.len().max(1));
-    let total: usize = items.iter().map(&weight).sum();
-    let mut out: Vec<std::ops::Range<usize>> = Vec::with_capacity(chunks);
-    let mut start = 0;
-    let mut acc = 0usize;
-    let mut spent = 0usize;
-    for (i, item) in items.iter().enumerate() {
-        acc += weight(item);
-        let left = chunks - out.len();
-        if left == 1 {
-            continue; // the last chunk takes the rest
+        let mine = in_flight
+            .iter()
+            .rposition(|m| m.to != v)
+            .map_or(0, |i| i + 1);
+        // When v's slowest child transfer finished.
+        let mut ready: Time = 0;
+        let mut received = Vec::with_capacity(in_flight.len() - mine);
+        for m in in_flight.drain(mine..) {
+            ready = ready.max(m.done);
+            received.extend(m.msg);
         }
-        let target = (total - spent).div_ceil(left);
-        if acc >= target {
-            out.push(start..i + 1);
-            start = i + 1;
-            spent += acc;
-            acc = 0;
-        }
-    }
-    if start < items.len() {
-        out.push(start..items.len());
-    }
-    out
-}
-
-/// The up wave's lanes: runs of whole subtree blocks of `order`, as ranges
-/// into `order` (see [`lane_split`]).
-#[cfg(feature = "parallel")]
-fn up_lanes(
-    tree: &RoutingTree,
-    root: NodeId,
-    order: &[NodeId],
-) -> Option<Vec<std::ops::Range<usize>>> {
-    let blocks = subtree_blocks(tree, root, order);
-    let lanes = lane_split(&blocks, |b| b.len(), order.len())?;
-    Some(
-        lanes
-            .into_iter()
-            .map(|r| blocks[r.start].start..blocks[r.end - 1].end)
-            .collect(),
-    )
-}
-
-/// Runs up-wave chunks on worker threads, one charging lane each. Returns
-/// outcomes in block order, so absorbing + merging sequentially
-/// ([`absorb_lanes`]) reproduces the serial event sequence.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn up_parallel<M: Send>(
-    net: &Network,
-    tree: &RoutingTree,
-    order: &[NodeId],
-    lanes: Vec<std::ops::Range<usize>>,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    produce: &(impl Fn(NodeId, Vec<M>) -> M + Sync),
-    size_of: &(impl Fn(&mut M) -> usize + Sync),
-    phase: sensjoin_sim::PhaseId,
-) -> Vec<(sensjoin_sim::LaneOutcome, UpChunk<M>)> {
-    let root = tree.base();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = lanes
-            .into_iter()
-            .map(|span| {
-                let mut lane = net.open_lane();
-                let order = &order[span];
-                s.spawn(move || {
-                    let mut p = |v, msgs| produce(v, msgs);
-                    let mut d = |f, t, b| lane.unicast_delivery(f, t, b, phase);
-                    let chunk = up_chunk(tree, root, order, participates, &mut p, size_of, &mut d);
-                    (lane.finish(), chunk)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("up-wave worker panicked"))
-            .collect()
-    })
-}
-
-/// Replays finished lanes onto the network in block order and hands back
-/// their chunks in that order.
-#[cfg(feature = "parallel")]
-fn absorb_lanes<C>(net: &mut Network, results: Vec<(sensjoin_sim::LaneOutcome, C)>) -> Vec<C> {
-    results
-        .into_iter()
-        .map(|(outcome, chunk)| {
-            net.absorb_lane(outcome);
-            chunk
-        })
-        .collect()
-}
-
-/// [`up_wave`] with thread-shareable callbacks: parallelizes across subtree
-/// blocks per [`set_wave_mode`], with byte/packet counters, energy sums,
-/// trace rows and channel streams bit-identical to serial execution (see
-/// the module docs). Mutate per-node state through [`crate::NodeCells`].
-pub fn up_wave_sync<M: Send>(
-    net: &mut Network,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    produce: impl Fn(NodeId, Vec<M>) -> M + Sync,
-    size_of: impl Fn(&mut M) -> usize + Sync,
-    phase: &str,
-) -> (M, WaveReport) {
-    let order = collect_participants(net.routing(), participates);
-    #[cfg(feature = "parallel")]
-    if let Some(lanes) = up_lanes(net.routing(), net.base(), &order) {
-        let phase = net.intern_phase(phase);
-        let results = up_parallel(
-            net,
-            net.routing(),
-            &order,
-            lanes,
-            participates,
-            &produce,
-            &size_of,
-            phase,
+        let mut msg = produce(v, received);
+        let parent = tree.parent(v).expect("only the root has no parent");
+        // The stack discipline relies on it: a message to a parent that is
+        // never visited would sit on the stack under its siblings' inboxes.
+        assert!(
+            parent == root || participates(parent),
+            "participants must be root-closed"
         );
-        let chunks = absorb_lanes(net, results);
-        let tree = net.routing();
-        let mut p = |v, msgs| produce(v, msgs);
-        return finish_up(net.len(), tree, participates, tree.base(), chunks, &mut p);
+        let bytes = size_of(&mut msg);
+        let d = port.unicast_delivery(v, parent, bytes, phase);
+        if d.time > 0 {
+            let level = tree.depth(v).expect("participant is reachable");
+            level_max.note(level, d.time);
+        }
+        if !d.complete {
+            damaged.push(v);
+        }
+        in_flight.push(InFlight {
+            to: parent,
+            // Undecodable message: dropped whole at the parent.
+            msg: d.complete.then_some(msg),
+            done: ready + d.time,
+        });
     }
-    up_serial(net, &order, participates, produce, size_of, phase)
-}
-
-/// [`up_wave_on`] with thread-shareable callbacks; see [`up_wave_sync`].
-pub fn up_wave_on_sync<M: Send>(
-    net: &mut Network,
-    tree: &RoutingTree,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    produce: impl Fn(NodeId, Vec<M>) -> M + Sync,
-    size_of: impl Fn(&mut M) -> usize + Sync,
-    phase: &str,
-) -> (M, WaveReport) {
-    let root = tree.base();
-    let order = collect_participants(tree, participates);
-    let mut p = |v, msgs| produce(v, msgs);
-    #[cfg(feature = "parallel")]
-    if let Some(lanes) = up_lanes(tree, root, &order) {
-        let phase = net.intern_phase(phase);
-        let results = up_parallel(
-            net,
-            tree,
-            &order,
-            lanes,
-            participates,
-            &produce,
-            &size_of,
-            phase,
-        );
-        let chunks = absorb_lanes(net, results);
-        return finish_up(net.len(), tree, participates, root, chunks, &mut p);
+    // What is still in flight is the root's inbox, in arrival order.
+    let mut ready: Time = 0;
+    let mut inbox = Vec::with_capacity(in_flight.len());
+    for m in in_flight {
+        debug_assert!(m.to == root, "every message met its parent");
+        ready = ready.max(m.done);
+        inbox.extend(m.msg);
     }
-    let chunk = up_chunk(
-        tree,
-        root,
-        &order,
-        participates,
-        &mut p,
-        &size_of,
-        &mut |f, t, b| net.unicast_delivery(f, t, b, phase),
-    );
-    finish_up(net.len(), tree, participates, root, vec![chunk], &mut p)
+    let msg = produce(root, inbox);
+    let report = WaveReport {
+        timing: WaveTiming {
+            pipelined: ready,
+            slotted: level_max.slotted(),
+        },
+        damaged,
+        absent: absent_nodes(n, tree, participates),
+    };
+    (msg, report)
 }
 
 /// Owned arrival state queued for a down-wave node.
@@ -677,31 +290,38 @@ enum Arrival<M> {
     Damaged,
 }
 
-/// What one contiguous run of down-wave subtrees contributes.
-#[derive(Default)]
-struct DownChunk {
-    latest: Time,
-    level_max: LevelMax,
-    damaged: Vec<NodeId>,
-}
-
-/// Depth-first down wave over `seeds` (each a subtree root with its arrival
-/// state), visiting each seed's whole subtree before the next — the serial
-/// pre-order. Scratch is the DFS stack: proportional to the visited region.
-fn down_chunk<M: Clone>(
-    tree: &RoutingTree,
-    participates: &(impl Fn(NodeId) -> bool + ?Sized),
-    produce: &mut impl FnMut(NodeId, DownArrival<'_, M>) -> Option<M>,
-    size_of: &impl Fn(&mut M) -> usize,
-    seeds: Vec<(NodeId, Arrival<M>, Time)>,
-    deliver: &mut impl FnMut(NodeId, &[NodeId], usize) -> sensjoin_sim::BroadcastDelivery,
-) -> DownChunk {
-    let mut chunk = DownChunk::default();
-    let mut stack: Vec<(NodeId, Arrival<M>, Time)> = seeds;
-    stack.reverse(); // pop order = seed order
+/// Runs a root→leaf wave. `produce(node, arrival)` is called with
+/// [`DownArrival::Origin`] at the base station, [`DownArrival::Intact`] at
+/// nodes that received their parent's message, and [`DownArrival::Damaged`]
+/// at nodes whose copy was permanently lost on the channel; it returns the
+/// message to broadcast to the node's participating children (`None`
+/// suppresses forwarding — Selective Filter Forwarding's pruning). A single
+/// broadcast reaches all participating children (one transmission, one
+/// reception each — paper Fig. 3 `broadcast(SubtreeFilter)`). `size_of` is
+/// called once per broadcast, before the children's copies are made, so a
+/// size it caches in the message travels with every copy.
+///
+/// The walk is depth-first, each subtree in full before the next (the
+/// pre-order matching [`up_wave`]'s post-order); scratch is the DFS stack,
+/// proportional to the visited region. Children whose copy was lost appear
+/// in [`WaveReport::damaged`].
+pub fn down_wave<M: Clone>(
+    net: &mut Network,
+    participates: &dyn Fn(NodeId) -> bool,
+    mut produce: impl FnMut(NodeId, DownArrival<'_, M>) -> Option<M>,
+    mut size_of: impl FnMut(&mut M) -> usize,
+    phase: &str,
+) -> WaveReport {
+    let n = net.len();
+    let phase = net.intern_phase(phase);
+    let (tree, mut port) = net.delivery_port();
+    let mut latest: Time = 0;
+    let mut level_max = LevelMax::default();
+    let mut damaged = Vec::new();
+    let mut stack: Vec<(NodeId, Arrival<M>, Time)> = vec![(tree.base(), Arrival::Origin, 0)];
     let mut kids: Vec<NodeId> = Vec::new();
     while let Some((v, arrival, at)) = stack.pop() {
-        chunk.latest = chunk.latest.max(at);
+        latest = latest.max(at);
         let out = match &arrival {
             Arrival::Origin => produce(v, DownArrival::Origin),
             Arrival::Msg(m) => produce(v, DownArrival::Intact(m)),
@@ -719,10 +339,10 @@ fn down_chunk<M: Clone>(
             continue;
         }
         let bytes = size_of(&mut out);
-        let d = deliver(v, &kids, bytes);
+        let d = port.broadcast_delivery(v, &kids, bytes, phase);
         if d.time > 0 {
             let level = tree.depth(v).expect("broadcaster is reachable");
-            chunk.level_max.note(level, d.time);
+            level_max.note(level, d.time);
         }
         // Reversed push: the lowest-id child's subtree is walked first.
         for (i, &c) in kids.iter().enumerate().rev() {
@@ -737,158 +357,17 @@ fn down_chunk<M: Clone>(
         // Damage is reported in child order, not visiting order.
         for (i, &c) in kids.iter().enumerate() {
             if bytes > 0 && !d.complete[i] {
-                chunk.damaged.push(c);
+                damaged.push(c);
             }
         }
     }
-    chunk
-}
-
-/// Runs a root→leaf wave. `produce(node, arrival)` is called with
-/// [`DownArrival::Origin`] at the base station, [`DownArrival::Intact`] at
-/// nodes that received their parent's message, and [`DownArrival::Damaged`]
-/// at nodes whose copy was permanently lost on the channel; it returns the
-/// message to broadcast to the node's participating children (`None`
-/// suppresses forwarding — Selective Filter Forwarding's pruning). A single
-/// broadcast reaches all participating children (one transmission, one
-/// reception each — paper Fig. 3 `broadcast(SubtreeFilter)`). `size_of` is
-/// called once per broadcast, before the children's copies are made, so a
-/// size it caches in the message travels with every copy.
-///
-/// Children whose copy was lost appear in [`WaveReport::damaged`].
-pub fn down_wave<M: Clone>(
-    net: &mut Network,
-    participates: &dyn Fn(NodeId) -> bool,
-    mut produce: impl FnMut(NodeId, DownArrival<'_, M>) -> Option<M>,
-    size_of: impl Fn(&mut M) -> usize,
-    phase: &str,
-) -> WaveReport {
-    let n = net.len();
-    let phase = net.intern_phase(phase);
-    let (tree, mut port) = net.delivery_port();
-    let base = tree.base();
-    let chunk = down_chunk(
-        tree,
-        participates,
-        &mut produce,
-        &size_of,
-        vec![(base, Arrival::Origin, 0)],
-        &mut |f, r, b| port.broadcast_delivery(f, r, b, phase),
-    );
     WaveReport {
         timing: WaveTiming {
-            pipelined: chunk.latest,
-            slotted: chunk.level_max.slotted(),
+            pipelined: latest,
+            slotted: level_max.slotted(),
         },
-        damaged: chunk.damaged,
+        damaged,
         absent: absent_nodes(n, tree, participates),
-    }
-}
-
-/// [`down_wave`] with thread-shareable callbacks: the root's broadcast is
-/// charged serially, then the child subtrees fan out across worker threads
-/// per [`set_wave_mode`] — bit-identical to serial execution (see the
-/// module docs). Mutate per-node state through [`crate::NodeCells`].
-pub fn down_wave_sync<M: Clone + Send>(
-    net: &mut Network,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    produce: impl Fn(NodeId, DownArrival<'_, M>) -> Option<M> + Sync,
-    size_of: impl Fn(&mut M) -> usize + Sync,
-    phase: &str,
-) -> WaveReport {
-    #[cfg(feature = "parallel")]
-    {
-        let base = net.base();
-        let tree = net.routing();
-        let kids: Vec<NodeId> = tree
-            .children(base)
-            .iter()
-            .copied()
-            .filter(|&c| participates(c))
-            .collect();
-        let subtree = |c: &NodeId| tree.descendants(*c) as usize + 1;
-        let potential: usize = kids.iter().map(subtree).sum();
-        if let Some(lanes) = lane_split(&kids, subtree, potential) {
-            return down_parallel(net, &kids, lanes, participates, &produce, &size_of, phase);
-        }
-    }
-    down_wave(net, &participates, produce, size_of, phase)
-}
-
-/// The parallel down wave: the root's broadcast to `kids` is charged
-/// serially (it, and the ACK frames flowing back, precede every subtree
-/// event), then each lane — a run of `kids` — walks its subtrees on a
-/// worker thread; see [`up_parallel`].
-#[cfg(feature = "parallel")]
-fn down_parallel<M: Clone + Send>(
-    net: &mut Network,
-    kids: &[NodeId],
-    lanes: Vec<std::ops::Range<usize>>,
-    participates: &(dyn Fn(NodeId) -> bool + Sync),
-    produce: &(impl Fn(NodeId, DownArrival<'_, M>) -> Option<M> + Sync),
-    size_of: &(impl Fn(&mut M) -> usize + Sync),
-    phase: &str,
-) -> WaveReport {
-    let n = net.len();
-    let base = net.base();
-    let phase_id = net.intern_phase(phase);
-    let mut total = DownChunk::default();
-    let mut seeds: Vec<(NodeId, Arrival<M>, Time)> = Vec::with_capacity(kids.len());
-    if let Some(mut out) = produce(base, DownArrival::Origin) {
-        let bytes = size_of(&mut out);
-        let d = net.broadcast_delivery(base, kids, bytes, phase);
-        if d.time > 0 {
-            total.level_max.note(0, d.time);
-        }
-        for (i, &c) in kids.iter().enumerate() {
-            if bytes == 0 || d.complete[i] {
-                seeds.push((c, Arrival::Msg(out.clone()), d.time));
-            } else {
-                total.damaged.push(c);
-                seeds.push((c, Arrival::Damaged, d.time));
-            }
-        }
-    }
-    if !seeds.is_empty() {
-        // One group of seeds per lane, split off back to front.
-        let mut groups: Vec<Vec<(NodeId, Arrival<M>, Time)>> = Vec::with_capacity(lanes.len());
-        for r in lanes.into_iter().rev() {
-            groups.push(seeds.split_off(r.start));
-        }
-        groups.reverse();
-        let shared: &Network = net;
-        let tree = shared.routing();
-        let results: Vec<(sensjoin_sim::LaneOutcome, DownChunk)> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|seeds| {
-                    let mut lane = shared.open_lane();
-                    s.spawn(move || {
-                        let mut p = |v, a: DownArrival<'_, M>| produce(v, a);
-                        let mut d = |f, r: &[NodeId], b| lane.broadcast_delivery(f, r, b, phase_id);
-                        let chunk = down_chunk(tree, participates, &mut p, size_of, seeds, &mut d);
-                        (lane.finish(), chunk)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("down-wave worker panicked"))
-                .collect()
-        });
-        for chunk in absorb_lanes(net, results) {
-            total.latest = total.latest.max(chunk.latest);
-            total.level_max.absorb(chunk.level_max);
-            total.damaged.extend(chunk.damaged);
-        }
-    }
-    WaveReport {
-        timing: WaveTiming {
-            pipelined: total.latest,
-            slotted: total.level_max.slotted(),
-        },
-        damaged: total.damaged,
-        absent: absent_nodes(n, net.routing(), participates),
     }
 }
 
@@ -1120,10 +599,9 @@ mod tests {
         assert_eq!(rep.damaged.len(), expect);
     }
 
-    /// Regression for the O(n)-scratch fix: the participant-table engine
-    /// (and the split-borrow delivery port) must behave exactly like the
-    /// explicit-tree path on a twin network — message, report and every
-    /// per-node counter.
+    /// Both up-wave entry points charge through the same port: on a twin
+    /// network the explicit-tree path must reproduce the message, the
+    /// report, every per-node counter and the per-phase totals.
     #[test]
     fn up_wave_matches_explicit_tree_run() {
         let lossy = |net: &mut Network| {
@@ -1160,131 +638,6 @@ mod tests {
         for v in a.topology().nodes() {
             assert_eq!(a.stats().node(v), b.stats().node(v), "{v}");
         }
-    }
-
-    /// A corner base station whose few children include one ancestor of
-    /// nearly the whole network: the tree cannot be split into lanes, so
-    /// `Auto` must run serially (one lane would do all the work and the
-    /// ledger replay would come on top) while `ForceParallel` still takes
-    /// the lane machinery.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn auto_declines_when_the_tree_does_not_split() {
-        // Placement seed 6 at paper density: base-child subtrees of 1, 4996
-        // and 2 nodes.
-        let area = Area::for_constant_density(5000);
-        let pos = Placement::UniformRandom { n: 5000 }.generate(area, 6);
-        let net = NetworkBuilder::new()
-            .base(sensjoin_sim::BaseChoice::NearestCorner)
-            .build(pos, area)
-            .unwrap();
-        let tree = net.routing();
-        let order = collect_participants(tree, &|_| true);
-        assert!(order.len() >= PAR_MIN_PARTICIPANTS);
-        let blocks = subtree_blocks(tree, tree.base(), &order);
-        let heaviest = blocks.iter().map(|b| b.len()).max().unwrap();
-        assert!(
-            blocks.len() >= 2 && heaviest as f64 > PAR_MAX_LANE_SHARE * order.len() as f64,
-            "the deployment is meant to be lopsided: {:?}",
-            blocks.iter().map(|b| b.len()).collect::<Vec<_>>()
-        );
-        set_wave_mode(WaveMode::Auto);
-        assert_eq!(up_lanes(tree, tree.base(), &order), None);
-        set_wave_mode(WaveMode::ForceParallel);
-        let forced = up_lanes(tree, tree.base(), &order);
-        set_wave_mode(WaveMode::Auto);
-        let forced = forced.expect("ForceParallel always takes lanes");
-        assert_eq!(forced.first().unwrap().start, 0);
-        assert_eq!(forced.last().unwrap().end, order.len());
-    }
-
-    /// The split rule itself, on block weights: `Auto` wants at least two
-    /// lanes and none above the share cap, wherever the heavy block sits.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn lane_split_rule() {
-        let split = |blocks: &[usize]| lane_split(blocks, |&b| b, blocks.iter().sum());
-        set_wave_mode(WaveMode::Auto);
-        // Heavy block last: `balance` yields one chunk. Heavy block second:
-        // two chunks, one of them 99.9 % of the wave. Neither is a split.
-        assert_eq!(split(&[10, 50, 33, 99_900]), None);
-        assert_eq!(split(&[10, 99_900, 50, 33]), None);
-        assert_eq!(split(&[99_993]), None);
-        // Too small to bother, however even.
-        assert_eq!(split(&[1000, 1000, 1000]), None);
-        if worker_threads() >= 2 {
-            let lanes = split(&[30_000, 30_000, 40_000]).expect("an even tree splits");
-            assert!(lanes.len() >= 2);
-        }
-        set_wave_mode(WaveMode::ForceParallel);
-        assert_eq!(split(&[10, 50, 33, 99_900]).map(|l| l.len()), Some(1));
-        set_wave_mode(WaveMode::ForceSerial);
-        assert_eq!(split(&[30_000, 30_000, 40_000]), None);
-        set_wave_mode(WaveMode::Auto);
-    }
-
-    #[test]
-    fn sync_up_wave_forced_parallel_matches_serial() {
-        let run = |mode: WaveMode| {
-            set_wave_mode(mode);
-            let mut net = net();
-            net.set_tracing(true);
-            net.set_channel(Some(Channel::bernoulli(0.25, 9)));
-            net.set_arq(ArqPolicy::ack(3));
-            let out = up_wave_sync(
-                &mut net,
-                &|_| true,
-                |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
-                |m| *m * 4,
-                "test",
-            );
-            set_wave_mode(WaveMode::Auto);
-            (out, net)
-        };
-        let ((ms, rs), nets) = run(WaveMode::ForceSerial);
-        let ((mp, rp), netp) = run(WaveMode::ForceParallel);
-        assert_eq!(ms, mp);
-        assert_eq!(rs, rp);
-        for v in nets.topology().nodes() {
-            assert_eq!(nets.stats().node(v), netp.stats().node(v), "{v}");
-        }
-        assert_eq!(
-            nets.trace().unwrap().records(),
-            netp.trace().unwrap().records()
-        );
-    }
-
-    #[test]
-    fn sync_down_wave_forced_parallel_matches_serial() {
-        let run = |mode: WaveMode| {
-            set_wave_mode(mode);
-            let mut net = net();
-            net.set_tracing(true);
-            net.set_channel(Some(Channel::gilbert_elliott(0.3, 4.0, 13)));
-            net.set_arq(ArqPolicy::summary(6));
-            let rep = down_wave_sync(
-                &mut net,
-                &|_| true,
-                |v, a: DownArrival<'_, u32>| match a {
-                    DownArrival::Origin => Some(0),
-                    DownArrival::Intact(d) => (v.0 % 5 != 4).then_some(d + 1),
-                    DownArrival::Damaged => None,
-                },
-                |_| 24,
-                "test",
-            );
-            set_wave_mode(WaveMode::Auto);
-            (rep, net)
-        };
-        let (rs, nets) = run(WaveMode::ForceSerial);
-        let (rp, netp) = run(WaveMode::ForceParallel);
-        assert_eq!(rs, rp);
-        for v in nets.topology().nodes() {
-            assert_eq!(nets.stats().node(v), netp.stats().node(v), "{v}");
-        }
-        assert_eq!(
-            nets.trace().unwrap().records(),
-            netp.trace().unwrap().records()
-        );
+        assert!(a.stats().phases().eq(b.stats().phases()));
     }
 }

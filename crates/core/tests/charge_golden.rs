@@ -5,9 +5,8 @@
 //! lossless path. None of that may move a single byte, packet, microjoule
 //! or microsecond: the values below were printed by the commit *before*
 //! those changes (which serialized every message to measure it and charged
-//! through a string-keyed map) and every later commit must reproduce them —
-//! under serial waves and under forced parallel lanes, with and without the
-//! `parallel` feature.
+//! through a string-keyed map) and every later commit must reproduce them,
+//! with and without the `parallel` feature.
 //!
 //! To re-pin after a deliberate protocol change, run with
 //! `CHARGE_GOLDEN_PRINT=1 cargo test -p sensjoin-core --test charge_golden
@@ -15,8 +14,8 @@
 
 use sensjoin_core::persist::{get_net_snapshot, put_net_snapshot, Reader, Writer};
 use sensjoin_core::{
-    set_wave_mode, ContinuousSensJoin, JoinMethod, QueryGroup, SensJoin, SensJoinConfig,
-    SensorNetwork, SensorNetworkBuilder, WaveMode,
+    ContinuousSensJoin, JoinMethod, QueryGroup, SensJoin, SensJoinConfig, SensorNetwork,
+    SensorNetworkBuilder,
 };
 use sensjoin_field::{presets, Area, Placement};
 use sensjoin_query::parse;
@@ -188,19 +187,14 @@ fn snapshot_image() -> String {
     )
 }
 
-/// Runs `scenario` under serial waves and under forced lanes (which degrade
-/// to serial without the `parallel` feature) and holds both to `golden`.
+/// Runs `scenario` and holds it to `golden`.
 fn pinned(name: &str, scenario: impl Fn() -> String, golden: &str) {
-    for mode in [WaveMode::ForceSerial, WaveMode::ForceParallel] {
-        set_wave_mode(mode);
-        let got = scenario();
-        set_wave_mode(WaveMode::Auto);
-        if std::env::var_os("CHARGE_GOLDEN_PRINT").is_some() {
-            println!("---- {name} ({mode:?})\n{got}----");
-            continue;
-        }
-        assert_eq!(got, golden, "{name} under {mode:?}");
+    let got = scenario();
+    if std::env::var_os("CHARGE_GOLDEN_PRINT").is_some() {
+        println!("---- {name}\n{got}----");
+        return;
     }
+    assert_eq!(got, golden, "{name}");
 }
 
 #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Node placement and sensor-data generation for WSN experiments.
 //!

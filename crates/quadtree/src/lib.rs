@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Pointerless region-quadtree encoding of join-attribute tuple sets.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Multi-tenant serving layer for SENS-Join: many simulated users submit
 //! continuous queries against a registry of sensor-network deployments

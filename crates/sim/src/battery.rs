@@ -5,10 +5,8 @@
 //! that loop: a [`BatteryBank`] holds per-node residual energy in the same
 //! flat struct-of-arrays layout as the routing tree, every µJ the
 //! [`crate::EnergyModel`] charges into [`crate::NetworkStats`] is debited
-//! from the transmitting/receiving node's battery at the same call site
-//! (including [`crate::StatLedger`] replays of parallel waves, which keeps
-//! the serial f64 addition order and therefore bit-identity), and
-//! exhaustion is converted by [`crate::Network::apply_churn`] into the
+//! from the transmitting/receiving node's battery at the same call site,
+//! and exhaustion is converted by [`crate::Network::apply_churn`] into the
 //! existing crash-stop churn machinery — so the liveness-projected
 //! exactness guarantees of the recovery paths carry over unchanged to
 //! endogenous, energy-driven failure.
@@ -104,8 +102,8 @@ impl BatteryBank {
     }
 
     /// Debits `uj` from `node`, latching the first capacity crossing into
-    /// the pending queue. Called from every charge site (direct sinks,
-    /// ledger replays, repair beacons), in the exact order the matching
+    /// the pending queue. Called from every charge site (the transfer
+    /// sink, repair beacons), in the exact order the matching
     /// [`crate::NetworkStats`] energy additions happen — so the cumulative
     /// debit is bit-identical to the node's `energy_uj` counter sum.
     #[inline]

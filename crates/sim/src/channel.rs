@@ -180,18 +180,6 @@ impl Channel {
         self.default_model.is_perfect() && self.per_link.values().all(LossModel::is_perfect)
     }
 
-    /// Copies the per-link RNG/Markov state of the directed link
-    /// `from → to` out of `other` (a clone of this channel that has drawn
-    /// further). Parallel wave execution gives each worker thread a channel
-    /// clone; because every directed link is owned by exactly one subtree,
-    /// adopting back exactly the links a thread used leaves every stream
-    /// positioned precisely where serial execution would have left it.
-    pub fn adopt_link_state(&mut self, other: &Channel, from: NodeId, to: NodeId) {
-        if let Some(state) = other.states.get(&(from, to)) {
-            self.states.insert((from, to), state.clone());
-        }
-    }
-
     /// Exports the per-link generator and Markov states in link order — the
     /// checkpoint/restore surface. Links never drawn on have no entry; their
     /// streams are recreated lazily from the channel seed on first use, so

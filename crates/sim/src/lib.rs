@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A discrete-event wireless-sensor-network simulator.
 //!
@@ -111,15 +112,11 @@ pub use churn::{
 };
 pub use energy::EnergyModel;
 pub use failure::LinkFailures;
-pub use network::{
-    BaseChoice, DeliveryPort, LaneOutcome, LinkLane, NetSnapshot, Network, NetworkBuilder,
-    NetworkError,
-};
+pub use network::{BaseChoice, DeliveryPort, NetSnapshot, Network, NetworkBuilder, NetworkError};
 pub use radio::RadioConfig;
 pub use reliability::{summary_bytes, ArqPolicy, BroadcastDelivery, Delivery, ACK_BYTES};
 pub use routing::{ParentPolicy, RepairReport, RoutingTree, POWER_AWARE_HYSTERESIS};
 pub use scheduler::{Scheduler, Time};
-pub use sink::StatLedger;
 pub use stats::{DeltaBatchStats, NetworkStats, NodeStats, PhaseId};
 pub use topology::Topology;
 pub use trace::{Trace, TraceRecord};

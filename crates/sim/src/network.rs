@@ -6,7 +6,7 @@ use crate::churn::{
 };
 use crate::reliability::{summary_bytes, ACK_BYTES};
 use crate::routing::{ParentPolicy, RepairReport};
-use crate::sink::{DirectSink, StatLedger, StatSink};
+use crate::sink::ChargeSink;
 use crate::{
     ArqPolicy, BroadcastDelivery, Channel, ChannelLinkState, Delivery, EnergyModel, NetworkStats,
     PhaseId, RadioConfig, RoutingTree, Time, Topology, Trace, TraceRecord,
@@ -796,9 +796,8 @@ impl Network {
     }
 
     /// The id of phase `label` in this network's statistics (see
-    /// [`NetworkStats::intern`]) — what [`DeliveryPort`] and [`LinkLane`]
-    /// charge under. Ids stay valid until the statistics are reset, taken
-    /// or restored.
+    /// [`NetworkStats::intern`]) — what [`DeliveryPort`] charges under. Ids
+    /// stay valid until the statistics are reset, taken or restored.
     pub fn intern_phase(&mut self, label: &str) -> PhaseId {
         self.stats.intern(label)
     }
@@ -864,30 +863,6 @@ impl Network {
             .broadcast_delivery(from, receivers, bytes, phase)
     }
 
-    /// Opens an independent charging lane for one worker thread of a
-    /// parallel wave. The lane borrows the immutable network structure
-    /// (topology, liveness, phase labels) and owns a clone of the channel
-    /// plus a [`StatLedger`]; its `*_delivery` methods behave exactly like
-    /// the network's own, but record their charges instead of applying
-    /// them. Phases must be interned ([`Network::intern_phase`]) before the
-    /// lane opens. After the thread joins, pass [`LinkLane::finish`]'s
-    /// outcome to [`Network::absorb_lane`] — replaying lanes in
-    /// serial-traversal order reproduces the serial charge sequence bit for
-    /// bit (see [`StatLedger`]).
-    pub fn open_lane(&self) -> LinkLane<'_> {
-        LinkLane {
-            topology: &self.topology,
-            alive: &self.alive,
-            labels: &self.stats,
-            radio: self.radio,
-            energy: self.energy,
-            arq: self.arq,
-            channel: self.channel.clone(),
-            ledger: StatLedger::new(self.trace.is_some()),
-            links: Vec::new(),
-        }
-    }
-
     /// Splits the network into its routing tree and a [`DeliveryPort`]:
     /// the port charges transfers exactly like
     /// [`Network::unicast_delivery`] / [`Network::broadcast_delivery`]
@@ -917,7 +892,7 @@ impl Network {
                 energy: *energy,
                 arq: *arq,
                 channel: channel.as_mut(),
-                sink: DirectSink {
+                sink: ChargeSink {
                     stats,
                     trace: trace.as_mut(),
                     battery: battery.as_mut(),
@@ -925,44 +900,6 @@ impl Network {
             },
         )
     }
-
-    /// Merges a finished lane back: replays its recorded charges onto the
-    /// network's counters and trace, and adopts the channel state of every
-    /// directed link the lane drew on (each link is owned by exactly one
-    /// lane, so the streams end up positioned exactly as after a serial
-    /// run).
-    pub fn absorb_lane(&mut self, outcome: LaneOutcome) {
-        let LaneOutcome {
-            ledger,
-            channel,
-            links,
-        } = outcome;
-        ledger.replay(&mut self.stats, self.trace.as_mut(), self.battery.as_mut());
-        if let (Some(mine), Some(theirs)) = (self.channel.as_mut(), channel.as_ref()) {
-            for &(a, b) in &links {
-                mine.adopt_link_state(theirs, a, b);
-            }
-        }
-    }
-}
-
-/// A per-thread charging lane of a parallel wave: same delivery semantics
-/// as [`Network::unicast_delivery`] / [`Network::broadcast_delivery`], but
-/// charges are recorded in a [`StatLedger`] (and packet fates drawn from a
-/// private channel clone) instead of mutating shared state. Obtain with
-/// [`Network::open_lane`], merge back with [`Network::absorb_lane`].
-#[derive(Debug)]
-pub struct LinkLane<'a> {
-    topology: &'a Topology,
-    alive: &'a [bool],
-    /// Read only for phase labels (the channel's phase scoping).
-    labels: &'a NetworkStats,
-    radio: RadioConfig,
-    energy: EnergyModel,
-    arq: ArqPolicy,
-    channel: Option<Channel>,
-    ledger: StatLedger,
-    links: Vec<(NodeId, NodeId)>,
 }
 
 /// The delivery half of [`Network::delivery_port`]: mutable access to the
@@ -976,11 +913,11 @@ pub struct DeliveryPort<'a> {
     energy: EnergyModel,
     arq: ArqPolicy,
     channel: Option<&'a mut Channel>,
-    sink: DirectSink<'a>,
+    sink: ChargeSink<'a>,
 }
 
-impl<'a> DeliveryPort<'a> {
-    fn link<'s>(&'s mut self, phase: PhaseId) -> Link<'s, DirectSink<'a>> {
+impl DeliveryPort<'_> {
+    fn link(&mut self, phase: PhaseId) -> Link<'_> {
         let loss_in_scope = self
             .channel
             .as_deref()
@@ -992,7 +929,11 @@ impl<'a> DeliveryPort<'a> {
             energy: &self.energy,
             arq: self.arq,
             channel: self.channel.as_deref_mut(),
-            sink: &mut self.sink,
+            sink: ChargeSink {
+                stats: self.sink.stats,
+                trace: self.sink.trace.as_deref_mut(),
+                battery: self.sink.battery.as_deref_mut(),
+            },
             phase,
             loss_in_scope,
         }
@@ -1021,97 +962,18 @@ impl<'a> DeliveryPort<'a> {
     }
 }
 
-/// What a finished [`LinkLane`] hands back for merging: the recorded
-/// charges, the advanced channel clone and the directed links it drew on.
-#[derive(Debug)]
-pub struct LaneOutcome {
-    ledger: StatLedger,
-    channel: Option<Channel>,
-    links: Vec<(NodeId, NodeId)>,
-}
-
-impl LinkLane<'_> {
-    fn link(&mut self, phase: PhaseId) -> Link<'_, StatLedger> {
-        let loss_in_scope = self
-            .channel
-            .as_ref()
-            .is_some_and(|c| c.lossy_in(self.labels.label(phase)));
-        Link {
-            topology: self.topology,
-            alive: self.alive,
-            radio: &self.radio,
-            energy: &self.energy,
-            arq: self.arq,
-            channel: self.channel.as_mut(),
-            sink: &mut self.ledger,
-            phase,
-            loss_in_scope,
-        }
-    }
-
-    /// Remembers the directed links whose channel streams a transfer
-    /// advances (data one way, ACK/summary frames the other).
-    fn note_links(&mut self, from: NodeId, receivers: &[NodeId]) {
-        if self.channel.as_ref().is_some_and(|c| !c.is_perfect()) {
-            for &r in receivers {
-                self.links.push((from, r));
-                self.links.push((r, from));
-            }
-        }
-    }
-
-    /// Lane twin of [`DeliveryPort::unicast_delivery`] — identical
-    /// semantics, charges recorded instead of applied.
-    pub fn unicast_delivery(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        phase: PhaseId,
-    ) -> Delivery {
-        if bytes > 0 {
-            self.note_links(from, &[to]);
-        }
-        self.link(phase).unicast(from, to, bytes)
-    }
-
-    /// Lane twin of [`DeliveryPort::broadcast_delivery`].
-    pub fn broadcast_delivery(
-        &mut self,
-        from: NodeId,
-        receivers: &[NodeId],
-        bytes: usize,
-        phase: PhaseId,
-    ) -> BroadcastDelivery {
-        if bytes > 0 {
-            self.note_links(from, receivers);
-        }
-        self.link(phase).broadcast(from, receivers, bytes)
-    }
-
-    /// Closes the lane, handing back everything [`Network::absorb_lane`]
-    /// needs.
-    pub fn finish(self) -> LaneOutcome {
-        LaneOutcome {
-            ledger: self.ledger,
-            channel: self.channel,
-            links: self.links,
-        }
-    }
-}
-
-/// The one charge point. [`DeliveryPort`] (and through it [`Network`]) and
-/// [`LinkLane`] each lend their parts to a `Link` per message, so the
-/// neighbor checks, the lossless fast path and the ARQ engine exist once;
-/// only the sink differs.
-struct Link<'a, S> {
+/// The one charge point: [`DeliveryPort`] (and through it [`Network`])
+/// lends its parts to a `Link` per message, resolving the phase's loss
+/// scope once before the neighbor checks, the lossless fast path or the ARQ
+/// engine run.
+struct Link<'a> {
     topology: &'a Topology,
     alive: &'a [bool],
     radio: &'a RadioConfig,
     energy: &'a EnergyModel,
     arq: ArqPolicy,
     channel: Option<&'a mut Channel>,
-    sink: &'a mut S,
+    sink: ChargeSink<'a>,
     phase: PhaseId,
     /// Whether the channel may lose packets of `phase` at all (see
     /// [`Channel::scope_to_phases`]); resolved once per message so the
@@ -1119,7 +981,7 @@ struct Link<'a, S> {
     loss_in_scope: bool,
 }
 
-impl<S: StatSink> Link<'_, S> {
+impl Link<'_> {
     fn check_neighbors(&self, from: NodeId, receivers: &[NodeId]) {
         debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
         for r in receivers {
@@ -1186,10 +1048,8 @@ impl<S: StatSink> Link<'_, S> {
                 self.sink.record_rx(r, size, rx, self.phase);
             }
         }
-        if self.sink.wants_trace() {
-            self.sink
-                .trace_lossless(self.phase, from, receivers, bytes, fragments.count());
-        }
+        self.sink
+            .trace_lossless(self.phase, from, receivers, bytes, fragments.count());
         (self.radio.transfer_us(bytes), fragments.count())
     }
 
@@ -1208,7 +1068,7 @@ impl<S: StatSink> Link<'_, S> {
             energy,
             arq,
             channel,
-            sink,
+            mut sink,
             phase,
             loss_in_scope,
             ..
@@ -1368,9 +1228,7 @@ impl<S: StatSink> Link<'_, S> {
             }
         }
         let acked = complete.iter().all(|&c| c);
-        if sink.wants_trace() {
-            sink.trace_delivery(phase, from, receivers, bytes, nfrags, retx, acked);
-        }
+        sink.trace_delivery(phase, from, receivers, bytes, nfrags, retx, acked);
         (
             BroadcastDelivery {
                 time,
@@ -1760,67 +1618,6 @@ mod tests {
         for v in a.topology().nodes() {
             assert_eq!(a.routing().parent(v), b.routing().parent(v));
         }
-    }
-
-    #[test]
-    fn lane_roundtrip_is_bit_identical_to_direct_transfer() {
-        let mut direct = small_net();
-        direct.set_tracing(true);
-        let base = direct.base();
-        let kids: Vec<NodeId> = direct.routing().children(base).to_vec();
-        direct.unicast_delivery(kids[0], base, 100, "up");
-        direct.broadcast_delivery(base, &kids, 30, "down");
-        direct.unicast_delivery(kids[1], base, 0, "up");
-        let mut laned = small_net();
-        laned.set_tracing(true);
-        let (up, down) = (laned.intern_phase("up"), laned.intern_phase("down"));
-        let mut lane = laned.open_lane();
-        lane.unicast_delivery(kids[0], base, 100, up);
-        lane.broadcast_delivery(base, &kids, 30, down);
-        lane.unicast_delivery(kids[1], base, 0, up);
-        let outcome = lane.finish();
-        // Nothing lands until the lane is absorbed.
-        assert_eq!(laned.stats().total_tx_packets(), 0);
-        assert!(laned.trace().unwrap().records().is_empty());
-        laned.absorb_lane(outcome);
-        for v in direct.topology().nodes() {
-            assert_eq!(direct.stats().node(v), laned.stats().node(v));
-        }
-        assert_eq!(
-            direct.trace().unwrap().records(),
-            laned.trace().unwrap().records()
-        );
-    }
-
-    #[test]
-    fn lane_adopts_channel_state_for_links_it_drew_on() {
-        // Twin A does everything directly; twin B routes the middle
-        // transfer through a lane. After absorption the per-link RNG
-        // streams must be positioned identically, so the *next* direct
-        // transfer decides packet fates the same way on both.
-        let mk = || {
-            let mut net = small_net();
-            net.set_channel(Some(Channel::bernoulli(0.4, 17)));
-            net.set_arq(ArqPolicy::ack(20));
-            net
-        };
-        let mut a = mk();
-        let mut b = mk();
-        let base = a.base();
-        let child = a.routing().children(base)[0];
-        a.unicast_delivery(child, base, 100, "p");
-        let p = b.intern_phase("p");
-        let mut lane = b.open_lane();
-        lane.unicast_delivery(child, base, 100, p);
-        let outcome = lane.finish();
-        b.absorb_lane(outcome);
-        assert_eq!(a.stats().node(child), b.stats().node(child));
-        let da = a.unicast_delivery(child, base, 200, "q");
-        let db = b.unicast_delivery(child, base, 200, "q");
-        assert_eq!(da.retransmissions, db.retransmissions);
-        assert_eq!(da.control_packets, db.control_packets);
-        assert_eq!(a.stats().node(child), b.stats().node(child));
-        assert_eq!(a.stats().node(base), b.stats().node(base));
     }
 
     #[test]

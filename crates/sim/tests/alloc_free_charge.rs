@@ -1,11 +1,9 @@
 //! The charge path allocates nothing per packet event.
 //!
 //! A counting global allocator (per-thread counter, so the tests of this
-//! binary do not see each other) wraps lossless transfers through both
-//! sinks: the direct one (`DeliveryPort`, and `Network::unicast` on top of
-//! it) must not touch the heap at all, however many fragments a message
-//! has; the ledger one (`LinkLane`) only grows its event vector, a number
-//! of allocations logarithmic in the events recorded.
+//! binary do not see each other) wraps lossless transfers through the
+//! charge sink (`DeliveryPort`, and `Network::unicast` on top of it): it
+//! must not touch the heap at all, however many fragments a message has.
 
 use sensjoin_field::{Area, Placement};
 use sensjoin_sim::{Network, NetworkBuilder};
@@ -99,24 +97,4 @@ fn direct_sink_charges_without_allocating() {
     });
     assert_eq!(one, 1, "the delivery report");
     assert_eq!(many, one, "21 fragments allocate what 1 does");
-}
-
-#[test]
-fn ledger_sink_only_grows_its_event_vector() {
-    let mut net = net();
-    let base = net.base();
-    let kid = net.routing().children(base)[0];
-    let phase = net.intern_phase("1-collection");
-    let mut lane = net.open_lane();
-    let messages = 2000;
-    let n = allocations(|| {
-        for _ in 0..messages {
-            lane.unicast_delivery(kid, base, 1000, phase);
-        }
-    });
-    // 21 fragments × (tx + rx) = 42 events per message, 84 000 in all: the
-    // vector doubles about 17 times.
-    assert!(n <= 24, "{n} allocations for {} events", messages * 42);
-    net.absorb_lane(lane.finish());
-    assert_eq!(net.stats().total_tx_packets(), messages * 21);
 }

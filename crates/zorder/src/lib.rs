@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Quantization and Z-order encoding of join-attribute tuples.
 //!
