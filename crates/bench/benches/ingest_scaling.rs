@@ -1,19 +1,19 @@
 //! Streaming-ingestion scaling: the steady-state cost of a small delta
 //! batch through `StreamJoinEngine` against the full batch re-join it
-//! replaces, plus the vectorized residual kernel against its scalar
-//! reference.
+//! replaces, and the cost of loading the engine cold.
 //!
 //! The engine's claim (DESIGN.md §4.11) is O(Δ) steady-state work: applying
 //! a batch touching 1 % of the tuples must not cost anywhere near a full
-//! `exact_join` over both relations. The residual kernel is the inner loop
-//! that makes the constant small — a branch-free `|probe - key| < c` sweep
-//! over a sorted run's key column.
+//! `exact_join` over both relations.
 //!
-//! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
-//! * a 1 % delta batch costs ≤ 0.1× the full `exact_join` at 2000 tuples
-//!   per relation,
-//! * the vectorized residual kernel is ≥ 4× its scalar reference over a
-//!   4096-key run (asserted only when the process dispatches to AVX2).
+//! Acceptance gate (asserted here, recorded in `BENCH_engine.json`): a 1 %
+//! delta batch costs ≤ 0.1× the full `exact_join` at 2000 tuples per
+//! relation.
+//!
+//! Also recorded, not gated: `sensjoin_simd::band_mask` against its scalar
+//! reference over a 4096-key run. No join engine calls that kernel (the
+//! streaming index is probed by binary search, like the batch one); the
+//! comparison stays while the repo benchmark still times it.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
@@ -26,7 +26,6 @@ const N: usize = 2000;
 const DELTA_FRACTION: f64 = 0.01;
 const DELTA_GATE: f64 = 0.1;
 const RESIDUAL_KEYS: usize = 4096;
-const RESIDUAL_GATE: f64 = 4.0;
 
 fn schema() -> Schema {
     Schema::new(
@@ -144,8 +143,8 @@ fn time_ns(trials: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Times the residual band kernel (vectorized dispatch vs scalar reference)
-/// over one sorted `RESIDUAL_KEYS`-key run.
+/// Times `band_mask` (vectorized dispatch vs scalar reference) over one
+/// sorted `RESIDUAL_KEYS`-key run.
 fn residual_times() -> (f64, f64) {
     let mut state = 99u64;
     let mut keys: Vec<f64> = (0..RESIDUAL_KEYS)
@@ -205,12 +204,6 @@ fn main() {
     let (scalar_ns, simd_ns) = residual_times();
     let residual_speedup = scalar_ns / simd_ns;
     let kernels = kernels_active();
-    if kernels.contains("avx2") {
-        assert!(
-            residual_speedup >= RESIDUAL_GATE,
-            "gate violated: residual kernel speedup {residual_speedup:.2}x < {RESIDUAL_GATE}x"
-        );
-    }
 
     let extras = [
         ("tuples_per_relation", format!("{N}")),
@@ -223,10 +216,7 @@ fn main() {
         ("kernels", format!("\"{kernels}\"")),
         (
             "gate",
-            format!(
-                "\"delta_batch_1pct/{N} <= {DELTA_GATE}x full_exact_join/{N}, \
-                 residual kernel >= {RESIDUAL_GATE}x scalar when AVX2 dispatches\""
-            ),
+            format!("\"delta_batch_1pct/{N} <= {DELTA_GATE}x full_exact_join/{N}\""),
         ),
     ];
     benchjson::merge_section(

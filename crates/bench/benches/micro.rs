@@ -66,8 +66,8 @@ fn bench_zorder(c: &mut Criterion) {
     });
 }
 
-/// The streaming engine's residual band kernel (`|probe - key| < c` over a
-/// sorted run's key column): hardware dispatch vs the scalar reference.
+/// `sensjoin_simd::band_mask` (`|probe - key| < c` over a sorted key
+/// column): hardware dispatch vs the scalar reference.
 fn bench_residual(c: &mut Criterion) {
     use sensjoin_simd::{band_mask, band_mask_scalar, CmpKind, MaskForm};
     let mut state = 99u64;

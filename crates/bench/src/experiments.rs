@@ -1340,18 +1340,17 @@ pub fn ingest_scaling(n: usize, seed: u64) -> String {
     let mut rep = Report::new("Extension — streaming ingestion: O(Δ) steady-state joins");
     rep.para(&format!(
         "Beyond the paper: `core::StreamJoinEngine` (DESIGN.md §4.11) keeps \
-         partitioned indexes and the result cache alive between rounds and \
-         re-enumerates only around the tuples a delta batch touches, where \
-         the batch join recomputes the full cross-product search. Band join \
-         `|A.temp - B.temp| < {eps:.4}` over {m} tuples per relation; the \
-         delta batch re-upserts 1 % of them ({} ops). Candidates is the \
-         work metric: bindings examined by the residual kernel \
-         (`sensjoin-simd`, dispatching to {}). Identity with the batch join \
-         is asserted on every row here and property-tested in \
-         `tests/streaming_equivalence.rs`; `cargo bench --bench \
-         ingest_scaling` reproduces the committed `BENCH_engine.json` gates.",
+         the batch join's indexes and the result cache alive between rounds \
+         and re-enumerates only around the tuples a delta batch touches, \
+         where the batch join recomputes the full cross-product search. Band \
+         join `|A.temp - B.temp| < {eps:.4}` over {m} tuples per relation; \
+         the delta batch re-upserts 1 % of them ({} ops). Candidates is the \
+         work metric: bindings reaching the full-precision predicate gate. \
+         Identity with the batch join is asserted on every row here and \
+         property-tested in `tests/streaming_equivalence.rs`; `cargo bench \
+         --bench ingest_scaling` reproduces the committed \
+         `BENCH_engine.json` gate.",
         delta.len(),
-        sensjoin_core::kernels_active(),
     ));
     rep.table(
         &["path", "runtime [ms]", "candidates", "vs full [x]"],

@@ -1052,10 +1052,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 })
                 .collect();
             cold = engine.apply_batch(&ops);
-            let (partitions, promoted) = engine.index_depth();
             println!(
-                "cold load: {} ops, {} result rows cached, {} candidates, \
-                 {partitions} index partitions ({promoted} promoted)",
+                "cold load: {} ops, {} result rows cached, {} candidates",
                 cold.ops,
                 engine.cached_rows(),
                 cold.candidates,
@@ -1067,8 +1065,8 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         }
     }
     println!(
-        "\n{:>5} {:>5} {:>7} {:>7} {:>7} {:>11} {:>7}",
-        "batch", "ops", "+rows", "-rows", "result", "candidates", "promos"
+        "\n{:>5} {:>5} {:>7} {:>7} {:>7} {:>11}",
+        "batch", "ops", "+rows", "-rows", "result", "candidates"
     );
     for b in (start_batch + 1)..=batches {
         if !specs.is_empty() {
@@ -1101,13 +1099,12 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         }
         let stats = engine.apply_batch(&ops);
         println!(
-            "{b:>5} {:>5} {:>7} {:>7} {:>7} {:>11} {:>7}",
+            "{b:>5} {:>5} {:>7} {:>7} {:>7} {:>11}",
             stats.ops,
             stats.rows_added,
             stats.rows_removed,
             engine.cached_rows(),
-            stats.candidates,
-            stats.promotions
+            stats.candidates
         );
         total.merge(&stats);
         if let Some(store) = &mut ckpt.store {
@@ -1150,16 +1147,14 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             println!("       verify: streaming matches batch join ({rows} rows)");
         }
     }
-    let (partitions, promoted) = engine.index_depth();
     let per_op = if total.ops > 0 {
         total.candidates as f64 / total.ops as f64
     } else {
         0.0
     };
     println!(
-        "\ndelta totals: {} ops, {} candidates ({per_op:.1}/op vs {} at cold load), \
-         {} promotions, {partitions} index partitions ({promoted} promoted)",
-        total.ops, total.candidates, cold.candidates, total.promotions
+        "\ndelta totals: {} ops, {} candidates ({per_op:.1}/op vs {} at cold load)",
+        total.ops, total.candidates, cold.candidates
     );
     Ok(())
 }

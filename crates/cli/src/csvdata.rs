@@ -1,9 +1,10 @@
 //! CSV loading of real deployment traces.
 //!
 //! Format: a header line `x,y,attr1,attr2,...` followed by one line per
-//! node. Positions are meters; attribute types are inferred from the names
-//! (`temp*` → °C, `hum*` → %, `pres*` → hPa, `light*` → lx, `volt*` → V,
-//! anything else a raw 2-byte value).
+//! node. Positions are meters, finite and non-negative; readings are
+//! finite; attribute types are inferred from the names (`temp*` → °C,
+//! `hum*` → %, `pres*` → hPa, `light*` → lx, `volt*` → V, anything else a
+//! raw 2-byte value).
 
 use sensjoin_core::{attr_type_for, ExternalData};
 use sensjoin_field::Position;
@@ -35,12 +36,22 @@ pub fn parse_csv(text: &str) -> Result<ExternalData, String> {
                 cols.len()
             ));
         }
+        // `f64::from_str` reads "inf" and "nan"; a trace holds neither.
         let parse = |i: usize| -> Result<f64, String> {
             cells[i]
                 .parse()
-                .map_err(|_| format!("line {}: bad number {:?}", lineno + 1, cells[i]))
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or_else(|| format!("line {}: bad number {:?}", lineno + 1, cells[i]))
         };
-        positions.push(Position::new(parse(0)?, parse(1)?));
+        let coord = |i: usize| -> Result<f64, String> {
+            let v = parse(i)?;
+            if v < 0.0 {
+                return Err(format!("line {}: negative coordinate {v}", lineno + 1));
+            }
+            Ok(v)
+        };
+        positions.push(Position::new(coord(0)?, coord(1)?));
         let row: Result<Vec<f64>, String> = (2..cells.len()).map(parse).collect();
         rows.push(row?);
     }
@@ -92,5 +103,14 @@ x,y,temp,hum
         assert!(parse_csv("x,y,temp\n1,2\n").is_err()); // cell count
         assert!(parse_csv("x,y,temp\n1,2,zzz\n").is_err()); // bad number
         assert!(parse_csv("x,y,temp\n").is_err()); // no rows
+        for bad in [
+            "inf,40,22,39",
+            "30,nan,22,39",
+            "-30,40,22,39",
+            "30,40,nan,39",
+        ] {
+            let err = parse_csv(&format!("x,y,temp,hum\n10,20,21,40\n{bad}\n")).unwrap_err();
+            assert!(err.starts_with("line 3:"), "{bad}: {err}");
+        }
     }
 }

@@ -101,7 +101,6 @@ fn record_batch(into: &mut DeltaBatchStats, b: &crate::ingest::BatchStats) {
         b.rows_added as u64,
         b.rows_removed as u64,
         b.candidates as u64,
-        b.promotions as u64,
     );
 }
 

@@ -8,21 +8,19 @@
 //! set anchored at the changed tuples only, so a batch of `Δ` changes costs
 //! `O(Δ · candidates-per-probe)` instead of `O(Π |Rᵢ|)`.
 //!
-//! # Partitioned delta indexes
+//! # Delta indexes
 //!
 //! Each indexable join conjunct (equi or band, see
 //! [`sensjoin_query::PredClass`]) gets one incremental index *per side*, so
 //! a delta anchored in either relation can probe the other:
 //!
 //! * **Equi** conjuncts hash key bits to slot lists.
-//! * **Band** conjuncts partition the key line into fixed-width buckets
-//!   (width derived from the band constant). Cold partitions stay single
-//!   sorted runs; partitions that absorb many arrivals are *promoted* to a
-//!   finer sub-bucket tier (PanJoin-style hot/cold split), bounding probe
-//!   run lengths under skew. Probes compute a conservative bucket window
-//!   from the probe value, then cut the gathered runs with the vectorized
-//!   [`sensjoin_simd::band_mask`] residual kernel before the full-precision
-//!   predicate gate runs.
+//! * **Band** conjuncts keep the batch engine's index — one `(key, slot)`
+//!   array ascending by key — under upsert/expire, and probe it through the
+//!   batch engine's window derivation (`partition::band_runs`): at most two
+//!   exact runs per probe, complement bands (`|a − b| >= c`) included. The
+//!   full-precision predicate gate still runs on every candidate, so
+//!   correctness never rests on the window.
 //!
 //! # Equivalence to the batch join
 //!
@@ -35,17 +33,10 @@
 //! same rows, same order, same grouping folds, same contributor set.
 
 use crate::engine::{finalize_exact, ExactAcc, JoinComputation};
-use crate::partition::key_bits;
-use sensjoin_query::{eval_expr, eval_predicate, BandForm, CExpr, CmpOp, CompiledQuery, PredClass};
+use crate::partition::{band_runs, key_bits, runs_len};
+use sensjoin_query::{eval_expr, eval_predicate, BandForm, CExpr, CompiledQuery, PredClass};
 use sensjoin_relation::NodeId;
-use sensjoin_simd::{band_mask, for_each_set, CmpKind, MaskForm};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// A band partition is promoted to sub-buckets once it holds this many
-/// entries.
-const PROMOTE_LEN: usize = 64;
-/// Promotion splits a bucket into sub-buckets of `width / SUB_FACTOR`.
-const SUB_FACTOR: f64 = 16.0;
 
 /// One tuple-level change fed to [`StreamJoinEngine::apply_batch`].
 ///
@@ -89,8 +80,6 @@ pub struct BatchStats {
     /// steady-state work metric (`O(Δ)` claim: stays proportional to the
     /// batch, not the relations).
     pub candidates: usize,
-    /// Band partitions promoted to sub-bucket tiers during this batch.
-    pub promotions: usize,
 }
 
 impl BatchStats {
@@ -102,7 +91,6 @@ impl BatchStats {
         self.rows_added += other.rows_added;
         self.rows_removed += other.rows_removed;
         self.candidates += other.candidates;
-        self.promotions += other.promotions;
     }
 }
 
@@ -151,125 +139,24 @@ impl RelStore {
     }
 }
 
-/// A sorted key run: parallel `(keys, slots)` arrays, keys ascending. SoA so
-/// the whole run feeds [`band_mask`] directly.
-#[derive(Debug, Default, Clone)]
-struct Run {
-    keys: Vec<f64>,
-    slots: Vec<u32>,
-}
-
-impl Run {
-    fn insert(&mut self, key: f64, slot: u32) {
-        let at = self.keys.partition_point(|&k| k < key);
-        self.keys.insert(at, key);
-        self.slots.insert(at, slot);
-    }
-
-    fn remove(&mut self, key: f64, slot: u32) {
-        let lo = self.keys.partition_point(|&k| k < key);
-        let hi = self.keys.partition_point(|&k| k <= key);
-        for i in lo..hi {
-            if self.slots[i] == slot {
-                self.keys.remove(i);
-                self.slots.remove(i);
-                return;
-            }
-        }
-        debug_assert!(false, "index entry missing on removal");
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-}
-
-/// One bucket of a band index: a cold sorted run, or — once hot — a tier of
-/// finer sub-bucket runs.
-#[derive(Debug, Default)]
-struct Partition {
-    /// Lifetime arrivals (monotone; drives nothing once promoted but is the
-    /// hotness signal reported by [`StreamJoinEngine::index_depth`]).
-    arrivals: u64,
-    cold: Run,
-    hot: Option<BTreeMap<i64, Run>>,
-}
-
-impl Partition {
-    /// Inserts, promoting to sub-buckets when the cold run grows past
-    /// [`PROMOTE_LEN`]. Returns whether a promotion happened.
-    fn insert(&mut self, key: f64, slot: u32, sub_width: f64) -> bool {
-        self.arrivals += 1;
-        if let Some(sub) = &mut self.hot {
-            sub.entry(bucket_of(key, sub_width))
-                .or_default()
-                .insert(key, slot);
-            return false;
-        }
-        self.cold.insert(key, slot);
-        if self.cold.len() <= PROMOTE_LEN {
-            return false;
-        }
-        self.promote(sub_width);
-        true
-    }
-
-    /// Splits the cold run into sub-bucket runs. Checkpoint restore also
-    /// forces this on partitions that were hot when snapshotted, since
-    /// replaying only the *live* tuples may not cross the threshold again.
-    fn promote(&mut self, sub_width: f64) {
-        let mut sub: BTreeMap<i64, Run> = BTreeMap::new();
-        for (&k, &s) in self.cold.keys.iter().zip(&self.cold.slots) {
-            // Draining a sorted run in order keeps every sub-run sorted.
-            let run = sub.entry(bucket_of(k, sub_width)).or_default();
-            run.keys.push(k);
-            run.slots.push(s);
-        }
-        self.cold = Run::default();
-        self.hot = Some(sub);
-    }
-
-    fn remove(&mut self, key: f64, slot: u32, sub_width: f64) {
-        if let Some(sub) = &mut self.hot {
-            let b = bucket_of(key, sub_width);
-            if let Some(run) = sub.get_mut(&b) {
-                run.remove(key, slot);
-                if run.len() == 0 {
-                    sub.remove(&b);
-                }
-            }
-        } else {
-            self.cold.remove(key, slot);
-        }
-    }
-
-    /// Visits every run overlapping the key window `[lo, hi]` (already
-    /// widened by the caller at bucket granularity).
-    fn for_runs_in(&self, lo: f64, hi: f64, sub_width: f64, f: &mut impl FnMut(&[f64], &[u32])) {
-        match &self.hot {
-            Some(sub) => {
-                let lo_b = bucket_of(lo, sub_width).saturating_sub(1);
-                let hi_b = bucket_of(hi, sub_width).saturating_add(1);
-                for run in sub.range(lo_b..=hi_b).map(|(_, r)| r) {
-                    f(&run.keys, &run.slots);
-                }
-            }
-            None => f(&self.cold.keys, &self.cold.slots),
-        }
-    }
-}
-
 /// The incremental index kinds.
 #[derive(Debug)]
 enum IndexKind {
     /// Equi conjunct: key bits → ascending slot list.
     Equi { map: HashMap<u64, Vec<u32>> },
-    /// Band conjunct: bucketed sorted runs with hot-partition promotion.
+    /// Band conjunct: `(key, slot)` ascending by key (ties by slot), NaN
+    /// keys left out — the batch engine's sorted key array.
     Band {
-        form: MaskForm,
-        width: f64,
-        buckets: BTreeMap<i64, Partition>,
+        form: BandForm,
+        /// Whether the indexed relation is the `lhs` side of the form.
+        key_is_lhs: bool,
+        keys: Vec<(f64, u32)>,
     },
+}
+
+/// Where `(key, slot)` sits, or belongs, in a band index's array.
+fn band_pos(keys: &[(f64, u32)], key: f64, slot: u32) -> usize {
+    keys.partition_point(|&(k, s)| k.total_cmp(&key).then(s.cmp(&slot)).is_lt())
 }
 
 /// One incremental index: the keyed side of an indexable conjunct on one
@@ -295,26 +182,19 @@ impl IngestIndex {
         })
     }
 
-    fn insert(&mut self, key: f64, slot: u32) -> bool {
+    fn insert(&mut self, key: f64, slot: u32) {
         match &mut self.kind {
             IndexKind::Equi { map } => {
                 if let Some(bits) = key_bits(key) {
                     map.entry(bits).or_default().push(slot);
                 }
-                false
             }
-            IndexKind::Band { width, buckets, .. } => {
-                if key.is_nan() {
-                    // No comparison with a NaN operand is ever true: the
-                    // tuple can never pass this conjunct, so it needs no
-                    // entry (mirrors the batch engine's sorted index).
-                    return false;
+            // No comparison with a NaN operand is ever true: the tuple can
+            // never pass this conjunct, so it needs no entry.
+            IndexKind::Band { keys, .. } => {
+                if !key.is_nan() {
+                    keys.insert(band_pos(keys, key, slot), (key, slot));
                 }
-                let sub_width = *width / SUB_FACTOR;
-                buckets
-                    .entry(bucket_of(key, *width))
-                    .or_default()
-                    .insert(key, slot, sub_width)
             }
         }
     }
@@ -331,26 +211,20 @@ impl IngestIndex {
                     }
                 }
             }
-            IndexKind::Band { width, buckets, .. } => {
-                if key.is_nan() {
-                    return;
-                }
-                let b = bucket_of(key, *width);
-                let sub_width = *width / SUB_FACTOR;
-                if let Some(part) = buckets.get_mut(&b) {
-                    part.remove(key, slot, sub_width);
-                    if part.cold.len() == 0 && part.hot.as_ref().is_none_or(|s| s.is_empty()) {
-                        buckets.remove(&b);
-                    }
+            IndexKind::Band { keys, .. } => {
+                if !key.is_nan() {
+                    let at = band_pos(keys, key, slot);
+                    debug_assert_eq!(keys.get(at).map(|e| e.1), Some(slot));
+                    keys.remove(at);
                 }
             }
         }
     }
 
     /// Candidate slots for probe value `p`: `None` when the index cannot
-    /// prune (the caller scans), `Some` with a conservative superset of the
-    /// conjunct's true matches otherwise.
-    fn probe(&self, p: f64, scratch: &mut Vec<u64>) -> Option<Vec<u32>> {
+    /// prune (the caller scans), `Some` with a superset of the conjunct's
+    /// true matches otherwise.
+    fn probe(&self, p: f64) -> Option<Vec<u32>> {
         match &self.kind {
             IndexKind::Equi { map } => Some(
                 key_bits(p)
@@ -360,122 +234,17 @@ impl IngestIndex {
             ),
             IndexKind::Band {
                 form,
-                width,
-                buckets,
+                key_is_lhs,
+                keys,
             } => {
-                match probe_window(*form, p) {
-                    Window::Empty => Some(Vec::new()),
-                    Window::All => None,
-                    Window::Range(lo, hi) => {
-                        let lo_b = bucket_of(lo, *width).saturating_sub(1);
-                        let hi_b = bucket_of(hi, *width).saturating_add(1);
-                        let sub_width = *width / SUB_FACTOR;
-                        let mut out = Vec::new();
-                        for part in buckets.range(lo_b..=hi_b).map(|(_, p)| p) {
-                            part.for_runs_in(lo, hi, sub_width, &mut |keys, slots| {
-                                // Vectorized residual cut over the run; exact
-                                // for this conjunct, so survivors only face
-                                // the remaining predicates.
-                                band_mask(keys, p, *form, scratch);
-                                for_each_set(scratch, |i| out.push(slots[i]));
-                            });
-                        }
-                        Some(out)
-                    }
+                let runs = band_runs(keys, *form, *key_is_lhs, p)?;
+                let mut slots = Vec::with_capacity(runs_len(&runs));
+                for run in runs {
+                    slots.extend(keys[run].iter().map(|&(_, slot)| slot));
                 }
+                Some(slots)
             }
         }
-    }
-}
-
-/// Clamped fixed-width bucket of a key (±∞ land in the extreme buckets;
-/// NaN keys are never inserted).
-fn bucket_of(key: f64, width: f64) -> i64 {
-    let b = (key / width).floor();
-    if b <= i64::MIN as f64 {
-        i64::MIN
-    } else if b >= i64::MAX as f64 {
-        i64::MAX
-    } else {
-        b as i64
-    }
-}
-
-fn cmp_kind(op: CmpOp) -> Option<CmpKind> {
-    Some(match op {
-        CmpOp::Lt => CmpKind::Lt,
-        CmpOp::Le => CmpKind::Le,
-        CmpOp::Gt => CmpKind::Gt,
-        CmpOp::Ge => CmpKind::Ge,
-        CmpOp::Eq => CmpKind::Eq,
-        CmpOp::Ne => return None,
-    })
-}
-
-fn mirror(op: CmpKind) -> CmpKind {
-    match op {
-        CmpKind::Lt => CmpKind::Gt,
-        CmpKind::Le => CmpKind::Ge,
-        CmpKind::Gt => CmpKind::Lt,
-        CmpKind::Ge => CmpKind::Le,
-        CmpKind::Eq => CmpKind::Eq,
-    }
-}
-
-/// Conservative key window accepted by `form` at probe value `p`.
-enum Window {
-    /// No key can match (NaN probe, inverted band).
-    Empty,
-    /// The index cannot bound the match set — scan.
-    All,
-    /// Matching keys lie within `[lo, hi]` (inclusive; possibly infinite).
-    Range(f64, f64),
-}
-
-fn probe_window(form: MaskForm, p: f64) -> Window {
-    if p.is_nan() {
-        return Window::Empty;
-    }
-    // Normalize to `key op pivot`.
-    let ray = |op: CmpKind, pivot: f64| -> Window {
-        if pivot.is_nan() {
-            return Window::All;
-        }
-        match op {
-            CmpKind::Lt | CmpKind::Le => Window::Range(f64::NEG_INFINITY, pivot),
-            CmpKind::Gt | CmpKind::Ge => Window::Range(pivot, f64::INFINITY),
-            CmpKind::Eq => Window::Range(pivot, pivot),
-        }
-    };
-    match form {
-        MaskForm::Direct { op, key_is_lhs } => {
-            let op = if key_is_lhs { op } else { mirror(op) };
-            ray(op, p)
-        }
-        MaskForm::Diff { op, c, key_is_lhs } => {
-            // key − p op c  ≡  key op p + c;   p − key op c  ≡  key m(op) p − c.
-            if key_is_lhs {
-                ray(op, p + c)
-            } else {
-                ray(mirror(op), p - c)
-            }
-        }
-        MaskForm::AbsDiff { op, c, .. } => match op {
-            // |key − p| ≤ c: the window [p − c, p + c] (inverted, hence
-            // empty, for negative c — correctly so).
-            CmpKind::Lt | CmpKind::Le | CmpKind::Eq => {
-                let (lo, hi) = (p - c, p + c);
-                if lo.is_nan() || hi.is_nan() {
-                    Window::All
-                } else if lo > hi {
-                    Window::Empty
-                } else {
-                    Window::Range(lo, hi)
-                }
-            }
-            // Complement bands accept two rays — no single window.
-            CmpKind::Gt | CmpKind::Ge => Window::All,
-        },
     }
 }
 
@@ -523,45 +292,30 @@ impl StreamJoinEngine {
             .collect();
         let mut indexes: Vec<Vec<IngestIndex>> = (0..k).map(|_| Vec::new()).collect();
         for pc in query.pred_classes() {
-            match pc {
-                PredClass::Equi { lhs, rhs } if lhs.rel != rhs.rel => {
-                    for (key, probe) in [(lhs, rhs), (rhs, lhs)] {
-                        indexes[key.rel].push(IngestIndex {
-                            other_rel: probe.rel,
-                            key_expr: key.expr.clone(),
-                            probe_expr: probe.expr.clone(),
-                            kind: IndexKind::Equi {
-                                map: HashMap::new(),
-                            },
-                        });
-                    }
-                }
-                PredClass::Band { lhs, rhs, form } if lhs.rel != rhs.rel => {
-                    let width = match form {
-                        BandForm::Diff { c, .. } | BandForm::AbsDiff { c, .. }
-                            if c.is_finite() && c.abs() > 0.0 =>
-                        {
-                            c.abs()
-                        }
-                        _ => 1.0,
-                    };
-                    for (key, probe, key_is_lhs) in [(lhs, rhs, true), (rhs, lhs, false)] {
-                        let Some(mf) = mask_form(form, key_is_lhs) else {
-                            continue;
-                        };
-                        indexes[key.rel].push(IngestIndex {
-                            other_rel: probe.rel,
-                            key_expr: key.expr.clone(),
-                            probe_expr: probe.expr.clone(),
-                            kind: IndexKind::Band {
-                                form: mf,
-                                width,
-                                buckets: BTreeMap::new(),
-                            },
-                        });
-                    }
-                }
-                _ => {}
+            let (lhs, rhs, form) = match pc {
+                PredClass::Equi { lhs, rhs } => (lhs, rhs, None),
+                PredClass::Band { lhs, rhs, form } => (lhs, rhs, Some(*form)),
+                PredClass::General => continue,
+            };
+            if lhs.rel == rhs.rel {
+                continue;
+            }
+            for (key, probe, key_is_lhs) in [(lhs, rhs, true), (rhs, lhs, false)] {
+                indexes[key.rel].push(IngestIndex {
+                    other_rel: probe.rel,
+                    key_expr: key.expr.clone(),
+                    probe_expr: probe.expr.clone(),
+                    kind: match form {
+                        None => IndexKind::Equi {
+                            map: HashMap::new(),
+                        },
+                        Some(form) => IndexKind::Band {
+                            form,
+                            key_is_lhs,
+                            keys: Vec::new(),
+                        },
+                    },
+                });
             }
         }
         Self {
@@ -587,20 +341,6 @@ impl StreamJoinEngine {
     /// Cached result-row count (pre-grouping).
     pub fn cached_rows(&self) -> usize {
         self.rows.len()
-    }
-
-    /// `(partitions, promoted partitions)` across every band index — the
-    /// hot/cold split observability hook.
-    pub fn index_depth(&self) -> (usize, usize) {
-        let mut total = 0;
-        let mut promoted = 0;
-        for ix in self.indexes.iter().flatten() {
-            if let IndexKind::Band { buckets, .. } = &ix.kind {
-                total += buckets.len();
-                promoted += buckets.values().filter(|p| p.hot.is_some()).count();
-            }
-        }
-        (total, promoted)
     }
 
     /// Every live tuple as `(origin, per-relation values)` in ascending
@@ -631,56 +371,11 @@ impl StreamJoinEngine {
             .collect()
     }
 
-    /// Per band index (relation-major order), per partition: `(bucket,
-    /// lifetime arrivals, promoted)`. Tuple replay alone cannot reproduce
-    /// this — arrivals count *lifetime* inserts, and a partition promoted by
-    /// long-expired traffic may hold fewer than `PROMOTE_LEN` live tuples.
-    pub fn band_state(&self) -> Vec<Vec<(i64, u64, bool)>> {
-        let mut out = Vec::new();
-        for ix in self.indexes.iter().flatten() {
-            if let IndexKind::Band { buckets, .. } = &ix.kind {
-                out.push(
-                    buckets
-                        .iter()
-                        .map(|(&b, p)| (b, p.arrivals, p.hot.is_some()))
-                        .collect(),
-                );
-            }
-        }
-        out
-    }
-
-    /// Restores band-index hotness exported by [`StreamJoinEngine::band_state`]
-    /// after live-tuple replay: arrivals counters are set back and partitions
-    /// that were promoted are force-promoted, so future promotion decisions
-    /// and [`StreamJoinEngine::index_depth`] match the uninterrupted engine.
-    pub fn restore_band_state(&mut self, state: &[Vec<(i64, u64, bool)>]) {
-        let mut it = state.iter();
-        for ix in self.indexes.iter_mut().flatten() {
-            if let IndexKind::Band { width, buckets, .. } = &mut ix.kind {
-                let Some(parts) = it.next() else { break };
-                let sub_width = *width / SUB_FACTOR;
-                for &(b, arrivals, hot) in parts {
-                    if let Some(part) = buckets.get_mut(&b) {
-                        part.arrivals = arrivals;
-                        if hot && part.hot.is_none() {
-                            part.promote(sub_width);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds an engine from checkpointed parts: replay the live tuples,
-    /// then restore band-index hotness. The replay's [`BatchStats`] are
-    /// deliberately discarded — they are reconstruction work, not traffic.
+    /// Rebuilds an engine from checkpointed live tuples by replaying them.
+    /// The replay's [`BatchStats`] are deliberately discarded — they are
+    /// reconstruction work, not traffic.
     #[allow(clippy::type_complexity)]
-    pub fn restore(
-        query: CompiledQuery,
-        tuples: &[(NodeId, Vec<Option<Vec<f64>>>)],
-        band: &[Vec<(i64, u64, bool)>],
-    ) -> Self {
+    pub fn restore(query: CompiledQuery, tuples: &[(NodeId, Vec<Option<Vec<f64>>>)]) -> Self {
         let mut engine = Self::new(query);
         let ops: Vec<StreamOp> = tuples
             .iter()
@@ -690,7 +385,6 @@ impl StreamJoinEngine {
             })
             .collect();
         let _ = engine.apply_batch(&ops);
-        engine.restore_band_state(band);
         engine
     }
 
@@ -716,9 +410,7 @@ impl StreamJoinEngine {
                         let slot = self.rels[r].insert(*origin, values.clone());
                         for ix in &mut self.indexes[r] {
                             let key = ix.key_of(r, &self.rels[r].values[slot as usize]);
-                            if ix.insert(key, slot) {
-                                stats.promotions += 1;
-                            }
+                            ix.insert(key, slot);
                         }
                         touched.insert((r, *origin));
                         stats.inserted += 1;
@@ -730,14 +422,13 @@ impl StreamJoinEngine {
         if self.query.is_const_false() {
             return stats;
         }
-        let mut scratch = Vec::new();
         let mut found: Vec<Vec<u32>> = Vec::new();
         for &(rel, origin) in &touched {
             // Skipped when a later op in the same batch expired the tuple.
             let Some(&slot) = self.rels[rel].by_origin.get(&origin) else {
                 continue;
             };
-            self.enumerate_anchored(rel, slot, &mut found, &mut stats, &mut scratch);
+            self.enumerate_anchored(rel, slot, &mut found, &mut stats);
         }
         for binding in found {
             self.insert_row(&binding, &mut stats);
@@ -803,23 +494,13 @@ impl StreamJoinEngine {
         anchor_slot: u32,
         found: &mut Vec<Vec<u32>>,
         stats: &mut BatchStats,
-        scratch: &mut Vec<u64>,
     ) {
         let k = self.rels.len();
         let mut order = Vec::with_capacity(k);
         order.push(anchor_rel);
         order.extend((0..k).filter(|&r| r != anchor_rel));
         let mut binding = vec![u32::MAX; k];
-        self.try_bind(
-            &order,
-            0,
-            anchor_slot,
-            0,
-            &mut binding,
-            found,
-            stats,
-            scratch,
-        );
+        self.try_bind(&order, 0, anchor_slot, 0, &mut binding, found, stats);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -832,7 +513,6 @@ impl StreamJoinEngine {
         binding: &mut Vec<u32>,
         found: &mut Vec<Vec<u32>>,
         stats: &mut BatchStats,
-        scratch: &mut Vec<u64>,
     ) {
         let rel = order[depth];
         binding[rel] = slot;
@@ -853,7 +533,7 @@ impl StreamJoinEngine {
             if depth + 1 == order.len() {
                 found.push(binding.clone());
             } else {
-                self.descend(order, depth + 1, bound, binding, found, stats, scratch);
+                self.descend(order, depth + 1, bound, binding, found, stats);
             }
         }
         binding[rel] = u32::MAX;
@@ -868,29 +548,19 @@ impl StreamJoinEngine {
         binding: &mut Vec<u32>,
         found: &mut Vec<Vec<u32>>,
         stats: &mut BatchStats,
-        scratch: &mut Vec<u64>,
     ) {
         let rel = order[depth];
-        match self.level_candidates(rel, bound, binding, scratch) {
+        match self.level_candidates(rel, bound, binding) {
             Some(cands) => {
                 for slot in cands {
-                    self.try_bind(order, depth, slot, bound, binding, found, stats, scratch);
+                    self.try_bind(order, depth, slot, bound, binding, found, stats);
                 }
             }
             None => {
                 // No usable index: scan the relation's live slots.
                 for slot in 0..self.rels[rel].live.len() {
                     if self.rels[rel].live[slot] {
-                        self.try_bind(
-                            order,
-                            depth,
-                            slot as u32,
-                            bound,
-                            binding,
-                            found,
-                            stats,
-                            scratch,
-                        );
+                        self.try_bind(order, depth, slot as u32, bound, binding, found, stats);
                     }
                 }
             }
@@ -899,13 +569,7 @@ impl StreamJoinEngine {
 
     /// The smallest candidate list over the relation's indexes whose probe
     /// side is already bound (`None`: no index can prune).
-    fn level_candidates(
-        &self,
-        rel: usize,
-        bound: u32,
-        binding: &[u32],
-        scratch: &mut Vec<u64>,
-    ) -> Option<Vec<u32>> {
+    fn level_candidates(&self, rel: usize, bound: u32, binding: &[u32]) -> Option<Vec<u32>> {
         let mut best: Option<Vec<u32>> = None;
         for ix in &self.indexes[rel] {
             if bound >> ix.other_rel & 1 == 0 {
@@ -915,7 +579,7 @@ impl StreamJoinEngine {
                 debug_assert_eq!(r, ix.other_rel);
                 self.rels[r].values[binding[r] as usize][a]
             });
-            if let Some(cands) = ix.probe(p, scratch) {
+            if let Some(cands) = ix.probe(p) {
                 if best.as_ref().is_none_or(|b| cands.len() < b.len()) {
                     best = Some(cands);
                 }
@@ -953,25 +617,6 @@ impl StreamJoinEngine {
         self.rows.insert(key, entry);
         stats.rows_added += 1;
     }
-}
-
-fn mask_form(form: &BandForm, key_is_lhs: bool) -> Option<MaskForm> {
-    Some(match form {
-        BandForm::Direct(op) => MaskForm::Direct {
-            op: cmp_kind(*op)?,
-            key_is_lhs,
-        },
-        BandForm::Diff { op, c } => MaskForm::Diff {
-            op: cmp_kind(*op)?,
-            c: *c,
-            key_is_lhs,
-        },
-        BandForm::AbsDiff { op, c } => MaskForm::AbsDiff {
-            op: cmp_kind(*op)?,
-            c: *c,
-            key_is_lhs,
-        },
-    })
 }
 
 #[cfg(test)]
@@ -1171,36 +816,47 @@ mod tests {
     }
 
     #[test]
-    fn hot_partitions_promote_and_stay_correct() {
-        // A band far wider than the key spread: every key lands in the same
-        // bucket, forcing promotions past PROMOTE_LEN arrivals.
-        let (snet, cq) = setup(
+    fn skewed_keys_match_batch() {
+        // Every tuple carries the same band key (±0.0), so every insert and
+        // expiry lands in one run of ties and every probe returns it whole.
+        drive(
             "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-             WHERE |A.temp - B.temp| < 1000.0 ONCE",
-            120,
-            13,
+             WHERE |A.temp * 0 - B.temp * 0| < 1000.0 ONCE",
         );
+    }
+
+    #[test]
+    fn complement_band_probes_prune() {
+        // `|a − b| >= c` accepts two rays of the key line: a probe examines
+        // those two runs, not every live tuple of the other relation.
+        let sql = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                   WHERE |A.temp - B.temp| >= 2.5 ONCE";
+        drive(sql);
+        let (snet, cq) = setup(sql, 120, 13);
         let mut engine = StreamJoinEngine::new(cq.clone());
-        let ops: Vec<StreamOp> = (0..snet.len() as u32)
+        let n = snet.len();
+        let all: Vec<StreamOp> = (0..n as u32)
             .map(|i| StreamOp::Upsert {
                 origin: NodeId(i),
                 per_rel: per_rel_of(&snet, &cq, NodeId(i)),
             })
             .collect();
-        let stats = engine.apply_batch(&ops);
-        assert!(stats.promotions > 0, "expected hot-partition promotions");
-        let (parts, promoted) = engine.index_depth();
-        assert!(promoted > 0 && promoted <= parts);
-        let live: BTreeSet<NodeId> = (0..snet.len() as u32).map(NodeId).collect();
-        assert_same(&engine.result(), &reference(&snet, &cq, &live));
-        // Expiry out of promoted partitions must also hold up.
-        let ops: Vec<StreamOp> = (0..snet.len() as u32)
-            .step_by(2)
-            .map(|i| StreamOp::Expire { origin: NodeId(i) })
-            .collect();
-        engine.apply_batch(&ops);
-        let live: BTreeSet<NodeId> = live.into_iter().filter(|o| o.0 % 2 == 1).collect();
-        assert_same(&engine.result(), &reference(&snet, &cq, &live));
+        engine.apply_batch(&all);
+        for origin in [0, 40, 119].map(NodeId) {
+            let stats = engine.apply_batch(&[StreamOp::Upsert {
+                origin,
+                per_rel: per_rel_of(&snet, &cq, origin),
+            }]);
+            // Two anchors (the node's A and B tuple), one probe each.
+            let probed = stats.candidates - 2;
+            assert!(stats.rows_added > 0, "the band should select something");
+            assert!(
+                probed < 2 * n,
+                "{probed} candidates for 2 probes over {n} live tuples: a scan"
+            );
+            // With one conjunct the runs are exact: every candidate joins.
+            assert_eq!(probed, stats.rows_added);
+        }
     }
 
     #[test]

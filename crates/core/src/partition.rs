@@ -219,43 +219,26 @@ fn abs_cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
     })
 }
 
-/// The coordinate `d(key)` a band probe searches in: monotone over the
-/// ascending key order, increasing except for [`Coord::ProbeMinusKey`].
-#[derive(Clone, Copy)]
-enum Coord {
-    /// `d = key` (direct comparisons).
-    Key,
-    /// `d = key − p`: the indexed relation is the lhs of the difference.
-    KeyMinusProbe(f64),
-    /// `d = p − key`: the indexed relation is the rhs — decreasing.
-    ProbeMinusKey(f64),
-}
-
-impl Coord {
-    fn d(self, key: f64) -> f64 {
-        match self {
-            Coord::Key => key,
-            Coord::KeyMinusProbe(p) => key - p,
-            Coord::ProbeMinusKey(p) => p - key,
-        }
-    }
-}
-
-/// Finds the positions of `keys` (ascending) whose d-value lies in one of
-/// `ivs`. Exact: `partition_point` over a monotone predicate.
-fn sorted_runs(keys: &[(f64, u32)], coord: Coord, ivs: Accepted) -> Runs {
-    let increasing = !matches!(coord, Coord::ProbeMinusKey(_));
+/// Finds the positions of `keys` (ascending) whose d-value `d(key)` lies in
+/// one of `ivs`; `d` is monotone over the key order, increasing iff
+/// `increasing`. Exact: `partition_point` over a monotone predicate.
+fn sorted_runs(
+    keys: &[(f64, u32)],
+    d: impl Fn(f64) -> f64,
+    increasing: bool,
+    ivs: Accepted,
+) -> Runs {
     let [a, b] = ivs.map(|iv| {
         let Some(iv) = iv else { return 0..0 };
         let (start, end) = if increasing {
             (
-                keys.partition_point(|&(k, _)| iv.below(coord.d(k))),
-                keys.partition_point(|&(k, _)| !iv.above(coord.d(k))),
+                keys.partition_point(|&(k, _)| iv.below(d(k))),
+                keys.partition_point(|&(k, _)| !iv.above(d(k))),
             )
         } else {
             (
-                keys.partition_point(|&(k, _)| iv.above(coord.d(k))),
-                keys.partition_point(|&(k, _)| !iv.below(coord.d(k))),
+                keys.partition_point(|&(k, _)| iv.above(d(k))),
+                keys.partition_point(|&(k, _)| !iv.below(d(k))),
             )
         };
         if start < end {
@@ -278,6 +261,43 @@ fn sorted_runs(keys: &[(f64, u32)], coord: Coord, ivs: Accepted) -> Runs {
     } else {
         [a, b]
     }
+}
+
+/// The runs of `keys` — `(key, payload)` ascending by key, NaN-free — whose
+/// key satisfies the band predicate `form` against probe value `p`, the
+/// keyed relation being the form's lhs side iff `key_is_lhs`. `None` when
+/// the predicate cannot prune (`!=`, a complement band with a negative
+/// bound, a difference form probed with ±∞ — `inf − inf` is NaN, which
+/// breaks the monotonicity the searches rest on): every position is then a
+/// candidate. This is the one place a [`BandForm`] becomes key positions:
+/// the batch join ([`ExactIndex::probe`]) and the streaming join
+/// (`ingest.rs`) both probe through it.
+pub(crate) fn band_runs(
+    keys: &[(f64, u32)],
+    form: BandForm,
+    key_is_lhs: bool,
+    p: f64,
+) -> Option<Runs> {
+    let ivs = match form {
+        // Direct comparisons probe the key value itself:
+        // `key op p` or `p op key` ≡ `key mirror(op) p`.
+        BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { mirror(op) }, p)?,
+        BandForm::Diff { op, c } => cmp_intervals(op, c)?,
+        BandForm::AbsDiff { op, c } => abs_cmp_intervals(op, c)?,
+    };
+    if p.is_nan() {
+        // Every indexed comparison involving NaN is false.
+        return Some([0..0, 0..0]);
+    }
+    // The coordinate the searches run in: the key itself, or the
+    // difference the form compares — `key − p` when the keyed relation is
+    // its lhs, `p − key` (decreasing along the array) when it is its rhs.
+    Some(match form {
+        BandForm::Direct(_) => sorted_runs(keys, |k| k, true, ivs),
+        _ if !p.is_finite() => return None,
+        _ if key_is_lhs => sorted_runs(keys, |k| k - p, true, ivs),
+        _ => sorted_runs(keys, |k| p - k, false, ivs),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -354,43 +374,10 @@ impl ExactIndex<'_> {
                 key_is_lhs,
                 form,
                 ..
-            } => {
-                let p = eval_expr(probe, env);
-                if p.is_nan() {
-                    // Every comparison involving NaN is false.
-                    return ExactProbe::Runs([0..0, 0..0]);
-                }
-                let (coord, ivs) = match *form {
-                    // Direct comparisons probe the key value itself:
-                    // `key op p` or `p op key` ≡ `key mirror(op) p`.
-                    BandForm::Direct(op) => {
-                        let op = if *key_is_lhs { op } else { mirror(op) };
-                        (Coord::Key, cmp_intervals(op, p))
-                    }
-                    BandForm::Diff { .. } | BandForm::AbsDiff { .. } if !p.is_finite() => {
-                        // inf − inf is NaN: subtraction monotonicity can
-                        // break against infinite keys. Scan everything.
-                        return ExactProbe::All;
-                    }
-                    BandForm::Diff { op, c } | BandForm::AbsDiff { op, c } => {
-                        let coord = if *key_is_lhs {
-                            Coord::KeyMinusProbe(p)
-                        } else {
-                            Coord::ProbeMinusKey(p)
-                        };
-                        let ivs = if matches!(form, BandForm::Diff { .. }) {
-                            cmp_intervals(op, c)
-                        } else {
-                            abs_cmp_intervals(op, c)
-                        };
-                        (coord, ivs)
-                    }
-                };
-                match ivs {
-                    Some(ivs) => ExactProbe::Runs(sorted_runs(keys, coord, ivs)),
-                    None => ExactProbe::All,
-                }
-            }
+            } => match band_runs(keys, *form, *key_is_lhs, eval_expr(probe, env)) {
+                Some(runs) => ExactProbe::Runs(runs),
+                None => ExactProbe::All,
+            },
         }
     }
 
@@ -873,26 +860,27 @@ mod tests {
             hi_open: false,
         };
         assert_eq!(
-            sorted_runs(&keys, Coord::Key, [Some(iv), None]),
+            sorted_runs(&keys, |k| k, true, [Some(iv), None]),
             [2..4, 0..0]
         );
         // d = 10 − k (decreasing), ray above 7 (strict): 10−k > 7 ⇔ k < 3.
         let r = sorted_runs(
             &keys,
-            Coord::ProbeMinusKey(10.0),
+            |k| 10.0 - k,
+            false,
             [Some(DIv::ray_above(7.0, true)), None],
         );
         assert_eq!(r, [0..2, 0..0]);
         // Two overlapping rays merge, in either slot order.
         let (below, above) = (DIv::ray_below(3.0, false), DIv::ray_above(2.0, false));
         for ivs in [[Some(below), Some(above)], [Some(above), Some(below)]] {
-            assert_eq!(sorted_runs(&keys, Coord::Key, ivs), [0..5, 0..0]);
+            assert_eq!(sorted_runs(&keys, |k| k, true, ivs), [0..5, 0..0]);
         }
         // Nothing accepted, and an interval no key falls in.
-        assert_eq!(sorted_runs(&keys, Coord::Key, [None, None]), [0..0, 0..0]);
+        assert_eq!(sorted_runs(&keys, |k| k, true, [None, None]), [0..0, 0..0]);
         let gap = DIv::window(2.25, 2.75, false);
         assert_eq!(
-            sorted_runs(&keys, Coord::Key, [None, Some(gap)]),
+            sorted_runs(&keys, |k| k, true, [None, Some(gap)]),
             [0..0, 0..0]
         );
     }
@@ -905,13 +893,94 @@ mod tests {
         // {-4, -2}. Both runs must survive the merge.
         let keys = keys(&[-4.0, -2.0, 0.0, 2.0, 4.0]);
         let ivs = abs_cmp_intervals(CmpOp::Gt, 1.0).unwrap();
-        let r = sorted_runs(&keys, Coord::ProbeMinusKey(0.0), ivs);
+        let r = sorted_runs(&keys, |k| 0.0 - k, false, ivs);
         assert_eq!(r, [0..2, 3..5]);
         // |d| = 2 on the same decreasing coordinate: two singleton runs.
         let ivs = abs_cmp_intervals(CmpOp::Eq, 2.0).unwrap();
-        let r = sorted_runs(&keys, Coord::ProbeMinusKey(0.0), ivs);
+        let r = sorted_runs(&keys, |k| 0.0 - k, false, ivs);
         assert_eq!(r, [1..2, 3..4]);
         assert_eq!(runs_len(&r), 2);
+    }
+
+    #[test]
+    fn band_runs_are_exactly_the_scalar_matches() {
+        let cmp = |l: f64, op: CmpOp, r: f64| match op {
+            CmpOp::Lt => l < r,
+            CmpOp::Le => l <= r,
+            CmpOp::Gt => l > r,
+            CmpOp::Ge => l >= r,
+            CmpOp::Eq => l == r,
+            CmpOp::Ne => l != r,
+        };
+        let sub = f64::from_bits(1); // smallest subnormal
+        let specials = [
+            f64::NEG_INFINITY,
+            -1e308,
+            -3.5,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -sub,
+            -0.0,
+            0.0,
+            sub,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            1e308,
+            f64::INFINITY,
+        ];
+        // The key array as an index holds it: ascending, duplicates kept,
+        // NaN keys left out.
+        let mut sorted: Vec<f64> = specials.iter().chain(&[1.0, -0.0]).copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        let keys = keys(&sorted);
+        let probes: Vec<f64> = specials.iter().copied().chain([f64::NAN]).collect();
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let mut pruned = 0;
+        for op in ops {
+            let mut forms = vec![BandForm::Direct(op)];
+            for c in [-2.0, -0.0, 0.0, sub, 1.0, 4.5, f64::INFINITY] {
+                forms.push(BandForm::Diff { op, c });
+                forms.push(BandForm::AbsDiff { op, c });
+            }
+            for form in forms {
+                for key_is_lhs in [true, false] {
+                    for &p in &probes {
+                        let runs = band_runs(&keys, form, key_is_lhs, p);
+                        if op == CmpOp::Ne {
+                            assert!(runs.is_none(), "{form:?} must not prune");
+                        }
+                        // `None` claims nothing: the caller scans.
+                        let Some(runs) = runs else { continue };
+                        pruned += 1;
+                        assert!(runs[1].is_empty() || runs[0].end < runs[1].start);
+                        for (i, &(k, _)) in keys.iter().enumerate() {
+                            let (l, r) = if key_is_lhs { (k, p) } else { (p, k) };
+                            let accepted = match form {
+                                BandForm::Direct(op) => cmp(l, op, r),
+                                BandForm::Diff { op, c } => cmp(l - r, op, c),
+                                BandForm::AbsDiff { op, c } => cmp((l - r).abs(), op, c),
+                            };
+                            assert_eq!(
+                                runs.iter().any(|run| run.contains(&i)),
+                                accepted,
+                                "{form:?} key_is_lhs={key_is_lhs} p={p:e} key={k:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pruned > 1000, "only {pruned} probes pruned");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -1151,10 +1151,9 @@ pub fn get_join_space(r: &mut Reader<'_>) -> Result<JoinSpace, CodecError> {
     Ok(JoinSpace::from_parts(dims, maps, flag_bits))
 }
 
-/// Encodes a [`StreamJoinEngine`]'s mutable state: live tuples plus
-/// band-index hotness (the query itself is not serialized — the caller
-/// recompiles it deterministically and passes it to
-/// [`get_stream_engine`]).
+/// Encodes a [`StreamJoinEngine`]'s mutable state: its live tuples (the
+/// query itself is not serialized — the caller recompiles it
+/// deterministically and passes it to [`get_stream_engine`]).
 pub fn put_stream_engine(w: &mut Writer, engine: &StreamJoinEngine) {
     let tuples = engine.live_tuples();
     w.put_usize(tuples.len());
@@ -1165,20 +1164,10 @@ pub fn put_stream_engine(w: &mut Writer, engine: &StreamJoinEngine) {
             put_opt(w, values, |w, v| put_f64_vec(w, v));
         }
     }
-    let band = engine.band_state();
-    w.put_usize(band.len());
-    for parts in &band {
-        w.put_usize(parts.len());
-        for &(bucket, arrivals, hot) in parts {
-            w.put_i64(bucket);
-            w.put_u64(arrivals);
-            w.put_bool(hot);
-        }
-    }
 }
 
 /// Decodes and rebuilds a [`StreamJoinEngine`] by replaying the live tuples
-/// into a fresh engine for `query`, then restoring band hotness.
+/// into a fresh engine for `query`.
 pub fn get_stream_engine(
     r: &mut Reader<'_>,
     query: CompiledQuery,
@@ -1194,19 +1183,7 @@ pub fn get_stream_engine(
         }
         tuples.push((origin, per_rel));
     }
-    let nb = r.get_count(8)?;
-    let mut band = Vec::new();
-    for _ in 0..nb {
-        let np = r.get_count(8 + 8 + 1)?;
-        let mut parts = Vec::new();
-        for _ in 0..np {
-            let bucket = r.get_i64()?;
-            let arrivals = r.get_u64()?;
-            parts.push((bucket, arrivals, r.get_bool()?));
-        }
-        band.push(parts);
-    }
-    Ok(StreamJoinEngine::restore(query, &tuples, &band))
+    Ok(StreamJoinEngine::restore(query, &tuples))
 }
 
 /// Encodes per-batch streaming statistics.
@@ -1217,7 +1194,6 @@ pub fn put_batch_stats(w: &mut Writer, s: &BatchStats) {
     w.put_usize(s.rows_added);
     w.put_usize(s.rows_removed);
     w.put_usize(s.candidates);
-    w.put_usize(s.promotions);
 }
 
 /// Decodes per-batch streaming statistics.
@@ -1229,7 +1205,6 @@ pub fn get_batch_stats(r: &mut Reader<'_>) -> Result<BatchStats, CodecError> {
         rows_added: r.get_usize()?,
         rows_removed: r.get_usize()?,
         candidates: r.get_usize()?,
-        promotions: r.get_usize()?,
     })
 }
 
@@ -1242,7 +1217,6 @@ pub fn put_delta_stats(w: &mut Writer, s: &DeltaBatchStats) {
     w.put_u64(s.rows_added);
     w.put_u64(s.rows_removed);
     w.put_u64(s.candidates);
-    w.put_u64(s.promotions);
 }
 
 /// Decodes cumulative delta-batch statistics.
@@ -1255,7 +1229,6 @@ pub fn get_delta_stats(r: &mut Reader<'_>) -> Result<DeltaBatchStats, CodecError
         rows_added: r.get_u64()?,
         rows_removed: r.get_u64()?,
         candidates: r.get_u64()?,
-        promotions: r.get_u64()?,
     })
 }
 

@@ -10,7 +10,8 @@ use sensjoin_sim::{BaseChoice, EnergyModel, Network, NetworkBuilder, NetworkErro
 pub enum SensorNetworkError {
     /// Underlying network construction failed.
     Network(NetworkError),
-    /// Supplied external data has inconsistent dimensions.
+    /// Supplied external data has inconsistent dimensions, a non-finite
+    /// value, or a position outside the area.
     DataShape(String),
     /// A query referenced a relation missing from the catalog.
     UnknownRelation(String),
@@ -319,7 +320,7 @@ impl SensorNetworkBuilder {
 
     /// Supplies explicit positions and readings (a real trace) instead of
     /// synthetic placement and field generation. `placement`, `fields` and
-    /// the data part of `seed` are ignored; the area should cover the
+    /// the data part of `seed` are ignored; the area must cover the
     /// positions.
     pub fn data(mut self, data: ExternalData) -> Self {
         self.data = Some(data);
@@ -346,6 +347,25 @@ impl SensorNetworkBuilder {
                             data.attrs.len()
                         )));
                     }
+                    if let Some(j) = row.iter().position(|v| !v.is_finite()) {
+                        return Err(SensorNetworkError::DataShape(format!(
+                            "row {i}: reading {} of {:?} is not finite",
+                            row[j], data.attrs[j].0
+                        )));
+                    }
+                }
+                // A NaN coordinate is in no range, so this rejects it too.
+                let (xs, ys) = (0.0..=self.area.width, 0.0..=self.area.height);
+                if let Some((i, p)) = data
+                    .positions
+                    .iter()
+                    .enumerate()
+                    .find(|(_, p)| !(xs.contains(&p.x) && ys.contains(&p.y)))
+                {
+                    return Err(SensorNetworkError::DataShape(format!(
+                        "position {i} ({}, {}) is outside the {} m × {} m area",
+                        p.x, p.y, self.area.width, self.area.height
+                    )));
                 }
                 (
                     data.positions.clone(),

@@ -297,6 +297,63 @@ fn crash_anywhere_sweep_is_bit_identical_under_loss_and_churn() {
     }
 }
 
+/// A snapshot written under another format version — well-formed, checksum
+/// valid — is passed over like a corrupt one: recovery falls back to the
+/// older snapshot, or to a cold start when no snapshot of this version is
+/// left, flags the run `degraded`, and the resumed run is still
+/// bit-identical to the uninterrupted one.
+#[test]
+fn other_version_snapshots_are_passed_over() {
+    let seed = 42;
+    let ref_dir = tmpdir("cont-version-ref");
+    let (ref_digests, ref_state) = reference_run(&ref_dir, seed, ROUNDS);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+
+    // Four rounds leave snapshots 2 and 4; `foreign` of them get re-framed.
+    for (foreign, resume_at) in [(&[4u64][..], 2), (&[2, 4][..], 0)] {
+        let dir = tmpdir("cont-version");
+        let (mut snet, cq, specs) = build(seed);
+        let mut cont = ContinuousSensJoin::new();
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut before = Vec::new();
+        run_span(
+            &mut snet,
+            &mut cont,
+            &cq,
+            &specs,
+            seed,
+            Some(&mut store),
+            0,
+            4,
+            &BTreeMap::new(),
+            &mut before,
+        )
+        .unwrap();
+        for &seq in foreign {
+            // The checksum covers everything after the version field, so
+            // the re-framed file is intact in every other respect.
+            let path = store.snapshot_path(seq);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&(persist::SNAPSHOT_VERSION - 1).to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+        }
+        drop(store);
+
+        let rec = CheckpointStore::open(&dir).unwrap().recover().unwrap();
+        assert!(rec.degraded, "a skipped snapshot must be reported");
+        assert_eq!(rec.snapshot.map_or(0, |(seq, _)| seq), resume_at);
+        assert_eq!(rec.wal.len(), 4, "the WAL is untouched");
+
+        let (start, replayed, state) = recover_and_finish(&dir, seed, ROUNDS);
+        assert_eq!(start, resume_at);
+        let mut trail = before[..start as usize].to_vec();
+        trail.extend(&replayed);
+        assert_eq!(trail, ref_digests, "digest trail diverged");
+        assert_eq!(state, ref_state, "final state diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -340,13 +340,10 @@ pub struct DeltaBatchStats {
     pub rows_removed: u64,
     /// Candidate bindings examined during anchored re-enumeration.
     pub candidates: u64,
-    /// Band-index partitions promoted to their hot sub-bucket tier.
-    pub promotions: u64,
 }
 
 impl DeltaBatchStats {
     /// Records one applied batch's counters.
-    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
         ops: u64,
@@ -355,7 +352,6 @@ impl DeltaBatchStats {
         rows_added: u64,
         rows_removed: u64,
         candidates: u64,
-        promotions: u64,
     ) {
         self.batches += 1;
         self.ops += ops;
@@ -364,7 +360,6 @@ impl DeltaBatchStats {
         self.rows_added += rows_added;
         self.rows_removed += rows_removed;
         self.candidates += candidates;
-        self.promotions += promotions;
     }
 
     /// Sums another accumulator into this one.
@@ -376,7 +371,6 @@ impl DeltaBatchStats {
         self.rows_added += other.rows_added;
         self.rows_removed += other.rows_removed;
         self.candidates += other.candidates;
-        self.promotions += other.promotions;
     }
 
     /// Mean candidate bindings examined per stream op — the per-delta cost.

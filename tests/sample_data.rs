@@ -89,4 +89,25 @@ fn bad_shapes_rejected() {
         err2,
         Err(sensjoin::core::SensorNetworkError::DataShape(_))
     ));
+    // Non-finite values and positions outside the area are shape errors
+    // too, not a panic in the topology grid.
+    let spoil: [fn(&mut ExternalData); 5] = [
+        |d| d.positions[7].x = f64::INFINITY,
+        |d| d.positions[7].y = f64::NAN,
+        |d| d.positions[7].x = -30.0,
+        |d| d.positions[7].y = 45.5,
+        |d| d.rows[7][1] = f64::NAN,
+    ];
+    for spoil in spoil {
+        let mut data = load_lab_54();
+        spoil(&mut data);
+        let err = SensorNetworkBuilder::new()
+            .area(Area::new(45.0, 45.0))
+            .data(data)
+            .build();
+        assert!(matches!(
+            err,
+            Err(sensjoin::core::SensorNetworkError::DataShape(_))
+        ));
+    }
 }

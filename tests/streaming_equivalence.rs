@@ -5,8 +5,9 @@
 //! tuples it has been fed — same row sequence, same aggregates, same
 //! contributor set — for every predicate class the classifier produces
 //! (band, absolute band in both window and two-run shapes, equi, general,
-//! and multi-conjunct 3-way joins). Runs under both feature configurations
-//! in CI, so the vectorized residual kernels are covered on and off.
+//! and multi-conjunct 3-way joins). The band indexes are probed through
+//! the batch engine's window derivation (`partition::band_runs`); CI runs
+//! the suite under both feature configurations.
 
 use proptest::prelude::*;
 use sensjoin::core::{exact_join, JoinComputation, StreamJoinEngine, StreamOp};
