@@ -516,7 +516,10 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
     for (sql, &every) in args.positional.iter().zip(&every) {
         let q = parse(sql).map_err(|e| e.to_string())?;
         let cq = snet.compile(&q).map_err(|e| e.to_string())?;
-        runner.group_mut().register(&snet, cq, every);
+        runner
+            .group_mut()
+            .try_register(&snet, cq, every)
+            .map_err(|e| e.to_string())?;
     }
     println!(
         "network: {} nodes, {} concurrent queries, epoch every {period_s} s, energy model {}",
@@ -577,6 +580,11 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
     let epsilon: f64 = args
         .get_or("epsilon", 0.0, "number")
         .map_err(|e| e.to_string())?;
+    if !(epsilon.is_finite() && epsilon >= 0.0) {
+        return Err(format!(
+            "--epsilon must be a finite, non-negative number, got {epsilon}"
+        ));
+    }
     let seed: u64 = args
         .get_or("seed", 1, "integer")
         .map_err(|e| e.to_string())?;
@@ -1762,6 +1770,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensjoin_core::MAX_GROUP_QUERIES;
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
@@ -1776,6 +1785,31 @@ mod tests {
     #[test]
     fn unknown_command_fails() {
         assert_ne!(dispatch(&args("frobnicate")), 0);
+    }
+
+    #[test]
+    fn multi_rejects_a_query_beyond_group_capacity() {
+        let sql = "SELECT A.hum FROM Sensors A, Sensors B \
+                   WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
+        let run = |queries: usize| {
+            let mut a = args("multi --nodes 60 --epochs 1");
+            a.positional = vec![sql.to_owned(); queries];
+            dispatch(&a)
+        };
+        assert_eq!(run(MAX_GROUP_QUERIES), 0);
+        assert_ne!(run(MAX_GROUP_QUERIES + 1), 0);
+    }
+
+    #[test]
+    fn continuous_rejects_negative_and_non_finite_epsilon() {
+        for epsilon in ["-1", "nan", "inf"] {
+            let mut a = args("continuous --nodes 40 --rounds 1");
+            a.options.insert("epsilon".into(), epsilon.into());
+            let sql = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                       WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
+            a.options.insert("sql".into(), sql.into());
+            assert_ne!(dispatch(&a), 0, "--epsilon {epsilon}");
+        }
     }
 
     #[test]

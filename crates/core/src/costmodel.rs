@@ -20,8 +20,9 @@
 
 use crate::config::SensJoinConfig;
 use crate::engine::JoinSpace;
-use crate::repr::{collect_node_data, JoinAttrMsg};
+use crate::repr::collect_node_data;
 use crate::snetwork::SensorNetwork;
+use sensjoin_quadtree::{encoded_wire_size, PointSet};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 
@@ -151,23 +152,18 @@ impl<'a> CostModel<'a> {
     pub fn estimate_beta(&self) -> f64 {
         let space = JoinSpace::build(self.query, self.snet, &SensJoinConfig::default());
         let data = collect_node_data(self.snet, self.query, &space);
-        let mut msg = JoinAttrMsg::new();
+        let mut set = PointSet::new();
         let mut count = 0usize;
         for d in data.iter() {
             if let Some(rec) = &d.rec {
-                msg.insert(rec.z, rec.flags, &rec.coords);
+                set.insert(rec.z, rec.flags);
                 count += 1;
             }
         }
         if count == 0 {
             return 8.0;
         }
-        let bits = 8.0
-            * JoinAttrMsg::filter_wire_size(
-                &msg.set,
-                crate::config::Representation::Quadtree,
-                &space,
-            ) as f64;
+        let bits = 8.0 * encoded_wire_size(&set, space.shape()) as f64;
         bits / count as f64
     }
 

@@ -1,0 +1,789 @@
+//! The one full-wire SENS-Join epoch (paper §IV): Join-Attribute-Collection
+//! with Treecut (Fig. 2), Filter-Dissemination with Selective Filter
+//! Forwarding (Fig. 3) and Final-Result-Computation (§IV-D), for the *k*
+//! queries due together on one network.
+//!
+//! [`SensJoin::execute`](crate::SensJoin) runs it with one slot;
+//! [`QueryGroup::execute_epoch`](crate::QueryGroup) with every due query.
+//! The callers differ in exactly two things, both passed to [`run_epoch`]:
+//! the base-station filter step, and whether churn is polled between the
+//! phases. Everything else — the wire format, the phase labels, the loss
+//! fallback, the churn reconciliation — is written here once.
+//!
+//! **What k adds.** Messages identify complete tuples by origin node; each
+//! slot's projection of a node is in that slot's [`NodeData`] table. A
+//! collection or filter message carries one cell set per slot, and sets
+//! whose quantization spaces coincide share one quadtree encoding on the
+//! wire ([`merged_wire_size`]; a quadtree-only saving — under the §VI-B
+//! representation variants each slot's set is sized on its own). A final
+//! tuple ships once with a membership mask of the slots it matched, charged
+//! for the union of their referenced attributes; at k = 1 the mask is
+//! omitted and every message costs exactly what a single query's would. As
+//! a message leaves, what each slot would have paid for it alone is metered
+//! into that slot's [`SoloCost`].
+//!
+//! **Loss policy.** Results stay exact as long as the final wave arrives:
+//! a node whose collection message was permanently lost re-enters the query
+//! in pass-through mode (its Treecut handoff restored), the base then orders
+//! pass-through for everyone, and a node whose filter copy was lost ships
+//! everything it holds. `complete` is false only when the final wave itself
+//! lost data.
+
+use crate::config::{Representation, SensJoinConfig};
+use crate::engine::{exact_join, JoinComputation, JoinSpace};
+use crate::repr::{JoinAttrMsg, NodeData, SizedSet};
+use crate::scheduler::SoloCost;
+use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
+use crate::snetwork::SensorNetwork;
+use crate::wave::{down_wave, up_wave, DownArrival, WaveTiming};
+use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags};
+use sensjoin_query::CompiledQuery;
+use sensjoin_relation::NodeId;
+use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
+use std::collections::BTreeSet;
+
+/// One query of the epoch: its quantization space and every node's local
+/// view of it ([`crate::repr::collect_node_data`]).
+pub(crate) struct Slot<'a> {
+    pub query: &'a CompiledQuery,
+    pub space: &'a JoinSpace,
+    pub data: Vec<NodeData>,
+}
+
+/// What one run of the three phases produced.
+pub(crate) struct EpochRun {
+    /// Per slot: the exact join over the tuples that reached the base.
+    pub joins: Vec<JoinComputation>,
+    /// Per slot: what the slot's payloads would have cost unshared (`id` is
+    /// left for the caller to stamp).
+    pub solo: Vec<SoloCost>,
+    /// The three phases' latencies, composed.
+    pub timing: WaveTiming,
+    /// Whether every slot's result is guaranteed exact: the final wave lost
+    /// nothing and — when churn was polled — every node that participated
+    /// at the start survived to the end (otherwise the result is exact over
+    /// the survivors only).
+    pub complete: bool,
+    /// Whether a crash or revival was applied between the phases.
+    pub churned: bool,
+}
+
+/// Collection message: a node forwards either complete tuples (below the
+/// Treecut threshold; identified by origin) or one join-attribute structure
+/// per slot (paper §IV-B).
+enum UpMsg {
+    Full { nodes: Vec<NodeId>, bytes: usize },
+    Attrs(Vec<JoinAttrMsg>),
+}
+
+/// Dissemination message. On a lossless network only `Filter` occurs and it
+/// costs exactly the filters' wire size; on a lossy network every message
+/// carries a one-byte tag so that a conservative `PassThrough` order (ship
+/// everything, prune nothing) can be disseminated after collection damage.
+#[derive(Clone)]
+enum FilterMsg {
+    /// Per slot: the (possibly subtree-pruned) join filter, `None` where
+    /// nothing below joins.
+    Filter(Vec<Option<SizedSet>>),
+    PassThrough,
+}
+
+/// Final-phase message: shipped tuples with their slot-membership masks.
+struct Batch {
+    entries: Vec<(NodeId, u64)>,
+    bytes: usize,
+}
+
+/// Per-node protocol state surviving between the phases, one column per
+/// field (per-slot fields are `k` consecutive entries per node).
+struct Nodes {
+    k: usize,
+    /// Stays awake after collection (Treecut nodes exit the query, Fig. 2
+    /// line 18).
+    active: Vec<bool>,
+    /// Holds its own tuple.
+    own: Vec<bool>,
+    /// Complete tuples stored on behalf of cut descendants (proxy role).
+    proxy: Vec<Vec<NodeId>>,
+    /// Conservative mode: the node lost protocol state (to the channel or
+    /// to churn) and ships every tuple it holds rather than risk dropping a
+    /// real result.
+    passthrough: Vec<bool>,
+    /// Per slot: the subtree's received cells, memorized for Selective
+    /// Filter Forwarding (`None` if over the memory cap).
+    subtree_atts: Vec<Option<PointSet>>,
+    /// Per slot: the filter as received (`None` = pruned away).
+    received: Vec<Option<PointSet>>,
+}
+
+impl Nodes {
+    fn new(n: usize, k: usize) -> Self {
+        Self {
+            k,
+            active: vec![false; n],
+            own: vec![false; n],
+            proxy: vec![Vec::new(); n],
+            passthrough: vec![false; n],
+            subtree_atts: vec![None; n * k],
+            received: vec![None; n * k],
+        }
+    }
+
+    /// A crash or reboot: the node loses all state. Returns what it proxied.
+    fn wipe(&mut self, v: usize) -> Vec<NodeId> {
+        self.active[v] = false;
+        self.own[v] = false;
+        self.passthrough[v] = false;
+        for s in v * self.k..(v + 1) * self.k {
+            self.subtree_atts[s] = None;
+            self.received[s] = None;
+        }
+        std::mem::take(&mut self.proxy[v])
+    }
+
+    /// Re-enters the query holding data its ancestors know nothing about.
+    fn conservative(&mut self, v: usize) {
+        self.active[v] = true;
+        self.passthrough[v] = true;
+    }
+
+    /// Re-activates `v`'s ancestor chain so the participant set stays
+    /// root-closed. Re-activated relays hold no data and only forward.
+    fn close_to_root(&mut self, routing: &RoutingTree, v: NodeId) {
+        let mut u = v;
+        while let Some(p) = routing.parent(u) {
+            if self.active[p.0 as usize] {
+                break;
+            }
+            self.active[p.0 as usize] = true;
+            u = p;
+        }
+    }
+
+    /// Reconciles the state with the liveness changes of one churn
+    /// boundary, keeping the surviving population's data exactly once in
+    /// the network:
+    ///
+    /// * **Crashed** nodes lose all state. Tuples they proxied for *live*
+    ///   origins are re-elected back to those origins (the origin still
+    ///   stores its own reading, so this recovery is radio-free); tuples
+    ///   *originating* at a dead node are dropped at every live holder (the
+    ///   death notification the network charges under the repair phase).
+    /// * **Revived** nodes reboot with no protocol state. One that
+    ///   participated at the start re-contributes its reading (every other
+    ///   copy was dropped when it died), conservatively.
+    /// * **Reattached** nodes hang below ancestors whose memorized subtree
+    ///   synopses do not cover them, so Selective Filter Forwarding could
+    ///   wrongly prune them — any that holds data ships it unconditionally.
+    ///
+    /// Finally the participant set is re-closed towards the root.
+    fn reconcile_churn(
+        &mut self,
+        out: &ChurnOutcome,
+        net: &Network,
+        contributes: impl Fn(usize) -> bool,
+        p0: &[bool],
+    ) {
+        let alive = net.alive_mask();
+        // A crash wipes the node's copies everywhere even if the node
+        // revived at this very boundary: liveness alone is not enough to
+        // keep a tuple — its origin must also not have crashed just now
+        // (the revival arm re-contributes the reading exactly once).
+        let mut crashed_now = vec![false; alive.len()];
+        for &d in &out.crashed {
+            crashed_now[d.0 as usize] = true;
+        }
+        let survives = |u: &NodeId| alive[u.0 as usize] && !crashed_now[u.0 as usize];
+        let mut restore: Vec<NodeId> = Vec::new();
+        for &d in &out.crashed {
+            restore.extend(self.wipe(d.0 as usize));
+        }
+        if !out.crashed.is_empty() {
+            for held in &mut self.proxy {
+                held.retain(&survives);
+            }
+        }
+        // The origin died too: the tuple is genuinely lost.
+        for u in restore.into_iter().filter(&survives) {
+            self.own[u.0 as usize] = true;
+            self.conservative(u.0 as usize);
+        }
+        for &v in &out.revived {
+            let vi = v.0 as usize;
+            self.wipe(vi);
+            // (not if it crashed again at the same boundary)
+            if alive[vi] && p0[vi] && contributes(vi) {
+                self.own[vi] = true;
+                self.conservative(vi);
+            }
+        }
+        for &v in &out.reattached {
+            let vi = v.0 as usize;
+            if self.active[vi] || self.own[vi] || !self.proxy[vi].is_empty() {
+                self.conservative(vi);
+            }
+        }
+        let routing = net.routing();
+        for vi in 0..self.active.len() {
+            let v = NodeId(vi as u32);
+            // Orphans are not part of any wave until reattached.
+            if self.active[vi] && routing.depth(v).is_some() {
+                self.close_to_root(routing, v);
+            }
+        }
+    }
+
+    /// Polls one mid-epoch churn boundary `elapsed` after the previous one
+    /// and reconciles. Returns whether a crash or revival was applied.
+    fn churn_boundary(
+        &mut self,
+        snet: &mut SensorNetwork,
+        elapsed: Time,
+        contributes: impl Fn(usize) -> bool,
+        p0: &[bool],
+    ) -> bool {
+        let out = snet.net_mut().apply_churn(elapsed);
+        if !out.is_empty() {
+            self.reconcile_churn(&out, snet.net(), contributes, p0);
+        }
+        !out.crashed.is_empty() || !out.revived.is_empty()
+    }
+}
+
+/// One relation of a slot's query: its membership flag, and the attributes
+/// it references and its whole schema as master-schema columns.
+struct RelLayout {
+    flag: RelFlags,
+    referenced: Vec<usize>,
+    schema: Vec<usize>,
+}
+
+/// Per node: alive and attached to the routing tree.
+fn live_attached(net: &Network) -> Vec<bool> {
+    (0..net.len() as u32)
+        .map(NodeId)
+        .map(|v| net.is_alive(v) && net.routing().depth(v).is_some())
+        .collect()
+}
+
+/// Runs collection → dissemination → final for `slots` on the network's
+/// current snapshot and joins what reaches the base, per slot.
+///
+/// `base_filter(slot, collected)` is the base station's conservative
+/// pre-join (paper step 1a): given the slot's collected cell population it
+/// returns the slot's join filter. `poll_churn` says whether the churn
+/// timeline is polled before the first phase and after each of the first
+/// two (with state reconciliation); a caller with a next epoch to defer
+/// liveness changes to passes `false` and polls between epochs itself.
+pub(crate) fn run_epoch(
+    snet: &mut SensorNetwork,
+    cfg: &SensJoinConfig,
+    slots: &[Slot<'_>],
+    mut base_filter: impl FnMut(usize, &PointSet) -> PointSet,
+    poll_churn: bool,
+) -> EpochRun {
+    let k = slots.len();
+    assert!(
+        (1..=64).contains(&k),
+        "slot membership masks are 64-bit and an epoch has at least one query"
+    );
+    let base = snet.base();
+    let n = snet.len();
+    let repr = cfg.representation;
+    let sigs: Vec<SpaceSig> = slots.iter().map(|s| space_signature(s.space)).collect();
+
+    let master = snet.master_schema();
+    let col = |name: &str| master.index_of(name).expect("validated attribute");
+    let layouts: Vec<Vec<RelLayout>> = slots
+        .iter()
+        .map(|slot| {
+            let q = slot.query;
+            (0..q.num_relations())
+                .map(|r| {
+                    let attrs = q.schema(r).attrs();
+                    let referenced = q.referenced_attrs(r).iter();
+                    RelLayout {
+                        flag: slot.space.flag(r),
+                        referenced: referenced.map(|&a| col(attrs[a].name())).collect(),
+                        schema: attrs.iter().map(|a| col(a.name())).collect(),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let attr_sizes: Vec<usize> = master.attrs().iter().map(|a| a.wire_size()).collect();
+
+    // Wire size of node `v`'s tuple across the slots in `mask`: the union
+    // of their referenced attributes, deduplicated by master column.
+    let union_bytes = |v: usize, mask: u64| -> usize {
+        let mut cols: BTreeSet<usize> = BTreeSet::new();
+        for (s, rels) in layouts.iter().enumerate() {
+            if mask >> s & 1 == 0 {
+                continue;
+            }
+            let Some(rec) = &slots[s].data[v].rec else {
+                continue;
+            };
+            for rel in rels.iter().filter(|rel| rec.flags.intersects(rel.flag)) {
+                cols.extend(rel.referenced.iter().copied());
+            }
+        }
+        cols.iter().map(|&c| attr_sizes[c]).sum()
+    };
+    // The slots node `v` has a tuple for.
+    let member_mask = |v: usize| -> u64 {
+        (0..k)
+            .filter(|&s| slots[s].data[v].rec.is_some())
+            .fold(0, |m, s| m | 1 << s)
+    };
+    // A single query's final tuples need no membership annotation.
+    let mask_bytes = if k == 1 { 0 } else { k.div_ceil(8) };
+
+    // ---- Churn boundary 0 (pre-start) ----
+    // Nodes that leave before the query starts simply never participate;
+    // nothing needs reconciling. `p0` is the participated-at-start set —
+    // the population the completeness guarantee is measured against.
+    let churn = poll_churn && snet.net().has_churn();
+    let mut churned = false;
+    if churn {
+        snet.net_mut().apply_churn(0);
+    }
+    let p0 = if churn {
+        live_attached(snet.net())
+    } else {
+        Vec::new()
+    };
+
+    let mut nodes = Nodes::new(n, k);
+    let mut solo = vec![SoloCost::default(); k];
+
+    // ---- Phase 1: Join-Attribute-Collection (Fig. 2) ----
+    // One up-wave. Treecut is decided on the union tuple size, so a subtree
+    // cheap for *all* slots together exits the epoch entirely.
+    let lossy = snet.net().lossy();
+    // Treecut handoffs `(own, proxied)`, retained while the lossy channel
+    // can still eat the message: restored if the handoff is reported
+    // damaged, so the data survives at exactly one place.
+    let mut kept: Vec<Option<(bool, Vec<NodeId>)>> = vec![None; if lossy { n } else { 0 }];
+    let (base_msg, rep1) = up_wave(
+        snet.net_mut(),
+        &|_| true,
+        |v, received: Vec<UpMsg>| {
+            let vi = v.0 as usize;
+            let mut fulls: Vec<NodeId> = Vec::new();
+            let mut full_bytes = 0usize;
+            let mut attr_msgs: Vec<Vec<JoinAttrMsg>> = Vec::new();
+            for msg in received {
+                match msg {
+                    UpMsg::Full { mut nodes, bytes } => {
+                        full_bytes += bytes;
+                        fulls.append(&mut nodes);
+                    }
+                    UpMsg::Attrs(sets) => attr_msgs.push(sets),
+                }
+            }
+            let own = member_mask(vi);
+            let own_bytes = union_bytes(vi, own);
+            let treecut = v != base
+                && cfg.dmax > 0
+                && attr_msgs.is_empty()
+                && full_bytes + own_bytes <= cfg.dmax;
+            if treecut {
+                // Hand the complete tuples to the parent and exit the query
+                // (Fig. 2 lines 14-18).
+                if lossy {
+                    kept[vi] = Some((own != 0, fulls.clone()));
+                }
+                if own != 0 {
+                    fulls.push(v);
+                }
+                return UpMsg::Full {
+                    nodes: fulls,
+                    bytes: full_bytes + own_bytes,
+                };
+            }
+            nodes.active[vi] = true;
+            // Merge received structures (Fig. 2 line 10). A lone structure
+            // is taken as it is, with the sizes its sender computed.
+            let mut sets: Vec<JoinAttrMsg> = if attr_msgs.len() == 1 {
+                attr_msgs.pop().expect("one message")
+            } else {
+                let mut sets = vec![JoinAttrMsg::new(repr); k];
+                for m in &attr_msgs {
+                    for (ja, other) in sets.iter_mut().zip(m) {
+                        ja.merge(other);
+                    }
+                }
+                sets
+            };
+            // Memorize the subtree's cells for Selective Filter Forwarding —
+            // the *received* ones only (Fig. 2 line 21; own and proxied
+            // tuples are checked directly against the incoming filter
+            // later), per slot under its own memory-cap check. The stored
+            // form is always the compact quadtree; the base station is
+            // powered and ignores the cap.
+            if cfg.selective_forwarding {
+                for (s, ja) in sets.iter_mut().enumerate() {
+                    if v == base
+                        || ja.set.wire_size(slots[s].space.shape()) <= cfg.filter_memory_limit
+                    {
+                        nodes.subtree_atts[vi * k + s] = Some(PointSet::clone(&ja.set));
+                    }
+                }
+            }
+            // Act as proxy for received complete tuples (line 20) and fold
+            // their — and the node's own — projections in (line 22).
+            nodes.own[vi] = own != 0;
+            for &u in fulls.iter().chain(nodes.own[vi].then_some(&v)) {
+                for (ja, slot) in sets.iter_mut().zip(slots) {
+                    if let Some(rec) = &slot.data[u.0 as usize].rec {
+                        ja.insert(rec.z, rec.flags, &rec.coords);
+                    }
+                }
+            }
+            nodes.proxy[vi] = fulls;
+            UpMsg::Attrs(sets)
+        },
+        |m| match m {
+            UpMsg::Full { nodes, bytes } => {
+                for (cost, slot) in solo.iter_mut().zip(slots) {
+                    let recs = nodes
+                        .iter()
+                        .filter_map(|u| slot.data[u.0 as usize].rec.as_ref());
+                    cost.collection_bytes += recs.map(|r| r.bytes as u64).sum::<u64>();
+                }
+                *bytes
+            }
+            UpMsg::Attrs(sets) => {
+                let present: Vec<_> = sets
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(s, ja)| {
+                        let bytes = ja.wire_size(repr, slots[s].space.shape());
+                        (s, &*ja.set, bytes)
+                    })
+                    .collect();
+                for &(s, _, bytes) in &present {
+                    solo[s].collection_bytes += bytes as u64;
+                }
+                if repr == Representation::Quadtree {
+                    merged_wire_size(&present, &sigs, slots)
+                } else {
+                    present.iter().map(|&(_, _, bytes)| bytes).sum()
+                }
+            }
+        },
+        PHASE_COLLECTION,
+    );
+
+    // ---- Collection-damage fallback ----
+    // A node whose collection message was permanently lost re-enters the
+    // query in pass-through mode (its handoff is restored if it had
+    // treecut), and its ancestor chain is re-activated. Because the base's
+    // view of the join attributes is now incomplete, *any* filter it
+    // computed could wrongly prune other subtrees — the dissemination phase
+    // therefore degrades to an explicit conservative PassThrough order for
+    // everyone (results stay exact; only the filter savings are lost).
+    let collection_damaged = !rep1.damaged.is_empty();
+    for &v in &rep1.damaged {
+        let vi = v.0 as usize;
+        nodes.conservative(vi);
+        if let Some((own, proxy)) = kept[vi].take() {
+            nodes.own[vi] = own;
+            nodes.proxy[vi] = proxy;
+        }
+        nodes.close_to_root(snet.net().routing(), v);
+    }
+
+    // ---- Churn boundary 1 (after collection) ----
+    // A node dying here takes its proxied tuples down with it: proxy
+    // re-election restores each at its (surviving) origin, dead origins'
+    // tuples are dropped everywhere, and the subtree the repair machinery
+    // re-homed switches to pass-through.
+    if churn {
+        let contributes = |v| member_mask(v) != 0;
+        churned |= nodes.churn_boundary(snet, rep1.timing.pipelined, contributes, &p0);
+    }
+
+    // ---- Base station: conservative pre-join (step 1a), per slot ----
+    let UpMsg::Attrs(collected) = base_msg else {
+        unreachable!("base never applies Treecut")
+    };
+    let filters: Vec<SizedSet> = collected
+        .into_iter()
+        .enumerate()
+        .map(|(s, ja)| SizedSet::new(base_filter(s, &ja.set)))
+        .collect();
+
+    // ---- Phase 2: Filter-Dissemination (Fig. 3) ----
+    // On a lossy network every message carries a one-byte tag to tell a
+    // real filter from a PassThrough order; lossless runs pay nothing. The
+    // filter always travels in the compact quadtree form (the §VI-B
+    // representation knob only varies the collection step).
+    let tag = usize::from(lossy);
+    let rep2 = down_wave(
+        snet.net_mut(),
+        &|v| nodes.active[v.0 as usize],
+        |v, arrival: DownArrival<'_, FilterMsg>| {
+            let vi = v.0 as usize;
+            let incoming: Vec<Option<&SizedSet>> = match arrival {
+                DownArrival::Origin if !collection_damaged => filters.iter().map(Some).collect(),
+                DownArrival::Intact(FilterMsg::Filter(f)) => {
+                    for (mine, got) in nodes.received[vi * k..].iter_mut().zip(f) {
+                        *mine = got.as_deref().cloned();
+                    }
+                    f.iter().map(Option::as_ref).collect()
+                }
+                // The base orders global pass-through, an explicit
+                // PassThrough order arrived, or the channel ate this node's
+                // filter copy: either way the node must not prune and must
+                // ship everything (missing filter = pass-through, never
+                // drop a real result).
+                DownArrival::Origin
+                | DownArrival::Intact(FilterMsg::PassThrough)
+                | DownArrival::Damaged => {
+                    nodes.passthrough[vi] = true;
+                    return Some(FilterMsg::PassThrough);
+                }
+            };
+            let mut out: Vec<Option<SizedSet>> = vec![None; k];
+            for (s, inc) in incoming.into_iter().enumerate() {
+                let Some(inc) = inc else { continue };
+                out[s] = match &nodes.subtree_atts[vi * k + s] {
+                    Some(atts) => {
+                        let pruned = inc.intersect(atts);
+                        (!pruned.is_empty()).then(|| SizedSet::new(pruned))
+                    }
+                    // Nothing memorized (the flooding ablation, over the
+                    // memory cap, or a relay re-activated after damage):
+                    // cannot prune, forward as-is.
+                    None => Some(inc.clone()),
+                };
+            }
+            out.iter()
+                .any(Option::is_some)
+                .then_some(FilterMsg::Filter(out))
+        },
+        |m| match m {
+            FilterMsg::Filter(sets) => {
+                let present: Vec<_> = sets
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(s, set)| {
+                        let set = set.as_mut()?;
+                        let bytes = set.wire_size(slots[s].space.shape());
+                        Some((s, &**set, bytes))
+                    })
+                    .collect();
+                for &(s, _, bytes) in &present {
+                    solo[s].filter_bytes += bytes as u64;
+                }
+                tag + merged_wire_size(&present, &sigs, slots)
+            }
+            FilterMsg::PassThrough => 1,
+        },
+        PHASE_FILTER,
+    );
+    debug_assert!(lossy || rep2.is_lossless());
+
+    // ---- Churn boundary 2 (after filter dissemination) ----
+    // The stale filter stays sound: it was computed over a superset of the
+    // surviving population, and a superset filter never prunes a tuple that
+    // still joins. Only re-homed nodes must ignore it.
+    if churn {
+        let contributes = |v| member_mask(v) != 0;
+        churned |= nodes.churn_boundary(snet, rep2.timing.pipelined, contributes, &p0);
+    }
+
+    // ---- Phase 3: Final-Result-Computation (§IV-D) ----
+    // A node's tuple ships once, with a mask of the slots whose received
+    // filter it matched; the wire charges the union of those slots'
+    // referenced attributes plus the mask.
+    let (mut shipped, rep3) = up_wave(
+        snet.net_mut(),
+        &|v| nodes.active[v.0 as usize],
+        |v, inbox: Vec<Batch>| {
+            let vi = v.0 as usize;
+            let mut entries: Vec<(NodeId, u64)> = Vec::new();
+            let mut bytes = 0usize;
+            for mut b in inbox {
+                bytes += b.bytes;
+                entries.append(&mut b.entries);
+            }
+            let received = &nodes.received[vi * k..(vi + 1) * k];
+            let held = nodes.own[vi].then_some(v).into_iter();
+            for u in held.chain(nodes.proxy[vi].iter().copied()) {
+                let ui = u.0 as usize;
+                // Base-held tuples are already at their destination
+                // (attached free of charge); a pass-through node ships
+                // everything; anyone else what its filters match.
+                let mask = if v == base || nodes.passthrough[vi] {
+                    member_mask(ui)
+                } else {
+                    let mut mask = 0u64;
+                    for (s, slot) in slots.iter().enumerate() {
+                        if let (Some(f), Some(rec)) = (&received[s], &slot.data[ui].rec) {
+                            if f.contains_matching(rec.z, rec.flags) {
+                                mask |= 1 << s;
+                            }
+                        }
+                    }
+                    mask
+                };
+                if mask != 0 {
+                    if v != base {
+                        bytes += union_bytes(ui, mask) + mask_bytes;
+                    }
+                    entries.push((u, mask));
+                }
+            }
+            Batch { entries, bytes }
+        },
+        // Like the collection phase, solo-equivalent bytes are charged per
+        // link: an entry's per-slot payload is paid again on every hop it
+        // is forwarded, exactly as an unshared final up-wave would.
+        |b| {
+            for &(u, mask) in &b.entries {
+                for s in (0..k).filter(|s| mask >> s & 1 == 1) {
+                    if let Some(rec) = &slots[s].data[u.0 as usize].rec {
+                        solo[s].final_bytes += rec.bytes as u64;
+                    }
+                }
+            }
+            b.bytes
+        },
+        PHASE_FINAL,
+    );
+
+    // ---- Liveness sweep (base side) ----
+    // Tuples can reach the base from origins that fell out of the
+    // contributing set mid-epoch (e.g. a proxy shipped a tuple whose origin
+    // is now orphaned). The base knows the final liveness picture and
+    // projects the result onto the surviving population: origins that
+    // participated at start and are alive and attached at the end. Hence
+    // the honest `complete`: a mid-epoch death means the answer is exact
+    // only over the survivors, not over the start population.
+    let mut complete = rep3.damaged.is_empty();
+    if churn {
+        let end = live_attached(snet.net());
+        // Absent subtrees in the final wave are exactly the dead or
+        // detached participants — no live attached node is skipped.
+        debug_assert!(rep3.absent.iter().all(|&v| !end[v.0 as usize]));
+        shipped
+            .entries
+            .retain(|&(u, _)| end[u.0 as usize] && p0[u.0 as usize]);
+        complete &= p0.iter().zip(&end).all(|(&start, &end)| !start || end);
+    }
+
+    // ---- Exact joins over the shipped tuples, per slot ----
+    // One pass files each tuple under the slots of its mask, in arrival
+    // order, projected onto each member relation's schema.
+    let mut tables: Vec<Vec<Vec<_>>> = layouts.iter().map(|l| vec![Vec::new(); l.len()]).collect();
+    for &(u, mask) in &shipped.entries {
+        for s in (0..k).filter(|s| mask >> s & 1 == 1) {
+            let Some(rec) = &slots[s].data[u.0 as usize].rec else {
+                continue;
+            };
+            for (table, rel) in tables[s].iter_mut().zip(&layouts[s]) {
+                if rec.flags.intersects(rel.flag) {
+                    let row = rel.schema.iter().map(|&c| rec.values[c]).collect();
+                    table.push((rec.origin, row));
+                }
+            }
+        }
+    }
+    let joins = slots
+        .iter()
+        .zip(&tables)
+        .map(|(slot, tuples_per_rel)| exact_join(slot.query, tuples_per_rel))
+        .collect();
+
+    EpochRun {
+        joins,
+        solo,
+        timing: rep1.timing.then(rep2.timing).then(rep3.timing),
+        complete,
+        churned,
+    }
+}
+
+/// Two spaces with equal signatures assign every value the same cell
+/// coordinates and quadtree shape, so their point sets can share one wire
+/// encoding.
+type SpaceSig = (Vec<(String, u64, u64, u64)>, u8);
+
+fn space_signature(space: &JoinSpace) -> SpaceSig {
+    let dims = space
+        .zspace()
+        .dims()
+        .iter()
+        .map(|d| {
+            (
+                d.name().to_owned(),
+                d.min().to_bits(),
+                d.max().to_bits(),
+                d.resolution().to_bits(),
+            )
+        })
+        .collect();
+    (dims, space.shape().flag_bits())
+}
+
+/// Wire size of a merged multi-slot payload, given each present slot's set
+/// and what it costs encoded on its own: slots whose spaces share a
+/// signature are encoded as one union quadtree plus, per member, a
+/// cell-presence bitmap and one byte per cell whose flags diverge from the
+/// union's. When the member sets diverge so much that merging doesn't pay,
+/// the sender falls back to concatenating the individual encodings, so a
+/// merged message never costs more than its unshared parts — and a
+/// single-slot message costs exactly its solo encoding.
+fn merged_wire_size(
+    present: &[(usize, &PointSet, usize)],
+    sigs: &[SpaceSig],
+    slots: &[Slot<'_>],
+) -> usize {
+    let mut total = 0usize;
+    let mut used = vec![false; present.len()];
+    for i in 0..present.len() {
+        if used[i] {
+            continue;
+        }
+        used[i] = true;
+        let (slot_i, set_i, bytes_i) = present[i];
+        let mut members: Vec<&PointSet> = vec![set_i];
+        let mut separate = bytes_i;
+        for j in i + 1..present.len() {
+            let (slot_j, set_j, bytes_j) = present[j];
+            if !used[j] && sigs[slot_j] == sigs[slot_i] {
+                used[j] = true;
+                members.push(set_j);
+                separate += bytes_j;
+            }
+        }
+        if members.len() == 1 {
+            total += separate;
+        } else {
+            let mut union = PointSet::new();
+            for m in &members {
+                union = union.union(m);
+            }
+            // Tenants of one template send the same set: the union is then
+            // the first member, already sized.
+            let mut merged = if union == *set_i {
+                bytes_i
+            } else {
+                encoded_wire_size(&union, slots[slot_i].space.shape())
+            };
+            let bitmap = union.len().div_ceil(8);
+            for m in &members {
+                let diverging = union
+                    .iter()
+                    .filter(|p| m.flags_of(p.z).map_or(0, |f| f.0) != p.flags.0)
+                    .count();
+                merged += bitmap + diverging;
+            }
+            total += merged.min(separate);
+        }
+    }
+    total
+}

@@ -65,6 +65,7 @@ mod config;
 mod continuous;
 mod costmodel;
 mod engine;
+mod epoch;
 mod external;
 mod incremental;
 mod ingest;
@@ -105,8 +106,7 @@ pub use recovery::{
 pub use repr::{JoinAttrMsg, SizedSet};
 pub use scheduler::{
     EpochReport, GroupFull, GroupOutcome, GroupRunner, PlanKey, QueryGroup, QueryId, QueryPlan,
-    SoloCost, MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES, PHASE_SHARED_COLLECTION, PHASE_SHARED_FILTER,
-    PHASE_SHARED_FINAL,
+    SoloCost, MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES,
 };
 pub use sensjoin::{SensJoin, PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 pub use sensjoin_simd::kernels_active;

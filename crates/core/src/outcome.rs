@@ -1,5 +1,6 @@
 //! Execution outcomes: query results plus cost accounting.
 
+use crate::scheduler::GroupFull;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Time};
 use std::collections::BTreeSet;
@@ -11,6 +12,15 @@ pub enum ProtocolError {
     BaseIsolated,
     /// Internal representation failure (decode of a wire message).
     Representation(String),
+    /// A query was scheduled to join a [`crate::QueryGroup`] that already
+    /// holds [`crate::MAX_GROUP_QUERIES`] live queries.
+    GroupFull,
+}
+
+impl From<GroupFull> for ProtocolError {
+    fn from(_: GroupFull) -> Self {
+        ProtocolError::GroupFull
+    }
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -18,6 +28,7 @@ impl std::fmt::Display for ProtocolError {
         match self {
             ProtocolError::BaseIsolated => write!(f, "base station has no neighbors"),
             ProtocolError::Representation(msg) => write!(f, "representation error: {msg}"),
+            ProtocolError::GroupFull => GroupFull.fmt(f),
         }
     }
 }

@@ -98,38 +98,11 @@ pub fn execute_with_reexecution(
     query: &CompiledQuery,
     max_attempts: u32,
 ) -> Result<RecoveryOutcome, ProtocolError> {
-    assert!(max_attempts >= 1, "at least one attempt is needed");
     let saved = snet.net().arq();
     snet.net_mut().set_arq(ArqPolicy::None);
-    let mut attempts = 1;
-    let mut run = method.execute(snet, query);
-    if let Ok(outcome) = &mut run {
-        while !outcome.complete && attempts < max_attempts {
-            attempts += 1;
-            match method.execute(snet, query) {
-                Ok(retry) => {
-                    let mut stats = std::mem::take(&mut outcome.stats);
-                    stats.merge(&retry.stats);
-                    let prev_latency = outcome.latency_us;
-                    let prev_slotted = outcome.latency_slotted_us;
-                    *outcome = retry;
-                    outcome.stats = stats;
-                    outcome.latency_us += prev_latency;
-                    outcome.latency_slotted_us += prev_slotted;
-                }
-                Err(e) => {
-                    run = Err(e);
-                    break;
-                }
-            }
-        }
-    }
+    let run = reexecute_while(method, snet, query, max_attempts, |o| !o.complete);
     snet.net_mut().set_arq(saved);
-    Ok(RecoveryOutcome {
-        outcome: run?,
-        attempts,
-        affected_links: 0,
-    })
+    run
 }
 
 /// The §IV-F recipe applied to *node churn*: no localized repair — whenever
@@ -150,36 +123,39 @@ pub fn execute_with_rebuild_reexecution(
     query: &CompiledQuery,
     max_attempts: u32,
 ) -> Result<RecoveryOutcome, ProtocolError> {
-    assert!(max_attempts >= 1, "at least one attempt is needed");
     let saved = snet.net().repair_strategy();
     snet.net_mut()
         .set_repair_strategy(RepairStrategy::FullRebuild);
-    let mut attempts = 1;
-    let mut run = method.execute(snet, query);
-    if let Ok(outcome) = &mut run {
-        while outcome.churned && attempts < max_attempts {
-            attempts += 1;
-            match method.execute(snet, query) {
-                Ok(retry) => {
-                    let mut stats = std::mem::take(&mut outcome.stats);
-                    stats.merge(&retry.stats);
-                    let prev_latency = outcome.latency_us;
-                    let prev_slotted = outcome.latency_slotted_us;
-                    *outcome = retry;
-                    outcome.stats = stats;
-                    outcome.latency_us += prev_latency;
-                    outcome.latency_slotted_us += prev_slotted;
-                }
-                Err(e) => {
-                    run = Err(e);
-                    break;
-                }
-            }
-        }
-    }
+    let run = reexecute_while(method, snet, query, max_attempts, |o| o.churned);
     snet.net_mut().set_repair_strategy(saved);
+    run
+}
+
+/// Executes `method`, and again for as long as `retry` says the last
+/// outcome will not do, `max_attempts` times at most. The returned outcome
+/// is the last attempt's, with every attempt's traffic merged into its
+/// statistics and the latencies added up.
+fn reexecute_while(
+    method: &dyn JoinMethod,
+    snet: &mut SensorNetwork,
+    query: &CompiledQuery,
+    max_attempts: u32,
+    retry: impl Fn(&JoinOutcome) -> bool,
+) -> Result<RecoveryOutcome, ProtocolError> {
+    assert!(max_attempts >= 1, "at least one attempt is needed");
+    let mut attempts = 1;
+    let mut outcome = method.execute(snet, query)?;
+    while retry(&outcome) && attempts < max_attempts {
+        attempts += 1;
+        let prev = std::mem::replace(&mut outcome, method.execute(snet, query)?);
+        let mut stats = prev.stats;
+        stats.merge(&outcome.stats);
+        outcome.stats = stats;
+        outcome.latency_us += prev.latency_us;
+        outcome.latency_slotted_us += prev.latency_slotted_us;
+    }
     Ok(RecoveryOutcome {
-        outcome: run?,
+        outcome,
         attempts,
         affected_links: 0,
     })

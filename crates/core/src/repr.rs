@@ -76,43 +76,57 @@ impl std::ops::Deref for SizedSet {
 /// carries the naive byte serialization (quantized coordinates + flags, in
 /// contribution order, duplicates preserved) that the [`Representation::Raw`]
 /// and compressed variants of §VI-B transmit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct JoinAttrMsg {
     /// Deduplicated cells with relation flags.
     pub set: SizedSet,
-    /// Naive serialization (only maintained for non-quadtree variants).
-    pub raw: Vec<u8>,
+    /// Naive serialization; `None` for a message built to travel as a
+    /// quadtree, which never transmits it.
+    pub raw: Option<Vec<u8>>,
 }
 
 impl JoinAttrMsg {
-    /// An empty message.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty message that will be sized under `repr`.
+    pub fn new(repr: Representation) -> Self {
+        Self {
+            set: SizedSet::default(),
+            raw: (repr != Representation::Quadtree).then(Vec::new),
+        }
     }
 
     /// Merges another message into this one (paper `Union`).
     pub fn merge(&mut self, other: &JoinAttrMsg) {
         self.set.union_with(&other.set);
-        self.raw.extend_from_slice(&other.raw);
+        if let (Some(raw), Some(more)) = (&mut self.raw, &other.raw) {
+            raw.extend_from_slice(more);
+        }
     }
 
     /// Inserts one node's point (paper `Insert`): the Z-number with its
     /// relation flags, plus the raw serialization of its coordinates.
     pub fn insert(&mut self, z: u64, flags: RelFlags, coords: &[u64]) {
         self.set.insert(z, flags);
-        for &c in coords {
-            self.raw.extend_from_slice(&(c as u16).to_le_bytes());
+        if let Some(raw) = &mut self.raw {
+            for &c in coords {
+                raw.extend_from_slice(&(c as u16).to_le_bytes());
+            }
+            raw.push(flags.0);
         }
-        self.raw.push(flags.0);
     }
 
     /// Size on the wire under `repr`, in bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `repr` needs the raw serialization and the message was built
+    /// ([`JoinAttrMsg::new`]) for the quadtree representation.
     pub fn wire_size(&mut self, repr: Representation, shape: &TreeShape) -> usize {
+        let raw = || self.raw.as_deref().expect("built for a raw representation");
         match repr {
             Representation::Quadtree => self.set.wire_size(shape),
-            Representation::Raw => self.raw.len(),
-            Representation::Zlib => Lz77Huffman.compress(&self.raw).len(),
-            Representation::Bzip2 => Bwt.compress(&self.raw).len(),
+            Representation::Raw => raw().len(),
+            Representation::Zlib => Lz77Huffman.compress(raw()).len(),
+            Representation::Bzip2 => Bwt.compress(raw()).len(),
         }
     }
 
@@ -297,7 +311,7 @@ mod tests {
     fn msg_sizes_by_representation() {
         let (snet, cq, space) = setup();
         let data = collect_node_data(&snet, &cq, &space);
-        let mut msg = JoinAttrMsg::new();
+        let mut msg = JoinAttrMsg::new(Representation::Raw);
         for d in &data {
             let rec = d.rec.as_ref().unwrap();
             msg.insert(rec.z, rec.flags, &rec.coords);
@@ -314,16 +328,21 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = JoinAttrMsg::new();
+        let mut a = JoinAttrMsg::new(Representation::Raw);
         a.insert(5, RelFlags::A, &[5]);
-        let mut b = JoinAttrMsg::new();
+        let mut b = JoinAttrMsg::new(Representation::Raw);
         b.insert(5, RelFlags::B, &[5]);
         b.insert(9, RelFlags::B, &[9]);
         a.merge(&b);
         assert_eq!(a.set.len(), 2);
         assert_eq!(a.set.flags_of(5), Some(RelFlags::BOTH));
         // Raw stream keeps duplicates (naive baseline semantics).
-        assert_eq!(a.raw.len(), 3 * 3);
+        assert_eq!(a.raw.unwrap().len(), 3 * 3);
+        // A message bound for the quadtree encoding carries no raw stream.
+        let mut q = JoinAttrMsg::new(Representation::Quadtree);
+        q.insert(5, RelFlags::A, &[5]);
+        q.merge(&b);
+        assert_eq!((q.set.len(), q.raw), (2, None));
     }
 
     #[test]

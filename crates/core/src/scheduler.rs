@@ -23,33 +23,26 @@
 //!   annotation overhead (a presence bitmap and one byte per diverging
 //!   cell).
 //!
-//! Join-attribute payloads always use the compact quadtree representation
-//! (the §VI-B representation knob only varies the single-query collection
-//! experiment).
+//! The three phases themselves are [`crate::epoch`]'s — the same body a
+//! one-shot [`SensJoin`](crate::SensJoin) runs with one query, under the
+//! same phase labels and the same loss policy. What this module adds is
+//! what makes a query *standing*: registration, the due schedule, the
+//! persistent per-query filter engines, and the epoch retry loop.
 
 use crate::config::SensJoinConfig;
-use crate::engine::{exact_join, JoinSpace};
+use crate::engine::JoinSpace;
+use crate::epoch::{run_epoch, Slot};
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
-use crate::repr::{collect_node_data, NodeData, SizedSet};
+use crate::repr::collect_node_data;
+use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
-use crate::wave::{down_wave, up_wave, DownArrival};
 use sensjoin_field::FieldSpec;
-use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags};
+use sensjoin_quadtree::PointSet;
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
 use std::collections::BTreeSet;
-
-/// Shared Join-Attribute-Collection phase label (one up-wave for all due
-/// queries).
-pub const PHASE_SHARED_COLLECTION: &str = "1-shared-collection";
-/// Merged Filter-Dissemination phase label (one down-wave, per-link merged
-/// per-query filters).
-pub const PHASE_SHARED_FILTER: &str = "2-shared-filter-dissemination";
-/// Shared Final-Result phase label (each tuple ships once with a query
-/// membership mask).
-pub const PHASE_SHARED_FINAL: &str = "3-shared-final-result";
 
 /// Stable handle of a query registered with a [`QueryGroup`]; remains valid
 /// across epochs and across other queries' removal.
@@ -70,6 +63,13 @@ struct Registered {
     /// every`, ...
     offset: u64,
     alive: bool,
+}
+
+impl Registered {
+    /// Whether the query is live and `epoch` is on its schedule.
+    fn due_at(&self, epoch: u64) -> bool {
+        self.alive && epoch >= self.offset && (epoch - self.offset).is_multiple_of(self.every)
+    }
 }
 
 /// Per-epoch result of one query in the group.
@@ -108,8 +108,8 @@ impl SoloCost {
     }
 }
 
-/// Maximum number of times an epoch is (re-)executed when data loss
-/// survives the ARQ budget (first attempt included).
+/// Maximum number of times an epoch is (re-)executed when the final wave
+/// loses data despite the ARQ budget (first attempt included).
 pub const MAX_EPOCH_ATTEMPTS: u32 = 3;
 
 /// Everything one epoch of a [`QueryGroup`] produces.
@@ -119,9 +119,8 @@ pub struct EpochReport {
     pub epoch: u64,
     /// Per due query: result and contributors (non-due queries are absent).
     pub outcomes: Vec<GroupOutcome>,
-    /// Shared-phase transmission statistics — phases
-    /// [`PHASE_SHARED_COLLECTION`], [`PHASE_SHARED_FILTER`],
-    /// [`PHASE_SHARED_FINAL`].
+    /// The epoch's transmission statistics, under the protocol's phase
+    /// labels ([`PHASE_COLLECTION`], [`PHASE_FILTER`], [`PHASE_FINAL`]).
     pub stats: NetworkStats,
     /// End-to-end epoch latency (pipelined model), µs.
     pub latency_us: Time,
@@ -130,8 +129,9 @@ pub struct EpochReport {
     /// Per due query: the unshared byte cost of the same messages.
     pub solo_equivalent: Vec<SoloCost>,
     /// Whether every due query's result is guaranteed exact. `false` only
-    /// when data loss survived both the ARQ budget and the epoch retry loop
-    /// (see [`MAX_EPOCH_ATTEMPTS`]); always `true` on a lossless network.
+    /// when the final wave lost data despite both the ARQ budget and the
+    /// epoch retry loop (see [`MAX_EPOCH_ATTEMPTS`]) — loss in the first two
+    /// phases only costs filter savings; always `true` on a lossless network.
     /// Under node churn, `true` means every due query's result is exact over
     /// the population alive and attached at the epoch boundary.
     pub complete: bool,
@@ -143,17 +143,17 @@ pub struct EpochReport {
 impl EpochReport {
     /// Shared collection bytes actually transmitted this epoch.
     pub fn shared_collection_bytes(&self) -> u64 {
-        self.stats.phase(PHASE_SHARED_COLLECTION).tx_bytes
+        self.stats.phase(PHASE_COLLECTION).tx_bytes
     }
 
     /// Shared filter-dissemination bytes actually transmitted this epoch.
     pub fn shared_filter_bytes(&self) -> u64 {
-        self.stats.phase(PHASE_SHARED_FILTER).tx_bytes
+        self.stats.phase(PHASE_FILTER).tx_bytes
     }
 
     /// Shared final-result bytes actually transmitted this epoch.
     pub fn shared_final_bytes(&self) -> u64 {
-        self.stats.phase(PHASE_SHARED_FINAL).tx_bytes
+        self.stats.phase(PHASE_FINAL).tx_bytes
     }
 
     /// Sum of the unshared (solo-equivalent) bytes across due queries.
@@ -538,9 +538,7 @@ impl QueryGroup {
 
     /// Whether `id` is live and due at the upcoming epoch.
     pub fn due(&self, id: QueryId) -> bool {
-        self.queries.get(id.0).is_some_and(|r| {
-            r.alive && self.epoch >= r.offset && (self.epoch - r.offset).is_multiple_of(r.every)
-        })
+        self.queries.get(id.0).is_some_and(|r| r.due_at(self.epoch))
     }
 
     /// Runs one epoch: a single shared collection up-wave for every due
@@ -552,12 +550,14 @@ impl QueryGroup {
     /// state for their next due epoch); with no due query the epoch is a
     /// no-op that only advances the epoch counter.
     ///
-    /// On a lossy channel, an epoch whose traffic was permanently damaged
-    /// (after the ARQ budget) is re-executed in place up to
-    /// [`MAX_EPOCH_ATTEMPTS`] times: the base's per-query populations and
-    /// engines stay consistent (the retry's presence delta simply tops up
-    /// whatever the damaged collection missed), so no state reset is needed.
-    /// All attempts' traffic is charged to the returned stats and
+    /// On a lossy channel the epoch degrades per subtree exactly as a
+    /// one-shot does (damaged collection or filter traffic costs filter
+    /// savings, never a result row). Only an epoch whose *final* wave was
+    /// permanently damaged (after the ARQ budget) is re-executed in place,
+    /// up to [`MAX_EPOCH_ATTEMPTS`] times: the base's per-query populations
+    /// and engines stay consistent (each attempt's presence delta simply
+    /// moves them to what that attempt collected), so no state reset is
+    /// needed. All attempts' traffic is charged to the returned stats and
     /// solo-equivalent costs.
     pub fn execute_epoch(
         &mut self,
@@ -578,10 +578,7 @@ impl QueryGroup {
             churned = !out.crashed.is_empty() || !out.revived.is_empty();
         }
         let due: Vec<usize> = (0..self.queries.len())
-            .filter(|&i| {
-                let r = &self.queries[i];
-                r.alive && epoch >= r.offset && (epoch - r.offset).is_multiple_of(r.every)
-            })
+            .filter(|&i| self.queries[i].due_at(epoch))
             .collect();
         if due.is_empty() {
             return Ok(EpochReport {
@@ -595,12 +592,12 @@ impl QueryGroup {
                 churned,
             });
         }
-        let mut report = self.epoch_once(snet, epoch, &due)?;
+        let mut report = self.epoch_once(snet, epoch, &due);
         let mut attempts = 1;
         while !report.complete && attempts < MAX_EPOCH_ATTEMPTS {
             attempts += 1;
             let prev = report;
-            report = self.epoch_once(snet, epoch, &due)?;
+            report = self.epoch_once(snet, epoch, &due);
             // Re-execution is sequential, and a solo execution would have
             // had to retry too: latencies and solo costs accumulate.
             report.latency_us += prev.latency_us;
@@ -617,564 +614,61 @@ impl QueryGroup {
         Ok(report)
     }
 
-    /// One attempt of an epoch over the due slots (shared collection,
-    /// fan-out, merged dissemination, shared final).
-    fn epoch_once(
-        &mut self,
-        snet: &mut SensorNetwork,
-        epoch: u64,
-        due: &[usize],
-    ) -> Result<EpochReport, ProtocolError> {
-        let due = due.to_vec();
-        let k = due.len();
-        assert!(k <= 64, "query membership masks are 64-bit");
-        let cfg = self.config.clone();
-        let base = snet.base();
-        let n = snet.len();
-        let master = snet.master_schema().clone();
-        // Per due slot: the query's own node data (z, flags, bytes in *its*
-        // space — identical to what a solo execution would compute).
-        let data: Vec<Vec<NodeData>> = due
-            .iter()
-            .map(|&qi| {
-                let r = &self.queries[qi];
-                collect_node_data(snet, &r.query, &r.space)
-            })
-            .collect();
-        let spaces: Vec<JoinSpace> = due
-            .iter()
-            .map(|&qi| self.queries[qi].space.clone())
-            .collect();
-        let sigs: Vec<SpaceSig> = spaces.iter().map(space_signature).collect();
-
-        // Per slot, per relation: the membership flag and the referenced
-        // attributes as master-schema indices, so byte accounting below
-        // needs no borrow of the registration table.
-        let rel_attrs: Vec<Vec<(RelFlags, Vec<usize>)>> = due
-            .iter()
-            .enumerate()
-            .map(|(s, &qi)| {
-                let q = &self.queries[qi].query;
-                (0..q.num_relations())
-                    .map(|r| {
-                        let idxs = q
-                            .referenced_attrs(r)
-                            .iter()
-                            .map(|&a| {
-                                master
-                                    .index_of(q.schema(r).attrs()[a].name())
-                                    .expect("validated attribute")
-                            })
-                            .collect();
-                        (spaces[s].flag(r), idxs)
-                    })
-                    .collect()
-            })
-            .collect();
-        let attr_sizes: Vec<usize> = master.attrs().iter().map(|a| a.wire_size()).collect();
-
-        // Union wire size of a node's tuple across the due slots in `mask`
-        // (attributes deduplicated by master name, as in a solo FullRec).
-        let union_bytes = |v: usize, mask: u64| -> usize {
-            let mut idxs: BTreeSet<usize> = BTreeSet::new();
-            for (s, rels) in rel_attrs.iter().enumerate() {
-                if mask >> s & 1 == 0 {
-                    continue;
-                }
-                let Some(rec) = &data[s][v].rec else { continue };
-                for (flag, attrs) in rels {
-                    if rec.flags.intersects(*flag) {
-                        idxs.extend(attrs.iter().copied());
-                    }
-                }
-            }
-            idxs.iter().map(|&i| attr_sizes[i]).sum()
-        };
-        let all_mask = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
-        // A single query's final tuples need no membership annotation.
-        let mask_bytes = if k == 1 { 0 } else { k.div_ceil(8) };
-
-        let mut states: Vec<GState> = (0..n).map(|_| GState::new(k)).collect();
-        let mut solo = vec![SoloCost::default(); k];
-        for (s, &qi) in due.iter().enumerate() {
-            solo[s].id = QueryId(qi);
-        }
-
-        // ---- Phase 1: shared Join-Attribute-Collection ----
-        // One up-wave; each message carries every due query's cell set (its
-        // own space), merged on the wire per space signature. Treecut is
-        // decided on the union tuple size, so a subtree cheap for *all*
-        // queries together exits the epoch entirely. `size_of` meters each
-        // message's solo-equivalent bytes into `solo` as it leaves.
-        let (base_msg, rep1) = up_wave(
-            snet.net_mut(),
-            &|_| true,
-            |v, received: Vec<GroupUp>| {
-                let vi = v.0 as usize;
-                let mut fulls: Vec<NodeId> = Vec::new();
-                let mut full_bytes = 0usize;
-                let mut attr_msgs: Vec<Vec<SizedSet>> = Vec::new();
-                for msg in received {
-                    match msg {
-                        GroupUp::Full { mut nodes, bytes } => {
-                            full_bytes += bytes;
-                            fulls.append(&mut nodes);
-                        }
-                        GroupUp::Attrs { sets } => attr_msgs.push(sets),
-                    }
-                }
-                let own = (0..k).any(|s| data[s][vi].rec.is_some());
-                let own_bytes = if own { union_bytes(vi, all_mask) } else { 0 };
-                let treecut = v != base
-                    && cfg.dmax > 0
-                    && attr_msgs.is_empty()
-                    && full_bytes + own_bytes <= cfg.dmax;
-                let st = &mut states[vi];
-                if treecut {
-                    if own {
-                        fulls.push(v);
-                    }
-                    st.active = false;
-                    GroupUp::Full {
-                        nodes: fulls,
-                        bytes: full_bytes + own_bytes,
-                    }
-                } else {
-                    st.active = true;
-                    // A lone structure is taken as it is, with the sizes
-                    // its sender already computed.
-                    let mut sets: Vec<SizedSet> = if attr_msgs.len() == 1 {
-                        attr_msgs.pop().expect("one message")
-                    } else {
-                        let mut sets = vec![SizedSet::default(); k];
-                        for m in &attr_msgs {
-                            for (s, set) in m.iter().enumerate() {
-                                sets[s].union_with(set);
-                            }
-                        }
-                        sets
-                    };
-                    // Memorize the *received* per-query subtree sets for
-                    // Selective Filter Forwarding, each under its own
-                    // memory-cap check — exactly the solo rule per query.
-                    if cfg.selective_forwarding {
-                        for (s, set) in sets.iter_mut().enumerate() {
-                            if v == base
-                                || set.wire_size(spaces[s].shape()) <= cfg.filter_memory_limit
-                            {
-                                st.subtree_atts[s] = Some(PointSet::clone(set));
-                            }
-                        }
-                    }
-                    // Proxy received complete tuples and fold their
-                    // per-query projections in.
-                    for &u in &fulls {
-                        for (s, set) in sets.iter_mut().enumerate() {
-                            if let Some(rec) = &data[s][u.0 as usize].rec {
-                                set.insert(rec.z, rec.flags);
-                            }
-                        }
-                    }
-                    st.proxy = fulls;
-                    if own {
-                        st.own = true;
-                        for (s, set) in sets.iter_mut().enumerate() {
-                            if let Some(rec) = &data[s][vi].rec {
-                                set.insert(rec.z, rec.flags);
-                            }
-                        }
-                    }
-                    GroupUp::Attrs { sets }
-                }
-            },
-            |m| match m {
-                GroupUp::Full { bytes, nodes } => {
-                    for (s, cost) in solo.iter_mut().enumerate() {
-                        cost.collection_bytes += nodes
-                            .iter()
-                            .filter_map(|u| data[s][u.0 as usize].rec.as_ref())
-                            .map(|r| r.bytes as u64)
-                            .sum::<u64>();
-                    }
-                    *bytes
-                }
-                GroupUp::Attrs { sets } => {
-                    let present = solo_sizes(sets.iter_mut().enumerate(), &spaces);
-                    for &(s, _, bytes) in &present {
-                        solo[s].collection_bytes += bytes as u64;
-                    }
-                    merged_wire_size(&present, &sigs, &spaces)
-                }
-            },
-            PHASE_SHARED_COLLECTION,
-        );
-
-        // ---- Collection-damage fallback ----
-        // A lost collection message can make an ancestor treecut even though
-        // its (damaged) child stayed active, leaving the active set
-        // non-root-closed. Re-activate damaged nodes and their ancestor
-        // chains so the later waves stay well-formed; re-activated relays
-        // hold no data and only forward. The damaged subtrees' tuples are
-        // lost to this attempt — the epoch-level retry restores exactness.
-        if !rep1.damaged.is_empty() {
-            let routing = snet.net().routing();
-            for &v in &rep1.damaged {
-                states[v.0 as usize].active = true;
-                let mut u = v;
-                while let Some(p) = routing.parent(u) {
-                    if states[p.0 as usize].active {
-                        break;
-                    }
-                    states[p.0 as usize].active = true;
-                    u = p;
-                }
+    /// One attempt of an epoch over the due slots: the full-wire epoch of
+    /// [`crate::epoch`], with each slot's filter step fed into its
+    /// persistent engine and no mid-epoch churn poll.
+    fn epoch_once(&mut self, snet: &mut SensorNetwork, epoch: u64, due: &[usize]) -> EpochReport {
+        // Split each due registration into what the epoch reads (the slot)
+        // and what the base-station filter step maintains.
+        let mut slots = Vec::with_capacity(due.len());
+        let mut engines = Vec::with_capacity(due.len());
+        for (qi, reg) in self.queries.iter_mut().enumerate() {
+            if due.contains(&qi) {
+                let query = &reg.query;
+                let space = &reg.space;
+                slots.push(Slot {
+                    query,
+                    space,
+                    data: collect_node_data(snet, query, space),
+                });
+                engines.push((&mut reg.engine, &mut reg.population));
             }
         }
-
-        // ---- Base station: per-query filter fan-out ----
         // Each due query's collected set is exactly its solo population;
         // feed the presence transition into its persistent engine. The
         // resulting filter is bit-identical to a fresh `prejoin_filter`.
-        let collected: Vec<PointSet> = match base_msg {
-            GroupUp::Attrs { sets } => sets.into_iter().map(SizedSet::into_set).collect(),
-            GroupUp::Full { .. } => unreachable!("base never applies Treecut"),
+        let base_filter = |s: usize, collected: &PointSet| {
+            let (engine, population) = &mut engines[s];
+            let delta = presence_delta(population, collected);
+            **population = collected.clone();
+            engine
+                .apply_delta(slots[s].query, slots[s].space, &delta)
+                .clone()
         };
-        let mut filters: Vec<SizedSet> = Vec::with_capacity(k);
-        for (s, &qi) in due.iter().enumerate() {
-            let Registered {
-                ref query,
-                ref space,
-                ref mut engine,
-                ref mut population,
-                ..
-            } = self.queries[qi];
-            let delta = presence_delta(population, &collected[s]);
-            let filter = engine.apply_delta(query, space, &delta).clone();
-            *population = collected[s].clone();
-            filters.push(SizedSet::new(filter));
-        }
-
-        // ---- Phase 2: merged Filter-Dissemination ----
-        let active: Vec<bool> = states.iter().map(|s| s.active).collect();
-        let participates = move |v: NodeId| active[v.0 as usize];
-        let selective = cfg.selective_forwarding;
-        let rep2 = down_wave(
-            snet.net_mut(),
-            &participates,
-            |v, arrival: DownArrival<'_, Vec<Option<SizedSet>>>| {
-                let st = &mut states[v.0 as usize];
-                let incoming: Vec<Option<&SizedSet>> = match arrival {
-                    DownArrival::Intact(f) => {
-                        st.received = f.iter().map(|o| o.as_deref().cloned()).collect();
-                        f.iter().map(|o| o.as_ref()).collect()
-                    }
-                    DownArrival::Origin => filters.iter().map(Some).collect(),
-                    // The merged filter frame is gone; this node (and its
-                    // subtree) has no usable filter view. The epoch-level
-                    // retry re-runs the whole epoch, so stop forwarding.
-                    DownArrival::Damaged => return None,
-                };
-                let mut out: Vec<Option<SizedSet>> = vec![None; k];
-                for (s, inc) in incoming.into_iter().enumerate() {
-                    let Some(inc) = inc else { continue };
-                    if !selective {
-                        out[s] = Some(inc.clone());
-                        continue;
-                    }
-                    match &st.subtree_atts[s] {
-                        Some(atts) => {
-                            let pruned = inc.intersect(atts);
-                            if !pruned.is_empty() {
-                                out[s] = Some(SizedSet::new(pruned));
-                            }
-                        }
-                        // Over the memory cap: cannot prune, forward as-is.
-                        None => out[s] = Some(inc.clone()),
-                    }
-                }
-                out.iter().any(|o| o.is_some()).then_some(out)
-            },
-            |msg| {
-                let present = solo_sizes(
-                    msg.iter_mut()
-                        .enumerate()
-                        .filter_map(|(s, o)| o.as_mut().map(|set| (s, set))),
-                    &spaces,
-                );
-                for &(s, _, bytes) in &present {
-                    solo[s].filter_bytes += bytes as u64;
-                }
-                merged_wire_size(&present, &sigs, &spaces)
-            },
-            PHASE_SHARED_FILTER,
-        );
-
-        // ---- Phase 3: shared Final-Result ----
-        // A node's tuple ships once, with a mask of the due queries whose
-        // received filter it matched; the wire charges the union of the
-        // matched queries' referenced attributes plus the mask.
-        let active2: Vec<bool> = states.iter().map(|s| s.active).collect();
-        let participates3 = move |v: NodeId| active2[v.0 as usize];
-        let (final_batch, rep3) = up_wave(
-            snet.net_mut(),
-            &participates3,
-            |v, received: Vec<GBatch>| {
-                let vi = v.0 as usize;
-                let mut entries: Vec<(NodeId, u64)> = Vec::new();
-                let mut bytes = 0usize;
-                for mut b in received {
-                    bytes += b.bytes;
-                    entries.append(&mut b.entries);
-                }
-                let st = &states[vi];
-                let held = st
-                    .own
-                    .then_some(v)
-                    .into_iter()
-                    .chain(st.proxy.iter().copied());
-                if v == base {
-                    // Base-held tuples are already at their destination;
-                    // attach them for every due query they belong to.
-                    for u in held {
-                        let mask = (0..k)
-                            .filter(|&s| data[s][u.0 as usize].rec.is_some())
-                            .fold(0u64, |m, s| m | 1 << s);
-                        if mask != 0 {
-                            entries.push((u, mask));
-                        }
-                    }
-                } else {
-                    for u in held {
-                        let ui = u.0 as usize;
-                        let mut mask = 0u64;
-                        for (s, d) in data.iter().enumerate() {
-                            if let (Some(f), Some(rec)) = (&st.received[s], &d[ui].rec) {
-                                if f.contains_matching(rec.z, rec.flags) {
-                                    mask |= 1 << s;
-                                }
-                            }
-                        }
-                        if mask != 0 {
-                            bytes += union_bytes(ui, mask) + mask_bytes;
-                            entries.push((u, mask));
-                        }
-                    }
-                }
-                GBatch { entries, bytes }
-            },
-            // Like the collection phase, solo-equivalent bytes are charged
-            // per link: an entry's per-query payload is paid again on every
-            // hop it is forwarded, exactly as a solo final up-wave would.
-            |b| {
-                for &(u, mask) in &b.entries {
-                    let ui = u.0 as usize;
-                    for (s, cost) in solo.iter_mut().enumerate() {
-                        if mask >> s & 1 == 1 {
-                            if let Some(rec) = &data[s][ui].rec {
-                                cost.final_bytes += rec.bytes as u64;
-                            }
-                        }
-                    }
-                }
-                b.bytes
-            },
-            PHASE_SHARED_FINAL,
-        );
-
-        // ---- Per-query exact joins over the shipped tuples ----
-        // Per due query and relation: the relation's flag and the master
-        // columns of its schema. One pass over the shipped entries then
-        // files each tuple under the queries of its mask, in entry order.
-        let master_col = |name: &str| master.index_of(name).expect("validated attribute");
-        let layouts: Vec<Vec<(RelFlags, Vec<usize>)>> = due
-            .iter()
-            .zip(&spaces)
-            .map(|(&qi, space)| {
-                let q = &self.queries[qi].query;
-                (0..q.num_relations())
-                    .map(|r| {
-                        let attrs = q.schema(r).attrs();
-                        let cols = attrs.iter().map(|a| master_col(a.name())).collect();
-                        (space.flag(r), cols)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut tables: Vec<Vec<Vec<_>>> =
-            layouts.iter().map(|l| vec![Vec::new(); l.len()]).collect();
-        for &(u, mask) in &final_batch.entries {
-            for s in (0..k).filter(|s| mask >> s & 1 == 1) {
-                let Some(rec) = &data[s][u.0 as usize].rec else {
-                    continue;
-                };
-                for (table, (flag, cols)) in tables[s].iter_mut().zip(&layouts[s]) {
-                    if rec.flags.intersects(*flag) {
-                        table.push((rec.origin, cols.iter().map(|&c| rec.values[c]).collect()));
-                    }
-                }
-            }
-        }
-        let mut outcomes = Vec::with_capacity(k);
-        for (&qi, tuples_per_rel) in due.iter().zip(&tables) {
-            let q = &self.queries[qi].query;
-            let computation = exact_join(q, tuples_per_rel);
+        let run = run_epoch(snet, &self.config, &slots, base_filter, false);
+        let mut solo_equivalent = run.solo;
+        let mut outcomes = Vec::with_capacity(due.len());
+        for ((&qi, join), cost) in due.iter().zip(run.joins).zip(&mut solo_equivalent) {
+            cost.id = QueryId(qi);
             outcomes.push(GroupOutcome {
                 id: QueryId(qi),
-                result: computation.result,
-                contributors: computation.contributors,
+                result: join.result,
+                contributors: join.contributors,
             });
         }
-
-        Ok(EpochReport {
+        EpochReport {
             epoch,
             outcomes,
-            // Cumulative since `execute_epoch` reset them; the wrapper
-            // replaces this with the final (all-attempt) numbers.
+            // Cumulative since `execute_epoch` reset them; it replaces this
+            // with the final (all-attempt) numbers, and stamps `churned`.
             stats: snet.net().stats().clone(),
-            latency_us: rep1.timing.then(rep2.timing).then(rep3.timing).pipelined,
-            latency_slotted_us: rep1.timing.then(rep2.timing).then(rep3.timing).slotted,
-            solo_equivalent: solo,
-            // A shared epoch has no per-subtree fallback: any lost frame can
-            // starve several queries at once, so damage anywhere voids the
-            // attempt and triggers the retry loop above.
-            complete: rep1.damaged.is_empty() && rep2.damaged.is_empty() && rep3.damaged.is_empty(),
-            // The wrapper stamps the real value after applying boundaries.
+            latency_us: run.timing.pipelined,
+            latency_slotted_us: run.timing.slotted,
+            solo_equivalent,
+            complete: run.complete,
             churned: false,
-        })
-    }
-}
-
-/// Message of the shared collection phase: complete tuples below the
-/// Treecut threshold (identified by origin — their per-query projections
-/// are in the epoch's node-data tables), or every due query's cell set.
-enum GroupUp {
-    Full { nodes: Vec<NodeId>, bytes: usize },
-    Attrs { sets: Vec<SizedSet> },
-}
-
-/// Final-phase message: shipped tuples with their query-membership masks.
-struct GBatch {
-    entries: Vec<(NodeId, u64)>,
-    bytes: usize,
-}
-
-/// Per-node protocol state surviving between the epoch's phases.
-struct GState {
-    active: bool,
-    own: bool,
-    proxy: Vec<NodeId>,
-    /// Per due slot: received subtree cells (Selective Filter Forwarding).
-    subtree_atts: Vec<Option<PointSet>>,
-    /// Per due slot: the filter as received during dissemination.
-    received: Vec<Option<PointSet>>,
-}
-
-impl GState {
-    fn new(k: usize) -> Self {
-        Self {
-            active: false,
-            own: false,
-            proxy: Vec::new(),
-            subtree_atts: vec![None; k],
-            received: vec![None; k],
         }
     }
-}
-
-/// Two spaces with equal signatures assign every value the same cell
-/// coordinates and quadtree shape, so their point sets can share one wire
-/// encoding.
-type SpaceSig = (Vec<(String, u64, u64, u64)>, u8);
-
-fn space_signature(space: &JoinSpace) -> SpaceSig {
-    let dims = space
-        .zspace()
-        .dims()
-        .iter()
-        .map(|d| {
-            (
-                d.name().to_owned(),
-                d.min().to_bits(),
-                d.max().to_bits(),
-                d.resolution().to_bits(),
-            )
-        })
-        .collect();
-    (dims, space.shape().flag_bits())
-}
-
-/// The sets of a multi-query message with what each would cost encoded on
-/// its own — its solo-equivalent charge, and the "separate" term of
-/// [`merged_wire_size`]. The size is the set's cached one, so each set is
-/// costed once however often it is forwarded or asked.
-fn solo_sizes<'a>(
-    sets: impl Iterator<Item = (usize, &'a mut SizedSet)>,
-    spaces: &[JoinSpace],
-) -> Vec<(usize, &'a PointSet, usize)> {
-    sets.map(|(slot, set)| {
-        let bytes = set.wire_size(spaces[slot].shape());
-        (slot, &**set, bytes)
-    })
-    .collect()
-}
-
-/// Wire size of a merged multi-query payload, given each present slot's set
-/// and solo size ([`solo_sizes`]): slots whose spaces share a signature are
-/// encoded as one union quadtree plus, per member query, a cell-presence
-/// bitmap and one byte per cell whose flags diverge from the union's. When
-/// the member sets diverge so much that merging doesn't pay, the sender
-/// falls back to concatenating the individual encodings, so a merged message
-/// never costs more than its unshared parts — and a single-slot message
-/// costs exactly its solo encoding.
-fn merged_wire_size(
-    present: &[(usize, &PointSet, usize)],
-    sigs: &[SpaceSig],
-    spaces: &[JoinSpace],
-) -> usize {
-    let mut total = 0usize;
-    let mut used = vec![false; present.len()];
-    for i in 0..present.len() {
-        if used[i] {
-            continue;
-        }
-        used[i] = true;
-        let (slot_i, set_i, bytes_i) = present[i];
-        let mut members: Vec<&PointSet> = vec![set_i];
-        let mut separate = bytes_i;
-        for j in i + 1..present.len() {
-            let (slot_j, set_j, bytes_j) = present[j];
-            if !used[j] && sigs[slot_j] == sigs[slot_i] {
-                used[j] = true;
-                members.push(set_j);
-                separate += bytes_j;
-            }
-        }
-        if members.len() == 1 {
-            total += separate;
-        } else {
-            let mut union = PointSet::new();
-            for m in &members {
-                union = union.union(m);
-            }
-            // Tenants of one template send the same set: the union is then
-            // the first member, already sized.
-            let mut merged = if union == *set_i {
-                bytes_i
-            } else {
-                encoded_wire_size(&union, spaces[slot_i].shape())
-            };
-            let bitmap = union.len().div_ceil(8);
-            for m in &members {
-                let diverging = union
-                    .iter()
-                    .filter(|p| m.flags_of(p.z).map_or(0, |f| f.0) != p.flags.0)
-                    .count();
-                merged += bitmap + diverging;
-            }
-            total += merged.min(separate);
-        }
-    }
-    total
 }
 
 /// The counted delta turning the presence set `old` into `new`: +1 for each
@@ -1266,7 +760,9 @@ impl GroupRunner {
     /// Runs `epochs` epochs, resampling the network's fields before each
     /// one (with `seed + epoch` so rounds drift deterministically), and
     /// returns each epoch's timestamped report. Scheduled add/remove events
-    /// apply before the epoch at their timestamp.
+    /// apply before the epoch at their timestamp; an add that finds the
+    /// group at [`MAX_GROUP_QUERIES`] fails the run with
+    /// [`ProtocolError::GroupFull`].
     pub fn run(
         &mut self,
         snet: &mut SensorNetwork,
@@ -1280,40 +776,40 @@ impl GroupRunner {
         }
         let mut reports = Vec::with_capacity(epochs as usize);
         while let Some((t, event)) = self.sched.pop() {
-            match event {
-                GroupEvent::Add(query, every) => {
-                    self.group.register(snet, *query, every);
-                }
-                GroupEvent::Remove(id) => {
-                    self.group.remove(id);
-                }
-                GroupEvent::Epoch => {
-                    // Control events due at this very instant apply before
-                    // the epoch, whatever order they were scheduled in.
-                    while let Some((tn, GroupEvent::Add(..) | GroupEvent::Remove(..))) =
-                        self.sched.peek()
-                    {
-                        if tn != t {
-                            break;
-                        }
-                        match self.sched.pop().expect("peeked").1 {
-                            GroupEvent::Add(query, every) => {
-                                self.group.register(snet, *query, every);
-                            }
-                            GroupEvent::Remove(id) => {
-                                self.group.remove(id);
-                            }
-                            GroupEvent::Epoch => unreachable!("peek said control event"),
-                        }
-                    }
-                    if !specs.is_empty() {
-                        snet.resample(specs, seed.wrapping_add(self.group.epoch()));
-                    }
-                    reports.push((t, self.group.execute_epoch(snet)?));
-                }
+            if !matches!(event, GroupEvent::Epoch) {
+                self.control(snet, event)?;
+                continue;
             }
+            // Control events due at this very instant apply before the
+            // epoch, whatever order they were scheduled in.
+            while let Some((tn, GroupEvent::Add(..) | GroupEvent::Remove(..))) = self.sched.peek() {
+                if tn != t {
+                    break;
+                }
+                let (_, event) = self.sched.pop().expect("peeked");
+                self.control(snet, event)?;
+            }
+            if !specs.is_empty() {
+                snet.resample(specs, seed.wrapping_add(self.group.epoch()));
+            }
+            reports.push((t, self.group.execute_epoch(snet)?));
         }
         Ok(reports)
+    }
+
+    /// Applies one add/remove event. An add into a full group is the
+    /// caller's scheduling error and ends the run.
+    fn control(&mut self, snet: &SensorNetwork, event: GroupEvent) -> Result<(), GroupFull> {
+        match event {
+            GroupEvent::Add(query, every) => {
+                self.group.try_register(snet, *query, every)?;
+            }
+            GroupEvent::Remove(id) => {
+                self.group.remove(id);
+            }
+            GroupEvent::Epoch => unreachable!("epochs are run, not applied"),
+        }
+        Ok(())
     }
 }
 

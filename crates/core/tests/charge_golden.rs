@@ -19,7 +19,8 @@ use sensjoin_core::{
 };
 use sensjoin_field::{presets, Area, Placement};
 use sensjoin_query::parse;
-use sensjoin_sim::{ArqPolicy, BaseChoice, Channel, NetworkStats};
+use sensjoin_relation::NodeId;
+use sensjoin_sim::{ArqPolicy, BaseChoice, Channel, ChurnAction, ChurnTimeline, NetworkStats};
 use std::fmt::Write;
 
 const Q3: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
@@ -79,7 +80,10 @@ fn ledger(out: &mut String, what: &str, stats: &NetworkStats, pipelined: u64, sl
 }
 
 fn one_shot(sql: &str) -> String {
-    let mut s = snet();
+    one_shot_on(snet(), sql)
+}
+
+fn one_shot_on(mut s: SensorNetwork, sql: &str) -> String {
     let cq = s.compile(&parse(sql).unwrap()).unwrap();
     let o = SensJoin::default().execute(&mut s, &cq).unwrap();
     assert!(o.complete);
@@ -87,6 +91,68 @@ fn one_shot(sql: &str) -> String {
     ledger(
         &mut out,
         &format!("one-shot, {} rows", o.result.len()),
+        &o.stats,
+        o.latency_us,
+        o.latency_slotted_us,
+    );
+    out
+}
+
+/// The one-shot protocol over the same channel as `continuous_lossy`: every
+/// filter message carries its one-byte tag and every Treecut handoff is
+/// backed up, and retransmissions and ACKs are charged.
+fn one_shot_lossy() -> String {
+    let mut s = snet();
+    s.net_mut().set_channel(Some(Channel::bernoulli(0.05, 77)));
+    s.net_mut().set_arq(ArqPolicy::ack(16));
+    one_shot_on(s, BAND_1D)
+}
+
+/// The one-shot protocol under a fixed churn schedule that reaches every
+/// reconciliation path: a node gone before the start (so the start
+/// population is not everyone), a Treecut proxy crashing after collection
+/// (proxy re-election restores its rows at their origins), a relay with a
+/// large subtree crashing after dissemination (the re-homed subtree ships in
+/// pass-through), and the proxy rebooting at that same boundary (it
+/// re-contributes its own reading). The base projects the result onto the
+/// survivors and reports `complete = false`.
+fn one_shot_churned() -> String {
+    let mut s = snet();
+    let base = s.base();
+    let (early, proxy, relay) = {
+        let tree = s.net().routing();
+        let nodes = || (0..s.len() as u32).map(NodeId).filter(|&v| v != base);
+        let leaf = |v: NodeId| tree.children(v).is_empty();
+        // Q3 ships 8-byte tuples and `D_max` is 30: a node whose children
+        // are three or more leaves cannot Treecut and proxies their tuples.
+        let proxy = nodes()
+            .find(|&v| tree.children(v).len() >= 3 && tree.children(v).iter().all(|&c| leaf(c)))
+            .expect("a proxy of leaves");
+        let relay = nodes()
+            .find(|&v| tree.descendants(v) >= 12 && tree.parent(v) != Some(base))
+            .expect("a deep relay");
+        let early = nodes()
+            .find(|&v| leaf(v) && tree.parent(v) != Some(proxy))
+            .expect("a leaf");
+        (early, proxy, relay)
+    };
+    let timeline = ChurnTimeline::new()
+        .at_boundary(0, early, ChurnAction::Crash)
+        .at_boundary(1, proxy, ChurnAction::Crash)
+        .at_boundary(2, relay, ChurnAction::Crash)
+        .at_boundary(2, proxy, ChurnAction::Revive);
+    s.net_mut().set_churn(Some(timeline));
+    let cq = s.compile(&parse(Q3).unwrap()).unwrap();
+    let o = SensJoin::default().execute(&mut s, &cq).unwrap();
+    let mut out = String::new();
+    ledger(
+        &mut out,
+        &format!(
+            "one-shot, {} rows, complete {} churned {}",
+            o.result.len(),
+            o.complete,
+            o.churned
+        ),
         &o.stats,
         o.latency_us,
         o.latency_slotted_us,
@@ -208,6 +274,20 @@ fn sensjoin_band_1d_charges_are_pinned() {
 }
 
 #[test]
+fn one_shot_lossy_charges_are_pinned() {
+    pinned("one-shot-lossy", one_shot_lossy, GOLDEN_ONE_SHOT_LOSSY);
+}
+
+#[test]
+fn one_shot_churned_charges_are_pinned() {
+    pinned(
+        "one-shot-churned",
+        one_shot_churned,
+        GOLDEN_ONE_SHOT_CHURNED,
+    );
+}
+
+#[test]
 fn continuous_lossy_rounds_charges_are_pinned() {
     pinned("continuous", continuous_lossy, GOLDEN_CONTINUOUS);
 }
@@ -236,6 +316,19 @@ const GOLDEN_BAND_1D: &str = r"one-shot, 10113 rows
   3-final-result: tx 12428B/289p rx 12428B/289p retx 0B/0p ack 0B/0p lost 0 energy 0x41098e59999999a0
   total energy 0x4119f7d866666664 latency 355600 slotted 367824
 ";
+const GOLDEN_ONE_SHOT_LOSSY: &str = r"one-shot, 10113 rows
+  1-join-attribute-collection: tx 2107B/298p rx 2107B/298p retx 179B/33p ack 634B/317p lost 0 energy 0x4116980f999999a3
+  2-filter-dissemination: tx 741B/59p rx 898B/68p retx 182B/11p ack 142B/71p lost 0 energy 0x40f4699999999995
+  3-final-result: tx 12428B/289p rx 12428B/289p retx 1440B/32p ack 606B/303p lost 0 energy 0x4118401666666639
+  total energy 0x4129f9463333331c latency 488112 slotted 575392
+";
+const GOLDEN_ONE_SHOT_CHURNED: &str = r"one-shot, 5402 rows, complete false churned true
+  1-join-attribute-collection: tx 9633B/408p rx 9633B/408p retx 0B/0p ack 0B/0p lost 0 energy 0x41104d0e6666665d
+  2-filter-dissemination: tx 7397B/187p rx 10774B/265p retx 0B/0p ack 0B/0p lost 0 energy 0x41039d9733333342
+  3-final-result: tx 25152B/561p rx 25152B/561p retx 0B/0p ack 0B/0p lost 0 energy 0x411907b3333332c8
+  repair: tx 0B/0p rx 0B/0p retx 0B/0p ack 640B/80p lost 0 energy 0x40f4b2ae66666674
+  total energy 0x412c281c6666667c latency 798800 slotted 821264
+";
 const GOLDEN_CONTINUOUS: &str = r"round 0, 10113 rows
   1-delta-collection: tx 5845B/365p rx 5845B/365p retx 817B/47p ack 786B/393p lost 0 energy 0x411cc4e8cccccc7d
   2-filter-delta: tx 1088B/120p rx 2905B/298p retx 195B/28p ack 624B/312p lost 0 energy 0x411316a133333345
@@ -253,9 +346,9 @@ round 2, 6832 rows
   total energy 0x4137fbf4fffffffd latency 693200 slotted 811392
 ";
 const GOLDEN_GROUP: &str = r"k = 4 epoch
-  1-shared-collection: tx 4664B/333p rx 4664B/333p retx 0B/0p ack 0B/0p lost 0 energy 0x4109341999999999
-  2-shared-filter-dissemination: tx 4107B/115p rx 5098B/142p retx 0B/0p ack 0B/0p lost 0 energy 0x40f5d8e666666670
-  3-shared-final-result: tx 15535B/357p rx 15535B/357p retx 0B/0p ack 0B/0p lost 0 energy 0x410fa64999999996
+  1-join-attribute-collection: tx 4664B/333p rx 4664B/333p retx 0B/0p ack 0B/0p lost 0 energy 0x4109341999999999
+  2-filter-dissemination: tx 4107B/115p rx 5098B/142p retx 0B/0p ack 0B/0p lost 0 energy 0x40f5d8e666666670
+  3-final-result: tx 15535B/357p rx 15535B/357p retx 0B/0p ack 0B/0p lost 0 energy 0x410fa64999999996
   total energy 0x4120f1b599999997 latency 505456 slotted 518928
   solo QueryId(0): collection 2107 filter 687 final 12428
   solo QueryId(1): collection 2107 filter 497 final 9284
