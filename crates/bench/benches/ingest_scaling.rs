@@ -9,23 +9,16 @@
 //! Acceptance gate (asserted here, recorded in `BENCH_engine.json`): a 1 %
 //! delta batch costs ≤ 0.1× the full `exact_join` at 2000 tuples per
 //! relation.
-//!
-//! Also recorded, not gated: `sensjoin_simd::band_mask` against its scalar
-//! reference over a 4096-key run. No join engine calls that kernel (the
-//! streaming index is probed by binary search, like the batch one); the
-//! comparison stays while the repo benchmark still times it.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
 use sensjoin_core::{exact_join, StreamJoinEngine, StreamOp};
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::{AttrType, Attribute, NodeId, Schema};
-use sensjoin_simd::{band_mask, band_mask_scalar, kernels_active, CmpKind, MaskForm};
 
 const N: usize = 2000;
 const DELTA_FRACTION: f64 = 0.01;
 const DELTA_GATE: f64 = 0.1;
-const RESIDUAL_KEYS: usize = 4096;
 
 fn schema() -> Schema {
     Schema::new(
@@ -130,49 +123,6 @@ fn bench_ingest(c: &mut Criterion, cq: &CompiledQuery, data: &[Vec<(NodeId, Vec<
     );
 }
 
-/// Best-of-trials wall time in nanoseconds per repetition.
-fn time_ns(trials: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    best
-}
-
-/// Times `band_mask` (vectorized dispatch vs scalar reference) over one
-/// sorted `RESIDUAL_KEYS`-key run.
-fn residual_times() -> (f64, f64) {
-    let mut state = 99u64;
-    let mut keys: Vec<f64> = (0..RESIDUAL_KEYS)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            10.0 + 22.0 * ((state >> 33) as f64 / (1u64 << 31) as f64)
-        })
-        .collect();
-    keys.sort_unstable_by(f64::total_cmp);
-    let form = MaskForm::AbsDiff {
-        op: CmpKind::Lt,
-        c: 0.5,
-        key_is_lhs: true,
-    };
-    let mut out = Vec::new();
-    let simd = time_ns(5, 2000, || {
-        band_mask(black_box(&keys), black_box(21.0), form, &mut out);
-        black_box(&out);
-    });
-    let scalar = time_ns(5, 2000, || {
-        band_mask_scalar(black_box(&keys), black_box(21.0), form, &mut out);
-        black_box(&out);
-    });
-    (scalar, simd)
-}
-
 fn ns_of(results: &[(String, std::time::Duration)], name: &str) -> f64 {
     results
         .iter()
@@ -201,19 +151,10 @@ fn main() {
         "gate violated: 1% delta batch is {delta_over_full:.3}x the full join (> {DELTA_GATE})"
     );
 
-    let (scalar_ns, simd_ns) = residual_times();
-    let residual_speedup = scalar_ns / simd_ns;
-    let kernels = kernels_active();
-
     let extras = [
         ("tuples_per_relation", format!("{N}")),
         ("delta_fraction", format!("{DELTA_FRACTION}")),
         ("delta_over_full", format!("{delta_over_full:.4}")),
-        ("residual_keys", format!("{RESIDUAL_KEYS}")),
-        ("residual_scalar_ns", format!("{scalar_ns:.0}")),
-        ("residual_simd_ns", format!("{simd_ns:.0}")),
-        ("residual_speedup", format!("{residual_speedup:.2}")),
-        ("kernels", format!("\"{kernels}\"")),
         (
             "gate",
             format!("\"delta_batch_1pct/{N} <= {DELTA_GATE}x full_exact_join/{N}\""),

@@ -49,8 +49,9 @@ fn bench_zorder(c: &mut Criterion) {
     c.bench_function("zorder/cell_box", |b| {
         b.iter(|| space.cell_box(black_box(z)))
     });
-    // The BMI2 fast path against the shift-loop reference, on the cell
-    // interleave both the encoder and the quadtree codec sit on.
+    // The mask-walking deposit/extract against the level-schedule
+    // reference, on the cell interleave both the encoder and the quadtree
+    // codec sit on: the evidence for which of the two `ZSpace` runs.
     let coords = space.decode(z);
     c.bench_function("zorder/interleave_fast", |b| {
         b.iter(|| space.encode_cells(black_box(&coords)))
@@ -64,43 +65,6 @@ fn bench_zorder(c: &mut Criterion) {
     c.bench_function("zorder/deinterleave_reference", |b| {
         b.iter(|| space.decode_reference(black_box(z)))
     });
-}
-
-/// `sensjoin_simd::band_mask` (`|probe - key| < c` over a sorted key
-/// column): hardware dispatch vs the scalar reference.
-fn bench_residual(c: &mut Criterion) {
-    use sensjoin_simd::{band_mask, band_mask_scalar, CmpKind, MaskForm};
-    let mut state = 99u64;
-    let mut keys: Vec<f64> = (0..4096)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            10.0 + 22.0 * ((state >> 33) as f64 / (1u64 << 31) as f64)
-        })
-        .collect();
-    keys.sort_unstable_by(f64::total_cmp);
-    let form = MaskForm::AbsDiff {
-        op: CmpKind::Lt,
-        c: 0.5,
-        key_is_lhs: true,
-    };
-    let mut group = c.benchmark_group("residual");
-    group.throughput(Throughput::Elements(keys.len() as u64));
-    let mut out = Vec::new();
-    group.bench_function("band_mask_dispatch", |b| {
-        b.iter(|| {
-            band_mask(black_box(&keys), black_box(21.0), form, &mut out);
-            black_box(&out);
-        })
-    });
-    group.bench_function("band_mask_scalar", |b| {
-        b.iter(|| {
-            band_mask_scalar(black_box(&keys), black_box(21.0), form, &mut out);
-            black_box(&out);
-        })
-    });
-    group.finish();
 }
 
 fn bench_quadtree(c: &mut Criterion) {
@@ -279,7 +243,6 @@ fn bench_query(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_zorder,
-    bench_residual,
     bench_quadtree,
     bench_quadtree_sizing,
     bench_record_tx,

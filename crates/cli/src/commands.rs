@@ -5,9 +5,9 @@ use crate::csvdata;
 use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Reader, Writer};
 use sensjoin_core::workload::RangeQueryFamily;
 use sensjoin_core::{
-    exact_join, kernels_active, ContinuousSensJoin, CostModel, ExternalJoin, GroupRunner,
-    JoinMethod, JoinOutcome, JoinResult, MediatedJoin, SensJoin, SensJoinConfig, SensorNetwork,
-    SensorNetworkBuilder, StreamJoinEngine, StreamOp,
+    exact_join, ContinuousSensJoin, CostModel, ExternalJoin, GroupRunner, JoinMethod, JoinOutcome,
+    JoinResult, MediatedJoin, SensJoin, SensJoinConfig, SensorNetwork, SensorNetworkBuilder,
+    StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_query::{parse, CompiledQuery};
@@ -155,6 +155,9 @@ fn build_network(args: &Args) -> Result<SensorNetwork, String> {
     let nodes: usize = args
         .get_or("nodes", 500, "integer")
         .map_err(|e| e.to_string())?;
+    if nodes == 0 {
+        return Err("--nodes must be at least 1".into());
+    }
     let seed: u64 = args
         .get_or("seed", 1, "integer")
         .map_err(|e| e.to_string())?;
@@ -168,6 +171,9 @@ fn build_network(args: &Args) -> Result<SensorNetwork, String> {
     let area = match args.get_str("area") {
         Some(s) => {
             let side: f64 = s.parse().map_err(|_| format!("bad --area {s:?}"))?;
+            if !side.is_finite() || side <= 0.0 {
+                return Err("--area must be a positive side length in metres".into());
+            }
             Area::new(side, side)
         }
         None => match &external {
@@ -258,6 +264,9 @@ fn apply_channel(args: &Args, snet: &mut SensorNetwork) -> Result<(), String> {
         let channel = match args.get_str("burst") {
             Some(b) => {
                 let burst: f64 = b.parse().map_err(|_| format!("bad --burst {b:?}"))?;
+                if !(1.0..f64::INFINITY).contains(&burst) {
+                    return Err("--burst must be a mean burst length of at least 1 packet".into());
+                }
                 Channel::gilbert_elliott(p, burst, seed)
             }
             None => Channel::bernoulli(p, seed),
@@ -982,12 +991,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             Err("streaming result diverged from the batch join — bug!".into())
         }
     };
-    println!(
-        "network: {} nodes, {} relations, kernels: {}",
-        n,
-        cq.num_relations(),
-        kernels_active()
-    );
+    println!("network: {} nodes, {} relations", n, cq.num_relations());
     let stream_digest = |stats: &sensjoin_core::BatchStats, cached_rows: usize| -> u64 {
         let mut w = Writer::new();
         persist::put_batch_stats(&mut w, stats);
@@ -1579,8 +1583,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let skew: f64 = args
         .get_or("skew", 0.5, "number")
         .map_err(|e| e.to_string())?;
-    if deployments == 0 || period_s == 0 {
-        return Err("serve needs --deployments ≥ 1 and --period ≥ 1".into());
+    if nodes == 0 || deployments == 0 || period_s == 0 {
+        return Err("serve needs --nodes ≥ 1, --deployments ≥ 1 and --period ≥ 1".into());
     }
     let mut cfg = ServeConfig {
         period_us: period_s * 1_000_000,
@@ -2072,6 +2076,12 @@ mod tests {
         assert_ne!(dispatch(&args("run --bogus 1")), 0);
         assert_ne!(dispatch(&args("topology --base nowhere")), 0);
         assert_ne!(dispatch(&args("topology --fields lava")), 0);
+        // Out-of-domain values that used to reach a library assert.
+        for area in ["0", "-3", "nan", "inf"] {
+            assert_ne!(dispatch(&args(&format!("topology --area {area}"))), 0);
+        }
+        assert_ne!(dispatch(&args("topology --nodes 0")), 0);
+        assert_ne!(dispatch(&args("serve --nodes 0 --duration 30")), 0);
     }
 
     #[test]
@@ -2102,6 +2112,11 @@ mod tests {
             dispatch(&args("run --nodes 50 --loss 0.1 --arq wishful --sql x")),
             0
         );
+        for burst in ["0.5", "nan", "inf"] {
+            let mut bad = b.clone();
+            bad.options.insert("burst".into(), burst.into());
+            assert_ne!(dispatch(&bad), 0, "--burst {burst}");
+        }
     }
 
     #[test]

@@ -240,20 +240,21 @@ impl<P> Hoisted<P> {
         self.work[range.end] - self.work[range.start] - range.len()
     }
 
-    /// Cuts the outer positions into the chunks to run: one per available
-    /// thread, of about equal counted work, when the `parallel` feature is
-    /// on and the work — times `deeper`, the search space below level 1 —
-    /// reaches [`PAR_MIN_WORK`]; otherwise a single chunk.
-    fn cuts(&self, deeper: usize) -> Vec<Range<usize>> {
+    /// Cuts the outer positions into the chunks to run: up to `parts` of
+    /// about equal counted work when the work — times `deeper`, the search
+    /// space below level 1 — reaches [`PAR_MIN_WORK`]; otherwise a single
+    /// chunk.
+    fn cuts(&self, deeper: usize, parts: usize) -> Vec<Range<usize>> {
         let total = *self.work.last().expect("cumulative work starts with a 0");
-        let fan_out = cfg!(feature = "parallel") && total.saturating_mul(deeper) >= PAR_MIN_WORK;
-        let parts = if fan_out {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            1
-        };
-        equal_work_cuts(&self.work, parts)
+        let fan_out = total.saturating_mul(deeper) >= PAR_MIN_WORK;
+        equal_work_cuts(&self.work, if fan_out { parts } else { 1 })
     }
+}
+
+/// The chunk count of a join that fans out: one per thread the host grants
+/// this process (a `taskset -c 0` run is single-threaded).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Cuts the positions `0..work.len() - 1` into at most `parts` contiguous
@@ -334,6 +335,16 @@ fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
 /// [`prejoin_filter_nested`]'s because candidate pruning only removes points
 /// whose residual interval check is definitely false.
 pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> PointSet {
+    prejoin_filter_in(query, space, points, host_threads())
+}
+
+/// [`prejoin_filter`] fanning out over at most `threads` chunks.
+fn prejoin_filter_in(
+    query: &CompiledQuery,
+    space: &JoinSpace,
+    points: &PointSet,
+    threads: usize,
+) -> PointSet {
     let (lists, boxes) = filter_inputs(query, space, points);
     let pred_rels = pred_max_rels(query);
     let mut matched: Vec<u8> = vec![0; points.len()];
@@ -364,7 +375,7 @@ pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSe
             plan: &plan,
             hoisted: &hoisted,
         };
-        let cuts = hoisted.cuts(deeper_space(list_lens.iter().copied()));
+        let cuts = hoisted.cuts(deeper_space(list_lens.iter().copied()), threads);
         let parts = run_chunked(&cuts, |_, range| {
             let mut st = FilterChunk {
                 matched: vec![0; points.len()],
@@ -621,9 +632,19 @@ pub(crate) struct ExactAcc {
 ///
 /// Partitioned evaluation: each descend level with an equi (band) predicate
 /// probes a hash (sorted) index for its candidate tuples; the outer level is
-/// chunked across threads behind the `parallel` feature. Rows, row order,
-/// grouping and contributors are bit-identical to [`exact_join_nested`].
+/// chunked across the host's threads once the counted work pays for them.
+/// Rows, row order, grouping and contributors are bit-identical to
+/// [`exact_join_nested`].
 pub fn exact_join(query: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation {
+    exact_join_in(query, tuples, host_threads())
+}
+
+/// [`exact_join`] fanning out over at most `threads` chunks.
+fn exact_join_in(
+    query: &CompiledQuery,
+    tuples: &[Vec<(NodeId, Vec<f64>)>],
+    threads: usize,
+) -> JoinComputation {
     assert_eq!(tuples.len(), query.num_relations());
     let mut acc = ExactAcc::default();
     if !query.is_const_false() {
@@ -655,7 +676,7 @@ pub fn exact_join(query: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> 
             run.descend(&mut chunk);
             chunk
         } else {
-            let cuts = hoisted.cuts(deeper_space(tuples.iter().map(|t| t.len())));
+            let cuts = hoisted.cuts(deeper_space(tuples.iter().map(|t| t.len())), threads);
             let mut parts = run_chunked(&cuts, |i, range| {
                 let mut chunk = run.chunk();
                 if tuples.len() == 2 {
@@ -908,9 +929,13 @@ mod tests {
     use sensjoin_query::parse;
 
     fn setup(sql: &str) -> (SensorNetwork, CompiledQuery, JoinSpace) {
+        setup_nodes(sql, 80)
+    }
+
+    fn setup_nodes(sql: &str, n: usize) -> (SensorNetwork, CompiledQuery, JoinSpace) {
         let snet = SensorNetworkBuilder::new()
             .area(Area::new(300.0, 300.0))
-            .placement(Placement::UniformRandom { n: 80 })
+            .placement(Placement::UniformRandom { n })
             .seed(11)
             .build()
             .unwrap();
@@ -1209,6 +1234,60 @@ mod tests {
             let new_f = prejoin_filter(&cq, &space, &points);
             let old_f = prejoin_filter_nested(&cq, &space, &points);
             assert_eq!(new_f.points(), old_f.points(), "filter mismatch for {sql}");
+        }
+    }
+
+    /// What the host's thread count must not change: joins whose counted
+    /// work is past [`PAR_MIN_WORK`] return the same rows in the same order,
+    /// the same contributors and the same filter from 1, 2, 3 and 7 chunks.
+    #[test]
+    fn chunk_count_does_not_change_a_join() {
+        const NODES: usize = 480;
+        for sql in [
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 2.5 AND A.hum - B.hum > -60.0 ONCE",
+            "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 0.05 AND B.hum - C.hum > 6.0 ONCE",
+        ] {
+            let (snet, cq, space) = setup_nodes(sql, NODES);
+            let tuples = all_tuples(&snet, &cq);
+            let points = all_points(&snet, &cq, &space);
+            let row_bits = |res: &JoinComputation| -> Vec<Vec<u64>> {
+                let JoinResult::Rows(rows) = &res.result else {
+                    panic!("expected rows for {sql}");
+                };
+                rows.iter()
+                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let one = exact_join_in(&cq, &tuples, 1);
+            let rows = row_bits(&one);
+            assert!(!rows.is_empty(), "{sql}");
+            // Premise — the counts above 1 really are chunked. A two-way
+            // join counts a step per row; a three-way one a step per outer
+            // position, times the third relation (every point and tuple
+            // plays every role of these self-joins). The two-way filter is
+            // past the threshold only by its wide band.
+            if cq.num_relations() == 2 {
+                assert!(rows.len() >= PAR_MIN_WORK, "{} rows for {sql}", rows.len());
+            } else {
+                assert!(
+                    points.len().pow(2) >= PAR_MIN_WORK,
+                    "{} points",
+                    points.len()
+                );
+            }
+            let filter = prejoin_filter_in(&cq, &space, &points, 1);
+            for threads in [2, 3, 7] {
+                let got = exact_join_in(&cq, &tuples, threads);
+                assert_eq!(row_bits(&got), rows, "{threads} chunks: {sql}");
+                assert_eq!(
+                    got.contributors, one.contributors,
+                    "{threads} chunks: {sql}"
+                );
+                let got = prejoin_filter_in(&cq, &space, &points, threads);
+                assert_eq!(got.points(), filter.points(), "{threads} chunks: {sql}");
+            }
         }
     }
 }

@@ -139,7 +139,7 @@ fn allocations_do_not_grow_with_bindings_or_candidates() {
 fn a_row_costs_one_allocation() {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // ~7 % of 1 500 × 1 500 pairs: a high-output join, chunked when the
-    // `parallel` feature is on.
+    // host has more than one thread.
     let cq = compile("A.temp - B.temp > 7.3");
     let tuples = vec![relation(0, 1500, 0), relation(1, 1500, 0)];
     let (allocs, rows) = join_allocations(&cq, &tuples);

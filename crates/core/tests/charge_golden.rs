@@ -6,7 +6,7 @@
 //! or microsecond: the values below were printed by the commit *before*
 //! those changes (which serialized every message to measure it and charged
 //! through a string-keyed map) and every later commit must reproduce them,
-//! with and without the `parallel` feature.
+//! on any number of host threads.
 //!
 //! To re-pin after a deliberate protocol change, run with
 //! `CHARGE_GOLDEN_PRINT=1 cargo test -p sensjoin-core --test charge_golden

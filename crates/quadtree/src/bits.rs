@@ -31,16 +31,13 @@ impl BitWriter {
         self.len += 1;
     }
 
-    /// Appends the low `count` bits of `value`, most significant first.
-    ///
-    /// With the `simd` feature the bits are packed a partial byte at a time
-    /// (≤ 9 byte stores for 64 bits) instead of bit-at-a-time; the produced
-    /// stream is identical.
+    /// Appends the low `count` bits of `value`, most significant first,
+    /// packed a partial byte at a time (≤ 9 byte stores for 64 bits); the
+    /// stream is the one a [`BitWriter::push_bit`] loop produces.
     ///
     /// # Panics
     /// Panics if `count > 64`.
     #[inline]
-    #[cfg(feature = "simd")]
     pub fn push_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64);
         let mut rem = count;
@@ -57,21 +54,6 @@ impl BitWriter {
             self.buf[byte] |= (chunk << (8 - off - take)) as u8;
             self.len += take as usize;
             rem -= take;
-        }
-    }
-
-    /// Appends the low `count` bits of `value`, most significant first
-    /// (bit-at-a-time reference path; the `simd` feature swaps in a packed
-    /// writer with an identical stream).
-    ///
-    /// # Panics
-    /// Panics if `count > 64`.
-    #[inline]
-    #[cfg(not(feature = "simd"))]
-    pub fn push_bits(&mut self, value: u64, count: u32) {
-        assert!(count <= 64);
-        for i in (0..count).rev() {
-            self.push_bit((value >> i) & 1 == 1);
         }
     }
 
@@ -145,12 +127,9 @@ impl<'a> BitReader<'a> {
         Some(bit)
     }
 
-    /// Reads `count` bits MSB-first, or `None` if fewer remain.
-    ///
-    /// With the `simd` feature the bits are gathered a partial byte at a
-    /// time; values and cursor movement are identical to the reference.
+    /// Reads `count` bits MSB-first, gathered a partial byte at a time, or
+    /// `None` (consuming nothing) if fewer remain.
     #[inline]
-    #[cfg(feature = "simd")]
     pub fn read_bits(&mut self, count: u32) -> Option<u64> {
         assert!(count <= 64);
         if self.pos + count as usize > self.len {
@@ -166,22 +145,6 @@ impl<'a> BitReader<'a> {
             v = (v << take) | chunk;
             self.pos += take as usize;
             rem -= take;
-        }
-        Some(v)
-    }
-
-    /// Reads `count` bits MSB-first, or `None` if fewer remain
-    /// (bit-at-a-time reference path).
-    #[inline]
-    #[cfg(not(feature = "simd"))]
-    pub fn read_bits(&mut self, count: u32) -> Option<u64> {
-        assert!(count <= 64);
-        if self.pos + count as usize > self.len {
-            return None;
-        }
-        let mut v = 0u64;
-        for _ in 0..count {
-            v = (v << 1) | u64::from(self.read_bit()?);
         }
         Some(v)
     }
@@ -279,8 +242,8 @@ mod tests {
 
     #[test]
     fn packed_matches_bit_at_a_time() {
-        // Whatever path the feature selects must produce the exact stream a
-        // plain push_bit / read_bit loop produces, at every alignment.
+        // The packed paths must produce the exact stream a plain push_bit /
+        // read_bit loop produces, at every alignment.
         let mut state = 0x2545f4914f6cdd1du64;
         let mut next = move || {
             state = state

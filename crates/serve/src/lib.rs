@@ -21,8 +21,8 @@
 //!   as full (and as amortized) as possible.
 //! * **Epoch batching** — one [`Server::tick`] resamples every deployment
 //!   and runs every group's epoch, fanning independent deployments across
-//!   scoped worker threads (`parallel` feature) while collecting results
-//!   in deployment order.
+//!   scoped worker threads (one chunk per thread the host grants) while
+//!   collecting results in deployment order.
 //! * **Plan caching** — the expensive part of admission (quantization-
 //!   space derivation scanning every node's readings, plan
 //!   classification) is deduplicated across tenants under a sound cache

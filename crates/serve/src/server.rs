@@ -7,9 +7,9 @@
 //! Everything the server does is a pure function of its construction
 //! parameters and the submission schedule: deployments resample with
 //! seeds derived from `(deployment seed, tick)`, admissions drain the
-//! queue FIFO, and epoch results are collected in deployment order even
-//! when the `parallel` feature fans deployments out across worker
-//! threads. Two runs over the same schedule produce identical decisions,
+//! queue FIFO, and epoch results are collected in deployment order
+//! however many worker threads the deployments fan out across. Two runs
+//! over the same schedule produce identical decisions,
 //! results, and metrics — and every tenant's results are bit-identical
 //! to a solo [`GroupRunner`](sensjoin_core::GroupRunner) driven on the
 //! tenant's registration snapshot (`tests/serving_equivalence.rs` at the
@@ -518,8 +518,8 @@ impl Server {
     /// Runs one serving tick: drains the admission queue (up to
     /// [`ServeConfig::admit_per_tick`]), then resamples every deployment
     /// and executes one epoch of every group, batching deployments across
-    /// worker threads under the `parallel` feature. Results and metrics
-    /// are collected in deployment order either way.
+    /// the host's threads. Results and metrics are collected in deployment
+    /// order at any thread count.
     pub fn tick(&mut self) -> Result<TickReport, ProtocolError> {
         let tick = self.tick;
         self.tick += 1;
@@ -535,7 +535,8 @@ impl Server {
         };
         let decisions = self.drain_queue(budget);
 
-        let results = run_deployments(&mut self.deployments);
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let results = run_deployments(&mut self.deployments, workers);
         let mut epochs = Vec::new();
         for (dep_ix, result) in results.into_iter().enumerate() {
             let reports = result?;
@@ -839,15 +840,14 @@ fn run_serial(deps: &mut [Deployment]) -> Vec<Result<Vec<EpochReport>, ProtocolE
 }
 
 /// Runs one tick of every deployment, fanning contiguous chunks out
-/// across scoped worker threads. Deployments are independent (disjoint
-/// `&mut` state) and results are stitched back in deployment order, so
-/// output is bit-identical to [`run_serial`].
-#[cfg(feature = "parallel")]
-fn run_deployments(deps: &mut [Deployment]) -> Vec<Result<Vec<EpochReport>, ProtocolError>> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(deps.len());
+/// across at most `workers` scoped threads. Deployments are independent
+/// (disjoint `&mut` state) and results are stitched back in deployment
+/// order, so output is bit-identical to [`run_serial`].
+fn run_deployments(
+    deps: &mut [Deployment],
+    workers: usize,
+) -> Vec<Result<Vec<EpochReport>, ProtocolError>> {
+    let workers = workers.min(deps.len());
     if workers <= 1 {
         return run_serial(deps);
     }
@@ -865,7 +865,54 @@ fn run_deployments(deps: &mut [Deployment]) -> Vec<Result<Vec<EpochReport>, Prot
     results
 }
 
-#[cfg(not(feature = "parallel"))]
-fn run_deployments(deps: &mut [Deployment]) -> Vec<Result<Vec<EpochReport>, ProtocolError>> {
-    run_serial(deps)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Four deployments of different sizes, two tenants each, admitted and
+    /// one tick in.
+    fn fixture() -> Server {
+        let mut server = Server::new(ServeConfig::default());
+        for dep in 0..4u64 {
+            let name = format!("dep{dep}");
+            server
+                .add_deployment(&DeploymentSpec::new(
+                    name.clone(),
+                    40 + 10 * dep as usize,
+                    dep,
+                ))
+                .unwrap();
+            for (t, bound) in [(0, 3.0), (1, 5.0)] {
+                server.submit(Submission {
+                    tenant: TenantId(2 * dep + t),
+                    deployment: name.clone(),
+                    sql: format!(
+                        "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                         WHERE A.temp - B.temp > {bound} SAMPLE PERIOD 30"
+                    ),
+                    every: 1,
+                });
+            }
+        }
+        let first = server.tick().unwrap();
+        assert_eq!(first.epochs.len(), 8);
+        server
+    }
+
+    /// What the host's thread count must not change: every worker count
+    /// stitches the serial run's reports back in deployment order.
+    #[test]
+    fn worker_count_does_not_change_a_tick() {
+        let mut serial = fixture();
+        let want: Vec<String> = (0..2)
+            .map(|_| format!("{:?}", run_serial(&mut serial.deployments)))
+            .collect();
+        for workers in 1..=4 {
+            let mut server = fixture();
+            for want in &want {
+                let got = run_deployments(&mut server.deployments, workers);
+                assert_eq!(&format!("{got:?}"), want, "{workers} workers");
+            }
+        }
+    }
 }

@@ -45,8 +45,8 @@ pub struct ZSpace {
     /// Per-dimension deposit mask: the Z-number bit positions this
     /// dimension's coordinate bits land on. Coordinate bit 0 (LSB) maps to
     /// the lowest set mask bit, matching the MSB-first interleave schedule,
-    /// so `encode_cells` is `OR_d pdep(coord_d, mask_d)` and `decode` is
-    /// `pext(z, mask_d)`.
+    /// so `encode_cells` is `OR_d deposit(coord_d, mask_d)` and `decode` is
+    /// `extract(z, mask_d)`.
     dim_masks: Vec<u64>,
 }
 
@@ -126,9 +126,9 @@ impl ZSpace {
     /// Interleaves already-quantized cell coordinates.
     ///
     /// Each dimension's bits are deposited onto its precomputed interleave
-    /// mask in one `pdep` (BMI2 when the `simd` feature is active and the
-    /// CPU supports it) — bit-identical to the level-schedule loop of
-    /// [`ZSpace::encode_cells_reference`].
+    /// mask, one loop step per coordinate bit — bit-identical to the
+    /// level-schedule loop of [`ZSpace::encode_cells_reference`]. (A BMI2
+    /// `pdep` here measured no faster end to end: DESIGN.md §4.10.)
     ///
     /// # Panics
     /// Panics in debug builds if a coordinate is out of range.
@@ -137,13 +137,13 @@ impl ZSpace {
         let mut z: u64 = 0;
         for ((&c, &m), d) in coords.iter().zip(&self.dim_masks).zip(&self.dims) {
             debug_assert!(c < d.cells(), "coordinate {c} out of range");
-            z |= sensjoin_simd::pdep_u64(c, m);
+            z |= deposit(c, m);
         }
         z
     }
 
     /// The paper's level-by-level interleave (Fig. 7, `EncodeTuple`): kept
-    /// as the reference for equivalence tests and the scalar side of the
+    /// as the reference for equivalence tests and the other side of the
     /// interleave microbenchmark.
     pub fn encode_cells_reference(&self, coords: &[u64]) -> ZNumber {
         assert_eq!(coords.len(), self.dims.len(), "arity mismatch");
@@ -162,12 +162,9 @@ impl ZSpace {
     }
 
     /// Recovers the cell coordinates from a Z-number (inverse of
-    /// [`ZSpace::encode_cells`]): one `pext` per dimension.
+    /// [`ZSpace::encode_cells`]): one mask extraction per dimension.
     pub fn decode(&self, z: ZNumber) -> Vec<u64> {
-        self.dim_masks
-            .iter()
-            .map(|&m| sensjoin_simd::pext_u64(z, m))
-            .collect()
+        self.dim_masks.iter().map(|&m| extract(z, m)).collect()
     }
 
     /// The level-by-level deinterleave reference (inverse of
@@ -217,6 +214,37 @@ impl ZSpace {
             .map(|(d, &v)| d.min() + (d.coordinate(v) as f64 + 0.5) * d.resolution())
             .collect()
     }
+}
+
+/// Bit deposit: the low `mask.count_ones()` bits of `src` (LSB first) land on
+/// the set positions of `mask` (ascending).
+#[inline]
+fn deposit(mut src: u64, mut mask: u64) -> u64 {
+    let mut out = 0u64;
+    while mask != 0 {
+        if src & 1 != 0 {
+            out |= mask & mask.wrapping_neg();
+        }
+        src >>= 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+/// Bit extract (inverse of [`deposit`]): the bits of `src` at the set
+/// positions of `mask` (ascending), gathered into the low bits.
+#[inline]
+fn extract(src: u64, mut mask: u64) -> u64 {
+    let mut out = 0u64;
+    let mut i = 0u32;
+    while mask != 0 {
+        if src & mask & mask.wrapping_neg() != 0 {
+            out |= 1u64 << i;
+        }
+        i += 1;
+        mask &= mask - 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -343,6 +371,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn deposit_extract_roundtrip_on_edge_masks() {
+        for (src, mask) in [
+            (0u64, 0u64),
+            (u64::MAX, u64::MAX),
+            (0b1011, 0b0110_1100),
+            (0xdead_beef, 0x00ff_00ff_00ff_00ff),
+            (42, 1 << 63),
+        ] {
+            let dep = deposit(src, mask);
+            assert_eq!(dep & !mask, 0);
+            // deposit-then-extract recovers the low bits of src
+            let low = src & u64::MAX.checked_shr(64 - mask.count_ones()).unwrap_or(0);
+            assert_eq!(extract(dep, mask), low);
+        }
+        assert_eq!(deposit(0b1011, 0b0110_1100), 0b0100_1100);
     }
 
     #[test]

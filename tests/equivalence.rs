@@ -474,8 +474,8 @@ mod emission_kernel {
         }
     }
 
-    /// Joins with enough counted work to be cut into chunks (with the
-    /// `parallel` feature): chunk-order merging of rows, group keys and
+    /// Joins with enough counted work to be cut into chunks (on a host with
+    /// more than one thread): chunk-order merging of rows, group keys and
     /// contributor sets. The skewed inputs put nearly all the work under a
     /// few outer tuples — at the front, at the back, in one tuple — so the
     /// cuts fall unevenly and trailing (or leading) shares hold one tuple
