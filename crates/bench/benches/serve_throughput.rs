@@ -181,6 +181,7 @@ fn main() {
     let results = criterion.results().to_vec();
     let extras = [
         ("deployments", format!("{DEPLOYMENTS}")),
+        ("host_threads", format!("{}", benchjson::host_threads())),
         ("nodes_per_deployment", format!("{NODES}")),
         ("tenants_submitted", format!("{TENANTS}")),
         ("admitted", format!("{admitted}")),

@@ -16,6 +16,12 @@ pub fn bench_json_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
 }
 
+/// Threads the host grants this process — recorded beside timings that fan
+/// out across them (the base-station join, the serve tick).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 /// Serializes shim results (`Criterion::results()`) as a `"benches"` object
 /// mapping benchmark names to mean nanoseconds per iteration.
 pub fn times_object(results: &[(String, Duration)]) -> String {

@@ -540,8 +540,8 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
         .run(&mut snet, epochs, &specs, seed)
         .map_err(|e| e.to_string())?;
     println!(
-        "\n{:>5} {:>4} {:>12} {:>12} {:>8}  rows",
-        "epoch", "due", "shared [B]", "unshared [B]", "saving"
+        "\n{:>5} {:>4} {:>5} {:>12} {:>12} {:>8}  rows",
+        "epoch", "due", "plans", "shared [B]", "unshared [B]", "saving"
     );
     for (_, r) in &reports {
         let shared = r.shared_collection_bytes() + r.shared_filter_bytes() + r.shared_final_bytes();
@@ -558,9 +558,10 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
             .collect();
         let marker = if r.complete { "" } else { "  [INCOMPLETE]" };
         println!(
-            "{:>5} {:>4} {:>12} {:>12} {:>7.1}%  {}{marker}",
+            "{:>5} {:>4} {:>5} {:>12} {:>12} {:>7.1}%  {}{marker}",
             r.epoch,
             r.outcomes.len(),
+            r.plans,
             shared,
             unshared,
             saving,
@@ -1754,8 +1755,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         server.cached_plans()
     );
     println!(
-        "\n{:<8} {:>9} {:>8} {:>12} {:>12} {:>8}",
-        "dep", "admitted", "epochs", "shared [B]", "solo-eq [B]", "saving"
+        "\n{:<8} {:>9} {:>8} {:>12} {:>12} {:>8} {:>12}",
+        "dep", "admitted", "epochs", "shared [B]", "solo-eq [B]", "saving", "tenants/plan"
     );
     for (d, dm) in m.deployments().iter().enumerate() {
         let saving = if dm.solo_bytes > 0 {
@@ -1763,8 +1764,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         } else {
             0.0
         };
+        // Tenant-epochs served per plan-epoch run: what one epoch slot,
+        // filter engine and exact join were shared across.
+        let sharing = dm.query_epochs as f64 / dm.plan_epochs.max(1) as f64;
         println!(
-            "dep{d:<5} {:>9} {:>8} {:>12} {:>12} {saving:>7.1}%",
+            "dep{d:<5} {:>9} {:>8} {:>12} {:>12} {saving:>7.1}% {sharing:>12.2}",
             dm.admission.admitted, dm.epochs, dm.shared_bytes, dm.solo_bytes
         );
     }

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -872,7 +872,8 @@ fn get_churn_action(r: &mut Reader<'_>) -> Result<ChurnAction, CodecError> {
     }
 }
 
-fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
+/// Encodes an optional value: a presence flag, then the value via `put`.
+pub fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
     match v {
         None => w.put_bool(false),
         Some(v) => {
@@ -882,7 +883,8 @@ fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) 
     }
 }
 
-fn get_opt<T>(
+/// Decodes an optional value written by [`put_opt`].
+pub fn get_opt<T>(
     r: &mut Reader<'_>,
     get: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
 ) -> Result<Option<T>, CodecError> {
@@ -1355,6 +1357,28 @@ mod tests {
         flip_byte(&store.snapshot_path(3), 30).unwrap(); // restore not guaranteed; corrupt anyway
         let rec = store.recover().unwrap();
         assert!(rec.snapshot.is_none() || rec.snapshot.as_ref().unwrap().0 == 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version-2 image (the slot-per-tenant `QueryGroup` layout) is
+    /// well-formed in every other respect and is refused by name.
+    #[test]
+    fn v2_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 3);
+        let dir = std::env::temp_dir().join(format!("sj-persist-v2-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        store.save_snapshot(1, b"alpha").unwrap();
+        let path = store.snapshot_path(1);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+        match load_snapshot(&path, 1) {
+            Err(RecoveryError::Corrupt { detail, .. }) => assert_eq!(detail, "unsupported version"),
+            other => panic!("expected a corrupt-artifact error, got {other:?}"),
+        }
+        let rec = store.recover().unwrap();
+        assert!(rec.snapshot.is_none() && rec.degraded);
         fs::remove_dir_all(&dir).unwrap();
     }
 

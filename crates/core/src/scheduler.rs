@@ -10,6 +10,14 @@
 //! persistent [`FilterEngine`] per query, and filter dissemination and the
 //! final up-wave likewise travel as one merged message per link.
 //!
+//! **Plans and subscribers.** What a *query* owns — its compiled form, its
+//! quantization space, its filter engine and delta baseline — is kept once
+//! per distinct [`CompiledQuery`] (a *plan*); what a *tenant* owns — a
+//! [`QueryId`] and a schedule — is a *subscriber* of that plan. Tenants
+//! that register equal queries ride one slot on the wire, one engine, one
+//! exact join and one `Arc`'d result; an epoch's k is the number of
+//! distinct queries due, not the number of tenants.
+//!
 //! Guarantees (enforced by the in-module tests and `tests/multi_query.rs`):
 //!
 //! * **Per-query bit-identity** — every due query's result (and contributor
@@ -17,6 +25,9 @@
 //!   same snapshot. Collection keeps per-query cell sets exact (the merge
 //!   saves wire bytes, not information), and filter pruning applies each
 //!   query's own subtree sets, so no query observes another's registration.
+//!   A subscriber that joins a live plan adopts that plan's quantization
+//!   space; exactness never depended on the space (boundary cells are
+//!   unbounded), only wire sizes do.
 //! * **Amortization** — when queries share a quantization space, the shared
 //!   collection's bytes approach the *maximum* (not the sum) of the solo
 //!   collections: one union encoding per link plus a small per-query
@@ -43,30 +54,40 @@ use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Stable handle of a query registered with a [`QueryGroup`]; remains valid
 /// across epochs and across other queries' removal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub usize);
 
-/// One registered query and its persistent base-station state.
-struct Registered {
+/// What a distinct query owns: its persistent base-station state, kept once
+/// however many subscribers registered an equal query.
+struct Plan {
     query: CompiledQuery,
     space: JoinSpace,
     /// Persistent pre-join filter engine, delta-fed across epochs.
     engine: FilterEngine,
     /// The previous epoch's collected cell population (delta baseline).
     population: PointSet,
+}
+
+/// What a tenant owns: the plan it rides and its own schedule. A removed
+/// subscriber stays behind as a tombstone so later [`QueryId`]s keep their
+/// meaning; its plan is freed with the plan's last live subscriber.
+struct Subscriber {
+    /// Index into the group's plan table (stale once `alive` is false).
+    plan: usize,
     /// Runs every `every` epochs (1 = every epoch).
     every: u64,
-    /// Epoch of registration; the query is due at `offset`, `offset +
+    /// Epoch of registration; the subscriber is due at `offset`, `offset +
     /// every`, ...
     offset: u64,
     alive: bool,
 }
 
-impl Registered {
-    /// Whether the query is live and `epoch` is on its schedule.
+impl Subscriber {
+    /// Whether the subscriber is live and `epoch` is on its schedule.
     fn due_at(&self, epoch: u64) -> bool {
         self.alive && epoch >= self.offset && (epoch - self.offset).is_multiple_of(self.every)
     }
@@ -78,8 +99,9 @@ pub struct GroupOutcome {
     /// Which registered query this is.
     pub id: QueryId,
     /// The query answer — bit-identical (as a multiset of rows) to a solo
-    /// `SensJoin` execution over the same snapshot.
-    pub result: JoinResult,
+    /// `SensJoin` execution over the same snapshot. Subscribers of one plan
+    /// share the one result their plan's join produced.
+    pub result: Arc<JoinResult>,
     /// Nodes whose tuples appear in at least one result row.
     pub contributors: BTreeSet<NodeId>,
 }
@@ -128,6 +150,9 @@ pub struct EpochReport {
     pub latency_slotted_us: Time,
     /// Per due query: the unshared byte cost of the same messages.
     pub solo_equivalent: Vec<SoloCost>,
+    /// Distinct plans the epoch ran — its k on the wire and at the base
+    /// station. `outcomes.len() / plans` is the epoch's sharing ratio.
+    pub plans: usize,
     /// Whether every due query's result is guaranteed exact. `false` only
     /// when the final wave lost data despite both the ARQ budget and the
     /// epoch retry loop (see [`MAX_EPOCH_ATTEMPTS`]) — loss in the first two
@@ -162,9 +187,12 @@ impl EpochReport {
     }
 }
 
-/// Hard upper bound on concurrently *live* queries per [`QueryGroup`]:
-/// per-query membership in merged wire messages is tracked with 64-bit
-/// masks (one bit per registered slot), so a group can never serve more.
+/// Hard upper bound on concurrently *live* subscribers (tenants) per
+/// [`QueryGroup`]: per-query membership in merged wire messages is tracked
+/// with 64-bit masks (one bit per due plan), and in the worst case every
+/// subscriber registered a different query. Subscribers of one plan share
+/// a bit, but the cap counts them all the same, so admission never depends
+/// on what the other tenants asked.
 /// Admission layers must reject — or open another group — beyond this.
 pub const MAX_GROUP_QUERIES: usize = 64;
 
@@ -285,7 +313,8 @@ impl PlanKey {
 /// A multi-query scheduler over one network: registered queries share each
 /// epoch's Join-Attribute-Collection and ride merged per-link filter and
 /// final-result messages, while the base station maintains one persistent
-/// [`FilterEngine`] per query.
+/// [`FilterEngine`] per distinct query (equal registrations subscribe to
+/// one plan and share its slot, engine, join and result).
 ///
 /// # Example
 ///
@@ -319,7 +348,11 @@ impl PlanKey {
 /// ```
 pub struct QueryGroup {
     config: SensJoinConfig,
-    queries: Vec<Registered>,
+    /// One entry per distinct live query; a slot freed with its last
+    /// subscriber is reused by the next new query.
+    plans: Vec<Option<Plan>>,
+    /// One entry per registration ever made, indexed by [`QueryId`].
+    subscribers: Vec<Subscriber>,
     epoch: u64,
     /// Previous epoch's latency — the simulated time that elapsed since the
     /// last churn boundary (epochs are the group's churn boundaries).
@@ -331,15 +364,17 @@ impl QueryGroup {
     pub fn new(config: SensJoinConfig) -> Self {
         Self {
             config,
-            queries: Vec::new(),
+            plans: Vec::new(),
+            subscribers: Vec::new(),
             epoch: 0,
             last_latency_us: 0,
         }
     }
 
-    /// Registers a query: builds its quantization space over `snet` and a
-    /// cold [`FilterEngine`]. The query is first due at the *next* epoch
-    /// and every `every` epochs after (`every` is clamped to ≥ 1).
+    /// Registers a query: subscribes to the live plan of an equal query
+    /// when the group has one, else builds a quantization space over `snet`
+    /// and a cold [`FilterEngine`]. The query is first due at the *next*
+    /// epoch and every `every` epochs after (`every` is clamped to ≥ 1).
     ///
     /// The quantization space is fixed at registration time — the
     /// persistent engine's delta maintenance requires it — so as readings
@@ -347,15 +382,16 @@ impl QueryGroup {
     /// installed. That is safe (boundary cells are unbounded, so clamped
     /// values only widen the conservative pre-join) and results stay exact,
     /// but wire sizes can differ from a one-shot [`crate::SensJoin`] run,
-    /// which re-derives its space from the current snapshot.
+    /// which re-derives its space from the current snapshot. For the same
+    /// reason a late subscriber may adopt the space of a plan built on an
+    /// earlier snapshot.
     ///
     /// Registration is a pure base-station operation: no network traffic,
     /// and other queries' collection state (their engines and populations)
     /// is untouched — the shared collection simply starts including the new
     /// query's attribute projection from its next due epoch on.
     pub fn register(&mut self, snet: &SensorNetwork, query: CompiledQuery, every: u64) -> QueryId {
-        let plan = QueryPlan::build(&query, snet, &self.config);
-        self.push_plan(query, plan, every)
+        self.subscribe(query, |q, config| QueryPlan::build(q, snet, config), every)
     }
 
     /// Fallible [`QueryGroup::register`]: rejects with [`GroupFull`] once
@@ -371,8 +407,7 @@ impl QueryGroup {
         if self.len() >= MAX_GROUP_QUERIES {
             return Err(GroupFull);
         }
-        let plan = QueryPlan::build(&query, snet, &self.config);
-        Ok(self.push_plan(query, plan, every))
+        Ok(self.register(snet, query, every))
     }
 
     /// Registers with a pre-built — possibly cached and cloned —
@@ -381,6 +416,8 @@ impl QueryGroup {
     /// pay the attribute-bounds scan once. The caller owes key discipline
     /// ([`PlanKey`]): the plan must have been built for this query text,
     /// this group's config, and the snapshot the registration targets.
+    /// When an equal query is already live the subscriber joins its plan
+    /// and `plan` is dropped.
     ///
     /// ```
     /// use sensjoin_core::{PlanKey, QueryGroup, QueryPlan};
@@ -425,105 +462,198 @@ impl QueryGroup {
         if self.len() >= MAX_GROUP_QUERIES {
             return Err(GroupFull);
         }
-        Ok(self.push_plan(query, plan, every))
+        Ok(self.subscribe(query, |_, _| plan, every))
     }
 
-    fn push_plan(&mut self, query: CompiledQuery, plan: QueryPlan, every: u64) -> QueryId {
-        self.queries.push(Registered {
-            query,
-            space: plan.space,
-            engine: plan.engine,
-            population: PointSet::new(),
+    /// Adds a subscriber of `query`'s plan, building the plan with `build`
+    /// only when no equal query is live.
+    fn subscribe(
+        &mut self,
+        query: CompiledQuery,
+        build: impl FnOnce(&CompiledQuery, &SensJoinConfig) -> QueryPlan,
+        every: u64,
+    ) -> QueryId {
+        let live = self
+            .plans
+            .iter()
+            .position(|p| p.as_ref().is_some_and(|p| p.query == query));
+        let plan = live.unwrap_or_else(|| {
+            let QueryPlan { space, engine } = build(&query, &self.config);
+            let plan = Some(Plan {
+                query,
+                space,
+                engine,
+                population: PointSet::new(),
+            });
+            match self.plans.iter().position(Option::is_none) {
+                Some(free) => {
+                    self.plans[free] = plan;
+                    free
+                }
+                None => {
+                    self.plans.push(plan);
+                    self.plans.len() - 1
+                }
+            }
+        });
+        self.subscribers.push(Subscriber {
+            plan,
             every: every.max(1),
             offset: self.epoch,
             alive: true,
         });
-        QueryId(self.queries.len() - 1)
+        QueryId(self.subscribers.len() - 1)
     }
 
-    /// Serializes the group's full mutable state: epoch position and, per
-    /// registered slot (dead ones included, to keep [`QueryId`]s stable),
-    /// schedule, quantization space, filter-engine population counts and
-    /// delta baseline. Compiled queries are *not* serialized — the resuming
-    /// process recompiles each slot's SQL deterministically and passes them
-    /// to [`QueryGroup::restore_state`] in slot order.
+    /// Serializes the group's full mutable state: epoch position, the plan
+    /// table (per slot, free ones included: quantization space,
+    /// filter-engine population counts and delta baseline) and the
+    /// subscriber table (dead ones included, to keep [`QueryId`]s stable:
+    /// plan slot and schedule). Compiled queries are *not* serialized — the
+    /// resuming process recompiles each live plan's SQL deterministically
+    /// and passes them to [`QueryGroup::restore_state`] in plan-slot order.
     pub fn encode_state(&self, w: &mut crate::persist::Writer) {
         use crate::persist;
         w.put_u64(self.epoch);
         w.put_u64(self.last_latency_us);
-        w.put_usize(self.queries.len());
-        for reg in &self.queries {
-            w.put_u64(reg.every);
-            w.put_u64(reg.offset);
-            w.put_bool(reg.alive);
-            persist::put_join_space(w, &reg.space);
-            persist::put_cell_counts(w, reg.engine.counts());
-            persist::put_point_set(w, &reg.population);
+        w.put_usize(self.plans.len());
+        for plan in &self.plans {
+            persist::put_opt(w, plan, |w, plan| {
+                persist::put_join_space(w, &plan.space);
+                persist::put_cell_counts(w, plan.engine.counts());
+                persist::put_point_set(w, &plan.population);
+            });
+        }
+        w.put_usize(self.subscribers.len());
+        for sub in &self.subscribers {
+            w.put_usize(sub.plan);
+            w.put_u64(sub.every);
+            w.put_u64(sub.offset);
+            w.put_bool(sub.alive);
         }
     }
 
     /// Rebuilds a group from [`QueryGroup::encode_state`] output. `queries`
-    /// must hold the recompiled query of every slot, in slot order. Each
-    /// slot's filter engine is rebuilt by applying its saved counted
-    /// population as one delta from empty — bit-identical to the maintained
-    /// engine by the incremental filter's core guarantee.
+    /// must hold the recompiled query of every plan slot, in slot order
+    /// (`None` for a free slot). Each plan's filter engine is rebuilt by
+    /// applying its saved counted population as one delta from empty —
+    /// bit-identical to the maintained engine by the incremental filter's
+    /// core guarantee.
     pub fn restore_state(
         config: SensJoinConfig,
-        queries: Vec<CompiledQuery>,
+        queries: Vec<Option<CompiledQuery>>,
         r: &mut crate::persist::Reader<'_>,
     ) -> Result<Self, crate::persist::CodecError> {
         use crate::persist::{self, CodecError};
         let epoch = r.get_u64()?;
         let last_latency_us = r.get_u64()?;
-        let nslots = r.get_count(8)?;
-        if nslots != queries.len() {
-            return Err(CodecError::Invariant("slot count != recompiled queries"));
+        let nplans = r.get_count(1)?;
+        if nplans != queries.len() {
+            return Err(CodecError::Invariant("plan count != recompiled queries"));
         }
-        let mut regs = Vec::new();
+        let mut plans = Vec::new();
         for query in queries {
-            let every = r.get_u64()?;
-            let offset = r.get_u64()?;
-            let alive = r.get_bool()?;
-            let space = persist::get_join_space(r)?;
-            let counts = persist::get_cell_counts(r)?;
-            let mut engine = FilterEngine::new(&query, &space);
-            engine.apply_delta(&query, &space, &counts);
-            let population = persist::get_point_set(r)?;
-            regs.push(Registered {
-                query,
-                space,
-                engine,
-                population,
-                every: every.max(1),
-                offset,
-                alive,
+            if r.get_bool()? != query.is_some() {
+                return Err(CodecError::Invariant("plan slot liveness != its query's"));
+            }
+            plans.push(match query {
+                None => None,
+                Some(query) => {
+                    let space = persist::get_join_space(r)?;
+                    let counts = persist::get_cell_counts(r)?;
+                    let mut engine = FilterEngine::new(&query, &space);
+                    engine.apply_delta(&query, &space, &counts);
+                    let population = persist::get_point_set(r)?;
+                    Some(Plan {
+                        query,
+                        space,
+                        engine,
+                        population,
+                    })
+                }
             });
         }
-        Ok(Self {
+        let nsubs = r.get_count(25)?;
+        let mut subscribers = Vec::new();
+        let mut subscribed = vec![false; plans.len()];
+        for _ in 0..nsubs {
+            let sub = Subscriber {
+                plan: r.get_usize()?,
+                every: r.get_u64()?.max(1),
+                offset: r.get_u64()?,
+                alive: r.get_bool()?,
+            };
+            if sub.alive {
+                if !plans.get(sub.plan).is_some_and(Option::is_some) {
+                    return Err(CodecError::Invariant("live subscriber of no live plan"));
+                }
+                subscribed[sub.plan] = true;
+            }
+            subscribers.push(sub);
+        }
+        if plans
+            .iter()
+            .zip(&subscribed)
+            .any(|(p, &s)| p.is_some() && !s)
+        {
+            return Err(CodecError::Invariant("live plan without a subscriber"));
+        }
+        let group = Self {
             config,
-            queries: regs,
+            plans,
+            subscribers,
             epoch,
             last_latency_us,
-        })
-    }
-
-    /// Removes a query from the group. Its engine and population are
-    /// dropped; nothing else restarts — remaining queries keep their
-    /// collection state and schedules. Returns whether the id was live.
-    pub fn remove(&mut self, id: QueryId) -> bool {
-        match self.queries.get_mut(id.0) {
-            Some(r) if r.alive => {
-                r.alive = false;
-                r.population = PointSet::new();
-                true
-            }
-            _ => false,
+        };
+        if group.len() > MAX_GROUP_QUERIES {
+            return Err(CodecError::Invariant(
+                "more live subscribers than a group holds",
+            ));
         }
+        Ok(group)
     }
 
-    /// Number of live registered queries.
+    /// Removes a query from the group. Its schedule ends; its plan (engine
+    /// and population) is dropped when no other live subscriber shares it.
+    /// Nothing else restarts — remaining queries keep their collection
+    /// state and schedules. Returns whether the id was live.
+    pub fn remove(&mut self, id: QueryId) -> bool {
+        let Some(sub) = self.subscribers.get_mut(id.0).filter(|s| s.alive) else {
+            return false;
+        };
+        sub.alive = false;
+        let plan = sub.plan;
+        if self.subscribers_of(plan) == 0 {
+            self.plans[plan] = None;
+        }
+        true
+    }
+
+    /// Number of live registered queries (subscribers, not plans).
     pub fn len(&self) -> usize {
-        self.queries.iter().filter(|r| r.alive).count()
+        self.subscribers.iter().filter(|s| s.alive).count()
+    }
+
+    /// Number of live plans: the distinct queries among the live
+    /// subscribers.
+    pub fn plans(&self) -> usize {
+        self.plans.iter().flatten().count()
+    }
+
+    /// The plan-table slot `id` subscribes to, if `id` is live. A slot is
+    /// stable while any subscriber holds it and is reused after.
+    pub fn plan_of(&self, id: QueryId) -> Option<usize> {
+        let sub = self.subscribers.get(id.0).filter(|s| s.alive);
+        sub.map(|s| s.plan)
+    }
+
+    /// Number of live subscribers of plan-table slot `plan` (0 for a free
+    /// slot).
+    pub fn subscribers_of(&self, plan: usize) -> usize {
+        self.subscribers
+            .iter()
+            .filter(|s| s.alive && s.plan == plan)
+            .count()
     }
 
     /// Whether no live query is registered.
@@ -538,7 +668,9 @@ impl QueryGroup {
 
     /// Whether `id` is live and due at the upcoming epoch.
     pub fn due(&self, id: QueryId) -> bool {
-        self.queries.get(id.0).is_some_and(|r| r.due_at(self.epoch))
+        self.subscribers
+            .get(id.0)
+            .is_some_and(|s| s.due_at(self.epoch))
     }
 
     /// Runs one epoch: a single shared collection up-wave for every due
@@ -577,8 +709,8 @@ impl QueryGroup {
             let out = snet.net_mut().apply_churn(self.last_latency_us);
             churned = !out.crashed.is_empty() || !out.revived.is_empty();
         }
-        let due: Vec<usize> = (0..self.queries.len())
-            .filter(|&i| self.queries[i].due_at(epoch))
+        let due: Vec<usize> = (0..self.subscribers.len())
+            .filter(|&i| self.subscribers[i].due_at(epoch))
             .collect();
         if due.is_empty() {
             return Ok(EpochReport {
@@ -588,6 +720,7 @@ impl QueryGroup {
                 latency_us: 0,
                 latency_slotted_us: 0,
                 solo_equivalent: Vec::new(),
+                plans: 0,
                 complete: true,
                 churned,
             });
@@ -614,27 +747,46 @@ impl QueryGroup {
         Ok(report)
     }
 
-    /// One attempt of an epoch over the due slots: the full-wire epoch of
-    /// [`crate::epoch`], with each slot's filter step fed into its
-    /// persistent engine and no mid-epoch churn poll.
+    /// One attempt of an epoch for the due subscribers: the full-wire epoch
+    /// of [`crate::epoch`] over their distinct plans, with each plan's
+    /// filter step fed into its persistent engine and no mid-epoch churn
+    /// poll. Every due subscriber receives its plan's one result.
     fn epoch_once(&mut self, snet: &mut SensorNetwork, epoch: u64, due: &[usize]) -> EpochReport {
-        // Split each due registration into what the epoch reads (the slot)
-        // and what the base-station filter step maintains.
-        let mut slots = Vec::with_capacity(due.len());
-        let mut engines = Vec::with_capacity(due.len());
-        for (qi, reg) in self.queries.iter_mut().enumerate() {
-            if due.contains(&qi) {
-                let query = &reg.query;
-                let space = &reg.space;
-                slots.push(Slot {
-                    query,
-                    space,
-                    data: collect_node_data(snet, query, space),
-                });
-                engines.push((&mut reg.engine, &mut reg.population));
+        // A plan is due when any subscriber is, and takes the epoch slot of
+        // its first due subscriber — so pairwise-distinct queries lay out
+        // in `QueryId` order.
+        let mut slot_of = vec![usize::MAX; self.plans.len()];
+        let mut order = Vec::new();
+        for &si in due {
+            let plan = self.subscribers[si].plan;
+            if slot_of[plan] == usize::MAX {
+                slot_of[plan] = order.len();
+                order.push(plan);
             }
         }
-        // Each due query's collected set is exactly its solo population;
+        // Split each due plan into what the epoch reads (the slot) and what
+        // the base-station filter step maintains.
+        let mut plans: Vec<Option<&mut Plan>> = self.plans.iter_mut().map(Option::as_mut).collect();
+        let mut slots = Vec::with_capacity(order.len());
+        let mut engines = Vec::with_capacity(order.len());
+        for &plan in &order {
+            let Plan {
+                query,
+                space,
+                engine,
+                population,
+            } = plans[plan]
+                .take()
+                .expect("a live subscriber's plan is live, and is a slot once");
+            let (query, space) = (&*query, &*space);
+            slots.push(Slot {
+                query,
+                space,
+                data: collect_node_data(snet, query, space),
+            });
+            engines.push((engine, population));
+        }
+        // Each due plan's collected set is exactly its solo population;
         // feed the presence transition into its persistent engine. The
         // resulting filter is bit-identical to a fresh `prejoin_filter`.
         let base_filter = |s: usize, collected: &PointSet| {
@@ -646,14 +798,25 @@ impl QueryGroup {
                 .clone()
         };
         let run = run_epoch(snet, &self.config, &slots, base_filter, false);
-        let mut solo_equivalent = run.solo;
+        let joins: Vec<_> = run
+            .joins
+            .into_iter()
+            .map(|join| (Arc::new(join.result), join.contributors))
+            .collect();
         let mut outcomes = Vec::with_capacity(due.len());
-        for ((&qi, join), cost) in due.iter().zip(run.joins).zip(&mut solo_equivalent) {
-            cost.id = QueryId(qi);
+        let mut solo_equivalent = Vec::with_capacity(due.len());
+        for &si in due {
+            let id = QueryId(si);
+            let slot = slot_of[self.subscribers[si].plan];
+            let (result, contributors) = &joins[slot];
             outcomes.push(GroupOutcome {
-                id: QueryId(qi),
-                result: join.result,
-                contributors: join.contributors,
+                id,
+                result: Arc::clone(result),
+                contributors: contributors.clone(),
+            });
+            solo_equivalent.push(SoloCost {
+                id,
+                ..run.solo[slot]
             });
         }
         EpochReport {
@@ -665,6 +828,7 @@ impl QueryGroup {
             latency_us: run.timing.pipelined,
             latency_slotted_us: run.timing.slotted,
             solo_equivalent,
+            plans: order.len(),
             complete: run.complete,
             churned: false,
         }
@@ -1058,5 +1222,281 @@ mod tests {
         assert!(report.outcomes.is_empty());
         assert_eq!(report.stats.total_tx_packets(), 0);
         assert_eq!(group.epoch(), 1);
+    }
+
+    const Q1: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                      WHERE A.temp - B.temp > 1.2 SAMPLE PERIOD 30";
+    const Q2: &str = "SELECT A.pres FROM Sensors A, Sensors B \
+                      WHERE |A.hum - B.hum| < 0.5 SAMPLE PERIOD 30";
+
+    /// A fresh group over `s` with `sqls` registered in order, every epoch.
+    fn group_of(s: &SensorNetwork, sqls: &[&str]) -> QueryGroup {
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        for sql in sqls {
+            group.register(s, compiled(s, sql), 1);
+        }
+        group
+    }
+
+    fn costs(c: &SoloCost) -> (u64, u64, u64) {
+        (c.collection_bytes, c.filter_bytes, c.final_bytes)
+    }
+
+    /// Sharing is invisible on the wire and to every tenant: duplicates of
+    /// a query add nothing to the epoch's charges, receive the very result
+    /// their plan computed, and are each accounted the query's solo cost.
+    #[test]
+    fn duplicate_queries_charge_like_distinct_ones() {
+        let mut dup_net = snet(120, 7);
+        let mut distinct_net = dup_net.clone();
+        let mut dup = group_of(&dup_net, &[Q1, Q1, Q2, Q1]);
+        let mut distinct = group_of(&distinct_net, &[Q1, Q2]);
+        assert_eq!((dup.len(), dup.plans()), (4, 2));
+        assert_eq!(dup.subscribers_of(0), 3);
+        for round in 0..3 {
+            if round > 0 {
+                dup_net.resample(&presets::indoor_climate(), 40 + round);
+                distinct_net.resample(&presets::indoor_climate(), 40 + round);
+            }
+            let a = dup.execute_epoch(&mut dup_net).unwrap();
+            let b = distinct.execute_epoch(&mut distinct_net).unwrap();
+            assert_eq!((a.plans, a.outcomes.len()), (2, 4));
+            assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats));
+            assert_eq!(a.latency_us, b.latency_us);
+            assert_eq!(a.latency_slotted_us, b.latency_slotted_us);
+            assert_eq!(a.shared_collection_bytes(), b.shared_collection_bytes());
+            assert_eq!(a.shared_filter_bytes(), b.shared_filter_bytes());
+            assert_eq!(a.shared_final_bytes(), b.shared_final_bytes());
+            // Subscribers 0, 1, 3 ride q1's plan; 2 rides q2's.
+            for (i, of) in [0, 0, 1, 0].into_iter().enumerate() {
+                assert_eq!(a.outcomes[i].id, QueryId(i));
+                assert_eq!(a.solo_equivalent[i].id, QueryId(i));
+                assert!(a.outcomes[i].result.same_result(&b.outcomes[of].result));
+                assert_eq!(a.outcomes[i].contributors, b.outcomes[of].contributors);
+                assert_eq!(costs(&a.solo_equivalent[i]), costs(&b.solo_equivalent[of]));
+            }
+            assert!(Arc::ptr_eq(&a.outcomes[0].result, &a.outcomes[1].result));
+            assert!(Arc::ptr_eq(&a.outcomes[0].result, &a.outcomes[3].result));
+            assert!(!Arc::ptr_eq(&a.outcomes[0].result, &a.outcomes[2].result));
+        }
+        // A group of duplicates only is a one-shot on the wire, and each
+        // subscriber's solo cost is exactly that one-shot's.
+        let mut s = snet(120, 7);
+        let q1 = compiled(&s, Q1);
+        let solo = SensJoin::default().execute(&mut s, &q1).unwrap();
+        let wire = (
+            solo.stats.phase(PHASE_COLLECTION).tx_bytes,
+            solo.stats.phase(PHASE_FILTER).tx_bytes,
+            solo.stats.phase(PHASE_FINAL).tx_bytes,
+        );
+        let r = group_of(&s, &[Q1, Q1, Q1]).execute_epoch(&mut s).unwrap();
+        assert_eq!(
+            (
+                r.shared_collection_bytes(),
+                r.shared_filter_bytes(),
+                r.shared_final_bytes()
+            ),
+            wire
+        );
+        assert_eq!(r.latency_us, solo.latency_us);
+        for cost in &r.solo_equivalent {
+            assert_eq!(costs(cost), wire);
+        }
+        assert_matches_solo(&r, &mut s, &[&q1, &q1, &q1]);
+    }
+
+    /// A subscriber registered after the readings drifted adopts the live
+    /// plan's quantization space instead of building its own — and stays
+    /// exact on every later epoch.
+    #[test]
+    fn late_subscriber_adopts_the_live_plan() {
+        let mut s = snet(110, 23);
+        let q1 = compiled(&s, Q1);
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        let a = group.register(&s, q1.clone(), 1);
+        let r0 = group.execute_epoch(&mut s).unwrap();
+        assert_matches_solo(&r0, &mut s, &[&q1]);
+        s.resample(&presets::indoor_climate(), 501);
+        let b = group.register(&s, q1.clone(), 1);
+        assert_eq!(group.plan_of(b), group.plan_of(a));
+        assert_eq!(group.plans(), 1);
+        for round in 0..3 {
+            s.resample(&presets::indoor_climate(), 600 + round);
+            let r = group.execute_epoch(&mut s).unwrap();
+            assert_eq!(r.plans, 1);
+            assert!(Arc::ptr_eq(&r.outcomes[0].result, &r.outcomes[1].result));
+            assert_matches_solo(&r, &mut s, &[&q1, &q1]);
+        }
+    }
+
+    /// Subscribers of one plan keep their own schedules: the plan runs when
+    /// any of them is due, and only the due ones get an outcome.
+    #[test]
+    fn subscribers_of_one_plan_are_due_on_their_own_schedules() {
+        let mut s = snet(90, 29);
+        let q1 = compiled(&s, Q1);
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        let a = group.register(&s, q1.clone(), 1);
+        let b = group.register(&s, q1.clone(), 3);
+        for epoch in 0..7u64 {
+            let expect = if epoch % 3 == 0 { vec![a, b] } else { vec![a] };
+            assert_eq!(group.due(b), epoch % 3 == 0);
+            let r = group.execute_epoch(&mut s).unwrap();
+            let ids: Vec<QueryId> = r.outcomes.iter().map(|o| o.id).collect();
+            assert_eq!(ids, expect, "epoch {epoch}");
+            assert_eq!(r.plans, 1);
+            assert_matches_solo(&r, &mut s, &vec![&q1; expect.len()]);
+            s.resample(&presets::indoor_climate(), 700 + epoch);
+        }
+        // With only the sparse subscriber left, the plan idles between its
+        // due epochs and its engine picks the deltas up again.
+        assert!(group.remove(a));
+        for epoch in 7..11u64 {
+            let r = group.execute_epoch(&mut s).unwrap();
+            assert_eq!(r.outcomes.len(), usize::from(epoch % 3 == 0));
+            assert_eq!(r.plans, r.outcomes.len());
+            assert_matches_solo(&r, &mut s, &vec![&q1; r.outcomes.len()]);
+            s.resample(&presets::indoor_climate(), 700 + epoch);
+        }
+    }
+
+    /// A plan outlives the subscriber that created it, goes with its last
+    /// one, and its slot is reused by the next new query.
+    #[test]
+    fn plan_is_freed_with_its_last_subscriber() {
+        let mut s = snet(100, 31);
+        let (q1, q2) = (compiled(&s, Q1), compiled(&s, Q2));
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        let a = group.register(&s, q1.clone(), 1);
+        let b = group.register(&s, q1.clone(), 1);
+        let c = group.register(&s, q2.clone(), 1);
+        let r = group.execute_epoch(&mut s).unwrap();
+        assert_matches_solo(&r, &mut s, &[&q1, &q1, &q2]);
+        assert!(group.remove(a));
+        assert_eq!(group.plan_of(a), None);
+        assert_eq!((group.len(), group.plans()), (2, 2));
+        s.resample(&presets::indoor_climate(), 801);
+        let r = group.execute_epoch(&mut s).unwrap();
+        let ids: Vec<QueryId> = r.outcomes.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec![b, c]);
+        assert_matches_solo(&r, &mut s, &[&q1, &q2]);
+        let freed = group.plan_of(b).unwrap();
+        assert!(group.remove(b));
+        assert_eq!((group.len(), group.plans()), (1, 1));
+        assert_eq!(group.subscribers_of(freed), 0);
+        // A new query takes the freed slot with a cold engine of its own.
+        let q3 = compiled(
+            &s,
+            "SELECT A.temp FROM Sensors A, Sensors B \
+             WHERE A.hum - B.hum > 8 SAMPLE PERIOD 30",
+        );
+        let d = group.register(&s, q3.clone(), 1);
+        assert_eq!(group.plan_of(d), Some(freed));
+        s.resample(&presets::indoor_climate(), 802);
+        let r = group.execute_epoch(&mut s).unwrap();
+        assert_matches_solo(&r, &mut s, &[&q2, &q3]);
+    }
+
+    /// The cap counts tenants, not plans: 64 subscribers of one query fill
+    /// the group.
+    #[test]
+    fn sixty_four_subscribers_of_one_query_fill_the_group() {
+        let mut s = snet(60, 37);
+        let q1 = compiled(&s, Q1);
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        for _ in 0..MAX_GROUP_QUERIES {
+            group.try_register(&s, q1.clone(), 1).unwrap();
+        }
+        assert_eq!(group.try_register(&s, q1.clone(), 1), Err(GroupFull));
+        let plan = QueryPlan::build(&q1, &s, &SensJoinConfig::default());
+        assert_eq!(group.try_register_plan(q1.clone(), plan, 1), Err(GroupFull));
+        assert_eq!((group.len(), group.plans()), (MAX_GROUP_QUERIES, 1));
+        let r = group.execute_epoch(&mut s).unwrap();
+        assert_eq!((r.plans, r.outcomes.len()), (1, MAX_GROUP_QUERIES));
+        assert!(group.remove(QueryId(5)));
+        assert!(group.try_register(&s, q1.clone(), 1).is_ok());
+        // An image that resurrects the tombstone holds a 65th live tenant.
+        let mut w = crate::persist::Writer::new();
+        group.encode_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let alive_of_5 = bytes.len() - 25 * (MAX_GROUP_QUERIES + 1 - 5) + 24;
+        bytes[alive_of_5] = 1;
+        let restored = QueryGroup::restore_state(
+            SensJoinConfig::default(),
+            vec![Some(q1)],
+            &mut crate::persist::Reader::new(&bytes),
+        );
+        assert_eq!(
+            restored.err(),
+            Some(crate::persist::CodecError::Invariant(
+                "more live subscribers than a group holds"
+            ))
+        );
+    }
+
+    /// The plan and subscriber tables round-trip, and a subscriber table
+    /// that does not fit its plan table is a structured error.
+    #[test]
+    fn state_roundtrip_and_table_invariants() {
+        use crate::persist::{CodecError, Reader, Writer};
+        let mut s = snet(80, 41);
+        let (q1, q2) = (compiled(&s, Q1), compiled(&s, Q2));
+        // Plan slot 0 free (its only subscriber left), slot 1 shared.
+        let mut group = group_of(&s, &[Q2, Q1, Q1]);
+        group.execute_epoch(&mut s).unwrap();
+        assert!(group.remove(QueryId(0)));
+        let encode = |g: &QueryGroup| {
+            let mut w = Writer::new();
+            g.encode_state(&mut w);
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8], queries: Vec<Option<CompiledQuery>>| {
+            let mut r = Reader::new(bytes);
+            let group = QueryGroup::restore_state(SensJoinConfig::default(), queries, &mut r)?;
+            r.expect_end()?;
+            Ok::<_, CodecError>(group)
+        };
+        let bytes = encode(&group);
+        let mut back = restore(&bytes, vec![None, Some(q1.clone())]).unwrap();
+        assert_eq!(encode(&back), bytes, "restore is a fixpoint");
+        s.resample(&presets::indoor_climate(), 901);
+        let mut s2 = s.clone();
+        let live = group.execute_epoch(&mut s).unwrap();
+        let restored = back.execute_epoch(&mut s2).unwrap();
+        assert_eq!(format!("{:?}", live.stats), format!("{:?}", restored.stats));
+        assert_matches_solo(&restored, &mut s2, &[&q1, &q1]);
+
+        let invariant = |bytes: &[u8], queries| match restore(bytes, queries) {
+            Err(CodecError::Invariant(what)) => what,
+            other => panic!("expected an invariant error, got {:?}", other.err()),
+        };
+        // The last 25 bytes are the last subscriber: plan, every, offset,
+        // alive. Point it past the table, then at the free slot.
+        let plan_at = bytes.len() - 25;
+        for bad in [2u64, 0, u64::MAX] {
+            let mut broken = bytes.clone();
+            broken[plan_at..plan_at + 8].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(
+                invariant(&broken, vec![None, Some(q1.clone())]),
+                "live subscriber of no live plan"
+            );
+        }
+        // Both live subscribers killed: the plan has no one left.
+        let mut orphaned = bytes.clone();
+        let n = orphaned.len();
+        orphaned[n - 1] = 0;
+        orphaned[n - 26] = 0;
+        assert_eq!(
+            invariant(&orphaned, vec![None, Some(q1.clone())]),
+            "live plan without a subscriber"
+        );
+        assert_eq!(
+            invariant(&bytes, vec![Some(q2), Some(q1.clone())]),
+            "plan slot liveness != its query's"
+        );
+        assert_eq!(
+            invariant(&bytes, vec![Some(q1)]),
+            "plan count != recompiled queries"
+        );
     }
 }

@@ -186,14 +186,22 @@ fn continuous_lossy() -> String {
 }
 
 fn group_epoch() -> String {
+    group_epoch_of(1)
+}
+
+/// `GROUP`'s four queries, each registered `copies` times (round-robin):
+/// the copies subscribe to their query's one plan, so the wire carries
+/// k = 4 however many tenants there are.
+fn group_epoch_of(copies: usize) -> String {
     let mut s = snet();
     let mut group = QueryGroup::new(SensJoinConfig::default());
-    for sql in GROUP {
+    for sql in GROUP.iter().cycle().take(GROUP.len() * copies) {
         let cq = s.compile(&parse(sql).unwrap()).unwrap();
         group.register(&s, cq, 1);
     }
     let r = group.execute_epoch(&mut s).unwrap();
     assert!(r.complete);
+    assert_eq!(r.plans, GROUP.len());
     let mut out = String::new();
     ledger(
         &mut out,
@@ -297,6 +305,15 @@ fn query_group_epoch_charges_are_pinned() {
     pinned("group", group_epoch, GOLDEN_GROUP);
 }
 
+/// Twelve tenants over `GROUP`'s four queries charge `GOLDEN_GROUP`'s ledger
+/// byte for byte; only the per-tenant solo lines multiply.
+#[test]
+fn query_group_duplicates_charge_the_distinct_ledger() {
+    let ledger_len = GOLDEN_GROUP.find("  solo ").unwrap();
+    let golden = format!("{}{GOLDEN_GROUP_DUP_SOLO}", &GOLDEN_GROUP[..ledger_len]);
+    pinned("group_dup", || group_epoch_of(3), &golden);
+}
+
 #[test]
 fn snapshot_bytes_are_pinned() {
     pinned("snapshot", snapshot_image, GOLDEN_SNAPSHOT);
@@ -354,4 +371,17 @@ const GOLDEN_GROUP: &str = r"k = 4 epoch
   solo QueryId(1): collection 2107 filter 497 final 9284
   solo QueryId(2): collection 2107 filter 629 final 12428
   solo QueryId(3): collection 3532 filter 2324 final 12228
+";
+const GOLDEN_GROUP_DUP_SOLO: &str = r"  solo QueryId(0): collection 2107 filter 687 final 12428
+  solo QueryId(1): collection 2107 filter 497 final 9284
+  solo QueryId(2): collection 2107 filter 629 final 12428
+  solo QueryId(3): collection 3532 filter 2324 final 12228
+  solo QueryId(4): collection 2107 filter 687 final 12428
+  solo QueryId(5): collection 2107 filter 497 final 9284
+  solo QueryId(6): collection 2107 filter 629 final 12428
+  solo QueryId(7): collection 3532 filter 2324 final 12228
+  solo QueryId(8): collection 2107 filter 687 final 12428
+  solo QueryId(9): collection 2107 filter 497 final 9284
+  solo QueryId(10): collection 2107 filter 629 final 12428
+  solo QueryId(11): collection 3532 filter 2324 final 12228
 ";

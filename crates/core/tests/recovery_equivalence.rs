@@ -13,8 +13,8 @@
 use proptest::prelude::*;
 use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Reader, RecoveryError, Writer};
 use sensjoin_core::{
-    exact_join, ContinuousSensJoin, JoinOutcome, JoinResult, SensorNetwork, SensorNetworkBuilder,
-    StreamJoinEngine, StreamOp,
+    exact_join, ContinuousSensJoin, JoinOutcome, JoinResult, QueryGroup, QueryId, SensJoinConfig,
+    SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_query::{parse, CompiledQuery};
@@ -750,6 +750,52 @@ proptest! {
         let _ = persist::get_cell_counts(&mut Reader::new(&bytes));
         let _ = persist::get_network_stats(&mut Reader::new(&bytes));
         let _ = persist::get_batch_stats(&mut Reader::new(&bytes));
+    }
+
+    /// A `QueryGroup` image — a free plan slot, a plan with two
+    /// subscribers, a tombstone — cut anywhere, or with any byte of its
+    /// subscriber table overwritten, restores to a structured result: a
+    /// plan index that fits no live plan is an invariant error, never a
+    /// panic and never a group that would index past its plan table.
+    #[test]
+    fn group_tables_never_panic(
+        frac in 0.0f64..1.0,
+        back in 1usize..84,
+        byte in any::<u8>(),
+    ) {
+        let (mut snet, cq, _) = build(5);
+        let other = snet
+            .compile(&parse("SELECT A.hum FROM Sensors A, Sensors B \
+                             WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30").unwrap())
+            .unwrap();
+        let mut group = QueryGroup::new(SensJoinConfig::default());
+        group.register(&snet, other, 1);
+        group.register(&snet, cq.clone(), 1);
+        group.register(&snet, cq.clone(), 2);
+        group.execute_epoch(&mut snet).unwrap();
+        prop_assert!(group.remove(QueryId(0)));
+        let mut w = Writer::new();
+        group.encode_state(&mut w);
+        let full = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let queries = vec![None, Some(cq.clone())];
+            QueryGroup::restore_state(SensJoinConfig::default(), queries, &mut r)
+                .and_then(|group| r.expect_end().map(|()| group))
+        };
+        prop_assert!(restore(&full).is_ok());
+
+        let cut = ((full.len() as f64) * frac) as usize;
+        prop_assert!(restore(&full[..cut]).is_err(), "cut at {} of {}", cut, full.len());
+
+        // The subscriber table is the tail: a count, then 25 bytes each.
+        let mut flipped = full.clone();
+        let at = full.len() - back;
+        flipped[at] = byte;
+        // Whatever decodes is a group that runs; the rest is a `CodecError`.
+        if let Ok(mut group) = restore(&flipped) {
+            group.execute_epoch(&mut snet).unwrap();
+        }
     }
 
     /// Truncating a continuous-state snapshot payload anywhere yields a

@@ -18,7 +18,7 @@ use crate::compile::CExpr;
 
 /// One side of a recognized two-relation predicate: an arithmetic expression
 /// referencing exactly one relation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredSide {
     /// The only relation the expression references.
     pub rel: usize,
@@ -48,7 +48,7 @@ pub enum BandForm {
 }
 
 /// The partitioning class of one join predicate (conjunct).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PredClass {
     /// `f(A) = g(B)`: hash-partitionable equality.
     Equi {

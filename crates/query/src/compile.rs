@@ -172,7 +172,7 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// One compiled SELECT item.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSelect {
     /// Optional aggregate.
     pub agg: Option<AggFunc>,
@@ -192,7 +192,12 @@ pub struct CompiledSelect {
 /// * conjuncts over **two or more** relations are *join predicates*; the
 ///   attributes they reference are the query's **join attributes**
 ///   (paper Definition 1).
-#[derive(Debug, Clone)]
+///
+/// Equality is structural — same catalog, same resolved expressions, same
+/// classification — so two equal queries compute the same answer over any
+/// snapshot. It is what lets a scheduler run one plan for every tenant
+/// that submitted the same query.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledQuery {
     schemas: Vec<Schema>,
     aliases: Vec<String>,

@@ -7,15 +7,19 @@
 //!
 //! The base-station library underneath
 //! ([`QueryGroup`](sensjoin_core::QueryGroup) / `GroupRunner` in
-//! `sensjoin-core`) runs up to 64 concurrent queries per
-//! group with one shared collection wave per epoch. This crate adds the
-//! operational shell around it:
+//! `sensjoin-core`) runs up to 64 concurrent tenants per
+//! group with one shared collection wave per epoch, and runs each
+//! *distinct* query among them once: tenants that submit equal queries
+//! subscribe to one plan — one slot on the wire, one filter engine, one
+//! exact join, one `Arc`'d result. This crate adds the operational shell
+//! around it:
 //!
 //! * **Admission control** — structured accept/reject [`Decision`]s:
 //!   schema validation against the deployment's catalog, the per-group
-//!   64-query hard limit ([`MAX_GROUP_QUERIES`](sensjoin_core::MAX_GROUP_QUERIES))
-//!   with per-deployment group budgets, and a bounded admission queue
-//!   that sheds on overflow.
+//!   64-tenant hard limit ([`MAX_GROUP_QUERIES`](sensjoin_core::MAX_GROUP_QUERIES),
+//!   counted in live tenants whatever they ask, so admission never depends
+//!   on the other tenants' SQL) with per-deployment group budgets, and a
+//!   bounded admission queue that sheds on overflow.
 //! * **Bin-packing** — admitted queries fill a deployment's existing
 //!   groups before a new group is opened, so shared collection waves stay
 //!   as full (and as amortized) as possible.
@@ -27,11 +31,14 @@
 //!   space derivation scanning every node's readings, plan
 //!   classification) is deduplicated across tenants under a sound cache
 //!   key ([`PlanKey`](sensjoin_core::PlanKey)): N tenants submitting the
-//!   same template pay for one build.
+//!   same template between two ticks pay for one build. A key names the
+//!   readings snapshot it was built on, so a tick evicts the entries its
+//!   resample outdates and the cache never outgrows one tick's admissions.
 //! * **Metrics** — per-tenant and per-deployment admission counters,
 //!   log₂-bucketed epoch-latency histograms with p50/p99, plan-cache hit
-//!   rates, and shared-vs-solo byte accounting pulled from the
-//!   scheduler's reports ([`ServeMetrics`]).
+//!   rates, shared-vs-solo byte accounting and the sharing ratio
+//!   (tenant-epochs per plan-epoch) pulled from the scheduler's reports
+//!   ([`ServeMetrics`]).
 //!
 //! Results are **bit-identical to solo execution**: every tenant's
 //! per-epoch rows and contributor sets equal a solo
@@ -70,6 +77,8 @@
 //! let m = server.metrics();
 //! assert_eq!(m.totals.admitted, 3);
 //! assert_eq!(m.cache_hits, 1); // the second "shared" tenant
+//! // ... who also rides the first one's plan: 3 tenant-epochs, 2 plans run.
+//! assert_eq!((m.deployment(0).query_epochs, m.deployment(0).plan_epochs), (3, 2));
 //! assert!(m.epoch_latency_us().p99() > 0);
 //! ```
 

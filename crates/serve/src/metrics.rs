@@ -222,6 +222,10 @@ pub struct DeploymentMetrics {
     pub epochs: u64,
     /// Due-query results produced (tenant-epochs).
     pub query_epochs: u64,
+    /// Distinct plans those results came from, summed over group epochs.
+    /// `query_epochs / plan_epochs` is the sharing ratio: how many tenants
+    /// one epoch slot, filter engine and exact join served on average.
+    pub plan_epochs: u64,
     /// Result rows delivered across all tenant-epochs.
     pub result_rows: u64,
     /// Bytes actually transmitted by the shared protocol phases.
@@ -239,6 +243,7 @@ impl DeploymentMetrics {
         self.admission.encode(w);
         w.put_u64(self.epochs);
         w.put_u64(self.query_epochs);
+        w.put_u64(self.plan_epochs);
         w.put_u64(self.result_rows);
         w.put_u64(self.shared_bytes);
         w.put_u64(self.solo_bytes);
@@ -251,6 +256,7 @@ impl DeploymentMetrics {
             admission: AdmissionCounters::decode(r)?,
             epochs: r.get_u64()?,
             query_epochs: r.get_u64()?,
+            plan_epochs: r.get_u64()?,
             result_rows: r.get_u64()?,
             shared_bytes: r.get_u64()?,
             solo_bytes: r.get_u64()?,

@@ -16,7 +16,7 @@
 //! repository root proves this property-based).
 
 use crate::metrics::ServeMetrics;
-use sensjoin_core::persist::{CodecError, Reader, Writer};
+use sensjoin_core::persist::{get_opt, put_opt, CodecError, Reader, Writer};
 use sensjoin_core::{
     EpochReport, GroupOutcome, PlanKey, ProtocolError, QueryGroup, QueryId, QueryPlan,
     SensJoinConfig, SensorNetwork, SensorNetworkBuilder, SensorNetworkError, MAX_GROUP_QUERIES,
@@ -259,12 +259,12 @@ struct Deployment {
     /// under the version they were built against.
     snapshot: u64,
     groups: Vec<QueryGroup>,
-    /// Per group: tenant of each slot, parallel to the group's queries
-    /// (slots are never reused, so this only grows).
+    /// Per group: tenant of each [`QueryId`] ever issued (ids are never
+    /// reused, so this only grows — eight bytes per admission).
     tenants: Vec<Vec<TenantId>>,
-    /// Per group: SQL of each slot (dead slots included — restore needs a
-    /// query for every slot to keep [`QueryId`]s stable).
-    sqls: Vec<Vec<String>>,
+    /// Per group: SQL of each plan-table slot of the group, `None` for a
+    /// free one — restore recompiles one query per live plan.
+    sqls: Vec<Vec<Option<String>>>,
 }
 
 impl Deployment {
@@ -377,14 +377,22 @@ impl Server {
         None
     }
 
-    /// Cancels a tenant's live query mid-run. Its group slot is retired
-    /// (slots are not reused); other tenants are untouched. Returns
-    /// whether the tenant had a live query.
+    /// Cancels a tenant's live query mid-run. Its [`QueryId`] is retired
+    /// (ids are not reused) and its plan goes with the plan's last
+    /// subscriber; other tenants are untouched. Returns whether the tenant
+    /// had a live query.
     pub fn cancel(&mut self, tenant: TenantId) -> bool {
-        match self.handles.remove(&tenant) {
-            Some(h) => self.deployments[h.deployment.0].groups[h.group].remove(h.id),
-            None => false,
+        let Some(h) = self.handles.remove(&tenant) else {
+            return false;
+        };
+        let dep = &mut self.deployments[h.deployment.0];
+        let group = &mut dep.groups[h.group];
+        let plan = group.plan_of(h.id);
+        let was_live = group.remove(h.id);
+        if let Some(plan) = plan.filter(|&p| group.subscribers_of(p) == 0) {
+            dep.sqls[h.group][plan] = None;
         }
+        was_live
     }
 
     fn admit_one(&mut self, sub: Submission) -> Decision {
@@ -477,9 +485,16 @@ impl Server {
         let id = dep.groups[group]
             .try_register_plan(entry.query, entry.plan, sub.every)
             .expect("bin-packing picked a group with a free slot");
-        debug_assert_eq!(id.0, dep.tenants[group].len(), "slots are append-only");
+        debug_assert_eq!(id.0, dep.tenants[group].len(), "ids are append-only");
         dep.tenants[group].push(tenant);
-        dep.sqls[group].push(sub.sql);
+        let plan = dep.groups[group].plan_of(id).expect("just registered");
+        let sqls = &mut dep.sqls[group];
+        if sqls.len() <= plan {
+            sqls.resize(plan + 1, None);
+        }
+        // A tenant joining a live plan leaves the plan's first SQL in place:
+        // the texts compile equal, so restore may recompile either.
+        sqls[plan].get_or_insert(sub.sql);
         let handle = QueryHandle {
             deployment: DeploymentId(dep_ix),
             group,
@@ -537,6 +552,13 @@ impl Server {
 
         let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
         let results = run_deployments(&mut self.deployments, workers);
+        // The tick bumped every deployment's snapshot: plans cached under
+        // an older one can never be looked up again.
+        let deployments = &self.deployments;
+        self.cache.retain(|key, _| {
+            let (dep, snapshot, _) = key.parts();
+            snapshot >= deployments[dep as usize].snapshot
+        });
         let mut epochs = Vec::new();
         for (dep_ix, result) in results.into_iter().enumerate() {
             let reports = result?;
@@ -546,6 +568,7 @@ impl Server {
                 dm.epochs += 1;
                 dm.epoch_latency_us.record(report.latency_us);
                 dm.query_epochs += report.outcomes.len() as u64;
+                dm.plan_epochs += report.plans as u64;
                 dm.shared_bytes += report.shared_collection_bytes()
                     + report.shared_filter_bytes()
                     + report.shared_final_bytes();
@@ -670,7 +693,7 @@ impl Server {
                 }
                 w.put_usize(dep.sqls[g].len());
                 for sql in &dep.sqls[g] {
-                    w.put_str(sql);
+                    put_opt(&mut w, sql, |w, sql| w.put_str(sql));
                 }
                 group.encode_state(&mut w);
             }
@@ -686,10 +709,9 @@ impl Server {
     /// Deployment networks are reconstructed, not deserialized:
     /// `spec.build()` gives readings version 0 and
     /// [`SensorNetwork::resample`] is a pure function of
-    /// `(positions, fields, seed)`, so any historical version is
-    /// reachable directly. Cached plans are rebuilt by visiting each
-    /// key's registration snapshot in ascending order before bringing
-    /// the network to the deployment's live version.
+    /// `(positions, fields, seed)`, so the live version is reachable
+    /// directly. Cached plans are rebuilt on it: a tick evicts the entries
+    /// it outdates, so no saved key is older.
     pub fn restore_state(
         cfg: ServeConfig,
         specs: &[DeploymentSpec],
@@ -747,35 +769,24 @@ impl Server {
             let mut snet = spec
                 .build()
                 .map_err(|_| CodecError::Invariant("deployment rebuild failed"))?;
-            // Replay this deployment's cache entries. Keys are sorted by
-            // (deployment, snapshot, sql), so snapshots ascend and
-            // version 0 entries compile against the fresh build.
-            let mut ver = 0u64;
+            // Bring the network to the deployment's live readings version.
+            if snapshot != 0 {
+                snet.resample(&spec.fields, spec.seed.wrapping_add(snapshot));
+            }
+            // Rebuild this deployment's cache entries. A tick evicts what
+            // it outdates, so every saved key is at the live version.
             for (_, key_snapshot, sql) in keys.iter().filter(|k| k.0 == dep_ix as u64) {
-                if *key_snapshot != ver {
-                    snet.resample(&spec.fields, spec.seed.wrapping_add(*key_snapshot));
-                    ver = *key_snapshot;
+                if *key_snapshot != snapshot {
+                    return Err(CodecError::Invariant(
+                        "cached plan not at its deployment's snapshot",
+                    ));
                 }
-                let parsed = parse(sql)
-                    .map_err(|_| CodecError::Invariant("cached plan sql failed to parse"))?;
-                let query = snet
-                    .compile(&parsed)
-                    .map_err(|_| CodecError::Invariant("cached plan sql failed to compile"))?;
+                let query = recompile(&snet, sql)?;
                 let plan = QueryPlan::build(&query, &snet, &cfg.protocol);
                 cache.insert(
-                    PlanKey::with_config_sig(dep_ix as u64, *key_snapshot, sql, config_sig.clone()),
+                    PlanKey::with_config_sig(dep_ix as u64, snapshot, sql, config_sig.clone()),
                     CachedPlan { query, plan },
                 );
-            }
-            // Bring the network to the deployment's live readings version.
-            if ver != snapshot {
-                if snapshot == 0 {
-                    snet = spec
-                        .build()
-                        .map_err(|_| CodecError::Invariant("deployment rebuild failed"))?;
-                } else {
-                    snet.resample(&spec.fields, spec.seed.wrapping_add(snapshot));
-                }
             }
             let ngroups = r.get_count(24)?;
             let mut groups = Vec::with_capacity(ngroups);
@@ -787,19 +798,17 @@ impl Server {
                 for _ in 0..ntenants {
                     group_tenants.push(TenantId(r.get_u64()?));
                 }
-                let nsqls = r.get_count(8)?;
+                let nsqls = r.get_count(1)?;
                 let mut group_sqls = Vec::with_capacity(nsqls);
+                let mut queries = Vec::with_capacity(nsqls);
                 for _ in 0..nsqls {
-                    group_sqls.push(r.get_str()?.to_string());
-                }
-                let mut queries = Vec::with_capacity(group_sqls.len());
-                for sql in &group_sqls {
-                    let parsed = parse(sql)
-                        .map_err(|_| CodecError::Invariant("slot sql failed to parse"))?;
+                    let sql = get_opt(&mut r, |r| r.get_str())?;
                     queries.push(
-                        snet.compile(&parsed)
-                            .map_err(|_| CodecError::Invariant("slot sql failed to compile"))?,
+                        sql.as_deref()
+                            .map(|sql| recompile(&snet, sql))
+                            .transpose()?,
                     );
+                    group_sqls.push(sql);
                 }
                 groups.push(QueryGroup::restore_state(
                     cfg.protocol.clone(),
@@ -832,6 +841,14 @@ impl Server {
             tick,
         })
     }
+}
+
+/// Recompiles SQL a checkpoint saved: it compiled when it was admitted, so
+/// a failure means the image and the deployment specs do not belong together.
+fn recompile(snet: &SensorNetwork, sql: &str) -> Result<sensjoin_query::CompiledQuery, CodecError> {
+    let parsed = parse(sql).map_err(|_| CodecError::Invariant("saved sql failed to parse"))?;
+    snet.compile(&parsed)
+        .map_err(|_| CodecError::Invariant("saved sql failed to compile"))
 }
 
 /// Runs one tick of every deployment serially, in order.

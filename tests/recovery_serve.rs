@@ -7,8 +7,8 @@
 //! The serve snapshot does not serialize the deployment networks: a
 //! deployment's field state is a pure function of its spec and snapshot
 //! version, so [`Server::restore_state`] rebuilds from the
-//! [`DeploymentSpec`]s and resamples to the live version, replaying plan
-//! registrations to rebuild the cache on each key's registration snapshot.
+//! [`DeploymentSpec`]s and resamples to the live version, where it
+//! rebuilds the plan cache (a tick evicts the entries it outdates).
 
 use sensjoin::core::persist::{self, CheckpointStore, CrashPoint, RecoveryError, Writer};
 use sensjoin::serve::{DeploymentSpec, ServeConfig, Server, Submission, TenantId};
@@ -69,11 +69,18 @@ fn submission(i: u64) -> Submission {
     }
 }
 
-/// One serve tick: submit the next slice of tenants, run the epoch, and
-/// digest what the operator observes (admissions, shedding, queue depth,
-/// per-epoch result sizes).
+/// One serve tick: cancel two tenants admitted two ticks ago (one that
+/// owns its plan alone — the plan slot is freed and reused — and one on the
+/// shared SQL, whose plan outlives it), submit the next slice of tenants,
+/// run the epoch, and digest what the operator observes (cancellations,
+/// admissions, shedding, queue depth, per-epoch result sizes).
 fn run_tick(server: &mut Server, next_tenant: &mut u64, t: u64) -> u64 {
-    let _ = t;
+    let mut cancelled = 0u64;
+    if t >= 2 {
+        for i in [(t - 2) * PER_TICK, (t - 2) * PER_TICK + 1] {
+            cancelled += u64::from(server.cancel(TenantId(i)));
+        }
+    }
     let mut submitted = 0u64;
     let mut shed = 0u64;
     while submitted < PER_TICK && *next_tenant < TENANTS {
@@ -89,6 +96,7 @@ fn run_tick(server: &mut Server, next_tenant: &mut u64, t: u64) -> u64 {
     let admitted = report.decisions.iter().filter(|d| d.admitted()).count();
     let rejected = report.decisions.len() - admitted;
     let mut w = Writer::new();
+    w.put_u64(cancelled);
     w.put_u64(submitted);
     w.put_u64(shed);
     w.put_usize(admitted);
@@ -180,6 +188,16 @@ fn serve_crash_anywhere_sweep_is_bit_identical() {
         ref_digests.iter().any(|&d| d != ref_digests[0]),
         "workload too static to discriminate"
     );
+    // Half the tenants ask one SQL: the checkpoints carry plans with several
+    // subscribers (admitted on different snapshots, on different `every`).
+    for d in server.metrics().deployments() {
+        assert!(
+            d.plan_epochs < d.query_epochs,
+            "no plan was shared: {} plan-epochs for {} tenant-epochs",
+            d.plan_epochs,
+            d.query_epochs
+        );
+    }
 
     for point in CrashPoint::ALL {
         let dir = tmpdir("sweep");

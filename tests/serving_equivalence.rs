@@ -6,7 +6,8 @@
 //! cancelled mid-run — answers every tenant-epoch **bit-identically** to
 //! driving that tenant's query alone in a fresh [`GroupRunner`] on its
 //! registration snapshot. Sharing (grouped collection waves, plan
-//! caching) is an optimization, never a semantic.
+//! caching, one plan per distinct query) is an optimization, never a
+//! semantic.
 //!
 //! The replay recipe mirrors the server's documented determinism
 //! contract: a tenant admitted at tick `t` is planned on the network
@@ -22,6 +23,7 @@
 //! and bounded-queue shedding under overload.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use sensjoin::core::{GroupOutcome, GroupRunner, JoinResult, QueryId};
 use sensjoin::query::parse;
 use sensjoin::serve::{
@@ -69,7 +71,7 @@ fn assert_bit_identical(served: &GroupOutcome, solo: &GroupOutcome, ctx: &str) {
         served.contributors, solo.contributors,
         "{ctx}: contributors"
     );
-    match (&served.result, &solo.result) {
+    match (&*served.result, &*solo.result) {
         (JoinResult::Rows(a), JoinResult::Rows(b)) => {
             let bits = |rows: &Vec<Vec<f64>>| {
                 let mut v: Vec<Vec<u64>> = rows
@@ -93,11 +95,127 @@ fn assert_bit_identical(served: &GroupOutcome, solo: &GroupOutcome, ctx: &str) {
 #[derive(Debug, Clone)]
 struct Tenant {
     dep: usize,
-    template: usize,
-    c: f64,
+    sql: String,
     every: u64,
     admit_tick: u64,
     cancel_tick: Option<u64>,
+}
+
+/// Cancellation, when it happens, lands strictly after admission and
+/// inside the run.
+fn cancel_tick(admit_tick: u64, cancel_raw: u64) -> Option<u64> {
+    (cancel_raw > 0)
+        .then(|| admit_tick + cancel_raw)
+        .filter(|&t| t < TICKS)
+}
+
+/// Drives `tenants` through a two-deployment server for [`TICKS`] ticks and
+/// checks every tenant-epoch it emits against a solo `GroupRunner` replay
+/// of that tenant on its registration snapshot. Returns the server's
+/// (tenant-epochs, plan-epochs).
+fn check_against_solo_replay(
+    seed: u64,
+    n0: usize,
+    n1: usize,
+    tenants: &[Tenant],
+) -> Result<(u64, u64), TestCaseError> {
+    let specs = [
+        DeploymentSpec::new("d0", n0, seed),
+        DeploymentSpec::new("d1", n1, seed.wrapping_add(7919)),
+    ];
+    let mut server = Server::new(ServeConfig {
+        period_us: PERIOD_US,
+        ..ServeConfig::default()
+    });
+    for spec in &specs {
+        server.add_deployment(spec).unwrap();
+    }
+
+    // Drive the server; collect each tenant's (tick, outcome) stream.
+    let mut served: BTreeMap<u64, Vec<(u64, GroupOutcome)>> = BTreeMap::new();
+    for tick in 0..TICKS {
+        for (i, t) in tenants.iter().enumerate() {
+            if t.admit_tick == tick {
+                let immediate = server.submit(Submission {
+                    tenant: TenantId(i as u64),
+                    deployment: format!("d{}", t.dep),
+                    sql: t.sql.clone(),
+                    every: t.every,
+                });
+                prop_assert!(immediate.is_none(), "no immediate rejection expected");
+            }
+            if t.cancel_tick == Some(tick) {
+                prop_assert!(server.cancel(TenantId(i as u64)), "tenant was live");
+            }
+        }
+        let report = server.tick().unwrap();
+        for d in &report.decisions {
+            prop_assert!(d.admitted(), "all submissions fit: {d:?}");
+        }
+        for te in report.epochs {
+            prop_assert!(te.complete);
+            served
+                .entry(te.tenant.0)
+                .or_default()
+                .push((tick, te.outcome));
+        }
+    }
+
+    // Replay every tenant solo on its registration snapshot.
+    for (i, t) in tenants.iter().enumerate() {
+        let spec = &specs[t.dep];
+        let mut snet = spec.build().unwrap();
+        if t.admit_tick > 0 {
+            snet.resample(&spec.fields, spec.seed.wrapping_add(t.admit_tick));
+        }
+        let cq = snet.compile(&parse(&t.sql).unwrap()).unwrap();
+        let mut runner = GroupRunner::new(server.config().protocol.clone(), PERIOD_US);
+        runner.group_mut().register(&snet, cq, t.every);
+        if let Some(cancel) = t.cancel_tick {
+            runner.remove_at(cancel - t.admit_tick, QueryId(0));
+        }
+        let reports = runner
+            .run(
+                &mut snet,
+                TICKS - t.admit_tick,
+                &spec.fields,
+                spec.seed.wrapping_add(t.admit_tick + 1),
+            )
+            .unwrap();
+
+        let solo: Vec<(u64, GroupOutcome)> = reports
+            .iter()
+            .enumerate()
+            .flat_map(|(e, (_, r))| {
+                r.outcomes
+                    .iter()
+                    .map(move |o| (t.admit_tick + e as u64, o.clone()))
+            })
+            .collect();
+        let stream = served.remove(&(i as u64)).unwrap_or_default();
+        prop_assert_eq!(
+            stream.len(),
+            solo.len(),
+            "tenant {}: due-epoch count (server {:?} vs solo {:?})",
+            i,
+            stream.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            solo.iter().map(|(t, _)| *t).collect::<Vec<_>>()
+        );
+        for ((served_tick, served_out), (solo_tick, solo_out)) in stream.iter().zip(&solo) {
+            prop_assert_eq!(served_tick, solo_tick, "tenant {}: due tick", i);
+            assert_bit_identical(
+                served_out,
+                solo_out,
+                &format!("tenant {i} tick {served_tick}"),
+            );
+        }
+    }
+    // No tenant got results it never asked for.
+    prop_assert!(served.is_empty(), "unexpected tenants: {:?}", served.keys());
+    let m = server.metrics();
+    Ok(m.deployments()
+        .iter()
+        .fold((0, 0), |(q, p), d| (q + d.query_epochs, p + d.plan_epochs)))
 }
 
 proptest! {
@@ -120,110 +238,44 @@ proptest! {
             .into_iter()
             .map(|(dep, template, c, every, admit_tick, cancel_raw)| Tenant {
                 dep,
-                template,
-                c,
+                sql: sql(template, c),
                 every,
                 admit_tick,
-                // Cancellation, when it happens, lands strictly after
-                // admission and inside the run.
-                cancel_tick: (cancel_raw > 0)
-                    .then(|| admit_tick + cancel_raw)
-                    .filter(|&t| t < TICKS),
+                cancel_tick: cancel_tick(admit_tick, cancel_raw),
             })
             .collect();
+        check_against_solo_replay(seed, n0, n1, &tenants)?;
+    }
 
-        let specs = [
-            DeploymentSpec::new("d0", n0, seed),
-            DeploymentSpec::new("d1", n1, seed.wrapping_add(7919)),
-        ];
-        let mut server = Server::new(ServeConfig {
-            period_us: PERIOD_US,
-            ..ServeConfig::default()
-        });
-        for spec in &specs {
-            server.add_deployment(spec).unwrap();
-        }
-
-        // Drive the server; collect each tenant's (tick, outcome) stream.
-        let mut served: BTreeMap<u64, Vec<(u64, GroupOutcome)>> = BTreeMap::new();
-        for tick in 0..TICKS {
-            for (i, t) in tenants.iter().enumerate() {
-                if t.admit_tick == tick {
-                    let immediate = server.submit(Submission {
-                        tenant: TenantId(i as u64),
-                        deployment: format!("d{}", t.dep),
-                        sql: sql(t.template, t.c),
-                        every: t.every,
-                    });
-                    prop_assert!(immediate.is_none(), "no immediate rejection expected");
-                }
-                if t.cancel_tick == Some(tick) {
-                    prop_assert!(server.cancel(TenantId(i as u64)), "tenant was live");
-                }
-            }
-            let report = server.tick().unwrap();
-            for d in &report.decisions {
-                prop_assert!(d.admitted(), "all submissions fit: {d:?}");
-            }
-            for te in report.epochs {
-                prop_assert!(te.complete);
-                served.entry(te.tenant.0).or_default().push((tick, te.outcome));
-            }
-        }
-
-        // Replay every tenant solo on its registration snapshot.
-        for (i, t) in tenants.iter().enumerate() {
-            let spec = &specs[t.dep];
-            let mut snet = spec.build().unwrap();
-            if t.admit_tick > 0 {
-                snet.resample(&spec.fields, spec.seed.wrapping_add(t.admit_tick));
-            }
-            let cq = snet.compile(&parse(&sql(t.template, t.c)).unwrap()).unwrap();
-            let mut runner = GroupRunner::new(server.config().protocol.clone(), PERIOD_US);
-            runner.group_mut().register(&snet, cq, t.every);
-            if let Some(cancel) = t.cancel_tick {
-                runner.remove_at(cancel - t.admit_tick, QueryId(0));
-            }
-            let reports = runner
-                .run(
-                    &mut snet,
-                    TICKS - t.admit_tick,
-                    &spec.fields,
-                    spec.seed.wrapping_add(t.admit_tick + 1),
-                )
-                .unwrap();
-
-            let solo: Vec<(u64, GroupOutcome)> = reports
-                .iter()
-                .enumerate()
-                .flat_map(|(e, (_, r))| {
-                    r.outcomes
-                        .iter()
-                        .map(move |o| (t.admit_tick + e as u64, o.clone()))
-                })
-                .collect();
-            let stream = served.remove(&(i as u64)).unwrap_or_default();
-            prop_assert_eq!(
-                stream.len(),
-                solo.len(),
-                "tenant {}: due-epoch count (server {:?} vs solo {:?})",
-                i,
-                stream.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-                solo.iter().map(|(t, _)| *t).collect::<Vec<_>>()
-            );
-            for ((served_tick, served_out), (solo_tick, solo_out)) in
-                stream.iter().zip(&solo)
-            {
-                prop_assert_eq!(served_tick, solo_tick, "tenant {}: due tick", i);
-                assert_bit_identical(
-                    served_out,
-                    solo_out,
-                    &format!("tenant {i} tick {served_tick}"),
-                );
-            }
-        }
-        // No tenant got results it never asked for.
-        prop_assert!(served.is_empty(), "unexpected tenants: {:?}", served.keys());
+    /// The same property with the tenants drawn from three SQL texts, so
+    /// most of them subscribe to a plan another tenant built — often on an
+    /// earlier snapshot, with another `every`, and surviving its creator's
+    /// cancellation. Each still sees exactly its solo run.
+    #[test]
+    fn tenants_sharing_plans_match_solo_group_runner(
+        seed in 0u64..1000,
+        n0 in 30usize..48,
+        n1 in 30usize..48,
+        raw in prop::collection::vec(
+            (0usize..2, 0usize..3, 1u64..4, 0u64..3, 0u64..4),
+            4..10,
+        ),
+    ) {
+        let tenants: Vec<Tenant> = raw
+            .into_iter()
+            .map(|(dep, text, every, admit_tick, cancel_raw)| Tenant {
+                dep,
+                sql: sql(text, 3.0),
+                every,
+                admit_tick,
+                cancel_tick: cancel_tick(admit_tick, cancel_raw),
+            })
+            .collect();
+        let (tenant_epochs, plan_epochs) = check_against_solo_replay(seed, n0, n1, &tenants)?;
+        // Four or more tenants over two deployments and three texts: a
+        // deployment's tick never runs more than three plans.
+        prop_assert!(plan_epochs <= tenant_epochs);
+        prop_assert!(plan_epochs <= 2 * 3 * TICKS, "{plan_epochs} plan-epochs");
     }
 }
 
