@@ -11,9 +11,9 @@
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
 //! * the 100 000-node one-shot band join completes in < 10 s,
-//! * ns per node-event at 100 000 nodes stays ≤ 3 000 (measured 1 500 to
-//!   1 900 on the 2-core bench host, whose speed drifts by a quarter between
-//!   runs; ROADMAP item 4's target is 1 500),
+//! * ns per node-event at 100 000 nodes stays ≤ 1 500 (measured 836 to 898
+//!   over five runs on the 2-core bench host, whose speed drifts by a
+//!   quarter between runs; 1 164 to 1 891 before PR 19's per-node table),
 //! * peak RSS after the 1 000 000-node topology + tree build ≤ 1 GiB.
 
 use criterion::{black_box, BenchmarkId, Criterion};
@@ -34,7 +34,7 @@ const BAND_THRESHOLD: f64 = 12.0;
 const ONE_SHOT_SIZES: [usize; 3] = [10_000, 30_000, 100_000];
 
 const ONE_SHOT_GATE_S: f64 = 10.0;
-const NODE_EVENT_GATE_NS: f64 = 3_000.0;
+const NODE_EVENT_GATE_NS: f64 = 1_500.0;
 const TREE_RSS_GATE_MIB: f64 = 1024.0;
 
 fn band_sql() -> String {

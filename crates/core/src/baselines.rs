@@ -11,10 +11,10 @@
 //! implementation lets the benchmark suite *verify* that claim instead of
 //! assuming it (`related_work` bench).
 
-use crate::config::SensJoinConfig;
+use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, JoinSpace};
 use crate::outcome::{JoinOutcome, JoinResult, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, FullRec};
+use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
 use crate::wave::up_wave_on;
 use crate::JoinMethod;
@@ -35,11 +35,6 @@ pub const PHASE_MEDIATED_RESULT: &str = "mediated-result";
 /// knowledge).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MediatedJoin;
-
-struct Batch {
-    tuples: Vec<FullRec>,
-    bytes: usize,
-}
 
 impl MediatedJoin {
     /// Picks the mediator: among candidate nodes (contributors plus the node
@@ -89,12 +84,12 @@ impl JoinMethod for MediatedJoin {
     ) -> Result<JoinOutcome, ProtocolError> {
         snet.net_mut().reset_stats();
         let space = JoinSpace::build(query, snet, &SensJoinConfig::default());
-        let data = collect_node_data(snet, query, &space);
+        let table = NodeTable::build(snet, query, &space, Representation::Quadtree);
         let base = snet.base();
         let members: Vec<NodeId> = (0..snet.len() as u32)
             .map(NodeId)
             .filter(|&v| snet.net().routing().depth(v).is_some())
-            .filter(|&v| data[v.0 as usize].rec.is_some())
+            .filter(|&v| table.tuple(v).is_some())
             .collect();
         if members.is_empty() {
             // Nothing to join: no traffic at all.
@@ -120,41 +115,20 @@ impl JoinMethod for MediatedJoin {
             snet.net_mut(),
             &tree,
             &|_| true,
-            |v, received: Vec<Batch>| {
-                let mut tuples = Vec::new();
-                let mut bytes = 0;
-                for mut b in received {
-                    bytes += b.bytes;
-                    tuples.append(&mut b.tuples);
+            |v, received: Vec<Shipment<_>>| {
+                let mut batch = Shipment::merged(received);
+                if let Some(rec) = table.tuple(v) {
+                    batch.bytes += rec.bytes as usize;
+                    batch.entries.push(v);
                 }
-                if let Some(rec) = &data[v.0 as usize].rec {
-                    bytes += rec.bytes;
-                    tuples.push(rec.clone());
-                }
-                Batch { tuples, bytes }
+                batch
             },
             |b| b.bytes,
             PHASE_MEDIATED_COLLECTION,
         );
 
         // Join at the mediator.
-        let master = snet.master_schema().clone();
-        let tuples_per_rel: Vec<Vec<(NodeId, Vec<f64>)>> = (0..query.num_relations())
-            .map(|r| {
-                let flag = space.flag(r);
-                batch
-                    .tuples
-                    .iter()
-                    .filter(|rec| rec.flags.intersects(flag))
-                    .map(|rec| {
-                        (
-                            rec.origin,
-                            project_to_schema(&master, query.schema(r), &rec.values),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let tuples_per_rel = table.tuples_per_rel(snet, batch.entries);
         let computation = exact_join(query, &tuples_per_rel);
 
         // Ship the result rows mediator -> base along the shortest path.

@@ -21,15 +21,14 @@
 //! Equality is evaluated on quantization cells (equal values always share a
 //! cell, so there are no false negatives), keeping result exactness.
 
-use crate::config::SensJoinConfig;
+use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, FullRec};
+use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
 use crate::JoinMethod;
 use sensjoin_query::{CExpr, CmpOp, CompiledQuery};
-use sensjoin_relation::NodeId;
 
 /// Phase labels.
 pub const PHASE_BLOOM_COLLECTION: &str = "1-bloom-collection";
@@ -182,11 +181,6 @@ struct BloomPair {
     b: BloomFilter,
 }
 
-struct Batch {
-    tuples: Vec<FullRec>,
-    bytes: usize,
-}
-
 impl JoinMethod for BloomSemiJoin {
     fn name(&self) -> &'static str {
         "bloom-semi-join"
@@ -200,7 +194,7 @@ impl JoinMethod for BloomSemiJoin {
         validate(query)?;
         snet.net_mut().reset_stats();
         let space = JoinSpace::build(query, snet, &self.config);
-        let data = collect_node_data(snet, query, &space);
+        let table = NodeTable::build(snet, query, &space, Representation::Quadtree);
         let (bits, hashes) = (self.bits, self.hashes);
         // Keys are the quantized join-attribute cells: equal values always
         // share a cell, so no true match is lost.
@@ -220,7 +214,7 @@ impl JoinMethod for BloomSemiJoin {
                     out.a.union(&p.a);
                     out.b.union(&p.b);
                 }
-                if let Some(rec) = &data[v.0 as usize].rec {
+                if let Some(rec) = table.tuple(v) {
                     if rec.flags.intersects(flag_a) {
                         out.a.insert(rec.z);
                     }
@@ -275,49 +269,28 @@ impl JoinMethod for BloomSemiJoin {
         let (batch, rep3) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<Batch>| {
-                let mut tuples = Vec::new();
-                let mut bytes = 0;
-                for mut b in received {
-                    bytes += b.bytes;
-                    tuples.append(&mut b.tuples);
-                }
-                if let Some(rec) = &data[v.0 as usize].rec {
+            |v, received: Vec<Shipment<_>>| {
+                let mut batch = Shipment::merged(received);
+                if let Some(rec) = table.tuple(v) {
                     let survives = collection_damaged
                         || !node_flooded[v.0 as usize]
                         || (rec.flags.intersects(flag_a) && flood.b.contains(rec.z))
                         || (rec.flags.intersects(flag_b) && flood.a.contains(rec.z));
                     if survives {
                         if v != base {
-                            bytes += rec.bytes;
+                            batch.bytes += rec.bytes as usize;
                         }
-                        tuples.push(rec.clone());
+                        batch.entries.push(v);
                     }
                 }
-                Batch { tuples, bytes }
+                batch
             },
             |b| b.bytes,
             PHASE_BLOOM_FINAL,
         );
 
         // ---- Exact join at the base station ----
-        let master = snet.master_schema().clone();
-        let tuples_per_rel: Vec<Vec<(NodeId, Vec<f64>)>> = (0..2)
-            .map(|r| {
-                let flag = space.flag(r);
-                batch
-                    .tuples
-                    .iter()
-                    .filter(|rec| rec.flags.intersects(flag))
-                    .map(|rec| {
-                        (
-                            rec.origin,
-                            project_to_schema(&master, query.schema(r), &rec.values),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let tuples_per_rel = table.tuples_per_rel(snet, batch.entries);
         let computation = exact_join(query, &tuples_per_rel);
         Ok(JoinOutcome {
             result: computation.result,

@@ -37,7 +37,7 @@ use crate::incremental::{CellCounts, FilterEngine};
 use crate::ingest::{StreamJoinEngine, StreamOp};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::persist;
-use crate::repr::{collect_node_data, project_to_schema, FullRec, JoinAttrMsg};
+use crate::repr::{JoinAttrMsg, NodeTable};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
 
@@ -251,7 +251,9 @@ impl FilterDelta {
 /// Final-phase message: fresh tuples plus retractions.
 #[derive(Default)]
 struct FinalDelta {
-    tuples: Vec<FullRec>,
+    /// Origins of the fresh tuples (the base reads their values from the
+    /// snapshot, which does not change within a round).
+    tuples: Vec<NodeId>,
     retractions: Vec<NodeId>,
     bytes: usize,
 }
@@ -627,20 +629,15 @@ impl ContinuousSensJoin {
         let n = snet.len();
         if self.state.is_none() {
             let space = JoinSpace::build(query, snet, &self.config);
-            let master = snet.master_schema();
-            let mut names: Vec<&str> = Vec::new();
+            let mut drift_attrs: Vec<usize> = Vec::new();
             for r in 0..query.num_relations() {
-                for &a in query.referenced_attrs(r) {
-                    let name = query.schema(r).attrs()[a].name();
-                    if !names.contains(&name) {
-                        names.push(name);
+                let cols = snet.master_columns(query.schema(r));
+                for col in query.referenced_attrs(r).iter().map(|&a| cols[a]) {
+                    if !drift_attrs.contains(&col) {
+                        drift_attrs.push(col);
                     }
                 }
             }
-            let drift_attrs = names
-                .iter()
-                .map(|&nm| master.index_of(nm).expect("validated"))
-                .collect();
             self.state = Some(State {
                 engine: FilterEngine::new(query, &space),
                 stream: StreamJoinEngine::new(query.clone()),
@@ -658,7 +655,7 @@ impl ContinuousSensJoin {
         }
         let st = self.state.as_mut().expect("just initialized");
         let space = &st.space;
-        let data = collect_node_data(snet, query, space);
+        let table = NodeTable::build(snet, query, space, Representation::Quadtree);
         let base = snet.base();
 
         // ---- Phase 1: delta collection ----
@@ -676,7 +673,7 @@ impl ContinuousSensJoin {
                 for d in received {
                     merged.merge(&d);
                 }
-                let cur = data[v.0 as usize].rec.as_ref().map(|r| (r.z, r.flags.0));
+                let cur = table.tuple(v).map(|r| (r.z, r.flags.0));
                 let last = &mut last_cell[v.0 as usize];
                 if cur != *last {
                     if let Some((z, f)) = *last {
@@ -776,8 +773,9 @@ impl ContinuousSensJoin {
         let last_values = &mut st.last_values;
         let matched = &mut st.matched;
         let drift_attrs = &st.drift_attrs;
+        let (net, readings) = snet.net_mut_and_readings();
         let (final_delta, rep3) = up_wave(
-            snet.net_mut(),
+            net,
             &|_| true,
             |v, received: Vec<FinalDelta>| {
                 let mut out = FinalDelta::default();
@@ -787,26 +785,24 @@ impl ContinuousSensJoin {
                     out.retractions.append(&mut f.retractions);
                 }
                 let i = v.0 as usize;
-                let matching = data[i]
-                    .rec
-                    .as_ref()
-                    .is_some_and(|rec| node_filter[i].contains_matching(rec.z, rec.flags));
+                let rec = table.rec(v);
+                let matching = node_filter[i].contains_matching(rec.z, rec.flags);
                 let was_matched = std::mem::replace(&mut matched[i], matching);
                 if matching {
-                    let rec = data[i].rec.as_ref().expect("matching implies a tuple");
+                    let values = &readings[i];
                     let last = &mut last_values[i];
                     let drifted = match last {
                         None => true,
                         Some(old) => drift_attrs
                             .iter()
-                            .any(|&a| (old[a] - rec.values[a]).abs() > epsilon),
+                            .any(|&a| (old[a] - values[a]).abs() > epsilon),
                     };
                     if !was_matched || drifted {
-                        *last = Some(rec.values.clone());
+                        *last = Some(values.to_vec());
                         if v != base {
-                            out.bytes += rec.bytes;
+                            out.bytes += rec.bytes as usize;
                         }
-                        out.tuples.push(rec.clone());
+                        out.tuples.push(v);
                     }
                 } else if was_matched {
                     if v != base {
@@ -826,19 +822,15 @@ impl ContinuousSensJoin {
         // which re-enumerates only the bindings anchored at changed tuples;
         // its cached result is bit-identical to re-running `exact_join`
         // over the full cache (the pre-streaming behavior).
-        let master = snet.master_schema();
+        let (snet, table) = (&*snet, &table);
+        let project =
+            |origin| (0..query.num_relations()).map(move |r| table.project(snet, origin, r));
         let ops: Vec<StreamOp> = final_delta
             .tuples
             .iter()
-            .map(|rec| StreamOp::Upsert {
-                origin: rec.origin,
-                per_rel: (0..query.num_relations())
-                    .map(|r| {
-                        rec.flags
-                            .intersects(space.flag(r))
-                            .then(|| project_to_schema(master, query.schema(r), &rec.values))
-                    })
-                    .collect(),
+            .map(|&origin| StreamOp::Upsert {
+                origin,
+                per_rel: project(origin).collect(),
             })
             .chain(
                 final_delta
@@ -849,8 +841,9 @@ impl ContinuousSensJoin {
             .collect();
         let batch = st.stream.apply_batch(&ops);
         record_batch(&mut self.delta_stats, &batch);
-        for rec in final_delta.tuples {
-            st.cache.insert(rec.origin, (rec.flags.0, rec.values));
+        for origin in final_delta.tuples {
+            let values = snet.readings(origin).to_vec();
+            st.cache.insert(origin, (table.rec(origin).flags.0, values));
         }
         for origin in final_delta.retractions {
             st.cache.remove(&origin);

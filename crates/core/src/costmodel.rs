@@ -18,9 +18,9 @@
 //! in every execution). The `cost_model` bench validates predictions against
 //! simulation across the selectivity sweep.
 
-use crate::config::SensJoinConfig;
+use crate::config::{Representation, SensJoinConfig};
 use crate::engine::JoinSpace;
-use crate::repr::collect_node_data;
+use crate::repr::NodeTable;
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{encoded_wire_size, PointSet};
 use sensjoin_query::CompiledQuery;
@@ -86,16 +86,16 @@ impl<'a> CostModel<'a> {
     /// Builds the model (one linear pass over the tree).
     pub fn new(snet: &'a SensorNetwork, query: &'a CompiledQuery) -> Self {
         let space = JoinSpace::build(query, snet, &SensJoinConfig::default());
-        let data = collect_node_data(snet, query, &space);
+        let table = NodeTable::build(snet, query, &space, Representation::Quadtree);
         let routing = snet.net().routing();
         let n = snet.len();
         let mut member_subtree = vec![0u32; n];
         let mut tuple_bytes = vec![0usize; n];
         for &v in routing.bottom_up_order() {
             let i = v.0 as usize;
-            if let Some(rec) = &data[i].rec {
+            if let Some(rec) = table.tuple(v) {
                 member_subtree[i] += 1;
-                tuple_bytes[i] = rec.bytes;
+                tuple_bytes[i] = rec.bytes as usize;
             }
             if let Some(p) = routing.parent(v) {
                 member_subtree[p.0 as usize] += member_subtree[i];
@@ -151,14 +151,12 @@ impl<'a> CostModel<'a> {
     /// climate data).
     pub fn estimate_beta(&self) -> f64 {
         let space = JoinSpace::build(self.query, self.snet, &SensJoinConfig::default());
-        let data = collect_node_data(self.snet, self.query, &space);
+        let table = NodeTable::build(self.snet, self.query, &space, Representation::Quadtree);
         let mut set = PointSet::new();
         let mut count = 0usize;
-        for d in data.iter() {
-            if let Some(rec) = &d.rec {
-                set.insert(rec.z, rec.flags);
-                count += 1;
-            }
+        for (_, rec) in table.tuples() {
+            set.insert(rec.z, rec.flags);
+            count += 1;
         }
         if count == 0 {
             return 8.0;

@@ -137,6 +137,12 @@ impl JoinSpace {
         RelFlags::relation(rel, self.maps.len())
     }
 
+    /// The dimension of each join attribute of relation `rel` (parallel to
+    /// `CompiledQuery::join_attrs(rel)`).
+    pub(crate) fn dims_of(&self, rel: usize) -> impl Iterator<Item = usize> + '_ {
+        self.maps[rel].iter().copied()
+    }
+
     /// Encodes a node's join-attribute values. `dim_values[d]` is the value
     /// for dimension `d`, or `None` when no member relation of the node
     /// covers that dimension (encoded as cell 0).

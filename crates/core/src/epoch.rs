@@ -11,7 +11,8 @@
 //! fallback, the churn reconciliation — is written here once.
 //!
 //! **What k adds.** Messages identify complete tuples by origin node; each
-//! slot's projection of a node is in that slot's [`NodeData`] table. A
+//! slot's projection of a node is in that slot's [`NodeTable`], and tuple
+//! values are read from the snapshot only when the base station joins. A
 //! collection or filter message carries one cell set per slot, and sets
 //! whose quantization spaces coincide share one quadtree encoding on the
 //! wire ([`merged_wire_size`]; a quadtree-only saving — under the §VI-B
@@ -20,7 +21,8 @@
 //! for the union of their referenced attributes; at k = 1 the mask is
 //! omitted and every message costs exactly what a single query's would. As
 //! a message leaves, what each slot would have paid for it alone is metered
-//! into that slot's [`SoloCost`].
+//! into that slot's [`SoloCost`] — from per-slot sums the message carries
+//! ([`Shipment`]), so a hop costs O(k), not a pass over its tuples.
 //!
 //! **Loss policy.** Results stay exact as long as the final wave arrives:
 //! a node whose collection message was permanently lost re-enters the query
@@ -31,23 +33,20 @@
 
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, JoinComputation, JoinSpace};
-use crate::repr::{JoinAttrMsg, NodeData, SizedSet};
+use crate::repr::{columns, JoinAttrMsg, NodeTable, Shipment, SizedSet};
 use crate::scheduler::SoloCost;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival, WaveTiming};
-use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags};
+use sensjoin_quadtree::{encoded_wire_size, PointSet};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
-use std::collections::BTreeSet;
 
-/// One query of the epoch: its quantization space and every node's local
-/// view of it ([`crate::repr::collect_node_data`]).
+/// One query of the epoch, with its quantization space.
 pub(crate) struct Slot<'a> {
     pub query: &'a CompiledQuery,
     pub space: &'a JoinSpace,
-    pub data: Vec<NodeData>,
 }
 
 /// What one run of the three phases produced.
@@ -69,10 +68,10 @@ pub(crate) struct EpochRun {
 }
 
 /// Collection message: a node forwards either complete tuples (below the
-/// Treecut threshold; identified by origin) or one join-attribute structure
-/// per slot (paper §IV-B).
+/// Treecut threshold) or one join-attribute structure per slot (paper
+/// §IV-B).
 enum UpMsg {
-    Full { nodes: Vec<NodeId>, bytes: usize },
+    Full(Shipment<NodeId>),
     Attrs(Vec<JoinAttrMsg>),
 }
 
@@ -89,10 +88,7 @@ enum FilterMsg {
 }
 
 /// Final-phase message: shipped tuples with their slot-membership masks.
-struct Batch {
-    entries: Vec<(NodeId, u64)>,
-    bytes: usize,
-}
+type Batch = Shipment<(NodeId, u64)>;
 
 /// Per-node protocol state surviving between the phases, one column per
 /// field (per-slot fields are `k` consecutive entries per node).
@@ -250,14 +246,6 @@ impl Nodes {
     }
 }
 
-/// One relation of a slot's query: its membership flag, and the attributes
-/// it references and its whole schema as master-schema columns.
-struct RelLayout {
-    flag: RelFlags,
-    referenced: Vec<usize>,
-    schema: Vec<usize>,
-}
-
 /// Per node: alive and attached to the routing tree.
 fn live_attached(net: &Network) -> Vec<bool> {
     (0..net.len() as u32)
@@ -292,50 +280,47 @@ pub(crate) fn run_epoch(
     let repr = cfg.representation;
     let sigs: Vec<SpaceSig> = slots.iter().map(|s| space_signature(s.space)).collect();
 
-    let master = snet.master_schema();
-    let col = |name: &str| master.index_of(name).expect("validated attribute");
-    let layouts: Vec<Vec<RelLayout>> = slots
-        .iter()
-        .map(|slot| {
-            let q = slot.query;
-            (0..q.num_relations())
-                .map(|r| {
-                    let attrs = q.schema(r).attrs();
-                    let referenced = q.referenced_attrs(r).iter();
-                    RelLayout {
-                        flag: slot.space.flag(r),
-                        referenced: referenced.map(|&a| col(attrs[a].name())).collect(),
-                        schema: attrs.iter().map(|a| col(a.name())).collect(),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let attr_sizes: Vec<usize> = master.attrs().iter().map(|a| a.wire_size()).collect();
+    let master = snet.master_schema().attrs();
+    let attr_sizes: Vec<usize> = master.iter().map(|a| a.wire_size()).collect();
+    // Per slot: every node's local view of the query.
+    let build = |slot: &Slot<'_>| NodeTable::build(snet, slot.query, slot.space, repr);
+    let tables: Vec<NodeTable> = slots.iter().map(build).collect();
+    let rec = |s: usize, v: NodeId| tables[s].rec(v);
 
     // Wire size of node `v`'s tuple across the slots in `mask`: the union
-    // of their referenced attributes, deduplicated by master column.
-    let union_bytes = |v: usize, mask: u64| -> usize {
-        let mut cols: BTreeSet<usize> = BTreeSet::new();
-        for (s, rels) in layouts.iter().enumerate() {
-            if mask >> s & 1 == 0 {
-                continue;
-            }
-            let Some(rec) = &slots[s].data[v].rec else {
-                continue;
-            };
-            for rel in rels.iter().filter(|rel| rec.flags.intersects(rel.flag)) {
-                cols.extend(rel.referenced.iter().copied());
+    // of their referenced attributes, deduplicated by master column. For a
+    // single slot that is the slot's own tuple size.
+    let mut cols = vec![0u64; attr_sizes.len().div_ceil(64)];
+    let mut union_bytes = |v: NodeId, mask: u64| -> usize {
+        if mask.is_power_of_two() {
+            return rec(mask.trailing_zeros() as usize, v).bytes as usize;
+        }
+        cols.fill(0);
+        for s in (0..k).filter(|s| mask >> s & 1 == 1) {
+            let referenced = tables[s].columns_of(rec(s, v).flags);
+            for (word, more) in cols.iter_mut().zip(referenced) {
+                *word |= more;
             }
         }
-        cols.iter().map(|&c| attr_sizes[c]).sum()
+        columns(&cols).map(|c| attr_sizes[c]).sum()
     };
     // The slots node `v` has a tuple for.
-    let member_mask = |v: usize| -> u64 {
+    let member_mask = |v: NodeId| -> u64 {
         (0..k)
-            .filter(|&s| slots[s].data[v].rec.is_some())
+            .filter(|&s| !rec(s, v).flags.is_empty())
             .fold(0, |m, s| m | 1 << s)
     };
+    // Adds to a message's per-slot sums what the slots in `mask` would each
+    // pay for node `v`'s tuple (nothing to keep at k = 1).
+    let add_solo = |solo: &mut Vec<u64>, v: NodeId, mask: u64| {
+        solo.resize(if k == 1 { 0 } else { k }, 0);
+        for (s, sum) in solo.iter_mut().enumerate() {
+            if mask >> s & 1 == 1 {
+                *sum += u64::from(rec(s, v).bytes);
+            }
+        }
+    };
+    let contributes = |v: usize| member_mask(NodeId(v as u32)) != 0;
     // A single query's final tuples need no membership annotation.
     let mask_bytes = if k == 1 { 0 } else { k.div_ceil(8) };
 
@@ -370,52 +355,45 @@ pub(crate) fn run_epoch(
         &|_| true,
         |v, received: Vec<UpMsg>| {
             let vi = v.0 as usize;
-            let mut fulls: Vec<NodeId> = Vec::new();
-            let mut full_bytes = 0usize;
-            let mut attr_msgs: Vec<Vec<JoinAttrMsg>> = Vec::new();
-            for msg in received {
-                match msg {
-                    UpMsg::Full { mut nodes, bytes } => {
-                        full_bytes += bytes;
-                        fulls.append(&mut nodes);
+            // The first message of a kind is the accumulator the rest are
+            // merged into (Fig. 2 line 10): a lone structure is taken as it
+            // is, with the sizes its sender computed.
+            let mut sets: Option<Vec<JoinAttrMsg>> = None;
+            let fulls = received
+                .into_iter()
+                .filter_map(|msg| match (msg, &mut sets) {
+                    (UpMsg::Full(full), _) => Some(full),
+                    (UpMsg::Attrs(first), None) => {
+                        sets = Some(first);
+                        None
                     }
-                    UpMsg::Attrs(sets) => attr_msgs.push(sets),
-                }
-            }
-            let own = member_mask(vi);
-            let own_bytes = union_bytes(vi, own);
-            let treecut = v != base
-                && cfg.dmax > 0
-                && attr_msgs.is_empty()
-                && full_bytes + own_bytes <= cfg.dmax;
+                    (UpMsg::Attrs(more), Some(sets)) => {
+                        for (ja, other) in sets.iter_mut().zip(&more) {
+                            ja.merge(other);
+                        }
+                        None
+                    }
+                });
+            let mut fulls = Shipment::merged(fulls);
+            let own = member_mask(v);
+            let own_bytes = union_bytes(v, own);
+            let treecut =
+                v != base && cfg.dmax > 0 && sets.is_none() && fulls.bytes + own_bytes <= cfg.dmax;
             if treecut {
                 // Hand the complete tuples to the parent and exit the query
                 // (Fig. 2 lines 14-18).
                 if lossy {
-                    kept[vi] = Some((own != 0, fulls.clone()));
+                    kept[vi] = Some((own != 0, fulls.entries.clone()));
                 }
                 if own != 0 {
-                    fulls.push(v);
+                    fulls.entries.push(v);
+                    fulls.bytes += own_bytes;
+                    add_solo(&mut fulls.solo, v, own);
                 }
-                return UpMsg::Full {
-                    nodes: fulls,
-                    bytes: full_bytes + own_bytes,
-                };
+                return UpMsg::Full(fulls);
             }
             nodes.active[vi] = true;
-            // Merge received structures (Fig. 2 line 10). A lone structure
-            // is taken as it is, with the sizes its sender computed.
-            let mut sets: Vec<JoinAttrMsg> = if attr_msgs.len() == 1 {
-                attr_msgs.pop().expect("one message")
-            } else {
-                let mut sets = vec![JoinAttrMsg::new(repr); k];
-                for m in &attr_msgs {
-                    for (ja, other) in sets.iter_mut().zip(m) {
-                        ja.merge(other);
-                    }
-                }
-                sets
-            };
+            let mut sets = sets.unwrap_or_else(|| vec![JoinAttrMsg::new(repr); k]);
             // Memorize the subtree's cells for Selective Filter Forwarding —
             // the *received* ones only (Fig. 2 line 21; own and proxied
             // tuples are checked directly against the incoming filter
@@ -434,25 +412,24 @@ pub(crate) fn run_epoch(
             // Act as proxy for received complete tuples (line 20) and fold
             // their — and the node's own — projections in (line 22).
             nodes.own[vi] = own != 0;
-            for &u in fulls.iter().chain(nodes.own[vi].then_some(&v)) {
-                for (ja, slot) in sets.iter_mut().zip(slots) {
-                    if let Some(rec) = &slot.data[u.0 as usize].rec {
-                        ja.insert(rec.z, rec.flags, &rec.coords);
+            for &u in fulls.entries.iter().chain(nodes.own[vi].then_some(&v)) {
+                for (ja, table) in sets.iter_mut().zip(&tables) {
+                    if let Some(rec) = table.tuple(u) {
+                        ja.insert(rec.z, rec.flags, table.coords(u));
                     }
                 }
             }
-            nodes.proxy[vi] = fulls;
+            nodes.proxy[vi] = fulls.entries;
             UpMsg::Attrs(sets)
         },
         |m| match m {
-            UpMsg::Full { nodes, bytes } => {
-                for (cost, slot) in solo.iter_mut().zip(slots) {
-                    let recs = nodes
-                        .iter()
-                        .filter_map(|u| slot.data[u.0 as usize].rec.as_ref());
-                    cost.collection_bytes += recs.map(|r| r.bytes as u64).sum::<u64>();
+            UpMsg::Full(full) => {
+                #[cfg(test)]
+                tests::check_solo(&tables, full, |&u| (u, u64::MAX));
+                for (cost, bytes) in solo.iter_mut().zip(full.solo_bytes()) {
+                    cost.collection_bytes += bytes;
                 }
-                *bytes
+                full.bytes
             }
             UpMsg::Attrs(sets) => {
                 let present: Vec<_> = sets
@@ -501,7 +478,6 @@ pub(crate) fn run_epoch(
     // tuples are dropped everywhere, and the subtree the repair machinery
     // re-homed switches to pass-through.
     if churn {
-        let contributes = |v| member_mask(v) != 0;
         churned |= nodes.churn_boundary(snet, rep1.timing.pipelined, contributes, &p0);
     }
 
@@ -591,7 +567,6 @@ pub(crate) fn run_epoch(
     // surviving population, and a superset filter never prunes a tuple that
     // still joins. Only re-homed nodes must ignore it.
     if churn {
-        let contributes = |v| member_mask(v) != 0;
         churned |= nodes.churn_boundary(snet, rep2.timing.pipelined, contributes, &p0);
     }
 
@@ -604,51 +579,41 @@ pub(crate) fn run_epoch(
         &|v| nodes.active[v.0 as usize],
         |v, inbox: Vec<Batch>| {
             let vi = v.0 as usize;
-            let mut entries: Vec<(NodeId, u64)> = Vec::new();
-            let mut bytes = 0usize;
-            for mut b in inbox {
-                bytes += b.bytes;
-                entries.append(&mut b.entries);
-            }
+            let mut out = Batch::merged(inbox);
             let received = &nodes.received[vi * k..(vi + 1) * k];
             let held = nodes.own[vi].then_some(v).into_iter();
             for u in held.chain(nodes.proxy[vi].iter().copied()) {
-                let ui = u.0 as usize;
                 // Base-held tuples are already at their destination
                 // (attached free of charge); a pass-through node ships
                 // everything; anyone else what its filters match.
                 let mask = if v == base || nodes.passthrough[vi] {
-                    member_mask(ui)
+                    member_mask(u)
                 } else {
-                    let mut mask = 0u64;
-                    for (s, slot) in slots.iter().enumerate() {
-                        if let (Some(f), Some(rec)) = (&received[s], &slot.data[ui].rec) {
-                            if f.contains_matching(rec.z, rec.flags) {
-                                mask |= 1 << s;
-                            }
-                        }
-                    }
-                    mask
+                    let matches = |&s: &usize| {
+                        let (f, rec) = (&received[s], rec(s, u));
+                        f.as_ref()
+                            .is_some_and(|f| f.contains_matching(rec.z, rec.flags))
+                    };
+                    (0..k).filter(matches).fold(0, |m, s| m | 1 << s)
                 };
                 if mask != 0 {
                     if v != base {
-                        bytes += union_bytes(ui, mask) + mask_bytes;
+                        out.bytes += union_bytes(u, mask) + mask_bytes;
+                        add_solo(&mut out.solo, u, mask);
                     }
-                    entries.push((u, mask));
+                    out.entries.push((u, mask));
                 }
             }
-            Batch { entries, bytes }
+            out
         },
         // Like the collection phase, solo-equivalent bytes are charged per
         // link: an entry's per-slot payload is paid again on every hop it
         // is forwarded, exactly as an unshared final up-wave would.
         |b| {
-            for &(u, mask) in &b.entries {
-                for s in (0..k).filter(|s| mask >> s & 1 == 1) {
-                    if let Some(rec) = &slots[s].data[u.0 as usize].rec {
-                        solo[s].final_bytes += rec.bytes as u64;
-                    }
-                }
+            #[cfg(test)]
+            tests::check_solo(&tables, b, |&entry| entry);
+            for (cost, bytes) in solo.iter_mut().zip(b.solo_bytes()) {
+                cost.final_bytes += bytes;
             }
             b.bytes
         },
@@ -676,26 +641,19 @@ pub(crate) fn run_epoch(
     }
 
     // ---- Exact joins over the shipped tuples, per slot ----
-    // One pass files each tuple under the slots of its mask, in arrival
-    // order, projected onto each member relation's schema.
-    let mut tables: Vec<Vec<Vec<_>>> = layouts.iter().map(|l| vec![Vec::new(); l.len()]).collect();
-    for &(u, mask) in &shipped.entries {
-        for s in (0..k).filter(|s| mask >> s & 1 == 1) {
-            let Some(rec) = &slots[s].data[u.0 as usize].rec else {
-                continue;
-            };
-            for (table, rel) in tables[s].iter_mut().zip(&layouts[s]) {
-                if rec.flags.intersects(rel.flag) {
-                    let row = rel.schema.iter().map(|&c| rec.values[c]).collect();
-                    table.push((rec.origin, row));
-                }
-            }
-        }
-    }
+    // Each slot joins the tuples whose mask names it, in arrival order,
+    // projected from the origins' readings onto each member relation.
     let joins = slots
         .iter()
-        .zip(&tables)
-        .map(|(slot, tuples_per_rel)| exact_join(slot.query, tuples_per_rel))
+        .enumerate()
+        .map(|(s, slot)| {
+            let mine = shipped
+                .entries
+                .iter()
+                .filter(|(_, mask)| mask >> s & 1 == 1);
+            let tuples_per_rel = tables[s].tuples_per_rel(snet, mine.map(|&(u, _)| u));
+            exact_join(slot.query, &tuples_per_rel)
+        })
         .collect();
 
     EpochRun {
@@ -786,4 +744,119 @@ fn merged_wire_size(
         }
     }
     total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snetwork::SensorNetworkBuilder;
+    use crate::{JoinMethod, QueryGroup, SensJoin};
+    use sensjoin_field::{Area, Placement};
+    use sensjoin_query::parse;
+    use sensjoin_sim::{ArqPolicy, Channel, ChurnAction, ChurnTimeline};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Messages [`check_solo`] has checked on this thread.
+        static CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The metering oracle, run on every tuple-carrying message of every
+    /// epoch a unit test of this crate executes: what each slot alone would
+    /// pay for the message, recomputed per tuple from the slots' tables (the
+    /// loop `size_of` ran before messages carried their sums), equals the
+    /// sums the message carries. `entry` gives an entry's origin and the
+    /// mask of the slots it ships for.
+    pub(super) fn check_solo<E>(
+        tables: &[NodeTable],
+        msg: &Shipment<E>,
+        entry: impl Fn(&E) -> (NodeId, u64),
+    ) {
+        let mut per_slot = vec![0u64; tables.len()];
+        for (u, mask) in msg.entries.iter().map(entry) {
+            for (s, table) in tables.iter().enumerate() {
+                if mask >> s & 1 == 1 {
+                    per_slot[s] += table.tuple(u).map_or(0, |rec| u64::from(rec.bytes));
+                }
+            }
+        }
+        assert_eq!(msg.solo_bytes().collect::<Vec<_>>(), per_slot);
+        CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// `k` pairwise distinct queries from three templates that reference
+    /// different attribute sets.
+    fn mixed_templates(k: usize) -> Vec<String> {
+        (0..k)
+            .map(|i| {
+                let step = (i / 3) as f64;
+                let (select, pred) = match i % 3 {
+                    0 => (
+                        "A.hum, B.hum",
+                        format!("A.temp - B.temp > {}", 1.0 + 0.05 * step),
+                    ),
+                    1 => (
+                        "A.pres, B.temp",
+                        format!("|A.hum - B.hum| < {}", 0.2 + 0.02 * step),
+                    ),
+                    _ => (
+                        "A.light",
+                        format!("A.pres - B.pres > {}", 0.5 + 0.05 * step),
+                    ),
+                };
+                format!("SELECT {select} FROM Sensors A, Sensors B WHERE {pred} SAMPLE PERIOD 30")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn carried_solo_sums_equal_the_per_tuple_recomputation() {
+        for k in [1, 3, 64] {
+            let mut snet = SensorNetworkBuilder::new()
+                .area(Area::new(400.0, 400.0))
+                .placement(Placement::UniformRandom { n: 130 })
+                .seed(k as u64)
+                .build()
+                .unwrap();
+            snet.net_mut()
+                .set_channel(Some(Channel::bernoulli(0.12, 5)));
+            snet.net_mut().set_arq(ArqPolicy::ack(2));
+            let base = snet.base();
+            let victims = snet.net().routing().children(base).to_vec();
+            let mut churn = ChurnTimeline::new();
+            for (i, &v) in victims.iter().take(3).enumerate() {
+                churn = churn
+                    .at_boundary(1 + i as u32, v, ChurnAction::Crash)
+                    .at_boundary(3 + i as u32, v, ChurnAction::Revive);
+            }
+            snet.net_mut().set_churn(Some(churn));
+            let queries: Vec<CompiledQuery> = mixed_templates(k)
+                .iter()
+                .map(|sql| snet.compile(&parse(sql).unwrap()).unwrap())
+                .collect();
+            let before = CHECKED.with(Cell::get);
+            // Mid-epoch churn boundaries (a one-shot polls them) ...
+            if k == 1 {
+                SensJoin::default().execute(&mut snet, &queries[0]).unwrap();
+            }
+            // ... and between-epoch ones, with loss throughout.
+            let mut group = QueryGroup::new(SensJoinConfig::default());
+            for q in &queries {
+                group.register(&snet, q.clone(), 1);
+            }
+            let mut forwarded = 0;
+            for _ in 0..5 {
+                let report = group.execute_epoch(&mut snet).unwrap();
+                assert_eq!(report.plans, k);
+                forwarded += report
+                    .solo_equivalent
+                    .iter()
+                    .map(|c| c.final_bytes)
+                    .sum::<u64>();
+            }
+            assert!(forwarded > 0, "k = {k}: no final tuple was ever forwarded");
+            let checked = CHECKED.with(Cell::get) - before;
+            assert!(checked > 200, "k = {k}: only {checked} messages checked");
+        }
+    }
 }

@@ -1,14 +1,13 @@
 //! The external join: the state-of-the-art general-purpose baseline (§VI).
 
-use crate::config::SensJoinConfig;
+use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{exact_join, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
-use crate::repr::{collect_node_data, project_to_schema, FullRec};
+use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
 use crate::wave::up_wave;
 use crate::JoinMethod;
 use sensjoin_query::CompiledQuery;
-use sensjoin_relation::NodeId;
 
 /// Sends both input relations to the base station and joins there.
 ///
@@ -20,12 +19,6 @@ use sensjoin_relation::NodeId;
 /// every figure of the evaluation compares against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExternalJoin;
-
-/// Tuples accumulated on the way up.
-struct Batch {
-    tuples: Vec<FullRec>,
-    bytes: usize,
-}
 
 impl JoinMethod for ExternalJoin {
     fn name(&self) -> &'static str {
@@ -41,45 +34,24 @@ impl JoinMethod for ExternalJoin {
         // The join space is only used to precompute node data uniformly with
         // SENS-Join (z-numbers are ignored here).
         let space = JoinSpace::build(query, snet, &SensJoinConfig::default());
-        let data = collect_node_data(snet, query, &space);
+        let table = NodeTable::build(snet, query, &space, Representation::Quadtree);
 
         let (base_batch, rep) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<Batch>| {
-                let mut tuples = Vec::new();
-                let mut bytes = 0;
-                for mut b in received {
-                    bytes += b.bytes;
-                    tuples.append(&mut b.tuples);
+            |v, received: Vec<Shipment<_>>| {
+                let mut batch = Shipment::merged(received);
+                if let Some(rec) = table.tuple(v) {
+                    batch.bytes += rec.bytes as usize;
+                    batch.entries.push(v);
                 }
-                if let Some(rec) = &data[v.0 as usize].rec {
-                    bytes += rec.bytes;
-                    tuples.push(rec.clone());
-                }
-                Batch { tuples, bytes }
+                batch
             },
             |b| b.bytes,
             "collection",
         );
 
-        let master = snet.master_schema().clone();
-        let tuples_per_rel: Vec<Vec<(NodeId, Vec<f64>)>> = (0..query.num_relations())
-            .map(|r| {
-                let flag = space.flag(r);
-                base_batch
-                    .tuples
-                    .iter()
-                    .filter(|rec| rec.flags.intersects(flag))
-                    .map(|rec| {
-                        (
-                            rec.origin,
-                            project_to_schema(&master, query.schema(r), &rec.values),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let tuples_per_rel = table.tuples_per_rel(snet, base_batch.entries);
         let computation = exact_join(query, &tuples_per_rel);
         Ok(JoinOutcome {
             result: computation.result,
@@ -102,6 +74,7 @@ mod tests {
     use crate::snetwork::SensorNetworkBuilder;
     use sensjoin_field::{Area, Placement};
     use sensjoin_query::parse;
+    use sensjoin_relation::NodeId;
 
     fn snet(n: usize, seed: u64) -> SensorNetwork {
         SensorNetworkBuilder::new()

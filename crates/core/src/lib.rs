@@ -103,7 +103,7 @@ pub use recovery::{
     execute_with_rebuild_reexecution, execute_with_recovery, execute_with_reexecution,
     RecoveryOutcome, MAX_REEXECUTION_ATTEMPTS,
 };
-pub use repr::{JoinAttrMsg, SizedSet};
+pub use repr::{JoinAttrMsg, NodeRec, NodeTable, SizedSet};
 pub use scheduler::{
     EpochReport, GroupFull, GroupOutcome, GroupRunner, PlanKey, QueryGroup, QueryId, QueryPlan,
     SoloCost, MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES,

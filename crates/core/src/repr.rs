@@ -1,5 +1,7 @@
-//! Wire representations of join-attribute tuple sets, and per-node query
-//! data shared by every join method.
+//! Wire representations of join-attribute tuple sets, and the per-node
+//! query table shared by every join method: one flat record per node
+//! (flags, Z-number, tuple bytes), built by a projector that resolves every
+//! name once per query.
 
 use crate::config::Representation;
 use crate::engine::JoinSpace;
@@ -8,7 +10,6 @@ use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
 use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags, TreeShape};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
-use std::collections::BTreeSet;
 
 /// A point set in flight together with its quadtree wire size.
 ///
@@ -155,117 +156,242 @@ impl JoinAttrMsg {
     }
 }
 
-/// A complete tuple in flight: the origin node's master-aligned values plus
-/// everything the protocols need to route and filter it.
+/// One relation of a query resolved against the master schema, once.
 #[derive(Debug, Clone)]
-pub struct FullRec {
-    /// Producing node.
-    pub origin: NodeId,
-    /// Relation-membership flags (after local predicates).
-    pub flags: RelFlags,
-    /// Master-schema-aligned values.
-    pub values: Vec<f64>,
-    /// Wire size of the projected tuple in bytes.
-    pub bytes: usize,
+struct RelColumns {
+    flag: RelFlags,
+    /// The relation's schema as master columns.
+    schema: Vec<usize>,
+    /// `(master column, join-space dimension)` per join attribute.
+    dims: Vec<(usize, usize)>,
+}
+
+/// One node's local view of a query: what the paper's protocol needs of it
+/// (Fig. 2/3, §IV-D).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeRec {
     /// Quantized join-attribute cell (Z-number in the query's join space).
     pub z: u64,
-    /// The quantized per-dimension coordinates (for raw serialization).
-    pub coords: Vec<u64>,
+    /// Wire size of the projected tuple in bytes.
+    pub bytes: u32,
+    /// Relation-membership flags after local predicates; empty = the node
+    /// has no tuple for the query.
+    pub flags: RelFlags,
 }
 
-/// Everything a node knows locally about the query: computed once per
-/// execution and shared by SENS-Join and the external join (both apply the
-/// same early selection and projection).
+/// Every node's [`NodeRec`] for one query, computed once per execution and
+/// shared by SENS-Join and the baselines (all apply the same early selection
+/// and projection). Tuple *values* are not copied: whoever joins reads
+/// [`SensorNetwork::readings`] of the origins that arrived
+/// ([`NodeTable::tuples_per_rel`]).
 #[derive(Debug, Clone)]
-pub struct NodeData {
-    /// The node's tuple, if it belongs to at least one relation and passes
-    /// that relation's local predicates.
-    pub rec: Option<FullRec>,
+pub struct NodeTable {
+    recs: Vec<NodeRec>,
+    /// Quantized per-dimension coordinates, `stride` per node: the space's
+    /// arity under the representations that serialize them, 0 under the
+    /// quadtree.
+    coords: Vec<u64>,
+    stride: usize,
+    rels: Vec<RelColumns>,
+    /// Per flag pattern: the master columns its member relations reference,
+    /// as a bitset of `words` words (any master-schema width).
+    cols: Vec<u64>,
+    words: usize,
 }
 
-/// Computes [`NodeData`] for every node.
-pub fn collect_node_data(
-    snet: &SensorNetwork,
-    query: &CompiledQuery,
-    space: &JoinSpace,
-) -> Vec<NodeData> {
-    let master = snet.master_schema().clone();
-    (0..snet.len() as u32)
-        .map(NodeId)
-        .map(|node| {
-            let per_rel: Vec<Option<Vec<f64>>> = (0..query.num_relations())
-                .map(|r| {
-                    let schema = query.schema(r);
-                    if snet.belongs(node, schema.name()) {
-                        let v = snet.values_for(node, schema);
-                        query.eval_local(r, &v).then_some(v)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let mut flags = 0u8;
-            for (r, v) in per_rel.iter().enumerate() {
-                if v.is_some() {
-                    flags |= space.flag(r).0;
+impl NodeTable {
+    /// Projects every node onto `query`: membership and local predicates
+    /// give the flags, the member relations' join attributes the cell, and
+    /// the union of their referenced attributes (deduplicated by master
+    /// column — the paper's "we avoid sending attribute values redundantly"
+    /// applied to complete tuples) the wire size.
+    pub fn build(
+        snet: &SensorNetwork,
+        query: &CompiledQuery,
+        space: &JoinSpace,
+        repr: Representation,
+    ) -> Self {
+        let schemas = (0..query.num_relations()).map(|r| query.schema(r));
+        // The catalog relation deciding membership (`None`: nobody belongs).
+        let members: Vec<_> = schemas.clone().map(|s| snet.relation(s.name())).collect();
+        let rels: Vec<RelColumns> = schemas
+            .enumerate()
+            .map(|(r, schema)| {
+                let schema = snet.master_columns(schema);
+                let attrs = query.join_attrs(r).iter();
+                RelColumns {
+                    flag: space.flag(r),
+                    dims: attrs.map(|&a| schema[a]).zip(space.dims_of(r)).collect(),
+                    schema,
                 }
-            }
-            if flags == 0 {
-                return NodeData { rec: None };
-            }
-            // Wire size: the union of referenced attributes across member
-            // relations (deduplicated by master attribute name — the paper's
-            // "the join attributes usually overlap ... we avoid sending
-            // attribute values redundantly" applied to complete tuples).
-            let mut names: BTreeSet<&str> = BTreeSet::new();
-            for (r, v) in per_rel.iter().enumerate() {
-                if v.is_some() {
+            })
+            .collect();
+        // Per flag pattern: referenced columns, and their summed wire size.
+        let master = snet.master_schema().attrs();
+        let words = master.len().div_ceil(64);
+        let mut cols = vec![0u64; words << rels.len()];
+        let mut bytes = vec![0u32; 1 << rels.len()];
+        for (pattern, set) in cols.chunks_exact_mut(words).enumerate() {
+            for (r, rel) in rels.iter().enumerate() {
+                if pattern as u8 & rel.flag.0 != 0 {
                     for &a in query.referenced_attrs(r) {
-                        names.insert(query.schema(r).attrs()[a].name());
+                        set[rel.schema[a] / 64] |= 1 << (rel.schema[a] % 64);
                     }
                 }
             }
-            let bytes: usize = names
-                .iter()
-                .map(|n| {
-                    let i = master.index_of(n).expect("validated attribute");
-                    master.attrs()[i].wire_size()
-                })
-                .sum();
-            let dim_values = space.dim_values(query, &per_rel);
-            let coords: Vec<u64> = space
-                .zspace()
-                .dims()
-                .iter()
-                .zip(&dim_values)
-                .map(|(d, v)| v.map_or(0, |v| d.coordinate(v)))
-                .collect();
-            let z = space.zspace().encode_cells(&coords);
-            NodeData {
-                rec: Some(FullRec {
-                    origin: node,
-                    flags: RelFlags(flags),
-                    values: snet.readings(node).to_vec(),
-                    bytes,
-                    z,
-                    coords,
-                }),
+            bytes[pattern] = columns(set).map(|c| master[c].wire_size() as u32).sum();
+        }
+
+        let zspace = space.zspace();
+        let mut cell = vec![0u64; zspace.arity()];
+        let serialized = repr != Representation::Quadtree;
+        let stride = if serialized { cell.len() } else { 0 };
+        let mut recs = Vec::with_capacity(snet.len());
+        let mut coords = Vec::with_capacity(snet.len() * stride);
+        let mut values: Vec<f64> = Vec::new();
+        for node in (0..snet.len() as u32).map(NodeId) {
+            let row = snet.readings(node);
+            let mut flags = 0u8;
+            for (r, rel) in rels.iter().enumerate() {
+                if !members[r].is_some_and(|m| m.contains(node)) {
+                    continue;
+                }
+                if !query.local_preds(r).is_empty() {
+                    values.clear();
+                    values.extend(rel.schema.iter().map(|&c| row[c]));
+                    if !query.eval_local(r, &values) {
+                        continue;
+                    }
+                }
+                flags |= rel.flag.0;
             }
-        })
-        .collect()
+            // A dimension no member relation covers encodes as cell 0 (and a
+            // node without a tuple as Z-number 0).
+            cell.fill(0);
+            for rel in rels.iter().filter(|rel| flags & rel.flag.0 != 0) {
+                for &(col, d) in &rel.dims {
+                    cell[d] = zspace.dims()[d].coordinate(row[col]);
+                }
+            }
+            recs.push(NodeRec {
+                z: zspace.encode_cells(&cell),
+                bytes: bytes[flags as usize],
+                flags: RelFlags(flags),
+            });
+            coords.extend_from_slice(&cell[..stride]);
+        }
+        Self {
+            recs,
+            coords,
+            stride,
+            rels,
+            cols,
+            words,
+        }
+    }
+
+    /// Node `v`'s record; its `flags` are empty if it has no tuple.
+    pub fn rec(&self, v: NodeId) -> NodeRec {
+        self.recs[v.0 as usize]
+    }
+
+    /// Node `v`'s record, if it has a tuple for the query.
+    pub fn tuple(&self, v: NodeId) -> Option<NodeRec> {
+        let rec = self.rec(v);
+        (!rec.flags.is_empty()).then_some(rec)
+    }
+
+    /// Every node that has a tuple for the query, ascending, with its record.
+    pub fn tuples(&self) -> impl Iterator<Item = (NodeId, NodeRec)> + '_ {
+        let recs = (0u32..).map(NodeId).zip(self.recs.iter().copied());
+        recs.filter(|(_, rec)| !rec.flags.is_empty())
+    }
+
+    /// Node `v`'s quantized per-dimension coordinates (the raw
+    /// serialization's input); empty if the table was built for the quadtree
+    /// representation, which never transmits them.
+    pub fn coords(&self, v: NodeId) -> &[u64] {
+        &self.coords[v.0 as usize * self.stride..][..self.stride]
+    }
+
+    /// The master columns a tuple with `flags` ships, as a bitset.
+    pub(crate) fn columns_of(&self, flags: RelFlags) -> &[u64] {
+        &self.cols[flags.0 as usize * self.words..][..self.words]
+    }
+
+    /// `origin`'s tuple of relation `rel`, projected from its readings onto
+    /// the relation's schema; `None` if its flags exclude the relation.
+    pub fn project(&self, snet: &SensorNetwork, origin: NodeId, rel: usize) -> Option<Vec<f64>> {
+        let (rel, row) = (&self.rels[rel], snet.readings(origin));
+        let belongs = self.rec(origin).flags.intersects(rel.flag);
+        belongs.then(|| rel.schema.iter().map(|&c| row[c]).collect())
+    }
+
+    /// The base station's join input from the tuples that arrived: per
+    /// relation, every origin whose flags include it, in arrival order.
+    pub fn tuples_per_rel(
+        &self,
+        snet: &SensorNetwork,
+        origins: impl IntoIterator<Item = NodeId>,
+    ) -> Vec<Vec<(NodeId, Vec<f64>)>> {
+        let mut tables = vec![Vec::new(); self.rels.len()];
+        for origin in origins {
+            for (rel, table) in tables.iter_mut().enumerate() {
+                table.extend(self.project(snet, origin, rel).map(|row| (origin, row)));
+            }
+        }
+        tables
+    }
 }
 
-/// Projects a master-aligned row onto a relation schema (by name).
-pub fn project_to_schema(
-    master: &sensjoin_relation::Schema,
-    schema: &sensjoin_relation::Schema,
-    values: &[f64],
-) -> Vec<f64> {
-    schema
-        .attrs()
-        .iter()
-        .map(|a| values[master.index_of(a.name()).expect("validated attribute")])
-        .collect()
+/// Complete tuples on their way up a tree: entries that name their origin,
+/// the bytes they cost on this link, and — in an epoch of k > 1 queries —
+/// what each query alone would pay for them.
+pub(crate) struct Shipment<E> {
+    pub entries: Vec<E>,
+    pub bytes: usize,
+    /// Per query, the summed solo tuple sizes of `entries` — empty at k = 1
+    /// (where `bytes` is that sum) and while there are no entries.
+    pub solo: Vec<u64>,
+}
+
+impl<E> Shipment<E> {
+    /// The children's shipments as one, in arrival order: the first one
+    /// that carries anything is the accumulator the rest are appended to.
+    pub fn merged(received: impl IntoIterator<Item = Self>) -> Self {
+        let mut all = Self {
+            entries: Vec::new(),
+            bytes: 0,
+            solo: Vec::new(),
+        };
+        for mut more in received {
+            if all.entries.is_empty() {
+                all = more;
+                continue;
+            }
+            all.entries.append(&mut more.entries);
+            all.bytes += more.bytes;
+            for (sum, more) in all.solo.iter_mut().zip(more.solo) {
+                *sum += more;
+            }
+        }
+        all
+    }
+
+    /// Per query, what the query alone would pay to forward this message.
+    pub fn solo_bytes(&self) -> impl Iterator<Item = u64> + '_ {
+        let own = self.solo.is_empty().then_some(self.bytes as u64);
+        own.into_iter().chain(self.solo.iter().copied())
+    }
+}
+
+/// The set bits of a column bitset, ascending.
+pub(crate) fn columns(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let rest = |word: u64| (word != 0).then_some(word);
+        std::iter::successors(rest(word), move |&word| rest(word & (word - 1)))
+            .map(move |word| w * 64 + word.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -296,25 +422,28 @@ mod tests {
     #[test]
     fn node_data_sizes() {
         let (snet, cq, space) = setup();
-        let data = collect_node_data(&snet, &cq, &space);
-        assert_eq!(data.len(), snet.len());
-        for d in &data {
-            let rec = d.rec.as_ref().expect("homogeneous: every node contributes");
+        let table = NodeTable::build(&snet, &cq, &space, Representation::Raw);
+        // Homogeneous: every node contributes.
+        assert_eq!(table.tuples().count(), snet.len());
+        for (v, rec) in table.tuples() {
             // Referenced: temp (join) + hum (select) = 2 attrs x 2 bytes.
             assert_eq!(rec.bytes, 4);
             assert_eq!(rec.flags, RelFlags::BOTH); // self-join membership
-            assert_eq!(rec.coords.len(), space.zspace().arity());
+            assert_eq!(table.coords(v).len(), space.zspace().arity());
         }
+        // The quadtree representation never serializes coordinates.
+        let quad = NodeTable::build(&snet, &cq, &space, Representation::Quadtree);
+        assert_eq!(quad.coords(NodeId(0)), &[] as &[u64]);
+        assert_eq!(quad.rec(NodeId(0)), table.rec(NodeId(0)));
     }
 
     #[test]
     fn msg_sizes_by_representation() {
         let (snet, cq, space) = setup();
-        let data = collect_node_data(&snet, &cq, &space);
+        let table = NodeTable::build(&snet, &cq, &space, Representation::Raw);
         let mut msg = JoinAttrMsg::new(Representation::Raw);
-        for d in &data {
-            let rec = d.rec.as_ref().unwrap();
-            msg.insert(rec.z, rec.flags, &rec.coords);
+        for (v, rec) in table.tuples() {
+            msg.insert(rec.z, rec.flags, table.coords(v));
         }
         let quad = msg.wire_size(Representation::Quadtree, space.shape());
         let raw = msg.wire_size(Representation::Raw, space.shape());

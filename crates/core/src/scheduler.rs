@@ -45,7 +45,6 @@ use crate::engine::JoinSpace;
 use crate::epoch::{run_epoch, Slot};
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
-use crate::repr::collect_node_data;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use sensjoin_field::FieldSpec;
@@ -779,11 +778,7 @@ impl QueryGroup {
                 .take()
                 .expect("a live subscriber's plan is live, and is a slot once");
             let (query, space) = (&*query, &*space);
-            slots.push(Slot {
-                query,
-                space,
-                data: collect_node_data(snet, query, space),
-            });
+            slots.push(Slot { query, space });
             engines.push((engine, population));
         }
         // Each due plan's collected set is exactly its solo population;
@@ -1498,5 +1493,62 @@ mod tests {
             invariant(&bytes, vec![Some(q1)]),
             "plan count != recompiled queries"
         );
+    }
+
+    /// The union of the slots' referenced columns has no width limit: on a
+    /// 72-column master schema, queries that reference columns on both sides
+    /// of the 64th share an epoch, and a tuple two of them ship is charged
+    /// for the union of their attributes.
+    #[test]
+    fn wide_master_schema_runs_a_group_epoch() {
+        use crate::snetwork::ExternalData;
+        use sensjoin_field::Position;
+        use sensjoin_relation::AttrType;
+        let n = 60usize;
+        let positions: Vec<Position> = (0..n)
+            .map(|i| Position::new(5.0 + 35.0 * (i % 8) as f64, 5.0 + 35.0 * (i / 8) as f64))
+            .collect();
+        let attrs = (0..70).map(|a| (format!("a{a}"), AttrType::Raw(2)));
+        let rows = (0..n).map(|i| (0..70).map(move |a| ((i * 7 + a * 3) % 23) as f64));
+        let mut s = SensorNetworkBuilder::new()
+            .area(Area::new(300.0, 300.0))
+            .data(ExternalData {
+                positions,
+                attrs: attrs.collect(),
+                rows: rows.map(Iterator::collect).collect(),
+            })
+            .build()
+            .unwrap();
+        assert_eq!(s.master_schema().arity(), 72);
+        // Treecut off, so that every tuple is shipped in the final phase.
+        let config = SensJoinConfig {
+            dmax: 0,
+            ..SensJoinConfig::default()
+        };
+        let q1 = compiled(
+            &s,
+            "SELECT A.a3, B.a66 FROM Sensors A, Sensors B WHERE A.a65 - B.a65 > 5 ONCE",
+        );
+        let q2 = compiled(
+            &s,
+            "SELECT A.a69, B.a3 FROM Sensors A, Sensors B WHERE A.a65 - B.a65 > 5 ONCE",
+        );
+        let mut group = QueryGroup::new(config.clone());
+        for q in [&q1, &q2] {
+            group.register(&s, q.clone(), 1);
+        }
+        let report = group.execute_epoch(&mut s).unwrap();
+        assert!(!report.outcomes[0].result.is_empty());
+        assert_matches_solo(&report, &mut s, &[&q1, &q2]);
+        // Same predicate, same filter: every shipped tuple matches both
+        // slots. Alone each pays {a3, a65, a66 | a69} = 6 bytes per tuple
+        // and hop, together the union's 8 bytes plus the 1-byte mask.
+        let solo: Vec<u64> = report
+            .solo_equivalent
+            .iter()
+            .map(|c| c.final_bytes)
+            .collect();
+        assert_eq!(solo[0], solo[1]);
+        assert_eq!(report.shared_final_bytes() * 6, solo[0] * 9);
     }
 }

@@ -5,7 +5,6 @@ use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{prejoin_filter, JoinSpace};
 use crate::epoch::{run_epoch, Slot};
 use crate::outcome::{JoinOutcome, ProtocolError};
-use crate::repr::collect_node_data;
 use crate::snetwork::SensorNetwork;
 use crate::JoinMethod;
 use sensjoin_query::CompiledQuery;
@@ -69,7 +68,6 @@ impl JoinMethod for SensJoin {
         let slot = Slot {
             query,
             space: &space,
-            data: collect_node_data(snet, query, &space),
         };
         let base_filter = |_, collected: &_| prejoin_filter(query, &space, collected);
         let mut run = run_epoch(snet, &self.config, &[slot], base_filter, true);

@@ -136,28 +136,42 @@ impl SensorNetwork {
         &self.readings[node.0 as usize]
     }
 
+    /// The simulator network, mutably, beside every node's readings — for a
+    /// wave whose callbacks read the snapshot while the wave charges.
+    pub(crate) fn net_mut_and_readings(&mut self) -> (&mut Network, &[Vec<f64>]) {
+        (&mut self.net, &self.readings)
+    }
+
     /// Index of an attribute in the master schema.
     pub fn master_index(&self, name: &str) -> Option<usize> {
         self.master.index_of(name)
     }
 
-    /// Values of `node` aligned to `schema` (resolved by attribute name).
+    fn master_column(&self, attr: &Attribute) -> usize {
+        self.master
+            .index_of(attr.name())
+            .unwrap_or_else(|| panic!("unsensed attribute {:?}", attr.name()))
+    }
+
+    /// `schema`'s attributes as master-schema columns. Names are resolved
+    /// here, once; per-row code indexes [`SensorNetwork::readings`] with the
+    /// result.
     ///
     /// # Panics
     /// Panics if the schema references an attribute the nodes do not sense —
     /// catalog construction validates this.
+    pub fn master_columns(&self, schema: &Schema) -> Vec<usize> {
+        let attrs = schema.attrs().iter();
+        attrs.map(|a| self.master_column(a)).collect()
+    }
+
+    /// Values of `node` aligned to `schema` (resolved by attribute name).
+    ///
+    /// # Panics
+    /// Like [`SensorNetwork::master_columns`].
     pub fn values_for(&self, node: NodeId, schema: &Schema) -> Vec<f64> {
-        schema
-            .attrs()
-            .iter()
-            .map(|a| {
-                let i = self
-                    .master
-                    .index_of(a.name())
-                    .unwrap_or_else(|| panic!("unsensed attribute {:?}", a.name()));
-                self.readings[node.0 as usize][i]
-            })
-            .collect()
+        let (row, attrs) = (self.readings(node), schema.attrs().iter());
+        attrs.map(|a| row[self.master_column(a)]).collect()
     }
 
     /// Observed bounds of attribute `name` across all nodes, widened by 5 %

@@ -121,12 +121,15 @@ pub fn wave_mode() -> WaveMode {
 }
 
 /// Participants the wave never visited: alive-and-claimed nodes that are
-/// not on the routing tree.
+/// not on the routing tree (none when the tree spans every node).
 fn absent_nodes(
     n: usize,
     tree: &RoutingTree,
     participates: &dyn Fn(NodeId) -> bool,
 ) -> Vec<NodeId> {
+    if tree.bottom_up_order().len() == n {
+        return Vec::new();
+    }
     (0..n as u32)
         .map(NodeId)
         .filter(|&v| participates(v) && tree.depth(v).is_none())
@@ -204,8 +207,9 @@ pub fn up_wave_on<M>(
 }
 
 /// The up wave both entry points share: walks `tree`'s cached post-order
-/// filtered by `participates` (filtering keeps subtree blocks contiguous,
-/// the tree root comes last). In post-order a node is visited right after
+/// — each node with its parent and depth beside it, so the walk reads the
+/// tree forwards — filtered by `participates` (filtering keeps subtree
+/// blocks contiguous, the tree root comes last). In post-order a node is visited right after
 /// the last of its children's subtrees, each of which consumed its own
 /// children's messages — so a node's inbox is exactly the top of one stack
 /// of in-flight messages. No per-node table, no lookup; scratch is the
@@ -224,7 +228,7 @@ fn up_run<M>(
     let mut level_max = LevelMax::default();
     let mut damaged = Vec::new();
     let mut in_flight: Vec<InFlight<M>> = Vec::new();
-    for &v in tree.bottom_up_order() {
+    for (v, parent, level) in tree.bottom_up_links() {
         if v == root || !participates(v) {
             continue;
         }
@@ -240,7 +244,6 @@ fn up_run<M>(
             received.extend(m.msg);
         }
         let mut msg = produce(v, received);
-        let parent = tree.parent(v).expect("only the root has no parent");
         // The stack discipline relies on it: a message to a parent that is
         // never visited would sit on the stack under its siblings' inboxes.
         assert!(
@@ -250,7 +253,6 @@ fn up_run<M>(
         let bytes = size_of(&mut msg);
         let d = port.unicast_delivery(v, parent, bytes, phase);
         if d.time > 0 {
-            let level = tree.depth(v).expect("participant is reachable");
             level_max.note(level, d.time);
         }
         if !d.complete {

@@ -89,6 +89,10 @@ pub struct RoutingTree {
     /// Cached subtree-major post-order over reachable nodes: children before
     /// parents, each subtree contiguous, child subtrees ascending, root last.
     post_order: Vec<NodeId>,
+    /// `(parent, depth)` of `post_order[i]`, so a bottom-up walk reads the
+    /// tree forwards instead of by random node id. The root's parent is
+    /// `NodeId(NO_PARENT)`.
+    post_links: Vec<(NodeId, u32)>,
     max_depth: u32,
     /// Epoch-marked repair scratch: `mark[v] == epoch` means `v` belongs to
     /// the floating set of the repair in progress. Bumping `epoch` clears the
@@ -141,6 +145,7 @@ impl RoutingTree {
             child_off: vec![0; n + 1],
             child_buf: Vec::new(),
             post_order: Vec::new(),
+            post_links: Vec::new(),
             max_depth: 0,
             mark: vec![0; n],
             epoch: 0,
@@ -574,14 +579,18 @@ impl RoutingTree {
         self.scratch = stack;
         self.post_order.reverse();
         // Children precede parents in post-order, so one forward pass folds
-        // descendant counts bottom-up; max depth rides along.
+        // descendant counts bottom-up; max depth and the per-position links
+        // ride along.
         self.descendants.fill(0);
         self.max_depth = 0;
+        self.post_links.clear();
+        self.post_links.reserve(total + 1);
         for idx in 0..self.post_order.len() {
             let v = self.post_order[idx];
             let i = v.0 as usize;
             self.max_depth = self.max_depth.max(self.depth[i]);
             let p = self.parent[i];
+            self.post_links.push((NodeId(p), self.depth[i]));
             if p != NO_PARENT {
                 let sub = self.descendants[i] + 1;
                 self.descendants[p as usize] += sub;
@@ -638,6 +647,14 @@ impl RoutingTree {
     /// thread as one slice.
     pub fn bottom_up_order(&self) -> &[NodeId] {
         &self.post_order
+    }
+
+    /// [`RoutingTree::bottom_up_order`] with each node's parent and depth
+    /// beside it: `(node, parent, depth)`, the root last with an unspecified
+    /// parent. An up wave walks this instead of looking both up per node.
+    pub fn bottom_up_links(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
+        let links = self.post_order.iter().zip(&self.post_links);
+        links.map(|(&v, &(parent, depth))| (v, parent, depth))
     }
 
     /// All reachable nodes in *subtree-major pre-order* — the processing
@@ -837,6 +854,12 @@ mod tests {
             } else if v != tree.base() {
                 assert_eq!(tree.depth(v), None);
             }
+        }
+        // The per-position links are the post-order's own parents and depths.
+        let order = tree.bottom_up_order().iter();
+        for (&v, (u, p, d)) in order.zip(tree.bottom_up_links()) {
+            assert_eq!((v, tree.depth(v)), (u, Some(d)));
+            assert!(v == tree.base() || tree.parent(v) == Some(p));
         }
     }
 
