@@ -1,21 +1,22 @@
 //! Serving-layer throughput: sustained multi-tenant query-epochs per
-//! second and the admission-cost saving of plan caching.
+//! second and the cost of a cold bulk admission.
 //!
 //! Workload: 520 tenants submit continuous band-join queries against 4
 //! deployments (round-robin, 130 per deployment; per-deployment capacity
 //! is 2 groups × 64, so 512 are admitted and 8 draw structured
 //! `DeploymentFull` rejections). Templates come from a 16-template pool
 //! with 50 % skew: half the tenants ask the hottest template, the rest
-//! spread uniformly over the other 15 — the PanJoin-style regime plan
-//! caching is built for.
+//! spread uniformly over the other 15, so most admissions join a live plan.
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
 //!
 //! * ≥ 500 tenants admitted across ≥ 4 deployments, and the p99 simulated
 //!   epoch latency over the measured ticks stays within the 30 s epoch
-//!   period (the serving deadline);
-//! * admitting the same 520 submissions with the plan cache disabled
-//!   costs ≥ 2× the cache-enabled admission wall time.
+//!   period (the serving deadline).
+//!
+//! `admission_us` — the 520 submissions admitted into a fresh server,
+//! best-of — is recorded without a gate: it is a layer number, and DESIGN
+//! §4.12 has what it read with an admission cache in front of it.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
@@ -32,18 +33,13 @@ const PERIOD_US: u64 = 30_000_000;
 const MEASURED_TICKS: u64 = 3;
 const ADMISSION_REPS: usize = 3;
 
-fn config(plan_cache: bool) -> ServeConfig {
-    ServeConfig {
+fn server() -> Server {
+    let mut server = Server::new(ServeConfig {
         max_groups: MAX_GROUPS,
         queue_depth: TENANTS as usize,
-        plan_cache,
         period_us: PERIOD_US,
         ..ServeConfig::default()
-    }
-}
-
-fn server(plan_cache: bool) -> Server {
-    let mut server = Server::new(config(plan_cache));
+    });
     for d in 0..DEPLOYMENTS {
         server
             .add_deployment(&DeploymentSpec::new(
@@ -92,31 +88,19 @@ fn submit_all(server: &mut Server) {
 fn main() {
     let mut criterion = Criterion::default();
 
-    // Admission cost, cache on vs off: same 520 submissions, fresh server
-    // per repetition, best-of to shed scheduler noise.
-    let mut on_us = u128::MAX;
-    let mut off_us = u128::MAX;
-    let mut cache_hits = 0;
-    let mut cache_misses = 0;
+    // Cold admission cost: the 520 submissions into a fresh server per
+    // repetition, best-of to shed scheduler noise.
+    let mut admission_us = u128::MAX;
     for _ in 0..ADMISSION_REPS {
-        let mut s = server(true);
+        let mut s = server();
         submit_all(&mut s);
         let t0 = Instant::now();
         black_box(s.admit());
-        on_us = on_us.min(t0.elapsed().as_micros());
-        cache_hits = s.metrics().cache_hits;
-        cache_misses = s.metrics().cache_misses;
-
-        let mut s = server(false);
-        submit_all(&mut s);
-        let t0 = Instant::now();
-        black_box(s.admit());
-        off_us = off_us.min(t0.elapsed().as_micros());
+        admission_us = admission_us.min(t0.elapsed().as_micros());
     }
-    let speedup = off_us as f64 / on_us.max(1) as f64;
 
     // The serving run the gates read: admit everyone, then measure ticks.
-    let mut s = server(true);
+    let mut s = server();
     submit_all(&mut s);
     let t0 = Instant::now();
     let mut query_epochs = 0u64;
@@ -140,10 +124,6 @@ fn main() {
     assert!(
         p99_us <= PERIOD_US,
         "gate violated: p99 epoch latency {p99_us} µs exceeds the {PERIOD_US} µs epoch period"
-    );
-    assert!(
-        speedup >= 2.0,
-        "gate violated: plan-cache admission speedup {speedup:.2}× < 2× at {SKEW} skew"
     );
 
     // Timing: one full serving tick (resample + every group's epoch on
@@ -174,8 +154,9 @@ fn main() {
         PERIOD_US as f64 / 1e6
     );
     println!(
-        "serve_throughput: admission {on_us} µs cached vs {off_us} µs uncached → \
-         {speedup:.2}× ({cache_hits} hits / {cache_misses} builds)"
+        "serve_throughput: cold admission of {TENANTS} submissions {admission_us} µs \
+         ({} joined a live plan / {} built one)",
+        m.plans_joined, m.plans_built
     );
 
     let results = criterion.results().to_vec();
@@ -191,15 +172,14 @@ fn main() {
         ("query_epochs_per_sec", format!("{qps:.1}")),
         ("p99_epoch_latency_us", format!("{p99_us}")),
         ("epoch_period_us", format!("{PERIOD_US}")),
-        ("admission_us_cached", format!("{on_us}")),
-        ("admission_us_uncached", format!("{off_us}")),
-        ("admission_speedup", format!("{speedup:.2}")),
-        ("cache_hit_rate", format!("{:.3}", m.cache_hit_rate())),
+        ("admission_us", format!("{admission_us}")),
+        (
+            "joined_live_plan_share",
+            format!("{:.3}", m.cache_hit_rate()),
+        ),
         (
             "gate",
-            "\"admitted >= 500 across >= 4 deployments, p99 epoch latency <= period, \
-             admission_speedup >= 2.0 at 50% template skew\""
-                .to_string(),
+            "\"admitted >= 500 across >= 4 deployments, p99 epoch latency <= period\"".to_string(),
         ),
     ];
     benchjson::merge_section(

@@ -1735,7 +1735,7 @@ pub fn sim_scaling(n: usize, seed: u64) -> String {
 }
 
 /// Extension — multi-tenant serving: offered load vs epoch latency, and
-/// plan-cache effectiveness vs tenant-template skew.
+/// plan sharing at admission vs tenant-template skew.
 pub fn serving(n: usize, seed: u64) -> String {
     use sensjoin_serve::{DeploymentSpec, ServeConfig, Server, Submission, TenantId};
     use std::time::Instant;
@@ -1746,7 +1746,7 @@ pub fn serving(n: usize, seed: u64) -> String {
     let nodes = (n / 10).clamp(40, 400);
 
     let mut rep =
-        Report::new("Extension — multi-tenant serving (admission, epoch batching, plan caching)");
+        Report::new("Extension — multi-tenant serving (admission, epoch batching, plan sharing)");
     rep.para(&format!(
         "`sensjoin serve` fronts {DEPLOYMENTS} deployments of {nodes} nodes each \
          (seed {seed}). Tenants submit continuous band joins through a bounded \
@@ -1778,10 +1778,9 @@ pub fn serving(n: usize, seed: u64) -> String {
     };
     let dep_of = |i: u64| ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % DEPLOYMENTS;
 
-    let make_server = |plan_cache: bool, queue_depth: usize| {
+    let make_server = |queue_depth: usize| {
         let mut s = Server::new(ServeConfig {
             queue_depth,
-            plan_cache,
             ..ServeConfig::default()
         });
         for d in 0..DEPLOYMENTS {
@@ -1810,7 +1809,7 @@ pub fn serving(n: usize, seed: u64) -> String {
     // collection wave, and p99 grows with the number of co-batched queries.
     let mut rows = Vec::new();
     for offered in [8u64, 24, 48] {
-        let mut s = make_server(true, 32);
+        let mut s = make_server(32);
         submit(&mut s, offered, 0.5);
         let t0 = Instant::now();
         let mut query_epochs = 0u64;
@@ -1841,59 +1840,53 @@ pub fn serving(n: usize, seed: u64) -> String {
         &rows,
     );
 
-    // Plan-cache hit rate and admission cost vs template skew: the same 64
-    // tenants admitted with the cache on and off. A cache hit skips parse,
-    // compile, and the O(nodes) join-space build.
+    // Plan sharing and admission cost vs template skew: 64 tenants admitted
+    // into a fresh server. A tenant whose compiled query equals one live in
+    // its group subscribes to that plan; the rest pay the O(nodes)
+    // join-space build.
     let offered = 64u64;
     let mut rows = Vec::new();
     let mut bars = Vec::new();
     for skew in [0.0f64, 0.5, 0.9] {
-        let mut s = make_server(true, offered as usize);
+        let mut s = make_server(offered as usize);
         submit(&mut s, offered, skew);
         let t0 = Instant::now();
         s.admit();
-        let on_us = t0.elapsed().as_micros();
-        let hits = s.metrics().cache_hits;
-        let misses = s.metrics().cache_misses;
-        let hit_rate = s.metrics().cache_hit_rate();
-
-        let mut s = make_server(false, offered as usize);
-        submit(&mut s, offered, skew);
-        let t0 = Instant::now();
-        s.admit();
-        let off_us = t0.elapsed().as_micros();
-
+        let admission_us = t0.elapsed().as_micros();
+        let m = s.metrics();
+        let share = 100.0 * m.cache_hit_rate();
         rows.push(vec![
             format!("{skew:.1}"),
-            format!("{hits}"),
-            format!("{misses}"),
-            pct(100.0 * hit_rate),
-            format!("{on_us}"),
-            format!("{off_us}"),
-            format!("{:.2}x", off_us as f64 / on_us.max(1) as f64),
+            format!("{}", m.plans_joined),
+            format!("{}", m.plans_built),
+            pct(share),
+            format!("{admission_us}"),
         ]);
-        bars.push((format!("skew {skew:.1}"), 100.0 * hit_rate));
+        bars.push((format!("skew {skew:.1}"), share));
     }
     rep.table(
         &[
             "template skew",
-            "cache hits",
+            "joined a live plan",
             "plans built",
-            "hit rate",
-            "admission cached [µs]",
-            "admission uncached [µs]",
-            "saving",
+            "share joined",
+            "admission [µs]",
         ],
         &rows,
     );
-    rep.bar_chart("Plan-cache hit rate by template skew [%]", &bars);
+    rep.bar_chart(
+        "Admissions that joined a live plan, by template skew [%]",
+        &bars,
+    );
     rep.para(
-        "The cache key is (deployment, snapshot version, canonicalized SQL, \
-         protocol config), so a hit is sound: the plan is a pure function of \
-         those inputs. At zero skew most (deployment, template) pairs are \
-         unique and the cache buys little; as tenants converge on a hot \
-         template the hit rate climbs and admission cost approaches one \
-         parse+compile+build per distinct template per deployment snapshot.",
+        "Admission is parse → compile → `QueryGroup::try_register`, and the \
+         group's plan table is the only sharing mechanism: two tenants share \
+         when their compiled queries are equal, whatever their texts look \
+         like. At zero skew most (deployment, template) pairs are unique and \
+         nearly every admission builds a plan; as tenants converge on a hot \
+         template the share that joins a live plan climbs and the build count \
+         approaches one per distinct query per group. There is no admission \
+         cache in front of this — DESIGN §4.12 has the runs that removed it.",
     );
     rep.finish()
 }
@@ -2152,6 +2145,6 @@ mod tests {
         let md = serving(N, 1);
         assert!(md.contains("offered tenants"));
         assert!(md.contains("template skew"));
-        assert!(md.contains("Plan-cache hit rate"));
+        assert!(md.contains("joined a live plan"));
     }
 }

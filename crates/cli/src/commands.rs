@@ -120,7 +120,6 @@ registry of deployments; --nodes/--seed size and seed each deployment):
                                                      [default: 4]
   --queue-depth N  admission queue bound (overflow is shed) [default: 256]
   --admit-per-tick N  admissions per tick, 0 = drain all  [default: 0]
-  --no-cache       disable plan caching/dedup (measure the saving)
 ";
 
 /// Dispatches a parsed command line; returns the process exit code.
@@ -1541,7 +1540,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 
 /// `sensjoin serve`: simulate tenants submitting continuous queries
 /// against a registry of deployments through the serving layer —
-/// admission decisions, epoch batching, plan caching, and the metrics
+/// admission decisions, epoch batching, plan sharing, and the metrics
 /// surface, printed per tick and summarized at the end.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut known = vec![
@@ -1556,7 +1555,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "max-groups",
         "queue-depth",
         "admit-per-tick",
-        "no-cache",
     ];
     known.extend_from_slice(CHECKPOINT_OPTS);
     args.ensure_known(&known).map_err(|e| e.to_string())?;
@@ -1600,7 +1598,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.admit_per_tick = args
         .get_or("admit-per-tick", cfg.admit_per_tick, "integer")
         .map_err(|e| e.to_string())?;
-    cfg.plan_cache = !args.flag("no-cache");
 
     let mut ckpt = checkpoint_args(args)?;
     let specs: Vec<DeploymentSpec> = (0..deployments)
@@ -1748,11 +1745,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         lat.count()
     );
     println!(
-        "plan cache: {} hits / {} builds ({:.0} % hit rate), {} plans cached",
-        m.cache_hits,
-        m.cache_misses,
-        100.0 * m.cache_hit_rate(),
-        server.cached_plans()
+        "plans: {} admissions joined a live plan, {} built one ({:.0} % joined)",
+        m.plans_joined,
+        m.plans_built,
+        100.0 * m.cache_hit_rate()
     );
     println!(
         "\n{:<8} {:>9} {:>8} {:>12} {:>12} {:>8} {:>12}",
@@ -1829,6 +1825,10 @@ mod tests {
         assert_eq!(dispatch(&a), 0);
         assert_ne!(dispatch(&args("serve --bogus 1")), 0);
         assert_ne!(dispatch(&args("serve --deployments 0")), 0);
+        // There is no admission cache, so no switch for one (DESIGN §4.12).
+        let removed = args("serve --no-cache");
+        assert_eq!(cmd_serve(&removed), Err("unknown option --no-cache".into()));
+        assert_ne!(dispatch(&removed), 0);
     }
 
     #[test]

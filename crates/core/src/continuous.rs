@@ -436,7 +436,7 @@ impl ContinuousSensJoin {
             self.state = None;
             return Ok(());
         }
-        let space = persist::get_join_space(r)?;
+        let space = persist::get_join_space(r, query)?;
         let n = r.get_count(1)?;
         let mut last_cell = Vec::new();
         for _ in 0..n {

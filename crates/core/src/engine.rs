@@ -75,51 +75,52 @@ impl JoinSpace {
                 })
                 .collect()
         };
-        let zspace = ZSpace::new(dims).expect("join space dimensions fit 64 bits");
+        Self::with_dimensions(query, maps, dims).expect("join space dimensions fit 64 bits")
+    }
+
+    /// `None` when the dimensions do not fit one 64-bit Z-number.
+    fn with_dimensions(
+        query: &CompiledQuery,
+        maps: Vec<Vec<usize>>,
+        dims: Vec<Dimension>,
+    ) -> Option<Self> {
+        let zspace = ZSpace::new(dims).ok()?;
         let flag_bits = query.num_relations().min(8) as u8;
         let shape = TreeShape::new(zspace.level_schedule(), flag_bits);
-        Self {
+        Some(Self {
             zspace,
             maps,
             shape,
-        }
+        })
     }
 
-    /// Decomposes the space into plain data for checkpointing: per-dimension
-    /// `(name, min, max, resolution)`, the per-relation dimension maps, and
-    /// the shape's flag bits. A space must be *serialized*, never rebuilt
+    /// The part of the space a checkpoint must carry: per dimension
+    /// `(name, min, max, resolution)`. It must be *serialized*, never rebuilt
     /// from resume-time readings — [`SensorNetwork::attr_bounds`] would see
-    /// different samples and yield a different quantization.
-    #[allow(clippy::type_complexity)]
-    pub fn to_parts(&self) -> (Vec<(String, f64, f64, f64)>, Vec<Vec<usize>>, u8) {
-        let dims = self
-            .zspace
+    /// different samples and yield a different quantization. The relation
+    /// maps and flag bits are the query's layout and are not part of it.
+    pub fn to_parts(&self) -> Vec<(String, f64, f64, f64)> {
+        self.zspace
             .dims()
             .iter()
             .map(|d| (d.name().to_owned(), d.min(), d.max(), d.resolution()))
-            .collect();
-        (dims, self.maps.clone(), self.shape.flag_bits())
+            .collect()
     }
 
-    /// Rebuilds a space from [`JoinSpace::to_parts`] output.
+    /// Rebuilds `query`'s space from [`JoinSpace::to_parts`] output.
     /// [`Dimension::new`] stores its arguments verbatim, so the round trip
-    /// is exact.
-    pub fn from_parts(
-        dims: Vec<(String, f64, f64, f64)>,
-        maps: Vec<Vec<usize>>,
-        flag_bits: u8,
-    ) -> Self {
-        let dims: Vec<Dimension> = dims
+    /// is exact. `None` when `dims` is not one dimension per dimension of the
+    /// query's layout, or does not fit one 64-bit Z-number.
+    pub fn from_parts(query: &CompiledQuery, dims: Vec<(String, f64, f64, f64)>) -> Option<Self> {
+        let (layout, maps) = query.join_layout();
+        if dims.len() != layout.len().max(1) {
+            return None;
+        }
+        let dims = dims
             .into_iter()
             .map(|(name, min, max, res)| Dimension::new(name, min, max, res))
             .collect();
-        let zspace = ZSpace::new(dims).expect("checkpointed join space fits 64 bits");
-        let shape = TreeShape::new(zspace.level_schedule(), flag_bits);
-        Self {
-            zspace,
-            maps,
-            shape,
-        }
+        Self::with_dimensions(query, maps, dims)
     }
 
     /// The underlying Z-order space.

@@ -105,8 +105,8 @@ pub use recovery::{
 };
 pub use repr::{JoinAttrMsg, NodeRec, NodeTable, SizedSet};
 pub use scheduler::{
-    EpochReport, GroupFull, GroupOutcome, GroupRunner, PlanKey, QueryGroup, QueryId, QueryPlan,
-    SoloCost, MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES,
+    EpochReport, GroupFull, GroupOutcome, GroupRunner, QueryGroup, QueryId, SoloCost,
+    MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES,
 };
 pub use sensjoin::{SensJoin, PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 pub use sensjoin_simd::kernels_active;

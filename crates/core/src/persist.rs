@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -740,7 +740,8 @@ pub fn put_cell_counts(w: &mut Writer, counts: &CellCounts) {
     }
 }
 
-/// Decodes [`CellCounts`].
+/// Decodes [`CellCounts`]: a checkpointed population, so no count is
+/// negative.
 pub fn get_cell_counts(r: &mut Reader<'_>) -> Result<CellCounts, CodecError> {
     let n = r.get_count(8 + 8 * 8)?;
     let mut counts = CellCounts::default();
@@ -749,6 +750,9 @@ pub fn get_cell_counts(r: &mut Reader<'_>) -> Result<CellCounts, CodecError> {
         let mut row = [0i64; 8];
         for c in row.iter_mut() {
             *c = r.get_i64()?;
+            if *c < 0 {
+                return Err(CodecError::Invariant("negative cell count"));
+            }
         }
         counts.insert(z, row);
     }
@@ -1099,7 +1103,7 @@ pub fn get_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, CodecError> {
 /// serialized, never rebuilt from resume-time readings: setup-time range
 /// estimation would see different samples and quantize differently.
 pub fn put_join_space(w: &mut Writer, space: &JoinSpace) {
-    let (dims, maps, flag_bits) = space.to_parts();
+    let dims = space.to_parts();
     w.put_usize(dims.len());
     for (name, min, max, res) in &dims {
         w.put_str(name);
@@ -1107,50 +1111,29 @@ pub fn put_join_space(w: &mut Writer, space: &JoinSpace) {
         w.put_f64(*max);
         w.put_f64(*res);
     }
-    w.put_usize(maps.len());
-    for map in &maps {
-        w.put_usize(map.len());
-        for &d in map {
-            w.put_usize(d);
-        }
-    }
-    w.put_u8(flag_bits);
 }
 
-/// Decodes a [`JoinSpace`].
-pub fn get_join_space(r: &mut Reader<'_>) -> Result<JoinSpace, CodecError> {
+/// Decodes the [`JoinSpace`] of `query`: the image carries the dimension
+/// ranges, the relation maps and flag bits come from the query, so the
+/// engines can index the space by the query's relations.
+pub fn get_join_space(r: &mut Reader<'_>, query: &CompiledQuery) -> Result<JoinSpace, CodecError> {
     let nd = r.get_count(8 + 24)?;
-    if nd == 0 {
-        return Err(CodecError::Invariant("join space with no dimensions"));
-    }
     let mut dims = Vec::new();
     for _ in 0..nd {
         let name = r.get_str()?;
         let (min, max, res) = (r.get_f64()?, r.get_f64()?, r.get_f64()?);
-        if !(min.is_finite() && max.is_finite() && res.is_finite() && min <= max && res > 0.0) {
-            return Err(CodecError::Invariant("non-finite or inverted dimension"));
+        // The last clause keeps `Dimension::new`'s cell count inside a u64.
+        if !(min.is_finite() && max.is_finite() && res.is_finite() && min <= max && res > 0.0)
+            || (max - min) / res >= 2f64.powi(63)
+        {
+            return Err(CodecError::Invariant(
+                "non-finite, inverted or oversized dimension",
+            ));
         }
         dims.push((name, min, max, res));
     }
-    let nm = r.get_count(8)?;
-    let mut maps = Vec::new();
-    for _ in 0..nm {
-        let np = r.get_count(8)?;
-        let mut map = Vec::new();
-        for _ in 0..np {
-            let d = r.get_usize()?;
-            if d >= nd {
-                return Err(CodecError::Invariant("dimension map out of range"));
-            }
-            map.push(d);
-        }
-        maps.push(map);
-    }
-    let flag_bits = r.get_u8()?;
-    if flag_bits > 8 {
-        return Err(CodecError::Invariant("more than 8 flag bits"));
-    }
-    Ok(JoinSpace::from_parts(dims, maps, flag_bits))
+    JoinSpace::from_parts(query, dims)
+        .ok_or(CodecError::Invariant("join space does not fit its query"))
 }
 
 /// Encodes a [`StreamJoinEngine`]'s mutable state: its live tuples (the
@@ -1360,18 +1343,18 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A version-2 image (the slot-per-tenant `QueryGroup` layout) is
-    /// well-formed in every other respect and is refused by name.
-    #[test]
-    fn v2_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 3);
-        let dir = std::env::temp_dir().join(format!("sj-persist-v2-{}", std::process::id()));
+    /// A snapshot file of an older format `version`, well-formed in every
+    /// other respect, is refused by name and recovery cold-starts past it.
+    fn assert_version_refused(version: u32) {
+        assert_ne!(version, SNAPSHOT_VERSION);
+        let dir =
+            std::env::temp_dir().join(format!("sj-persist-v{version}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let mut store = CheckpointStore::open(&dir).unwrap();
         store.save_snapshot(1, b"alpha").unwrap();
         let path = store.snapshot_path(1);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
         fs::write(&path, bytes).unwrap();
         match load_snapshot(&path, 1) {
             Err(RecoveryError::Corrupt { detail, .. }) => assert_eq!(detail, "unsupported version"),
@@ -1380,6 +1363,19 @@ mod tests {
         let rec = store.recover().unwrap();
         assert!(rec.snapshot.is_none() && rec.degraded);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Version 2: the slot-per-tenant `QueryGroup` layout.
+    #[test]
+    fn v2_image_is_an_unsupported_version() {
+        assert_version_refused(2);
+    }
+
+    /// Version 3: a serve image that carried an admission-cache key table.
+    #[test]
+    fn v3_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 4);
+        assert_version_refused(3);
     }
 
     #[test]

@@ -196,9 +196,8 @@ impl EpochReport {
 pub const MAX_GROUP_QUERIES: usize = 64;
 
 /// Admission failure: the group already holds [`MAX_GROUP_QUERIES`] live
-/// queries. Returned by [`QueryGroup::try_register`] and
-/// [`QueryGroup::try_register_plan`]; a serving layer maps it to a
-/// structured rejection or bin-packs the query into another group.
+/// queries. Returned by [`QueryGroup::try_register`]; a serving layer maps
+/// it to a structured rejection or bin-packs the query into another group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupFull;
 
@@ -212,102 +211,6 @@ impl std::fmt::Display for GroupFull {
 }
 
 impl std::error::Error for GroupFull {}
-
-/// The immutable, shareable part of a registration: the quantization space
-/// derived from the network snapshot and the cold (empty-population)
-/// [`FilterEngine`] classified from the query's predicate graph.
-///
-/// [`QueryPlan::build`] is a *pure function* of `(query, snapshot, config)`
-/// — it reads only the compiled query, the network's current readings (the
-/// attribute-bounds scan is the expensive part of admission) and the
-/// protocol parameters. That purity is what makes plan caching sound: a
-/// cached plan cloned into [`QueryGroup::try_register_plan`] is
-/// byte-identical to the plan a fresh [`QueryGroup::try_register`] would
-/// build from the same inputs, so per-tenant results cannot differ. See
-/// [`PlanKey`] for the cache key that captures exactly those inputs.
-#[derive(Clone)]
-pub struct QueryPlan {
-    space: JoinSpace,
-    engine: FilterEngine,
-}
-
-impl QueryPlan {
-    /// Builds the registration plan for `query` over the network's current
-    /// snapshot.
-    pub fn build(query: &CompiledQuery, snet: &SensorNetwork, config: &SensJoinConfig) -> Self {
-        let space = JoinSpace::build(query, snet, config);
-        let engine = FilterEngine::new(query, &space);
-        Self { space, engine }
-    }
-
-    /// The quantization space the plan was built over.
-    pub fn space(&self) -> &JoinSpace {
-        &self.space
-    }
-}
-
-/// Cache key under which a [`QueryPlan`] may be shared between tenants.
-///
-/// Soundness: [`QueryPlan::build`] is a pure function of the compiled
-/// query, the network snapshot it scans for attribute bounds, and the
-/// protocol config — and the key captures each of those inputs exactly:
-///
-/// * `sql` — the query text with runs of ASCII whitespace collapsed. The
-///   dialect has no whitespace-sensitive tokens (no string literals), so
-///   equal canonical texts tokenize, parse, and compile identically
-///   against one deployment's fixed catalog.
-/// * `deployment` / `snapshot` — which network, and a version its owner
-///   bumps on every readings mutation (e.g. per resample), so plans built
-///   over different snapshots never unify.
-/// * `config` — the `Debug` rendering of [`SensJoinConfig`], which is
-///   deterministic (the quantization table is an ordered `Vec`, not a
-///   hash map).
-///
-/// Two submissions with equal keys therefore build byte-identical plans,
-/// and handing one tenant a clone of another's cached [`QueryPlan`] cannot
-/// change its results.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlanKey {
-    deployment: u64,
-    snapshot: u64,
-    sql: String,
-    config: String,
-}
-
-impl PlanKey {
-    /// The key for `sql` against deployment `deployment` at readings
-    /// version `snapshot` under `config`.
-    pub fn new(deployment: u64, snapshot: u64, sql: &str, config: &SensJoinConfig) -> Self {
-        Self::with_config_sig(deployment, snapshot, sql, Self::config_sig(config))
-    }
-
-    /// The deterministic rendering of `config` that [`PlanKey::new`]
-    /// keys on. It is constant for a server's lifetime, so admission
-    /// paths precompute it once instead of re-rendering per submission.
-    pub fn config_sig(config: &SensJoinConfig) -> String {
-        format!("{config:?}")
-    }
-
-    /// [`PlanKey::new`] with the config rendering precomputed (see
-    /// [`PlanKey::config_sig`]).
-    pub fn with_config_sig(deployment: u64, snapshot: u64, sql: &str, config_sig: String) -> Self {
-        let canonical = sql.split_ascii_whitespace().collect::<Vec<_>>().join(" ");
-        Self {
-            deployment,
-            snapshot,
-            sql: canonical,
-            config: config_sig,
-        }
-    }
-
-    /// Decomposes the key for checkpointing: `(deployment, snapshot,
-    /// canonical sql)`. The config component is not exposed — a restoring
-    /// server recomputes it from its own config, which must equal the one
-    /// the key was built under.
-    pub fn parts(&self) -> (u64, u64, &str) {
-        (self.deployment, self.snapshot, &self.sql)
-    }
-}
 
 /// A multi-query scheduler over one network: registered queries share each
 /// epoch's Join-Attribute-Collection and ride merged per-link filter and
@@ -390,94 +293,13 @@ impl QueryGroup {
     /// is untouched — the shared collection simply starts including the new
     /// query's attribute projection from its next due epoch on.
     pub fn register(&mut self, snet: &SensorNetwork, query: CompiledQuery, every: u64) -> QueryId {
-        self.subscribe(query, |q, config| QueryPlan::build(q, snet, config), every)
-    }
-
-    /// Fallible [`QueryGroup::register`]: rejects with [`GroupFull`] once
-    /// the group holds [`MAX_GROUP_QUERIES`] live queries, instead of
-    /// letting the epoch's membership-mask assertion fire later. This is
-    /// the admission hook serving layers use.
-    pub fn try_register(
-        &mut self,
-        snet: &SensorNetwork,
-        query: CompiledQuery,
-        every: u64,
-    ) -> Result<QueryId, GroupFull> {
-        if self.len() >= MAX_GROUP_QUERIES {
-            return Err(GroupFull);
-        }
-        Ok(self.register(snet, query, every))
-    }
-
-    /// Registers with a pre-built — possibly cached and cloned —
-    /// [`QueryPlan`] instead of deriving one from the network: the
-    /// admission fast path that lets N tenants asking the same template
-    /// pay the attribute-bounds scan once. The caller owes key discipline
-    /// ([`PlanKey`]): the plan must have been built for this query text,
-    /// this group's config, and the snapshot the registration targets.
-    /// When an equal query is already live the subscriber joins its plan
-    /// and `plan` is dropped.
-    ///
-    /// ```
-    /// use sensjoin_core::{PlanKey, QueryGroup, QueryPlan};
-    /// use sensjoin_core::{SensJoinConfig, SensorNetworkBuilder};
-    /// use sensjoin_field::{Area, Placement};
-    /// use sensjoin_query::parse;
-    /// use std::collections::HashMap;
-    ///
-    /// let snet = SensorNetworkBuilder::new()
-    ///     .area(Area::new(200.0, 200.0))
-    ///     .placement(Placement::UniformRandom { n: 40 })
-    ///     .seed(3)
-    ///     .build()
-    ///     .unwrap();
-    /// let config = SensJoinConfig::default();
-    /// let sql = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-    ///            WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
-    ///
-    /// // Two tenants, same template: one plan build, one cache hit.
-    /// let mut cache: HashMap<PlanKey, QueryPlan> = HashMap::new();
-    /// let mut group = QueryGroup::new(config.clone());
-    /// for _tenant in 0..2 {
-    ///     let key = PlanKey::new(0, 0, sql, &config);
-    ///     let plan = cache
-    ///         .entry(key)
-    ///         .or_insert_with(|| {
-    ///             let cq = snet.compile(&parse(sql).unwrap()).unwrap();
-    ///             QueryPlan::build(&cq, &snet, &config)
-    ///         })
-    ///         .clone();
-    ///     let cq = snet.compile(&parse(sql).unwrap()).unwrap();
-    ///     group.try_register_plan(cq, plan, 1).unwrap();
-    /// }
-    /// assert_eq!(group.len(), 2);
-    /// ```
-    pub fn try_register_plan(
-        &mut self,
-        query: CompiledQuery,
-        plan: QueryPlan,
-        every: u64,
-    ) -> Result<QueryId, GroupFull> {
-        if self.len() >= MAX_GROUP_QUERIES {
-            return Err(GroupFull);
-        }
-        Ok(self.subscribe(query, |_, _| plan, every))
-    }
-
-    /// Adds a subscriber of `query`'s plan, building the plan with `build`
-    /// only when no equal query is live.
-    fn subscribe(
-        &mut self,
-        query: CompiledQuery,
-        build: impl FnOnce(&CompiledQuery, &SensJoinConfig) -> QueryPlan,
-        every: u64,
-    ) -> QueryId {
         let live = self
             .plans
             .iter()
             .position(|p| p.as_ref().is_some_and(|p| p.query == query));
         let plan = live.unwrap_or_else(|| {
-            let QueryPlan { space, engine } = build(&query, &self.config);
+            let space = JoinSpace::build(&query, snet, &self.config);
+            let engine = FilterEngine::new(&query, &space);
             let plan = Some(Plan {
                 query,
                 space,
@@ -502,6 +324,22 @@ impl QueryGroup {
             alive: true,
         });
         QueryId(self.subscribers.len() - 1)
+    }
+
+    /// Fallible [`QueryGroup::register`]: rejects with [`GroupFull`] once
+    /// the group holds [`MAX_GROUP_QUERIES`] live queries, instead of
+    /// letting the epoch's membership-mask assertion fire later. This is
+    /// the admission hook serving layers use.
+    pub fn try_register(
+        &mut self,
+        snet: &SensorNetwork,
+        query: CompiledQuery,
+        every: u64,
+    ) -> Result<QueryId, GroupFull> {
+        if self.len() >= MAX_GROUP_QUERIES {
+            return Err(GroupFull);
+        }
+        Ok(self.register(snet, query, every))
     }
 
     /// Serializes the group's full mutable state: epoch position, the plan
@@ -558,7 +396,7 @@ impl QueryGroup {
             plans.push(match query {
                 None => None,
                 Some(query) => {
-                    let space = persist::get_join_space(r)?;
+                    let space = persist::get_join_space(r, &query)?;
                     let counts = persist::get_cell_counts(r)?;
                     let mut engine = FilterEngine::new(&query, &space);
                     engine.apply_delta(&query, &space, &counts);
@@ -631,6 +469,12 @@ impl QueryGroup {
     /// Number of live registered queries (subscribers, not plans).
     pub fn len(&self) -> usize {
         self.subscribers.iter().filter(|s| s.alive).count()
+    }
+
+    /// Number of [`QueryId`]s the group has issued, live or removed: ids are
+    /// `0..ids_issued()` and are never reused.
+    pub fn ids_issued(&self) -> usize {
+        self.subscribers.len()
     }
 
     /// Number of live plans: the distinct queries among the live
@@ -1403,8 +1247,6 @@ mod tests {
             group.try_register(&s, q1.clone(), 1).unwrap();
         }
         assert_eq!(group.try_register(&s, q1.clone(), 1), Err(GroupFull));
-        let plan = QueryPlan::build(&q1, &s, &SensJoinConfig::default());
-        assert_eq!(group.try_register_plan(q1.clone(), plan, 1), Err(GroupFull));
         assert_eq!((group.len(), group.plans()), (MAX_GROUP_QUERIES, 1));
         let r = group.execute_epoch(&mut s).unwrap();
         assert_eq!((r.plans, r.outcomes.len()), (1, MAX_GROUP_QUERIES));

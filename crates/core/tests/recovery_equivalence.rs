@@ -745,7 +745,7 @@ proptest! {
     #[test]
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = persist::get_net_snapshot(&mut Reader::new(&bytes));
-        let _ = persist::get_join_space(&mut Reader::new(&bytes));
+        let _ = persist::get_join_space(&mut Reader::new(&bytes), &build(5).1);
         let _ = persist::get_point_set(&mut Reader::new(&bytes));
         let _ = persist::get_cell_counts(&mut Reader::new(&bytes));
         let _ = persist::get_network_stats(&mut Reader::new(&bytes));

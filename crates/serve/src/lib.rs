@@ -11,8 +11,12 @@
 //! group with one shared collection wave per epoch, and runs each
 //! *distinct* query among them once: tenants that submit equal queries
 //! subscribe to one plan — one slot on the wire, one filter engine, one
-//! exact join, one `Arc`'d result. This crate adds the operational shell
-//! around it:
+//! exact join, one `Arc`'d result. That plan table is the only sharing
+//! mechanism: admission is parse → compile →
+//! [`QueryGroup::try_register`](sensjoin_core::QueryGroup::try_register),
+//! and two texts that compile equal share whatever they look like (DESIGN
+//! §4.12 has the measurements behind "no admission cache"). This crate adds
+//! the operational shell around it:
 //!
 //! * **Admission control** — structured accept/reject [`Decision`]s:
 //!   schema validation against the deployment's catalog, the per-group
@@ -27,18 +31,11 @@
 //!   and runs every group's epoch, fanning independent deployments across
 //!   scoped worker threads (one chunk per thread the host grants) while
 //!   collecting results in deployment order.
-//! * **Plan caching** — the expensive part of admission (quantization-
-//!   space derivation scanning every node's readings, plan
-//!   classification) is deduplicated across tenants under a sound cache
-//!   key ([`PlanKey`](sensjoin_core::PlanKey)): N tenants submitting the
-//!   same template between two ticks pay for one build. A key names the
-//!   readings snapshot it was built on, so a tick evicts the entries its
-//!   resample outdates and the cache never outgrows one tick's admissions.
 //! * **Metrics** — per-tenant and per-deployment admission counters,
-//!   log₂-bucketed epoch-latency histograms with p50/p99, plan-cache hit
-//!   rates, shared-vs-solo byte accounting and the sharing ratio
-//!   (tenant-epochs per plan-epoch) pulled from the scheduler's reports
-//!   ([`ServeMetrics`]).
+//!   log₂-bucketed epoch-latency histograms with p50/p99, how many
+//!   admissions joined a live plan and how many built one, shared-vs-solo
+//!   byte accounting and the sharing ratio (tenant-epochs per plan-epoch)
+//!   pulled from the scheduler's reports ([`ServeMetrics`]).
 //!
 //! Results are **bit-identical to solo execution**: every tenant's
 //! per-epoch rows and contributor sets equal a solo
@@ -55,7 +52,7 @@
 //! let mut server = Server::new(ServeConfig::default());
 //! server.add_deployment(&DeploymentSpec::new("lab", 60, 7)).unwrap();
 //!
-//! // Two tenants share a template (one plan build), one is distinct.
+//! // Two tenants ask the same query (one plan build), one is distinct.
 //! let shared = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
 //!               WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
 //! let solo = "SELECT A.pres, B.pres FROM Sensors A, Sensors B \
@@ -76,8 +73,9 @@
 //!
 //! let m = server.metrics();
 //! assert_eq!(m.totals.admitted, 3);
-//! assert_eq!(m.cache_hits, 1); // the second "shared" tenant
-//! // ... who also rides the first one's plan: 3 tenant-epochs, 2 plans run.
+//! // The second "shared" tenant joined the first one's plan ...
+//! assert_eq!((m.plans_joined, m.plans_built), (1, 2));
+//! // ... and rides it: 3 tenant-epochs, 2 plans run.
 //! assert_eq!((m.deployment(0).query_epochs, m.deployment(0).plan_epochs), (3, 2));
 //! assert!(m.epoch_latency_us().p99() > 0);
 //! ```

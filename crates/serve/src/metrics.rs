@@ -1,7 +1,7 @@
 //! The serving metrics surface: admission counters per tenant and per
 //! deployment, epoch-latency histograms with p50/p99, shared-vs-solo byte
-//! accounting pulled from the scheduler's [`EpochReport`]s, and plan-cache
-//! hit rates.
+//! accounting pulled from the scheduler's [`EpochReport`]s, and how many
+//! admissions joined a live plan instead of building one.
 //!
 //! Everything here is plain deterministic state updated by
 //! [`Server`](crate::Server) in deployment order after each tick — there
@@ -318,10 +318,10 @@ pub struct ServeMetrics {
     /// Admission counters over every submission, regardless of deployment
     /// (this is the only scope that sees unknown-deployment rejections).
     pub totals: AdmissionCounters,
-    /// Admissions served from the plan cache.
-    pub cache_hits: u64,
-    /// Admissions that had to build a fresh plan.
-    pub cache_misses: u64,
+    /// Admissions that subscribed to a plan already live in their group.
+    pub plans_joined: u64,
+    /// Admissions that built a plan: no equal query was live in the group.
+    pub plans_built: u64,
 }
 
 impl ServeMetrics {
@@ -378,8 +378,8 @@ impl ServeMetrics {
             m.encode(w);
         }
         self.totals.encode(w);
-        w.put_u64(self.cache_hits);
-        w.put_u64(self.cache_misses);
+        w.put_u64(self.plans_joined);
+        w.put_u64(self.plans_built);
     }
 
     /// Decodes metrics written by [`ServeMetrics::encode`].
@@ -399,19 +399,21 @@ impl ServeMetrics {
             per_deployment,
             per_tenant,
             totals: AdmissionCounters::decode(r)?,
-            cache_hits: r.get_u64()?,
-            cache_misses: r.get_u64()?,
+            plans_joined: r.get_u64()?,
+            plans_built: r.get_u64()?,
         })
     }
 
-    /// Plan-cache hit rate over all admissions that consulted the cache
-    /// (0 when the cache was never consulted).
+    /// Share of admissions that joined a live plan instead of building one
+    /// (0 before the first admission). There is no cache behind the name:
+    /// the repo benchmark calls it, and `benchmark/` changes only in
+    /// benchmark PRs (ROADMAP item 7 renames it).
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
+        let total = self.plans_joined + self.plans_built;
         if total == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / total as f64
+            self.plans_joined as f64 / total as f64
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The serving front-end: deployment registry, bounded admission queue,
-//! per-deployment bin-packing into [`QueryGroup`]s, plan caching, and the
-//! tick loop that batches due epochs across tenants.
+//! per-deployment bin-packing into [`QueryGroup`]s, and the tick loop that
+//! batches due epochs across tenants.
 //!
 //! # Determinism
 //!
@@ -18,8 +18,8 @@
 use crate::metrics::ServeMetrics;
 use sensjoin_core::persist::{get_opt, put_opt, CodecError, Reader, Writer};
 use sensjoin_core::{
-    EpochReport, GroupOutcome, PlanKey, ProtocolError, QueryGroup, QueryId, QueryPlan,
-    SensJoinConfig, SensorNetwork, SensorNetworkBuilder, SensorNetworkError, MAX_GROUP_QUERIES,
+    EpochReport, GroupOutcome, ProtocolError, QueryGroup, QueryId, SensJoinConfig, SensorNetwork,
+    SensorNetworkBuilder, SensorNetworkError, MAX_GROUP_QUERIES,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_query::parse;
@@ -96,10 +96,6 @@ pub struct ServeConfig {
     /// budget bounds per-tick admission work at the price of queue wait —
     /// the knob that makes shedding reachable under sustained overload.
     pub admit_per_tick: usize,
-    /// Dedup identical `(deployment, snapshot, sql, config)` plans across
-    /// tenants. Sharing is result-invariant (see
-    /// [`PlanKey`]); disable only to measure the saving.
-    pub plan_cache: bool,
     /// Epoch cadence in simulated µs — the serving deadline that a
     /// deployment's p99 epoch latency is judged against.
     pub period_us: Time,
@@ -112,7 +108,6 @@ impl Default for ServeConfig {
             max_groups: 4,
             queue_depth: 256,
             admit_per_tick: 0,
-            plan_cache: true,
             period_us: 30_000_000,
         }
     }
@@ -183,8 +178,9 @@ pub enum Decision {
         tenant: TenantId,
         /// Where the query was placed.
         handle: QueryHandle,
-        /// Whether the registration plan came from the plan cache.
-        cache_hit: bool,
+        /// Whether the tenant subscribed to a plan already live in its
+        /// group (an equal query was running) instead of building one.
+        joined_live_plan: bool,
     },
     /// The submission was refused.
     Rejected {
@@ -240,23 +236,12 @@ pub struct TickReport {
     pub epochs: Vec<TenantEpoch>,
 }
 
-/// A cache entry: the compiled query and its registration plan. Both are
-/// pure functions of `(canonical sql, deployment catalog + snapshot,
-/// config)` — exactly what [`PlanKey`] captures — so handing one tenant
-/// clones of another's entry is result-invariant.
-#[derive(Clone)]
-struct CachedPlan {
-    query: sensjoin_query::CompiledQuery,
-    plan: QueryPlan,
-}
-
 struct Deployment {
     name: String,
     snet: SensorNetwork,
     specs: Vec<FieldSpec>,
     seed: u64,
-    /// Readings version: bumped once per tick's resample. Plans cache
-    /// under the version they were built against.
+    /// Readings version: bumped once per tick's resample.
     snapshot: u64,
     groups: Vec<QueryGroup>,
     /// Per group: tenant of each [`QueryId`] ever issued (ids are never
@@ -286,12 +271,8 @@ impl Deployment {
 /// the end-to-end flow and a runnable example.
 pub struct Server {
     cfg: ServeConfig,
-    /// Precomputed [`PlanKey::config_sig`] of `cfg.protocol` — constant
-    /// for the server's lifetime, rebuilt per admission otherwise.
-    config_sig: String,
     deployments: Vec<Deployment>,
     queue: VecDeque<Submission>,
-    cache: HashMap<PlanKey, CachedPlan>,
     handles: BTreeMap<TenantId, QueryHandle>,
     metrics: ServeMetrics,
     tick: u64,
@@ -301,11 +282,9 @@ impl Server {
     /// An empty server; add deployments before submitting.
     pub fn new(cfg: ServeConfig) -> Self {
         Self {
-            config_sig: PlanKey::config_sig(&cfg.protocol),
             cfg,
             deployments: Vec::new(),
             queue: VecDeque::new(),
-            cache: HashMap::new(),
             handles: BTreeMap::new(),
             metrics: ServeMetrics::default(),
             tick: 0,
@@ -417,50 +396,9 @@ impl Server {
             metrics.tenant_mut(tenant).rejected += 1;
             Decision::Rejected { tenant, reason }
         };
-        // Compiled query + plan: a cache hit skips parse, compile, and
-        // the plan build outright — the whole point of dedup, since the
-        // clone is byte-identical to what a fresh build would produce
-        // (see `PlanKey`). Only valid queries are ever cached, so invalid
-        // SQL always takes the parse path and rejects there.
-        let key = PlanKey::with_config_sig(
-            dep_ix as u64,
-            self.deployments[dep_ix].snapshot,
-            &sub.sql,
-            self.config_sig.clone(),
-        );
-        let cached = if self.cfg.plan_cache {
-            self.cache.get(&key).cloned()
-        } else {
-            None
-        };
-        let cache_hit = cached.is_some();
-        let entry = match cached {
-            Some(entry) => {
-                self.metrics.cache_hits += 1;
-                entry
-            }
-            None => {
-                let parsed = match parse(&sub.sql) {
-                    Ok(q) => q,
-                    Err(e) => {
-                        return reject(&mut self.metrics, RejectReason::InvalidQuery(e.to_string()))
-                    }
-                };
-                let dep = &self.deployments[dep_ix];
-                let query = match dep.snet.compile(&parsed) {
-                    Ok(cq) => cq,
-                    Err(e) => {
-                        return reject(&mut self.metrics, RejectReason::InvalidQuery(e.to_string()))
-                    }
-                };
-                let plan = QueryPlan::build(&query, &dep.snet, &self.cfg.protocol);
-                self.metrics.cache_misses += 1;
-                let entry = CachedPlan { query, plan };
-                if self.cfg.plan_cache {
-                    self.cache.insert(key, entry.clone());
-                }
-                entry
-            }
+        let query = match compile_sql(&self.deployments[dep_ix].snet, &sub.sql) {
+            Ok(cq) => cq,
+            Err(e) => return reject(&mut self.metrics, RejectReason::InvalidQuery(e)),
         };
 
         // Bin-pack: first group with a free live slot, else open a group
@@ -482,8 +420,10 @@ impl Server {
         };
 
         let dep = &mut self.deployments[dep_ix];
+        // The group shares by meaning: a tenant whose compiled query equals
+        // a live one subscribes to its plan, whatever the two texts look like.
         let id = dep.groups[group]
-            .try_register_plan(entry.query, entry.plan, sub.every)
+            .try_register(&dep.snet, query, sub.every)
             .expect("bin-packing picked a group with a free slot");
         debug_assert_eq!(id.0, dep.tenants[group].len(), "ids are append-only");
         dep.tenants[group].push(tenant);
@@ -492,9 +432,16 @@ impl Server {
         if sqls.len() <= plan {
             sqls.resize(plan + 1, None);
         }
-        // A tenant joining a live plan leaves the plan's first SQL in place:
-        // the texts compile equal, so restore may recompile either.
+        // A slot's SQL is `None` exactly when the registration just built its
+        // plan. A tenant joining a live plan leaves the plan's first SQL in
+        // place: the texts compile equal, so restore may recompile either.
+        let joined_live_plan = sqls[plan].is_some();
         sqls[plan].get_or_insert(sub.sql);
+        if joined_live_plan {
+            self.metrics.plans_joined += 1;
+        } else {
+            self.metrics.plans_built += 1;
+        }
         let handle = QueryHandle {
             deployment: DeploymentId(dep_ix),
             group,
@@ -507,13 +454,13 @@ impl Server {
         Decision::Admitted {
             tenant,
             handle,
-            cache_hit,
+            joined_live_plan,
         }
     }
 
-    /// Processes every queued submission now — schema validation, plan
-    /// lookup or build, bin-packing — without running an epoch, ignoring
-    /// [`ServeConfig::admit_per_tick`]. [`Server::tick`] does this
+    /// Processes every queued submission now — schema validation,
+    /// bin-packing, plan subscription or build — without running an epoch,
+    /// ignoring [`ServeConfig::admit_per_tick`]. [`Server::tick`] does this
     /// implicitly; the explicit form exists for operators (and benches)
     /// that want admission cost separate from epoch cost.
     pub fn admit(&mut self) -> Vec<Decision> {
@@ -552,13 +499,6 @@ impl Server {
 
         let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
         let results = run_deployments(&mut self.deployments, workers);
-        // The tick bumped every deployment's snapshot: plans cached under
-        // an older one can never be looked up again.
-        let deployments = &self.deployments;
-        self.cache.retain(|key, _| {
-            let (dep, snapshot, _) = key.parts();
-            snapshot >= deployments[dep as usize].snapshot
-        });
         let mut epochs = Vec::new();
         for (dep_ix, result) in results.into_iter().enumerate() {
             let reports = result?;
@@ -643,16 +583,12 @@ impl Server {
         self.handles.get(&tenant).copied()
     }
 
-    /// Number of distinct plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Serializes the full server state — tick position, admission queue,
-    /// tenant handles, plan-cache keys, metrics, and every deployment's
-    /// groups — with the checkpoint codec. Networks are not serialized:
-    /// a deployment's readings are a pure function of `(spec, snapshot)`,
-    /// so [`Server::restore_state`] resamples them back instead.
+    /// metrics, and every deployment's groups with their tenant tables —
+    /// with the checkpoint codec. Networks are not serialized: a
+    /// deployment's readings are a pure function of `(spec, snapshot)`, so
+    /// [`Server::restore_state`] resamples them back instead. Nor are tenant
+    /// handles: they are the tenant tables read the other way round.
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(self.tick);
@@ -662,23 +598,6 @@ impl Server {
             w.put_str(&sub.deployment);
             w.put_str(&sub.sql);
             w.put_u64(sub.every);
-        }
-        w.put_usize(self.handles.len());
-        for (tenant, h) in &self.handles {
-            w.put_u64(tenant.0);
-            w.put_usize(h.deployment.0);
-            w.put_usize(h.group);
-            w.put_usize(h.id.0);
-        }
-        // Cache keys in sorted order (`HashMap` iteration order is not
-        // deterministic); the entries themselves are rebuilt on restore.
-        let mut keys: Vec<_> = self.cache.keys().map(|k| k.parts()).collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for (dep, snapshot, sql) in keys {
-            w.put_u64(dep);
-            w.put_u64(snapshot);
-            w.put_str(sql);
         }
         self.metrics.encode(&mut w);
         w.put_usize(self.deployments.len());
@@ -704,21 +623,24 @@ impl Server {
     /// Rebuilds a server from [`Server::export_state`] bytes. `specs`
     /// must be the same deployment specs (same order) the saved server
     /// was built from, and `cfg` the same configuration — both are
-    /// validated where the state makes that possible.
+    /// validated where the state makes that possible. The decoded tables
+    /// are cross-checked before anything indexes by them: every group's
+    /// tenant table covers exactly the ids the group issued, no tenant owns
+    /// two live queries, and every queued submission names a deployment and
+    /// a tenant without a live query. An image that breaks one is a
+    /// [`CodecError::Invariant`], never a server that panics later.
     ///
     /// Deployment networks are reconstructed, not deserialized:
     /// `spec.build()` gives readings version 0 and
     /// [`SensorNetwork::resample`] is a pure function of
     /// `(positions, fields, seed)`, so the live version is reachable
-    /// directly. Cached plans are rebuilt on it: a tick evicts the entries
-    /// it outdates, so no saved key is older.
+    /// directly.
     pub fn restore_state(
         cfg: ServeConfig,
         specs: &[DeploymentSpec],
         bytes: &[u8],
     ) -> Result<Self, CodecError> {
         let mut r = Reader::new(bytes);
-        let config_sig = PlanKey::config_sig(&cfg.protocol);
         let tick = r.get_u64()?;
         let nqueue = r.get_count(32)?;
         let mut queue = VecDeque::with_capacity(nqueue);
@@ -734,33 +656,16 @@ impl Server {
                 every,
             });
         }
-        let nhandles = r.get_count(32)?;
-        let mut handles = BTreeMap::new();
-        for _ in 0..nhandles {
-            let tenant = TenantId(r.get_u64()?);
-            let handle = QueryHandle {
-                deployment: DeploymentId(r.get_usize()?),
-                group: r.get_usize()?,
-                id: QueryId(r.get_usize()?),
-            };
-            handles.insert(tenant, handle);
-        }
-        let nkeys = r.get_count(24)?;
-        let mut keys = Vec::new();
-        for _ in 0..nkeys {
-            let dep = r.get_u64()?;
-            let snapshot = r.get_u64()?;
-            let sql = r.get_str()?.to_string();
-            keys.push((dep, snapshot, sql));
-        }
         let metrics = ServeMetrics::decode(&mut r)?;
         let ndeps = r.get_count(24)?;
         if ndeps != specs.len() {
             return Err(CodecError::Invariant("deployment count != provided specs"));
         }
-        let mut deployments = Vec::with_capacity(ndeps);
-        let mut cache = HashMap::new();
-        for (dep_ix, spec) in specs.iter().enumerate() {
+        if metrics.deployments().len() != ndeps {
+            return Err(CodecError::Invariant("metrics deployments != deployments"));
+        }
+        let mut deployments: Vec<Deployment> = Vec::with_capacity(ndeps);
+        for spec in specs {
             let name = r.get_str()?.to_string();
             if name != spec.name {
                 return Err(CodecError::Invariant("deployment name != provided spec"));
@@ -772,21 +677,6 @@ impl Server {
             // Bring the network to the deployment's live readings version.
             if snapshot != 0 {
                 snet.resample(&spec.fields, spec.seed.wrapping_add(snapshot));
-            }
-            // Rebuild this deployment's cache entries. A tick evicts what
-            // it outdates, so every saved key is at the live version.
-            for (_, key_snapshot, sql) in keys.iter().filter(|k| k.0 == dep_ix as u64) {
-                if *key_snapshot != snapshot {
-                    return Err(CodecError::Invariant(
-                        "cached plan not at its deployment's snapshot",
-                    ));
-                }
-                let query = recompile(&snet, sql)?;
-                let plan = QueryPlan::build(&query, &snet, &cfg.protocol);
-                cache.insert(
-                    PlanKey::with_config_sig(dep_ix as u64, snapshot, sql, config_sig.clone()),
-                    CachedPlan { query, plan },
-                );
             }
             let ngroups = r.get_count(24)?;
             let mut groups = Vec::with_capacity(ngroups);
@@ -803,18 +693,21 @@ impl Server {
                 let mut queries = Vec::with_capacity(nsqls);
                 for _ in 0..nsqls {
                     let sql = get_opt(&mut r, |r| r.get_str())?;
-                    queries.push(
-                        sql.as_deref()
-                            .map(|sql| recompile(&snet, sql))
-                            .transpose()?,
-                    );
+                    // It compiled when it was admitted: a failure means the
+                    // image and the deployment specs do not belong together.
+                    let query = sql.as_deref().map(|sql| compile_sql(&snet, sql));
+                    queries.push(query.transpose().map_err(|_| {
+                        CodecError::Invariant("saved sql does not compile on its deployment")
+                    })?);
                     group_sqls.push(sql);
                 }
-                groups.push(QueryGroup::restore_state(
-                    cfg.protocol.clone(),
-                    queries,
-                    &mut r,
-                )?);
+                let group = QueryGroup::restore_state(cfg.protocol.clone(), queries, &mut r)?;
+                if group_tenants.len() != group.ids_issued() {
+                    return Err(CodecError::Invariant(
+                        "tenant table != ids the group issued",
+                    ));
+                }
+                groups.push(group);
                 tenants.push(group_tenants);
                 sqls.push(group_sqls);
             }
@@ -830,12 +723,37 @@ impl Server {
             });
         }
         r.expect_end()?;
+        // Handles are not saved: a tenant's handle is where the tenant
+        // tables put its live query, so no handle can point anywhere else.
+        let mut handles = BTreeMap::new();
+        for (d, dep) in deployments.iter().enumerate() {
+            for (group, tenants) in dep.tenants.iter().enumerate() {
+                for (i, &tenant) in tenants.iter().enumerate() {
+                    let handle = QueryHandle {
+                        deployment: DeploymentId(d),
+                        group,
+                        id: QueryId(i),
+                    };
+                    if dep.groups[group].plan_of(handle.id).is_some()
+                        && handles.insert(tenant, handle).is_some()
+                    {
+                        return Err(CodecError::Invariant("tenant with two live queries"));
+                    }
+                }
+            }
+        }
+        for sub in &queue {
+            if !deployments.iter().any(|dep| dep.name == sub.deployment) {
+                return Err(CodecError::Invariant("queued submission of no deployment"));
+            }
+            if handles.contains_key(&sub.tenant) {
+                return Err(CodecError::Invariant("queued tenant has a live query"));
+            }
+        }
         Ok(Self {
-            config_sig,
             cfg,
             deployments,
             queue,
-            cache,
             handles,
             metrics,
             tick,
@@ -843,12 +761,11 @@ impl Server {
     }
 }
 
-/// Recompiles SQL a checkpoint saved: it compiled when it was admitted, so
-/// a failure means the image and the deployment specs do not belong together.
-fn recompile(snet: &SensorNetwork, sql: &str) -> Result<sensjoin_query::CompiledQuery, CodecError> {
-    let parsed = parse(sql).map_err(|_| CodecError::Invariant("saved sql failed to parse"))?;
-    snet.compile(&parsed)
-        .map_err(|_| CodecError::Invariant("saved sql failed to compile"))
+/// Parses `sql` and compiles it against `snet`'s catalog; the error is the
+/// parser's or the compiler's message.
+fn compile_sql(snet: &SensorNetwork, sql: &str) -> Result<sensjoin_query::CompiledQuery, String> {
+    let parsed = parse(sql).map_err(|e| e.to_string())?;
+    snet.compile(&parsed).map_err(|e| e.to_string())
 }
 
 /// Runs one tick of every deployment serially, in order.
@@ -914,6 +831,51 @@ mod tests {
         let first = server.tick().unwrap();
         assert_eq!(first.epochs.len(), 8);
         server
+    }
+
+    /// Sharing is by meaning, not by text: two spellings of one query end in
+    /// one plan, built once.
+    #[test]
+    fn textual_variants_share_one_plan() {
+        let mut server = Server::new(ServeConfig::default());
+        let dep = server
+            .add_deployment(&DeploymentSpec::new("lab", 40, 7))
+            .unwrap();
+        for (tenant, predicate) in [
+            (0, "A.temp - B.temp > 2.0"),
+            (1, "A.temp  -  B.temp  >  2.00"),
+        ] {
+            server.submit(Submission {
+                tenant: TenantId(tenant),
+                deployment: "lab".into(),
+                sql: format!(
+                    "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                     WHERE {predicate} SAMPLE PERIOD 30"
+                ),
+                every: 1,
+            });
+        }
+        let joined: Vec<bool> = server
+            .admit()
+            .iter()
+            .map(|d| {
+                matches!(
+                    d,
+                    Decision::Admitted {
+                        joined_live_plan: true,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        assert_eq!(joined, [false, true]);
+        let groups = server.groups(dep);
+        assert_eq!(
+            (groups.len(), groups[0].len(), groups[0].plans()),
+            (1, 2, 1)
+        );
+        let m = server.metrics();
+        assert_eq!((m.plans_built, m.plans_joined), (1, 1));
     }
 
     /// What the host's thread count must not change: every worker count

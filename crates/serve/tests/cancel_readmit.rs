@@ -6,8 +6,7 @@
 //! carries a dead id restores with the survivors' ids intact — a cancelled
 //! subscriber stays behind as a four-field tombstone, while its plan (and
 //! the plan's SQL) goes with the plan's last subscriber. Sustained
-//! cancel/submit churn therefore leaves the plan cache and the checkpoint
-//! bounded.
+//! cancel/submit churn therefore leaves the checkpoint bounded.
 
 use sensjoin_serve::{DeploymentSpec, ServeConfig, Server, Submission, TenantId};
 
@@ -116,56 +115,9 @@ fn checkpoint_with_dead_slot_restores_query_ids() {
     assert_eq!(epoch_tenants(&mut restored), vec![0, 1, 2]);
 }
 
-/// 50 ticks of cancel/submit churn with never-seen SQL: a tick evicts the
-/// cache entries its resample outdated, so the cache never holds more than
-/// the current tick's admissions, and a restore after the churn runs on
-/// digest-identical to the uninterrupted server.
-#[test]
-fn plan_cache_stays_bounded_under_churn() {
-    let spec = DeploymentSpec::new("dep0", NODES, 11);
-    let mut server = server();
-    for t in 0..4 {
-        assert!(server.submit(submission(t, 3.0)).is_none());
-    }
-    server.tick().expect("tick");
-    for tick in 0..50u64 {
-        // Two tenants leave; one newcomer asks the hot SQL, one asks SQL
-        // nobody has asked before.
-        for t in [2 * tick, 2 * tick + 1] {
-            assert!(server.cancel(TenantId(t)));
-        }
-        assert!(server.submit(submission(2 * tick + 4, 3.0)).is_none());
-        assert!(server
-            .submit(submission(2 * tick + 5, 3.0 + 0.01 * (tick + 1) as f64))
-            .is_none());
-        let admitted = server.admit();
-        assert_eq!(admitted.len(), 2);
-        assert!(server.cached_plans() <= admitted.len(), "tick {tick}");
-        server.tick().expect("tick");
-        assert_eq!(server.cached_plans(), 0, "tick {tick} outdated every entry");
-    }
-    // Admissions since the last tick are the only entries a checkpoint
-    // carries, and the only ones a restore rebuilds.
-    assert!(server.submit(submission(1000, 7.5)).is_none());
-    server.admit();
-    assert_eq!(server.cached_plans(), 1);
-    let frozen = server.export_state();
-    let mut restored =
-        Server::restore_state(config(), std::slice::from_ref(&spec), &frozen).expect("restore");
-    assert_eq!(restored.cached_plans(), 1);
-    assert_eq!(restored.export_state(), frozen, "restore is a fixpoint");
-    for t in 2000..2003 {
-        for s in [&mut server, &mut restored] {
-            assert!(s.submit(submission(t, 7.5)).is_none());
-        }
-        assert_eq!(epoch_tenants(&mut server), epoch_tenants(&mut restored));
-        assert_eq!(server.export_state(), restored.export_state());
-    }
-}
-
 /// 200 cancel/submit cycles of one SQL: each cycle leaves a tombstone (the
 /// id's tenant and its four subscriber fields, 33 bytes) and nothing else —
-/// the plan, its SQL and its cache entry go with the cancellation.
+/// the plan and its SQL go with the cancellation.
 #[test]
 fn checkpoint_stays_bounded_under_cancel_submit_cycles() {
     const TOMBSTONE: usize = 8 + 25;

@@ -2,13 +2,12 @@
 //! multi-tenant serve run that crashes there and resumes from its
 //! checkpoint directory is bit-identical to the uninterrupted run — same
 //! per-tick admission/epoch digests, same final server state (registry,
-//! tenants, plan cache, metrics histograms) byte for byte.
+//! tenants, metrics histograms) byte for byte.
 //!
 //! The serve snapshot does not serialize the deployment networks: a
 //! deployment's field state is a pure function of its spec and snapshot
 //! version, so [`Server::restore_state`] rebuilds from the
-//! [`DeploymentSpec`]s and resamples to the live version, where it
-//! rebuilds the plan cache (a tick evicts the entries it outdates).
+//! [`DeploymentSpec`]s and resamples to the live version.
 
 use sensjoin::core::persist::{self, CheckpointStore, CrashPoint, RecoveryError, Writer};
 use sensjoin::serve::{DeploymentSpec, ServeConfig, Server, Submission, TenantId};
