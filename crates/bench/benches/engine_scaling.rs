@@ -16,13 +16,24 @@
 //! join in a serve tick, which must run inline). Both are reported as
 //! ns per result row, dropping the result included.
 //!
+//! `filter/q3` is the other base-station step, the pre-join filter
+//! (`prejoin_filter`, and `prejoin_filter_nested` at 500), over the cells of
+//! the paper's Q3 on 500 / 1500 nodes at paper density — the repo
+//! benchmark's `oneshot_q3_1500` regime: a band that leaves every cell
+//! hundreds of candidates, almost all of them skipped on their role bits.
+//!
 //! Acceptance gate (asserted here, recorded in `BENCH_engine.json`):
 //! `dense/5000` stays ≤ 90 ns/row (measured 55 to 65 on the 2-core bench
 //! host; 105 before the emission kernel of DESIGN §4.5).
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
-use sensjoin_core::{exact_join, exact_join_nested};
+use sensjoin_core::{
+    exact_join, exact_join_nested, prejoin_filter, prejoin_filter_nested, JoinSpace,
+    SensJoinConfig, SensorNetworkBuilder,
+};
+use sensjoin_field::{Area, Placement};
+use sensjoin_quadtree::{PointSet, RelFlags};
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::{AttrType, Attribute, NodeId, Schema};
 
@@ -155,10 +166,47 @@ fn bench_high_output(c: &mut Criterion) -> Vec<(String, usize)> {
     rows
 }
 
+/// The pre-join filter over every node's cell of the paper's Q3.
+fn bench_filter(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_scaling/filter/q3");
+    group.sample_size(10);
+    for n in [500, 1500] {
+        let snet = SensorNetworkBuilder::new()
+            .area(Area::for_constant_density(n))
+            .placement(Placement::UniformRandom { n })
+            .seed(11)
+            .build()
+            .expect("a uniform placement at paper density is connected");
+        let q = parse(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+        )
+        .expect("valid query");
+        let cq = snet.compile(&q).expect("compiles");
+        let space = JoinSpace::build(&cq, &snet, &SensJoinConfig::default());
+        let mut cells = PointSet::new();
+        for node in (0..n as u32).map(NodeId) {
+            let values = snet.values_for(node, cq.schema(0));
+            let dims = space.dim_values(&cq, &[Some(values.clone()), Some(values)]);
+            cells.insert(space.encode(&dims), RelFlags::BOTH);
+        }
+        group.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, _| {
+            b.iter(|| prejoin_filter(black_box(&cq), &space, black_box(&cells)))
+        });
+        if n <= 500 {
+            group.bench_with_input(BenchmarkId::new("nested", n), &n, |b, _| {
+                b.iter(|| prejoin_filter_nested(black_box(&cq), &space, black_box(&cells)))
+            });
+        }
+    }
+    group.finish();
+}
+
 fn main() {
     let mut criterion = Criterion::default();
     bench_band_join(&mut criterion);
     bench_equi_join(&mut criterion);
+    bench_filter(&mut criterion);
     let rows = bench_high_output(&mut criterion);
 
     let results = criterion.results();

@@ -1761,7 +1761,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             0.0
         };
         // Tenant-epochs served per plan-epoch run: what one epoch slot,
-        // filter engine and exact join were shared across.
+        // pre-join filter and exact join were shared across.
         let sharing = dm.query_epochs as f64 / dm.plan_epochs.max(1) as f64;
         println!(
             "dep{d:<5} {:>9} {:>8} {:>12} {:>12} {saving:>7.1}% {sharing:>12.2}",

@@ -7,18 +7,20 @@
 //! level; the probe with the fewest candidates drives the scan and the other
 //! indexed predicates become O(1) membership tests, so the level scans the
 //! **intersection** of all indexed candidate sets, while the unchanged
-//! residual predicate check still runs on every survivor. Levels without an
-//! indexable predicate scan exactly like the nested-loop reference.
+//! residual predicate check still runs on every survivor (in the filter: on
+//! every survivor that could still mark something, see [`FilterRun::step`]).
+//! Levels without an indexable predicate scan exactly like the nested-loop
+//! reference.
 //!
 //! The probes of level 1 depend on the outer tuple alone, so they are taken
 //! once, ahead of the descent ([`Hoisted`]); their candidate counts are the
 //! work estimate that decides whether the outermost level is chunked across
-//! threads (behind the default-on `parallel` feature), where the chunks are
-//! cut, and how many rows a chunk reserves. Per-chunk outputs are merged in
-//! chunk order, so results — rows, their order, contributors, and the filter
-//! bitmask — are bit-identical to [`exact_join_nested`] /
-//! [`prejoin_filter_nested`], which are retained as the plain reference
-//! implementations (and as the baseline of the `engine_scaling` benchmark).
+//! threads, where the chunks are cut, and how many rows a chunk reserves.
+//! Per-chunk outputs are merged in chunk order, so results — rows, their
+//! order, contributors, and the filter bitmask — are bit-identical to
+//! [`exact_join_nested`] / [`prejoin_filter_nested`], which are retained as
+//! the plain reference implementations (and as the baseline of the
+//! `engine_scaling` benchmark).
 
 use crate::config::SensJoinConfig;
 use crate::outcome::JoinResult;
@@ -212,6 +214,14 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
 /// thread per deployment: fanning out pays from a few milliseconds of work.
 const PAR_MIN_WORK: usize = 1 << 16;
 
+/// [`PAR_MIN_WORK`] of the pre-join filter, whose counted step is a
+/// last-level candidate: when most cells find a partner, all but O(cells) of
+/// them are skipped on their role bits at some 3 ns each, and every chunk
+/// repeats those O(cells) residual checks on marks of its own. Two chunks
+/// measured a wash at 335 k candidates (1.8 ms either way) and 0.68× at
+/// 1.3 M (5.4 → 3.7 ms).
+const FILTER_PAR_MIN_WORK: usize = 1 << 19;
+
 /// The level-1 probes of every outer position, taken ahead of the descent
 /// (they depend on the outer tuple alone), with the work they announce.
 struct Hoisted<P> {
@@ -249,11 +259,10 @@ impl<P> Hoisted<P> {
 
     /// Cuts the outer positions into the chunks to run: up to `parts` of
     /// about equal counted work when the work — times `deeper`, the search
-    /// space below level 1 — reaches [`PAR_MIN_WORK`]; otherwise a single
-    /// chunk.
-    fn cuts(&self, deeper: usize, parts: usize) -> Vec<Range<usize>> {
+    /// space below level 1 — reaches `min_work`; otherwise a single chunk.
+    fn cuts(&self, deeper: usize, parts: usize, min_work: usize) -> Vec<Range<usize>> {
         let total = *self.work.last().expect("cumulative work starts with a 0");
-        let fan_out = total.saturating_mul(deeper) >= PAR_MIN_WORK;
+        let fan_out = total.saturating_mul(deeper) >= min_work;
         equal_work_cuts(&self.work, if fan_out { parts } else { 1 })
     }
 }
@@ -340,17 +349,22 @@ fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
 /// column sides probe a sorted array of cell intervals instead of scanning
 /// every point; the marked bitmask is identical to
 /// [`prejoin_filter_nested`]'s because candidate pruning only removes points
-/// whose residual interval check is definitely false.
+/// whose residual interval check is definitely false. The output is a set of
+/// cells, not of pairs, so the last level only looks for witnesses: a
+/// binding that could mark nothing new is skipped unchecked, and the
+/// residual checks follow the cells rather than the candidate pairs.
 pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> PointSet {
-    prejoin_filter_in(query, space, points, host_threads())
+    prejoin_filter_in(query, space, points, host_threads(), FILTER_PAR_MIN_WORK)
 }
 
-/// [`prejoin_filter`] fanning out over at most `threads` chunks.
+/// [`prejoin_filter`] fanning out over at most `threads` chunks once the
+/// counted work reaches `min_work`.
 fn prejoin_filter_in(
     query: &CompiledQuery,
     space: &JoinSpace,
     points: &PointSet,
     threads: usize,
+    min_work: usize,
 ) -> PointSet {
     let (lists, boxes) = filter_inputs(query, space, points);
     let pred_rels = pred_max_rels(query);
@@ -358,11 +372,11 @@ fn prejoin_filter_in(
     if !query.is_const_false() && !lists.is_empty() {
         let list_lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
         let plan = filter_plan(query, &list_lens, &pred_rels, |rel, attr, pos| {
-            space.attr_interval(query, &boxes[lists[rel][pos]], rel, attr)
+            space.attr_interval(query, boxes.of(lists[rel][pos]), rel, attr)
         });
         let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
         let hoisted = Hoisted::build(lists[0].len(), level1.len(), |pos, out| {
-            let cell = &boxes[lists[0][pos]];
+            let cell = boxes.of(lists[0][pos]);
             let mut count = list_lens.get(1).copied().unwrap_or(0);
             for ix in level1 {
                 let runs = ix.probe(space.attr_interval(query, cell, 0, ix.probe_attr()));
@@ -373,31 +387,38 @@ fn prejoin_filter_in(
             }
             count
         });
+        let roles: Vec<u8> = (0..lists.len()).map(|r| space.flag(r).0).collect();
         let run = FilterRun {
             query,
             space,
             lists: &lists,
             boxes: &boxes,
+            roles: &roles,
             pred_rels: &pred_rels,
             plan: &plan,
             hoisted: &hoisted,
         };
-        let cuts = hoisted.cuts(deeper_space(list_lens.iter().copied()), threads);
+        let deeper = deeper_space(list_lens.iter().copied());
+        let cuts = hoisted.cuts(deeper, threads, min_work);
         let parts = run_chunked(&cuts, |_, range| {
             let mut st = FilterChunk {
                 matched: vec![0; points.len()],
                 binding: Vec::with_capacity(lists.len()),
                 outer: 0,
                 probes: Vec::new(),
+                #[cfg(test)]
+                evals: 0,
             };
             for pos in range {
                 st.outer = pos;
                 run.step(0, pos, &mut st);
             }
-            st.matched
+            st
         });
         for part in parts {
-            for (m, p) in matched.iter_mut().zip(part) {
+            #[cfg(test)]
+            tests::RESIDUAL_EVALS.with(|n| n.set(n.get() + part.evals));
+            for (m, p) in matched.iter_mut().zip(part.matched) {
                 *m |= p;
             }
         }
@@ -433,14 +454,27 @@ pub fn prejoin_filter_nested(
     collect_filter(points, &matched)
 }
 
+/// Every point's pre-decoded cell box, `arity` intervals a point in one
+/// buffer.
+struct CellBoxes {
+    arity: usize,
+    flat: Vec<(f64, f64)>,
+}
+
+impl CellBoxes {
+    /// The cell box of point `idx`: one interval per dimension.
+    fn of(&self, idx: usize) -> &[(f64, f64)] {
+        &self.flat[idx * self.arity..][..self.arity]
+    }
+}
+
 /// Role lists (point indices usable as each relation) and pre-decoded cell
 /// boxes — the shared setup of both filter implementations.
-#[allow(clippy::type_complexity)]
 fn filter_inputs(
     query: &CompiledQuery,
     space: &JoinSpace,
     points: &PointSet,
-) -> (Vec<Vec<usize>>, Vec<Vec<(f64, f64)>>) {
+) -> (Vec<Vec<usize>>, CellBoxes) {
     let n = query.num_relations();
     let lists: Vec<Vec<usize>> = (0..n)
         .map(|r| {
@@ -454,12 +488,12 @@ fn filter_inputs(
                 .collect()
         })
         .collect();
-    let boxes: Vec<Vec<(f64, f64)>> = points
-        .points()
-        .iter()
-        .map(|p| space.zspace.cell_box(p.z))
-        .collect();
-    (lists, boxes)
+    let arity = space.zspace.arity();
+    let mut flat = Vec::with_capacity(points.len() * arity);
+    for p in points.points() {
+        flat.extend(space.zspace.cell_box(p.z));
+    }
+    (lists, CellBoxes { arity, flat })
 }
 
 fn collect_filter(points: &PointSet, matched: &[u8]) -> PointSet {
@@ -480,7 +514,9 @@ struct FilterRun<'a> {
     query: &'a CompiledQuery,
     space: &'a JoinSpace,
     lists: &'a [Vec<usize>],
-    boxes: &'a [Vec<(f64, f64)>],
+    boxes: &'a CellBoxes,
+    /// Per level: the role bit a full binding marks on that level's point.
+    roles: &'a [u8],
     pred_rels: &'a [usize],
     plan: &'a [Vec<FilterIndex>],
     hoisted: &'a Hoisted<Option<Runs>>,
@@ -497,6 +533,9 @@ struct FilterChunk {
     /// The open levels' probes, each level's parallel to its plan entry
     /// (`None`: that index cannot prune for the binding).
     probes: Vec<Option<Runs>>,
+    /// Residual interval checks run (the work-bound test's tally).
+    #[cfg(test)]
+    evals: usize,
 }
 
 impl FilterRun<'_> {
@@ -504,8 +543,8 @@ impl FilterRun<'_> {
         let rel = st.binding.len();
         if rel == self.lists.len() {
             // Full binding survived every predicate: mark all roles.
-            for (r, &idx) in st.binding.iter().enumerate() {
-                st.matched[idx] |= self.space.flag(r).0;
+            for (&idx, &role) in st.binding.iter().zip(self.roles) {
+                st.matched[idx] |= role;
             }
             return;
         }
@@ -521,7 +560,7 @@ impl FilterRun<'_> {
             for ix in indexes {
                 let probe = self.space.attr_interval(
                     self.query,
-                    &self.boxes[st.binding[ix.probe_rel()]],
+                    self.boxes.of(st.binding[ix.probe_rel()]),
                     ix.probe_rel(),
                     ix.probe_attr(),
                 );
@@ -557,12 +596,31 @@ impl FilterRun<'_> {
 
     /// Binds role-list position `pos` at level `rel`, applies the residual
     /// interval check (identical to the nested reference) and recurses.
+    ///
+    /// The last level is a witness search. The filter is a semi-join: all a
+    /// full binding does is OR one role bit into each of its points, and
+    /// `matched` only ever gains bits — so a last-level candidate whose own
+    /// bit and every bound point's bit are already set cannot change the
+    /// output, and is skipped before any interval is looked at. Checked per
+    /// role bit (a self-join point can hold one role and still lack the
+    /// other) against the chunk's own marks.
     fn step(&self, rel: usize, pos: usize, st: &mut FilterChunk) {
-        st.binding.push(self.lists[rel][pos]);
+        let idx = self.lists[rel][pos];
+        let last = rel + 1 == self.lists.len();
+        let marked = |idx: usize, role: u8| st.matched[idx] & role != 0;
+        let mut bound = st.binding.iter().zip(self.roles);
+        if last && marked(idx, self.roles[rel]) && bound.all(|(&b, &r)| marked(b, r)) {
+            return;
+        }
+        st.binding.push(idx);
+        #[cfg(test)]
+        {
+            st.evals += 1;
+        }
         let ok = {
             let env = |r: usize, a: usize| -> Interval {
                 self.space
-                    .attr_interval(self.query, &self.boxes[st.binding[r]], r, a)
+                    .attr_interval(self.query, self.boxes.of(st.binding[r]), r, a)
             };
             self.query
                 .join_preds()
@@ -582,7 +640,7 @@ fn descend_nested(
     query: &CompiledQuery,
     space: &JoinSpace,
     lists: &[Vec<usize>],
-    boxes: &[Vec<(f64, f64)>],
+    boxes: &CellBoxes,
     pred_rels: &[usize],
     binding: &mut Vec<usize>,
     matched: &mut [u8],
@@ -598,7 +656,7 @@ fn descend_nested(
     for &idx in &lists[rel] {
         binding.push(idx);
         let env = |r: usize, a: usize| -> Interval {
-            space.attr_interval(query, &boxes[binding[r]], r, a)
+            space.attr_interval(query, boxes.of(binding[r]), r, a)
         };
         let ok = query
             .join_preds()
@@ -683,7 +741,8 @@ fn exact_join_in(
             run.descend(&mut chunk);
             chunk
         } else {
-            let cuts = hoisted.cuts(deeper_space(tuples.iter().map(|t| t.len())), threads);
+            let deeper = deeper_space(tuples.iter().map(|t| t.len()));
+            let cuts = hoisted.cuts(deeper, threads, PAR_MIN_WORK);
             let mut parts = run_chunked(&cuts, |i, range| {
                 let mut chunk = run.chunk();
                 if tuples.len() == 2 {
@@ -934,14 +993,25 @@ mod tests {
     use crate::snetwork::SensorNetworkBuilder;
     use sensjoin_field::{Area, Placement};
     use sensjoin_query::parse;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bindings whose residual interval check ran in the
+        /// [`prejoin_filter_in`] calls of this thread, all chunks summed.
+        pub(super) static RESIDUAL_EVALS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn setup(sql: &str) -> (SensorNetwork, CompiledQuery, JoinSpace) {
         setup_nodes(sql, 80)
     }
 
     fn setup_nodes(sql: &str, n: usize) -> (SensorNetwork, CompiledQuery, JoinSpace) {
+        setup_in(sql, n, Area::new(300.0, 300.0))
+    }
+
+    fn setup_in(sql: &str, n: usize, area: Area) -> (SensorNetwork, CompiledQuery, JoinSpace) {
         let snet = SensorNetworkBuilder::new()
-            .area(Area::new(300.0, 300.0))
+            .area(area)
             .placement(Placement::UniformRandom { n })
             .seed(11)
             .build()
@@ -1273,8 +1343,8 @@ mod tests {
             // Premise — the counts above 1 really are chunked. A two-way
             // join counts a step per row; a three-way one a step per outer
             // position, times the third relation (every point and tuple
-            // plays every role of these self-joins). The two-way filter is
-            // past the threshold only by its wide band.
+            // plays every role of these self-joins). The filter is chunked
+            // whatever its work: it is run with no minimum.
             if cq.num_relations() == 2 {
                 assert!(rows.len() >= PAR_MIN_WORK, "{} rows for {sql}", rows.len());
             } else {
@@ -1284,7 +1354,7 @@ mod tests {
                     points.len()
                 );
             }
-            let filter = prejoin_filter_in(&cq, &space, &points, 1);
+            let filter = prejoin_filter_in(&cq, &space, &points, 1, 0);
             for threads in [2, 3, 7] {
                 let got = exact_join_in(&cq, &tuples, threads);
                 assert_eq!(row_bits(&got), rows, "{threads} chunks: {sql}");
@@ -1292,9 +1362,151 @@ mod tests {
                     got.contributors, one.contributors,
                     "{threads} chunks: {sql}"
                 );
-                let got = prejoin_filter_in(&cq, &space, &points, threads);
+                let got = prejoin_filter_in(&cq, &space, &points, threads, 0);
                 assert_eq!(got.points(), filter.points(), "{threads} chunks: {sql}");
             }
+        }
+    }
+
+    /// The witness search changes which bindings are checked, never the
+    /// marks: over populations that exercise its edges the filter equals the
+    /// nested reference from one to seven chunks. Points draw their roles at
+    /// random, so role lists differ in length and a self-join cell can hold
+    /// one role, or both, and be marked in one before the other.
+    #[test]
+    fn witness_search_matches_nested_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let two =
+            |pred: &str| format!("SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE {pred} ONCE");
+        // (query, whether its filter is empty / everything — `None`: neither)
+        let cases = [
+            (
+                two("|A.temp - B.temp| < 0.02 AND distance(A.x, A.y, B.x, B.y) > 150"),
+                None,
+            ),
+            (
+                "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
+                 WHERE |A.temp - B.temp| < 0.1 AND |B.temp - C.temp| < 0.1 ONCE"
+                    .to_owned(),
+                None,
+            ),
+            // Predicates whose index cannot prune: every cell is a candidate.
+            (two("A.temp != B.temp"), None),
+            (
+                two("|A.temp - B.temp| >= 0.0 AND A.hum - B.hum > 5.0"),
+                None,
+            ),
+            // A complement band: a prefix and a suffix run.
+            (two("|A.temp - B.temp| > 0.8"), None),
+            (two("A.temp - B.temp > 1000.0"), Some(false)),
+            (two("A.temp - B.temp > -1000.0"), Some(true)),
+        ];
+        for (sql, all) in &cases {
+            let (snet, cq, space) = setup_nodes(sql, 90);
+            let everyone = all_points(&snet, &cq, &space);
+            let roles = (1u8 << cq.num_relations()) - 1;
+            let mut partial_roles = all.is_some();
+            for seed in 0..4 {
+                // Seed 0 keeps every point in every role; the others thin
+                // the later roles out more than the first.
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let points = PointSet::from_points(everyone.iter().filter_map(|p| {
+                    let drawn = (0..cq.num_relations())
+                        .filter(|&r| seed == 0 || rng.gen_bool(0.9 - 0.25 * r as f64))
+                        .fold(0, |f, r| f | space.flag(r).0);
+                    (drawn != 0).then_some(Point {
+                        z: p.z,
+                        flags: RelFlags(drawn),
+                    })
+                }));
+                let reference = prejoin_filter_nested(&cq, &space, &points);
+                match all {
+                    Some(false) => assert!(reference.is_empty(), "{sql}"),
+                    Some(true) => assert_eq!(reference.points(), points.points(), "{sql}"),
+                    None => {
+                        assert!(!reference.is_empty(), "{sql}");
+                        partial_roles |= reference.iter().any(|p| p.flags.0 != roles);
+                    }
+                }
+                for threads in 1..=7 {
+                    let got = prejoin_filter_in(&cq, &space, &points, threads, 0);
+                    assert_eq!(
+                        got.points(),
+                        reference.points(),
+                        "{threads} chunks, seed {seed}: {sql}"
+                    );
+                }
+            }
+            assert!(
+                partial_roles,
+                "premise: some cell matched in one role only for {sql}"
+            );
+        }
+    }
+
+    /// Brute force over all pairs: how many `(A, B)` cell pairs the first
+    /// (band) predicate alone lets through — the candidates the partitioned
+    /// descent walks, each of which paid a residual check before the last
+    /// level became a witness search.
+    fn band_candidates(cq: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> usize {
+        let (lists, boxes) = filter_inputs(cq, space, points);
+        let band = &cq.join_preds()[0];
+        let mut candidates = 0;
+        for &a in &lists[0] {
+            for &b in &lists[1] {
+                let env = |r: usize, attr: usize| {
+                    let idx = if r == 0 { a } else { b };
+                    space.attr_interval(cq, boxes.of(idx), r, attr)
+                };
+                if sensjoin_query::eval_predicate_interval(band, &env).possible() {
+                    candidates += 1;
+                }
+            }
+        }
+        candidates
+    }
+
+    /// The gain of the witness search as a count: on a Q3-shaped population
+    /// (a band that leaves every cell hundreds of candidates, a distance
+    /// conjunct most of them pass) the residual checks follow the cells, not
+    /// the candidate pairs — per chunk, since each chunk keeps its own marks.
+    #[test]
+    fn residual_checks_follow_cells_not_candidate_pairs() {
+        let (snet, cq, space) = setup_in(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+            1500,
+            Area::for_constant_density(1500),
+        );
+        let points = all_points(&snet, &cq, &space);
+        let cells = points.len();
+        assert!(cells >= 1000, "{cells} cells");
+        let candidates = band_candidates(&cq, &space, &points);
+        let reference = prejoin_filter_nested(&cq, &space, &points);
+        assert!(
+            reference.len() * 10 >= cells * 9,
+            "premise: most cells have a partner ({} of {cells})",
+            reference.len()
+        );
+        for chunks in [1, 2, 7] {
+            RESIDUAL_EVALS.with(|n| n.set(0));
+            let got = prejoin_filter_in(&cq, &space, &points, chunks, 0);
+            let evals = RESIDUAL_EVALS.with(Cell::get);
+            assert_eq!(got.points(), reference.points(), "{chunks} chunks");
+            // A checked last-level binding either fails the distance
+            // conjunct or sets a role bit that was clear: at most two
+            // successes per cell and chunk, plus one level-0 binding a cell.
+            assert!(
+                evals <= 4 * cells * chunks,
+                "{chunks} chunks: {evals} residual checks for {cells} cells"
+            );
+            // Checking every candidate pair once, whatever the chunking, is
+            // what the descent did before.
+            assert!(
+                chunks > 1 || candidates >= 20 * evals,
+                "{evals} residual checks against {candidates} candidate pairs"
+            );
         }
     }
 }

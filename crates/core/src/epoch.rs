@@ -5,10 +5,10 @@
 //!
 //! [`SensJoin::execute`](crate::SensJoin) runs it with one slot;
 //! [`QueryGroup::execute_epoch`](crate::QueryGroup) with every due query.
-//! The callers differ in exactly two things, both passed to [`run_epoch`]:
-//! the base-station filter step, and whether churn is polled between the
-//! phases. Everything else — the wire format, the phase labels, the loss
-//! fallback, the churn reconciliation — is written here once.
+//! The callers differ in exactly one thing, passed to [`run_epoch`]: whether
+//! churn is polled between the phases. Everything else — the wire format,
+//! the phase labels, the base-station filter step, the loss fallback, the
+//! churn reconciliation — is written here once.
 //!
 //! **What k adds.** Messages identify complete tuples by origin node; each
 //! slot's projection of a node is in that slot's [`NodeTable`], and tuple
@@ -32,7 +32,7 @@
 //! lost data.
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, JoinComputation, JoinSpace};
+use crate::engine::{exact_join, prejoin_filter, JoinComputation, JoinSpace};
 use crate::repr::{columns, JoinAttrMsg, NodeTable, Shipment, SizedSet};
 use crate::scheduler::SoloCost;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
@@ -257,17 +257,14 @@ fn live_attached(net: &Network) -> Vec<bool> {
 /// Runs collection → dissemination → final for `slots` on the network's
 /// current snapshot and joins what reaches the base, per slot.
 ///
-/// `base_filter(slot, collected)` is the base station's conservative
-/// pre-join (paper step 1a): given the slot's collected cell population it
-/// returns the slot's join filter. `poll_churn` says whether the churn
-/// timeline is polled before the first phase and after each of the first
-/// two (with state reconciliation); a caller with a next epoch to defer
-/// liveness changes to passes `false` and polls between epochs itself.
+/// `poll_churn` says whether the churn timeline is polled before the first
+/// phase and after each of the first two (with state reconciliation); a
+/// caller with a next epoch to defer liveness changes to passes `false` and
+/// polls between epochs itself.
 pub(crate) fn run_epoch(
     snet: &mut SensorNetwork,
     cfg: &SensJoinConfig,
     slots: &[Slot<'_>],
-    mut base_filter: impl FnMut(usize, &PointSet) -> PointSet,
     poll_churn: bool,
 ) -> EpochRun {
     let k = slots.len();
@@ -485,10 +482,12 @@ pub(crate) fn run_epoch(
     let UpMsg::Attrs(collected) = base_msg else {
         unreachable!("base never applies Treecut")
     };
+    // The wire carried every slot's full cell population, so the filter is
+    // the batch semi-join over it; nothing is kept for the next epoch.
     let filters: Vec<SizedSet> = collected
-        .into_iter()
-        .enumerate()
-        .map(|(s, ja)| SizedSet::new(base_filter(s, &ja.set)))
+        .iter()
+        .zip(slots)
+        .map(|(ja, slot)| SizedSet::new(prejoin_filter(slot.query, slot.space, &ja.set)))
         .collect();
 
     // ---- Phase 2: Filter-Dissemination (Fig. 3) ----

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -1374,8 +1374,15 @@ mod tests {
     /// Version 3: a serve image that carried an admission-cache key table.
     #[test]
     fn v3_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 4);
         assert_version_refused(3);
+    }
+
+    /// Version 4: a group image that carried, per plan, the filter engine's
+    /// cell counts and the previous epoch's population.
+    #[test]
+    fn v4_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 5);
+        assert_version_refused(4);
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! once *per query* per sample period. [`QueryGroup`] amortizes it: every
 //! registered query's join-attribute projection is collected in **one**
 //! shared up-wave (per-link payloads are merged where queries' quantization
-//! spaces coincide), the base station fans the shared cells out into one
-//! persistent [`FilterEngine`] per query, and filter dissemination and the
+//! spaces coincide), the base station computes each query's pre-join filter
+//! from its share of the collected cells, and filter dissemination and the
 //! final up-wave likewise travel as one merged message per link.
 //!
-//! **Plans and subscribers.** What a *query* owns — its compiled form, its
-//! quantization space, its filter engine and delta baseline — is kept once
-//! per distinct [`CompiledQuery`] (a *plan*); what a *tenant* owns — a
-//! [`QueryId`] and a schedule — is a *subscriber* of that plan. Tenants
-//! that register equal queries ride one slot on the wire, one engine, one
-//! exact join and one `Arc`'d result; an epoch's k is the number of
-//! distinct queries due, not the number of tenants.
+//! **Plans and subscribers.** What a *query* owns — its compiled form and
+//! its quantization space — is kept once per distinct [`CompiledQuery`] (a
+//! *plan*); what a *tenant* owns — a [`QueryId`] and a schedule — is a
+//! *subscriber* of that plan. Tenants that register equal queries ride one
+//! slot on the wire, one pre-join filter, one exact join and one `Arc`'d
+//! result; an epoch's k is the number of distinct queries due, not the
+//! number of tenants.
 //!
 //! Guarantees (enforced by the in-module tests and `tests/multi_query.rs`):
 //!
@@ -38,17 +38,15 @@
 //! one-shot [`SensJoin`](crate::SensJoin) runs with one query, under the
 //! same phase labels and the same loss policy. What this module adds is
 //! what makes a query *standing*: registration, the due schedule, the
-//! persistent per-query filter engines, and the epoch retry loop.
+//! quantization space fixed at registration, and the epoch retry loop.
 
 use crate::config::SensJoinConfig;
 use crate::engine::JoinSpace;
 use crate::epoch::{run_epoch, Slot};
-use crate::incremental::{CellCounts, FilterEngine};
 use crate::outcome::{JoinResult, ProtocolError};
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use sensjoin_field::FieldSpec;
-use sensjoin_quadtree::PointSet;
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Scheduler, Time};
@@ -60,15 +58,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub usize);
 
-/// What a distinct query owns: its persistent base-station state, kept once
-/// however many subscribers registered an equal query.
+/// What a distinct query owns, kept once however many subscribers
+/// registered an equal query.
 struct Plan {
     query: CompiledQuery,
     space: JoinSpace,
-    /// Persistent pre-join filter engine, delta-fed across epochs.
-    engine: FilterEngine,
-    /// The previous epoch's collected cell population (delta baseline).
-    population: PointSet,
 }
 
 /// What a tenant owns: the plan it rides and its own schedule. A removed
@@ -214,9 +208,9 @@ impl std::error::Error for GroupFull {}
 
 /// A multi-query scheduler over one network: registered queries share each
 /// epoch's Join-Attribute-Collection and ride merged per-link filter and
-/// final-result messages, while the base station maintains one persistent
-/// [`FilterEngine`] per distinct query (equal registrations subscribe to
-/// one plan and share its slot, engine, join and result).
+/// final-result messages, and the base station runs one pre-join filter and
+/// one exact join per distinct query (equal registrations subscribe to one
+/// plan and share its slot, filter, join and result).
 ///
 /// # Example
 ///
@@ -274,24 +268,28 @@ impl QueryGroup {
     }
 
     /// Registers a query: subscribes to the live plan of an equal query
-    /// when the group has one, else builds a quantization space over `snet`
-    /// and a cold [`FilterEngine`]. The query is first due at the *next*
-    /// epoch and every `every` epochs after (`every` is clamped to ≥ 1).
+    /// when the group has one, else builds a quantization space over `snet`.
+    /// The query is first due at the *next* epoch and every `every` epochs
+    /// after (`every` is clamped to ≥ 1).
     ///
-    /// The quantization space is fixed at registration time — the
-    /// persistent engine's delta maintenance requires it — so as readings
-    /// drift, cell boundaries stay where they were when the query was
-    /// installed. That is safe (boundary cells are unbounded, so clamped
-    /// values only widen the conservative pre-join) and results stay exact,
-    /// but wire sizes can differ from a one-shot [`crate::SensJoin`] run,
-    /// which re-derives its space from the current snapshot. For the same
-    /// reason a late subscriber may adopt the space of a plan built on an
-    /// earlier snapshot.
+    /// The quantization space is fixed at registration time. No base-station
+    /// state depends on it from one epoch to the next, but the space is what
+    /// the wire is laid out in: subscribers share a plan's slot only
+    /// while they share its space, slots whose spaces coincide merge into
+    /// one encoding per link, and a restored group must charge byte for
+    /// byte what the uninterrupted one does. So as readings drift, cell
+    /// boundaries stay where they were when the query was installed. That
+    /// is safe (boundary cells are unbounded, so clamped values only widen
+    /// the conservative pre-join) and results stay exact, but wire sizes can
+    /// differ from a one-shot [`crate::SensJoin`] run, which re-derives its
+    /// space from the current snapshot. For the same reason a late
+    /// subscriber may adopt the space of a plan built on an earlier
+    /// snapshot.
     ///
     /// Registration is a pure base-station operation: no network traffic,
-    /// and other queries' collection state (their engines and populations)
-    /// is untouched — the shared collection simply starts including the new
-    /// query's attribute projection from its next due epoch on.
+    /// and other queries are untouched — the shared collection simply starts
+    /// including the new query's attribute projection from its next due
+    /// epoch on.
     pub fn register(&mut self, snet: &SensorNetwork, query: CompiledQuery, every: u64) -> QueryId {
         let live = self
             .plans
@@ -299,13 +297,7 @@ impl QueryGroup {
             .position(|p| p.as_ref().is_some_and(|p| p.query == query));
         let plan = live.unwrap_or_else(|| {
             let space = JoinSpace::build(&query, snet, &self.config);
-            let engine = FilterEngine::new(&query, &space);
-            let plan = Some(Plan {
-                query,
-                space,
-                engine,
-                population: PointSet::new(),
-            });
+            let plan = Some(Plan { query, space });
             match self.plans.iter().position(Option::is_none) {
                 Some(free) => {
                     self.plans[free] = plan;
@@ -343,8 +335,7 @@ impl QueryGroup {
     }
 
     /// Serializes the group's full mutable state: epoch position, the plan
-    /// table (per slot, free ones included: quantization space,
-    /// filter-engine population counts and delta baseline) and the
+    /// table (per slot, free ones included: the quantization space) and the
     /// subscriber table (dead ones included, to keep [`QueryId`]s stable:
     /// plan slot and schedule). Compiled queries are *not* serialized — the
     /// resuming process recompiles each live plan's SQL deterministically
@@ -355,11 +346,7 @@ impl QueryGroup {
         w.put_u64(self.last_latency_us);
         w.put_usize(self.plans.len());
         for plan in &self.plans {
-            persist::put_opt(w, plan, |w, plan| {
-                persist::put_join_space(w, &plan.space);
-                persist::put_cell_counts(w, plan.engine.counts());
-                persist::put_point_set(w, &plan.population);
-            });
+            persist::put_opt(w, plan, |w, plan| persist::put_join_space(w, &plan.space));
         }
         w.put_usize(self.subscribers.len());
         for sub in &self.subscribers {
@@ -372,10 +359,7 @@ impl QueryGroup {
 
     /// Rebuilds a group from [`QueryGroup::encode_state`] output. `queries`
     /// must hold the recompiled query of every plan slot, in slot order
-    /// (`None` for a free slot). Each plan's filter engine is rebuilt by
-    /// applying its saved counted population as one delta from empty —
-    /// bit-identical to the maintained engine by the incremental filter's
-    /// core guarantee.
+    /// (`None` for a free slot).
     pub fn restore_state(
         config: SensJoinConfig,
         queries: Vec<Option<CompiledQuery>>,
@@ -397,16 +381,7 @@ impl QueryGroup {
                 None => None,
                 Some(query) => {
                     let space = persist::get_join_space(r, &query)?;
-                    let counts = persist::get_cell_counts(r)?;
-                    let mut engine = FilterEngine::new(&query, &space);
-                    engine.apply_delta(&query, &space, &counts);
-                    let population = persist::get_point_set(r)?;
-                    Some(Plan {
-                        query,
-                        space,
-                        engine,
-                        population,
-                    })
+                    Some(Plan { query, space })
                 }
             });
         }
@@ -450,10 +425,10 @@ impl QueryGroup {
         Ok(group)
     }
 
-    /// Removes a query from the group. Its schedule ends; its plan (engine
-    /// and population) is dropped when no other live subscriber shares it.
-    /// Nothing else restarts — remaining queries keep their collection
-    /// state and schedules. Returns whether the id was live.
+    /// Removes a query from the group. Its schedule ends; its plan is
+    /// dropped when no other live subscriber shares it. Nothing else
+    /// restarts — remaining queries keep their spaces and schedules.
+    /// Returns whether the id was live.
     pub fn remove(&mut self, id: QueryId) -> bool {
         let Some(sub) = self.subscribers.get_mut(id.0).filter(|s| s.alive) else {
             return false;
@@ -521,19 +496,16 @@ impl QueryGroup {
     /// filter down-wave, and one shared final up-wave. Returns the
     /// per-query results plus shared and solo-equivalent accounting.
     ///
-    /// Queries not due this epoch are untouched (their engines keep their
-    /// state for their next due epoch); with no due query the epoch is a
-    /// no-op that only advances the epoch counter.
+    /// Queries not due this epoch are untouched; with no due query the
+    /// epoch is a no-op that only advances the epoch counter.
     ///
     /// On a lossy channel the epoch degrades per subtree exactly as a
     /// one-shot does (damaged collection or filter traffic costs filter
     /// savings, never a result row). Only an epoch whose *final* wave was
     /// permanently damaged (after the ARQ budget) is re-executed in place,
-    /// up to [`MAX_EPOCH_ATTEMPTS`] times: the base's per-query populations
-    /// and engines stay consistent (each attempt's presence delta simply
-    /// moves them to what that attempt collected), so no state reset is
-    /// needed. All attempts' traffic is charged to the returned stats and
-    /// solo-equivalent costs.
+    /// up to [`MAX_EPOCH_ATTEMPTS`] times: an attempt leaves nothing behind
+    /// at the base station, so no state reset is needed. All attempts'
+    /// traffic is charged to the returned stats and solo-equivalent costs.
     pub fn execute_epoch(
         &mut self,
         snet: &mut SensorNetwork,
@@ -545,8 +517,8 @@ impl QueryGroup {
         // effect between epochs, never mid-epoch. No state reconciliation is
         // needed beyond the tree repair the network performs itself — each
         // due query's collection is a full per-epoch presence snapshot, so
-        // `presence_delta` below sheds departed nodes' cells and re-adds
-        // revived ones as ordinary population transitions.
+        // departed nodes' cells are simply absent from it and revived ones
+        // present again.
         let mut churned = false;
         if snet.net().has_churn() {
             let out = snet.net_mut().apply_churn(self.last_latency_us);
@@ -591,52 +563,25 @@ impl QueryGroup {
     }
 
     /// One attempt of an epoch for the due subscribers: the full-wire epoch
-    /// of [`crate::epoch`] over their distinct plans, with each plan's
-    /// filter step fed into its persistent engine and no mid-epoch churn
-    /// poll. Every due subscriber receives its plan's one result.
-    fn epoch_once(&mut self, snet: &mut SensorNetwork, epoch: u64, due: &[usize]) -> EpochReport {
+    /// of [`crate::epoch`] over their distinct plans, with no mid-epoch
+    /// churn poll. Every due subscriber receives its plan's one result.
+    fn epoch_once(&self, snet: &mut SensorNetwork, epoch: u64, due: &[usize]) -> EpochReport {
         // A plan is due when any subscriber is, and takes the epoch slot of
         // its first due subscriber — so pairwise-distinct queries lay out
         // in `QueryId` order.
         let mut slot_of = vec![usize::MAX; self.plans.len()];
-        let mut order = Vec::new();
+        let mut slots = Vec::new();
         for &si in due {
             let plan = self.subscribers[si].plan;
             if slot_of[plan] == usize::MAX {
-                slot_of[plan] = order.len();
-                order.push(plan);
+                slot_of[plan] = slots.len();
+                let Plan { query, space } = self.plans[plan]
+                    .as_ref()
+                    .expect("a live subscriber's plan is live");
+                slots.push(Slot { query, space });
             }
         }
-        // Split each due plan into what the epoch reads (the slot) and what
-        // the base-station filter step maintains.
-        let mut plans: Vec<Option<&mut Plan>> = self.plans.iter_mut().map(Option::as_mut).collect();
-        let mut slots = Vec::with_capacity(order.len());
-        let mut engines = Vec::with_capacity(order.len());
-        for &plan in &order {
-            let Plan {
-                query,
-                space,
-                engine,
-                population,
-            } = plans[plan]
-                .take()
-                .expect("a live subscriber's plan is live, and is a slot once");
-            let (query, space) = (&*query, &*space);
-            slots.push(Slot { query, space });
-            engines.push((engine, population));
-        }
-        // Each due plan's collected set is exactly its solo population;
-        // feed the presence transition into its persistent engine. The
-        // resulting filter is bit-identical to a fresh `prejoin_filter`.
-        let base_filter = |s: usize, collected: &PointSet| {
-            let (engine, population) = &mut engines[s];
-            let delta = presence_delta(population, collected);
-            **population = collected.clone();
-            engine
-                .apply_delta(slots[s].query, slots[s].space, &delta)
-                .clone()
-        };
-        let run = run_epoch(snet, &self.config, &slots, base_filter, false);
+        let run = run_epoch(snet, &self.config, &slots, false);
         let joins: Vec<_> = run
             .joins
             .into_iter()
@@ -667,36 +612,11 @@ impl QueryGroup {
             latency_us: run.timing.pipelined,
             latency_slotted_us: run.timing.slotted,
             solo_equivalent,
-            plans: order.len(),
+            plans: slots.len(),
             complete: run.complete,
             churned: false,
         }
     }
-}
-
-/// The counted delta turning the presence set `old` into `new`: +1 for each
-/// appearing `(cell, role)` bit, −1 for each disappearing one. Feeding it
-/// to a [`FilterEngine`] whose population is `old` moves it to `new`.
-fn presence_delta(old: &PointSet, new: &PointSet) -> CellCounts {
-    let mut delta = CellCounts::new();
-    for p in new.iter() {
-        let old_f = old.flags_of(p.z).map_or(0, |f| f.0);
-        if old_f != p.flags.0 {
-            let e = delta.entry(p.z).or_insert([0; 8]);
-            for (b, c) in e.iter_mut().enumerate() {
-                *c += i64::from(p.flags.0 >> b & 1) - i64::from(old_f >> b & 1);
-            }
-        }
-    }
-    for p in old.iter() {
-        if new.flags_of(p.z).is_none() {
-            let e = delta.entry(p.z).or_insert([0; 8]);
-            for (b, c) in e.iter_mut().enumerate() {
-                *c -= i64::from(p.flags.0 >> b & 1);
-            }
-        }
-    }
-    delta
 }
 
 /// Events a [`GroupRunner`] processes on its discrete-event timeline.
@@ -1004,8 +924,7 @@ mod tests {
         let a = group.register(&s, q1.clone(), 1);
         let r0 = group.execute_epoch(&mut s).unwrap();
         assert_matches_solo(&r0, &mut s, &[&q1]);
-        // Add q2 mid-run (readings drift), remove q1: only q2 runs, and the
-        // persistent engines survive both changes.
+        // Add q2 mid-run (readings drift), remove q1: only q2 runs.
         let b = group.register(&s, q2.clone(), 1);
         assert!(group.remove(a));
         assert!(!group.remove(a), "double removal reports dead id");
@@ -1014,8 +933,8 @@ mod tests {
         assert_eq!(r1.outcomes.len(), 1);
         assert_eq!(r1.outcomes[0].id, b);
         assert_matches_solo(&r1, &mut s, &[&q2]);
-        // Drift again and keep running q2: the engine's delta path stays
-        // bit-identical to solo across epochs.
+        // Drift again and keep running q2: its space stays the one of its
+        // registration, its results stay solo's.
         s.resample(&presets::indoor_climate(), 100);
         let r2 = group.execute_epoch(&mut s).unwrap();
         assert_matches_solo(&r2, &mut s, &[&q2]);
@@ -1188,7 +1107,7 @@ mod tests {
             s.resample(&presets::indoor_climate(), 700 + epoch);
         }
         // With only the sparse subscriber left, the plan idles between its
-        // due epochs and its engine picks the deltas up again.
+        // due epochs.
         assert!(group.remove(a));
         for epoch in 7..11u64 {
             let r = group.execute_epoch(&mut s).unwrap();
@@ -1223,7 +1142,7 @@ mod tests {
         assert!(group.remove(b));
         assert_eq!((group.len(), group.plans()), (1, 1));
         assert_eq!(group.subscribers_of(freed), 0);
-        // A new query takes the freed slot with a cold engine of its own.
+        // A new query takes the freed slot with a space of its own.
         let q3 = compiled(
             &s,
             "SELECT A.temp FROM Sensors A, Sensors B \
@@ -1302,6 +1221,9 @@ mod tests {
         let restored = back.execute_epoch(&mut s2).unwrap();
         assert_eq!(format!("{:?}", live.stats), format!("{:?}", restored.stats));
         assert_matches_solo(&restored, &mut s2, &[&q1, &q1]);
+        // The image holds nothing an epoch derives: running one moves the
+        // two counters at its head and not a byte after them.
+        assert_eq!(encode(&group)[16..], bytes[16..]);
 
         let invariant = |bytes: &[u8], queries| match restore(bytes, queries) {
             Err(CodecError::Invariant(what)) => what,

@@ -2,7 +2,7 @@
 //! epoch of one query ([`crate::epoch`]).
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{prejoin_filter, JoinSpace};
+use crate::engine::JoinSpace;
 use crate::epoch::{run_epoch, Slot};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::snetwork::SensorNetwork;
@@ -54,10 +54,10 @@ impl JoinMethod for SensJoin {
         }
     }
 
-    /// One epoch of one query. What makes it a one-shot: the base station
-    /// computes a fresh [`prejoin_filter`] (there is no previous epoch whose
-    /// filter state could be maintained), and the churn timeline is polled
-    /// between the phases (there is no next epoch to defer a crash to).
+    /// One epoch of one query. What makes it a one-shot: the quantization
+    /// space is built on the current snapshot, and the churn timeline is
+    /// polled between the phases (there is no next epoch to defer a crash
+    /// to).
     fn execute(
         &self,
         snet: &mut SensorNetwork,
@@ -69,8 +69,7 @@ impl JoinMethod for SensJoin {
             query,
             space: &space,
         };
-        let base_filter = |_, collected: &_| prejoin_filter(query, &space, collected);
-        let mut run = run_epoch(snet, &self.config, &[slot], base_filter, true);
+        let mut run = run_epoch(snet, &self.config, &[slot], true);
         let join = run.joins.pop().expect("one slot");
         Ok(JoinOutcome {
             result: join.result,

@@ -10,7 +10,7 @@
 //! `sensjoin-core`) runs up to 64 concurrent tenants per
 //! group with one shared collection wave per epoch, and runs each
 //! *distinct* query among them once: tenants that submit equal queries
-//! subscribe to one plan — one slot on the wire, one filter engine, one
+//! subscribe to one plan — one slot on the wire, one pre-join filter, one
 //! exact join, one `Arc`'d result. That plan table is the only sharing
 //! mechanism: admission is parse → compile →
 //! [`QueryGroup::try_register`](sensjoin_core::QueryGroup::try_register),

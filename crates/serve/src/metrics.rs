@@ -224,7 +224,7 @@ pub struct DeploymentMetrics {
     pub query_epochs: u64,
     /// Distinct plans those results came from, summed over group epochs.
     /// `query_epochs / plan_epochs` is the sharing ratio: how many tenants
-    /// one epoch slot, filter engine and exact join served on average.
+    /// one epoch slot, pre-join filter and exact join served on average.
     pub plan_epochs: u64,
     /// Result rows delivered across all tenant-epochs.
     pub result_rows: u64,

@@ -227,8 +227,8 @@ fn single_query_solo_equivalent_is_byte_exact() {
     }
 }
 
-/// Mid-run removal (and a late registration): the surviving queries'
-/// persistent filter engines keep producing solo-identical results.
+/// Mid-run removal (and a late registration): the surviving queries keep
+/// producing solo-identical results.
 #[test]
 fn removal_mid_run_keeps_survivors_exact() {
     let mut snet = build(37, 100);
