@@ -1,6 +1,8 @@
 //! Streaming-ingestion scaling: the steady-state cost of a small delta
 //! batch through `StreamJoinEngine` against the full batch re-join it
-//! replaces, and the cost of loading the engine cold.
+//! replaces, the cost of loading the engine cold, and the cost of a full
+//! refresh — every tuple re-upserted into a warm engine, the batch an
+//! ε = 0 continuous round applies to its matched nodes.
 //!
 //! The engine's claim (DESIGN.md §4.11) is O(Δ) steady-state work: applying
 //! a batch touching 1 % of the tuples must not cost anywhere near a full
@@ -112,6 +114,12 @@ fn bench_ingest(c: &mut Criterion, cq: &CompiledQuery, data: &[Vec<(NodeId, Vec<
     group.bench_with_input(BenchmarkId::new("delta_batch_1pct", N), &N, |b, _| {
         b.iter(|| black_box(engine.apply_batch(black_box(&delta))))
     });
+    // The other end of the same code path: every tuple re-ships. All cached
+    // rows go and come back; against `cold_load` the difference is the
+    // expiries and the pass over a full run.
+    group.bench_with_input(BenchmarkId::new("full_refresh", N), &N, |b, _| {
+        b.iter(|| black_box(engine.apply_batch(black_box(&all))))
+    });
     group.finish();
     // The fixed point really is one: the warm engine still answers exactly.
     let reference = exact_join(cq, data);
@@ -146,6 +154,8 @@ fn main() {
     let full = ns_of(results, &format!("ingest_scaling/full_exact_join/{N}"));
     let delta = ns_of(results, &format!("ingest_scaling/delta_batch_1pct/{N}"));
     let delta_over_full = delta / full;
+    let cold_over_full = ns_of(results, &format!("ingest_scaling/cold_load/{N}")) / full;
+    let refresh_over_full = ns_of(results, &format!("ingest_scaling/full_refresh/{N}")) / full;
     assert!(
         delta_over_full <= DELTA_GATE,
         "gate violated: 1% delta batch is {delta_over_full:.3}x the full join (> {DELTA_GATE})"
@@ -155,6 +165,8 @@ fn main() {
         ("tuples_per_relation", format!("{N}")),
         ("delta_fraction", format!("{DELTA_FRACTION}")),
         ("delta_over_full", format!("{delta_over_full:.4}")),
+        ("cold_load_over_full", format!("{cold_over_full:.2}")),
+        ("full_refresh_over_full", format!("{refresh_over_full:.2}")),
         (
             "gate",
             format!("\"delta_batch_1pct/{N} <= {DELTA_GATE}x full_exact_join/{N}\""),

@@ -4,9 +4,10 @@
 //! scratch every round, even when only a handful of readings changed. This
 //! module maintains the join *incrementally*: a persistent
 //! [`StreamJoinEngine`] is fed per-relation tuple deltas
-//! ([`StreamOp::Upsert`] / [`StreamOp::Expire`]) and updates a cached result
-//! set anchored at the changed tuples only, so a batch of `Δ` changes costs
-//! `O(Δ · candidates-per-probe)` instead of `O(Π |Rᵢ|)`.
+//! ([`StreamOp::Upsert`] / [`StreamOp::Expire`]) and re-enumerates the
+//! bindings anchored at the changed tuples only, so a batch of `Δ` changes
+//! costs `O(Δ · candidates-per-probe)` probing plus one sequential pass over
+//! the cached rows, instead of `O(Π |Rᵢ|)`.
 //!
 //! # Delta indexes
 //!
@@ -22,21 +23,26 @@
 //!   full-precision predicate gate still runs on every candidate, so
 //!   correctness never rests on the window.
 //!
-//! # Equivalence to the batch join
+//! # The cached result and its equivalence to the batch join
 //!
-//! The cached result rows are keyed by the per-relation origin vector in a
-//! `BTreeMap`. Tuple stores fed in ascending [`NodeId`] order (as the
-//! continuous cache does) make lexicographic origin order coincide with the
-//! batch descent's emission order, so [`StreamJoinEngine::result`] — which
-//! replays the cache through the same finalization as [`crate::exact_join`]
-//! — is *bit-identical* to recomputing the batch join over the live tuples:
-//! same rows, same order, same grouping folds, same contributor set.
+//! The cached rows are one flat run (`RowRun`): per row a slot per relation
+//! and the projected values, ascending by the rows' per-relation origin
+//! vectors. A batch rewrites it in one merge pass that drops the rows
+//! binding an expired tuple and lands the freshly enumerated ones; there is
+//! no per-row entry, key or reverse map. Tuple stores fed in ascending
+//! [`NodeId`] order (as the continuous cache does) make lexicographic origin
+//! order coincide with the batch descent's emission order, so
+//! [`StreamJoinEngine::result`] — which replays the run through the same
+//! finalization as [`crate::exact_join`] — is *bit-identical* to recomputing
+//! the batch join over the live tuples: same rows, same order, same grouping
+//! folds, same contributor set.
 
 use crate::engine::{finalize_exact, ExactAcc, JoinComputation};
-use crate::partition::{band_runs, key_bits, runs_len};
+use crate::partition::{band_runs, key_bits, runs_len, Runs};
 use sensjoin_query::{eval_expr, eval_predicate, BandForm, CExpr, CompiledQuery, PredClass};
 use sensjoin_relation::NodeId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 
 /// One tuple-level change fed to [`StreamJoinEngine::apply_batch`].
 ///
@@ -94,15 +100,32 @@ impl BatchStats {
     }
 }
 
+/// What a slot of a [`RelStore`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Free,
+    Live,
+    /// Live, and inserted by the batch being applied.
+    Fresh,
+}
+
+/// One slot of a [`RelStore`].
+#[derive(Debug)]
+struct Tuple {
+    /// The producing node (stale when the slot is free).
+    origin: NodeId,
+    /// Schema-aligned values.
+    values: Vec<f64>,
+    state: Slot,
+    /// Cached result rows binding this tuple (0 when the slot is free): an
+    /// origin contributes iff one of its tuples has a row.
+    rows: u32,
+}
+
 /// Slot-based tuple store of one relation.
 #[derive(Debug, Default)]
 struct RelStore {
-    /// Slot → origin (stale when the slot is free).
-    origins: Vec<NodeId>,
-    /// Slot → schema-aligned values.
-    values: Vec<Vec<f64>>,
-    /// Slot liveness.
-    live: Vec<bool>,
+    tuples: Vec<Tuple>,
     /// Origin → live slot.
     by_origin: HashMap<NodeId, u32>,
     /// Reusable free slots.
@@ -112,29 +135,28 @@ struct RelStore {
 impl RelStore {
     fn insert(&mut self, origin: NodeId, values: Vec<f64>) -> u32 {
         debug_assert!(!self.by_origin.contains_key(&origin));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.origins[s as usize] = origin;
-                self.values[s as usize] = values;
-                self.live[s as usize] = true;
-                s
-            }
-            None => {
-                self.origins.push(origin);
-                self.values.push(values);
-                self.live.push(true);
-                (self.origins.len() - 1) as u32
-            }
+        let (state, rows) = (Slot::Fresh, 0);
+        let tuple = Tuple {
+            origin,
+            values,
+            state,
+            rows,
         };
+        let slot = self.free.pop().unwrap_or(self.tuples.len() as u32);
+        match self.tuples.get_mut(slot as usize) {
+            Some(freed) => *freed = tuple,
+            None => self.tuples.push(tuple),
+        }
         self.by_origin.insert(origin, slot);
         slot
     }
 
+    /// Frees `slot`. The cached rows binding it stay in the run until the
+    /// batch's merge pass, which recognises them by the slot's state.
     fn free_slot(&mut self, slot: u32) {
-        let origin = self.origins[slot as usize];
-        self.by_origin.remove(&origin);
-        self.live[slot as usize] = false;
-        self.values[slot as usize] = Vec::new();
+        let tuple = &mut self.tuples[slot as usize];
+        self.by_origin.remove(&tuple.origin);
+        (tuple.values, tuple.state, tuple.rows) = (Vec::new(), Slot::Free, 0);
         self.free.push(slot);
     }
 }
@@ -142,7 +164,7 @@ impl RelStore {
 /// The incremental index kinds.
 #[derive(Debug)]
 enum IndexKind {
-    /// Equi conjunct: key bits → ascending slot list.
+    /// Equi conjunct: key bits → slot list.
     Equi { map: HashMap<u64, Vec<u32>> },
     /// Band conjunct: `(key, slot)` ascending by key (ties by slot), NaN
     /// keys left out — the batch engine's sorted key array.
@@ -157,6 +179,38 @@ enum IndexKind {
 /// Where `(key, slot)` sits, or belongs, in a band index's array.
 fn band_pos(keys: &[(f64, u32)], key: f64, slot: u32) -> usize {
     keys.partition_point(|&(k, s)| k.total_cmp(&key).then(s.cmp(&slot)).is_lt())
+}
+
+/// The candidate slots of one level of a descent, borrowed from the index
+/// (or, when no index can prune, from the store).
+enum Cands<'a> {
+    Bucket(&'a [u32]),
+    Runs(&'a [(f64, u32)], Runs),
+    /// Every slot that is not free.
+    Scan(&'a [Tuple]),
+}
+
+impl Cands<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Cands::Bucket(slots) => slots.len(),
+            Cands::Runs(_, runs) => runs_len(runs),
+            Cands::Scan(_) => usize::MAX,
+        }
+    }
+
+    fn for_each(&self, mut f: impl FnMut(u32)) {
+        match self {
+            Cands::Bucket(slots) => slots.iter().for_each(|&slot| f(slot)),
+            Cands::Runs(keys, runs) => runs
+                .iter()
+                .flat_map(|run| &keys[run.clone()])
+                .for_each(|&(_, slot)| f(slot)),
+            Cands::Scan(tuples) => (0..tuples.len() as u32)
+                .filter(|&slot| tuples[slot as usize].state != Slot::Free)
+                .for_each(f),
+        }
+    }
 }
 
 /// One incremental index: the keyed side of an indexable conjunct on one
@@ -224,28 +278,53 @@ impl IngestIndex {
     /// Candidate slots for probe value `p`: `None` when the index cannot
     /// prune (the caller scans), `Some` with a superset of the conjunct's
     /// true matches otherwise.
-    fn probe(&self, p: f64) -> Option<Vec<u32>> {
+    fn probe(&self, p: f64) -> Option<Cands<'_>> {
         match &self.kind {
-            IndexKind::Equi { map } => Some(
-                key_bits(p)
-                    .and_then(|b| map.get(&b))
-                    .cloned()
-                    .unwrap_or_default(),
-            ),
+            IndexKind::Equi { map } => {
+                let bucket = key_bits(p).and_then(|b| map.get(&b));
+                Some(Cands::Bucket(bucket.map_or(&[], Vec::as_slice)))
+            }
             IndexKind::Band {
                 form,
                 key_is_lhs,
                 keys,
-            } => {
-                let runs = band_runs(keys, *form, *key_is_lhs, p)?;
-                let mut slots = Vec::with_capacity(runs_len(&runs));
-                for run in runs {
-                    slots.extend(keys[run].iter().map(|&(_, slot)| slot));
-                }
-                Some(slots)
-            }
+            } => Some(Cands::Runs(keys, band_runs(keys, *form, *key_is_lhs, p)?)),
         }
     }
+}
+
+/// The cached result: one flat run of rows, ascending by the origin vector
+/// their slots name — the batch emission order. A row lives as long as every
+/// tuple it binds, so its slots always name the origins it was found for.
+#[derive(Debug, Default)]
+struct RowRun {
+    /// Per row one slot per relation (stride = relations).
+    slots: Vec<u32>,
+    /// Per row its SELECT values, then its group key.
+    vals: Vec<f64>,
+}
+
+/// Orders two bindings (a slot per relation) by their origin vectors.
+fn cmp_rows(rels: &[RelStore], a: &[u32], b: &[u32]) -> Ordering {
+    let origin = |r: usize, row: &[u32]| rels[r].tuples[row[r] as usize].origin;
+    let differ = (0..rels.len()).find(|&r| origin(r, a) != origin(r, b));
+    differ.map_or(Ordering::Equal, |r| origin(r, a).cmp(&origin(r, b)))
+}
+
+/// The expressions a cached row stores the values of: the SELECT items, then
+/// the GROUP BY keys.
+fn projection(query: &CompiledQuery) -> impl Iterator<Item = &CExpr> {
+    let select = query.select().iter().map(|s| &s.expr);
+    select.chain(query.group_by())
+}
+
+/// One batch's anchored enumerations: the bind order (anchor first), the slots
+/// bound so far, and the bindings kept (a slot per relation each).
+struct Descent<'a> {
+    order: Vec<usize>,
+    binding: Vec<u32>,
+    found: Vec<u32>,
+    stats: &'a mut BatchStats,
 }
 
 /// A persistent streaming join over per-relation tuple deltas.
@@ -262,18 +341,14 @@ pub struct StreamJoinEngine {
     indexes: Vec<Vec<IngestIndex>>,
     /// Per join predicate: bitmask of referenced relations.
     pred_masks: Vec<u32>,
-    /// Result cache: per-relation origin vector → projected row (+ group
-    /// key). Lexicographic key order reproduces the batch emission order.
-    rows: BTreeMap<Box<[u32]>, RowEntry>,
-    /// Origin → result-row keys it appears in (the incremental contributor
-    /// set: an entry exists iff the node contributes to ≥ 1 row).
-    rows_of: HashMap<NodeId, BTreeSet<Box<[u32]>>>,
-}
-
-#[derive(Debug)]
-struct RowEntry {
-    row: Vec<f64>,
-    gkey: Vec<f64>,
+    /// The cached result rows.
+    run: RowRun,
+    /// Scratch of one batch, kept for its capacity: the bindings it found
+    /// (a slot per relation each), their sort order, and the run it merges
+    /// them into.
+    fresh: Vec<u32>,
+    order: Vec<u32>,
+    spare: RowRun,
 }
 
 impl StreamJoinEngine {
@@ -323,8 +398,10 @@ impl StreamJoinEngine {
             rels: (0..k).map(|_| RelStore::default()).collect(),
             indexes,
             pred_masks,
-            rows: BTreeMap::new(),
-            rows_of: HashMap::new(),
+            run: RowRun::default(),
+            fresh: Vec::new(),
+            order: Vec::new(),
+            spare: RowRun::default(),
         }
     }
 
@@ -340,13 +417,13 @@ impl StreamJoinEngine {
 
     /// Cached result-row count (pre-grouping).
     pub fn cached_rows(&self) -> usize {
-        self.rows.len()
+        self.run.slots.len() / self.rels.len()
     }
 
     /// Every live tuple as `(origin, per-relation values)` in ascending
     /// origin order — the checkpoint export. Replaying these through
     /// [`StreamJoinEngine::apply_batch`] as one upsert batch rebuilds an
-    /// equivalent engine: result rows are keyed by origin vectors, so slot
+    /// equivalent engine: result rows are ordered by origin vectors, so slot
     /// numbering (which replay does not reproduce) is unobservable.
     #[allow(clippy::type_complexity)]
     pub fn live_tuples(&self) -> Vec<(NodeId, Vec<Option<Vec<f64>>>)> {
@@ -363,7 +440,7 @@ impl StreamJoinEngine {
                     .map(|rs| {
                         rs.by_origin
                             .get(&o)
-                            .map(|&slot| rs.values[slot as usize].clone())
+                            .map(|&slot| rs.tuples[slot as usize].values.clone())
                     })
                     .collect();
                 (o, per_rel)
@@ -390,15 +467,18 @@ impl StreamJoinEngine {
 
     /// Applies one delta batch and incrementally updates the cached result.
     ///
-    /// All store/index changes land first; then the join is re-enumerated
-    /// anchored at each tuple inserted (and still live) in this batch, so
-    /// tuples arriving together join with each other exactly once.
+    /// All store/index changes land first. The join is then re-enumerated
+    /// anchored at each tuple inserted (and still live) in this batch, and
+    /// one merge pass over the run drops the rows binding an expired tuple
+    /// and lands the rows found. A binding is enumerated once from each
+    /// fresh tuple it binds and kept from the first only, so tuples arriving
+    /// together — a self-join's `(a, a)` included — join once, no lookup.
     pub fn apply_batch(&mut self, ops: &[StreamOp]) -> BatchStats {
         let mut stats = BatchStats {
             ops: ops.len(),
             ..BatchStats::default()
         };
-        let mut touched: BTreeSet<(usize, NodeId)> = BTreeSet::new();
+        let mut touched: Vec<(usize, u32)> = Vec::new();
         for op in ops {
             match op {
                 StreamOp::Upsert { origin, per_rel } => {
@@ -409,29 +489,39 @@ impl StreamJoinEngine {
                         debug_assert_eq!(values.len(), self.query.schema(r).arity());
                         let slot = self.rels[r].insert(*origin, values.clone());
                         for ix in &mut self.indexes[r] {
-                            let key = ix.key_of(r, &self.rels[r].values[slot as usize]);
-                            ix.insert(key, slot);
+                            ix.insert(ix.key_of(r, values), slot);
                         }
-                        touched.insert((r, *origin));
+                        touched.push((r, slot));
                         stats.inserted += 1;
                     }
                 }
                 StreamOp::Expire { origin } => self.expire(*origin, &mut stats),
             }
         }
-        if self.query.is_const_false() {
-            return stats;
+        // The anchors: slots still fresh (not expired by a later op), each
+        // once (a slot freed and refilled within the batch was pushed twice).
+        touched.retain(|&(r, slot)| self.rels[r].tuples[slot as usize].state == Slot::Fresh);
+        touched.sort_unstable();
+        touched.dedup();
+        let k = self.rels.len();
+        let mut walk = Descent {
+            order: Vec::with_capacity(k),
+            binding: vec![u32::MAX; k],
+            found: std::mem::take(&mut self.fresh),
+            stats: &mut stats,
+        };
+        walk.found.clear();
+        for &(rel, slot) in touched.iter().filter(|_| !self.query.is_const_false()) {
+            walk.order.clear();
+            walk.order.push(rel);
+            walk.order.extend((0..k).filter(|&r| r != rel));
+            self.try_bind(&mut walk, 0, slot, 0);
         }
-        let mut found: Vec<Vec<u32>> = Vec::new();
-        for &(rel, origin) in &touched {
-            // Skipped when a later op in the same batch expired the tuple.
-            let Some(&slot) = self.rels[rel].by_origin.get(&origin) else {
-                continue;
-            };
-            self.enumerate_anchored(rel, slot, &mut found, &mut stats);
-        }
-        for binding in found {
-            self.insert_row(&binding, &mut stats);
+        self.fresh = walk.found;
+        stats.rows_added = self.fresh.len() / k;
+        stats.rows_removed = self.merge_fresh();
+        for (r, slot) in touched {
+            self.rels[r].tuples[slot as usize].state = Slot::Live;
         }
         stats
     }
@@ -439,44 +529,28 @@ impl StreamJoinEngine {
     /// The current query answer — bit-identical to [`crate::exact_join`]
     /// over the live tuples of every relation in ascending origin order.
     pub fn result(&self) -> JoinComputation {
+        let (sa, w) = (self.query.select().len(), projection(&self.query).count());
         let mut acc = ExactAcc::default();
-        if !self.query.is_const_false() {
-            for entry in self.rows.values() {
-                acc.rows.push(entry.row.clone());
-                if self.query.has_group_by() {
-                    acc.keys.push(entry.gkey.clone());
-                }
+        for i in 0..self.cached_rows() {
+            let (row, gkey) = self.run.vals[i * w..(i + 1) * w].split_at(sa);
+            acc.rows.push(row.to_vec());
+            if self.query.has_group_by() {
+                acc.keys.push(gkey.to_vec());
             }
-            acc.contributors = self.rows_of.keys().copied().collect();
         }
+        let tuples = self.rels.iter().flat_map(|rs| &rs.tuples);
+        acc.contributors = tuples.filter(|t| t.rows > 0).map(|t| t.origin).collect();
         finalize_exact(&self.query, acc)
     }
 
-    /// Removes every tuple and result row of `origin`.
+    /// Removes every tuple of `origin`.
     fn expire(&mut self, origin: NodeId, stats: &mut BatchStats) {
-        if let Some(keys) = self.rows_of.remove(&origin) {
-            for key in keys {
-                self.rows.remove(&key);
-                stats.rows_removed += 1;
-                for &o in key.iter().collect::<BTreeSet<_>>() {
-                    if o == origin.0 {
-                        continue;
-                    }
-                    if let Some(set) = self.rows_of.get_mut(&NodeId(o)) {
-                        set.remove(&key);
-                        if set.is_empty() {
-                            self.rows_of.remove(&NodeId(o));
-                        }
-                    }
-                }
-            }
-        }
         for r in 0..self.rels.len() {
             let Some(&slot) = self.rels[r].by_origin.get(&origin) else {
                 continue;
             };
             for ix in &mut self.indexes[r] {
-                let key = ix.key_of(r, &self.rels[r].values[slot as usize]);
+                let key = ix.key_of(r, &self.rels[r].tuples[slot as usize].values);
                 ix.remove(key, slot);
             }
             self.rels[r].free_slot(slot);
@@ -484,138 +558,104 @@ impl StreamJoinEngine {
         }
     }
 
-    /// Enumerates every full binding containing `(anchor_rel, anchor_slot)`:
-    /// the anchor binds first, remaining relations bind in ascending order,
-    /// each probed through whichever of its indexes (with the probe side
-    /// already bound) yields the fewest candidates.
-    fn enumerate_anchored(
-        &self,
-        anchor_rel: usize,
-        anchor_slot: u32,
-        found: &mut Vec<Vec<u32>>,
-        stats: &mut BatchStats,
-    ) {
-        let k = self.rels.len();
-        let mut order = Vec::with_capacity(k);
-        order.push(anchor_rel);
-        order.extend((0..k).filter(|&r| r != anchor_rel));
-        let mut binding = vec![u32::MAX; k];
-        self.try_bind(&order, 0, anchor_slot, 0, &mut binding, found, stats);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn try_bind(
-        &self,
-        order: &[usize],
-        depth: usize,
-        slot: u32,
-        bound: u32,
-        binding: &mut Vec<u32>,
-        found: &mut Vec<Vec<u32>>,
-        stats: &mut BatchStats,
-    ) {
-        let rel = order[depth];
-        binding[rel] = slot;
-        let bound = bound | 1 << rel;
-        stats.candidates += 1;
-        // Full-precision gate: every predicate whose last referenced
-        // relation just bound.
-        let ok = {
-            let env = |r: usize, a: usize| -> f64 { self.rels[r].values[binding[r] as usize][a] };
-            self.query
-                .join_preds()
-                .iter()
-                .zip(&self.pred_masks)
-                .filter(|&(_, &m)| m & !bound == 0 && m >> rel & 1 == 1)
-                .all(|(p, _)| eval_predicate(p, &env))
+    /// Rewrites the run in one merge pass: a cached row binding a tuple this
+    /// batch expired — its slot is free, or was refilled and is fresh — is
+    /// dropped (the tuples it still binds lose a row each), and the batch's
+    /// fresh bindings, sorted, land where they belong, projected as they do.
+    /// Returns the number of rows dropped.
+    fn merge_fresh(&mut self) -> usize {
+        let (query, fresh, order) = (&self.query, &self.fresh, &mut self.order);
+        let (rels, run, out) = (&mut self.rels, &mut self.run, &mut self.spare);
+        let (k, w) = (rels.len(), projection(query).count());
+        let binding = |f: &u32| &fresh[*f as usize * k..][..k];
+        order.clear();
+        order.extend(0..(fresh.len() / k) as u32);
+        order.sort_unstable_by(|a, b| cmp_rows(rels, binding(a), binding(b)));
+        let land = |out: &mut RowRun, rels: &mut [RelStore], new: &[u32]| {
+            out.slots.extend_from_slice(new);
+            let env = |r: usize, a: usize| -> f64 { rels[r].tuples[new[r] as usize].values[a] };
+            out.vals
+                .extend(projection(query).map(|e| eval_expr(e, &env)));
+            for (rs, &slot) in rels.iter_mut().zip(new) {
+                rs.tuples[slot as usize].rows += 1;
+            }
         };
-        if ok {
-            if depth + 1 == order.len() {
-                found.push(binding.clone());
-            } else {
-                self.descend(order, depth + 1, bound, binding, found, stats);
+        out.slots.clear();
+        out.vals.clear();
+        let copy = |out: &mut RowRun, from: usize, to: usize| {
+            out.slots.extend_from_slice(&run.slots[from * k..to * k]);
+            out.vals.extend_from_slice(&run.vals[from * w..to * w]);
+        };
+        let mut next = order.iter().map(binding).peekable();
+        // Rows `from..i` are kept and not yet copied: they go as one block.
+        let (mut dropped, mut from) = (0, 0);
+        for (i, row) in run.slots.chunks_exact(k).enumerate() {
+            let state = |(rs, &slot): (&RelStore, &u32)| rs.tuples[slot as usize].state;
+            if rels.iter().zip(row).all(|bound| state(bound) == Slot::Live) {
+                while let Some(new) = next.next_if(|new| cmp_rows(rels, new, row).is_lt()) {
+                    copy(out, from, i);
+                    from = i;
+                    land(out, rels, new);
+                }
+                continue;
+            }
+            copy(out, from, i);
+            (from, dropped) = (i + 1, dropped + 1);
+            for (rs, &slot) in rels.iter_mut().zip(row) {
+                let tuple = &mut rs.tuples[slot as usize];
+                tuple.rows -= (tuple.state == Slot::Live) as u32;
             }
         }
-        binding[rel] = u32::MAX;
+        copy(out, from, run.slots.len() / k);
+        next.for_each(|new| land(out, rels, new));
+        std::mem::swap(run, out);
+        dropped
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        order: &[usize],
-        depth: usize,
-        bound: u32,
-        binding: &mut Vec<u32>,
-        found: &mut Vec<Vec<u32>>,
-        stats: &mut BatchStats,
-    ) {
-        let rel = order[depth];
-        match self.level_candidates(rel, bound, binding) {
-            Some(cands) => {
-                for slot in cands {
-                    self.try_bind(order, depth, slot, bound, binding, found, stats);
-                }
-            }
-            None => {
-                // No usable index: scan the relation's live slots.
-                for slot in 0..self.rels[rel].live.len() {
-                    if self.rels[rel].live[slot] {
-                        self.try_bind(order, depth, slot as u32, bound, binding, found, stats);
-                    }
-                }
-            }
+    /// Binds `slot` at `depth` of the walk's order (the anchor first, the
+    /// remaining relations ascending) and, if every predicate whose last
+    /// referenced relation just bound holds at full precision, goes on to
+    /// each candidate of the next relation, or keeps the full binding.
+    fn try_bind(&self, walk: &mut Descent<'_>, depth: usize, slot: u32, bound: u32) {
+        let rel = walk.order[depth];
+        walk.binding[rel] = slot;
+        let bound = bound | 1 << rel;
+        walk.stats.candidates += 1;
+        let binding = &walk.binding;
+        let env =
+            |r: usize, a: usize| -> f64 { self.rels[r].tuples[binding[r] as usize].values[a] };
+        let mut closed = self.query.join_preds().iter().zip(&self.pred_masks);
+        if !closed.all(|(p, &m)| m & !bound != 0 || m >> rel & 1 == 0 || eval_predicate(p, &env)) {
+            return;
+        }
+        if let Some(&next) = walk.order.get(depth + 1) {
+            let cands = self.level_candidates(next, bound, binding);
+            return cands.for_each(|slot| self.try_bind(walk, depth + 1, slot, bound));
+        }
+        // Kept from its first fresh position only (see `apply_batch`).
+        let fresh = |r: usize| self.rels[r].tuples[binding[r] as usize].state == Slot::Fresh;
+        if !(0..walk.order[0]).any(fresh) {
+            walk.found.extend_from_slice(&walk.binding);
         }
     }
 
-    /// The smallest candidate list over the relation's indexes whose probe
-    /// side is already bound (`None`: no index can prune).
-    fn level_candidates(&self, rel: usize, bound: u32, binding: &[u32]) -> Option<Vec<u32>> {
-        let mut best: Option<Vec<u32>> = None;
+    /// The smallest candidate set over the relation's indexes whose probe
+    /// side is already bound; the relation's live slots when none can prune.
+    fn level_candidates(&self, rel: usize, bound: u32, binding: &[u32]) -> Cands<'_> {
+        let mut best = Cands::Scan(&self.rels[rel].tuples);
         for ix in &self.indexes[rel] {
             if bound >> ix.other_rel & 1 == 0 {
                 continue;
             }
             let p = eval_expr(&ix.probe_expr, &|r: usize, a: usize| {
                 debug_assert_eq!(r, ix.other_rel);
-                self.rels[r].values[binding[r] as usize][a]
+                self.rels[r].tuples[binding[r] as usize].values[a]
             });
-            if let Some(cands) = ix.probe(p) {
-                if best.as_ref().is_none_or(|b| cands.len() < b.len()) {
-                    best = Some(cands);
-                }
+            if let Some(cands) = ix.probe(p).filter(|c| c.len() < best.len()) {
+                best = cands;
             }
         }
         best
-    }
-
-    /// Inserts a freshly enumerated full binding into the row cache
-    /// (idempotent: a row found from several anchors lands once).
-    fn insert_row(&mut self, binding: &[u32], stats: &mut BatchStats) {
-        let key: Box<[u32]> = binding
-            .iter()
-            .enumerate()
-            .map(|(r, &s)| self.rels[r].origins[s as usize].0)
-            .collect();
-        if self.rows.contains_key(&key) {
-            return;
-        }
-        let env = |r: usize, a: usize| -> f64 { self.rels[r].values[binding[r] as usize][a] };
-        let entry = RowEntry {
-            row: self.query.eval_select_row(&env),
-            gkey: if self.query.has_group_by() {
-                self.query.eval_group_key(&env)
-            } else {
-                Vec::new()
-            },
-        };
-        for &o in key.iter().collect::<BTreeSet<_>>() {
-            self.rows_of
-                .entry(NodeId(o))
-                .or_default()
-                .insert(key.clone());
-        }
-        self.rows.insert(key, entry);
-        stats.rows_added += 1;
     }
 }
 
@@ -651,6 +691,16 @@ mod tests {
                 } else {
                     None
                 }
+            })
+            .collect()
+    }
+
+    /// One upsert per node of `snet`, in ascending origin order.
+    fn upsert_all(snet: &SensorNetwork, cq: &CompiledQuery) -> Vec<StreamOp> {
+        (0..snet.len() as u32)
+            .map(|i| StreamOp::Upsert {
+                origin: NodeId(i),
+                per_rel: per_rel_of(snet, cq, NodeId(i)),
             })
             .collect()
     }
@@ -781,12 +831,7 @@ mod tests {
             3,
         );
         let mut engine = StreamJoinEngine::new(cq.clone());
-        let all: Vec<StreamOp> = (0..snet.len() as u32)
-            .map(|i| StreamOp::Upsert {
-                origin: NodeId(i),
-                per_rel: per_rel_of(&snet, &cq, NodeId(i)),
-            })
-            .collect();
+        let all = upsert_all(&snet, &cq);
         engine.apply_batch(&all);
         // Re-upsert node 5 with shifted values: the old tuple must vanish.
         let mut shifted = per_rel_of(&snet, &cq, NodeId(5));
@@ -835,12 +880,7 @@ mod tests {
         let (snet, cq) = setup(sql, 120, 13);
         let mut engine = StreamJoinEngine::new(cq.clone());
         let n = snet.len();
-        let all: Vec<StreamOp> = (0..n as u32)
-            .map(|i| StreamOp::Upsert {
-                origin: NodeId(i),
-                per_rel: per_rel_of(&snet, &cq, NodeId(i)),
-            })
-            .collect();
+        let all = upsert_all(&snet, &cq);
         engine.apply_batch(&all);
         for origin in [0, 40, 119].map(NodeId) {
             let stats = engine.apply_batch(&[StreamOp::Upsert {
@@ -859,6 +899,147 @@ mod tests {
         }
     }
 
+    /// A band self-join that admits `(a, a)`, a 3-way join with every origin
+    /// in all three relations, a grouped query and an aggregate.
+    const SHAPES: [&str; 4] = [
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+         WHERE |A.temp - B.temp| < 0.4 ONCE",
+        "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
+         WHERE |A.temp - B.temp| < 0.6 AND B.temp - C.temp > 2.0 ONCE",
+        "SELECT A.hum / 10, COUNT(B.temp), MAX(A.temp - B.temp) \
+         FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.0 \
+         GROUP BY A.hum / 10 ONCE",
+        "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
+         WHERE A.temp - B.temp > 1.0 ONCE",
+    ];
+
+    #[test]
+    fn full_refresh_is_a_cold_load_is_the_batch_join() {
+        for sql in SHAPES {
+            let (mut snet, cq) = setup(sql, 60, 7);
+            let mut warm = StreamJoinEngine::new(cq.clone());
+            warm.apply_batch(&upsert_all(&snet, &cq));
+            let before = warm.cached_rows();
+            assert!(before > 0, "{sql} selects nothing");
+            // Every node re-ships a new reading: every cached row goes and
+            // the whole result is re-enumerated, each row exactly once.
+            snet.resample(&sensjoin_field::presets::indoor_climate(), 99);
+            let all = upsert_all(&snet, &cq);
+            let stats = warm.apply_batch(&all);
+            let mut cold = StreamJoinEngine::new(cq.clone());
+            let cold_stats = cold.apply_batch(&all);
+            assert_eq!(stats.rows_removed, before);
+            assert_eq!(stats.rows_added, warm.cached_rows());
+            assert_eq!(stats.rows_added, cold_stats.rows_added);
+            assert_eq!(stats.candidates, cold_stats.candidates);
+            let live: BTreeSet<NodeId> = (0..snet.len() as u32).map(NodeId).collect();
+            assert_same(&warm.result(), &cold.result());
+            assert_same(&warm.result(), &reference(&snet, &cq, &live));
+        }
+    }
+
+    #[test]
+    fn one_batch_may_name_an_origin_twice() {
+        for sql in SHAPES {
+            let (snet, cq) = setup(sql, 60, 7);
+            let mut engine = StreamJoinEngine::new(cq.clone());
+            engine.apply_batch(&upsert_all(&snet, &cq));
+            let upsert = |i: u32, shift: f64| {
+                let mut per_rel = per_rel_of(&snet, &cq, NodeId(i));
+                for v in per_rel.iter_mut().flatten() {
+                    v[2] += shift; // temp
+                }
+                let origin = NodeId(i);
+                StreamOp::Upsert { origin, per_rel }
+            };
+            let expire = |i: u32| StreamOp::Expire { origin: NodeId(i) };
+            // Node 3 is upserted twice (the second reading stands — back to
+            // its own), node 4 upserted then expired, node 5 expired then
+            // upserted, node 6 expired twice.
+            let ops = [
+                upsert(3, 0.3),
+                upsert(4, 0.1),
+                expire(5),
+                upsert(3, 0.0),
+                expire(4),
+                upsert(5, 0.0),
+                expire(6),
+                expire(6),
+            ];
+            let stats = engine.apply_batch(&ops);
+            let k = cq.num_relations();
+            assert_eq!((stats.inserted, stats.expired), (4 * k, 6 * k));
+            let live = (0..snet.len() as u32).map(NodeId);
+            let live: BTreeSet<NodeId> = live.filter(|o| o.0 != 4 && o.0 != 6).collect();
+            assert_same(&engine.result(), &reference(&snet, &cq, &live));
+        }
+    }
+
+    /// The counters of a scripted sequence, as the per-row cache this run
+    /// replaced reported them: a cold load, a 10 % re-upsert, a mixed batch
+    /// and a full refresh.
+    #[test]
+    fn batch_stats_are_the_row_caches() {
+        let mut seen = Vec::new();
+        for sql in &SHAPES[..2] {
+            let (mut snet, cq) = setup(sql, 60, 7);
+            let mut engine = StreamJoinEngine::new(cq.clone());
+            let mut record =
+                |s: BatchStats| seen.push([s.rows_added, s.rows_removed, s.candidates]);
+            let all = upsert_all(&snet, &cq);
+            record(engine.apply_batch(&all));
+            record(engine.apply_batch(&all[10..16]));
+            snet.resample(&sensjoin_field::presets::indoor_climate(), 99);
+            let mut mixed = upsert_all(&snet, &cq)[20..30].to_vec();
+            mixed.extend((25..35).map(|i| StreamOp::Expire { origin: NodeId(i) }));
+            record(engine.apply_batch(&mixed));
+            record(engine.apply_batch(&upsert_all(&snet, &cq)));
+        }
+        assert_eq!(seen, PINNED_STATS);
+    }
+
+    /// `[rows_added, rows_removed, candidates]` per batch, taken on the
+    /// parent commit.
+    const PINNED_STATS: [[usize; 3]; 8] = [
+        [672, 0, 1464],
+        [134, 134, 164],
+        [9, 289, 28],
+        [958, 392, 2036],
+        [7961, 0, 44029],
+        [2884, 2884, 4061],
+        [2510, 4642, 2983],
+        [4213, 5829, 26380],
+    ];
+
+    /// Ten full refreshes warm every buffer; a thousand more leave the row
+    /// count and every capacity of the run and its scratch where they were.
+    #[test]
+    fn full_refreshes_do_not_grow_the_run() {
+        let (snet, cq) = setup(SHAPES[0], 60, 7);
+        let all = upsert_all(&snet, &cq);
+        let mut engine = StreamJoinEngine::new(cq.clone());
+        let footprint = |e: &StreamJoinEngine| {
+            let mut runs = [&e.run, &e.spare].map(|r| (r.slots.capacity(), r.vals.capacity()));
+            runs.sort_unstable(); // the two swap roles every batch
+            (
+                e.cached_rows(),
+                runs,
+                e.fresh.capacity(),
+                e.order.capacity(),
+            )
+        };
+        for _ in 0..10 {
+            engine.apply_batch(&all);
+        }
+        let warm = footprint(&engine);
+        for _ in 0..1000 {
+            engine.apply_batch(&all);
+        }
+        assert_eq!(footprint(&engine), warm);
+        let tuples: usize = engine.rels.iter().map(|rs| rs.tuples.len()).sum();
+        assert_eq!(tuples, 2 * snet.len(), "no slot leaks either");
+    }
+
     #[test]
     fn steady_state_work_is_delta_bound() {
         let (snet, cq) = setup(
@@ -868,12 +1049,7 @@ mod tests {
             21,
         );
         let mut engine = StreamJoinEngine::new(cq.clone());
-        let all: Vec<StreamOp> = (0..snet.len() as u32)
-            .map(|i| StreamOp::Upsert {
-                origin: NodeId(i),
-                per_rel: per_rel_of(&snet, &cq, NodeId(i)),
-            })
-            .collect();
+        let all = upsert_all(&snet, &cq);
         let full = engine.apply_batch(&all);
         // A 2% delta re-upserting existing nodes examines far fewer
         // candidates than the initial full load.

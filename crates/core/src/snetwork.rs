@@ -213,10 +213,12 @@ impl SensorNetwork {
             .map(|n| self.net.topology().position(n))
             .collect();
         let generated = generate_readings(&positions, specs, seed);
-        for (node, row) in generated.into_iter().enumerate() {
-            for (s, v) in specs.iter().zip(row) {
-                if let Some(i) = self.master.index_of(&s.name) {
-                    self.readings[node][i] = v;
+        let column = |s: &FieldSpec| self.master.index_of(&s.name);
+        let columns: Vec<Option<usize>> = specs.iter().map(column).collect();
+        for (readings, row) in self.readings.iter_mut().zip(generated) {
+            for (column, v) in columns.iter().zip(row) {
+                if let Some(i) = *column {
+                    readings[i] = v;
                 }
             }
         }

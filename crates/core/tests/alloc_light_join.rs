@@ -6,8 +6,12 @@
 //! with a process-wide counter because chunks run on worker threads) wraps
 //! `exact_join` on inputs that scale the outer bindings and the candidates
 //! while the rows stay put, and on a high-output join.
+//!
+//! The streaming engine's cached result is one flat run, so a batch
+//! allocates per tuple it touches and nothing per row: the last test
+//! re-upserts every tuple of a warm engine under a band ten times wider.
 
-use sensjoin_core::{exact_join, JoinResult};
+use sensjoin_core::{exact_join, JoinResult, StreamJoinEngine, StreamOp};
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::{AttrType, Attribute, NodeId, Schema};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -148,4 +152,41 @@ fn a_row_costs_one_allocation() {
         allocs <= budget(rows, 3000),
         "{allocs} allocations for {rows} rows"
     );
+}
+
+#[test]
+fn a_full_refresh_allocates_nothing_per_row() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (a, b) = (relation(0, 400, 0), relation(1, 400, 0));
+    let upsert = |rel: usize, (origin, values): &(NodeId, Vec<f64>)| {
+        let mut per_rel = vec![None; 2];
+        per_rel[rel] = Some(values.clone());
+        let origin = *origin;
+        StreamOp::Upsert { origin, per_rel }
+    };
+    let all: Vec<StreamOp> = (a.iter().map(|t| upsert(0, t)))
+        .chain(b.iter().map(|t| upsert(1, t)))
+        .collect();
+    // Allocations of re-upserting all 800 tuples into an engine that has
+    // seen the batch three times (so the run and its scratch are sized),
+    // and the rows that batch removed and re-added.
+    let refresh = |band: f64| {
+        let mut engine = StreamJoinEngine::new(compile(&format!("|A.temp - B.temp| < {band}")));
+        for _ in 0..3 {
+            engine.apply_batch(&all);
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let stats = engine.apply_batch(&all);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(stats.rows_added, engine.cached_rows());
+        assert_eq!(stats.rows_removed, engine.cached_rows());
+        (allocs, stats.rows_added as u64)
+    };
+    let (narrow, narrow_rows) = refresh(0.05);
+    let (wide, wide_rows) = refresh(0.5);
+    assert!(narrow_rows > 1_000 && wide_rows > 9 * narrow_rows);
+    // A tuple's value vector and the batch's few lists — the same count
+    // whatever the band admits, and far below one per row.
+    assert_eq!(wide, narrow, "{narrow_rows} → {wide_rows} rows");
+    assert!(wide < 2 * all.len() as u64, "{wide} allocations");
 }

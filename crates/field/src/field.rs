@@ -30,7 +30,7 @@ pub struct CosineField {
 
 impl CosineField {
     /// Number of cosine features.
-    const K: usize = 64;
+    pub(crate) const K: usize = 64;
 
     /// Builds a field with the given first two moments and correlation
     /// length (meters), deterministically from `seed`.
