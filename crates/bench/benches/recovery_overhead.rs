@@ -155,7 +155,7 @@ fn main() {
         let mut r = Reader::new(payload);
         cont.restore_state(&mut r, &cq).unwrap();
         let snap = persist::get_net_snapshot(&mut r).unwrap();
-        snet.net_mut().restore_state(&snap);
+        snet.net_mut().restore_state(&snap).unwrap();
         r.expect_end().unwrap();
         for r in *seq..CRASHED_ROUNDS {
             round(&mut snet, &mut cont, &cq, &specs, r);

@@ -2000,7 +2000,7 @@ pub fn recovery(n: usize, seed: u64) -> String {
             let mut r = Reader::new(payload);
             cont.restore_state(&mut r, &cq).unwrap();
             let snap = persist::get_net_snapshot(&mut r).unwrap();
-            snet.net_mut().restore_state(&snap);
+            snet.net_mut().restore_state(&snap).unwrap();
             r.expect_end().unwrap();
             start = *seq;
         }

@@ -2,12 +2,12 @@
 
 use crate::args::Args;
 use crate::csvdata;
-use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Reader, Writer};
+use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Persist, Reader, Writer};
 use sensjoin_core::workload::RangeQueryFamily;
 use sensjoin_core::{
-    exact_join, ContinuousSensJoin, CostModel, ExternalJoin, GroupRunner, JoinMethod, JoinOutcome,
-    JoinResult, MediatedJoin, SensJoin, SensJoinConfig, SensorNetwork, SensorNetworkBuilder,
-    StreamJoinEngine, StreamOp,
+    exact_join, persist_struct, BatchStats, ContinuousSensJoin, CostModel, ExternalJoin,
+    GroupRunner, JoinMethod, JoinOutcome, JoinResult, MediatedJoin, SensJoin, SensJoinConfig,
+    SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_query::{parse, CompiledQuery};
@@ -17,6 +17,7 @@ use sensjoin_sim::{
     ArqPolicy, BaseChoice, BatteryBank, Channel, ChurnTimeline, EnergyModel, LifetimeRun,
     LifetimeUntil, ParentPolicy,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "\
@@ -341,6 +342,80 @@ struct Checkpointing {
     store: Option<CheckpointStore>,
     every: u64,
     resume: bool,
+    /// `round → digest` of every WAL record a `--resume` recovered: what the
+    /// re-executed rounds must reproduce.
+    logged: BTreeMap<u64, u64>,
+}
+
+impl Checkpointing {
+    /// `--resume`: loads the WAL and returns the newest valid snapshot as
+    /// `(sequence number, payload)`, if the directory holds one. Without
+    /// `--resume`, `None` and an empty log.
+    fn recover(&mut self) -> Result<Option<(u64, Vec<u8>)>, String> {
+        if !self.resume {
+            return Ok(None);
+        }
+        let store = self.store.as_ref().expect("--resume implies a store");
+        let rec = store.recover().map_err(|e| e.to_string())?;
+        if rec.degraded {
+            eprintln!("warning: corrupt checkpoint artifacts skipped; resuming from older state");
+        }
+        for payload in &rec.wal {
+            let (round, digest) =
+                Persist::from_bytes(payload).map_err(|e| format!("bad WAL record: {e}"))?;
+            self.logged.insert(round, digest);
+        }
+        Ok(rec.snapshot)
+    }
+
+    /// Logged rounds from `first` on: the ones a resumed run re-executes
+    /// (earlier ones are covered by the snapshot).
+    fn to_replay(&self, first: u64) -> usize {
+        self.logged.range(first..).count()
+    }
+
+    /// Verifies a re-executed round against its WAL digest, or appends a
+    /// fresh record for a round the WAL has not seen.
+    fn log_or_verify(&mut self, round: u64, digest: impl FnOnce() -> u64) -> Result<(), String> {
+        let Some(store) = &mut self.store else {
+            return Ok(());
+        };
+        let digest = digest();
+        match self.logged.get(&round) {
+            Some(&logged) if logged != digest => Err(format!(
+                "resume replay diverged at round {round}: result digest does not match the WAL \
+                 (checkpoint directory does not belong to this configuration?)"
+            )),
+            Some(_) => Ok(()),
+            None => store
+                .append_wal(&(round, digest).to_bytes())
+                .map_err(|e| e.to_string()),
+        }
+    }
+
+    /// The durable end of round `round`: the `PostRound` crash point, the
+    /// round's WAL record, and — when the `completed` rounds so far are a
+    /// multiple of `--checkpoint-every` — snapshot `completed` of `image()`.
+    fn commit(
+        &mut self,
+        round: u64,
+        digest: impl FnOnce() -> u64,
+        completed: u64,
+        image: impl FnOnce() -> Vec<u8>,
+    ) -> Result<(), String> {
+        if let Some(store) = &mut self.store {
+            store
+                .crash_check(CrashPoint::PostRound)
+                .map_err(|e| e.to_string())?;
+        }
+        self.log_or_verify(round, digest)?;
+        match &mut self.store {
+            Some(store) if completed.is_multiple_of(self.every) => store
+                .save_snapshot(completed, &image())
+                .map_err(|e| e.to_string()),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Parses the checkpoint flags, opening (and possibly crash-arming) the
@@ -362,6 +437,7 @@ fn checkpoint_args(args: &Args) -> Result<Checkpointing, String> {
             store: None,
             every,
             resume: false,
+            logged: BTreeMap::new(),
         });
     };
     let mut store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
@@ -389,6 +465,7 @@ fn checkpoint_args(args: &Args) -> Result<Checkpointing, String> {
         store: Some(store),
         every,
         resume: args.flag("resume"),
+        logged: BTreeMap::new(),
     })
 }
 
@@ -399,75 +476,17 @@ fn outcome_digest(out: &JoinOutcome) -> u64 {
     match &out.result {
         JoinResult::Rows(rows) => {
             w.put_u8(0);
-            w.put_usize(rows.len());
-            for row in rows {
-                persist::put_f64_vec(&mut w, row);
-            }
+            rows.put(&mut w);
         }
         JoinResult::Aggregate(vals) => {
             w.put_u8(1);
-            w.put_usize(vals.len());
-            for v in vals {
-                match v {
-                    Some(v) => {
-                        w.put_bool(true);
-                        w.put_f64(*v);
-                    }
-                    None => w.put_bool(false),
-                }
-            }
+            vals.put(&mut w);
         }
     }
     w.put_u64(out.stats.total_tx_bytes());
     w.put_u64(out.latency_us);
     w.put_bool(out.complete);
     persist::fnv1a(&w.into_bytes())
-}
-
-/// Decodes the recovered WAL into a `round → digest` map, keeping only
-/// records past `start` (earlier rounds are covered by the snapshot).
-fn wal_round_digests(
-    wal: &[Vec<u8>],
-    start: u64,
-) -> Result<std::collections::BTreeMap<u64, u64>, String> {
-    let mut digests = std::collections::BTreeMap::new();
-    for payload in wal {
-        let mut r = Reader::new(payload);
-        let mut decode = || -> Result<(u64, u64), persist::CodecError> {
-            let round = r.get_u64()?;
-            let digest = r.get_u64()?;
-            r.expect_end()?;
-            Ok((round, digest))
-        };
-        let (round, digest) = decode().map_err(|e| format!("bad WAL record: {e}"))?;
-        if round >= start {
-            digests.insert(round, digest);
-        }
-    }
-    Ok(digests)
-}
-
-/// Verifies a re-executed round against its WAL digest, or appends a fresh
-/// record for a round the WAL has not seen.
-fn log_or_verify_round(
-    store: &mut CheckpointStore,
-    digests: &std::collections::BTreeMap<u64, u64>,
-    round: u64,
-    digest: u64,
-) -> Result<(), String> {
-    match digests.get(&round) {
-        Some(&logged) if logged != digest => Err(format!(
-            "resume replay diverged at round {round}: result digest does not match the WAL \
-             (checkpoint directory does not belong to this configuration?)"
-        )),
-        Some(_) => Ok(()),
-        None => {
-            let mut w = Writer::new();
-            w.put_u64(round);
-            w.put_u64(digest);
-            store.append_wal(&w.into_bytes()).map_err(|e| e.to_string())
-        }
-    }
 }
 
 fn cmd_multi(args: &Args) -> Result<(), String> {
@@ -611,25 +630,14 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
     let mut cont = ContinuousSensJoin::with_epsilon(epsilon);
     let mut ckpt = checkpoint_args(args)?;
     let mut start_round = 0u64;
-    let mut wal_digests = std::collections::BTreeMap::new();
-    if ckpt.resume {
-        let store = ckpt.store.as_ref().expect("--resume implies a store");
-        let rec = store.recover().map_err(|e| e.to_string())?;
-        if rec.degraded {
-            eprintln!("warning: corrupt checkpoint artifacts skipped; resuming from older state");
-        }
-        if let Some((seq, payload)) = rec.snapshot {
-            let mut r = Reader::new(&payload);
-            let mut restore = || -> Result<(), persist::CodecError> {
-                cont.restore_state(&mut r, &cq)?;
-                let snap = persist::get_net_snapshot(&mut r)?;
-                snet.net_mut().restore_state(&snap);
-                r.expect_end()
-            };
-            restore().map_err(|e| format!("snapshot state decode failed: {e}"))?;
-            start_round = seq;
-        }
-        wal_digests = wal_round_digests(&rec.wal, start_round)?;
+    if let Some((seq, payload)) = ckpt.recover()? {
+        let decode_failed = |e| format!("snapshot state decode failed: {e}");
+        let mut r = Reader::new(&payload);
+        cont.restore_state(&mut r, &cq).map_err(decode_failed)?;
+        let snap = persist::get_net_snapshot(&mut r).map_err(decode_failed)?;
+        r.expect_end().map_err(decode_failed)?;
+        (snet.net_mut().restore_state(&snap)).map_err(|e| e.to_string())?;
+        start_round = seq;
     }
     println!(
         "network: {} nodes, {} rounds, epsilon {epsilon}, energy model {}",
@@ -640,7 +648,7 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
     if start_round > 0 {
         println!(
             "resumed from checkpoint: {start_round} rounds restored, {} logged rounds to replay",
-            wal_digests.len()
+            ckpt.to_replay(start_round)
         );
     }
     println!(
@@ -662,23 +670,20 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
             out.stats.total_retx_packets(),
             out.stats.total_overhead_bytes()
         );
-        if let Some(store) = &mut ckpt.store {
-            store
-                .crash_check(CrashPoint::PostRound)
-                .map_err(|e| e.to_string())?;
-            log_or_verify_round(store, &wal_digests, r, outcome_digest(&out))?;
-            if (r + 1) % ckpt.every == 0 {
-                // The checkpoint trace row must land inside the snapshot so
-                // a resumed run's trace matches the uninterrupted one.
+        ckpt.commit(
+            r,
+            || outcome_digest(&out),
+            r + 1,
+            || {
+                // The checkpoint trace row must land inside the snapshot so a
+                // resumed run's trace matches the uninterrupted one.
                 snet.net_mut().note_checkpoint("continuous");
                 let mut w = Writer::new();
                 cont.encode_state(&mut w);
                 persist::put_net_snapshot(&mut w, &snet.net().export_state());
-                store
-                    .save_snapshot(r + 1, &w.into_bytes())
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+                w.into_bytes()
+            },
+        )?;
     }
     Ok(())
 }
@@ -912,6 +917,104 @@ fn lcg_pick(rng: &mut u64, m: u64) -> u64 {
     (*rng >> 33) % m.max(1)
 }
 
+/// What the engine has been fed, keyed by origin: the batch-join reference
+/// must see the values at upsert time, not the drifted field.
+type Shadow = BTreeMap<NodeId, Vec<Option<Vec<f64>>>>;
+
+/// The `stream` driver's state, and its checkpoint image. The engine is not
+/// in the image: its live tuples are `shadow`'s, and a resume replays them.
+struct StreamState {
+    cold: BatchStats,
+    total: BatchStats,
+    /// State of the driver's LCG.
+    rng: u64,
+    shadow: Shadow,
+}
+
+persist_struct!(StreamState {
+    cold: BatchStats,
+    total: BatchStats,
+    rng: u64,
+    shadow: Shadow,
+});
+
+/// Decodes a `stream` image and rebuilds the engine of `cq` from it.
+fn restore_stream(
+    payload: &[u8],
+    cq: &CompiledQuery,
+) -> Result<(StreamState, StreamJoinEngine), persist::CodecError> {
+    let st = StreamState::from_bytes(payload)?;
+    let tuples: Vec<_> = st.shadow.iter().map(|(&v, pr)| (v, pr.clone())).collect();
+    let engine = persist::stream_engine_from_tuples(cq.clone(), &tuples)?;
+    Ok((st, engine))
+}
+
+/// One delta batch: upserts a `rate` share of the nodes with their current
+/// readings and expires an `expire` share of the rest of the shadow.
+fn stream_batch(
+    st: &mut StreamState,
+    engine: &mut StreamJoinEngine,
+    snet: &SensorNetwork,
+    cq: &CompiledQuery,
+    rate: f64,
+    expire: f64,
+) -> BatchStats {
+    let n = snet.len();
+    let upserts = ((rate * n as f64).ceil() as usize).clamp(1, n);
+    let mut chosen: BTreeSet<NodeId> = BTreeSet::new();
+    while chosen.len() < upserts {
+        chosen.insert(NodeId(lcg_pick(&mut st.rng, n as u64) as u32));
+    }
+    let expirable: Vec<NodeId> = (st.shadow.keys())
+        .filter(|v| !chosen.contains(v))
+        .copied()
+        .collect();
+    let expires = ((expire * st.shadow.len() as f64).ceil() as usize).min(expirable.len());
+    let mut victims: BTreeSet<NodeId> = BTreeSet::new();
+    while victims.len() < expires {
+        victims.insert(expirable[lcg_pick(&mut st.rng, expirable.len() as u64) as usize]);
+    }
+    let mut ops: Vec<StreamOp> = Vec::with_capacity(chosen.len() + victims.len());
+    for &v in &chosen {
+        let per_rel = stream_per_rel(snet, cq, v);
+        st.shadow.insert(v, per_rel.clone());
+        ops.push(StreamOp::Upsert { origin: v, per_rel });
+    }
+    for &v in &victims {
+        st.shadow.remove(&v);
+        ops.push(StreamOp::Expire { origin: v });
+    }
+    let stats = engine.apply_batch(&ops);
+    st.total.merge(&stats);
+    stats
+}
+
+/// Checks the engine's cached result against the batch join over `shadow`;
+/// returns the row count.
+fn verify_stream(
+    cq: &CompiledQuery,
+    engine: &StreamJoinEngine,
+    shadow: &Shadow,
+) -> Result<usize, String> {
+    let tuples: Vec<Vec<(NodeId, Vec<f64>)>> = (0..cq.num_relations())
+        .map(|r| {
+            shadow
+                .iter()
+                .filter_map(|(&v, pr)| pr[r].clone().map(|vals| (v, vals)))
+                .collect()
+        })
+        .collect();
+    let reference = exact_join(cq, &tuples);
+    let streamed = engine.result();
+    if streamed.result.same_result(&reference.result)
+        && streamed.contributors == reference.contributors
+    {
+        Ok(reference.result.len())
+    } else {
+        Err("streaming result diverged from the batch join — bug!".into())
+    }
+}
+
 fn cmd_stream(args: &Args) -> Result<(), String> {
     let mut known = vec![
         "nodes",
@@ -953,7 +1056,6 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     let seed: u64 = args
         .get_or("seed", 1, "integer")
         .map_err(|e| e.to_string())?;
-    let snet_seed = seed;
     let mut snet = build_network(args)?;
     // A loaded trace is a fixed snapshot; only generated fields drift.
     let specs = if args.get_str("data").is_some() {
@@ -963,117 +1065,54 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     };
     let q = parse(&sql).map_err(|e| e.to_string())?;
     let cq = snet.compile(&q).map_err(|e| e.to_string())?;
-    let n = snet.len() as u32;
     let mut engine = StreamJoinEngine::new(cq.clone());
-    // Shadow of what the engine has been fed, keyed by origin: the batch-join
-    // reference must see the values at upsert time, not the drifted field.
-    let mut shadow: std::collections::BTreeMap<NodeId, Vec<Option<Vec<f64>>>> =
-        std::collections::BTreeMap::new();
-    let mut rng: u64 = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let verify = |engine: &StreamJoinEngine,
-                  shadow: &std::collections::BTreeMap<NodeId, Vec<Option<Vec<f64>>>>|
-     -> Result<usize, String> {
-        let tuples: Vec<Vec<(NodeId, Vec<f64>)>> = (0..cq.num_relations())
-            .map(|r| {
-                shadow
-                    .iter()
-                    .filter_map(|(&v, pr)| pr[r].clone().map(|vals| (v, vals)))
-                    .collect()
-            })
-            .collect();
-        let reference = exact_join(&cq, &tuples);
-        let streamed = engine.result();
-        if streamed.result.same_result(&reference.result)
-            && streamed.contributors == reference.contributors
-        {
-            Ok(reference.result.len())
-        } else {
-            Err("streaming result diverged from the batch join — bug!".into())
-        }
+    let mut st = StreamState {
+        cold: BatchStats::default(),
+        total: BatchStats::default(),
+        rng: seed ^ 0x9e37_79b9_7f4a_7c15,
+        shadow: BTreeMap::new(),
     };
-    println!("network: {} nodes, {} relations", n, cq.num_relations());
-    let stream_digest = |stats: &sensjoin_core::BatchStats, cached_rows: usize| -> u64 {
-        let mut w = Writer::new();
-        persist::put_batch_stats(&mut w, stats);
-        w.put_usize(cached_rows);
-        persist::fnv1a(&w.into_bytes())
+    println!(
+        "network: {} nodes, {} relations",
+        snet.len(),
+        cq.num_relations()
+    );
+    let stream_digest = |stats: &BatchStats, cached_rows: usize| -> u64 {
+        persist::fnv1a(&(*stats, cached_rows).to_bytes())
     };
     let mut ckpt = checkpoint_args(args)?;
     let mut start_batch = 0u64;
-    let mut wal_digests = std::collections::BTreeMap::new();
-    let mut recovered = None;
-    if ckpt.resume {
-        let store = ckpt.store.as_ref().expect("--resume implies a store");
-        let rec = store.recover().map_err(|e| e.to_string())?;
-        if rec.degraded {
-            eprintln!("warning: corrupt checkpoint artifacts skipped; resuming from older state");
-        }
-        if let Some((seq, payload)) = rec.snapshot {
+    match ckpt.recover()? {
+        Some((seq, payload)) => {
+            (st, engine) = restore_stream(&payload, &cq)
+                .map_err(|e| format!("snapshot state decode failed: {e}"))?;
             start_batch = seq;
-            recovered = Some(payload);
-        }
-        // Batch indexes are the WAL keys; the snapshot covers batch
-        // `start_batch` itself, so only strictly later records replay.
-        let wal_from = if recovered.is_some() {
-            start_batch + 1
-        } else {
-            0
-        };
-        wal_digests = wal_round_digests(&rec.wal, wal_from)?;
-    }
-    let mut cold = sensjoin_core::BatchStats::default();
-    let mut total = sensjoin_core::BatchStats::default();
-    match recovered {
-        Some(payload) => {
-            let mut r = Reader::new(&payload);
-            let mut restore = || -> Result<(), persist::CodecError> {
-                cold = persist::get_batch_stats(&mut r)?;
-                total = persist::get_batch_stats(&mut r)?;
-                rng = r.get_u64()?;
-                let nshadow = r.get_count(5)?;
-                for _ in 0..nshadow {
-                    let v = NodeId(r.get_u32()?);
-                    let nrel = r.get_count(1)?;
-                    let mut per_rel = Vec::with_capacity(nrel);
-                    for _ in 0..nrel {
-                        per_rel.push(match r.get_bool()? {
-                            true => Some(persist::get_f64_vec(&mut r)?),
-                            false => None,
-                        });
-                    }
-                    shadow.insert(v, per_rel);
-                }
-                engine = persist::get_stream_engine(&mut r, cq.clone())?;
-                r.expect_end()
-            };
-            restore().map_err(|e| format!("snapshot state decode failed: {e}"))?;
+            // Batch indexes are the WAL keys; the snapshot covers batch
+            // `start_batch` itself, so only strictly later records replay.
             println!(
                 "resumed from checkpoint: {start_batch} batches restored, \
                  {} logged batches to replay",
-                wal_digests.len()
+                ckpt.to_replay(start_batch + 1)
             );
         }
         None => {
             // Cold load: every node arrives in one batch.
-            let ops: Vec<StreamOp> = (0..n)
+            let ops: Vec<StreamOp> = (0..snet.len() as u32)
                 .map(|i| {
                     let v = NodeId(i);
                     let per_rel = stream_per_rel(&snet, &cq, v);
-                    shadow.insert(v, per_rel.clone());
+                    st.shadow.insert(v, per_rel.clone());
                     StreamOp::Upsert { origin: v, per_rel }
                 })
                 .collect();
-            cold = engine.apply_batch(&ops);
+            st.cold = engine.apply_batch(&ops);
             println!(
                 "cold load: {} ops, {} result rows cached, {} candidates",
-                cold.ops,
+                st.cold.ops,
                 engine.cached_rows(),
-                cold.candidates,
+                st.cold.candidates,
             );
-            if let Some(store) = &mut ckpt.store {
-                let digest = stream_digest(&cold, engine.cached_rows());
-                log_or_verify_round(store, &wal_digests, 0, digest)?;
-            }
+            ckpt.log_or_verify(0, || stream_digest(&st.cold, engine.cached_rows()))?;
         }
     }
     println!(
@@ -1082,34 +1121,9 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     );
     for b in (start_batch + 1)..=batches {
         if !specs.is_empty() {
-            snet.resample(&specs, snet_seed.wrapping_add(b));
+            snet.resample(&specs, seed.wrapping_add(b));
         }
-        let upserts = ((rate * n as f64).ceil() as usize).clamp(1, n as usize);
-        let mut chosen: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
-        while chosen.len() < upserts {
-            chosen.insert(NodeId(lcg_pick(&mut rng, n as u64) as u32));
-        }
-        let expirable: Vec<NodeId> = shadow
-            .keys()
-            .filter(|v| !chosen.contains(v))
-            .copied()
-            .collect();
-        let expires = ((expire * shadow.len() as f64).ceil() as usize).min(expirable.len());
-        let mut victims: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
-        while victims.len() < expires {
-            victims.insert(expirable[lcg_pick(&mut rng, expirable.len() as u64) as usize]);
-        }
-        let mut ops: Vec<StreamOp> = Vec::with_capacity(chosen.len() + victims.len());
-        for &v in &chosen {
-            let per_rel = stream_per_rel(&snet, &cq, v);
-            shadow.insert(v, per_rel.clone());
-            ops.push(StreamOp::Upsert { origin: v, per_rel });
-        }
-        for &v in &victims {
-            shadow.remove(&v);
-            ops.push(StreamOp::Expire { origin: v });
-        }
-        let stats = engine.apply_batch(&ops);
+        let stats = stream_batch(&mut st, &mut engine, &snet, &cq, rate, expire);
         println!(
             "{b:>5} {:>5} {:>7} {:>7} {:>7} {:>11}",
             stats.ops,
@@ -1118,55 +1132,21 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             engine.cached_rows(),
             stats.candidates
         );
-        total.merge(&stats);
-        if let Some(store) = &mut ckpt.store {
-            store
-                .crash_check(CrashPoint::PostRound)
-                .map_err(|e| e.to_string())?;
-            log_or_verify_round(
-                store,
-                &wal_digests,
-                b,
-                stream_digest(&stats, engine.cached_rows()),
-            )?;
-            if b % ckpt.every == 0 {
-                let mut w = Writer::new();
-                persist::put_batch_stats(&mut w, &cold);
-                persist::put_batch_stats(&mut w, &total);
-                w.put_u64(rng);
-                w.put_usize(shadow.len());
-                for (v, per_rel) in &shadow {
-                    w.put_u32(v.0);
-                    w.put_usize(per_rel.len());
-                    for pr in per_rel {
-                        match pr {
-                            Some(vals) => {
-                                w.put_bool(true);
-                                persist::put_f64_vec(&mut w, vals);
-                            }
-                            None => w.put_bool(false),
-                        }
-                    }
-                }
-                persist::put_stream_engine(&mut w, &engine);
-                store
-                    .save_snapshot(b, &w.into_bytes())
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+        let digest = || stream_digest(&stats, engine.cached_rows());
+        ckpt.commit(b, digest, b, || st.to_bytes())?;
         if (verify_every > 0 && b.is_multiple_of(verify_every)) || b == batches {
-            let rows = verify(&engine, &shadow)?;
+            let rows = verify_stream(&cq, &engine, &st.shadow)?;
             println!("       verify: streaming matches batch join ({rows} rows)");
         }
     }
-    let per_op = if total.ops > 0 {
-        total.candidates as f64 / total.ops as f64
+    let per_op = if st.total.ops > 0 {
+        st.total.candidates as f64 / st.total.ops as f64
     } else {
         0.0
     };
     println!(
         "\ndelta totals: {} ops, {} candidates ({per_op:.1}/op vs {} at cold load)",
-        total.ops, total.candidates, cold.candidates
+        st.total.ops, st.total.candidates, st.cold.candidates
     );
     Ok(())
 }
@@ -1605,30 +1585,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .collect();
     let mut start_tick = 0u64;
     let mut next_tenant = 0u64;
-    let mut wal_digests = std::collections::BTreeMap::new();
     let mut restored = None;
-    if ckpt.resume {
-        let store = ckpt.store.as_ref().expect("--resume implies a store");
-        let rec = store.recover().map_err(|e| e.to_string())?;
-        if rec.degraded {
-            eprintln!("warning: corrupt checkpoint artifacts skipped; resuming from older state");
-        }
-        if let Some((seq, payload)) = rec.snapshot {
-            let mut r = Reader::new(&payload);
-            let mut restore = || -> Result<(u64, Server), persist::CodecError> {
-                let nt = r.get_u64()?;
-                let bytes = r.get_bytes()?;
-                let server = Server::restore_state(cfg.clone(), &specs, &bytes)?;
-                r.expect_end()?;
-                Ok((nt, server))
-            };
-            let (nt, server) =
-                restore().map_err(|e| format!("snapshot state decode failed: {e}"))?;
-            next_tenant = nt;
-            restored = Some(server);
-            start_tick = seq;
-        }
-        wal_digests = wal_round_digests(&rec.wal, start_tick)?;
+    if let Some((seq, payload)) = ckpt.recover()? {
+        // The image: the next tenant to submit, then the server's bytes.
+        let (nt, server) = <(u64, Vec<u8>)>::from_bytes(&payload)
+            .and_then(|(nt, bytes)| Ok((nt, Server::restore_state(cfg.clone(), &specs, &bytes)?)))
+            .map_err(|e| format!("snapshot state decode failed: {e}"))?;
+        next_tenant = nt;
+        restored = Some(server);
+        start_tick = seq;
     }
     let mut server = match restored {
         Some(server) => server,
@@ -1647,7 +1612,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if start_tick > 0 {
         println!(
             "resumed from checkpoint: {start_tick} ticks restored, {} logged ticks to replay",
-            wal_digests.len()
+            ckpt.to_replay(start_tick)
         );
     }
 
@@ -1701,10 +1666,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             server.queue_len(),
             report.epochs.len()
         );
-        if let Some(store) = &mut ckpt.store {
-            store
-                .crash_check(CrashPoint::PostRound)
-                .map_err(|e| e.to_string())?;
+        let digest = || {
             let mut w = Writer::new();
             w.put_u64(submitted);
             w.put_u64(shed);
@@ -1716,16 +1678,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 w.put_u64(e.tenant.0);
                 w.put_usize(e.outcome.result.len());
             }
-            log_or_verify_round(store, &wal_digests, t, persist::fnv1a(&w.into_bytes()))?;
-            if (t + 1) % ckpt.every == 0 {
-                let mut w = Writer::new();
-                w.put_u64(next_tenant);
-                w.put_bytes(&server.export_state());
-                store
-                    .save_snapshot(t + 1, &w.into_bytes())
-                    .map_err(|e| e.to_string())?;
-            }
-        }
+            persist::fnv1a(&w.into_bytes())
+        };
+        ckpt.commit(t, digest, t + 1, || {
+            (next_tenant, server.export_state()).to_bytes()
+        })?;
     }
 
     let m = server.metrics();
@@ -2144,5 +2101,114 @@ mod tests {
         assert_eq!(dispatch(&b), 0);
         // Missing --sql is an error.
         assert_ne!(dispatch(&args("continuous --nodes 50")), 0);
+    }
+
+    /// A checkpoint directory of another deployment (here: another node
+    /// count) ends a `--resume` with exit 1, not with an index panic.
+    #[test]
+    fn continuous_resume_on_another_deployment_fails_cleanly() {
+        let dir = std::env::temp_dir().join(format!("sensjoin-cli-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |spec: &str| {
+            let mut a = args(&format!(
+                "continuous {spec} --rounds 2 --checkpoint-dir {}",
+                dir.display()
+            ));
+            let sql = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                       WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
+            a.options.insert("sql".into(), sql.into());
+            dispatch(&a)
+        };
+        assert_eq!(run("--nodes 40"), 0);
+        assert_eq!(run("--nodes 50 --resume"), 1);
+        assert_eq!(run("--nodes 40 --resume"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    const STREAM_SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                              WHERE A.temp - B.temp > 0.1 ONCE";
+
+    #[test]
+    fn stream_crash_then_resume_completes() {
+        let dir = std::env::temp_dir().join(format!("sensjoin-cli-stream-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |spec: &str| {
+            let mut a = args(&format!(
+                "stream --nodes 40 --batches 5 --expire 0.1 --checkpoint-dir {} {spec}",
+                dir.display()
+            ));
+            a.options.insert("sql".into(), STREAM_SQL.into());
+            dispatch(&a)
+        };
+        assert_ne!(run("--checkpoint-every 2 --crash-at PostRound:3"), 0);
+        // The resumed run ends on the driver's own batch-join verification.
+        assert_eq!(run("--resume"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `stream` image — cut at every length, and with every byte
+    /// overwritten by `00`, `01`, `40` and `FF` — either fails structurally
+    /// or restores to a driver that runs two batches and whose engine still
+    /// agrees with the batch join (same sweep as
+    /// `crates/core/tests/image_hardening.rs`).
+    #[test]
+    fn stream_image_never_panics() {
+        let mut snet = SensorNetworkBuilder::new()
+            .area(Area::new(120.0, 120.0))
+            .placement(Placement::UniformRandom { n: 10 })
+            .seed(5)
+            .build()
+            .unwrap();
+        let cq = snet.compile(&parse(STREAM_SQL).unwrap()).unwrap();
+        let mut engine = StreamJoinEngine::new(cq.clone());
+        let mut st = StreamState {
+            cold: BatchStats::default(),
+            total: BatchStats::default(),
+            rng: 17,
+            shadow: Shadow::new(),
+        };
+        let ops: Vec<StreamOp> = (0..snet.len() as u32)
+            .map(|i| {
+                let per_rel = stream_per_rel(&snet, &cq, NodeId(i));
+                st.shadow.insert(NodeId(i), per_rel.clone());
+                StreamOp::Upsert {
+                    origin: NodeId(i),
+                    per_rel,
+                }
+            })
+            .collect();
+        st.cold = engine.apply_batch(&ops);
+        stream_batch(&mut st, &mut engine, &snet, &cq, 0.2, 0.1);
+        assert!(engine.cached_rows() > 0, "the image holds no joining tuple");
+        let mut w = Writer::new();
+        st.put(&mut w);
+        let full = w.into_bytes();
+        assert!(restore_stream(&full, &cq).is_ok());
+        snet.resample(&presets::indoor_climate(), 70);
+
+        for cut in 0..full.len() {
+            assert!(restore_stream(&full[..cut], &cq).is_err(), "cut at {cut}");
+        }
+
+        let mut restored = 0;
+        for at in 0..full.len() {
+            for byte in [0x00, 0x01, 0x40, 0xFF] {
+                if full[at] == byte {
+                    continue;
+                }
+                let mut image = full.clone();
+                image[at] = byte;
+                let Ok((mut st, mut engine)) = restore_stream(&image, &cq) else {
+                    continue;
+                };
+                restored += 1;
+                for _ in 0..2 {
+                    stream_batch(&mut st, &mut engine, &snet, &cq, 0.2, 0.1);
+                }
+                verify_stream(&cq, &engine, &st.shadow)
+                    .unwrap_or_else(|e| panic!("byte {at} = {byte:#04x}: {e}"));
+            }
+        }
+        assert!(restored > 0, "the sweep never reached a batch");
     }
 }

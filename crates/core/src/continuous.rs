@@ -17,8 +17,8 @@
 //! * **ε-suppressed final phase** — a matching node re-sends its complete
 //!   tuple only when it newly matches or a referenced attribute drifted by
 //!   more than `epsilon` since it last reported; nodes leaving the filter
-//!   send a 2-byte retraction. The base answers each round from its tuple
-//!   cache.
+//!   send a 2-byte retraction. The base answers each round from a
+//!   streaming join over the tuples shipped so far.
 //!
 //! With `epsilon = 0` every value change of a matching node is re-reported
 //! and the result is **exact** each round; with `epsilon > 0` the result is
@@ -36,7 +36,7 @@ use crate::engine::JoinSpace;
 use crate::incremental::{CellCounts, FilterEngine};
 use crate::ingest::{StreamJoinEngine, StreamOp};
 use crate::outcome::{JoinOutcome, ProtocolError};
-use crate::persist;
+use crate::persist::{self, Persist};
 use crate::repr::{JoinAttrMsg, NodeTable};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
@@ -47,8 +47,7 @@ pub const MAX_ROUND_ATTEMPTS: u32 = 3;
 use sensjoin_quadtree::{Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
-use sensjoin_sim::{DeltaBatchStats, Time};
-use std::collections::BTreeMap;
+use sensjoin_sim::{DeltaBatchStats, RoutingTree, Time};
 
 /// Phase labels of the continuous rounds.
 pub const PHASE_DELTA_COLLECTION: &str = "1-delta-collection";
@@ -258,32 +257,65 @@ struct FinalDelta {
     bytes: usize,
 }
 
-/// Per-round persistent state.
+/// Per-round persistent state. A checkpoint holds the inputs — `space`'s
+/// dimension ranges, `last_cell`, `last_values`, `node_filter`, the stream
+/// engine's live tuples, `rounds` — and a restore derives the rest.
 struct State {
     space: JoinSpace,
     /// Per node: (z, flags) last reported into the population.
     last_cell: Vec<Option<(u64, u8)>>,
-    /// Per node: master values last shipped to the base.
+    /// Per node: master values last shipped to the base; `Some` exactly
+    /// while the node's tuple is live in `stream`.
     last_values: Vec<Option<Vec<f64>>>,
-    /// Per node: whether the node's tuple is cached at the base.
-    matched: Vec<bool>,
     /// Per node: current (delta-maintained) filter view.
     node_filter: Vec<PointSet>,
-    /// Per node: counted cell population of its subtree (incl. itself).
+    /// Per node: counted cell population of its subtree (incl. itself) —
+    /// [`subtree_counts`] of `last_cell` over the routing tree. Empty after
+    /// a restore, until the next round rebuilds it.
     subtree: Vec<Counts>,
-    /// Base station: incremental filter engine (owns the global population)
-    /// and the filter as of the last round (for delta dissemination).
+    /// Base station: incremental filter engine (owns the global population,
+    /// the sum of `last_cell`) and the filter as of the last round (for
+    /// delta dissemination).
     engine: FilterEngine,
     filter: PointSet,
-    /// Base station: tuple cache (flags at send time + master values).
-    cache: BTreeMap<NodeId, (u8, Vec<f64>)>,
-    /// Base station: persistent streaming join over the cache. Each round's
-    /// tuple deltas update the cached result in O(Δ) instead of re-running
-    /// the batch join over every cached tuple.
+    /// Base station: persistent streaming join over the shipped tuples.
+    /// Each round's tuple deltas update the cached result in O(Δ) instead
+    /// of re-running the batch join over every shipped tuple.
     stream: StreamJoinEngine,
-    /// Master indices of attributes referenced by the query (drift scope).
-    drift_attrs: Vec<usize>,
     rounds: u64,
+}
+
+/// Per node, the counted cell population of its subtree: every reported
+/// cell counts at its node and at each of the node's ancestors.
+fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<Counts> {
+    let mut subtree: Vec<Counts> = last_cell.iter().map(|_| Counts::default()).collect();
+    for (i, cell) in last_cell.iter().enumerate() {
+        let Some((z, f)) = *cell else { continue };
+        let mut at = Some(NodeId(i as u32));
+        while let Some(u) = at {
+            let e = subtree[u.0 as usize].entry(z).or_insert([0; 8]);
+            for b in flag_bits(f) {
+                e[b] += 1;
+            }
+            at = routing.parent(u);
+        }
+    }
+    subtree
+}
+
+/// Master indices of the attributes `query` references: the columns whose
+/// drift past `epsilon` makes a matching node re-report.
+fn drift_attrs(snet: &SensorNetwork, query: &CompiledQuery) -> Vec<usize> {
+    let mut attrs: Vec<usize> = Vec::new();
+    for r in 0..query.num_relations() {
+        let cols = snet.master_columns(query.schema(r));
+        for col in query.referenced_attrs(r).iter().map(|&a| cols[a]) {
+            if !attrs.contains(&col) {
+                attrs.push(col);
+            }
+        }
+    }
+    attrs
 }
 
 /// The continuous SENS-Join executor. Create once per `SAMPLE PERIOD`
@@ -359,146 +391,84 @@ impl ContinuousSensJoin {
         self.delta_stats
     }
 
-    /// Serializes the executor's full mutable state (cumulative accounting
-    /// plus, when warm, the per-round `State`) for checkpointing. The
-    /// query and config are *not* serialized — the resuming process
-    /// reconstructs them deterministically and passes the query to
-    /// [`ContinuousSensJoin::restore_state`].
+    /// Serializes what the executor cannot recompute: the cumulative
+    /// accounting plus, when warm, the inputs of the per-round `State`
+    /// (quantization ranges, per-node baselines and filter views, the
+    /// stream engine's live tuples). The query and config are *not*
+    /// serialized — the resuming process reconstructs them
+    /// deterministically and passes the query to
+    /// [`ContinuousSensJoin::restore_state`] — and neither is anything
+    /// derived from the inputs, so an image cannot disagree with itself.
     pub fn encode_state(&self, w: &mut persist::Writer) {
-        persist::put_delta_stats(w, &self.delta_stats);
+        self.delta_stats.put(w);
         w.put_u64(self.last_latency_us);
-        match &self.state {
-            None => w.put_bool(false),
-            Some(st) => {
-                w.put_bool(true);
-                persist::put_join_space(w, &st.space);
-                w.put_usize(st.last_cell.len());
-                for cell in &st.last_cell {
-                    match cell {
-                        None => w.put_bool(false),
-                        Some((z, f)) => {
-                            w.put_bool(true);
-                            w.put_u64(*z);
-                            w.put_u8(*f);
-                        }
-                    }
-                }
-                for values in &st.last_values {
-                    match values {
-                        None => w.put_bool(false),
-                        Some(v) => {
-                            w.put_bool(true);
-                            persist::put_f64_vec(w, v);
-                        }
-                    }
-                }
-                for &m in &st.matched {
-                    w.put_bool(m);
-                }
-                for f in &st.node_filter {
-                    persist::put_point_set(w, f);
-                }
-                for c in &st.subtree {
-                    persist::put_cell_counts(w, c);
-                }
-                persist::put_cell_counts(w, st.engine.counts());
-                persist::put_point_set(w, &st.filter);
-                w.put_usize(st.cache.len());
-                for (v, (flags, values)) in &st.cache {
-                    w.put_u32(v.0);
-                    w.put_u8(*flags);
-                    persist::put_f64_vec(w, values);
-                }
-                persist::put_stream_engine(w, &st.stream);
-                w.put_usize(st.drift_attrs.len());
-                for &a in &st.drift_attrs {
-                    w.put_usize(a);
-                }
-                w.put_u64(st.rounds);
-            }
+        w.put_bool(self.state.is_some());
+        if let Some(st) = &self.state {
+            st.space.to_parts().put(w);
+            st.last_cell.put(w);
+            st.last_values.put(w);
+            st.node_filter.put(w);
+            st.stream.live_tuples().put(w);
+            w.put_u64(st.rounds);
         }
     }
 
     /// Restores state serialized by [`ContinuousSensJoin::encode_state`].
     /// `query` must be the same compiled query the state was saved under.
-    /// The filter engine is rebuilt by applying the saved counted population
-    /// as one delta from empty — bit-identical to the maintained engine by
-    /// the incremental filter's core guarantee.
+    /// The filter engine is rebuilt by applying the population the nodes
+    /// last reported as one delta from empty — bit-identical to the
+    /// maintained engine by the incremental filter's core guarantee. The
+    /// subtree synopses need the routing tree, which is restored after the
+    /// executor: the next round rebuilds them.
     pub fn restore_state(
         &mut self,
         r: &mut persist::Reader<'_>,
         query: &CompiledQuery,
     ) -> Result<(), persist::CodecError> {
         use persist::CodecError;
-        self.delta_stats = persist::get_delta_stats(r)?;
+        self.delta_stats = Persist::get(r)?;
         self.last_latency_us = r.get_u64()?;
         if !r.get_bool()? {
             self.state = None;
             return Ok(());
         }
-        let space = persist::get_join_space(r, query)?;
-        let n = r.get_count(1)?;
-        let mut last_cell = Vec::new();
-        for _ in 0..n {
-            last_cell.push(if r.get_bool()? {
-                Some((r.get_u64()?, r.get_u8()?))
-            } else {
-                None
-            });
+        let space = persist::join_space_from_parts(query, Persist::get(r)?)?;
+        let last_cell: Vec<Option<(u64, u8)>> = Persist::get(r)?;
+        let last_values: Vec<Option<Vec<f64>>> = Persist::get(r)?;
+        let node_filter: Vec<PointSet> = Persist::get(r)?;
+        if last_values.len() != last_cell.len() || node_filter.len() != last_cell.len() {
+            return Err(CodecError::Invariant("per-node tables differ in length"));
         }
-        let mut last_values = Vec::new();
-        for _ in 0..n {
-            last_values.push(if r.get_bool()? {
-                Some(persist::get_f64_vec(r)?)
-            } else {
-                None
-            });
+        // Every cell a node reported or was told of is a point of `space`.
+        let shape = space.shape();
+        let in_space = |z: u64, flags: u8| {
+            (shape.z_bits() == 64 || z >> shape.z_bits() == 0)
+                && flags != 0
+                && u32::from(flags) >> shape.flag_bits() == 0
+        };
+        let told = node_filter.iter().flat_map(|f| f.iter());
+        if !last_cell.iter().flatten().all(|&(z, f)| in_space(z, f))
+            || !told.into_iter().all(|p| in_space(p.z, p.flags.0))
+        {
+            return Err(CodecError::Invariant("cell outside the join space"));
         }
-        let mut matched = Vec::new();
-        for _ in 0..n {
-            matched.push(r.get_bool()?);
+        let mut population = Delta::default();
+        for &(z, f) in last_cell.iter().flatten() {
+            population.record(z, f, 1);
         }
-        let mut node_filter = Vec::new();
-        for _ in 0..n {
-            node_filter.push(persist::get_point_set(r)?);
-        }
-        let mut subtree = Vec::new();
-        for _ in 0..n {
-            subtree.push(persist::get_cell_counts(r)?);
-        }
-        let counts = persist::get_cell_counts(r)?;
         let mut engine = FilterEngine::new(query, &space);
-        engine.apply_delta(query, &space, &counts);
-        if engine.counts() != &counts {
-            return Err(CodecError::Invariant("filter engine counts diverged"));
-        }
-        let filter = persist::get_point_set(r)?;
-        let nc = r.get_count(8)?;
-        let mut cache = BTreeMap::new();
-        for _ in 0..nc {
-            let v = NodeId(r.get_u32()?);
-            let flags = r.get_u8()?;
-            cache.insert(v, (flags, persist::get_f64_vec(r)?));
-        }
-        let stream = persist::get_stream_engine(r, query.clone())?;
-        let na = r.get_count(8)?;
-        let mut drift_attrs = Vec::new();
-        for _ in 0..na {
-            drift_attrs.push(r.get_usize()?);
-        }
+        let filter = engine.apply_delta(query, &space, &population.adds).clone();
+        let stream = persist::stream_engine_from_tuples(query.clone(), &Vec::get(r)?)?;
         let rounds = r.get_u64()?;
         self.state = Some(State {
             space,
             last_cell,
             last_values,
-            matched,
             node_filter,
-            subtree,
+            subtree: Vec::new(),
             engine,
             filter,
-            cache,
             stream,
-            drift_attrs,
             rounds,
         });
         Ok(())
@@ -519,6 +489,7 @@ impl ContinuousSensJoin {
         query: &CompiledQuery,
     ) -> Result<JoinOutcome, ProtocolError> {
         snet.net_mut().reset_stats();
+        self.adopt_restored(snet)?;
         // Rounds are the continuous executor's churn boundaries: crashes and
         // revivals take effect between rounds, never mid-round, so every
         // round's contributing set is the population alive at its start.
@@ -535,7 +506,7 @@ impl ContinuousSensJoin {
         while !out.complete && attempts < MAX_ROUND_ATTEMPTS {
             attempts += 1;
             // Resync: discard every node's delta baseline and the base's
-            // cache, then replay the round as a first (full) round.
+            // tuples, then replay the round as a first (full) round.
             self.state = None;
             let prev = out;
             out = self.round_once(snet, query)?;
@@ -558,6 +529,23 @@ impl ContinuousSensJoin {
         Ok(out)
     }
 
+    /// First round after a restore: checks that the restored per-node
+    /// tables describe `snet` — `restore_state` cannot see the network — and
+    /// rebuilds the subtree synopses over its routing tree.
+    fn adopt_restored(&mut self, snet: &SensorNetwork) -> Result<(), ProtocolError> {
+        let Some(st) = self.state.as_mut().filter(|st| st.subtree.is_empty()) else {
+            return Ok(());
+        };
+        let arity = snet.master_schema().arity();
+        if st.last_cell.len() != snet.len()
+            || st.last_values.iter().flatten().any(|v| v.len() != arity)
+        {
+            return Err(ProtocolError::ForeignCheckpoint);
+        }
+        st.subtree = subtree_counts(&st.last_cell, snet.net().routing());
+        Ok(())
+    }
+
     /// Reconciles the persistent round state with a churn boundary so the
     /// next round's deltas stay sound over the repaired tree.
     ///
@@ -575,7 +563,6 @@ impl ContinuousSensJoin {
         let net = snet.net();
         let routing = net.routing();
         let mut departed = Delta::default();
-        let mut any_departed = false;
         let mut expirations: Vec<StreamOp> = Vec::new();
         for i in 0..st.last_cell.len() {
             let v = NodeId(i as u32);
@@ -584,12 +571,9 @@ impl ContinuousSensJoin {
             }
             if let Some((z, f)) = st.last_cell[i].take() {
                 departed.record(z, f, -1);
-                any_departed = true;
             }
-            st.last_values[i] = None;
-            st.matched[i] = false;
             st.node_filter[i] = PointSet::new();
-            if st.cache.remove(&v).is_some() {
+            if st.last_values[i].take().is_some() {
                 expirations.push(StreamOp::Expire { origin: v });
             }
         }
@@ -597,23 +581,8 @@ impl ContinuousSensJoin {
             let b = st.stream.apply_batch(&expirations);
             record_batch(&mut self.delta_stats, &b);
         }
-        for c in st.subtree.iter_mut() {
-            *c = Counts::default();
-        }
-        for i in 0..st.last_cell.len() {
-            if let Some((z, f)) = st.last_cell[i] {
-                let mut one = Delta::default();
-                one.record(z, f, 1);
-                let net_d = one.net();
-                let mut u = NodeId(i as u32);
-                apply_delta(&mut st.subtree[u.0 as usize], &net_d);
-                while let Some(p) = routing.parent(u) {
-                    apply_delta(&mut st.subtree[p.0 as usize], &net_d);
-                    u = p;
-                }
-            }
-        }
-        if any_departed {
+        st.subtree = subtree_counts(&st.last_cell, routing);
+        if !departed.is_empty() {
             // The filter shrinks accordingly; the removals reach the
             // survivors through the next round's ordinary filter delta
             // (computed against `st.filter`).
@@ -629,27 +598,15 @@ impl ContinuousSensJoin {
         let n = snet.len();
         if self.state.is_none() {
             let space = JoinSpace::build(query, snet, &self.config);
-            let mut drift_attrs: Vec<usize> = Vec::new();
-            for r in 0..query.num_relations() {
-                let cols = snet.master_columns(query.schema(r));
-                for col in query.referenced_attrs(r).iter().map(|&a| cols[a]) {
-                    if !drift_attrs.contains(&col) {
-                        drift_attrs.push(col);
-                    }
-                }
-            }
             self.state = Some(State {
                 engine: FilterEngine::new(query, &space),
                 stream: StreamJoinEngine::new(query.clone()),
                 space,
                 last_cell: vec![None; n],
                 last_values: vec![None; n],
-                matched: vec![false; n],
                 node_filter: vec![PointSet::new(); n],
                 subtree: (0..n).map(|_| Counts::default()).collect(),
                 filter: PointSet::new(),
-                cache: BTreeMap::new(),
-                drift_attrs,
                 rounds: 0,
             });
         }
@@ -771,8 +728,7 @@ impl ContinuousSensJoin {
         let epsilon = self.epsilon;
         let node_filter = &st.node_filter;
         let last_values = &mut st.last_values;
-        let matched = &mut st.matched;
-        let drift_attrs = &st.drift_attrs;
+        let drift_attrs = drift_attrs(snet, query);
         let (net, readings) = snet.net_mut_and_readings();
         let (final_delta, rep3) = up_wave(
             net,
@@ -787,29 +743,28 @@ impl ContinuousSensJoin {
                 let i = v.0 as usize;
                 let rec = table.rec(v);
                 let matching = node_filter[i].contains_matching(rec.z, rec.flags);
-                let was_matched = std::mem::replace(&mut matched[i], matching);
+                let last = &mut last_values[i];
                 if matching {
                     let values = &readings[i];
-                    let last = &mut last_values[i];
-                    let drifted = match last {
-                        None => true,
-                        Some(old) => drift_attrs
+                    // A node that did not match last round has shipped
+                    // nothing: it reports as if everything had drifted.
+                    let drifted = last.as_ref().is_none_or(|old| {
+                        drift_attrs
                             .iter()
-                            .any(|&a| (old[a] - values[a]).abs() > epsilon),
-                    };
-                    if !was_matched || drifted {
+                            .any(|&a| (old[a] - values[a]).abs() > epsilon)
+                    });
+                    if drifted {
                         *last = Some(values.to_vec());
                         if v != base {
                             out.bytes += rec.bytes as usize;
                         }
                         out.tuples.push(v);
                     }
-                } else if was_matched {
+                } else if last.take().is_some() {
                     if v != base {
                         out.bytes += 2; // origin id retraction
                     }
                     out.retractions.push(v);
-                    last_values[i] = None;
                 }
                 out
             },
@@ -817,11 +772,11 @@ impl ContinuousSensJoin {
             PHASE_FINAL_DELTA,
         );
 
-        // ---- Base station: cache maintenance + streaming join ----
+        // ---- Base station: streaming join ----
         // The round's tuple deltas feed the persistent streaming engine,
         // which re-enumerates only the bindings anchored at changed tuples;
         // its cached result is bit-identical to re-running `exact_join`
-        // over the full cache (the pre-streaming behavior).
+        // over every shipped tuple (the pre-streaming behavior).
         let (snet, table) = (&*snet, &table);
         let project =
             |origin| (0..query.num_relations()).map(move |r| table.project(snet, origin, r));
@@ -841,13 +796,6 @@ impl ContinuousSensJoin {
             .collect();
         let batch = st.stream.apply_batch(&ops);
         record_batch(&mut self.delta_stats, &batch);
-        for origin in final_delta.tuples {
-            let values = snet.readings(origin).to_vec();
-            st.cache.insert(origin, (table.rec(origin).flags.0, values));
-        }
-        for origin in final_delta.retractions {
-            st.cache.remove(&origin);
-        }
         let computation = st.stream.result();
         st.rounds += 1;
         Ok(JoinOutcome {
@@ -970,16 +918,19 @@ mod tests {
         for round in 0..3u64 {
             s.resample(&presets::indoor_climate(), 900 + round);
             let out = cont.execute_round(&mut s, &cq).unwrap();
-            // Every cached value is within eps of the node's true reading on
-            // the referenced attributes.
+            // Every shipped value is within eps of the node's true reading
+            // on the referenced attributes.
             let st = cont.state.as_ref().unwrap();
-            for (&origin, (_, cached)) in &st.cache {
-                for &a in &st.drift_attrs {
+            assert!(st.last_values.iter().any(Option::is_some));
+            for (i, shipped) in st.last_values.iter().enumerate() {
+                let Some(shipped) = shipped else { continue };
+                let origin = NodeId(i as u32);
+                for a in drift_attrs(&s, &cq) {
                     let truth = s.readings(origin)[a];
                     assert!(
-                        (cached[a] - truth).abs() <= eps + 1e-12,
-                        "round {round}: cache of {origin} stale by {}",
-                        (cached[a] - truth).abs()
+                        (shipped[a] - truth).abs() <= eps + 1e-12,
+                        "round {round}: tuple of {origin} stale by {}",
+                        (shipped[a] - truth).abs()
                     );
                 }
             }
@@ -994,14 +945,68 @@ mod tests {
         let mut cont = ContinuousSensJoin::new();
         s.resample(&presets::indoor_climate(), 1);
         cont.execute_round(&mut s, &cq).unwrap();
-        let cached_before = cont.state.as_ref().unwrap().cache.len();
+        let live_origins = |cont: &ContinuousSensJoin| -> Vec<NodeId> {
+            let tuples = cont.state.as_ref().unwrap().stream.live_tuples();
+            tuples.into_iter().map(|(origin, _)| origin).collect()
+        };
+        assert!(!live_origins(&cont).is_empty());
         // A radically different snapshot: most old matches dissolve.
         s.resample(&presets::uncorrelated(), 2);
-        let out = cont.execute_round(&mut s, &cq).unwrap();
+        cont.execute_round(&mut s, &cq).unwrap();
+        // The base holds exactly the currently matched nodes' tuples.
         let st = cont.state.as_ref().unwrap();
-        // Cache is consistent: exactly the currently matched nodes.
-        let matched_now = st.matched.iter().filter(|&&m| m).count();
-        assert_eq!(st.cache.len(), matched_now);
-        let _ = (cached_before, out);
+        let shipped: Vec<NodeId> = (0..st.last_values.len())
+            .filter(|&i| st.last_values[i].is_some())
+            .map(|i| NodeId(i as u32))
+            .collect();
+        assert_eq!(live_origins(&cont), shipped);
+    }
+
+    /// A restore rebuilds `subtree` instead of reading it: restored mid-run,
+    /// the next round — with a churn boundary before it or without — leaves
+    /// the synopses the uninterrupted executor has.
+    #[test]
+    fn restored_subtree_matches_the_uninterrupted_run() {
+        for churn in [true, false] {
+            let build = || {
+                let mut s = snet(9);
+                if churn {
+                    // A third of the nodes crash at the boundary of round 2.
+                    let events = (0..s.len() as u32)
+                        .filter(|&i| i % 3 == 1 && NodeId(i) != s.base())
+                        .map(|i| (NodeId(i), sensjoin_sim::ChurnAction::Crash))
+                        .collect();
+                    let timeline =
+                        sensjoin_sim::ChurnTimeline::from_events(Vec::new(), vec![(2, events)]);
+                    s.net_mut().set_churn(Some(timeline));
+                }
+                s
+            };
+            let (mut live_net, mut resumed_net) = (build(), build());
+            let cq = live_net.compile(&parse(SQL).unwrap()).unwrap();
+            let mut live = ContinuousSensJoin::new();
+            for round in 0..2u64 {
+                live_net.resample(&presets::indoor_climate(), 40 + round);
+                live.execute_round(&mut live_net, &cq).unwrap();
+            }
+            let mut w = persist::Writer::new();
+            live.encode_state(&mut w);
+            persist::put_net_snapshot(&mut w, &live_net.net().export_state());
+            let image = w.into_bytes();
+            let mut r = persist::Reader::new(&image);
+            let mut resumed = ContinuousSensJoin::new();
+            resumed.restore_state(&mut r, &cq).unwrap();
+            let snap = persist::get_net_snapshot(&mut r).unwrap();
+            resumed_net.net_mut().restore_state(&snap).unwrap();
+            assert!(resumed.state.as_ref().unwrap().subtree.is_empty());
+            for (cont, net) in [(&mut live, &mut live_net), (&mut resumed, &mut resumed_net)] {
+                net.resample(&presets::indoor_climate(), 42);
+                let out = cont.execute_round(net, &cq).unwrap();
+                assert_eq!(out.churned, churn);
+            }
+            let (a, b) = (live.state.unwrap(), resumed.state.unwrap());
+            assert!(a.subtree.iter().any(|c| !c.is_empty()));
+            assert_eq!(a.subtree, b.subtree, "churn {churn}");
+        }
     }
 }

@@ -15,6 +15,9 @@ pub enum ProtocolError {
     /// A query was scheduled to join a [`crate::QueryGroup`] that already
     /// holds [`crate::MAX_GROUP_QUERIES`] live queries.
     GroupFull,
+    /// A restored executor was run on a network its checkpoint does not
+    /// describe (another node count or another master schema).
+    ForeignCheckpoint,
 }
 
 impl From<GroupFull> for ProtocolError {
@@ -29,6 +32,9 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::BaseIsolated => write!(f, "base station has no neighbors"),
             ProtocolError::Representation(msg) => write!(f, "representation error: {msg}"),
             ProtocolError::GroupFull => GroupFull.fmt(f),
+            ProtocolError::ForeignCheckpoint => {
+                write!(f, "checkpoint does not belong to this deployment")
+            }
         }
     }
 }

@@ -29,15 +29,15 @@
 //! real crash would. The recovery tests sweep all sites.
 
 use crate::engine::JoinSpace;
-use crate::incremental::CellCounts;
 use crate::ingest::{BatchStats, StreamJoinEngine};
 use sensjoin_quadtree::{Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{
-    BatterySnapshot, ChurnAction, DeltaBatchStats, NetSnapshot, NetworkStats, NodeStats, Time,
-    TraceRecord,
+    BatterySnapshot, ChannelLinkState, ChurnAction, DeltaBatchStats, NetSnapshot, NetworkStats,
+    NodeStats, Time, TraceRecord,
 };
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -586,11 +586,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes an `f64` as its IEEE-754 bit pattern (exact round trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -616,6 +611,19 @@ impl Writer {
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_usize(b.len());
         self.buf.extend_from_slice(b);
+    }
+
+    /// Writes `items` back to back, without a count (the reader knows it).
+    pub fn put_items<T: Persist>(&mut self, items: &[T]) {
+        for item in items {
+            item.put(self);
+        }
+    }
+
+    /// Writes an element count, then the elements.
+    pub fn put_seq<T: Persist>(&mut self, items: &[T]) {
+        self.put_usize(items.len());
+        self.put_items(items);
     }
 }
 
@@ -671,11 +679,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads an `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// Reads an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -720,436 +723,382 @@ impl<'a> Reader<'a> {
         let n = self.get_count(1)?;
         Ok(self.take(n)?.to_vec())
     }
-}
 
-// ---------------------------------------------------------------------------
-// Shared-type encoders
-// ---------------------------------------------------------------------------
-
-/// Encodes a [`PointSet`] (z + flags per point).
-pub fn put_point_set(w: &mut Writer, set: &PointSet) {
-    w.put_usize(set.len());
-    for p in set.points() {
-        w.put_u64(p.z);
-        w.put_u8(p.flags.0);
+    /// Reads `n` elements written back to back. `n` is bounded by the
+    /// remaining input like a count is, so no `n` drives an allocation the
+    /// input could not fill.
+    pub fn get_items<T: Persist>(&mut self, n: usize) -> Result<Vec<T>, CodecError> {
+        if n > self.remaining() / T::MIN_BYTES.max(1) {
+            return Err(CodecError::Oversize);
+        }
+        (0..n).map(|_| T::get(self)).collect()
     }
 }
 
-/// Decodes a [`PointSet`]; enforces the sorted-unique-nonempty invariants.
-pub fn get_point_set(r: &mut Reader<'_>) -> Result<PointSet, CodecError> {
-    let n = r.get_count(9)?;
-    let mut points = Vec::new();
-    let mut last: Option<u64> = None;
-    for _ in 0..n {
+// ---------------------------------------------------------------------------
+// One codec definition per persisted type
+// ---------------------------------------------------------------------------
+
+/// A type's checkpoint encoding, stated once: the writer and the reader of
+/// a format are the two halves of one `impl`, so they cannot drift apart.
+/// Containers compose — `Vec<Option<(NodeId, Vec<f64>)>>` needs no code of
+/// its own — and plain structs list their fields with [`persist_struct!`].
+///
+/// [`persist_struct!`]: crate::persist_struct
+pub trait Persist: Sized {
+    /// Fewest bytes an encoded value occupies: what bounds a decoded
+    /// element count by the remaining input ([`Reader::get_count`]).
+    const MIN_BYTES: usize;
+
+    /// Appends the value's encoding.
+    fn put(&self, w: &mut Writer);
+
+    /// Decodes one value, checking every invariant the type has.
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// The value's encoding as a buffer of its own.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decodes a buffer that holds exactly one value.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let value = Self::get(&mut r)?;
+        r.expect_end()?;
+        Ok(value)
+    }
+}
+
+macro_rules! persist_primitive {
+    ($($ty:ty = $bytes:literal, $put:ident, $get:ident;)+) => {$(
+        impl Persist for $ty {
+            const MIN_BYTES: usize = $bytes;
+            fn put(&self, w: &mut Writer) {
+                w.$put(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                r.$get()
+            }
+        }
+    )+};
+}
+
+persist_primitive! {
+    u8 = 1, put_u8, get_u8;
+    u32 = 4, put_u32, get_u32;
+    u64 = 8, put_u64, get_u64;
+    f64 = 8, put_f64, get_f64;
+    bool = 1, put_bool, get_bool;
+    usize = 8, put_usize, get_usize;
+}
+
+/// High word first.
+impl Persist for u128 {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, w: &mut Writer) {
+        w.put_u64((self >> 64) as u64);
+        w.put_u64(*self as u64);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(((r.get_u64()? as u128) << 64) | r.get_u64()? as u128)
+    }
+}
+
+impl Persist for String {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_str()
+    }
+}
+
+/// A presence flag, then the value.
+impl<T: Persist> Persist for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_bool()?.then(|| T::get(r)).transpose()
+    }
+}
+
+/// An element count, then the elements.
+impl<T: Persist> Persist for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_seq(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.get_usize()?;
+        r.get_items(n)
+    }
+}
+
+impl<T: Persist> Persist for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_usize(self.len());
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Vec::get(r).map(Self::from)
+    }
+}
+
+/// An entry count, then `(key, value)` in key order (deterministic bytes).
+/// A key listed twice keeps its last value.
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_usize(self.len());
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Vec::<(K, V)>::get(r).map(Self::from_iter)
+    }
+}
+
+impl<T: Persist + Copy + Default, const N: usize> Persist for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, w: &mut Writer) {
+        w.put_items(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::get(r)?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! persist_tuple {
+    ($($name:ident),+) => {
+        impl<$($name: Persist),+> Persist for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut Writer) {
+                let ($($name,)+) = self;
+                $($name.put(w);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(($($name::get(r)?,)+))
+            }
+        }
+    };
+}
+
+persist_tuple!(A, B);
+persist_tuple!(A, B, C);
+persist_tuple!(A, B, C, D);
+
+/// Implements [`Persist`](crate::persist::Persist) for a plain struct from
+/// its field list: fields are written and read in the order given, each by
+/// its own `Persist` impl. A field written `name: Vec<T>[other]` is a
+/// *column* of `other`: it has `other`'s length and carries no count of its
+/// own.
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ty { $($field:ident: $fty:ty $([$len:ident])?),+ $(,)? }) => {
+        impl $crate::persist::Persist for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::persist_struct!(@min $fty $(, $len)?))+;
+            fn put(&self, w: &mut $crate::persist::Writer) {
+                $($crate::persist_struct!(@put self, w, $field $(, $len)?);)+
+            }
+            fn get(
+                r: &mut $crate::persist::Reader<'_>,
+            ) -> Result<Self, $crate::persist::CodecError> {
+                $(let $field: $fty = $crate::persist_struct!(@get r $(, $len)?);)+
+                Ok(Self { $($field),+ })
+            }
+        }
+    };
+    (@min $fty:ty) => { <$fty as $crate::persist::Persist>::MIN_BYTES };
+    (@min $fty:ty, $len:ident) => { 0 };
+    (@put $s:tt, $w:ident, $field:ident) => { $crate::persist::Persist::put(&$s.$field, $w) };
+    (@put $s:tt, $w:ident, $field:ident, $len:ident) => {{
+        assert_eq!($s.$field.len(), $s.$len.len(), "column length");
+        $w.put_items(&$s.$field)
+    }};
+    (@get $r:ident) => { $crate::persist::Persist::get($r)? };
+    (@get $r:ident, $len:ident) => { $r.get_items($len.len())? };
+}
+
+impl Persist for NodeId {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, w: &mut Writer) {
+        w.put_u32(self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_u32().map(NodeId)
+    }
+}
+
+impl Persist for ChurnAction {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(match self {
+            ChurnAction::Crash => 0,
+            ChurnAction::Revive => 1,
+        });
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(ChurnAction::Crash),
+            1 => Ok(ChurnAction::Revive),
+            t => Err(CodecError::BadTag(t)),
+        }
+    }
+}
+
+/// `z`, then the (never empty) flags.
+impl Persist for Point {
+    const MIN_BYTES: usize = 9;
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(self.z);
+        w.put_u8(self.flags.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let z = r.get_u64()?;
         let flags = RelFlags(r.get_u8()?);
         if flags.is_empty() {
             return Err(CodecError::Invariant("point with empty flags"));
         }
-        if last.is_some_and(|l| l >= z) {
+        Ok(Point { z, flags })
+    }
+}
+
+/// The points in order; enforces the sorted-unique invariant.
+impl Persist for PointSet {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_seq(self.points());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let points = Vec::<Point>::get(r)?;
+        if points.windows(2).any(|w| w[0].z >= w[1].z) {
             return Err(CodecError::Invariant("points not strictly sorted"));
         }
-        last = Some(z);
-        points.push(Point { z, flags });
-    }
-    Ok(PointSet::from_points(points))
-}
-
-/// Encodes [`CellCounts`] in sorted key order (deterministic bytes).
-pub fn put_cell_counts(w: &mut Writer, counts: &CellCounts) {
-    let mut keys: Vec<u64> = counts.keys().copied().collect();
-    keys.sort_unstable();
-    w.put_usize(keys.len());
-    for z in keys {
-        w.put_u64(z);
-        for &c in &counts[&z] {
-            w.put_i64(c);
-        }
+        Ok(PointSet::from_points(points))
     }
 }
 
-/// Decodes [`CellCounts`]: a checkpointed population, so no count is
-/// negative.
-pub fn get_cell_counts(r: &mut Reader<'_>) -> Result<CellCounts, CodecError> {
-    let n = r.get_count(8 + 8 * 8)?;
-    let mut counts = CellCounts::default();
-    for _ in 0..n {
-        let z = r.get_u64()?;
-        let mut row = [0i64; 8];
-        for c in row.iter_mut() {
-            *c = r.get_i64()?;
-            if *c < 0 {
-                return Err(CodecError::Invariant("negative cell count"));
-            }
-        }
-        counts.insert(z, row);
+persist_struct!(NodeStats {
+    tx_packets: u64,
+    tx_bytes: u64,
+    rx_packets: u64,
+    rx_bytes: u64,
+    retx_packets: u64,
+    retx_bytes: u64,
+    ack_packets: u64,
+    ack_bytes: u64,
+    lost_packets: u64,
+    deaths: u64,
+    energy_uj: f64,
+});
+
+/// The per-node array, then the charged phases as `(label, totals)`.
+impl Persist for NetworkStats {
+    const MIN_BYTES: usize = 16;
+    fn put(&self, w: &mut Writer) {
+        w.put_seq(self.per_node());
+        let phases: Vec<(String, NodeStats)> =
+            self.phases().map(|(l, s)| (l.to_owned(), *s)).collect();
+        phases.put(w);
     }
-    Ok(counts)
-}
-
-/// Encodes per-node statistics counters.
-pub fn put_node_stats(w: &mut Writer, s: &NodeStats) {
-    w.put_u64(s.tx_packets);
-    w.put_u64(s.tx_bytes);
-    w.put_u64(s.rx_packets);
-    w.put_u64(s.rx_bytes);
-    w.put_u64(s.retx_packets);
-    w.put_u64(s.retx_bytes);
-    w.put_u64(s.ack_packets);
-    w.put_u64(s.ack_bytes);
-    w.put_u64(s.lost_packets);
-    w.put_u64(s.deaths);
-    w.put_f64(s.energy_uj);
-}
-
-/// Decodes per-node statistics counters.
-pub fn get_node_stats(r: &mut Reader<'_>) -> Result<NodeStats, CodecError> {
-    Ok(NodeStats {
-        tx_packets: r.get_u64()?,
-        tx_bytes: r.get_u64()?,
-        rx_packets: r.get_u64()?,
-        rx_bytes: r.get_u64()?,
-        retx_packets: r.get_u64()?,
-        retx_bytes: r.get_u64()?,
-        ack_packets: r.get_u64()?,
-        ack_bytes: r.get_u64()?,
-        lost_packets: r.get_u64()?,
-        deaths: r.get_u64()?,
-        energy_uj: r.get_f64()?,
-    })
-}
-
-/// Encodes network statistics (per-node array + per-phase map).
-pub fn put_network_stats(w: &mut Writer, s: &NetworkStats) {
-    w.put_usize(s.per_node().len());
-    for ns in s.per_node() {
-        put_node_stats(w, ns);
-    }
-    let phases: Vec<(&str, &NodeStats)> = s.phases().collect();
-    w.put_usize(phases.len());
-    for (name, ns) in phases {
-        w.put_str(name);
-        put_node_stats(w, ns);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(NetworkStats::from_parts(Vec::get(r)?, Vec::get(r)?))
     }
 }
 
-/// Decodes network statistics.
-pub fn get_network_stats(r: &mut Reader<'_>) -> Result<NetworkStats, CodecError> {
-    let n = r.get_count(88)?;
-    let mut per_node = Vec::new();
-    for _ in 0..n {
-        per_node.push(get_node_stats(r)?);
-    }
-    let np = r.get_count(8)?;
-    let mut per_phase = Vec::new();
-    for _ in 0..np {
-        let name = r.get_str()?;
-        per_phase.push((name, get_node_stats(r)?));
-    }
-    Ok(NetworkStats::from_parts(per_node, per_phase))
-}
+persist_struct!(TraceRecord {
+    seq: u64,
+    phase: String,
+    kind: String,
+    from: NodeId,
+    to: Vec<NodeId>,
+    bytes: usize,
+    packets: usize,
+    retransmissions: u64,
+    acked: bool,
+});
 
-/// Encodes one trace record.
-pub fn put_trace_record(w: &mut Writer, t: &TraceRecord) {
-    w.put_u64(t.seq);
-    w.put_str(&t.phase);
-    w.put_str(&t.kind);
-    w.put_u32(t.from.0);
-    w.put_usize(t.to.len());
-    for n in &t.to {
-        w.put_u32(n.0);
-    }
-    w.put_usize(t.bytes);
-    w.put_usize(t.packets);
-    w.put_u64(t.retransmissions);
-    w.put_bool(t.acked);
-}
+persist_struct!(BatterySnapshot {
+    capacity_uj: Vec<f64>,
+    debited_uj: Vec<f64>[capacity_uj],
+    depleted: Vec<bool>[capacity_uj],
+    pending: Vec<NodeId>,
+    death_order: Vec<NodeId>,
+});
 
-/// Decodes one trace record.
-pub fn get_trace_record(r: &mut Reader<'_>) -> Result<TraceRecord, CodecError> {
-    let seq = r.get_u64()?;
-    let phase = r.get_str()?;
-    let kind = r.get_str()?;
-    let from = NodeId(r.get_u32()?);
-    let nto = r.get_count(4)?;
-    let mut to = Vec::new();
-    for _ in 0..nto {
-        to.push(NodeId(r.get_u32()?));
-    }
-    Ok(TraceRecord {
-        seq,
-        phase,
-        kind,
-        from,
-        to,
-        bytes: r.get_usize()?,
-        packets: r.get_usize()?,
-        retransmissions: r.get_u64()?,
-        acked: r.get_bool()?,
-    })
-}
+persist_struct!(NetSnapshot {
+    alive: Vec<bool>,
+    parent: Vec<u32>,
+    depth: Vec<u32>[parent],
+    stats: NetworkStats,
+    trace: Option<Vec<TraceRecord>>,
+    channel_states: Option<Vec<ChannelLinkState>>,
+    churn_timed: Option<Vec<(Time, NodeId, ChurnAction)>>,
+    churn_boundary_events: Vec<(u32, Vec<(NodeId, ChurnAction)>)>,
+    churn_boundary: u32,
+    churn_clock: Time,
+    battery: Option<BatterySnapshot>,
+});
 
-fn put_churn_action(w: &mut Writer, a: ChurnAction) {
-    w.put_u8(match a {
-        ChurnAction::Crash => 0,
-        ChurnAction::Revive => 1,
-    });
-}
+persist_struct!(BatchStats {
+    ops: usize,
+    inserted: usize,
+    expired: usize,
+    rows_added: usize,
+    rows_removed: usize,
+    candidates: usize,
+});
 
-fn get_churn_action(r: &mut Reader<'_>) -> Result<ChurnAction, CodecError> {
-    match r.get_u8()? {
-        0 => Ok(ChurnAction::Crash),
-        1 => Ok(ChurnAction::Revive),
-        t => Err(CodecError::BadTag(t)),
-    }
-}
-
-/// Encodes an optional value: a presence flag, then the value via `put`.
-pub fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
-    match v {
-        None => w.put_bool(false),
-        Some(v) => {
-            w.put_bool(true);
-            put(w, v);
-        }
-    }
-}
-
-/// Decodes an optional value written by [`put_opt`].
-pub fn get_opt<T>(
-    r: &mut Reader<'_>,
-    get: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
-) -> Result<Option<T>, CodecError> {
-    if r.get_bool()? {
-        Ok(Some(get(r)?))
-    } else {
-        Ok(None)
-    }
-}
+persist_struct!(DeltaBatchStats {
+    batches: u64,
+    ops: u64,
+    inserted: u64,
+    expired: u64,
+    rows_added: u64,
+    rows_removed: u64,
+    candidates: u64,
+});
 
 /// Encodes a full network-state snapshot ([`NetSnapshot`]).
 pub fn put_net_snapshot(w: &mut Writer, s: &NetSnapshot) {
-    w.put_usize(s.alive.len());
-    for &a in &s.alive {
-        w.put_bool(a);
-    }
-    w.put_usize(s.parent.len());
-    for &p in &s.parent {
-        w.put_u32(p);
-    }
-    for &d in &s.depth {
-        w.put_u32(d);
-    }
-    put_network_stats(w, &s.stats);
-    put_opt(w, &s.trace, |w, records| {
-        w.put_usize(records.len());
-        for t in records {
-            put_trace_record(w, t);
-        }
-    });
-    put_opt(w, &s.channel_states, |w, states| {
-        w.put_usize(states.len());
-        for &(from, to, words, bad) in states {
-            w.put_u32(from.0);
-            w.put_u32(to.0);
-            for word in words {
-                w.put_u64(word);
-            }
-            w.put_bool(bad);
-        }
-    });
-    put_opt(w, &s.churn_timed, |w, timed| {
-        w.put_usize(timed.len());
-        for &(t, n, a) in timed {
-            w.put_u64(t);
-            w.put_u32(n.0);
-            put_churn_action(w, a);
-        }
-    });
-    w.put_usize(s.churn_boundary_events.len());
-    for (boundary, events) in &s.churn_boundary_events {
-        w.put_u32(*boundary);
-        w.put_usize(events.len());
-        for &(n, a) in events {
-            w.put_u32(n.0);
-            put_churn_action(w, a);
-        }
-    }
-    w.put_u32(s.churn_boundary);
-    w.put_u64(s.churn_clock);
-    put_opt(w, &s.battery, |w, b| {
-        w.put_usize(b.capacity_uj.len());
-        for &v in &b.capacity_uj {
-            w.put_f64(v);
-        }
-        for &v in &b.debited_uj {
-            w.put_f64(v);
-        }
-        for &d in &b.depleted {
-            w.put_bool(d);
-        }
-        w.put_usize(b.pending.len());
-        for n in &b.pending {
-            w.put_u32(n.0);
-        }
-        w.put_usize(b.death_order.len());
-        for n in &b.death_order {
-            w.put_u32(n.0);
-        }
-    });
+    s.put(w);
 }
 
 /// Decodes a [`NetSnapshot`].
 pub fn get_net_snapshot(r: &mut Reader<'_>) -> Result<NetSnapshot, CodecError> {
-    let n = r.get_count(1)?;
-    let mut alive = Vec::new();
-    for _ in 0..n {
-        alive.push(r.get_bool()?);
-    }
-    let np = r.get_count(4)?;
-    let mut parent = Vec::new();
-    for _ in 0..np {
-        parent.push(r.get_u32()?);
-    }
-    let mut depth = Vec::new();
-    for _ in 0..np {
-        depth.push(r.get_u32()?);
-    }
-    let stats = get_network_stats(r)?;
-    let trace = get_opt(r, |r| {
-        let nt = r.get_count(8)?;
-        let mut records = Vec::new();
-        for _ in 0..nt {
-            records.push(get_trace_record(r)?);
-        }
-        Ok(records)
-    })?;
-    let channel_states = get_opt(r, |r| {
-        let nc = r.get_count(4 + 4 + 32 + 1)?;
-        let mut states = Vec::new();
-        for _ in 0..nc {
-            let from = NodeId(r.get_u32()?);
-            let to = NodeId(r.get_u32()?);
-            let mut words = [0u64; 4];
-            for word in words.iter_mut() {
-                *word = r.get_u64()?;
-            }
-            states.push((from, to, words, r.get_bool()?));
-        }
-        Ok(states)
-    })?;
-    let churn_timed = get_opt(r, |r| {
-        let nt = r.get_count(8 + 4 + 1)?;
-        let mut timed: Vec<(Time, NodeId, ChurnAction)> = Vec::new();
-        for _ in 0..nt {
-            let t = r.get_u64()?;
-            let n = NodeId(r.get_u32()?);
-            timed.push((t, n, get_churn_action(r)?));
-        }
-        Ok(timed)
-    })?;
-    let nb = r.get_count(4 + 8)?;
-    let mut churn_boundary_events = Vec::new();
-    for _ in 0..nb {
-        let boundary = r.get_u32()?;
-        let ne = r.get_count(4 + 1)?;
-        let mut events = Vec::new();
-        for _ in 0..ne {
-            let n = NodeId(r.get_u32()?);
-            events.push((n, get_churn_action(r)?));
-        }
-        churn_boundary_events.push((boundary, events));
-    }
-    let churn_boundary = r.get_u32()?;
-    let churn_clock = r.get_u64()?;
-    let battery = get_opt(r, |r| {
-        let n = r.get_count(8)?;
-        let mut capacity_uj = Vec::new();
-        for _ in 0..n {
-            capacity_uj.push(r.get_f64()?);
-        }
-        let mut debited_uj = Vec::new();
-        for _ in 0..n {
-            debited_uj.push(r.get_f64()?);
-        }
-        let mut depleted = Vec::new();
-        for _ in 0..n {
-            depleted.push(r.get_bool()?);
-        }
-        let npend = r.get_count(4)?;
-        let mut pending = Vec::new();
-        for _ in 0..npend {
-            pending.push(NodeId(r.get_u32()?));
-        }
-        let ndead = r.get_count(4)?;
-        let mut death_order = Vec::new();
-        for _ in 0..ndead {
-            death_order.push(NodeId(r.get_u32()?));
-        }
-        Ok(BatterySnapshot {
-            capacity_uj,
-            debited_uj,
-            depleted,
-            pending,
-            death_order,
-        })
-    })?;
-    Ok(NetSnapshot {
-        alive,
-        parent,
-        depth,
-        stats,
-        trace,
-        channel_states,
-        churn_timed,
-        churn_boundary_events,
-        churn_boundary,
-        churn_clock,
-        battery,
-    })
+    NetSnapshot::get(r)
 }
 
-/// Encodes a `Vec<f64>` bit-exactly.
-pub fn put_f64_vec(w: &mut Writer, v: &[f64]) {
-    w.put_usize(v.len());
-    for &x in v {
-        w.put_f64(x);
-    }
-}
-
-/// Decodes a `Vec<f64>`.
-pub fn get_f64_vec(r: &mut Reader<'_>) -> Result<Vec<f64>, CodecError> {
-    let n = r.get_count(8)?;
-    let mut v = Vec::new();
-    for _ in 0..n {
-        v.push(r.get_f64()?);
-    }
-    Ok(v)
-}
-
-/// Encodes a [`JoinSpace`] via [`JoinSpace::to_parts`]. The space must be
-/// serialized, never rebuilt from resume-time readings: setup-time range
-/// estimation would see different samples and quantize differently.
-pub fn put_join_space(w: &mut Writer, space: &JoinSpace) {
-    let dims = space.to_parts();
-    w.put_usize(dims.len());
-    for (name, min, max, res) in &dims {
-        w.put_str(name);
-        w.put_f64(*min);
-        w.put_f64(*max);
-        w.put_f64(*res);
-    }
-}
-
-/// Decodes the [`JoinSpace`] of `query`: the image carries the dimension
-/// ranges, the relation maps and flag bits come from the query, so the
-/// engines can index the space by the query's relations.
-pub fn get_join_space(r: &mut Reader<'_>, query: &CompiledQuery) -> Result<JoinSpace, CodecError> {
-    let nd = r.get_count(8 + 24)?;
-    let mut dims = Vec::new();
-    for _ in 0..nd {
-        let name = r.get_str()?;
-        let (min, max, res) = (r.get_f64()?, r.get_f64()?, r.get_f64()?);
+/// Rebuilds the [`JoinSpace`] of `query` from the dimension ranges an image
+/// holds ([`JoinSpace::to_parts`]); the relation maps and flag bits come
+/// from the query, so the engines can index the space by the query's
+/// relations. The ranges must be stored, never rebuilt from resume-time
+/// readings: setup-time range estimation would see different samples and
+/// quantize differently.
+pub fn join_space_from_parts(
+    query: &CompiledQuery,
+    dims: Vec<(String, f64, f64, f64)>,
+) -> Result<JoinSpace, CodecError> {
+    for &(_, min, max, res) in &dims {
         // The last clause keeps `Dimension::new`'s cell count inside a u64.
         if !(min.is_finite() && max.is_finite() && res.is_finite() && min <= max && res > 0.0)
             || (max - min) / res >= 2f64.powi(63)
@@ -1158,91 +1107,32 @@ pub fn get_join_space(r: &mut Reader<'_>, query: &CompiledQuery) -> Result<JoinS
                 "non-finite, inverted or oversized dimension",
             ));
         }
-        dims.push((name, min, max, res));
     }
     JoinSpace::from_parts(query, dims)
         .ok_or(CodecError::Invariant("join space does not fit its query"))
 }
 
-/// Encodes a [`StreamJoinEngine`]'s mutable state: its live tuples (the
-/// query itself is not serialized — the caller recompiles it
-/// deterministically and passes it to [`get_stream_engine`]).
-pub fn put_stream_engine(w: &mut Writer, engine: &StreamJoinEngine) {
-    let tuples = engine.live_tuples();
-    w.put_usize(tuples.len());
-    for (origin, per_rel) in &tuples {
-        w.put_u32(origin.0);
-        w.put_usize(per_rel.len());
-        for values in per_rel {
-            put_opt(w, values, |w, v| put_f64_vec(w, v));
-        }
-    }
-}
-
-/// Decodes and rebuilds a [`StreamJoinEngine`] by replaying the live tuples
-/// into a fresh engine for `query`.
-pub fn get_stream_engine(
-    r: &mut Reader<'_>,
+/// Rebuilds a [`StreamJoinEngine`] by replaying the live tuples an image
+/// holds ([`StreamJoinEngine::live_tuples`]) into a fresh engine for `query`
+/// — the query itself is not stored, the caller recompiles it. A tuple that
+/// does not have the query's shape (one entry per relation, each of its
+/// schema's arity) is refused.
+#[allow(clippy::type_complexity)]
+pub fn stream_engine_from_tuples(
     query: CompiledQuery,
+    tuples: &[(NodeId, Vec<Option<Vec<f64>>>)],
 ) -> Result<StreamJoinEngine, CodecError> {
-    let nt = r.get_count(8)?;
-    let mut tuples = Vec::new();
-    for _ in 0..nt {
-        let origin = NodeId(r.get_u32()?);
-        let nr = r.get_count(1)?;
-        let mut per_rel = Vec::new();
-        for _ in 0..nr {
-            per_rel.push(get_opt(r, get_f64_vec)?);
-        }
-        tuples.push((origin, per_rel));
+    let fits = |per_rel: &Vec<Option<Vec<f64>>>| {
+        per_rel.len() == query.num_relations()
+            && per_rel.iter().enumerate().all(|(rel, values)| {
+                let arity = query.schema(rel).arity();
+                values.as_ref().is_none_or(|v| v.len() == arity)
+            })
+    };
+    if !tuples.iter().all(|(_, per_rel)| fits(per_rel)) {
+        return Err(CodecError::Invariant("stream tuple does not fit its query"));
     }
-    Ok(StreamJoinEngine::restore(query, &tuples))
-}
-
-/// Encodes per-batch streaming statistics.
-pub fn put_batch_stats(w: &mut Writer, s: &BatchStats) {
-    w.put_usize(s.ops);
-    w.put_usize(s.inserted);
-    w.put_usize(s.expired);
-    w.put_usize(s.rows_added);
-    w.put_usize(s.rows_removed);
-    w.put_usize(s.candidates);
-}
-
-/// Decodes per-batch streaming statistics.
-pub fn get_batch_stats(r: &mut Reader<'_>) -> Result<BatchStats, CodecError> {
-    Ok(BatchStats {
-        ops: r.get_usize()?,
-        inserted: r.get_usize()?,
-        expired: r.get_usize()?,
-        rows_added: r.get_usize()?,
-        rows_removed: r.get_usize()?,
-        candidates: r.get_usize()?,
-    })
-}
-
-/// Encodes cumulative delta-batch statistics.
-pub fn put_delta_stats(w: &mut Writer, s: &DeltaBatchStats) {
-    w.put_u64(s.batches);
-    w.put_u64(s.ops);
-    w.put_u64(s.inserted);
-    w.put_u64(s.expired);
-    w.put_u64(s.rows_added);
-    w.put_u64(s.rows_removed);
-    w.put_u64(s.candidates);
-}
-
-/// Decodes cumulative delta-batch statistics.
-pub fn get_delta_stats(r: &mut Reader<'_>) -> Result<DeltaBatchStats, CodecError> {
-    Ok(DeltaBatchStats {
-        batches: r.get_u64()?,
-        ops: r.get_u64()?,
-        inserted: r.get_u64()?,
-        expired: r.get_u64()?,
-        rows_added: r.get_u64()?,
-        rows_removed: r.get_u64()?,
-        candidates: r.get_u64()?,
-    })
+    Ok(StreamJoinEngine::restore(query, tuples))
 }
 
 #[cfg(test)]
@@ -1296,7 +1186,6 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX);
-        w.put_i64(-42);
         w.put_f64(-0.125);
         w.put_bool(true);
         w.put_str("φ-join");
@@ -1306,7 +1195,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f64().unwrap(), -0.125);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "φ-join");
@@ -1323,7 +1211,7 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_count(9), Err(CodecError::Oversize));
         let mut r2 = Reader::new(&bytes);
-        assert!(get_point_set(&mut r2).is_err());
+        assert!(PointSet::get(&mut r2).is_err());
     }
 
     #[test]
@@ -1333,9 +1221,9 @@ mod tests {
         set.insert(9, RelFlags(0b10));
         set.insert(5, RelFlags(0b10)); // merges
         let mut w = Writer::new();
-        put_point_set(&mut w, &set);
+        set.put(&mut w);
         let bytes = w.into_bytes();
-        let got = get_point_set(&mut Reader::new(&bytes)).unwrap();
+        let got = PointSet::get(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(got, set);
 
         // Unsorted input is rejected.
@@ -1346,7 +1234,7 @@ mod tests {
         w.put_u64(5);
         w.put_u8(1);
         let bytes = w.into_bytes();
-        assert!(get_point_set(&mut Reader::new(&bytes)).is_err());
+        assert!(PointSet::get(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1437,8 +1325,16 @@ mod tests {
     /// cell counts and the previous epoch's population.
     #[test]
     fn v4_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 5);
         assert_version_refused(4);
+    }
+
+    /// Version 5: a continuous image that carried what the executor derives
+    /// (per-node subtree counts, the base's tuple cache, the filter and the
+    /// filter engine's counts).
+    #[test]
+    fn v5_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 6);
+        assert_version_refused(5);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use crate::config::SensJoinConfig;
 use crate::engine::JoinSpace;
 use crate::epoch::{run_epoch, Slot};
 use crate::outcome::{JoinResult, ProtocolError};
+use crate::persist::Persist;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use sensjoin_field::FieldSpec;
@@ -78,6 +79,13 @@ struct Subscriber {
     offset: u64,
     alive: bool,
 }
+
+crate::persist_struct!(Subscriber {
+    plan: usize,
+    every: u64,
+    offset: u64,
+    alive: bool,
+});
 
 impl Subscriber {
     /// Whether the subscriber is live and `epoch` is on its schedule.
@@ -341,20 +349,13 @@ impl QueryGroup {
     /// resuming process recompiles each live plan's SQL deterministically
     /// and passes them to [`QueryGroup::restore_state`] in plan-slot order.
     pub fn encode_state(&self, w: &mut crate::persist::Writer) {
-        use crate::persist;
         w.put_u64(self.epoch);
         w.put_u64(self.last_latency_us);
-        w.put_usize(self.plans.len());
-        for plan in &self.plans {
-            persist::put_opt(w, plan, |w, plan| persist::put_join_space(w, &plan.space));
-        }
-        w.put_usize(self.subscribers.len());
-        for sub in &self.subscribers {
-            w.put_usize(sub.plan);
-            w.put_u64(sub.every);
-            w.put_u64(sub.offset);
-            w.put_bool(sub.alive);
-        }
+        let spaces: Vec<Option<_>> = (self.plans.iter())
+            .map(|p| p.as_ref().map(|p| p.space.to_parts()))
+            .collect();
+        spaces.put(w);
+        self.subscribers.put(w);
     }
 
     /// Rebuilds a group from [`QueryGroup::encode_state`] output. `queries`
@@ -368,40 +369,31 @@ impl QueryGroup {
         use crate::persist::{self, CodecError};
         let epoch = r.get_u64()?;
         let last_latency_us = r.get_u64()?;
-        let nplans = r.get_count(1)?;
-        if nplans != queries.len() {
+        let spaces: Vec<Option<Vec<_>>> = Persist::get(r)?;
+        if spaces.len() != queries.len() {
             return Err(CodecError::Invariant("plan count != recompiled queries"));
         }
         let mut plans = Vec::new();
-        for query in queries {
-            if r.get_bool()? != query.is_some() {
-                return Err(CodecError::Invariant("plan slot liveness != its query's"));
-            }
-            plans.push(match query {
-                None => None,
-                Some(query) => {
-                    let space = persist::get_join_space(r, &query)?;
+        for (dims, query) in spaces.into_iter().zip(queries) {
+            plans.push(match (dims, query) {
+                (None, None) => None,
+                (Some(dims), Some(query)) => {
+                    let space = persist::join_space_from_parts(&query, dims)?;
                     Some(Plan { query, space })
                 }
+                _ => return Err(CodecError::Invariant("plan slot liveness != its query's")),
             });
         }
-        let nsubs = r.get_count(25)?;
-        let mut subscribers = Vec::new();
+        let mut subscribers: Vec<Subscriber> = Persist::get(r)?;
         let mut subscribed = vec![false; plans.len()];
-        for _ in 0..nsubs {
-            let sub = Subscriber {
-                plan: r.get_usize()?,
-                every: r.get_u64()?.max(1),
-                offset: r.get_u64()?,
-                alive: r.get_bool()?,
-            };
+        for sub in &mut subscribers {
+            sub.every = sub.every.max(1);
             if sub.alive {
                 if !plans.get(sub.plan).is_some_and(Option::is_some) {
                     return Err(CodecError::Invariant("live subscriber of no live plan"));
                 }
                 subscribed[sub.plan] = true;
             }
-            subscribers.push(sub);
         }
         if plans
             .iter()

@@ -11,15 +11,18 @@
 //! start — never a panic, never a silently wrong answer.
 
 use proptest::prelude::*;
-use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Reader, RecoveryError, Writer};
+use sensjoin_core::persist::{
+    self, CheckpointStore, CrashPoint, Persist, Reader, RecoveryError, Writer,
+};
 use sensjoin_core::{
-    exact_join, ContinuousSensJoin, JoinOutcome, JoinResult, QueryGroup, QueryId, SensJoinConfig,
-    SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
+    exact_join, BatchStats, ContinuousSensJoin, JoinOutcome, JoinResult, QueryGroup, QueryId,
+    SensJoinConfig, SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
+use sensjoin_quadtree::PointSet;
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::NodeId;
-use sensjoin_sim::{ArqPolicy, Channel, ChurnTimeline};
+use sensjoin_sim::{ArqPolicy, Channel, ChurnTimeline, NetworkStats};
 use std::collections::BTreeMap;
 
 const SQL_CONT: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
@@ -67,7 +70,7 @@ fn outcome_digest(out: &JoinOutcome) -> u64 {
             w.put_u8(0);
             w.put_usize(rows.len());
             for row in rows {
-                persist::put_f64_vec(&mut w, row);
+                row.put(&mut w);
             }
         }
         JoinResult::Aggregate(vals) => {
@@ -171,7 +174,7 @@ fn recover_and_finish(dir: &std::path::Path, seed: u64, rounds: u64) -> (u64, Ve
         let mut r = Reader::new(payload);
         cont.restore_state(&mut r, &cq).unwrap();
         let snap = persist::get_net_snapshot(&mut r).unwrap();
-        snet.net_mut().restore_state(&snap);
+        snet.net_mut().restore_state(&snap).unwrap();
         r.expect_end().unwrap();
         start = *seq;
     }
@@ -432,13 +435,13 @@ fn stream_snapshot(run: &StreamRun) -> Vec<u8> {
             match p {
                 Some(vals) => {
                     w.put_bool(true);
-                    persist::put_f64_vec(&mut w, vals);
+                    vals.put(&mut w);
                 }
                 None => w.put_bool(false),
             }
         }
     }
-    persist::put_stream_engine(&mut w, &run.engine);
+    run.engine.live_tuples().put(&mut w);
     w.into_bytes()
 }
 
@@ -453,13 +456,14 @@ fn stream_restore(payload: &[u8], cq: &CompiledQuery) -> StreamRun {
         let mut pr = Vec::with_capacity(nrel);
         for _ in 0..nrel {
             pr.push(match r.get_bool().unwrap() {
-                true => Some(persist::get_f64_vec(&mut r).unwrap()),
+                true => Some(Vec::<f64>::get(&mut r).unwrap()),
                 false => None,
             });
         }
         shadow.insert(v, pr);
     }
-    let engine = persist::get_stream_engine(&mut r, cq.clone()).unwrap();
+    let tuples = Vec::get(&mut r).unwrap();
+    let engine = persist::stream_engine_from_tuples(cq.clone(), &tuples).unwrap();
     r.expect_end().unwrap();
     StreamRun {
         engine,
@@ -509,7 +513,7 @@ fn stream_batch(
     }
     let stats = run.engine.apply_batch(&ops);
     let mut w = Writer::new();
-    persist::put_batch_stats(&mut w, &stats);
+    stats.put(&mut w);
     w.put_usize(run.engine.cached_rows());
     persist::fnv1a(&w.into_bytes())
 }
@@ -745,11 +749,11 @@ proptest! {
     #[test]
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = persist::get_net_snapshot(&mut Reader::new(&bytes));
-        let _ = persist::get_join_space(&mut Reader::new(&bytes), &build(5).1);
-        let _ = persist::get_point_set(&mut Reader::new(&bytes));
-        let _ = persist::get_cell_counts(&mut Reader::new(&bytes));
-        let _ = persist::get_network_stats(&mut Reader::new(&bytes));
-        let _ = persist::get_batch_stats(&mut Reader::new(&bytes));
+        let _ = Persist::get(&mut Reader::new(&bytes))
+            .and_then(|dims| persist::join_space_from_parts(&build(5).1, dims));
+        let _ = PointSet::get(&mut Reader::new(&bytes));
+        let _ = NetworkStats::get(&mut Reader::new(&bytes));
+        let _ = BatchStats::get(&mut Reader::new(&bytes));
     }
 
     /// A `QueryGroup` image — a free plan slot, a plan with two

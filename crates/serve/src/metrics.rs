@@ -11,7 +11,7 @@
 //! [`EpochReport`]: sensjoin_core::EpochReport
 
 use crate::server::TenantId;
-use sensjoin_core::persist::{CodecError, Reader, Writer};
+use sensjoin_core::persist_struct;
 use std::collections::BTreeMap;
 
 /// Number of power-of-two buckets in a [`Histogram`]: bucket `i` holds
@@ -116,34 +116,6 @@ impl Histogram {
         self.max
     }
 
-    /// Serializes the histogram for checkpointing.
-    pub fn encode(&self, w: &mut Writer) {
-        for &b in &self.buckets {
-            w.put_u64(b);
-        }
-        w.put_u64(self.count);
-        w.put_u64((self.sum >> 64) as u64);
-        w.put_u64(self.sum as u64);
-        w.put_u64(self.max);
-    }
-
-    /// Decodes a histogram written by [`Histogram::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for b in buckets.iter_mut() {
-            *b = r.get_u64()?;
-        }
-        let count = r.get_u64()?;
-        let sum = ((r.get_u64()? as u128) << 64) | r.get_u64()? as u128;
-        let max = r.get_u64()?;
-        Ok(Self {
-            buckets,
-            count,
-            sum,
-            max,
-        })
-    }
-
     /// Median (bucket-resolved; see [`Histogram::quantile`]).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
@@ -154,6 +126,13 @@ impl Histogram {
         self.quantile(0.99)
     }
 }
+
+persist_struct!(Histogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u128,
+    max: u64,
+});
 
 /// Admission outcome counters. `submitted` counts every submission that
 /// named this scope; the other counters partition their fates (a queued
@@ -187,31 +166,17 @@ impl AdmissionCounters {
             + self.rejected_invalid
             + self.rejected_full
     }
-
-    /// Serializes the counters for checkpointing.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.submitted);
-        w.put_u64(self.admitted);
-        w.put_u64(self.rejected_unknown_deployment);
-        w.put_u64(self.rejected_duplicate);
-        w.put_u64(self.rejected_invalid);
-        w.put_u64(self.rejected_full);
-        w.put_u64(self.shed);
-    }
-
-    /// Decodes counters written by [`AdmissionCounters::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            submitted: r.get_u64()?,
-            admitted: r.get_u64()?,
-            rejected_unknown_deployment: r.get_u64()?,
-            rejected_duplicate: r.get_u64()?,
-            rejected_invalid: r.get_u64()?,
-            rejected_full: r.get_u64()?,
-            shed: r.get_u64()?,
-        })
-    }
 }
+
+persist_struct!(AdmissionCounters {
+    submitted: u64,
+    admitted: u64,
+    rejected_unknown_deployment: u64,
+    rejected_duplicate: u64,
+    rejected_invalid: u64,
+    rejected_full: u64,
+    shed: u64,
+});
 
 /// Per-deployment serving metrics.
 #[derive(Debug, Clone, Default)]
@@ -237,33 +202,16 @@ pub struct DeploymentMetrics {
     pub epoch_latency_us: Histogram,
 }
 
-impl DeploymentMetrics {
-    /// Serializes the deployment metrics for checkpointing.
-    pub fn encode(&self, w: &mut Writer) {
-        self.admission.encode(w);
-        w.put_u64(self.epochs);
-        w.put_u64(self.query_epochs);
-        w.put_u64(self.plan_epochs);
-        w.put_u64(self.result_rows);
-        w.put_u64(self.shared_bytes);
-        w.put_u64(self.solo_bytes);
-        self.epoch_latency_us.encode(w);
-    }
-
-    /// Decodes metrics written by [`DeploymentMetrics::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            admission: AdmissionCounters::decode(r)?,
-            epochs: r.get_u64()?,
-            query_epochs: r.get_u64()?,
-            plan_epochs: r.get_u64()?,
-            result_rows: r.get_u64()?,
-            shared_bytes: r.get_u64()?,
-            solo_bytes: r.get_u64()?,
-            epoch_latency_us: Histogram::decode(r)?,
-        })
-    }
-}
+persist_struct!(DeploymentMetrics {
+    admission: AdmissionCounters,
+    epochs: u64,
+    query_epochs: u64,
+    plan_epochs: u64,
+    result_rows: u64,
+    shared_bytes: u64,
+    solo_bytes: u64,
+    epoch_latency_us: Histogram,
+});
 
 /// Per-tenant serving metrics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -284,31 +232,15 @@ pub struct TenantMetrics {
     pub solo_bytes: u64,
 }
 
-impl TenantMetrics {
-    /// Serializes the tenant metrics for checkpointing.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.submitted);
-        w.put_u64(self.admitted);
-        w.put_u64(self.rejected);
-        w.put_u64(self.shed);
-        w.put_u64(self.epochs);
-        w.put_u64(self.result_rows);
-        w.put_u64(self.solo_bytes);
-    }
-
-    /// Decodes metrics written by [`TenantMetrics::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            submitted: r.get_u64()?,
-            admitted: r.get_u64()?,
-            rejected: r.get_u64()?,
-            shed: r.get_u64()?,
-            epochs: r.get_u64()?,
-            result_rows: r.get_u64()?,
-            solo_bytes: r.get_u64()?,
-        })
-    }
-}
+persist_struct!(TenantMetrics {
+    submitted: u64,
+    admitted: u64,
+    rejected: u64,
+    shed: u64,
+    epochs: u64,
+    result_rows: u64,
+    solo_bytes: u64,
+});
 
 /// The whole metrics surface of a [`Server`](crate::Server).
 #[derive(Debug, Clone, Default)]
@@ -323,6 +255,14 @@ pub struct ServeMetrics {
     /// Admissions that built a plan: no equal query was live in the group.
     pub plans_built: u64,
 }
+
+persist_struct!(ServeMetrics {
+    per_deployment: Vec<DeploymentMetrics>,
+    per_tenant: BTreeMap<TenantId, TenantMetrics>,
+    totals: AdmissionCounters,
+    plans_joined: u64,
+    plans_built: u64,
+});
 
 impl ServeMetrics {
     pub(crate) fn push_deployment(&mut self) {
@@ -364,44 +304,6 @@ impl ServeMetrics {
             h.merge(&d.epoch_latency_us);
         }
         h
-    }
-
-    /// Serializes the whole metrics surface for checkpointing.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.per_deployment.len());
-        for d in &self.per_deployment {
-            d.encode(w);
-        }
-        w.put_usize(self.per_tenant.len());
-        for (t, m) in &self.per_tenant {
-            w.put_u64(t.0);
-            m.encode(w);
-        }
-        self.totals.encode(w);
-        w.put_u64(self.plans_joined);
-        w.put_u64(self.plans_built);
-    }
-
-    /// Decodes metrics written by [`ServeMetrics::encode`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let nd = r.get_count(8)?;
-        let mut per_deployment = Vec::new();
-        for _ in 0..nd {
-            per_deployment.push(DeploymentMetrics::decode(r)?);
-        }
-        let nt = r.get_count(8)?;
-        let mut per_tenant = BTreeMap::new();
-        for _ in 0..nt {
-            let t = TenantId(r.get_u64()?);
-            per_tenant.insert(t, TenantMetrics::decode(r)?);
-        }
-        Ok(Self {
-            per_deployment,
-            per_tenant,
-            totals: AdmissionCounters::decode(r)?,
-            plans_joined: r.get_u64()?,
-            plans_built: r.get_u64()?,
-        })
     }
 
     /// Share of admissions that joined a live plan instead of building one

@@ -16,7 +16,8 @@
 //! repository root proves this property-based).
 
 use crate::metrics::ServeMetrics;
-use sensjoin_core::persist::{get_opt, put_opt, CodecError, Reader, Writer};
+use sensjoin_core::persist::{CodecError, Persist, Reader, Writer};
+use sensjoin_core::persist_struct;
 use sensjoin_core::{
     EpochReport, GroupOutcome, ProtocolError, QueryGroup, QueryId, SensJoinConfig, SensorNetwork,
     SensorNetworkBuilder, SensorNetworkError, MAX_GROUP_QUERIES,
@@ -32,6 +33,16 @@ use std::fmt;
 /// [`Server::cancel`] before submitting another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u64);
+
+impl Persist for TenantId {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get_u64().map(TenantId)
+    }
+}
 
 impl fmt::Display for TenantId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -125,6 +136,13 @@ pub struct Submission {
     /// Run every `every`-th epoch (clamped to ≥ 1).
     pub every: u64,
 }
+
+persist_struct!(Submission {
+    tenant: TenantId,
+    deployment: String,
+    sql: String,
+    every: u64,
+});
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -592,28 +610,16 @@ impl Server {
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(self.tick);
-        w.put_usize(self.queue.len());
-        for sub in &self.queue {
-            w.put_u64(sub.tenant.0);
-            w.put_str(&sub.deployment);
-            w.put_str(&sub.sql);
-            w.put_u64(sub.every);
-        }
-        self.metrics.encode(&mut w);
+        self.queue.put(&mut w);
+        self.metrics.put(&mut w);
         w.put_usize(self.deployments.len());
         for dep in &self.deployments {
             w.put_str(&dep.name);
             w.put_u64(dep.snapshot);
             w.put_usize(dep.groups.len());
             for (g, group) in dep.groups.iter().enumerate() {
-                w.put_usize(dep.tenants[g].len());
-                for t in &dep.tenants[g] {
-                    w.put_u64(t.0);
-                }
-                w.put_usize(dep.sqls[g].len());
-                for sql in &dep.sqls[g] {
-                    put_opt(&mut w, sql, |w, sql| w.put_str(sql));
-                }
+                dep.tenants[g].put(&mut w);
+                dep.sqls[g].put(&mut w);
                 group.encode_state(&mut w);
             }
         }
@@ -642,21 +648,8 @@ impl Server {
     ) -> Result<Self, CodecError> {
         let mut r = Reader::new(bytes);
         let tick = r.get_u64()?;
-        let nqueue = r.get_count(32)?;
-        let mut queue = VecDeque::with_capacity(nqueue);
-        for _ in 0..nqueue {
-            let tenant = TenantId(r.get_u64()?);
-            let deployment = r.get_str()?.to_string();
-            let sql = r.get_str()?.to_string();
-            let every = r.get_u64()?;
-            queue.push_back(Submission {
-                tenant,
-                deployment,
-                sql,
-                every,
-            });
-        }
-        let metrics = ServeMetrics::decode(&mut r)?;
+        let queue: VecDeque<Submission> = Persist::get(&mut r)?;
+        let metrics = ServeMetrics::get(&mut r)?;
         let ndeps = r.get_count(24)?;
         if ndeps != specs.len() {
             return Err(CodecError::Invariant("deployment count != provided specs"));
@@ -683,24 +676,20 @@ impl Server {
             let mut tenants = Vec::with_capacity(ngroups);
             let mut sqls = Vec::with_capacity(ngroups);
             for _ in 0..ngroups {
-                let ntenants = r.get_count(8)?;
-                let mut group_tenants = Vec::with_capacity(ntenants);
-                for _ in 0..ntenants {
-                    group_tenants.push(TenantId(r.get_u64()?));
-                }
-                let nsqls = r.get_count(1)?;
-                let mut group_sqls = Vec::with_capacity(nsqls);
-                let mut queries = Vec::with_capacity(nsqls);
-                for _ in 0..nsqls {
-                    let sql = get_opt(&mut r, |r| r.get_str())?;
-                    // It compiled when it was admitted: a failure means the
-                    // image and the deployment specs do not belong together.
-                    let query = sql.as_deref().map(|sql| compile_sql(&snet, sql));
-                    queries.push(query.transpose().map_err(|_| {
+                let group_tenants: Vec<TenantId> = Persist::get(&mut r)?;
+                let group_sqls: Vec<Option<String>> = Persist::get(&mut r)?;
+                // Each compiled when it was admitted: a failure means the
+                // image and the deployment specs do not belong together.
+                let queries = (group_sqls.iter())
+                    .map(|sql| {
+                        sql.as_deref()
+                            .map(|sql| compile_sql(&snet, sql))
+                            .transpose()
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|_| {
                         CodecError::Invariant("saved sql does not compile on its deployment")
-                    })?);
-                    group_sqls.push(sql);
-                }
+                    })?;
                 let group = QueryGroup::restore_state(cfg.protocol.clone(), queries, &mut r)?;
                 if group_tenants.len() != group.ids_issued() {
                     return Err(CodecError::Invariant(

@@ -47,13 +47,15 @@ pub struct NetSnapshot {
     pub battery: Option<BatterySnapshot>,
 }
 
-/// Errors constructing a [`Network`].
+/// Errors constructing or restoring a [`Network`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetworkError {
     /// No nodes were given.
     Empty,
     /// The chosen base station id is out of range.
     BadBase,
+    /// A [`NetSnapshot`] does not describe this network (what was wrong).
+    BadSnapshot(&'static str),
 }
 
 impl std::fmt::Display for NetworkError {
@@ -61,6 +63,7 @@ impl std::fmt::Display for NetworkError {
         match self {
             NetworkError::Empty => write!(f, "network needs at least one node"),
             NetworkError::BadBase => write!(f, "base station id out of range"),
+            NetworkError::BadSnapshot(what) => write!(f, "bad network snapshot: {what}"),
         }
     }
 }
@@ -441,16 +444,32 @@ impl Network {
     /// battery debits, statistics and trace — is bit-identical to the
     /// exporting network's.
     ///
-    /// # Panics
-    /// Panics if the snapshot's node count does not match.
-    pub fn restore_state(&mut self, s: &NetSnapshot) {
-        assert_eq!(
-            s.alive.len(),
-            self.topology.len(),
-            "network snapshot node count mismatch"
-        );
+    /// A snapshot comes from a checkpoint file: one that does not fit this
+    /// network — another node count, a routing tree that is not a tree of
+    /// live topology links, a churn event or battery entry of no node — is
+    /// refused before anything is restored from it.
+    pub fn restore_state(&mut self, s: &NetSnapshot) -> Result<(), NetworkError> {
+        let bad = |what| Err(NetworkError::BadSnapshot(what));
+        let n = self.topology.len();
+        let in_range = |v: &NodeId| (v.0 as usize) < n;
+        if s.alive.len() != n || s.stats.per_node().len() != n {
+            return bad("snapshot of another node count");
+        }
+        let timed = s.churn_timed.iter().flatten().map(|(_, v, _)| v);
+        let at_boundary = s.churn_boundary_events.iter().flat_map(|(_, evs)| evs);
+        if !timed.chain(at_boundary.map(|(v, _)| v)).all(in_range) {
+            return bad("churn event of no node");
+        }
+        if let Some(b) = &s.battery {
+            if [b.capacity_uj.len(), b.debited_uj.len(), b.depleted.len()] != [n; 3]
+                || !b.pending.iter().chain(&b.death_order).all(in_range)
+            {
+                return bad("battery bank of another node count");
+            }
+        }
+        self.routing
+            .import_tree(&s.parent, &s.depth, &self.topology, &s.alive)?;
         self.alive = s.alive.clone();
-        self.routing.import_tree(s.parent.clone(), s.depth.clone());
         self.stats = s.stats.clone();
         if let Some(records) = &s.trace {
             self.trace = Some(Trace::from_records(records.clone()));
@@ -469,6 +488,7 @@ impl Network {
         if let (Some(bank), Some(snap)) = (&mut self.battery, &s.battery) {
             bank.import_state(snap);
         }
+        Ok(())
     }
 
     /// Polls the churn timeline at the next protocol boundary: advances the

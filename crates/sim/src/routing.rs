@@ -1,6 +1,6 @@
 //! CTP-style collection tree.
 
-use crate::Topology;
+use crate::{NetworkError, Topology};
 use sensjoin_relation::NodeId;
 use std::collections::BTreeMap;
 
@@ -517,18 +517,48 @@ impl RoutingTree {
 
     /// Restores a tree previously exported with
     /// [`RoutingTree::export_tree`], rebuilding the derived structures
-    /// (children CSR, post-order, descendant counts, maximum depth). The
-    /// arrays must describe the same node count.
-    pub fn import_tree(&mut self, parent: Vec<u32>, depth: Vec<u32>) {
-        assert_eq!(
-            parent.len(),
-            self.parent.len(),
-            "routing snapshot node count mismatch"
-        );
-        assert_eq!(depth.len(), parent.len(), "parent/depth length mismatch");
-        self.parent = parent;
-        self.depth = depth;
+    /// (children CSR, post-order, descendant counts, maximum depth).
+    ///
+    /// The arrays come from a checkpoint file, so they are checked before
+    /// anything is rebuilt from them: one entry per node, the base
+    /// parentless at depth 0, every other parent a live topology neighbour
+    /// of a live node, and `depth` exactly one more than the parent's —
+    /// which also rules out a cycle, whose depths could not all grow.
+    pub fn import_tree(
+        &mut self,
+        parent: &[u32],
+        depth: &[u32],
+        topology: &Topology,
+        alive: &[bool],
+    ) -> Result<(), NetworkError> {
+        let bad = |what| Err(NetworkError::BadSnapshot(what));
+        let n = self.parent.len();
+        if parent.len() != n || depth.len() != n || alive.len() != n {
+            return bad("routing tree of another node count");
+        }
+        let base = self.base.0 as usize;
+        if parent[base] != NO_PARENT || depth[base] != 0 || !alive[base] {
+            return bad("base station is not the live root of the routing tree");
+        }
+        for v in (0..n).filter(|&v| v != base) {
+            let routed = match parent[v] {
+                NO_PARENT => depth[v] == u32::MAX,
+                p => {
+                    (p as usize) < n
+                        && alive[v]
+                        && alive[p as usize]
+                        && depth[p as usize].checked_add(1) == Some(depth[v])
+                        && topology.neighbors(NodeId(v as u32)).contains(&NodeId(p))
+                }
+            };
+            if !routed {
+                return bad("routing parent is not a live neighbour one hop closer to the base");
+            }
+        }
+        self.parent.copy_from_slice(parent);
+        self.depth.copy_from_slice(depth);
         self.rebuild_derived();
+        Ok(())
     }
 
     /// Rebuilds the children CSR, the cached post-order, descendant counts
