@@ -91,7 +91,7 @@ fn zero_depletion_identical(rounds: u64) -> bool {
                 snet.resample(&specs, SEED.wrapping_add(r));
             }
             let out = cont.execute_round(&mut snet, &cq).expect("round executes");
-            log.push((out.stats.per_node().to_vec(), out.result.len()));
+            log.push((out.stats.per_node().copied().collect(), out.result.len()));
         }
         if battery {
             assert!(

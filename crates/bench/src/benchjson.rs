@@ -22,6 +22,19 @@ pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
+/// What a recorded timing was measured on, as a JSON string: the thread
+/// count and the CPU model (`/proc/cpuinfo`; `unknown` where there is none).
+/// Timings from different hosts — or one host's fast and slow hours — are
+/// not comparable; a section that carries this says which it was.
+pub fn host_fingerprint() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map_or("unknown", |(_, model)| model.trim());
+    quote(&format!("{} threads, {model}", host_threads()))
+}
+
 /// Serializes shim results (`Criterion::results()`) as a `"benches"` object
 /// mapping benchmark names to mean nanoseconds per iteration.
 pub fn times_object(results: &[(String, Duration)]) -> String {

@@ -990,11 +990,7 @@ pub fn lifetime(n: usize, seed: u64) -> String {
         let ext = run(&mut snet, &ExternalJoin, &cal.sql);
         let sj = run(&mut snet, &sens(), &cal.sql);
         let worst = |o: &sensjoin_core::JoinOutcome| -> f64 {
-            o.stats
-                .per_node()
-                .iter()
-                .map(|s| s.energy_uj)
-                .fold(0.0, f64::max)
+            o.stats.per_node().map(|s| s.energy_uj).fold(0.0, f64::max)
         };
         let (we, ws) = (worst(&ext), worst(&sj));
         rows.push(vec![
@@ -1049,7 +1045,6 @@ pub fn lifetime(n: usize, seed: u64) -> String {
             let worst = out
                 .stats
                 .per_node()
-                .iter()
                 .map(|s| s.energy_uj)
                 .fold(0.0, f64::max);
             return worst.ceil() as u64;

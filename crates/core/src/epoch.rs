@@ -42,6 +42,7 @@ use sensjoin_quadtree::{encoded_wire_size, PointSet};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
+use std::sync::Arc;
 
 /// One query of the epoch, with its quantization space.
 pub(crate) struct Slot<'a> {
@@ -91,9 +92,13 @@ enum FilterMsg {
 type Batch = Shipment<(NodeId, u64)>;
 
 /// Per-node protocol state surviving between the phases, one column per
-/// field (per-slot fields are `k` consecutive entries per node).
+/// field (per-slot fields are `k` consecutive entries per node), every
+/// column in the topology's storage order: a node-event touches a node, its
+/// children and the origins it proxies — radio neighbors all.
 struct Nodes {
     k: usize,
+    /// Node `v`'s entries are at `slot_of[v]` ([`Nodes::at`]).
+    slot_of: Arc<[u32]>,
     /// Stays awake after collection (Treecut nodes exit the query, Fig. 2
     /// line 18).
     active: Vec<bool>,
@@ -113,9 +118,11 @@ struct Nodes {
 }
 
 impl Nodes {
-    fn new(n: usize, k: usize) -> Self {
+    fn new(slot_of: Arc<[u32]>, k: usize) -> Self {
+        let n = slot_of.len();
         Self {
             k,
+            slot_of,
             active: vec![false; n],
             own: vec![false; n],
             proxy: vec![Vec::new(); n],
@@ -125,8 +132,14 @@ impl Nodes {
         }
     }
 
+    /// Where node `v`'s entries live.
+    fn at(&self, v: NodeId) -> usize {
+        self.slot_of[v.0 as usize] as usize
+    }
+
     /// A crash or reboot: the node loses all state. Returns what it proxied.
-    fn wipe(&mut self, v: usize) -> Vec<NodeId> {
+    fn wipe(&mut self, v: NodeId) -> Vec<NodeId> {
+        let v = self.at(v);
         self.active[v] = false;
         self.own[v] = false;
         self.passthrough[v] = false;
@@ -138,7 +151,8 @@ impl Nodes {
     }
 
     /// Re-enters the query holding data its ancestors know nothing about.
-    fn conservative(&mut self, v: usize) {
+    fn conservative(&mut self, v: NodeId) {
+        let v = self.at(v);
         self.active[v] = true;
         self.passthrough[v] = true;
     }
@@ -148,10 +162,11 @@ impl Nodes {
     fn close_to_root(&mut self, routing: &RoutingTree, v: NodeId) {
         let mut u = v;
         while let Some(p) = routing.parent(u) {
-            if self.active[p.0 as usize] {
+            let pi = self.at(p);
+            if self.active[pi] {
                 break;
             }
-            self.active[p.0 as usize] = true;
+            self.active[pi] = true;
             u = p;
         }
     }
@@ -177,7 +192,7 @@ impl Nodes {
         &mut self,
         out: &ChurnOutcome,
         net: &Network,
-        contributes: impl Fn(usize) -> bool,
+        contributes: impl Fn(NodeId) -> bool,
         p0: &[bool],
     ) {
         let alive = net.alive_mask();
@@ -192,7 +207,7 @@ impl Nodes {
         let survives = |u: &NodeId| alive[u.0 as usize] && !crashed_now[u.0 as usize];
         let mut restore: Vec<NodeId> = Vec::new();
         for &d in &out.crashed {
-            restore.extend(self.wipe(d.0 as usize));
+            restore.extend(self.wipe(d));
         }
         if !out.crashed.is_empty() {
             for held in &mut self.proxy {
@@ -201,29 +216,29 @@ impl Nodes {
         }
         // The origin died too: the tuple is genuinely lost.
         for u in restore.into_iter().filter(&survives) {
-            self.own[u.0 as usize] = true;
-            self.conservative(u.0 as usize);
+            let ui = self.at(u);
+            self.own[ui] = true;
+            self.conservative(u);
         }
         for &v in &out.revived {
-            let vi = v.0 as usize;
-            self.wipe(vi);
+            self.wipe(v);
             // (not if it crashed again at the same boundary)
-            if alive[vi] && p0[vi] && contributes(vi) {
+            if alive[v.0 as usize] && p0[v.0 as usize] && contributes(v) {
+                let vi = self.at(v);
                 self.own[vi] = true;
-                self.conservative(vi);
+                self.conservative(v);
             }
         }
         for &v in &out.reattached {
-            let vi = v.0 as usize;
+            let vi = self.at(v);
             if self.active[vi] || self.own[vi] || !self.proxy[vi].is_empty() {
-                self.conservative(vi);
+                self.conservative(v);
             }
         }
         let routing = net.routing();
-        for vi in 0..self.active.len() {
-            let v = NodeId(vi as u32);
+        for v in (0..self.active.len() as u32).map(NodeId) {
             // Orphans are not part of any wave until reattached.
-            if self.active[vi] && routing.depth(v).is_some() {
+            if self.active[self.at(v)] && routing.depth(v).is_some() {
                 self.close_to_root(routing, v);
             }
         }
@@ -235,7 +250,7 @@ impl Nodes {
         &mut self,
         snet: &mut SensorNetwork,
         elapsed: Time,
-        contributes: impl Fn(usize) -> bool,
+        contributes: impl Fn(NodeId) -> bool,
         p0: &[bool],
     ) -> bool {
         let out = snet.net_mut().apply_churn(elapsed);
@@ -317,7 +332,7 @@ pub(crate) fn run_epoch(
             }
         }
     };
-    let contributes = |v: usize| member_mask(NodeId(v as u32)) != 0;
+    let contributes = |v: NodeId| member_mask(v) != 0;
     // A single query's final tuples need no membership annotation.
     let mask_bytes = if k == 1 { 0 } else { k.div_ceil(8) };
 
@@ -336,7 +351,10 @@ pub(crate) fn run_epoch(
         Vec::new()
     };
 
-    let mut nodes = Nodes::new(n, k);
+    // Where a node's entries of `nodes` and `kept` live.
+    let slot_of = Arc::clone(snet.net().topology().slot_of());
+    let at = |v: NodeId| slot_of[v.0 as usize] as usize;
+    let mut nodes = Nodes::new(Arc::clone(&slot_of), k);
     let mut solo = vec![SoloCost::default(); k];
 
     // ---- Phase 1: Join-Attribute-Collection (Fig. 2) ----
@@ -351,7 +369,7 @@ pub(crate) fn run_epoch(
         snet.net_mut(),
         &|_| true,
         |v, received: Vec<UpMsg>| {
-            let vi = v.0 as usize;
+            let vi = at(v);
             // The first message of a kind is the accumulator the rest are
             // merged into (Fig. 2 line 10): a lone structure is taken as it
             // is, with the sizes its sender computed.
@@ -460,8 +478,8 @@ pub(crate) fn run_epoch(
     // everyone (results stay exact; only the filter savings are lost).
     let collection_damaged = !rep1.damaged.is_empty();
     for &v in &rep1.damaged {
-        let vi = v.0 as usize;
-        nodes.conservative(vi);
+        let vi = at(v);
+        nodes.conservative(v);
         if let Some((own, proxy)) = kept[vi].take() {
             nodes.own[vi] = own;
             nodes.proxy[vi] = proxy;
@@ -498,9 +516,9 @@ pub(crate) fn run_epoch(
     let tag = usize::from(lossy);
     let rep2 = down_wave(
         snet.net_mut(),
-        &|v| nodes.active[v.0 as usize],
+        &|v| nodes.active[at(v)],
         |v, arrival: DownArrival<'_, FilterMsg>| {
-            let vi = v.0 as usize;
+            let vi = at(v);
             let incoming: Vec<Option<&SizedSet>> = match arrival {
                 DownArrival::Origin if !collection_damaged => filters.iter().map(Some).collect(),
                 DownArrival::Intact(FilterMsg::Filter(f)) => {
@@ -575,9 +593,9 @@ pub(crate) fn run_epoch(
     // referenced attributes plus the mask.
     let (mut shipped, rep3) = up_wave(
         snet.net_mut(),
-        &|v| nodes.active[v.0 as usize],
+        &|v| nodes.active[at(v)],
         |v, inbox: Vec<Batch>| {
-            let vi = v.0 as usize;
+            let vi = at(v);
             let mut out = Batch::merged(inbox);
             let received = &nodes.received[vi * k..(vi + 1) * k];
             let held = nodes.own[vi].then_some(v).into_iter();

@@ -1015,7 +1015,10 @@ persist_struct!(NodeStats {
 impl Persist for NetworkStats {
     const MIN_BYTES: usize = 16;
     fn put(&self, w: &mut Writer) {
-        w.put_seq(self.per_node());
+        w.put_usize(self.per_node().len());
+        for node in self.per_node() {
+            node.put(w);
+        }
         let phases: Vec<(String, NodeStats)> =
             self.phases().map(|(l, s)| (l.to_owned(), *s)).collect();
         phases.put(w);

@@ -10,6 +10,7 @@ use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
 use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags, TreeShape};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
+use std::sync::Arc;
 
 /// A point set in flight together with its quadtree wire size.
 ///
@@ -184,8 +185,14 @@ pub struct NodeRec {
 /// and projection). Tuple *values* are not copied: whoever joins reads
 /// [`SensorNetwork::readings`] of the origins that arrived
 /// ([`NodeTable::tuples_per_rel`]).
+///
+/// Records and coordinates are stored in the topology's storage order
+/// ([`sensjoin_sim::Topology::slot_of`]): a wave reads them for a node and
+/// the tuples it proxies, which are its radio neighborhood.
 #[derive(Debug, Clone)]
 pub struct NodeTable {
+    /// Node `v`'s entries are at `slot_of[v]`.
+    slot_of: Arc<[u32]>,
     recs: Vec<NodeRec>,
     /// Quantized per-dimension coordinates, `stride` per node: the space's
     /// arity under the representations that serialize them, 0 under the
@@ -246,8 +253,14 @@ impl NodeTable {
         let mut cell = vec![0u64; zspace.arity()];
         let serialized = repr != Representation::Quadtree;
         let stride = if serialized { cell.len() } else { 0 };
-        let mut recs = Vec::with_capacity(snet.len());
-        let mut coords = Vec::with_capacity(snet.len() * stride);
+        let slot_of = Arc::clone(snet.net().topology().slot_of());
+        let empty = NodeRec {
+            z: 0,
+            bytes: 0,
+            flags: RelFlags(0),
+        };
+        let mut recs = vec![empty; snet.len()];
+        let mut coords = vec![0u64; snet.len() * stride];
         let mut values: Vec<f64> = Vec::new();
         for node in (0..snet.len() as u32).map(NodeId) {
             let row = snet.readings(node);
@@ -273,14 +286,16 @@ impl NodeTable {
                     cell[d] = zspace.dims()[d].coordinate(row[col]);
                 }
             }
-            recs.push(NodeRec {
+            let slot = slot_of[node.0 as usize] as usize;
+            recs[slot] = NodeRec {
                 z: zspace.encode_cells(&cell),
                 bytes: bytes[flags as usize],
                 flags: RelFlags(flags),
-            });
-            coords.extend_from_slice(&cell[..stride]);
+            };
+            coords[slot * stride..][..stride].copy_from_slice(&cell[..stride]);
         }
         Self {
+            slot_of,
             recs,
             coords,
             stride,
@@ -290,9 +305,14 @@ impl NodeTable {
         }
     }
 
+    /// Where node `v`'s entries live.
+    fn at(&self, v: NodeId) -> usize {
+        self.slot_of[v.0 as usize] as usize
+    }
+
     /// Node `v`'s record; its `flags` are empty if it has no tuple.
     pub fn rec(&self, v: NodeId) -> NodeRec {
-        self.recs[v.0 as usize]
+        self.recs[self.at(v)]
     }
 
     /// Node `v`'s record, if it has a tuple for the query.
@@ -303,7 +323,9 @@ impl NodeTable {
 
     /// Every node that has a tuple for the query, ascending, with its record.
     pub fn tuples(&self) -> impl Iterator<Item = (NodeId, NodeRec)> + '_ {
-        let recs = (0u32..).map(NodeId).zip(self.recs.iter().copied());
+        let recs = (0..self.recs.len() as u32)
+            .map(NodeId)
+            .map(|v| (v, self.rec(v)));
         recs.filter(|(_, rec)| !rec.flags.is_empty())
     }
 
@@ -311,7 +333,7 @@ impl NodeTable {
     /// serialization's input); empty if the table was built for the quadtree
     /// representation, which never transmits them.
     pub fn coords(&self, v: NodeId) -> &[u64] {
-        &self.coords[v.0 as usize * self.stride..][..self.stride]
+        &self.coords[self.at(v) * self.stride..][..self.stride]
     }
 
     /// The master columns a tuple with `flags` ships, as a bitset.

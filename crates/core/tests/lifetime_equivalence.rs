@@ -53,7 +53,6 @@ fn probe_round_energy(seed: u64) -> f64 {
     let base = s.base();
     out.stats
         .per_node()
-        .iter()
         .enumerate()
         .filter(|&(i, _)| NodeId(i as u32) != base)
         .map(|(_, ns)| ns.energy_uj)
@@ -94,7 +93,7 @@ fn battery_run(seed: u64, capacity_uj: f64, jitter: f64) -> (Vec<(u32, NodeId)>,
         }
         seen = deaths.len();
         logs.push(RoundLog {
-            per_node: out.stats.per_node().to_vec(),
+            per_node: out.stats.per_node().copied().collect(),
             complete: out.complete,
             result: out.result,
         });
@@ -121,7 +120,7 @@ fn replay_run(seed: u64, schedule: &[(u32, NodeId)]) -> Vec<RoundLog> {
         }
         let out = cont.execute_round(&mut s, &cq).unwrap();
         logs.push(RoundLog {
-            per_node: out.stats.per_node().to_vec(),
+            per_node: out.stats.per_node().copied().collect(),
             complete: out.complete,
             result: out.result,
         });
@@ -197,9 +196,8 @@ fn undepleted_battery_is_pure_observation() {
         let bank = BatteryBank::with_jitter(powered.len(), powered.base(), 1.0e15, 0.25, seed);
         powered.net_mut().set_battery(Some(bank));
         let out = SensJoin::default().execute(&mut powered, &cq).unwrap();
-        assert_eq!(
-            reference.stats.per_node(),
-            out.stats.per_node(),
+        assert!(
+            reference.stats.per_node().eq(out.stats.per_node()),
             "seed {seed}: battery observation perturbed the execution"
         );
         assert!(out.result.same_result(&reference.result), "seed {seed}");

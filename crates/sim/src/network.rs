@@ -13,6 +13,7 @@ use crate::{
 };
 use sensjoin_field::{Area, Position};
 use sensjoin_relation::NodeId;
+use std::sync::Arc;
 
 /// Plain-data export of a [`Network`]'s mutable state (see
 /// [`Network::export_state`]): liveness, routing tree, statistics, trace,
@@ -176,11 +177,11 @@ impl NetworkBuilder {
         };
         let routing = RoutingTree::build(&topology, base);
         Ok(Network {
+            stats: NetworkStats::in_order(Arc::clone(topology.slot_of())),
             topology,
             routing,
             radio: self.radio,
             energy: self.energy,
-            stats: NetworkStats::new(n),
             base,
             trace: None,
             channel: None,
@@ -288,12 +289,13 @@ impl Network {
     /// per-round executors want at round end, without cloning the per-node
     /// vectors (the next round resets anyway).
     pub fn take_stats(&mut self) -> NetworkStats {
-        std::mem::replace(&mut self.stats, NetworkStats::new(self.topology.len()))
+        let fresh = NetworkStats::in_order(Arc::clone(self.topology.slot_of()));
+        std::mem::replace(&mut self.stats, fresh)
     }
 
     /// Resets statistics and the trace (e.g. between repetitions).
     pub fn reset_stats(&mut self) {
-        self.stats = NetworkStats::new(self.topology.len());
+        self.stats.reset();
         if let Some(t) = &mut self.trace {
             *t = Trace::new();
         }
@@ -471,6 +473,7 @@ impl Network {
             .import_tree(&s.parent, &s.depth, &self.topology, &s.alive)?;
         self.alive = s.alive.clone();
         self.stats = s.stats.clone();
+        self.stats.adopt_order(self.topology.slot_of());
         if let Some(records) = &s.trace {
             self.trace = Some(Trace::from_records(records.clone()));
         }
@@ -1006,7 +1009,7 @@ impl Link<'_> {
         debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
         for r in receivers {
             assert!(
-                self.topology.neighbors(from).contains(r),
+                self.topology.neighbors(from).binary_search(r).is_ok(),
                 "{from} -> {r} are not neighbors"
             );
             debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
@@ -1676,6 +1679,41 @@ mod tests {
         let _ = net.take_stats();
         assert!(net.battery().unwrap().is_depleted(child));
         assert!(net.battery().unwrap().total_debited_uj() > 0.0);
+    }
+
+    #[test]
+    fn statistics_stay_in_the_topologys_order() {
+        let mut net = small_net();
+        let order = net.topology().slot_of();
+        assert!(!order.iter().copied().eq(0..60), "random positions");
+        let base = net.base();
+        let child = net.routing().children(base)[0];
+        let in_order = |net: &Network| Arc::ptr_eq(net.stats().order(), net.topology().slot_of());
+        assert!(in_order(&net));
+        net.unicast(child, base, 100, "p");
+        let taken = net.take_stats();
+        assert!(Arc::ptr_eq(taken.order(), net.topology().slot_of()) && in_order(&net));
+        assert_eq!(net.stats().total_tx_packets(), 0);
+        net.unicast(child, base, 100, "p");
+        net.reset_stats();
+        assert!(in_order(&net));
+        assert!(net.stats().per_node().eq(NetworkStats::new(60).per_node()));
+        assert_eq!(net.stats().phases().count(), 0);
+        // A checkpoint decodes to the exported parts, in id order; the
+        // restoring network re-lays them out in its own.
+        net.unicast(child, base, 100, "p");
+        let mut snap = net.export_state();
+        let phases = snap.stats.phases().map(|(l, s)| (l.to_owned(), *s));
+        let per_node = snap.stats.per_node().copied().collect();
+        snap.stats = NetworkStats::from_parts(per_node, phases.collect());
+        let mut twin = small_net();
+        twin.restore_state(&snap).unwrap();
+        assert!(in_order(&twin));
+        for net in [&mut net, &mut twin] {
+            net.unicast(child, base, 30, "q");
+        }
+        assert!(twin.stats().per_node().eq(net.stats().per_node()));
+        assert!(twin.stats().phases().eq(net.stats().phases()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-node and per-phase communication statistics.
 
 use sensjoin_relation::NodeId;
+use std::sync::Arc;
 
 /// Counters of one node.
 ///
@@ -89,27 +90,77 @@ struct PhaseEntry {
 /// breakdown of Fig. 15 can be produced directly. Labels are interned into
 /// [`PhaseId`]s once per message or wave; the `record_*` methods index a
 /// dense table and never touch a string.
+///
+/// The per-node counters are stored in a fixed permutation of the node ids
+/// — a network's are in its topology's storage order
+/// ([`crate::Topology::slot_of`]), so the counters of radio neighbors share
+/// cache lines — and everything observable is by id: accessors take a
+/// [`NodeId`], exports and the float total iterate in id order, and two
+/// objects combine whatever order each is in.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
+    /// Node `v`'s counters are `per_node[slot_of[v]]`. Shared with whoever
+    /// fixed the order, so a clone copies the counters and nothing else.
+    slot_of: Arc<[u32]>,
     per_node: Vec<NodeStats>,
     /// Indexed by [`PhaseId`], in interning order.
     phases: Vec<PhaseEntry>,
 }
 
 impl NetworkStats {
-    /// Creates zeroed statistics for `n` nodes.
+    /// Creates zeroed statistics for `n` nodes, stored in id order.
     pub fn new(n: usize) -> Self {
+        Self::in_order((0..n as u32).collect())
+    }
+
+    /// Zeroed statistics stored in the order `slot_of` (a permutation of
+    /// the node ids).
+    pub(crate) fn in_order(slot_of: Arc<[u32]>) -> Self {
         Self {
-            per_node: vec![NodeStats::default(); n],
+            per_node: vec![NodeStats::default(); slot_of.len()],
+            slot_of,
             phases: Vec::new(),
         }
     }
 
+    /// Re-lays the counters out in the order `slot_of` (a permutation of
+    /// the same node ids): what a network does with statistics that come
+    /// from a checkpoint.
+    pub(crate) fn adopt_order(&mut self, slot_of: &Arc<[u32]>) {
+        assert_eq!(
+            slot_of.len(),
+            self.per_node.len(),
+            "an order of the same nodes"
+        );
+        let mut moved = vec![NodeStats::default(); slot_of.len()];
+        for (s, to) in self.per_node().zip(slot_of.iter()) {
+            moved[*to as usize] = *s;
+        }
+        self.per_node = moved;
+        self.slot_of = Arc::clone(slot_of);
+    }
+
+    /// The order the counters are stored in.
+    #[cfg(test)]
+    pub(crate) fn order(&self) -> &Arc<[u32]> {
+        &self.slot_of
+    }
+
+    /// Zeroes every counter and forgets every phase, in place: the state of
+    /// a fresh object of the same order, without returning the counters'
+    /// memory to the allocator and faulting it back in.
+    pub(crate) fn reset(&mut self) {
+        self.per_node.fill(NodeStats::default());
+        self.phases.clear();
+    }
+
     /// Rebuilds statistics from exported parts — the checkpoint/restore
-    /// surface, pairing with [`NetworkStats::per_node`] and
+    /// surface, pairing with [`NetworkStats::per_node`] (so `per_node` is
+    /// indexed by node id, and the result is stored in id order) and
     /// [`NetworkStats::phases`]. A label listed twice keeps its last entry.
     pub fn from_parts(per_node: Vec<NodeStats>, per_phase: Vec<(String, NodeStats)>) -> Self {
         let mut stats = Self {
+            slot_of: (0..per_node.len() as u32).collect(),
             per_node,
             phases: Vec::new(),
         };
@@ -150,7 +201,8 @@ impl NetworkStats {
     fn charge(&mut self, node: NodeId, phase: PhaseId) -> (&mut NodeStats, &mut NodeStats) {
         let entry = &mut self.phases[usize::from(phase.0)];
         entry.charged = true;
-        (&mut self.per_node[node.0 as usize], &mut entry.stats)
+        let slot = self.slot_of[node.0 as usize] as usize;
+        (&mut self.per_node[slot], &mut entry.stats)
     }
 
     /// Records one transmitted packet at `node` with `payload` bytes and
@@ -221,12 +273,13 @@ impl NetworkStats {
 
     /// Counters of one node.
     pub fn node(&self, node: NodeId) -> &NodeStats {
-        &self.per_node[node.0 as usize]
+        &self.per_node[self.slot_of[node.0 as usize] as usize]
     }
 
-    /// All per-node counters, indexed by node id.
-    pub fn per_node(&self) -> &[NodeStats] {
-        &self.per_node
+    /// Every node's counters, in id order — the export (the storage is in
+    /// another order, so there is no slice to hand out).
+    pub fn per_node(&self) -> impl ExactSizeIterator<Item = &NodeStats> {
+        self.slot_of.iter().map(|&s| &self.per_node[s as usize])
     }
 
     /// Counters aggregated for a phase label (zeroes if unseen).
@@ -254,9 +307,10 @@ impl NetworkStats {
         self.per_node.iter().map(|s| s.tx_bytes).sum()
     }
 
-    /// Total energy spent network-wide (µJ).
+    /// Total energy spent network-wide (µJ), summed in id order (a float
+    /// sum depends on its order; the storage order must not show).
     pub fn total_energy_uj(&self) -> f64 {
-        self.per_node.iter().map(|s| s.energy_uj).sum()
+        self.per_node().map(|s| s.energy_uj).sum()
     }
 
     /// Total data-fragment retransmissions network-wide.
@@ -295,18 +349,18 @@ impl NetworkStats {
     /// The highest per-node transmission count and the node attaining it
     /// (the "most loaded node" of Fig. 11). Returns `None` for empty nets.
     pub fn most_loaded(&self) -> Option<(NodeId, u64)> {
-        self.per_node
-            .iter()
+        self.per_node()
             .enumerate()
             .max_by_key(|(i, s)| (s.tx_packets, std::cmp::Reverse(*i)))
             .map(|(i, s)| (NodeId(i as u32), s.tx_packets))
     }
 
-    /// Sums another statistics object into this one (same node count).
+    /// Sums another statistics object into this one (same node count; each
+    /// may be stored in its own order).
     pub fn merge(&mut self, other: &NetworkStats) {
         assert_eq!(self.per_node.len(), other.per_node.len());
-        for (a, b) in self.per_node.iter_mut().zip(&other.per_node) {
-            a.add(b);
+        for (mine, theirs) in self.slot_of.iter().zip(other.per_node()) {
+            self.per_node[*mine as usize].add(theirs);
         }
         // The two tables may have interned their labels in different
         // orders: match by label, never by id.
@@ -514,11 +568,11 @@ mod tests {
         let exported: Vec<(String, NodeStats)> =
             s.phases().map(|(l, st)| (l.to_owned(), *st)).collect();
         assert_eq!(exported[0].0, "a-early");
-        let back = NetworkStats::from_parts(s.per_node().to_vec(), exported.clone());
+        let back = NetworkStats::from_parts(s.per_node().copied().collect(), exported.clone());
         let again: Vec<(String, NodeStats)> =
             back.phases().map(|(l, st)| (l.to_owned(), *st)).collect();
         assert_eq!(again, exported);
-        assert_eq!(back.per_node(), s.per_node());
+        assert!(back.per_node().eq(s.per_node()));
         // Like the map it replaces, a repeated label keeps its last entry.
         let twice = NetworkStats::from_parts(
             vec![NodeStats::default()],
@@ -526,5 +580,88 @@ mod tests {
         );
         assert_eq!(twice.phases().count(), 1);
         assert_eq!(twice.phase("p"), exported[1].1);
+    }
+
+    /// One fixed series of charges: energies that sum differently in
+    /// different orders, and nodes 1 and 4 tied for most loaded.
+    fn charge(mut s: NetworkStats) -> NetworkStats {
+        let (p, q) = (s.intern("p"), s.intern("q"));
+        for (v, uj) in [
+            (4, 1e16),
+            (1, 0.1),
+            (0, -1e16),
+            (3, 0.3),
+            (1, 0.2),
+            (4, 0.7),
+        ] {
+            s.record_tx(NodeId(v), 10 + v as usize, uj, p);
+        }
+        s.record_rx(NodeId(2), 9, 1e-3, q);
+        s.record_retx(NodeId(3), 8, 1e-7, q);
+        s.record_ack(NodeId(0), 2, 0.5, q);
+        s.record_loss(NodeId(2), p);
+        s.record_death(NodeId(3), q);
+        s
+    }
+
+    fn assert_same(a: &NetworkStats, b: &NetworkStats) {
+        for v in (0..5).map(NodeId) {
+            assert_eq!(a.node(v), b.node(v), "{v}");
+        }
+        assert!(a.per_node().eq(b.per_node()));
+        assert_eq!(a.total_energy_uj().to_bits(), b.total_energy_uj().to_bits());
+        let totals = |s: &NetworkStats| {
+            [
+                s.total_tx_packets(),
+                s.total_tx_bytes(),
+                s.total_retx_packets(),
+                s.total_ack_packets(),
+                s.total_overhead_bytes(),
+                s.total_cost_bytes(),
+                s.total_lost_packets(),
+                s.total_deaths(),
+            ]
+        };
+        assert_eq!(totals(a), totals(b));
+        assert_eq!(a.most_loaded(), b.most_loaded());
+        assert!(a.phases().eq(b.phases()));
+    }
+
+    #[test]
+    fn the_storage_order_does_not_show() {
+        let reference = charge(NetworkStats::new(5));
+        // The float sum is order-sensitive, so a sum in storage order would show.
+        let by_slot: f64 = [3, 0, 4, 2, 1]
+            .iter()
+            .map(|&v| reference.node(NodeId(v)).energy_uj)
+            .sum();
+        assert_ne!(by_slot.to_bits(), reference.total_energy_uj().to_bits());
+        // Ties go to the lower id wherever it is stored.
+        assert_eq!(reference.most_loaded(), Some((NodeId(1), 2)));
+        let stored = charge(NetworkStats::in_order([1, 4, 3, 0, 2].into()));
+        assert_same(&stored, &reference);
+
+        // Merging across two orders, either way round.
+        let other = charge(NetworkStats::in_order([2, 0, 1, 4, 3].into()));
+        let mut twice = reference.clone();
+        twice.merge(&reference);
+        for mut sum in [stored.clone(), other.clone(), reference.clone()] {
+            sum.merge(&other);
+            assert_same(&sum, &twice);
+        }
+
+        // An import is in id order until a network adopts it into its own;
+        // the reset keeps the order and nothing else.
+        let phases = stored.phases().map(|(l, s)| (l.to_owned(), *s)).collect();
+        let mut back = NetworkStats::from_parts(stored.per_node().copied().collect(), phases);
+        assert_eq!(&back.slot_of[..], [0, 1, 2, 3, 4]);
+        assert_same(&back, &reference);
+        back.adopt_order(&stored.slot_of);
+        assert!(Arc::ptr_eq(&back.slot_of, &stored.slot_of));
+        assert_same(&back, &reference);
+        back.reset();
+        assert!(back.per_node().eq(NetworkStats::new(5).per_node()));
+        assert_eq!(back.phases().count(), 0);
+        assert_same(&charge(back), &reference);
     }
 }

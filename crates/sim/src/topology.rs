@@ -2,6 +2,8 @@
 
 use sensjoin_field::{Area, Position};
 use sensjoin_relation::NodeId;
+use sensjoin_zorder::{Dimension, ZSpace};
+use std::sync::Arc;
 
 /// A static network topology: positions plus the bidirectional-link
 /// adjacency induced by the communication range.
@@ -12,10 +14,30 @@ use sensjoin_relation::NodeId;
 /// stored in CSR form — one offsets array plus one flat neighbor buffer —
 /// so a million-node topology is two contiguous allocations instead of a
 /// million small vectors.
+///
+/// # Storage order
+///
+/// Node ids are arbitrary labels, random in space, while everything a wave
+/// does is local in space: a node talks to its tree neighbors, which are
+/// radio neighbors. The topology therefore fixes one *storage permutation*,
+/// [`Topology::slot_of`] — a node's rank along the Z-order curve of its
+/// position (the paper's §V device applied to physical positions: what is
+/// near in the space is near in the encoding), ties by id — and keeps its
+/// neighbor rows in that order. The per-node columns a wave touches on
+/// every node-event ([`crate::NetworkStats`]' counters and the protocol
+/// state in `sensjoin-core`) follow the same permutation, so one
+/// node-event's working set is a few nearby cache lines instead of one miss
+/// per column. The order is a pure function of the build inputs and never
+/// changes afterwards: churn, repair and restore leave it alone. It is a
+/// layout only — ids, iteration orders and tie-breaks are untouched, and
+/// nothing public is indexed by slot.
 #[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Position>,
-    /// CSR offsets: node `i`'s neighbors live at `nbr_buf[nbr_off[i]..nbr_off[i + 1]]`.
+    /// `slot_of[id]`: where node `id`'s per-node data lives.
+    slot_of: Arc<[u32]>,
+    /// CSR offsets by slot: node `v`'s neighbors live at
+    /// `nbr_buf[nbr_off[s]..nbr_off[s + 1]]` for `s = slot_of[v]`.
     nbr_off: Vec<u32>,
     /// Flat neighbor buffer, each node's slice sorted by id.
     nbr_buf: Vec<NodeId>,
@@ -23,93 +45,135 @@ pub struct Topology {
     range: f64,
 }
 
+/// Cells per axis of the position grid the storage order interleaves: far
+/// finer than any radio range, and two 16-bit axes sit well inside a
+/// Z-number.
+const ORDER_CELLS: f64 = 65536.0;
+
+/// Node ids sorted along the Z-order curve of their positions, ties (one
+/// grid cell, or one position) by id.
+fn z_order(positions: &[Position], area: Area) -> Vec<u32> {
+    let axis = |name, extent: f64| Dimension::new(name, 0.0, extent, extent / (ORDER_CELLS - 1.0));
+    let space = ZSpace::new(vec![axis("x", area.width), axis("y", area.height)])
+        .expect("two 16-bit axes fit a Z-number");
+    let (x, y) = (&space.dims()[0], &space.dims()[1]);
+    let key = |p: &Position| space.encode_cells(&[x.coordinate(p.x), y.coordinate(p.y)]);
+    let mut keyed: Vec<(u64, u32)> = positions.iter().map(key).zip(0..).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The build's grid of range-sized buckets, in CSR form (counting sort by
+/// cell): cell `c`'s members are `buf[off[c]..off[c + 1]]`, ascending by id.
+struct Grid<'a> {
+    positions: &'a [Position],
+    range: f64,
+    cols: usize,
+    rows: usize,
+    off: Vec<u32>,
+    buf: Vec<u32>,
+}
+
+impl<'a> Grid<'a> {
+    fn new(positions: &'a [Position], area: Area, range: f64) -> Self {
+        let cols = (area.width / range).ceil().max(1.0) as usize;
+        let rows = (area.height / range).ceil().max(1.0) as usize;
+        let mut grid = Self {
+            positions,
+            range,
+            cols,
+            rows,
+            off: vec![0u32; cols * rows + 1],
+            buf: vec![0u32; positions.len()],
+        };
+        let ncells = cols * rows;
+        let cell: Vec<u32> = positions
+            .iter()
+            .map(|p| {
+                let (cx, cy) = grid.cell_of(p);
+                (cy * cols + cx) as u32
+            })
+            .collect();
+        for &c in &cell {
+            grid.off[c as usize + 1] += 1;
+        }
+        for c in 0..ncells {
+            grid.off[c + 1] += grid.off[c];
+        }
+        for (i, &c) in cell.iter().enumerate() {
+            grid.buf[grid.off[c as usize] as usize] = i as u32;
+            grid.off[c as usize] += 1;
+        }
+        // The fill advanced every offset to its cell's end; shift right to
+        // recover the starts.
+        grid.off.copy_within(0..ncells, 1);
+        grid.off[0] = 0;
+        grid
+    }
+
+    fn cell_of(&self, p: &Position) -> (usize, usize) {
+        let cx = ((p.x / self.range) as usize).min(self.cols - 1);
+        let cy = ((p.y / self.range) as usize).min(self.rows - 1);
+        (cx, cy)
+    }
+
+    /// Calls `hit` with every node within range of node `i`, cell by cell
+    /// over the 3x3 neighborhood.
+    fn scan(&self, i: u32, mut hit: impl FnMut(u32)) {
+        let p = &self.positions[i as usize];
+        let (cx, cy) = self.cell_of(p);
+        for dy in -1isize..=1 {
+            for dx in -1isize..=1 {
+                let nx = cx as isize + dx;
+                let ny = cy as isize + dy;
+                if nx < 0 || ny < 0 || nx >= self.cols as isize || ny >= self.rows as isize {
+                    continue;
+                }
+                let c = ny as usize * self.cols + nx as usize;
+                for &j in &self.buf[self.off[c] as usize..self.off[c + 1] as usize] {
+                    if j != i && self.positions[j as usize].distance(p) <= self.range {
+                        hit(j);
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl Topology {
     /// Builds the topology for `positions` with communication `range`.
     pub fn new(positions: Vec<Position>, area: Area, range: f64) -> Self {
         assert!(range > 0.0, "range must be positive");
         let n = positions.len();
-        let cols = (area.width / range).ceil().max(1.0) as usize;
-        let rows = (area.height / range).ceil().max(1.0) as usize;
-        let cell_of = |p: &Position| -> (usize, usize) {
-            let cx = ((p.x / range) as usize).min(cols - 1);
-            let cy = ((p.y / range) as usize).min(rows - 1);
-            (cx, cy)
-        };
-        // Grid of range-sized buckets, itself in CSR form (counting sort by
-        // cell): cell `c`'s members are `grid_buf[grid_off[c]..grid_off[c+1]]`,
-        // ascending by id.
-        let ncells = cols * rows;
-        let cell: Vec<u32> = positions
-            .iter()
-            .map(|p| {
-                let (cx, cy) = cell_of(p);
-                (cy * cols + cx) as u32
-            })
-            .collect();
-        let mut grid_off = vec![0u32; ncells + 1];
-        for &c in &cell {
-            grid_off[c as usize + 1] += 1;
+        let grid = Grid::new(&positions, area, range);
+        let order = z_order(&positions, area);
+        let mut slot_of = vec![0u32; n];
+        for (s, &i) in order.iter().enumerate() {
+            slot_of[i as usize] = s as u32;
         }
-        for c in 0..ncells {
-            grid_off[c + 1] += grid_off[c];
-        }
-        let mut grid_buf = vec![0u32; n];
-        for (i, &c) in cell.iter().enumerate() {
-            grid_buf[grid_off[c as usize] as usize] = i as u32;
-            grid_off[c as usize] += 1;
-        }
-        // The fill advanced every offset to its cell's end; shift right to
-        // recover the starts.
-        grid_off.copy_within(0..ncells, 1);
-        grid_off[0] = 0;
 
-        // Two passes over the 3x3 cell neighborhoods: count, then fill.
+        // Two passes over the nodes in storage order: count, then fill.
         // Each node's slice is produced wholesale, so a running cursor
         // suffices; a final per-slice sort orders neighbors by id.
         let mut nbr_off = vec![0u32; n + 1];
-        let scan = |i: usize, p: &Position, mut hit: Box<dyn FnMut(u32) + '_>| {
-            let (cx, cy) = cell_of(p);
-            for dy in -1isize..=1 {
-                for dx in -1isize..=1 {
-                    let nx = cx as isize + dx;
-                    let ny = cy as isize + dy;
-                    if nx < 0 || ny < 0 || nx >= cols as isize || ny >= rows as isize {
-                        continue;
-                    }
-                    let c = ny as usize * cols + nx as usize;
-                    for &j in &grid_buf[grid_off[c] as usize..grid_off[c + 1] as usize] {
-                        if j as usize != i && positions[j as usize].distance(p) <= range {
-                            hit(j);
-                        }
-                    }
-                }
-            }
-        };
-        for (i, p) in positions.iter().enumerate() {
+        for (s, &i) in order.iter().enumerate() {
             let mut count = 0u32;
-            scan(i, p, Box::new(|_| count += 1));
-            nbr_off[i + 1] = count;
+            grid.scan(i, |_| count += 1);
+            nbr_off[s + 1] = nbr_off[s] + count;
         }
-        for i in 0..n {
-            nbr_off[i + 1] += nbr_off[i];
-        }
-        let total = nbr_off[n] as usize;
-        let mut nbr_buf = vec![NodeId(0); total];
-        for (i, p) in positions.iter().enumerate() {
-            let mut k = nbr_off[i] as usize;
-            scan(
-                i,
-                p,
-                Box::new(|j| {
-                    nbr_buf[k] = NodeId(j);
-                    k += 1;
-                }),
-            );
-            debug_assert_eq!(k, nbr_off[i + 1] as usize);
-            nbr_buf[nbr_off[i] as usize..nbr_off[i + 1] as usize].sort_unstable();
+        let mut nbr_buf = vec![NodeId(0); nbr_off[n] as usize];
+        for (s, &i) in order.iter().enumerate() {
+            let mut k = nbr_off[s] as usize;
+            grid.scan(i, |j| {
+                nbr_buf[k] = NodeId(j);
+                k += 1;
+            });
+            debug_assert_eq!(k, nbr_off[s + 1] as usize);
+            nbr_buf[nbr_off[s] as usize..k].sort_unstable();
         }
         Self {
             positions,
+            slot_of: slot_of.into(),
             nbr_off,
             nbr_buf,
             area,
@@ -134,8 +198,16 @@ impl Topology {
 
     /// Neighbors of a node (nodes within range), sorted by id.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        let i = node.0 as usize;
-        &self.nbr_buf[self.nbr_off[i] as usize..self.nbr_off[i + 1] as usize]
+        let s = self.slot_of[node.0 as usize] as usize;
+        &self.nbr_buf[self.nbr_off[s] as usize..self.nbr_off[s + 1] as usize]
+    }
+
+    /// The storage permutation: `slot_of()[id]` is where node `id`'s entry
+    /// of a per-node column lives (see the type's "Storage order"). Shared,
+    /// so a column family holds the order it was laid out in for one
+    /// reference count.
+    pub fn slot_of(&self) -> &Arc<[u32]> {
+        &self.slot_of
     }
 
     /// The deployment area.
@@ -332,6 +404,36 @@ mod tests {
         let t = Topology::new(positions, area, 50.0);
         assert_matches_brute_force(&t);
         assert!(!t.neighbors(NodeId(0)).contains(&NodeId(2)));
+    }
+
+    #[test]
+    fn storage_order_ranks_positions_along_the_z_curve_ties_by_id() {
+        let area = Area::new(100.0, 100.0);
+        // Two exact duplicates, one node a hair away in the same grid cell,
+        // and one node per remaining quadrant.
+        let at = |x, y| Position::new(x, y);
+        let positions = vec![
+            at(75.0, 75.0),
+            at(10.0, 10.0),
+            at(75.0, 75.0),
+            at(10.0, 10.0),
+            at(10.0, 10.0 + 1e-9),
+            at(75.0, 10.0),
+            at(10.0, 75.0),
+        ];
+        let t = Topology::new(positions.clone(), area, 30.0);
+        // x is the more significant axis of a level: the quadrants come
+        // (low, low), (low, high), (high, low), (high, high).
+        let order = [1, 3, 4, 6, 5, 0, 2];
+        for (slot, &v) in order.iter().enumerate() {
+            assert_eq!(t.slot_of()[v], slot as u32, "node {v}");
+        }
+        assert_matches_brute_force(&t);
+        // Labelled along the curve, every node is stored at its own id.
+        let sorted: Vec<Position> = order.iter().map(|&v| positions[v]).collect();
+        let t = Topology::new(sorted, area, 30.0);
+        assert!(t.slot_of().iter().copied().eq(0..7));
+        assert_matches_brute_force(&t);
     }
 
     mod csr_props {
