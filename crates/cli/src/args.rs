@@ -1,11 +1,14 @@
-//! A small, dependency-free command-line argument parser.
+//! A small, dependency-free command-line tokenizer. Which options exist,
+//! which of them are flags and what their values mean is the option table's
+//! business ([`crate::spec`]).
 
+use crate::spec::{self, Kind};
 use std::collections::BTreeMap;
 
-/// Parsed command line: a subcommand, `--key value` options and positionals.
+/// Raw command line: a subcommand, `--key value` options and positionals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Args {
-    /// The subcommand (first non-flag argument).
+    /// The subcommand (first non-option argument).
     pub command: Option<String>,
     /// `--key value` / `--flag` options (flags map to `"true"`).
     pub options: BTreeMap<String, String>,
@@ -13,36 +16,23 @@ pub struct Args {
     pub positional: Vec<String>,
 }
 
-/// Errors parsing the command line.
+/// Errors tokenizing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// `--key` given twice.
     Duplicate(String),
-    /// An option value failed to parse.
-    BadValue {
-        /// The option name.
-        key: String,
-        /// The raw value.
-        value: String,
-        /// Expected type, for the message.
-        expected: &'static str,
-    },
-    /// An unknown option was supplied.
-    Unknown(String),
+    /// A valued option at the end of the line, or followed by another option.
+    MissingValue(String),
+    /// `--flag=value`.
+    FlagValue(String),
 }
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArgError::Duplicate(k) => write!(f, "option --{k} given twice"),
-            ArgError::BadValue {
-                key,
-                value,
-                expected,
-            } => {
-                write!(f, "option --{key}: expected {expected}, got {value:?}")
-            }
-            ArgError::Unknown(k) => write!(f, "unknown option --{k}"),
+            ArgError::Duplicate(k) => write!(f, "--{k}: given twice"),
+            ArgError::MissingValue(k) => write!(f, "--{k}: expected a value"),
+            ArgError::FlagValue(k) => write!(f, "--{k}: takes no value"),
         }
     }
 }
@@ -51,78 +41,40 @@ impl std::error::Error for ArgError {}
 
 impl Args {
     /// Parses raw arguments (without the program name). Options may appear
-    /// before or after the subcommand; `--flag` without a following value
-    /// (or followed by another option) becomes a boolean flag.
+    /// before or after the subcommand, as `--key value` or `--key=value`. A
+    /// flag of the option table never takes a value and a valued option
+    /// always does; an unknown option takes the next argument unless that
+    /// is an option (validation then rejects it by name).
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
-        let raw: Vec<String> = raw.into_iter().collect();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(key) = a.strip_prefix("--") {
-                let (key, inline) = match key.split_once('=') {
-                    Some((k, v)) => (k.to_owned(), Some(v.to_owned())),
-                    None => (key.to_owned(), None),
-                };
-                let value = match inline {
-                    Some(v) => v,
-                    None => {
-                        if i + 1 < raw.len() && !raw[i + 1].starts_with("--") {
-                            i += 1;
-                            raw[i].clone()
-                        } else {
-                            "true".to_owned()
-                        }
-                    }
-                };
-                if args.options.insert(key.clone(), value).is_some() {
-                    return Err(ArgError::Duplicate(key));
+        let mut raw = raw.into_iter().peekable();
+        while let Some(a) = raw.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                match args.command {
+                    None => args.command = Some(a),
+                    Some(_) => args.positional.push(a),
                 }
-            } else if args.command.is_none() {
-                args.command = Some(a.clone());
-            } else {
-                args.positional.push(a.clone());
+                continue;
+            };
+            let (key, inline) = key
+                .split_once('=')
+                .map_or((key, None), |(k, v)| (k, Some(v)));
+            let flag = spec::lookup(key).map(|opt| matches!(opt.kind, Kind::Flag));
+            let value = match (flag, inline) {
+                (Some(true), Some(_)) => return Err(ArgError::FlagValue(key.into())),
+                (_, Some(v)) => v.to_owned(),
+                (Some(true), None) => "true".into(),
+                (_, None) => match raw.next_if(|next| !next.starts_with("--")) {
+                    Some(v) => v,
+                    None if flag.is_some() => return Err(ArgError::MissingValue(key.into())),
+                    None => "true".into(),
+                },
+            };
+            if args.options.insert(key.to_owned(), value).is_some() {
+                return Err(ArgError::Duplicate(key.into()));
             }
-            i += 1;
         }
         Ok(args)
-    }
-
-    /// Typed option lookup with a default.
-    pub fn get_or<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        default: T,
-        expected: &'static str,
-    ) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                key: key.to_owned(),
-                value: v.clone(),
-                expected,
-            }),
-        }
-    }
-
-    /// String option lookup.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
-    }
-
-    /// Boolean flag lookup.
-    pub fn flag(&self, key: &str) -> bool {
-        self.options.get(key).is_some_and(|v| v != "false")
-    }
-
-    /// Rejects options outside the allowed set.
-    pub fn ensure_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        for k in self.options.keys() {
-            if !allowed.contains(&k.as_str()) {
-                return Err(ArgError::Unknown(k.clone()));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -138,23 +90,33 @@ mod tests {
     fn subcommand_and_options() {
         let a = parse("run --nodes 500 --seed 7 extra");
         assert_eq!(a.command.as_deref(), Some("run"));
-        assert_eq!(a.get_or("nodes", 0usize, "int").unwrap(), 500);
-        assert_eq!(a.get_or("seed", 0u64, "int").unwrap(), 7);
+        assert_eq!(a.options["nodes"], "500");
+        assert_eq!(a.options["seed"], "7");
         assert_eq!(a.positional, vec!["extra"]);
     }
 
     #[test]
     fn equals_syntax_and_flags() {
-        let a = parse("topology --nodes=200 --verbose");
-        assert_eq!(a.get_or("nodes", 0usize, "int").unwrap(), 200);
-        assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        let a = parse("topology --nodes=200 --map extra");
+        assert_eq!(a.options["nodes"], "200");
+        // A flag never swallows the next argument...
+        assert_eq!(a.options["map"], "true");
+        assert_eq!(a.positional, vec!["extra"]);
+        // ...and never takes an inline value.
+        let err = Args::parse(["--map=yes".into()]);
+        assert_eq!(err, Err(ArgError::FlagValue("map".into())));
     }
 
     #[test]
     fn defaults_apply() {
-        let a = parse("run");
-        assert_eq!(a.get_or("nodes", 1500usize, "int").unwrap(), 1500);
+        // Tokenizing adds nothing; validation fills in the table's defaults.
+        let a = parse("topology");
+        assert!(a.options.is_empty());
+        let topology = crate::commands::COMMANDS
+            .iter()
+            .find(|c| c.name == "topology");
+        let o = topology.unwrap().validate(&a).unwrap();
+        assert_eq!(o.value("nodes").count(), 500);
     }
 
     #[test]
@@ -163,20 +125,19 @@ mod tests {
             Args::parse(["--x".into(), "1".into(), "--x".into(), "2".into()]),
             Err(ArgError::Duplicate("x".into()))
         );
-        let a = parse("run --nodes abc");
-        assert!(matches!(
-            a.get_or("nodes", 0usize, "integer"),
-            Err(ArgError::BadValue { .. })
-        ));
-        let a = parse("run --bogus 1");
-        assert!(a.ensure_known(&["nodes"]).is_err());
-        assert!(a.ensure_known(&["bogus"]).is_ok());
+        // A valued option needs its value: no silent "true" SQL.
+        for line in ["run --sql", "run --sql --nodes 5"] {
+            let err = Args::parse(line.split_whitespace().map(String::from));
+            assert_eq!(err, Err(ArgError::MissingValue("sql".into())), "{line}");
+        }
+        // Unknown options still tokenize; validation names them.
+        assert_eq!(parse("run --bogus 1").options["bogus"], "1");
     }
 
     #[test]
     fn option_before_command() {
         let a = parse("--seed 3 run");
         assert_eq!(a.command.as_deref(), Some("run"));
-        assert_eq!(a.get_or("seed", 0u64, "int").unwrap(), 3);
+        assert_eq!(a.options["seed"], "3");
     }
 }

@@ -1,7 +1,10 @@
-//! Subcommand implementations.
+//! Subcommand implementations. Each subcommand is a [`Command`] entry —
+//! the options it takes and its body; what an option means is the option
+//! table's ([`crate::spec`]).
 
 use crate::args::Args;
 use crate::csvdata;
+use crate::spec::{self, Command, Opts, Unset, Value, CHANNEL, CHECKPOINT, CHURN, ENERGY, NETWORK};
 use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Persist, Reader, Writer};
 use sensjoin_core::workload::RangeQueryFamily;
 use sensjoin_core::{
@@ -20,321 +23,155 @@ use sensjoin_sim::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
 
-const USAGE: &str = "\
-sensjoin — SENS-Join over a simulated wireless sensor network
-
-USAGE:
-  sensjoin run --sql \"SELECT ...\"  run one query
-  sensjoin shell                     interactive SQL loop
-  sensjoin topology                  routing-tree statistics
-  sensjoin sweep                     selectivity sweep (SENS vs external)
-  sensjoin advise --sql ... --fraction F   cost-model method advice
-  sensjoin multi \"SQL1\" \"SQL2\" ...    concurrent queries, shared collection
-  sensjoin continuous --sql \"... SAMPLE PERIOD n\"   delta rounds of one query
-  sensjoin stream --sql \"SELECT ...\"   streaming-ingestion engine driver
-  sensjoin serve                     multi-tenant serving simulation
-  sensjoin lifetime                  battery-powered rounds until the network dies
-
-COMMON OPTIONS:
-  --data FILE      load a trace CSV (x,y,attrs...) instead of generating
-  --nodes N        network size                      [default: 500]
-  --area  S        square side length in meters      [default: density-scaled]
-  --seed  S        placement/data seed               [default: 1]
-  --base  POS      base station: corner|center       [default: corner]
-  --fields PRESET  indoor|outdoor|uncorrelated       [default: indoor]
-
-ENERGY OPTIONS (run, multi, continuous, lifetime):
-  --energy-model M micaz|sunspot|byte:<µJ>         [default: micaz]
-                   radio energy model; byte:<µJ> charges a flat per-byte cost
-
-CHANNEL OPTIONS (run, multi, continuous, lifetime):
-  --loss P         per-packet loss probability 0..1  [default: 0 = lossless]
-  --burst L        mean loss-burst length (packets): Gilbert-Elliott channel
-                   instead of independent (Bernoulli) losses
-  --arq POLICY     none|ack|summary                  [default: ack when lossy]
-  --retries R      ARQ retry / repair-round budget   [default: 3]
-  --loss-seed S    channel randomness seed           [default: 7]
-
-CHECKPOINT OPTIONS (continuous, stream, serve):
-  --checkpoint-dir DIR   snapshot + write-ahead-log directory; enables
-                         crash recovery for the run
-  --checkpoint-every K   rounds/batches/ticks between snapshots [default: 1]
-  --resume               resume from the latest valid checkpoint in DIR;
-                         the completed prefix is skipped and the suffix
-                         re-executes bit-identically
-  --crash-at P[:N]       inject a crash at point P (PostRound, MidWalAppend,
-                         PostWalAppend, MidSnapshotWrite, PostSnapshotTmp,
-                         PostSnapshotRename), on its N-th occurrence
-
-CHURN OPTIONS (run, multi, continuous, lifetime):
-  --churn H        enable node churn, sampled over a horizon of H seconds
-                   of simulated time (crash-stop + reboot with state loss)
-  --mtbf S         per-node mean time between failures, seconds [default: 600]
-  --mttr S         per-node mean time to repair, seconds [default: mtbf/2]
-  --churn-seed S   fault-timeline randomness seed    [default: 13]
-
-run/shell OPTIONS:
-  --sql QUERY      the join query (run only)
-  --method M       sens|external|mediated|noquad|all [default: all]
-
-sweep OPTIONS:
-  --fractions L    comma list of result percentages  [default: 1,5,25,60]
-
-multi OPTIONS (queries are positional arguments):
-  --epochs E       number of sample epochs to run    [default: 4]
-  --every L        comma list of per-query periods in epochs [default: 1]
-  --period S       epoch period in seconds           [default: 30]
-
-continuous OPTIONS:
-  --rounds R       number of rounds to run           [default: 4]
-  --epsilon E      value-drift suppression threshold [default: 0 = exact]
-
-lifetime OPTIONS (continuous rounds on battery-powered nodes):
-  --battery J      per-node battery capacity in joules   [default: 0.5]
-  --jitter F       seeded per-node capacity jitter fraction in [0,1)
-                                                     [default: 0]
-  --parent-policy P  min-hop|power-aware parent selection [default: min-hop]
-  --until C        first-death|partition|death:<pct> end criterion
-                                                     [default: first-death]
-  --max-rounds R   round cap                         [default: 200]
-  --sql QUERY      the continuous query to round over [default: a band join]
-  --trace FILE     write the packet/repair/battery trace CSV
-
-stream OPTIONS:
-  --batches B      delta batches after the cold load [default: 8]
-  --rate P         fraction of nodes re-sampled (upserted) per batch
-                                                     [default: 0.05]
-  --expire P       fraction of live nodes expired per batch [default: 0]
-  --verify-every K cross-check against the batch join every K batches
-                   (always checked after the last batch)    [default: 0]
-
-serve OPTIONS (simulated tenants submit continuous queries against a
-registry of deployments; --nodes/--seed size and seed each deployment):
-  --tenants T      total tenants that will submit    [default: 64]
-  --deployments D  number of deployments             [default: 4]
-  --qps Q          tenant submissions per simulated second [default: 2]
-  --duration S     simulated seconds to serve        [default: 300]
-  --period S       epoch cadence per deployment, seconds [default: 30]
-  --skew F         fraction of tenants submitting the shared template
-                   (the rest get unique queries)     [default: 0.5]
-  --max-groups G   query groups per deployment (64 queries each)
-                                                     [default: 4]
-  --queue-depth N  admission queue bound (overflow is shed) [default: 256]
-  --admit-per-tick N  admissions per tick, 0 = drain all  [default: 0]
-";
+/// Every subcommand, in `sensjoin help` order.
+#[rustfmt::skip]
+pub const COMMANDS: &[&Command] =
+    &[&RUN, &SHELL, &TOPOLOGY, &SWEEP, &ADVISE, &MULTI, &CONTINUOUS, &STREAM, &SERVE, &LIFETIME];
 
 /// Dispatches a parsed command line; returns the process exit code.
 pub fn dispatch(args: &Args) -> i32 {
-    let result = match args.command.as_deref() {
-        Some("run") => cmd_run(args),
-        Some("advise") => cmd_advise(args),
-        Some("shell") => cmd_shell(args),
-        Some("topology") => cmd_topology(args),
-        Some("sweep") => cmd_sweep(args),
-        Some("multi") => cmd_multi(args),
-        Some("continuous") => cmd_continuous(args),
-        Some("stream") => cmd_stream(args),
-        Some("serve") => cmd_serve(args),
-        Some("lifetime") => cmd_lifetime(args),
-        Some("help") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    let name = args.command.as_deref().unwrap_or("help");
+    // What to print: a help text, or nothing after a command ran.
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) if args.options.contains_key("help") => Ok(cmd.help()),
+        Some(cmd) => (cmd.run)(args).map(|()| String::new()),
+        None if name == "help" => Ok(spec::usage(COMMANDS)),
+        None => Err(format!(
+            "unknown command {name:?}\n\n{}",
+            spec::usage(COMMANDS)
+        )),
     };
-    match result {
-        Ok(()) => 0,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            1
-        }
+    match &result {
+        Ok(text) => print!("{text}"),
+        Err(msg) => eprintln!("error: {msg}"),
     }
+    i32::from(result.is_err())
 }
 
-fn build_network(args: &Args) -> Result<SensorNetwork, String> {
-    let nodes: usize = args
-        .get_or("nodes", 500, "integer")
-        .map_err(|e| e.to_string())?;
-    if nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let external = match args.get_str("data") {
+/// The deployment of the network options, with the channel of `--loss …`
+/// and the churn of `--churn …` attached when the command takes them.
+fn build_network(o: &Opts) -> Result<SensorNetwork, String> {
+    let nodes = o.value("nodes").count() as usize;
+    let external = match o.get("data").map(Value::text) {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             Some(csvdata::parse_csv(&text)?)
         }
         None => None,
     };
-    let area = match args.get_str("area") {
-        Some(s) => {
-            let side: f64 = s.parse().map_err(|_| format!("bad --area {s:?}"))?;
-            if !side.is_finite() || side <= 0.0 {
-                return Err("--area must be a positive side length in metres".into());
-            }
-            Area::new(side, side)
-        }
-        None => match &external {
-            Some(d) => csvdata::bounding_area(d),
-            None => Area::for_constant_density(nodes),
-        },
+    let area = match (o.get("area"), &external) {
+        (Some(side), _) => Area::new(side.real(), side.real()),
+        (None, Some(d)) => csvdata::bounding_area(d),
+        (None, None) => Area::for_constant_density(nodes),
     };
-    let base = match args.get_str("base").unwrap_or("corner") {
-        "corner" => BaseChoice::NearestCorner,
+    let base = match o.value("base").word() {
         "center" => BaseChoice::NearestCenter,
-        other => return Err(format!("bad --base {other:?} (corner|center)")),
+        _ => BaseChoice::NearestCorner,
     };
-    let fields = field_specs(args)?;
-    let (energy, _) = energy_model(args)?;
     let mut builder = SensorNetworkBuilder::new()
         .area(area)
         .placement(Placement::UniformRandom { n: nodes })
-        .fields(fields)
+        .fields(field_specs(o))
         .base(base)
-        .energy(energy)
-        .seed(seed);
+        .energy(energy_model(o).0)
+        .seed(o.value("seed").count());
     if let Some(d) = external {
         builder = builder.data(d);
     }
-    builder.build().map_err(|e| e.to_string())
+    let mut snet = builder.build().map_err(|e| e.to_string())?;
+    apply_channel(o, &mut snet);
+    apply_churn(o, &mut snet);
+    Ok(snet)
 }
 
-/// Options shared by every subcommand that charges through the energy model.
-const ENERGY_OPTS: &[&str] = &["energy-model"];
+/// Parses `sql` and compiles it against the network's schema.
+fn compile(snet: &SensorNetwork, sql: &str) -> Result<CompiledQuery, String> {
+    let query = parse(sql).map_err(|e| e.to_string())?;
+    snet.compile(&query).map_err(|e| e.to_string())
+}
 
-/// Parses `--energy-model micaz|sunspot|byte:<µJ>` into the model plus a
-/// human-readable label for run headers.
-fn energy_model(args: &Args) -> Result<(EnergyModel, String), String> {
-    let spec = args.get_str("energy-model").unwrap_or("micaz");
-    if let Some(rest) = spec.strip_prefix("byte:") {
-        let per_byte: f64 = rest
-            .parse()
-            .map_err(|_| format!("bad --energy-model {spec:?}"))?;
-        if !per_byte.is_finite() || per_byte <= 0.0 {
-            return Err("--energy-model byte:<µJ> needs a positive per-byte cost".into());
-        }
-        return Ok((
-            EnergyModel::byte_proportional(per_byte),
-            format!("byte-proportional ({per_byte} µJ/B)"),
-        ));
-    }
-    match spec {
-        "micaz" => Ok((EnergyModel::micaz(), "micaz".into())),
-        "sunspot" => Ok((EnergyModel::sunspot(), "sunspot".into())),
-        other => Err(format!(
-            "bad --energy-model {other:?} (micaz|sunspot|byte:<µJ>)"
-        )),
+/// `--energy-model`'s model plus a label for run headers (micaz for a
+/// command without the option).
+fn energy_model(o: &Opts) -> (EnergyModel, String) {
+    match o.get("energy-model").map(|m| (m.word(), m.tail())) {
+        Some(("byte", Some(cost))) => (
+            EnergyModel::byte_proportional(cost.real()),
+            format!("byte-proportional ({} µJ/B)", cost.real()),
+        ),
+        Some(("sunspot", _)) => (EnergyModel::sunspot(), "sunspot".into()),
+        _ => (EnergyModel::micaz(), "micaz".into()),
     }
 }
 
-/// Options shared by every subcommand that can run over a lossy channel.
-const CHANNEL_OPTS: &[&str] = &["loss", "burst", "arq", "retries", "loss-seed"];
-
-/// Attaches the channel / ARQ configuration from `--loss`, `--burst`,
-/// `--arq`, `--retries` and `--loss-seed` to the network.
-fn apply_channel(args: &Args, snet: &mut SensorNetwork) -> Result<(), String> {
-    let p: f64 = args
-        .get_or("loss", 0.0, "probability")
-        .map_err(|e| e.to_string())?;
-    if !(0.0..1.0).contains(&p) {
-        return Err("--loss must be in [0, 1)".into());
-    }
-    let seed: u64 = args
-        .get_or("loss-seed", 7, "integer")
-        .map_err(|e| e.to_string())?;
-    let retries: u32 = args
-        .get_or("retries", 3, "integer")
-        .map_err(|e| e.to_string())?;
-    let arq = match args
-        .get_str("arq")
-        .unwrap_or(if p > 0.0 { "ack" } else { "none" })
-    {
-        "none" => ArqPolicy::None,
+/// Attaches the channel / ARQ configuration of `--loss`, `--burst`,
+/// `--arq`, `--retries` and `--loss-seed` to the network, if the command
+/// takes them.
+fn apply_channel(o: &Opts, snet: &mut SensorNetwork) {
+    let Some(p) = o.get("loss").map(Value::real) else {
+        return;
+    };
+    let seed = o.value("loss-seed").count();
+    let retries = o.value("retries").count() as u32;
+    let lossy_default = if p > 0.0 { "ack" } else { "none" };
+    let arq = match o.get("arq").map_or(lossy_default, Value::word) {
         "ack" => ArqPolicy::AckRetransmit {
             max_retries: retries,
         },
         "summary" => ArqPolicy::SummaryRepair {
             max_rounds: retries,
         },
-        other => return Err(format!("bad --arq {other:?} (none|ack|summary)")),
+        _ => ArqPolicy::None,
     };
     if p > 0.0 {
-        let channel = match args.get_str("burst") {
-            Some(b) => {
-                let burst: f64 = b.parse().map_err(|_| format!("bad --burst {b:?}"))?;
-                if !(1.0..f64::INFINITY).contains(&burst) {
-                    return Err("--burst must be a mean burst length of at least 1 packet".into());
-                }
-                Channel::gilbert_elliott(p, burst, seed)
-            }
+        let channel = match o.get("burst") {
+            Some(burst) => Channel::gilbert_elliott(p, burst.real(), seed),
             None => Channel::bernoulli(p, seed),
         };
         snet.net_mut().set_channel(Some(channel));
     }
     snet.net_mut().set_arq(arq);
-    Ok(())
 }
 
-/// Options shared by every subcommand that can run under node churn.
-const CHURN_OPTS: &[&str] = &["churn", "mtbf", "mttr", "churn-seed"];
-
 /// Attaches a sampled fault timeline from `--churn`, `--mtbf`, `--mttr` and
-/// `--churn-seed` to the network. Times are given in seconds of simulated
-/// time and converted to the simulator's microsecond clock.
-fn apply_churn(args: &Args, snet: &mut SensorNetwork) -> Result<(), String> {
-    let Some(h) = args.get_str("churn") else {
-        for opt in &CHURN_OPTS[1..] {
-            if args.get_str(opt).is_some() {
-                return Err(format!("--{opt} needs --churn HORIZON_S"));
-            }
-        }
-        return Ok(());
+/// `--churn-seed` to the network, on the simulator's µs clock, if churn is on.
+fn apply_churn(o: &Opts, snet: &mut SensorNetwork) {
+    let Some(horizon) = o.get("churn") else {
+        return;
     };
-    let horizon_s: f64 = h.parse().map_err(|_| format!("bad --churn {h:?}"))?;
-    if !horizon_s.is_finite() || horizon_s <= 0.0 {
-        return Err("--churn horizon must be positive".into());
-    }
-    let mtbf_s: f64 = args
-        .get_or("mtbf", 600.0, "seconds")
-        .map_err(|e| e.to_string())?;
-    if !mtbf_s.is_finite() || mtbf_s <= 0.0 {
-        return Err("--mtbf must be positive".into());
-    }
-    let mttr_s: f64 = match args.get_str("mttr") {
-        Some(s) => s.parse().map_err(|_| format!("bad --mttr {s:?}"))?,
-        None => mtbf_s / 2.0,
-    };
-    if !mttr_s.is_finite() || mttr_s <= 0.0 {
-        return Err("--mttr must be positive".into());
-    }
-    let seed: u64 = args
-        .get_or("churn-seed", 13, "integer")
-        .map_err(|e| e.to_string())?;
+    let mtbf_s = o.value("mtbf").real();
+    let mttr_s = o.get("mttr").map_or(mtbf_s / 2.0, Value::real);
     let tl = ChurnTimeline::sample(
         snet.len(),
         snet.net().base(),
         mtbf_s * 1e6,
         mttr_s * 1e6,
-        (horizon_s * 1e6) as sensjoin_sim::Time,
-        seed,
+        horizon.micros(),
+        o.value("churn-seed").count(),
     );
     snet.net_mut().set_churn(Some(tl));
-    Ok(())
 }
 
-fn field_specs(args: &Args) -> Result<Vec<FieldSpec>, String> {
-    Ok(match args.get_str("fields").unwrap_or("indoor") {
-        "indoor" => presets::indoor_climate(),
+fn field_specs(o: &Opts) -> Vec<FieldSpec> {
+    match o.value("fields").word() {
         "outdoor" => presets::outdoor_environment(),
         "uncorrelated" => presets::uncorrelated(),
-        other => return Err(format!("bad --fields {other:?}")),
-    })
+        _ => presets::indoor_climate(),
+    }
 }
 
-/// Options shared by every subcommand that can checkpoint and resume.
-const CHECKPOINT_OPTS: &[&str] = &["checkpoint-dir", "checkpoint-every", "resume", "crash-at"];
+/// The fields rounds resample: none for a loaded trace, a fixed snapshot.
+fn drifting_fields(o: &Opts) -> Vec<FieldSpec> {
+    o.get("data").map_or_else(|| field_specs(o), |_| Vec::new())
+}
+
+/// Writes the trace of a network that had tracing switched on.
+fn write_trace(snet: &SensorNetwork, path: &str) -> Result<(), String> {
+    let trace = (snet.net().trace()).ok_or("internal: trace missing after enabling tracing")?;
+    std::fs::write(path, trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
+    let (records, packets) = (trace.len(), trace.total_packets());
+    println!("\nwrote {records} trace records ({packets} packets) to {path}");
+    Ok(())
+}
 
 /// Parsed `--checkpoint-dir` / `--checkpoint-every` / `--resume` /
 /// `--crash-at` configuration. `store` is `None` when checkpointing is off.
@@ -355,7 +192,10 @@ impl Checkpointing {
         if !self.resume {
             return Ok(None);
         }
-        let store = self.store.as_ref().expect("--resume implies a store");
+        let store = self
+            .store
+            .as_ref()
+            .expect("--resume needs --checkpoint-dir");
         let rec = store.recover().map_err(|e| e.to_string())?;
         if rec.degraded {
             eprintln!("warning: corrupt checkpoint artifacts skipped; resuming from older state");
@@ -418,53 +258,22 @@ impl Checkpointing {
     }
 }
 
-/// Parses the checkpoint flags, opening (and possibly crash-arming) the
-/// store. The dependent flags are rejected without `--checkpoint-dir`.
-fn checkpoint_args(args: &Args) -> Result<Checkpointing, String> {
-    let every: u64 = args
-        .get_or("checkpoint-every", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    if every == 0 {
-        return Err("--checkpoint-every must be positive".into());
-    }
-    let Some(dir) = args.get_str("checkpoint-dir") else {
-        for opt in &CHECKPOINT_OPTS[1..] {
-            if args.get_str(opt).is_some() {
-                return Err(format!("--{opt} needs --checkpoint-dir DIR"));
-            }
-        }
-        return Ok(Checkpointing {
-            store: None,
-            every,
-            resume: false,
-            logged: BTreeMap::new(),
-        });
+/// Opens (and possibly crash-arms) the store of the checkpoint options.
+fn checkpoint_args(o: &Opts) -> Result<Checkpointing, String> {
+    let mut store = match o.get("checkpoint-dir") {
+        Some(dir) => Some(CheckpointStore::open(dir.text()).map_err(|e| e.to_string())?),
+        None => None,
     };
-    let mut store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
-    if let Some(spec) = args.get_str("crash-at") {
-        let (name, occurrence) = match spec.split_once(':') {
-            Some((n, o)) => (
-                n,
-                o.parse()
-                    .map_err(|_| format!("bad --crash-at occurrence in {spec:?}"))?,
-            ),
-            None => (spec, 1),
-        };
-        let point = CrashPoint::ALL
-            .into_iter()
-            .find(|p| p.to_string().eq_ignore_ascii_case(name))
-            .ok_or_else(|| {
-                format!(
-                    "bad --crash-at point {name:?} (one of {:?})",
-                    CrashPoint::ALL
-                )
-            })?;
-        store.arm_crash(point, occurrence);
+    if let (Some(store), Some(at)) = (&mut store, o.get("crash-at")) {
+        let point = (CrashPoint::ALL.into_iter())
+            .find(|p| p.to_string() == at.word())
+            .expect("--crash-at's words are the crash points' names");
+        store.arm_crash(point, at.tail().map_or(1, |n| n.count() as u32));
     }
     Ok(Checkpointing {
-        store: Some(store),
-        every,
-        resume: args.flag("resume"),
+        store,
+        every: o.value("checkpoint-every").count(),
+        resume: o.get("resume").is_some(),
         logged: BTreeMap::new(),
     })
 }
@@ -489,60 +298,30 @@ fn outcome_digest(out: &JoinOutcome) -> u64 {
     persist::fnv1a(&w.into_bytes())
 }
 
+#[rustfmt::skip]
+const MULTI: Command = Command {
+    name: "multi", about: "concurrent queries sharing one collection wave", positional: "QUERY...",
+    takes: &[&["epochs", "every", "period"], NETWORK, ENERGY, CHANNEL, CHURN], defaults: &[], run: cmd_multi,
+};
+
 fn cmd_multi(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes", "area", "seed", "base", "fields", "epochs", "every", "period", "data",
-    ];
-    known.extend_from_slice(ENERGY_OPTS);
-    known.extend_from_slice(CHANNEL_OPTS);
-    known.extend_from_slice(CHURN_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    if args.positional.is_empty() {
-        return Err("multi needs one or more SQL queries as positional arguments".into());
-    }
-    let epochs: u64 = args
-        .get_or("epochs", 4, "integer")
-        .map_err(|e| e.to_string())?;
-    let period_s: u64 = args
-        .get_or("period", 30, "integer")
-        .map_err(|e| e.to_string())?;
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let every: Vec<u64> = match args.get_str("every") {
-        None => vec![1; args.positional.len()],
-        Some(s) => {
-            let list: Vec<u64> = s
-                .split(',')
-                .map(|p| p.trim().parse())
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("bad --every: {e}"))?;
-            if list.len() == 1 {
-                vec![list[0]; args.positional.len()]
-            } else if list.len() == args.positional.len() {
-                list
-            } else {
-                return Err(format!(
-                    "--every lists {} periods for {} queries",
-                    list.len(),
-                    args.positional.len()
-                ));
-            }
-        }
+    let o = MULTI.validate(args)?;
+    let (queries, epochs) = (&o.positional, o.value("epochs").count());
+    let (period_s, period_us) = (o.value("period").real(), o.value("period").micros());
+    let every: Vec<u64> = o.value("every").list().iter().map(Value::count).collect();
+    let every = match (every.len(), queries.len()) {
+        (1, q) => vec![every[0]; q],
+        (n, q) if n == q => every,
+        (n, q) => return Err(format!("--every lists {n} periods for {q} queries")),
     };
-    let mut snet = build_network(args)?;
-    apply_channel(args, &mut snet)?;
-    apply_churn(args, &mut snet)?;
-    // A loaded trace is a fixed snapshot; only generated fields drift.
-    let specs = if args.get_str("data").is_some() {
-        Vec::new()
-    } else {
-        field_specs(args)?
-    };
-    let mut runner = GroupRunner::new(SensJoinConfig::default(), period_s * 1_000_000);
-    for (sql, &every) in args.positional.iter().zip(&every) {
-        let q = parse(sql).map_err(|e| e.to_string())?;
-        let cq = snet.compile(&q).map_err(|e| e.to_string())?;
+    // The last epoch's timestamp must fit the µs clock too.
+    (epochs.saturating_sub(1).checked_mul(period_us))
+        .ok_or("--period: the last epoch overflows the µs clock")?;
+    let mut snet = build_network(&o)?;
+    let specs = drifting_fields(&o);
+    let mut runner = GroupRunner::new(SensJoinConfig::default(), period_us);
+    for (sql, &every) in queries.iter().zip(&every) {
+        let cq = compile(&snet, sql)?;
         runner
             .group_mut()
             .try_register(&snet, cq, every)
@@ -551,11 +330,11 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
     println!(
         "network: {} nodes, {} concurrent queries, epoch every {period_s} s, energy model {}",
         snet.len(),
-        args.positional.len(),
-        energy_model(args)?.1
+        queries.len(),
+        energy_model(&o).1
     );
     let reports = runner
-        .run(&mut snet, epochs, &specs, seed)
+        .run(&mut snet, epochs, &specs, o.value("seed").count())
         .map_err(|e| e.to_string())?;
     println!(
         "\n{:>5} {:>4} {:>5} {:>12} {:>12} {:>8}  rows",
@@ -569,9 +348,7 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
         } else {
             0.0
         };
-        let rows: Vec<String> = r
-            .outcomes
-            .iter()
+        let rows: Vec<String> = (r.outcomes.iter())
             .map(|o| format!("q{}:{}", o.id.0, o.result.len()))
             .collect();
         let marker = if r.complete { "" } else { "  [INCOMPLETE]" };
@@ -589,47 +366,23 @@ fn cmd_multi(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+#[rustfmt::skip]
+const CONTINUOUS: Command = Command {
+    name: "continuous", about: "delta rounds of one SAMPLE PERIOD query", positional: "",
+    takes: &[&["sql", "rounds", "epsilon"], NETWORK, ENERGY, CHANNEL, CHURN, CHECKPOINT],
+    defaults: &[], run: cmd_continuous,
+};
+
 fn cmd_continuous(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes", "area", "seed", "base", "fields", "sql", "rounds", "epsilon", "data",
-    ];
-    known.extend_from_slice(ENERGY_OPTS);
-    known.extend_from_slice(CHANNEL_OPTS);
-    known.extend_from_slice(CHURN_OPTS);
-    known.extend_from_slice(CHECKPOINT_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    let sql = args
-        .get_str("sql")
-        .ok_or("continuous needs --sql \"SELECT ... SAMPLE PERIOD n\"")?
-        .to_owned();
-    let rounds: u64 = args
-        .get_or("rounds", 4, "integer")
-        .map_err(|e| e.to_string())?;
-    let epsilon: f64 = args
-        .get_or("epsilon", 0.0, "number")
-        .map_err(|e| e.to_string())?;
-    if !(epsilon.is_finite() && epsilon >= 0.0) {
-        return Err(format!(
-            "--epsilon must be a finite, non-negative number, got {epsilon}"
-        ));
-    }
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let mut snet = build_network(args)?;
-    apply_channel(args, &mut snet)?;
-    apply_churn(args, &mut snet)?;
-    // A loaded trace is a fixed snapshot; only generated fields drift.
-    let specs = if args.get_str("data").is_some() {
-        Vec::new()
-    } else {
-        field_specs(args)?
-    };
-    let q = parse(&sql).map_err(|e| e.to_string())?;
-    let cq = snet.compile(&q).map_err(|e| e.to_string())?;
+    let o = CONTINUOUS.validate(args)?;
+    let (rounds, epsilon) = (o.value("rounds").count(), o.value("epsilon").real());
+    let seed = o.value("seed").count();
+    let mut snet = build_network(&o)?;
+    let specs = drifting_fields(&o);
+    let cq = compile(&snet, o.value("sql").text())?;
     let mut cont = ContinuousSensJoin::with_epsilon(epsilon);
-    let mut ckpt = checkpoint_args(args)?;
-    let mut start_round = 0u64;
+    let mut ckpt = checkpoint_args(&o)?;
+    let mut start_round = 0;
     if let Some((seq, payload)) = ckpt.recover()? {
         let decode_failed = |e| format!("snapshot state decode failed: {e}");
         let mut r = Reader::new(&payload);
@@ -643,7 +396,7 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
         "network: {} nodes, {} rounds, epsilon {epsilon}, energy model {}",
         snet.len(),
         rounds,
-        energy_model(args)?.1
+        energy_model(&o).1
     );
     if start_round > 0 {
         println!(
@@ -688,113 +441,53 @@ fn cmd_continuous(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+#[rustfmt::skip]
+const LIFETIME: Command = Command {
+    name: "lifetime", about: "battery-powered rounds until the network dies", positional: "",
+    takes: &[
+        &["sql", "battery", "jitter", "parent-policy", "until", "max-rounds", "trace"],
+        NETWORK, ENERGY, CHANNEL, CHURN,
+    ],
+    defaults: &[("sql", Unset::Is(
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3.0 SAMPLE PERIOD 30",
+    ))],
+    run: cmd_lifetime,
+};
+
 /// `sensjoin lifetime`: continuous rounds of one query on battery-powered
 /// nodes until the network dies — first battery death, base-station
 /// partition or an N %-death fraction, whichever the `--until` criterion
 /// selects — reporting rounds survived, the death order and the residual
 /// energy distribution.
 fn cmd_lifetime(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes",
-        "area",
-        "seed",
-        "base",
-        "fields",
-        "sql",
-        "data",
-        "battery",
-        "jitter",
-        "parent-policy",
-        "until",
-        "max-rounds",
-        "trace",
-    ];
-    known.extend_from_slice(ENERGY_OPTS);
-    known.extend_from_slice(CHANNEL_OPTS);
-    known.extend_from_slice(CHURN_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    let sql = args
-        .get_str("sql")
-        .unwrap_or(
-            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-             WHERE A.temp - B.temp > 3.0 SAMPLE PERIOD 30",
-        )
-        .to_owned();
-    let battery_j: f64 = args
-        .get_or("battery", 0.5, "joules")
-        .map_err(|e| e.to_string())?;
-    if !battery_j.is_finite() || battery_j <= 0.0 {
-        return Err("--battery must be a positive capacity in joules".into());
-    }
-    let jitter: f64 = args
-        .get_or("jitter", 0.0, "fraction")
-        .map_err(|e| e.to_string())?;
-    if !(0.0..1.0).contains(&jitter) {
-        return Err("--jitter must be in [0, 1)".into());
-    }
-    let policy_name = args.get_str("parent-policy").unwrap_or("min-hop");
+    let o = LIFETIME.validate(args)?;
+    let (battery_j, jitter) = (o.value("battery").real(), o.value("jitter").real());
+    let policy_name = o.value("parent-policy").word();
     let policy = match policy_name {
-        "min-hop" => ParentPolicy::MinHop,
         "power-aware" => ParentPolicy::PowerAware,
-        other => {
-            return Err(format!(
-                "bad --parent-policy {other:?} (min-hop|power-aware)"
-            ))
-        }
+        _ => ParentPolicy::MinHop,
     };
-    let until_s = args.get_str("until").unwrap_or("first-death");
-    let until = if let Some(pct) = until_s.strip_prefix("death:") {
-        let pct: f64 = pct
-            .parse()
-            .map_err(|_| format!("bad --until {until_s:?}"))?;
-        if !(0.0..=100.0).contains(&pct) || pct == 0.0 {
-            return Err("--until death:<pct> needs a percentage in (0, 100]".into());
-        }
-        LifetimeUntil::DeathFraction(pct / 100.0)
-    } else {
-        match until_s {
-            "first-death" => LifetimeUntil::FirstDeath,
-            "partition" => LifetimeUntil::BasePartition,
-            other => {
-                return Err(format!(
-                    "bad --until {other:?} (first-death|partition|death:<pct>)"
-                ))
-            }
-        }
+    let until_v = o.value("until");
+    let until = match (until_v.word(), until_v.tail()) {
+        ("death", Some(pct)) => LifetimeUntil::DeathFraction(pct.real() / 100.0),
+        ("partition", _) => LifetimeUntil::BasePartition,
+        _ => LifetimeUntil::FirstDeath,
     };
-    let max_rounds: u64 = args
-        .get_or("max-rounds", 200, "integer")
-        .map_err(|e| e.to_string())?;
-    if max_rounds == 0 {
-        return Err("--max-rounds must be positive".into());
-    }
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let trace_path = args.get_str("trace").map(str::to_owned);
-    let mut snet = build_network(args)?;
-    apply_channel(args, &mut snet)?;
-    apply_churn(args, &mut snet)?;
-    let capacity_uj = battery_j * 1e6;
-    let bank = BatteryBank::with_jitter(snet.len(), snet.base(), capacity_uj, jitter, seed);
+    let until_s = (until_v.tail()).map_or(until_v.word().into(), |p| format!("death:{}", p.real()));
+    let (max_rounds, seed) = (o.value("max-rounds").count(), o.value("seed").count());
+    let trace_path = o.get("trace").map(Value::text);
+    let mut snet = build_network(&o)?;
+    let bank = BatteryBank::with_jitter(snet.len(), snet.base(), battery_j * 1e6, jitter, seed);
     snet.net_mut().set_battery(Some(bank));
     snet.net_mut().set_parent_policy(policy);
-    if trace_path.is_some() {
-        snet.net_mut().set_tracing(true);
-    }
-    // A loaded trace is a fixed snapshot; only generated fields drift.
-    let specs = if args.get_str("data").is_some() {
-        Vec::new()
-    } else {
-        field_specs(args)?
-    };
-    let q = parse(&sql).map_err(|e| e.to_string())?;
-    let cq = snet.compile(&q).map_err(|e| e.to_string())?;
+    snet.net_mut().set_tracing(trace_path.is_some());
+    let specs = drifting_fields(&o);
+    let cq = compile(&snet, o.value("sql").text())?;
     println!(
         "network: {} nodes, energy model {}, battery {battery_j} J \
          (jitter {:.0} %), parent policy {policy_name}, until {until_s}",
         snet.len(),
-        energy_model(args)?.1,
+        energy_model(&o).1,
         jitter * 100.0
     );
     let mut cont = ContinuousSensJoin::new();
@@ -817,30 +510,20 @@ fn cmd_lifetime(args: &Args) -> Result<(), String> {
             .battery()
             .ok_or("internal: battery bank missing after attach")?;
         let base = snet.base();
-        let live = (0..snet.len() as u32)
+        let others: Vec<NodeId> = (0..snet.len() as u32)
             .map(NodeId)
-            .filter(|&v| v != base && snet.net().is_alive(v))
-            .count();
-        let min_res = (0..snet.len() as u32)
-            .map(NodeId)
-            .filter(|&v| v != base && snet.net().is_alive(v))
-            .map(|v| bank.residual_uj(v))
-            .fold(f64::INFINITY, f64::min);
-        let mean_res = {
-            let (sum, n) = (0..snet.len() as u32)
-                .map(NodeId)
-                .filter(|&v| v != base)
-                .map(|v| bank.residual_uj(v).max(0.0))
-                .fold((0.0, 0usize), |(s, n), r| (s + r, n + 1));
-            if n == 0 {
-                0.0
-            } else {
-                sum / n as f64
-            }
-        };
-        let this_round: Vec<String> = run
-            .deaths()
-            .iter()
+            .filter(|&v| v != base)
+            .collect();
+        let alive: Vec<f64> = (others.iter().filter(|&&v| snet.net().is_alive(v)))
+            .map(|&v| bank.residual_uj(v))
+            .collect();
+        let (live, min_res) = (
+            alive.len(),
+            alive.iter().fold(f64::INFINITY, |m, &r| m.min(r)),
+        );
+        let sum = (others.iter()).fold(0.0, |s, &v| s + bank.residual_uj(v).max(0.0));
+        let mean_res = sum / others.len().max(1) as f64;
+        let this_round: Vec<String> = (run.deaths().iter())
             .filter(|&&(round, _)| round == run.rounds())
             .map(|&(_, v)| v.0.to_string())
             .collect();
@@ -870,28 +553,13 @@ fn cmd_lifetime(args: &Args) -> Result<(), String> {
         report.mean_residual_uj() / 1e6
     );
     if !report.deaths.is_empty() {
-        let order: Vec<String> = report
-            .deaths
-            .iter()
+        let order: Vec<String> = (report.deaths.iter())
             .map(|&(round, v)| format!("{}@r{round}", v.0))
             .collect();
         println!("death order: {}", order.join(" "));
     }
-    if let Some(path) = trace_path {
-        let trace = snet
-            .net()
-            .trace()
-            .ok_or("internal: trace missing after enabling tracing")?;
-        std::fs::write(&path, trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
-            "\nwrote {} trace records ({} packets) to {path}",
-            trace.len(),
-            trace.total_packets()
-        );
-    }
-    Ok(())
+    trace_path.map_or(Ok(()), |path| write_trace(&snet, path))
 }
-
 /// The per-relation values node `v` would report after local predicates —
 /// the `per_rel` payload of its upsert.
 fn stream_per_rel(snet: &SensorNetwork, cq: &CompiledQuery, v: NodeId) -> Vec<Option<Vec<f64>>> {
@@ -1015,56 +683,21 @@ fn verify_stream(
     }
 }
 
+#[rustfmt::skip]
+const STREAM: Command = Command {
+    name: "stream", about: "the streaming-ingestion engine: a cold load, then delta batches",
+    positional: "", takes: &[&["sql", "batches", "rate", "expire", "verify-every"], NETWORK, CHECKPOINT],
+    defaults: &[], run: cmd_stream,
+};
+
 fn cmd_stream(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes",
-        "area",
-        "seed",
-        "base",
-        "fields",
-        "sql",
-        "batches",
-        "rate",
-        "expire",
-        "verify-every",
-        "data",
-    ];
-    known.extend_from_slice(CHECKPOINT_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    let sql = args
-        .get_str("sql")
-        .ok_or("stream needs --sql \"SELECT ...\"")?
-        .to_owned();
-    let batches: u64 = args
-        .get_or("batches", 8, "integer")
-        .map_err(|e| e.to_string())?;
-    let rate: f64 = args
-        .get_or("rate", 0.05, "fraction")
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&rate) || rate == 0.0 {
-        return Err("--rate must be in (0, 1]".into());
-    }
-    let expire: f64 = args
-        .get_or("expire", 0.0, "fraction")
-        .map_err(|e| e.to_string())?;
-    if !(0.0..1.0).contains(&expire) {
-        return Err("--expire must be in [0, 1)".into());
-    }
-    let verify_every: u64 = args
-        .get_or("verify-every", 0, "integer")
-        .map_err(|e| e.to_string())?;
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let mut snet = build_network(args)?;
-    // A loaded trace is a fixed snapshot; only generated fields drift.
-    let specs = if args.get_str("data").is_some() {
-        Vec::new()
-    } else {
-        field_specs(args)?
-    };
-    let q = parse(&sql).map_err(|e| e.to_string())?;
-    let cq = snet.compile(&q).map_err(|e| e.to_string())?;
+    let o = STREAM.validate(args)?;
+    let (batches, verify_every) = (o.value("batches").count(), o.value("verify-every").count());
+    let (rate, expire) = (o.value("rate").real(), o.value("expire").real());
+    let seed = o.value("seed").count();
+    let mut snet = build_network(&o)?;
+    let specs = drifting_fields(&o);
+    let cq = compile(&snet, o.value("sql").text())?;
     let mut engine = StreamJoinEngine::new(cq.clone());
     let mut st = StreamState {
         cold: BatchStats::default(),
@@ -1072,28 +705,24 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
         rng: seed ^ 0x9e37_79b9_7f4a_7c15,
         shadow: BTreeMap::new(),
     };
-    println!(
-        "network: {} nodes, {} relations",
-        snet.len(),
-        cq.num_relations()
-    );
+    let (nodes, relations) = (snet.len(), cq.num_relations());
+    println!("network: {nodes} nodes, {relations} relations");
     let stream_digest = |stats: &BatchStats, cached_rows: usize| -> u64 {
         persist::fnv1a(&(*stats, cached_rows).to_bytes())
     };
-    let mut ckpt = checkpoint_args(args)?;
-    let mut start_batch = 0u64;
-    match ckpt.recover()? {
+    let mut ckpt = checkpoint_args(&o)?;
+    let start_batch = match ckpt.recover()? {
         Some((seq, payload)) => {
             (st, engine) = restore_stream(&payload, &cq)
                 .map_err(|e| format!("snapshot state decode failed: {e}"))?;
-            start_batch = seq;
             // Batch indexes are the WAL keys; the snapshot covers batch
-            // `start_batch` itself, so only strictly later records replay.
+            // `seq` itself, so only strictly later records replay.
             println!(
-                "resumed from checkpoint: {start_batch} batches restored, \
+                "resumed from checkpoint: {seq} batches restored, \
                  {} logged batches to replay",
-                ckpt.to_replay(start_batch + 1)
+                ckpt.to_replay(seq + 1)
             );
+            seq
         }
         None => {
             // Cold load: every node arrives in one batch.
@@ -1113,8 +742,9 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
                 st.cold.candidates,
             );
             ckpt.log_or_verify(0, || stream_digest(&st.cold, engine.cached_rows()))?;
+            0
         }
-    }
+    };
     println!(
         "\n{:>5} {:>5} {:>7} {:>7} {:>7} {:>11}",
         "batch", "ops", "+rows", "-rows", "result", "candidates"
@@ -1151,33 +781,23 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+#[rustfmt::skip]
+const ADVISE: Command = Command {
+    name: "advise", about: "cost-model advice: SENS-Join or the external join?", positional: "",
+    takes: &[&["sql", "fraction"], NETWORK], defaults: &[], run: cmd_advise,
+};
+
 fn cmd_advise(args: &Args) -> Result<(), String> {
-    args.ensure_known(&[
-        "nodes", "area", "seed", "base", "fields", "sql", "fraction", "data",
-    ])
-    .map_err(|e| e.to_string())?;
-    let sql = args
-        .get_str("sql")
-        .ok_or("advise needs --sql \"SELECT ...\"")?
-        .to_owned();
-    let fraction: f64 = args
-        .get_or("fraction", 0.05, "number in 0..=1")
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err("--fraction must be between 0 and 1".into());
-    }
-    let snet = build_network(args)?;
-    let query = parse(&sql).map_err(|e| e.to_string())?;
-    let cq = snet.compile(&query).map_err(|e| e.to_string())?;
+    let o = ADVISE.validate(args)?;
+    let fraction = o.value("fraction").real();
+    let snet = build_network(&o)?;
+    let cq = compile(&snet, o.value("sql").text())?;
     let model = CostModel::new(&snet, &cq);
     let beta = model.estimate_beta();
     let ext = model.external();
     let sens = model.sens_join(fraction, beta, &SensJoinConfig::default());
-    println!(
-        "network: {} nodes, tree depth {}",
-        snet.len(),
-        snet.net().routing().max_depth()
-    );
+    let depth = snet.net().routing().max_depth();
+    println!("network: {} nodes, tree depth {depth}", snet.len());
     println!("assumed result fraction: {:.1} %", fraction * 100.0);
     println!("quadtree density: {beta:.1} bits/point (measured)\n");
     println!(
@@ -1192,26 +812,25 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn methods_for(name: &str) -> Result<Vec<Box<dyn JoinMethod>>, String> {
-    Ok(match name {
+/// The join methods `--method` names.
+fn methods_for(name: &str) -> Vec<Box<dyn JoinMethod>> {
+    match name {
         "sens" => vec![Box::new(SensJoin::default())],
         "external" => vec![Box::new(ExternalJoin)],
         "mediated" => vec![Box::new(MediatedJoin)],
         "noquad" => vec![Box::new(SensJoin::no_quadtree())],
-        "all" => vec![
+        _ => vec![
             Box::new(ExternalJoin),
             Box::new(SensJoin::default()),
             Box::new(MediatedJoin),
         ],
-        other => return Err(format!("bad --method {other:?}")),
-    })
+    }
 }
 
 fn execute_and_print(snet: &mut SensorNetwork, sql: &str, methods: &str) -> Result<(), String> {
-    let query = parse(sql).map_err(|e| e.to_string())?;
-    let cq = snet.compile(&query).map_err(|e| e.to_string())?;
+    let cq = compile(snet, sql)?;
     let mut outcomes: Vec<(String, JoinOutcome)> = Vec::new();
-    for method in methods_for(methods)? {
+    for method in methods_for(methods) {
         let out = method.execute(snet, &cq).map_err(|e| e.to_string())?;
         outcomes.push((method.name().to_owned(), out));
     }
@@ -1243,41 +862,34 @@ fn execute_and_print(snet: &mut SensorNetwork, sql: &str, methods: &str) -> Resu
             }
         }
     }
+    // The retransmission columns only on a lossy channel.
     let lossy = snet.net().lossy();
-    if lossy {
-        println!(
-            "\n{:<12} {:>9} {:>10} {:>9} {:>10} {:>12} {:>10}",
-            "method", "packets", "bytes", "retx", "overhead", "energy [mJ]", "time [ms]"
-        );
-    } else {
-        println!(
-            "\n{:<12} {:>9} {:>10} {:>12} {:>10}",
-            "method", "packets", "bytes", "energy [mJ]", "time [ms]"
-        );
-    }
-    for (name, out) in &outcomes {
-        let marker = if out.complete { "" } else { "  [INCOMPLETE]" };
+    let retx = |a: String, b: String| {
         if lossy {
-            println!(
-                "{:<12} {:>9} {:>10} {:>9} {:>10} {:>12.1} {:>10.0}{marker}",
-                name,
-                out.stats.total_tx_packets(),
-                out.stats.total_tx_bytes(),
-                out.stats.total_retx_packets(),
-                out.stats.total_overhead_bytes(),
-                out.stats.total_energy_uj() / 1000.0,
-                out.latency_us as f64 / 1000.0
-            );
+            format!(" {a:>9} {b:>10}")
         } else {
-            println!(
-                "{:<12} {:>9} {:>10} {:>12.1} {:>10.0}{marker}",
-                name,
-                out.stats.total_tx_packets(),
-                out.stats.total_tx_bytes(),
-                out.stats.total_energy_uj() / 1000.0,
-                out.latency_us as f64 / 1000.0
-            );
+            String::new()
         }
+    };
+    let head = retx("retx".into(), "overhead".into());
+    let head = format!(
+        "{:<12} {:>9} {:>10}{head} {:>12} {:>10}",
+        "method", "packets", "bytes", "energy [mJ]", "time [ms]"
+    );
+    println!("\n{head}");
+    for (name, out) in &outcomes {
+        let (s, marker) = (&out.stats, if out.complete { "" } else { "  [INCOMPLETE]" });
+        println!(
+            "{name:<12} {:>9} {:>10}{} {:>12.1} {:>10.0}{marker}",
+            s.total_tx_packets(),
+            s.total_tx_bytes(),
+            retx(
+                s.total_retx_packets().to_string(),
+                s.total_overhead_bytes().to_string()
+            ),
+            s.total_energy_uj() / 1000.0,
+            out.latency_us as f64 / 1000.0
+        );
     }
     // Cross-check. An incomplete execution lost result data by definition,
     // so only complete outcomes must agree.
@@ -1289,70 +901,48 @@ fn execute_and_print(snet: &mut SensorNetwork, sql: &str, methods: &str) -> Resu
     Ok(())
 }
 
+#[rustfmt::skip]
+const RUN: Command = Command {
+    name: "run", about: "run one query with one or all join methods", positional: "",
+    takes: &[&["sql", "method", "trace"], NETWORK, ENERGY, CHANNEL, CHURN], defaults: &[], run: cmd_run,
+};
+
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes", "area", "seed", "base", "fields", "sql", "method", "trace", "data",
-    ];
-    known.extend_from_slice(ENERGY_OPTS);
-    known.extend_from_slice(CHANNEL_OPTS);
-    known.extend_from_slice(CHURN_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    let sql = args
-        .get_str("sql")
-        .ok_or("run needs --sql \"SELECT ...\"")?
-        .to_owned();
-    let methods = args.get_str("method").unwrap_or("all").to_owned();
-    let trace_path = args.get_str("trace").map(str::to_owned);
-    if trace_path.is_some() && methods == "all" {
+    let o = RUN.validate(args)?;
+    let method = o.value("method").word();
+    let trace_path = o.get("trace").map(Value::text);
+    if trace_path.is_some() && method == "all" {
         return Err("--trace needs a single --method (the trace covers one execution)".into());
     }
-    let mut snet = build_network(args)?;
-    apply_channel(args, &mut snet)?;
-    apply_churn(args, &mut snet)?;
+    let mut snet = build_network(&o)?;
     println!(
         "network: {} nodes, tree depth {}, base {}, energy model {}",
         snet.len(),
         snet.net().routing().max_depth(),
         snet.base(),
-        energy_model(args)?.1
+        energy_model(&o).1
     );
     if snet.net().lossy() {
-        println!(
-            "channel: loss {:.1} %, arq {:?}",
-            100.0
-                * args
-                    .get_or("loss", 0.0, "probability")
-                    .map_err(|e| e.to_string())?,
-            snet.net().arq()
-        );
+        let loss_pct = 100.0 * o.value("loss").real();
+        println!("channel: loss {loss_pct:.1} %, arq {:?}", snet.net().arq());
     }
     if snet.net().has_churn() {
         println!("churn: sampled fault timeline enabled (see --mtbf / --mttr / --churn-seed)");
     }
-    if trace_path.is_some() {
-        snet.net_mut().set_tracing(true);
-    }
-    execute_and_print(&mut snet, &sql, &methods)?;
-    if let Some(path) = trace_path {
-        let trace = snet
-            .net()
-            .trace()
-            .ok_or("internal: trace missing after enabling tracing")?;
-        std::fs::write(&path, trace.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
-            "\nwrote {} trace records ({} packets) to {path}",
-            trace.len(),
-            trace.total_packets()
-        );
-    }
-    Ok(())
+    snet.net_mut().set_tracing(trace_path.is_some());
+    execute_and_print(&mut snet, o.value("sql").text(), method)?;
+    trace_path.map_or(Ok(()), |path| write_trace(&snet, path))
 }
 
+#[rustfmt::skip]
+const SHELL: Command = Command {
+    name: "shell", about: "interactive SQL loop", positional: "",
+    takes: &[&["method"], NETWORK], defaults: &[], run: cmd_shell,
+};
+
 fn cmd_shell(args: &Args) -> Result<(), String> {
-    args.ensure_known(&["nodes", "area", "seed", "base", "fields", "method", "data"])
-        .map_err(|e| e.to_string())?;
-    let methods = args.get_str("method").unwrap_or("all").to_owned();
-    let mut snet = build_network(args)?;
+    let o = SHELL.validate(args)?;
+    let mut snet = build_network(&o)?;
     println!(
         "network: {} nodes, tree depth {} — enter a query ending in ONCE, or 'quit'",
         snet.len(),
@@ -1378,7 +968,7 @@ fn cmd_shell(args: &Args) -> Result<(), String> {
         if line.eq_ignore_ascii_case("quit") || line.eq_ignore_ascii_case("exit") {
             break;
         }
-        if let Err(e) = execute_and_print(&mut snet, line, &methods) {
+        if let Err(e) = execute_and_print(&mut snet, line, o.value("method").word()) {
             eprintln!("error: {e}");
         }
     }
@@ -1410,25 +1000,23 @@ fn ascii_map(snet: &SensorNetwork, cols: usize, rows: usize) -> String {
             grid[rows - 1 - cy][cx] = ch;
         }
     }
-    let mut out = String::new();
-    out.push('+');
-    out.push_str(&"-".repeat(cols));
-    out.push_str("+\n");
-    for row in grid {
-        out.push('|');
-        out.extend(row);
-        out.push_str("|\n");
-    }
-    out.push('+');
-    out.push_str(&"-".repeat(cols));
-    out.push_str("+\n");
-    out
+    let border = format!("+{}+\n", "-".repeat(cols));
+    let rows: String = grid
+        .into_iter()
+        .map(|row| format!("|{}|\n", String::from_iter(row)))
+        .collect();
+    format!("{border}{rows}{border}")
 }
 
+#[rustfmt::skip]
+const TOPOLOGY: Command = Command {
+    name: "topology", about: "routing-tree statistics", positional: "",
+    takes: &[&["map"], NETWORK], defaults: &[], run: cmd_topology,
+};
+
 fn cmd_topology(args: &Args) -> Result<(), String> {
-    args.ensure_known(&["nodes", "area", "seed", "base", "fields", "map", "data"])
-        .map_err(|e| e.to_string())?;
-    let snet = build_network(args)?;
+    let o = TOPOLOGY.validate(args)?;
+    let snet = build_network(&o)?;
     let routing = snet.net().routing();
     let topo = snet.net().topology();
     let n = snet.len();
@@ -1450,11 +1038,8 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
         .sum::<usize>() as f64
         / n as f64;
     println!("nodes:         {n} ({reachable} reachable)");
-    println!(
-        "area:          {:.0} m x {:.0} m",
-        topo.area().width,
-        topo.area().height
-    );
+    let area = topo.area();
+    println!("area:          {:.0} m x {:.0} m", area.width, area.height);
     println!("radio range:   {:.0} m", topo.range());
     println!("avg neighbors: {avg_neighbors:.1}");
     println!("base station:  {}", snet.base());
@@ -1465,32 +1050,23 @@ fn cmd_topology(args: &Args) -> Result<(), String> {
     for (d, count) in depth_hist {
         println!("  {d:>3}: {}", "#".repeat((count * 60 / n).max(1)));
     }
-    if args.flag("map") {
+    if o.get("map").is_some() {
         println!("\nmap (digits = tree depth mod 10, B = base, ! = unreachable):");
         print!("{}", ascii_map(&snet, 72, 24));
     }
     Ok(())
 }
 
+#[rustfmt::skip]
+const SWEEP: Command = Command {
+    name: "sweep", about: "selectivity sweep, SENS-Join against the external join", positional: "",
+    takes: &[&["fractions"], NETWORK], defaults: &[], run: cmd_sweep,
+};
+
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    args.ensure_known(&[
-        "nodes",
-        "area",
-        "seed",
-        "base",
-        "fields",
-        "fractions",
-        "data",
-    ])
-    .map_err(|e| e.to_string())?;
-    let fractions: Vec<f64> = args
-        .get_str("fractions")
-        .unwrap_or("1,5,25,60")
-        .split(',')
-        .map(|s| s.trim().parse::<f64>().map(|p| p / 100.0))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("bad --fractions: {e}"))?;
-    let mut snet = build_network(args)?;
+    let o = SWEEP.validate(args)?;
+    let fractions = o.value("fractions").list().iter().map(|p| p.real() / 100.0);
+    let mut snet = build_network(&o)?;
     let family = RangeQueryFamily::ratio_33();
     println!(
         "{:>10} {:>16} {:>16} {:>9}",
@@ -1498,8 +1074,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     );
     for f in fractions {
         let cal = family.calibrate(&snet, f);
-        let q = parse(&cal.sql).map_err(|e| e.to_string())?;
-        let cq = snet.compile(&q).map_err(|e| e.to_string())?;
+        let cq = compile(&snet, &cal.sql)?;
         let ext = ExternalJoin
             .execute(&mut snet, &cq)
             .map_err(|e| e.to_string())?;
@@ -1518,91 +1093,52 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+#[rustfmt::skip]
+const SERVE: Command = Command {
+    name: "serve", positional: "",
+    about: "multi-tenant serving: tenants submit continuous queries to --deployments networks",
+    takes: &[
+        &["nodes", "seed", "tenants", "deployments", "qps", "duration", "period", "skew", "max-groups",
+          "queue-depth", "admit-per-tick"],
+        CHECKPOINT,
+    ],
+    defaults: &[("nodes", Unset::Is("80"))], run: cmd_serve,
+};
+
 /// `sensjoin serve`: simulate tenants submitting continuous queries
 /// against a registry of deployments through the serving layer —
 /// admission decisions, epoch batching, plan sharing, and the metrics
 /// surface, printed per tick and summarized at the end.
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let mut known = vec![
-        "nodes",
-        "seed",
-        "tenants",
-        "deployments",
-        "qps",
-        "duration",
-        "period",
-        "skew",
-        "max-groups",
-        "queue-depth",
-        "admit-per-tick",
-    ];
-    known.extend_from_slice(CHECKPOINT_OPTS);
-    args.ensure_known(&known).map_err(|e| e.to_string())?;
-    let nodes: usize = args
-        .get_or("nodes", 80, "integer")
-        .map_err(|e| e.to_string())?;
-    let seed: u64 = args
-        .get_or("seed", 1, "integer")
-        .map_err(|e| e.to_string())?;
-    let tenants: u64 = args
-        .get_or("tenants", 64, "integer")
-        .map_err(|e| e.to_string())?;
-    let deployments: usize = args
-        .get_or("deployments", 4, "integer")
-        .map_err(|e| e.to_string())?;
-    let qps: f64 = args
-        .get_or("qps", 2.0, "number")
-        .map_err(|e| e.to_string())?;
-    let duration_s: u64 = args
-        .get_or("duration", 300, "integer")
-        .map_err(|e| e.to_string())?;
-    let period_s: u64 = args
-        .get_or("period", 30, "integer")
-        .map_err(|e| e.to_string())?;
-    let skew: f64 = args
-        .get_or("skew", 0.5, "number")
-        .map_err(|e| e.to_string())?;
-    if nodes == 0 || deployments == 0 || period_s == 0 {
-        return Err("serve needs --nodes ≥ 1, --deployments ≥ 1 and --period ≥ 1".into());
-    }
-    let mut cfg = ServeConfig {
-        period_us: period_s * 1_000_000,
+    let o = SERVE.validate(args)?;
+    let (nodes, seed) = (o.value("nodes").count() as usize, o.value("seed").count());
+    let (tenants, deployments) = (o.value("tenants").count(), o.value("deployments").count());
+    let (qps, skew) = (o.value("qps").real(), o.value("skew").real());
+    let (duration, period) = (o.value("duration"), o.value("period"));
+    let (duration_s, period_s) = (duration.real(), period.real());
+    let cfg = ServeConfig {
+        period_us: period.micros(),
+        max_groups: o.value("max-groups").count() as usize,
+        queue_depth: o.value("queue-depth").count() as usize,
+        admit_per_tick: o.value("admit-per-tick").count() as usize,
         ..ServeConfig::default()
     };
-    cfg.max_groups = args
-        .get_or("max-groups", cfg.max_groups, "integer")
-        .map_err(|e| e.to_string())?;
-    cfg.queue_depth = args
-        .get_or("queue-depth", cfg.queue_depth, "integer")
-        .map_err(|e| e.to_string())?;
-    cfg.admit_per_tick = args
-        .get_or("admit-per-tick", cfg.admit_per_tick, "integer")
-        .map_err(|e| e.to_string())?;
 
-    let mut ckpt = checkpoint_args(args)?;
+    let mut ckpt = checkpoint_args(&o)?;
     let specs: Vec<DeploymentSpec> = (0..deployments)
-        .map(|d| DeploymentSpec::new(format!("dep{d}"), nodes, seed.wrapping_add(d as u64)))
+        .map(|d| DeploymentSpec::new(format!("dep{d}"), nodes, seed.wrapping_add(d)))
         .collect();
-    let mut start_tick = 0u64;
-    let mut next_tenant = 0u64;
-    let mut restored = None;
-    if let Some((seq, payload)) = ckpt.recover()? {
+    let (start_tick, mut next_tenant, mut server) = match ckpt.recover()? {
         // The image: the next tenant to submit, then the server's bytes.
-        let (nt, server) = <(u64, Vec<u8>)>::from_bytes(&payload)
-            .and_then(|(nt, bytes)| Ok((nt, Server::restore_state(cfg.clone(), &specs, &bytes)?)))
-            .map_err(|e| format!("snapshot state decode failed: {e}"))?;
-        next_tenant = nt;
-        restored = Some(server);
-        start_tick = seq;
-    }
-    let mut server = match restored {
-        Some(server) => server,
+        Some((seq, payload)) => <(u64, Vec<u8>)>::from_bytes(&payload)
+            .and_then(|(nt, bytes)| Ok((seq, nt, Server::restore_state(cfg, &specs, &bytes)?)))
+            .map_err(|e| format!("snapshot state decode failed: {e}"))?,
         None => {
             let mut server = Server::new(cfg);
             for spec in &specs {
                 server.add_deployment(spec).map_err(|e| e.to_string())?;
             }
-            server
+            (0, 0, server)
         }
     };
     println!(
@@ -1616,15 +1152,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
     }
 
-    let ticks = duration_s.div_ceil(period_s);
-    let per_tick = (qps * period_s as f64).round().max(0.0) as u64;
+    let ticks = duration.micros().div_ceil(period.micros());
+    let per_tick = (qps * period_s).round().max(0.0) as u64;
     println!(
         "\n{:>5} {:>9} {:>9} {:>9} {:>6} {:>6} {:>7}",
         "tick", "submitted", "admitted", "rejected", "shed", "queue", "epochs"
     );
     for t in start_tick..ticks {
-        let mut submitted = 0u64;
-        let mut shed = 0u64;
+        let (mut submitted, mut shed) = (0u64, 0u64);
         while submitted < per_tick && next_tenant < tenants {
             let i = next_tenant;
             next_tenant += 1;
@@ -1647,7 +1182,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             };
             // Deployment choice: a multiplicative hash, so it does not
             // correlate with the skew interleaving above.
-            let dep = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % deployments;
+            let dep = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % deployments;
             let decision = server.submit(Submission {
                 tenant: TenantId(i),
                 deployment: format!("dep{dep}"),
@@ -1680,9 +1215,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
             persist::fnv1a(&w.into_bytes())
         };
-        ckpt.commit(t, digest, t + 1, || {
-            (next_tenant, server.export_state()).to_bytes()
-        })?;
+        let image = || (next_tenant, server.export_state()).to_bytes();
+        ckpt.commit(t, digest, t + 1, image)?;
     }
 
     let m = server.metrics();
@@ -1731,10 +1265,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Kind, Tail};
     use sensjoin_core::MAX_GROUP_QUERIES;
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
+    }
+
+    /// The network `topology` builds from `args`.
+    fn build_network(args: &Args) -> Result<SensorNetwork, String> {
+        super::build_network(&TOPOLOGY.validate(args)?)
     }
 
     #[test]
@@ -2210,5 +1750,105 @@ mod tests {
             }
         }
         assert!(restored > 0, "the sweep never reached a batch");
+    }
+
+    #[test]
+    fn serve_defaults_are_the_library_defaults() {
+        let o = SERVE.validate(&args("serve")).unwrap();
+        let cfg = ServeConfig::default();
+        assert_eq!(o.value("max-groups").count() as usize, cfg.max_groups);
+        assert_eq!(o.value("queue-depth").count() as usize, cfg.queue_depth);
+        assert_eq!(
+            o.value("admit-per-tick").count() as usize,
+            cfg.admit_per_tick
+        );
+        assert_eq!(o.value("period").micros(), cfg.period_us);
+    }
+
+    #[test]
+    fn help_is_an_option_of_every_command() {
+        for cmd in COMMANDS {
+            let line = format!("{} --nodes 0 --help", cmd.name);
+            assert_eq!(dispatch(&args(&line)), 0, "{line}");
+        }
+    }
+
+    /// A tiny command line per subcommand: ~30 nodes, one round / batch /
+    /// epoch / tick; lossy where the command takes `--loss`, so `--burst`,
+    /// `--arq` and `--retries` matter.
+    fn tiny(cmd: &Command) -> Args {
+        let once = "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 4.0 ONCE";
+        let sampled = "SELECT A.hum FROM Sensors A, Sensors B \
+                       WHERE A.temp - B.temp > 2.0 SAMPLE PERIOD 30";
+        let mut a = args(&format!("{} --nodes 30", cmd.name));
+        let extra: &[(&str, &str)] = match cmd.name {
+            "run" => &[("sql", once), ("method", "sens")],
+            "advise" | "stream" => &[("sql", once), ("batches", "1")],
+            "continuous" => &[("sql", sampled), ("rounds", "1")],
+            "multi" => &[("epochs", "1")],
+            "lifetime" => &[("max-rounds", "1")],
+            "sweep" => &[("fractions", "5")],
+            "serve" => &[("deployments", "1"), ("tenants", "2"), ("duration", "30")],
+            _ => &[],
+        };
+        for (k, v) in extra.iter().chain([("loss", "0.05")].iter()) {
+            if cmd.options().any(|(o, _)| o.name == *k) {
+                a.options.insert((*k).into(), (*v).into());
+            }
+        }
+        if !cmd.positional.is_empty() {
+            a.positional = vec![sampled.into()];
+        }
+        a
+    }
+
+    /// Every numeric option of every subcommand, the numeric tails of
+    /// `byte:<µJ>`, `death:<pct>` and `P[:N]` included, fed the values that
+    /// used to panic, overflow, saturate the µs clock or pass silently:
+    /// each is rejected by validation with an error naming the option, or
+    /// the command runs to exit 0. A panic fails the test.
+    #[test]
+    fn numeric_flags_are_rejected_by_name_or_run() {
+        let dir = std::env::temp_dir().join(format!("sensjoin-cli-abuse-{}", std::process::id()));
+        let dirs = dir.to_string_lossy().into_owned();
+        let mut ran = 0;
+        for cmd in COMMANDS {
+            for (opt, _) in cmd.options() {
+                let spell: &dyn Fn(&str) -> String = match opt.kind {
+                    Kind::Count(..) | Kind::Real(..) | Kind::Seconds | Kind::List(_) => {
+                        &|v| v.to_owned()
+                    }
+                    Kind::Choice(_, Tail::Tagged(tag, ..)) => &move |v| format!("{tag}:{v}"),
+                    Kind::Choice(words, Tail::Suffix(..)) => &move |v| format!("{}:{v}", words[0]),
+                    _ => continue,
+                };
+                let mut values = vec!["0", "-1", "nan", "inf", "1e300", "18446744073709551616"];
+                if matches!(opt.kind, Kind::Seconds) {
+                    values.push("18446744073710");
+                }
+                for v in values {
+                    let mut a = tiny(cmd);
+                    match opt.needs {
+                        Some("churn") => a.options.insert("churn".into(), "60".into()),
+                        Some(dep) => a.options.insert(dep.into(), dirs.clone()),
+                        None => None,
+                    };
+                    a.options.insert(opt.name.into(), spell(v));
+                    let line = format!("{} --{} {}", cmd.name, opt.name, spell(v));
+                    match cmd.validate(&a) {
+                        Err(e) => {
+                            let e = e.to_string();
+                            assert!(e.starts_with(&format!("--{}", opt.name)), "{line}: {e}");
+                        }
+                        // `shell` would read stdin; what it runs first is this.
+                        Ok(o) if cmd.name == "shell" => drop(super::build_network(&o).unwrap()),
+                        Ok(_) => assert_eq!(dispatch(&a), 0, "{line}"),
+                    }
+                    ran += 1;
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
+        assert!(ran > 500, "{ran} cases");
     }
 }

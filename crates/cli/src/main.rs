@@ -1,31 +1,15 @@
-//! `sensjoin` — run join queries over simulated sensor networks.
-//!
-//! ```text
-//! sensjoin run --sql "SELECT ..." [--nodes N] [--seed S] [--method all]
-//! sensjoin shell [--nodes N] [--seed S]        interactive SQL loop
-//! sensjoin topology [--nodes N] [--seed S]     routing-tree statistics
-//! sensjoin sweep [--fractions 1,5,25] [...]    selectivity sweep
-//! sensjoin multi "SQL1" "SQL2" [--epochs E]    concurrent queries sharing
-//!                                              one collection phase
-//! sensjoin stream --sql "..." [--batches B]    streaming-ingestion engine
-//!                                              driver (delta batches)
-//! sensjoin lifetime [--battery J] [--until C]  battery-powered rounds until
-//!                                              first death / partition /
-//!                                              N %-death (network lifetime)
-//! sensjoin serve [--tenants T] [--qps Q]       multi-tenant serving
-//!                                              simulation (admission,
-//!                                              plan caching, metrics)
-//! ```
+//! `sensjoin` — run join queries over simulated sensor networks; `sensjoin
+//! help` lists the subcommands and `sensjoin <command> --help` their options.
 
 mod args;
 mod commands;
 mod csvdata;
+mod spec;
 
 use args::Args;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let code = match Args::parse(raw) {
+    let code = match Args::parse(std::env::args().skip(1)) {
         Ok(args) => commands::dispatch(&args),
         Err(e) => {
             eprintln!("error: {e}");

@@ -10,10 +10,11 @@ use std::sync::Arc;
 ///
 /// "Each node is aware of the nodes within its wireless range, which form
 /// its neighborhood" (§III). Adjacency is computed with a uniform grid of
-/// range-sized buckets, so construction is `O(n · expected neighbors)`, and
-/// stored in CSR form — one offsets array plus one flat neighbor buffer —
-/// so a million-node topology is two contiguous allocations instead of a
-/// million small vectors.
+/// buckets at least range-sized and at most one per node, so construction
+/// is `O(n · expected neighbors)` whatever the area, and stored in CSR form
+/// — one offsets array plus one flat neighbor buffer — so a million-node
+/// topology is two contiguous allocations instead of a million small
+/// vectors.
 ///
 /// # Storage order
 ///
@@ -63,11 +64,15 @@ fn z_order(positions: &[Position], area: Area) -> Vec<u32> {
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 
-/// The build's grid of range-sized buckets, in CSR form (counting sort by
-/// cell): cell `c`'s members are `buf[off[c]..off[c + 1]]`, ascending by id.
+/// The build's grid of buckets, in CSR form (counting sort by cell): cell
+/// `c`'s members are `buf[off[c]..off[c + 1]]`, ascending by id.
 struct Grid<'a> {
     positions: &'a [Position],
     range: f64,
+    /// Cell side: at least `range`, so the 3x3 scan is exact, and large
+    /// enough that there are at most `max(n, 1)` cells, so a sparse area
+    /// (a huge `--area`, far-apart CSV coordinates) costs O(n), not O(area).
+    side: f64,
     cols: usize,
     rows: usize,
     off: Vec<u32>,
@@ -76,11 +81,20 @@ struct Grid<'a> {
 
 impl<'a> Grid<'a> {
     fn new(positions: &'a [Position], area: Area, range: f64) -> Self {
-        let cols = (area.width / range).ceil().max(1.0) as usize;
-        let rows = (area.height / range).ceil().max(1.0) as usize;
+        let cap = positions.len().max(1) as f64;
+        let cells =
+            |side: f64| (area.width / side).ceil().max(1.0) * (area.height / side).ceil().max(1.0);
+        // `width · height` may overflow to ∞: then one cell holds everyone.
+        let mut side = range.max((area.width * area.height / cap).sqrt());
+        while cells(side) > cap {
+            side *= 2.0;
+        }
+        let cols = (area.width / side).ceil().max(1.0) as usize;
+        let rows = (area.height / side).ceil().max(1.0) as usize;
         let mut grid = Self {
             positions,
             range,
+            side,
             cols,
             rows,
             off: vec![0u32; cols * rows + 1],
@@ -112,8 +126,8 @@ impl<'a> Grid<'a> {
     }
 
     fn cell_of(&self, p: &Position) -> (usize, usize) {
-        let cx = ((p.x / self.range) as usize).min(self.cols - 1);
-        let cy = ((p.y / self.range) as usize).min(self.rows - 1);
+        let cx = ((p.x / self.side) as usize).min(self.cols - 1);
+        let cy = ((p.y / self.side) as usize).min(self.rows - 1);
         (cx, cy)
     }
 
@@ -404,6 +418,24 @@ mod tests {
         let t = Topology::new(positions, area, 50.0);
         assert_matches_brute_force(&t);
         assert!(!t.neighbors(NodeId(0)).contains(&NodeId(2)));
+    }
+
+    #[test]
+    fn huge_sparse_areas_build_a_grid_bounded_by_the_node_count() {
+        // A range-sized grid over these areas would need 4·10²⁴ (or an
+        // overflowing number of) cells for 10 nodes.
+        for (w, h) in [(1e14, 1e14), (1e300, 1e300), (1e300, 1.0)] {
+            let area = Area::new(w, h);
+            let mut positions =
+                sensjoin_field::Placement::UniformRandom { n: 10 }.generate(area, 11);
+            // Two pairs in range of each other, so some rows are non-empty.
+            positions[1] = Position::new(positions[0].x + 30.0, positions[0].y);
+            positions[2] = Position::new(0.0, 0.0);
+            positions[3] = Position::new(20.0, 0.0);
+            let t = Topology::new(positions, area, 50.0);
+            assert_matches_brute_force(&t);
+            assert_eq!(t.neighbors(NodeId(2)), &[NodeId(3)], "{w} x {h}");
+        }
     }
 
     #[test]
