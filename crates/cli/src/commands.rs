@@ -1417,6 +1417,29 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_sql_nested_too_deep() {
+        // One level past the bound, and 20 000 parentheses — a 40 kB string
+        // that overflowed the stack and aborted the process before there was
+        // a bound: both are an error naming it.
+        for depth in [sensjoin_query::MAX_EXPR_DEPTH + 1, 20_000] {
+            let k = depth - 2; // (…(A.temp < B.temp)…): k pairs around 2 levels
+            let mut a = args("run --nodes 30 --method sens");
+            a.options.insert(
+                "sql".into(),
+                format!(
+                    "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                     WHERE {}A.temp < B.temp{} ONCE",
+                    "(".repeat(k),
+                    ")".repeat(k)
+                ),
+            );
+            let err = cmd_run(&a).expect_err("too deep");
+            assert!(err.contains("expression nested deeper than"), "{err}");
+            assert_ne!(dispatch(&a), 0);
+        }
+    }
+
+    #[test]
     fn run_rejects_bad_sql() {
         let mut a = args("run --nodes 50 --method sens");
         a.options.insert("sql".into(), "SELEKT nonsense".into());

@@ -6,11 +6,14 @@
 //! sorted-key index (band predicates) *per indexable predicate* on that
 //! level; the probe with the fewest candidates drives the scan and the other
 //! indexed predicates become O(1) membership tests, so the level scans the
-//! **intersection** of all indexed candidate sets, while the unchanged
-//! residual predicate check still runs on every survivor (in the filter: on
-//! every survivor that could still mark something, see [`FilterRun::step`]).
-//! Levels without an indexable predicate scan exactly like the nested-loop
-//! reference.
+//! **intersection** of all indexed candidate sets. In the filter the
+//! unchanged residual interval check still runs on every survivor that could
+//! still mark something (see [`FilterRun::step`]). In the exact join a
+//! pruning probe is an exact window (`partition` module docs), so the
+//! residual evaluates only the predicates no index decided for the binding,
+//! and a last level with none left emits its candidates as rows in one flat
+//! loop ([`ExactRun::descend`]). Levels without an indexable predicate scan
+//! exactly like the nested-loop reference.
 //!
 //! The probes of level 1 depend on the outer tuple alone, so they are taken
 //! once, ahead of the descent ([`Hoisted`]); their candidate counts are the
@@ -25,7 +28,7 @@
 use crate::config::SensJoinConfig;
 use crate::outcome::JoinResult;
 use crate::partition::{
-    exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
+    decided, exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
@@ -730,7 +733,7 @@ fn exact_join_in(
         let run = ExactRun {
             query,
             tuples,
-            pred_rels: &pred_rels,
+            checks: level_checks(&pred_rels, &plan),
             plan: &plan,
             hoisted: &hoisted,
         };
@@ -768,9 +771,21 @@ fn exact_join_in(
                 for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
                     all.union_with(seen);
                 }
+                #[cfg(test)]
+                for (all, n) in first.evals.iter_mut().zip(part.evals) {
+                    *all += n;
+                }
             }
             first
         };
+        #[cfg(test)]
+        tests::PRED_EVALS.with(|evals| {
+            let mut evals = evals.borrow_mut();
+            evals.resize(first.evals.len(), 0);
+            for (all, n) in evals.iter_mut().zip(&first.evals) {
+                *all += n;
+            }
+        });
         let mut origins: Vec<NodeId> = Vec::new();
         for (rel, mut seen) in first.seen.into_iter().enumerate() {
             seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
@@ -840,9 +855,38 @@ pub(crate) fn finalize_exact(query: &CompiledQuery, acc: ExactAcc) -> JoinComput
 struct ExactRun<'a> {
     query: &'a CompiledQuery,
     tuples: &'a [Vec<(NodeId, Vec<f64>)>],
-    pred_rels: &'a [usize],
+    /// Per level: the join predicates checked there ([`level_checks`]).
+    checks: Vec<Vec<Check>>,
     plan: &'a [Vec<ExactIndex<'a>>],
     hoisted: &'a Hoisted<ExactProbe>,
+}
+
+/// A join predicate the exact descent checks at one level.
+struct Check {
+    /// Its position in `join_preds`.
+    pred: usize,
+    /// The position of the index built from it in the level's plan (`None`:
+    /// a `General` predicate, which no index decides).
+    index: Option<usize>,
+}
+
+impl Check {
+    /// Whether the level's `probes` decide the predicate for the current
+    /// binding: its own index pruned, and a pruning probe is an exact window.
+    fn decided(&self, probes: &[ExactProbe]) -> bool {
+        self.index.is_some_and(|i| probes[i].prunes())
+    }
+}
+
+/// Per level: every join predicate whose highest relation is that level —
+/// where a partial binding first can check it — with its index on the level.
+fn level_checks(pred_rels: &[usize], plan: &[Vec<ExactIndex>]) -> Vec<Vec<Check>> {
+    let mut checks: Vec<Vec<Check>> = plan.iter().map(|_| Vec::new()).collect();
+    for (pred, &rel) in pred_rels.iter().enumerate() {
+        let index = plan[rel].iter().position(|ix| ix.pred() == pred);
+        checks[rel].push(Check { pred, index });
+    }
+    checks
 }
 
 /// Mutable state and outputs of one chunk of the exact descent. Everything
@@ -860,6 +904,9 @@ struct ExactChunk {
     probes: Vec<ExactProbe>,
     /// Tuple positions bound so far, one per level.
     binding: Vec<usize>,
+    /// Per join predicate: residual evaluations (the counter test's tally).
+    #[cfg(test)]
+    evals: Vec<usize>,
 }
 
 impl ExactRun<'_> {
@@ -872,82 +919,130 @@ impl ExactRun<'_> {
             cand: (0..self.tuples.len()).map(set).collect(),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
             binding: Vec::with_capacity(self.tuples.len()),
+            #[cfg(test)]
+            evals: vec![0; self.query.join_preds().len()],
         }
     }
 
+    /// Probes the next level for the binding in `st` and visits its
+    /// candidates. On the last level, when every predicate checked there is
+    /// decided by its index for this binding, nothing is left to evaluate:
+    /// each candidate is emitted as a row in place, with no [`ExactRun::step`]
+    /// and no recursion, and the levels above are marked seen with the first
+    /// row only.
     fn descend(&self, st: &mut ExactChunk) {
         let rel = st.binding.len();
         if rel == self.tuples.len() {
-            let binding = &st.binding;
-            let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-            st.rows.push(self.query.eval_select_row(&env));
-            if self.query.has_group_by() {
-                st.keys.push(self.query.eval_group_key(&env));
-            }
-            for (seen, &pos) in st.seen.iter_mut().zip(binding) {
-                seen.insert(pos as u32);
-            }
-            return;
+            return self.emit(st, 0);
         }
-        // Intersect the candidate sets of every index on this level: the
-        // probe with the fewest candidates drives the scan, the rest degrade
-        // to O(1) membership tests folded into the iteration.
-        let indexes = &self.plan[rel];
         let base = st.probes.len();
         if rel == 1 {
             st.probes.extend_from_slice(self.hoisted.of(st.binding[0]));
         } else {
             let binding = &st.binding;
             let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-            st.probes.extend(indexes.iter().map(|ix| ix.probe(&env)));
+            st.probes
+                .extend(self.plan[rel].iter().map(|ix| ix.probe(&env)));
         }
-        let driver = (0..indexes.len())
-            .map(|i| (i, st.probes[base + i].count()))
-            .filter(|&(_, count)| count != usize::MAX)
-            .min_by_key(|&(_, count)| count);
-        match driver {
-            None => {
-                for pos in 0..self.tuples[rel].len() {
-                    self.step(rel, pos, st);
-                }
-            }
-            Some((di, _)) => {
-                let probe = st.probes[base + di].clone();
-                let mut scratch = std::mem::take(&mut st.cand[rel]);
-                indexes[di].for_each_candidate(&probe, &mut scratch, |pos| {
-                    let ok = indexes
-                        .iter()
-                        .zip(&st.probes[base..])
-                        .enumerate()
-                        .all(|(i, (ix, p))| i == di || ix.contains(p, pos));
-                    if ok {
-                        self.step(rel, pos as usize, st);
-                    }
-                });
-                st.cand[rel] = scratch;
-            }
+        let flat = rel + 1 == self.tuples.len()
+            && self.checks[rel]
+                .iter()
+                .all(|c| c.decided(&st.probes[base..]));
+        if flat {
+            let mut marked = 0;
+            self.walk(rel, base, st, |st, pos| {
+                st.binding.push(pos);
+                debug_assert!(self.residual(rel, st), "a flat level decides everything");
+                self.emit(st, marked);
+                st.binding.pop();
+                marked = rel;
+            });
+        } else {
+            self.walk(rel, base, st, |st, pos| self.step(rel, pos, st));
         }
         st.probes.truncate(base);
     }
 
-    /// Binds tuple `pos` at level `rel`, applies the residual predicate
-    /// check (identical to the nested reference) and recurses.
+    /// Calls `f` on every candidate of level `rel` in ascending position
+    /// order. The level's probes (`st.probes[base..]`) are intersected: the
+    /// one with the fewest candidates drives the scan, the rest degrade to
+    /// O(1) membership tests; with no pruning probe the whole relation is
+    /// scanned.
+    fn walk(
+        &self,
+        rel: usize,
+        base: usize,
+        st: &mut ExactChunk,
+        mut f: impl FnMut(&mut ExactChunk, usize),
+    ) {
+        let indexes = &self.plan[rel];
+        let driver = (0..indexes.len())
+            .map(|i| (i, st.probes[base + i].count()))
+            .filter(|&(_, count)| count != usize::MAX)
+            .min_by_key(|&(_, count)| count);
+        let Some((di, _)) = driver else {
+            return (0..self.tuples[rel].len()).for_each(|pos| f(st, pos));
+        };
+        let probe = st.probes[base + di].clone();
+        let mut scratch = std::mem::take(&mut st.cand[rel]);
+        indexes[di].for_each_candidate(&probe, &mut scratch, |pos| {
+            let ok = indexes
+                .iter()
+                .zip(&st.probes[base..])
+                .enumerate()
+                .all(|(i, (ix, p))| i == di || ix.contains(p, pos));
+            if ok {
+                f(st, pos as usize);
+            }
+        });
+        st.cand[rel] = scratch;
+    }
+
+    /// Binds tuple `pos` at level `rel`, applies the residual check and
+    /// recurses.
     fn step(&self, rel: usize, pos: usize, st: &mut ExactChunk) {
         st.binding.push(pos);
-        let ok = {
-            let binding = &st.binding;
-            let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-            self.query
-                .join_preds()
-                .iter()
-                .zip(self.pred_rels)
-                .filter(|&(_, &maxrel)| maxrel == rel)
-                .all(|(p, _)| sensjoin_query::eval_predicate(p, &env))
-        };
-        if ok {
+        if self.residual(rel, st) {
             self.descend(st);
         }
         st.binding.pop();
+    }
+
+    /// Whether the binding in `st`, bound up to level `rel`, satisfies the
+    /// predicates checked there. Only those no index decided are evaluated —
+    /// `General` ones, and those whose probe is [`ExactProbe::All`] for this
+    /// binding; a decided one holds by construction ([`decided`]).
+    fn residual(&self, rel: usize, st: &mut ExactChunk) -> bool {
+        let probes = &st.probes[st.probes.len() - self.plan[rel].len()..];
+        let binding = &st.binding;
+        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        self.checks[rel].iter().all(|c| {
+            let pred = &self.query.join_preds()[c.pred];
+            if c.decided(probes) {
+                return decided(pred, &env);
+            }
+            #[cfg(test)]
+            {
+                st.evals[c.pred] += 1;
+            }
+            sensjoin_query::eval_predicate(pred, &env)
+        })
+    }
+
+    /// Emits the row of the full binding in `st` — its SELECT values and
+    /// group key — and marks its tuples from level `from` on as seen (the
+    /// levels above `from` are marked for this binding already). The one
+    /// emission of the descent: its base case and the flat last level.
+    fn emit(&self, st: &mut ExactChunk, from: usize) {
+        let binding = &st.binding;
+        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        st.rows.push(self.query.eval_select_row(&env));
+        if self.query.has_group_by() {
+            st.keys.push(self.query.eval_group_key(&env));
+        }
+        for (seen, &pos) in st.seen[from..].iter_mut().zip(&binding[from..]) {
+            seen.insert(pos as u32);
+        }
     }
 }
 
@@ -993,12 +1088,15 @@ mod tests {
     use crate::snetwork::SensorNetworkBuilder;
     use sensjoin_field::{Area, Placement};
     use sensjoin_query::parse;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
         /// Bindings whose residual interval check ran in the
         /// [`prejoin_filter_in`] calls of this thread, all chunks summed.
         pub(super) static RESIDUAL_EVALS: Cell<usize> = const { Cell::new(0) };
+        /// Per join predicate: its residual evaluations in the
+        /// [`exact_join_in`] calls of this thread, all chunks summed.
+        pub(super) static PRED_EVALS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
 
     fn setup(sql: &str) -> (SensorNetwork, CompiledQuery, JoinSpace) {
@@ -1508,5 +1606,84 @@ mod tests {
                 "{evals} residual checks against {candidates} candidate pairs"
             );
         }
+    }
+
+    /// [`exact_join_in`] at `threads` chunks, checked bit for bit against
+    /// the nested reference, with its residual evaluations per join
+    /// predicate.
+    fn counted_join(
+        cq: &CompiledQuery,
+        tuples: &[Vec<(NodeId, Vec<f64>)>],
+        threads: usize,
+    ) -> (usize, Vec<usize>) {
+        PRED_EVALS.take();
+        let got = exact_join_in(cq, tuples, threads);
+        let mut evals = PRED_EVALS.take();
+        evals.resize(cq.join_preds().len(), 0);
+        let want = exact_join_nested(cq, tuples);
+        assert_eq!(got.contributors, want.contributors, "{threads} chunks");
+        let (JoinResult::Rows(a), JoinResult::Rows(b)) = (&got.result, &want.result) else {
+            panic!("a row query");
+        };
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{threads} chunks");
+        (a.len(), evals)
+    }
+
+    /// A predicate whose own index pruned for a binding is decided there:
+    /// the residual evaluates only the rest, and falls back to a predicate
+    /// whose probe could not prune.
+    #[test]
+    fn residual_checks_follow_undecided_predicates() {
+        const TEMP: usize = 2;
+        // The dense shape: its band decides every candidate, so nothing is
+        // evaluated and the last level emits flat.
+        let (snet, cq, _) = setup_nodes(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE A.temp - B.temp > 0.5 ONCE",
+            480,
+        );
+        let mut tuples = all_tuples(&snet, &cq);
+        for threads in [1, 2] {
+            let (rows, evals) = counted_join(&cq, &tuples, threads);
+            assert!(rows > PAR_MIN_WORK, "premise: {rows} rows fan out");
+            assert_eq!(evals, [0], "{threads} chunks");
+        }
+        // Keys the window must place exactly: ±∞ and NaN on the keyed
+        // side, and an outer tuple at +∞, whose difference probe (∞ − key)
+        // cannot prune. That one binding falls back to the residual, once
+        // per inner tuple; every other stays decided.
+        tuples[1][0].1[TEMP] = f64::INFINITY;
+        tuples[1][1].1[TEMP] = f64::NEG_INFINITY;
+        tuples[1][2].1[TEMP] = f64::NAN;
+        tuples[0][7].1[TEMP] = f64::INFINITY;
+        for threads in [1, 2] {
+            let (_, evals) = counted_join(&cq, &tuples, threads);
+            assert_eq!(evals, [tuples[1].len()], "{threads} chunks");
+        }
+        // The paper's Q3: the band drives and decides, `distance` is
+        // evaluated once per band candidate.
+        let (snet, cq, _) = setup_in(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+            1000,
+            Area::for_constant_density(1000),
+        );
+        let tuples = all_tuples(&snet, &cq);
+        let band = &cq.join_preds()[0];
+        let mut band_candidates = 0;
+        for (_, a) in &tuples[0] {
+            for (_, b) in &tuples[1] {
+                let env = |r: usize, attr: usize| if r == 0 { a[attr] } else { b[attr] };
+                band_candidates += sensjoin_query::eval_predicate(band, &env) as usize;
+            }
+        }
+        let (rows, evals) = counted_join(&cq, &tuples, 1);
+        assert!(rows > 0 && band_candidates > 10 * rows / 9, "premise");
+        assert_eq!(evals, [0, band_candidates]);
     }
 }

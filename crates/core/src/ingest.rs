@@ -19,9 +19,12 @@
 //! * **Band** conjuncts keep the batch engine's index — one `(key, slot)`
 //!   array ascending by key — under upsert/expire, and probe it through the
 //!   batch engine's window derivation (`partition::band_runs`): at most two
-//!   exact runs per probe, complement bands (`|a − b| >= c`) included. The
-//!   full-precision predicate gate still runs on every candidate, so
-//!   correctness never rests on the window.
+//!   exact runs per probe, complement bands (`|a − b| >= c`) included.
+//!
+//! Either window is exact (the `partition` module docs), so the conjunct
+//! whose index produced a level's candidates is decided for them and is not
+//! evaluated again; the full-precision gate runs every other conjunct the
+//! binding closes (and, under debug assertions, the decided one too).
 //!
 //! # The cached result and its equivalence to the batch join
 //!
@@ -38,7 +41,7 @@
 //! folds, same contributor set.
 
 use crate::engine::{finalize_exact, ExactAcc, JoinComputation};
-use crate::partition::{band_runs, key_bits, runs_len, Runs};
+use crate::partition::{band_runs, decided, key_bits, runs_len, Runs};
 use sensjoin_query::{eval_expr, eval_predicate, BandForm, CExpr, CompiledQuery, PredClass};
 use sensjoin_relation::NodeId;
 use std::cmp::Ordering;
@@ -217,6 +220,8 @@ impl Cands<'_> {
 /// relation, probed with the other side's value.
 #[derive(Debug)]
 struct IngestIndex {
+    /// The join predicate (position in `join_preds`) it was built from.
+    pred: usize,
     /// The relation the probe expression reads (must be bound first).
     other_rel: usize,
     /// Key expression over the indexed relation.
@@ -276,8 +281,9 @@ impl IngestIndex {
     }
 
     /// Candidate slots for probe value `p`: `None` when the index cannot
-    /// prune (the caller scans), `Some` with a superset of the conjunct's
-    /// true matches otherwise.
+    /// prune (the caller scans), otherwise `Some` with exactly the slots
+    /// whose tuple satisfies the conjunct against `p` — the conjunct is
+    /// decided for them.
     fn probe(&self, p: f64) -> Option<Cands<'_>> {
         match &self.kind {
             IndexKind::Equi { map } => {
@@ -366,7 +372,7 @@ impl StreamJoinEngine {
             .map(|p| p.relations().into_iter().fold(0u32, |m, r| m | 1 << r))
             .collect();
         let mut indexes: Vec<Vec<IngestIndex>> = (0..k).map(|_| Vec::new()).collect();
-        for pc in query.pred_classes() {
+        for (pred, pc) in query.pred_classes().iter().enumerate() {
             let (lhs, rhs, form) = match pc {
                 PredClass::Equi { lhs, rhs } => (lhs, rhs, None),
                 PredClass::Band { lhs, rhs, form } => (lhs, rhs, Some(*form)),
@@ -377,6 +383,7 @@ impl StreamJoinEngine {
             }
             for (key, probe, key_is_lhs) in [(lhs, rhs, true), (rhs, lhs, false)] {
                 indexes[key.rel].push(IngestIndex {
+                    pred,
                     other_rel: probe.rel,
                     key_expr: key.expr.clone(),
                     probe_expr: probe.expr.clone(),
@@ -515,7 +522,7 @@ impl StreamJoinEngine {
             walk.order.clear();
             walk.order.push(rel);
             walk.order.extend((0..k).filter(|&r| r != rel));
-            self.try_bind(&mut walk, 0, slot, 0);
+            self.try_bind(&mut walk, 0, slot, 0, None);
         }
         self.fresh = walk.found;
         stats.rows_added = self.fresh.len() / k;
@@ -614,9 +621,18 @@ impl StreamJoinEngine {
 
     /// Binds `slot` at `depth` of the walk's order (the anchor first, the
     /// remaining relations ascending) and, if every predicate whose last
-    /// referenced relation just bound holds at full precision, goes on to
-    /// each candidate of the next relation, or keeps the full binding.
-    fn try_bind(&self, walk: &mut Descent<'_>, depth: usize, slot: u32, bound: u32) {
+    /// referenced relation just bound holds, goes on to each candidate of
+    /// the next relation, or keeps the full binding. `decided_pred` is the
+    /// predicate whose index produced `slot`, which holds by construction;
+    /// the others are evaluated at full precision.
+    fn try_bind(
+        &self,
+        walk: &mut Descent<'_>,
+        depth: usize,
+        slot: u32,
+        bound: u32,
+        decided_pred: Option<usize>,
+    ) {
         let rel = walk.order[depth];
         walk.binding[rel] = slot;
         let bound = bound | 1 << rel;
@@ -624,13 +640,24 @@ impl StreamJoinEngine {
         let binding = &walk.binding;
         let env =
             |r: usize, a: usize| -> f64 { self.rels[r].tuples[binding[r] as usize].values[a] };
-        let mut closed = self.query.join_preds().iter().zip(&self.pred_masks);
-        if !closed.all(|(p, &m)| m & !bound != 0 || m >> rel & 1 == 0 || eval_predicate(p, &env)) {
+        let preds = self.query.join_preds().iter().zip(&self.pred_masks);
+        let holds = |(i, (p, &m)): (usize, (&CExpr, &u32))| {
+            if m & !bound != 0 || m >> rel & 1 == 0 {
+                true // not closed by this bind
+            } else if Some(i) == decided_pred {
+                decided(p, &env)
+            } else {
+                eval_predicate(p, &env)
+            }
+        };
+        if !preds.enumerate().all(holds) {
             return;
         }
         if let Some(&next) = walk.order.get(depth + 1) {
-            let cands = self.level_candidates(next, bound, binding);
-            return cands.for_each(|slot| self.try_bind(walk, depth + 1, slot, bound));
+            let (cands, decided_pred) = self.level_candidates(next, bound, binding);
+            return cands.for_each(|slot| {
+                self.try_bind(walk, depth + 1, slot, bound, decided_pred);
+            });
         }
         // Kept from its first fresh position only (see `apply_batch`).
         let fresh = |r: usize| self.rels[r].tuples[binding[r] as usize].state == Slot::Fresh;
@@ -640,9 +667,16 @@ impl StreamJoinEngine {
     }
 
     /// The smallest candidate set over the relation's indexes whose probe
-    /// side is already bound; the relation's live slots when none can prune.
-    fn level_candidates(&self, rel: usize, bound: u32, binding: &[u32]) -> Cands<'_> {
-        let mut best = Cands::Scan(&self.rels[rel].tuples);
+    /// side is already bound, with the predicate its index decides for
+    /// them; the relation's live slots, deciding nothing, when none can
+    /// prune.
+    fn level_candidates(
+        &self,
+        rel: usize,
+        bound: u32,
+        binding: &[u32],
+    ) -> (Cands<'_>, Option<usize>) {
+        let mut best = (Cands::Scan(&self.rels[rel].tuples), None);
         for ix in &self.indexes[rel] {
             if bound >> ix.other_rel & 1 == 0 {
                 continue;
@@ -651,8 +685,8 @@ impl StreamJoinEngine {
                 debug_assert_eq!(r, ix.other_rel);
                 self.rels[r].tuples[binding[r] as usize].values[a]
             });
-            if let Some(cands) = ix.probe(p).filter(|c| c.len() < best.len()) {
-                best = cands;
+            if let Some(cands) = ix.probe(p).filter(|c| c.len() < best.0.len()) {
+                best = (cands, Some(ix.pred));
             }
         }
         best

@@ -22,24 +22,37 @@
 //!
 //! # Why the results are bit-identical to the nested loop
 //!
-//! The candidate set of a level only has to be a *superset* of the tuples
-//! the residual filter (the unchanged predicate evaluation of the old
-//! descent, which still runs on every candidate) accepts; order is restored
-//! by walking candidate positions ascending (hash buckets are built that
-//! way, band runs go through a [`PosSet`]). Two properties make the
-//! superset guarantee airtight without any epsilon slack:
+//! A scalar probe that prunes ([`ExactProbe::Bucket`], [`ExactProbe::Runs`])
+//! is an **exact window**: it holds precisely the tuples whose predicate
+//! holds for the probing binding, no more and no fewer. Two properties make
+//! that airtight without any epsilon slack:
 //!
 //! 1. keys and probes are evaluated from the **original predicate
 //!    subtrees** (see [`sensjoin_query::analyze`]) with the same evaluator
-//!    the residual uses, so both compute identical `f64`s, and
+//!    as `eval_predicate`, so both compute identical `f64`s, and
 //! 2. the binary-search partition predicates evaluate the **same IEEE-754
-//!    operations** as the residual (one subtraction and one comparison —
+//!    operations** as the predicate (one subtraction and one comparison —
 //!    never an algebraically solved bound), and IEEE subtraction and
 //!    comparison are monotone, so each predicate's accepted set is a union
 //!    of at most two contiguous runs of the sorted key array, found exactly
-//!    by `partition_point`.
+//!    by `partition_point`; a hash bucket holds the keys whose bits, ±0
+//!    folded, equal the probe's — IEEE `==` exactly.
+//!
+//! So a predicate whose own index pruned for a binding is **decided** there,
+//! and the engines evaluate it no more: the residual check runs only the
+//! predicates no index decided — `General` ones, and those whose probe is
+//! [`ExactProbe::All`] for this binding (a difference form probed with ±∞,
+//! a complement band whose bound admits everything), which claims nothing.
+//! `exact_probes_decide_their_predicate` pins the window against
+//! `eval_predicate` on adversarial keys and probes. Order is restored by
+//! walking candidate positions ascending (hash buckets are built that way,
+//! band runs go through a [`PosSet`]). The interval side ([`FilterIndex`])
+//! is different: its windows are conservative, and its residual check runs
+//! on every candidate.
 
-use sensjoin_query::{eval_expr, BandForm, CExpr, CmpOp, CompiledQuery, Interval, PredClass};
+use sensjoin_query::{
+    eval_expr, eval_predicate, BandForm, CExpr, CmpOp, CompiledQuery, EvalEnv, Interval, PredClass,
+};
 use sensjoin_relation::NodeId;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -308,6 +321,8 @@ pub(crate) fn band_runs(
 pub(crate) enum ExactIndex<'q> {
     /// Equi: key-bits → a slice of `positions`.
     Hash {
+        /// The join predicate (position in `join_preds`) it was built from.
+        pred: usize,
         /// Probe-side expression (references `probe_rel` only).
         probe: &'q CExpr,
         /// Key bits → that key's bucket in `positions`.
@@ -321,6 +336,7 @@ pub(crate) enum ExactIndex<'q> {
     /// Band: keys sorted ascending (NaN keys dropped — no comparison with a
     /// NaN operand is ever true).
     Sorted {
+        pred: usize,
         probe: &'q CExpr,
         /// `(key value, tuple position)` sorted ascending by key.
         keys: Vec<(f64, u32)>,
@@ -357,9 +373,34 @@ impl ExactProbe {
             ExactProbe::Runs(runs) => runs_len(runs),
         }
     }
+
+    /// Whether the probe prunes — and so, being an exact window, decides
+    /// its index's predicate for the probing binding (module docs).
+    pub(crate) fn prunes(&self) -> bool {
+        !matches!(self, ExactProbe::All)
+    }
+}
+
+/// Stands in for the evaluation of `pred`, which an index decided for the
+/// binding `env`: true by construction. Under debug assertions it is
+/// evaluated all the same and must hold, so every debug-mode join checks
+/// the exact windows it relies on.
+pub(crate) fn decided(pred: &CExpr, env: &impl EvalEnv) -> bool {
+    debug_assert!(
+        eval_predicate(pred, env),
+        "an exact window admitted a binding its predicate rejects: {pred:?}"
+    );
+    true
 }
 
 impl ExactIndex<'_> {
+    /// The join predicate (position in `join_preds`) the index was built from.
+    pub(crate) fn pred(&self) -> usize {
+        match self {
+            ExactIndex::Hash { pred, .. } | ExactIndex::Sorted { pred, .. } => *pred,
+        }
+    }
+
     /// Probes the index for the current partial binding.
     pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> f64) -> ExactProbe {
         match self {
@@ -503,6 +544,7 @@ pub(crate) fn exact_plan<'q>(
                     }
                 }
                 ExactIndex::Hash {
+                    pred: pi,
                     probe: &probe_side.expr,
                     buckets,
                     positions,
@@ -524,6 +566,7 @@ pub(crate) fn exact_plan<'q>(
                     rank_of[pos as usize] = rank as u32;
                 }
                 ExactIndex::Sorted {
+                    pred: pi,
                     probe: &probe_side.expr,
                     keys,
                     rank_of,
@@ -840,6 +883,7 @@ pub(crate) fn filter_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn keys(values: &[f64]) -> Vec<(f64, u32)> {
         values
@@ -981,6 +1025,158 @@ mod tests {
             }
         }
         assert!(pruned > 1000, "only {pruned} probes pruned");
+    }
+
+    /// Values where exactness is hardest: NaN, ±0, ±∞, the smallest
+    /// subnormals and normals, ±`f64::MAX` (whose differences overflow),
+    /// and near-ties.
+    const ADVERSARIAL: [f64; 19] = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+        1e308,
+        -1e308,
+        1.0,
+        -1.0,
+        1.0 + f64::EPSILON,
+        0.5,
+        2.0,
+        -3.5,
+    ];
+
+    fn adversarial() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..ADVERSARIAL.len()).prop_map(|i| ADVERSARIAL[i]),
+            // Half-steps: exact differences and ties with the bounds.
+            (-8i32..=8).prop_map(|i| f64::from(i) * 0.5),
+            -1e6..1e6f64,
+        ]
+    }
+
+    /// Every predicate shape the scalar indexes take, over `A.t` and `B.t`
+    /// — each orientation, so the keyed relation `B` is either side — as
+    /// written in SQL: direct comparisons (`=` is the equi hash),
+    /// differences and absolute differences against a constant on either
+    /// side, under every comparison operator.
+    fn shapes(c: f64) -> Vec<sensjoin_query::Expr> {
+        use sensjoin_query::{BinOp, Expr};
+        let col = |q: &str| Expr::Attr {
+            qualifier: q.into(),
+            attr: "t".into(),
+        };
+        let cmp = |op, lhs: Expr, rhs: Expr| Expr::Cmp {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let mut shapes = Vec::new();
+        for op in ops {
+            for (l, r) in [("A", "B"), ("B", "A")] {
+                let diff = Expr::Bin {
+                    op: BinOp::Sub,
+                    lhs: Box::new(col(l)),
+                    rhs: Box::new(col(r)),
+                };
+                let abs = Expr::Abs(Box::new(diff.clone()));
+                shapes.push(cmp(op, col(l), col(r)));
+                for x in [diff, abs] {
+                    shapes.push(cmp(op, x.clone(), Expr::Number(c)));
+                    shapes.push(cmp(op, Expr::Number(c), x));
+                }
+            }
+        }
+        shapes
+    }
+
+    proptest! {
+        /// A pruning probe is an exact window: position `pos` is among its
+        /// candidates iff the original predicate holds for the binding —
+        /// over every `BandForm` × `CmpOp` × key side and the equi hash.
+        /// The probe claims nothing (`All`) only in the documented cases.
+        #[test]
+        fn exact_probes_decide_their_predicate(
+            keys in prop::collection::vec(adversarial(), 0..24),
+            p in adversarial(),
+            c in adversarial(),
+        ) {
+            use sensjoin_query::ast::FromItem;
+            use sensjoin_query::{Query, SelectItem, Temporal};
+            use sensjoin_relation::{AttrType, Attribute, Schema};
+            let schema = Schema::new("S", vec![Attribute::new("t", AttrType::Celsius)]);
+            let from = |alias: &str| FromItem { relation: "S".into(), alias: alias.into() };
+            let tuples: Vec<Vec<(NodeId, Vec<f64>)>> = vec![
+                vec![(NodeId(0), vec![p])],
+                keys.iter().enumerate().map(|(i, &k)| (NodeId(i as u32 + 1), vec![k])).collect(),
+            ];
+            for pred in shapes(c) {
+                let query = Query {
+                    select: vec![SelectItem {
+                        agg: None,
+                        expr: sensjoin_query::Expr::Attr { qualifier: "A".into(), attr: "t".into() },
+                        alias: None,
+                    }],
+                    from: vec![from("A"), from("B")],
+                    predicate: Some(pred),
+                    group_by: Vec::new(),
+                    temporal: Temporal::Once,
+                };
+                let cq = CompiledQuery::compile(&query, &[schema.clone(), schema.clone()]).unwrap();
+                let join = &cq.join_preds()[0];
+                let class = &cq.pred_classes()[0];
+                let plan = exact_plan(&cq, &tuples, &crate::engine::pred_max_rels(&cq));
+                let Some(ix) = plan[1].first() else {
+                    // `!=` and a NaN bound are not indexed at all.
+                    prop_assert!(matches!(class, PredClass::General), "{join:?}");
+                    continue;
+                };
+                prop_assert_eq!(ix.pred(), 0);
+                let probe = ix.probe(&|_: usize, a: usize| tuples[0][0].1[a]);
+                let claims_nothing = match class {
+                    PredClass::Band { form: BandForm::Diff { .. }, .. } => p.is_infinite(),
+                    PredClass::Band { form: BandForm::AbsDiff { op, c }, .. } => {
+                        p.is_infinite()
+                            || (*op == CmpOp::Gt && *c < 0.0)
+                            || (*op == CmpOp::Ge && *c <= 0.0)
+                    }
+                    _ => false,
+                };
+                prop_assert_eq!(!probe.prunes(), claims_nothing, "{:?} p={:e}", join, p);
+                if !probe.prunes() {
+                    continue;
+                }
+                let mut walked = Vec::new();
+                ix.for_each_candidate(&probe, &mut PosSet::new(keys.len()), |pos| walked.push(pos));
+                let mut holds = Vec::new();
+                for (pos, &k) in keys.iter().enumerate() {
+                    let env = |r: usize, _: usize| if r == 0 { p } else { k };
+                    let want = eval_predicate(join, &env);
+                    prop_assert_eq!(
+                        ix.contains(&probe, pos as u32), want,
+                        "{:?} p={:e} key={:e}", join, p, k
+                    );
+                    if want {
+                        holds.push(pos as u32);
+                    }
+                }
+                prop_assert_eq!(walked, holds, "{:?} p={:e}", join, p);
+            }
+        }
     }
 
     #[test]

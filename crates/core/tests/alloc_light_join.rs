@@ -5,7 +5,9 @@
 //! A counting global allocator (the one of `sim/tests/alloc_free_charge.rs`,
 //! with a process-wide counter because chunks run on worker threads) wraps
 //! `exact_join` on inputs that scale the outer bindings and the candidates
-//! while the rows stay put, and on a high-output join.
+//! while the rows stay put, and on high-output joins — among them the dense
+//! shape, whose last level emits its rows in one flat loop, at one chunk
+//! and at two.
 //!
 //! The streaming engine's cached result is one flat run, so a batch
 //! allocates per tuple it touches and nothing per row: the last test
@@ -152,6 +154,27 @@ fn a_row_costs_one_allocation() {
         allocs <= budget(rows, 3000),
         "{allocs} allocations for {rows} rows"
     );
+}
+
+#[test]
+fn a_flat_last_level_row_costs_one_allocation_at_one_and_two_chunks() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The dense shape: its band decides every candidate, so the last level
+    // emits its rows in one flat loop. 300 tuples a side stay under the
+    // fan-out threshold (one chunk); 1 500 pass it (two chunks on a host
+    // with two threads or more).
+    let cq = compile("A.temp - B.temp > 7.3");
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get()) as u64;
+    for (n, chunks) in [(300, 1), (1500, threads.min(2))] {
+        let tuples = vec![relation(0, n, 0), relation(1, n, 0)];
+        let (allocs, rows) = join_allocations(&cq, &tuples);
+        assert!(rows > 10 * n as u64, "{rows} rows");
+        let fixed = (2 * n) as u64 / 6 + PER_JOIN + PER_CHUNK * chunks;
+        assert!(
+            allocs <= rows + fixed,
+            "{allocs} allocations for {rows} rows at {chunks} chunks"
+        );
+    }
 }
 
 #[test]

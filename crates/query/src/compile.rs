@@ -579,70 +579,75 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
+    /// Resolves `expr`, which must be boolean iff `want_bool`. This is the
+    /// recursion over the expression, so the column lookup and the type
+    /// error live in helpers, off the stack frames a deep expression stacks
+    /// up (`MAX_EXPR_DEPTH`).
     fn resolve(&self, expr: &Expr, want_bool: bool) -> Result<CExpr, CompileError> {
-        let c = self.go(expr)?;
+        let num = |e: &Expr| Ok::<_, CompileError>(Box::new(self.resolve(e, false)?));
+        let boolean = |e: &Expr| Ok::<_, CompileError>(Box::new(self.resolve(e, true)?));
+        let c = match expr {
+            Expr::Number(n) => CExpr::Number(*n),
+            Expr::Attr { qualifier, attr } => self.column(qualifier, attr)?,
+            Expr::Neg(e) => CExpr::Neg(num(e)?),
+            Expr::Abs(e) => CExpr::Abs(num(e)?),
+            Expr::Bin { op, lhs, rhs } => CExpr::Bin {
+                op: *op,
+                lhs: num(lhs)?,
+                rhs: num(rhs)?,
+            },
+            Expr::Distance { args } => {
+                let [a, b, c, d] = args.as_ref();
+                CExpr::Distance {
+                    args: Box::new([*num(a)?, *num(b)?, *num(c)?, *num(d)?]),
+                }
+            }
+            Expr::Cmp { op, lhs, rhs } => CExpr::Cmp {
+                op: *op,
+                lhs: num(lhs)?,
+                rhs: num(rhs)?,
+            },
+            Expr::And(a, b) => CExpr::And(boolean(a)?, boolean(b)?),
+            Expr::Or(a, b) => CExpr::Or(boolean(a)?, boolean(b)?),
+            Expr::Not(e) => CExpr::Not(boolean(e)?),
+        };
         let is_bool = matches!(
             c,
             CExpr::Cmp { .. } | CExpr::And(..) | CExpr::Or(..) | CExpr::Not(..)
         );
         if is_bool != want_bool {
-            return Err(CompileError::TypeError(format!(
-                "expected {} expression, found {}",
-                if want_bool { "boolean" } else { "numeric" },
-                if is_bool { "boolean" } else { "numeric" },
-            )));
+            return Err(type_error(want_bool));
         }
         Ok(c)
     }
 
-    fn num(&self, expr: &Expr) -> Result<CExpr, CompileError> {
-        self.resolve(expr, false)
-    }
-
-    fn boolean(&self, expr: &Expr) -> Result<CExpr, CompileError> {
-        self.resolve(expr, true)
-    }
-
-    fn go(&self, expr: &Expr) -> Result<CExpr, CompileError> {
-        Ok(match expr {
-            Expr::Number(n) => CExpr::Number(*n),
-            Expr::Attr { qualifier, attr } => {
-                let rel = self
-                    .aliases
-                    .iter()
-                    .position(|a| a == qualifier)
-                    .ok_or_else(|| CompileError::UnknownQualifier(qualifier.clone()))?;
-                let idx = self.schemas[rel].index_of(attr).ok_or_else(|| {
-                    CompileError::UnknownAttribute {
-                        qualifier: qualifier.clone(),
-                        attr: attr.clone(),
-                    }
+    /// The column `qualifier.attr` names.
+    fn column(&self, qualifier: &str, attr: &str) -> Result<CExpr, CompileError> {
+        let rel = self
+            .aliases
+            .iter()
+            .position(|a| a == qualifier)
+            .ok_or_else(|| CompileError::UnknownQualifier(qualifier.to_owned()))?;
+        let idx =
+            self.schemas[rel]
+                .index_of(attr)
+                .ok_or_else(|| CompileError::UnknownAttribute {
+                    qualifier: qualifier.to_owned(),
+                    attr: attr.to_owned(),
                 })?;
-                CExpr::Col { rel, attr: idx }
-            }
-            Expr::Neg(e) => CExpr::Neg(Box::new(self.num(e)?)),
-            Expr::Abs(e) => CExpr::Abs(Box::new(self.num(e)?)),
-            Expr::Bin { op, lhs, rhs } => CExpr::Bin {
-                op: *op,
-                lhs: Box::new(self.num(lhs)?),
-                rhs: Box::new(self.num(rhs)?),
-            },
-            Expr::Distance { args } => {
-                let [a, b, c, d] = args.as_ref();
-                CExpr::Distance {
-                    args: Box::new([self.num(a)?, self.num(b)?, self.num(c)?, self.num(d)?]),
-                }
-            }
-            Expr::Cmp { op, lhs, rhs } => CExpr::Cmp {
-                op: *op,
-                lhs: Box::new(self.num(lhs)?),
-                rhs: Box::new(self.num(rhs)?),
-            },
-            Expr::And(a, b) => CExpr::And(Box::new(self.boolean(a)?), Box::new(self.boolean(b)?)),
-            Expr::Or(a, b) => CExpr::Or(Box::new(self.boolean(a)?), Box::new(self.boolean(b)?)),
-            Expr::Not(e) => CExpr::Not(Box::new(self.boolean(e)?)),
-        })
+        Ok(CExpr::Col { rel, attr: idx })
     }
+}
+
+/// The error for an expression of the wrong kind where a boolean one was
+/// wanted iff `want_bool`.
+fn type_error(want_bool: bool) -> CompileError {
+    let (want, found) = if want_bool {
+        ("boolean", "numeric")
+    } else {
+        ("numeric", "boolean")
+    };
+    CompileError::TypeError(format!("expected {want} expression, found {found}"))
 }
 
 #[cfg(test)]

@@ -68,4 +68,4 @@ pub use ast::{AggFunc, BinOp, CmpOp, Expr, Query, SelectItem, Temporal};
 pub use compile::{CExpr, CompileError, CompiledQuery, CompiledSelect};
 pub use eval::{eval_expr, eval_predicate, EvalEnv};
 pub use interval::{eval_expr_interval, eval_predicate_interval, Interval, Tri};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};

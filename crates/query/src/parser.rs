@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the query dialect.
+//! Parser for the query dialect: recursive descent over the clauses,
+//! precedence climbing over expressions.
 
 use crate::ast::{AggFunc, BinOp, CmpOp, Expr, FromItem, Query, SelectItem, Temporal};
 use crate::token::{tokenize, Keyword, Token};
@@ -46,11 +47,19 @@ fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
 ///           | 'distance' '(' or_expr ',' ... ')'   -- 4 args
 ///           | ident '.' ident
 /// ```
+///
+/// An expression nested deeper than [`MAX_EXPR_DEPTH`] is an error
+/// (`expression nested deeper than …`), found before the parser recurses
+/// that deep.
 pub fn parse(input: &str) -> Result<Query, ParseError> {
     let tokens = tokenize(input).map_err(|e| ParseError {
         message: format!("{} (at byte {})", e.message, e.at),
     })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return err(format!("trailing input after query: {:?}", p.tokens[p.pos]));
@@ -58,9 +67,111 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
     Ok(q)
 }
 
+/// The deepest an expression may nest. Depth counts every operator,
+/// function call and pair of parentheses or bars on the way from the
+/// expression's root down to a leaf, the leaf included: `A.x` is 1,
+/// `-(A.x)` is 3, and `p₁ AND … AND pₖ` over comparisons of two leaves is
+/// k + 1 (chains nest to the left).
+///
+/// The parser and every later pass — name resolution, classification,
+/// both evaluators, `Clone`, `PartialEq`, `Debug` and `Drop` — recurse
+/// over an expression, so this bound is what keeps a query from
+/// overflowing the stack of the thread that handles it: an overflow aborts
+/// the process, and a serve tenant's SQL is compiled on the server.
+///
+/// Stack budget: half of 2 MiB, the stack a spawned thread gets by default
+/// and the smallest any worker here runs on (join chunks, serve
+/// deployments, test threads). At depth 128 the deepest pass needs about
+/// 650 KiB in a debug build (the parser ~4.9 KiB per parenthesis level,
+/// name resolution ~5 KiB per operator level) and about 155 KiB in
+/// release; `the_depth_bound_fits_half_the_smallest_stack` runs all of
+/// them at this depth on a 1 MiB thread.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// A parsed expression and its depth (see [`MAX_EXPR_DEPTH`]).
+type Parsed = Result<(Expr, usize), ParseError>;
+
+fn too_deep<T>() -> Result<T, ParseError> {
+    err(format!("expression nested deeper than {MAX_EXPR_DEPTH}"))
+}
+
+/// `expr`, one level above sub-expressions at most `below` deep — refused
+/// when that is deeper than the bound.
+fn node(expr: Expr, below: usize) -> Parsed {
+    if below >= MAX_EXPR_DEPTH {
+        too_deep()
+    } else {
+        Ok((expr, below + 1))
+    }
+}
+
+/// How tightly an operator binds, loosest first: `OR`, `AND`, prefix
+/// `NOT`, comparisons, `+ -`, `* /`, prefix minus.
+type Level = u8;
+const OR: Level = 1;
+const AND: Level = 2;
+const NOT: Level = 3;
+const CMP: Level = 4;
+const SUM: Level = 5;
+const TERM: Level = 6;
+const NEG: Level = 7;
+
+/// What opens an enclosed sub-expression.
+#[derive(Clone, Copy)]
+enum Opening {
+    Paren,
+    Bar,
+    Abs,
+    Distance,
+}
+
+/// An infix operator.
+enum Infix {
+    Or,
+    And,
+    Cmp(CmpOp),
+    Bin(BinOp),
+}
+
+impl Infix {
+    /// The expression `lhs op rhs`.
+    fn join(self, lhs: Expr, rhs: Expr) -> Expr {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        match self {
+            Infix::Or => Expr::Or(lhs, rhs),
+            Infix::And => Expr::And(lhs, rhs),
+            Infix::Bin(op) => Expr::Bin { op, lhs, rhs },
+            Infix::Cmp(op) => Expr::Cmp { op, lhs, rhs },
+        }
+    }
+}
+
+/// `t` as an infix operator, with its level, if it is one.
+fn infix(t: &Token) -> Option<(Level, Infix)> {
+    Some(match t {
+        Token::Keyword(Keyword::Or) => (OR, Infix::Or),
+        Token::Keyword(Keyword::And) => (AND, Infix::And),
+        Token::Lt => (CMP, Infix::Cmp(CmpOp::Lt)),
+        Token::Le => (CMP, Infix::Cmp(CmpOp::Le)),
+        Token::Gt => (CMP, Infix::Cmp(CmpOp::Gt)),
+        Token::Ge => (CMP, Infix::Cmp(CmpOp::Ge)),
+        Token::Eq => (CMP, Infix::Cmp(CmpOp::Eq)),
+        Token::Ne => (CMP, Infix::Cmp(CmpOp::Ne)),
+        Token::Plus => (SUM, Infix::Bin(BinOp::Add)),
+        Token::Minus => (SUM, Infix::Bin(BinOp::Sub)),
+        Token::Star => (TERM, Infix::Bin(BinOp::Mul)),
+        Token::Slash => (TERM, Infix::Bin(BinOp::Div)),
+        _ => return None,
+    })
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The sub-expressions the parser is inside of (parentheses, bars,
+    /// function arguments, unary minus, `NOT`): its recursion depth, each a
+    /// level of the finished expression's depth.
+    open: usize,
 }
 
 impl Parser {
@@ -109,16 +220,16 @@ impl Parser {
             from.push(self.from_item()?);
         }
         let predicate = if self.eat(&Token::Keyword(Keyword::Where)) {
-            Some(self.or_expr()?)
+            Some(self.expr()?)
         } else {
             None
         };
         let mut group_by = Vec::new();
         if self.eat(&Token::Keyword(Keyword::Group)) {
             self.keyword(Keyword::By)?;
-            group_by.push(self.or_expr()?);
+            group_by.push(self.expr()?);
             while self.eat(&Token::Comma) {
-                group_by.push(self.or_expr()?);
+                group_by.push(self.expr()?);
             }
         }
         let temporal = match self.next() {
@@ -154,7 +265,7 @@ impl Parser {
             self.pos += 1;
             self.expect(Token::LParen)?;
         }
-        let expr = self.or_expr()?;
+        let expr = self.expr()?;
         if agg.is_some() {
             self.expect(Token::RParen)?;
         }
@@ -186,143 +297,131 @@ impl Parser {
         Ok(FromItem { relation, alias })
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and_expr()?;
-        while self.eat(&Token::Keyword(Keyword::Or)) {
-            let rhs = self.and_expr()?;
-            e = Expr::Or(Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+    /// A whole expression (a SELECT item, the WHERE clause, a GROUP BY key).
+    fn expr(&mut self) -> Result<Expr, ParseError> {
+        Ok(self.binding(OR)?.0)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.not_expr()?;
-        while self.eat(&Token::Keyword(Keyword::And)) {
-            let rhs = self.not_expr()?;
-            e = Expr::And(Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Keyword(Keyword::Not)) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+    /// An expression whose operators all bind at least as tightly as `min`
+    /// (a [`Level`]), by precedence climbing: the grammar's rules from
+    /// `or_expr` to `unary` in one loop, so a nested sub-expression costs
+    /// the parser three stack frames, not one per rule. A prefix `NOT` and a
+    /// comparison may only be followed by the looser `AND` and `OR`, as the
+    /// grammar has it.
+    fn binding(&mut self, min: Level) -> Parsed {
+        let (mut e, mut depth, mut below) = if min <= NOT && self.eat(&Token::Keyword(Keyword::Not))
+        {
+            let (e, d) = self.nested(NOT)?;
+            let (e, d) = node(Expr::Not(Box::new(e)), d)?;
+            (e, d, NOT)
+        } else if self.eat(&Token::Minus) {
+            let (e, d) = self.nested(NEG)?;
+            let (e, d) = node(Expr::Neg(Box::new(e)), d)?;
+            (e, d, Level::MAX)
         } else {
-            self.cmp()
-        }
-    }
-
-    fn cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.sum()?;
-        let op = match self.peek() {
-            Some(Token::Lt) => CmpOp::Lt,
-            Some(Token::Le) => CmpOp::Le,
-            Some(Token::Gt) => CmpOp::Gt,
-            Some(Token::Ge) => CmpOp::Ge,
-            Some(Token::Eq) => CmpOp::Eq,
-            Some(Token::Ne) => CmpOp::Ne,
-            _ => return Ok(lhs),
+            let (e, d) = self.primary()?;
+            (e, d, Level::MAX)
         };
-        self.pos += 1;
-        let rhs = self.sum()?;
-        Ok(Expr::Cmp {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
-    }
-
-    fn sum(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.term()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.term()?;
-            e = Expr::Bin {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(e)
-    }
-
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.unary()?;
-            e = Expr::Bin {
-                op,
-                lhs: Box::new(e),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(e)
-    }
-
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary()?)))
-        } else {
-            self.primary()
-        }
-    }
-
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.next() {
-            Some(Token::Number(n)) => Ok(Expr::Number(n)),
-            Some(Token::Bar) => {
-                let inner = self.or_expr()?;
-                self.expect(Token::Bar)?;
-                Ok(Expr::Abs(Box::new(inner)))
+        while let Some((level, op)) = self.peek().and_then(infix) {
+            if level < min || level >= below {
+                break;
             }
-            Some(Token::LParen) => {
-                let inner = self.or_expr()?;
-                self.expect(Token::RParen)?;
-                Ok(inner)
+            self.pos += 1;
+            let (rhs, d) = self.binding(level + 1)?;
+            // What may follow: operators no tighter than this one — and
+            // after a comparison, none of its own level either.
+            below = if matches!(op, Infix::Cmp(_)) {
+                CMP
+            } else {
+                level + 1
+            };
+            (e, depth) = node(op.join(e, rhs), depth.max(d))?;
+        }
+        Ok((e, depth))
+    }
+
+    /// [`Parser::binding`] on a sub-expression the parser enters (see
+    /// [`Parser::open`]), refused before the recursion once the enclosing
+    /// levels alone reach the bound.
+    fn nested(&mut self, min: Level) -> Parsed {
+        if self.open + 1 >= MAX_EXPR_DEPTH {
+            return too_deep();
+        }
+        self.open += 1;
+        let out = self.binding(min);
+        self.open -= 1;
+        out
+    }
+
+    /// A primary expression: a leaf, or a sub-expression in parentheses,
+    /// bars or a function call. The enclosed forms are the parser's
+    /// recursion, so leaves and their error messages are parsed by
+    /// [`Parser::leaf`], outside the frames a deep expression stacks up.
+    fn primary(&mut self) -> Parsed {
+        let Some(opening) = self.opening() else {
+            return self.leaf();
+        };
+        let (first, mut depth) = self.nested(OR)?;
+        let expr = match opening {
+            // Parentheses build no node but count as a level.
+            Opening::Paren => first,
+            Opening::Bar | Opening::Abs => Expr::Abs(Box::new(first)),
+            Opening::Distance => {
+                let mut arg = |p: &mut Self| {
+                    p.expect(Token::Comma)?;
+                    let (arg, d) = p.nested(OR)?;
+                    depth = depth.max(d);
+                    Ok(arg)
+                };
+                let args = [first, arg(self)?, arg(self)?, arg(self)?];
+                Expr::Distance {
+                    args: Box::new(args),
+                }
             }
-            Some(Token::Ident(name)) => {
-                if name.eq_ignore_ascii_case("abs") && self.peek() == Some(&Token::LParen) {
-                    self.pos += 1;
-                    let inner = self.or_expr()?;
-                    self.expect(Token::RParen)?;
-                    return Ok(Expr::Abs(Box::new(inner)));
-                }
-                if name.eq_ignore_ascii_case("distance") && self.peek() == Some(&Token::LParen) {
-                    self.pos += 1;
-                    let a = self.or_expr()?;
-                    self.expect(Token::Comma)?;
-                    let b = self.or_expr()?;
-                    self.expect(Token::Comma)?;
-                    let c = self.or_expr()?;
-                    self.expect(Token::Comma)?;
-                    let d = self.or_expr()?;
-                    self.expect(Token::RParen)?;
-                    return Ok(Expr::Distance {
-                        args: Box::new([a, b, c, d]),
-                    });
-                }
+        };
+        self.expect(match opening {
+            Opening::Bar => Token::Bar,
+            _ => Token::RParen,
+        })?;
+        node(expr, depth)
+    }
+
+    /// Consumes what opens an enclosed sub-expression — `(`, `|`, `abs(`,
+    /// `distance(` — if the input is at one.
+    fn opening(&mut self) -> Option<Opening> {
+        let call = |name: &str| {
+            if name.eq_ignore_ascii_case("abs") {
+                Some(Opening::Abs)
+            } else if name.eq_ignore_ascii_case("distance") {
+                Some(Opening::Distance)
+            } else {
+                None
+            }
+        };
+        let (opening, tokens) = match (self.peek()?, self.tokens.get(self.pos + 1)) {
+            (Token::LParen, _) => (Opening::Paren, 1),
+            (Token::Bar, _) => (Opening::Bar, 1),
+            (Token::Ident(name), Some(Token::LParen)) => (call(name)?, 2),
+            _ => return None,
+        };
+        self.pos += tokens;
+        Some(opening)
+    }
+
+    /// A number or an attribute reference `qualifier.attr`.
+    fn leaf(&mut self) -> Parsed {
+        let leaf = match self.next() {
+            Some(Token::Number(n)) => Expr::Number(n),
+            Some(Token::Ident(qualifier)) => {
                 self.expect(Token::Dot)?;
                 match self.next() {
-                    Some(Token::Ident(attr)) => Ok(Expr::Attr {
-                        qualifier: name,
-                        attr,
-                    }),
-                    other => err(format!("expected attribute after '.', found {other:?}")),
+                    Some(Token::Ident(attr)) => Expr::Attr { qualifier, attr },
+                    other => return err(format!("expected attribute after '.', found {other:?}")),
                 }
             }
-            other => err(format!("expected expression, found {other:?}")),
-        }
+            other => return err(format!("expected expression, found {other:?}")),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -394,6 +493,39 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(cs[1], Expr::Not(_)));
+    }
+
+    /// Operators bind as the grammar says: each expression parses to the
+    /// tree of its fully parenthesized form (parentheses build no node),
+    /// and what the grammar cannot derive is an error.
+    #[test]
+    fn operators_bind_as_the_grammar_says() {
+        let where_ = |e: &str| parse(&format!("SELECT A.x FROM S A WHERE {e} ONCE"));
+        for (implicit, explicit) in [
+            ("A.x OR NOT A.y AND A.z", "A.x OR ((NOT A.y) AND A.z)"),
+            ("NOT A.x < A.y AND A.z", "(NOT (A.x < A.y)) AND A.z"),
+            ("NOT NOT A.x OR A.y", "(NOT (NOT A.x)) OR A.y"),
+            ("-A.x * A.y + A.z / -A.w", "((-A.x) * A.y) + (A.z / (-A.w))"),
+            ("A.x - A.y - A.z", "(A.x - A.y) - A.z"),
+            ("A.x / A.y * A.z", "(A.x / A.y) * A.z"),
+            ("- -A.x", "-(-A.x)"),
+            (
+                "A.x + A.y < A.z * 2 OR A.w = 1 AND A.v",
+                "((A.x + A.y) < (A.z * 2)) OR ((A.w = 1) AND A.v)",
+            ),
+        ] {
+            assert_eq!(where_(implicit), where_(explicit), "{implicit}");
+        }
+        for bad in [
+            "A.x < A.y < A.z",
+            "A.x AND A.y < 1 = 2",
+            "NOT A.x < A.y < 1",
+            "-NOT A.x",
+            "A.x + NOT A.y",
+            "A.x < NOT A.y",
+        ] {
+            assert!(where_(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

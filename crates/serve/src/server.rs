@@ -867,6 +867,42 @@ mod tests {
         assert_eq!((m.plans_built, m.plans_joined), (1, 1));
     }
 
+    /// A tenant's SQL nested past the parser's bound is rejected as an
+    /// invalid query — before the bound, 20 000 parentheses overflowed the
+    /// server's stack and aborted every deployment with it — and the
+    /// server goes on serving the other tenants.
+    #[test]
+    fn sql_nested_too_deep_is_rejected_not_an_abort() {
+        let mut server = fixture();
+        for (tenant, depth) in [(100, sensjoin_query::MAX_EXPR_DEPTH + 1), (101, 20_000)] {
+            let k = depth - 2; // (…(A.temp < B.temp)…): k pairs around 2 levels
+            server.submit(Submission {
+                tenant: TenantId(tenant),
+                deployment: "dep0".into(),
+                sql: format!(
+                    "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+                     WHERE {}A.temp < B.temp{} SAMPLE PERIOD 30",
+                    "(".repeat(k),
+                    ")".repeat(k)
+                ),
+                every: 1,
+            });
+        }
+        let decisions = server.admit();
+        assert_eq!(decisions.len(), 2);
+        for decision in decisions {
+            let Decision::Rejected {
+                reason: RejectReason::InvalidQuery(why),
+                ..
+            } = decision
+            else {
+                panic!("admitted: {decision:?}");
+            };
+            assert!(why.contains("expression nested deeper than"), "{why}");
+        }
+        assert_eq!(server.tick().unwrap().epochs.len(), 8);
+    }
+
     /// What the host's thread count must not change: every worker count
     /// stitches the serial run's reports back in deployment order.
     #[test]
