@@ -94,7 +94,7 @@ impl JoinMethod for MediatedJoin {
         if members.is_empty() {
             // Nothing to join: no traffic at all.
             let result = if query.is_aggregate() {
-                JoinResult::Aggregate(query.aggregate(&[]))
+                JoinResult::Aggregate(query.aggregate(std::iter::empty()))
             } else {
                 JoinResult::Rows(Vec::new())
             };

@@ -26,17 +26,18 @@
 //! `engine_scaling` benchmark).
 
 use crate::config::SensJoinConfig;
-use crate::outcome::JoinResult;
+use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
 use crate::partition::{
     decided, exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
-use sensjoin_query::{CompiledQuery, Interval};
+use sensjoin_query::{CompiledQuery, EvalEnv, Interval};
 use sensjoin_relation::NodeId;
 use sensjoin_zorder::{Dimension, ZSpace};
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The shared quantization space of a query (§V-B) plus the bookkeeping to
 /// move between relations, dimensions and quadtree keys.
@@ -271,9 +272,12 @@ impl<P> Hoisted<P> {
 }
 
 /// The chunk count of a join that fans out: one per thread the host grants
-/// this process (a `taskset -c 0` run is single-threaded).
+/// this process. Read once, at the first join or filter — asking again
+/// re-reads the cgroup files, some 20 µs a call — and a `taskset -c 0` run
+/// sets its affinity before that, so it is single-threaded.
 fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Cuts the positions `0..work.len() - 1` into at most `parts` contiguous
@@ -676,11 +680,97 @@ fn descend_nested(
 
 /// The exact join at the base station plus contribution tracking.
 #[derive(Debug, Clone)]
-pub struct JoinComputation {
-    /// The query answer.
-    pub result: JoinResult,
+pub struct JoinComputation<R = JoinResult> {
+    /// The query answer: a [`JoinResult`], or a group epoch's
+    /// [`GroupResult`].
+    pub result: R,
     /// Origins of tuples appearing in at least one result row.
     pub contributors: BTreeSet<NodeId>,
+}
+
+/// Where the exact descent writes result rows and GROUP BY keys: a vector
+/// per row ([`VecRows`], behind [`exact_join`]) or one flat buffer
+/// ([`Rows`], behind a group epoch's [`exact_join_flat`]). A type parameter
+/// of the descent, so each sink gets a loop of its own with no per-row
+/// branch.
+pub(crate) trait RowSink: Send + Sized {
+    /// What a finished join answers.
+    type Result;
+    /// No rows yet, each to hold `arity` values.
+    fn new(arity: usize) -> Self;
+    fn len(&self) -> usize;
+    fn row(&self, i: usize) -> &[f64];
+    /// Appends the row `fill` writes into an empty or growing buffer.
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<f64>));
+    /// Appends the SELECT values of a binding.
+    fn push_select(&mut self, query: &CompiledQuery, env: &impl EvalEnv);
+    /// Room for `rows` more rows, if the allocator grants it: room that
+    /// stays unused is never touched, and a refusal only means growing
+    /// later.
+    fn try_reserve(&mut self, rows: usize);
+    /// Appends `later`'s rows after these.
+    fn append(&mut self, later: Self);
+    /// The answer of a row query: these rows.
+    fn into_rows(self) -> Self::Result;
+    /// The answer of an aggregate query.
+    fn aggregate(values: Vec<Option<f64>>) -> Self::Result;
+}
+
+/// [`JoinResult::Rows`] under construction: a vector per row, each sized
+/// exactly.
+pub(crate) struct VecRows {
+    arity: usize,
+    rows: Vec<Vec<f64>>,
+}
+
+impl RowSink for VecRows {
+    type Result = JoinResult;
+
+    fn new(arity: usize) -> Self {
+        Self {
+            arity,
+            rows: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i]
+    }
+
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
+        let mut row = Vec::with_capacity(self.arity);
+        fill(&mut row);
+        self.rows.push(row);
+    }
+
+    fn try_reserve(&mut self, rows: usize) {
+        let _ = self.rows.try_reserve_exact(rows);
+    }
+
+    // Rows come from the query's own row constructor, as before the sinks
+    // existed. Builds that wrote them through `push_with` read 4–8 % slower
+    // on the repo benchmark's `oneshot_dense_5k` in three alternated series,
+    // this one even with the engine before the sinks in five; the work is
+    // the same, so the gap is code layout — re-measure before changing it.
+    fn push_select(&mut self, query: &CompiledQuery, env: &impl EvalEnv) {
+        self.rows.push(query.eval_select_row(env));
+    }
+
+    fn append(&mut self, later: Self) {
+        self.rows.extend(later.rows);
+    }
+
+    fn into_rows(self) -> JoinResult {
+        JoinResult::Rows(self.rows)
+    }
+
+    fn aggregate(values: Vec<Option<f64>>) -> JoinResult {
+        JoinResult::Aggregate(values)
+    }
 }
 
 /// The raw outputs of an exact join, before grouping and aggregation. Also
@@ -704,17 +794,28 @@ pub(crate) struct ExactAcc {
 /// Rows, row order, grouping and contributors are bit-identical to
 /// [`exact_join_nested`].
 pub fn exact_join(query: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation {
-    exact_join_in(query, tuples, host_threads())
+    exact_join_in::<VecRows>(query, tuples, host_threads())
 }
 
-/// [`exact_join`] fanning out over at most `threads` chunks.
-fn exact_join_in(
+/// [`exact_join`] with the rows in one flat buffer, the same rows in the
+/// same order: the join of a group epoch, which allocates nothing per row.
+pub(crate) fn exact_join_flat(
+    query: &CompiledQuery,
+    tuples: &[Vec<(NodeId, Vec<f64>)>],
+) -> JoinComputation<GroupResult> {
+    exact_join_in::<Rows>(query, tuples, host_threads())
+}
+
+/// [`exact_join`] into sink `S`, fanning out over at most `threads` chunks.
+fn exact_join_in<S: RowSink>(
     query: &CompiledQuery,
     tuples: &[Vec<(NodeId, Vec<f64>)>],
     threads: usize,
-) -> JoinComputation {
+) -> JoinComputation<S::Result> {
     assert_eq!(tuples.len(), query.num_relations());
-    let mut acc = ExactAcc::default();
+    let mut rows = S::new(query.select().len());
+    let mut keys = S::new(query.group_by().len());
+    let mut contributors = BTreeSet::new();
     if !query.is_const_false() {
         let pred_rels = pred_max_rels(query);
         let plan = exact_plan(query, tuples, &pred_rels);
@@ -747,14 +848,13 @@ fn exact_join_in(
             let deeper = deeper_space(tuples.iter().map(|t| t.len()));
             let cuts = hoisted.cuts(deeper, threads, PAR_MIN_WORK);
             let mut parts = run_chunked(&cuts, |i, range| {
-                let mut chunk = run.chunk();
+                let mut chunk = run.chunk::<S>();
                 if tuples.len() == 2 {
                     // Every row of a two-way join is a counted candidate.
                     // The first chunk's buffer becomes the result: it takes
-                    // the other chunks' rows too. Room that stays unused is
-                    // never touched, and a refusal only means growing later.
+                    // the other chunks' rows too.
                     let ahead = if i == 0 { &(0..outer) } else { &range };
-                    let _ = chunk.rows.try_reserve_exact(hoisted.candidates(ahead));
+                    chunk.rows.try_reserve(hoisted.candidates(ahead));
                 }
                 for pos in range {
                     run.step(0, pos, &mut chunk);
@@ -766,8 +866,8 @@ fn exact_join_in(
             // order, the contributor positions union.
             let mut first = parts.next().expect("at least one chunk");
             for part in parts {
-                first.rows.extend(part.rows);
-                first.keys.extend(part.keys);
+                first.rows.append(part.rows);
+                first.keys.append(part.keys);
                 for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
                     all.union_with(seen);
                 }
@@ -790,13 +890,13 @@ fn exact_join_in(
         for (rel, mut seen) in first.seen.into_iter().enumerate() {
             seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
         }
-        acc = ExactAcc {
-            rows: first.rows,
-            keys: first.keys,
-            contributors: origins.into_iter().collect(),
-        };
+        (rows, keys) = (first.rows, first.keys);
+        contributors = origins.into_iter().collect();
     }
-    finalize_exact(query, acc)
+    JoinComputation {
+        result: finish(query, rows, keys),
+        contributors,
+    }
 }
 
 /// The nested-loop reference exact join (the original implementation): kept
@@ -823,31 +923,41 @@ pub fn exact_join_nested(
     finalize_exact(query, acc)
 }
 
-/// Grouping / aggregation folding shared by both exact implementations and
-/// the streaming engine.
+/// [`finish`] for the nested reference and the streaming engine.
 pub(crate) fn finalize_exact(query: &CompiledQuery, acc: ExactAcc) -> JoinComputation {
-    let ExactAcc {
-        rows,
-        keys,
-        contributors,
-    } = acc;
-    let result = if query.has_group_by() {
-        // Group rows by key (bitwise f64 keys: all methods compute the same
-        // expressions, so grouping is deterministic) and fold each group.
-        let mut groups: std::collections::BTreeMap<Vec<u64>, Vec<Vec<f64>>> = Default::default();
-        for (key, row) in keys.into_iter().zip(rows) {
-            let kb: Vec<u64> = key.iter().map(|v| v.to_bits()).collect();
-            groups.entry(kb).or_default().push(row);
-        }
-        JoinResult::Rows(groups.values().map(|g| query.fold_group(g)).collect())
-    } else if query.is_aggregate() {
-        JoinResult::Aggregate(query.aggregate(&rows))
-    } else {
-        JoinResult::Rows(rows)
+    let rows = VecRows {
+        arity: query.select().len(),
+        rows: acc.rows,
+    };
+    let keys = VecRows {
+        arity: query.group_by().len(),
+        rows: acc.keys,
     };
     JoinComputation {
-        result,
-        contributors,
+        result: finish(query, rows, keys),
+        contributors: acc.contributors,
+    }
+}
+
+/// Grouping / aggregation folding shared by every exact join: a GROUP BY
+/// query folds each group's rows in emission order, the groups in ascending
+/// order of their keys' bit patterns (all methods compute the same
+/// expressions, so grouping is deterministic); an aggregate query folds
+/// every row; a row query answers its rows.
+fn finish<S: RowSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
+    if query.has_group_by() {
+        let by_key = |a: &usize, b: &usize| cmp_bits(keys.row(*a), keys.row(*b));
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(by_key);
+        let mut out = S::new(query.select().len());
+        for group in order.chunk_by(|a, b| by_key(a, b).is_eq()) {
+            out.push_with(|row| query.fold_group(group.iter().map(|&i| rows.row(i)), row));
+        }
+        out.into_rows()
+    } else if query.is_aggregate() {
+        S::aggregate(query.aggregate((0..rows.len()).map(|i| rows.row(i))))
+    } else {
+        rows.into_rows()
     }
 }
 
@@ -891,10 +1001,11 @@ fn level_checks(pred_rels: &[usize], plan: &[Vec<ExactIndex>]) -> Vec<Vec<Check>
 
 /// Mutable state and outputs of one chunk of the exact descent. Everything
 /// but `rows`/`keys` is sized once per chunk: emitting a row allocates the
-/// row and nothing else, binding a tuple or walking a candidate nothing.
-struct ExactChunk {
-    rows: Vec<Vec<f64>>,
-    keys: Vec<Vec<f64>>,
+/// row's own vector into a [`VecRows`] and nothing into [`Rows`] with room,
+/// binding a tuple or walking a candidate nothing.
+struct ExactChunk<S> {
+    rows: S,
+    keys: S,
     /// Per relation: the tuples that reached a result row.
     seen: Vec<PosSet>,
     /// Per level: scratch that puts a band driver's candidate runs in
@@ -910,11 +1021,11 @@ struct ExactChunk {
 }
 
 impl ExactRun<'_> {
-    fn chunk(&self) -> ExactChunk {
+    fn chunk<S: RowSink>(&self) -> ExactChunk<S> {
         let set = |rel: usize| PosSet::new(self.tuples[rel].len());
         ExactChunk {
-            rows: Vec::new(),
-            keys: Vec::new(),
+            rows: S::new(self.query.select().len()),
+            keys: S::new(self.query.group_by().len()),
             seen: (0..self.tuples.len()).map(set).collect(),
             cand: (0..self.tuples.len()).map(set).collect(),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
@@ -930,7 +1041,7 @@ impl ExactRun<'_> {
     /// each candidate is emitted as a row in place, with no [`ExactRun::step`]
     /// and no recursion, and the levels above are marked seen with the first
     /// row only.
-    fn descend(&self, st: &mut ExactChunk) {
+    fn descend<S: RowSink>(&self, st: &mut ExactChunk<S>) {
         let rel = st.binding.len();
         if rel == self.tuples.len() {
             return self.emit(st, 0);
@@ -968,12 +1079,12 @@ impl ExactRun<'_> {
     /// one with the fewest candidates drives the scan, the rest degrade to
     /// O(1) membership tests; with no pruning probe the whole relation is
     /// scanned.
-    fn walk(
+    fn walk<S>(
         &self,
         rel: usize,
         base: usize,
-        st: &mut ExactChunk,
-        mut f: impl FnMut(&mut ExactChunk, usize),
+        st: &mut ExactChunk<S>,
+        mut f: impl FnMut(&mut ExactChunk<S>, usize),
     ) {
         let indexes = &self.plan[rel];
         let driver = (0..indexes.len())
@@ -1000,7 +1111,7 @@ impl ExactRun<'_> {
 
     /// Binds tuple `pos` at level `rel`, applies the residual check and
     /// recurses.
-    fn step(&self, rel: usize, pos: usize, st: &mut ExactChunk) {
+    fn step<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
         st.binding.push(pos);
         if self.residual(rel, st) {
             self.descend(st);
@@ -1012,7 +1123,7 @@ impl ExactRun<'_> {
     /// predicates checked there. Only those no index decided are evaluated —
     /// `General` ones, and those whose probe is [`ExactProbe::All`] for this
     /// binding; a decided one holds by construction ([`decided`]).
-    fn residual(&self, rel: usize, st: &mut ExactChunk) -> bool {
+    fn residual<S>(&self, rel: usize, st: &mut ExactChunk<S>) -> bool {
         let probes = &st.probes[st.probes.len() - self.plan[rel].len()..];
         let binding = &st.binding;
         let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
@@ -1033,12 +1144,13 @@ impl ExactRun<'_> {
     /// group key — and marks its tuples from level `from` on as seen (the
     /// levels above `from` are marked for this binding already). The one
     /// emission of the descent: its base case and the flat last level.
-    fn emit(&self, st: &mut ExactChunk, from: usize) {
+    fn emit<S: RowSink>(&self, st: &mut ExactChunk<S>, from: usize) {
         let binding = &st.binding;
         let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-        st.rows.push(self.query.eval_select_row(&env));
+        st.rows.push_select(self.query, &env);
         if self.query.has_group_by() {
-            st.keys.push(self.query.eval_group_key(&env));
+            st.keys
+                .push_with(|key| self.query.eval_group_key_into(&env, key));
         }
         for (seen, &pos) in st.seen[from..].iter_mut().zip(&binding[from..]) {
             seen.insert(pos as u32);
@@ -1412,9 +1524,65 @@ mod tests {
         }
     }
 
+    /// A flat result's rows as bit patterns, in order.
+    fn flat_bits(result: &GroupResult) -> Vec<Vec<u64>> {
+        let GroupResult::Rows(rows) = result else {
+            panic!("expected rows, got {result:?}");
+        };
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// The flat sink answers exactly what the vector sink does — the same
+    /// rows in the same order, the same aggregates, the same groups in the
+    /// same order, the same contributors — for every result shape: rows of
+    /// two- and three-way joins, no rows, aggregates over rows and over
+    /// none, GROUP BY, and a cross join.
+    #[test]
+    fn flat_sink_matches_vector_sink() {
+        for sql in [
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.5 ONCE",
+            "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 0.3 AND B.temp - C.temp > 0.5 ONCE",
+            "SELECT A.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1000 ONCE",
+            "SELECT MIN(distance(A.x, A.y, B.x, B.y)), COUNT(A.hum), AVG(B.hum) \
+             FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.0 ONCE",
+            "SELECT SUM(A.hum), MAX(B.temp) FROM Sensors A, Sensors B \
+             WHERE A.temp - B.temp > 1000 ONCE",
+            "SELECT A.light, COUNT(B.hum), SUM(B.hum) FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.5 GROUP BY A.light ONCE",
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE",
+        ] {
+            let (snet, cq, _) = setup(sql);
+            let tuples = all_tuples(&snet, &cq);
+            let want = exact_join_in::<VecRows>(&cq, &tuples, 1);
+            let got = exact_join_in::<Rows>(&cq, &tuples, 1);
+            assert_eq!(got.contributors, want.contributors, "{sql}");
+            match (&want.result, &got.result) {
+                (JoinResult::Rows(rows), flat @ GroupResult::Rows(_)) => {
+                    let bits: Vec<Vec<u64>> = rows
+                        .iter()
+                        .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                        .collect();
+                    assert_eq!(flat_bits(flat), bits, "{sql}");
+                }
+                (JoinResult::Aggregate(a), GroupResult::Aggregate(b)) => {
+                    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|x| x.map(f64::to_bits)).collect()
+                    };
+                    assert_eq!(bits(a), bits(b), "{sql}");
+                }
+                (a, b) => panic!("result kind mismatch for {sql}: {a:?} vs {b:?}"),
+            }
+            assert!(got.result.same_result(&want.result), "{sql}");
+        }
+    }
+
     /// What the host's thread count must not change: joins whose counted
-    /// work is past [`PAR_MIN_WORK`] return the same rows in the same order,
-    /// the same contributors and the same filter from 1, 2, 3 and 7 chunks.
+    /// work is past [`PAR_MIN_WORK`] return the same rows in the same order
+    /// into either sink, the same contributors and the same filter from 1,
+    /// 2, 3 and 7 chunks.
     #[test]
     fn chunk_count_does_not_change_a_join() {
         const NODES: usize = 480;
@@ -1435,7 +1603,7 @@ mod tests {
                     .map(|r| r.iter().map(|v| v.to_bits()).collect())
                     .collect()
             };
-            let one = exact_join_in(&cq, &tuples, 1);
+            let one = exact_join_in::<VecRows>(&cq, &tuples, 1);
             let rows = row_bits(&one);
             assert!(!rows.is_empty(), "{sql}");
             // Premise — the counts above 1 really are chunked. A two-way
@@ -1454,7 +1622,7 @@ mod tests {
             }
             let filter = prejoin_filter_in(&cq, &space, &points, 1, 0);
             for threads in [2, 3, 7] {
-                let got = exact_join_in(&cq, &tuples, threads);
+                let got = exact_join_in::<VecRows>(&cq, &tuples, threads);
                 assert_eq!(row_bits(&got), rows, "{threads} chunks: {sql}");
                 assert_eq!(
                     got.contributors, one.contributors,
@@ -1462,6 +1630,11 @@ mod tests {
                 );
                 let got = prejoin_filter_in(&cq, &space, &points, threads, 0);
                 assert_eq!(got.points(), filter.points(), "{threads} chunks: {sql}");
+            }
+            for threads in [1, 2, 3, 7] {
+                let got = exact_join_in::<Rows>(&cq, &tuples, threads);
+                assert_eq!(flat_bits(&got.result), rows, "{threads} flat chunks: {sql}");
+                assert_eq!(got.contributors, one.contributors, "{threads} flat chunks");
             }
         }
     }
@@ -1617,7 +1790,7 @@ mod tests {
         threads: usize,
     ) -> (usize, Vec<usize>) {
         PRED_EVALS.take();
-        let got = exact_join_in(cq, tuples, threads);
+        let got = exact_join_in::<VecRows>(cq, tuples, threads);
         let mut evals = PRED_EVALS.take();
         evals.resize(cq.join_preds().len(), 0);
         let want = exact_join_nested(cq, tuples);

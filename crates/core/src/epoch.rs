@@ -5,8 +5,11 @@
 //!
 //! [`SensJoin::execute`](crate::SensJoin) runs it with one slot;
 //! [`QueryGroup::execute_epoch`](crate::QueryGroup) with every due query.
-//! The callers differ in exactly one thing, passed to [`run_epoch`]: whether
-//! churn is polled between the phases. Everything else — the wire format,
+//! The callers differ in exactly two things, passed to [`run_epoch`]: whether
+//! churn is polled between the phases, and the exact join's result shape
+//! (a one-shot's [`exact_join`](crate::exact_join) answers a
+//! [`JoinResult`](crate::JoinResult), a group's flat join a
+//! [`GroupResult`](crate::GroupResult)). Everything else — the wire format,
 //! the phase labels, the base-station filter step, the loss fallback, the
 //! churn reconciliation — is written here once.
 //!
@@ -32,7 +35,7 @@
 //! lost data.
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, prejoin_filter, JoinComputation, JoinSpace};
+use crate::engine::{prejoin_filter, JoinComputation, JoinSpace};
 use crate::repr::{columns, JoinAttrMsg, NodeTable, Shipment, SizedSet};
 use crate::scheduler::SoloCost;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
@@ -51,9 +54,9 @@ pub(crate) struct Slot<'a> {
 }
 
 /// What one run of the three phases produced.
-pub(crate) struct EpochRun {
+pub(crate) struct EpochRun<R> {
     /// Per slot: the exact join over the tuples that reached the base.
-    pub joins: Vec<JoinComputation>,
+    pub joins: Vec<JoinComputation<R>>,
     /// Per slot: what the slot's payloads would have cost unshared (`id` is
     /// left for the caller to stamp).
     pub solo: Vec<SoloCost>,
@@ -275,13 +278,15 @@ fn live_attached(net: &Network) -> Vec<bool> {
 /// `poll_churn` says whether the churn timeline is polled before the first
 /// phase and after each of the first two (with state reconciliation); a
 /// caller with a next epoch to defer liveness changes to passes `false` and
-/// polls between epochs itself.
-pub(crate) fn run_epoch(
+/// polls between epochs itself. `join` is the base station's exact join,
+/// run once per slot.
+pub(crate) fn run_epoch<R>(
     snet: &mut SensorNetwork,
     cfg: &SensJoinConfig,
     slots: &[Slot<'_>],
     poll_churn: bool,
-) -> EpochRun {
+    join: impl Fn(&CompiledQuery, &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation<R>,
+) -> EpochRun<R> {
     let k = slots.len();
     assert!(
         (1..=64).contains(&k),
@@ -290,7 +295,7 @@ pub(crate) fn run_epoch(
     let base = snet.base();
     let n = snet.len();
     let repr = cfg.representation;
-    let sigs: Vec<SpaceSig> = slots.iter().map(|s| space_signature(s.space)).collect();
+    let classes = space_classes(slots);
 
     let master = snet.master_schema().attrs();
     let attr_sizes: Vec<usize> = master.iter().map(|a| a.wire_size()).collect();
@@ -459,7 +464,7 @@ pub(crate) fn run_epoch(
                     solo[s].collection_bytes += bytes as u64;
                 }
                 if repr == Representation::Quadtree {
-                    merged_wire_size(&present, &sigs, slots)
+                    merged_wire_size(&present, &classes, slots)
                 } else {
                     present.iter().map(|&(_, _, bytes)| bytes).sum()
                 }
@@ -571,7 +576,7 @@ pub(crate) fn run_epoch(
                 for &(s, _, bytes) in &present {
                     solo[s].filter_bytes += bytes as u64;
                 }
-                tag + merged_wire_size(&present, &sigs, slots)
+                tag + merged_wire_size(&present, &classes, slots)
             }
             FilterMsg::PassThrough => 1,
         },
@@ -669,7 +674,7 @@ pub(crate) fn run_epoch(
                 .iter()
                 .filter(|(_, mask)| mask >> s & 1 == 1);
             let tuples_per_rel = tables[s].tuples_per_rel(snet, mine.map(|&(u, _)| u));
-            exact_join(slot.query, &tuples_per_rel)
+            join(slot.query, &tuples_per_rel)
         })
         .collect();
 
@@ -686,6 +691,16 @@ pub(crate) fn run_epoch(
 /// coordinates and quadtree shape, so their point sets can share one wire
 /// encoding.
 type SpaceSig = (Vec<(String, u64, u64, u64)>, u8);
+
+/// Per slot: the first slot whose space signature equals its own — a class
+/// id, computed once an epoch, so a message compares two integers where it
+/// compared two signatures.
+fn space_classes(slots: &[Slot<'_>]) -> Vec<usize> {
+    let sigs: Vec<SpaceSig> = slots.iter().map(|s| space_signature(s.space)).collect();
+    sigs.iter()
+        .map(|sig| sigs.iter().position(|s| s == sig).expect("equals itself"))
+        .collect()
+}
 
 fn space_signature(space: &JoinSpace) -> SpaceSig {
     let dims = space
@@ -705,8 +720,8 @@ fn space_signature(space: &JoinSpace) -> SpaceSig {
 }
 
 /// Wire size of a merged multi-slot payload, given each present slot's set
-/// and what it costs encoded on its own: slots whose spaces share a
-/// signature are encoded as one union quadtree plus, per member, a
+/// and what it costs encoded on its own: slots of one signature class
+/// ([`space_classes`]) are encoded as one union quadtree plus, per member, a
 /// cell-presence bitmap and one byte per cell whose flags diverge from the
 /// union's. When the member sets diverge so much that merging doesn't pay,
 /// the sender falls back to concatenating the individual encodings, so a
@@ -714,7 +729,7 @@ fn space_signature(space: &JoinSpace) -> SpaceSig {
 /// single-slot message costs exactly its solo encoding.
 fn merged_wire_size(
     present: &[(usize, &PointSet, usize)],
-    sigs: &[SpaceSig],
+    classes: &[usize],
     slots: &[Slot<'_>],
 ) -> usize {
     let mut total = 0usize;
@@ -729,7 +744,7 @@ fn merged_wire_size(
         let mut separate = bytes_i;
         for j in i + 1..present.len() {
             let (slot_j, set_j, bytes_j) = present[j];
-            if !used[j] && sigs[slot_j] == sigs[slot_i] {
+            if !used[j] && classes[slot_j] == classes[slot_i] {
                 used[j] = true;
                 members.push(set_j);
                 separate += bytes_j;

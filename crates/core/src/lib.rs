@@ -98,7 +98,9 @@ pub use engine::{
 pub use external::ExternalJoin;
 pub use incremental::{CellCounts, FilterEngine};
 pub use ingest::{BatchStats, StreamJoinEngine, StreamOp};
-pub use outcome::{JoinOutcome, JoinResult, ProtocolError};
+pub use outcome::{
+    Answer, AnswerRef, GroupResult, JoinOutcome, JoinResult, ProtocolError, Rows, RowsIter,
+};
 pub use recovery::{
     execute_with_rebuild_reexecution, execute_with_recovery, execute_with_reexecution,
     RecoveryOutcome, MAX_REEXECUTION_ATTEMPTS,

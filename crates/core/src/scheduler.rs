@@ -15,8 +15,8 @@
 //! *plan*); what a *tenant* owns — a [`QueryId`] and a schedule — is a
 //! *subscriber* of that plan. Tenants that register equal queries ride one
 //! slot on the wire, one pre-join filter, one exact join and one `Arc`'d
-//! result; an epoch's k is the number of distinct queries due, not the
-//! number of tenants.
+//! result — its rows in one flat buffer ([`GroupResult`]); an epoch's k is
+//! the number of distinct queries due, not the number of tenants.
 //!
 //! Guarantees (enforced by the in-module tests and `tests/multi_query.rs`):
 //!
@@ -41,9 +41,9 @@
 //! quantization space fixed at registration, and the epoch retry loop.
 
 use crate::config::SensJoinConfig;
-use crate::engine::JoinSpace;
+use crate::engine::{exact_join_flat, JoinSpace};
 use crate::epoch::{run_epoch, Slot};
-use crate::outcome::{JoinResult, ProtocolError};
+use crate::outcome::{GroupResult, ProtocolError};
 use crate::persist::Persist;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
@@ -100,9 +100,10 @@ pub struct GroupOutcome {
     /// Which registered query this is.
     pub id: QueryId,
     /// The query answer — bit-identical (as a multiset of rows) to a solo
-    /// `SensJoin` execution over the same snapshot. Subscribers of one plan
-    /// share the one result their plan's join produced.
-    pub result: Arc<JoinResult>,
+    /// `SensJoin` execution over the same snapshot
+    /// ([`GroupResult::same_result`]). Subscribers of one plan share the one
+    /// result their plan's join produced.
+    pub result: Arc<GroupResult>,
     /// Nodes whose tuples appear in at least one result row.
     pub contributors: BTreeSet<NodeId>,
 }
@@ -573,7 +574,7 @@ impl QueryGroup {
                 slots.push(Slot { query, space });
             }
         }
-        let run = run_epoch(snet, &self.config, &slots, false);
+        let run = run_epoch(snet, &self.config, &slots, false, exact_join_flat);
         let joins: Vec<_> = run
             .joins
             .into_iter()

@@ -396,26 +396,33 @@ impl CompiledQuery {
         self.group_by.iter().map(|g| eval_expr(g, env)).collect()
     }
 
-    /// Folds one group's rows into an output row (grouped queries): each
-    /// aggregate item folds over the group, each bare item takes its
-    /// (group-constant) value from the first row. `rows` must be non-empty.
-    pub fn fold_group(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        assert!(self.has_group_by() && !rows.is_empty());
-        self.select
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let col = rows.iter().map(|r| r[i]);
-                match s.agg {
-                    None => rows[0][i],
-                    Some(AggFunc::Count) => rows.len() as f64,
-                    Some(AggFunc::Min) => col.fold(f64::INFINITY, f64::min),
-                    Some(AggFunc::Max) => col.fold(f64::NEG_INFINITY, f64::max),
-                    Some(AggFunc::Sum) => col.sum(),
-                    Some(AggFunc::Avg) => col.sum::<f64>() / rows.len() as f64,
-                }
-            })
-            .collect()
+    /// [`CompiledQuery::eval_group_key`], appended to `out`.
+    pub fn eval_group_key_into(&self, env: &impl EvalEnv, out: &mut Vec<f64>) {
+        out.extend(self.group_by.iter().map(|g| eval_expr(g, env)));
+    }
+
+    /// Folds one group's rows into an output row, appended to `out`
+    /// (grouped queries): each aggregate item folds over the group, each
+    /// bare item takes its (group-constant) value from the first row. `rows`
+    /// must be non-empty.
+    pub fn fold_group<'a>(
+        &self,
+        rows: impl ExactSizeIterator<Item = &'a [f64]> + Clone,
+        out: &mut Vec<f64>,
+    ) {
+        assert!(self.has_group_by() && rows.len() > 0);
+        let n = rows.len() as f64;
+        out.extend(self.select.iter().enumerate().map(|(i, s)| {
+            let mut col = rows.clone().map(|r| r[i]);
+            match s.agg {
+                None => col.next().expect("a non-empty group"),
+                Some(AggFunc::Count) => n,
+                Some(AggFunc::Min) => col.fold(f64::INFINITY, f64::min),
+                Some(AggFunc::Max) => col.fold(f64::NEG_INFINITY, f64::max),
+                Some(AggFunc::Sum) => col.sum(),
+                Some(AggFunc::Avg) => col.sum::<f64>() / n,
+            }
+        }));
     }
 
     /// Join predicates (conjuncts over ≥ 2 relations).
@@ -503,39 +510,36 @@ impl CompiledQuery {
             .collect()
     }
 
+    /// [`CompiledQuery::eval_select_row`], appended to `out`.
+    pub fn eval_select_into(&self, env: &impl EvalEnv, out: &mut Vec<f64>) {
+        out.extend(self.select.iter().map(|s| eval_expr(&s.expr, env)));
+    }
+
     /// Folds aggregate SELECT items over the produced rows. `None` entries
     /// mean SQL NULL (aggregate over an empty input, except COUNT).
     ///
     /// # Panics
     /// Panics if the query is not an aggregate query.
-    pub fn aggregate(&self, rows: &[Vec<f64>]) -> Vec<Option<f64>> {
+    pub fn aggregate<'a>(
+        &self,
+        rows: impl ExactSizeIterator<Item = &'a [f64]> + Clone,
+    ) -> Vec<Option<f64>> {
         assert!(
             self.is_aggregate(),
             "aggregate() requires an aggregate query"
         );
+        let n = rows.len();
         self.select
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let col = rows.iter().map(|r| r[i]);
+                let col = rows.clone().map(|r| r[i]);
                 match s.agg.expect("checked aggregate") {
-                    AggFunc::Count => Some(rows.len() as f64),
+                    AggFunc::Count => Some(n as f64),
                     AggFunc::Min => col.reduce(f64::min),
                     AggFunc::Max => col.reduce(f64::max),
-                    AggFunc::Sum => {
-                        if rows.is_empty() {
-                            None
-                        } else {
-                            Some(col.sum())
-                        }
-                    }
-                    AggFunc::Avg => {
-                        if rows.is_empty() {
-                            None
-                        } else {
-                            Some(col.sum::<f64>() / rows.len() as f64)
-                        }
-                    }
+                    AggFunc::Sum => (n > 0).then(|| col.sum()),
+                    AggFunc::Avg => (n > 0).then(|| col.sum::<f64>() / n as f64),
                 }
             })
             .collect()
@@ -786,13 +790,13 @@ mod tests {
             "SELECT MIN(A.temp), MAX(B.temp), AVG(A.temp), COUNT(A.temp), SUM(B.temp) \
              FROM Sensors A, Sensors B WHERE A.temp < B.temp ONCE",
         );
-        let rows = vec![vec![1.0, 5.0, 1.0, 0.0, 5.0], vec![3.0, 7.0, 3.0, 0.0, 7.0]];
-        let agg = cq.aggregate(&rows);
+        let rows: [&[f64]; 2] = [&[1.0, 5.0, 1.0, 0.0, 5.0], &[3.0, 7.0, 3.0, 0.0, 7.0]];
+        let agg = cq.aggregate(rows.into_iter());
         assert_eq!(
             agg,
             vec![Some(1.0), Some(7.0), Some(2.0), Some(2.0), Some(12.0)]
         );
-        let empty = cq.aggregate(&[]);
+        let empty = cq.aggregate(std::iter::empty());
         assert_eq!(empty, vec![None, None, None, Some(0.0), None]);
     }
 

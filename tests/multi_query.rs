@@ -7,7 +7,7 @@
 //! quantize over the same attributes.
 
 use proptest::prelude::*;
-use sensjoin::core::{QueryGroup, QueryId};
+use sensjoin::core::{GroupResult, JoinResult, QueryGroup, QueryId};
 use sensjoin::prelude::*;
 use sensjoin_query::CompiledQuery;
 
@@ -246,5 +246,72 @@ fn removal_mid_run_keeps_survivors_exact() {
     for epoch in 0..2u64 {
         snet.resample(&presets::indoor_climate(), 710 + epoch);
         assert_epoch_matches_solo(&mut group, &mut snet, &[(b, &q2), (c, &q3)]);
+    }
+}
+
+/// Aggregate and GROUP BY queries ride a group beside a row query: the
+/// group's flat join folds the same rows in the same order as a solo run, so
+/// every aggregate and every group row is bit-identical to solo's — a NaN,
+/// a −0.0 or a last-ulp difference in a sum would fail. Treecut is off:
+/// a group decides it on the union of its slots' tuple sizes, so with it on
+/// tuples can reach the base in another order than solo's, and a SUM or AVG
+/// folded in another order may differ in its last bits.
+#[test]
+fn aggregate_and_grouped_queries_match_solo_bitwise() {
+    let mut snet = build(43, 110);
+    let queries = [
+        compile(
+            &snet,
+            "SELECT MIN(distance(A.x, A.y, B.x, B.y)), AVG(A.hum), SUM(B.temp), COUNT(A.temp) \
+             FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.0 SAMPLE PERIOD 30",
+        ),
+        compile(
+            &snet,
+            "SELECT A.hum / 10, AVG(B.temp), SUM(A.temp - B.temp), COUNT(B.hum) \
+             FROM Sensors A, Sensors B WHERE |A.temp - B.temp| < 0.5 \
+             GROUP BY A.hum / 10 SAMPLE PERIOD 30",
+        ),
+        compile(&snet, &sql(1, 3.0)),
+    ];
+    let config = SensJoinConfig {
+        dmax: 0,
+        ..SensJoinConfig::default()
+    };
+    let mut group = QueryGroup::new(config.clone());
+    let ids: Vec<QueryId> = queries
+        .iter()
+        .map(|q| group.register(&snet, q.clone(), 1))
+        .collect();
+    let bits = |row: &[f64]| -> Vec<u64> { row.iter().map(|v| v.to_bits()).collect() };
+    for epoch in 0..3u64 {
+        snet.resample(&presets::indoor_climate(), 300 + epoch);
+        let report = group.execute_epoch(&mut snet).unwrap();
+        assert_eq!(report.plans, 3);
+        for (out, (&id, q)) in report.outcomes.iter().zip(ids.iter().zip(&queries)) {
+            assert_eq!(out.id, id);
+            let solo = SensJoin::with_config(config.clone())
+                .execute(&mut snet, q)
+                .unwrap();
+            assert_eq!(solo.contributors, out.contributors, "epoch {epoch}");
+            match (&solo.result, &*out.result) {
+                (JoinResult::Aggregate(a), GroupResult::Aggregate(b)) => {
+                    assert!(a.iter().all(Option::is_some), "premise: rows to fold");
+                    let opt = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|x| x.map(f64::to_bits)).collect()
+                    };
+                    assert_eq!(opt(a), opt(b), "epoch {epoch}: aggregates");
+                }
+                (JoinResult::Rows(a), GroupResult::Rows(b)) => {
+                    // Groups come out in key order in both; plain rows in
+                    // the join's emission order.
+                    let a: Vec<Vec<u64>> = a.iter().map(|r| bits(r)).collect();
+                    let b: Vec<Vec<u64>> = b.iter().map(bits).collect();
+                    assert!(a.len() > 1, "premise: several rows or groups");
+                    assert_eq!(a, b, "epoch {epoch}: rows of {id:?}");
+                }
+                (a, b) => panic!("result kinds differ: {a:?} vs {b:?}"),
+            }
+            assert!(out.result.same_result(&solo.result));
+        }
     }
 }

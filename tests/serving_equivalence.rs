@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use sensjoin::core::{GroupOutcome, GroupRunner, JoinResult, QueryId};
+use sensjoin::core::{GroupOutcome, GroupResult, GroupRunner, QueryId, Rows};
 use sensjoin::query::parse;
 use sensjoin::serve::{
     Decision, DeploymentSpec, RejectReason, ServeConfig, Server, Submission, TenantId,
@@ -72,8 +72,8 @@ fn assert_bit_identical(served: &GroupOutcome, solo: &GroupOutcome, ctx: &str) {
         "{ctx}: contributors"
     );
     match (&*served.result, &*solo.result) {
-        (JoinResult::Rows(a), JoinResult::Rows(b)) => {
-            let bits = |rows: &Vec<Vec<f64>>| {
+        (GroupResult::Rows(a), GroupResult::Rows(b)) => {
+            let bits = |rows: &Rows| {
                 let mut v: Vec<Vec<u64>> = rows
                     .iter()
                     .map(|r| r.iter().map(|x| x.to_bits()).collect())
@@ -83,7 +83,7 @@ fn assert_bit_identical(served: &GroupOutcome, solo: &GroupOutcome, ctx: &str) {
             };
             assert_eq!(bits(a), bits(b), "{ctx}: row payloads");
         }
-        (JoinResult::Aggregate(a), JoinResult::Aggregate(b)) => {
+        (GroupResult::Aggregate(a), GroupResult::Aggregate(b)) => {
             let ab: Vec<Option<u64>> = a.iter().map(|v| v.map(f64::to_bits)).collect();
             let bb: Vec<Option<u64>> = b.iter().map(|v| v.map(f64::to_bits)).collect();
             assert_eq!(ab, bb, "{ctx}: aggregates");
