@@ -32,7 +32,7 @@ use crate::partition::{
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
-use sensjoin_query::{CompiledQuery, EvalEnv, Interval};
+use sensjoin_query::{eval_expr, CExpr, CompiledQuery, Interval};
 use sensjoin_relation::NodeId;
 use sensjoin_zorder::{Dimension, ZSpace};
 use std::collections::BTreeSet;
@@ -212,10 +212,13 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
         .collect()
 }
 
-/// Counted descent steps below which a descent runs inline. A step costs
-/// some 50–300 ns, a spawned worker some tens of µs, and the callers with
-/// many small joins — a serve tick's per-tenant joins — already run on one
-/// thread per deployment: fanning out pays from a few milliseconds of work.
+/// Counted descent steps below which a descent runs inline. A step of a
+/// decided two-way join costs some 11–20 ns into the flat sink and 70–95 ns
+/// into the vector one (one thread of the 2-core bench host, 1 000 tuples a
+/// side), a spawned worker some tens of µs, and the callers with many small
+/// joins — a serve tick's per-tenant joins — already run on one thread per
+/// deployment. Two chunks measured a wash into the flat sink at 36 k steps
+/// (0.56–0.58 → 0.60–0.67 ms) and 0.67–0.69× into either sink at 71 k.
 const PAR_MIN_WORK: usize = 1 << 16;
 
 /// [`PAR_MIN_WORK`] of the pre-join filter, whose counted step is a
@@ -702,8 +705,8 @@ pub(crate) trait RowSink: Send + Sized {
     fn row(&self, i: usize) -> &[f64];
     /// Appends the row `fill` writes into an empty or growing buffer.
     fn push_with(&mut self, fill: impl FnOnce(&mut Vec<f64>));
-    /// Appends the SELECT values of a binding.
-    fn push_select(&mut self, query: &CompiledQuery, env: &impl EvalEnv);
+    /// Appends the row of `values`, `arity` of them.
+    fn push_row(&mut self, values: impl Iterator<Item = f64>);
     /// Room for `rows` more rows, if the allocator grants it: room that
     /// stays unused is never touched, and a refusal only means growing
     /// later.
@@ -747,17 +750,14 @@ impl RowSink for VecRows {
         self.rows.push(row);
     }
 
-    fn try_reserve(&mut self, rows: usize) {
-        let _ = self.rows.try_reserve_exact(rows);
+    fn push_row(&mut self, values: impl Iterator<Item = f64>) {
+        let mut row = Vec::with_capacity(self.arity);
+        row.extend(values);
+        self.rows.push(row);
     }
 
-    // Rows come from the query's own row constructor, as before the sinks
-    // existed. Builds that wrote them through `push_with` read 4–8 % slower
-    // on the repo benchmark's `oneshot_dense_5k` in three alternated series,
-    // this one even with the engine before the sinks in five; the work is
-    // the same, so the gap is code layout — re-measure before changing it.
-    fn push_select(&mut self, query: &CompiledQuery, env: &impl EvalEnv) {
-        self.rows.push(query.eval_select_row(env));
+    fn try_reserve(&mut self, rows: usize) {
+        let _ = self.rows.try_reserve_exact(rows);
     }
 
     fn append(&mut self, later: Self) {
@@ -819,24 +819,15 @@ fn exact_join_in<S: RowSink>(
     if !query.is_const_false() {
         let pred_rels = pred_max_rels(query);
         let plan = exact_plan(query, tuples, &pred_rels);
-        let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
+        let hoisted = exact_hoisted(tuples, &plan);
         let outer = tuples.first().map_or(0, |t| t.len());
-        let hoisted = Hoisted::build(outer, level1.len(), |pos, out| {
-            let env = |_: usize, a: usize| -> f64 { tuples[0][pos].1[a] };
-            let mut count = tuples.get(1).map_or(0, |t| t.len());
-            for ix in level1 {
-                let probe = ix.probe(&env);
-                count = count.min(probe.count());
-                out.push(probe);
-            }
-            count
-        });
         let run = ExactRun {
             query,
             tuples,
             checks: level_checks(&pred_rels, &plan),
             plan: &plan,
             hoisted: &hoisted,
+            items: Projections::new(query, tuples),
         };
         let first = if tuples.is_empty() {
             // Zero relations: descend's base case emits the single
@@ -872,20 +863,26 @@ fn exact_join_in<S: RowSink>(
                     all.union_with(seen);
                 }
                 #[cfg(test)]
-                for (all, n) in first.evals.iter_mut().zip(part.evals) {
-                    *all += n;
+                {
+                    for (all, n) in first.evals.iter_mut().zip(part.evals) {
+                        *all += n;
+                    }
+                    first.item_evals += part.item_evals;
                 }
             }
             first
         };
         #[cfg(test)]
-        tests::PRED_EVALS.with(|evals| {
-            let mut evals = evals.borrow_mut();
-            evals.resize(first.evals.len(), 0);
-            for (all, n) in evals.iter_mut().zip(&first.evals) {
-                *all += n;
-            }
-        });
+        {
+            tests::PRED_EVALS.with(|evals| {
+                let mut evals = evals.borrow_mut();
+                evals.resize(first.evals.len(), 0);
+                for (all, n) in evals.iter_mut().zip(&first.evals) {
+                    *all += n;
+                }
+            });
+            tests::ITEM_EVALS.with(|n| n.set(n.get() + first.item_evals));
+        }
         let mut origins: Vec<NodeId> = Vec::new();
         for (rel, mut seen) in first.seen.into_iter().enumerate() {
             seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
@@ -897,6 +894,25 @@ fn exact_join_in<S: RowSink>(
         result: finish(query, rows, keys),
         contributors,
     }
+}
+
+/// The level-1 probes of the exact join `plan` for every outer tuple.
+fn exact_hoisted(
+    tuples: &[Vec<(NodeId, Vec<f64>)>],
+    plan: &[Vec<ExactIndex>],
+) -> Hoisted<ExactProbe> {
+    let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
+    let outer = tuples.first().map_or(0, |t| t.len());
+    Hoisted::build(outer, level1.len(), |pos, out| {
+        let env = |_: usize, a: usize| -> f64 { tuples[0][pos].1[a] };
+        let mut count = tuples.get(1).map_or(0, |t| t.len());
+        for ix in level1 {
+            let probe = ix.probe(&env);
+            count = count.min(probe.count());
+            out.push(probe);
+        }
+        count
+    })
 }
 
 /// The nested-loop reference exact join (the original implementation): kept
@@ -969,6 +985,73 @@ struct ExactRun<'a> {
     checks: Vec<Vec<Check>>,
     plan: &'a [Vec<ExactIndex<'a>>],
     hoisted: &'a Hoisted<ExactProbe>,
+    /// The SELECT items and GROUP BY keys a row is made of.
+    items: Projections<'a>,
+}
+
+/// The SELECT items and GROUP BY keys of an exact join, each evaluated at
+/// the level it depends on. A row is built in one buffer, its SELECT values
+/// followed by its group key: an item that reads no relation is written
+/// once, one that reads a single relation is evaluated once per tuple of it
+/// and copied in when the descent binds that tuple, and one that reads
+/// several is evaluated per row. The same expression over the same inputs
+/// gives the same bits, so where it is evaluated changes no row.
+struct Projections<'a> {
+    /// The buffer every chunk starts from, with the constant items in place.
+    row: Vec<f64>,
+    /// How many of the items are SELECT items.
+    select: usize,
+    /// Per level: `(slot, value per tuple)` of each item that reads that
+    /// level's relation alone.
+    per_tuple: Vec<Vec<(usize, Vec<f64>)>>,
+    /// `(slot, expression)` of each item that reads several relations.
+    per_row: Vec<(usize, &'a CExpr)>,
+}
+
+impl<'a> Projections<'a> {
+    fn new(query: &'a CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> Self {
+        let mut items = Self {
+            row: Vec::new(),
+            select: query.select().len(),
+            per_tuple: tuples.iter().map(|_| Vec::new()).collect(),
+            per_row: Vec::new(),
+        };
+        let exprs = query.select().iter().map(|s| &s.expr);
+        for (slot, expr) in exprs.chain(query.group_by()).enumerate() {
+            let rels = expr.relations();
+            let mut constant = f64::NAN;
+            match (rels.first(), rels.len()) {
+                (None, _) => {
+                    constant = eval_expr(expr, &|_: usize, _: usize| -> f64 {
+                        unreachable!("a constant reads no relation")
+                    })
+                }
+                (Some(&rel), 1) => {
+                    let values = (tuples[rel].iter())
+                        .map(|(_, values)| eval_expr(expr, &|_: usize, a: usize| values[a]))
+                        .collect();
+                    items.per_tuple[rel].push((slot, values));
+                }
+                _ => items.per_row.push((slot, expr)),
+            }
+            items.row.push(constant);
+        }
+        #[cfg(test)]
+        tests::ITEM_EVALS.with(|n| {
+            let per_tuple = items.per_tuple.iter().flatten();
+            let constants = items.row.len() - items.per_row.len() - per_tuple.clone().count();
+            n.set(n.get() + constants + per_tuple.map(|(_, values)| values.len()).sum::<usize>());
+        });
+        items
+    }
+
+    /// Writes the items of level `rel` for its tuple `pos` into `row`.
+    #[inline]
+    fn bind(&self, rel: usize, pos: usize, row: &mut [f64]) {
+        for (slot, values) in &self.per_tuple[rel] {
+            row[*slot] = values[pos];
+        }
+    }
 }
 
 /// A join predicate the exact descent checks at one level.
@@ -1008,16 +1091,30 @@ struct ExactChunk<S> {
     keys: S,
     /// Per relation: the tuples that reached a result row.
     seen: Vec<PosSet>,
-    /// Per level: scratch that puts a band driver's candidate runs in
-    /// position order (empty between bindings).
+    /// Per level: the marks that put its candidates in position order
+    /// ([`ExactRun::mark`]; empty between bindings).
     cand: Vec<PosSet>,
     /// The open levels' probes, each level's parallel to its plan entry.
     probes: Vec<ExactProbe>,
     /// Tuple positions bound so far, one per level.
     binding: Vec<usize>,
+    /// The row under construction, laid out as [`Projections::row`].
+    row: Vec<f64>,
     /// Per join predicate: residual evaluations (the counter test's tally).
     #[cfg(test)]
     evals: Vec<usize>,
+    /// SELECT items and GROUP BY keys evaluated per row.
+    #[cfg(test)]
+    item_evals: usize,
+}
+
+impl<S> ExactChunk<S> {
+    /// Marks the tuples bound so far as seen.
+    fn mark_bound_seen(&mut self) {
+        for (seen, &pos) in self.seen.iter_mut().zip(&self.binding) {
+            seen.insert(pos as u32);
+        }
+    }
 }
 
 impl ExactRun<'_> {
@@ -1030,21 +1127,30 @@ impl ExactRun<'_> {
             cand: (0..self.tuples.len()).map(set).collect(),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
             binding: Vec::with_capacity(self.tuples.len()),
+            row: self.items.row.clone(),
             #[cfg(test)]
             evals: vec![0; self.query.join_preds().len()],
+            #[cfg(test)]
+            item_evals: 0,
         }
     }
 
-    /// Probes the next level for the binding in `st` and visits its
-    /// candidates. On the last level, when every predicate checked there is
-    /// decided by its index for this binding, nothing is left to evaluate:
-    /// each candidate is emitted as a row in place, with no [`ExactRun::step`]
-    /// and no recursion, and the levels above are marked seen with the first
-    /// row only.
+    /// Probes the next level for the binding in `st`, marks its candidates
+    /// and drains the marks in ascending position order. On the last level,
+    /// when every predicate checked there is decided by its index for this
+    /// binding, nothing is left to evaluate: the marks drain straight into
+    /// the sinks and into the level's seen set, with no [`ExactRun::step`]
+    /// and no recursion, and the levels above are marked seen once.
     fn descend<S: RowSink>(&self, st: &mut ExactChunk<S>) {
         let rel = st.binding.len();
         if rel == self.tuples.len() {
-            return self.emit(st, 0);
+            st.mark_bound_seen();
+            self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
+            #[cfg(test)]
+            {
+                st.item_evals += self.items.per_row.len();
+            }
+            return;
         }
         let base = st.probes.len();
         if rel == 1 {
@@ -1059,54 +1165,55 @@ impl ExactRun<'_> {
             && self.checks[rel]
                 .iter()
                 .all(|c| c.decided(&st.probes[base..]));
+        let mut marks = std::mem::take(&mut st.cand[rel]);
+        self.mark(rel, &st.probes[base..], &mut marks);
         if flat {
-            let mut marked = 0;
-            self.walk(rel, base, st, |st, pos| {
-                st.binding.push(pos);
-                debug_assert!(self.residual(rel, st), "a flat level decides everything");
-                self.emit(st, marked);
-                st.binding.pop();
-                marked = rel;
+            let mut seen = std::mem::take(&mut st.seen[rel]);
+            st.binding.push(0);
+            let any = marks.drain_into(&mut seen, |pos| {
+                let pos = pos as usize;
+                st.binding[rel] = pos;
+                #[cfg(debug_assertions)]
+                self.assert_decided(rel, &st.binding);
+                self.items.bind(rel, pos, &mut st.row);
+                self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
+                #[cfg(test)]
+                {
+                    st.item_evals += self.items.per_row.len();
+                }
             });
+            st.binding.pop();
+            st.seen[rel] = seen;
+            if any {
+                st.mark_bound_seen();
+            }
         } else {
-            self.walk(rel, base, st, |st, pos| self.step(rel, pos, st));
+            marks.drain(|pos| self.step(rel, pos as usize, st));
         }
+        st.cand[rel] = marks;
         st.probes.truncate(base);
     }
 
-    /// Calls `f` on every candidate of level `rel` in ascending position
-    /// order. The level's probes (`st.probes[base..]`) are intersected: the
-    /// one with the fewest candidates drives the scan, the rest degrade to
-    /// O(1) membership tests; with no pruning probe the whole relation is
-    /// scanned.
-    fn walk<S>(
-        &self,
-        rel: usize,
-        base: usize,
-        st: &mut ExactChunk<S>,
-        mut f: impl FnMut(&mut ExactChunk<S>, usize),
-    ) {
+    /// Marks the candidates of level `rel` into `marks`. The level's
+    /// `probes` are intersected: the one with the fewest candidates drives,
+    /// and a position it yields is marked only if every other probe admits
+    /// it (an O(1) membership test); with no pruning probe every tuple is a
+    /// candidate.
+    fn mark(&self, rel: usize, probes: &[ExactProbe], marks: &mut PosSet) {
         let indexes = &self.plan[rel];
-        let driver = (0..indexes.len())
-            .map(|i| (i, st.probes[base + i].count()))
+        let driver = (probes.iter().map(ExactProbe::count).enumerate())
             .filter(|&(_, count)| count != usize::MAX)
             .min_by_key(|&(_, count)| count);
         let Some((di, _)) = driver else {
-            return (0..self.tuples[rel].len()).for_each(|pos| f(st, pos));
+            return (0..self.tuples[rel].len()).for_each(|pos| marks.insert(pos as u32));
         };
-        let probe = st.probes[base + di].clone();
-        let mut scratch = std::mem::take(&mut st.cand[rel]);
-        indexes[di].for_each_candidate(&probe, &mut scratch, |pos| {
-            let ok = indexes
-                .iter()
-                .zip(&st.probes[base..])
-                .enumerate()
-                .all(|(i, (ix, p))| i == di || ix.contains(p, pos));
-            if ok {
-                f(st, pos as usize);
-            }
+        if indexes.len() == 1 {
+            return indexes[di].mark(&probes[di], marks, |_| true);
+        }
+        indexes[di].mark(&probes[di], marks, |pos| {
+            (indexes.iter().zip(probes).enumerate())
+                .all(|(i, (ix, probe))| i == di || ix.contains(probe, pos))
         });
-        st.cand[rel] = scratch;
     }
 
     /// Binds tuple `pos` at level `rel`, applies the residual check and
@@ -1114,6 +1221,7 @@ impl ExactRun<'_> {
     fn step<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
         st.binding.push(pos);
         if self.residual(rel, st) {
+            self.items.bind(rel, pos, &mut st.row);
             self.descend(st);
         }
         st.binding.pop();
@@ -1140,20 +1248,32 @@ impl ExactRun<'_> {
         })
     }
 
-    /// Emits the row of the full binding in `st` — its SELECT values and
-    /// group key — and marks its tuples from level `from` on as seen (the
-    /// levels above `from` are marked for this binding already). The one
-    /// emission of the descent: its base case and the flat last level.
-    fn emit<S: RowSink>(&self, st: &mut ExactChunk<S>, from: usize) {
-        let binding = &st.binding;
+    /// Emits the row of the full binding `binding`, its SELECT values into
+    /// `rows` and its group key into `keys`. The bound levels have written
+    /// their items into `row`; the items that read several relations are
+    /// evaluated here. The one emission of the descent: its base case and
+    /// the flat last level.
+    #[inline]
+    fn emit<S: RowSink>(&self, binding: &[usize], row: &mut [f64], rows: &mut S, keys: &mut S) {
         let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
-        st.rows.push_select(self.query, &env);
-        if self.query.has_group_by() {
-            st.keys
-                .push_with(|key| self.query.eval_group_key_into(&env, key));
+        for &(slot, expr) in &self.items.per_row {
+            row[slot] = eval_expr(expr, &env);
         }
-        for (seen, &pos) in st.seen[from..].iter_mut().zip(&binding[from..]) {
-            seen.insert(pos as u32);
+        let (select, key) = row.split_at(self.items.select);
+        rows.push_row(select.iter().copied());
+        if !key.is_empty() {
+            keys.push_row(key.iter().copied());
+        }
+    }
+
+    /// Evaluates, for a full binding the flat last level `rel` emits, every
+    /// predicate checked there — each decided by its index, so each must
+    /// hold ([`decided`] asserts it).
+    #[cfg(debug_assertions)]
+    fn assert_decided(&self, rel: usize, binding: &[usize]) {
+        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        for c in &self.checks[rel] {
+            decided(&self.query.join_preds()[c.pred], &env);
         }
     }
 }
@@ -1209,6 +1329,9 @@ mod tests {
         /// Per join predicate: its residual evaluations in the
         /// [`exact_join_in`] calls of this thread, all chunks summed.
         pub(super) static PRED_EVALS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+        /// SELECT item and GROUP BY key evaluations in the [`exact_join_in`]
+        /// calls of this thread, all chunks summed.
+        pub(super) static ITEM_EVALS: Cell<usize> = const { Cell::new(0) };
     }
 
     fn setup(sql: &str) -> (SensorNetwork, CompiledQuery, JoinSpace) {
@@ -1476,12 +1599,66 @@ mod tests {
         }
     }
 
+    /// Shapes of the items a row is made of, each with the humidity grid its
+    /// tuples are coarsened to (`A.hum = B.hum` finds partners on a grid
+    /// only): SELECT items spanning relations, `distance` and a constant
+    /// among them; GROUP BY keys on one relation and on two; a flat last
+    /// level decided by two indexes (the band drives, the hash is a
+    /// membership test) and one driven by a hash; and a three-way join whose
+    /// last level is flat. Wide enough to fan out at 480 nodes.
+    const ITEM_SHAPES: [(&str, Option<f64>); 6] = [
+        (
+            "SELECT A.hum - B.hum, distance(A.x, A.y, B.x, B.y), 2.5 FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 2.5 ONCE",
+            None,
+        ),
+        (
+            "SELECT A.light, COUNT(B.hum), SUM(B.hum) FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 2.5 GROUP BY A.light ONCE",
+            None,
+        ),
+        (
+            "SELECT A.light - B.light, MAX(A.hum) FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 2.5 GROUP BY A.light - B.light ONCE",
+            None,
+        ),
+        (
+            "SELECT A.hum, B.temp FROM Sensors A, Sensors B \
+             WHERE A.hum = B.hum AND A.temp - B.temp > 0.25 ONCE",
+            Some(10.0),
+        ),
+        (
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.hum = B.hum ONCE",
+            Some(10.0),
+        ),
+        (
+            "SELECT A.hum - C.hum, B.temp, 1.5 FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 0.05 AND B.hum - C.hum > 6.0 ONCE",
+            None,
+        ),
+    ];
+
+    /// Every tuple's humidity rounded to a multiple of `grid`.
+    fn coarsen_hum(cq: &CompiledQuery, tuples: &mut [Vec<(NodeId, Vec<f64>)>], grid: Option<f64>) {
+        let Some(grid) = grid else { return };
+        for (rel, tuples) in tuples.iter_mut().enumerate() {
+            let hum = cq
+                .schema(rel)
+                .index_of("hum")
+                .expect("a humidity attribute");
+            for (_, values) in tuples {
+                values[hum] = (values[hum] / grid).round() * grid;
+            }
+        }
+    }
+
     /// The partitioned engine and the nested-loop reference agree exactly —
     /// rows, row order, contributors and filter bitmask — across predicate
-    /// classes (equi / band / abs-band / general / mixed).
+    /// classes (equi / band / abs-band / general / mixed) and the item
+    /// shapes of [`ITEM_SHAPES`].
     #[test]
     fn partitioned_engine_matches_nested_reference() {
-        for sql in [
+        for (sql, grid) in [
             "SELECT A.temp, B.hum FROM Sensors A, Sensors B \
              WHERE A.temp = B.temp ONCE",
             "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
@@ -1500,9 +1677,14 @@ mod tests {
              WHERE distance(A.x, A.y, B.x, B.y) < 40.0 ONCE",
             "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
              WHERE |A.temp - B.temp| < 0.3 AND B.temp - C.temp > 0.5 ONCE",
-        ] {
+        ]
+        .into_iter()
+        .map(|sql| (sql, None))
+        .chain(ITEM_SHAPES)
+        {
             let (snet, cq, space) = setup(sql);
-            let tuples = all_tuples(&snet, &cq);
+            let mut tuples = all_tuples(&snet, &cq);
+            coarsen_hum(&cq, &mut tuples, grid);
             let new = exact_join(&cq, &tuples);
             let old = exact_join_nested(&cq, &tuples);
             assert_eq!(new.contributors, old.contributors, "{sql}");
@@ -1513,6 +1695,7 @@ mod tests {
                             .map(|r| r.iter().map(|v| v.to_bits()).collect())
                             .collect()
                     };
+                    assert!(!a.is_empty(), "premise: rows for {sql}");
                     assert_eq!(bits(a), bits(b), "row mismatch for {sql}");
                 }
                 (a, b) => panic!("result kind mismatch for {sql}: {a:?} vs {b:?}"),
@@ -1538,10 +1721,10 @@ mod tests {
     /// rows in the same order, the same aggregates, the same groups in the
     /// same order, the same contributors — for every result shape: rows of
     /// two- and three-way joins, no rows, aggregates over rows and over
-    /// none, GROUP BY, and a cross join.
+    /// none, GROUP BY, a cross join, and the item shapes of [`ITEM_SHAPES`].
     #[test]
     fn flat_sink_matches_vector_sink() {
-        for sql in [
+        for (sql, grid) in [
             "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.5 ONCE",
             "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
              WHERE |A.temp - B.temp| < 0.3 AND B.temp - C.temp > 0.5 ONCE",
@@ -1553,9 +1736,14 @@ mod tests {
             "SELECT A.light, COUNT(B.hum), SUM(B.hum) FROM Sensors A, Sensors B \
              WHERE |A.temp - B.temp| < 0.5 GROUP BY A.light ONCE",
             "SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE",
-        ] {
+        ]
+        .into_iter()
+        .map(|sql| (sql, None))
+        .chain(ITEM_SHAPES)
+        {
             let (snet, cq, _) = setup(sql);
-            let tuples = all_tuples(&snet, &cq);
+            let mut tuples = all_tuples(&snet, &cq);
+            coarsen_hum(&cq, &mut tuples, grid);
             let want = exact_join_in::<VecRows>(&cq, &tuples, 1);
             let got = exact_join_in::<Rows>(&cq, &tuples, 1);
             assert_eq!(got.contributors, want.contributors, "{sql}");
@@ -1582,18 +1770,23 @@ mod tests {
     /// What the host's thread count must not change: joins whose counted
     /// work is past [`PAR_MIN_WORK`] return the same rows in the same order
     /// into either sink, the same contributors and the same filter from 1,
-    /// 2, 3 and 7 chunks.
+    /// 2, 3 and 7 chunks — the item shapes of [`ITEM_SHAPES`] included.
     #[test]
     fn chunk_count_does_not_change_a_join() {
         const NODES: usize = 480;
-        for sql in [
+        for (sql, grid) in [
             "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
              WHERE |A.temp - B.temp| < 2.5 AND A.hum - B.hum > -60.0 ONCE",
             "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
              WHERE |A.temp - B.temp| < 0.05 AND B.hum - C.hum > 6.0 ONCE",
-        ] {
+        ]
+        .into_iter()
+        .map(|sql| (sql, None))
+        .chain(ITEM_SHAPES)
+        {
             let (snet, cq, space) = setup_nodes(sql, NODES);
-            let tuples = all_tuples(&snet, &cq);
+            let mut tuples = all_tuples(&snet, &cq);
+            coarsen_hum(&cq, &mut tuples, grid);
             let points = all_points(&snet, &cq, &space);
             let row_bits = |res: &JoinComputation| -> Vec<Vec<u64>> {
                 let JoinResult::Rows(rows) = &res.result else {
@@ -1606,20 +1799,12 @@ mod tests {
             let one = exact_join_in::<VecRows>(&cq, &tuples, 1);
             let rows = row_bits(&one);
             assert!(!rows.is_empty(), "{sql}");
-            // Premise — the counts above 1 really are chunked. A two-way
-            // join counts a step per row; a three-way one a step per outer
-            // position, times the third relation (every point and tuple
-            // plays every role of these self-joins). The filter is chunked
-            // whatever its work: it is run with no minimum.
-            if cq.num_relations() == 2 {
-                assert!(rows.len() >= PAR_MIN_WORK, "{} rows for {sql}", rows.len());
-            } else {
-                assert!(
-                    points.len().pow(2) >= PAR_MIN_WORK,
-                    "{} points",
-                    points.len()
-                );
-            }
+            // Premise — the counts above 1 really are chunked. The filter
+            // is chunked whatever its work: it is run with no minimum.
+            let plan = exact_plan(&cq, &tuples, &pred_max_rels(&cq));
+            let deeper = deeper_space(tuples.iter().map(Vec::len));
+            let cuts = exact_hoisted(&tuples, &plan).cuts(deeper, 2, PAR_MIN_WORK);
+            assert_eq!(cuts.len(), 2, "premise: {sql} fans out");
             let filter = prejoin_filter_in(&cq, &space, &points, 1, 0);
             for threads in [2, 3, 7] {
                 let got = exact_join_in::<VecRows>(&cq, &tuples, threads);
@@ -1805,6 +1990,55 @@ mod tests {
         };
         assert_eq!(bits(a), bits(b), "{threads} chunks");
         (a.len(), evals)
+    }
+
+    /// SELECT items and GROUP BY keys are evaluated at the level they
+    /// depend on ([`Projections`]): one that reads a single relation once
+    /// per tuple of it, one that reads no relation once per join, one that
+    /// reads several once per row — whatever the chunk count.
+    #[test]
+    fn select_items_are_evaluated_at_their_level() {
+        // (items, evaluations per tuple of A, per tuple of B, per row and
+        // per join)
+        let cases = [
+            ("A.hum, B.hum", [1, 1, 0, 0]),
+            ("A.hum - B.hum", [0, 0, 1, 0]),
+            ("2.5, A.hum", [1, 0, 0, 1]),
+            ("A.light, COUNT(B.hum) GROUP BY A.light", [2, 1, 0, 0]),
+        ];
+        for (items, per) in cases {
+            let (select, group) = items.split_once(" GROUP").unwrap_or((items, ""));
+            let (snet, cq, _) = setup_nodes(
+                &format!(
+                    "SELECT {select} FROM Sensors A, Sensors B \
+                     WHERE A.temp - B.temp > 0.5{}{group} ONCE",
+                    if group.is_empty() { "" } else { " GROUP" }
+                ),
+                480,
+            );
+            let tuples = all_tuples(&snet, &cq);
+            let rows = exact_join_nested(&cq, &tuples).result.len();
+            for threads in [1, 2, 7] {
+                ITEM_EVALS.take();
+                let got = exact_join_in::<VecRows>(&cq, &tuples, threads);
+                let evals = ITEM_EVALS.take();
+                assert_eq!(got.result.len(), rows, "{threads} chunks: {items}");
+                let (a, b) = (tuples[0].len(), tuples[1].len());
+                let want = per[0] * a + per[1] * b + per[2] * rows + per[3];
+                assert_eq!(evals, want, "{threads} chunks: {items}");
+            }
+        }
+        // Premise: the joins fan out, and a row is far more than a tuple.
+        let (snet, cq, _) = setup_nodes(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 0.5 ONCE",
+            480,
+        );
+        let tuples = all_tuples(&snet, &cq);
+        let rows = exact_join_nested(&cq, &tuples).result.len();
+        assert!(
+            rows > PAR_MIN_WORK && rows > 100 * tuples[0].len(),
+            "{rows} rows"
+        );
     }
 
     /// A predicate whose own index pruned for a binding is decided there:

@@ -2,7 +2,6 @@
 
 use crate::engine::RowSink;
 use crate::scheduler::GroupFull;
-use sensjoin_query::{CompiledQuery, EvalEnv};
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Time};
 use std::collections::BTreeSet;
@@ -159,9 +158,10 @@ impl RowSink for Rows {
         debug_assert_eq!(self.values.len(), self.len * self.arity, "row arity");
     }
 
-    fn push_select(&mut self, query: &CompiledQuery, env: &impl EvalEnv) {
-        query.eval_select_into(env, &mut self.values);
+    fn push_row(&mut self, values: impl Iterator<Item = f64>) {
+        self.values.extend(values);
         self.len += 1;
+        debug_assert_eq!(self.values.len(), self.len * self.arity, "row arity");
     }
 
     fn try_reserve(&mut self, rows: usize) {

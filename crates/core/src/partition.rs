@@ -45,8 +45,8 @@
 //! a complement band whose bound admits everything), which claims nothing.
 //! `exact_probes_decide_their_predicate` pins the window against
 //! `eval_predicate` on adversarial keys and probes. Order is restored by
-//! walking candidate positions ascending (hash buckets are built that way,
-//! band runs go through a [`PosSet`]). The interval side ([`FilterIndex`])
+//! marking a level's candidates into a [`PosSet`] and draining it, which
+//! reads positions ascending. The interval side ([`FilterIndex`])
 //! is different: its windows are conservative, and its residual check runs
 //! on every candidate.
 
@@ -83,9 +83,10 @@ pub(crate) fn runs_len(runs: &Runs) -> usize {
 /// level marking the non-zero words: inserting is two ORs, and draining
 /// visits the positions **in ascending order** in time proportional to
 /// their number (plus one summary word per 4096 positions), whatever the
-/// relation's size. The exact descent uses it twice: to put a band
-/// driver's key-ordered candidate runs back into the nested loop's position
-/// order, and to record which tuples reached a result row.
+/// relation's size. The exact descent uses it twice: to put a level's
+/// candidates into the nested loop's position order, whatever order its
+/// driving index holds them in, and to record which tuples reached a result
+/// row.
 #[derive(Default)]
 pub(crate) struct PosSet {
     words: Vec<u64>,
@@ -123,18 +124,43 @@ impl PosSet {
     /// Calls `f` on every position in ascending order and leaves the set
     /// empty, ready for the next binding.
     pub(crate) fn drain(&mut self, mut f: impl FnMut(u32)) {
+        self.drain_words(|w, bits| for_each_bit(w, bits, &mut f));
+    }
+
+    /// [`PosSet::drain`] that also adds every position to `seen`, a set
+    /// over the same relation, one word at a time. Returns whether there
+    /// was any.
+    pub(crate) fn drain_into(&mut self, seen: &mut PosSet, mut f: impl FnMut(u32)) -> bool {
+        let mut any = false;
+        self.drain_words(|w, bits| {
+            seen.words[w] |= bits;
+            seen.occupied[w >> 6] |= 1 << (w & 63);
+            any = true;
+            for_each_bit(w, bits, &mut f);
+        });
+        any
+    }
+
+    /// Takes every non-zero word out of the set, in ascending order, and
+    /// hands it to `f` with its index.
+    fn drain_words(&mut self, mut f: impl FnMut(usize, u64)) {
         for (hi, summary) in self.occupied.iter_mut().enumerate() {
             let mut live = std::mem::take(summary);
             while live != 0 {
                 let w = hi * 64 + live.trailing_zeros() as usize;
                 live &= live - 1;
-                let mut bits = std::mem::take(&mut self.words[w]);
-                while bits != 0 {
-                    f((w * 64) as u32 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
+                f(w, std::mem::take(&mut self.words[w]));
             }
         }
+    }
+}
+
+/// Calls `f` on the position of every set bit of word `w`, ascending.
+#[inline]
+fn for_each_bit(w: usize, mut bits: u64, f: &mut impl FnMut(u32)) {
+    while bits != 0 {
+        f((w * 64) as u32 + bits.trailing_zeros());
+        bits &= bits - 1;
     }
 }
 
@@ -422,28 +448,25 @@ impl ExactIndex<'_> {
         }
     }
 
-    /// Walks the candidates of `probe` — a probe of this index other than
-    /// [`ExactProbe::All`] — in ascending position order, the nested loop's
-    /// emission order. A hash bucket already is in that order; a band
-    /// probe's runs are key-ordered, so their positions are marked into
-    /// `scratch` (empty on entry and on return) and read back from it.
-    pub(crate) fn for_each_candidate(
-        &self,
-        probe: &ExactProbe,
-        scratch: &mut PosSet,
-        mut f: impl FnMut(u32),
-    ) {
+    /// Marks into `marks` the candidates of `probe` — a probe of this index
+    /// other than [`ExactProbe::All`] — that `keep` accepts. Draining
+    /// `marks` reads them in ascending position order, the nested loop's
+    /// emission order, whatever order the index holds them in (a band
+    /// probe's runs are key-ordered).
+    pub(crate) fn mark(&self, probe: &ExactProbe, marks: &mut PosSet, keep: impl Fn(u32) -> bool) {
+        let mut mark = |pos: u32| {
+            if keep(pos) {
+                marks.insert(pos);
+            }
+        };
         match (self, probe) {
             (ExactIndex::Hash { positions, .. }, ExactProbe::Bucket { at, .. }) => {
-                positions[at.clone()].iter().for_each(|&pos| f(pos))
+                positions[at.clone()].iter().for_each(|&pos| mark(pos))
             }
             (ExactIndex::Sorted { keys, .. }, ExactProbe::Runs(runs)) => {
                 for run in runs {
-                    for &(_, pos) in &keys[run.clone()] {
-                        scratch.insert(pos);
-                    }
+                    keys[run.clone()].iter().for_each(|&(_, pos)| mark(pos));
                 }
-                scratch.drain(f);
             }
             _ => unreachable!("a driving probe comes from its own index and prunes"),
         }
@@ -1160,8 +1183,10 @@ mod tests {
                 if !probe.prunes() {
                     continue;
                 }
+                let mut marks = PosSet::new(keys.len());
+                ix.mark(&probe, &mut marks, |_| true);
                 let mut walked = Vec::new();
-                ix.for_each_candidate(&probe, &mut PosSet::new(keys.len()), |pos| walked.push(pos));
+                marks.drain(|pos| walked.push(pos));
                 let mut holds = Vec::new();
                 for (pos, &k) in keys.iter().enumerate() {
                     let env = |r: usize, _: usize| if r == 0 { p } else { k };
@@ -1198,6 +1223,22 @@ mod tests {
         set.drain(|pos| got.push(pos));
         assert_eq!(got, expect);
         set.drain(|pos| panic!("{pos} left behind"));
+        // Draining into a second set hands out the same order and leaves
+        // the positions there, beside the ones it held.
+        for &pos in &expect {
+            set.insert(pos);
+        }
+        let mut seen = PosSet::new(5000);
+        seen.insert(2);
+        got.clear();
+        assert!(set.drain_into(&mut seen, |pos| got.push(pos)));
+        assert_eq!(got, expect);
+        assert!(!set.drain_into(&mut seen, |pos| panic!("{pos} left behind")));
+        expect.push(2);
+        expect.sort_unstable();
+        got.clear();
+        seen.drain(|pos| got.push(pos));
+        assert_eq!(got, expect);
         // A relation without tuples has a set without storage.
         PosSet::new(0).drain(|pos| panic!("{pos} in an empty relation"));
     }

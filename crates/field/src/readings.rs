@@ -3,6 +3,7 @@
 use crate::{CosineField, Position};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Specification of one generated sensor attribute.
 #[derive(Debug, Clone)]
@@ -66,13 +67,19 @@ const PAR_MIN_COSINES: usize = 1 << 17;
 /// # Panics
 /// Panics if a `cross` reference points at itself or a later spec.
 pub fn generate_readings(positions: &[Position], specs: &[FieldSpec], seed: u64) -> Vec<Vec<f64>> {
-    // Asked only when there is work to share: the answer costs a few system
-    // calls, more than a small network's sampling.
     let chunks = match positions.len() * specs.len() * CosineField::K {
         cosines if cosines < PAR_MIN_COSINES => 1,
-        _ => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        _ => host_threads(),
     };
     generate_readings_in(positions, specs, seed, chunks)
+}
+
+/// The threads the host grants this process, read once: asking again
+/// re-reads the cgroup files, some 20 µs a call. A `taskset -c 0` run sets
+/// its affinity before the first call, so it samples on one thread.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// [`generate_readings`] sampling the fields in at most `chunks` chunks of

@@ -396,11 +396,6 @@ impl CompiledQuery {
         self.group_by.iter().map(|g| eval_expr(g, env)).collect()
     }
 
-    /// [`CompiledQuery::eval_group_key`], appended to `out`.
-    pub fn eval_group_key_into(&self, env: &impl EvalEnv, out: &mut Vec<f64>) {
-        out.extend(self.group_by.iter().map(|g| eval_expr(g, env)));
-    }
-
     /// Folds one group's rows into an output row, appended to `out`
     /// (grouped queries): each aggregate item folds over the group, each
     /// bare item takes its (group-constant) value from the first row. `rows`
@@ -508,11 +503,6 @@ impl CompiledQuery {
             .iter()
             .map(|s| eval_expr(&s.expr, env))
             .collect()
-    }
-
-    /// [`CompiledQuery::eval_select_row`], appended to `out`.
-    pub fn eval_select_into(&self, env: &impl EvalEnv, out: &mut Vec<f64>) {
-        out.extend(self.select.iter().map(|s| eval_expr(&s.expr, env)));
     }
 
     /// Folds aggregate SELECT items over the produced rows. `None` entries

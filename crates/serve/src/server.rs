@@ -27,6 +27,7 @@ use sensjoin_query::parse;
 use sensjoin_sim::Time;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A simulated user of the serving layer. The serving model is one live
 /// continuous query per tenant: a tenant whose query is admitted must
@@ -515,8 +516,7 @@ impl Server {
         };
         let decisions = self.drain_queue(budget);
 
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let results = run_deployments(&mut self.deployments, workers);
+        let results = run_deployments(&mut self.deployments, host_threads());
         let mut epochs = Vec::new();
         for (dep_ix, result) in results.into_iter().enumerate() {
             let reports = result?;
@@ -755,6 +755,14 @@ impl Server {
 fn compile_sql(snet: &SensorNetwork, sql: &str) -> Result<sensjoin_query::CompiledQuery, String> {
     let parsed = parse(sql).map_err(|e| e.to_string())?;
     snet.compile(&parsed).map_err(|e| e.to_string())
+}
+
+/// The threads the host grants this process, read at the first tick:
+/// asking again re-reads the cgroup files, some 20 µs a call. A `taskset -c
+/// 0` run sets its affinity before that, so it ticks on one thread.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Runs one tick of every deployment serially, in order.
