@@ -32,8 +32,7 @@
 //! "add"), so a single code path serves cold start and steady state.
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::JoinSpace;
-use crate::incremental::{CellCounts, FilterEngine};
+use crate::engine::{prejoin_filter, JoinSpace};
 use crate::ingest::{StreamJoinEngine, StreamOp};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::persist::{self, Persist};
@@ -48,6 +47,7 @@ use sensjoin_quadtree::{Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeltaBatchStats, RoutingTree, Time};
+use std::collections::HashMap;
 
 /// Phase labels of the continuous rounds.
 pub const PHASE_DELTA_COLLECTION: &str = "1-delta-collection";
@@ -56,35 +56,120 @@ pub const PHASE_FILTER_DELTA: &str = "2-filter-delta";
 /// ε-suppressed final phase label.
 pub const PHASE_FINAL_DELTA: &str = "3-final-delta";
 
-/// Counted cell population: per cell, one counter per relation-role bit.
-type Counts = CellCounts;
+/// Counted cell population: per cell, one reference counter per
+/// relation-role flag bit (two descendants of a routing-tree node may occupy
+/// the same cell, so plain set semantics would lose removals).
+pub type CellCounts = HashMap<u64, [i64; 8]>;
 
-fn apply_delta(into: &mut Counts, delta: &Counts) {
+/// A cell's role presence: the flag bits whose counters are positive.
+fn presence(counts: &[i64; 8]) -> u8 {
+    debug_assert!(counts.iter().all(|&c| c >= 0), "negative cell count");
+    (0..8).filter(|&b| counts[b] > 0).fold(0, |f, b| f | 1 << b)
+}
+
+/// Folds `delta` into `into`, dropping cells whose counters all return to
+/// zero, and calls `moved(z, flags)` for each cell whose presence changed.
+fn fold_delta(into: &mut CellCounts, delta: &CellCounts, mut moved: impl FnMut(u64, u8)) {
     for (&z, d) in delta {
         let e = into.entry(z).or_insert([0; 8]);
-        for b in 0..8 {
-            e[b] += d[b];
-        }
+        let old = presence(e);
+        e.iter_mut().zip(d).for_each(|(c, d)| *c += d);
+        let new = presence(e);
         if e.iter().all(|&c| c == 0) {
             into.remove(&z);
+        }
+        if old != new {
+            moved(z, new);
         }
     }
 }
 
-fn counts_to_set(counts: &Counts) -> PointSet {
-    PointSet::from_points(counts.iter().filter_map(|(&z, c)| {
-        let mut flags = 0u8;
-        for (b, &cnt) in c.iter().enumerate() {
-            debug_assert!(cnt >= 0, "negative cell count");
-            if cnt > 0 {
-                flags |= 1 << b;
-            }
+/// The present cells of `counts`, each with its role presence.
+fn counts_to_set(counts: &CellCounts) -> PointSet {
+    let points = counts.iter().map(|(&z, c)| Point {
+        z,
+        flags: RelFlags(presence(c)),
+    });
+    PointSet::from_points(points.filter(|p| !p.flags.is_empty()))
+}
+
+/// The base station's pre-join filter over the population the nodes
+/// reported, kept across the rounds of a continuous query. Each round's
+/// counted cell delta is folded into the counts; if it changed some cell's
+/// role presence, the filter is the batch semi-join [`prejoin_filter`] over
+/// the new population, and otherwise the cached filter stands. There is one
+/// filter for both wires: a round's is the one a one-shot over the same
+/// cells computes, and the delta wire decides only what is shipped.
+///
+/// ```
+/// use sensjoin_core::*;
+/// use sensjoin_field::{Area, Placement};
+///
+/// let snet = SensorNetworkBuilder::new()
+///     .area(Area::new(200.0, 200.0))
+///     .placement(Placement::UniformRandom { n: 40 })
+///     .build()
+///     .unwrap();
+/// let sql = "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.0 ONCE";
+/// let cq = snet.compile(&sensjoin_query::parse(sql).unwrap()).unwrap();
+/// let space = JoinSpace::build(&cq, &snet, &SensJoinConfig::default());
+/// let mut engine = FilterEngine::new(&cq, &space);
+/// // Two nodes appear one cell apart, each counted once in both roles.
+/// let mut delta = CellCounts::new();
+/// for temp in [20.0, 22.0] {
+///     let e = delta.entry(space.encode(&[Some(temp)])).or_insert([0; 8]);
+///     (0..2).for_each(|r| e[space.flag(r).0.trailing_zeros() as usize] += 1);
+/// }
+/// let filter = engine.apply_delta(&cq, &space, &delta).clone();
+/// assert_eq!(filter, prejoin_filter(&cq, &space, engine.population()));
+/// ```
+#[derive(Clone, Default)]
+pub struct FilterEngine {
+    counts: CellCounts,
+    /// The present cells of `counts`, each with its role presence.
+    population: PointSet,
+    filter: PointSet,
+}
+
+impl FilterEngine {
+    /// The engine over the empty population, whose filter is empty.
+    pub fn new(_query: &CompiledQuery, _space: &JoinSpace) -> Self {
+        Self::default()
+    }
+
+    /// The population: every present cell with its role presence.
+    pub fn population(&self) -> &PointSet {
+        &self.population
+    }
+
+    /// The reference-counted population.
+    pub fn counts(&self) -> &CellCounts {
+        &self.counts
+    }
+
+    /// The filter: `prejoin_filter` over [`FilterEngine::population`].
+    pub fn filter(&self) -> &PointSet {
+        &self.filter
+    }
+
+    /// Folds one round's counted cell delta into the population and returns
+    /// the filter, rebuilt only if some cell's role presence changed.
+    pub fn apply_delta(
+        &mut self,
+        query: &CompiledQuery,
+        space: &JoinSpace,
+        delta: &CellCounts,
+    ) -> &PointSet {
+        let (population, mut moved) = (&mut self.population, false);
+        fold_delta(&mut self.counts, delta, |z, flags| {
+            population.set_flags(z, RelFlags(flags));
+            moved = true;
+        });
+        if moved {
+            self.filter = prejoin_filter(query, space, &self.population);
         }
-        (flags != 0).then_some(Point {
-            z,
-            flags: RelFlags(flags),
-        })
-    }))
+        &self.filter
+    }
 }
 
 fn flag_bits(flags: u8) -> impl Iterator<Item = usize> {
@@ -109,8 +194,8 @@ fn record_batch(into: &mut DeltaBatchStats, b: &crate::ingest::BatchStats) {
 /// the swapped-into cell to its new holder.
 #[derive(Debug, Clone, Default)]
 struct Delta {
-    adds: Counts,
-    dels: Counts,
+    adds: CellCounts,
+    dels: CellCounts,
     /// Wire size, once computed; dropped when the content changes. A relay
     /// with nothing of its own to report forwards its only child's delta —
     /// and its size — unchanged.
@@ -133,14 +218,14 @@ impl Delta {
 
     fn merge(&mut self, other: &Delta) {
         self.bytes = None;
-        apply_delta(&mut self.adds, &other.adds);
-        apply_delta(&mut self.dels, &other.dels);
+        fold_delta(&mut self.adds, &other.adds, |_, _| {});
+        fold_delta(&mut self.dels, &other.dels, |_, _| {});
     }
 
     /// The net population change (adds − dels), built in one pass without
     /// cloning the adds map.
-    fn net(&self) -> Counts {
-        let mut net = Counts::with_capacity(self.adds.len() + self.dels.len());
+    fn net(&self) -> CellCounts {
+        let mut net = CellCounts::with_capacity(self.adds.len() + self.dels.len());
         for (&z, a) in &self.adds {
             let mut e = *a;
             if let Some(d) = self.dels.get(&z) {
@@ -184,27 +269,15 @@ impl Delta {
         if self.is_empty() {
             return 0;
         }
-        let mut extra = 0usize;
-        let to_set = |counts: &Counts, extra: &mut usize| -> PointSet {
-            PointSet::from_points(counts.iter().filter_map(|(&z, c)| {
-                let mut flags = 0u8;
-                for (b, &cnt) in c.iter().enumerate() {
-                    if cnt > 0 {
-                        flags |= 1 << b;
-                        *extra += (cnt - 1) as usize;
-                    }
-                }
-                (flags != 0).then_some(Point {
-                    z,
-                    flags: RelFlags(flags),
-                })
-            }))
-        };
-        let adds = to_set(&self.adds, &mut extra);
-        let dels = to_set(&self.dels, &mut extra);
+        let extra: i64 = (self.adds.values().chain(self.dels.values()))
+            .flatten()
+            .map(|&cnt| (cnt - 1).max(0))
+            .sum();
+        let adds = counts_to_set(&self.adds);
+        let dels = counts_to_set(&self.dels);
         JoinAttrMsg::filter_wire_size(&adds, Representation::Quadtree, space)
             + JoinAttrMsg::filter_wire_size(&dels, Representation::Quadtree, space)
-            + extra
+            + extra as usize
             + 1 // add/del split marker
     }
 }
@@ -234,17 +307,19 @@ impl FilterDelta {
     fn apply(&self, filter: &mut PointSet) {
         let mut merged = filter.union(&self.added);
         if !self.removed.is_empty() {
-            merged = PointSet::from_points(merged.iter().filter_map(|p| {
-                let lost = self.removed.flags_of(p.z).map_or(0, |f| f.0);
-                let kept = p.flags.0 & !lost;
-                (kept != 0).then_some(Point {
-                    z: p.z,
-                    flags: RelFlags(kept),
-                })
-            }));
+            merged = minus(&merged, &self.removed);
         }
         *filter = merged;
     }
+}
+
+/// The role flags of `a`'s cells that `b` does not hold for the same cell.
+fn minus(a: &PointSet, b: &PointSet) -> PointSet {
+    let points = a.iter().map(|p| Point {
+        z: p.z,
+        flags: RelFlags(p.flags.0 & !b.flags_of(p.z).map_or(0, |f| f.0)),
+    });
+    PointSet::from_points(points.filter(|p| !p.flags.is_empty()))
 }
 
 /// Final-phase message: fresh tuples plus retractions.
@@ -265,17 +340,18 @@ struct State {
     /// Per node: (z, flags) last reported into the population.
     last_cell: Vec<Option<(u64, u8)>>,
     /// Per node: master values last shipped to the base; `Some` exactly
-    /// while the node's tuple is live in `stream`.
+    /// while the node's tuple is live in `stream`, which holds their
+    /// projection ([`stream_holds_shipped`]).
     last_values: Vec<Option<Vec<f64>>>,
     /// Per node: current (delta-maintained) filter view.
     node_filter: Vec<PointSet>,
     /// Per node: counted cell population of its subtree (incl. itself) —
     /// [`subtree_counts`] of `last_cell` over the routing tree. Empty after
     /// a restore, until the next round rebuilds it.
-    subtree: Vec<Counts>,
-    /// Base station: incremental filter engine (owns the global population,
-    /// the sum of `last_cell`) and the filter as of the last round (for
-    /// delta dissemination).
+    subtree: Vec<CellCounts>,
+    /// Base station: the filter over the global population (the sum of
+    /// `last_cell`), and the filter as of the last round (for delta
+    /// dissemination).
     engine: FilterEngine,
     filter: PointSet,
     /// Base station: persistent streaming join over the shipped tuples.
@@ -287,8 +363,8 @@ struct State {
 
 /// Per node, the counted cell population of its subtree: every reported
 /// cell counts at its node and at each of the node's ancestors.
-fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<Counts> {
-    let mut subtree: Vec<Counts> = last_cell.iter().map(|_| Counts::default()).collect();
+fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<CellCounts> {
+    let mut subtree: Vec<CellCounts> = last_cell.iter().map(|_| CellCounts::default()).collect();
     for (i, cell) in last_cell.iter().enumerate() {
         let Some((z, f)) = *cell else { continue };
         let mut at = Some(NodeId(i as u32));
@@ -301,6 +377,27 @@ fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec
         }
     }
     subtree
+}
+
+/// Whether the stream's live tuples are what the nodes shipped: per node
+/// with shipped values, in origin order, its tuple of each relation it
+/// belongs to whose local predicates those values pass, bit for bit.
+fn stream_holds_shipped(st: &State, snet: &SensorNetwork, query: &CompiledQuery) -> bool {
+    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let origins = (0..st.last_values.len() as u32).map(NodeId);
+    let shipped = origins.zip(&st.last_values).filter_map(|(v, values)| {
+        let values = values.as_ref()?;
+        let per_rel = (0..query.num_relations()).map(|r| {
+            let schema = query.schema(r);
+            let cols = snet.master_columns(schema);
+            let tuple: Vec<f64> = cols.iter().map(|&c| values[c]).collect();
+            (snet.belongs(v, schema.name()) && query.eval_local(r, &tuple)).then(|| bits(&tuple))
+        });
+        Some((v, per_rel.collect::<Vec<_>>()))
+    });
+    let live = st.stream.live_tuples().into_iter();
+    live.map(|(v, per_rel)| (v, per_rel.iter().map(|t| t.as_deref().map(bits)).collect()))
+        .eq(shipped)
 }
 
 /// Master indices of the attributes `query` references: the columns whose
@@ -416,10 +513,10 @@ impl ContinuousSensJoin {
     /// Restores state serialized by [`ContinuousSensJoin::encode_state`].
     /// `query` must be the same compiled query the state was saved under.
     /// The filter engine is rebuilt by applying the population the nodes
-    /// last reported as one delta from empty — bit-identical to the
-    /// maintained engine by the incremental filter's core guarantee. The
-    /// subtree synopses need the routing tree, which is restored after the
-    /// executor: the next round rebuilds them.
+    /// last reported as one delta from empty: the live engine's counts, so
+    /// its population and filter. The subtree synopses need the routing
+    /// tree, which is restored after the executor: the next round rebuilds
+    /// them.
     pub fn restore_state(
         &mut self,
         r: &mut persist::Reader<'_>,
@@ -489,7 +586,7 @@ impl ContinuousSensJoin {
         query: &CompiledQuery,
     ) -> Result<JoinOutcome, ProtocolError> {
         snet.net_mut().reset_stats();
-        self.adopt_restored(snet)?;
+        self.adopt_restored(snet, query)?;
         // Rounds are the continuous executor's churn boundaries: crashes and
         // revivals take effect between rounds, never mid-round, so every
         // round's contributing set is the population alive at its start.
@@ -530,15 +627,21 @@ impl ContinuousSensJoin {
     }
 
     /// First round after a restore: checks that the restored per-node
-    /// tables describe `snet` — `restore_state` cannot see the network — and
-    /// rebuilds the subtree synopses over its routing tree.
-    fn adopt_restored(&mut self, snet: &SensorNetwork) -> Result<(), ProtocolError> {
+    /// tables describe `snet` — `restore_state` cannot see the network —
+    /// down to the stream's live tuples being the projection of the shipped
+    /// values, and rebuilds the subtree synopses over its routing tree.
+    fn adopt_restored(
+        &mut self,
+        snet: &SensorNetwork,
+        query: &CompiledQuery,
+    ) -> Result<(), ProtocolError> {
         let Some(st) = self.state.as_mut().filter(|st| st.subtree.is_empty()) else {
             return Ok(());
         };
         let arity = snet.master_schema().arity();
         if st.last_cell.len() != snet.len()
             || st.last_values.iter().flatten().any(|v| v.len() != arity)
+            || !stream_holds_shipped(st, snet, query)
         {
             return Err(ProtocolError::ForeignCheckpoint);
         }
@@ -605,7 +708,7 @@ impl ContinuousSensJoin {
                 last_cell: vec![None; n],
                 last_values: vec![None; n],
                 node_filter: vec![PointSet::new(); n],
-                subtree: (0..n).map(|_| Counts::default()).collect(),
+                subtree: (0..n).map(|_| CellCounts::default()).collect(),
                 filter: PointSet::new(),
                 rounds: 0,
             });
@@ -641,38 +744,24 @@ impl ContinuousSensJoin {
                     }
                     *last = cur;
                 }
-                apply_delta(&mut subtree[v.0 as usize], &merged.net());
+                fold_delta(&mut subtree[v.0 as usize], &merged.net(), |_, _| {});
                 merged
             },
             |d| d.wire_size(space),
             PHASE_DELTA_COLLECTION,
         );
 
-        // ---- Base station: incremental filter maintenance ----
-        // The engine folds the round's net delta into its persistent
-        // population and indexes and recomputes only the affected cells'
-        // filter bits — bit-identical to a fresh `prejoin_filter` over the
-        // full population, at cost proportional to the delta.
+        // ---- Base station: the filter ----
+        // The engine folds the round's net delta into the population and,
+        // if any cell's role presence changed, re-runs `prejoin_filter` over
+        // it — the filter a one-shot computes. What ships is its difference
+        // from the last round's.
         let new_filter = st
             .engine
             .apply_delta(query, &st.space, &base_delta.net())
             .clone();
-        let mut added = PointSet::new();
-        let mut removed = PointSet::new();
-        for p in new_filter.iter() {
-            let old = st.filter.flags_of(p.z).map_or(0, |f| f.0);
-            let gained = p.flags.0 & !old;
-            if gained != 0 {
-                added.insert(p.z, RelFlags(gained));
-            }
-        }
-        for p in st.filter.iter() {
-            let new = new_filter.flags_of(p.z).map_or(0, |f| f.0);
-            let lost = p.flags.0 & !new;
-            if lost != 0 {
-                removed.insert(p.z, RelFlags(lost));
-            }
-        }
+        let mut added = minus(&new_filter, &st.filter);
+        let removed = minus(&st.filter, &new_filter);
         // Re-announce filter entries for cells whose population grew this
         // round: a node that just *moved into* an already-filtered cell has
         // no way to know the cell matches (its filter view predates its
@@ -796,6 +885,16 @@ impl ContinuousSensJoin {
             .collect();
         let batch = st.stream.apply_batch(&ops);
         record_batch(&mut self.delta_stats, &batch);
+        // Any lost delta (either direction) desynchronizes state; the
+        // wrapper resyncs by cold-restarting the round.
+        let complete =
+            rep1.damaged.is_empty() && rep2.damaged.is_empty() && rep3.damaged.is_empty();
+        // A lost final delta leaves shipped values the base never received;
+        // otherwise the base holds exactly what the nodes shipped.
+        debug_assert!(
+            !complete || stream_holds_shipped(st, snet, query),
+            "the stream's live tuples are not the projection of `last_values`"
+        );
         let computation = st.stream.result();
         st.rounds += 1;
         Ok(JoinOutcome {
@@ -806,9 +905,7 @@ impl ContinuousSensJoin {
             latency_us: rep1.timing.then(rep2.timing).then(rep3.timing).pipelined,
             latency_slotted_us: rep1.timing.then(rep2.timing).then(rep3.timing).slotted,
             contributors: computation.contributors,
-            // Any lost delta (either direction) desynchronizes state; the
-            // wrapper resyncs by cold-restarting the round.
-            complete: rep1.damaged.is_empty() && rep2.damaged.is_empty() && rep3.damaged.is_empty(),
+            complete,
             // The wrapper stamps the real value after applying boundaries.
             churned: false,
         })
@@ -1008,5 +1105,238 @@ mod tests {
             assert!(a.subtree.iter().any(|c| !c.is_empty()));
             assert_eq!(a.subtree, b.subtree, "churn {churn}");
         }
+    }
+
+    /// Deterministic LCG, independent of the rand shim's stream.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+    }
+
+    fn setup(sql: &str) -> (CompiledQuery, JoinSpace) {
+        let snet = SensorNetworkBuilder::new()
+            .area(Area::new(300.0, 300.0))
+            .placement(Placement::UniformRandom { n: 60 })
+            .seed(13)
+            .build()
+            .unwrap();
+        let cq = snet.compile(&parse(sql).unwrap()).unwrap();
+        let space = JoinSpace::build(&cq, &snet, &SensJoinConfig::default());
+        (cq, space)
+    }
+
+    /// One random population move: a counted add, removal, or role flip.
+    fn random_delta(
+        rng: &mut Lcg,
+        counts: &CellCounts,
+        space: &JoinSpace,
+        num_rels: usize,
+        moves: usize,
+    ) -> CellCounts {
+        let mut delta = CellCounts::default();
+        let max_z = 1u64 << space.zspace().total_bits().min(12);
+        let present: Vec<(u64, usize)> = counts
+            .iter()
+            .flat_map(|(&z, c)| {
+                c.iter()
+                    .enumerate()
+                    .filter(|&(_, &cnt)| cnt > 0)
+                    .map(move |(b, _)| (z, b))
+            })
+            .collect();
+        for _ in 0..moves {
+            // Role r occupies flag bit `num_rels - 1 - r`, so the valid
+            // count slots are exactly 0..num_rels.
+            let flag_bit = rng.below(num_rels as u64) as usize;
+            if !present.is_empty() && rng.below(2) == 0 {
+                // Remove one occupancy (may keep the cell via other counts).
+                let (z, b) = present[rng.below(present.len() as u64) as usize];
+                let have = counts.get(&z).map_or(0, |c| c[b]) + delta.get(&z).map_or(0, |c| c[b]);
+                if have > 0 {
+                    delta.entry(z).or_insert([0; 8])[b] -= 1;
+                    continue;
+                }
+            }
+            let z = rng.below(max_z);
+            delta.entry(z).or_insert([0; 8])[flag_bit] += 1;
+        }
+        delta
+    }
+
+    /// After random counted adds, removals and role flips, the engine's
+    /// population is the presence set of an independently folded
+    /// `CellCounts`, and its filter is `prejoin_filter` of that set, across
+    /// predicate classes.
+    #[test]
+    fn population_is_the_presence_of_the_folded_counts() {
+        for sql in [
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+             WHERE A.temp = B.temp ONCE",
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.4 ONCE",
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| > 1.0 ONCE",
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+             WHERE A.temp - B.temp > 2.0 ONCE",
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE",
+            "SELECT A.x, B.x FROM Sensors A, Sensors B \
+             WHERE distance(A.x, A.y, B.x, B.y) < 60.0 ONCE",
+            "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 0.5 AND B.temp - C.temp > 0.5 ONCE",
+            "SELECT A.temp, B.hum, C.hum FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - C.temp| < 0.5 AND B.hum = C.hum ONCE",
+        ] {
+            let (cq, space) = setup(sql);
+            let rels = cq.num_relations();
+            let mut engine = FilterEngine::new(&cq, &space);
+            let mut folded = CellCounts::default();
+            let mut rng = Lcg(0xC0FFEE ^ sql.len() as u64);
+            let (mut flips, mut nonempty) = (0, 0);
+            for round in 0..12 {
+                let moves = if round == 0 {
+                    40
+                } else {
+                    1 + rng.below(6) as usize
+                };
+                let mut delta = random_delta(&mut rng, &folded, &space, rels, moves);
+                // A role flip: one occupancy of a present cell moves to the
+                // next role's counter of the same cell.
+                let present: Vec<(u64, usize)> = folded
+                    .iter()
+                    .flat_map(|(&z, c)| (0..rels).filter(|&b| c[b] > 0).map(move |b| (z, b)))
+                    .filter(|(z, b)| folded[z][*b] + delta.get(z).map_or(0, |d| d[*b]) > 0)
+                    .collect();
+                if !present.is_empty() {
+                    let (z, b) = present[rng.below(present.len() as u64) as usize];
+                    let d = delta.entry(z).or_insert([0; 8]);
+                    d[b] -= 1;
+                    d[(b + 1) % rels] += 1;
+                    flips += 1;
+                }
+                for (&z, d) in &delta {
+                    let c = folded.entry(z).or_insert([0; 8]);
+                    for (c, d) in c.iter_mut().zip(d) {
+                        *c += d;
+                    }
+                }
+                folded.retain(|_, c| c.iter().any(|&n| n != 0));
+
+                let filter = engine.apply_delta(&cq, &space, &delta).clone();
+                let present = PointSet::from_points(folded.iter().filter_map(|(&z, c)| {
+                    let flags = (0..8).filter(|&b| c[b] > 0).fold(0u8, |f, b| f | 1 << b);
+                    (flags != 0).then_some(Point {
+                        z,
+                        flags: RelFlags(flags),
+                    })
+                }));
+                assert_eq!(engine.counts(), &folded, "round {round} of {sql}");
+                assert_eq!(
+                    engine.population().points(),
+                    present.points(),
+                    "round {round} of {sql}"
+                );
+                let fresh = prejoin_filter(&cq, &space, &present);
+                assert_eq!(filter.points(), fresh.points(), "round {round} of {sql}");
+                nonempty += usize::from(!fresh.is_empty());
+            }
+            // Guard against a vacuously-green comparison of empty filters.
+            assert!(flips > 0, "no role flipped for {sql}");
+            assert!(nonempty > 0, "filter never populated for {sql}");
+        }
+    }
+
+    /// A presence-preserving delta (count changes only) must leave the
+    /// cached filter untouched — the steady-state fast path.
+    #[test]
+    fn count_only_delta_is_free() {
+        let (cq, space) = setup(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.4 ONCE",
+        );
+        let mut engine = FilterEngine::new(&cq, &space);
+        let mut rng = Lcg(7);
+        let delta = random_delta(&mut rng, engine.counts(), &space, 2, 30);
+        engine.apply_delta(&cq, &space, &delta);
+        let before = engine.filter().clone();
+        // Duplicate an existing occupancy, then retract the duplicate.
+        let (&z, c) = engine.counts().iter().next().expect("population nonempty");
+        let b = c.iter().position(|&x| x > 0).expect("nonempty counters");
+        let mut dup = CellCounts::default();
+        dup.entry(z).or_insert([0; 8])[b] = 1;
+        assert_eq!(
+            engine.apply_delta(&cq, &space, &dup).points(),
+            before.points()
+        );
+        let mut retract = CellCounts::default();
+        retract.entry(z).or_insert([0; 8])[b] = -1;
+        assert_eq!(
+            engine.apply_delta(&cq, &space, &retract).points(),
+            before.points()
+        );
+        assert_eq!(
+            engine
+                .apply_delta(&cq, &space, &CellCounts::default())
+                .points(),
+            before.points()
+        );
+    }
+
+    /// Disconnected predicate components: a cell holding every role
+    /// satisfies both, and draining one component's role must empty the
+    /// whole filter, since then no binding of the query exists.
+    #[test]
+    fn component_satisfiability_gates_the_filter() {
+        let (cq, space) = setup(
+            "SELECT A.temp, B.temp, C.hum, D.hum \
+             FROM Sensors A, Sensors B, Sensors C, Sensors D \
+             WHERE |A.temp - B.temp| < 5.0 AND C.hum = D.hum ONCE",
+        );
+        let mut engine = FilterEngine::new(&cq, &space);
+        let mut rng = Lcg(99);
+        for round in 0..8 {
+            let delta = random_delta(&mut rng, engine.counts(), &space, 4, 12);
+            engine.apply_delta(&cq, &space, &delta);
+            let fresh = prejoin_filter(&cq, &space, engine.population());
+            assert_eq!(engine.filter().points(), fresh.points(), "round {round}");
+        }
+        // The random rounds only check the filter is the batch one; pin
+        // satisfiability deterministically. One cell holding every role
+        // satisfies both components (a cell trivially joins itself), so the
+        // filter cannot be empty afterwards.
+        let mut seed_cell = CellCounts::default();
+        let all_roles = seed_cell
+            .entry(space.encode(&[Some(20.0), Some(50.0)]))
+            .or_insert([0; 8]);
+        for role in all_roles.iter_mut().take(4) {
+            *role += 1;
+        }
+        engine.apply_delta(&cq, &space, &seed_cell);
+        let fresh = prejoin_filter(&cq, &space, engine.population());
+        assert_eq!(engine.filter().points(), fresh.points(), "seeded cell");
+        assert!(!engine.filter().is_empty(), "both components satisfiable");
+        // Drain role D entirely: no D-binding can exist, filter must empty.
+        let mut drain = CellCounts::default();
+        let dbit = 0; // role D (r = 3 of 4) occupies flag bit 4 - 1 - 3
+
+        for (&z, c) in engine.counts() {
+            if c[dbit] > 0 {
+                drain.entry(z).or_insert([0; 8])[dbit] = -c[dbit];
+            }
+        }
+        engine.apply_delta(&cq, &space, &drain);
+        assert!(engine.filter().is_empty(), "unsatisfiable component");
+        let fresh = prejoin_filter(&cq, &space, engine.population());
+        assert!(fresh.points().is_empty());
     }
 }

@@ -67,7 +67,6 @@ mod costmodel;
 mod engine;
 mod epoch;
 mod external;
-mod incremental;
 mod ingest;
 mod outcome;
 mod partition;
@@ -87,8 +86,8 @@ pub use bloom::{
 };
 pub use config::{QuantizationConfig, Representation, SensJoinConfig};
 pub use continuous::{
-    ContinuousSensJoin, MAX_ROUND_ATTEMPTS, PHASE_DELTA_COLLECTION, PHASE_FILTER_DELTA,
-    PHASE_FINAL_DELTA,
+    CellCounts, ContinuousSensJoin, FilterEngine, MAX_ROUND_ATTEMPTS, PHASE_DELTA_COLLECTION,
+    PHASE_FILTER_DELTA, PHASE_FINAL_DELTA,
 };
 pub use costmodel::{CostEstimate, CostModel, MethodChoice};
 pub use engine::{
@@ -96,7 +95,6 @@ pub use engine::{
     JoinSpace,
 };
 pub use external::ExternalJoin;
-pub use incremental::{CellCounts, FilterEngine};
 pub use ingest::{BatchStats, StreamJoinEngine, StreamOp};
 pub use outcome::{
     Answer, AnswerRef, GroupResult, JoinOutcome, JoinResult, ProtocolError, Rows, RowsIter,

@@ -17,7 +17,8 @@ pub enum ProtocolError {
     /// holds [`crate::MAX_GROUP_QUERIES`] live queries.
     GroupFull,
     /// A restored executor was run on a network its checkpoint does not
-    /// describe (another node count or another master schema).
+    /// describe (another node count or another master schema, or shipped
+    /// tuples that are not its nodes' shipped values).
     ForeignCheckpoint,
 }
 

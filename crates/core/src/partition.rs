@@ -629,193 +629,180 @@ struct PredSideRef {
     attr: usize,
 }
 
-/// The accepted runs of a sorted interval-key array for a probe interval
-/// `p` under the predicate shape `form` / `key_is_lhs`, or `None` when the
-/// predicate cannot prune ("everything is a candidate"). Generic over the
-/// entry payload so both [`FilterIndex`] (role-list positions) and the
-/// incremental engine's persistent indexes (cell Z-numbers) share the exact
-/// same widening.
-///
-/// Each survival condition below is copied verbatim from the interval
-/// comparison semantics in `sensjoin_query::interval` (`cmp_lt` / `cmp_le`
-/// / `cmp_eq` over `Interval::sub` / `Interval::abs` images), evaluated
-/// with the same `Interval` operations — never rearranged — so an entry is
-/// excluded only if its residual check is `Tri::False`.
-pub(crate) fn interval_probe_ranges<T>(
-    e: &[(Interval, T)],
-    form: BandForm,
-    key_is_lhs: bool,
-    p: Interval,
-) -> Option<Runs> {
-    let n = e.len();
-    // X = F − G where F is the lhs side of the form.
-    let x = |k: Interval| if key_is_lhs { k.sub(p) } else { p.sub(k) };
-    let one = |run: Range<usize>| [run, 0..0];
-    let ranges: Runs = match form {
-        BandForm::Direct(op) => {
-            // `l op r` with (l, r) = (key, probe) or (probe, key).
-            let op = if key_is_lhs { op } else { mirror(op) };
-            match op {
-                // possible(l < r) ⇔ l.lo < r.hi
-                CmpOp::Lt => one(0..e.partition_point(|&(k, ref _t)| k.lo < p.hi)),
-                CmpOp::Le => one(0..e.partition_point(|&(k, ref _t)| k.lo <= p.hi)),
-                // possible(l > r) ⇔ r.lo < l.hi
-                CmpOp::Gt => one(e.partition_point(|&(k, ref _t)| k.hi <= p.lo)..n),
-                CmpOp::Ge => one(e.partition_point(|&(k, ref _t)| k.hi < p.lo)..n),
-                // possible(l = r) ⇔ the intervals overlap
-                CmpOp::Eq => one(e.partition_point(|&(k, ref _t)| k.hi < p.lo)
-                    ..e.partition_point(|&(k, ref _t)| k.lo <= p.hi)),
-                CmpOp::Ne => return None,
-            }
-        }
-        BandForm::Diff { op, c } => {
-            // possible((F−G) op c) in terms of X = F−G: Lt/Le bound
-            // X.lo, Gt/Ge bound X.hi, Eq needs both. X's endpoints are
-            // monotone along the entries: increasing when the key is F,
-            // decreasing when the key is G.
-            let inc = key_is_lhs;
-            match op {
-                CmpOp::Lt if inc => one(0..e.partition_point(|&(k, ref _t)| x(k).lo < c)),
-                CmpOp::Lt => one(e.partition_point(|&(k, ref _t)| x(k).lo >= c)..n),
-                CmpOp::Le if inc => one(0..e.partition_point(|&(k, ref _t)| x(k).lo <= c)),
-                CmpOp::Le => one(e.partition_point(|&(k, ref _t)| x(k).lo > c)..n),
-                CmpOp::Gt if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi <= c)..n),
-                CmpOp::Gt => one(0..e.partition_point(|&(k, ref _t)| x(k).hi > c)),
-                CmpOp::Ge if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi < c)..n),
-                CmpOp::Ge => one(0..e.partition_point(|&(k, ref _t)| x(k).hi >= c)),
-                CmpOp::Eq if inc => one(e.partition_point(|&(k, ref _t)| x(k).hi < c)
-                    ..e.partition_point(|&(k, ref _t)| x(k).lo <= c)),
-                CmpOp::Eq => one(e.partition_point(|&(k, ref _t)| x(k).lo > c)
-                    ..e.partition_point(|&(k, ref _t)| x(k).hi >= c)),
-                CmpOp::Ne => return None,
-            }
-        }
-        BandForm::AbsDiff { op, c } => {
-            let inc = key_is_lhs;
-            match op {
-                // possible(|X| < c) ⇔ X.lo < c ∧ −X.hi < c (for c > 0;
-                // impossible otherwise since |X|.lo ≥ 0).
-                CmpOp::Lt | CmpOp::Le => {
-                    let strict = op == CmpOp::Lt;
-                    if (strict && c <= 0.0) || (!strict && c < 0.0) {
-                        [0..0, 0..0]
-                    } else if inc {
-                        let lo_ok = |k: Interval| {
-                            let hi = x(k).hi;
-                            if strict {
-                                hi <= -c
-                            } else {
-                                hi < -c
-                            }
-                        };
-                        let hi_ok = |k: Interval| {
-                            let lo = x(k).lo;
-                            if strict {
-                                lo < c
-                            } else {
-                                lo <= c
-                            }
-                        };
-                        one(e.partition_point(|&(k, ref _t)| lo_ok(k))
-                            ..e.partition_point(|&(k, ref _t)| hi_ok(k)))
-                    } else {
-                        let lo_ok = |k: Interval| {
-                            let lo = x(k).lo;
-                            if strict {
-                                lo >= c
-                            } else {
-                                lo > c
-                            }
-                        };
-                        let hi_ok = |k: Interval| {
-                            let hi = x(k).hi;
-                            if strict {
-                                hi > -c
-                            } else {
-                                hi >= -c
-                            }
-                        };
-                        one(e.partition_point(|&(k, ref _t)| lo_ok(k))
-                            ..e.partition_point(|&(k, ref _t)| hi_ok(k)))
-                    }
-                }
-                // possible(|X| > c) ⇔ X.hi > c ∨ X.lo < −c (for c ≥ 0;
-                // always possible otherwise). Prefix ∪ suffix.
-                CmpOp::Gt | CmpOp::Ge => {
-                    let strict = op == CmpOp::Gt;
-                    if (strict && c < 0.0) || (!strict && c <= 0.0) {
-                        return None;
-                    }
-                    let (lo_run, hi_run) = if inc {
-                        (
-                            0..e.partition_point(|&(k, ref _t)| {
-                                let lo = x(k).lo;
-                                if strict {
-                                    lo < -c
-                                } else {
-                                    lo <= -c
-                                }
-                            }),
-                            e.partition_point(|&(k, ref _t)| {
-                                let hi = x(k).hi;
-                                if strict {
-                                    hi <= c
-                                } else {
-                                    hi < c
-                                }
-                            })..n,
-                        )
-                    } else {
-                        (
-                            0..e.partition_point(|&(k, ref _t)| {
-                                let hi = x(k).hi;
-                                if strict {
-                                    hi > c
-                                } else {
-                                    hi >= c
-                                }
-                            }),
-                            e.partition_point(|&(k, ref _t)| {
-                                let lo = x(k).lo;
-                                if strict {
-                                    lo >= -c
-                                } else {
-                                    lo > -c
-                                }
-                            })..n,
-                        )
-                    };
-                    if lo_run.end >= hi_run.start {
-                        one(0..n)
-                    } else {
-                        [lo_run, hi_run]
-                    }
-                }
-                // possible(|X| = c): use the necessary |X|.lo ≤ c window
-                // (the residual applies the full condition).
-                CmpOp::Eq => {
-                    if c < 0.0 {
-                        [0..0, 0..0]
-                    } else if inc {
-                        one(e.partition_point(|&(k, ref _t)| x(k).hi < -c)
-                            ..e.partition_point(|&(k, ref _t)| x(k).lo <= c))
-                    } else {
-                        one(e.partition_point(|&(k, ref _t)| x(k).lo > c)
-                            ..e.partition_point(|&(k, ref _t)| x(k).hi >= -c))
-                    }
-                }
-                CmpOp::Ne => return None,
-            }
-        }
-    };
-    Some(ranges.map(|r| if r.start < r.end { r } else { 0..0 }))
-}
-
 impl FilterIndex {
     /// The accepted runs of `entries` for probe interval `p`, or `None`
-    /// when this predicate cannot prune for that probe.
+    /// when this predicate cannot prune for that probe ("everything is a
+    /// candidate").
+    ///
+    /// Each survival condition below is copied verbatim from the interval
+    /// comparison semantics in `sensjoin_query::interval` (`cmp_lt` /
+    /// `cmp_le` / `cmp_eq` over `Interval::sub` / `Interval::abs` images),
+    /// evaluated with the same `Interval` operations — never rearranged — so
+    /// an entry is excluded only if its residual check is `Tri::False`.
     pub(crate) fn probe(&self, p: Interval) -> Option<Runs> {
-        interval_probe_ranges(&self.entries, self.form, self.key_is_lhs, p)
+        let (e, form, key_is_lhs) = (&self.entries, self.form, self.key_is_lhs);
+        let n = e.len();
+        // X = F − G where F is the lhs side of the form.
+        let x = |k: Interval| if key_is_lhs { k.sub(p) } else { p.sub(k) };
+        let one = |run: Range<usize>| [run, 0..0];
+        let ranges: Runs = match form {
+            BandForm::Direct(op) => {
+                // `l op r` with (l, r) = (key, probe) or (probe, key).
+                let op = if key_is_lhs { op } else { mirror(op) };
+                match op {
+                    // possible(l < r) ⇔ l.lo < r.hi
+                    CmpOp::Lt => one(0..e.partition_point(|&(k, _)| k.lo < p.hi)),
+                    CmpOp::Le => one(0..e.partition_point(|&(k, _)| k.lo <= p.hi)),
+                    // possible(l > r) ⇔ r.lo < l.hi
+                    CmpOp::Gt => one(e.partition_point(|&(k, _)| k.hi <= p.lo)..n),
+                    CmpOp::Ge => one(e.partition_point(|&(k, _)| k.hi < p.lo)..n),
+                    // possible(l = r) ⇔ the intervals overlap
+                    CmpOp::Eq => one(e.partition_point(|&(k, _)| k.hi < p.lo)
+                        ..e.partition_point(|&(k, _)| k.lo <= p.hi)),
+                    CmpOp::Ne => return None,
+                }
+            }
+            BandForm::Diff { op, c } => {
+                // possible((F−G) op c) in terms of X = F−G: Lt/Le bound
+                // X.lo, Gt/Ge bound X.hi, Eq needs both. X's endpoints are
+                // monotone along the entries: increasing when the key is F,
+                // decreasing when the key is G.
+                let inc = key_is_lhs;
+                match op {
+                    CmpOp::Lt if inc => one(0..e.partition_point(|&(k, _)| x(k).lo < c)),
+                    CmpOp::Lt => one(e.partition_point(|&(k, _)| x(k).lo >= c)..n),
+                    CmpOp::Le if inc => one(0..e.partition_point(|&(k, _)| x(k).lo <= c)),
+                    CmpOp::Le => one(e.partition_point(|&(k, _)| x(k).lo > c)..n),
+                    CmpOp::Gt if inc => one(e.partition_point(|&(k, _)| x(k).hi <= c)..n),
+                    CmpOp::Gt => one(0..e.partition_point(|&(k, _)| x(k).hi > c)),
+                    CmpOp::Ge if inc => one(e.partition_point(|&(k, _)| x(k).hi < c)..n),
+                    CmpOp::Ge => one(0..e.partition_point(|&(k, _)| x(k).hi >= c)),
+                    CmpOp::Eq if inc => one(e.partition_point(|&(k, _)| x(k).hi < c)
+                        ..e.partition_point(|&(k, _)| x(k).lo <= c)),
+                    CmpOp::Eq => one(e.partition_point(|&(k, _)| x(k).lo > c)
+                        ..e.partition_point(|&(k, _)| x(k).hi >= c)),
+                    CmpOp::Ne => return None,
+                }
+            }
+            BandForm::AbsDiff { op, c } => {
+                let inc = key_is_lhs;
+                match op {
+                    // possible(|X| < c) ⇔ X.lo < c ∧ −X.hi < c (for c > 0;
+                    // impossible otherwise since |X|.lo ≥ 0).
+                    CmpOp::Lt | CmpOp::Le => {
+                        let strict = op == CmpOp::Lt;
+                        if (strict && c <= 0.0) || (!strict && c < 0.0) {
+                            [0..0, 0..0]
+                        } else if inc {
+                            let lo_ok = |k: Interval| {
+                                let hi = x(k).hi;
+                                if strict {
+                                    hi <= -c
+                                } else {
+                                    hi < -c
+                                }
+                            };
+                            let hi_ok = |k: Interval| {
+                                let lo = x(k).lo;
+                                if strict {
+                                    lo < c
+                                } else {
+                                    lo <= c
+                                }
+                            };
+                            one(e.partition_point(|&(k, _)| lo_ok(k))
+                                ..e.partition_point(|&(k, _)| hi_ok(k)))
+                        } else {
+                            let lo_ok = |k: Interval| {
+                                let lo = x(k).lo;
+                                if strict {
+                                    lo >= c
+                                } else {
+                                    lo > c
+                                }
+                            };
+                            let hi_ok = |k: Interval| {
+                                let hi = x(k).hi;
+                                if strict {
+                                    hi > -c
+                                } else {
+                                    hi >= -c
+                                }
+                            };
+                            one(e.partition_point(|&(k, _)| lo_ok(k))
+                                ..e.partition_point(|&(k, _)| hi_ok(k)))
+                        }
+                    }
+                    // possible(|X| > c) ⇔ X.hi > c ∨ X.lo < −c (for c ≥ 0;
+                    // always possible otherwise). Prefix ∪ suffix.
+                    CmpOp::Gt | CmpOp::Ge => {
+                        let strict = op == CmpOp::Gt;
+                        if (strict && c < 0.0) || (!strict && c <= 0.0) {
+                            return None;
+                        }
+                        let (lo_run, hi_run) = if inc {
+                            (
+                                0..e.partition_point(|&(k, _)| {
+                                    let lo = x(k).lo;
+                                    if strict {
+                                        lo < -c
+                                    } else {
+                                        lo <= -c
+                                    }
+                                }),
+                                e.partition_point(|&(k, _)| {
+                                    let hi = x(k).hi;
+                                    if strict {
+                                        hi <= c
+                                    } else {
+                                        hi < c
+                                    }
+                                })..n,
+                            )
+                        } else {
+                            (
+                                0..e.partition_point(|&(k, _)| {
+                                    let hi = x(k).hi;
+                                    if strict {
+                                        hi > c
+                                    } else {
+                                        hi >= c
+                                    }
+                                }),
+                                e.partition_point(|&(k, _)| {
+                                    let lo = x(k).lo;
+                                    if strict {
+                                        lo >= -c
+                                    } else {
+                                        lo > -c
+                                    }
+                                })..n,
+                            )
+                        };
+                        if lo_run.end >= hi_run.start {
+                            one(0..n)
+                        } else {
+                            [lo_run, hi_run]
+                        }
+                    }
+                    // possible(|X| = c): use the necessary |X|.lo ≤ c window
+                    // (the residual applies the full condition).
+                    CmpOp::Eq => {
+                        if c < 0.0 {
+                            [0..0, 0..0]
+                        } else if inc {
+                            one(e.partition_point(|&(k, _)| x(k).hi < -c)
+                                ..e.partition_point(|&(k, _)| x(k).lo <= c))
+                        } else {
+                            one(e.partition_point(|&(k, _)| x(k).lo > c)
+                                ..e.partition_point(|&(k, _)| x(k).hi >= -c))
+                        }
+                    }
+                    CmpOp::Ne => return None,
+                }
+            }
+        };
+        Some(ranges.map(|r| if r.start < r.end { r } else { 0..0 }))
     }
 
     /// The sorted `(key interval, role-list position)` entries.

@@ -118,8 +118,9 @@ impl PointSet {
 
     /// Sets cell `z`'s membership to exactly `flags`: inserts when absent,
     /// overwrites when present, and removes the cell when `flags` is empty.
-    /// The in-place maintenance primitive of the incremental filter engine
-    /// (unlike [`PointSet::insert`], which can only grow memberships).
+    /// How a counted population's presence set follows the cells whose
+    /// role presence changed (unlike [`PointSet::insert`], which can only
+    /// grow memberships).
     pub fn set_flags(&mut self, z: u64, flags: RelFlags) {
         match self.points.binary_search_by_key(&z, |p| p.z) {
             Ok(i) => {

@@ -1,12 +1,12 @@
-//! Round-equivalence of the incremental filter engine, end to end: an exact
-//! (ε = 0) continuous query driven through N drifting snapshots must return,
-//! every round, exactly what a fresh execution computes on that round's
-//! data — the network-level counterpart of the engine-level bit-identity
-//! tests in `sensjoin-core::incremental`. The continuous path exercises the
-//! persistent [`sensjoin::core::FilterEngine`]: per-round deltas mutate its
-//! indexes in place and only affected cells' filter bits are recomputed, so
-//! any divergence from the rebuild-per-round semantics shows up here as a
-//! wrong result or contributor set.
+//! Round-equivalence of the delta wire, end to end: an exact (ε = 0)
+//! continuous query driven through N drifting snapshots must return, every
+//! round, exactly what a fresh execution computes on that round's data —
+//! the network-level counterpart of the population tests beside
+//! [`sensjoin::core::FilterEngine`] in `sensjoin-core`'s `continuous`
+//! module. Counted cell deltas up, filter deltas down and ε-suppressed
+//! finals must keep every node's view and the base station's population in
+//! step, so any divergence from fresh execution shows up here as a wrong
+//! result or contributor set.
 
 use proptest::prelude::*;
 use sensjoin::core::ContinuousSensJoin;
