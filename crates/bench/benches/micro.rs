@@ -235,7 +235,7 @@ fn bench_query(c: &mut Criterion) {
                 let v = if rel == 0 { a[attr] } else { b_[attr] };
                 Interval::new(v, v + 1.0)
             };
-            cq.possibly_joins(black_box(&env))
+            cq.eval_join(black_box(&env))
         })
     });
 }

@@ -28,7 +28,7 @@ use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
 use crate::JoinMethod;
-use sensjoin_query::{CExpr, CmpOp, CompiledQuery};
+use sensjoin_query::{CmpOp, CompiledQuery, NumExpr, Pred};
 
 /// Phase labels.
 pub const PHASE_BLOOM_COLLECTION: &str = "1-bloom-collection";
@@ -150,14 +150,14 @@ fn validate(query: &CompiledQuery) -> Result<(), ProtocolError> {
     }
     for pred in query.join_preds() {
         match pred {
-            CExpr::Cmp {
+            Pred::Cmp {
                 op: CmpOp::Eq,
                 lhs,
                 rhs,
             } => {
                 let ok = matches!(
                     (lhs.as_ref(), rhs.as_ref()),
-                    (CExpr::Col { rel: a, .. }, CExpr::Col { rel: b, .. }) if a != b
+                    (NumExpr::Col { rel: a, .. }, NumExpr::Col { rel: b, .. }) if a != b
                 );
                 if !ok {
                     return Err(ProtocolError::Representation(

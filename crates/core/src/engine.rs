@@ -32,7 +32,7 @@ use crate::partition::{
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
-use sensjoin_query::{eval_expr, CExpr, CompiledQuery, Interval};
+use sensjoin_query::{eval, holds, Columns, CompiledQuery, Interval, NumExpr};
 use sensjoin_relation::NodeId;
 use sensjoin_zorder::{Dimension, ZSpace};
 use std::collections::BTreeSet;
@@ -637,7 +637,7 @@ impl FilterRun<'_> {
                 .iter()
                 .zip(self.pred_rels)
                 .filter(|&(_, &maxrel)| maxrel == rel)
-                .all(|(p, _)| sensjoin_query::eval_predicate_interval(p, &env).possible())
+                .all(|(p, _)| holds(p, &env).possible())
         };
         if ok {
             self.descend(st);
@@ -673,7 +673,7 @@ fn descend_nested(
             .iter()
             .zip(pred_rels)
             .filter(|&(_, &maxrel)| maxrel == rel)
-            .all(|(p, _)| sensjoin_query::eval_predicate_interval(p, &env).possible());
+            .all(|(p, _)| holds(p, &env).possible());
         if ok {
             descend_nested(query, space, lists, boxes, pred_rels, binding, matched);
         }
@@ -1005,7 +1005,7 @@ struct Projections<'a> {
     /// level's relation alone.
     per_tuple: Vec<Vec<(usize, Vec<f64>)>>,
     /// `(slot, expression)` of each item that reads several relations.
-    per_row: Vec<(usize, &'a CExpr)>,
+    per_row: Vec<(usize, &'a NumExpr)>,
 }
 
 impl<'a> Projections<'a> {
@@ -1022,13 +1022,13 @@ impl<'a> Projections<'a> {
             let mut constant = f64::NAN;
             match (rels.first(), rels.len()) {
                 (None, _) => {
-                    constant = eval_expr(expr, &|_: usize, _: usize| -> f64 {
+                    constant = eval(expr, &|_: usize, _: usize| -> f64 {
                         unreachable!("a constant reads no relation")
                     })
                 }
                 (Some(&rel), 1) => {
                     let values = (tuples[rel].iter())
-                        .map(|(_, values)| eval_expr(expr, &|_: usize, a: usize| values[a]))
+                        .map(|(_, values)| eval(expr, &|_: usize, a: usize| values[a]))
                         .collect();
                     items.per_tuple[rel].push((slot, values));
                 }
@@ -1244,7 +1244,7 @@ impl ExactRun<'_> {
             {
                 st.evals[c.pred] += 1;
             }
-            sensjoin_query::eval_predicate(pred, &env)
+            holds(pred, &env)
         })
     }
 
@@ -1257,7 +1257,7 @@ impl ExactRun<'_> {
     fn emit<S: RowSink>(&self, binding: &[usize], row: &mut [f64], rows: &mut S, keys: &mut S) {
         let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
         for &(slot, expr) in &self.items.per_row {
-            row[slot] = eval_expr(expr, &env);
+            row[slot] = eval(expr, &env);
         }
         let (select, key) = row.split_at(self.items.select);
         rows.push_row(select.iter().copied());
@@ -1306,7 +1306,7 @@ fn exact_descend_nested(
             .iter()
             .zip(pred_rels)
             .filter(|&(_, &maxrel)| maxrel == rel)
-            .all(|(p, _)| sensjoin_query::eval_predicate(p, &env));
+            .all(|(p, _)| holds(p, &env));
         if ok {
             exact_descend_nested(query, tuples, pred_rels, binding, out, used);
         }
@@ -1915,7 +1915,7 @@ mod tests {
                     let idx = if r == 0 { a } else { b };
                     space.attr_interval(cq, boxes.of(idx), r, attr)
                 };
-                if sensjoin_query::eval_predicate_interval(band, &env).possible() {
+                if holds(band, &env).possible() {
                     candidates += 1;
                 }
             }
@@ -2086,7 +2086,7 @@ mod tests {
         for (_, a) in &tuples[0] {
             for (_, b) in &tuples[1] {
                 let env = |r: usize, attr: usize| if r == 0 { a[attr] } else { b[attr] };
-                band_candidates += sensjoin_query::eval_predicate(band, &env) as usize;
+                band_candidates += holds(band, &env) as usize;
             }
         }
         let (rows, evals) = counted_join(&cq, &tuples, 1);

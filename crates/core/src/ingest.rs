@@ -42,7 +42,7 @@
 
 use crate::engine::{finalize_exact, ExactAcc, JoinComputation};
 use crate::partition::{band_runs, decided, key_bits, runs_len, Runs};
-use sensjoin_query::{eval_expr, eval_predicate, BandForm, CExpr, CompiledQuery, PredClass};
+use sensjoin_query::{eval, holds, BandForm, Columns, CompiledQuery, NumExpr, Pred, PredClass};
 use sensjoin_relation::NodeId;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -225,9 +225,9 @@ struct IngestIndex {
     /// The relation the probe expression reads (must be bound first).
     other_rel: usize,
     /// Key expression over the indexed relation.
-    key_expr: CExpr,
+    key_expr: NumExpr,
     /// Probe expression over `other_rel`.
-    probe_expr: CExpr,
+    probe_expr: NumExpr,
     kind: IndexKind,
 }
 
@@ -235,7 +235,7 @@ impl IngestIndex {
     /// The key of `values` under this index (the key expression only reads
     /// the indexed relation).
     fn key_of(&self, rel: usize, values: &[f64]) -> f64 {
-        eval_expr(&self.key_expr, &|r: usize, a: usize| {
+        eval(&self.key_expr, &|r: usize, a: usize| {
             debug_assert_eq!(r, rel);
             values[a]
         })
@@ -319,7 +319,7 @@ fn cmp_rows(rels: &[RelStore], a: &[u32], b: &[u32]) -> Ordering {
 
 /// The expressions a cached row stores the values of: the SELECT items, then
 /// the GROUP BY keys.
-fn projection(query: &CompiledQuery) -> impl Iterator<Item = &CExpr> {
+fn projection(query: &CompiledQuery) -> impl Iterator<Item = &NumExpr> {
     let select = query.select().iter().map(|s| &s.expr);
     select.chain(query.group_by())
 }
@@ -581,8 +581,7 @@ impl StreamJoinEngine {
         let land = |out: &mut RowRun, rels: &mut [RelStore], new: &[u32]| {
             out.slots.extend_from_slice(new);
             let env = |r: usize, a: usize| -> f64 { rels[r].tuples[new[r] as usize].values[a] };
-            out.vals
-                .extend(projection(query).map(|e| eval_expr(e, &env)));
+            out.vals.extend(projection(query).map(|e| eval(e, &env)));
             for (rs, &slot) in rels.iter_mut().zip(new) {
                 rs.tuples[slot as usize].rows += 1;
             }
@@ -641,16 +640,16 @@ impl StreamJoinEngine {
         let env =
             |r: usize, a: usize| -> f64 { self.rels[r].tuples[binding[r] as usize].values[a] };
         let preds = self.query.join_preds().iter().zip(&self.pred_masks);
-        let holds = |(i, (p, &m)): (usize, (&CExpr, &u32))| {
+        let check = |(i, (p, &m)): (usize, (&Pred, &u32))| {
             if m & !bound != 0 || m >> rel & 1 == 0 {
                 true // not closed by this bind
             } else if Some(i) == decided_pred {
                 decided(p, &env)
             } else {
-                eval_predicate(p, &env)
+                holds(p, &env)
             }
         };
-        if !preds.enumerate().all(holds) {
+        if !preds.enumerate().all(check) {
             return;
         }
         if let Some(&next) = walk.order.get(depth + 1) {
@@ -681,7 +680,7 @@ impl StreamJoinEngine {
             if bound >> ix.other_rel & 1 == 0 {
                 continue;
             }
-            let p = eval_expr(&ix.probe_expr, &|r: usize, a: usize| {
+            let p = eval(&ix.probe_expr, &|r: usize, a: usize| {
                 debug_assert_eq!(r, ix.other_rel);
                 self.rels[r].tuples[binding[r] as usize].values[a]
             });

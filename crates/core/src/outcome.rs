@@ -297,7 +297,7 @@ impl<T: Answer + ?Sized> Answer for std::sync::Arc<T> {
 }
 
 /// The one comparison behind every `same_result`: rows as a multiset of
-/// bit patterns, aggregates value by value.
+/// bit patterns, aggregates bit pattern by bit pattern.
 fn same_answer(a: AnswerRef<'_>, b: AnswerRef<'_>) -> bool {
     match (a, b) {
         (AnswerRef::Rows(mut a), AnswerRef::Rows(mut b)) => {
@@ -308,7 +308,10 @@ fn same_answer(a: AnswerRef<'_>, b: AnswerRef<'_>) -> bool {
             b.sort_unstable_by(|p, q| cmp_bits(p, q));
             a.iter().zip(&b).all(|(p, q)| cmp_bits(p, q).is_eq())
         }
-        (AnswerRef::Aggregate(a), AnswerRef::Aggregate(b)) => a == b,
+        (AnswerRef::Aggregate(a), AnswerRef::Aggregate(b)) => {
+            let bits = |v: &Option<f64>| v.map(f64::to_bits);
+            a.iter().map(bits).eq(b.iter().map(bits))
+        }
         _ => false,
     }
 }
@@ -399,6 +402,19 @@ mod tests {
         assert!(rows(&[&[1.0, 2.0], &[1.0]]).same_result(&rows(&[&[1.0], &[1.0, 2.0]])));
         assert!(rows(&[]).same_result(&rows(&[])));
         assert!(!rows(&[]).same_result(&rows(&[&[]])));
+    }
+
+    #[test]
+    fn aggregate_equality_is_bitwise() {
+        let agg = |values: &[Option<f64>]| JoinResult::Aggregate(values.to_vec());
+        // A NaN aggregate is the same answer as itself …
+        let nan = agg(&[Some(f64::NAN), None]);
+        assert!(nan.same_result(&nan));
+        assert!(GroupResult::Aggregate(vec![Some(f64::NAN), None]).same_result(&nan));
+        // … and −0.0 is not 0.0, nor a value NULL.
+        assert!(!agg(&[Some(0.0)]).same_result(&agg(&[Some(-0.0)])));
+        assert!(!agg(&[Some(0.0)]).same_result(&agg(&[None])));
+        assert!(!agg(&[Some(1.0)]).same_result(&agg(&[Some(1.0), None])));
     }
 
     /// `a` against `b` in every pairing of [`JoinResult`] and

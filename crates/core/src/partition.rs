@@ -29,7 +29,8 @@
 //!
 //! 1. keys and probes are evaluated from the **original predicate
 //!    subtrees** (see [`sensjoin_query::analyze`]) with the same evaluator
-//!    as `eval_predicate`, so both compute identical `f64`s, and
+//!    as the predicate ([`sensjoin_query::eval`]), so both compute identical
+//!    `f64`s, and
 //! 2. the binary-search partition predicates evaluate the **same IEEE-754
 //!    operations** as the predicate (one subtraction and one comparison —
 //!    never an algebraically solved bound), and IEEE subtraction and
@@ -44,14 +45,14 @@
 //! [`ExactProbe::All`] for this binding (a difference form probed with ±∞,
 //! a complement band whose bound admits everything), which claims nothing.
 //! `exact_probes_decide_their_predicate` pins the window against
-//! `eval_predicate` on adversarial keys and probes. Order is restored by
+//! [`sensjoin_query::holds`] on adversarial keys and probes. Order is restored by
 //! marking a level's candidates into a [`PosSet`] and draining it, which
 //! reads positions ascending. The interval side ([`FilterIndex`])
 //! is different: its windows are conservative, and its residual check runs
 //! on every candidate.
 
 use sensjoin_query::{
-    eval_expr, eval_predicate, BandForm, CExpr, CmpOp, CompiledQuery, EvalEnv, Interval, PredClass,
+    eval, holds, BandForm, CmpOp, CompiledQuery, Interval, NumExpr, Pred, PredClass,
 };
 use sensjoin_relation::NodeId;
 use std::collections::HashMap;
@@ -319,8 +320,8 @@ pub(crate) fn band_runs(
 ) -> Option<Runs> {
     let ivs = match form {
         // Direct comparisons probe the key value itself:
-        // `key op p` or `p op key` ≡ `key mirror(op) p`.
-        BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { mirror(op) }, p)?,
+        // `key op p` or `p op key` ≡ `key op.mirror() p`.
+        BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { op.mirror() }, p)?,
         BandForm::Diff { op, c } => cmp_intervals(op, c)?,
         BandForm::AbsDiff { op, c } => abs_cmp_intervals(op, c)?,
     };
@@ -350,7 +351,7 @@ pub(crate) enum ExactIndex<'q> {
         /// The join predicate (position in `join_preds`) it was built from.
         pred: usize,
         /// Probe-side expression (references `probe_rel` only).
-        probe: &'q CExpr,
+        probe: &'q NumExpr,
         /// Key bits → that key's bucket in `positions`.
         buckets: HashMap<u64, Range<usize>>,
         /// Tuple positions grouped by key, ascending within a bucket.
@@ -363,7 +364,7 @@ pub(crate) enum ExactIndex<'q> {
     /// NaN operand is ever true).
     Sorted {
         pred: usize,
-        probe: &'q CExpr,
+        probe: &'q NumExpr,
         /// `(key value, tuple position)` sorted ascending by key.
         keys: Vec<(f64, u32)>,
         /// Per tuple position: its rank in `keys` (`u32::MAX` for dropped
@@ -411,9 +412,9 @@ impl ExactProbe {
 /// binding `env`: true by construction. Under debug assertions it is
 /// evaluated all the same and must hold, so every debug-mode join checks
 /// the exact windows it relies on.
-pub(crate) fn decided(pred: &CExpr, env: &impl EvalEnv) -> bool {
+pub(crate) fn decided(pred: &Pred, env: &impl Fn(usize, usize) -> f64) -> bool {
     debug_assert!(
-        eval_predicate(pred, env),
+        holds(pred, env),
         "an exact window admitted a binding its predicate rejects: {pred:?}"
     );
     true
@@ -431,7 +432,7 @@ impl ExactIndex<'_> {
     pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> f64) -> ExactProbe {
         match self {
             ExactIndex::Hash { probe, buckets, .. } => {
-                let bits = key_bits(eval_expr(probe, env));
+                let bits = key_bits(eval(probe, env));
                 let at = bits.and_then(|b| buckets.get(&b)).cloned().unwrap_or(0..0);
                 ExactProbe::Bucket { bits, at }
             }
@@ -441,7 +442,7 @@ impl ExactIndex<'_> {
                 key_is_lhs,
                 form,
                 ..
-            } => match band_runs(keys, *form, *key_is_lhs, eval_expr(probe, env)) {
+            } => match band_runs(keys, *form, *key_is_lhs, eval(probe, env)) {
                 Some(runs) => ExactProbe::Runs(runs),
                 None => ExactProbe::All,
             },
@@ -494,17 +495,6 @@ impl ExactIndex<'_> {
     }
 }
 
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-    }
-}
-
 /// Builds the per-level index lists (empty list: full scan). Level `rel`
 /// receives one index per classified predicate whose highest relation is
 /// `rel` — the level where the old descent would first evaluate it — so a
@@ -538,7 +528,7 @@ pub(crate) fn exact_plan<'q>(
                 debug_assert_eq!(r, key_side.rel);
                 values[a]
             };
-            eval_expr(&key_side.expr, &env)
+            eval(&key_side.expr, &env)
         };
         levels[rel].push(match class {
             PredClass::Equi { .. } => {
@@ -636,19 +626,19 @@ impl FilterIndex {
     ///
     /// Each survival condition below is copied verbatim from the interval
     /// comparison semantics in `sensjoin_query::interval` (`cmp_lt` /
-    /// `cmp_le` / `cmp_eq` over `Interval::sub` / `Interval::abs` images),
+    /// `cmp_le` / `cmp_eq` over interval `-` / `abs` images),
     /// evaluated with the same `Interval` operations — never rearranged — so
     /// an entry is excluded only if its residual check is `Tri::False`.
     pub(crate) fn probe(&self, p: Interval) -> Option<Runs> {
         let (e, form, key_is_lhs) = (&self.entries, self.form, self.key_is_lhs);
         let n = e.len();
         // X = F − G where F is the lhs side of the form.
-        let x = |k: Interval| if key_is_lhs { k.sub(p) } else { p.sub(k) };
+        let x = |k: Interval| if key_is_lhs { k - p } else { p - k };
         let one = |run: Range<usize>| [run, 0..0];
         let ranges: Runs = match form {
             BandForm::Direct(op) => {
                 // `l op r` with (l, r) = (key, probe) or (probe, key).
-                let op = if key_is_lhs { op } else { mirror(op) };
+                let op = if key_is_lhs { op } else { op.mirror() };
                 match op {
                     // possible(l < r) ⇔ l.lo < r.hi
                     CmpOp::Lt => one(0..e.partition_point(|&(k, _)| k.lo < p.hi)),
@@ -848,7 +838,7 @@ pub(crate) fn filter_plan(
         };
         // Only plain column sides: their cell intervals are aligned (see
         // the struct docs); compound sides fall back to the full scan.
-        let (CExpr::Col { attr: la, .. }, CExpr::Col { attr: ra, .. }) =
+        let (NumExpr::Col { attr: la, .. }, NumExpr::Col { attr: ra, .. }) =
             (&sides.0.expr, &sides.1.expr)
         else {
             continue;
@@ -1177,7 +1167,7 @@ mod tests {
                 let mut holds = Vec::new();
                 for (pos, &k) in keys.iter().enumerate() {
                     let env = |r: usize, _: usize| if r == 0 { p } else { k };
-                    let want = eval_predicate(join, &env);
+                    let want = sensjoin_query::holds(join, &env);
                     prop_assert_eq!(
                         ix.contains(&probe, pos as u32), want,
                         "{:?} p={:e} key={:e}", join, p, k

@@ -14,7 +14,7 @@
 //! what lets the partitioned engine guarantee bit-identical results.
 
 use crate::ast::{BinOp, CmpOp};
-use crate::compile::CExpr;
+use crate::compile::{Columns, NumExpr, Pred};
 
 /// One side of a recognized two-relation predicate: an arithmetic expression
 /// referencing exactly one relation.
@@ -23,7 +23,7 @@ pub struct PredSide {
     /// The only relation the expression references.
     pub rel: usize,
     /// The (unrewritten) subtree of the original predicate.
-    pub expr: CExpr,
+    pub expr: NumExpr,
 }
 
 /// The recognized comparison shape connecting the two sides.
@@ -83,102 +83,65 @@ impl PredClass {
 }
 
 /// The relation index an expression references, if it references exactly one.
-fn single_rel(e: &CExpr) -> Option<usize> {
+fn single_rel(e: &NumExpr) -> Option<usize> {
     let rels = e.relations();
     (rels.len() == 1).then(|| *rels.first().expect("len 1"))
-}
-
-/// Mirrors a comparison across its operands: `c op x` ⇔ `x mirror(op) c`.
-fn mirror(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-    }
 }
 
 /// Classifies one join predicate (a WHERE conjunct over ≥ 2 relations).
 ///
 /// `Ne` comparisons are always [`PredClass::General`]: their candidate set
 /// is a complement, which no index here accelerates.
-pub fn classify(pred: &CExpr) -> PredClass {
-    let CExpr::Cmp { op, lhs, rhs } = pred else {
-        return PredClass::General; // OR / NOT conjuncts
+pub fn classify(pred: &Pred) -> PredClass {
+    let Pred::Cmp { op, lhs, rhs } = pred else {
+        return PredClass::General; // AND / OR conjuncts
     };
     if *op == CmpOp::Ne {
         return PredClass::General;
     }
+    let side = |rel, expr: &NumExpr| PredSide {
+        rel,
+        expr: expr.clone(),
+    };
     // Direct: each comparison operand references exactly one relation.
     if let (Some(rl), Some(rr)) = (single_rel(lhs), single_rel(rhs)) {
         if rl != rr {
-            let l = PredSide {
-                rel: rl,
-                expr: (**lhs).clone(),
-            };
-            let r = PredSide {
-                rel: rr,
-                expr: (**rhs).clone(),
-            };
-            return if *op == CmpOp::Eq {
-                PredClass::Equi { lhs: l, rhs: r }
-            } else {
-                PredClass::Band {
-                    lhs: l,
-                    rhs: r,
+            let (lhs, rhs) = (side(rl, lhs), side(rr, rhs));
+            return match op {
+                CmpOp::Eq => PredClass::Equi { lhs, rhs },
+                op => PredClass::Band {
+                    lhs,
+                    rhs,
                     form: BandForm::Direct(*op),
-                }
+                },
             };
         }
     }
     // Difference forms: `X cmp c` or `c cmp X` with X = f-g or |f-g|.
     let (x, c, op) = match (&**lhs, &**rhs) {
-        (x, CExpr::Number(c)) => (x, *c, *op),
-        (CExpr::Number(c), x) => (x, *c, mirror(*op)),
+        (x, NumExpr::Number(c)) => (x, *c, *op),
+        (NumExpr::Number(c), x) => (x, *c, op.mirror()),
         _ => return PredClass::General,
     };
-    if c.is_nan() {
-        return PredClass::General;
-    }
-    let (diff, abs) = match x {
-        CExpr::Bin {
-            op: BinOp::Sub,
-            lhs,
-            rhs,
-        } => ((lhs, rhs), false),
-        CExpr::Abs(inner) => match &**inner {
-            CExpr::Bin {
-                op: BinOp::Sub,
-                lhs,
-                rhs,
-            } => ((lhs, rhs), true),
-            _ => return PredClass::General,
-        },
-        _ => return PredClass::General,
+    let (diff, form) = match x {
+        NumExpr::Abs(diff) => (&**diff, BandForm::AbsDiff { op, c }),
+        diff => (diff, BandForm::Diff { op, c }),
     };
-    let (Some(rl), Some(rr)) = (single_rel(diff.0), single_rel(diff.1)) else {
+    let NumExpr::Bin {
+        op: BinOp::Sub,
+        lhs,
+        rhs,
+    } = diff
+    else {
         return PredClass::General;
     };
-    if rl == rr {
-        return PredClass::General;
-    }
-    let form = if abs {
-        BandForm::AbsDiff { op, c }
-    } else {
-        BandForm::Diff { op, c }
-    };
-    PredClass::Band {
-        lhs: PredSide {
-            rel: rl,
-            expr: (*diff.0.clone()),
+    match (single_rel(lhs), single_rel(rhs)) {
+        (Some(rl), Some(rr)) if rl != rr && !c.is_nan() => PredClass::Band {
+            lhs: side(rl, lhs),
+            rhs: side(rr, rhs),
+            form,
         },
-        rhs: PredSide {
-            rel: rr,
-            expr: (*diff.1.clone()),
-        },
-        form,
+        _ => PredClass::General,
     }
 }
 
@@ -253,6 +216,20 @@ mod tests {
     }
 
     #[test]
+    fn a_negated_comparison_is_classified_by_its_flipped_operator() {
+        let c = classes(
+            "SELECT A.x, B.x FROM Sensors A, Sensors B WHERE NOT A.temp - B.temp > 4.0 ONCE",
+        );
+        assert!(matches!(
+            &c[0],
+            PredClass::Band {
+                form: BandForm::Diff { op: CmpOp::Le, c },
+                ..
+            } if *c == 4.0
+        ));
+    }
+
+    #[test]
     fn direct_inequality_is_band() {
         let c = classes("SELECT A.x, B.x FROM Sensors A, Sensors B WHERE A.temp < B.temp ONCE");
         assert!(matches!(
@@ -291,8 +268,8 @@ mod tests {
         );
         match &c[0] {
             PredClass::Band { lhs, rhs, .. } => {
-                assert!(matches!(lhs.expr, CExpr::Bin { op: BinOp::Add, .. }));
-                assert!(matches!(rhs.expr, CExpr::Col { rel: 1, .. }));
+                assert!(matches!(lhs.expr, NumExpr::Bin { op: BinOp::Add, .. }));
+                assert!(matches!(rhs.expr, NumExpr::Col { rel: 1, .. }));
             }
             other => panic!("expected band, got {other:?}"),
         }

@@ -30,6 +30,34 @@ pub enum CmpOp {
     Ne,
 }
 
+impl CmpOp {
+    /// The operator across swapped operands: `l op r` ⇔ `r op.mirror() l`.
+    pub fn mirror(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            op @ (CmpOp::Eq | CmpOp::Ne) => op,
+        }
+    }
+
+    /// The operator of the negated comparison: `NOT (l op r)` is
+    /// `l op.negate() r`. On points that holds except when an operand is
+    /// NaN, where both are false; on cells it is exact, Kleene `NOT` of the
+    /// three-valued comparison.
+    pub fn negate(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::Le,
+            CmpOp::Ge => CmpOp::Lt,
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+        }
+    }
+}
+
 /// Aggregate functions allowed in the SELECT list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {

@@ -2,15 +2,14 @@
 
 use crate::analyze::{classify, PredClass};
 use crate::ast::{AggFunc, BinOp, CmpOp, Expr, Query, Temporal};
-use crate::eval::{eval_expr, eval_predicate, EvalEnv};
-use crate::interval::{eval_predicate_interval, Interval, Tri};
+use crate::eval::{eval, holds, Domain};
 use sensjoin_relation::{AttrType, Schema};
 use std::collections::BTreeSet;
 
-/// A compiled (name-resolved) expression: attribute references are
-/// `(relation index, attribute index)` pairs.
+/// A compiled (name-resolved) arithmetic expression: attribute references
+/// are `(relation index, attribute index)` pairs.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CExpr {
+pub enum NumExpr {
     /// Numeric literal.
     Number(f64),
     /// Resolved attribute reference.
@@ -21,82 +20,85 @@ pub enum CExpr {
         attr: usize,
     },
     /// Negation.
-    Neg(Box<CExpr>),
+    Neg(Box<NumExpr>),
     /// Absolute value.
-    Abs(Box<CExpr>),
+    Abs(Box<NumExpr>),
     /// Binary arithmetic.
     Bin {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<CExpr>,
+        lhs: Box<NumExpr>,
         /// Right operand.
-        rhs: Box<CExpr>,
+        rhs: Box<NumExpr>,
     },
     /// Euclidean distance.
     Distance {
         /// Coordinate arguments.
-        args: Box<[CExpr; 4]>,
+        args: Box<[NumExpr; 4]>,
     },
+}
+
+/// A compiled predicate. It has no `NOT`: compilation pushes a negation
+/// into the comparisons ([`CmpOp::negate`]) and swaps `AND` and `OR` on
+/// the way (De Morgan).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Pred {
     /// Comparison.
     Cmp {
         /// Operator.
         op: CmpOp,
         /// Left operand.
-        lhs: Box<CExpr>,
+        lhs: Box<NumExpr>,
         /// Right operand.
-        rhs: Box<CExpr>,
+        rhs: Box<NumExpr>,
     },
     /// Conjunction.
-    And(Box<CExpr>, Box<CExpr>),
+    And(Box<Pred>, Box<Pred>),
     /// Disjunction.
-    Or(Box<CExpr>, Box<CExpr>),
-    /// Negation (logical).
-    Not(Box<CExpr>),
+    Or(Box<Pred>, Box<Pred>),
 }
 
-impl CExpr {
+/// The columns an expression reads.
+pub trait Columns {
+    /// Calls `f(rel, attr)` for every attribute reference, depth first.
+    fn each_col(&self, f: &mut impl FnMut(usize, usize));
+
     /// The set of relation indices referenced.
-    pub fn relations(&self) -> BTreeSet<usize> {
+    fn relations(&self) -> BTreeSet<usize> {
         let mut out = BTreeSet::new();
-        self.walk(&mut |e| {
-            if let CExpr::Col { rel, .. } = e {
-                out.insert(*rel);
-            }
+        self.each_col(&mut |rel, _| {
+            out.insert(rel);
         });
         out
     }
+}
 
-    /// Attribute indices of relation `rel` referenced in this expression.
-    pub fn attrs_of(&self, rel: usize) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        self.walk(&mut |e| {
-            if let CExpr::Col { rel: r, attr } = e {
-                if *r == rel {
-                    out.insert(*attr);
-                }
-            }
-        });
-        out
-    }
-
-    fn walk(&self, f: &mut impl FnMut(&CExpr)) {
-        f(self);
+impl Columns for NumExpr {
+    fn each_col(&self, f: &mut impl FnMut(usize, usize)) {
         match self {
-            CExpr::Number(_) | CExpr::Col { .. } => {}
-            CExpr::Neg(e) | CExpr::Abs(e) | CExpr::Not(e) => e.walk(f),
-            CExpr::Bin { lhs, rhs, .. } | CExpr::Cmp { lhs, rhs, .. } => {
-                lhs.walk(f);
-                rhs.walk(f);
+            NumExpr::Number(_) => {}
+            NumExpr::Col { rel, attr } => f(*rel, *attr),
+            NumExpr::Neg(e) | NumExpr::Abs(e) => e.each_col(f),
+            NumExpr::Bin { lhs, rhs, .. } => {
+                lhs.each_col(f);
+                rhs.each_col(f);
             }
-            CExpr::And(a, b) | CExpr::Or(a, b) => {
-                a.walk(f);
-                b.walk(f);
+            NumExpr::Distance { args } => args.iter().for_each(|a| a.each_col(f)),
+        }
+    }
+}
+
+impl Columns for Pred {
+    fn each_col(&self, f: &mut impl FnMut(usize, usize)) {
+        match self {
+            Pred::Cmp { lhs, rhs, .. } => {
+                lhs.each_col(f);
+                rhs.each_col(f);
             }
-            CExpr::Distance { args } => {
-                for a in args.iter() {
-                    a.walk(f);
-                }
+            Pred::And(a, b) | Pred::Or(a, b) => {
+                a.each_col(f);
+                b.each_col(f);
             }
         }
     }
@@ -177,7 +179,7 @@ pub struct CompiledSelect {
     /// Optional aggregate.
     pub agg: Option<AggFunc>,
     /// The projected expression.
-    pub expr: CExpr,
+    pub expr: NumExpr,
     /// Output column name.
     pub name: String,
 }
@@ -202,9 +204,9 @@ pub struct CompiledQuery {
     schemas: Vec<Schema>,
     aliases: Vec<String>,
     select: Vec<CompiledSelect>,
-    group_by: Vec<CExpr>,
-    local_preds: Vec<Vec<CExpr>>,
-    join_preds: Vec<CExpr>,
+    group_by: Vec<NumExpr>,
+    local_preds: Vec<Vec<Pred>>,
+    join_preds: Vec<Pred>,
     pred_classes: Vec<PredClass>,
     join_attrs: Vec<Vec<usize>>,
     referenced: Vec<Vec<usize>>,
@@ -246,7 +248,7 @@ impl CompiledQuery {
         };
         let mut select = Vec::with_capacity(query.select.len());
         for (i, item) in query.select.iter().enumerate() {
-            let expr = resolver.resolve(&item.expr, false)?;
+            let expr = resolver.num(&item.expr)?;
             let name = item.alias.clone().unwrap_or_else(|| format!("col{i}"));
             select.push(CompiledSelect {
                 agg: item.agg,
@@ -254,10 +256,10 @@ impl CompiledQuery {
                 name,
             });
         }
-        let group_by: Vec<CExpr> = query
+        let group_by: Vec<NumExpr> = query
             .group_by
             .iter()
-            .map(|e| resolver.resolve(e, false))
+            .map(|e| resolver.num(e))
             .collect::<Result<_, _>>()?;
         // SQL grouping rules: without GROUP BY, aggregates must be all or
         // nothing; with GROUP BY, every bare select item must be one of the
@@ -285,18 +287,11 @@ impl CompiledQuery {
         let mut const_false = false;
         if let Some(pred) = &query.predicate {
             for conjunct in pred.conjuncts() {
-                let c = resolver.resolve(conjunct, true)?;
+                let c = resolver.pred(conjunct, false)?;
                 let rels = c.relations();
                 match rels.len() {
-                    0 => {
-                        // Constant: fold now.
-                        let env = |_: usize, _: usize| -> f64 {
-                            unreachable!("constant predicate has no columns")
-                        };
-                        if !eval_predicate(&c, &env) {
-                            const_false = true;
-                        }
-                    }
+                    // Constant (its env is never read): fold now.
+                    0 => const_false |= !holds(&c, &|_, _| f64::NAN),
                     1 => {
                         let rel = *rels.first().expect("len 1");
                         local_preds[rel].push(c);
@@ -308,34 +303,28 @@ impl CompiledQuery {
 
         let pred_classes: Vec<PredClass> = join_preds.iter().map(classify).collect();
 
-        let join_attrs: Vec<Vec<usize>> = (0..query.from.len())
-            .map(|rel| {
-                let mut set = BTreeSet::new();
-                for p in &join_preds {
-                    set.extend(p.attrs_of(rel));
-                }
-                set.into_iter().collect()
-            })
-            .collect();
-
-        let referenced: Vec<Vec<usize>> = (0..query.from.len())
-            .map(|rel| {
-                let mut set = BTreeSet::new();
-                for s in &select {
-                    set.extend(s.expr.attrs_of(rel));
-                }
-                for g in &group_by {
-                    set.extend(g.attrs_of(rel));
-                }
-                for p in &join_preds {
-                    set.extend(p.attrs_of(rel));
-                }
-                for p in &local_preds[rel] {
-                    set.extend(p.attrs_of(rel));
-                }
-                set.into_iter().collect()
-            })
-            .collect();
+        // What the join predicates read of each relation (its join
+        // attributes), then what the whole query reads of it.
+        let mut read = vec![BTreeSet::new(); query.from.len()];
+        for p in &join_preds {
+            p.each_col(&mut |rel, attr| {
+                read[rel].insert(attr);
+            });
+        }
+        let sorted = |sets: &[BTreeSet<usize>]| -> Vec<Vec<usize>> {
+            sets.iter().map(|s| s.iter().copied().collect()).collect()
+        };
+        let join_attrs = sorted(&read);
+        let mut note = |rel: usize, attr: usize| {
+            read[rel].insert(attr);
+        };
+        for e in select.iter().map(|s| &s.expr).chain(&group_by) {
+            e.each_col(&mut note);
+        }
+        for p in local_preds.iter().flatten() {
+            p.each_col(&mut note);
+        }
+        let referenced = sorted(&read);
 
         Ok(Self {
             schemas: schemas.to_vec(),
@@ -382,7 +371,7 @@ impl CompiledQuery {
     }
 
     /// The resolved GROUP BY expressions (empty = no grouping).
-    pub fn group_by(&self) -> &[CExpr] {
+    pub fn group_by(&self) -> &[NumExpr] {
         &self.group_by
     }
 
@@ -392,8 +381,8 @@ impl CompiledQuery {
     }
 
     /// Evaluates the grouping key on a binding.
-    pub fn eval_group_key(&self, env: &impl EvalEnv) -> Vec<f64> {
-        self.group_by.iter().map(|g| eval_expr(g, env)).collect()
+    pub fn eval_group_key(&self, env: &impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        self.group_by.iter().map(|g| eval(g, env)).collect()
     }
 
     /// Folds one group's rows into an output row, appended to `out`
@@ -421,7 +410,7 @@ impl CompiledQuery {
     }
 
     /// Join predicates (conjuncts over ≥ 2 relations).
-    pub fn join_preds(&self) -> &[CExpr] {
+    pub fn join_preds(&self) -> &[Pred] {
         &self.join_preds
     }
 
@@ -434,7 +423,7 @@ impl CompiledQuery {
     }
 
     /// Local predicates of relation `rel`.
-    pub fn local_preds(&self, rel: usize) -> &[CExpr] {
+    pub fn local_preds(&self, rel: usize) -> &[Pred] {
         &self.local_preds[rel]
     }
 
@@ -477,32 +466,28 @@ impl CompiledQuery {
             debug_assert_eq!(r, rel, "local predicate touching another relation");
             values[a]
         };
-        self.local_preds[rel]
-            .iter()
-            .all(|p| eval_predicate(p, &env))
+        self.local_preds[rel].iter().all(|p| holds(p, &env))
     }
 
-    /// Evaluates the join predicates on a full binding.
-    pub fn eval_join(&self, env: &impl EvalEnv) -> bool {
-        !self.const_false && self.join_preds.iter().all(|p| eval_predicate(p, env))
-    }
-
-    /// Conservative cell-level join test: `true` iff every join predicate is
-    /// *possibly* satisfied when each attribute only known up to an interval.
-    pub fn possibly_joins(&self, env: &impl Fn(usize, usize) -> Interval) -> bool {
-        !self.const_false
-            && self
-                .join_preds
-                .iter()
-                .all(|p| eval_predicate_interval(p, env) != Tri::False)
+    /// Evaluates the conjunction of the join predicates on a binding: on a
+    /// full binding of values (`bool`), or on one of quantization cells
+    /// ([`Tri`](crate::Tri)) — the pre-join's conservative test, whose
+    /// [`possible`](crate::Tri::possible) verdict is never false where some
+    /// values inside the cells join.
+    pub fn eval_join<D: Domain>(&self, env: &impl Fn(usize, usize) -> D) -> D::Truth {
+        let mut t = D::Truth::from(!self.const_false);
+        for p in &self.join_preds {
+            if t == false.into() {
+                break;
+            }
+            t = t & holds(p, env);
+        }
+        t
     }
 
     /// Evaluates the SELECT expressions on a binding (pre-aggregation).
-    pub fn eval_select_row(&self, env: &impl EvalEnv) -> Vec<f64> {
-        self.select
-            .iter()
-            .map(|s| eval_expr(&s.expr, env))
-            .collect()
+    pub fn eval_select_row(&self, env: &impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        self.select.iter().map(|s| eval(&s.expr, env)).collect()
     }
 
     /// Folds aggregate SELECT items over the produced rows. `None` entries
@@ -573,50 +558,55 @@ struct Resolver<'a> {
 }
 
 impl Resolver<'_> {
-    /// Resolves `expr`, which must be boolean iff `want_bool`. This is the
-    /// recursion over the expression, so the column lookup and the type
-    /// error live in helpers, off the stack frames a deep expression stacks
-    /// up (`MAX_EXPR_DEPTH`).
-    fn resolve(&self, expr: &Expr, want_bool: bool) -> Result<CExpr, CompileError> {
-        let num = |e: &Expr| Ok::<_, CompileError>(Box::new(self.resolve(e, false)?));
-        let boolean = |e: &Expr| Ok::<_, CompileError>(Box::new(self.resolve(e, true)?));
-        let c = match expr {
-            Expr::Number(n) => CExpr::Number(*n),
+    /// Resolves the arithmetic expression `expr`. This and [`Self::pred`]
+    /// are the recursion over the expression, so the column lookup and the
+    /// type error live in helpers, off the stack frames a deep expression
+    /// stacks up (`MAX_EXPR_DEPTH`).
+    fn num(&self, expr: &Expr) -> Result<NumExpr, CompileError> {
+        let num = |e: &Expr| Ok::<_, CompileError>(Box::new(self.num(e)?));
+        Ok(match expr {
+            Expr::Number(n) => NumExpr::Number(*n),
             Expr::Attr { qualifier, attr } => self.column(qualifier, attr)?,
-            Expr::Neg(e) => CExpr::Neg(num(e)?),
-            Expr::Abs(e) => CExpr::Abs(num(e)?),
-            Expr::Bin { op, lhs, rhs } => CExpr::Bin {
+            Expr::Neg(e) => NumExpr::Neg(num(e)?),
+            Expr::Abs(e) => NumExpr::Abs(num(e)?),
+            Expr::Bin { op, lhs, rhs } => NumExpr::Bin {
                 op: *op,
                 lhs: num(lhs)?,
                 rhs: num(rhs)?,
             },
             Expr::Distance { args } => {
                 let [a, b, c, d] = args.as_ref();
-                CExpr::Distance {
+                NumExpr::Distance {
                     args: Box::new([*num(a)?, *num(b)?, *num(c)?, *num(d)?]),
                 }
             }
-            Expr::Cmp { op, lhs, rhs } => CExpr::Cmp {
-                op: *op,
-                lhs: num(lhs)?,
-                rhs: num(rhs)?,
+            Expr::Cmp { .. } | Expr::And(..) | Expr::Or(..) | Expr::Not(..) => {
+                return Err(type_error("numeric", "boolean"))
+            }
+        })
+    }
+
+    /// Resolves the boolean expression `expr`, negated iff `negated`: a
+    /// negation flips the operator of each comparison under it and swaps
+    /// `AND` and `OR`.
+    fn pred(&self, expr: &Expr, negated: bool) -> Result<Pred, CompileError> {
+        let pred = |e: &Expr| Ok::<_, CompileError>(Box::new(self.pred(e, negated)?));
+        Ok(match expr {
+            Expr::Cmp { op, lhs, rhs } => Pred::Cmp {
+                op: if negated { op.negate() } else { *op },
+                lhs: Box::new(self.num(lhs)?),
+                rhs: Box::new(self.num(rhs)?),
             },
-            Expr::And(a, b) => CExpr::And(boolean(a)?, boolean(b)?),
-            Expr::Or(a, b) => CExpr::Or(boolean(a)?, boolean(b)?),
-            Expr::Not(e) => CExpr::Not(boolean(e)?),
-        };
-        let is_bool = matches!(
-            c,
-            CExpr::Cmp { .. } | CExpr::And(..) | CExpr::Or(..) | CExpr::Not(..)
-        );
-        if is_bool != want_bool {
-            return Err(type_error(want_bool));
-        }
-        Ok(c)
+            Expr::And(a, b) if !negated => Pred::And(pred(a)?, pred(b)?),
+            Expr::Or(a, b) if negated => Pred::And(pred(a)?, pred(b)?),
+            Expr::And(a, b) | Expr::Or(a, b) => Pred::Or(pred(a)?, pred(b)?),
+            Expr::Not(e) => self.pred(e, !negated)?,
+            _ => return Err(type_error("boolean", "numeric")),
+        })
     }
 
     /// The column `qualifier.attr` names.
-    fn column(&self, qualifier: &str, attr: &str) -> Result<CExpr, CompileError> {
+    fn column(&self, qualifier: &str, attr: &str) -> Result<NumExpr, CompileError> {
         let rel = self
             .aliases
             .iter()
@@ -629,25 +619,20 @@ impl Resolver<'_> {
                     qualifier: qualifier.to_owned(),
                     attr: attr.to_owned(),
                 })?;
-        Ok(CExpr::Col { rel, attr: idx })
+        Ok(NumExpr::Col { rel, attr: idx })
     }
 }
 
-/// The error for an expression of the wrong kind where a boolean one was
-/// wanted iff `want_bool`.
-fn type_error(want_bool: bool) -> CompileError {
-    let (want, found) = if want_bool {
-        ("boolean", "numeric")
-    } else {
-        ("numeric", "boolean")
-    };
+/// The error for an expression of kind `found` where one of kind `want` was
+/// wanted.
+fn type_error(want: &str, found: &str) -> CompileError {
     CompileError::TypeError(format!("expected {want} expression, found {found}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::{parse, Interval};
     use sensjoin_relation::Attribute;
 
     fn sensors_schema() -> Schema {
@@ -722,6 +707,24 @@ mod tests {
     }
 
     #[test]
+    fn not_is_pushed_into_the_comparisons() {
+        let cq = compile(
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+             WHERE NOT (A.temp < B.temp OR NOT A.x = B.x) ONCE",
+        );
+        let cmp = |op, attr| Pred::Cmp {
+            op,
+            lhs: Box::new(NumExpr::Col { rel: 0, attr }),
+            rhs: Box::new(NumExpr::Col { rel: 1, attr }),
+        };
+        let want = Pred::And(Box::new(cmp(CmpOp::Ge, 2)), Box::new(cmp(CmpOp::Eq, 0)));
+        assert_eq!(cq.join_preds(), &[want]);
+        // A NaN makes the negated comparison false, as it does the original.
+        let nan = |_: usize, attr: usize| if attr == 2 { f64::NAN } else { 1.0 };
+        assert!(!cq.eval_join(&nan));
+    }
+
+    #[test]
     fn join_layout_shares_dimensions_for_self_join() {
         let cq = compile(
             "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
@@ -762,7 +765,7 @@ mod tests {
                 Interval::new(22.0, 23.0)
             }
         };
-        assert!(cq.possibly_joins(&env));
+        assert!(cq.eval_join(&env).possible());
         // Cells far apart -> impossible.
         let env2 = |rel: usize, _attr: usize| {
             if rel == 0 {
@@ -771,7 +774,7 @@ mod tests {
                 Interval::new(30.0, 31.0)
             }
         };
-        assert!(!cq.possibly_joins(&env2));
+        assert!(!cq.eval_join(&env2).possible());
     }
 
     #[test]

@@ -25,13 +25,27 @@
 //!   the node, §III "Optionally, the WHERE-clauses can narrow down the
 //!   scope") and *join* predicates (≥ 2 relations), and extraction of the
 //!   per-relation **join attributes** (paper Definition 1),
-//! * scalar predicate/expression evaluation over tuple bindings, and
-//! * [`interval`] — interval-arithmetic evaluation returning three-valued
-//!   truth. This generalizes the paper's footnote 2 (widening Θ-join
-//!   constants to the quantization resolution) to *arbitrary* join
-//!   expressions: the pre-join asks "can any concrete values inside these
-//!   quantization cells satisfy the condition?", which can yield false
-//!   positives but never false negatives.
+//! * one evaluator ([`eval`], [`holds`]) of the typed compiled expressions
+//!   ([`NumExpr`], [`Pred`]), generic over the value [`Domain`]: points
+//!   (`f64`) for tuple bindings, and
+//! * [`interval`] — cells ([`Interval`]) with three-valued truth ([`Tri`]).
+//!   This generalizes the paper's footnote 2 (widening Θ-join constants to
+//!   the quantization resolution) to *arbitrary* join expressions: the
+//!   pre-join asks "can any concrete values inside these quantization cells
+//!   satisfy the condition?", which can yield false positives but never
+//!   false negatives.
+//!
+//! # NaN and the no-false-negatives rule
+//!
+//! Every point comparison with a NaN operand is false, `<>` included (it is
+//! `l < r || l > r`), and a compiled predicate has no `NOT` that could turn
+//! such a false into a true: compilation pushes `NOT` into the comparisons
+//! (`NOT a < b` is `a >= b`). So a binding with a NaN value never joins on
+//! the comparison that reads it, and no cell needs to admit it. For every
+//! other binding the rule holds per operator: over points drawn from the
+//! operand intervals, each interval operation contains every non-NaN point
+//! result, and a comparison true at the points is never `Tri::False` on the
+//! intervals (`tests/domain_containment.rs`).
 //!
 //! # Example
 //!
@@ -65,7 +79,7 @@ mod token;
 
 pub use analyze::{BandForm, PredClass, PredSide};
 pub use ast::{AggFunc, BinOp, CmpOp, Expr, Query, SelectItem, Temporal};
-pub use compile::{CExpr, CompileError, CompiledQuery, CompiledSelect};
-pub use eval::{eval_expr, eval_predicate, EvalEnv};
-pub use interval::{eval_expr_interval, eval_predicate_interval, Interval, Tri};
+pub use compile::{Columns, CompileError, CompiledQuery, CompiledSelect, NumExpr, Pred};
+pub use eval::{eval, holds, Domain};
+pub use interval::{Interval, Tri};
 pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};

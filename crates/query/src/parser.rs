@@ -286,13 +286,13 @@ impl Parser {
             Some(Token::Ident(name)) => name,
             other => return err(format!("expected relation name, found {other:?}")),
         };
-        let alias = if matches!(self.peek(), Some(Token::Ident(_))) {
-            match self.next() {
-                Some(Token::Ident(a)) => a,
-                _ => unreachable!("peeked an identifier"),
+        let alias = match self.peek() {
+            Some(Token::Ident(a)) => {
+                let a = a.clone();
+                self.pos += 1;
+                a
             }
-        } else {
-            relation.clone()
+            _ => relation.clone(),
         };
         Ok(FromItem { relation, alias })
     }

@@ -104,79 +104,38 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
+        let next = bytes.get(i + 1).copied().unwrap_or(0);
+        // A symbol and its length in bytes, the longest match first.
+        let symbol = match (c, next) {
+            ('<', b'=') => Some((Token::Le, 2)),
+            ('<', b'>') | ('!', b'=') => Some((Token::Ne, 2)),
+            ('>', b'=') => Some((Token::Ge, 2)),
+            ('<', _) => Some((Token::Lt, 1)),
+            ('>', _) => Some((Token::Gt, 1)),
+            ('=', _) => Some((Token::Eq, 1)),
+            ('(', _) => Some((Token::LParen, 1)),
+            (')', _) => Some((Token::RParen, 1)),
+            (',', _) => Some((Token::Comma, 1)),
+            ('.', d) if !d.is_ascii_digit() => Some((Token::Dot, 1)),
+            ('*', _) => Some((Token::Star, 1)),
+            ('/', _) => Some((Token::Slash, 1)),
+            ('+', _) => Some((Token::Plus, 1)),
+            ('-', _) => Some((Token::Minus, 1)),
+            ('|', _) => Some((Token::Bar, 1)),
+            _ => None,
+        };
+        if let Some((token, len)) = symbol {
+            out.push(token);
+            i += len;
+            continue;
+        }
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
-                out.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
-            }
-            '.' if i + 1 >= bytes.len() || !bytes[i + 1].is_ascii_digit() => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '/' => {
-                out.push(Token::Slash);
-                i += 1;
-            }
-            '+' => {
-                out.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Token::Minus);
-                i += 1;
-            }
-            '|' => {
-                out.push(Token::Bar);
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Le);
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '=' => {
-                out.push(Token::Eq);
-                i += 1;
-            }
             '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        at: i,
-                        message: "expected '=' after '!'".into(),
-                    });
-                }
+                return Err(LexError {
+                    at: i,
+                    message: "expected '=' after '!'".into(),
+                })
             }
             c if c.is_ascii_digit() || c == '.' => {
                 let start = i;
@@ -302,5 +261,42 @@ mod tests {
     fn bad_character() {
         assert!(tokenize("SELECT #").is_err());
         assert!(tokenize("a ! b").is_err());
+    }
+
+    #[test]
+    fn every_symbol_and_literal() {
+        use Token::*;
+        let got = tokenize("(A.x<=.5e1,1.)*/+-|<><>=>=!=!=<a>b").unwrap();
+        let want = [
+            LParen,
+            Ident("A".into()),
+            Dot,
+            Ident("x".into()),
+            Le,
+            Number(5.0),
+            Comma,
+            Number(1.0),
+            RParen,
+            Star,
+            Slash,
+            Plus,
+            Minus,
+            Bar,
+            Ne,
+            Ne,
+            Eq,
+            Ge,
+            Ne,
+            Ne,
+            Lt,
+            Ident("a".into()),
+            Gt,
+            Ident("b".into()),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(tokenize("a.").unwrap(), [Ident("a".into()), Dot]);
+        assert_eq!(tokenize("where").unwrap(), [Keyword(super::Keyword::Where)]);
+        assert_eq!(tokenize("1 ! 2").unwrap_err().at, 2);
+        assert_eq!(tokenize("a;").unwrap_err().at, 1);
     }
 }

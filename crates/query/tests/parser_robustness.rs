@@ -3,10 +3,7 @@
 //! inconsistencies, and no nesting depth can overflow a stack.
 
 use proptest::prelude::*;
-use sensjoin_query::{
-    eval_expr, eval_expr_interval, eval_predicate, eval_predicate_interval, parse, CompiledQuery,
-    Interval, MAX_EXPR_DEPTH,
-};
+use sensjoin_query::{eval, holds, parse, CompiledQuery, Interval, MAX_EXPR_DEPTH};
 use sensjoin_relation::{AttrType, Attribute, Schema};
 
 proptest! {
@@ -161,12 +158,12 @@ fn the_depth_bound_fits_half_the_smallest_stack() {
                 let point = |_: usize, _: usize| 1.0;
                 let cell = |_: usize, _: usize| Interval::new(0.0, 2.0);
                 for p in cq.join_preds() {
-                    eval_predicate(p, &point);
-                    eval_predicate_interval(p, &cell);
+                    holds(p, &point);
+                    holds(p, &cell);
                 }
                 for s in cq.select() {
-                    eval_expr(&s.expr, &point);
-                    eval_expr_interval(&s.expr, &cell);
+                    eval(&s.expr, &point);
+                    eval(&s.expr, &cell);
                 }
                 assert_eq!(cq.clone(), cq);
                 assert_eq!(q.clone(), q);

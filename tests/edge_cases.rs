@@ -169,3 +169,32 @@ fn or_predicate_across_relations() {
     let sj = SensJoin::default().execute(&mut snet, &cq).unwrap();
     assert!(ext.result.same_result(&sj.result));
 }
+
+#[test]
+fn nan_at_a_point_joins_nowhere() {
+    // `0 · ∞` is NaN at a point but 0 on a cell. Were a NaN comparison true
+    // at a point (a `<>`, or a `NOT` over any comparison), the exact join
+    // would keep every pair while the pre-join, seeing `0 <> 0`, pruned
+    // them all: a false negative. Every comparison with a NaN operand is
+    // false, so both methods agree.
+    let mut snet = SensorNetworkBuilder::new()
+        .area(Area::for_constant_density(300))
+        .placement(Placement::UniformRandom { n: 300 })
+        .seed(2)
+        .build()
+        .unwrap();
+    let method = SensJoin::with_config(SensJoinConfig {
+        dmax: 0,
+        ..SensJoinConfig::default()
+    });
+    for predicate in [
+        "A.temp * 0 * 1e400 <> B.temp * 0",
+        "NOT (A.temp * 1e308 * 10 * 0 >= B.temp * 0)",
+    ] {
+        let sql = format!("SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE {predicate} ONCE");
+        let cq = snet.compile(&parse(&sql).unwrap()).unwrap();
+        let ext = ExternalJoin.execute(&mut snet, &cq).unwrap();
+        let sj = method.execute(&mut snet, &cq).unwrap();
+        assert!(ext.result.same_result(&sj.result), "{predicate}");
+    }
+}
