@@ -2,9 +2,12 @@
 //! codec and set primitives, compression codecs, query parsing and interval
 //! evaluation. These are the per-node CPU costs; the paper argues they are
 //! negligible next to communication (§I), which these numbers substantiate.
+//! The `field` pair times a deployment's resample when its field is kept
+//! and when every spec's wave sums are drawn anew.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
+use sensjoin_field::{presets, FieldSpec};
 use sensjoin_quadtree::{decode, encode, encoded_wire_size, Point, PointSet, RelFlags, TreeShape};
 use sensjoin_query::{parse, CompiledQuery, Interval};
 use sensjoin_relation::{AttrType, Attribute, Schema};
@@ -201,6 +204,38 @@ fn bench_compression(c: &mut Criterion) {
     group.finish();
 }
 
+/// `SensorNetwork::resample` at 1 500 nodes: the same field with its noise
+/// scaled each iteration (the kept wave sums are reused), and a new seed
+/// each iteration (every spec's cosines are evaluated).
+fn bench_resample(c: &mut Criterion) {
+    let mut snet = sensjoin_bench::paper_network(1500, sensjoin_bench::SEED);
+    let base = presets::indoor_climate();
+    let scaled: Vec<Vec<FieldSpec>> = (0..16)
+        .map(|r| {
+            let scale = 1.0 + 0.25 * r as f64 / 16.0;
+            let scale = |s: &FieldSpec| FieldSpec {
+                noise: s.noise * scale,
+                ..s.clone()
+            };
+            base.iter().map(scale).collect()
+        })
+        .collect();
+    let mut i = 0;
+    c.bench_function("field/resample_same_field", |b| {
+        b.iter(|| {
+            i += 1;
+            snet.resample(black_box(&scaled[i % scaled.len()]), 7);
+        })
+    });
+    let mut seed = 7;
+    c.bench_function("field/resample_new_seed", |b| {
+        b.iter(|| {
+            seed += 1;
+            snet.resample(black_box(&base), seed);
+        })
+    });
+}
+
 fn bench_query(c: &mut Criterion) {
     const Q2: &str = "SELECT |A.hum - B.hum|, |A.pres - B.pres| \
                       FROM Sensors A, Sensors B \
@@ -247,6 +282,7 @@ criterion_group!(
     bench_quadtree_sizing,
     bench_record_tx,
     bench_compression,
+    bench_resample,
     bench_query
 );
 criterion_main!(benches);

@@ -216,7 +216,7 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
 /// decided two-way join costs some 11–20 ns into the flat sink and 70–95 ns
 /// into the vector one (one thread of the 2-core bench host, 1 000 tuples a
 /// side), a spawned worker some tens of µs, and the callers with many small
-/// joins — a serve tick's per-tenant joins — already run on one thread per
+/// joins — a serve tick's per-plan joins — already run on one thread per
 /// deployment. Two chunks measured a wash into the flat sink at 36 k steps
 /// (0.56–0.58 → 0.60–0.67 ms) and 0.67–0.69× into either sink at 71 k.
 const PAR_MIN_WORK: usize = 1 << 16;

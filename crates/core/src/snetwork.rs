@@ -1,6 +1,6 @@
 //! The deployed sensor network: simulator + data + relation catalog.
 
-use sensjoin_field::{generate_readings, Area, FieldSpec, Placement};
+use sensjoin_field::{generate_readings, Area, FieldSampler, FieldSpec, Placement};
 use sensjoin_query::{CompileError, CompiledQuery, Query};
 use sensjoin_relation::{AttrType, Attribute, NodeId, Schema, SensorRelation};
 use sensjoin_sim::{BaseChoice, EnergyModel, Network, NetworkBuilder, NetworkError, RadioConfig};
@@ -83,6 +83,9 @@ pub struct SensorNetwork {
     master: Schema,
     readings: Vec<Vec<f64>>,
     catalog: Vec<SensorRelation>,
+    /// The generator [`SensorNetwork::resample`] draws with, made on its
+    /// first call: derived state, never checkpointed.
+    sampler: Option<FieldSampler>,
 }
 
 impl SensorNetwork {
@@ -204,24 +207,30 @@ impl SensorNetwork {
 
     /// Replaces the snapshot with freshly generated readings (used by
     /// `SAMPLE PERIOD` continuous executions: each period reads a new
-    /// snapshot).
+    /// snapshot). Only the columns named by `specs` are written.
+    ///
+    /// The readings are bit for bit those of
+    /// [`generate_readings`](sensjoin_field::generate_readings) at the
+    /// node positions. The deployment keeps each spec's wave sums keyed by
+    /// its correlation length and its field seed (`seed` and its index, see
+    /// [`FieldSampler`]), so a call that changes neither for a spec — the
+    /// same field with new noise, mean, amplitude or coupling — evaluates no
+    /// cosine for it.
     pub fn resample(&mut self, specs: &[FieldSpec], seed: u64) {
-        let positions: Vec<_> = self
-            .net
-            .topology()
-            .nodes()
-            .map(|n| self.net.topology().position(n))
-            .collect();
-        let generated = generate_readings(&positions, specs, seed);
+        let topology = self.net.topology();
+        let sampler = self.sampler.get_or_insert_with(|| {
+            FieldSampler::new(topology.nodes().map(|n| topology.position(n)).collect())
+        });
         let column = |s: &FieldSpec| self.master.index_of(&s.name);
         let columns: Vec<Option<usize>> = specs.iter().map(column).collect();
-        for (readings, row) in self.readings.iter_mut().zip(generated) {
-            for (column, v) in columns.iter().zip(row) {
+        let readings = &mut self.readings;
+        sampler.draw(specs, seed, |node, row| {
+            for (column, &v) in columns.iter().zip(row) {
                 if let Some(i) = *column {
-                    readings[i] = v;
+                    readings[node][i] = v;
                 }
             }
-        }
+        });
     }
 }
 
@@ -446,6 +455,7 @@ impl SensorNetworkBuilder {
             master,
             readings,
             catalog,
+            sampler: None,
         })
     }
 }
@@ -545,6 +555,52 @@ mod tests {
         assert_eq!(attr_type_for("voltage"), AttrType::Volts);
         assert_eq!(attr_type_for("x"), AttrType::Meters);
         assert_eq!(attr_type_for("whatever"), AttrType::Raw(2));
+    }
+
+    /// A network's kept wave sums change no reading: after a drift sequence
+    /// (noise, new seed, new correlation length), the network, a clone taken
+    /// midway and a twin that draws only the last field cold all agree bit
+    /// for bit.
+    #[test]
+    fn kept_wave_sums_change_no_reading() {
+        let drift = |noise: f64, stretch: f64| -> Vec<FieldSpec> {
+            let mut specs = presets::indoor_climate();
+            for s in &mut specs {
+                s.noise *= noise;
+            }
+            specs[0].correlation_length *= stretch;
+            specs
+        };
+        let steps = [
+            (drift(1.0, 1.0), 5),
+            (drift(1.25, 1.0), 5),
+            (drift(0.5, 1.0), 6),
+            (drift(0.5, 2.0), 6),
+            (drift(1.5, 2.0), 6),
+        ];
+        let mut s = small();
+        let mut clone: Option<SensorNetwork> = None;
+        for (i, (specs, seed)) in steps.iter().enumerate() {
+            s.resample(specs, *seed);
+            if let Some(c) = &mut clone {
+                c.resample(specs, *seed);
+            }
+            if i == 1 {
+                clone = Some(s.clone());
+            }
+        }
+        let mut twin = small();
+        let (specs, seed) = steps.last().unwrap();
+        twin.resample(specs, *seed);
+        let bits = |s: &SensorNetwork| -> Vec<u64> {
+            let nodes = 0..s.len() as u32;
+            nodes
+                .flat_map(|n| s.readings(NodeId(n)).to_vec())
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&s), bits(&twin));
+        assert_eq!(bits(&clone.unwrap()), bits(&twin));
     }
 
     #[test]

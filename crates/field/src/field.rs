@@ -65,11 +65,23 @@ impl CosineField {
 
     /// Samples the field at a position.
     pub fn sample(&self, p: Position) -> f64 {
-        let sum: f64 = self
-            .waves
+        self.at(self.wave_sum(p))
+    }
+
+    /// The cosine sum at a position: the `K` cosines of a sample, which
+    /// depend on the position, the correlation length and the seed only —
+    /// not on the mean or the amplitude.
+    pub(crate) fn wave_sum(&self, p: Position) -> f64 {
+        #[cfg(test)]
+        tests::COSINES.with(|n| n.set(n.get() + self.waves.len()));
+        self.waves
             .iter()
             .map(|&(wx, wy, ph)| (wx * p.x + wy * p.y + ph).cos())
-            .sum();
+            .sum()
+    }
+
+    /// The field's value where the cosines sum to `sum`.
+    pub(crate) fn at(&self, sum: f64) -> f64 {
         self.mean + self.amplitude * self.norm * sum
     }
 
@@ -85,8 +97,14 @@ impl CosineField {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Cosines [`CosineField::wave_sum`] evaluated on this thread.
+        pub(crate) static COSINES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn sample_stats(field: &CosineField, n: usize) -> (f64, f64) {
         let mut rng = SmallRng::seed_from_u64(999);

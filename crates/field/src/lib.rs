@@ -19,6 +19,12 @@
 //! * [`FieldSpec`] / [`generate_readings`] — named per-attribute generators
 //!   with cross-attribute correlation (humidity tracking temperature, etc.)
 //!   and white measurement noise,
+//! * [`FieldSampler`] — the same generator kept by a deployment: it owns the
+//!   node positions and each spec's wave sums (the cosines, a function of
+//!   the positions, the correlation length and the field seed only), so a
+//!   redraw of the same field with new noise, mean, amplitude or coupling
+//!   evaluates no cosine. [`generate_readings`] is one draw of a fresh
+//!   sampler, so the two cannot disagree,
 //! * [`presets`] — an Intel-Lab-like indoor climate preset and an outdoor
 //!   environmental preset.
 //!
@@ -46,4 +52,4 @@ mod readings;
 
 pub use field::CosineField;
 pub use placement::{Area, Placement, Position};
-pub use readings::{generate_readings, FieldSpec};
+pub use readings::{generate_readings, FieldSampler, FieldSpec};

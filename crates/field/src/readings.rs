@@ -50,11 +50,13 @@ impl FieldSpec {
     }
 }
 
-/// Cosines below which [`generate_readings`] samples inline. A cosine costs
-/// some 17 ns and a spawned worker some tens of µs, and the callers with
-/// many small networks — a serve tick's 250-node deployments, 64 k cosines
-/// each — already run on one thread per deployment: fanning out pays from a
-/// couple of milliseconds of sampling.
+/// Cosines below which a sampler fills its wave sums inline: every spec's
+/// on a fresh sampler, only the changed specs' on a reused one (a draw that
+/// changes none evaluates no cosine). A cosine costs some 17 ns and a
+/// spawned worker some tens of µs, and the callers with many small networks
+/// — a serve tick's 250-node deployments, 64 k cosines each on a miss —
+/// already run on one thread per deployment: fanning out pays from a couple
+/// of milliseconds of sampling.
 const PAR_MIN_COSINES: usize = 1 << 17;
 
 /// Generates one reading per node and spec: `readings[node][spec]`.
@@ -62,16 +64,22 @@ const PAR_MIN_COSINES: usize = 1 << 17;
 /// Each spec gets an independent field seeded from `seed` and its index, so
 /// regenerating with the same arguments is exactly reproducible — on any
 /// number of threads: only the smooth field component, independent per
-/// (node, spec), is sampled in parallel.
+/// (node, spec), is sampled in parallel. This is one draw of a fresh
+/// [`FieldSampler`].
 ///
 /// # Panics
 /// Panics if a `cross` reference points at itself or a later spec.
 pub fn generate_readings(positions: &[Position], specs: &[FieldSpec], seed: u64) -> Vec<Vec<f64>> {
-    let chunks = match positions.len() * specs.len() * CosineField::K {
-        cosines if cosines < PAR_MIN_COSINES => 1,
-        _ => host_threads(),
-    };
-    generate_readings_in(positions, specs, seed, chunks)
+    generate_readings_with(positions, specs, seed, chunks_for)
+}
+
+/// The chunks a fill of `cosines` cosines runs in.
+fn chunks_for(cosines: usize) -> usize {
+    if cosines < PAR_MIN_COSINES {
+        1
+    } else {
+        host_threads()
+    }
 }
 
 /// The threads the host grants this process, read once: asking again
@@ -84,79 +92,176 @@ fn host_threads() -> usize {
 
 /// [`generate_readings`] sampling the fields in at most `chunks` chunks of
 /// positions, one thread each.
+#[cfg(test)]
 fn generate_readings_in(
     positions: &[Position],
     specs: &[FieldSpec],
     seed: u64,
     chunks: usize,
 ) -> Vec<Vec<f64>> {
-    for (i, s) in specs.iter().enumerate() {
-        if let Some((j, _)) = s.cross {
-            assert!(
-                j < i,
-                "spec {i} ({}) must couple to an earlier spec, got {j}",
-                s.name
-            );
+    generate_readings_with(positions, specs, seed, |_| chunks)
+}
+
+/// [`generate_readings`] filling its sums in `chunks(cosines)` chunks.
+fn generate_readings_with(
+    positions: &[Position],
+    specs: &[FieldSpec],
+    seed: u64,
+    chunks: impl Fn(usize) -> usize,
+) -> Vec<Vec<f64>> {
+    let mut rows = Vec::with_capacity(positions.len());
+    let mut sampler = FieldSampler::new(positions.to_vec());
+    sampler.draw_with(specs, seed, chunks, |_, row| rows.push(row.to_vec()));
+    rows
+}
+
+/// A deployment's reading generator: the node positions and, per spec, the
+/// wave sums ([`CosineField`]'s cosines, one per node) of the last draw.
+///
+/// Spec `i`'s sums depend on the positions, its correlation length and its
+/// field seed `seed ^ (i + 1)` only, so they are kept under that key. A
+/// draw evaluates cosines for the specs whose key changed — a new seed, a
+/// new correlation length, a spec added — and none for the others; mean,
+/// amplitude, the cross coupling and the noise stream are applied on every
+/// draw. The readings are bit for bit those of [`generate_readings`] with
+/// the same arguments.
+#[derive(Debug, Clone)]
+pub struct FieldSampler {
+    positions: Vec<Position>,
+    bases: Vec<Basis>,
+}
+
+/// One spec's wave sums, one per position, and the key they were drawn
+/// for: `(correlation length bits, field seed)`, `None` before the first.
+#[derive(Debug, Clone)]
+struct Basis {
+    key: Option<(u64, u64)>,
+    sums: Vec<f64>,
+}
+
+impl FieldSampler {
+    /// A sampler for nodes at `positions`: node `i` is at `positions[i]`.
+    pub fn new(positions: Vec<Position>) -> Self {
+        Self {
+            positions,
+            bases: Vec::new(),
         }
     }
-    let fields: Vec<CosineField> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            CosineField::new(
-                s.mean,
-                s.amplitude,
-                s.correlation_length,
-                seed ^ (i as u64 + 1),
-            )
-        })
-        .collect();
-    // Same allocations as a serial fill: one row per position, written in
-    // place. The calling thread takes the first chunk, so one chunk spawns
-    // nothing.
-    let mut rows: Vec<Vec<f64>> = positions.iter().map(|_| vec![0.0; specs.len()]).collect();
-    let fill = |rows: &mut [Vec<f64>], at: &[Position]| {
-        for (row, &p) in rows.iter_mut().zip(at) {
-            for (v, field) in row.iter_mut().zip(&fields) {
-                *v = field.sample(p);
+
+    /// Draws one reading per node and spec and hands each node's row to
+    /// `emit(node, row)`, in node order: `row[i]` is spec `i`'s reading.
+    ///
+    /// # Panics
+    /// Panics if a `cross` reference points at itself or a later spec.
+    pub fn draw(&mut self, specs: &[FieldSpec], seed: u64, emit: impl FnMut(usize, &[f64])) {
+        self.draw_with(specs, seed, chunks_for, emit);
+    }
+
+    /// [`Self::draw`] filling the stale sums in `chunks(cosines)` chunks.
+    fn draw_with(
+        &mut self,
+        specs: &[FieldSpec],
+        seed: u64,
+        chunks: impl Fn(usize) -> usize,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) {
+        for (i, s) in specs.iter().enumerate() {
+            if let Some((j, _)) = s.cross {
+                assert!(
+                    j < i,
+                    "spec {i} ({}) must couple to an earlier spec, got {j}",
+                    s.name
+                );
+            }
+        }
+        let fields: Vec<CosineField> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                CosineField::new(
+                    s.mean,
+                    s.amplitude,
+                    s.correlation_length,
+                    seed ^ (i as u64 + 1),
+                )
+            })
+            .collect();
+        let n = self.positions.len();
+        self.bases.resize_with(specs.len(), || Basis {
+            key: None,
+            sums: vec![0.0; n],
+        });
+        let mut stale = Vec::new();
+        for (i, (basis, spec)) in self.bases.iter_mut().zip(specs).enumerate() {
+            let key = Some((spec.correlation_length.to_bits(), seed ^ (i as u64 + 1)));
+            if basis.key != key {
+                basis.key = key;
+                stale.push((basis.sums.as_mut_slice(), &fields[i]));
+            }
+        }
+        if !stale.is_empty() {
+            let chunks = chunks(n * stale.len() * CosineField::K);
+            fill_sums(&self.positions, stale, chunks);
+        }
+        // The cross term reads the finished value of an earlier spec and the
+        // noise draws come from one stream: serial, in node then spec order.
+        let mut noise_rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545F4914F6CDD1D));
+        let mut row = vec![0.0; specs.len()];
+        for node in 0..n {
+            for (i, (spec, field)) in specs.iter().zip(&fields).enumerate() {
+                let mut v = field.at(self.bases[i].sums[node]);
+                if let Some((j, coeff)) = spec.cross {
+                    v += coeff * (row[j] - specs[j].mean);
+                }
+                if spec.noise > 0.0 {
+                    // Box-Muller white noise.
+                    let u1: f64 = noise_rng.gen_range(f64::EPSILON..1.0);
+                    let u2: f64 = noise_rng.gen_range(0.0..std::f64::consts::TAU);
+                    v += spec.noise * (-2.0 * u1.ln()).sqrt() * u2.cos();
+                }
+                row[i] = v;
+            }
+            emit(node, &row);
+        }
+    }
+}
+
+/// Writes each stale spec's wave sums at `positions`, in at most `chunks`
+/// chunks of positions, one thread each. The calling thread takes the first
+/// chunk, so one chunk spawns nothing.
+fn fill_sums(positions: &[Position], stale: Vec<(&mut [f64], &CosineField)>, chunks: usize) {
+    let per_chunk = positions.len().div_ceil(chunks.max(1)).max(1);
+    // Per chunk of positions, its slice of every stale spec's sums.
+    let mut parts: Vec<Vec<(&mut [f64], &CosineField)>> =
+        positions.chunks(per_chunk).map(|_| Vec::new()).collect();
+    for (sums, field) in stale {
+        for (part, sums) in parts.iter_mut().zip(sums.chunks_mut(per_chunk)) {
+            part.push((sums, field));
+        }
+    }
+    let fill = |part: Vec<(&mut [f64], &CosineField)>, at: &[Position]| {
+        for (sums, field) in part {
+            for (s, &p) in sums.iter_mut().zip(at) {
+                *s = field.wave_sum(p);
             }
         }
     };
-    let per_chunk = positions.len().div_ceil(chunks.max(1)).max(1);
     std::thread::scope(|scope| {
-        let mut parts = rows.chunks_mut(per_chunk).zip(positions.chunks(per_chunk));
+        let mut parts = parts.into_iter().zip(positions.chunks(per_chunk));
         let first = parts.next();
-        for (rows, at) in parts {
-            scope.spawn(|| fill(rows, at));
+        for (part, at) in parts {
+            scope.spawn(move || fill(part, at));
         }
-        if let Some((rows, at)) = first {
-            fill(rows, at);
+        if let Some((part, at)) = first {
+            fill(part, at);
         }
     });
-    // The cross term reads the finished value of an earlier spec and the
-    // noise draws come from one stream: serial, in node then spec order.
-    let mut noise_rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545F4914F6CDD1D));
-    for row in &mut rows {
-        for (i, spec) in specs.iter().enumerate() {
-            let mut v = row[i];
-            if let Some((j, coeff)) = spec.cross {
-                v += coeff * (row[j] - specs[j].mean);
-            }
-            if spec.noise > 0.0 {
-                // Box-Muller white noise.
-                let u1: f64 = noise_rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = noise_rng.gen_range(0.0..std::f64::consts::TAU);
-                v += spec.noise * (-2.0 * u1.ln()).sqrt() * u2.cos();
-            }
-            row[i] = v;
-        }
-    }
-    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::tests::COSINES;
 
     fn positions(n: usize) -> Vec<Position> {
         let mut rng = SmallRng::seed_from_u64(5);
@@ -233,6 +338,64 @@ mod tests {
                 );
             }
             assert_eq!(bits(&generate_readings(&pos, &specs, 11)), bits(&serial));
+        }
+    }
+
+    /// A reused sampler draws what a fresh generator draws, bit for bit, at
+    /// 1 and 7 chunks, and evaluates cosines only for the specs whose key
+    /// changed: hits, a new seed, a new correlation length on one spec, a
+    /// spec appended and removed, and back to the first seed.
+    #[test]
+    fn a_reused_sampler_recomputes_only_changed_specs() {
+        let base = vec![
+            FieldSpec::simple("temp", 21.0, 2.0, 200.0, 0.05),
+            FieldSpec::simple("hum", 40.0, 5.0, 300.0, 0.2).coupled_to(0, -1.5),
+            FieldSpec::simple("pres", 1013.0, 1.5, 600.0, 0.0).coupled_to(1, 0.3),
+        ];
+        let rescaled: Vec<FieldSpec> = base
+            .iter()
+            .map(|s| FieldSpec {
+                mean: s.mean + 1.0,
+                amplitude: s.amplitude * 1.5,
+                noise: s.noise * 1.25 + 0.01,
+                cross: s.cross.map(|(j, c)| (j, c * 0.5)),
+                ..s.clone()
+            })
+            .collect();
+        let mut stretched = base.clone();
+        stretched[1].correlation_length = 450.0;
+        let mut appended = stretched.clone();
+        appended.push(FieldSpec::simple("light", 300.0, 80.0, 150.0, 4.0).coupled_to(0, 2.0));
+        // (specs, seed, cosines per position of the draw, in waves)
+        let steps: [(&[FieldSpec], u64, usize); 8] = [
+            (&base, 11, 3),
+            (&rescaled, 11, 0),
+            (&base, 11, 0),
+            (&base, 12, 3),
+            (&stretched, 12, 1),
+            (&appended, 12, 1),
+            (&stretched, 12, 0),
+            (&base, 11, 3),
+        ];
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            let row = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
+            rows.iter().map(row).collect()
+        };
+        let pos = positions(97);
+        let (n, k) = (pos.len(), CosineField::K);
+        for chunks in [1, 7] {
+            let mut sampler = FieldSampler::new(pos.clone());
+            for (step, &(specs, seed, changed)) in steps.iter().enumerate() {
+                let fresh = generate_readings(&pos, specs, seed);
+                let mut drawn = Vec::new();
+                COSINES.take();
+                sampler.draw_with(specs, seed, |_| chunks, |_, row| drawn.push(row.to_vec()));
+                assert_eq!(bits(&drawn), bits(&fresh), "step {step}, {chunks} chunks");
+                // The counter is per thread: one chunk is all of the work.
+                if chunks == 1 {
+                    assert_eq!(COSINES.take(), n * k * changed, "step {step}");
+                }
+            }
         }
     }
 

@@ -4,6 +4,7 @@ use crate::analyze::{classify, PredClass};
 use crate::ast::{AggFunc, BinOp, CmpOp, Expr, Query, Temporal};
 use crate::eval::{eval, holds, Domain};
 use sensjoin_relation::{AttrType, Schema};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// A compiled (name-resolved) arithmetic expression: attribute references
@@ -286,8 +287,11 @@ impl CompiledQuery {
         let mut join_preds = Vec::new();
         let mut const_false = false;
         if let Some(pred) = &query.predicate {
-            for conjunct in pred.conjuncts() {
-                let c = resolver.pred(conjunct, false)?;
+            // Split after resolution, so the `AND`s a pushed-down `NOT`
+            // makes (`NOT (a OR b)` is `NOT a AND NOT b`) split too.
+            let mut conjuncts = Vec::new();
+            push_conjuncts(resolver.pred(pred, false)?, &mut conjuncts);
+            for c in conjuncts {
                 let rels = c.relations();
                 match rels.len() {
                     // Constant (its env is never read): fold now.
@@ -401,8 +405,8 @@ impl CompiledQuery {
             match s.agg {
                 None => col.next().expect("a non-empty group"),
                 Some(AggFunc::Count) => n,
-                Some(AggFunc::Min) => col.fold(f64::INFINITY, f64::min),
-                Some(AggFunc::Max) => col.fold(f64::NEG_INFINITY, f64::max),
+                Some(AggFunc::Min) => extreme(col, Ordering::Less).expect("a non-empty group"),
+                Some(AggFunc::Max) => extreme(col, Ordering::Greater).expect("a non-empty group"),
                 Some(AggFunc::Sum) => col.sum(),
                 Some(AggFunc::Avg) => col.sum::<f64>() / n,
             }
@@ -511,8 +515,8 @@ impl CompiledQuery {
                 let col = rows.clone().map(|r| r[i]);
                 match s.agg.expect("checked aggregate") {
                     AggFunc::Count => Some(n as f64),
-                    AggFunc::Min => col.reduce(f64::min),
-                    AggFunc::Max => col.reduce(f64::max),
+                    AggFunc::Min => extreme(col, Ordering::Less),
+                    AggFunc::Max => extreme(col, Ordering::Greater),
                     AggFunc::Sum => (n > 0).then(|| col.sum()),
                     AggFunc::Avg => (n > 0).then(|| col.sum::<f64>() / n as f64),
                 }
@@ -623,6 +627,30 @@ impl Resolver<'_> {
     }
 }
 
+/// Appends the conjuncts of `pred` to `out`, left to right.
+fn push_conjuncts(pred: Pred, out: &mut Vec<Pred>) {
+    match pred {
+        Pred::And(a, b) => {
+            push_conjuncts(*a, out);
+            push_conjuncts(*b, out);
+        }
+        p => out.push(p),
+    }
+}
+
+/// MIN (`want` = `Less`) or MAX (`Greater`) of `col`: the least or greatest
+/// non-NaN value under [`f64::total_cmp`] (so `-0.0 < +0.0`), NaN when every
+/// value is NaN, `None` when there is none. The answer depends on the
+/// multiset of values only, never on their order.
+fn extreme(col: impl Iterator<Item = f64>, want: Ordering) -> Option<f64> {
+    let mut any = false;
+    let best = col
+        .inspect(|_| any = true)
+        .filter(|v| !v.is_nan())
+        .reduce(|best, v| if v.total_cmp(&best) == want { v } else { best });
+    any.then(|| best.unwrap_or(f64::NAN))
+}
+
 /// The error for an expression of kind `found` where one of kind `want` was
 /// wanted.
 fn type_error(want: &str, found: &str) -> CompileError {
@@ -717,11 +745,43 @@ mod tests {
             lhs: Box::new(NumExpr::Col { rel: 0, attr }),
             rhs: Box::new(NumExpr::Col { rel: 1, attr }),
         };
-        let want = Pred::And(Box::new(cmp(CmpOp::Ge, 2)), Box::new(cmp(CmpOp::Eq, 0)));
-        assert_eq!(cq.join_preds(), &[want]);
+        // The `AND` De Morgan makes is split like a written one.
+        assert_eq!(cq.join_preds(), &[cmp(CmpOp::Ge, 2), cmp(CmpOp::Eq, 0)]);
         // A NaN makes the negated comparison false, as it does the original.
         let nan = |_: usize, attr: usize| if attr == 2 { f64::NAN } else { 1.0 };
         assert!(!cq.eval_join(&nan));
+    }
+
+    /// `NOT (A.x < B.x OR A.y > 5)` is a local conjunct of A and a band,
+    /// not one general join predicate.
+    #[test]
+    fn pushed_down_not_splits_into_classifiable_conjuncts() {
+        let cq = compile(
+            "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+             WHERE NOT (A.x < B.x OR A.y > 5) ONCE",
+        );
+        let col = |rel, attr| Box::new(NumExpr::Col { rel, attr });
+        let local = Pred::Cmp {
+            op: CmpOp::Le,
+            lhs: col(0, 1),
+            rhs: Box::new(NumExpr::Number(5.0)),
+        };
+        assert_eq!(cq.local_preds(0), &[local]);
+        assert!(cq.local_preds(1).is_empty());
+        let band = Pred::Cmp {
+            op: CmpOp::Ge,
+            lhs: col(0, 0),
+            rhs: col(1, 0),
+        };
+        assert_eq!(cq.join_preds(), &[band]);
+        assert!(matches!(
+            cq.pred_classes(),
+            [PredClass::Band {
+                form: crate::BandForm::Direct(CmpOp::Ge),
+                ..
+            }]
+        ));
+        assert_eq!(cq.join_attrs(0), &[0]);
     }
 
     #[test]
@@ -791,6 +851,50 @@ mod tests {
         );
         let empty = cq.aggregate(std::iter::empty());
         assert_eq!(empty, vec![None, None, None, Some(0.0), None]);
+    }
+
+    /// MIN and MAX are functions of the multiset: every order of the same
+    /// rows gives the same bits (a −0/+0 tie included, NaN skipped), and
+    /// grouped and ungrouped folds agree, on an all-NaN column too.
+    #[test]
+    fn min_max_ignore_row_order() {
+        let cq = compile(
+            "SELECT MIN(A.temp), MAX(A.temp) FROM Sensors A, Sensors B \
+             WHERE A.temp < B.temp ONCE",
+        );
+        let grouped = compile(
+            "SELECT A.hum, MIN(A.temp), MAX(A.temp) FROM Sensors A, Sensors B \
+             WHERE A.temp < B.temp GROUP BY A.hum ONCE",
+        );
+        let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+            v.iter().map(|x| x.map(f64::to_bits)).collect()
+        };
+        let cases: [(&[f64], [f64; 2]); 3] = [
+            (&[0.0, -0.0, f64::NAN, 0.0], [-0.0, 0.0]),
+            (&[3.0, f64::NAN, -2.0, 7.5, -2.0], [-2.0, 7.5]),
+            (&[f64::NAN, -f64::NAN, f64::NAN], [f64::NAN, f64::NAN]),
+        ];
+        for (values, [min, max]) in cases {
+            let want = vec![Some(min.to_bits()), Some(max.to_bits())];
+            // Every rotation, forwards and backwards.
+            for turn in 0..values.len() {
+                for reverse in [false, true] {
+                    let mut col = values.to_vec();
+                    col.rotate_left(turn);
+                    if reverse {
+                        col.reverse();
+                    }
+                    let rows: Vec<[f64; 2]> = col.iter().map(|&v| [v, v]).collect();
+                    let got = cq.aggregate(rows.iter().map(|r| &r[..]));
+                    assert_eq!(bits(&got), want, "{col:?}");
+                    let rows: Vec<[f64; 3]> = col.iter().map(|&v| [1.0, v, v]).collect();
+                    let mut out = Vec::new();
+                    grouped.fold_group(rows.iter().map(|r| &r[..]), &mut out);
+                    let out: Vec<Option<f64>> = out[1..].iter().copied().map(Some).collect();
+                    assert_eq!(bits(&out), want, "grouped {col:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   of the paper parse verbatim),
 //! * the [`ast`] — untyped expressions over qualified attribute references,
 //! * [`CompiledQuery`] — name resolution against schemas, conjunct
-//!   classification into *local* predicates (single relation, evaluated at
+//!   classification (the WHERE clause is split at its `AND`s after `NOT` is
+//!   pushed into the comparisons, so `NOT (a OR b)` gives two conjuncts)
+//!   into *local* predicates (single relation, evaluated at
 //!   the node, §III "Optionally, the WHERE-clauses can narrow down the
 //!   scope") and *join* predicates (≥ 2 relations), and extraction of the
 //!   per-relation **join attributes** (paper Definition 1),
@@ -46,6 +48,16 @@
 //! operand intervals, each interval operation contains every non-NaN point
 //! result, and a comparison true at the points is never `Tri::False` on the
 //! intervals (`tests/domain_containment.rs`).
+//!
+//! # MIN and MAX
+//!
+//! A `MIN` or `MAX` is a function of the multiset of its values, whatever
+//! order the rows arrive in: the least or greatest non-NaN value under
+//! [`f64::total_cmp`] (so `-0.0 < +0.0`, and a tie has one answer), NaN
+//! only when every value is NaN, and SQL NULL over no rows. Grouped
+//! ([`CompiledQuery::fold_group`]) and ungrouped
+//! ([`CompiledQuery::aggregate`]) folds follow the same rule. `SUM` and
+//! `AVG` add in arrival order, so their last bits can still depend on it.
 //!
 //! # Example
 //!

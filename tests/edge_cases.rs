@@ -2,6 +2,7 @@
 //! base-station-only contributions, wide n-way joins.
 
 use sensjoin::prelude::*;
+use sensjoin::query::PredClass;
 use sensjoin::relation::{AttrType, Attribute, Schema, SensorRelation};
 
 fn tiny(n: usize) -> SensorNetwork {
@@ -197,4 +198,31 @@ fn nan_at_a_point_joins_nowhere() {
         let sj = method.execute(&mut snet, &cq).unwrap();
         assert!(ext.result.same_result(&sj.result), "{predicate}");
     }
+}
+
+#[test]
+fn negated_disjunction_splits_into_local_and_band() {
+    // `NOT (A.temp < B.temp OR A.hum > 41.5)` is `A.temp >= B.temp AND
+    // A.hum <= 41.5`: a band conjunct and a local one, which both methods
+    // evaluate where they belong and agree on.
+    let mut snet = tiny(35);
+    let q = parse(
+        "SELECT A.temp, B.temp FROM Sensors A, Sensors B \
+         WHERE NOT (A.temp < B.temp OR A.hum > 41.5) ONCE",
+    )
+    .unwrap();
+    let cq = snet.compile(&q).unwrap();
+    assert_eq!(cq.join_preds().len(), 1);
+    assert_eq!(cq.local_preds(0).len(), 1);
+    assert!(matches!(cq.pred_classes(), [PredClass::Band { .. }]));
+    let ext = ExternalJoin.execute(&mut snet, &cq).unwrap();
+    let sj = SensJoin::default().execute(&mut snet, &cq).unwrap();
+    let hum = snet.master_index("hum").unwrap();
+    let kept = (0..35).filter(|&n| snet.readings(NodeId(n))[hum] <= 41.5);
+    assert!(
+        (1..35).contains(&kept.count()),
+        "the local conjunct selects"
+    );
+    assert!(!ext.result.is_empty());
+    assert!(ext.result.same_result(&sj.result));
 }
