@@ -10,7 +10,12 @@
 //!
 //! Acceptance gate (asserted here, recorded in `BENCH_engine.json`): a 1 %
 //! delta batch costs ≤ 0.1× the full `exact_join` at 2000 tuples per
-//! relation.
+//! relation, on the band join `|A.temp − B.temp| < ε`.
+//!
+//! The same four cases run report-only on an equality join (`A.temp =
+//! B.temp`, temp quantized onto an n-value grid as in
+//! `engine_scaling/equi`), under `ingest_scaling/equi/`: equality is the
+//! zero-width band, served by the same sorted-key index.
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
@@ -85,8 +90,13 @@ fn upserts(data: &[Vec<(NodeId, Vec<f64>)>]) -> Vec<StreamOp> {
         .collect()
 }
 
-fn bench_ingest(c: &mut Criterion, cq: &CompiledQuery, data: &[Vec<(NodeId, Vec<f64>)>]) {
-    let mut group = c.benchmark_group("ingest_scaling");
+fn bench_ingest(
+    c: &mut Criterion,
+    name: &str,
+    cq: &CompiledQuery,
+    data: &[Vec<(NodeId, Vec<f64>)>],
+) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("full_exact_join", N), &N, |b, _| {
         b.iter(|| exact_join(black_box(cq), black_box(data)))
@@ -148,7 +158,16 @@ fn main() {
     ));
     let data = tuples(N, 42);
     let mut criterion = Criterion::default();
-    bench_ingest(&mut criterion, &cq, &data);
+    bench_ingest(&mut criterion, "ingest_scaling", &cq, &data);
+    let equi = compile(
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+         WHERE A.temp = B.temp ONCE",
+    );
+    let mut grid = data.clone();
+    for (_, values) in grid.iter_mut().flatten() {
+        values[2] = (values[2] * N as f64).round() / N as f64;
+    }
+    bench_ingest(&mut criterion, "ingest_scaling/equi", &equi, &grid);
 
     let results = criterion.results();
     let full = ns_of(results, &format!("ingest_scaling/full_exact_join/{N}"));

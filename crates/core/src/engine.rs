@@ -2,11 +2,11 @@
 //!
 //! Both entry points ([`prejoin_filter`], [`exact_join`]) run a
 //! **partitioned** descent: per descend level, the predicate classification
-//! of [`sensjoin_query::analyze`] drives one hash index (equi predicates) or
-//! sorted-key index (band predicates) *per indexable predicate* on that
-//! level; the probe with the fewest candidates drives the scan and the other
-//! indexed predicates become O(1) membership tests, so the level scans the
-//! **intersection** of all indexed candidate sets. In the filter the
+//! of [`sensjoin_query::analyze`] drives one sorted-key index *per band
+//! predicate* (equality included) on that level; the probe with the fewest
+//! candidates drives the scan and the other indexed predicates become O(1)
+//! membership tests, so the level scans the **intersection** of all indexed
+//! candidate sets. In the filter the
 //! unchanged residual interval check still runs on every survivor that could
 //! still mark something (see [`FilterRun::step`]). In the exact join a
 //! pruning probe is an exact window (`partition` module docs), so the
@@ -355,7 +355,7 @@ fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
 /// Conservative by construction — every real match survives quantization
 /// because predicates are evaluated with interval arithmetic over the cells.
 ///
-/// Partitioned evaluation: levels with an equi/band predicate on plain
+/// Partitioned evaluation: levels with a band predicate on plain
 /// column sides probe a sorted array of cell intervals instead of scanning
 /// every point; the marked bitmask is identical to
 /// [`prejoin_filter_nested`]'s because candidate pruning only removes points
@@ -788,8 +788,8 @@ pub(crate) struct ExactAcc {
 /// relation's schema)`. Local predicates are assumed already applied at the
 /// nodes; join predicates are evaluated here with full precision.
 ///
-/// Partitioned evaluation: each descend level with an equi (band) predicate
-/// probes a hash (sorted) index for its candidate tuples; the outer level is
+/// Partitioned evaluation: each descend level with a band predicate probes
+/// a sorted-key index for its candidate tuples; the outer level is
 /// chunked across the host's threads once the counted work pays for them.
 /// Rows, row order, grouping and contributors are bit-identical to
 /// [`exact_join_nested`].
@@ -1554,15 +1554,15 @@ mod tests {
     }
 
     /// Index intersection: a 3-way join whose last descent level carries
-    /// *two* indexable predicates (a band `A–C` and an equi `B–C`) must use
-    /// both — smallest window drives, the other becomes a membership probe —
-    /// and still match the nested reference bit for bit, for the exact join
-    /// and the pre-join filter alike.
+    /// *two* indexable predicates (a band `A–C` and an equality `B–C`) must
+    /// use both — smallest window drives, the other becomes a membership
+    /// probe — and still match the nested reference bit for bit, for the
+    /// exact join and the pre-join filter alike.
     #[test]
     fn index_intersection_on_shared_level_matches_nested() {
         for sql in [
-            // Both predicates' highest relation is C: level 2 gets a sorted
-            // (band) and a hash (equi) index.
+            // Both predicates' highest relation is C: level 2 gets two
+            // sorted-key indexes, the band's and the equality's.
             "SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C \
              WHERE |A.temp - C.temp| < 0.4 AND B.hum = C.hum ONCE",
             // Three predicates, two of them (band + band) on level C.
@@ -1603,9 +1603,9 @@ mod tests {
     /// tuples are coarsened to (`A.hum = B.hum` finds partners on a grid
     /// only): SELECT items spanning relations, `distance` and a constant
     /// among them; GROUP BY keys on one relation and on two; a flat last
-    /// level decided by two indexes (the band drives, the hash is a
-    /// membership test) and one driven by a hash; and a three-way join whose
-    /// last level is flat. Wide enough to fan out at 480 nodes.
+    /// level decided by two indexes (the band drives, the equality is a
+    /// membership test) and one driven by an equality; and a three-way join
+    /// whose last level is flat. Wide enough to fan out at 480 nodes.
     const ITEM_SHAPES: [(&str, Option<f64>); 6] = [
         (
             "SELECT A.hum - B.hum, distance(A.x, A.y, B.x, B.y), 2.5 FROM Sensors A, Sensors B \
@@ -1654,7 +1654,7 @@ mod tests {
 
     /// The partitioned engine and the nested-loop reference agree exactly —
     /// rows, row order, contributors and filter bitmask — across predicate
-    /// classes (equi / band / abs-band / general / mixed) and the item
+    /// classes (equality / band / abs-band / general / mixed) and the item
     /// shapes of [`ITEM_SHAPES`].
     #[test]
     fn partitioned_engine_matches_nested_reference() {

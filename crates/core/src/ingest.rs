@@ -11,17 +11,15 @@
 //!
 //! # Delta indexes
 //!
-//! Each indexable join conjunct (equi or band, see
+//! Each indexable join conjunct (a band, equality included, see
 //! [`sensjoin_query::PredClass`]) gets one incremental index *per side*, so
-//! a delta anchored in either relation can probe the other:
+//! a delta anchored in either relation can probe the other. It is the batch
+//! engine's index — one [`SortedKeys`] `(key, slot)` array ascending by key
+//! — kept under upsert/expire, and probed through the batch engine's window
+//! derivation ([`SortedKeys::runs`]): at most two exact runs per probe,
+//! complement bands (`|a − b| >= c`) and equality's [p, p] included.
 //!
-//! * **Equi** conjuncts hash key bits to slot lists.
-//! * **Band** conjuncts keep the batch engine's index — one `(key, slot)`
-//!   array ascending by key — under upsert/expire, and probe it through the
-//!   batch engine's window derivation (`partition::band_runs`): at most two
-//!   exact runs per probe, complement bands (`|a − b| >= c`) included.
-//!
-//! Either window is exact (the `partition` module docs), so the conjunct
+//! The window is exact (the `partition` module docs), so the conjunct
 //! whose index produced a level's candidates is decided for them and is not
 //! evaluated again; the full-precision gate runs every other conjunct the
 //! binding closes (and, under debug assertions, the decided one too).
@@ -41,8 +39,8 @@
 //! folds, same contributor set.
 
 use crate::engine::{finalize_exact, ExactAcc, JoinComputation};
-use crate::partition::{band_runs, decided, key_bits, runs_len, Runs};
-use sensjoin_query::{eval, holds, BandForm, Columns, CompiledQuery, NumExpr, Pred, PredClass};
+use crate::partition::{decided, runs_len, Runs, SortedKeys};
+use sensjoin_query::{eval, holds, Columns, CompiledQuery, NumExpr, Pred, PredClass};
 use sensjoin_relation::NodeId;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -164,30 +162,9 @@ impl RelStore {
     }
 }
 
-/// The incremental index kinds.
-#[derive(Debug)]
-enum IndexKind {
-    /// Equi conjunct: key bits → slot list.
-    Equi { map: HashMap<u64, Vec<u32>> },
-    /// Band conjunct: `(key, slot)` ascending by key (ties by slot), NaN
-    /// keys left out — the batch engine's sorted key array.
-    Band {
-        form: BandForm,
-        /// Whether the indexed relation is the `lhs` side of the form.
-        key_is_lhs: bool,
-        keys: Vec<(f64, u32)>,
-    },
-}
-
-/// Where `(key, slot)` sits, or belongs, in a band index's array.
-fn band_pos(keys: &[(f64, u32)], key: f64, slot: u32) -> usize {
-    keys.partition_point(|&(k, s)| k.total_cmp(&key).then(s.cmp(&slot)).is_lt())
-}
-
 /// The candidate slots of one level of a descent, borrowed from the index
 /// (or, when no index can prune, from the store).
 enum Cands<'a> {
-    Bucket(&'a [u32]),
     Runs(&'a [(f64, u32)], Runs),
     /// Every slot that is not free.
     Scan(&'a [Tuple]),
@@ -196,7 +173,6 @@ enum Cands<'a> {
 impl Cands<'_> {
     fn len(&self) -> usize {
         match self {
-            Cands::Bucket(slots) => slots.len(),
             Cands::Runs(_, runs) => runs_len(runs),
             Cands::Scan(_) => usize::MAX,
         }
@@ -204,7 +180,6 @@ impl Cands<'_> {
 
     fn for_each(&self, mut f: impl FnMut(u32)) {
         match self {
-            Cands::Bucket(slots) => slots.iter().for_each(|&slot| f(slot)),
             Cands::Runs(keys, runs) => runs
                 .iter()
                 .flat_map(|run| &keys[run.clone()])
@@ -216,8 +191,8 @@ impl Cands<'_> {
     }
 }
 
-/// One incremental index: the keyed side of an indexable conjunct on one
-/// relation, probed with the other side's value.
+/// One incremental index: the keyed side of a band conjunct on one
+/// relation — its slots' keys, sorted — probed with the other side's value.
 #[derive(Debug)]
 struct IngestIndex {
     /// The join predicate (position in `join_preds`) it was built from.
@@ -228,7 +203,7 @@ struct IngestIndex {
     key_expr: NumExpr,
     /// Probe expression over `other_rel`.
     probe_expr: NumExpr,
-    kind: IndexKind,
+    keys: SortedKeys,
 }
 
 impl IngestIndex {
@@ -241,61 +216,12 @@ impl IngestIndex {
         })
     }
 
-    fn insert(&mut self, key: f64, slot: u32) {
-        match &mut self.kind {
-            IndexKind::Equi { map } => {
-                if let Some(bits) = key_bits(key) {
-                    map.entry(bits).or_default().push(slot);
-                }
-            }
-            // No comparison with a NaN operand is ever true: the tuple can
-            // never pass this conjunct, so it needs no entry.
-            IndexKind::Band { keys, .. } => {
-                if !key.is_nan() {
-                    keys.insert(band_pos(keys, key, slot), (key, slot));
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, key: f64, slot: u32) {
-        match &mut self.kind {
-            IndexKind::Equi { map } => {
-                if let Some(bits) = key_bits(key) {
-                    if let Some(v) = map.get_mut(&bits) {
-                        v.retain(|&s| s != slot);
-                        if v.is_empty() {
-                            map.remove(&bits);
-                        }
-                    }
-                }
-            }
-            IndexKind::Band { keys, .. } => {
-                if !key.is_nan() {
-                    let at = band_pos(keys, key, slot);
-                    debug_assert_eq!(keys.get(at).map(|e| e.1), Some(slot));
-                    keys.remove(at);
-                }
-            }
-        }
-    }
-
     /// Candidate slots for probe value `p`: `None` when the index cannot
     /// prune (the caller scans), otherwise `Some` with exactly the slots
     /// whose tuple satisfies the conjunct against `p` — the conjunct is
     /// decided for them.
     fn probe(&self, p: f64) -> Option<Cands<'_>> {
-        match &self.kind {
-            IndexKind::Equi { map } => {
-                let bucket = key_bits(p).and_then(|b| map.get(&b));
-                Some(Cands::Bucket(bucket.map_or(&[], Vec::as_slice)))
-            }
-            IndexKind::Band {
-                form,
-                key_is_lhs,
-                keys,
-            } => Some(Cands::Runs(keys, band_runs(keys, *form, *key_is_lhs, p)?)),
-        }
+        Some(Cands::Runs(&self.keys.entries, self.keys.runs(p)?))
     }
 }
 
@@ -373,10 +299,8 @@ impl StreamJoinEngine {
             .collect();
         let mut indexes: Vec<Vec<IngestIndex>> = (0..k).map(|_| Vec::new()).collect();
         for (pred, pc) in query.pred_classes().iter().enumerate() {
-            let (lhs, rhs, form) = match pc {
-                PredClass::Equi { lhs, rhs } => (lhs, rhs, None),
-                PredClass::Band { lhs, rhs, form } => (lhs, rhs, Some(*form)),
-                PredClass::General => continue,
+            let PredClass::Band { lhs, rhs, form } = pc else {
+                continue;
             };
             if lhs.rel == rhs.rel {
                 continue;
@@ -387,15 +311,10 @@ impl StreamJoinEngine {
                     other_rel: probe.rel,
                     key_expr: key.expr.clone(),
                     probe_expr: probe.expr.clone(),
-                    kind: match form {
-                        None => IndexKind::Equi {
-                            map: HashMap::new(),
-                        },
-                        Some(form) => IndexKind::Band {
-                            form,
-                            key_is_lhs,
-                            keys: Vec::new(),
-                        },
+                    keys: SortedKeys {
+                        form: *form,
+                        key_is_lhs,
+                        entries: Vec::new(),
                     },
                 });
             }
@@ -415,11 +334,6 @@ impl StreamJoinEngine {
     /// The compiled query this engine maintains.
     pub fn query(&self) -> &CompiledQuery {
         &self.query
-    }
-
-    /// Live tuple count per relation.
-    pub fn live_counts(&self) -> Vec<usize> {
-        self.rels.iter().map(|s| s.by_origin.len()).collect()
     }
 
     /// Cached result-row count (pre-grouping).
@@ -496,7 +410,7 @@ impl StreamJoinEngine {
                         debug_assert_eq!(values.len(), self.query.schema(r).arity());
                         let slot = self.rels[r].insert(*origin, values.clone());
                         for ix in &mut self.indexes[r] {
-                            ix.insert(ix.key_of(r, values), slot);
+                            ix.keys.insert(ix.key_of(r, values), slot);
                         }
                         touched.push((r, slot));
                         stats.inserted += 1;
@@ -558,7 +472,7 @@ impl StreamJoinEngine {
             };
             for ix in &mut self.indexes[r] {
                 let key = ix.key_of(r, &self.rels[r].tuples[slot as usize].values);
-                ix.remove(key, slot);
+                ix.keys.remove(key, slot);
             }
             self.rels[r].free_slot(slot);
             stats.expired += 1;

@@ -6,26 +6,24 @@
 //! (interval case, [`filter_plan`]), driven by the predicate
 //! classification of [`sensjoin_query::analyze`]:
 //!
-//! * **equi** predicates (`f(A) = g(B)`) get a hash index on the exact bit
-//!   pattern of the key (−0.0 folded onto 0.0, NaN keys dropped — both
-//!   choices mirror IEEE `==`),
-//! * **band** predicates (difference-form comparisons) get a sorted key
-//!   array, probed with binary searches,
+//! * **band** predicates (direct and difference-form comparisons, equality
+//!   included as the direct band `=`) get a sorted key array
+//!   ([`SortedKeys`]), probed with binary searches,
 //! * **general** predicates get no index; their levels fall back to the
 //!   full scan of the nested-loop descent.
 //!
 //! When a level carries several indexable predicates, the engine
 //! *intersects* their candidate sets: the probe with the fewest candidates
 //! drives the scan and every other probe degrades to an O(1) membership
-//! test per candidate (a stored rank or key-bit lookup), so the scan cost
-//! is `min` over the predicates' windows rather than the first one's.
+//! test per candidate (a stored rank), so the scan cost is `min` over the
+//! predicates' windows rather than the first one's.
 //!
 //! # Why the results are bit-identical to the nested loop
 //!
-//! A scalar probe that prunes ([`ExactProbe::Bucket`], [`ExactProbe::Runs`])
-//! is an **exact window**: it holds precisely the tuples whose predicate
-//! holds for the probing binding, no more and no fewer. Two properties make
-//! that airtight without any epsilon slack:
+//! A scalar probe that prunes ([`ExactProbe::Runs`]) is an **exact
+//! window**: it holds precisely the tuples whose predicate holds for the
+//! probing binding, no more and no fewer. Two properties make that airtight
+//! without any epsilon slack:
 //!
 //! 1. keys and probes are evaluated from the **original predicate
 //!    subtrees** (see [`sensjoin_query::analyze`]) with the same evaluator
@@ -36,8 +34,8 @@
 //!    never an algebraically solved bound), and IEEE subtraction and
 //!    comparison are monotone, so each predicate's accepted set is a union
 //!    of at most two contiguous runs of the sorted key array, found exactly
-//!    by `partition_point`; a hash bucket holds the keys whose bits, ±0
-//!    folded, equal the probe's — IEEE `==` exactly.
+//!    by `partition_point`. Equality's window [p, p] holds exactly the
+//!    keys `== p`: −0 and +0 land together, and NaN is never indexed.
 //!
 //! So a predicate whose own index pruned for a binding is **decided** there,
 //! and the engines evaluate it no more: the residual check runs only the
@@ -55,20 +53,7 @@ use sensjoin_query::{
     eval, holds, BandForm, CmpOp, CompiledQuery, Interval, NumExpr, Pred, PredClass,
 };
 use sensjoin_relation::NodeId;
-use std::collections::HashMap;
 use std::ops::Range;
-
-/// Folds a key value to its hash bits: −0.0 and 0.0 compare equal, so they
-/// share a bucket; NaN never compares equal, so it has none.
-pub(crate) fn key_bits(v: f64) -> Option<u64> {
-    if v.is_nan() {
-        None
-    } else if v == 0.0 {
-        Some(0.0_f64.to_bits())
-    } else {
-        Some(v.to_bits())
-    }
-}
 
 /// At most two disjoint runs of a sorted key array, ascending; an unused
 /// slot is the empty `0..0`. Two is the most any indexed predicate accepts
@@ -259,6 +244,18 @@ fn abs_cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
     })
 }
 
+/// `keys.partition_point(pred)` when that is at least `from`, and `from`
+/// when it is less: a galloping search from `from`, so the end of a narrow
+/// window costs a few steps, not a second full binary search.
+fn gallop(keys: &[(f64, u32)], from: usize, pred: impl Fn(&(f64, u32)) -> bool) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= keys.len() && pred(&keys[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    lo + keys[lo..keys.len().min(lo + step)].partition_point(pred)
+}
+
 /// Finds the positions of `keys` (ascending) whose d-value `d(key)` lies in
 /// one of `ivs`; `d` is monotone over the key order, increasing iff
 /// `increasing`. Exact: `partition_point` over a monotone predicate.
@@ -271,15 +268,11 @@ fn sorted_runs(
     let [a, b] = ivs.map(|iv| {
         let Some(iv) = iv else { return 0..0 };
         let (start, end) = if increasing {
-            (
-                keys.partition_point(|&(k, _)| iv.below(d(k))),
-                keys.partition_point(|&(k, _)| !iv.above(d(k))),
-            )
+            let start = keys.partition_point(|&(k, _)| iv.below(d(k)));
+            (start, gallop(keys, start, |&(k, _)| !iv.above(d(k))))
         } else {
-            (
-                keys.partition_point(|&(k, _)| iv.above(d(k))),
-                keys.partition_point(|&(k, _)| !iv.below(d(k))),
-            )
+            let start = keys.partition_point(|&(k, _)| iv.above(d(k)));
+            (start, gallop(keys, start, |&(k, _)| !iv.below(d(k))))
         };
         if start < end {
             start..end
@@ -303,77 +296,111 @@ fn sorted_runs(
     }
 }
 
-/// The runs of `keys` — `(key, payload)` ascending by key, NaN-free — whose
-/// key satisfies the band predicate `form` against probe value `p`, the
-/// keyed relation being the form's lhs side iff `key_is_lhs`. `None` when
-/// the predicate cannot prune (`!=`, a complement band with a negative
-/// bound, a difference form probed with ±∞ — `inf − inf` is NaN, which
-/// breaks the monotonicity the searches rest on): every position is then a
-/// candidate. This is the one place a [`BandForm`] becomes key positions:
-/// the batch join ([`ExactIndex::probe`]) and the streaming join
-/// (`ingest.rs`) both probe through it.
-pub(crate) fn band_runs(
-    keys: &[(f64, u32)],
-    form: BandForm,
-    key_is_lhs: bool,
-    p: f64,
-) -> Option<Runs> {
-    let ivs = match form {
-        // Direct comparisons probe the key value itself:
-        // `key op p` or `p op key` ≡ `key op.mirror() p`.
-        BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { op.mirror() }, p)?,
-        BandForm::Diff { op, c } => cmp_intervals(op, c)?,
-        BandForm::AbsDiff { op, c } => abs_cmp_intervals(op, c)?,
-    };
-    if p.is_nan() {
-        // Every indexed comparison involving NaN is false.
-        return Some([0..0, 0..0]);
+/// The sorted-key index of one band predicate on one relation: `(key,
+/// position)` ascending by key, ties by position, no NaN key (no comparison
+/// with a NaN operand is ever true, so such a tuple can never pass). The
+/// batch join builds it once per level ([`ExactIndex`]); the streaming join
+/// keeps one per side under upsert/expire (`ingest.rs`). Equality is the
+/// direct band `=`, whose window is the closed [p, p].
+#[derive(Debug)]
+pub(crate) struct SortedKeys {
+    pub(crate) form: BandForm,
+    /// Whether the indexed relation is the `lhs` side of the form.
+    pub(crate) key_is_lhs: bool,
+    /// `(key, position)`, in [`key_order`].
+    pub(crate) entries: Vec<(f64, u32)>,
+}
+
+/// The order of a [`SortedKeys`] array: by key under `f64::total_cmp`
+/// (−0 before +0, both inside the same IEEE windows), ties by position.
+fn key_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl SortedKeys {
+    /// The index of `keys`, `(key, position)` pairs in any order.
+    pub(crate) fn build(
+        form: BandForm,
+        key_is_lhs: bool,
+        keys: impl Iterator<Item = (f64, u32)>,
+    ) -> Self {
+        let mut entries: Vec<(f64, u32)> = keys.filter(|(k, _)| !k.is_nan()).collect();
+        entries.sort_unstable_by(key_order);
+        Self {
+            form,
+            key_is_lhs,
+            entries,
+        }
     }
-    // The coordinate the searches run in: the key itself, or the
-    // difference the form compares — `key − p` when the keyed relation is
-    // its lhs, `p − key` (decreasing along the array) when it is its rhs.
-    Some(match form {
-        BandForm::Direct(_) => sorted_runs(keys, |k| k, true, ivs),
-        _ if !p.is_finite() => return None,
-        _ if key_is_lhs => sorted_runs(keys, |k| k - p, true, ivs),
-        _ => sorted_runs(keys, |k| p - k, false, ivs),
-    })
+
+    /// Where `(key, pos)` sits, or belongs, in the array.
+    fn at(&self, key: f64, pos: u32) -> usize {
+        (self.entries).partition_point(|e| key_order(e, &(key, pos)).is_lt())
+    }
+
+    /// Adds `(key, pos)`; a NaN key needs no entry.
+    pub(crate) fn insert(&mut self, key: f64, pos: u32) {
+        if !key.is_nan() {
+            self.entries.insert(self.at(key, pos), (key, pos));
+        }
+    }
+
+    /// Removes `(key, pos)`, which [`SortedKeys::insert`] added.
+    pub(crate) fn remove(&mut self, key: f64, pos: u32) {
+        if !key.is_nan() {
+            let at = self.at(key, pos);
+            debug_assert_eq!(self.entries.get(at).map(|e| e.1), Some(pos));
+            self.entries.remove(at);
+        }
+    }
+
+    /// The runs of the array whose key satisfies the band predicate against
+    /// probe value `p`. `None` when the predicate cannot prune (`!=`, a
+    /// complement band with a negative bound, a difference form probed with
+    /// ±∞ — `inf − inf` is NaN, which breaks the monotonicity the searches
+    /// rest on): every position is then a candidate. This is the one place
+    /// a [`BandForm`] becomes key positions.
+    pub(crate) fn runs(&self, p: f64) -> Option<Runs> {
+        let (keys, form, key_is_lhs) = (&self.entries, self.form, self.key_is_lhs);
+        let ivs = match form {
+            // Direct comparisons probe the key value itself:
+            // `key op p` or `p op key` ≡ `key op.mirror() p`.
+            BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { op.mirror() }, p)?,
+            BandForm::Diff { op, c } => cmp_intervals(op, c)?,
+            BandForm::AbsDiff { op, c } => abs_cmp_intervals(op, c)?,
+        };
+        if p.is_nan() {
+            // Every indexed comparison involving NaN is false.
+            return Some([0..0, 0..0]);
+        }
+        // The coordinate the searches run in: the key itself, or the
+        // difference the form compares — `key − p` when the keyed relation
+        // is its lhs, `p − key` (decreasing along the array) when it is its
+        // rhs.
+        Some(match form {
+            BandForm::Direct(_) => sorted_runs(keys, |k| k, true, ivs),
+            _ if !p.is_finite() => return None,
+            _ if key_is_lhs => sorted_runs(keys, |k| k - p, true, ivs),
+            _ => sorted_runs(keys, |k| p - k, false, ivs),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Exact (scalar) side
 // ---------------------------------------------------------------------------
 
-/// Per-level index for the exact join.
-pub(crate) enum ExactIndex<'q> {
-    /// Equi: key-bits → a slice of `positions`.
-    Hash {
-        /// The join predicate (position in `join_preds`) it was built from.
-        pred: usize,
-        /// Probe-side expression (references `probe_rel` only).
-        probe: &'q NumExpr,
-        /// Key bits → that key's bucket in `positions`.
-        buckets: HashMap<u64, Range<usize>>,
-        /// Tuple positions grouped by key, ascending within a bucket.
-        positions: Vec<u32>,
-        /// Per tuple position: its key bits (`None` for NaN keys). Used for
-        /// O(1) membership tests when another index drives the scan.
-        bits_of: Vec<Option<u64>>,
-    },
-    /// Band: keys sorted ascending (NaN keys dropped — no comparison with a
-    /// NaN operand is ever true).
-    Sorted {
-        pred: usize,
-        probe: &'q NumExpr,
-        /// `(key value, tuple position)` sorted ascending by key.
-        keys: Vec<(f64, u32)>,
-        /// Per tuple position: its rank in `keys` (`u32::MAX` for dropped
-        /// NaN keys). Used for O(1) membership tests.
-        rank_of: Vec<u32>,
-        /// Whether the indexed relation is the `lhs` side of the form.
-        key_is_lhs: bool,
-        form: BandForm,
-    },
+/// Per-level index for the exact join: the sorted keys of the level's
+/// relation under one band predicate.
+pub(crate) struct ExactIndex<'q> {
+    /// The join predicate (position in `join_preds`) it was built from.
+    pred: usize,
+    /// Probe-side expression (references already bound relations only).
+    probe: &'q NumExpr,
+    keys: SortedKeys,
+    /// Per tuple position: its rank in `keys` (`u32::MAX` for dropped NaN
+    /// keys). Used for O(1) membership tests.
+    rank_of: Vec<u32>,
 }
 
 /// The outcome of probing one [`ExactIndex`] for a partial binding: an
@@ -384,10 +411,7 @@ pub(crate) enum ExactProbe {
     /// The index cannot prune for this binding (Ne forms, non-finite diff
     /// probes): every position is a candidate.
     All,
-    /// Equi probe: the bucket of `positions` hashed under the probe's key
-    /// bits (`None`: the probe value is NaN — no candidate).
-    Bucket { bits: Option<u64>, at: Range<usize> },
-    /// Band probe: runs of the sorted key array.
+    /// Runs of the sorted key array.
     Runs(Runs),
 }
 
@@ -396,7 +420,6 @@ impl ExactProbe {
     pub(crate) fn count(&self) -> usize {
         match self {
             ExactProbe::All => usize::MAX,
-            ExactProbe::Bucket { at, .. } => at.len(),
             ExactProbe::Runs(runs) => runs_len(runs),
         }
     }
@@ -423,53 +446,32 @@ pub(crate) fn decided(pred: &Pred, env: &impl Fn(usize, usize) -> f64) -> bool {
 impl ExactIndex<'_> {
     /// The join predicate (position in `join_preds`) the index was built from.
     pub(crate) fn pred(&self) -> usize {
-        match self {
-            ExactIndex::Hash { pred, .. } | ExactIndex::Sorted { pred, .. } => *pred,
-        }
+        self.pred
     }
 
     /// Probes the index for the current partial binding.
     pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> f64) -> ExactProbe {
-        match self {
-            ExactIndex::Hash { probe, buckets, .. } => {
-                let bits = key_bits(eval(probe, env));
-                let at = bits.and_then(|b| buckets.get(&b)).cloned().unwrap_or(0..0);
-                ExactProbe::Bucket { bits, at }
-            }
-            ExactIndex::Sorted {
-                probe,
-                keys,
-                key_is_lhs,
-                form,
-                ..
-            } => match band_runs(keys, *form, *key_is_lhs, eval(probe, env)) {
-                Some(runs) => ExactProbe::Runs(runs),
-                None => ExactProbe::All,
-            },
+        match self.keys.runs(eval(self.probe, env)) {
+            Some(runs) => ExactProbe::Runs(runs),
+            None => ExactProbe::All,
         }
     }
 
     /// Marks into `marks` the candidates of `probe` — a probe of this index
     /// other than [`ExactProbe::All`] — that `keep` accepts. Draining
     /// `marks` reads them in ascending position order, the nested loop's
-    /// emission order, whatever order the index holds them in (a band
-    /// probe's runs are key-ordered).
+    /// emission order, whatever order the index holds them in (the runs are
+    /// key-ordered).
     pub(crate) fn mark(&self, probe: &ExactProbe, marks: &mut PosSet, keep: impl Fn(u32) -> bool) {
-        let mut mark = |pos: u32| {
-            if keep(pos) {
-                marks.insert(pos);
-            }
+        let ExactProbe::Runs(runs) = probe else {
+            unreachable!("a driving probe prunes");
         };
-        match (self, probe) {
-            (ExactIndex::Hash { positions, .. }, ExactProbe::Bucket { at, .. }) => {
-                positions[at.clone()].iter().for_each(|&pos| mark(pos))
-            }
-            (ExactIndex::Sorted { keys, .. }, ExactProbe::Runs(runs)) => {
-                for run in runs {
-                    keys[run.clone()].iter().for_each(|&(_, pos)| mark(pos));
+        for run in runs {
+            for &(_, pos) in &self.keys.entries[run.clone()] {
+                if keep(pos) {
+                    marks.insert(pos);
                 }
             }
-            _ => unreachable!("a driving probe comes from its own index and prunes"),
         }
     }
 
@@ -478,17 +480,8 @@ impl ExactIndex<'_> {
     pub(crate) fn contains(&self, probe: &ExactProbe, pos: u32) -> bool {
         match probe {
             ExactProbe::All => true,
-            ExactProbe::Bucket { bits, .. } => {
-                let ExactIndex::Hash { bits_of, .. } = self else {
-                    unreachable!("probe kind matches index kind");
-                };
-                bits.is_some() && bits_of[pos as usize] == *bits
-            }
             ExactProbe::Runs(runs) => {
-                let ExactIndex::Sorted { rank_of, .. } = self else {
-                    unreachable!("probe kind matches index kind");
-                };
-                let rank = rank_of[pos as usize];
+                let rank = self.rank_of[pos as usize];
                 rank != u32::MAX && runs.iter().any(|r| r.contains(&(rank as usize)))
             }
         }
@@ -509,19 +502,18 @@ pub(crate) fn exact_plan<'q>(
         (0..query.num_relations()).map(|_| Vec::new()).collect();
     for (pi, class) in query.pred_classes().iter().enumerate() {
         let rel = pred_rels[pi];
-        let Some((rl, rr)) = class.relations() else {
+        let PredClass::Band { lhs, rhs, form } = class else {
             continue;
         };
-        debug_assert_eq!(rl.max(rr), rel, "classified predicates span two relations");
-        let (key_side, probe_side, key_is_lhs) = match class {
-            PredClass::Equi { lhs, rhs } | PredClass::Band { lhs, rhs, .. } => {
-                if rhs.rel == rel {
-                    (rhs, lhs, false)
-                } else {
-                    (lhs, rhs, true)
-                }
-            }
-            PredClass::General => continue,
+        debug_assert_eq!(
+            lhs.rel.max(rhs.rel),
+            rel,
+            "classified predicates span two relations"
+        );
+        let (key_side, probe_side, key_is_lhs) = if rhs.rel == rel {
+            (rhs, lhs, false)
+        } else {
+            (lhs, rhs, true)
         };
         let key_of = |values: &[f64]| {
             let env = |r: usize, a: usize| -> f64 {
@@ -530,64 +522,17 @@ pub(crate) fn exact_plan<'q>(
             };
             eval(&key_side.expr, &env)
         };
-        levels[rel].push(match class {
-            PredClass::Equi { .. } => {
-                let bits_of: Vec<Option<u64>> = tuples[rel]
-                    .iter()
-                    .map(|(_, values)| key_bits(key_of(values)))
-                    .collect();
-                // Counting sort by key: size every bucket, lay the buckets
-                // out back to back, then drop the positions in ascending.
-                let mut buckets: HashMap<u64, Range<usize>> = HashMap::new();
-                for bits in bits_of.iter().flatten() {
-                    buckets.entry(*bits).or_insert(0..0).end += 1;
-                }
-                let mut next = 0;
-                for bucket in buckets.values_mut() {
-                    let len = bucket.end;
-                    *bucket = next..next;
-                    next += len;
-                }
-                let mut positions = vec![0u32; next];
-                for (pos, bits) in bits_of.iter().enumerate() {
-                    if let Some(bits) = bits {
-                        let bucket = buckets.get_mut(bits).expect("sized above");
-                        positions[bucket.end] = pos as u32;
-                        bucket.end += 1;
-                    }
-                }
-                ExactIndex::Hash {
-                    pred: pi,
-                    probe: &probe_side.expr,
-                    buckets,
-                    positions,
-                    bits_of,
-                }
-            }
-            PredClass::Band { form, .. } => {
-                let mut keys: Vec<(f64, u32)> = tuples[rel]
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, (_, values))| {
-                        let k = key_of(values);
-                        (!k.is_nan()).then_some((k, pos as u32))
-                    })
-                    .collect();
-                keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                let mut rank_of = vec![u32::MAX; tuples[rel].len()];
-                for (rank, &(_, pos)) in keys.iter().enumerate() {
-                    rank_of[pos as usize] = rank as u32;
-                }
-                ExactIndex::Sorted {
-                    pred: pi,
-                    probe: &probe_side.expr,
-                    keys,
-                    rank_of,
-                    key_is_lhs,
-                    form: *form,
-                }
-            }
-            PredClass::General => unreachable!("filtered above"),
+        let keyed = (tuples[rel].iter().enumerate()).map(|(pos, (_, v))| (key_of(v), pos as u32));
+        let keys = SortedKeys::build(*form, key_is_lhs, keyed);
+        let mut rank_of = vec![u32::MAX; tuples[rel].len()];
+        for (rank, &(_, pos)) in keys.entries.iter().enumerate() {
+            rank_of[pos as usize] = rank as u32;
+        }
+        levels[rel].push(ExactIndex {
+            pred: pi,
+            probe: &probe_side.expr,
+            keys,
+            rank_of,
         });
     }
     levels
@@ -831,24 +776,22 @@ pub(crate) fn filter_plan(
         (0..query.num_relations()).map(|_| Vec::new()).collect();
     for (pi, class) in query.pred_classes().iter().enumerate() {
         let rel = pred_rels[pi];
-        let (sides, form) = match class {
-            PredClass::Equi { lhs, rhs } => ((lhs, rhs), BandForm::Direct(CmpOp::Eq)),
-            PredClass::Band { lhs, rhs, form } => ((lhs, rhs), *form),
-            PredClass::General => continue,
+        let PredClass::Band { lhs, rhs, form } = class else {
+            continue;
         };
+
         // Only plain column sides: their cell intervals are aligned (see
         // the struct docs); compound sides fall back to the full scan.
-        let (NumExpr::Col { attr: la, .. }, NumExpr::Col { attr: ra, .. }) =
-            (&sides.0.expr, &sides.1.expr)
+        let (NumExpr::Col { attr: la, .. }, NumExpr::Col { attr: ra, .. }) = (&lhs.expr, &rhs.expr)
         else {
             continue;
         };
-        let key_is_lhs = sides.0.rel == rel;
+        let key_is_lhs = lhs.rel == rel;
         let (key_attr, probe) = if key_is_lhs {
             (
                 *la,
                 PredSideRef {
-                    rel: sides.1.rel,
+                    rel: rhs.rel,
                     attr: *ra,
                 },
             )
@@ -856,7 +799,7 @@ pub(crate) fn filter_plan(
             (
                 *ra,
                 PredSideRef {
-                    rel: sides.0.rel,
+                    rel: lhs.rel,
                     attr: *la,
                 },
             )
@@ -874,7 +817,7 @@ pub(crate) fn filter_plan(
             rank_of,
             probe,
             key_is_lhs,
-            form,
+            form: *form,
         });
     }
     levels
@@ -883,6 +826,7 @@ pub(crate) fn filter_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{StreamJoinEngine, StreamOp};
     use proptest::prelude::*;
 
     fn keys(values: &[f64]) -> Vec<(f64, u32)> {
@@ -998,8 +942,9 @@ mod tests {
             }
             for form in forms {
                 for key_is_lhs in [true, false] {
+                    let index = SortedKeys::build(form, key_is_lhs, keys.iter().copied());
                     for &p in &probes {
-                        let runs = band_runs(&keys, form, key_is_lhs, p);
+                        let runs = index.runs(p);
                         if op == CmpOp::Ne {
                             assert!(runs.is_none(), "{form:?} must not prune");
                         }
@@ -1007,7 +952,7 @@ mod tests {
                         let Some(runs) = runs else { continue };
                         pruned += 1;
                         assert!(runs[1].is_empty() || runs[0].end < runs[1].start);
-                        for (i, &(k, _)) in keys.iter().enumerate() {
+                        for (i, &(k, _)) in index.entries.iter().enumerate() {
                             let (l, r) = if key_is_lhs { (k, p) } else { (p, k) };
                             let accepted = match form {
                                 BandForm::Direct(op) => cmp(l, op, r),
@@ -1107,8 +1052,11 @@ mod tests {
     proptest! {
         /// A pruning probe is an exact window: position `pos` is among its
         /// candidates iff the original predicate holds for the binding —
-        /// over every `BandForm` × `CmpOp` × key side and the equi hash.
-        /// The probe claims nothing (`All`) only in the documented cases.
+        /// over every `BandForm` × `CmpOp` × key side, `=` included. The
+        /// probe claims nothing (`All`) only in the documented cases. The
+        /// streaming join over the same tuples — one upsert batch, then
+        /// every other key expired and upserted again — answers what the
+        /// batch join does over its live tuples, bit for bit.
         #[test]
         fn exact_probes_decide_their_predicate(
             keys in prop::collection::vec(adversarial(), 0..24),
@@ -1126,11 +1074,11 @@ mod tests {
             ];
             for pred in shapes(c) {
                 let query = Query {
-                    select: vec![SelectItem {
+                    select: ["A", "B"].map(|q| SelectItem {
                         agg: None,
-                        expr: sensjoin_query::Expr::Attr { qualifier: "A".into(), attr: "t".into() },
+                        expr: sensjoin_query::Expr::Attr { qualifier: q.into(), attr: "t".into() },
                         alias: None,
-                    }],
+                    }).to_vec(),
                     from: vec![from("A"), from("B")],
                     predicate: Some(pred),
                     group_by: Vec::new(),
@@ -1139,6 +1087,28 @@ mod tests {
                 let cq = CompiledQuery::compile(&query, &[schema.clone(), schema.clone()]).unwrap();
                 let join = &cq.join_preds()[0];
                 let class = &cq.pred_classes()[0];
+                let same = |stream: &StreamJoinEngine, live: &[Vec<(NodeId, Vec<f64>)>]| {
+                    let (s, b) = (stream.result(), crate::engine::exact_join(&cq, live));
+                    s.result.same_result(&b.result) && s.contributors == b.contributors
+                };
+                let upsert = |rel: usize, (origin, values): &(NodeId, Vec<f64>)| {
+                    let mut per_rel = vec![None, None];
+                    per_rel[rel] = Some(values.clone());
+                    StreamOp::Upsert { origin: *origin, per_rel }
+                };
+                let mut stream = StreamJoinEngine::new(cq.clone());
+                let all = (tuples.iter().enumerate())
+                    .flat_map(|(rel, ts)| ts.iter().map(move |t| upsert(rel, t)));
+                stream.apply_batch(&all.collect::<Vec<_>>());
+                prop_assert!(same(&stream, &tuples), "{:?} p={:e}", join, p);
+                let half = || tuples[1].iter().step_by(2);
+                let expire = half().map(|&(origin, _)| StreamOp::Expire { origin });
+                stream.apply_batch(&expire.collect::<Vec<_>>());
+                let rest = tuples[1].iter().skip(1).step_by(2).cloned().collect();
+                let live = [tuples[0].clone(), rest];
+                prop_assert!(same(&stream, &live), "{:?} p={:e} half expired", join, p);
+                stream.apply_batch(&half().map(|t| upsert(1, t)).collect::<Vec<_>>());
+                prop_assert!(same(&stream, &tuples), "{:?} p={:e} half back", join, p);
                 let plan = exact_plan(&cq, &tuples, &crate::engine::pred_max_rels(&cq));
                 let Some(ix) = plan[1].first() else {
                     // `!=` and a NaN bound are not indexed at all.
@@ -1218,12 +1188,5 @@ mod tests {
         assert_eq!(got, expect);
         // A relation without tuples has a set without storage.
         PosSet::new(0).drain(|pos| panic!("{pos} in an empty relation"));
-    }
-
-    #[test]
-    fn key_bits_folds_zero_and_drops_nan() {
-        assert_eq!(key_bits(-0.0), key_bits(0.0));
-        assert!(key_bits(f64::NAN).is_none());
-        assert_ne!(key_bits(1.0), key_bits(2.0));
     }
 }

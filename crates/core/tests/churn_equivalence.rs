@@ -21,8 +21,21 @@ use sensjoin_sim::{ChurnAction, ChurnTimeline};
 
 const SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
                    WHERE A.temp - B.temp > 3.0 ONCE";
-const SQL_CONT: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-                        WHERE A.temp - B.temp > 3.0 SAMPLE PERIOD 30";
+
+/// The band join, the paper's Q1 (the minimal distance between two points
+/// with a temperature difference over a threshold, here one every seed's
+/// field spans) and an equality join (each node pairs with itself at least).
+const QUERIES: [&str; 3] = [
+    SQL,
+    "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
+     WHERE A.temp - B.temp > 1.0 ONCE",
+    "SELECT A.hum, B.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE",
+];
+
+/// The continuous form of a `ONCE` query.
+fn continuous(sql: &str) -> String {
+    sql.replace("ONCE", "SAMPLE PERIOD 30")
+}
 
 const N: usize = 80;
 
@@ -104,33 +117,36 @@ proptest! {
         probe.net_mut().apply_churn(0);
         let p0 = live_attached(&probe);
 
-        let mut s = snet(seed);
-        s.net_mut().set_churn(Some(tl));
-        let cq = s.compile(&parse(SQL).unwrap()).unwrap();
-        let out = SensJoin::default().execute(&mut s, &cq).unwrap();
+        for sql in QUERIES {
+            let mut s = snet(seed);
+            s.net_mut().set_churn(Some(tl.clone()));
+            let cq = s.compile(&parse(sql).unwrap()).unwrap();
+            let out = SensJoin::default().execute(&mut s, &cq).unwrap();
 
-        // C: participated at start, alive and attached at the end.
-        let end = live_attached(&s);
-        let c: Vec<bool> = p0.iter().zip(&end).map(|(&a, &b)| a && b).collect();
+            // C: participated at start, alive and attached at the end.
+            let end = live_attached(&s);
+            let c: Vec<bool> = p0.iter().zip(&end).map(|(&a, &b)| a && b).collect();
 
-        // `complete` is honest: true iff no participant fell out of C.
-        let all_survived = p0.iter().zip(&c).all(|(&p, &c)| !p || c);
-        prop_assert_eq!(out.complete, all_survived);
-        if schedule.is_empty() {
-            prop_assert!(!out.churned);
+            // `complete` is honest: true iff no participant fell out of C.
+            let all_survived = p0.iter().zip(&c).all(|(&p, &c)| !p || c);
+            prop_assert_eq!(out.complete, all_survived);
+            if schedule.is_empty() {
+                prop_assert!(!out.churned);
+            }
+
+            // Twin: exactly C is alive. If the deaths partition C
+            // differently than on the churned network (repair seams), the
+            // twin is not a valid reference — skip.
+            let mut twin = snet(seed);
+            sync_alive(&mut twin, &c);
+            prop_assume!(live_attached(&twin) == c);
+            let reference = ExternalJoin.execute(&mut twin, &cq).unwrap();
+            prop_assert!(
+                out.result.same_result(&reference.result),
+                "{}: churned result diverged from the lossless join over the survivors",
+                sql
+            );
         }
-
-        // Twin: exactly C is alive. If the deaths partition C differently
-        // than on the churned network (repair seams), the twin is not a
-        // valid reference — skip.
-        let mut twin = snet(seed);
-        sync_alive(&mut twin, &c);
-        prop_assume!(live_attached(&twin) == c);
-        let reference = ExternalJoin.execute(&mut twin, &cq).unwrap();
-        prop_assert!(
-            out.result.same_result(&reference.result),
-            "churned result diverged from the lossless join over the survivors"
-        );
     }
 
     /// Continuous rounds under churn: every round's result equals a
@@ -140,28 +156,30 @@ proptest! {
         seed in 1..32u64,
         schedule in prop::collection::vec((0..5u32, 0..(N as u16), any::<bool>()), 0..10),
     ) {
-        let mut s = snet(seed);
-        s.net_mut().set_churn(Some(timeline(&schedule)));
-        let cq = s.compile(&parse(SQL_CONT).unwrap()).unwrap();
-        let ref_cq = s.compile(&parse(SQL).unwrap()).unwrap();
-        let mut cont = ContinuousSensJoin::new();
-        let mut twin = snet(seed);
-        let specs = presets::indoor_climate();
-        for round in 0..5u64 {
-            if round > 0 {
-                s.resample(&specs, seed.wrapping_add(round));
-                twin.resample(&specs, seed.wrapping_add(round));
+        for sql in QUERIES {
+            let mut s = snet(seed);
+            s.net_mut().set_churn(Some(timeline(&schedule)));
+            let cq = s.compile(&parse(&continuous(sql)).unwrap()).unwrap();
+            let ref_cq = s.compile(&parse(sql).unwrap()).unwrap();
+            let mut cont = ContinuousSensJoin::new();
+            let mut twin = snet(seed);
+            let specs = presets::indoor_climate();
+            for round in 0..5u64 {
+                if round > 0 {
+                    s.resample(&specs, seed.wrapping_add(round));
+                    twin.resample(&specs, seed.wrapping_add(round));
+                }
+                let out = cont.execute_round(&mut s, &cq).unwrap();
+                prop_assert!(out.complete, "{}: round {} incomplete, no loss", sql, round);
+                let live = live_attached(&s);
+                sync_alive(&mut twin, &live);
+                prop_assume!(live_attached(&twin) == live);
+                let reference = ExternalJoin.execute(&mut twin, &ref_cq).unwrap();
+                prop_assert!(
+                    out.result.same_result(&reference.result),
+                    "{}: round {} diverged from the live-population join", sql, round
+                );
             }
-            let out = cont.execute_round(&mut s, &cq).unwrap();
-            prop_assert!(out.complete, "round {} incomplete on a lossless channel", round);
-            let live = live_attached(&s);
-            sync_alive(&mut twin, &live);
-            prop_assume!(live_attached(&twin) == live);
-            let reference = ExternalJoin.execute(&mut twin, &ref_cq).unwrap();
-            prop_assert!(
-                out.result.same_result(&reference.result),
-                "round {} diverged from the live-population join", round
-            );
         }
     }
 

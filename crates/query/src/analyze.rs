@@ -1,11 +1,11 @@
 //! Join-predicate classification for partitioned evaluation.
 //!
 //! The base-station engine wants to avoid the nested-loop descent whenever a
-//! join predicate has enough structure to drive an index: an equality
-//! between two single-relation expressions can be hash-partitioned, and a
-//! difference-form comparison can be range-partitioned over sorted keys.
-//! [`classify`] recognizes these shapes; everything else stays
-//! [`PredClass::General`] and is evaluated by residual filtering only.
+//! join predicate has enough structure to drive an index: a comparison
+//! between two single-relation expressions, or a difference-form one, can
+//! be range-partitioned over sorted keys — equality included, as the
+//! zero-width window. [`classify`] recognizes these shapes; everything else
+//! stays [`PredClass::General`] and is evaluated by residual filtering only.
 //!
 //! Classification never rewrites the expressions algebraically: the engine
 //! evaluates the *original* subtrees stored here, so every candidate test is
@@ -50,14 +50,9 @@ pub enum BandForm {
 /// The partitioning class of one join predicate (conjunct).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredClass {
-    /// `f(A) = g(B)`: hash-partitionable equality.
-    Equi {
-        /// The left comparison operand.
-        lhs: PredSide,
-        /// The right comparison operand.
-        rhs: PredSide,
-    },
-    /// A difference-form comparison, range-partitionable on sorted keys.
+    /// A direct or difference-form comparison, range-partitionable on
+    /// sorted keys. Equality `f(A) = g(B)` is the direct band
+    /// `Direct(Eq)`: for probe value `p` its window is the closed [p, p].
     Band {
         /// The `f` side (left operand of the comparison or subtraction).
         lhs: PredSide,
@@ -68,18 +63,6 @@ pub enum PredClass {
     },
     /// No exploitable structure: residual evaluation only.
     General,
-}
-
-impl PredClass {
-    /// The two relations of a classified predicate (`lhs.rel`, `rhs.rel`).
-    pub fn relations(&self) -> Option<(usize, usize)> {
-        match self {
-            PredClass::Equi { lhs, rhs } | PredClass::Band { lhs, rhs, .. } => {
-                Some((lhs.rel, rhs.rel))
-            }
-            PredClass::General => None,
-        }
-    }
 }
 
 /// The relation index an expression references, if it references exactly one.
@@ -106,14 +89,10 @@ pub fn classify(pred: &Pred) -> PredClass {
     // Direct: each comparison operand references exactly one relation.
     if let (Some(rl), Some(rr)) = (single_rel(lhs), single_rel(rhs)) {
         if rl != rr {
-            let (lhs, rhs) = (side(rl, lhs), side(rr, rhs));
-            return match op {
-                CmpOp::Eq => PredClass::Equi { lhs, rhs },
-                op => PredClass::Band {
-                    lhs,
-                    rhs,
-                    form: BandForm::Direct(*op),
-                },
+            return PredClass::Band {
+                lhs: side(rl, lhs),
+                rhs: side(rr, rhs),
+                form: BandForm::Direct(*op),
             };
         }
     }
@@ -168,11 +147,12 @@ mod tests {
     }
 
     #[test]
-    fn equality_is_equi() {
+    fn equality_is_the_direct_eq_band() {
         let c = classes("SELECT A.x, B.x FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE");
         assert!(matches!(
             &c[0],
-            PredClass::Equi { lhs, rhs } if lhs.rel == 0 && rhs.rel == 1
+            PredClass::Band { lhs, rhs, form: BandForm::Direct(CmpOp::Eq) }
+                if lhs.rel == 0 && rhs.rel == 1
         ));
     }
 

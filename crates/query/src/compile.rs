@@ -419,8 +419,8 @@ impl CompiledQuery {
     }
 
     /// Partitioning classes of the join predicates (parallel to
-    /// [`CompiledQuery::join_preds`]): equi / band predicates carry the
-    /// structure a partitioned engine can index on; everything else is
+    /// [`CompiledQuery::join_preds`]): band predicates carry the structure
+    /// a partitioned engine can index on; everything else is
     /// [`PredClass::General`].
     pub fn pred_classes(&self) -> &[PredClass] {
         &self.pred_classes
