@@ -8,9 +8,9 @@ use crate::spec::{self, Command, Opts, Unset, Value, CHANNEL, CHECKPOINT, CHURN,
 use sensjoin_core::persist::{self, CheckpointStore, CrashPoint, Persist, Reader, Writer};
 use sensjoin_core::workload::RangeQueryFamily;
 use sensjoin_core::{
-    exact_join, persist_struct, BatchStats, ContinuousSensJoin, CostModel, ExternalJoin,
-    GroupRunner, JoinMethod, JoinOutcome, JoinResult, MediatedJoin, SensJoin, SensJoinConfig,
-    SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
+    exact_join, node_tuples, persist_struct, BatchStats, ContinuousSensJoin, CostModel,
+    ExternalJoin, GroupRunner, JoinMethod, JoinOutcome, JoinResult, MediatedJoin, SensJoin,
+    SensJoinConfig, SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_query::{parse, CompiledQuery};
@@ -560,22 +560,6 @@ fn cmd_lifetime(args: &Args) -> Result<(), String> {
     }
     trace_path.map_or(Ok(()), |path| write_trace(&snet, path))
 }
-/// The per-relation values node `v` would report after local predicates —
-/// the `per_rel` payload of its upsert.
-fn stream_per_rel(snet: &SensorNetwork, cq: &CompiledQuery, v: NodeId) -> Vec<Option<Vec<f64>>> {
-    (0..cq.num_relations())
-        .map(|r| {
-            let schema = cq.schema(r);
-            if snet.belongs(v, schema.name()) {
-                let vals = snet.values_for(v, schema);
-                cq.eval_local(r, &vals).then_some(vals)
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 /// One step of the stream driver's LCG; the state is a plain `u64` so
 /// checkpoints can carry it.
 fn lcg_pick(rng: &mut u64, m: u64) -> u64 {
@@ -644,7 +628,7 @@ fn stream_batch(
     }
     let mut ops: Vec<StreamOp> = Vec::with_capacity(chosen.len() + victims.len());
     for &v in &chosen {
-        let per_rel = stream_per_rel(snet, cq, v);
+        let per_rel = node_tuples(snet, cq, v, snet.readings(v));
         st.shadow.insert(v, per_rel.clone());
         ops.push(StreamOp::Upsert { origin: v, per_rel });
     }
@@ -729,7 +713,7 @@ fn cmd_stream(args: &Args) -> Result<(), String> {
             let ops: Vec<StreamOp> = (0..snet.len() as u32)
                 .map(|i| {
                     let v = NodeId(i);
-                    let per_rel = stream_per_rel(&snet, &cq, v);
+                    let per_rel = node_tuples(&snet, &cq, v, snet.readings(v));
                     st.shadow.insert(v, per_rel.clone());
                     StreamOp::Upsert { origin: v, per_rel }
                 })
@@ -1732,7 +1716,7 @@ mod tests {
         };
         let ops: Vec<StreamOp> = (0..snet.len() as u32)
             .map(|i| {
-                let per_rel = stream_per_rel(&snet, &cq, NodeId(i));
+                let per_rel = node_tuples(&snet, &cq, NodeId(i), snet.readings(NodeId(i)));
                 st.shadow.insert(NodeId(i), per_rel.clone());
                 StreamOp::Upsert {
                     origin: NodeId(i),

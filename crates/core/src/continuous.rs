@@ -33,7 +33,7 @@
 
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{prejoin_filter, JoinSpace};
-use crate::ingest::{StreamJoinEngine, StreamOp};
+use crate::ingest::{LiveTuple, StreamJoinEngine, StreamOp};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::persist::{self, Persist};
 use crate::repr::{JoinAttrMsg, NodeTable};
@@ -333,15 +333,15 @@ struct FinalDelta {
 }
 
 /// Per-round persistent state. A checkpoint holds the inputs — `space`'s
-/// dimension ranges, `last_cell`, `last_values`, `node_filter`, the stream
-/// engine's live tuples, `rounds` — and a restore derives the rest.
+/// dimension ranges, `last_cell`, `last_values`, `node_filter`, `rounds` —
+/// and a restore derives the rest.
 struct State {
     space: JoinSpace,
     /// Per node: (z, flags) last reported into the population.
     last_cell: Vec<Option<(u64, u8)>>,
     /// Per node: master values last shipped to the base; `Some` exactly
     /// while the node's tuple is live in `stream`, which holds their
-    /// projection ([`stream_holds_shipped`]).
+    /// projection ([`shipped_tuples`]).
     last_values: Vec<Option<Vec<f64>>>,
     /// Per node: current (delta-maintained) filter view.
     node_filter: Vec<PointSet>,
@@ -356,7 +356,8 @@ struct State {
     filter: PointSet,
     /// Base station: persistent streaming join over the shipped tuples.
     /// Each round's tuple deltas update the cached result in O(Δ) instead
-    /// of re-running the batch join over every shipped tuple.
+    /// of re-running the batch join over every shipped tuple. Empty after a
+    /// restore, until the next round replays [`shipped_tuples`].
     stream: StreamJoinEngine,
     rounds: u64,
 }
@@ -379,25 +380,33 @@ fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec
     subtree
 }
 
-/// Whether the stream's live tuples are what the nodes shipped: per node
-/// with shipped values, in origin order, its tuple of each relation it
-/// belongs to whose local predicates those values pass, bit for bit.
-fn stream_holds_shipped(st: &State, snet: &SensorNetwork, query: &CompiledQuery) -> bool {
-    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let origins = (0..st.last_values.len() as u32).map(NodeId);
-    let shipped = origins.zip(&st.last_values).filter_map(|(v, values)| {
-        let values = values.as_ref()?;
-        let per_rel = (0..query.num_relations()).map(|r| {
+/// The `per_rel` of node `v`'s [`StreamOp::Upsert`] when its master row is
+/// `row`: per relation of `query`, the row's values in the relation's schema
+/// if `v` belongs to it and they pass its local predicates.
+pub fn node_tuples(
+    snet: &SensorNetwork,
+    query: &CompiledQuery,
+    v: NodeId,
+    row: &[f64],
+) -> Vec<Option<Vec<f64>>> {
+    (0..query.num_relations())
+        .map(|r| {
             let schema = query.schema(r);
             let cols = snet.master_columns(schema);
-            let tuple: Vec<f64> = cols.iter().map(|&c| values[c]).collect();
-            (snet.belongs(v, schema.name()) && query.eval_local(r, &tuple)).then(|| bits(&tuple))
-        });
-        Some((v, per_rel.collect::<Vec<_>>()))
-    });
-    let live = st.stream.live_tuples().into_iter();
-    live.map(|(v, per_rel)| (v, per_rel.iter().map(|t| t.as_deref().map(bits)).collect()))
-        .eq(shipped)
+            let tuple: Vec<f64> = cols.iter().map(|&c| row[c]).collect();
+            (snet.belongs(v, schema.name()) && query.eval_local(r, &tuple)).then_some(tuple)
+        })
+        .collect()
+}
+
+/// What the nodes shipped, as the stream holds it: per node with shipped
+/// values, in origin order, its [`node_tuples`] of those values.
+fn shipped_tuples(st: &State, snet: &SensorNetwork, query: &CompiledQuery) -> Vec<LiveTuple> {
+    let origins = (0..st.last_values.len() as u32).map(NodeId);
+    origins
+        .zip(&st.last_values)
+        .filter_map(|(v, row)| Some((v, node_tuples(snet, query, v, row.as_deref()?))))
+        .collect()
 }
 
 /// Master indices of the attributes `query` references: the columns whose
@@ -491,7 +500,7 @@ impl ContinuousSensJoin {
     /// Serializes what the executor cannot recompute: the cumulative
     /// accounting plus, when warm, the inputs of the per-round `State`
     /// (quantization ranges, per-node baselines and filter views, the
-    /// stream engine's live tuples). The query and config are *not*
+    /// round count). The query and config are *not*
     /// serialized — the resuming process reconstructs them
     /// deterministically and passes the query to
     /// [`ContinuousSensJoin::restore_state`] — and neither is anything
@@ -505,7 +514,6 @@ impl ContinuousSensJoin {
             st.last_cell.put(w);
             st.last_values.put(w);
             st.node_filter.put(w);
-            st.stream.live_tuples().put(w);
             w.put_u64(st.rounds);
         }
     }
@@ -514,60 +522,61 @@ impl ContinuousSensJoin {
     /// `query` must be the same compiled query the state was saved under.
     /// The filter engine is rebuilt by applying the population the nodes
     /// last reported as one delta from empty: the live engine's counts, so
-    /// its population and filter. The subtree synopses need the routing
-    /// tree, which is restored after the executor: the next round rebuilds
-    /// them.
+    /// its population and filter. The subtree synopses and the stream need
+    /// the network, which is restored after the executor: the next round
+    /// rebuilds them. An image that fails to decode changes nothing.
     pub fn restore_state(
         &mut self,
         r: &mut persist::Reader<'_>,
         query: &CompiledQuery,
     ) -> Result<(), persist::CodecError> {
         use persist::CodecError;
-        self.delta_stats = Persist::get(r)?;
-        self.last_latency_us = r.get_u64()?;
-        if !r.get_bool()? {
-            self.state = None;
-            return Ok(());
-        }
-        let space = persist::join_space_from_parts(query, Persist::get(r)?)?;
-        let last_cell: Vec<Option<(u64, u8)>> = Persist::get(r)?;
-        let last_values: Vec<Option<Vec<f64>>> = Persist::get(r)?;
-        let node_filter: Vec<PointSet> = Persist::get(r)?;
-        if last_values.len() != last_cell.len() || node_filter.len() != last_cell.len() {
-            return Err(CodecError::Invariant("per-node tables differ in length"));
-        }
-        // Every cell a node reported or was told of is a point of `space`.
-        let shape = space.shape();
-        let in_space = |z: u64, flags: u8| {
-            (shape.z_bits() == 64 || z >> shape.z_bits() == 0)
-                && flags != 0
-                && u32::from(flags) >> shape.flag_bits() == 0
+        let delta_stats = Persist::get(r)?;
+        let last_latency_us = r.get_u64()?;
+        let state = if r.get_bool()? {
+            let space = persist::join_space_from_parts(query, Persist::get(r)?)?;
+            let last_cell: Vec<Option<(u64, u8)>> = Persist::get(r)?;
+            let last_values: Vec<Option<Vec<f64>>> = Persist::get(r)?;
+            let node_filter: Vec<PointSet> = Persist::get(r)?;
+            let rounds = r.get_u64()?;
+            if last_values.len() != last_cell.len() || node_filter.len() != last_cell.len() {
+                return Err(CodecError::Invariant("per-node tables differ in length"));
+            }
+            // Every cell a node reported or was told of is a point of `space`.
+            let shape = space.shape();
+            let in_space = |z: u64, flags: u8| {
+                (shape.z_bits() == 64 || z >> shape.z_bits() == 0)
+                    && flags != 0
+                    && u32::from(flags) >> shape.flag_bits() == 0
+            };
+            let told = node_filter.iter().flat_map(|f| f.iter());
+            if !last_cell.iter().flatten().all(|&(z, f)| in_space(z, f))
+                || !told.into_iter().all(|p| in_space(p.z, p.flags.0))
+            {
+                return Err(CodecError::Invariant("cell outside the join space"));
+            }
+            let mut population = Delta::default();
+            for &(z, f) in last_cell.iter().flatten() {
+                population.record(z, f, 1);
+            }
+            let mut engine = FilterEngine::new(query, &space);
+            let filter = engine.apply_delta(query, &space, &population.adds).clone();
+            Some(State {
+                space,
+                last_cell,
+                last_values,
+                node_filter,
+                subtree: Vec::new(),
+                engine,
+                filter,
+                stream: StreamJoinEngine::new(query.clone()),
+                rounds,
+            })
+        } else {
+            None
         };
-        let told = node_filter.iter().flat_map(|f| f.iter());
-        if !last_cell.iter().flatten().all(|&(z, f)| in_space(z, f))
-            || !told.into_iter().all(|p| in_space(p.z, p.flags.0))
-        {
-            return Err(CodecError::Invariant("cell outside the join space"));
-        }
-        let mut population = Delta::default();
-        for &(z, f) in last_cell.iter().flatten() {
-            population.record(z, f, 1);
-        }
-        let mut engine = FilterEngine::new(query, &space);
-        let filter = engine.apply_delta(query, &space, &population.adds).clone();
-        let stream = persist::stream_engine_from_tuples(query.clone(), &Vec::get(r)?)?;
-        let rounds = r.get_u64()?;
-        self.state = Some(State {
-            space,
-            last_cell,
-            last_values,
-            node_filter,
-            subtree: Vec::new(),
-            engine,
-            filter,
-            stream,
-            rounds,
-        });
+        (self.delta_stats, self.last_latency_us, self.state) =
+            (delta_stats, last_latency_us, state);
         Ok(())
     }
 
@@ -628,8 +637,8 @@ impl ContinuousSensJoin {
 
     /// First round after a restore: checks that the restored per-node
     /// tables describe `snet` — `restore_state` cannot see the network —
-    /// down to the stream's live tuples being the projection of the shipped
-    /// values, and rebuilds the subtree synopses over its routing tree.
+    /// and rebuilds the subtree synopses over its routing tree and the
+    /// stream from the shipped values.
     fn adopt_restored(
         &mut self,
         snet: &SensorNetwork,
@@ -641,11 +650,11 @@ impl ContinuousSensJoin {
         let arity = snet.master_schema().arity();
         if st.last_cell.len() != snet.len()
             || st.last_values.iter().flatten().any(|v| v.len() != arity)
-            || !stream_holds_shipped(st, snet, query)
         {
             return Err(ProtocolError::ForeignCheckpoint);
         }
         st.subtree = subtree_counts(&st.last_cell, snet.net().routing());
+        st.stream = StreamJoinEngine::restore(query.clone(), &shipped_tuples(st, snet, query));
         Ok(())
     }
 
@@ -892,7 +901,8 @@ impl ContinuousSensJoin {
         // A lost final delta leaves shipped values the base never received;
         // otherwise the base holds exactly what the nodes shipped.
         debug_assert!(
-            !complete || stream_holds_shipped(st, snet, query),
+            !complete
+                || st.stream.live_tuples().to_bytes() == shipped_tuples(st, snet, query).to_bytes(),
             "the stream's live tuples are not the projection of `last_values`"
         );
         let computation = st.stream.result();
@@ -1059,12 +1069,28 @@ mod tests {
         assert_eq!(live_origins(&cont), shipped);
     }
 
-    /// A restore rebuilds `subtree` instead of reading it: restored mid-run,
-    /// the next round — with a churn boundary before it or without — leaves
-    /// the synopses the uninterrupted executor has.
+    /// The field of round `r`: the same draws every round with the noise
+    /// scaled by `1 + 2r`, so each round moves every reading a little — some
+    /// matching nodes drift by more than ε = 0.25 and re-ship, the rest keep
+    /// their stale tuple.
+    fn drifting(r: u64) -> Vec<FieldSpec> {
+        let mut specs = presets::indoor_climate();
+        specs
+            .iter_mut()
+            .for_each(|s| s.noise *= 1.0 + 2.0 * r as f64);
+        specs
+    }
+
+    /// A restore rebuilds `subtree` and the stream instead of reading them:
+    /// restored mid-run, the rebuilt stream holds the uninterrupted
+    /// executor's live tuples bit for bit, and the next rounds — with a
+    /// churn boundary before the first or without — leave the synopses,
+    /// results and contributors the uninterrupted executor has. At ε > 0 a
+    /// node that did not drift past ε keeps a tuple that only `last_values`
+    /// holds, so a stream rebuilt from the current readings would differ.
     #[test]
     fn restored_subtree_matches_the_uninterrupted_run() {
-        for churn in [true, false] {
+        for (churn, epsilon) in [(true, 0.0), (false, 0.0), (true, 0.25), (false, 0.25)] {
             let build = || {
                 let mut s = snet(9);
                 if churn {
@@ -1081,9 +1107,9 @@ mod tests {
             };
             let (mut live_net, mut resumed_net) = (build(), build());
             let cq = live_net.compile(&parse(SQL).unwrap()).unwrap();
-            let mut live = ContinuousSensJoin::new();
+            let mut live = ContinuousSensJoin::with_epsilon(epsilon);
             for round in 0..2u64 {
-                live_net.resample(&presets::indoor_climate(), 40 + round);
+                live_net.resample(&drifting(round), 40);
                 live.execute_round(&mut live_net, &cq).unwrap();
             }
             let mut w = persist::Writer::new();
@@ -1091,19 +1117,85 @@ mod tests {
             persist::put_net_snapshot(&mut w, &live_net.net().export_state());
             let image = w.into_bytes();
             let mut r = persist::Reader::new(&image);
-            let mut resumed = ContinuousSensJoin::new();
+            let mut resumed = ContinuousSensJoin::with_epsilon(epsilon);
             resumed.restore_state(&mut r, &cq).unwrap();
             let snap = persist::get_net_snapshot(&mut r).unwrap();
             resumed_net.net_mut().restore_state(&snap).unwrap();
             assert!(resumed.state.as_ref().unwrap().subtree.is_empty());
-            for (cont, net) in [(&mut live, &mut live_net), (&mut resumed, &mut resumed_net)] {
-                net.resample(&presets::indoor_climate(), 42);
-                let out = cont.execute_round(net, &cq).unwrap();
-                assert_eq!(out.churned, churn);
+            live_net.resample(&drifting(2), 40);
+            resumed_net.resample(&drifting(2), 40);
+            // What the next round does first.
+            resumed.adopt_restored(&resumed_net, &cq).unwrap();
+            let live_tuples = |cont: &ContinuousSensJoin| {
+                cont.state.as_ref().unwrap().stream.live_tuples().to_bytes()
+            };
+            let what = format!("churn {churn}, ε {epsilon}");
+            assert!(live_tuples(&resumed) == live_tuples(&live), "{what}");
+            let mut stale = 0;
+            for round in 2..5u64 {
+                let mut outs = Vec::new();
+                for (cont, net) in [(&mut live, &mut live_net), (&mut resumed, &mut resumed_net)] {
+                    net.resample(&drifting(round), 40);
+                    let out = cont.execute_round(net, &cq).unwrap();
+                    assert_eq!(out.churned, churn && round == 2);
+                    outs.push(out);
+                }
+                let what = format!("round {round}, {what}");
+                assert!(outs[0].result.same_result(&outs[1].result), "{what}");
+                assert_eq!(outs[0].contributors, outs[1].contributors, "{what}");
+                if round == 2 {
+                    let (a, b) = (
+                        live.state.as_ref().unwrap(),
+                        resumed.state.as_ref().unwrap(),
+                    );
+                    assert!(a.subtree.iter().any(|c| !c.is_empty()));
+                    assert_eq!(a.subtree, b.subtree, "{what}");
+                }
+                let last_values = &live.state.as_ref().unwrap().last_values;
+                stale += (0..live_net.len())
+                    .filter(|&i| {
+                        let row = live_net.readings(NodeId(i as u32));
+                        last_values[i]
+                            .as_deref()
+                            .is_some_and(|shipped| shipped != row)
+                    })
+                    .count();
             }
-            let (a, b) = (live.state.unwrap(), resumed.state.unwrap());
-            assert!(a.subtree.iter().any(|c| !c.is_empty()));
-            assert_eq!(a.subtree, b.subtree, "churn {churn}");
+            assert!(live_tuples(&resumed) == live_tuples(&live), "{what}");
+            assert_eq!(stale > 0, epsilon > 0.0, "stale tuples at ε {epsilon}");
+        }
+    }
+
+    /// An image that fails to decode leaves the executor it was decoded
+    /// into as it was, counters included.
+    #[test]
+    fn a_failed_restore_leaves_the_executor_unchanged() {
+        let mut s = snet(10);
+        let cq = s.compile(&parse(SQL).unwrap()).unwrap();
+        let mut other = ContinuousSensJoin::new();
+        for round in 0..3u64 {
+            s.resample(&presets::indoor_climate(), 60 + round);
+            other.execute_round(&mut s, &cq).unwrap();
+        }
+        let mut w = persist::Writer::new();
+        other.encode_state(&mut w);
+        let image = w.into_bytes();
+
+        let mut warm = ContinuousSensJoin::new();
+        s.resample(&presets::indoor_climate(), 70);
+        warm.execute_round(&mut s, &cq).unwrap();
+        let before = {
+            let mut w = persist::Writer::new();
+            warm.encode_state(&mut w);
+            w.into_bytes()
+        };
+        assert_ne!(before, image);
+        for cut in [image.len() / 2, image.len() - 1] {
+            let mut r = persist::Reader::new(&image[..cut]);
+            assert!(warm.restore_state(&mut r, &cq).is_err(), "cut at {cut}");
+            let mut w = persist::Writer::new();
+            warm.encode_state(&mut w);
+            assert!(w.into_bytes() == before, "cut at {cut}");
         }
     }
 

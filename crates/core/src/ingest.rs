@@ -45,6 +45,9 @@ use sensjoin_relation::NodeId;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
+/// A node's live tuples: its origin and the `per_rel` of its upsert.
+pub type LiveTuple = (NodeId, Vec<Option<Vec<f64>>>);
+
 /// One tuple-level change fed to [`StreamJoinEngine::apply_batch`].
 ///
 /// A node contributes at most one tuple per relation (its current reading),
@@ -342,12 +345,11 @@ impl StreamJoinEngine {
     }
 
     /// Every live tuple as `(origin, per-relation values)` in ascending
-    /// origin order — the checkpoint export. Replaying these through
+    /// origin order. Replaying these through
     /// [`StreamJoinEngine::apply_batch`] as one upsert batch rebuilds an
     /// equivalent engine: result rows are ordered by origin vectors, so slot
     /// numbering (which replay does not reproduce) is unobservable.
-    #[allow(clippy::type_complexity)]
-    pub fn live_tuples(&self) -> Vec<(NodeId, Vec<Option<Vec<f64>>>)> {
+    pub fn live_tuples(&self) -> Vec<LiveTuple> {
         let mut origins: BTreeSet<NodeId> = BTreeSet::new();
         for rs in &self.rels {
             origins.extend(rs.by_origin.keys().copied());
@@ -369,20 +371,16 @@ impl StreamJoinEngine {
             .collect()
     }
 
-    /// Rebuilds an engine from checkpointed live tuples by replaying them.
-    /// The replay's [`BatchStats`] are deliberately discarded — they are
-    /// reconstruction work, not traffic.
-    #[allow(clippy::type_complexity)]
-    pub fn restore(query: CompiledQuery, tuples: &[(NodeId, Vec<Option<Vec<f64>>>)]) -> Self {
+    /// Rebuilds an engine from live tuples by replaying them. The replay's
+    /// [`BatchStats`] are deliberately discarded — they are reconstruction
+    /// work, not traffic.
+    pub fn restore(query: CompiledQuery, tuples: &[LiveTuple]) -> Self {
         let mut engine = Self::new(query);
-        let ops: Vec<StreamOp> = tuples
-            .iter()
-            .map(|(origin, per_rel)| StreamOp::Upsert {
-                origin: *origin,
-                per_rel: per_rel.clone(),
-            })
-            .collect();
-        let _ = engine.apply_batch(&ops);
+        let upsert = |(origin, per_rel): &LiveTuple| StreamOp::Upsert {
+            origin: *origin,
+            per_rel: per_rel.clone(),
+        };
+        let _ = engine.apply_batch(&tuples.iter().map(upsert).collect::<Vec<_>>());
         engine
     }
 

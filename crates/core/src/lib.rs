@@ -86,8 +86,8 @@ pub use bloom::{
 };
 pub use config::{QuantizationConfig, Representation, SensJoinConfig};
 pub use continuous::{
-    CellCounts, ContinuousSensJoin, FilterEngine, MAX_ROUND_ATTEMPTS, PHASE_DELTA_COLLECTION,
-    PHASE_FILTER_DELTA, PHASE_FINAL_DELTA,
+    node_tuples, CellCounts, ContinuousSensJoin, FilterEngine, MAX_ROUND_ATTEMPTS,
+    PHASE_DELTA_COLLECTION, PHASE_FILTER_DELTA, PHASE_FINAL_DELTA,
 };
 pub use costmodel::{CostEstimate, CostModel, MethodChoice};
 pub use engine::{
@@ -95,7 +95,7 @@ pub use engine::{
     JoinSpace,
 };
 pub use external::ExternalJoin;
-pub use ingest::{BatchStats, StreamJoinEngine, StreamOp};
+pub use ingest::{BatchStats, LiveTuple, StreamJoinEngine, StreamOp};
 pub use outcome::{
     Answer, AnswerRef, GroupResult, JoinOutcome, JoinResult, ProtocolError, Rows, RowsIter,
 };

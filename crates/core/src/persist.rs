@@ -29,7 +29,7 @@
 //! real crash would. The recovery tests sweep all sites.
 
 use crate::engine::JoinSpace;
-use crate::ingest::{BatchStats, StreamJoinEngine};
+use crate::ingest::{BatchStats, LiveTuple, StreamJoinEngine};
 use sensjoin_quadtree::{Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -1051,7 +1051,6 @@ persist_struct!(BatterySnapshot {
 persist_struct!(NetSnapshot {
     alive: Vec<bool>,
     parent: Vec<u32>,
-    depth: Vec<u32>[parent],
     stats: NetworkStats,
     trace: Option<Vec<TraceRecord>>,
     channel_states: Option<Vec<ChannelLinkState>>,
@@ -1120,10 +1119,9 @@ pub fn join_space_from_parts(
 /// — the query itself is not stored, the caller recompiles it. A tuple that
 /// does not have the query's shape (one entry per relation, each of its
 /// schema's arity) is refused.
-#[allow(clippy::type_complexity)]
 pub fn stream_engine_from_tuples(
     query: CompiledQuery,
-    tuples: &[(NodeId, Vec<Option<Vec<f64>>>)],
+    tuples: &[LiveTuple],
 ) -> Result<StreamJoinEngine, CodecError> {
     let fits = |per_rel: &Vec<Option<Vec<f64>>>| {
         per_rel.len() == query.num_relations()
@@ -1336,8 +1334,16 @@ mod tests {
     /// filter engine's counts).
     #[test]
     fn v5_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 6);
         assert_version_refused(5);
+    }
+
+    /// Version 6: a continuous image that carried the stream engine's live
+    /// tuples (the projection of `last_values`), and a network image that
+    /// carried each node's routing `depth` beside its `parent`.
+    #[test]
+    fn v6_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 7);
+        assert_version_refused(6);
     }
 
     #[test]

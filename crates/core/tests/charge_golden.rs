@@ -319,7 +319,7 @@ fn snapshot_bytes_are_pinned() {
     pinned("snapshot", snapshot_image, GOLDEN_SNAPSHOT);
 }
 
-const GOLDEN_SNAPSHOT: &str = r#"29609 bytes, fnv1a 0x37b62baea9605575, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result", "repair"]
+const GOLDEN_SNAPSHOT: &str = r#"28409 bytes, fnv1a 0xc9d55aa03bbb3fce, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result", "repair"]
 "#;
 const GOLDEN_Q3: &str = r"one-shot, 5498 rows
   1-join-attribute-collection: tx 9659B/409p rx 9659B/409p retx 0B/0p ack 0B/0p lost 0 energy 0x4110576b3333332a

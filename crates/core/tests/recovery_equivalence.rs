@@ -15,8 +15,8 @@ use sensjoin_core::persist::{
     self, CheckpointStore, CrashPoint, Persist, Reader, RecoveryError, Writer,
 };
 use sensjoin_core::{
-    exact_join, BatchStats, ContinuousSensJoin, JoinOutcome, JoinResult, QueryGroup, QueryId,
-    SensJoinConfig, SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
+    exact_join, node_tuples, BatchStats, ContinuousSensJoin, JoinOutcome, JoinResult, QueryGroup,
+    QueryId, SensJoinConfig, SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
 use sensjoin_quadtree::PointSet;
@@ -27,6 +27,13 @@ use std::collections::BTreeMap;
 
 const SQL_CONT: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
                         WHERE A.temp - B.temp > 2.0 SAMPLE PERIOD 30";
+/// The paper's Q1 (the minimal distance between two points with a
+/// temperature difference over a threshold every seed's field spans) and an
+/// equality join (each node pairs with itself at least).
+const SQL_Q1: &str = "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
+                      WHERE A.temp - B.temp > 1.0 SAMPLE PERIOD 30";
+const SQL_EQUI: &str = "SELECT A.hum, B.temp FROM Sensors A, Sensors B \
+                        WHERE A.temp = B.temp SAMPLE PERIOD 30";
 const SQL_STREAM: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
                           WHERE A.temp - B.temp > 2.0 ONCE";
 
@@ -42,7 +49,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 
 /// A deployment under both loss and churn, with tracing on so trace
 /// equality is part of the bit-identity claim.
-fn build(seed: u64) -> (SensorNetwork, CompiledQuery, Vec<FieldSpec>) {
+fn build(seed: u64, sql: &str) -> (SensorNetwork, CompiledQuery, Vec<FieldSpec>) {
     let specs = presets::indoor_climate();
     let mut snet = SensorNetworkBuilder::new()
         .area(Area::new(300.0, 300.0))
@@ -58,7 +65,7 @@ fn build(seed: u64) -> (SensorNetwork, CompiledQuery, Vec<FieldSpec>) {
     let tl = ChurnTimeline::sample(N, snet.net().base(), 60e6, 30e6, 200_000_000, 13);
     snet.net_mut().set_churn(Some(tl));
     snet.net_mut().set_tracing(true);
-    let cq = snet.compile(&parse(SQL_CONT).unwrap()).unwrap();
+    let cq = snet.compile(&parse(sql).unwrap()).unwrap();
     (snet, cq, specs)
 }
 
@@ -117,7 +124,8 @@ fn wal_digests(wal: &[Vec<u8>], start: u64) -> BTreeMap<u64, u64> {
 
 /// Runs rounds `start..rounds`, checkpointing at the `EVERY` cadence when a
 /// store is given; verifies replayed rounds against the WAL and logs fresh
-/// ones. Propagates injected crashes.
+/// ones. Propagates injected crashes. Returns how many rounds answered
+/// something: a row or a non-empty aggregate.
 #[allow(clippy::too_many_arguments)]
 fn run_span(
     snet: &mut SensorNetwork,
@@ -130,12 +138,17 @@ fn run_span(
     rounds: u64,
     wal: &BTreeMap<u64, u64>,
     digests: &mut Vec<u64>,
-) -> Result<(), RecoveryError> {
+) -> Result<usize, RecoveryError> {
+    let mut answered = 0;
     for r in start..rounds {
         if r > 0 {
             snet.resample(specs, seed.wrapping_add(r));
         }
         let out = cont.execute_round(snet, cq).expect("round executes");
+        answered += usize::from(match &out.result {
+            JoinResult::Rows(rows) => !rows.is_empty(),
+            JoinResult::Aggregate(values) => values.iter().any(Option::is_some),
+        });
         let digest = outcome_digest(&out);
         digests.push(digest);
         if let Some(store) = store.as_deref_mut() {
@@ -158,14 +171,19 @@ fn run_span(
             }
         }
     }
-    Ok(())
+    Ok(answered)
 }
 
 /// Opens the directory fresh (as a restarted process would), restores the
 /// newest valid snapshot, re-executes the suffix against the WAL, and
 /// returns the replayed digests plus the final full state.
-fn recover_and_finish(dir: &std::path::Path, seed: u64, rounds: u64) -> (u64, Vec<u64>, Vec<u8>) {
-    let (mut snet, cq, specs) = build(seed);
+fn recover_and_finish(
+    dir: &std::path::Path,
+    seed: u64,
+    sql: &str,
+    rounds: u64,
+) -> (u64, Vec<u64>, Vec<u8>) {
+    let (mut snet, cq, specs) = build(seed, sql);
     let mut cont = ContinuousSensJoin::new();
     let mut store = CheckpointStore::open(dir).unwrap();
     let rec = store.recover().unwrap();
@@ -197,12 +215,19 @@ fn recover_and_finish(dir: &std::path::Path, seed: u64, rounds: u64) -> (u64, Ve
 }
 
 /// Reference: one uninterrupted run with checkpointing at the same cadence.
-fn reference_run(dir: &std::path::Path, seed: u64, rounds: u64) -> (Vec<u64>, Vec<u8>) {
-    let (mut snet, cq, specs) = build(seed);
+/// Returns its digests, its final state and how many rounds answered
+/// something.
+fn reference_run(
+    dir: &std::path::Path,
+    seed: u64,
+    sql: &str,
+    rounds: u64,
+) -> (Vec<u64>, Vec<u8>, usize) {
+    let (mut snet, cq, specs) = build(seed, sql);
     let mut cont = ContinuousSensJoin::new();
     let mut store = CheckpointStore::open(dir).unwrap();
     let mut digests = Vec::new();
-    run_span(
+    let answered = run_span(
         &mut snet,
         &mut cont,
         &cq,
@@ -215,7 +240,7 @@ fn reference_run(dir: &std::path::Path, seed: u64, rounds: u64) -> (Vec<u64>, Ve
         &mut digests,
     )
     .unwrap();
-    (digests, full_state(&cont, &snet))
+    (digests, full_state(&cont, &snet), answered)
 }
 
 /// Crash at (point, occurrence), then recover; returns the recovered run's
@@ -223,11 +248,12 @@ fn reference_run(dir: &std::path::Path, seed: u64, rounds: u64) -> (Vec<u64>, Ve
 fn crash_and_recover(
     tag: &str,
     seed: u64,
+    sql: &str,
     point: CrashPoint,
     occurrence: u32,
 ) -> (Vec<u64>, Vec<u8>) {
     let dir = tmpdir(tag);
-    let (mut snet, cq, specs) = build(seed);
+    let (mut snet, cq, specs) = build(seed, sql);
     let mut cont = ContinuousSensJoin::new();
     let mut store = CheckpointStore::open(&dir).unwrap();
     store.arm_crash(point, occurrence);
@@ -250,7 +276,7 @@ fn crash_and_recover(
         "unexpected error for {point}: {err}"
     );
     drop(store); // the "process" died; recovery opens the dir fresh
-    let (start, replayed, state) = recover_and_finish(&dir, seed, ROUNDS);
+    let (start, replayed, state) = recover_and_finish(&dir, seed, sql, ROUNDS);
     // The digest trail across crash + recovery covers every round exactly
     // once: rounds before the restored snapshot ran pre-crash, the rest
     // re-executed.
@@ -260,43 +286,49 @@ fn crash_and_recover(
     (trail, state)
 }
 
+/// The sweep runs the band join, Q1's aggregate and an equality join.
 #[test]
 fn crash_anywhere_sweep_is_bit_identical_under_loss_and_churn() {
     let seed = 42;
-    let ref_dir = tmpdir("cont-ref");
-    let (ref_digests, ref_state) = reference_run(&ref_dir, seed, ROUNDS);
-    let _ = std::fs::remove_dir_all(&ref_dir);
+    for sql in [SQL_CONT, SQL_Q1, SQL_EQUI] {
+        let ref_dir = tmpdir("cont-ref");
+        let (ref_digests, ref_state, answered) = reference_run(&ref_dir, seed, sql, ROUNDS);
+        let _ = std::fs::remove_dir_all(&ref_dir);
+        if sql != SQL_CONT {
+            assert!(answered > 0, "no round answered anything: {sql}");
+        }
 
-    // Checkpointing must not perturb the run it checkpoints (modulo the
-    // checkpoint trace rows, which the digests exclude).
-    let (mut snet, cq, specs) = build(seed);
-    let mut cont = ContinuousSensJoin::new();
-    let mut plain = Vec::new();
-    run_span(
-        &mut snet,
-        &mut cont,
-        &cq,
-        &specs,
-        seed,
-        None,
-        0,
-        ROUNDS,
-        &BTreeMap::new(),
-        &mut plain,
-    )
-    .unwrap();
-    assert_eq!(plain, ref_digests, "checkpointing perturbed the run");
+        // Checkpointing must not perturb the run it checkpoints (modulo the
+        // checkpoint trace rows, which the digests exclude).
+        let (mut snet, cq, specs) = build(seed, sql);
+        let mut cont = ContinuousSensJoin::new();
+        let mut plain = Vec::new();
+        run_span(
+            &mut snet,
+            &mut cont,
+            &cq,
+            &specs,
+            seed,
+            None,
+            0,
+            ROUNDS,
+            &BTreeMap::new(),
+            &mut plain,
+        )
+        .unwrap();
+        assert_eq!(plain, ref_digests, "checkpointing perturbed the run: {sql}");
 
-    for point in CrashPoint::ALL {
-        let (trail, state) = crash_and_recover("cont-sweep", seed, point, 2);
-        assert_eq!(
-            trail, ref_digests,
-            "digest trail diverged after crash at {point}"
-        );
-        assert_eq!(
-            state, ref_state,
-            "final state diverged after crash at {point}"
-        );
+        for point in CrashPoint::ALL {
+            let (trail, state) = crash_and_recover("cont-sweep", seed, sql, point, 2);
+            assert_eq!(
+                trail, ref_digests,
+                "digest trail diverged after crash at {point}: {sql}"
+            );
+            assert_eq!(
+                state, ref_state,
+                "final state diverged after crash at {point}: {sql}"
+            );
+        }
     }
 }
 
@@ -309,13 +341,13 @@ fn crash_anywhere_sweep_is_bit_identical_under_loss_and_churn() {
 fn other_version_snapshots_are_passed_over() {
     let seed = 42;
     let ref_dir = tmpdir("cont-version-ref");
-    let (ref_digests, ref_state) = reference_run(&ref_dir, seed, ROUNDS);
+    let (ref_digests, ref_state, _) = reference_run(&ref_dir, seed, SQL_CONT, ROUNDS);
     let _ = std::fs::remove_dir_all(&ref_dir);
 
     // Four rounds leave snapshots 2 and 4; `foreign` of them get re-framed.
     for (foreign, resume_at) in [(&[4u64][..], 2), (&[2, 4][..], 0)] {
         let dir = tmpdir("cont-version");
-        let (mut snet, cq, specs) = build(seed);
+        let (mut snet, cq, specs) = build(seed, SQL_CONT);
         let mut cont = ContinuousSensJoin::new();
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut before = Vec::new();
@@ -347,7 +379,7 @@ fn other_version_snapshots_are_passed_over() {
         assert_eq!(rec.snapshot.map_or(0, |(seq, _)| seq), resume_at);
         assert_eq!(rec.wal.len(), 4, "the WAL is untouched");
 
-        let (start, replayed, state) = recover_and_finish(&dir, seed, ROUNDS);
+        let (start, replayed, state) = recover_and_finish(&dir, seed, SQL_CONT, ROUNDS);
         assert_eq!(start, resume_at);
         let mut trail = before[..start as usize].to_vec();
         trail.extend(&replayed);
@@ -370,9 +402,9 @@ proptest! {
     ) {
         let point = CrashPoint::ALL[point_ix];
         let ref_dir = tmpdir("cont-prop-ref");
-        let (ref_digests, ref_state) = reference_run(&ref_dir, seed, ROUNDS);
+        let (ref_digests, ref_state, _) = reference_run(&ref_dir, seed, SQL_CONT, ROUNDS);
         let _ = std::fs::remove_dir_all(&ref_dir);
-        let (trail, state) = crash_and_recover("cont-prop", seed, point, occurrence);
+        let (trail, state) = crash_and_recover("cont-prop", seed, SQL_CONT, point, occurrence);
         prop_assert_eq!(trail, ref_digests);
         prop_assert_eq!(state, ref_state);
     }
@@ -393,20 +425,6 @@ fn stream_build(seed: u64) -> (SensorNetwork, CompiledQuery, Vec<FieldSpec>) {
         .unwrap();
     let cq = snet.compile(&parse(SQL_STREAM).unwrap()).unwrap();
     (snet, cq, specs)
-}
-
-fn per_rel(snet: &SensorNetwork, cq: &CompiledQuery, v: NodeId) -> Vec<Option<Vec<f64>>> {
-    (0..cq.num_relations())
-        .map(|r| {
-            let schema = cq.schema(r);
-            if snet.belongs(v, schema.name()) {
-                let vals = snet.values_for(v, schema);
-                cq.eval_local(r, &vals).then_some(vals)
-            } else {
-                None
-            }
-        })
-        .collect()
 }
 
 fn lcg(rng: &mut u64, m: u64) -> u64 {
@@ -500,7 +518,7 @@ fn stream_batch(
     }
     let mut ops = Vec::new();
     for &v in &chosen {
-        let pr = per_rel(snet, cq, v);
+        let pr = node_tuples(snet, cq, v, snet.readings(v));
         run.shadow.insert(v, pr.clone());
         ops.push(StreamOp::Upsert {
             origin: v,
@@ -523,7 +541,7 @@ fn stream_cold(run: &mut StreamRun, snet: &SensorNetwork, cq: &CompiledQuery) {
     let ops: Vec<StreamOp> = (0..n)
         .map(|i| {
             let v = NodeId(i);
-            let pr = per_rel(snet, cq, v);
+            let pr = node_tuples(snet, cq, v, snet.readings(v));
             run.shadow.insert(v, pr.clone());
             StreamOp::Upsert {
                 origin: v,
@@ -750,7 +768,7 @@ proptest! {
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = persist::get_net_snapshot(&mut Reader::new(&bytes));
         let _ = Persist::get(&mut Reader::new(&bytes))
-            .and_then(|dims| persist::join_space_from_parts(&build(5).1, dims));
+            .and_then(|dims| persist::join_space_from_parts(&build(5, SQL_CONT).1, dims));
         let _ = PointSet::get(&mut Reader::new(&bytes));
         let _ = NetworkStats::get(&mut Reader::new(&bytes));
         let _ = BatchStats::get(&mut Reader::new(&bytes));
@@ -767,7 +785,7 @@ proptest! {
         back in 1usize..84,
         byte in any::<u8>(),
     ) {
-        let (mut snet, cq, _) = build(5);
+        let (mut snet, cq, _) = build(5, SQL_CONT);
         let other = snet
             .compile(&parse("SELECT A.hum FROM Sensors A, Sensors B \
                              WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30").unwrap())
@@ -807,7 +825,7 @@ proptest! {
     /// short buffer.
     #[test]
     fn truncated_engine_state_is_structured_error(frac in 0.0f64..1.0) {
-        let (mut snet, cq, specs) = build(3);
+        let (mut snet, cq, specs) = build(3, SQL_CONT);
         let mut cont = ContinuousSensJoin::new();
         let mut digests = Vec::new();
         run_span(

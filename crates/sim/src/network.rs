@@ -25,10 +25,9 @@ use std::sync::Arc;
 pub struct NetSnapshot {
     /// Per-node liveness flags.
     pub alive: Vec<bool>,
-    /// Routing parents (`u32::MAX` for the base and unreachable nodes).
+    /// Routing parents (`u32::MAX` for the base and unreachable nodes); the
+    /// hop counts are derived from them on restore.
     pub parent: Vec<u32>,
-    /// Routing hop counts (`u32::MAX` for unreachable nodes).
-    pub depth: Vec<u32>,
     /// Accumulated statistics.
     pub stats: NetworkStats,
     /// Trace records, if tracing was enabled.
@@ -415,7 +414,6 @@ impl Network {
     /// configuration and then replays this snapshot on top via
     /// [`Network::restore_state`].
     pub fn export_state(&self) -> NetSnapshot {
-        let (parent, depth) = self.routing.export_tree();
         let (churn_timed, churn_boundary_events) = match &self.churn {
             Some(t) => {
                 let (timed, boundary) = t.export_events();
@@ -425,8 +423,7 @@ impl Network {
         };
         NetSnapshot {
             alive: self.alive.clone(),
-            parent,
-            depth,
+            parent: self.routing.export_tree(),
             stats: self.stats.clone(),
             trace: self.trace.as_ref().map(|t| t.records().to_vec()),
             channel_states: self.channel.as_ref().map(|c| c.export_states()),
@@ -470,7 +467,7 @@ impl Network {
             }
         }
         self.routing
-            .import_tree(&s.parent, &s.depth, &self.topology, &s.alive)?;
+            .import_tree(&s.parent, &self.topology, &s.alive)?;
         self.alive = s.alive.clone();
         self.stats = s.stats.clone();
         self.stats.adopt_order(self.topology.slot_of());

@@ -507,56 +507,66 @@ impl RoutingTree {
         changed
     }
 
-    /// Exports the defining arrays of the tree — parent and hop count per
-    /// node (`NO_PARENT`/`u32::MAX` for the base and unreachable nodes) —
-    /// the checkpoint/restore surface. Everything else the tree holds is
-    /// derived from these two arrays.
-    pub fn export_tree(&self) -> (Vec<u32>, Vec<u32>) {
-        (self.parent.clone(), self.depth.clone())
+    /// Exports the defining array of the tree — the parent per node
+    /// (`NO_PARENT` for the base and unreachable nodes) — the
+    /// checkpoint/restore surface. Everything else the tree holds, hop
+    /// counts included, is derived from it.
+    pub fn export_tree(&self) -> Vec<u32> {
+        self.parent.clone()
     }
 
     /// Restores a tree previously exported with
-    /// [`RoutingTree::export_tree`], rebuilding the derived structures
-    /// (children CSR, post-order, descendant counts, maximum depth).
+    /// [`RoutingTree::export_tree`], rebuilding the derived structures (hop
+    /// counts, children CSR, post-order, descendant counts, maximum depth).
     ///
-    /// The arrays come from a checkpoint file, so they are checked before
-    /// anything is rebuilt from them: one entry per node, the base
-    /// parentless at depth 0, every other parent a live topology neighbour
-    /// of a live node, and `depth` exactly one more than the parent's —
-    /// which also rules out a cycle, whose depths could not all grow.
+    /// The array comes from a checkpoint file, so it is checked before
+    /// anything is rebuilt from it: one entry per node, the base a live root
+    /// without a parent, every other parent a live topology neighbour of a
+    /// live node, and every node with a parent reachable from the base —
+    /// which rules out a cycle.
     pub fn import_tree(
         &mut self,
         parent: &[u32],
-        depth: &[u32],
         topology: &Topology,
         alive: &[bool],
     ) -> Result<(), NetworkError> {
         let bad = |what| Err(NetworkError::BadSnapshot(what));
         let n = self.parent.len();
-        if parent.len() != n || depth.len() != n || alive.len() != n {
+        if parent.len() != n || alive.len() != n {
             return bad("routing tree of another node count");
         }
         let base = self.base.0 as usize;
-        if parent[base] != NO_PARENT || depth[base] != 0 || !alive[base] {
+        if parent[base] != NO_PARENT || !alive[base] {
             return bad("base station is not the live root of the routing tree");
         }
-        for v in (0..n).filter(|&v| v != base) {
-            let routed = match parent[v] {
-                NO_PARENT => depth[v] == u32::MAX,
-                p => {
-                    (p as usize) < n
-                        && alive[v]
-                        && alive[p as usize]
-                        && depth[p as usize].checked_add(1) == Some(depth[v])
-                        && topology.neighbors(NodeId(v as u32)).contains(&NodeId(p))
+        let linked = |v: usize, p: usize| {
+            let neighbours = topology.neighbors(NodeId(v as u32));
+            p < n && alive[v] && alive[p] && neighbours.contains(&NodeId(p as u32))
+        };
+        // A hop count is the parent's plus one: walk up to a known count,
+        // then assign the path back down — O(n). A walk that ends without a
+        // count met another parentless node or, after `n` steps, a cycle.
+        let mut depth = vec![u32::MAX; n];
+        depth[base] = 0;
+        let mut path = Vec::new();
+        for v in 0..n {
+            let mut u = v;
+            while depth[u] == u32::MAX && parent[u] != NO_PARENT && path.len() < n {
+                if !linked(u, parent[u] as usize) {
+                    return bad("routing parent is not a live neighbour");
                 }
-            };
-            if !routed {
-                return bad("routing parent is not a live neighbour one hop closer to the base");
+                path.push(u);
+                u = parent[u] as usize;
+            }
+            if depth[u] == u32::MAX && !path.is_empty() {
+                return bad("routing parent is not reachable from the base");
+            }
+            for w in path.drain(..).rev() {
+                depth[w] = depth[parent[w] as usize] + 1;
             }
         }
         self.parent.copy_from_slice(parent);
-        self.depth.copy_from_slice(depth);
+        self.depth = depth;
         self.rebuild_derived();
         Ok(())
     }
@@ -1064,6 +1074,59 @@ mod tests {
             assert_eq!(tree.parent(v), reference.parent(v));
             assert_eq!(tree.depth(v), reference.depth(v));
             assert_eq!(tree.descendants(v), reference.descendants(v));
+        }
+    }
+
+    /// A repaired tree (some nodes dead, some unreachable) imported from its
+    /// parent array alone onto a fresh tree has the same depths and derived
+    /// structures.
+    #[test]
+    fn import_derives_depths_from_parents() {
+        let t = random_topology(200, 400.0, 5);
+        let mut tree = RoutingTree::build(&t, NodeId(0));
+        let mut alive = vec![true; t.len()];
+        for v in (3..t.len()).step_by(7) {
+            alive[v] = false;
+        }
+        tree.repair(&t, &alive);
+        assert!(t
+            .nodes()
+            .any(|v| alive[v.0 as usize] && tree.depth(v).is_none()));
+        let mut imported = RoutingTree::build(&t, NodeId(0));
+        imported
+            .import_tree(&tree.export_tree(), &t, &alive)
+            .unwrap();
+        for v in t.nodes() {
+            assert_eq!(imported.depth(v), tree.depth(v), "{v}");
+            assert_eq!(imported.children(v), tree.children(v), "{v}");
+            assert_eq!(imported.descendants(v), tree.descendants(v), "{v}");
+        }
+        let links = |t: &RoutingTree| t.bottom_up_links().collect::<Vec<_>>();
+        assert_eq!(links(&imported), links(&tree));
+        assert_eq!(imported.max_depth(), tree.max_depth());
+    }
+
+    /// A parent array with a cycle, or with a chain that ends at a parentless
+    /// node other than the base, is refused and leaves the tree as it was.
+    #[test]
+    fn import_refuses_parents_unreachable_from_the_base() {
+        // A 5-hop line: 0 - 1 - 2 - 3 - 4.
+        let positions = (0..5).map(|i| Position::new(40.0 * i as f64 + 1.0, 1.0));
+        let t = Topology::new(positions.collect(), Area::new(200.0, 2.0), 50.0);
+        let mut tree = RoutingTree::build(&t, NodeId(0));
+        let alive = vec![true; 5];
+        let good = tree.export_tree();
+        let mut cycle = good.clone();
+        (cycle[2], cycle[3]) = (3, 2);
+        let mut dangling = good.clone();
+        (dangling[3], dangling[4]) = (4, NO_PARENT);
+        for parents in [cycle, dangling] {
+            assert!(matches!(
+                tree.import_tree(&parents, &t, &alive),
+                Err(NetworkError::BadSnapshot(_))
+            ));
+            assert_eq!(tree.export_tree(), good);
+            assert_eq!(tree.depth(NodeId(4)), Some(4));
         }
     }
 
