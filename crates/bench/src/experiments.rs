@@ -1340,7 +1340,8 @@ pub fn ingest_scaling(n: usize, seed: u64) -> String {
          where the batch join recomputes the full cross-product search. Band \
          join `|A.temp - B.temp| < {eps:.4}` over {m} tuples per relation; \
          the delta batch re-upserts 1 % of them ({} ops). Candidates is the \
-         work metric: bindings reaching the full-precision predicate gate. \
+         work metric: the bindings the engine examines — for the full join, \
+         the engine's cold load, which is the batch join's descent. \
          Identity with the batch join is asserted on every row here and \
          property-tested in `tests/streaming_equivalence.rs`; `cargo bench \
          --bench ingest_scaling` reproduces the committed \

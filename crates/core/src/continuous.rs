@@ -872,9 +872,11 @@ impl ContinuousSensJoin {
 
         // ---- Base station: streaming join ----
         // The round's tuple deltas feed the persistent streaming engine,
-        // which re-enumerates only the bindings anchored at changed tuples;
-        // its cached result is bit-identical to re-running `exact_join`
-        // over every shipped tuple (the pre-streaming behavior).
+        // which re-enumerates only the bindings anchored at changed tuples —
+        // or, when the round re-ships every tuple of a relation, reruns the
+        // batch join over its stores; its cached result is bit-identical to
+        // re-running `exact_join` over every shipped tuple (the
+        // pre-streaming behavior).
         let (snet, table) = (&*snet, &table);
         let project =
             |origin| (0..query.num_relations()).map(move |r| table.project(snet, origin, r));

@@ -691,12 +691,54 @@ pub struct JoinComputation<R = JoinResult> {
     pub contributors: BTreeSet<NodeId>,
 }
 
-/// Where the exact descent writes result rows and GROUP BY keys: a vector
-/// per row ([`VecRows`], behind [`exact_join`]) or one flat buffer
-/// ([`Rows`], behind a group epoch's [`exact_join_flat`]). A type parameter
+/// The exact join's input: per relation, its tuples by position, each an
+/// origin and values aligned to the relation's schema — a vector per
+/// relation from the one-shot callers ([`exact_join`]), the streaming
+/// engine's slot stores for its rejoin. A type parameter of the descent,
+/// like [`RowSink`].
+pub(crate) trait Tuples: Sync {
+    /// Tuples of relation `rel`.
+    fn count(&self, rel: usize) -> usize;
+    /// The values of tuple `pos` of relation `rel`.
+    fn values(&self, rel: usize, pos: usize) -> &[f64];
+}
+
+impl Tuples for [Vec<(NodeId, Vec<f64>)>] {
+    #[inline]
+    fn count(&self, rel: usize) -> usize {
+        self[rel].len()
+    }
+
+    #[inline]
+    fn values(&self, rel: usize, pos: usize) -> &[f64] {
+        &self[rel][pos].1
+    }
+}
+
+/// Where the exact descent writes a full binding's row: a vector per row
+/// ([`VecRows`], behind [`exact_join`]), one flat buffer ([`Rows`], behind a
+/// group epoch's [`exact_join_flat`]) or the streaming engine's cached run,
+/// which also keeps each row's binding (`ingest::RowRun`). A type parameter
 /// of the descent, so each sink gets a loop of its own with no per-row
 /// branch.
 pub(crate) trait RowSink: Send + Sized {
+    /// The empty row and key sinks of one chunk of a join of `query`.
+    fn sinks(query: &CompiledQuery) -> (Self, Self);
+    /// Room for `rows` more rows, if the allocator grants it: room that
+    /// stays unused is never touched, and a refusal only means growing
+    /// later.
+    fn try_reserve(&mut self, rows: usize);
+    /// Appends `later`'s rows after these.
+    fn append(&mut self, later: Self);
+    /// Appends the row of the full binding `binding` (a tuple position per
+    /// relation): its SELECT values `select` to these rows and its group
+    /// key `key`, if the query groups, to `keys`.
+    fn emit(&mut self, keys: &mut Self, binding: &[usize], select: &[f64], key: &[f64]);
+}
+
+/// A [`RowSink`] that answers the query: its rows are grouped, folded or
+/// returned by [`finish`].
+pub(crate) trait ResultSink: RowSink {
     /// What a finished join answers.
     type Result;
     /// No rows yet, each to hold `arity` values.
@@ -705,14 +747,6 @@ pub(crate) trait RowSink: Send + Sized {
     fn row(&self, i: usize) -> &[f64];
     /// Appends the row `fill` writes into an empty or growing buffer.
     fn push_with(&mut self, fill: impl FnOnce(&mut Vec<f64>));
-    /// Appends the row of `values`, `arity` of them.
-    fn push_row(&mut self, values: impl Iterator<Item = f64>);
-    /// Room for `rows` more rows, if the allocator grants it: room that
-    /// stays unused is never touched, and a refusal only means growing
-    /// later.
-    fn try_reserve(&mut self, rows: usize);
-    /// Appends `later`'s rows after these.
-    fn append(&mut self, later: Self);
     /// The answer of a row query: these rows.
     fn into_rows(self) -> Self::Result;
     /// The answer of an aggregate query.
@@ -727,6 +761,28 @@ pub(crate) struct VecRows {
 }
 
 impl RowSink for VecRows {
+    fn sinks(query: &CompiledQuery) -> (Self, Self) {
+        let (select, group) = (query.select().len(), query.group_by().len());
+        (Self::new(select), Self::new(group))
+    }
+
+    fn try_reserve(&mut self, rows: usize) {
+        let _ = self.rows.try_reserve_exact(rows);
+    }
+
+    fn append(&mut self, later: Self) {
+        self.rows.extend(later.rows);
+    }
+
+    fn emit(&mut self, keys: &mut Self, _: &[usize], select: &[f64], key: &[f64]) {
+        self.rows.push(select.to_vec());
+        if !key.is_empty() {
+            keys.rows.push(key.to_vec());
+        }
+    }
+}
+
+impl ResultSink for VecRows {
     type Result = JoinResult;
 
     fn new(arity: usize) -> Self {
@@ -748,20 +804,6 @@ impl RowSink for VecRows {
         let mut row = Vec::with_capacity(self.arity);
         fill(&mut row);
         self.rows.push(row);
-    }
-
-    fn push_row(&mut self, values: impl Iterator<Item = f64>) {
-        let mut row = Vec::with_capacity(self.arity);
-        row.extend(values);
-        self.rows.push(row);
-    }
-
-    fn try_reserve(&mut self, rows: usize) {
-        let _ = self.rows.try_reserve_exact(rows);
-    }
-
-    fn append(&mut self, later: Self) {
-        self.rows.extend(later.rows);
     }
 
     fn into_rows(self) -> JoinResult {
@@ -807,105 +849,131 @@ pub(crate) fn exact_join_flat(
 }
 
 /// [`exact_join`] into sink `S`, fanning out over at most `threads` chunks.
-fn exact_join_in<S: RowSink>(
+fn exact_join_in<S: ResultSink>(
     query: &CompiledQuery,
     tuples: &[Vec<(NodeId, Vec<f64>)>],
     threads: usize,
 ) -> JoinComputation<S::Result> {
     assert_eq!(tuples.len(), query.num_relations());
-    let mut rows = S::new(query.select().len());
-    let mut keys = S::new(query.group_by().len());
-    let mut contributors = BTreeSet::new();
-    if !query.is_const_false() {
-        let pred_rels = pred_max_rels(query);
-        let plan = exact_plan(query, tuples, &pred_rels);
-        let hoisted = exact_hoisted(tuples, &plan);
-        let outer = tuples.first().map_or(0, |t| t.len());
-        let run = ExactRun {
-            query,
-            tuples,
-            checks: level_checks(&pred_rels, &plan),
-            plan: &plan,
-            hoisted: &hoisted,
-            items: Projections::new(query, tuples),
+    let Some(done) = exact_descent::<S, _>(query, tuples, threads) else {
+        let (rows, keys) = S::sinks(query);
+        return JoinComputation {
+            result: finish(query, rows, keys),
+            contributors: BTreeSet::new(),
         };
-        let first = if tuples.is_empty() {
-            // Zero relations: descend's base case emits the single
-            // empty-binding row, exactly like the nested reference.
-            let mut chunk = run.chunk();
-            run.descend(&mut chunk);
-            chunk
-        } else {
-            let deeper = deeper_space(tuples.iter().map(|t| t.len()));
-            let cuts = hoisted.cuts(deeper, threads, PAR_MIN_WORK);
-            let mut parts = run_chunked(&cuts, |i, range| {
-                let mut chunk = run.chunk::<S>();
-                if tuples.len() == 2 {
-                    // Every row of a two-way join is a counted candidate.
-                    // The first chunk's buffer becomes the result: it takes
-                    // the other chunks' rows too.
-                    let ahead = if i == 0 { &(0..outer) } else { &range };
-                    chunk.rows.try_reserve(hoisted.candidates(ahead));
-                }
-                for pos in range {
-                    run.step(0, pos, &mut chunk);
-                }
-                chunk
-            })
-            .into_iter();
-            // Chunk-order merge: rows/keys concatenate to the sequential
-            // order, the contributor positions union.
-            let mut first = parts.next().expect("at least one chunk");
-            for part in parts {
-                first.rows.append(part.rows);
-                first.keys.append(part.keys);
-                for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
-                    all.union_with(seen);
-                }
-                #[cfg(test)]
-                {
-                    for (all, n) in first.evals.iter_mut().zip(part.evals) {
-                        *all += n;
-                    }
-                    first.item_evals += part.item_evals;
-                }
-            }
-            first
-        };
-        #[cfg(test)]
-        {
-            tests::PRED_EVALS.with(|evals| {
-                let mut evals = evals.borrow_mut();
-                evals.resize(first.evals.len(), 0);
-                for (all, n) in evals.iter_mut().zip(&first.evals) {
-                    *all += n;
-                }
-            });
-            tests::ITEM_EVALS.with(|n| n.set(n.get() + first.item_evals));
-        }
-        let mut origins: Vec<NodeId> = Vec::new();
-        for (rel, mut seen) in first.seen.into_iter().enumerate() {
-            seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
-        }
-        (rows, keys) = (first.rows, first.keys);
-        contributors = origins.into_iter().collect();
+    };
+    let mut origins: Vec<NodeId> = Vec::new();
+    for (rel, mut seen) in done.seen.into_iter().enumerate() {
+        seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
     }
     JoinComputation {
-        result: finish(query, rows, keys),
-        contributors,
+        result: finish(query, done.rows, done.keys),
+        contributors: origins.into_iter().collect(),
     }
 }
 
+/// The rows of the exact join of `tuples` into sink `S`, in emission order,
+/// and the bindings the descent examined — one per tuple it bound, at any
+/// level: the streaming engine's rejoin (`ingest` module docs).
+pub(crate) fn exact_rows<S: RowSink, T: Tuples + ?Sized>(
+    query: &CompiledQuery,
+    tuples: &T,
+) -> (S, usize) {
+    match exact_descent::<S, T>(query, tuples, host_threads()) {
+        Some(done) => (done.rows, done.steps),
+        None => (S::sinks(query).0, 0),
+    }
+}
+
+/// The partitioned descent of an exact join over at most `threads` chunks,
+/// merged in chunk order; `None` for a query that is constant false.
+fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
+    query: &CompiledQuery,
+    tuples: &T,
+    threads: usize,
+) -> Option<ExactChunk<S>> {
+    if query.is_const_false() {
+        return None;
+    }
+    let k = query.num_relations();
+    let pred_rels = pred_max_rels(query);
+    let plan = exact_plan(query, tuples, &pred_rels);
+    let hoisted = exact_hoisted(tuples, &plan);
+    let outer = if k == 0 { 0 } else { tuples.count(0) };
+    let run = ExactRun {
+        query,
+        k,
+        tuples,
+        checks: level_checks(&pred_rels, &plan),
+        plan: &plan,
+        hoisted: &hoisted,
+        items: Projections::new(query, tuples),
+    };
+    let first = if k == 0 {
+        // Zero relations: descend's base case emits the single
+        // empty-binding row, exactly like the nested reference.
+        let mut chunk = run.chunk();
+        run.descend(&mut chunk);
+        chunk
+    } else {
+        let deeper = deeper_space((0..k).map(|rel| tuples.count(rel)));
+        let cuts = hoisted.cuts(deeper, threads, PAR_MIN_WORK);
+        let mut parts = run_chunked(&cuts, |i, range| {
+            let mut chunk = run.chunk::<S>();
+            if k == 2 {
+                // Every row of a two-way join is a counted candidate.
+                // The first chunk's buffer becomes the result: it takes
+                // the other chunks' rows too.
+                let ahead = if i == 0 { &(0..outer) } else { &range };
+                chunk.rows.try_reserve(hoisted.candidates(ahead));
+            }
+            for pos in range {
+                run.step(0, pos, &mut chunk);
+            }
+            chunk
+        })
+        .into_iter();
+        // Chunk-order merge: rows/keys concatenate to the sequential
+        // order, the contributor positions union.
+        let mut first = parts.next().expect("at least one chunk");
+        for part in parts {
+            first.rows.append(part.rows);
+            first.keys.append(part.keys);
+            for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
+                all.union_with(seen);
+            }
+            first.steps += part.steps;
+            #[cfg(test)]
+            {
+                for (all, n) in first.evals.iter_mut().zip(part.evals) {
+                    *all += n;
+                }
+                first.item_evals += part.item_evals;
+            }
+        }
+        first
+    };
+    #[cfg(test)]
+    {
+        tests::PRED_EVALS.with(|evals| {
+            let mut evals = evals.borrow_mut();
+            evals.resize(first.evals.len(), 0);
+            for (all, n) in evals.iter_mut().zip(&first.evals) {
+                *all += n;
+            }
+        });
+        tests::ITEM_EVALS.with(|n| n.set(n.get() + first.item_evals));
+    }
+    Some(first)
+}
+
 /// The level-1 probes of the exact join `plan` for every outer tuple.
-fn exact_hoisted(
-    tuples: &[Vec<(NodeId, Vec<f64>)>],
-    plan: &[Vec<ExactIndex>],
-) -> Hoisted<ExactProbe> {
+fn exact_hoisted<T: Tuples + ?Sized>(tuples: &T, plan: &[Vec<ExactIndex>]) -> Hoisted<ExactProbe> {
     let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
-    let outer = tuples.first().map_or(0, |t| t.len());
+    let outer = if plan.is_empty() { 0 } else { tuples.count(0) };
     Hoisted::build(outer, level1.len(), |pos, out| {
-        let env = |_: usize, a: usize| -> f64 { tuples[0][pos].1[a] };
-        let mut count = tuples.get(1).map_or(0, |t| t.len());
+        let env = |_: usize, a: usize| -> f64 { tuples.values(0, pos)[a] };
+        let mut count = if plan.len() > 1 { tuples.count(1) } else { 0 };
         for ix in level1 {
             let probe = ix.probe(&env);
             count = count.min(probe.count());
@@ -960,7 +1028,7 @@ pub(crate) fn finalize_exact(query: &CompiledQuery, acc: ExactAcc) -> JoinComput
 /// order of their keys' bit patterns (all methods compute the same
 /// expressions, so grouping is deterministic); an aggregate query folds
 /// every row; a row query answers its rows.
-fn finish<S: RowSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
+fn finish<S: ResultSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
     if query.has_group_by() {
         let by_key = |a: &usize, b: &usize| cmp_bits(keys.row(*a), keys.row(*b));
         let mut order: Vec<usize> = (0..keys.len()).collect();
@@ -978,9 +1046,11 @@ fn finish<S: RowSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
 }
 
 /// Shared context of the partitioned exact descent.
-struct ExactRun<'a> {
+struct ExactRun<'a, T: ?Sized> {
     query: &'a CompiledQuery,
-    tuples: &'a [Vec<(NodeId, Vec<f64>)>],
+    /// The relations joined.
+    k: usize,
+    tuples: &'a T,
     /// Per level: the join predicates checked there ([`level_checks`]).
     checks: Vec<Vec<Check>>,
     plan: &'a [Vec<ExactIndex<'a>>],
@@ -1009,11 +1079,11 @@ struct Projections<'a> {
 }
 
 impl<'a> Projections<'a> {
-    fn new(query: &'a CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> Self {
+    fn new<T: Tuples + ?Sized>(query: &'a CompiledQuery, tuples: &T) -> Self {
         let mut items = Self {
             row: Vec::new(),
             select: query.select().len(),
-            per_tuple: tuples.iter().map(|_| Vec::new()).collect(),
+            per_tuple: (0..query.num_relations()).map(|_| Vec::new()).collect(),
             per_row: Vec::new(),
         };
         let exprs = query.select().iter().map(|s| &s.expr);
@@ -1027,8 +1097,8 @@ impl<'a> Projections<'a> {
                     })
                 }
                 (Some(&rel), 1) => {
-                    let values = (tuples[rel].iter())
-                        .map(|(_, values)| eval(expr, &|_: usize, a: usize| values[a]))
+                    let values = (0..tuples.count(rel))
+                        .map(|pos| eval(expr, &|_: usize, a: usize| tuples.values(rel, pos)[a]))
                         .collect();
                     items.per_tuple[rel].push((slot, values));
                 }
@@ -1100,6 +1170,8 @@ struct ExactChunk<S> {
     binding: Vec<usize>,
     /// The row under construction, laid out as [`Projections::row`].
     row: Vec<f64>,
+    /// Tuples bound so far, at any level ([`exact_rows`]).
+    steps: usize,
     /// Per join predicate: residual evaluations (the counter test's tally).
     #[cfg(test)]
     evals: Vec<usize>,
@@ -1117,17 +1189,19 @@ impl<S> ExactChunk<S> {
     }
 }
 
-impl ExactRun<'_> {
+impl<T: Tuples + ?Sized> ExactRun<'_, T> {
     fn chunk<S: RowSink>(&self) -> ExactChunk<S> {
-        let set = |rel: usize| PosSet::new(self.tuples[rel].len());
+        let set = |rel: usize| PosSet::new(self.tuples.count(rel));
+        let (rows, keys) = S::sinks(self.query);
         ExactChunk {
-            rows: S::new(self.query.select().len()),
-            keys: S::new(self.query.group_by().len()),
-            seen: (0..self.tuples.len()).map(set).collect(),
-            cand: (0..self.tuples.len()).map(set).collect(),
+            rows,
+            keys,
+            seen: (0..self.k).map(set).collect(),
+            cand: (0..self.k).map(set).collect(),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
-            binding: Vec::with_capacity(self.tuples.len()),
+            binding: Vec::with_capacity(self.k),
             row: self.items.row.clone(),
+            steps: 0,
             #[cfg(test)]
             evals: vec![0; self.query.join_preds().len()],
             #[cfg(test)]
@@ -1143,7 +1217,7 @@ impl ExactRun<'_> {
     /// and no recursion, and the levels above are marked seen once.
     fn descend<S: RowSink>(&self, st: &mut ExactChunk<S>) {
         let rel = st.binding.len();
-        if rel == self.tuples.len() {
+        if rel == self.k {
             st.mark_bound_seen();
             self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
             #[cfg(test)]
@@ -1157,11 +1231,11 @@ impl ExactRun<'_> {
             st.probes.extend_from_slice(self.hoisted.of(st.binding[0]));
         } else {
             let binding = &st.binding;
-            let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+            let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
             st.probes
                 .extend(self.plan[rel].iter().map(|ix| ix.probe(&env)));
         }
-        let flat = rel + 1 == self.tuples.len()
+        let flat = rel + 1 == self.k
             && self.checks[rel]
                 .iter()
                 .all(|c| c.decided(&st.probes[base..]));
@@ -1170,7 +1244,7 @@ impl ExactRun<'_> {
         if flat {
             let mut seen = std::mem::take(&mut st.seen[rel]);
             st.binding.push(0);
-            let any = marks.drain_into(&mut seen, |pos| {
+            let drained = marks.drain_into(&mut seen, |pos| {
                 let pos = pos as usize;
                 st.binding[rel] = pos;
                 #[cfg(debug_assertions)]
@@ -1184,7 +1258,8 @@ impl ExactRun<'_> {
             });
             st.binding.pop();
             st.seen[rel] = seen;
-            if any {
+            st.steps += drained;
+            if drained > 0 {
                 st.mark_bound_seen();
             }
         } else {
@@ -1205,7 +1280,7 @@ impl ExactRun<'_> {
             .filter(|&(_, count)| count != usize::MAX)
             .min_by_key(|&(_, count)| count);
         let Some((di, _)) = driver else {
-            return (0..self.tuples[rel].len()).for_each(|pos| marks.insert(pos as u32));
+            return (0..self.tuples.count(rel)).for_each(|pos| marks.insert(pos as u32));
         };
         if indexes.len() == 1 {
             return indexes[di].mark(&probes[di], marks, |_| true);
@@ -1220,6 +1295,7 @@ impl ExactRun<'_> {
     /// recurses.
     fn step<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
         st.binding.push(pos);
+        st.steps += 1;
         if self.residual(rel, st) {
             self.items.bind(rel, pos, &mut st.row);
             self.descend(st);
@@ -1234,7 +1310,7 @@ impl ExactRun<'_> {
     fn residual<S>(&self, rel: usize, st: &mut ExactChunk<S>) -> bool {
         let probes = &st.probes[st.probes.len() - self.plan[rel].len()..];
         let binding = &st.binding;
-        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
         self.checks[rel].iter().all(|c| {
             let pred = &self.query.join_preds()[c.pred];
             if c.decided(probes) {
@@ -1248,22 +1324,18 @@ impl ExactRun<'_> {
         })
     }
 
-    /// Emits the row of the full binding `binding`, its SELECT values into
-    /// `rows` and its group key into `keys`. The bound levels have written
-    /// their items into `row`; the items that read several relations are
-    /// evaluated here. The one emission of the descent: its base case and
-    /// the flat last level.
+    /// Emits the row of the full binding `binding` into the sinks
+    /// ([`RowSink::emit`]). The bound levels have written their items into
+    /// `row`; the items that read several relations are evaluated here. The
+    /// one emission of the descent: its base case and the flat last level.
     #[inline]
     fn emit<S: RowSink>(&self, binding: &[usize], row: &mut [f64], rows: &mut S, keys: &mut S) {
-        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
         for &(slot, expr) in &self.items.per_row {
             row[slot] = eval(expr, &env);
         }
         let (select, key) = row.split_at(self.items.select);
-        rows.push_row(select.iter().copied());
-        if !key.is_empty() {
-            keys.push_row(key.iter().copied());
-        }
+        rows.emit(keys, binding, select, key);
     }
 
     /// Evaluates, for a full binding the flat last level `rel` emits, every
@@ -1271,7 +1343,7 @@ impl ExactRun<'_> {
     /// hold ([`decided`] asserts it).
     #[cfg(debug_assertions)]
     fn assert_decided(&self, rel: usize, binding: &[usize]) {
-        let env = |r: usize, a: usize| -> f64 { self.tuples[r][binding[r]].1[a] };
+        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
         for c in &self.checks[rel] {
             decided(&self.query.join_preds()[c.pred], &env);
         }
@@ -1801,9 +1873,9 @@ mod tests {
             assert!(!rows.is_empty(), "{sql}");
             // Premise — the counts above 1 really are chunked. The filter
             // is chunked whatever its work: it is run with no minimum.
-            let plan = exact_plan(&cq, &tuples, &pred_max_rels(&cq));
+            let plan = exact_plan(&cq, &tuples[..], &pred_max_rels(&cq));
             let deeper = deeper_space(tuples.iter().map(Vec::len));
-            let cuts = exact_hoisted(&tuples, &plan).cuts(deeper, 2, PAR_MIN_WORK);
+            let cuts = exact_hoisted(&tuples[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
             assert_eq!(cuts.len(), 2, "premise: {sql} fans out");
             let filter = prejoin_filter_in(&cq, &space, &points, 1, 0);
             for threads in [2, 3, 7] {

@@ -1,7 +1,8 @@
 //! Execution outcomes: query results plus cost accounting.
 
-use crate::engine::RowSink;
+use crate::engine::{ResultSink, RowSink};
 use crate::scheduler::GroupFull;
+use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{NetworkStats, Time};
 use std::collections::BTreeSet;
@@ -139,6 +140,36 @@ impl Rows {
 
 /// The flat sink: a row is `arity` values appended to the one buffer.
 impl RowSink for Rows {
+    fn sinks(query: &CompiledQuery) -> (Self, Self) {
+        (
+            Rows::new(query.select().len()),
+            Rows::new(query.group_by().len()),
+        )
+    }
+
+    fn try_reserve(&mut self, rows: usize) {
+        let _ = (self.values).try_reserve_exact(rows.saturating_mul(self.arity));
+    }
+
+    fn append(&mut self, later: Rows) {
+        debug_assert_eq!(self.arity, later.arity);
+        self.values.extend_from_slice(&later.values);
+        self.len += later.len;
+    }
+
+    fn emit(&mut self, keys: &mut Self, _: &[usize], select: &[f64], key: &[f64]) {
+        debug_assert_eq!(select.len(), self.arity, "row arity");
+        self.values.extend_from_slice(select);
+        self.len += 1;
+        if !key.is_empty() {
+            debug_assert_eq!(key.len(), keys.arity, "key arity");
+            keys.values.extend_from_slice(key);
+            keys.len += 1;
+        }
+    }
+}
+
+impl ResultSink for Rows {
     type Result = GroupResult;
 
     fn new(arity: usize) -> Self {
@@ -157,22 +188,6 @@ impl RowSink for Rows {
         fill(&mut self.values);
         self.len += 1;
         debug_assert_eq!(self.values.len(), self.len * self.arity, "row arity");
-    }
-
-    fn push_row(&mut self, values: impl Iterator<Item = f64>) {
-        self.values.extend(values);
-        self.len += 1;
-        debug_assert_eq!(self.values.len(), self.len * self.arity, "row arity");
-    }
-
-    fn try_reserve(&mut self, rows: usize) {
-        let _ = (self.values).try_reserve_exact(rows.saturating_mul(self.arity));
-    }
-
-    fn append(&mut self, later: Rows) {
-        debug_assert_eq!(self.arity, later.arity);
-        self.values.extend_from_slice(&later.values);
-        self.len += later.len;
     }
 
     fn into_rows(self) -> GroupResult {

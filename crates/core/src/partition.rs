@@ -49,10 +49,10 @@
 //! is different: its windows are conservative, and its residual check runs
 //! on every candidate.
 
+use crate::engine::Tuples;
 use sensjoin_query::{
     eval, holds, BandForm, CmpOp, CompiledQuery, Interval, NumExpr, Pred, PredClass,
 };
-use sensjoin_relation::NodeId;
 use std::ops::Range;
 
 /// At most two disjoint runs of a sorted key array, ascending; an unused
@@ -114,17 +114,17 @@ impl PosSet {
     }
 
     /// [`PosSet::drain`] that also adds every position to `seen`, a set
-    /// over the same relation, one word at a time. Returns whether there
-    /// was any.
-    pub(crate) fn drain_into(&mut self, seen: &mut PosSet, mut f: impl FnMut(u32)) -> bool {
-        let mut any = false;
+    /// over the same relation, one word at a time. Returns how many there
+    /// were.
+    pub(crate) fn drain_into(&mut self, seen: &mut PosSet, mut f: impl FnMut(u32)) -> usize {
+        let mut count = 0;
         self.drain_words(|w, bits| {
             seen.words[w] |= bits;
             seen.occupied[w >> 6] |= 1 << (w & 63);
-            any = true;
+            count += bits.count_ones() as usize;
             for_each_bit(w, bits, &mut f);
         });
-        any
+        count
     }
 
     /// Takes every non-zero word out of the set, in ascending order, and
@@ -493,9 +493,9 @@ impl ExactIndex<'_> {
 /// `rel` — the level where the old descent would first evaluate it — so a
 /// level constrained by several indexable predicates intersects all of
 /// their candidate sets.
-pub(crate) fn exact_plan<'q>(
+pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
     query: &'q CompiledQuery,
-    tuples: &[Vec<(NodeId, Vec<f64>)>],
+    tuples: &T,
     pred_rels: &[usize],
 ) -> Vec<Vec<ExactIndex<'q>>> {
     let mut levels: Vec<Vec<ExactIndex<'q>>> =
@@ -522,9 +522,9 @@ pub(crate) fn exact_plan<'q>(
             };
             eval(&key_side.expr, &env)
         };
-        let keyed = (tuples[rel].iter().enumerate()).map(|(pos, (_, v))| (key_of(v), pos as u32));
+        let keyed = (0..tuples.count(rel)).map(|pos| (key_of(tuples.values(rel, pos)), pos as u32));
         let keys = SortedKeys::build(*form, key_is_lhs, keyed);
-        let mut rank_of = vec![u32::MAX; tuples[rel].len()];
+        let mut rank_of = vec![u32::MAX; tuples.count(rel)];
         for (rank, &(_, pos)) in keys.entries.iter().enumerate() {
             rank_of[pos as usize] = rank as u32;
         }
@@ -828,6 +828,7 @@ mod tests {
     use super::*;
     use crate::ingest::{StreamJoinEngine, StreamOp};
     use proptest::prelude::*;
+    use sensjoin_relation::NodeId;
 
     fn keys(values: &[f64]) -> Vec<(f64, u32)> {
         values
@@ -1109,7 +1110,7 @@ mod tests {
                 prop_assert!(same(&stream, &live), "{:?} p={:e} half expired", join, p);
                 stream.apply_batch(&half().map(|t| upsert(1, t)).collect::<Vec<_>>());
                 prop_assert!(same(&stream, &tuples), "{:?} p={:e} half back", join, p);
-                let plan = exact_plan(&cq, &tuples, &crate::engine::pred_max_rels(&cq));
+                let plan = exact_plan(&cq, &tuples[..], &crate::engine::pred_max_rels(&cq));
                 let Some(ix) = plan[1].first() else {
                     // `!=` and a NaN bound are not indexed at all.
                     prop_assert!(matches!(class, PredClass::General), "{join:?}");
@@ -1178,9 +1179,12 @@ mod tests {
         let mut seen = PosSet::new(5000);
         seen.insert(2);
         got.clear();
-        assert!(set.drain_into(&mut seen, |pos| got.push(pos)));
+        assert_eq!(set.drain_into(&mut seen, |pos| got.push(pos)), expect.len());
         assert_eq!(got, expect);
-        assert!(!set.drain_into(&mut seen, |pos| panic!("{pos} left behind")));
+        assert_eq!(
+            set.drain_into(&mut seen, |pos| panic!("{pos} left behind")),
+            0
+        );
         expect.push(2);
         expect.sort_unstable();
         got.clear();

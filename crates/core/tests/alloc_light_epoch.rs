@@ -4,8 +4,8 @@
 //! paid alone allocates nothing per forwarded tuple, and a group epoch's
 //! exact joins allocate nothing per result row.
 //!
-//! A counting global allocator (the one of `alloc_light_join.rs`) wraps the
-//! calls.
+//! A counting global allocator (`counting/mod.rs`, shared with
+//! `alloc_light_join.rs`) wraps the calls.
 
 use sensjoin_core::{
     ExternalData, JoinMethod, JoinSpace, NodeTable, QueryGroup, Representation, SensJoin,
@@ -15,48 +15,9 @@ use sensjoin_field::{Area, Placement, Position};
 use sensjoin_query::parse;
 use sensjoin_relation::AttrType;
 use sensjoin_sim::BaseChoice;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-struct Counting;
-
-// A statistic: publishes no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the only addition
-// is an atomic counter bump, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The tests of this binary share the counter: each holds this from its
-/// first allocation to its last. (A poisoned lock only means the other test
-/// failed; the `()` inside cannot be left inconsistent.)
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-/// Heap allocations (and reallocations) `f` makes.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
-}
+mod counting;
+use counting::{allocations, serial};
 
 /// `n` nodes at the paper's density.
 fn snet(n: usize) -> SensorNetwork {
@@ -73,7 +34,7 @@ const SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
 
 #[test]
 fn the_table_is_a_fixed_number_of_allocations() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     for repr in [Representation::Quadtree, Representation::Raw] {
         let build = |n: usize| {
             let snet = snet(n);
@@ -95,7 +56,7 @@ fn the_table_is_a_fixed_number_of_allocations() {
 /// change measures 2.5.
 #[test]
 fn a_one_shot_allocates_a_small_constant_per_node() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let execute = |n: usize| {
         let mut snet = snet(n);
         let cq = snet.compile(&parse(SQL).unwrap()).unwrap();
@@ -136,7 +97,7 @@ fn line(n: usize, base: BaseChoice) -> SensorNetwork {
 
 #[test]
 fn solo_metering_allocates_nothing_per_forwarded_tuple() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     // The same nodes, messages and join input either way; what moves with
     // the base station is how far the tuples are forwarded.
     let epoch = |base: BaseChoice| {
@@ -180,7 +141,7 @@ fn solo_metering_allocates_nothing_per_forwarded_tuple() {
 /// the 150 k extra rows themselves.)
 #[test]
 fn a_group_epoch_allocates_nothing_per_result_row() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let epoch = |band: f64| {
         // Every tuple reaches the base through Treecut, whatever the band.
         let mut snet = line(200, BaseChoice::NearestCorner);

@@ -2,62 +2,29 @@
 //! fixed amount per chunk — nothing per outer binding and nothing per
 //! candidate.
 //!
-//! A counting global allocator (the one of `sim/tests/alloc_free_charge.rs`,
-//! with a process-wide counter because chunks run on worker threads) wraps
-//! `exact_join` on inputs that scale the outer bindings and the candidates
+//! A counting global allocator (`counting/mod.rs`: the measuring thread's
+//! count plus those of the workers the measured call spawns, because chunks
+//! run on worker threads) wraps `exact_join` on inputs that scale the outer bindings and the candidates
 //! while the rows stay put, and on high-output joins — among them the dense
 //! shape, whose last level emits its rows in one flat loop, at one chunk
 //! and at two.
 //!
-//! The streaming engine's cached result is one flat run, so a batch
-//! allocates per tuple it touches and nothing per row: the last test
-//! re-upserts every tuple of a warm engine under a band ten times wider.
+//! The streaming engine keeps its tuples and its cached result in flat
+//! buffers, so a full refresh — a rejoin — allocates what a join does
+//! besides its rows, and nothing per tuple: the last test re-upserts every
+//! tuple of a warm engine under a band ten times wider.
 
 use sensjoin_core::{exact_join, JoinResult, StreamJoinEngine, StreamOp};
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::{AttrType, Attribute, NodeId, Schema};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-struct Counting;
-
-// A statistic: publishes no other data.
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the only addition
-// is an atomic counter bump, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The tests of this binary share the counter: each holds this from its
-/// first allocation to its last. (A poisoned lock only means the other test
-/// failed; the `()` inside cannot be left inconsistent.)
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+mod counting;
+use counting::{allocations, serial};
 
 /// Heap allocations (and reallocations) of one `exact_join`, on whatever
 /// threads it runs, and the number of rows it returned.
 fn join_allocations(cq: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> (u64, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let joined = exact_join(cq, tuples);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let (allocs, joined) = allocations(|| exact_join(cq, tuples));
     let JoinResult::Rows(rows) = &joined.result else {
         panic!("a row query");
     };
@@ -109,7 +76,7 @@ fn budget(rows: u64, origins: usize) -> u64 {
 
 #[test]
 fn allocations_do_not_grow_with_bindings_or_candidates() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     // Every inner tuple is a candidate of every outer tuple (the band
     // window spans all temps, and its index drives through the position
     // bitset); the general predicate then keeps hot × hot pairs only. From
@@ -143,7 +110,7 @@ fn allocations_do_not_grow_with_bindings_or_candidates() {
 
 #[test]
 fn a_row_costs_one_allocation() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     // ~7 % of 1 500 × 1 500 pairs: a high-output join, chunked when the
     // host has more than one thread.
     let cq = compile("A.temp - B.temp > 7.3");
@@ -158,7 +125,7 @@ fn a_row_costs_one_allocation() {
 
 #[test]
 fn a_flat_last_level_row_costs_one_allocation_at_one_and_two_chunks() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     // The dense shape: its band decides every candidate, so the last level
     // emits its rows in one flat loop. 300 tuples a side stay under the
     // fan-out threshold (one chunk); 1 500 pass it (two chunks on a host
@@ -179,7 +146,7 @@ fn a_flat_last_level_row_costs_one_allocation_at_one_and_two_chunks() {
 
 #[test]
 fn a_full_refresh_allocates_nothing_per_row() {
-    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let (a, b) = (relation(0, 400, 0), relation(1, 400, 0));
     let upsert = |rel: usize, (origin, values): &(NodeId, Vec<f64>)| {
         let mut per_rel = vec![None; 2];
@@ -198,9 +165,7 @@ fn a_full_refresh_allocates_nothing_per_row() {
         for _ in 0..3 {
             engine.apply_batch(&all);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let stats = engine.apply_batch(&all);
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let (allocs, stats) = allocations(|| engine.apply_batch(&all));
         assert_eq!(stats.rows_added, engine.cached_rows());
         assert_eq!(stats.rows_removed, engine.cached_rows());
         (allocs, stats.rows_added as u64)
@@ -208,8 +173,8 @@ fn a_full_refresh_allocates_nothing_per_row() {
     let (narrow, narrow_rows) = refresh(0.05);
     let (wide, wide_rows) = refresh(0.5);
     assert!(narrow_rows > 1_000 && wide_rows > 9 * narrow_rows);
-    // A tuple's value vector and the batch's few lists — the same count
-    // whatever the band admits, and far below one per row.
+    // The batch's few lists and one single-chunk join's fixed parts — the
+    // same count whatever the band admits: none per row, none per tuple.
     assert_eq!(wide, narrow, "{narrow_rows} → {wide_rows} rows");
-    assert!(wide < 2 * all.len() as u64, "{wide} allocations");
+    assert!(wide <= PER_JOIN + PER_CHUNK, "{wide} allocations");
 }

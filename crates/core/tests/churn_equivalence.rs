@@ -19,18 +19,47 @@ use sensjoin_query::parse;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{ChurnAction, ChurnTimeline};
 
-const SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-                   WHERE A.temp - B.temp > 3.0 ONCE";
+/// The paper's Q1: the minimal distance between two points with a
+/// temperature difference over a threshold, here one every seed's field
+/// spans.
+const Q1: &str = "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
+                  WHERE A.temp - B.temp > 1.0 ONCE";
 
-/// The band join, the paper's Q1 (the minimal distance between two points
-/// with a temperature difference over a threshold, here one every seed's
-/// field spans) and an equality join (each node pairs with itself at least).
-const QUERIES: [&str; 3] = [
-    SQL,
-    "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
-     WHERE A.temp - B.temp > 1.0 ONCE",
-    "SELECT A.hum, B.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE",
-];
+/// An equality join: each node pairs with itself at least.
+const EQUI: &str = "SELECT A.hum, B.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE";
+
+/// The observed temperature span of `s`'s readings (`attr_bounds` widens
+/// it by 5 % on each side).
+fn temp_span(s: &SensorNetwork) -> f64 {
+    let (lo, hi) = s.attr_bounds("temp").expect("a temp attribute");
+    (hi - lo) / 1.1
+}
+
+/// The smallest temperature span of the fields a continuous test of `seed`
+/// draws on `s` over `rounds` rounds.
+fn min_span(s: &SensorNetwork, seed: u64, rounds: u64) -> f64 {
+    let mut probe = s.clone();
+    let mut span = temp_span(&probe);
+    for round in 1..rounds {
+        probe.resample(&presets::indoor_climate(), seed.wrapping_add(round));
+        span = span.min(temp_span(&probe));
+    }
+    span
+}
+
+/// The band join, its threshold half of `span`: readings that span as much
+/// answer the pair of their extremes at least.
+fn band(span: f64) -> String {
+    format!(
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > {:.3} ONCE",
+        span / 2.0
+    )
+}
+
+/// The band join over readings that span `span`, [`Q1`] and [`EQUI`].
+fn queries(span: f64) -> [String; 3] {
+    [band(span), Q1.to_owned(), EQUI.to_owned()]
+}
 
 /// The continuous form of a `ONCE` query.
 fn continuous(sql: &str) -> String {
@@ -117,10 +146,10 @@ proptest! {
         probe.net_mut().apply_churn(0);
         let p0 = live_attached(&probe);
 
-        for sql in QUERIES {
+        for sql in queries(temp_span(&snet(seed))) {
             let mut s = snet(seed);
             s.net_mut().set_churn(Some(tl.clone()));
-            let cq = s.compile(&parse(sql).unwrap()).unwrap();
+            let cq = s.compile(&parse(&sql).unwrap()).unwrap();
             let out = SensJoin::default().execute(&mut s, &cq).unwrap();
 
             // C: participated at start, alive and attached at the end.
@@ -156,11 +185,11 @@ proptest! {
         seed in 1..32u64,
         schedule in prop::collection::vec((0..5u32, 0..(N as u16), any::<bool>()), 0..10),
     ) {
-        for sql in QUERIES {
+        for sql in queries(min_span(&snet(seed), seed, 5)) {
             let mut s = snet(seed);
             s.net_mut().set_churn(Some(timeline(&schedule)));
-            let cq = s.compile(&parse(&continuous(sql)).unwrap()).unwrap();
-            let ref_cq = s.compile(&parse(sql).unwrap()).unwrap();
+            let cq = s.compile(&parse(&continuous(&sql)).unwrap()).unwrap();
+            let ref_cq = s.compile(&parse(&sql).unwrap()).unwrap();
             let mut cont = ContinuousSensJoin::new();
             let mut twin = snet(seed);
             let specs = presets::indoor_climate();
@@ -239,7 +268,8 @@ proptest! {
 #[test]
 fn same_boundary_crash_revive_is_exact() {
     for seed in 1..20u64 {
-        let cq = snet(seed).compile(&parse(SQL).unwrap()).unwrap();
+        let sql = band(temp_span(&snet(seed)));
+        let cq = snet(seed).compile(&parse(&sql).unwrap()).unwrap();
         let reference = ExternalJoin.execute(&mut snet(seed), &cq).unwrap();
         for v in 1..N as u32 {
             let mut s = snet(seed);
@@ -273,7 +303,8 @@ fn sampled_timeline_runs_to_exhaustion_deterministically() {
         s.net_mut().set_churn(Some(tl));
         s
     };
-    let cq = build().compile(&parse(SQL).unwrap()).unwrap();
+    let sql = band(temp_span(&build()));
+    let cq = build().compile(&parse(&sql).unwrap()).unwrap();
     let mut a = build();
     let mut b = build();
     let mut churn_seen = false;

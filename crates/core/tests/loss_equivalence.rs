@@ -15,18 +15,47 @@ use sensjoin_field::{presets, Area, Placement};
 use sensjoin_query::parse;
 use sensjoin_sim::{ArqPolicy, Channel};
 
-const SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-                   WHERE A.temp - B.temp > 3.0 ONCE";
+/// The paper's Q1: the minimal distance between two points with a
+/// temperature difference over a threshold, here one every seed's field
+/// spans.
+const Q1: &str = "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
+                  WHERE A.temp - B.temp > 1.0 ONCE";
 
-/// The band join, the paper's Q1 (the minimal distance between two points
-/// with a temperature difference over a threshold, here one every seed's
-/// field spans) and an equality join (each node pairs with itself at least).
-const QUERIES: [&str; 3] = [
-    SQL,
-    "SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B \
-     WHERE A.temp - B.temp > 1.0 ONCE",
-    "SELECT A.hum, B.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE",
-];
+/// An equality join: each node pairs with itself at least.
+const EQUI: &str = "SELECT A.hum, B.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp ONCE";
+
+/// The observed temperature span of `s`'s readings (`attr_bounds` widens
+/// it by 5 % on each side).
+fn temp_span(s: &SensorNetwork) -> f64 {
+    let (lo, hi) = s.attr_bounds("temp").expect("a temp attribute");
+    (hi - lo) / 1.1
+}
+
+/// The smallest temperature span of the fields a continuous test of `seed`
+/// draws on `s` over `rounds` rounds.
+fn min_span(s: &SensorNetwork, seed: u64, rounds: u64) -> f64 {
+    let mut probe = s.clone();
+    let mut span = temp_span(&probe);
+    for round in 1..rounds {
+        probe.resample(&presets::indoor_climate(), seed.wrapping_add(round));
+        span = span.min(temp_span(&probe));
+    }
+    span
+}
+
+/// The band join, its threshold half of `span`: readings that span as much
+/// answer the pair of their extremes at least.
+fn band(span: f64) -> String {
+    format!(
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > {:.3} ONCE",
+        span / 2.0
+    )
+}
+
+/// The band join over readings that span `span`, [`Q1`] and [`EQUI`].
+fn queries(span: f64) -> [String; 3] {
+    [band(span), Q1.to_owned(), EQUI.to_owned()]
+}
 
 /// Whether a result holds a row or a non-empty aggregate: the premise that
 /// makes a bit-identity check of it say something.
@@ -80,14 +109,12 @@ proptest! {
         (p, burst, chseed) in channel_strategy(),
         ack in any::<bool>(),
     ) {
-        for sql in QUERIES {
+        for sql in queries(temp_span(&snet(90, seed))) {
             let mut s = snet(90, seed);
-            let cq = s.compile(&parse(sql).unwrap()).unwrap();
+            let cq = s.compile(&parse(&sql).unwrap()).unwrap();
             let reference = SensJoin::default().execute(&mut s, &cq).unwrap();
             let ext_reference = ExternalJoin.execute(&mut s, &cq).unwrap();
-            // The band join answers nothing where a field spans under 3 °C.
-            let answers = sql == SQL || answers_something(&reference.result);
-            prop_assert!(answers, "{} answers nothing", sql);
+            prop_assert!(answers_something(&reference.result), "{} answers nothing", sql);
 
             s.net_mut().set_channel(Some(make_channel(p, burst, chseed)));
             s.net_mut().set_arq(if ack {
@@ -129,8 +156,8 @@ proptest! {
         seed in 1..32u64,
         (p, burst, chseed) in channel_strategy(),
     ) {
-        for once in QUERIES {
-            let sql = continuous(once);
+        for once in queries(min_span(&snet(70, seed), seed, 4)) {
+            let sql = continuous(&once);
             let mut clean = snet(70, seed);
             let mut lossy = snet(70, seed);
             lossy.net_mut().set_channel(Some(make_channel(p, burst, chseed)));
@@ -147,7 +174,7 @@ proptest! {
                 }
                 let a = cont_clean.execute_round(&mut clean, &cq_clean).unwrap();
                 let b = cont_lossy.execute_round(&mut lossy, &cq_lossy).unwrap();
-                let answers = once == SQL || answers_something(&a.result);
+                let answers = answers_something(&a.result);
                 prop_assert!(answers, "{}: round {} answers nothing", sql, round);
                 prop_assert!(b.complete, "{}: round {} incomplete", sql, round);
                 let same = a.result.same_result(&b.result);
@@ -205,7 +232,7 @@ fn conservative_fallback_is_exact_without_arq() {
     let mut exercised = false;
     for seed in 1..12u64 {
         let mut s = snet(80, seed);
-        let cq = s.compile(&parse(SQL).unwrap()).unwrap();
+        let cq = s.compile(&parse(&band(temp_span(&s))).unwrap()).unwrap();
         let reference = SensJoin::default().execute(&mut s, &cq).unwrap();
         let channel = Channel::bernoulli(0.15, seed.wrapping_mul(31))
             .scope_to_phases([PHASE_COLLECTION, PHASE_FILTER]);
@@ -273,7 +300,7 @@ fn group_conservative_fallback_is_exact_without_arq() {
 #[test]
 fn zero_loss_is_byte_identical() {
     let mut s = snet(100, 5);
-    let cq = s.compile(&parse(SQL).unwrap()).unwrap();
+    let cq = s.compile(&parse(&band(temp_span(&s))).unwrap()).unwrap();
     let reference = SensJoin::default().execute(&mut s, &cq).unwrap();
     s.net_mut().set_channel(Some(Channel::bernoulli(0.0, 3)));
     s.net_mut().set_arq(AMPLE);

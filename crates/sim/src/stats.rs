@@ -392,7 +392,8 @@ pub struct DeltaBatchStats {
     pub rows_added: u64,
     /// Result rows removed.
     pub rows_removed: u64,
-    /// Candidate bindings examined during anchored re-enumeration.
+    /// Candidate bindings examined: by anchored re-enumeration, or once
+    /// each by a rejoin.
     pub candidates: u64,
 }
 
