@@ -24,6 +24,12 @@
 //! benchmark's `oneshot_q3_1500` regime: a band that leaves every cell
 //! hundreds of candidates, almost all of them skipped on their role bits.
 //!
+//! `q3` times the exact join of the paper's Q3 over every node's tuple on
+//! both sides (500 / 1500 nodes at paper density; `nested` at 500): the
+//! band's index decides its candidates and `distance`, which no index
+//! decides, is evaluated over each outer tuple's candidates a batch at a
+//! time. Its rows and ns per row are recorded, with no gate.
+//!
 //! Acceptance gate (asserted here, recorded in `BENCH_engine.json`):
 //! `dense/5000` stays ≤ 91 ns/row, 1.25× the highest of five fresh
 //! `--quick` runs on the 2-core bench host once rows were built by
@@ -36,7 +42,7 @@ use criterion::{black_box, BenchmarkId, Criterion};
 use sensjoin_bench::benchjson;
 use sensjoin_core::{
     exact_join, exact_join_nested, prejoin_filter, prejoin_filter_nested, JoinSpace,
-    SensJoinConfig, SensorNetworkBuilder,
+    SensJoinConfig, SensorNetwork, SensorNetworkBuilder,
 };
 use sensjoin_field::{Area, Placement};
 use sensjoin_quadtree::{PointSet, RelFlags};
@@ -172,23 +178,63 @@ fn bench_high_output(c: &mut Criterion) -> Vec<(String, usize)> {
     rows
 }
 
+/// The paper's Q3 on `n` nodes at paper density.
+fn q3(n: usize) -> (SensorNetwork, CompiledQuery) {
+    let snet = SensorNetworkBuilder::new()
+        .area(Area::for_constant_density(n))
+        .placement(Placement::UniformRandom { n })
+        .seed(11)
+        .build()
+        .expect("a uniform placement at paper density is connected");
+    let q = parse(
+        "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+         WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+    )
+    .expect("valid query");
+    let cq = snet.compile(&q).expect("compiles");
+    (snet, cq)
+}
+
+/// The exact join of the paper's Q3 over every node's tuple on both sides
+/// at 500 / 1500 nodes, and its result size at each: the band decides its
+/// candidates, `distance` is evaluated over each outer tuple's batch.
+fn bench_q3_join(c: &mut Criterion) -> Vec<(String, usize)> {
+    let mut rows = Vec::new();
+    let mut group = c.benchmark_group("engine_scaling/q3");
+    group.sample_size(10);
+    for n in [500, 1500] {
+        let (snet, cq) = q3(n);
+        let data: Vec<Vec<(NodeId, Vec<f64>)>> = (0..2)
+            .map(|rel| {
+                let nodes = (0..n as u32).map(NodeId);
+                nodes
+                    .map(|node| (node, snet.values_for(node, cq.schema(rel))))
+                    .collect()
+            })
+            .collect();
+        rows.push((
+            format!("engine_scaling/q3/partitioned/{n}"),
+            exact_join(&cq, &data).result.len(),
+        ));
+        group.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, _| {
+            b.iter(|| exact_join(black_box(&cq), black_box(&data)))
+        });
+        if n <= 500 {
+            group.bench_with_input(BenchmarkId::new("nested", n), &n, |b, _| {
+                b.iter(|| exact_join_nested(black_box(&cq), black_box(&data)))
+            });
+        }
+    }
+    group.finish();
+    rows
+}
+
 /// The pre-join filter over every node's cell of the paper's Q3.
 fn bench_filter(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_scaling/filter/q3");
     group.sample_size(10);
     for n in [500, 1500] {
-        let snet = SensorNetworkBuilder::new()
-            .area(Area::for_constant_density(n))
-            .placement(Placement::UniformRandom { n })
-            .seed(11)
-            .build()
-            .expect("a uniform placement at paper density is connected");
-        let q = parse(
-            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
-             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
-        )
-        .expect("valid query");
-        let cq = snet.compile(&q).expect("compiles");
+        let (snet, cq) = q3(n);
         let space = JoinSpace::build(&cq, &snet, &SensJoinConfig::default());
         let mut cells = PointSet::new();
         for node in (0..n as u32).map(NodeId) {
@@ -213,7 +259,8 @@ fn main() {
     bench_band_join(&mut criterion);
     bench_equi_join(&mut criterion);
     bench_filter(&mut criterion);
-    let rows = bench_high_output(&mut criterion);
+    let mut rows = bench_high_output(&mut criterion);
+    rows.extend(bench_q3_join(&mut criterion));
 
     let results = criterion.results();
     let ns_per_row: Vec<(&str, f64)> = rows

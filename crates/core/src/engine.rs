@@ -9,11 +9,15 @@
 //! candidate sets. In the filter the
 //! unchanged residual interval check still runs on every survivor that could
 //! still mark something (see [`FilterRun::step`]). In the exact join a
-//! pruning probe is an exact window (`partition` module docs), so the
-//! residual evaluates only the predicates no index decided for the binding,
-//! and a last level with none left emits its candidates as rows in one flat
-//! loop ([`ExactRun::descend`]). Levels without an indexable predicate scan
-//! exactly like the nested-loop reference.
+//! pruning probe is an exact window (`partition` module docs), so a level
+//! evaluates only the predicates no index decided for the binding — once
+//! per candidate batch, column at a time ([`ExactRun::batch`]): its
+//! candidates drain in position order into a buffer, each undecided
+//! predicate keeps the survivors of the one before, and every verdict is bit
+//! for bit the per-binding [`holds`] ([`BatchEval`]). A last level emits
+//! what is left — all its candidates when none is undecided — as rows in
+//! one flat loop ([`ExactRun::descend`]). Levels without an indexable
+//! predicate scan exactly like the nested-loop reference.
 //!
 //! The probes of level 1 depend on the outer tuple alone, so they are taken
 //! once, ahead of the descent ([`Hoisted`]); their candidate counts are the
@@ -27,12 +31,14 @@
 
 use crate::config::SensJoinConfig;
 use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
+#[cfg(debug_assertions)]
+use crate::partition::decided;
 use crate::partition::{
-    decided, exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
+    exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
-use sensjoin_query::{eval, holds, Columns, CompiledQuery, Interval, NumExpr};
+use sensjoin_query::{eval, holds, BatchEval, Columns, CompiledQuery, Interval, NumExpr};
 use sensjoin_relation::NodeId;
 use sensjoin_zorder::{Dimension, ZSpace};
 use std::collections::BTreeSet;
@@ -927,8 +933,9 @@ fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
                 let ahead = if i == 0 { &(0..outer) } else { &range };
                 chunk.rows.try_reserve(hoisted.candidates(ahead));
             }
+            chunk.steps += range.len();
             for pos in range {
-                run.step(0, pos, &mut chunk);
+                run.enter(0, pos, &mut chunk);
             }
             chunk
         })
@@ -1142,13 +1149,16 @@ impl Check {
 }
 
 /// Per level: every join predicate whose highest relation is that level —
-/// where a partial binding first can check it — with its index on the level.
+/// where a partial binding first can check it — with its index on the
+/// level. A join predicate reads two relations or more, so the outermost
+/// level checks nothing.
 fn level_checks(pred_rels: &[usize], plan: &[Vec<ExactIndex>]) -> Vec<Vec<Check>> {
     let mut checks: Vec<Vec<Check>> = plan.iter().map(|_| Vec::new()).collect();
     for (pred, &rel) in pred_rels.iter().enumerate() {
         let index = plan[rel].iter().position(|ix| ix.pred() == pred);
         checks[rel].push(Check { pred, index });
     }
+    debug_assert!(checks.first().is_none_or(Vec::is_empty));
     checks
 }
 
@@ -1164,6 +1174,12 @@ struct ExactChunk<S> {
     /// Per level: the marks that put its candidates in position order
     /// ([`ExactRun::mark`]; empty between bindings).
     cand: Vec<PosSet>,
+    /// Per level: the candidates of a batch with an undecided check, in
+    /// position order ([`ExactRun::batch`]). Made on the chunk's first
+    /// such batch, each with room for its whole relation.
+    batches: Vec<Vec<u32>>,
+    /// Evaluates the undecided checks over a batch.
+    eval: BatchEval,
     /// The open levels' probes, each level's parallel to its plan entry.
     probes: Vec<ExactProbe>,
     /// Tuple positions bound so far, one per level.
@@ -1198,6 +1214,13 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
             keys,
             seen: (0..self.k).map(set).collect(),
             cand: (0..self.k).map(set).collect(),
+            batches: Vec::new(),
+            eval: BatchEval::new(
+                (0..self.k)
+                    .map(|rel| self.tuples.count(rel))
+                    .max()
+                    .unwrap_or(0),
+            ),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
             binding: Vec::with_capacity(self.k),
             row: self.items.row.clone(),
@@ -1210,11 +1233,14 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
     }
 
     /// Probes the next level for the binding in `st`, marks its candidates
-    /// and drains the marks in ascending position order. On the last level,
-    /// when every predicate checked there is decided by its index for this
-    /// binding, nothing is left to evaluate: the marks drain straight into
-    /// the sinks and into the level's seen set, with no [`ExactRun::step`]
-    /// and no recursion, and the levels above are marked seen once.
+    /// and hands them on in ascending position order. A level with a check
+    /// its index did not decide for this binding drains them into a batch,
+    /// which the undecided checks thin out column at a time
+    /// ([`ExactRun::batch`]). On the last level the candidates left — all of
+    /// them when every check is decided, straight from the marks — are
+    /// emitted as rows in one flat loop that also marks them seen, and the
+    /// levels above are marked seen once; on an inner level each is bound
+    /// and the descent recurses.
     fn descend<S: RowSink>(&self, st: &mut ExactChunk<S>) {
         let rel = st.binding.len();
         if rel == self.k {
@@ -1235,27 +1261,34 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
             st.probes
                 .extend(self.plan[rel].iter().map(|ix| ix.probe(&env)));
         }
-        let flat = rel + 1 == self.k
-            && self.checks[rel]
-                .iter()
-                .all(|c| c.decided(&st.probes[base..]));
+        let decided = self.checks[rel]
+            .iter()
+            .all(|c| c.decided(&st.probes[base..]));
+        let last = rel + 1 == self.k;
         let mut marks = std::mem::take(&mut st.cand[rel]);
         self.mark(rel, &st.probes[base..], &mut marks);
-        if flat {
+        if !decided {
+            let batch = self.batch(rel, &mut marks, base, st);
+            if last {
+                st.binding.push(0);
+                for &pos in &batch {
+                    st.seen[rel].insert(pos);
+                    self.emit_last(rel, pos as usize, st);
+                }
+                st.binding.pop();
+                if !batch.is_empty() {
+                    st.mark_bound_seen();
+                }
+            } else {
+                for &pos in &batch {
+                    self.enter(rel, pos as usize, st);
+                }
+            }
+            st.batches[rel] = batch;
+        } else if last {
             let mut seen = std::mem::take(&mut st.seen[rel]);
             st.binding.push(0);
-            let drained = marks.drain_into(&mut seen, |pos| {
-                let pos = pos as usize;
-                st.binding[rel] = pos;
-                #[cfg(debug_assertions)]
-                self.assert_decided(rel, &st.binding);
-                self.items.bind(rel, pos, &mut st.row);
-                self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
-                #[cfg(test)]
-                {
-                    st.item_evals += self.items.per_row.len();
-                }
-            });
+            let drained = marks.drain_into(&mut seen, |pos| self.emit_last(rel, pos as usize, st));
             st.binding.pop();
             st.seen[rel] = seen;
             st.steps += drained;
@@ -1263,10 +1296,77 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
                 st.mark_bound_seen();
             }
         } else {
-            marks.drain(|pos| self.step(rel, pos as usize, st));
+            marks.drain(|pos| {
+                st.steps += 1;
+                self.enter(rel, pos as usize, st);
+            });
         }
         st.cand[rel] = marks;
         st.probes.truncate(base);
+    }
+
+    /// Drains the candidates of level `rel` from `marks` into the level's
+    /// batch and keeps those that pass every check of the level, in order:
+    /// an undecided check is evaluated over the whole batch
+    /// ([`BatchEval::retain`]) and the survivors compacted before the next,
+    /// as `all` would stop at the first false; a decided one holds by
+    /// construction ([`decided`]). The level's probes start at `base`.
+    fn batch<S>(
+        &self,
+        rel: usize,
+        marks: &mut PosSet,
+        base: usize,
+        st: &mut ExactChunk<S>,
+    ) -> Vec<u32> {
+        if st.batches.is_empty() {
+            st.batches = (0..self.k).map(|_| Vec::new()).collect();
+        }
+        let mut batch = std::mem::take(&mut st.batches[rel]);
+        batch.clear();
+        batch.reserve_exact(self.tuples.count(rel));
+        marks.drain(|pos| batch.push(pos));
+        st.steps += batch.len();
+        let binding = &st.binding;
+        let bound = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
+        let value = |pos: u32, a: usize| -> f64 { self.tuples.values(rel, pos as usize)[a] };
+        for c in &self.checks[rel] {
+            let pred = &self.query.join_preds()[c.pred];
+            if c.decided(&st.probes[base..]) {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                st.evals[c.pred] += batch.len();
+            }
+            st.eval.retain(pred, rel, &bound, &value, &mut batch);
+        }
+        batch
+    }
+
+    /// Binds tuple `pos` at level `rel`, a candidate that passed the
+    /// level's checks, and descends.
+    fn enter<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
+        st.binding.push(pos);
+        #[cfg(debug_assertions)]
+        self.assert_checks(rel, &st.binding);
+        self.items.bind(rel, pos, &mut st.row);
+        self.descend(st);
+        st.binding.pop();
+    }
+
+    /// Emits the row of the binding in `st` with tuple `pos` at the last
+    /// level `rel`, whose slot the caller has pushed.
+    #[inline]
+    fn emit_last<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
+        st.binding[rel] = pos;
+        #[cfg(debug_assertions)]
+        self.assert_checks(rel, &st.binding);
+        self.items.bind(rel, pos, &mut st.row);
+        self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
+        #[cfg(test)]
+        {
+            st.item_evals += self.items.per_row.len();
+        }
     }
 
     /// Marks the candidates of level `rel` into `marks`. The level's
@@ -1291,39 +1391,6 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
         });
     }
 
-    /// Binds tuple `pos` at level `rel`, applies the residual check and
-    /// recurses.
-    fn step<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
-        st.binding.push(pos);
-        st.steps += 1;
-        if self.residual(rel, st) {
-            self.items.bind(rel, pos, &mut st.row);
-            self.descend(st);
-        }
-        st.binding.pop();
-    }
-
-    /// Whether the binding in `st`, bound up to level `rel`, satisfies the
-    /// predicates checked there. Only those no index decided are evaluated —
-    /// `General` ones, and those whose probe is [`ExactProbe::All`] for this
-    /// binding; a decided one holds by construction ([`decided`]).
-    fn residual<S>(&self, rel: usize, st: &mut ExactChunk<S>) -> bool {
-        let probes = &st.probes[st.probes.len() - self.plan[rel].len()..];
-        let binding = &st.binding;
-        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
-        self.checks[rel].iter().all(|c| {
-            let pred = &self.query.join_preds()[c.pred];
-            if c.decided(probes) {
-                return decided(pred, &env);
-            }
-            #[cfg(test)]
-            {
-                st.evals[c.pred] += 1;
-            }
-            holds(pred, &env)
-        })
-    }
-
     /// Emits the row of the full binding `binding` into the sinks
     /// ([`RowSink::emit`]). The bound levels have written their items into
     /// `row`; the items that read several relations are evaluated here. The
@@ -1338,11 +1405,12 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
         rows.emit(keys, binding, select, key);
     }
 
-    /// Evaluates, for a full binding the flat last level `rel` emits, every
-    /// predicate checked there — each decided by its index, so each must
-    /// hold ([`decided`] asserts it).
+    /// Evaluates, for a binding bound up to level `rel` that passed the
+    /// level, every predicate checked there, each of which must hold
+    /// ([`decided`] asserts it): by construction where an index decided
+    /// it, by the batch's verdict where none did.
     #[cfg(debug_assertions)]
-    fn assert_decided(&self, rel: usize, binding: &[usize]) {
+    fn assert_checks(&self, rel: usize, binding: &[usize]) {
         let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
         for c in &self.checks[rel] {
             decided(&self.query.join_preds()[c.pred], &env);
@@ -2111,6 +2179,68 @@ mod tests {
             rows > PAR_MIN_WORK && rows > 100 * tuples[0].len(),
             "{rows} rows"
         );
+    }
+
+    /// Undecided checks on two levels of a three-way join — an `OR` on level
+    /// 1, and on level 2 a `<>` and a product, each evaluated over the
+    /// survivors of the one before — with ±∞ and NaN keys: a batch at a
+    /// time, the join gives the nested reference's rows, in its order, and
+    /// its contributors, bit for bit at 1, 2 and 7 chunks.
+    #[test]
+    fn undecided_checks_on_two_levels_match_nested() {
+        let (snet, cq, _) = setup_nodes(
+            "SELECT A.temp, B.hum, C.temp FROM Sensors A, Sensors B, Sensors C \
+             WHERE |A.temp - B.temp| < 1.0 \
+             AND (A.hum - B.hum > 10.0 OR distance(A.x, A.y, B.x, B.y) < 60.0) \
+             AND B.hum - C.hum > 5.0 AND C.temp <> B.temp AND A.hum * C.hum < 2500.0 ONCE",
+            120,
+        );
+        let mut tuples = all_tuples(&snet, &cq);
+        for (rel, tuples) in tuples.iter_mut().enumerate() {
+            let schema = cq.schema(rel);
+            let (temp, hum) = (schema.index_of("temp"), schema.index_of("hum"));
+            let (temp, hum) = (temp.expect("temp"), hum.expect("hum"));
+            let keys = [
+                (temp, f64::INFINITY),
+                (temp, f64::NEG_INFINITY),
+                (temp, f64::NAN),
+                (hum, f64::INFINITY),
+                (hum, f64::NEG_INFINITY),
+                (hum, f64::NAN),
+            ];
+            for (i, (attr, key)) in keys.into_iter().enumerate() {
+                tuples[3 * i + rel].1[attr] = key;
+            }
+        }
+        // Premise: the join fans out.
+        let plan = exact_plan(&cq, &tuples[..], &pred_max_rels(&cq));
+        let deeper = deeper_space(tuples.iter().map(Vec::len));
+        let cuts = exact_hoisted(&tuples[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
+        assert_eq!(cuts.len(), 2, "premise: the join fans out");
+        let (rows, evals) = counted_join(&cq, &tuples, 1);
+        assert!(rows > 0, "premise: rows");
+        // Premise: each general check is evaluated, the product only on
+        // what the `<>` kept.
+        let [_, or, _, ne, product] = evals[..] else {
+            panic!("five join predicates: {evals:?}");
+        };
+        assert!(or > 0 && product > 0 && product < ne, "{evals:?}");
+        // `counted_join` holds the vector sink to the nested rows; the flat
+        // sink is held to them here.
+        let want = exact_join_nested(&cq, &tuples);
+        let JoinResult::Rows(want_rows) = &want.result else {
+            panic!("a row query");
+        };
+        let want_bits: Vec<Vec<u64>> = (want_rows.iter())
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        for threads in [1, 2, 7] {
+            let counted = counted_join(&cq, &tuples, threads);
+            assert_eq!(counted, (rows, evals.clone()), "{threads} chunks");
+            let got = exact_join_in::<Rows>(&cq, &tuples, threads);
+            assert_eq!(flat_bits(&got.result), want_bits, "{threads} flat chunks");
+            assert_eq!(got.contributors, want.contributors, "{threads} flat chunks");
+        }
     }
 
     /// A predicate whose own index pruned for a binding is decided there:

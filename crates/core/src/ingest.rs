@@ -1198,6 +1198,28 @@ mod tests {
         }
     }
 
+    /// The paper's Q3, whose `distance` no index decides: a cold load and a
+    /// full refresh are rejoins through `exact_join`'s descent, which
+    /// evaluates it over each band candidate batch at a time, and answer
+    /// what `exact_join` answers over the live tuples.
+    #[test]
+    fn a_rejoin_with_an_undecided_residual_is_the_batch_join() {
+        let (mut snet, cq) = setup(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+            200,
+            7,
+        );
+        let mut engine = StreamJoinEngine::new(cq.clone());
+        for (step, seed) in [("cold load", 98), ("full refresh", 99)] {
+            snet.resample(&sensjoin_field::presets::indoor_climate(), seed);
+            engine.apply_batch(&upsert_all(&snet, &cq));
+            assert!(!engine.indexed, "{step} took the anchored path");
+            assert!(engine.cached_rows() > 0, "{step} selects nothing");
+            assert_is_the_batch_join(&engine, step);
+        }
+    }
+
     #[test]
     fn one_batch_may_name_an_origin_twice() {
         for sql in SHAPES {

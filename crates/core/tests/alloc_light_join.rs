@@ -37,6 +37,8 @@ fn compile(preds: &str) -> CompiledQuery {
         vec![
             Attribute::new("temp", AttrType::Celsius),
             Attribute::new("hum", AttrType::Percent),
+            Attribute::new("x", AttrType::Meters),
+            Attribute::new("y", AttrType::Meters),
         ],
     );
     let q = parse(&format!(
@@ -47,13 +49,16 @@ fn compile(preds: &str) -> CompiledQuery {
 }
 
 /// Relation `rel` with `n` tuples: temps spread evenly over [0, 10), hum
-/// 100 for the first `hot` tuples and 1 for the rest.
+/// 100 for the first `hot` tuples and 1 for the rest, and every tuple at
+/// the origin but the hot ones, which sit 1 000 m out on axis `rel` — so
+/// only a hot tuple of A and a hot one of B lie more than 1 200 m apart.
 fn relation(rel: usize, n: usize, hot: usize) -> Vec<(NodeId, Vec<f64>)> {
     (0..n)
         .map(|i| {
             let temp = 10.0 * ((i * 7919) % n) as f64 / n as f64;
-            let hum = if i < hot { 100.0 } else { 1.0 };
-            (NodeId((rel * 100_000 + i) as u32), vec![temp, hum])
+            let (hum, out) = if i < hot { (100.0, 1000.0) } else { (1.0, 0.0) };
+            let (x, y) = if rel == 0 { (out, 0.0) } else { (0.0, out) };
+            (NodeId((rel * 100_000 + i) as u32), vec![temp, hum, x, y])
         })
         .collect()
 }
@@ -79,20 +84,27 @@ fn allocations_do_not_grow_with_bindings_or_candidates() {
     let _guard = serial();
     // Every inner tuple is a candidate of every outer tuple (the band
     // window spans all temps, and its index drives through the position
-    // bitset); the general predicate then keeps hot × hot pairs only. From
-    // 50 to 5 000 outer tuples the candidates go from 15 k to 1.5 M — past
-    // the fan-out threshold — and the rows stay at 20.
-    let cq = compile("|A.temp - B.temp| < 50.0 AND A.hum * B.hum > 5000.0");
+    // bitset); the general predicate — a product, or the paper's Q3
+    // `distance` — then keeps hot × hot pairs only, evaluated a batch of
+    // candidates at a time. From 50 to 5 000 outer tuples the candidates go
+    // from 15 k to 1.5 M — past the fan-out threshold — and the rows stay
+    // at 20.
     let inner = relation(1, 300, 4);
-    for outer in [50, 500, 5000] {
-        let tuples = vec![relation(0, outer, 5), inner.clone()];
-        let (allocs, rows) = join_allocations(&cq, &tuples);
-        assert_eq!(rows, 20);
-        // 5 + 4 contributors: no outer tuple adds to the budget.
-        assert!(
-            allocs <= budget(rows, 9),
-            "{allocs} allocations for {rows} rows from {outer} outer tuples"
-        );
+    for general in [
+        "A.hum * B.hum > 5000.0",
+        "distance(A.x, A.y, B.x, B.y) > 1200.0",
+    ] {
+        let cq = compile(&format!("|A.temp - B.temp| < 50.0 AND {general}"));
+        for outer in [50, 500, 5000] {
+            let tuples = vec![relation(0, outer, 5), inner.clone()];
+            let (allocs, rows) = join_allocations(&cq, &tuples);
+            assert_eq!(rows, 20, "{general}");
+            // 5 + 4 contributors: no outer tuple adds to the budget.
+            assert!(
+                allocs <= budget(rows, 9),
+                "{allocs} allocations for {rows} rows from {outer} outer tuples: {general}"
+            );
+        }
     }
     // The same through an equi driver (296 candidates per cold outer
     // tuple) with a band membership test that keeps next to none.

@@ -115,6 +115,277 @@ pub fn holds<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> D::Tru
     }
 }
 
+/// Column-at-a-time [`holds`] over a batch of bindings that differ only in
+/// the tuple of one relation: the exact join's residual, evaluated once per
+/// level's candidates instead of once per candidate.
+///
+/// The tree is walked once per batch. A column of a bound relation is read
+/// once, as a scalar; a column of the batch's relation is gathered once per
+/// attribute; an operation on two scalars stays scalar, so constant and
+/// bound subtrees are computed once. Every element operation is the
+/// `Domain for f64` method [`eval`] and [`holds`] call, so each verdict is
+/// bit for bit the per-binding one — debug builds check every verdict
+/// against [`holds`].
+///
+/// Its buffers are kept between batches, each made with room for
+/// `capacity` candidates: once a tree has been evaluated, a batch of it
+/// with at most `capacity` candidates allocates nothing.
+#[derive(Debug, Default)]
+pub struct BatchEval {
+    /// The room each new buffer is made with.
+    capacity: usize,
+    /// The current batch's gathered columns: attribute, one value per
+    /// candidate.
+    gathered: Vec<(usize, Vec<f64>)>,
+    /// Spare number columns.
+    numbers: Vec<Vec<f64>>,
+    /// Spare truth columns.
+    truths: Vec<Vec<bool>>,
+}
+
+/// A value over a batch: one for every binding, or one per binding.
+enum Num {
+    Scalar(f64),
+    Column(Vec<f64>),
+}
+
+/// A truth over a batch, like [`Num`].
+enum Truth {
+    Scalar(bool),
+    Column(Vec<bool>),
+}
+
+/// What a batch evaluation reads: the batch's relation, the bound
+/// relations' values and the candidates' values.
+struct Batch<'a, C, B, V> {
+    rel: usize,
+    bound: &'a B,
+    value: &'a V,
+    candidates: &'a [C],
+}
+
+impl BatchEval {
+    /// An evaluator whose buffers hold `capacity` candidates; it allocates
+    /// nothing until its first batch.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            ..Self::default()
+        }
+    }
+
+    /// Keeps, in order, the candidates of `batch` — tuples of relation
+    /// `rel` — whose binding satisfies `pred`. `bound(r, a)` is attribute
+    /// `a` of the tuple bound to relation `r` (every relation `pred` reads
+    /// but `rel`), `value(c, a)` attribute `a` of candidate `c`.
+    pub fn retain<C: Copy>(
+        &mut self,
+        pred: &Pred,
+        rel: usize,
+        bound: &impl Fn(usize, usize) -> f64,
+        value: &impl Fn(C, usize) -> f64,
+        batch: &mut Vec<C>,
+    ) {
+        let cx = Batch {
+            rel,
+            bound,
+            value,
+            candidates: batch,
+        };
+        let verdict = self.truth(pred, &cx);
+        #[cfg(debug_assertions)]
+        for (i, &c) in batch.iter().enumerate() {
+            let env = |r: usize, a: usize| if r == rel { value(c, a) } else { bound(r, a) };
+            let got = match &verdict {
+                Truth::Scalar(v) => *v,
+                Truth::Column(v) => v[i],
+            };
+            assert_eq!(
+                got,
+                holds(pred, &env),
+                "a batch verdict differs from holds: {pred:?}"
+            );
+        }
+        match verdict {
+            Truth::Scalar(true) => {}
+            Truth::Scalar(false) => batch.clear(),
+            Truth::Column(keep) => {
+                let mut verdicts = keep.iter();
+                batch.retain(|_| verdicts.next() == Some(&true));
+                self.truths.push(keep);
+            }
+        }
+        self.numbers
+            .extend(self.gathered.drain(..).map(|(_, column)| column));
+    }
+
+    fn truth<C: Copy>(
+        &mut self,
+        pred: &Pred,
+        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
+    ) -> Truth {
+        match pred {
+            Pred::Cmp { op, lhs, rhs } => {
+                let (l, r) = (self.num(lhs, cx), self.num(rhs, cx));
+                self.compare(l, r, |a, b| <f64 as Domain>::cmp(*op, a, b))
+            }
+            Pred::And(a, b) => match self.truth(a, cx) {
+                Truth::Scalar(false) => Truth::Scalar(false),
+                Truth::Scalar(true) => self.truth(b, cx),
+                Truth::Column(l) => {
+                    let r = self.truth(b, cx);
+                    self.combine(l, r, |x, y| x & y)
+                }
+            },
+            Pred::Or(a, b) => match self.truth(a, cx) {
+                Truth::Scalar(true) => Truth::Scalar(true),
+                Truth::Scalar(false) => self.truth(b, cx),
+                Truth::Column(l) => {
+                    let r = self.truth(b, cx);
+                    self.combine(l, r, |x, y| x | y)
+                }
+            },
+        }
+    }
+
+    fn num<C: Copy>(
+        &mut self,
+        expr: &NumExpr,
+        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
+    ) -> Num {
+        match expr {
+            NumExpr::Number(n) => Num::Scalar(<f64 as Domain>::number(*n)),
+            NumExpr::Col { rel, attr } if *rel != cx.rel => Num::Scalar((cx.bound)(*rel, *attr)),
+            NumExpr::Col { attr, .. } => {
+                let g = self.gather(*attr, cx);
+                let gathered = &self.gathered[g].1;
+                Num::Column(spare(
+                    &mut self.numbers,
+                    self.capacity,
+                    gathered.iter().copied(),
+                ))
+            }
+            NumExpr::Neg(e) => map(self.num(e, cx), |v| -v),
+            NumExpr::Abs(e) => map(self.num(e, cx), <f64 as Domain>::abs),
+            NumExpr::Bin { op, lhs, rhs } => {
+                let (l, r) = (self.num(lhs, cx), self.num(rhs, cx));
+                match op {
+                    BinOp::Add => self.zip(l, r, |a, b| a + b),
+                    BinOp::Sub => self.zip(l, r, |a, b| a - b),
+                    BinOp::Mul => self.zip(l, r, |a, b| a * b),
+                    BinOp::Div => self.zip(l, r, |a, b| a / b),
+                }
+            }
+            NumExpr::Distance { args } => {
+                let [x1, y1, x2, y2] = args.as_ref();
+                let (a, b) = (self.num(x1, cx), self.num(x2, cx));
+                let dx = map(self.zip(a, b, |a, b| a - b), <f64 as Domain>::square);
+                let (a, b) = (self.num(y1, cx), self.num(y2, cx));
+                let dy = map(self.zip(a, b, |a, b| a - b), <f64 as Domain>::square);
+                map(self.zip(dx, dy, |a, b| a + b), <f64 as Domain>::sqrt)
+            }
+        }
+    }
+
+    /// The index in `gathered` of attribute `attr` of the batch's
+    /// candidates, gathered on its first use in the batch.
+    fn gather<C: Copy>(
+        &mut self,
+        attr: usize,
+        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
+    ) -> usize {
+        if let Some(g) = self.gathered.iter().position(|(a, _)| *a == attr) {
+            return g;
+        }
+        let column = spare(
+            &mut self.numbers,
+            self.capacity,
+            cx.candidates.iter().map(|&c| (cx.value)(c, attr)),
+        );
+        self.gathered.push((attr, column));
+        self.gathered.len() - 1
+    }
+
+    /// `f(l, r)` per binding, into a column of `l` or `r`.
+    fn zip(&mut self, l: Num, r: Num, f: impl Fn(f64, f64) -> f64) -> Num {
+        match (l, r) {
+            (Num::Scalar(a), Num::Scalar(b)) => Num::Scalar(f(a, b)),
+            (Num::Column(mut l), Num::Scalar(b)) => {
+                l.iter_mut().for_each(|a| *a = f(*a, b));
+                Num::Column(l)
+            }
+            (Num::Scalar(a), Num::Column(mut r)) => {
+                r.iter_mut().for_each(|b| *b = f(a, *b));
+                Num::Column(r)
+            }
+            (Num::Column(mut l), Num::Column(r)) => {
+                l.iter_mut().zip(&r).for_each(|(a, &b)| *a = f(*a, b));
+                self.numbers.push(r);
+                Num::Column(l)
+            }
+        }
+    }
+
+    /// `f(l, r)` per binding, into a truth column.
+    fn compare(&mut self, l: Num, r: Num, f: impl Fn(f64, f64) -> bool) -> Truth {
+        let verdicts = match (l, r) {
+            (Num::Scalar(a), Num::Scalar(b)) => return Truth::Scalar(f(a, b)),
+            (Num::Column(l), Num::Scalar(b)) => {
+                let verdicts = spare(&mut self.truths, self.capacity, l.iter().map(|&a| f(a, b)));
+                self.numbers.push(l);
+                verdicts
+            }
+            (Num::Scalar(a), Num::Column(r)) => {
+                let verdicts = spare(&mut self.truths, self.capacity, r.iter().map(|&b| f(a, b)));
+                self.numbers.push(r);
+                verdicts
+            }
+            (Num::Column(l), Num::Column(r)) => {
+                let verdicts = spare(
+                    &mut self.truths,
+                    self.capacity,
+                    l.iter().zip(&r).map(|(&a, &b)| f(a, b)),
+                );
+                self.numbers.extend([l, r]);
+                verdicts
+            }
+        };
+        Truth::Column(verdicts)
+    }
+
+    /// `f(l, r)` per binding, into `l`.
+    fn combine(&mut self, mut l: Vec<bool>, r: Truth, f: impl Fn(bool, bool) -> bool) -> Truth {
+        match r {
+            Truth::Scalar(b) => l.iter_mut().for_each(|a| *a = f(*a, b)),
+            Truth::Column(r) => {
+                l.iter_mut().zip(&r).for_each(|(a, &b)| *a = f(*a, b));
+                self.truths.push(r);
+            }
+        }
+        Truth::Column(l)
+    }
+}
+
+/// A buffer from `pool` — or a new one with room for `capacity` — holding
+/// `items`.
+fn spare<T>(pool: &mut Vec<Vec<T>>, capacity: usize, items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut buffer = pool.pop().unwrap_or_else(|| Vec::with_capacity(capacity));
+    buffer.clear();
+    buffer.extend(items);
+    buffer
+}
+
+/// `f(v)` per binding, in place.
+fn map(v: Num, f: impl Fn(f64) -> f64) -> Num {
+    match v {
+        Num::Scalar(a) => Num::Scalar(f(a)),
+        Num::Column(mut c) => {
+            c.iter_mut().for_each(|a| *a = f(*a));
+            Num::Column(c)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

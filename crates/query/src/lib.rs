@@ -92,6 +92,6 @@ mod token;
 pub use analyze::{BandForm, PredClass, PredSide};
 pub use ast::{AggFunc, BinOp, CmpOp, Expr, Query, SelectItem, Temporal};
 pub use compile::{Columns, CompileError, CompiledQuery, CompiledSelect, NumExpr, Pred};
-pub use eval::{eval, holds, Domain};
+pub use eval::{eval, holds, BatchEval, Domain};
 pub use interval::{Interval, Tri};
 pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};

@@ -6,23 +6,23 @@
 //! Declarative queries over a WSN view the network as one or more *sensor
 //! relations* (SENS-Join paper, §III): conceptually a relation with one
 //! attribute per sensor of the nodes and one tuple per node. This crate
-//! provides the building blocks shared by every other crate in the
-//! reproduction:
+//! provides the data model the other crates share:
 //!
-//! * [`Value`] — a single attribute value (measurements are real-valued;
-//!   node identifiers are integral),
+//! * [`NodeId`] — a node, and so the origin of the tuples it contributes,
 //! * [`AttrType`] / [`Attribute`] / [`Schema`] — typed, *sized* schemas.
 //!   Sizes matter: the paper's cost model is driven by how many bytes a tuple
 //!   occupies on the wire (attributes default to 2 bytes, §IV-B),
-//! * [`Tuple`] — a boxed row conforming to a schema,
 //! * [`SensorRelation`] — a named schema plus a membership rule mapping nodes
 //!   to tuples (homogeneous networks have one relation; heterogeneous
 //!   networks partition nodes into several, §III).
 //!
+//! A tuple itself is its origin and one `f64` per attribute of the schema,
+//! in schema order — `(NodeId, Vec<f64>)` — the form the join engines take.
+//!
 //! # Example
 //!
 //! ```
-//! use sensjoin_relation::{Schema, Attribute, AttrType, Tuple, Value};
+//! use sensjoin_relation::{AttrType, Attribute, NodeId, Schema, SensorRelation};
 //!
 //! let schema = Schema::new(
 //!     "Sensors",
@@ -32,18 +32,16 @@
 //!         Attribute::new("temp", AttrType::Celsius),
 //!     ],
 //! );
-//! let t = Tuple::new(vec![Value::from(12.0), Value::from(40.0), Value::from(21.5)]);
 //! assert_eq!(schema.wire_size(), 6); // 3 attributes x 2 bytes
-//! assert_eq!(t.get(schema.index_of("temp").unwrap()).as_f64(), 21.5);
+//! let tuple = (NodeId(4), vec![12.0, 40.0, 21.5]);
+//! assert_eq!(tuple.1[schema.index_of("temp").unwrap()], 21.5);
+//! let hot = SensorRelation::over_nodes(schema, [NodeId(4)]);
+//! assert!(hot.contains(tuple.0) && !hot.contains(NodeId(5)));
 //! ```
 
 mod schema;
-mod tuple;
-mod value;
 
 pub use schema::{AttrType, Attribute, Schema};
-pub use tuple::{Tuple, TupleSet};
-pub use value::Value;
 
 /// Identifier of a sensor node. The base station is conventionally node 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
