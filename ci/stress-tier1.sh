@@ -1,24 +1,33 @@
 #!/usr/bin/env bash
 # Tier-1 under load: runs every test binary `cargo test` builds for the
-# workspace's default members RUNS times (default 20), each with
-# `--test-threads` at twice the core count, beside one busy loop per core.
-# Fails if a test's outcome differs between two runs of its binary, or if a
-# run fails. Doc tests are not binaries and are not repeated.
+# workspace's default members 20 times, each with `--test-threads` at twice
+# the core count, beside one busy loop per core. Fails if a test's outcome
+# differs between two runs of its binary, if a run fails, or if there is no
+# binary to run. Doc tests are not binaries and are not repeated.
 #
 #   ci/stress-tier1.sh
-#   RUNS=5 ci/stress-tier1.sh      # a quicker local pass
 set -euo pipefail
 
-runs=${RUNS:-20}
+runs=20
 cores=$(nproc)
 threads=$((2 * cores))
 cd "$(dirname "$0")/.."
 
+# Build first, so a failed build stops the script with its own errors.
+cargo test --no-run
+logs=$(mktemp -d)
 # One line per test binary: the executable and its package's directory,
-# where `cargo test` would run it.
-mapfile -t bins < <(cargo test --no-run --message-format=json 2>/dev/null |
-    jq -r 'select(.profile.test == true and .executable != null)
-           | [.executable, (.manifest_path | rtrimstr("/Cargo.toml"))] | @tsv')
+# where `cargo test` would run it. The build above is fresh, so this only
+# lists what it built.
+cargo test --no-run --message-format=json >"$logs/build.json"
+jq -r 'select(.profile.test == true and .executable != null)
+       | [.executable, (.manifest_path | rtrimstr("/Cargo.toml"))] | @tsv' \
+    "$logs/build.json" >"$logs/bins.tsv"
+mapfile -t bins <"$logs/bins.tsv"
+if [ "${#bins[@]}" -eq 0 ]; then
+    echo "no test binaries were built" >&2
+    exit 1
+fi
 
 hogs=()
 for _ in $(seq "$cores"); do
@@ -27,7 +36,6 @@ for _ in $(seq "$cores"); do
 done
 trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
 
-logs=$(mktemp -d)
 failed=0
 for entry in "${bins[@]}"; do
     IFS=$'\t' read -r bin dir <<<"$entry"

@@ -120,9 +120,9 @@ pub fn holds<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> D::Tru
 /// level's candidates instead of once per candidate.
 ///
 /// The tree is walked once per batch. A column of a bound relation is read
-/// once, as a scalar; a column of the batch's relation is gathered once per
-/// attribute; an operation on two scalars stays scalar, so constant and
-/// bound subtrees are computed once. Every element operation is the
+/// once, as a scalar; a column of the batch's relation is gathered into a
+/// column where the tree reads it; an operation on two scalars stays scalar,
+/// so constant and bound subtrees are computed once. Every element operation is the
 /// `Domain for f64` method [`eval`] and [`holds`] call, so each verdict is
 /// bit for bit the per-binding one — debug builds check every verdict
 /// against [`holds`].
@@ -134,9 +134,6 @@ pub fn holds<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> D::Tru
 pub struct BatchEval {
     /// The room each new buffer is made with.
     capacity: usize,
-    /// The current batch's gathered columns: attribute, one value per
-    /// candidate.
-    gathered: Vec<(usize, Vec<f64>)>,
     /// Spare number columns.
     numbers: Vec<Vec<f64>>,
     /// Spare truth columns.
@@ -215,8 +212,6 @@ impl BatchEval {
                 self.truths.push(keep);
             }
         }
-        self.numbers
-            .extend(self.gathered.drain(..).map(|(_, column)| column));
     }
 
     fn truth<C: Copy>(
@@ -256,15 +251,11 @@ impl BatchEval {
         match expr {
             NumExpr::Number(n) => Num::Scalar(<f64 as Domain>::number(*n)),
             NumExpr::Col { rel, attr } if *rel != cx.rel => Num::Scalar((cx.bound)(*rel, *attr)),
-            NumExpr::Col { attr, .. } => {
-                let g = self.gather(*attr, cx);
-                let gathered = &self.gathered[g].1;
-                Num::Column(spare(
-                    &mut self.numbers,
-                    self.capacity,
-                    gathered.iter().copied(),
-                ))
-            }
+            NumExpr::Col { attr, .. } => Num::Column(spare(
+                &mut self.numbers,
+                self.capacity,
+                cx.candidates.iter().map(|&c| (cx.value)(c, *attr)),
+            )),
             NumExpr::Neg(e) => map(self.num(e, cx), |v| -v),
             NumExpr::Abs(e) => map(self.num(e, cx), <f64 as Domain>::abs),
             NumExpr::Bin { op, lhs, rhs } => {
@@ -285,25 +276,6 @@ impl BatchEval {
                 map(self.zip(dx, dy, |a, b| a + b), <f64 as Domain>::sqrt)
             }
         }
-    }
-
-    /// The index in `gathered` of attribute `attr` of the batch's
-    /// candidates, gathered on its first use in the batch.
-    fn gather<C: Copy>(
-        &mut self,
-        attr: usize,
-        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
-    ) -> usize {
-        if let Some(g) = self.gathered.iter().position(|(a, _)| *a == attr) {
-            return g;
-        }
-        let column = spare(
-            &mut self.numbers,
-            self.capacity,
-            cx.candidates.iter().map(|&c| (cx.value)(c, attr)),
-        );
-        self.gathered.push((attr, column));
-        self.gathered.len() - 1
     }
 
     /// `f(l, r)` per binding, into a column of `l` or `r`.
