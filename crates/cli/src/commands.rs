@@ -1424,6 +1424,17 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_a_join_of_nine_relations() {
+        let from: Vec<String> = (0..9).map(|i| format!("Sensors R{i}")).collect();
+        let mut a = args("run --nodes 30 --method sens");
+        let sql = format!("SELECT R0.hum FROM {} ONCE", from.join(", "));
+        a.options.insert("sql".into(), sql);
+        let err = cmd_run(&a).expect_err("nine relations");
+        assert!(err.contains("at most 8 are supported"), "{err}");
+        assert_ne!(dispatch(&a), 0);
+    }
+
+    #[test]
     fn run_rejects_bad_sql() {
         let mut a = args("run --nodes 50 --method sens");
         a.options.insert("sql".into(), "SELEKT nonsense".into());

@@ -33,11 +33,9 @@ use crate::config::SensJoinConfig;
 use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
 #[cfg(debug_assertions)]
 use crate::partition::decided;
-use crate::partition::{
-    exact_plan, filter_plan, runs_len, ExactIndex, ExactProbe, FilterIndex, PosSet, Runs,
-};
+use crate::partition::{candidates, exact_plan, plan, LevelIndex, PosSet, Probe};
 use crate::snetwork::SensorNetwork;
-use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
+use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape, MAX_RELATIONS};
 use sensjoin_query::{eval, holds, BatchEval, Columns, CompiledQuery, Interval, NumExpr};
 use sensjoin_relation::NodeId;
 use sensjoin_zorder::{Dimension, ZSpace};
@@ -97,7 +95,7 @@ impl JoinSpace {
         dims: Vec<Dimension>,
     ) -> Option<Self> {
         let zspace = ZSpace::new(dims).ok()?;
-        let flag_bits = query.num_relations().min(8) as u8;
+        let flag_bits = query.num_relations().min(MAX_RELATIONS) as u8;
         let shape = TreeShape::new(zspace.level_schedule(), flag_bits);
         Some(Self {
             zspace,
@@ -386,20 +384,23 @@ fn prejoin_filter_in(
     let pred_rels = pred_max_rels(query);
     let mut matched: Vec<u8> = vec![0; points.len()];
     if !query.is_const_false() && !lists.is_empty() {
-        let list_lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
-        let plan = filter_plan(query, &list_lens, &pred_rels, |rel, attr, pos| {
-            space.attr_interval(query, boxes.of(lists[rel][pos]), rel, attr)
-        });
+        let cell = |idx: usize, rel: usize, attr: usize| {
+            space.attr_interval(query, boxes.of(idx), rel, attr)
+        };
+        let plan = plan(
+            query,
+            &pred_rels,
+            |rel| lists[rel].len(),
+            |rel, pos, attr| cell(lists[rel][pos], rel, attr),
+        );
         let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
         let hoisted = Hoisted::build(lists[0].len(), level1.len(), |pos, out| {
-            let cell = boxes.of(lists[0][pos]);
-            let mut count = list_lens.get(1).copied().unwrap_or(0);
+            let env = |rel: usize, attr: usize| cell(lists[0][pos], rel, attr);
+            let mut count = lists.get(1).map_or(0, Vec::len);
             for ix in level1 {
-                let runs = ix.probe(space.attr_interval(query, cell, 0, ix.probe_attr()));
-                if let Some(runs) = &runs {
-                    count = count.min(runs_len(runs));
-                }
-                out.push(runs);
+                let probe = ix.probe(&env);
+                count = count.min(probe.count());
+                out.push(probe);
             }
             count
         });
@@ -414,14 +415,14 @@ fn prejoin_filter_in(
             plan: &plan,
             hoisted: &hoisted,
         };
-        let deeper = deeper_space(list_lens.iter().copied());
+        let deeper = deeper_space(lists.iter().map(Vec::len));
         let cuts = hoisted.cuts(deeper, threads, min_work);
         let parts = run_chunked(&cuts, |_, range| {
             let mut st = FilterChunk {
                 matched: vec![0; points.len()],
                 binding: Vec::with_capacity(lists.len()),
                 outer: 0,
-                probes: Vec::new(),
+                probes: vec![Vec::new(); lists.len()],
                 #[cfg(test)]
                 evals: 0,
             };
@@ -534,8 +535,8 @@ struct FilterRun<'a> {
     /// Per level: the role bit a full binding marks on that level's point.
     roles: &'a [u8],
     pred_rels: &'a [usize],
-    plan: &'a [Vec<FilterIndex>],
-    hoisted: &'a Hoisted<Option<Runs>>,
+    plan: &'a [Vec<LevelIndex<'a, Interval>>],
+    hoisted: &'a Hoisted<Probe>,
 }
 
 /// Mutable state of one chunk of the filter descent.
@@ -546,9 +547,9 @@ struct FilterChunk {
     binding: Vec<usize>,
     /// Role-list position of the level-0 binding.
     outer: usize,
-    /// The open levels' probes, each level's parallel to its plan entry
-    /// (`None`: that index cannot prune for the binding).
-    probes: Vec<Option<Runs>>,
+    /// Per level: the probes of the open binding, parallel to its plan
+    /// entry (level 1 reads its hoisted probes instead).
+    probes: Vec<Vec<Probe>>,
     /// Residual interval checks run (the work-bound test's tally).
     #[cfg(test)]
     evals: usize,
@@ -564,50 +565,26 @@ impl FilterRun<'_> {
             }
             return;
         }
-        // Intersect the candidate windows of every index on this level: the
-        // smallest window drives, the rest degrade to rank membership tests
-        // folded into the iteration. The driver's sorted runs are walked in
-        // place — `matched` is an OR-bitmask, so emission order is free.
+        // Intersect the candidate windows of every index on this level, in
+        // the driver's key order — `matched` is an OR-bitmask, so emission
+        // order is free.
         let indexes = &self.plan[rel];
-        let base = st.probes.len();
-        if rel == 1 {
-            st.probes.extend_from_slice(self.hoisted.of(st.outer));
+        let mut own = std::mem::take(&mut st.probes[rel]);
+        let probes = if rel == 1 {
+            self.hoisted.of(st.outer)
         } else {
-            for ix in indexes {
-                let probe = self.space.attr_interval(
-                    self.query,
-                    self.boxes.of(st.binding[ix.probe_rel()]),
-                    ix.probe_rel(),
-                    ix.probe_attr(),
-                );
-                st.probes.push(ix.probe(probe));
-            }
-        }
-        let driver = (0..indexes.len())
-            .filter_map(|i| Some((i, st.probes[base + i].clone()?)))
-            .min_by_key(|(_, runs)| runs_len(runs));
-        match driver {
-            None => {
-                for pos in 0..self.lists[rel].len() {
-                    self.step(rel, pos, st);
-                }
-            }
-            Some((di, runs)) => {
-                for run in runs {
-                    for &(_, pos) in &indexes[di].entries()[run] {
-                        let ok = indexes.iter().zip(&st.probes[base..]).enumerate().all(
-                            |(i, (ix, runs))| {
-                                i == di || runs.as_ref().is_none_or(|runs| ix.accepts(runs, pos))
-                            },
-                        );
-                        if ok {
-                            self.step(rel, pos as usize, st);
-                        }
-                    }
-                }
-            }
-        }
-        st.probes.truncate(base);
+            let env = |r: usize, a: usize| -> Interval {
+                self.space
+                    .attr_interval(self.query, self.boxes.of(st.binding[r]), r, a)
+            };
+            own.extend(indexes.iter().map(|ix| ix.probe(&env)));
+            &own
+        };
+        candidates(indexes, probes, self.lists[rel].len(), |pos| {
+            self.step(rel, pos as usize, st)
+        });
+        own.clear();
+        st.probes[rel] = own;
     }
 
     /// Binds role-list position `pos` at level `rel`, applies the residual
@@ -975,7 +952,7 @@ fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
 }
 
 /// The level-1 probes of the exact join `plan` for every outer tuple.
-fn exact_hoisted<T: Tuples + ?Sized>(tuples: &T, plan: &[Vec<ExactIndex>]) -> Hoisted<ExactProbe> {
+fn exact_hoisted<T: Tuples + ?Sized>(tuples: &T, plan: &[Vec<LevelIndex<f64>>]) -> Hoisted<Probe> {
     let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
     let outer = if plan.is_empty() { 0 } else { tuples.count(0) };
     Hoisted::build(outer, level1.len(), |pos, out| {
@@ -1060,8 +1037,8 @@ struct ExactRun<'a, T: ?Sized> {
     tuples: &'a T,
     /// Per level: the join predicates checked there ([`level_checks`]).
     checks: Vec<Vec<Check>>,
-    plan: &'a [Vec<ExactIndex<'a>>],
-    hoisted: &'a Hoisted<ExactProbe>,
+    plan: &'a [Vec<LevelIndex<'a, f64>>],
+    hoisted: &'a Hoisted<Probe>,
     /// The SELECT items and GROUP BY keys a row is made of.
     items: Projections<'a>,
 }
@@ -1143,7 +1120,7 @@ struct Check {
 impl Check {
     /// Whether the level's `probes` decide the predicate for the current
     /// binding: its own index pruned, and a pruning probe is an exact window.
-    fn decided(&self, probes: &[ExactProbe]) -> bool {
+    fn decided(&self, probes: &[Probe]) -> bool {
         self.index.is_some_and(|i| probes[i].prunes())
     }
 }
@@ -1152,7 +1129,7 @@ impl Check {
 /// where a partial binding first can check it — with its index on the
 /// level. A join predicate reads two relations or more, so the outermost
 /// level checks nothing.
-fn level_checks(pred_rels: &[usize], plan: &[Vec<ExactIndex>]) -> Vec<Vec<Check>> {
+fn level_checks(pred_rels: &[usize], plan: &[Vec<LevelIndex<f64>>]) -> Vec<Vec<Check>> {
     let mut checks: Vec<Vec<Check>> = plan.iter().map(|_| Vec::new()).collect();
     for (pred, &rel) in pred_rels.iter().enumerate() {
         let index = plan[rel].iter().position(|ix| ix.pred() == pred);
@@ -1172,7 +1149,7 @@ struct ExactChunk<S> {
     /// Per relation: the tuples that reached a result row.
     seen: Vec<PosSet>,
     /// Per level: the marks that put its candidates in position order
-    /// ([`ExactRun::mark`]; empty between bindings).
+    /// ([`candidates`]; empty between bindings).
     cand: Vec<PosSet>,
     /// Per level: the candidates of a batch with an undecided check, in
     /// position order ([`ExactRun::batch`]). Made on the chunk's first
@@ -1181,7 +1158,7 @@ struct ExactChunk<S> {
     /// Evaluates the undecided checks over a batch.
     eval: BatchEval,
     /// The open levels' probes, each level's parallel to its plan entry.
-    probes: Vec<ExactProbe>,
+    probes: Vec<Probe>,
     /// Tuple positions bound so far, one per level.
     binding: Vec<usize>,
     /// The row under construction, laid out as [`Projections::row`].
@@ -1266,7 +1243,10 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
             .all(|c| c.decided(&st.probes[base..]));
         let last = rel + 1 == self.k;
         let mut marks = std::mem::take(&mut st.cand[rel]);
-        self.mark(rel, &st.probes[base..], &mut marks);
+        let probes = &st.probes[base..];
+        candidates(&self.plan[rel], probes, self.tuples.count(rel), |pos| {
+            marks.insert(pos)
+        });
         if !decided {
             let batch = self.batch(rel, &mut marks, base, st);
             if last {
@@ -1367,28 +1347,6 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
         {
             st.item_evals += self.items.per_row.len();
         }
-    }
-
-    /// Marks the candidates of level `rel` into `marks`. The level's
-    /// `probes` are intersected: the one with the fewest candidates drives,
-    /// and a position it yields is marked only if every other probe admits
-    /// it (an O(1) membership test); with no pruning probe every tuple is a
-    /// candidate.
-    fn mark(&self, rel: usize, probes: &[ExactProbe], marks: &mut PosSet) {
-        let indexes = &self.plan[rel];
-        let driver = (probes.iter().map(ExactProbe::count).enumerate())
-            .filter(|&(_, count)| count != usize::MAX)
-            .min_by_key(|&(_, count)| count);
-        let Some((di, _)) = driver else {
-            return (0..self.tuples.count(rel)).for_each(|pos| marks.insert(pos as u32));
-        };
-        if indexes.len() == 1 {
-            return indexes[di].mark(&probes[di], marks, |_| true);
-        }
-        indexes[di].mark(&probes[di], marks, |pos| {
-            (indexes.iter().zip(probes).enumerate())
-                .all(|(i, (ix, probe))| i == di || ix.contains(probe, pos))
-        });
     }
 
     /// Emits the row of the full binding `binding` into the sinks

@@ -297,7 +297,7 @@ struct IngestIndex {
     key_expr: NumExpr,
     /// Probe expression over `other_rel`.
     probe_expr: NumExpr,
-    keys: SortedKeys,
+    keys: SortedKeys<f64>,
 }
 
 impl IngestIndex {

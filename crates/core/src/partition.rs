@@ -1,10 +1,11 @@
-//! Partitioned candidate generation for the base-station join engine.
+//! Partitioned candidate generation for the base-station join engines.
 //!
-//! For each descend level (relation) of the join, this module builds one
-//! index **per classified predicate landing on that level** over the
-//! relation's tuples (scalar case, [`exact_plan`]) or quantized points
-//! (interval case, [`filter_plan`]), driven by the predicate
-//! classification of [`sensjoin_query::analyze`]:
+//! For each descend level (relation) of a join, [`plan`] builds one
+//! [`LevelIndex`] **per classified predicate landing on that level**,
+//! driven by the predicate classification of [`sensjoin_query::analyze`].
+//! The exact join keys a level's tuples by their values (`f64`); the
+//! pre-join filter keys its quantized points by their cells ([`Interval`]).
+//! Either way ([`Key`]):
 //!
 //! * **band** predicates (direct and difference-form comparisons, equality
 //!   included as the direct band `=`) get a sorted key array
@@ -12,18 +13,30 @@
 //! * **general** predicates get no index; their levels fall back to the
 //!   full scan of the nested-loop descent.
 //!
-//! When a level carries several indexable predicates, the engine
-//! *intersects* their candidate sets: the probe with the fewest candidates
-//! drives the scan and every other probe degrades to an O(1) membership
-//! test per candidate (a stored rank), so the scan cost is `min` over the
-//! predicates' windows rather than the first one's.
+//! When a level carries several indexable predicates, the engines
+//! *intersect* their candidate sets ([`candidates`]): the probe with the
+//! fewest candidates drives the scan and every other probe degrades to an
+//! O(1) membership test per candidate (a stored rank), so the scan cost is
+//! `min` over the predicates' windows rather than the first one's.
 //!
-//! # Why the results are bit-identical to the nested loop
+//! # One window derivation
 //!
-//! A scalar probe that prunes ([`ExactProbe::Runs`]) is an **exact
-//! window**: it holds precisely the tuples whose predicate holds for the
-//! probing binding, no more and no fewer. Two properties make that airtight
-//! without any epsilon slack:
+//! [`SortedKeys::runs`] is the one place a [`BandForm`] becomes array
+//! positions, for points and cells alike. The form accepts a set of
+//! *d-values* — the key itself for a direct comparison, the difference
+//! `key − p` or `p − key` otherwise — given as at most two intervals
+//! ([`DIv`]). Each entry has a d-image `[lo, hi]`: a point's is `[d, d]`, a
+//! cell's is the cell or its difference with the probe cell under the
+//! `Interval` operations the residual check uses. An entry is kept unless
+//! its image lies wholly below or wholly above an accepted interval. Both
+//! bounds are monotone along the array, so `partition_point` finds the runs.
+//!
+//! # Points: exact windows
+//!
+//! A point probe that prunes ([`Probe::Runs`]) is an **exact window**: it
+//! holds precisely the tuples whose predicate holds for the probing
+//! binding, no more and no fewer. Two properties make that airtight without
+//! any epsilon slack:
 //!
 //! 1. keys and probes are evaluated from the **original predicate
 //!    subtrees** (see [`sensjoin_query::analyze`]) with the same evaluator
@@ -38,20 +51,30 @@
 //!    keys `== p`: −0 and +0 land together, and NaN is never indexed.
 //!
 //! So a predicate whose own index pruned for a binding is **decided** there,
-//! and the engines evaluate it no more: the residual check runs only the
-//! predicates no index decided — `General` ones, and those whose probe is
-//! [`ExactProbe::All`] for this binding (a difference form probed with ±∞,
-//! a complement band whose bound admits everything), which claims nothing.
+//! and the exact engines evaluate it no more: the residual check runs only
+//! the predicates no index decided — `General` ones, and those whose probe
+//! is [`Probe::All`] for this binding (a difference form probed with ±∞, a
+//! complement band whose bound admits everything), which claims nothing.
 //! `exact_probes_decide_their_predicate` pins the window against
-//! [`sensjoin_query::holds`] on adversarial keys and probes. Order is restored by
-//! marking a level's candidates into a [`PosSet`] and draining it, which
-//! reads positions ascending. The interval side ([`FilterIndex`])
-//! is different: its windows are conservative, and its residual check runs
-//! on every candidate.
+//! [`sensjoin_query::holds`] on adversarial keys and probes. Order is
+//! restored by marking a level's candidates into a [`PosSet`] and draining
+//! it, which reads positions ascending.
+//!
+//! # Cells: the pre-join's windows
+//!
+//! A cell's d-image is the exact image of the compared operand over the
+//! cells, so a cell window holds precisely the entries whose interval check
+//! is not `Tri::False` — `|X| = c` included, whose window is the two points
+//! `±c`. A possible check is not a true one, so the filter still runs the
+//! residual check on every candidate. Cell keys must be plain columns: the
+//! cells of one dimension are equal or meet at most at an endpoint, so
+//! sorting them by lower bound sorts their upper bounds too, and both image
+//! bounds stay monotone. `cell_windows_are_the_possible_checks` pins the
+//! windows against `holds::<Interval>`.
 
 use crate::engine::Tuples;
 use sensjoin_query::{
-    eval, holds, BandForm, CmpOp, CompiledQuery, Interval, NumExpr, Pred, PredClass,
+    eval, holds, BandForm, CmpOp, CompiledQuery, Domain, Interval, NumExpr, Pred, PredClass,
 };
 use std::ops::Range;
 
@@ -150,8 +173,8 @@ fn for_each_bit(w: usize, mut bits: u64, f: &mut impl FnMut(u32)) {
     }
 }
 
-/// A half-open/closed interval of *d-values* (see [`sorted_runs`]); the
-/// accepted set of one comparison in the monotone probe coordinate.
+/// A half-open/closed interval of *d-values* (module docs); the accepted
+/// set of one comparison in the monotone probe coordinate.
 #[derive(Clone, Copy)]
 struct DIv {
     lo: f64,
@@ -203,14 +226,15 @@ impl DIv {
 /// intervals present. No interval means "nothing".
 type Accepted = [Option<DIv>; 2];
 
-/// The d-intervals accepted by `d op c`, or `None` for "everything".
-fn cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
+/// The d-intervals accepted by `d op r` for some `r` in `[lo, hi]` (a point
+/// is `lo = hi`), or `None` for "everything".
+fn cmp_intervals(op: CmpOp, lo: f64, hi: f64) -> Option<Accepted> {
     let iv = match op {
-        CmpOp::Lt => DIv::ray_below(c, true),
-        CmpOp::Le => DIv::ray_below(c, false),
-        CmpOp::Gt => DIv::ray_above(c, true),
-        CmpOp::Ge => DIv::ray_above(c, false),
-        CmpOp::Eq => DIv::window(c, c, false),
+        CmpOp::Lt => DIv::ray_below(hi, true),
+        CmpOp::Le => DIv::ray_below(hi, false),
+        CmpOp::Gt => DIv::ray_above(lo, true),
+        CmpOp::Ge => DIv::ray_above(lo, false),
+        CmpOp::Eq => DIv::window(lo, hi, false),
         CmpOp::Ne => return None, // not indexed (classified General)
     };
     Some([Some(iv), None])
@@ -247,7 +271,7 @@ fn abs_cmp_intervals(op: CmpOp, c: f64) -> Option<Accepted> {
 /// `keys.partition_point(pred)` when that is at least `from`, and `from`
 /// when it is less: a galloping search from `from`, so the end of a narrow
 /// window costs a few steps, not a second full binary search.
-fn gallop(keys: &[(f64, u32)], from: usize, pred: impl Fn(&(f64, u32)) -> bool) -> usize {
+fn gallop<K>(keys: &[(K, u32)], from: usize, pred: impl Fn(&(K, u32)) -> bool) -> usize {
     let (mut lo, mut step) = (from, 1);
     while lo + step <= keys.len() && pred(&keys[lo + step - 1]) {
         lo += step;
@@ -256,23 +280,24 @@ fn gallop(keys: &[(f64, u32)], from: usize, pred: impl Fn(&(f64, u32)) -> bool) 
     lo + keys[lo..keys.len().min(lo + step)].partition_point(pred)
 }
 
-/// Finds the positions of `keys` (ascending) whose d-value `d(key)` lies in
-/// one of `ivs`; `d` is monotone over the key order, increasing iff
-/// `increasing`. Exact: `partition_point` over a monotone predicate.
-fn sorted_runs(
-    keys: &[(f64, u32)],
-    d: impl Fn(f64) -> f64,
+/// Finds the positions of `keys` (ascending) whose d-image `image(key)`
+/// meets one of `ivs`; both bounds of the image are monotone over the key
+/// order, increasing iff `increasing`. Exact: `partition_point` over a
+/// monotone predicate.
+fn sorted_runs<K: Copy>(
+    keys: &[(K, u32)],
+    image: impl Fn(K) -> (f64, f64),
     increasing: bool,
     ivs: Accepted,
 ) -> Runs {
     let [a, b] = ivs.map(|iv| {
         let Some(iv) = iv else { return 0..0 };
         let (start, end) = if increasing {
-            let start = keys.partition_point(|&(k, _)| iv.below(d(k)));
-            (start, gallop(keys, start, |&(k, _)| !iv.above(d(k))))
+            let start = keys.partition_point(|&(k, _)| iv.below(image(k).1));
+            (start, gallop(keys, start, |&(k, _)| !iv.above(image(k).0)))
         } else {
-            let start = keys.partition_point(|&(k, _)| iv.above(d(k)));
-            (start, gallop(keys, start, |&(k, _)| !iv.below(d(k))))
+            let start = keys.partition_point(|&(k, _)| iv.above(image(k).0));
+            (start, gallop(keys, start, |&(k, _)| !iv.below(image(k).1)))
         };
         if start < end {
             start..end
@@ -280,10 +305,10 @@ fn sorted_runs(
             0..0
         }
     });
-    // When `d` is decreasing, ascending d-intervals come out as descending
-    // key ranges (e.g. `|d| > c`'s two rays map to a suffix run *then* a
-    // prefix run) — order them before merging touching/overlapping runs, so
-    // the positions stay duplicate-free without dropping any run.
+    // When the image is decreasing, ascending d-intervals come out as
+    // descending key ranges (e.g. `|d| > c`'s two rays map to a suffix run
+    // *then* a prefix run) — order them before merging touching/overlapping
+    // runs, so the positions stay duplicate-free without dropping any run.
     let (a, b) = if b.is_empty() || (!a.is_empty() && a.start <= b.start) {
         (a, b)
     } else {
@@ -296,35 +321,85 @@ fn sorted_runs(
     }
 }
 
+/// The key domain of a [`SortedKeys`] array: a tuple's value (`f64`) or a
+/// quantized point's cell ([`Interval`]).
+pub(crate) trait Key: Domain {
+    /// Its bounds `[lo, hi]`; a point's are itself.
+    fn bounds(self) -> (f64, f64);
+
+    /// Whether `key − self` and `self − key` are monotone along the keys,
+    /// as the searches need. Not for a point at ±∞: `∞ − ∞` is NaN.
+    fn differences_monotone(self) -> bool;
+
+    /// Whether predicate side `expr` can key an index.
+    fn can_key(expr: &NumExpr) -> bool;
+}
+
+impl Key for f64 {
+    #[inline]
+    fn bounds(self) -> (f64, f64) {
+        (self, self)
+    }
+
+    fn differences_monotone(self) -> bool {
+        self.is_finite()
+    }
+
+    /// Any expression: a tuple's key is one value.
+    fn can_key(_: &NumExpr) -> bool {
+        true
+    }
+}
+
+impl Key for Interval {
+    #[inline]
+    fn bounds(self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
+
+    /// Interval subtraction widens `∞ − ∞` to the infinite bound on its own
+    /// side, which keeps each bound monotone in the key.
+    fn differences_monotone(self) -> bool {
+        true
+    }
+
+    /// A plain column only: its cells are aligned (module docs).
+    fn can_key(expr: &NumExpr) -> bool {
+        matches!(expr, NumExpr::Col { .. })
+    }
+}
+
 /// The sorted-key index of one band predicate on one relation: `(key,
-/// position)` ascending by key, ties by position, no NaN key (no comparison
-/// with a NaN operand is ever true, so such a tuple can never pass). The
-/// batch join builds it once per level ([`ExactIndex`]); the streaming join
-/// keeps one per side under upsert/expire (`ingest.rs`). Equality is the
-/// direct band `=`, whose window is the closed [p, p].
+/// position)` ascending by (lower) key, ties by position, no NaN key (no
+/// comparison with a NaN operand is ever true, so such a tuple can never
+/// pass). The joins build one per level and predicate ([`LevelIndex`]);
+/// the streaming join keeps one per side under upsert/expire
+/// (`ingest.rs`). Equality is the direct band `=`, whose point window is
+/// the closed [p, p].
 #[derive(Debug)]
-pub(crate) struct SortedKeys {
+pub(crate) struct SortedKeys<K> {
     pub(crate) form: BandForm,
     /// Whether the indexed relation is the `lhs` side of the form.
     pub(crate) key_is_lhs: bool,
     /// `(key, position)`, in [`key_order`].
-    pub(crate) entries: Vec<(f64, u32)>,
+    pub(crate) entries: Vec<(K, u32)>,
 }
 
-/// The order of a [`SortedKeys`] array: by key under `f64::total_cmp`
-/// (−0 before +0, both inside the same IEEE windows), ties by position.
-fn key_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+/// The order of a [`SortedKeys`] array: by lower key bound under
+/// `f64::total_cmp` (−0 before +0, both inside the same IEEE windows), ties
+/// by position.
+fn key_order<K: Key>(a: &(K, u32), b: &(K, u32)) -> std::cmp::Ordering {
+    (a.0.bounds().0.total_cmp(&b.0.bounds().0)).then(a.1.cmp(&b.1))
 }
 
-impl SortedKeys {
+impl<K: Key> SortedKeys<K> {
     /// The index of `keys`, `(key, position)` pairs in any order.
     pub(crate) fn build(
         form: BandForm,
         key_is_lhs: bool,
-        keys: impl Iterator<Item = (f64, u32)>,
+        keys: impl Iterator<Item = (K, u32)>,
     ) -> Self {
-        let mut entries: Vec<(f64, u32)> = keys.filter(|(k, _)| !k.is_nan()).collect();
+        let mut entries: Vec<(K, u32)> = keys.filter(|(k, _)| !k.bounds().0.is_nan()).collect();
         entries.sort_unstable_by(key_order);
         Self {
             form,
@@ -334,42 +409,46 @@ impl SortedKeys {
     }
 
     /// Where `(key, pos)` sits, or belongs, in the array.
-    fn at(&self, key: f64, pos: u32) -> usize {
+    fn at(&self, key: K, pos: u32) -> usize {
         (self.entries).partition_point(|e| key_order(e, &(key, pos)).is_lt())
     }
 
     /// Adds `(key, pos)`; a NaN key needs no entry.
-    pub(crate) fn insert(&mut self, key: f64, pos: u32) {
-        if !key.is_nan() {
+    pub(crate) fn insert(&mut self, key: K, pos: u32) {
+        if !key.bounds().0.is_nan() {
             self.entries.insert(self.at(key, pos), (key, pos));
         }
     }
 
     /// Removes `(key, pos)`, which [`SortedKeys::insert`] added.
-    pub(crate) fn remove(&mut self, key: f64, pos: u32) {
-        if !key.is_nan() {
+    pub(crate) fn remove(&mut self, key: K, pos: u32) {
+        if !key.bounds().0.is_nan() {
             let at = self.at(key, pos);
             debug_assert_eq!(self.entries.get(at).map(|e| e.1), Some(pos));
             self.entries.remove(at);
         }
     }
 
-    /// The runs of the array whose key satisfies the band predicate against
-    /// probe value `p`. `None` when the predicate cannot prune (`!=`, a
-    /// complement band with a negative bound, a difference form probed with
-    /// ±∞ — `inf − inf` is NaN, which breaks the monotonicity the searches
-    /// rest on): every position is then a candidate. This is the one place
-    /// a [`BandForm`] becomes key positions.
-    pub(crate) fn runs(&self, p: f64) -> Option<Runs> {
+    /// The runs of the array whose key could satisfy the band predicate
+    /// against probe `p` — for a point key, does. `None` when the predicate
+    /// cannot prune (`!=`, a complement band with a negative bound, a
+    /// difference form probed with a point at ±∞ — `inf − inf` is NaN,
+    /// which breaks the monotonicity the searches rest on): every position
+    /// is then a candidate. This is the one place a [`BandForm`] becomes key
+    /// positions.
+    pub(crate) fn runs(&self, p: K) -> Option<Runs> {
         let (keys, form, key_is_lhs) = (&self.entries, self.form, self.key_is_lhs);
+        let (lo, hi) = p.bounds();
         let ivs = match form {
             // Direct comparisons probe the key value itself:
             // `key op p` or `p op key` ≡ `key op.mirror() p`.
-            BandForm::Direct(op) => cmp_intervals(if key_is_lhs { op } else { op.mirror() }, p)?,
-            BandForm::Diff { op, c } => cmp_intervals(op, c)?,
+            BandForm::Direct(op) => {
+                cmp_intervals(if key_is_lhs { op } else { op.mirror() }, lo, hi)?
+            }
+            BandForm::Diff { op, c } => cmp_intervals(op, c, c)?,
             BandForm::AbsDiff { op, c } => abs_cmp_intervals(op, c)?,
         };
-        if p.is_nan() {
+        if lo.is_nan() {
             // Every indexed comparison involving NaN is false.
             return Some([0..0, 0..0]);
         }
@@ -378,56 +457,59 @@ impl SortedKeys {
         // is its lhs, `p − key` (decreasing along the array) when it is its
         // rhs.
         Some(match form {
-            BandForm::Direct(_) => sorted_runs(keys, |k| k, true, ivs),
-            _ if !p.is_finite() => return None,
-            _ if key_is_lhs => sorted_runs(keys, |k| k - p, true, ivs),
-            _ => sorted_runs(keys, |k| p - k, false, ivs),
+            BandForm::Direct(_) => sorted_runs(keys, K::bounds, true, ivs),
+            _ if !p.differences_monotone() => return None,
+            _ if key_is_lhs => sorted_runs(keys, |k| (k - p).bounds(), true, ivs),
+            _ => sorted_runs(keys, |k| (p - k).bounds(), false, ivs),
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Exact (scalar) side
+// Per-level indexes
 // ---------------------------------------------------------------------------
 
-/// Per-level index for the exact join: the sorted keys of the level's
-/// relation under one band predicate.
-pub(crate) struct ExactIndex<'q> {
+/// One index of a join level: the sorted keys of the level's relation
+/// under one band predicate, and the other side's expression, which probes
+/// them.
+pub(crate) struct LevelIndex<'q, K> {
     /// The join predicate (position in `join_preds`) it was built from.
     pred: usize,
     /// Probe-side expression (references already bound relations only).
     probe: &'q NumExpr,
-    keys: SortedKeys,
-    /// Per tuple position: its rank in `keys` (`u32::MAX` for dropped NaN
-    /// keys). Used for O(1) membership tests.
+    keys: SortedKeys<K>,
+    /// Per position: its rank in `keys` (`u32::MAX` for dropped NaN keys).
+    /// Used for O(1) membership tests.
     rank_of: Vec<u32>,
 }
 
-/// The outcome of probing one [`ExactIndex`] for a partial binding: an
-/// abstract candidate set — plain data — that can be counted, walked in
-/// position order, or membership-tested.
+/// The outcome of probing one [`LevelIndex`] for a partial binding: an
+/// abstract candidate set — plain data — that can be counted, walked, or
+/// membership-tested.
 #[derive(Clone)]
-pub(crate) enum ExactProbe {
-    /// The index cannot prune for this binding (Ne forms, non-finite diff
-    /// probes): every position is a candidate.
+pub(crate) enum Probe {
+    /// The index cannot prune for this binding (a complement band whose
+    /// bound admits everything, a difference form probed with a point at
+    /// ±∞): every position is a candidate.
     All,
     /// Runs of the sorted key array.
     Runs(Runs),
 }
 
-impl ExactProbe {
-    /// Number of candidate positions (`usize::MAX` for [`ExactProbe::All`]).
+impl Probe {
+    /// Number of candidate positions (`usize::MAX` for [`Probe::All`]).
     pub(crate) fn count(&self) -> usize {
         match self {
-            ExactProbe::All => usize::MAX,
-            ExactProbe::Runs(runs) => runs_len(runs),
+            Probe::All => usize::MAX,
+            Probe::Runs(runs) => runs_len(runs),
         }
     }
 
-    /// Whether the probe prunes — and so, being an exact window, decides
-    /// its index's predicate for the probing binding (module docs).
+    /// Whether the probe prunes — and so, for a point key, being an exact
+    /// window, decides its index's predicate for the probing binding
+    /// (module docs).
     pub(crate) fn prunes(&self) -> bool {
-        !matches!(self, ExactProbe::All)
+        !matches!(self, Probe::All)
     }
 }
 
@@ -443,44 +525,26 @@ pub(crate) fn decided(pred: &Pred, env: &impl Fn(usize, usize) -> f64) -> bool {
     true
 }
 
-impl ExactIndex<'_> {
+impl<K: Key> LevelIndex<'_, K> {
     /// The join predicate (position in `join_preds`) the index was built from.
     pub(crate) fn pred(&self) -> usize {
         self.pred
     }
 
     /// Probes the index for the current partial binding.
-    pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> f64) -> ExactProbe {
+    pub(crate) fn probe(&self, env: &impl Fn(usize, usize) -> K) -> Probe {
         match self.keys.runs(eval(self.probe, env)) {
-            Some(runs) => ExactProbe::Runs(runs),
-            None => ExactProbe::All,
+            Some(runs) => Probe::Runs(runs),
+            None => Probe::All,
         }
     }
 
-    /// Marks into `marks` the candidates of `probe` — a probe of this index
-    /// other than [`ExactProbe::All`] — that `keep` accepts. Draining
-    /// `marks` reads them in ascending position order, the nested loop's
-    /// emission order, whatever order the index holds them in (the runs are
-    /// key-ordered).
-    pub(crate) fn mark(&self, probe: &ExactProbe, marks: &mut PosSet, keep: impl Fn(u32) -> bool) {
-        let ExactProbe::Runs(runs) = probe else {
-            unreachable!("a driving probe prunes");
-        };
-        for run in runs {
-            for &(_, pos) in &self.keys.entries[run.clone()] {
-                if keep(pos) {
-                    marks.insert(pos);
-                }
-            }
-        }
-    }
-
-    /// Whether tuple position `pos` is a candidate of `probe` — the O(1)
+    /// Whether position `pos` is a candidate of `probe` — the O(1)
     /// membership test used when another index drives the scan.
-    pub(crate) fn contains(&self, probe: &ExactProbe, pos: u32) -> bool {
+    fn contains(&self, probe: &Probe, pos: u32) -> bool {
         match probe {
-            ExactProbe::All => true,
-            ExactProbe::Runs(runs) => {
+            Probe::All => true,
+            Probe::Runs(runs) => {
                 let rank = self.rank_of[pos as usize];
                 rank != u32::MAX && runs.iter().any(|r| r.contains(&(rank as usize)))
             }
@@ -488,17 +552,55 @@ impl ExactIndex<'_> {
     }
 }
 
-/// Builds the per-level index lists (empty list: full scan). Level `rel`
-/// receives one index per classified predicate whose highest relation is
-/// `rel` — the level where the old descent would first evaluate it — so a
-/// level constrained by several indexable predicates intersects all of
-/// their candidate sets.
-pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
+/// Calls `f` on every candidate of a level with `len` positions: each
+/// position that all of its `probes` (parallel to its `indexes`) admit. The
+/// probe with the fewest candidates drives, in its key order, and each
+/// other one is an O(1) membership test a candidate; with no pruning probe,
+/// every position is a candidate, ascending.
+pub(crate) fn candidates<K: Key>(
+    indexes: &[LevelIndex<K>],
+    probes: &[Probe],
+    len: usize,
+    mut f: impl FnMut(u32),
+) {
+    let driver = (probes.iter().map(Probe::count).enumerate())
+        .filter(|&(_, count)| count != usize::MAX)
+        .min_by_key(|&(_, count)| count);
+    let Some((di, _)) = driver else {
+        return (0..len as u32).for_each(f);
+    };
+    let Probe::Runs(runs) = &probes[di] else {
+        unreachable!("a driving probe prunes");
+    };
+    let entries = runs
+        .iter()
+        .flat_map(|run| &indexes[di].keys.entries[run.clone()]);
+    if indexes.len() == 1 {
+        return entries.for_each(|&(_, pos)| f(pos));
+    }
+    entries
+        .filter(|&&(_, pos)| {
+            (indexes.iter().zip(probes).enumerate())
+                .all(|(i, (ix, probe))| i == di || ix.contains(probe, pos))
+        })
+        .for_each(|&(_, pos)| f(pos));
+}
+
+/// Builds the per-level index lists (empty list: full scan) of a join whose
+/// relation `rel` has `count(rel)` positions, and whose position `pos` of
+/// relation `rel` has value `value(rel, pos, attr)` for attribute `attr`.
+/// Level `rel` receives one index per classified predicate whose highest
+/// relation is `rel` — the level where the nested descent first evaluates
+/// it — and whose `rel` side can key one ([`Key::can_key`]), so a level
+/// constrained by several indexable predicates intersects all of their
+/// candidate sets.
+pub(crate) fn plan<'q, K: Key>(
     query: &'q CompiledQuery,
-    tuples: &T,
     pred_rels: &[usize],
-) -> Vec<Vec<ExactIndex<'q>>> {
-    let mut levels: Vec<Vec<ExactIndex<'q>>> =
+    count: impl Fn(usize) -> usize,
+    value: impl Fn(usize, usize, usize) -> K,
+) -> Vec<Vec<LevelIndex<'q, K>>> {
+    let mut levels: Vec<Vec<LevelIndex<'q, K>>> =
         (0..query.num_relations()).map(|_| Vec::new()).collect();
     for (pi, class) in query.pred_classes().iter().enumerate() {
         let rel = pred_rels[pi];
@@ -510,27 +612,29 @@ pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
             rel,
             "classified predicates span two relations"
         );
-        let (key_side, probe_side, key_is_lhs) = if rhs.rel == rel {
+        let (key, probe, key_is_lhs) = if rhs.rel == rel {
             (rhs, lhs, false)
         } else {
             (lhs, rhs, true)
         };
-        let key_of = |values: &[f64]| {
-            let env = |r: usize, a: usize| -> f64 {
-                debug_assert_eq!(r, key_side.rel);
-                values[a]
+        if !K::can_key(&key.expr) {
+            continue;
+        }
+        let keyed = (0..count(rel)).map(|pos| {
+            let env = |r: usize, a: usize| -> K {
+                debug_assert_eq!(r, rel);
+                value(rel, pos, a)
             };
-            eval(&key_side.expr, &env)
-        };
-        let keyed = (0..tuples.count(rel)).map(|pos| (key_of(tuples.values(rel, pos)), pos as u32));
+            (eval(&key.expr, &env), pos as u32)
+        });
         let keys = SortedKeys::build(*form, key_is_lhs, keyed);
-        let mut rank_of = vec![u32::MAX; tuples.count(rel)];
+        let mut rank_of = vec![u32::MAX; count(rel)];
         for (rank, &(_, pos)) in keys.entries.iter().enumerate() {
             rank_of[pos as usize] = rank as u32;
         }
-        levels[rel].push(ExactIndex {
+        levels[rel].push(LevelIndex {
             pred: pi,
-            probe: &probe_side.expr,
+            probe: &probe.expr,
             keys,
             rank_of,
         });
@@ -538,289 +642,18 @@ pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
     levels
 }
 
-// ---------------------------------------------------------------------------
-// Filter (interval) side
-// ---------------------------------------------------------------------------
-
-/// Per-level index for the conservative pre-join filter. Only built when
-/// both predicate sides are plain column references: then the per-point key
-/// intervals are quantization cells of one dimension, which are disjoint or
-/// equal, so *both* endpoints are monotone along the sort order and every
-/// survival condition becomes a window of the single sorted array.
-pub(crate) struct FilterIndex {
-    /// `(key cell interval, role-list position)` sorted ascending by `lo`.
-    entries: Vec<(Interval, u32)>,
-    /// Per role-list position: its rank in `entries` (dense — every
-    /// position is indexed). Used for O(1) membership tests.
-    rank_of: Vec<u32>,
-    probe: PredSideRef,
-    key_is_lhs: bool,
-    form: BandForm,
-}
-
-/// A resolved column reference `(relation, attribute)` of the probe side.
-struct PredSideRef {
-    rel: usize,
-    attr: usize,
-}
-
-impl FilterIndex {
-    /// The accepted runs of `entries` for probe interval `p`, or `None`
-    /// when this predicate cannot prune for that probe ("everything is a
-    /// candidate").
-    ///
-    /// Each survival condition below is copied verbatim from the interval
-    /// comparison semantics in `sensjoin_query::interval` (`cmp_lt` /
-    /// `cmp_le` / `cmp_eq` over interval `-` / `abs` images),
-    /// evaluated with the same `Interval` operations — never rearranged — so
-    /// an entry is excluded only if its residual check is `Tri::False`.
-    pub(crate) fn probe(&self, p: Interval) -> Option<Runs> {
-        let (e, form, key_is_lhs) = (&self.entries, self.form, self.key_is_lhs);
-        let n = e.len();
-        // X = F − G where F is the lhs side of the form.
-        let x = |k: Interval| if key_is_lhs { k - p } else { p - k };
-        let one = |run: Range<usize>| [run, 0..0];
-        let ranges: Runs = match form {
-            BandForm::Direct(op) => {
-                // `l op r` with (l, r) = (key, probe) or (probe, key).
-                let op = if key_is_lhs { op } else { op.mirror() };
-                match op {
-                    // possible(l < r) ⇔ l.lo < r.hi
-                    CmpOp::Lt => one(0..e.partition_point(|&(k, _)| k.lo < p.hi)),
-                    CmpOp::Le => one(0..e.partition_point(|&(k, _)| k.lo <= p.hi)),
-                    // possible(l > r) ⇔ r.lo < l.hi
-                    CmpOp::Gt => one(e.partition_point(|&(k, _)| k.hi <= p.lo)..n),
-                    CmpOp::Ge => one(e.partition_point(|&(k, _)| k.hi < p.lo)..n),
-                    // possible(l = r) ⇔ the intervals overlap
-                    CmpOp::Eq => one(e.partition_point(|&(k, _)| k.hi < p.lo)
-                        ..e.partition_point(|&(k, _)| k.lo <= p.hi)),
-                    CmpOp::Ne => return None,
-                }
-            }
-            BandForm::Diff { op, c } => {
-                // possible((F−G) op c) in terms of X = F−G: Lt/Le bound
-                // X.lo, Gt/Ge bound X.hi, Eq needs both. X's endpoints are
-                // monotone along the entries: increasing when the key is F,
-                // decreasing when the key is G.
-                let inc = key_is_lhs;
-                match op {
-                    CmpOp::Lt if inc => one(0..e.partition_point(|&(k, _)| x(k).lo < c)),
-                    CmpOp::Lt => one(e.partition_point(|&(k, _)| x(k).lo >= c)..n),
-                    CmpOp::Le if inc => one(0..e.partition_point(|&(k, _)| x(k).lo <= c)),
-                    CmpOp::Le => one(e.partition_point(|&(k, _)| x(k).lo > c)..n),
-                    CmpOp::Gt if inc => one(e.partition_point(|&(k, _)| x(k).hi <= c)..n),
-                    CmpOp::Gt => one(0..e.partition_point(|&(k, _)| x(k).hi > c)),
-                    CmpOp::Ge if inc => one(e.partition_point(|&(k, _)| x(k).hi < c)..n),
-                    CmpOp::Ge => one(0..e.partition_point(|&(k, _)| x(k).hi >= c)),
-                    CmpOp::Eq if inc => one(e.partition_point(|&(k, _)| x(k).hi < c)
-                        ..e.partition_point(|&(k, _)| x(k).lo <= c)),
-                    CmpOp::Eq => one(e.partition_point(|&(k, _)| x(k).lo > c)
-                        ..e.partition_point(|&(k, _)| x(k).hi >= c)),
-                    CmpOp::Ne => return None,
-                }
-            }
-            BandForm::AbsDiff { op, c } => {
-                let inc = key_is_lhs;
-                match op {
-                    // possible(|X| < c) ⇔ X.lo < c ∧ −X.hi < c (for c > 0;
-                    // impossible otherwise since |X|.lo ≥ 0).
-                    CmpOp::Lt | CmpOp::Le => {
-                        let strict = op == CmpOp::Lt;
-                        if (strict && c <= 0.0) || (!strict && c < 0.0) {
-                            [0..0, 0..0]
-                        } else if inc {
-                            let lo_ok = |k: Interval| {
-                                let hi = x(k).hi;
-                                if strict {
-                                    hi <= -c
-                                } else {
-                                    hi < -c
-                                }
-                            };
-                            let hi_ok = |k: Interval| {
-                                let lo = x(k).lo;
-                                if strict {
-                                    lo < c
-                                } else {
-                                    lo <= c
-                                }
-                            };
-                            one(e.partition_point(|&(k, _)| lo_ok(k))
-                                ..e.partition_point(|&(k, _)| hi_ok(k)))
-                        } else {
-                            let lo_ok = |k: Interval| {
-                                let lo = x(k).lo;
-                                if strict {
-                                    lo >= c
-                                } else {
-                                    lo > c
-                                }
-                            };
-                            let hi_ok = |k: Interval| {
-                                let hi = x(k).hi;
-                                if strict {
-                                    hi > -c
-                                } else {
-                                    hi >= -c
-                                }
-                            };
-                            one(e.partition_point(|&(k, _)| lo_ok(k))
-                                ..e.partition_point(|&(k, _)| hi_ok(k)))
-                        }
-                    }
-                    // possible(|X| > c) ⇔ X.hi > c ∨ X.lo < −c (for c ≥ 0;
-                    // always possible otherwise). Prefix ∪ suffix.
-                    CmpOp::Gt | CmpOp::Ge => {
-                        let strict = op == CmpOp::Gt;
-                        if (strict && c < 0.0) || (!strict && c <= 0.0) {
-                            return None;
-                        }
-                        let (lo_run, hi_run) = if inc {
-                            (
-                                0..e.partition_point(|&(k, _)| {
-                                    let lo = x(k).lo;
-                                    if strict {
-                                        lo < -c
-                                    } else {
-                                        lo <= -c
-                                    }
-                                }),
-                                e.partition_point(|&(k, _)| {
-                                    let hi = x(k).hi;
-                                    if strict {
-                                        hi <= c
-                                    } else {
-                                        hi < c
-                                    }
-                                })..n,
-                            )
-                        } else {
-                            (
-                                0..e.partition_point(|&(k, _)| {
-                                    let hi = x(k).hi;
-                                    if strict {
-                                        hi > c
-                                    } else {
-                                        hi >= c
-                                    }
-                                }),
-                                e.partition_point(|&(k, _)| {
-                                    let lo = x(k).lo;
-                                    if strict {
-                                        lo >= -c
-                                    } else {
-                                        lo > -c
-                                    }
-                                })..n,
-                            )
-                        };
-                        if lo_run.end >= hi_run.start {
-                            one(0..n)
-                        } else {
-                            [lo_run, hi_run]
-                        }
-                    }
-                    // possible(|X| = c): use the necessary |X|.lo ≤ c window
-                    // (the residual applies the full condition).
-                    CmpOp::Eq => {
-                        if c < 0.0 {
-                            [0..0, 0..0]
-                        } else if inc {
-                            one(e.partition_point(|&(k, _)| x(k).hi < -c)
-                                ..e.partition_point(|&(k, _)| x(k).lo <= c))
-                        } else {
-                            one(e.partition_point(|&(k, _)| x(k).lo > c)
-                                ..e.partition_point(|&(k, _)| x(k).hi >= -c))
-                        }
-                    }
-                    CmpOp::Ne => return None,
-                }
-            }
-        };
-        Some(ranges.map(|r| if r.start < r.end { r } else { 0..0 }))
-    }
-
-    /// The sorted `(key interval, role-list position)` entries.
-    pub(crate) fn entries(&self) -> &[(Interval, u32)] {
-        &self.entries
-    }
-
-    /// Whether role-list position `pos` falls inside any of the accepted
-    /// runs returned by [`FilterIndex::probe`]. O(runs), and runs is ≤ 2.
-    pub(crate) fn accepts(&self, ranges: &Runs, pos: u32) -> bool {
-        let rank = self.rank_of[pos as usize] as usize;
-        ranges.iter().any(|r| r.contains(&rank))
-    }
-
-    /// The bound relation whose cell interval probes this index.
-    pub(crate) fn probe_rel(&self) -> usize {
-        self.probe.rel
-    }
-
-    /// The probed attribute of [`FilterIndex::probe_rel`].
-    pub(crate) fn probe_attr(&self) -> usize {
-        self.probe.attr
-    }
-}
-
-/// Builds the filter-side plan. `key_interval(rel, attr, pos)` must return
-/// the cell interval of attribute `attr` for the point at role-list
-/// position `pos` of relation `rel`.
-pub(crate) fn filter_plan(
-    query: &CompiledQuery,
-    list_lens: &[usize],
+/// The exact join's index plan over `tuples`.
+pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
+    query: &'q CompiledQuery,
+    tuples: &T,
     pred_rels: &[usize],
-    key_interval: impl Fn(usize, usize, usize) -> Interval,
-) -> Vec<Vec<FilterIndex>> {
-    let mut levels: Vec<Vec<FilterIndex>> =
-        (0..query.num_relations()).map(|_| Vec::new()).collect();
-    for (pi, class) in query.pred_classes().iter().enumerate() {
-        let rel = pred_rels[pi];
-        let PredClass::Band { lhs, rhs, form } = class else {
-            continue;
-        };
-
-        // Only plain column sides: their cell intervals are aligned (see
-        // the struct docs); compound sides fall back to the full scan.
-        let (NumExpr::Col { attr: la, .. }, NumExpr::Col { attr: ra, .. }) = (&lhs.expr, &rhs.expr)
-        else {
-            continue;
-        };
-        let key_is_lhs = lhs.rel == rel;
-        let (key_attr, probe) = if key_is_lhs {
-            (
-                *la,
-                PredSideRef {
-                    rel: rhs.rel,
-                    attr: *ra,
-                },
-            )
-        } else {
-            (
-                *ra,
-                PredSideRef {
-                    rel: lhs.rel,
-                    attr: *la,
-                },
-            )
-        };
-        let mut entries: Vec<(Interval, u32)> = (0..list_lens[rel])
-            .map(|pos| (key_interval(rel, key_attr, pos), pos as u32))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.lo.total_cmp(&b.0.lo));
-        let mut rank_of = vec![0u32; list_lens[rel]];
-        for (rank, &(_, pos)) in entries.iter().enumerate() {
-            rank_of[pos as usize] = rank as u32;
-        }
-        levels[rel].push(FilterIndex {
-            entries,
-            rank_of,
-            probe,
-            key_is_lhs,
-            form: *form,
-        });
-    }
-    levels
+) -> Vec<Vec<LevelIndex<'q, f64>>> {
+    plan(
+        query,
+        pred_rels,
+        |rel| tuples.count(rel),
+        |rel, pos, a| tuples.values(rel, pos)[a],
+    )
 }
 
 #[cfg(test)]
@@ -829,6 +662,10 @@ mod tests {
     use crate::ingest::{StreamJoinEngine, StreamOp};
     use proptest::prelude::*;
     use sensjoin_relation::NodeId;
+
+    fn point(k: f64) -> (f64, f64) {
+        (k, k)
+    }
 
     fn keys(values: &[f64]) -> Vec<(f64, u32)> {
         values
@@ -849,13 +686,13 @@ mod tests {
             hi_open: false,
         };
         assert_eq!(
-            sorted_runs(&keys, |k| k, true, [Some(iv), None]),
+            sorted_runs(&keys, point, true, [Some(iv), None]),
             [2..4, 0..0]
         );
         // d = 10 − k (decreasing), ray above 7 (strict): 10−k > 7 ⇔ k < 3.
         let r = sorted_runs(
             &keys,
-            |k| 10.0 - k,
+            |k| point(10.0 - k),
             false,
             [Some(DIv::ray_above(7.0, true)), None],
         );
@@ -863,13 +700,13 @@ mod tests {
         // Two overlapping rays merge, in either slot order.
         let (below, above) = (DIv::ray_below(3.0, false), DIv::ray_above(2.0, false));
         for ivs in [[Some(below), Some(above)], [Some(above), Some(below)]] {
-            assert_eq!(sorted_runs(&keys, |k| k, true, ivs), [0..5, 0..0]);
+            assert_eq!(sorted_runs(&keys, point, true, ivs), [0..5, 0..0]);
         }
         // Nothing accepted, and an interval no key falls in.
-        assert_eq!(sorted_runs(&keys, |k| k, true, [None, None]), [0..0, 0..0]);
+        assert_eq!(sorted_runs(&keys, point, true, [None, None]), [0..0, 0..0]);
         let gap = DIv::window(2.25, 2.75, false);
         assert_eq!(
-            sorted_runs(&keys, |k| k, true, [None, Some(gap)]),
+            sorted_runs(&keys, point, true, [None, Some(gap)]),
             [0..0, 0..0]
         );
     }
@@ -882,11 +719,11 @@ mod tests {
         // {-4, -2}. Both runs must survive the merge.
         let keys = keys(&[-4.0, -2.0, 0.0, 2.0, 4.0]);
         let ivs = abs_cmp_intervals(CmpOp::Gt, 1.0).unwrap();
-        let r = sorted_runs(&keys, |k| 0.0 - k, false, ivs);
+        let r = sorted_runs(&keys, |k| point(0.0 - k), false, ivs);
         assert_eq!(r, [0..2, 3..5]);
         // |d| = 2 on the same decreasing coordinate: two singleton runs.
         let ivs = abs_cmp_intervals(CmpOp::Eq, 2.0).unwrap();
-        let r = sorted_runs(&keys, |k| 0.0 - k, false, ivs);
+        let r = sorted_runs(&keys, |k| point(0.0 - k), false, ivs);
         assert_eq!(r, [1..2, 3..4]);
         assert_eq!(runs_len(&r), 2);
     }
@@ -1007,13 +844,15 @@ mod tests {
         ]
     }
 
-    /// Every predicate shape the scalar indexes take, over `A.t` and `B.t`
-    /// — each orientation, so the keyed relation `B` is either side — as
-    /// written in SQL: direct comparisons (`=` is the equi hash),
-    /// differences and absolute differences against a constant on either
-    /// side, under every comparison operator.
-    fn shapes(c: f64) -> Vec<sensjoin_query::Expr> {
-        use sensjoin_query::{BinOp, Expr};
+    /// Every predicate shape the indexes take, over `A.t` and `B.t` — each
+    /// orientation, so the keyed relation `B` is either side — as written
+    /// in SQL: direct comparisons (`=` is the equi hash), differences and
+    /// absolute differences against a constant on either side, under every
+    /// comparison operator. Each compiled as `SELECT A.t, B.t FROM S A, S B`.
+    fn shapes(c: f64) -> Vec<CompiledQuery> {
+        use sensjoin_query::ast::FromItem;
+        use sensjoin_query::{BinOp, Expr, Query, SelectItem, Temporal};
+        use sensjoin_relation::{AttrType, Attribute, Schema};
         let col = |q: &str| Expr::Attr {
             qualifier: q.into(),
             attr: "t".into(),
@@ -1047,7 +886,63 @@ mod tests {
                 }
             }
         }
-        shapes
+        let schema = Schema::new("S", vec![Attribute::new("t", AttrType::Celsius)]);
+        let from = |alias: &str| FromItem {
+            relation: "S".into(),
+            alias: alias.into(),
+        };
+        (shapes.into_iter())
+            .map(|pred| {
+                let query = Query {
+                    select: ["A", "B"]
+                        .map(|q| SelectItem {
+                            agg: None,
+                            expr: col(q),
+                            alias: None,
+                        })
+                        .to_vec(),
+                    from: vec![from("A"), from("B")],
+                    predicate: Some(pred),
+                    group_by: Vec::new(),
+                    temporal: Temporal::Once,
+                };
+                CompiledQuery::compile(&query, &[schema.clone(), schema.clone()]).unwrap()
+            })
+            .collect()
+    }
+
+    /// Whether `class` is a band whose probe claims nothing — the
+    /// documented cases of [`Probe::All`]; `infinite` is a point probe at ±∞.
+    fn claims_nothing(class: &PredClass, infinite: bool) -> bool {
+        match class {
+            PredClass::Band {
+                form: BandForm::Diff { .. },
+                ..
+            } => infinite,
+            PredClass::Band {
+                form: BandForm::AbsDiff { op, c },
+                ..
+            } => infinite || (*op == CmpOp::Gt && *c < 0.0) || (*op == CmpOp::Ge && *c <= 0.0),
+            _ => false,
+        }
+    }
+
+    /// The cells of one dimension cut at `cuts`: `[cut_i, cut_i+1]`, the
+    /// first one from −∞ and the last one to +∞, as
+    /// `Dimension::cell_interval` cuts them. Signed zeros are distinct cuts,
+    /// so `[−0, +0]` can be a cell.
+    fn grid(cuts: &[f64]) -> Vec<Interval> {
+        let mut cuts: Vec<f64> = cuts.iter().copied().filter(|v| v.is_finite()).collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        let bounds: Vec<f64> = std::iter::once(f64::NEG_INFINITY)
+            .chain(cuts)
+            .chain([f64::INFINITY])
+            .collect();
+        bounds
+            .windows(2)
+            .map(|w| Interval::new(w[0], w[1]))
+            .collect()
     }
 
     proptest! {
@@ -1064,28 +959,11 @@ mod tests {
             p in adversarial(),
             c in adversarial(),
         ) {
-            use sensjoin_query::ast::FromItem;
-            use sensjoin_query::{Query, SelectItem, Temporal};
-            use sensjoin_relation::{AttrType, Attribute, Schema};
-            let schema = Schema::new("S", vec![Attribute::new("t", AttrType::Celsius)]);
-            let from = |alias: &str| FromItem { relation: "S".into(), alias: alias.into() };
             let tuples: Vec<Vec<(NodeId, Vec<f64>)>> = vec![
                 vec![(NodeId(0), vec![p])],
                 keys.iter().enumerate().map(|(i, &k)| (NodeId(i as u32 + 1), vec![k])).collect(),
             ];
-            for pred in shapes(c) {
-                let query = Query {
-                    select: ["A", "B"].map(|q| SelectItem {
-                        agg: None,
-                        expr: sensjoin_query::Expr::Attr { qualifier: q.into(), attr: "t".into() },
-                        alias: None,
-                    }).to_vec(),
-                    from: vec![from("A"), from("B")],
-                    predicate: Some(pred),
-                    group_by: Vec::new(),
-                    temporal: Temporal::Once,
-                };
-                let cq = CompiledQuery::compile(&query, &[schema.clone(), schema.clone()]).unwrap();
+            for cq in shapes(c) {
                 let join = &cq.join_preds()[0];
                 let class = &cq.pred_classes()[0];
                 let same = |stream: &StreamJoinEngine, live: &[Vec<(NodeId, Vec<f64>)>]| {
@@ -1118,21 +996,12 @@ mod tests {
                 };
                 prop_assert_eq!(ix.pred(), 0);
                 let probe = ix.probe(&|_: usize, a: usize| tuples[0][0].1[a]);
-                let claims_nothing = match class {
-                    PredClass::Band { form: BandForm::Diff { .. }, .. } => p.is_infinite(),
-                    PredClass::Band { form: BandForm::AbsDiff { op, c }, .. } => {
-                        p.is_infinite()
-                            || (*op == CmpOp::Gt && *c < 0.0)
-                            || (*op == CmpOp::Ge && *c <= 0.0)
-                    }
-                    _ => false,
-                };
-                prop_assert_eq!(!probe.prunes(), claims_nothing, "{:?} p={:e}", join, p);
+                prop_assert_eq!(!probe.prunes(), claims_nothing(class, p.is_infinite()), "{:?} p={:e}", join, p);
                 if !probe.prunes() {
                     continue;
                 }
                 let mut marks = PosSet::new(keys.len());
-                ix.mark(&probe, &mut marks, |_| true);
+                candidates(&plan[1], std::slice::from_ref(&probe), keys.len(), |pos| marks.insert(pos));
                 let mut walked = Vec::new();
                 marks.drain(|pos| walked.push(pos));
                 let mut holds = Vec::new();
@@ -1148,6 +1017,48 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(walked, holds, "{:?} p={:e}", join, p);
+            }
+        }
+
+        /// A cell window is the set of cells the interval check finds
+        /// possible: an entry outside a pruning probe's runs is `Tri::False`
+        /// under `holds::<Interval>`, one inside is not — over every
+        /// `BandForm` × `CmpOp` × key side, with keys drawn from one
+        /// dimension's aligned cells (±∞ at its ends, signed zeros as
+        /// distinct cuts) and the probe a cell of another, which may hold 0.
+        #[test]
+        fn cell_windows_are_the_possible_checks(
+            cuts in prop::collection::vec(adversarial(), 0..8),
+            picks in prop::collection::vec(0..9usize, 0..24),
+            probe_cuts in prop::collection::vec(adversarial(), 0..4),
+            probe_pick in 0..5usize,
+            c in adversarial(),
+        ) {
+            let cells = grid(&cuts);
+            let keys: Vec<Interval> = picks.iter().map(|&i| cells[i % cells.len()]).collect();
+            let probes = grid(&probe_cuts);
+            let p = probes[probe_pick % probes.len()];
+            let value = |rel: usize, pos: usize, _: usize| if rel == 0 { p } else { keys[pos] };
+            let count = |rel: usize| if rel == 0 { 1 } else { keys.len() };
+            for cq in shapes(c) {
+                let join = &cq.join_preds()[0];
+                let class = &cq.pred_classes()[0];
+                let plan = plan(&cq, &crate::engine::pred_max_rels(&cq), count, value);
+                let Some(ix) = plan[1].first() else {
+                    prop_assert!(matches!(class, PredClass::General), "{join:?}");
+                    continue;
+                };
+                let probe = ix.probe(&|_: usize, _: usize| p);
+                prop_assert_eq!(!probe.prunes(), claims_nothing(class, false), "{:?} p={:?}", join, p);
+                let mut walked = vec![false; keys.len()];
+                candidates(&plan[1], &[probe], keys.len(), |pos| walked[pos as usize] = true);
+                for (pos, &k) in keys.iter().enumerate() {
+                    let env = |r: usize, _: usize| if r == 0 { p } else { k };
+                    prop_assert_eq!(
+                        walked[pos], holds(join, &env).possible(),
+                        "{:?} p={:?} key={:?}", join, p, k
+                    );
+                }
             }
         }
     }

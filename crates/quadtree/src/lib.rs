@@ -51,5 +51,5 @@ pub use bits::{BitReader, BitWriter};
 pub use encoding::{
     contains_encoded, decode, encode, encoded_len_bits, encoded_wire_size, DecodeError, EncodedTree,
 };
-pub use point::{Point, PointSet, RelFlags};
+pub use point::{Point, PointSet, RelFlags, MAX_RELATIONS};
 pub use shape::TreeShape;

@@ -1,7 +1,11 @@
 //! Logical point sets: Z-numbers with relation-membership flags.
 
+/// The most relations a query can join: a point's relation flags are one
+/// byte, one bit per relation.
+pub const MAX_RELATIONS: usize = u8::BITS as usize;
+
 /// Relation-membership flags of a point (paper §V-C: `10` = Relation A,
-/// `01` = Relation B, `11` = both). Generalized to up to eight relations;
+/// `01` = Relation B, `11` = both). Generalized to [`MAX_RELATIONS`] relations;
 /// relation *i* of a query corresponds to bit *i* counted from the most
 /// significant of the configured flag width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,7 +23,7 @@ impl RelFlags {
     /// Flag for relation index `i` (0-based) out of `n` relations.
     #[inline]
     pub fn relation(i: usize, n: usize) -> RelFlags {
-        assert!(i < n && n <= 8);
+        assert!(i < n && n <= MAX_RELATIONS);
         RelFlags(1 << (n - 1 - i))
     }
 

@@ -3,6 +3,7 @@
 use crate::analyze::{classify, PredClass};
 use crate::ast::{AggFunc, BinOp, CmpOp, Expr, Query, Temporal};
 use crate::eval::{eval, holds, Domain};
+use sensjoin_quadtree::MAX_RELATIONS;
 use sensjoin_relation::{AttrType, Schema};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -140,6 +141,13 @@ pub enum CompileError {
     TypeError(String),
     /// Fewer than two relations — not a join query.
     NotAJoin,
+    /// More relations than a point's relation flags can tell apart.
+    TooManyRelations {
+        /// FROM items.
+        got: usize,
+        /// The limit, [`sensjoin_quadtree::MAX_RELATIONS`].
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -168,6 +176,12 @@ impl std::fmt::Display for CompileError {
             }
             CompileError::TypeError(msg) => write!(f, "type error: {msg}"),
             CompileError::NotAJoin => write!(f, "join queries need at least two relations"),
+            CompileError::TooManyRelations { got, max } => {
+                write!(
+                    f,
+                    "query joins {got} relations; at most {max} are supported"
+                )
+            }
         }
     }
 }
@@ -221,6 +235,12 @@ impl CompiledQuery {
     pub fn compile(query: &Query, schemas: &[Schema]) -> Result<Self, CompileError> {
         if query.from.len() < 2 {
             return Err(CompileError::NotAJoin);
+        }
+        if query.from.len() > MAX_RELATIONS {
+            return Err(CompileError::TooManyRelations {
+                got: query.from.len(),
+                max: MAX_RELATIONS,
+            });
         }
         if schemas.len() != query.from.len() {
             return Err(CompileError::SchemaCount {
@@ -895,6 +915,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One more relation than a point's flag byte holds is a compile error
+    /// naming the limit; the limit itself compiles.
+    #[test]
+    fn more_relations_than_flag_bits_are_rejected() {
+        let cross = |n: usize| {
+            let from: Vec<String> = (0..n).map(|i| format!("Sensors R{i}")).collect();
+            let q = parse(&format!("SELECT R0.temp FROM {} ONCE", from.join(", "))).unwrap();
+            CompiledQuery::compile(&q, &vec![sensors_schema(); n])
+        };
+        assert_eq!(cross(MAX_RELATIONS).unwrap().num_relations(), 8);
+        let err = cross(MAX_RELATIONS + 1).unwrap_err();
+        assert_eq!(err, CompileError::TooManyRelations { got: 9, max: 8 });
+        assert_eq!(
+            err.to_string(),
+            "query joins 9 relations; at most 8 are supported"
+        );
     }
 
     #[test]

@@ -911,6 +911,31 @@ mod tests {
         assert_eq!(server.tick().unwrap().epochs.len(), 8);
     }
 
+    /// A query wider than a point's relation flags is rejected at
+    /// admission. It used to be admitted, and the next tick panicked in the
+    /// executor and took every deployment down with it.
+    #[test]
+    fn a_join_of_nine_relations_is_rejected_not_an_abort() {
+        let mut server = fixture();
+        let from: Vec<String> = (0..9).map(|i| format!("Sensors R{i}")).collect();
+        server.submit(Submission {
+            tenant: TenantId(100),
+            deployment: "dep0".into(),
+            sql: format!("SELECT R0.hum FROM {} SAMPLE PERIOD 30", from.join(", ")),
+            every: 1,
+        });
+        let decisions = server.admit();
+        let [Decision::Rejected {
+            reason: RejectReason::InvalidQuery(why),
+            ..
+        }] = &decisions[..]
+        else {
+            panic!("admitted: {decisions:?}");
+        };
+        assert!(why.contains("at most 8"), "{why}");
+        assert_eq!(server.tick().unwrap().epochs.len(), 8);
+    }
+
     /// What the host's thread count must not change: every worker count
     /// stitches the serial run's reports back in deployment order.
     #[test]

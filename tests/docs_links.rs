@@ -4,8 +4,8 @@
 //! and fails on any relative target that does not resolve to a file or
 //! directory in the repo. For `#L<n>` / `#L<n>-L<m>` line anchors on
 //! source files (the `file.rs#L123` style ARCHITECTURE.md uses), the
-//! referenced line must actually exist, so anchors go stale loudly
-//! instead of silently.
+//! anchored lines must exist and hold what the link text names
+//! ([`check_anchor`]), so anchors go stale loudly instead of silently.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,10 +38,11 @@ fn markdown_files(root: &Path) -> Vec<PathBuf> {
     found
 }
 
-/// Extracts `(target)` of every inline `[text](target)` link. Good
-/// enough for this repo's markdown: no reference-style links, no
-/// targets containing unescaped parentheses.
-fn link_targets(text: &str) -> Vec<(usize, String)> {
+/// Extracts `(line, text, target)` of every inline `[text](target)` link.
+/// Good enough for this repo's markdown: no reference-style links, no
+/// brackets inside link texts, no targets containing unescaped
+/// parentheses.
+fn link_targets(text: &str) -> Vec<(usize, String, String)> {
     let bytes = text.as_bytes();
     let mut targets = Vec::new();
     let mut i = 0;
@@ -50,7 +51,8 @@ fn link_targets(text: &str) -> Vec<(usize, String)> {
             if let Some(end) = text[i + 2..].find(')') {
                 let target = &text[i + 2..i + 2 + end];
                 let line = text[..i].matches('\n').count() + 1;
-                targets.push((line, target.to_string()));
+                let label = text[..i].rfind('[').map_or("", |open| &text[open + 1..i]);
+                targets.push((line, label.to_string(), target.to_string()));
                 i += 2 + end;
                 continue;
             }
@@ -60,9 +62,94 @@ fn link_targets(text: &str) -> Vec<(usize, String)> {
     targets
 }
 
+/// The code spans of a link text: `` [`holds`, `eval.rs:104`] `` has two.
+fn code_spans(label: &str) -> Vec<&str> {
+    label.split('`').skip(1).step_by(2).collect()
+}
+
+/// `file.rs:nn` or `file.rs:nn-mm` as `(file, nn)`.
+fn file_line(span: &str) -> Option<(&str, usize)> {
+    let (file, lines) = span.rsplit_once(':')?;
+    let first = lines.split('-').next()?;
+    (file.contains('.') && !file.contains(' ')).then_some(())?;
+    Some((file, first.parse().ok()?))
+}
+
+/// The item a code span names, if it is a path of identifiers: its last
+/// segment (`FilterIndex::probe` names `probe`).
+fn identifier(span: &str) -> Option<&str> {
+    let last = span.rsplit("::").next()?;
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let ok = span
+        .split("::")
+        .all(|seg| !seg.is_empty() && seg.chars().all(word));
+    (ok && !last.starts_with(|c: char| c.is_ascii_digit())).then_some(last)
+}
+
+/// Whether `line` holds `ident` as a whole word.
+fn has_word(line: &str, ident: &str) -> bool {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    line.match_indices(ident).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + ident.len()..].chars().next();
+        !before.is_some_and(word) && !after.is_some_and(word)
+    })
+}
+
+/// Where `ident` is defined in `contents` (1-based), or else first named.
+fn where_is(contents: &str, ident: &str) -> Option<usize> {
+    let lines: Vec<&str> = contents.lines().collect();
+    let defines = |line: &str| {
+        let words: Vec<&str> = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .collect();
+        words.windows(2).any(|w| {
+            w[1] == ident
+                && matches!(
+                    w[0],
+                    "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" | "mod"
+                )
+        })
+    };
+    let at = |f: &dyn Fn(&str) -> bool| lines.iter().position(|l| f(l)).map(|i| i + 1);
+    at(&defines).or_else(|| at(&|l| has_word(l, ident)))
+}
+
+/// Checks that anchored lines `first..=last` of `contents` (the file
+/// `file`) hold what the link text `label` names: a `file.rs:nn` code span
+/// must name that file and the anchor's first line, and the first code span
+/// that is an identifier (or a path, by its last segment) must appear in
+/// the range. Returns a problem description, or None if the anchor is fine.
+fn check_anchor(
+    label: &str,
+    file: &str,
+    contents: &str,
+    first: usize,
+    last: usize,
+) -> Option<String> {
+    let spans = code_spans(label);
+    for (name, line) in spans.iter().filter_map(|s| file_line(s)) {
+        if name != file || line != first {
+            return Some(format!(
+                "link text `{name}:{line}` does not match the anchor {file}#L{first}"
+            ));
+        }
+    }
+    let ident = spans.iter().find_map(|s| identifier(s))?;
+    let lines: Vec<&str> = contents.lines().collect();
+    let range = lines.get(first - 1..last.min(lines.len()))?;
+    if range.iter().any(|l| has_word(l, ident)) {
+        return None;
+    }
+    Some(match where_is(contents, ident) {
+        Some(now) => format!("`{ident}` is not on #L{first}; it is at #L{now}"),
+        None => format!("`{ident}` is not on #L{first}, nor anywhere in `{file}`"),
+    })
+}
+
 /// Checks one link target relative to the file containing it. Returns a
 /// problem description, or None if the link is fine.
-fn check_target(md_file: &Path, root: &Path, target: &str) -> Option<String> {
+fn check_target(md_file: &Path, root: &Path, label: &str, target: &str) -> Option<String> {
     // External and intra-document links are out of scope.
     if target.starts_with("http://")
         || target.starts_with("https://")
@@ -96,6 +183,12 @@ fn check_target(md_file: &Path, root: &Path, target: &str) -> Option<String> {
                         "anchor #L{line} is out of range: `{path_part}` has {count} lines"
                     ));
                 }
+                let last = rest
+                    .split_once("-L")
+                    .and_then(|(_, end)| end.parse().ok())
+                    .unwrap_or(line);
+                let file = path_part.rsplit('/').next().unwrap_or(path_part);
+                return check_anchor(label, file, &contents, line, last);
             }
         }
         // Markdown `#section` anchors are not validated — headers move
@@ -116,9 +209,9 @@ fn intra_repo_markdown_links_resolve() {
     let mut checked = 0usize;
     for md in &files {
         let text = fs::read_to_string(md).unwrap();
-        for (line, target) in link_targets(&text) {
+        for (line, label, target) in link_targets(&text) {
             checked += 1;
-            if let Some(problem) = check_target(md, root, &target) {
+            if let Some(problem) = check_target(md, root, &label, &target) {
                 problems.push(format!(
                     "{}:{line}: [{target}] — {problem}",
                     md.strip_prefix(root).unwrap_or(md).display()
@@ -142,12 +235,43 @@ fn intra_repo_markdown_links_resolve() {
 fn extractor_sees_links_and_anchors() {
     let text = "intro [a](foo.md) then [b](crates/x/src/y.rs#L12) and\n[c](https://example.com) *(not a link)*";
     let targets = link_targets(text);
+    let owned = |line, label: &str, target: &str| (line, label.to_string(), target.to_string());
     assert_eq!(
         targets,
         vec![
-            (1, "foo.md".to_string()),
-            (1, "crates/x/src/y.rs#L12".to_string()),
-            (2, "https://example.com".to_string()),
+            owned(1, "a", "foo.md"),
+            owned(1, "b", "crates/x/src/y.rs#L12"),
+            owned(2, "c", "https://example.com"),
         ]
     );
+}
+
+/// An anchor must land on the item its link text names: the stale anchors
+/// this check was written for — a line inside a struct's body, a
+/// `file.rs:nn` text naming another line, a function one line below its
+/// anchor — fail and say where the item is now.
+#[test]
+fn anchors_land_on_what_their_text_names() {
+    let src = "/// Stats.\npub struct NetworkStats {\n    pub tx: u64,\n}\n\n/// Size.\npub fn merged_wire_size() {}\nimpl Space {\n    fn probe(&self) {}\n}\n";
+    let check = |label: &str, first, last| check_anchor(label, "stats.rs", src, first, last);
+    assert_eq!(check("`NetworkStats`", 2, 2), None);
+    assert_eq!(check("`NetworkStats`", 1, 3), None);
+    assert_eq!(
+        check("`NetworkStats`", 3, 3).as_deref(),
+        Some("`NetworkStats` is not on #L3; it is at #L2")
+    );
+    assert_eq!(check("`Space::probe`", 9, 9), None);
+    assert_eq!(check("`stats.rs:7`", 7, 7), None);
+    assert_eq!(
+        check("`stats.rs:6`", 7, 7).as_deref(),
+        Some("link text `stats.rs:6` does not match the anchor stats.rs#L7")
+    );
+    assert_eq!(
+        check("`merged_wire_size`, `stats.rs:6`", 6, 6).as_deref(),
+        Some("`merged_wire_size` is not on #L6; it is at #L7")
+    );
+    assert_eq!(check("`merged_wire_size`, `stats.rs:7`", 7, 7), None);
+    // A text without a code identifier claims nothing about the line.
+    assert_eq!(check("Registration", 4, 4), None);
+    assert_eq!(check("`|X| = c`", 4, 4), None);
 }

@@ -1,8 +1,10 @@
 //! Deterministic edge cases: degenerate networks, empty relations,
 //! base-station-only contributions, wide n-way joins.
 
+use sensjoin::core::SensorNetworkError;
 use sensjoin::prelude::*;
-use sensjoin::query::PredClass;
+use sensjoin::quadtree::MAX_RELATIONS;
+use sensjoin::query::{CompileError, PredClass};
 use sensjoin::relation::{AttrType, Attribute, Schema, SensorRelation};
 
 fn tiny(n: usize) -> SensorNetwork {
@@ -65,6 +67,45 @@ fn four_way_join() {
             assert!(row[0] > row[1] && row[1] > row[2] && row[2] > row[3]);
         }
     }
+}
+
+/// `n` self-joined copies of `Sensors`, each warmer than the next.
+fn descending_chain(n: usize) -> sensjoin::query::Query {
+    let from: Vec<String> = (0..n).map(|i| format!("Sensors R{i}")).collect();
+    let preds: Vec<String> = (1..n)
+        .map(|i| format!("R{}.temp > R{i}.temp", i - 1))
+        .collect();
+    parse(&format!(
+        "SELECT R0.temp, R{}.temp FROM {} WHERE {} ONCE",
+        n - 1,
+        from.join(", "),
+        preds.join(" AND ")
+    ))
+    .unwrap()
+}
+
+#[test]
+fn eight_way_join_and_no_wider() {
+    // A point's relation flags are one byte: eight relations is the widest
+    // join, and one more is a compile error rather than a panic in the
+    // executor.
+    let mut snet = tiny(11);
+    let cq = snet.compile(&descending_chain(MAX_RELATIONS)).unwrap();
+    assert_eq!(cq.num_relations(), 8);
+    let ext = ExternalJoin.execute(&mut snet, &cq).unwrap();
+    let sj = SensJoin::default().execute(&mut snet, &cq).unwrap();
+    assert!(!sj.result.is_empty());
+    assert!(ext.result.same_result(&sj.result));
+    let err = snet.compile(&descending_chain(MAX_RELATIONS + 1));
+    assert!(
+        matches!(
+            err,
+            Err(SensorNetworkError::Compile(
+                CompileError::TooManyRelations { got: 9, max: 8 }
+            ))
+        ),
+        "{err:?}"
+    );
 }
 
 #[test]
