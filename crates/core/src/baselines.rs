@@ -12,7 +12,7 @@
 //! assuming it (`related_work` bench).
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, JoinSpace};
+use crate::engine::{exact_join_batches, JoinSpace};
 use crate::outcome::{JoinOutcome, JoinResult, ProtocolError};
 use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
@@ -129,7 +129,7 @@ impl JoinMethod for MediatedJoin {
 
         // Join at the mediator.
         let tuples_per_rel = table.tuples_per_rel(snet, batch.entries);
-        let computation = exact_join(query, &tuples_per_rel);
+        let computation = exact_join_batches(query, &tuples_per_rel);
 
         // Ship the result rows mediator -> base along the shortest path.
         let row_bytes = 2 * query.select().len(); // 2 bytes per output value

@@ -22,7 +22,7 @@
 //! cell, so there are no false negatives), keeping result exactness.
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, JoinSpace};
+use crate::engine::{exact_join_batches, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
@@ -291,7 +291,7 @@ impl JoinMethod for BloomSemiJoin {
 
         // ---- Exact join at the base station ----
         let tuples_per_rel = table.tuples_per_rel(snet, batch.entries);
-        let computation = exact_join(query, &tuples_per_rel);
+        let computation = exact_join_batches(query, &tuples_per_rel);
         Ok(JoinOutcome {
             result: computation.result,
             stats: snet.net().stats().clone(),

@@ -37,7 +37,7 @@ use crate::partition::{candidates, exact_plan, plan, LevelIndex, PosSet, Probe};
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape, MAX_RELATIONS};
 use sensjoin_query::{eval, holds, BatchEval, Columns, CompiledQuery, Interval, NumExpr};
-use sensjoin_relation::NodeId;
+use sensjoin_relation::{NodeId, TupleBatch};
 use sensjoin_zorder::{Dimension, ZSpace};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -675,18 +675,20 @@ pub struct JoinComputation<R = JoinResult> {
 }
 
 /// The exact join's input: per relation, its tuples by position, each an
-/// origin and values aligned to the relation's schema — a vector per
-/// relation from the one-shot callers ([`exact_join`]), the streaming
-/// engine's slot stores for its rejoin. A type parameter of the descent,
-/// like [`RowSink`].
+/// origin and values aligned to the relation's schema — a [`TupleBatch`]
+/// per relation from the protocol executors and [`exact_join`], the
+/// streaming engine's slot stores for its rejoin. A type parameter of the
+/// descent, like [`RowSink`].
 pub(crate) trait Tuples: Sync {
     /// Tuples of relation `rel`.
     fn count(&self, rel: usize) -> usize;
     /// The values of tuple `pos` of relation `rel`.
     fn values(&self, rel: usize, pos: usize) -> &[f64];
+    /// The origin of tuple `pos` of relation `rel`.
+    fn origin(&self, rel: usize, pos: usize) -> NodeId;
 }
 
-impl Tuples for [Vec<(NodeId, Vec<f64>)>] {
+impl Tuples for [TupleBatch] {
     #[inline]
     fn count(&self, rel: usize) -> usize {
         self[rel].len()
@@ -694,8 +696,20 @@ impl Tuples for [Vec<(NodeId, Vec<f64>)>] {
 
     #[inline]
     fn values(&self, rel: usize, pos: usize) -> &[f64] {
-        &self[rel][pos].1
+        self[rel].values(pos)
     }
+
+    #[inline]
+    fn origin(&self, rel: usize, pos: usize) -> NodeId {
+        self[rel].origin(pos)
+    }
+}
+
+/// One batch per relation of `tuples`; a relation without tuples gets
+/// arity 0, which nothing reads.
+pub(crate) fn batches(tuples: &[Vec<(NodeId, Vec<f64>)>]) -> Vec<TupleBatch> {
+    let batch = |rel: &Vec<(NodeId, Vec<f64>)>| rel.iter().map(|(o, v)| (*o, &v[..])).collect();
+    tuples.iter().map(batch).collect()
 }
 
 /// Where the exact descent writes a full binding's row: a vector per row
@@ -817,28 +831,38 @@ pub(crate) struct ExactAcc {
 /// a sorted-key index for its candidate tuples; the outer level is
 /// chunked across the host's threads once the counted work pays for them.
 /// Rows, row order, grouping and contributors are bit-identical to
-/// [`exact_join_nested`].
+/// [`exact_join_nested`]. The tuples are copied into one [`TupleBatch`] per
+/// relation first, the input the protocol executors hand the join.
 pub fn exact_join(query: &CompiledQuery, tuples: &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation {
-    exact_join_in::<VecRows>(query, tuples, host_threads())
+    exact_join_batches(query, &batches(tuples))
 }
 
-/// [`exact_join`] with the rows in one flat buffer, the same rows in the
-/// same order: the join of a group epoch, which allocates nothing per row.
+/// [`exact_join`] over one batch per relation: the join of the protocol
+/// executors, which read their tuples into batches
+/// ([`NodeTable::tuples_per_rel`](crate::NodeTable::tuples_per_rel)).
+pub(crate) fn exact_join_batches(query: &CompiledQuery, tuples: &[TupleBatch]) -> JoinComputation {
+    assert_eq!(tuples.len(), query.num_relations());
+    exact_join_in::<VecRows, _>(query, tuples, host_threads())
+}
+
+/// [`exact_join_batches`] with the rows in one flat buffer, the same rows in
+/// the same order: the join of a group epoch, which allocates nothing per
+/// row.
 pub(crate) fn exact_join_flat(
     query: &CompiledQuery,
-    tuples: &[Vec<(NodeId, Vec<f64>)>],
+    tuples: &[TupleBatch],
 ) -> JoinComputation<GroupResult> {
-    exact_join_in::<Rows>(query, tuples, host_threads())
+    assert_eq!(tuples.len(), query.num_relations());
+    exact_join_in::<Rows, _>(query, tuples, host_threads())
 }
 
 /// [`exact_join`] into sink `S`, fanning out over at most `threads` chunks.
-fn exact_join_in<S: ResultSink>(
+fn exact_join_in<S: ResultSink, T: Tuples + ?Sized>(
     query: &CompiledQuery,
-    tuples: &[Vec<(NodeId, Vec<f64>)>],
+    tuples: &T,
     threads: usize,
 ) -> JoinComputation<S::Result> {
-    assert_eq!(tuples.len(), query.num_relations());
-    let Some(done) = exact_descent::<S, _>(query, tuples, threads) else {
+    let Some(done) = exact_descent::<S, T>(query, tuples, threads) else {
         let (rows, keys) = S::sinks(query);
         return JoinComputation {
             result: finish(query, rows, keys),
@@ -847,7 +871,7 @@ fn exact_join_in<S: ResultSink>(
     };
     let mut origins: Vec<NodeId> = Vec::new();
     for (rel, mut seen) in done.seen.into_iter().enumerate() {
-        seen.drain(|pos| origins.push(tuples[rel][pos as usize].0));
+        seen.drain(|pos| origins.push(tuples.origin(rel, pos as usize)));
     }
     JoinComputation {
         result: finish(query, done.rows, done.keys),
@@ -1432,6 +1456,15 @@ mod tests {
         pub(super) static ITEM_EVALS: Cell<usize> = const { Cell::new(0) };
     }
 
+    /// [`exact_join_in`] over the batches of `tuples`.
+    fn join_in<S: ResultSink>(
+        cq: &CompiledQuery,
+        tuples: &[Vec<(NodeId, Vec<f64>)>],
+        threads: usize,
+    ) -> JoinComputation<S::Result> {
+        exact_join_in::<S, _>(cq, &batches(tuples)[..], threads)
+    }
+
     fn setup(sql: &str) -> (SensorNetwork, CompiledQuery, JoinSpace) {
         setup_nodes(sql, 80)
     }
@@ -1842,8 +1875,8 @@ mod tests {
             let (snet, cq, _) = setup(sql);
             let mut tuples = all_tuples(&snet, &cq);
             coarsen_hum(&cq, &mut tuples, grid);
-            let want = exact_join_in::<VecRows>(&cq, &tuples, 1);
-            let got = exact_join_in::<Rows>(&cq, &tuples, 1);
+            let want = join_in::<VecRows>(&cq, &tuples, 1);
+            let got = join_in::<Rows>(&cq, &tuples, 1);
             assert_eq!(got.contributors, want.contributors, "{sql}");
             match (&want.result, &got.result) {
                 (JoinResult::Rows(rows), flat @ GroupResult::Rows(_)) => {
@@ -1894,18 +1927,19 @@ mod tests {
                     .map(|r| r.iter().map(|v| v.to_bits()).collect())
                     .collect()
             };
-            let one = exact_join_in::<VecRows>(&cq, &tuples, 1);
+            let one = join_in::<VecRows>(&cq, &tuples, 1);
             let rows = row_bits(&one);
             assert!(!rows.is_empty(), "{sql}");
             // Premise — the counts above 1 really are chunked. The filter
             // is chunked whatever its work: it is run with no minimum.
-            let plan = exact_plan(&cq, &tuples[..], &pred_max_rels(&cq));
+            let input = batches(&tuples);
+            let plan = exact_plan(&cq, &input[..], &pred_max_rels(&cq));
             let deeper = deeper_space(tuples.iter().map(Vec::len));
-            let cuts = exact_hoisted(&tuples[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
+            let cuts = exact_hoisted(&input[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
             assert_eq!(cuts.len(), 2, "premise: {sql} fans out");
             let filter = prejoin_filter_in(&cq, &space, &points, 1, 0);
             for threads in [2, 3, 7] {
-                let got = exact_join_in::<VecRows>(&cq, &tuples, threads);
+                let got = join_in::<VecRows>(&cq, &tuples, threads);
                 assert_eq!(row_bits(&got), rows, "{threads} chunks: {sql}");
                 assert_eq!(
                     got.contributors, one.contributors,
@@ -1915,7 +1949,7 @@ mod tests {
                 assert_eq!(got.points(), filter.points(), "{threads} chunks: {sql}");
             }
             for threads in [1, 2, 3, 7] {
-                let got = exact_join_in::<Rows>(&cq, &tuples, threads);
+                let got = join_in::<Rows>(&cq, &tuples, threads);
                 assert_eq!(flat_bits(&got.result), rows, "{threads} flat chunks: {sql}");
                 assert_eq!(got.contributors, one.contributors, "{threads} flat chunks");
             }
@@ -2073,7 +2107,7 @@ mod tests {
         threads: usize,
     ) -> (usize, Vec<usize>) {
         PRED_EVALS.take();
-        let got = exact_join_in::<VecRows>(cq, tuples, threads);
+        let got = join_in::<VecRows>(cq, tuples, threads);
         let mut evals = PRED_EVALS.take();
         evals.resize(cq.join_preds().len(), 0);
         let want = exact_join_nested(cq, tuples);
@@ -2118,7 +2152,7 @@ mod tests {
             let rows = exact_join_nested(&cq, &tuples).result.len();
             for threads in [1, 2, 7] {
                 ITEM_EVALS.take();
-                let got = exact_join_in::<VecRows>(&cq, &tuples, threads);
+                let got = join_in::<VecRows>(&cq, &tuples, threads);
                 let evals = ITEM_EVALS.take();
                 assert_eq!(got.result.len(), rows, "{threads} chunks: {items}");
                 let (a, b) = (tuples[0].len(), tuples[1].len());
@@ -2171,9 +2205,10 @@ mod tests {
             }
         }
         // Premise: the join fans out.
-        let plan = exact_plan(&cq, &tuples[..], &pred_max_rels(&cq));
+        let input = batches(&tuples);
+        let plan = exact_plan(&cq, &input[..], &pred_max_rels(&cq));
         let deeper = deeper_space(tuples.iter().map(Vec::len));
-        let cuts = exact_hoisted(&tuples[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
+        let cuts = exact_hoisted(&input[..], &plan).cuts(deeper, 2, PAR_MIN_WORK);
         assert_eq!(cuts.len(), 2, "premise: the join fans out");
         let (rows, evals) = counted_join(&cq, &tuples, 1);
         assert!(rows > 0, "premise: rows");
@@ -2195,7 +2230,7 @@ mod tests {
         for threads in [1, 2, 7] {
             let counted = counted_join(&cq, &tuples, threads);
             assert_eq!(counted, (rows, evals.clone()), "{threads} chunks");
-            let got = exact_join_in::<Rows>(&cq, &tuples, threads);
+            let got = join_in::<Rows>(&cq, &tuples, threads);
             assert_eq!(flat_bits(&got.result), want_bits, "{threads} flat chunks");
             assert_eq!(got.contributors, want.contributors, "{threads} flat chunks");
         }

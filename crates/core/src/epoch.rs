@@ -36,14 +36,14 @@
 
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{prejoin_filter, JoinComputation, JoinSpace};
-use crate::repr::{columns, JoinAttrMsg, NodeTable, Shipment, SizedSet};
+use crate::repr::{columns, CellTable, JoinAttrMsg, NodeTable, Shipment, SizedSet};
 use crate::scheduler::SoloCost;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival, WaveTiming};
-use sensjoin_quadtree::{encoded_wire_size, PointSet};
+use sensjoin_quadtree::{encoded_wire_size, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
-use sensjoin_relation::NodeId;
+use sensjoin_relation::{NodeId, TupleBatch};
 use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
 use std::sync::Arc;
 
@@ -72,8 +72,8 @@ pub(crate) struct EpochRun<R> {
 }
 
 /// Collection message: a node forwards either complete tuples (below the
-/// Treecut threshold) or one join-attribute structure per slot (paper
-/// §IV-B).
+/// Treecut threshold) or one join-attribute structure per collection class
+/// (paper §IV-B).
 enum UpMsg {
     Full(Shipment<NodeId>),
     Attrs(Vec<JoinAttrMsg>),
@@ -95,11 +95,13 @@ enum FilterMsg {
 type Batch = Shipment<(NodeId, u64)>;
 
 /// Per-node protocol state surviving between the phases, one column per
-/// field (per-slot fields are `k` consecutive entries per node), every
+/// field (per-slot fields are `k` consecutive entries per node, per-class
+/// ones `classes`), every
 /// column in the topology's storage order: a node-event touches a node, its
 /// children and the origins it proxies — radio neighbors all.
 struct Nodes {
     k: usize,
+    classes: usize,
     /// Node `v`'s entries are at `slot_of[v]` ([`Nodes::at`]).
     slot_of: Arc<[u32]>,
     /// Stays awake after collection (Treecut nodes exit the query, Fig. 2
@@ -113,24 +115,25 @@ struct Nodes {
     /// to churn) and ships every tuple it holds rather than risk dropping a
     /// real result.
     passthrough: Vec<bool>,
-    /// Per slot: the subtree's received cells, memorized for Selective
-    /// Filter Forwarding (`None` if over the memory cap).
+    /// Per collection class: the subtree's received cells, memorized for
+    /// Selective Filter Forwarding (`None` if over the memory cap).
     subtree_atts: Vec<Option<PointSet>>,
     /// Per slot: the filter as received (`None` = pruned away).
     received: Vec<Option<PointSet>>,
 }
 
 impl Nodes {
-    fn new(slot_of: Arc<[u32]>, k: usize) -> Self {
+    fn new(slot_of: Arc<[u32]>, k: usize, classes: usize) -> Self {
         let n = slot_of.len();
         Self {
             k,
+            classes,
             slot_of,
             active: vec![false; n],
             own: vec![false; n],
             proxy: vec![Vec::new(); n],
             passthrough: vec![false; n],
-            subtree_atts: vec![None; n * k],
+            subtree_atts: vec![None; n * classes],
             received: vec![None; n * k],
         }
     }
@@ -146,10 +149,8 @@ impl Nodes {
         self.active[v] = false;
         self.own[v] = false;
         self.passthrough[v] = false;
-        for s in v * self.k..(v + 1) * self.k {
-            self.subtree_atts[s] = None;
-            self.received[s] = None;
-        }
+        self.subtree_atts[v * self.classes..][..self.classes].fill(None);
+        self.received[v * self.k..][..self.k].fill(None);
         std::mem::take(&mut self.proxy[v])
     }
 
@@ -280,12 +281,18 @@ fn live_attached(net: &Network) -> Vec<bool> {
 /// caller with a next epoch to defer liveness changes to passes `false` and
 /// polls between epochs itself. `join` is the base station's exact join,
 /// run once per slot.
+///
+/// Slots whose nodes' cells coincide form one collection class
+/// ([`collection_classes`]): the class has one cell table, and a
+/// collection message one structure, one memorized subtree set and one wire
+/// size per class. What differs per slot — the tuple bytes, the filter, the
+/// final masks — is kept per slot.
 pub(crate) fn run_epoch<R>(
     snet: &mut SensorNetwork,
     cfg: &SensJoinConfig,
     slots: &[Slot<'_>],
     poll_churn: bool,
-    join: impl Fn(&CompiledQuery, &[Vec<(NodeId, Vec<f64>)>]) -> JoinComputation<R>,
+    join: impl Fn(&CompiledQuery, &[TupleBatch]) -> JoinComputation<R>,
 ) -> EpochRun<R> {
     let k = slots.len();
     assert!(
@@ -295,13 +302,37 @@ pub(crate) fn run_epoch<R>(
     let base = snet.base();
     let n = snet.len();
     let repr = cfg.representation;
-    let classes = space_classes(slots);
+    let spaces = space_classes(slots);
+    let (class_of, firsts) = collection_classes(snet, slots, &spaces);
+    // Per class: the slots it holds, and the shape its sets are encoded in.
+    let mut members = vec![0u64; firsts.len()];
+    for (s, &c) in class_of.iter().enumerate() {
+        members[c] |= 1 << s;
+    }
+    let shape = |c: usize| slots[firsts[c]].space.shape();
 
     let master = snet.master_schema().attrs();
     let attr_sizes: Vec<usize> = master.iter().map(|a| a.wire_size()).collect();
-    // Per slot: every node's local view of the query.
-    let build = |slot: &Slot<'_>| NodeTable::build(snet, slot.query, slot.space, repr);
-    let tables: Vec<NodeTable> = slots.iter().map(build).collect();
+    // Per slot: every node's local view of the query, the cells built once
+    // per class.
+    let mut tables: Vec<NodeTable> = Vec::with_capacity(k);
+    for (s, slot) in slots.iter().enumerate() {
+        let first = firsts[class_of[s]];
+        tables.push(if first == s {
+            NodeTable::build(snet, slot.query, slot.space, repr)
+        } else {
+            NodeTable::with_cells(snet, slot.query, slot.space, tables[first].cells())
+        });
+        #[cfg(debug_assertions)]
+        if first != s {
+            let own = NodeTable::build(snet, slot.query, slot.space, repr);
+            assert!(
+                own.cells() == tables[first].cells(),
+                "slots {first} and {s} share a collection class but not their cells"
+            );
+        }
+    }
+    let cells: Vec<&CellTable> = firsts.iter().map(|&s| &**tables[s].cells()).collect();
     let rec = |s: usize, v: NodeId| tables[s].rec(v);
 
     // Wire size of node `v`'s tuple across the slots in `mask`: the union
@@ -321,11 +352,14 @@ pub(crate) fn run_epoch<R>(
         }
         columns(&cols).map(|c| attr_sizes[c]).sum()
     };
-    // The slots node `v` has a tuple for.
+    // The slots node `v` has a tuple for: those of the classes it has a
+    // cell in.
     let member_mask = |v: NodeId| -> u64 {
-        (0..k)
-            .filter(|&s| !rec(s, v).flags.is_empty())
-            .fold(0, |m, s| m | 1 << s)
+        let with_cell = members
+            .iter()
+            .zip(&cells)
+            .filter(|(_, c)| c.tuple(v).is_some());
+        with_cell.fold(0, |m, (&slots, _)| m | slots)
     };
     // Adds to a message's per-slot sums what the slots in `mask` would each
     // pay for node `v`'s tuple (nothing to keep at k = 1).
@@ -359,7 +393,7 @@ pub(crate) fn run_epoch<R>(
     // Where a node's entries of `nodes` and `kept` live.
     let slot_of = Arc::clone(snet.net().topology().slot_of());
     let at = |v: NodeId| slot_of[v.0 as usize] as usize;
-    let mut nodes = Nodes::new(Arc::clone(&slot_of), k);
+    let mut nodes = Nodes::new(Arc::clone(&slot_of), k, firsts.len());
     let mut solo = vec![SoloCost::default(); k];
 
     // ---- Phase 1: Join-Attribute-Collection (Fig. 2) ----
@@ -413,19 +447,18 @@ pub(crate) fn run_epoch<R>(
                 return UpMsg::Full(fulls);
             }
             nodes.active[vi] = true;
-            let mut sets = sets.unwrap_or_else(|| vec![JoinAttrMsg::new(repr); k]);
+            let mut sets = sets.unwrap_or_else(|| vec![JoinAttrMsg::new(repr); cells.len()]);
             // Memorize the subtree's cells for Selective Filter Forwarding —
             // the *received* ones only (Fig. 2 line 21; own and proxied
             // tuples are checked directly against the incoming filter
-            // later), per slot under its own memory-cap check. The stored
+            // later), per class under its own memory-cap check. The stored
             // form is always the compact quadtree; the base station is
             // powered and ignores the cap.
             if cfg.selective_forwarding {
-                for (s, ja) in sets.iter_mut().enumerate() {
-                    if v == base
-                        || ja.set.wire_size(slots[s].space.shape()) <= cfg.filter_memory_limit
-                    {
-                        nodes.subtree_atts[vi * k + s] = Some(PointSet::clone(&ja.set));
+                let memorized = &mut nodes.subtree_atts[vi * cells.len()..];
+                for (c, (ja, memo)) in sets.iter_mut().zip(memorized).enumerate() {
+                    if v == base || ja.set.wire_size(shape(c)) <= cfg.filter_memory_limit {
+                        *memo = Some(PointSet::clone(&ja.set));
                     }
                 }
             }
@@ -433,9 +466,9 @@ pub(crate) fn run_epoch<R>(
             // their — and the node's own — projections in (line 22).
             nodes.own[vi] = own != 0;
             for &u in fulls.entries.iter().chain(nodes.own[vi].then_some(&v)) {
-                for (ja, table) in sets.iter_mut().zip(&tables) {
-                    if let Some(rec) = table.tuple(u) {
-                        ja.insert(rec.z, rec.flags, table.coords(u));
+                for (ja, cells) in sets.iter_mut().zip(&cells) {
+                    if let Some((z, flags)) = cells.tuple(u) {
+                        ja.insert(z, flags, cells.coords(u));
                     }
                 }
             }
@@ -452,21 +485,22 @@ pub(crate) fn run_epoch<R>(
                 full.bytes
             }
             UpMsg::Attrs(sets) => {
-                let present: Vec<_> = sets
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(s, ja)| {
-                        let bytes = ja.wire_size(repr, slots[s].space.shape());
-                        (s, &*ja.set, bytes)
-                    })
-                    .collect();
-                for &(s, _, bytes) in &present {
-                    solo[s].collection_bytes += bytes as u64;
+                // Each slot alone would send its class's structure (at most
+                // one class per slot, and at most 64 slots).
+                let mut bytes = [0usize; 64];
+                for (c, ja) in sets.iter_mut().enumerate() {
+                    bytes[c] = ja.wire_size(repr, shape(c));
+                }
+                for (cost, &c) in solo.iter_mut().zip(&class_of) {
+                    cost.collection_bytes += bytes[c] as u64;
                 }
                 if repr == Representation::Quadtree {
-                    merged_wire_size(&present, &classes, slots)
+                    let present: Vec<_> = (class_of.iter().enumerate())
+                        .map(|(s, &c)| (s, &*sets[c].set, bytes[c]))
+                        .collect();
+                    merged_wire_size(&present, &spaces, slots)
                 } else {
-                    present.iter().map(|&(_, _, bytes)| bytes).sum()
+                    class_of.iter().map(|&c| bytes[c]).sum()
                 }
             }
         },
@@ -507,10 +541,8 @@ pub(crate) fn run_epoch<R>(
     };
     // The wire carried every slot's full cell population, so the filter is
     // the batch semi-join over it; nothing is kept for the next epoch.
-    let filters: Vec<SizedSet> = collected
-        .iter()
-        .zip(slots)
-        .map(|(ja, slot)| SizedSet::new(prejoin_filter(slot.query, slot.space, &ja.set)))
+    let filters: Vec<SizedSet> = (slots.iter().zip(&class_of))
+        .map(|(slot, &c)| SizedSet::new(prejoin_filter(slot.query, slot.space, &collected[c].set)))
         .collect();
 
     // ---- Phase 2: Filter-Dissemination (Fig. 3) ----
@@ -547,7 +579,7 @@ pub(crate) fn run_epoch<R>(
             let mut out: Vec<Option<SizedSet>> = vec![None; k];
             for (s, inc) in incoming.into_iter().enumerate() {
                 let Some(inc) = inc else { continue };
-                out[s] = match &nodes.subtree_atts[vi * k + s] {
+                out[s] = match &nodes.subtree_atts[vi * cells.len() + class_of[s]] {
                     Some(atts) => {
                         let pruned = inc.intersect(atts);
                         (!pruned.is_empty()).then(|| SizedSet::new(pruned))
@@ -576,7 +608,7 @@ pub(crate) fn run_epoch<R>(
                 for &(s, _, bytes) in &present {
                     solo[s].filter_bytes += bytes as u64;
                 }
-                tag + merged_wire_size(&present, &classes, slots)
+                tag + merged_wire_size(&present, &spaces, slots)
             }
             FilterMsg::PassThrough => 1,
         },
@@ -673,8 +705,10 @@ pub(crate) fn run_epoch<R>(
                 .entries
                 .iter()
                 .filter(|(_, mask)| mask >> s & 1 == 1);
-            let tuples_per_rel = tables[s].tuples_per_rel(snet, mine.map(|&(u, _)| u));
-            join(slot.query, &tuples_per_rel)
+            join(
+                slot.query,
+                &tables[s].tuples_per_rel(snet, mine.map(|&(u, _)| u)),
+            )
         })
         .collect();
 
@@ -719,6 +753,33 @@ fn space_signature(space: &JoinSpace) -> SpaceSig {
     (dims, space.shape().flag_bits())
 }
 
+/// Per slot: its collection class, numbered in order of first member; and
+/// per class: its first member. Two slots are of one class when their
+/// spaces have one signature ([`space_classes`]) and their queries read the
+/// same of every node ([`NodeTable::cell_key`]): their nodes' cells, flags
+/// and coordinates are then equal, which debug builds check.
+fn collection_classes(
+    snet: &SensorNetwork,
+    slots: &[Slot<'_>],
+    spaces: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let keys: Vec<_> = (slots.iter().zip(spaces))
+        .map(|(slot, &space)| (space, NodeTable::cell_key(snet, slot.query, slot.space)))
+        .collect();
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut class_of = Vec::with_capacity(slots.len());
+    for (s, key) in keys.iter().enumerate() {
+        class_of.push(match firsts.iter().position(|&f| keys[f] == *key) {
+            Some(c) => c,
+            None => {
+                firsts.push(s);
+                firsts.len() - 1
+            }
+        });
+    }
+    (class_of, firsts)
+}
+
 /// Wire size of a merged multi-slot payload, given each present slot's set
 /// and what it costs encoded on its own: slots of one signature class
 /// ([`space_classes`]) are encoded as one union quadtree plus, per member, a
@@ -727,55 +788,102 @@ fn space_signature(space: &JoinSpace) -> SpaceSig {
 /// the sender falls back to concatenating the individual encodings, so a
 /// merged message never costs more than its unshared parts — and a
 /// single-slot message costs exactly its solo encoding.
+///
+/// Members that are one set — the slots of a collection class — are merged
+/// once: the union and every distinct set's divergence come from one merge
+/// pass ([`union_and_divergence`]), and a class whose members are all one
+/// set is its own union, with no divergence.
 fn merged_wire_size(
     present: &[(usize, &PointSet, usize)],
     classes: &[usize],
     slots: &[Slot<'_>],
 ) -> usize {
+    // A message carries at most one set per slot: the sizing allocates
+    // nothing of its own unless a class holds distinct sets.
+    assert!(present.len() <= 64, "at most 64 slots");
     let mut total = 0usize;
-    let mut used = vec![false; present.len()];
+    let mut used = 0u64;
+    // Of the signature class being sized: its distinct sets (as the first
+    // member that sends each), and how many members send each.
+    let (mut distinct, mut copies) = ([0usize; 64], [0usize; 64]);
     for i in 0..present.len() {
-        if used[i] {
+        if used >> i & 1 == 1 {
             continue;
         }
-        used[i] = true;
         let (slot_i, set_i, bytes_i) = present[i];
-        let mut members: Vec<&PointSet> = vec![set_i];
-        let mut separate = bytes_i;
-        for j in i + 1..present.len() {
-            let (slot_j, set_j, bytes_j) = present[j];
-            if !used[j] && classes[slot_j] == classes[slot_i] {
-                used[j] = true;
-                members.push(set_j);
-                separate += bytes_j;
+        let (mut separate, mut sets) = (0, 0);
+        for (j, &(slot_j, set_j, bytes_j)) in present.iter().enumerate().skip(i) {
+            if used >> j & 1 == 1 || classes[slot_j] != classes[slot_i] {
+                continue;
+            }
+            used |= 1 << j;
+            separate += bytes_j;
+            match (distinct[..sets].iter()).position(|&d| std::ptr::eq(present[d].1, set_j)) {
+                Some(d) => copies[d] += 1,
+                None => {
+                    (distinct[sets], copies[sets]) = (j, 1);
+                    sets += 1;
+                }
             }
         }
-        if members.len() == 1 {
+        if copies[..sets] == [1] {
             total += separate;
+            continue;
+        }
+        let bitmap_of = |union: &PointSet| union.len().div_ceil(8);
+        let (distinct, copies) = (&distinct[..sets], &copies[..sets]);
+        let merged = if sets == 1 {
+            bytes_i + copies[0] * bitmap_of(set_i)
         } else {
-            let mut union = PointSet::new();
-            for m in &members {
-                union = union.union(m);
-            }
-            // Tenants of one template send the same set: the union is then
-            // the first member, already sized.
-            let mut merged = if union == *set_i {
+            let distinct: Vec<&PointSet> = distinct.iter().map(|&d| present[d].1).collect();
+            let (union, diverging) = union_and_divergence(&distinct);
+            // Members that send equal sets (a filter that prunes alike for
+            // two plans) make the union the first member, already sized.
+            let mut merged = if diverging[0] == 0 {
                 bytes_i
             } else {
                 encoded_wire_size(&union, slots[slot_i].space.shape())
             };
-            let bitmap = union.len().div_ceil(8);
-            for m in &members {
-                let diverging = union
-                    .iter()
-                    .filter(|p| m.flags_of(p.z).map_or(0, |f| f.0) != p.flags.0)
-                    .count();
-                merged += bitmap + diverging;
+            for (&diverging, &copies) in diverging.iter().zip(copies) {
+                merged += copies * (bitmap_of(&union) + diverging);
             }
-            total += merged.min(separate);
-        }
+            merged
+        };
+        total += merged.min(separate);
     }
     total
+}
+
+/// The union of `sets` and, per set, how many of the union's points it
+/// does not hold with the union's flags, from one merge pass over their
+/// z-sorted points: O(sets · |union|), and the union is the one allocation
+/// that grows with the sets.
+fn union_and_divergence(sets: &[&PointSet]) -> (PointSet, Vec<usize>) {
+    let mut at = vec![0usize; sets.len()];
+    let mut diverging = vec![0usize; sets.len()];
+    let widest = sets.iter().map(|set| set.len()).max().unwrap_or(0);
+    let mut union: Vec<Point> = Vec::with_capacity(widest);
+    loop {
+        let head = |(set, &i): (&&PointSet, &usize)| set.points().get(i).copied();
+        let Some(z) = sets.iter().zip(&at).filter_map(head).map(|p| p.z).min() else {
+            break;
+        };
+        let flags = (sets.iter().zip(&at).filter_map(head))
+            .filter(|p| p.z == z)
+            .fold(RelFlags(0), |all, p| all.or(p.flags));
+        for ((set, i), diverging) in sets.iter().zip(&mut at).zip(&mut diverging) {
+            let own = match set.points().get(*i) {
+                Some(p) if p.z == z => {
+                    *i += 1;
+                    p.flags
+                }
+                _ => RelFlags(0),
+            };
+            *diverging += usize::from(own != flags);
+        }
+        union.push(Point { z, flags });
+    }
+    (PointSet::from_sorted(union), diverging)
 }
 
 #[cfg(test)]
@@ -783,6 +891,7 @@ mod tests {
     use super::*;
     use crate::snetwork::SensorNetworkBuilder;
     use crate::{JoinMethod, QueryGroup, SensJoin};
+    use proptest::prelude::*;
     use sensjoin_field::{Area, Placement};
     use sensjoin_query::parse;
     use sensjoin_sim::{ArqPolicy, Channel, ChurnAction, ChurnTimeline};
@@ -889,6 +998,148 @@ mod tests {
             assert!(forwarded > 0, "k = {k}: no final tuple was ever forwarded");
             let checked = CHECKED.with(Cell::get) - before;
             assert!(checked > 200, "k = {k}: only {checked} messages checked");
+        }
+    }
+
+    /// [`merged_wire_size`] as it was written before the one-pass merge: a
+    /// union per additional member of a signature class, and a `flags_of`
+    /// search per union point and member. The oracle of
+    /// `one_merge_pass_sizes_what_successive_unions_did`.
+    fn merged_wire_size_by_unions(
+        present: &[(usize, &PointSet, usize)],
+        classes: &[usize],
+        slots: &[Slot<'_>],
+    ) -> usize {
+        let mut total = 0usize;
+        let mut used = vec![false; present.len()];
+        for i in 0..present.len() {
+            if used[i] {
+                continue;
+            }
+            used[i] = true;
+            let (slot_i, set_i, bytes_i) = present[i];
+            let mut members: Vec<&PointSet> = vec![set_i];
+            let mut separate = bytes_i;
+            for j in i + 1..present.len() {
+                let (slot_j, set_j, bytes_j) = present[j];
+                if !used[j] && classes[slot_j] == classes[slot_i] {
+                    used[j] = true;
+                    members.push(set_j);
+                    separate += bytes_j;
+                }
+            }
+            if members.len() == 1 {
+                total += separate;
+            } else {
+                let mut union = PointSet::new();
+                for m in &members {
+                    union = union.union(m);
+                }
+                let mut merged = if union == *set_i {
+                    bytes_i
+                } else {
+                    encoded_wire_size(&union, slots[slot_i].space.shape())
+                };
+                let bitmap = union.len().div_ceil(8);
+                for m in &members {
+                    let diverging = union
+                        .iter()
+                        .filter(|p| m.flags_of(p.z).map_or(0, |f| f.0) != p.flags.0)
+                        .count();
+                    merged += bitmap + diverging;
+                }
+                total += merged.min(separate);
+            }
+        }
+        total
+    }
+
+    /// Two queries over one network whose spaces differ (temperature and
+    /// humidity cells), with the spaces.
+    fn two_spaces() -> (Vec<CompiledQuery>, Vec<JoinSpace>) {
+        let snet = SensorNetworkBuilder::new()
+            .area(Area::new(300.0, 300.0))
+            .placement(Placement::UniformRandom { n: 60 })
+            .seed(5)
+            .build()
+            .unwrap();
+        let queries: Vec<CompiledQuery> = ["A.temp - B.temp > 1", "A.hum - B.hum > 1"]
+            .iter()
+            .map(|pred| {
+                let sql = format!("SELECT A.light FROM Sensors A, Sensors B WHERE {pred} ONCE");
+                snet.compile(&parse(&sql).unwrap()).unwrap()
+            })
+            .collect();
+        let config = SensJoinConfig::default();
+        let spaces = queries
+            .iter()
+            .map(|q| JoinSpace::build(q, &snet, &config))
+            .collect();
+        (queries, spaces)
+    }
+
+    /// Points on cells `shift..shift + half` with flags A, B or both.
+    fn point_set(points: &[(u64, u8)], shift: u64, half: u64) -> PointSet {
+        let point = |&(z, f): &(u64, u8)| Point {
+            z: z % half + shift,
+            flags: RelFlags(f),
+        };
+        PointSet::from_points(points.iter().map(point))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-pass merge sizes every payload exactly as successive
+        /// unions did: members that are one set (a collection class's
+        /// slots), equal copies, nested, disjoint, flag-diverging and
+        /// overlapping sets, in one signature class or spread over two.
+        #[test]
+        fn one_merge_pass_sizes_what_successive_unions_did(
+            base in prop::collection::vec((0u64..48, 1u8..4), 0..40),
+            other in prop::collection::vec((0u64..48, 1u8..4), 0..40),
+            // Kinds 0 and 6 up are the shared set itself: most cases hold
+            // a signature class whose members are all one set.
+            members in prop::collection::vec((0u8..10, 0usize..2), 1..12),
+        ) {
+            let (queries, spaces) = two_spaces();
+            let bits = spaces.iter().map(|s| s.shape().z_bits()).min().unwrap();
+            prop_assert!(bits >= 4, "premise: {} bits hold the cells", bits);
+            // The lower half of both spaces' cells, and the upper for sets
+            // disjoint from them.
+            let half = 1 << (bits - 1);
+            let slots: Vec<Slot<'_>> = members
+                .iter()
+                .map(|&(_, sig)| Slot { query: &queries[sig], space: &spaces[sig] })
+                .collect();
+            let classes = space_classes(&slots);
+            let shared = point_set(&base, 0, half);
+            let flipped: Vec<(u64, u8)> =
+                base.iter().map(|&(z, f)| (z, if f == 3 { 1 } else { f ^ 3 })).collect();
+            let sets: Vec<PointSet> = members
+                .iter()
+                .map(|&(kind, _)| match kind {
+                    1 => shared.clone(),
+                    2 => point_set(&base.iter().copied().step_by(2).collect::<Vec<_>>(), 0, half),
+                    3 => point_set(&other, half, half),
+                    4 => point_set(&flipped, 0, half),
+                    5 => point_set(&other, 0, half),
+                    _ => PointSet::new(), // unused: the shared set itself
+                })
+                .collect();
+            let present: Vec<(usize, &PointSet, usize)> = members
+                .iter()
+                .enumerate()
+                .map(|(s, &(kind, _))| {
+                    let identical = kind == 0 || kind >= 6;
+                    let set = if identical { &shared } else { &sets[s] };
+                    (s, set, encoded_wire_size(set, slots[s].space.shape()))
+                })
+                .collect();
+            prop_assert_eq!(
+                merged_wire_size(&present, &classes, &slots),
+                merged_wire_size_by_unions(&present, &classes, &slots)
+            );
         }
     }
 }

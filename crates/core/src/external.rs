@@ -1,7 +1,7 @@
 //! The external join: the state-of-the-art general-purpose baseline (§VI).
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, JoinSpace};
+use crate::engine::{exact_join_batches, JoinSpace};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::repr::{NodeTable, Shipment};
 use crate::snetwork::SensorNetwork;
@@ -52,7 +52,7 @@ impl JoinMethod for ExternalJoin {
         );
 
         let tuples_per_rel = table.tuples_per_rel(snet, base_batch.entries);
-        let computation = exact_join(query, &tuples_per_rel);
+        let computation = exact_join_batches(query, &tuples_per_rel);
         Ok(JoinOutcome {
             result: computation.result,
             stats: snet.net().stats().clone(),

@@ -56,7 +56,7 @@
 use crate::engine::{exact_rows, finalize_exact, ExactAcc, JoinComputation, RowSink, Tuples};
 use crate::partition::{decided, runs_len, Runs, SortedKeys};
 use sensjoin_query::{eval, holds, Columns, CompiledQuery, NumExpr, Pred, PredClass};
-use sensjoin_relation::NodeId;
+use sensjoin_relation::{NodeId, TupleBatch};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -153,14 +153,12 @@ impl Hasher for OriginHasher {
 }
 
 /// Slot-based tuple store of one relation: per slot an origin and `arity`
-/// values in one flat buffer, so a tuple costs no allocation of its own.
+/// values in one [`TupleBatch`], so a tuple costs no allocation of its own.
 #[derive(Debug, Default)]
 struct RelStore {
-    arity: usize,
-    /// Per slot: the producing node (stale when the slot is free).
-    origins: Vec<NodeId>,
-    /// Per slot: its schema-aligned values (stale when the slot is free).
-    values: Vec<f64>,
+    /// Per slot: the producing node and its schema-aligned values (stale
+    /// when the slot is free).
+    tuples: TupleBatch,
     /// Per slot: what it holds.
     state: Vec<Slot>,
     /// Per slot: the cached result rows binding it (0 when free) — an origin
@@ -176,44 +174,41 @@ impl RelStore {
     /// Room for `n` more tuples.
     fn reserve(&mut self, n: usize) {
         self.by_origin.reserve(n);
-        self.origins.reserve(n);
-        self.values.reserve(n * self.arity);
+        self.tuples.reserve(n);
         self.state.reserve(n);
         self.rows.reserve(n);
     }
 
     fn values_of(&self, slot: u32) -> &[f64] {
-        &self.values[slot as usize * self.arity..][..self.arity]
+        self.tuples.values(slot as usize)
     }
 
     /// Stores `values` as `origin`'s tuple: in `old`, its slot if it has
     /// one, else in a free or new one. The slot is left fresh with no row.
     fn put(&mut self, origin: NodeId, old: Option<u32>, values: &[f64]) -> u32 {
-        let slot = match old {
-            Some(slot) => slot,
-            None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.values.resize(self.values.len() + self.arity, 0.0);
-                    self.state.push(Slot::Free);
-                    self.rows.push(0);
-                    self.origins.push(origin);
-                    self.origins.len() as u32 - 1
-                });
-                self.origins[slot as usize] = origin;
-                self.by_origin.insert(origin, slot);
+        let slot = match old.or_else(|| self.free.pop()) {
+            Some(slot) => {
+                self.tuples.set(slot as usize, origin, values);
+                (self.state[slot as usize], self.rows[slot as usize]) = (Slot::Fresh, 0);
                 slot
             }
+            None => {
+                self.tuples.push(origin, values);
+                self.state.push(Slot::Fresh);
+                self.rows.push(0);
+                self.tuples.len() as u32 - 1
+            }
         };
-        let at = slot as usize * self.arity;
-        self.values[at..at + self.arity].copy_from_slice(values);
-        (self.state[slot as usize], self.rows[slot as usize]) = (Slot::Fresh, 0);
+        if old.is_none() {
+            self.by_origin.insert(origin, slot);
+        }
         slot
     }
 
     /// Frees `slot`. The cached rows binding it stay in the run until the
     /// batch's merge pass, which recognises them by the slot's state.
     fn free_slot(&mut self, slot: u32) {
-        self.by_origin.remove(&self.origins[slot as usize]);
+        self.by_origin.remove(&self.tuples.origin(slot as usize));
         (self.state[slot as usize], self.rows[slot as usize]) = (Slot::Free, 0);
         self.free.push(slot);
     }
@@ -224,21 +219,21 @@ impl RelStore {
     fn compact(&mut self) {
         self.state.fill(Slot::Live);
         self.rows.fill(0);
-        if self.free.is_empty() && self.origins.windows(2).all(|o| o[0] < o[1]) {
+        let origins = self.tuples.origins();
+        if self.free.is_empty() && origins.windows(2).all(|o| o[0] < o[1]) {
             return; // already in origin order, as a refresh leaves it
         }
         let mut live: Vec<(NodeId, u32)> = self.by_origin.iter().map(|(&o, &s)| (o, s)).collect();
         live.sort_unstable();
-        let mut values = Vec::with_capacity(live.len() * self.arity);
+        let mut tuples = TupleBatch::with_capacity(self.tuples.arity(), live.len());
         for (pos, &(origin, slot)) in live.iter().enumerate() {
-            values.extend_from_slice(self.values_of(slot));
+            tuples.push(origin, self.values_of(slot));
             self.by_origin.insert(origin, pos as u32);
         }
-        self.values = values;
-        self.origins = live.into_iter().map(|(origin, _)| origin).collect();
+        self.tuples = tuples;
         self.free.clear();
-        self.state.truncate(self.origins.len());
-        self.rows.truncate(self.origins.len());
+        self.state.truncate(self.tuples.len());
+        self.rows.truncate(self.tuples.len());
     }
 }
 
@@ -247,12 +242,17 @@ impl RelStore {
 impl Tuples for [RelStore] {
     #[inline]
     fn count(&self, rel: usize) -> usize {
-        self[rel].origins.len()
+        self[rel].tuples.len()
     }
 
     #[inline]
     fn values(&self, rel: usize, pos: usize) -> &[f64] {
-        self[rel].values_of(pos as u32)
+        self[rel].tuples.values(pos)
+    }
+
+    #[inline]
+    fn origin(&self, rel: usize, pos: usize) -> NodeId {
+        self[rel].tuples.origin(pos)
     }
 }
 
@@ -321,7 +321,7 @@ impl IngestIndex {
     /// Re-sorts the index over the live slots of `store`.
     fn rebuild(&mut self, rel: usize, store: &RelStore) {
         let live =
-            (0..store.origins.len() as u32).filter(|&s| store.state[s as usize] != Slot::Free);
+            (0..store.tuples.len() as u32).filter(|&s| store.state[s as usize] != Slot::Free);
         let keyed = live.map(|slot| (self.key_of(rel, store.values_of(slot)), slot));
         self.keys = SortedKeys::build(self.keys.form, self.keys.key_is_lhs, keyed);
     }
@@ -383,7 +383,7 @@ impl RowSink for RowRun {
 
 /// Orders two bindings (a slot per relation) by their origin vectors.
 fn cmp_rows(rels: &[RelStore], a: &[u32], b: &[u32]) -> Ordering {
-    let origin = |r: usize, row: &[u32]| rels[r].origins[row[r] as usize];
+    let origin = |r: usize, row: &[u32]| rels[r].tuples.origin(row[r] as usize);
     let differ = (0..rels.len()).find(|&r| origin(r, a) != origin(r, b));
     differ.map_or(Ordering::Equal, |r| origin(r, a).cmp(&origin(r, b)))
 }
@@ -468,7 +468,7 @@ impl StreamJoinEngine {
             }
         }
         let store = |r: usize| RelStore {
-            arity: query.schema(r).arity(),
+            tuples: TupleBatch::new(query.schema(r).arity()),
             ..RelStore::default()
         };
         Self {
@@ -651,7 +651,7 @@ impl StreamJoinEngine {
         let tuples = self
             .rels
             .iter()
-            .flat_map(|rs| rs.rows.iter().zip(&rs.origins));
+            .flat_map(|rs| rs.rows.iter().zip(rs.tuples.origins()));
         acc.contributors = tuples
             .filter(|(&rows, _)| rows > 0)
             .map(|(_, &o)| o)
@@ -686,7 +686,7 @@ impl StreamJoinEngine {
             rs.free_slot(old?);
             return None;
         };
-        debug_assert_eq!(values.len(), rs.arity);
+        debug_assert_eq!(values.len(), rs.tuples.arity());
         let slot = rs.put(origin, old, values);
         log(slot, values, true);
         stats.inserted += 1;
@@ -1320,7 +1320,7 @@ mod tests {
             engine.apply_batch(&all);
         }
         assert_eq!(footprint(&engine), warm);
-        let tuples: usize = engine.rels.iter().map(|rs| rs.origins.len()).sum();
+        let tuples: usize = engine.rels.iter().map(|rs| rs.tuples.len()).sum();
         assert_eq!(tuples, 2 * snet.len(), "no slot leaks either");
     }
 

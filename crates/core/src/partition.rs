@@ -988,7 +988,8 @@ mod tests {
                 prop_assert!(same(&stream, &live), "{:?} p={:e} half expired", join, p);
                 stream.apply_batch(&half().map(|t| upsert(1, t)).collect::<Vec<_>>());
                 prop_assert!(same(&stream, &tuples), "{:?} p={:e} half back", join, p);
-                let plan = exact_plan(&cq, &tuples[..], &crate::engine::pred_max_rels(&cq));
+                let input = crate::engine::batches(&tuples);
+                let plan = exact_plan(&cq, &input[..], &crate::engine::pred_max_rels(&cq));
                 let Some(ix) = plan[1].first() else {
                     // `!=` and a NaN bound are not indexed at all.
                     prop_assert!(matches!(class, PredClass::General), "{join:?}");

@@ -1,15 +1,16 @@
 //! Wire representations of join-attribute tuple sets, and the per-node
-//! query table shared by every join method: one flat record per node
-//! (flags, Z-number, tuple bytes), built by a projector that resolves every
-//! name once per query.
+//! query table shared by every join method: per node a cell and flags,
+//! shared by the queries of one collection class, and per query and flag
+//! pattern the tuple's bytes, built by a projector that resolves every name
+//! once per query.
 
 use crate::config::Representation;
 use crate::engine::JoinSpace;
 use crate::snetwork::SensorNetwork;
 use sensjoin_compress::{Bwt, Codec, Lz77Huffman};
 use sensjoin_quadtree::{encoded_wire_size, PointSet, RelFlags, TreeShape};
-use sensjoin_query::CompiledQuery;
-use sensjoin_relation::NodeId;
+use sensjoin_query::{CompiledQuery, Pred};
+use sensjoin_relation::{NodeId, TupleBatch};
 use std::sync::Arc;
 
 /// A point set in flight together with its quadtree wire size.
@@ -158,13 +159,28 @@ impl JoinAttrMsg {
 }
 
 /// One relation of a query resolved against the master schema, once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct RelColumns {
     flag: RelFlags,
     /// The relation's schema as master columns.
     schema: Vec<usize>,
     /// `(master column, join-space dimension)` per join attribute.
     dims: Vec<(usize, usize)>,
+}
+
+/// Every relation of `query` resolved against `snet`'s master schema.
+fn resolve(snet: &SensorNetwork, query: &CompiledQuery, space: &JoinSpace) -> Vec<RelColumns> {
+    (0..query.num_relations())
+        .map(|r| {
+            let schema = snet.master_columns(query.schema(r));
+            let attrs = query.join_attrs(r).iter();
+            RelColumns {
+                flag: space.flag(r),
+                dims: attrs.map(|&a| schema[a]).zip(space.dims_of(r)).collect(),
+                schema,
+            }
+        })
+        .collect()
 }
 
 /// One node's local view of a query: what the paper's protocol needs of it
@@ -180,86 +196,55 @@ pub struct NodeRec {
     pub flags: RelFlags,
 }
 
-/// Every node's [`NodeRec`] for one query, computed once per execution and
-/// shared by SENS-Join and the baselines (all apply the same early selection
-/// and projection). Tuple *values* are not copied: whoever joins reads
-/// [`SensorNetwork::readings`] of the origins that arrived
-/// ([`NodeTable::tuples_per_rel`]).
-///
-/// Records and coordinates are stored in the topology's storage order
+/// What [`NodeTable::build`] reads of a query to set a node's cell, flags
+/// and coordinates, beyond the join space's signature: per relation the
+/// catalog relation, its schema and join attributes as master columns (with
+/// their dimensions) and its local predicates. Queries whose keys are equal
+/// and whose spaces have equal signatures get equal [`CellTable`]s.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CellKey<'q> {
+    rels: Vec<(&'q str, RelColumns, &'q [Pred])>,
+}
+
+/// Every node's quantized cell and relation flags for a query — all a
+/// collection wave reads of it — stored in the topology's storage order
 /// ([`sensjoin_sim::Topology::slot_of`]): a wave reads them for a node and
-/// the tuples it proxies, which are its radio neighborhood.
-#[derive(Debug, Clone)]
-pub struct NodeTable {
+/// the tuples it proxies, which are its radio neighborhood. The queries of
+/// one collection class share one ([`NodeTable::with_cells`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CellTable {
     /// Node `v`'s entries are at `slot_of[v]`.
     slot_of: Arc<[u32]>,
-    recs: Vec<NodeRec>,
+    /// Per node: its Z-number and flags (empty: no tuple, Z-number 0).
+    cells: Vec<(u64, RelFlags)>,
     /// Quantized per-dimension coordinates, `stride` per node: the space's
     /// arity under the representations that serialize them, 0 under the
     /// quadtree.
     coords: Vec<u64>,
     stride: usize,
-    rels: Vec<RelColumns>,
-    /// Per flag pattern: the master columns its member relations reference,
-    /// as a bitset of `words` words (any master-schema width).
-    cols: Vec<u64>,
-    words: usize,
 }
 
-impl NodeTable {
-    /// Projects every node onto `query`: membership and local predicates
-    /// give the flags, the member relations' join attributes the cell, and
-    /// the union of their referenced attributes (deduplicated by master
-    /// column — the paper's "we avoid sending attribute values redundantly"
-    /// applied to complete tuples) the wire size.
-    pub fn build(
+impl CellTable {
+    /// Projects every node onto `query`'s relations `rels`: membership and
+    /// local predicates give the flags, the member relations' join
+    /// attributes the cell.
+    fn build(
         snet: &SensorNetwork,
         query: &CompiledQuery,
         space: &JoinSpace,
+        rels: &[RelColumns],
         repr: Representation,
     ) -> Self {
-        let schemas = (0..query.num_relations()).map(|r| query.schema(r));
         // The catalog relation deciding membership (`None`: nobody belongs).
-        let members: Vec<_> = schemas.clone().map(|s| snet.relation(s.name())).collect();
-        let rels: Vec<RelColumns> = schemas
-            .enumerate()
-            .map(|(r, schema)| {
-                let schema = snet.master_columns(schema);
-                let attrs = query.join_attrs(r).iter();
-                RelColumns {
-                    flag: space.flag(r),
-                    dims: attrs.map(|&a| schema[a]).zip(space.dims_of(r)).collect(),
-                    schema,
-                }
-            })
+        let members: Vec<_> = (0..rels.len())
+            .map(|r| snet.relation(query.schema(r).name()))
             .collect();
-        // Per flag pattern: referenced columns, and their summed wire size.
-        let master = snet.master_schema().attrs();
-        let words = master.len().div_ceil(64);
-        let mut cols = vec![0u64; words << rels.len()];
-        let mut bytes = vec![0u32; 1 << rels.len()];
-        for (pattern, set) in cols.chunks_exact_mut(words).enumerate() {
-            for (r, rel) in rels.iter().enumerate() {
-                if pattern as u8 & rel.flag.0 != 0 {
-                    for &a in query.referenced_attrs(r) {
-                        set[rel.schema[a] / 64] |= 1 << (rel.schema[a] % 64);
-                    }
-                }
-            }
-            bytes[pattern] = columns(set).map(|c| master[c].wire_size() as u32).sum();
-        }
-
         let zspace = space.zspace();
         let mut cell = vec![0u64; zspace.arity()];
         let serialized = repr != Representation::Quadtree;
         let stride = if serialized { cell.len() } else { 0 };
         let slot_of = Arc::clone(snet.net().topology().slot_of());
-        let empty = NodeRec {
-            z: 0,
-            bytes: 0,
-            flags: RelFlags(0),
-        };
-        let mut recs = vec![empty; snet.len()];
+        let mut cells = vec![(0, RelFlags(0)); snet.len()];
         let mut coords = vec![0u64; snet.len() * stride];
         let mut values: Vec<f64> = Vec::new();
         for node in (0..snet.len() as u32).map(NodeId) {
@@ -287,21 +272,14 @@ impl NodeTable {
                 }
             }
             let slot = slot_of[node.0 as usize] as usize;
-            recs[slot] = NodeRec {
-                z: zspace.encode_cells(&cell),
-                bytes: bytes[flags as usize],
-                flags: RelFlags(flags),
-            };
+            cells[slot] = (zspace.encode_cells(&cell), RelFlags(flags));
             coords[slot * stride..][..stride].copy_from_slice(&cell[..stride]);
         }
         Self {
             slot_of,
-            recs,
+            cells,
             coords,
             stride,
-            rels,
-            cols,
-            words,
         }
     }
 
@@ -310,9 +288,131 @@ impl NodeTable {
         self.slot_of[v.0 as usize] as usize
     }
 
+    /// Node `v`'s Z-number and flags.
+    fn cell(&self, v: NodeId) -> (u64, RelFlags) {
+        self.cells[self.at(v)]
+    }
+
+    /// Node `v`'s Z-number and flags, if it has a tuple for the query.
+    pub fn tuple(&self, v: NodeId) -> Option<(u64, RelFlags)> {
+        let cell = self.cell(v);
+        (!cell.1.is_empty()).then_some(cell)
+    }
+
+    /// Node `v`'s quantized per-dimension coordinates ([`NodeTable::coords`]).
+    pub fn coords(&self, v: NodeId) -> &[u64] {
+        &self.coords[self.at(v) * self.stride..][..self.stride]
+    }
+}
+
+/// Every node's [`NodeRec`] for one query, computed once per execution and
+/// shared by SENS-Join and the baselines (all apply the same early selection
+/// and projection). Tuple *values* are not copied: whoever joins reads
+/// [`SensorNetwork::readings`] of the origins that arrived
+/// ([`NodeTable::tuples_per_rel`]).
+///
+/// A node's cell and flags are in a `CellTable`, which the queries of one
+/// collection class share; the table itself holds only what is the query's
+/// own — its relations' schema columns and, per flag pattern, the master
+/// columns a tuple ships and their wire size.
+#[derive(Debug, Clone)]
+pub struct NodeTable {
+    cells: Arc<CellTable>,
+    rels: Vec<RelColumns>,
+    /// Per flag pattern: the master columns its member relations reference,
+    /// as a bitset of `words` words (any master-schema width).
+    cols: Vec<u64>,
+    words: usize,
+    /// Per flag pattern: the summed wire size of its columns, in bytes.
+    bytes: Vec<u32>,
+}
+
+impl NodeTable {
+    /// Projects every node onto `query`: membership and local predicates
+    /// give the flags, the member relations' join attributes the cell, and
+    /// the union of their referenced attributes (deduplicated by master
+    /// column — the paper's "we avoid sending attribute values redundantly"
+    /// applied to complete tuples) the wire size.
+    pub fn build(
+        snet: &SensorNetwork,
+        query: &CompiledQuery,
+        space: &JoinSpace,
+        repr: Representation,
+    ) -> Self {
+        let rels = resolve(snet, query, space);
+        let cells = CellTable::build(snet, query, space, &rels, repr);
+        Self::over(snet, query, rels, Arc::new(cells))
+    }
+
+    /// The table of `query`, whose cells are `cells`: those of a query of
+    /// the same collection class ([`NodeTable::cell_key`]).
+    pub(crate) fn with_cells(
+        snet: &SensorNetwork,
+        query: &CompiledQuery,
+        space: &JoinSpace,
+        cells: &Arc<CellTable>,
+    ) -> Self {
+        Self::over(snet, query, resolve(snet, query, space), Arc::clone(cells))
+    }
+
+    /// The table over `rels` and `cells`: per flag pattern, the referenced
+    /// columns and their summed wire size.
+    fn over(
+        snet: &SensorNetwork,
+        query: &CompiledQuery,
+        rels: Vec<RelColumns>,
+        cells: Arc<CellTable>,
+    ) -> Self {
+        let master = snet.master_schema().attrs();
+        let words = master.len().div_ceil(64);
+        let mut cols = vec![0u64; words << rels.len()];
+        let mut bytes = vec![0u32; 1 << rels.len()];
+        for (pattern, set) in cols.chunks_exact_mut(words).enumerate() {
+            for (r, rel) in rels.iter().enumerate() {
+                if pattern as u8 & rel.flag.0 != 0 {
+                    for &a in query.referenced_attrs(r) {
+                        set[rel.schema[a] / 64] |= 1 << (rel.schema[a] % 64);
+                    }
+                }
+            }
+            bytes[pattern] = columns(set).map(|c| master[c].wire_size() as u32).sum();
+        }
+        Self {
+            cells,
+            rels,
+            cols,
+            words,
+            bytes,
+        }
+    }
+
+    /// What [`NodeTable::build`] reads of `query` besides its space.
+    pub(crate) fn cell_key<'q>(
+        snet: &SensorNetwork,
+        query: &'q CompiledQuery,
+        space: &JoinSpace,
+    ) -> CellKey<'q> {
+        let rels = resolve(snet, query, space).into_iter().enumerate();
+        CellKey {
+            rels: rels
+                .map(|(r, rel)| (query.schema(r).name(), rel, query.local_preds(r)))
+                .collect(),
+        }
+    }
+
+    /// The nodes' cells and flags.
+    pub(crate) fn cells(&self) -> &Arc<CellTable> {
+        &self.cells
+    }
+
     /// Node `v`'s record; its `flags` are empty if it has no tuple.
     pub fn rec(&self, v: NodeId) -> NodeRec {
-        self.recs[self.at(v)]
+        let (z, flags) = self.cells.cell(v);
+        NodeRec {
+            z,
+            bytes: self.bytes[flags.0 as usize],
+            flags,
+        }
     }
 
     /// Node `v`'s record, if it has a tuple for the query.
@@ -323,7 +423,7 @@ impl NodeTable {
 
     /// Every node that has a tuple for the query, ascending, with its record.
     pub fn tuples(&self) -> impl Iterator<Item = (NodeId, NodeRec)> + '_ {
-        let recs = (0..self.recs.len() as u32)
+        let recs = (0..self.cells.cells.len() as u32)
             .map(NodeId)
             .map(|v| (v, self.rec(v)));
         recs.filter(|(_, rec)| !rec.flags.is_empty())
@@ -333,7 +433,7 @@ impl NodeTable {
     /// serialization's input); empty if the table was built for the quadtree
     /// representation, which never transmits them.
     pub fn coords(&self, v: NodeId) -> &[u64] {
-        &self.coords[self.at(v) * self.stride..][..self.stride]
+        self.cells.coords(v)
     }
 
     /// The master columns a tuple with `flags` ships, as a bitset.
@@ -345,24 +445,33 @@ impl NodeTable {
     /// the relation's schema; `None` if its flags exclude the relation.
     pub fn project(&self, snet: &SensorNetwork, origin: NodeId, rel: usize) -> Option<Vec<f64>> {
         let (rel, row) = (&self.rels[rel], snet.readings(origin));
-        let belongs = self.rec(origin).flags.intersects(rel.flag);
+        let belongs = self.cells.cell(origin).1.intersects(rel.flag);
         belongs.then(|| rel.schema.iter().map(|&c| row[c]).collect())
     }
 
     /// The base station's join input from the tuples that arrived: per
-    /// relation, every origin whose flags include it, in arrival order.
+    /// relation, every origin whose flags include it, in arrival order, in
+    /// one batch built in one pass. Each batch is reserved once, for as many
+    /// tuples as `origins` says it may yield.
     pub fn tuples_per_rel(
         &self,
         snet: &SensorNetwork,
         origins: impl IntoIterator<Item = NodeId>,
-    ) -> Vec<Vec<(NodeId, Vec<f64>)>> {
-        let mut tables = vec![Vec::new(); self.rels.len()];
+    ) -> Vec<TupleBatch> {
+        let origins = origins.into_iter();
+        let (least, most) = origins.size_hint();
+        let room = most.unwrap_or(least);
+        let batch = |rel: &RelColumns| TupleBatch::with_capacity(rel.schema.len(), room);
+        let mut batches: Vec<TupleBatch> = self.rels.iter().map(batch).collect();
         for origin in origins {
-            for (rel, table) in tables.iter_mut().enumerate() {
-                table.extend(self.project(snet, origin, rel).map(|row| (origin, row)));
+            let (flags, row) = (self.cells.cell(origin).1, snet.readings(origin));
+            for (rel, batch) in self.rels.iter().zip(&mut batches) {
+                if flags.intersects(rel.flag) {
+                    batch.push_from(origin, rel.schema.iter().map(|&c| row[c]));
+                }
             }
         }
-        tables
+        batches
     }
 }
 

@@ -2,7 +2,7 @@
 //! epoch of one query ([`crate::epoch`]).
 
 use crate::config::{Representation, SensJoinConfig};
-use crate::engine::{exact_join, JoinSpace};
+use crate::engine::{exact_join_batches, JoinSpace};
 use crate::epoch::{run_epoch, Slot};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::snetwork::SensorNetwork;
@@ -69,7 +69,7 @@ impl JoinMethod for SensJoin {
             query,
             space: &space,
         };
-        let mut run = run_epoch(snet, &self.config, &[slot], true, exact_join);
+        let mut run = run_epoch(snet, &self.config, &[slot], true, exact_join_batches);
         let join = run.joins.pop().expect("one slot");
         Ok(JoinOutcome {
             result: join.result,

@@ -13,7 +13,7 @@ use sensjoin_core::{
 };
 use sensjoin_field::{Area, Placement, Position};
 use sensjoin_query::parse;
-use sensjoin_relation::AttrType;
+use sensjoin_relation::{AttrType, NodeId};
 use sensjoin_sim::BaseChoice;
 
 mod counting;
@@ -48,6 +48,29 @@ fn the_table_is_a_fixed_number_of_allocations() {
         assert_eq!(small, large, "{repr:?}");
         assert!(small <= 16, "{repr:?}: {small} allocations");
     }
+}
+
+/// The base station's join input is one batch per relation, reserved once
+/// from the shipped origins: no allocation per tuple.
+#[test]
+fn the_join_input_allocates_per_relation_not_per_tuple() {
+    let _guard = serial();
+    let input = |n: usize| {
+        let snet = snet(n);
+        let cq = snet.compile(&parse(SQL).unwrap()).unwrap();
+        let space = JoinSpace::build(&cq, &snet, &SensJoinConfig::default());
+        let table = NodeTable::build(&snet, &cq, &space, Representation::Quadtree);
+        let shipped: Vec<NodeId> = table.tuples().map(|(v, _)| v).collect();
+        let (allocs, batches) =
+            allocations(|| table.tuples_per_rel(&snet, shipped.iter().copied()));
+        assert_eq!(batches.len(), 2);
+        assert!(batches.iter().all(|batch| batch.len() == n));
+        allocs
+    };
+    let (small, large) = (input(500), input(5000));
+    assert_eq!(small, large);
+    // The outer vector, and per relation its origins and values.
+    assert!(small <= 1 + 2 * 2, "{small} allocations");
 }
 
 /// The parent commit (a heap record per node with two vectors, a name set

@@ -88,6 +88,20 @@ impl PointSet {
         set
     }
 
+    /// Builds from points already sorted by unique `z`, each with non-empty
+    /// flags, without copying them: a merge's output.
+    ///
+    /// # Panics
+    /// Panics if the invariants do not hold.
+    pub fn from_sorted(points: Vec<Point>) -> Self {
+        assert!(
+            points.windows(2).all(|w| w[0].z < w[1].z)
+                && points.iter().all(|p| !p.flags.is_empty()),
+            "points must be sorted by unique z, each with flags"
+        );
+        Self { points }
+    }
+
     /// Builds directly from a vector already sorted by unique `z` with
     /// non-empty flags. Used by the decoder.
     ///

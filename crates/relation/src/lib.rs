@@ -17,7 +17,8 @@
 //!   networks partition nodes into several, §III).
 //!
 //! A tuple itself is its origin and one `f64` per attribute of the schema,
-//! in schema order — `(NodeId, Vec<f64>)` — the form the join engines take.
+//! in schema order. The join engines take a relation's tuples as one
+//! [`TupleBatch`]: their origins and their values in one row-major buffer.
 //!
 //! # Example
 //!
@@ -39,8 +40,10 @@
 //! assert!(hot.contains(tuple.0) && !hot.contains(NodeId(5)));
 //! ```
 
+mod batch;
 mod schema;
 
+pub use batch::TupleBatch;
 pub use schema::{AttrType, Attribute, Schema};
 
 /// Identifier of a sensor node. The base station is conventionally node 0.

@@ -5,7 +5,10 @@
 //! directory in the repo. For `#L<n>` / `#L<n>-L<m>` line anchors on
 //! source files (the `file.rs#L123` style ARCHITECTURE.md uses), the
 //! anchored lines must exist and hold what the link text names
-//! ([`check_anchor`]), so anchors go stale loudly instead of silently.
+//! ([`check_anchor`]), so anchors go stale loudly instead of silently. In
+//! the living docs ([`LIVING_DOCS`]) a `file.rs:nn` text must be such a
+//! link's text ([`unchecked_line_numbers`]): a plain one is checked by
+//! nothing.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -195,6 +198,88 @@ fn check_target(md_file: &Path, root: &Path, label: &str, target: &str) -> Optio
         // freely; only existence of the file matters.
     }
     None
+}
+
+/// The docs that describe the code as it is. CHANGES.md and ROADMAP.md
+/// quote history, and may name lines as they were.
+const LIVING_DOCS: [&str; 6] = [
+    "README.md",
+    "ARCHITECTURE.md",
+    "DESIGN.md",
+    "OPERATIONS.md",
+    "CONTRIBUTING.md",
+    "EXPERIMENTS.md",
+];
+
+/// `(line, text)` of every `name.rs:nn` in `text` that is not inside the
+/// text of a link with an `#L` anchor, the one place [`check_anchor`] reads
+/// it.
+fn unchecked_line_numbers(text: &str) -> Vec<(usize, String)> {
+    let name = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    for (at, _) in text.match_indices(".rs:") {
+        let digits = text[at + 4..].bytes().take_while(u8::is_ascii_digit);
+        let end = at + 4 + digits.count();
+        let before = text[..at].char_indices().rev().find(|&(_, c)| !name(c));
+        let start = before.map_or(0, |(i, c)| i + c.len_utf8());
+        if end == at + 4 || start == at {
+            continue;
+        }
+        // Inside `[...](target#L..)`: the last `[` before it is not closed
+        // before it, and the first `]` after it opens an anchored target.
+        let open = text[..start].rfind('[');
+        let closed = open.is_some_and(|open| text[open..start].contains(']'));
+        let anchored = text[end..].find(']').is_some_and(|close| {
+            let target = &text[end + close + 1..];
+            let target = target.strip_prefix('(').and_then(|t| t.split(')').next());
+            target.is_some_and(|t| t.contains("#L")) && !text[end..end + close].contains('[')
+        });
+        if open.is_none() || closed || !anchored {
+            let line = text[..at].matches('\n').count() + 1;
+            found.push((line, text[start..end].to_owned()));
+        }
+    }
+    found
+}
+
+#[test]
+fn living_docs_name_lines_only_in_checked_anchors() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut problems = Vec::new();
+    for doc in LIVING_DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for (line, span) in unchecked_line_numbers(&text) {
+            problems.push(format!("{doc}:{line}: `{span}`"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "{} line number(s) no test checks — name the item, or make the text an `#L` link's:\n  {}",
+        problems.len(),
+        problems.join("\n  ")
+    );
+}
+
+/// A `file.rs:nn` counts as checked only as the text of an `#L` link: in
+/// prose, in a code block, or as the text of a link to the file alone, it
+/// is reported.
+#[test]
+fn only_anchor_texts_may_name_lines() {
+    let text = "[`run_epoch`, `epoch.rs:290`](crates/core/src/epoch.rs#L290) and\n\
+                [`engine.rs:370-380`](crates/core/src/engine.rs#L370-L380)\n\
+                stale: epoch.rs:368, [core/engine.rs:792],\n\
+                [`repr.rs:12`](crates/core/src/repr.rs), `point.rs:34`\n\
+                fine: [core/epoch.rs: run_epoch], engine.rs, a.rs:x";
+    let owned = |line, span: &str| (line, span.to_owned());
+    assert_eq!(
+        unchecked_line_numbers(text),
+        vec![
+            owned(3, "epoch.rs:368"),
+            owned(3, "engine.rs:792"),
+            owned(4, "repr.rs:12"),
+            owned(4, "point.rs:34"),
+        ]
+    );
 }
 
 #[test]

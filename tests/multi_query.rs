@@ -7,7 +7,7 @@
 //! quantize over the same attributes.
 
 use proptest::prelude::*;
-use sensjoin::core::{GroupResult, JoinResult, QueryGroup, QueryId};
+use sensjoin::core::{GroupResult, JoinResult, JoinSpace, QueryGroup, QueryId, SoloCost};
 use sensjoin::prelude::*;
 use sensjoin_query::CompiledQuery;
 
@@ -314,4 +314,93 @@ fn aggregate_and_grouped_queries_match_solo_bitwise() {
             assert!(out.result.same_result(&solo.result));
         }
     }
+}
+
+/// A group epoch shares one cell table, collection structure and memorized
+/// subtree set per *collection class* — the plans whose nodes' cells
+/// coincide — and never merges plans whose cells differ. One group mixes a
+/// template at two thresholds (one class), the same template with a local
+/// predicate (same space, other flags) and the template registered on an
+/// earlier snapshot (another space); a second group runs the same mix under
+/// `Representation::Raw`, whose collection bytes are per tuple. Every plan's
+/// result, contributors and solo cost equal those of a one-plan group
+/// registered on the same snapshot (Treecut off, so that solo costs are
+/// comparable), and the shared bytes are what the epoch cost before plans
+/// shared their cells.
+#[test]
+fn collection_classes_never_merge_plans_whose_cells_differ() {
+    let template = |c: f64, local: &str| {
+        format!(
+            "SELECT A.hum, B.pres FROM Sensors A, Sensors B \
+             WHERE A.temp - B.temp > {c}{local} SAMPLE PERIOD 30"
+        )
+    };
+    // Per representation: shared (collection, filter, final) bytes.
+    let mut shared = Vec::new();
+    for repr in [Representation::Quadtree, Representation::Raw] {
+        let config = SensJoinConfig {
+            representation: repr,
+            dmax: 0,
+            ..SensJoinConfig::default()
+        };
+        let mut snet = build(23, 90);
+        let mut group = QueryGroup::new(config.clone());
+        let (mut solo, mut spaces) = (Vec::new(), Vec::new());
+        let mut register = |snet: &SensorNetwork, sql: String| {
+            let cq = compile(snet, &sql);
+            spaces.push(JoinSpace::build(&cq, snet, &config).to_parts());
+            let mut alone = QueryGroup::new(config.clone());
+            alone.register(snet, cq.clone(), 1);
+            solo.push(alone);
+            group.register(snet, cq, 1)
+        };
+        // A plan's space is taken from the readings it is registered on.
+        snet.resample(&presets::indoor_climate(), 11);
+        let mut ids = vec![register(&snet, template(0.8, ""))];
+        snet.resample(&presets::indoor_climate(), 12);
+        for sql in [
+            template(1.0, ""),
+            template(1.5, ""),
+            template(1.0, " AND A.hum > 43"),
+        ] {
+            ids.push(register(&snet, sql));
+        }
+        assert!(spaces[0] != spaces[1] && spaces[1..].iter().all(|s| *s == spaces[1]));
+        snet.resample(&presets::indoor_climate(), 13);
+        let report = group.execute_epoch(&mut snet).unwrap();
+        assert_eq!(report.plans, 4);
+        for ((out, cost), (id, alone)) in report
+            .outcomes
+            .iter()
+            .zip(&report.solo_equivalent)
+            .zip(ids.iter().zip(&mut solo))
+        {
+            assert_eq!(out.id, *id);
+            let want = alone.execute_epoch(&mut snet).unwrap();
+            let (want_out, want_cost) = (&want.outcomes[0], &want.solo_equivalent[0]);
+            assert!(
+                out.result.same_result(&*want_out.result),
+                "{repr:?} {id:?}: {} rows vs {} alone",
+                out.result.len(),
+                want_out.result.len()
+            );
+            assert_eq!(out.contributors, want_out.contributors, "{repr:?} {id:?}");
+            let bytes = |c: &SoloCost| (c.collection_bytes, c.filter_bytes, c.final_bytes);
+            assert_eq!(bytes(cost), bytes(want_cost), "{repr:?} {id:?}");
+        }
+        // The premises: every plan answers rows, and the local predicate
+        // changes who ships.
+        assert!(report.outcomes.iter().all(|out| !out.result.is_empty()));
+        assert_ne!(
+            report.outcomes[1].contributors, report.outcomes[3].contributors,
+            "premise"
+        );
+        shared.push((
+            report.shared_collection_bytes(),
+            report.shared_filter_bytes(),
+            report.shared_final_bytes(),
+        ));
+    }
+    // What the epoch cost when every plan had cells of its own.
+    assert_eq!(shared, [(371, 296, 1183), (2028, 296, 1183)]);
 }
