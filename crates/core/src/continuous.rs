@@ -93,6 +93,161 @@ fn counts_to_set(counts: &CellCounts) -> PointSet {
     PointSet::from_points(points.filter(|p| !p.flags.is_empty()))
 }
 
+/// A round's own counted cells: the [`CellCounts`] of a delta's additions
+/// or removals, or of a node's subtree, as a vector sorted by z with no
+/// all-zero entry. Folding, sizing and pruning are then linear merges over
+/// z-sorted sequences, like the paper's `Union` and `Intersect` (§V); the
+/// hash-keyed [`CellCounts`] is what [`FilterEngine`] takes, built once per
+/// round at the base ([`Delta::net`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct SortedCounts(Vec<(u64, [i64; 8])>);
+
+impl SortedCounts {
+    /// Every cell of `cells` counted once in each of its flag bits.
+    fn of_cells(cells: impl IntoIterator<Item = (u64, u8)>) -> Self {
+        let mut cells: Vec<(u64, u8)> = cells.into_iter().filter(|c| c.1 != 0).collect();
+        cells.sort_unstable_by_key(|c| c.0);
+        let mut out: Vec<(u64, [i64; 8])> = Vec::new();
+        for (z, flags) in cells {
+            if out.last().is_none_or(|e| e.0 != z) {
+                out.push((z, [0; 8]));
+            }
+            let counts = &mut out.last_mut().expect("just pushed").1;
+            flag_bits(flags).for_each(|b| counts[b] += 1);
+        }
+        Self(out)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Counts cell `z` once more in each bit of `flags`.
+    fn count(&mut self, z: u64, flags: u8) {
+        let at = match self.0.binary_search_by_key(&z, |e| e.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (z, [0; 8]));
+                at
+            }
+        };
+        flag_bits(flags).for_each(|b| self.0[at].1[b] += 1);
+    }
+
+    /// Adds `sign` times `delta`, dropping cells whose counters all return
+    /// to zero, and calls `moved(z, flags)` for each cell whose role
+    /// presence changed — [`fold_delta`] over sorted cells. Cells counted
+    /// here before and after are updated in place; the first cell to
+    /// appear or vanish sends the rest of `delta` through one merge.
+    fn fold(&mut self, delta: &SortedCounts, sign: i64, mut moved: impl FnMut(u64, u8)) {
+        let mut at = 0;
+        for (j, (z, d)) in delta.0.iter().enumerate() {
+            at += self.0[at..].partition_point(|e| e.0 < *z);
+            let Some((_, counts)) = self.0.get_mut(at).filter(|e| e.0 == *z) else {
+                return self.merge(&delta.0[j..], sign, moved);
+            };
+            let was = *counts;
+            counts.iter_mut().zip(d).for_each(|(c, d)| *c += sign * d);
+            if *counts == [0; 8] {
+                *counts = was;
+                return self.merge(&delta.0[j..], sign, moved);
+            }
+            if presence(&was) != presence(counts) {
+                moved(*z, presence(counts));
+            }
+        }
+    }
+
+    /// [`SortedCounts::fold`] as one merge of the two sequences.
+    fn merge(&mut self, b: &[(u64, [i64; 8])], sign: i64, mut moved: impl FnMut(u64, u8)) {
+        let a = std::mem::take(&mut self.0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (z, old) = match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                    continue;
+                }
+                std::cmp::Ordering::Greater => (b[j].0, [0; 8]),
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    a[i - 1]
+                }
+            };
+            let mut counts = old;
+            counts
+                .iter_mut()
+                .zip(&b[j].1)
+                .for_each(|(c, d)| *c += sign * d);
+            j += 1;
+            let (was, now) = (presence(&old), presence(&counts));
+            if counts != [0; 8] {
+                out.push((z, counts));
+            }
+            if was != now {
+                moved(z, now);
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        for &(z, d) in &b[j..] {
+            let counts = d.map(|d| sign * d);
+            let now = presence(&counts);
+            if counts != [0; 8] {
+                out.push((z, counts));
+            }
+            if now != 0 {
+                moved(z, now);
+            }
+        }
+        self.0 = out;
+    }
+
+    /// The present cells, each with its role presence.
+    fn presence_set(&self) -> PointSet {
+        let points = self.0.iter().map(|(z, c)| Point {
+            z: *z,
+            flags: RelFlags(presence(c)),
+        });
+        PointSet::from_sorted(points.filter(|p| !p.flags.is_empty()).collect())
+    }
+
+    /// The points of `set` at cells counted here, their flags masked by
+    /// `mask` of the cell's counters, those left empty dropped: one forward
+    /// walk of both sequences, skipping ahead by binary search where `set`
+    /// is sparse.
+    fn restrict(&self, set: &PointSet, mask: impl Fn(&[i64; 8]) -> u8) -> PointSet {
+        let (mut out, mut rest) = (Vec::new(), &self.0[..]);
+        for p in set.iter() {
+            rest = &rest[rest.partition_point(|e| e.0 < p.z)..];
+            let Some((z, counts)) = rest.first() else {
+                break;
+            };
+            let flags = p.flags.0 & mask(counts);
+            if *z == p.z && flags != 0 {
+                out.push(Point {
+                    z: p.z,
+                    flags: RelFlags(flags),
+                });
+            }
+        }
+        PointSet::from_sorted(out)
+    }
+
+    /// `set` narrowed to the cells present here, each to its role presence:
+    /// `set.intersect(&counts_to_set(..))` of these counts, with no set
+    /// built.
+    fn prune(&self, set: &PointSet) -> PointSet {
+        self.restrict(set, presence)
+    }
+
+    /// The hash-keyed form.
+    fn to_counts(&self) -> CellCounts {
+        self.0.iter().copied().collect()
+    }
+}
+
 /// The base station's pre-join filter over the population the nodes
 /// reported, kept across the rounds of a continuous query. Each round's
 /// counted cell delta is folded into the counts; if it changed some cell's
@@ -194,8 +349,8 @@ fn record_batch(into: &mut DeltaBatchStats, b: &crate::ingest::BatchStats) {
 /// the swapped-into cell to its new holder.
 #[derive(Debug, Clone, Default)]
 struct Delta {
-    adds: CellCounts,
-    dels: CellCounts,
+    adds: SortedCounts,
+    dels: SortedCounts,
     /// Wire size, once computed; dropped when the content changes. A relay
     /// with nothing of its own to report forwards its only child's delta —
     /// and its size — unchanged.
@@ -205,48 +360,30 @@ struct Delta {
 impl Delta {
     fn record(&mut self, z: u64, flags: u8, sign: i64) {
         self.bytes = None;
-        let map = if sign > 0 {
+        let counts = if sign > 0 {
             &mut self.adds
         } else {
             &mut self.dels
         };
-        let e = map.entry(z).or_insert([0; 8]);
-        for b in flag_bits(flags) {
-            e[b] += sign.abs();
-        }
+        counts.count(z, flags);
     }
 
     fn merge(&mut self, other: &Delta) {
         self.bytes = None;
-        fold_delta(&mut self.adds, &other.adds, |_, _| {});
-        fold_delta(&mut self.dels, &other.dels, |_, _| {});
+        self.adds.fold(&other.adds, 1, |_, _| {});
+        self.dels.fold(&other.dels, 1, |_, _| {});
     }
 
-    /// The net population change (adds − dels), built in one pass without
-    /// cloning the adds map.
+    /// The net population change (adds − dels) in the form
+    /// [`FilterEngine::apply_delta`] takes.
     fn net(&self) -> CellCounts {
-        let mut net = CellCounts::with_capacity(self.adds.len() + self.dels.len());
-        for (&z, a) in &self.adds {
-            let mut e = *a;
-            if let Some(d) = self.dels.get(&z) {
-                for b in 0..8 {
-                    e[b] -= d[b];
-                }
-            }
-            if e.iter().any(|&c| c != 0) {
-                net.insert(z, e);
-            }
+        let mut net = CellCounts::with_capacity(self.adds.0.len() + self.dels.0.len());
+        net.extend(self.adds.0.iter().copied());
+        for (z, d) in &self.dels.0 {
+            let c = net.entry(*z).or_insert([0; 8]);
+            c.iter_mut().zip(d).for_each(|(c, d)| *c -= d);
         }
-        for (&z, d) in &self.dels {
-            if self.adds.contains_key(&z) {
-                continue; // already netted above
-            }
-            let mut e = [0i64; 8];
-            for b in 0..8 {
-                e[b] = -d[b];
-            }
-            net.insert(z, e);
-        }
+        net.retain(|_, c| *c != [0; 8]);
         net
     }
 
@@ -269,12 +406,12 @@ impl Delta {
         if self.is_empty() {
             return 0;
         }
-        let extra: i64 = (self.adds.values().chain(self.dels.values()))
-            .flatten()
+        let extra: i64 = (self.adds.0.iter().chain(&self.dels.0))
+            .flat_map(|(_, counts)| counts)
             .map(|&cnt| (cnt - 1).max(0))
             .sum();
-        let adds = counts_to_set(&self.adds);
-        let dels = counts_to_set(&self.dels);
+        let adds = self.adds.presence_set();
+        let dels = self.dels.presence_set();
         JoinAttrMsg::filter_wire_size(&adds, Representation::Quadtree, space)
             + JoinAttrMsg::filter_wire_size(&dels, Representation::Quadtree, space)
             + extra as usize
@@ -303,13 +440,60 @@ impl FilterDelta {
             + 1
     }
 
-    /// Applies the delta to a node's filter view.
-    fn apply(&self, filter: &mut PointSet) {
-        let mut merged = filter.union(&self.added);
-        if !self.removed.is_empty() {
-            merged = minus(&merged, &self.removed);
+    /// Applies the delta to a node's filter view: `(view ∪ added) −
+    /// removed` in one merge pass over the three z-sorted sequences.
+    fn apply(&self, view: &mut PointSet) {
+        let (v, a, r) = (view.points(), self.added.points(), self.removed.points());
+        let mut out = Vec::with_capacity(v.len() + a.len());
+        let (mut i, mut j, mut k) = (0, 0, 0);
+        while i < v.len() || j < a.len() {
+            let p = match (v.get(i), a.get(j)) {
+                (Some(x), Some(y)) if x.z == y.z => {
+                    (i, j) = (i + 1, j + 1);
+                    Point {
+                        z: x.z,
+                        flags: x.flags.or(y.flags),
+                    }
+                }
+                (Some(x), y) if y.is_none_or(|y| x.z < y.z) => {
+                    i += 1;
+                    *x
+                }
+                (_, y) => {
+                    j += 1;
+                    *y.expect("one side is left")
+                }
+            };
+            while k < r.len() && r[k].z < p.z {
+                k += 1;
+            }
+            let gone = r.get(k).filter(|q| q.z == p.z).map_or(0, |q| q.flags.0);
+            let flags = RelFlags(p.flags.0 & !gone);
+            if !flags.is_empty() {
+                out.push(Point { z: p.z, flags });
+            }
         }
-        *filter = merged;
+        *view = PointSet::from_sorted(out);
+    }
+
+    /// The delta a node forwards to its children: each side narrowed to the
+    /// cells of the node's subtree synopsis `sub` (Selective Filter
+    /// Forwarding on deltas). Debug builds derive it the old way as well —
+    /// intersecting with the subtree's presence set — and must agree.
+    fn prune(&self, sub: &SortedCounts) -> FilterDelta {
+        let pruned = FilterDelta {
+            added: sub.prune(&self.added),
+            removed: sub.prune(&self.removed),
+        };
+        debug_assert!(
+            {
+                let cells = counts_to_set(&sub.to_counts());
+                pruned.added == self.added.intersect(&cells)
+                    && pruned.removed == self.removed.intersect(&cells)
+            },
+            "a pruned filter delta is not its intersection with the subtree's cells"
+        );
+        pruned
     }
 }
 
@@ -348,7 +532,7 @@ struct State {
     /// Per node: counted cell population of its subtree (incl. itself) —
     /// [`subtree_counts`] of `last_cell` over the routing tree. Empty after
     /// a restore, until the next round rebuilds it.
-    subtree: Vec<CellCounts>,
+    subtree: Vec<SortedCounts>,
     /// Base station: the filter over the global population (the sum of
     /// `last_cell`), and the filter as of the last round (for delta
     /// dissemination).
@@ -364,20 +548,17 @@ struct State {
 
 /// Per node, the counted cell population of its subtree: every reported
 /// cell counts at its node and at each of the node's ancestors.
-fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<CellCounts> {
-    let mut subtree: Vec<CellCounts> = last_cell.iter().map(|_| CellCounts::default()).collect();
+fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<SortedCounts> {
+    let mut cells: Vec<Vec<(u64, u8)>> = vec![Vec::new(); last_cell.len()];
     for (i, cell) in last_cell.iter().enumerate() {
-        let Some((z, f)) = *cell else { continue };
+        let Some(cell) = *cell else { continue };
         let mut at = Some(NodeId(i as u32));
         while let Some(u) = at {
-            let e = subtree[u.0 as usize].entry(z).or_insert([0; 8]);
-            for b in flag_bits(f) {
-                e[b] += 1;
-            }
+            cells[u.0 as usize].push(cell);
             at = routing.parent(u);
         }
     }
-    subtree
+    cells.into_iter().map(SortedCounts::of_cells).collect()
 }
 
 /// The `per_rel` of node `v`'s [`StreamOp::Upsert`] when its master row is
@@ -555,12 +736,11 @@ impl ContinuousSensJoin {
             {
                 return Err(CodecError::Invariant("cell outside the join space"));
             }
-            let mut population = Delta::default();
-            for &(z, f) in last_cell.iter().flatten() {
-                population.record(z, f, 1);
-            }
+            let population = SortedCounts::of_cells(last_cell.iter().flatten().copied());
             let mut engine = FilterEngine::new(query, &space);
-            let filter = engine.apply_delta(query, &space, &population.adds).clone();
+            let filter = engine
+                .apply_delta(query, &space, &population.to_counts())
+                .clone();
             Some(State {
                 space,
                 last_cell,
@@ -674,16 +854,14 @@ impl ContinuousSensJoin {
         let Some(st) = &mut self.state else { return };
         let net = snet.net();
         let routing = net.routing();
-        let mut departed = Delta::default();
+        let mut departed = Vec::new();
         let mut expirations: Vec<StreamOp> = Vec::new();
         for i in 0..st.last_cell.len() {
             let v = NodeId(i as u32);
             if net.is_alive(v) && routing.depth(v).is_some() {
                 continue;
             }
-            if let Some((z, f)) = st.last_cell[i].take() {
-                departed.record(z, f, -1);
-            }
+            departed.extend(st.last_cell[i].take());
             st.node_filter[i] = PointSet::new();
             if st.last_values[i].take().is_some() {
                 expirations.push(StreamOp::Expire { origin: v });
@@ -698,6 +876,10 @@ impl ContinuousSensJoin {
             // The filter shrinks accordingly; the removals reach the
             // survivors through the next round's ordinary filter delta
             // (computed against `st.filter`).
+            let departed = Delta {
+                dels: SortedCounts::of_cells(departed),
+                ..Delta::default()
+            };
             st.engine.apply_delta(query, &st.space, &departed.net());
         }
     }
@@ -717,7 +899,7 @@ impl ContinuousSensJoin {
                 last_cell: vec![None; n],
                 last_values: vec![None; n],
                 node_filter: vec![PointSet::new(); n],
-                subtree: (0..n).map(|_| CellCounts::default()).collect(),
+                subtree: vec![SortedCounts::default(); n],
                 filter: PointSet::new(),
                 rounds: 0,
             });
@@ -753,7 +935,10 @@ impl ContinuousSensJoin {
                     }
                     *last = cur;
                 }
-                fold_delta(&mut subtree[v.0 as usize], &merged.net(), |_, _| {});
+                // Adds first: the synopsis never dips below zero on the way.
+                let sub = &mut subtree[v.0 as usize];
+                sub.fold(&merged.adds, 1, |_, _| {});
+                sub.fold(&merged.dels, -1, |_, _| {});
                 merged
             },
             |d| d.wire_size(space),
@@ -769,20 +954,14 @@ impl ContinuousSensJoin {
             .engine
             .apply_delta(query, &st.space, &base_delta.net())
             .clone();
-        let mut added = minus(&new_filter, &st.filter);
-        let removed = minus(&st.filter, &new_filter);
         // Re-announce filter entries for cells whose population grew this
         // round: a node that just *moved into* an already-filtered cell has
         // no way to know the cell matches (its filter view predates its
         // move), so the unchanged filter entry must flow to it again. The
         // subtree pruning then routes it exactly to the mover's branch.
-        for (&z, c) in &base_delta.adds {
-            if c.iter().any(|&x| x > 0) {
-                if let Some(f) = new_filter.flags_of(z) {
-                    added.insert(z, f);
-                }
-            }
-        }
+        let regrown = base_delta.adds.restrict(&new_filter, |_| u8::MAX);
+        let added = minus(&new_filter, &st.filter).union(&regrown);
+        let removed = minus(&st.filter, &new_filter);
         st.filter = new_filter;
         let full_delta = FilterDelta { added, removed };
 
@@ -809,11 +988,7 @@ impl ContinuousSensJoin {
                 }
                 // Prune to the child subtrees' cells (Selective Filter
                 // Forwarding on deltas).
-                let sub = counts_to_set(&subtree[v.0 as usize]);
-                let pruned = FilterDelta {
-                    added: fd.added.intersect(&sub),
-                    removed: fd.removed.intersect(&sub),
-                };
+                let pruned = fd.prune(&subtree[v.0 as usize]);
                 (!pruned.is_empty()).then_some(pruned)
             },
             |fd| fd.wire_size(space),
@@ -935,6 +1110,7 @@ mod tests {
     use super::*;
     use crate::snetwork::SensorNetworkBuilder;
     use crate::{ExternalJoin, JoinMethod};
+    use proptest::prelude::*;
     use sensjoin_field::{presets, Area, FieldSpec, Placement};
     use sensjoin_query::parse;
 
@@ -1432,5 +1608,110 @@ mod tests {
         assert!(engine.filter().is_empty(), "unsatisfiable component");
         let fresh = prejoin_filter(&cq, &space, engine.population());
         assert!(fresh.points().is_empty());
+    }
+
+    /// Counted cells at z in `0..24`, every flag bit, counters in `0..3`:
+    /// sorted, all-zero cells dropped, possibly none.
+    fn counted() -> impl Strategy<Value = SortedCounts> {
+        let cell = (0u64..24, prop::collection::vec(0i64..3, 8));
+        prop::collection::vec(cell, 0..12).prop_map(|cells| {
+            let mut map = CellCounts::default();
+            for (z, counts) in cells {
+                let c = map.entry(z).or_insert([0; 8]);
+                c.iter_mut().zip(&counts).for_each(|(c, d)| *c += d);
+            }
+            let mut out: Vec<(u64, [i64; 8])> =
+                map.into_iter().filter(|(_, c)| *c != [0; 8]).collect();
+            out.sort_unstable_by_key(|e| e.0);
+            SortedCounts(out)
+        })
+    }
+
+    /// Points at z in `0..24` with any non-empty flags, possibly none.
+    fn points() -> impl Strategy<Value = PointSet> {
+        prop::collection::vec((0u64..24, 1u8..=255), 0..12).prop_map(|points| {
+            PointSet::from_points(points.into_iter().map(|(z, f)| Point {
+                z,
+                flags: RelFlags(f),
+            }))
+        })
+    }
+
+    /// `into` with `delta` folded in, and the presence changes the fold
+    /// reported, in z order.
+    fn folded(
+        into: &mut SortedCounts,
+        delta: &SortedCounts,
+        sign: i64,
+    ) -> (SortedCounts, Vec<(u64, u8)>) {
+        let mut moved = Vec::new();
+        into.fold(delta, sign, |z, f| moved.push((z, f)));
+        moved.sort_unstable();
+        (into.clone(), moved)
+    }
+
+    /// What `fold_delta` does to the hash-keyed form of `into`.
+    fn oracle_folded(into: &SortedCounts, delta: &CellCounts) -> (CellCounts, Vec<(u64, u8)>) {
+        let (mut map, mut moved) = (into.to_counts(), Vec::new());
+        fold_delta(&mut map, delta, |z, f| moved.push((z, f)));
+        moved.sort_unstable();
+        (map, moved)
+    }
+
+    proptest! {
+        /// The sorted fold, the merge-walk prune and the one-pass apply are
+        /// the set algebra they replace: `fold_delta` on the hash-keyed
+        /// counts (the presence changes it reports included), `intersect`
+        /// with `counts_to_set`, and `union` then `minus`. The removals
+        /// take each counter back by nothing, all of it or half of it, so
+        /// cells return to zero.
+        #[test]
+        fn the_merges_are_the_set_algebra(
+            base in counted(),
+            adds in counted(),
+            cuts in prop::collection::vec(0u8..3, 24 * 8),
+            set in points(),
+            view in points(),
+            added in points(),
+            removed in points(),
+        ) {
+            let mut sorted = base.clone();
+            let (after_adds, moved) = folded(&mut sorted, &adds, 1);
+            let (map, oracle_moved) = oracle_folded(&base, &adds.to_counts());
+            prop_assert_eq!(after_adds.to_counts(), map);
+            prop_assert_eq!(moved, oracle_moved);
+            let dels = SortedCounts(
+                after_adds
+                    .0
+                    .iter()
+                    .map(|&(z, c)| {
+                        let cut = |b: usize| match cuts[z as usize * 8 + b] {
+                            0 => 0,
+                            1 => c[b],
+                            _ => c[b] / 2,
+                        };
+                        (z, std::array::from_fn(cut))
+                    })
+                    .filter(|(_, c)| *c != [0; 8])
+                    .collect(),
+            );
+            let negated = dels.0.iter().map(|&(z, c)| (z, c.map(|c| -c))).collect();
+            let (after_dels, moved) = folded(&mut sorted, &dels, -1);
+            let (map, oracle_moved) = oracle_folded(&after_adds, &negated);
+            prop_assert_eq!(after_dels.to_counts(), map);
+            prop_assert_eq!(moved, oracle_moved);
+            prop_assert!(after_dels.0.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert!(after_dels.0.iter().all(|(_, c)| *c != [0; 8]));
+
+            for counts in [&base, &adds, &after_dels] {
+                let cells = counts_to_set(&counts.to_counts());
+                prop_assert_eq!(counts.prune(&set), set.intersect(&cells));
+            }
+
+            let fd = FilterDelta { added, removed };
+            let mut applied = view.clone();
+            fd.apply(&mut applied);
+            prop_assert_eq!(applied, minus(&view.union(&fd.added), &fd.removed));
+        }
     }
 }

@@ -20,7 +20,10 @@ use sensjoin_core::{
 use sensjoin_field::{presets, Area, Placement};
 use sensjoin_query::parse;
 use sensjoin_relation::NodeId;
-use sensjoin_sim::{ArqPolicy, BaseChoice, Channel, ChurnAction, ChurnTimeline, NetworkStats};
+use sensjoin_sim::{
+    ArqPolicy, BaseChoice, Channel, ChurnAction, ChurnTimeline, LossModel, NetSnapshot,
+    NetworkStats,
+};
 use std::fmt::Write;
 
 const Q3: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
@@ -243,6 +246,42 @@ fn snapshot_image() -> String {
     s.net_mut()
         .unicast(kid, base, 9, "1-join-attribute-collection");
     s.net_mut().revive_node(victim);
+    image_line(&s, |_| String::new())
+}
+
+/// The checkpoint image of a lossy network: Bernoulli loss under `ack(8)`
+/// with one link's model overridden, and traffic up and down several links
+/// (ACKs draw on the reverse links). It pins the per-link channel states —
+/// their `(from, to)` order and their generator words — which the
+/// channel-free image above does not hold.
+fn lossy_snapshot_image() -> String {
+    let mut s = snet();
+    let base = s.base();
+    let tree = s.net().routing().clone();
+    let kids = tree.children(base).to_vec();
+    let mut channel = Channel::bernoulli(0.3, 41);
+    channel.set_link_model(kids[0], base, LossModel::Bernoulli { p: 0.6 });
+    s.net_mut().set_channel(Some(channel));
+    s.net_mut().set_arq(ArqPolicy::ack(8));
+    for &kid in &kids {
+        for &grandkid in tree.children(kid) {
+            s.net_mut()
+                .unicast(grandkid, kid, 60, "1-join-attribute-collection");
+        }
+        s.net_mut().unicast(kid, base, 70, "3-final-result");
+        s.net_mut().unicast(base, kid, 40, "2-filter-dissemination");
+    }
+    s.net_mut()
+        .broadcast(base, &kids, 130, "2-filter-dissemination");
+    image_line(&s, |back| {
+        let links = back.channel_states.as_ref().map_or(0, Vec::len);
+        format!(", {links} link states")
+    })
+}
+
+/// The length and FNV-1a hash of `s`'s network image, its phase labels and
+/// whatever `extra` reads off the decoded snapshot.
+fn image_line(s: &SensorNetwork, extra: impl Fn(&NetSnapshot) -> String) -> String {
     let mut w = Writer::new();
     put_net_snapshot(&mut w, &s.net().export_state());
     let bytes = w.into_bytes();
@@ -256,8 +295,9 @@ fn snapshot_image() -> String {
         (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
     });
     format!(
-        "{} bytes, fnv1a {hash:#018x}, phases {labels:?}\n",
-        bytes.len()
+        "{} bytes, fnv1a {hash:#018x}, phases {labels:?}{}\n",
+        bytes.len(),
+        extra(&back)
     )
 }
 
@@ -319,7 +359,18 @@ fn snapshot_bytes_are_pinned() {
     pinned("snapshot", snapshot_image, GOLDEN_SNAPSHOT);
 }
 
+#[test]
+fn lossy_snapshot_bytes_are_pinned() {
+    pinned(
+        "lossy-snapshot",
+        lossy_snapshot_image,
+        GOLDEN_LOSSY_SNAPSHOT,
+    );
+}
+
 const GOLDEN_SNAPSHOT: &str = r#"28409 bytes, fnv1a 0xc9d55aa03bbb3fce, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result", "repair"]
+"#;
+const GOLDEN_LOSSY_SNAPSHOT: &str = r#"29053 bytes, fnv1a 0x070f1bf691954ded, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result"], 18 link states
 "#;
 const GOLDEN_Q3: &str = r"one-shot, 5498 rows
   1-join-attribute-collection: tx 9659B/409p rx 9659B/409p retx 0B/0p ack 0B/0p lost 0 energy 0x4110576b3333332a

@@ -13,10 +13,12 @@
 //! link does not depend on how much traffic other links carried.
 
 use crate::failure::LinkFailures;
+use crate::Topology;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sensjoin_relation::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Per-link packet-loss model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,34 +82,100 @@ impl LossModel {
     }
 }
 
-/// Mutable per-directed-link channel state: the RNG stream and (for
-/// Gilbert–Elliott) the current Markov state.
+/// Mutable per-directed-link channel state: its RNG stream, (for
+/// Gilbert–Elliott) the current Markov state, and where its loss model —
+/// read once, when the link is first drawn on — sits in the channel's
+/// table of the models in use.
 #[derive(Debug, Clone)]
 struct LinkState {
     rng: SmallRng,
     bad: bool,
+    model: u32,
+    /// The link's receiving end, for export.
+    to: NodeId,
+}
+
+impl LinkState {
+    /// The state a link starts from: its own deterministic stream.
+    fn fresh(seed: u64, from: NodeId, to: NodeId, model: u32) -> Self {
+        let link = ((from.0 as u64) << 32) | to.0 as u64;
+        Self {
+            rng: SmallRng::seed_from_u64(seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            bad: false,
+            model,
+            to,
+        }
+    }
+
+    /// Draws one packet's fate under the link's `model`: `true` = delivered.
+    fn draw(&mut self, model: LossModel) -> bool {
+        match model {
+            LossModel::Perfect => true,
+            LossModel::Bernoulli { p } => !self.rng.gen_bool(p),
+            LossModel::GilbertElliott {
+                p_good_to_bad,
+                p_bad_to_good,
+                loss_good,
+                loss_bad,
+            } => {
+                let flip = if self.bad {
+                    p_bad_to_good
+                } else {
+                    p_good_to_bad
+                };
+                if self.rng.gen_bool(flip) {
+                    self.bad = !self.bad;
+                }
+                let loss = if self.bad { loss_bad } else { loss_good };
+                !self.rng.gen_bool(loss)
+            }
+        }
+    }
 }
 
 /// One exported per-link state: `(from, to, rng words, Markov bad flag)` —
 /// the checkpoint/restore surface of [`Channel::export_states`].
 pub type ChannelLinkState = (NodeId, NodeId, [u64; 4], bool);
 
+/// The slot of a link no draw has touched.
+const UNDRAWN: u32 = u32::MAX;
+
 /// A lossy channel: per-packet survival draws for every directed link.
 ///
 /// Attach one to a [`crate::Network`] with [`crate::Network::set_channel`];
-/// from then on every fragment is drawn through [`Channel::deliver`]. A
+/// from then on every fragment is drawn through the channel. A
 /// channel whose models are all [`LossModel::is_perfect`] behaves exactly
 /// like no channel at all (the network takes the lossless fast path, so
 /// zero-loss runs reproduce lossless byte counts bit for bit).
+///
+/// Draws happen on the directed links of one [`Topology`], the one the
+/// channel is bound to ([`Channel::bind`]; attaching it to a network binds
+/// it to the network's). Each link has one `u32` slot, at its position in
+/// the neighbor rows taken in node-id order (row `from`, rank of `to` in
+/// it), naming its entry in a dense vector of the links drawn on so far: a
+/// draw is two array reads once the sender knows the rank, and once each
+/// link in use has its entry a transfer touches no allocator. Export walks
+/// the slots front to back, which is `(from, to)` order.
 #[derive(Debug, Clone)]
 pub struct Channel {
     default_model: LossModel,
     per_link: BTreeMap<(NodeId, NodeId), LossModel>,
+    /// How many entries of `per_link` may lose packets, so that
+    /// [`Channel::is_perfect`] is decided when the models change.
+    lossy_overrides: usize,
     /// If set, only these phases are lossy; packets of other phases always
     /// survive. Used by tests to confine loss to specific protocol phases.
     lossy_phases: Option<BTreeSet<String>>,
     seed: u64,
-    states: BTreeMap<(NodeId, NodeId), LinkState>,
+    topology: Option<Arc<Topology>>,
+    /// Per node id, where its row of links starts in `slots`.
+    rows: Vec<u32>,
+    /// Per directed link of `topology`, rows in node-id order: its index in
+    /// `states`, or [`UNDRAWN`].
+    slots: Vec<u32>,
+    states: Vec<LinkState>,
+    /// The distinct loss models of the links in `states`.
+    models: Vec<LossModel>,
 }
 
 impl Channel {
@@ -116,9 +184,14 @@ impl Channel {
         Self {
             default_model: model,
             per_link: BTreeMap::new(),
+            lossy_overrides: 0,
             lossy_phases: None,
             seed,
-            states: BTreeMap::new(),
+            topology: None,
+            rows: Vec::new(),
+            slots: Vec::new(),
+            states: Vec::new(),
+            models: Vec::new(),
         }
     }
 
@@ -140,20 +213,61 @@ impl Channel {
         Self::new(LossModel::burst(p, burst), seed)
     }
 
+    /// Binds the channel to the links of `topology`. Streams already drawn
+    /// on move to the same links of the new topology (a link it lacks
+    /// loses its stream); rebinding to the topology already bound changes
+    /// nothing.
+    pub fn bind(&mut self, topology: Arc<Topology>) {
+        if self
+            .topology
+            .as_ref()
+            .is_some_and(|t| Arc::ptr_eq(t, &topology))
+        {
+            return;
+        }
+        let kept = self.export_states();
+        self.rows = vec![0];
+        for v in topology.nodes() {
+            let end = self.rows[v.0 as usize] + topology.neighbors(v).len() as u32;
+            self.rows.push(end);
+        }
+        self.slots = vec![UNDRAWN; self.rows[topology.len()] as usize];
+        self.states.clear();
+        self.topology = Some(topology);
+        for (from, to, words, bad) in kept {
+            if let Some(link) = self.link(from, to) {
+                self.adopt(link, from, to, words, bad);
+            }
+        }
+    }
+
+    /// The slot of link `from → to`, if the bound topology has it.
+    fn link(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let t = self.topology.as_ref()?;
+        let rank = t.neighbors(from).binary_search(&to).ok()?;
+        Some(self.rows[from.0 as usize] as usize + rank)
+    }
+
     /// Overrides the loss model of the link between `a` and `b` (both
-    /// directions).
+    /// directions); their streams restart from the channel seed.
     pub fn set_link_model(&mut self, a: NodeId, b: NodeId, model: LossModel) {
-        self.per_link.insert((a, b), model);
-        self.per_link.insert((b, a), model);
-        self.states.remove(&(a, b));
-        self.states.remove(&(b, a));
+        for key in [(a, b), (b, a)] {
+            let old = self.per_link.insert(key, model);
+            self.lossy_overrides -= usize::from(old.is_some_and(|m| !m.is_perfect()));
+            self.lossy_overrides += usize::from(!model.is_perfect());
+            if let Some(link) = self.link(key.0, key.1) {
+                // The dense entry stays behind, unreachable; the next draw
+                // on the link starts a fresh one.
+                self.slots[link] = UNDRAWN;
+            }
+        }
     }
 
     /// Expresses whole-link outages in channel terms: every failed link of
     /// `failures` gets loss probability 1.0. This is the single degradation
     /// path shared by the §IV-F recovery machinery and the ARQ layer — a
     /// "failed link" is nothing but the extreme point of the loss scale.
-    pub fn with_failures(mut self, failures: &LinkFailures, topology: &crate::Topology) -> Self {
+    pub fn with_failures(mut self, failures: &LinkFailures, topology: &Topology) -> Self {
         for u in topology.nodes() {
             for &v in topology.neighbors(u) {
                 if u < v && failures.is_down(u, v) {
@@ -177,34 +291,91 @@ impl Channel {
 
     /// Whether no packet can ever be lost on any link.
     pub fn is_perfect(&self) -> bool {
-        self.default_model.is_perfect() && self.per_link.values().all(LossModel::is_perfect)
+        self.lossy_overrides == 0 && self.default_model.is_perfect()
     }
 
-    /// Exports the per-link generator and Markov states in link order — the
-    /// checkpoint/restore surface. Links never drawn on have no entry; their
-    /// streams are recreated lazily from the channel seed on first use, so
-    /// omitting them is lossless.
+    /// Exports the per-link generator and Markov states in `(from, to)`
+    /// order — the checkpoint/restore surface. Links never drawn on have no
+    /// entry; their streams are recreated lazily from the channel seed on
+    /// first use, so omitting them is lossless.
     pub fn export_states(&self) -> Vec<ChannelLinkState> {
-        self.states
-            .iter()
-            .map(|(&(from, to), st)| (from, to, st.rng.state(), st.bad))
-            .collect()
+        let mut out = Vec::with_capacity(self.states.len());
+        for (from, row) in self.rows.windows(2).enumerate() {
+            for &slot in &self.slots[row[0] as usize..row[1] as usize] {
+                if slot != UNDRAWN {
+                    let st = &self.states[slot as usize];
+                    out.push((NodeId(from as u32), st.to, st.rng.state(), st.bad));
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks that `states` is an export of a channel over `topology`:
+    /// every entry names a link of it, in strictly ascending `(from, to)`
+    /// order. Returns what is wrong otherwise.
+    pub fn check_states(
+        topology: &Topology,
+        states: &[ChannelLinkState],
+    ) -> Result<(), &'static str> {
+        let n = topology.len();
+        for (i, &(from, to, ..)) in states.iter().enumerate() {
+            if from.0 as usize >= n || to.0 as usize >= n {
+                return Err("channel state of no node");
+            }
+            if topology.neighbors(from).binary_search(&to).is_err() {
+                return Err("channel state of no link");
+            }
+            if i > 0 && (states[i - 1].0, states[i - 1].1) >= (from, to) {
+                return Err("channel states out of link order");
+            }
+        }
+        Ok(())
     }
 
     /// Replaces the per-link states with ones previously exported from an
-    /// identically-configured channel (same models and seed): every stream
-    /// resumes exactly where the exporting channel left it.
-    pub fn import_states(&mut self, states: &[ChannelLinkState]) {
+    /// identically-configured channel (same models, seed and topology):
+    /// every stream resumes exactly where the exporting channel left it.
+    /// States that [`Channel::check_states`] refuses against the bound
+    /// topology — or any state, if the channel is bound to none — are an
+    /// error, and then nothing is replaced.
+    pub fn import_states(&mut self, states: &[ChannelLinkState]) -> Result<(), &'static str> {
+        match &self.topology {
+            Some(t) => Self::check_states(t, states)?,
+            None if states.is_empty() => return Ok(()),
+            None => return Err("channel bound to no topology"),
+        }
+        self.slots.fill(UNDRAWN);
         self.states.clear();
         for &(from, to, words, bad) in states {
-            self.states.insert(
-                (from, to),
-                LinkState {
-                    rng: SmallRng::from_state(words),
-                    bad,
-                },
-            );
+            let link = self.link(from, to).expect("checked above");
+            self.adopt(link, from, to, words, bad);
         }
+        Ok(())
+    }
+
+    /// Gives link `link` (`from → to`) a state resumed from `words`.
+    fn adopt(&mut self, link: usize, from: NodeId, to: NodeId, words: [u64; 4], bad: bool) {
+        // A state on a link whose model cannot lose (one restored onto a
+        // perfect override) is kept for export but never draws.
+        let model = Some(self.model_for(from, to)).filter(|m| !m.is_perfect());
+        let model = self.model_id(model.unwrap_or(LossModel::Perfect));
+        self.slots[link] = self.states.len() as u32;
+        self.states.push(LinkState {
+            rng: SmallRng::from_state(words),
+            bad,
+            model,
+            to,
+        });
+    }
+
+    /// `model`'s index in `models`, added if new.
+    fn model_id(&mut self, model: LossModel) -> u32 {
+        let at = self.models.iter().position(|m| *m == model);
+        at.unwrap_or_else(|| {
+            self.models.push(model);
+            self.models.len() - 1
+        }) as u32
     }
 
     fn model_for(&self, from: NodeId, to: NodeId) -> LossModel {
@@ -225,53 +396,62 @@ impl Channel {
     /// Draws the fate of one packet on the directed link `from → to` under
     /// phase `phase`: `true` = delivered, `false` = lost. Deterministic in
     /// the channel seed and the per-link draw sequence.
+    ///
+    /// # Panics
+    /// Panics if the packet can be lost and `from → to` is not a link of
+    /// the topology the channel is bound to (or it is bound to none).
     pub fn deliver(&mut self, from: NodeId, to: NodeId, phase: &str) -> bool {
-        !self.lossy_in(phase) || self.draw(from, to)
+        if !self.lossy_in(phase) {
+            return true;
+        }
+        let link = self.link(from, to);
+        let link = link.unwrap_or_else(|| panic!("{from} -> {to} is no link of the channel"));
+        self.draw_link(link, from, to)
     }
 
     /// [`Channel::deliver`] for a phase already known to be in scope
-    /// ([`Channel::lossy_in`]).
-    pub(crate) fn draw(&mut self, from: NodeId, to: NodeId) -> bool {
+    /// ([`Channel::lossy_in`]) on the link from `from` to its neighbor
+    /// `to`, the `rank`-th of its neighbor row.
+    pub(crate) fn draw(&mut self, from: NodeId, rank: usize, to: NodeId) -> bool {
+        self.draw_link(self.rows[from.0 as usize] as usize + rank, from, to)
+    }
+
+    /// Draws on link `from → to`, whose slot is `link`.
+    fn draw_link(&mut self, link: usize, from: NodeId, to: NodeId) -> bool {
+        let slot = self.slots[link];
+        if slot != UNDRAWN {
+            let state = &mut self.states[slot as usize];
+            return state.draw(self.models[state.model as usize]);
+        }
         let model = self.model_for(from, to);
         if model.is_perfect() {
             return true;
         }
-        let seed = self.seed;
-        let state = self.states.entry((from, to)).or_insert_with(|| {
-            // Distinct deterministic stream per directed link.
-            let link = ((from.0 as u64) << 32) | to.0 as u64;
-            LinkState {
-                rng: SmallRng::seed_from_u64(seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                bad: false,
-            }
-        });
-        match model {
-            LossModel::Perfect => true,
-            LossModel::Bernoulli { p } => !state.rng.gen_bool(p),
-            LossModel::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                loss_good,
-                loss_bad,
-            } => {
-                let flip = if state.bad {
-                    p_bad_to_good
-                } else {
-                    p_good_to_bad
-                };
-                if state.rng.gen_bool(flip) {
-                    state.bad = !state.bad;
-                }
-                let loss = if state.bad { loss_bad } else { loss_good };
-                !state.rng.gen_bool(loss)
-            }
-        }
+        let id = self.model_id(model);
+        self.slots[link] = self.states.len() as u32;
+        let mut state = LinkState::fresh(self.seed, from, to, id);
+        let delivered = state.draw(model);
+        self.states.push(state);
+        delivered
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensjoin_field::{Area, Position};
+
+    /// `ch` bound to five nodes within range of each other: every ordered
+    /// pair of `0..5` is a link.
+    fn bound(mut ch: Channel) -> Channel {
+        let positions = (0..5).map(|i| Position::new(i as f64, i as f64)).collect();
+        ch.bind(Arc::new(Topology::new(
+            positions,
+            Area::new(10.0, 10.0),
+            50.0,
+        )));
+        ch
+    }
 
     #[test]
     fn perfect_models() {
@@ -288,7 +468,7 @@ mod tests {
     #[test]
     fn draws_are_deterministic_per_seed() {
         let draw = |seed: u64| -> Vec<bool> {
-            let mut ch = Channel::bernoulli(0.3, seed);
+            let mut ch = bound(Channel::bernoulli(0.3, seed));
             (0..64)
                 .map(|_| ch.deliver(NodeId(1), NodeId(2), "p"))
                 .collect()
@@ -301,11 +481,11 @@ mod tests {
     fn links_have_independent_streams() {
         // Interleaving draws on another link must not change this link's
         // pattern.
-        let mut a = Channel::bernoulli(0.3, 9);
+        let mut a = bound(Channel::bernoulli(0.3, 9));
         let solo: Vec<bool> = (0..32)
             .map(|_| a.deliver(NodeId(1), NodeId(2), "p"))
             .collect();
-        let mut b = Channel::bernoulli(0.3, 9);
+        let mut b = bound(Channel::bernoulli(0.3, 9));
         let mixed: Vec<bool> = (0..32)
             .map(|_| {
                 b.deliver(NodeId(3), NodeId(4), "p");
@@ -317,7 +497,7 @@ mod tests {
 
     #[test]
     fn bernoulli_rate_is_plausible() {
-        let mut ch = Channel::bernoulli(0.2, 11);
+        let mut ch = bound(Channel::bernoulli(0.2, 11));
         let lost = (0..10_000)
             .filter(|_| !ch.deliver(NodeId(0), NodeId(1), "p"))
             .count();
@@ -327,7 +507,8 @@ mod tests {
     #[test]
     fn gilbert_elliott_is_bursty_at_equal_rate() {
         // Same stationary loss, but losses should clump: count loss runs.
-        let runs = |mut ch: Channel| -> (usize, usize) {
+        let runs = |ch: Channel| -> (usize, usize) {
+            let mut ch = bound(ch);
             let mut lost = 0;
             let mut runs = 0;
             let mut prev = true;
@@ -357,7 +538,7 @@ mod tests {
 
     #[test]
     fn per_link_override_and_failures() {
-        let mut ch = Channel::perfect();
+        let mut ch = bound(Channel::perfect());
         ch.set_link_model(NodeId(1), NodeId(2), LossModel::Bernoulli { p: 1.0 });
         assert!(!ch.is_perfect());
         assert!(!ch.deliver(NodeId(1), NodeId(2), "p"));
@@ -367,8 +548,55 @@ mod tests {
 
     #[test]
     fn phase_scoping_confines_loss() {
-        let mut ch = Channel::bernoulli(1.0, 1).scope_to_phases(["bad-phase"]);
+        let mut ch = bound(Channel::bernoulli(1.0, 1).scope_to_phases(["bad-phase"]));
         assert!(ch.deliver(NodeId(0), NodeId(1), "good-phase"));
         assert!(!ch.deliver(NodeId(0), NodeId(1), "bad-phase"));
+    }
+
+    /// Perfectness is decided when the models change: a lossy override makes
+    /// a perfect channel lossy, and a perfect one over the same link makes
+    /// it perfect again.
+    #[test]
+    fn is_perfect_follows_overrides() {
+        let mut ch = Channel::perfect();
+        let (a, b) = (NodeId(1), NodeId(2));
+        ch.set_link_model(a, b, LossModel::Bernoulli { p: 0.5 });
+        assert!(!ch.is_perfect());
+        ch.set_link_model(b, a, LossModel::Perfect);
+        assert!(ch.is_perfect());
+        let mut lossy = Channel::bernoulli(0.1, 3);
+        lossy.set_link_model(a, b, LossModel::Perfect);
+        assert!(!lossy.is_perfect());
+    }
+
+    /// Export walks the links in `(from, to)` order whatever order they
+    /// were drawn in; an import resumes every stream, and refuses states of
+    /// no link or out of order without replacing anything.
+    #[test]
+    fn states_export_in_link_order_and_import_checked() {
+        let mut ch = bound(Channel::bernoulli(0.5, 4));
+        for (from, to) in [(3, 1), (0, 4), (1, 3), (0, 2)] {
+            ch.deliver(NodeId(from), NodeId(to), "p");
+        }
+        let states = ch.export_states();
+        let links: Vec<(u32, u32)> = states.iter().map(|s| (s.0 .0, s.1 .0)).collect();
+        assert_eq!(links, [(0, 2), (0, 4), (1, 3), (3, 1)]);
+        let mut resumed = bound(Channel::bernoulli(0.5, 4));
+        resumed.import_states(&states).unwrap();
+        let next = |ch: &mut Channel| -> Vec<bool> {
+            (0..32)
+                .map(|_| ch.deliver(NodeId(3), NodeId(1), "p"))
+                .collect()
+        };
+        assert_eq!(next(&mut resumed), next(&mut ch));
+        let before = resumed.export_states();
+        let mut twice = states.clone();
+        twice.swap(0, 1);
+        let mut foreign = states.clone();
+        foreign[0].1 = NodeId(9);
+        for bad in [twice, foreign] {
+            assert!(resumed.import_states(&bad).is_err());
+            assert_eq!(resumed.export_states(), before);
+        }
     }
 }

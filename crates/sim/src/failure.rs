@@ -124,6 +124,7 @@ mod tests {
         let f = LinkFailures::sample(&t, 0.2, 5);
         assert!(!f.is_empty());
         let mut ch = f.to_channel(&t);
+        ch.bind(std::sync::Arc::new(t.clone()));
         assert!(!ch.is_perfect());
         for u in t.nodes() {
             for &v in t.neighbors(u) {

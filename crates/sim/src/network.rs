@@ -177,7 +177,7 @@ impl NetworkBuilder {
         let routing = RoutingTree::build(&topology, base);
         Ok(Network {
             stats: NetworkStats::in_order(Arc::clone(topology.slot_of())),
-            topology,
+            topology: Arc::new(topology),
             routing,
             radio: self.radio,
             energy: self.energy,
@@ -214,7 +214,8 @@ impl NetworkBuilder {
 /// network that never heard of loss.
 #[derive(Debug, Clone)]
 pub struct Network {
-    topology: Topology,
+    /// Shared with an attached channel, whose per-link slots it indexes.
+    topology: Arc<Topology>,
     routing: RoutingTree,
     radio: RadioConfig,
     energy: EnergyModel,
@@ -445,7 +446,8 @@ impl Network {
     ///
     /// A snapshot comes from a checkpoint file: one that does not fit this
     /// network — another node count, a routing tree that is not a tree of
-    /// live topology links, a churn event or battery entry of no node — is
+    /// live topology links, a churn event or battery entry of no node, a
+    /// channel state of no topology link or out of `(from, to)` order — is
     /// refused before anything is restored from it.
     pub fn restore_state(&mut self, s: &NetSnapshot) -> Result<(), NetworkError> {
         let bad = |what| Err(NetworkError::BadSnapshot(what));
@@ -466,6 +468,9 @@ impl Network {
                 return bad("battery bank of another node count");
             }
         }
+        if let Some(states) = &s.channel_states {
+            Channel::check_states(&self.topology, states).map_err(NetworkError::BadSnapshot)?;
+        }
         self.routing
             .import_tree(&s.parent, &self.topology, &s.alive)?;
         self.alive = s.alive.clone();
@@ -475,7 +480,9 @@ impl Network {
             self.trace = Some(Trace::from_records(records.clone()));
         }
         if let (Some(channel), Some(states)) = (&mut self.channel, &s.channel_states) {
-            channel.import_states(states);
+            channel
+                .import_states(states)
+                .expect("checked against the topology above");
         }
         if let Some(timed) = &s.churn_timed {
             self.churn = Some(ChurnTimeline::from_events(
@@ -786,9 +793,13 @@ impl Network {
         }
     }
 
-    /// Attaches (or detaches, with `None`) a lossy channel. Fragments of
-    /// every subsequent transfer are drawn through it.
-    pub fn set_channel(&mut self, channel: Option<Channel>) {
+    /// Attaches (or detaches, with `None`) a lossy channel, bound to this
+    /// network's topology ([`Channel::bind`]). Fragments of every
+    /// subsequent transfer are drawn through it.
+    pub fn set_channel(&mut self, mut channel: Option<Channel>) {
+        if let Some(c) = &mut channel {
+            c.bind(Arc::clone(&self.topology));
+        }
         self.channel = channel;
     }
 
@@ -1002,15 +1013,15 @@ struct Link<'a> {
 }
 
 impl Link<'_> {
-    fn check_neighbors(&self, from: NodeId, receivers: &[NodeId]) {
+    /// The rank of `to` in `from`'s neighbor row: where the channel finds
+    /// the link `from → to`.
+    ///
+    /// # Panics
+    /// Panics if they are not neighbors.
+    fn link_of(&self, from: NodeId, to: NodeId) -> usize {
         debug_assert!(self.alive[from.0 as usize], "dead node {from} transmits");
-        for r in receivers {
-            assert!(
-                self.topology.neighbors(from).binary_search(r).is_ok(),
-                "{from} -> {r} are not neighbors"
-            );
-            debug_assert!(self.alive[r.0 as usize], "transmission to dead node {r}");
-        }
+        debug_assert!(self.alive[to.0 as usize], "transmission to dead node {to}");
+        rank(self.topology, from, to).unwrap_or_else(|| panic!("{from} -> {to} are not neighbors"))
     }
 
     fn lossy(&self) -> bool {
@@ -1021,19 +1032,21 @@ impl Link<'_> {
         if bytes == 0 {
             return Delivery::lossless(0, 0);
         }
-        self.check_neighbors(from, &[to]);
+        let out = self.link_of(from, to);
         if !self.lossy() {
             let (time, fragments) = self.charge_lossless(from, &[to], bytes);
             return Delivery::lossless(time, fragments);
         }
-        let (b, delivered) = self.transfer_lossy(from, &[to], bytes);
+        let back = rank(self.topology, to, from).expect("links are symmetric");
+        let mut marks = [true, false, false];
+        let sent = self.transfer_lossy(from, &[to], bytes, Ends::One { out, back }, &mut marks);
         Delivery {
-            time: b.time,
-            fragments: b.fragments,
-            delivered: delivered[0],
-            retransmissions: b.retransmissions,
-            control_packets: b.control_packets,
-            complete: b.complete[0],
+            time: sent.time,
+            fragments: sent.fragments,
+            delivered: sent.delivered,
+            retransmissions: sent.retransmissions,
+            control_packets: sent.control_packets,
+            complete: marks[0],
         }
     }
 
@@ -1041,12 +1054,28 @@ impl Link<'_> {
         if bytes == 0 || receivers.is_empty() {
             return BroadcastDelivery::lossless(0, 0, receivers.len());
         }
-        self.check_neighbors(from, receivers);
+        for &r in receivers {
+            self.link_of(from, r);
+        }
         if !self.lossy() {
             let (time, fragments) = self.charge_lossless(from, receivers, bytes);
             return BroadcastDelivery::lossless(time, fragments, receivers.len());
         }
-        self.transfer_lossy(from, receivers, bytes).0
+        // The report's vector holds the transfer's per-receiver marks too,
+        // and is cut down to the completeness flags afterwards.
+        let nrecv = receivers.len();
+        let mut marks = vec![false; 3 * nrecv];
+        marks[..nrecv].fill(true);
+        let ends = Ends::Many(self.topology);
+        let sent = self.transfer_lossy(from, receivers, bytes, ends, &mut marks);
+        marks.truncate(nrecv);
+        BroadcastDelivery {
+            time: sent.time,
+            fragments: sent.fragments,
+            complete: marks,
+            retransmissions: sent.retransmissions,
+            control_packets: sent.control_packets,
+        }
     }
 
     /// Lossless fast path: identical charging to the pre-channel simulator,
@@ -1075,14 +1104,22 @@ impl Link<'_> {
 
     /// The ARQ engine: moves a message from `from` to `receivers` over the
     /// lossy channel, charging every data fragment, retransmission and
-    /// control frame into the sink. Returns the delivery report plus
-    /// per-receiver decoded-fragment counts.
+    /// control frame into the sink.
+    ///
+    /// `marks` holds three runs of one flag per receiver: whether it decoded
+    /// every fragment so far (`true` on entry, what the caller reports),
+    /// whether it decoded the current fragment, and whether its ACK of the
+    /// current fragment came back. So under [`ArqPolicy::None`] and
+    /// [`ArqPolicy::AckRetransmit`] a transfer allocates nothing; summary
+    /// repair keeps a fragment-by-receiver table.
     fn transfer_lossy(
         self,
         from: NodeId,
         receivers: &[NodeId],
         bytes: usize,
-    ) -> (BroadcastDelivery, Vec<usize>) {
+        ends: Ends<'_>,
+        marks: &mut [bool],
+    ) -> Sent {
         let Link {
             radio,
             energy,
@@ -1094,53 +1131,71 @@ impl Link<'_> {
             ..
         } = self;
         let ch = channel.expect("lossy implies a channel");
-        let mut deliver = |a: NodeId, b: NodeId| !loss_in_scope || ch.draw(a, b);
+        let mut deliver = |a: NodeId, rank: usize, b: NodeId| !loss_in_scope || ch.draw(a, rank, b);
         let fragments = Fragments::of(radio, bytes);
         let nfrags = fragments.count();
         let nrecv = receivers.len();
-        // have[f][ri]: ground truth — receiver ri decoded fragment f.
-        let mut have = vec![vec![false; nrecv]; nfrags];
-        let mut time: Time = 0;
-        let mut retx: u64 = 0;
-        let mut ctrl: u64 = 0;
+        let (complete, marks) = marks.split_at_mut(nrecv);
+        let (have, acked) = marks.split_at_mut(nrecv);
+        let mut sent = Sent {
+            time: 0,
+            fragments: nfrags,
+            delivered: 0,
+            retransmissions: 0,
+            control_packets: 0,
+        };
+        // After fragment `f`'s last attempt: the receivers without it lose it.
+        let mut settle = |have: &[bool], sink: &mut ChargeSink<'_>, sent: &mut Sent| {
+            for (ri, &r) in receivers.iter().enumerate() {
+                if have[ri] {
+                    sent.delivered += 1;
+                } else {
+                    complete[ri] = false;
+                    sink.record_loss(r, phase);
+                }
+            }
+        };
         let header = radio.header_bytes;
         match arq {
             ArqPolicy::None => {
-                for (f, size) in fragments.sizes().enumerate() {
+                for size in fragments.sizes() {
                     let on_air = size + header;
                     sink.record_tx(from, size, energy.tx(on_air), phase);
-                    time += radio.airtime_us(size);
+                    sent.time += radio.airtime_us(size);
                     for (ri, &r) in receivers.iter().enumerate() {
-                        if deliver(from, r) {
-                            have[f][ri] = true;
+                        have[ri] = deliver(from, ends.out(from, r), r);
+                        if have[ri] {
                             sink.record_rx(r, size, energy.rx(on_air), phase);
                         }
                     }
+                    settle(have, &mut sink, &mut sent);
                 }
             }
             ArqPolicy::AckRetransmit { max_retries } => {
                 // Stop-and-wait per fragment: retransmit until every
                 // receiver's ACK came back or the retry budget is spent.
-                for (f, size) in fragments.sizes().enumerate() {
+                for size in fragments.sizes() {
                     let on_air = size + header;
-                    let mut acked = vec![false; nrecv];
+                    have.fill(false);
+                    acked.fill(false);
+                    let mut open = nrecv;
                     for attempt in 0..=max_retries {
                         if attempt == 0 {
                             sink.record_tx(from, size, energy.tx(on_air), phase);
                         } else {
-                            retx += 1;
+                            sent.retransmissions += 1;
                             sink.record_retx(from, size, energy.tx(on_air), phase);
                             // Timeout stall before each retransmission.
-                            time += radio.hop_delay_us;
+                            sent.time += radio.hop_delay_us;
                         }
-                        time += radio.airtime_us(size);
+                        sent.time += radio.airtime_us(size);
                         for (ri, &r) in receivers.iter().enumerate() {
                             if acked[ri] {
                                 continue; // receiver already done with f
                             }
-                            if deliver(from, r) {
-                                if !have[f][ri] {
-                                    have[f][ri] = true;
+                            if deliver(from, ends.out(from, r), r) {
+                                if !have[ri] {
+                                    have[ri] = true;
                                     sink.record_rx(r, size, energy.rx(on_air), phase);
                                 } else {
                                     // Duplicate (its earlier ACK was lost):
@@ -1148,30 +1203,34 @@ impl Link<'_> {
                                     sink.record_energy(r, energy.rx(on_air), phase);
                                 }
                             }
-                            if have[f][ri] {
-                                ctrl += 1;
+                            if have[ri] {
+                                sent.control_packets += 1;
                                 sink.record_ack(r, ACK_BYTES, energy.tx(ACK_BYTES + header), phase);
-                                time += radio.airtime_us(ACK_BYTES);
-                                if deliver(r, from) {
+                                sent.time += radio.airtime_us(ACK_BYTES);
+                                if deliver(r, ends.back(from, r), from) {
                                     acked[ri] = true;
+                                    open -= 1;
                                     sink.record_energy(from, energy.rx(ACK_BYTES + header), phase);
                                 }
                             }
                         }
-                        if acked.iter().all(|&a| a) {
+                        if open == 0 {
                             break;
                         }
                     }
+                    settle(have, &mut sink, &mut sent);
                 }
             }
             ArqPolicy::SummaryRepair { max_rounds } => {
+                // have[f][ri]: ground truth — receiver ri decoded fragment f.
+                let mut have = vec![vec![false; nrecv]; nfrags];
                 // Round 0: ship the whole fragment train once.
                 for (f, size) in fragments.sizes().enumerate() {
                     let on_air = size + header;
                     sink.record_tx(from, size, energy.tx(on_air), phase);
-                    time += radio.airtime_us(size);
+                    sent.time += radio.airtime_us(size);
                     for (ri, &r) in receivers.iter().enumerate() {
-                        if deliver(from, r) {
+                        if deliver(from, ends.out(from, r), r) {
                             have[f][ri] = true;
                             sink.record_rx(r, size, energy.rx(on_air), phase);
                         }
@@ -1188,10 +1247,10 @@ impl Link<'_> {
                         if done[ri] {
                             continue;
                         }
-                        ctrl += 1;
+                        sent.control_packets += 1;
                         sink.record_ack(r, sbytes, energy.tx(sbytes + header), phase);
-                        time += radio.airtime_us(sbytes);
-                        if deliver(r, from) {
+                        sent.time += radio.airtime_us(sbytes);
+                        if deliver(r, ends.back(from, r), from) {
                             sink.record_energy(from, energy.rx(sbytes + header), phase);
                             let missing: Vec<usize> =
                                 (0..nfrags).filter(|&f| !have[f][ri]).collect();
@@ -1213,9 +1272,9 @@ impl Link<'_> {
                             continue;
                         }
                         let on_air = size + header;
-                        retx += 1;
+                        sent.retransmissions += 1;
                         sink.record_retx(from, size, energy.tx(on_air), phase);
-                        time += radio.airtime_us(size);
+                        sent.time += radio.airtime_us(size);
                         for (ri, &r) in receivers.iter().enumerate() {
                             if done[ri] {
                                 continue;
@@ -1223,42 +1282,74 @@ impl Link<'_> {
                             if have[f][ri] {
                                 // Overhears the repair it did not need.
                                 sink.record_energy(r, energy.rx(on_air), phase);
-                            } else if deliver(from, r) {
+                            } else if deliver(from, ends.out(from, r), r) {
                                 have[f][ri] = true;
                                 sink.record_rx(r, size, energy.rx(on_air), phase);
                             }
                         }
                     }
-                    time += radio.hop_delay_us; // round turnaround
+                    sent.time += radio.hop_delay_us; // round turnaround
+                }
+                for row in &have {
+                    settle(row, &mut sink, &mut sent);
                 }
             }
         }
-        time += radio.hop_delay_us;
-        // Permanent losses.
-        let mut delivered = vec![0usize; nrecv];
-        let mut complete = vec![true; nrecv];
-        for (ri, &r) in receivers.iter().enumerate() {
-            for row in have.iter() {
-                if row[ri] {
-                    delivered[ri] += 1;
-                } else {
-                    complete[ri] = false;
-                    sink.record_loss(r, phase);
-                }
-            }
-        }
+        sent.time += radio.hop_delay_us;
         let acked = complete.iter().all(|&c| c);
-        sink.trace_delivery(phase, from, receivers, bytes, nfrags, retx, acked);
-        (
-            BroadcastDelivery {
-                time,
-                fragments: nfrags,
-                complete,
-                retransmissions: retx,
-                control_packets: ctrl,
-            },
-            delivered,
-        )
+        sink.trace_delivery(
+            phase,
+            from,
+            receivers,
+            bytes,
+            nfrags,
+            sent.retransmissions,
+            acked,
+        );
+        sent
+    }
+}
+
+/// What a lossy transfer adds up to; the per-receiver completeness is in
+/// the marks it was handed.
+struct Sent {
+    time: Time,
+    fragments: usize,
+    /// Fragments decoded, summed over the receivers.
+    delivered: usize,
+    retransmissions: u64,
+    control_packets: u64,
+}
+
+/// The rank of `to` in `from`'s neighbor row, if they are neighbors.
+fn rank(topology: &Topology, from: NodeId, to: NodeId) -> Option<usize> {
+    topology.neighbors(from).binary_search(&to).ok()
+}
+
+/// Where a transfer's links sit in their senders' neighbor rows (see
+/// [`Channel`]): a unicast resolves its two once, a broadcast each
+/// receiver's per draw.
+#[derive(Clone, Copy)]
+enum Ends<'a> {
+    One { out: usize, back: usize },
+    Many(&'a Topology),
+}
+
+impl Ends<'_> {
+    /// The rank of `r` in `from`'s row.
+    fn out(self, from: NodeId, r: NodeId) -> usize {
+        match self {
+            Ends::One { out, .. } => out,
+            Ends::Many(t) => rank(t, from, r).expect("checked neighbors"),
+        }
+    }
+
+    /// The rank of `from` in `r`'s row: the link ACKs and summaries take.
+    fn back(self, from: NodeId, r: NodeId) -> usize {
+        match self {
+            Ends::One { back, .. } => back,
+            Ends::Many(t) => rank(t, r, from).expect("links are symmetric"),
+        }
     }
 }
 
@@ -1426,6 +1517,53 @@ mod tests {
         assert_eq!(rec.packets, 1);
         let csv = trace.to_csv();
         assert!(csv.contains(&format!(",40,1,{},true\n", d.retransmissions)));
+    }
+
+    /// A channel image naming a node out of range, a pair that is no link,
+    /// links out of order or a link twice is refused before anything is
+    /// restored: the network exports what it did before.
+    #[test]
+    fn channel_states_of_no_link_are_refused() {
+        let lossy = || {
+            let mut net = small_net();
+            net.set_channel(Some(Channel::bernoulli(0.3, 5)));
+            net.set_arq(ArqPolicy::ack(4));
+            net
+        };
+        let mut net = lossy();
+        let base = net.base();
+        let kids = net.routing().children(base).to_vec();
+        for &kid in &kids {
+            net.unicast(kid, base, 100, "p");
+        }
+        let snap = net.export_state();
+        let states = snap.channel_states.clone().unwrap();
+        assert!(states.len() >= 2, "{} link states", states.len());
+        let mut other = lossy();
+        other.unicast(base, kids[0], 60, "q");
+        let before = format!("{:?}", other.export_state());
+        let (from, n) = (states[0].0, net.len() as u32);
+        let stranger = (0..n)
+            .map(NodeId)
+            .find(|&v| v != from && !net.topology().neighbors(from).contains(&v))
+            .expect("a node out of range of the first");
+        let doctor = |edit: &dyn Fn(&mut Vec<ChannelLinkState>)| {
+            let mut bad = snap.clone();
+            edit(bad.channel_states.as_mut().unwrap());
+            bad
+        };
+        for (what, bad) in [
+            ("node", doctor(&|s| s[0].1 = NodeId(n))),
+            ("link", doctor(&|s| s[0].1 = stranger)),
+            ("order", doctor(&|s| s.swap(0, 1))),
+            ("twice", doctor(&|s| s.insert(1, s[0]))),
+        ] {
+            let err = other.restore_state(&bad).unwrap_err();
+            assert!(matches!(err, NetworkError::BadSnapshot(_)), "{what}: {err}");
+            assert_eq!(format!("{:?}", other.export_state()), before, "{what}");
+        }
+        other.restore_state(&snap).unwrap();
+        assert_eq!(format!("{:?}", other.export_state()), format!("{snap:?}"));
     }
 
     #[test]

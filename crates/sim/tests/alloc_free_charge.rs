@@ -1,12 +1,13 @@
 //! The charge path allocates nothing per packet event.
 //!
 //! A counting global allocator (per-thread counter, so the tests of this
-//! binary do not see each other) wraps lossless transfers through the
-//! charge sink (`DeliveryPort`, and `Network::unicast` on top of it): it
-//! must not touch the heap at all, however many fragments a message has.
+//! binary do not see each other) wraps transfers through the charge sink
+//! (`DeliveryPort`, and `Network::unicast` on top of it): a lossless one
+//! must not touch the heap at all, however many fragments a message has,
+//! and neither may a lossy one once each link it uses has been drawn on.
 
 use sensjoin_field::{Area, Placement};
-use sensjoin_sim::{Network, NetworkBuilder};
+use sensjoin_sim::{ArqPolicy, Channel, Network, NetworkBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,4 +98,46 @@ fn direct_sink_charges_without_allocating() {
     });
     assert_eq!(one, 1, "the delivery report");
     assert_eq!(many, one, "21 fragments allocate what 1 does");
+}
+
+#[test]
+fn lossy_unicast_charges_without_allocating() {
+    for arq in [ArqPolicy::None, ArqPolicy::ack(16)] {
+        let mut net = net();
+        net.set_channel(Some(Channel::bernoulli(0.3, 17)));
+        net.set_arq(arq);
+        let base = net.base();
+        let kids = net.routing().children(base).to_vec();
+        let phase = net.intern_phase("1-collection");
+        // Warm: every link is drawn on once in both directions (an ACK
+        // travels back), so each link's stream exists.
+        for &kid in &kids {
+            net.unicast(kid, base, 30, "1-collection");
+            net.unicast(base, kid, 30, "1-collection");
+        }
+
+        let packets_before = net.stats().total_tx_packets();
+        let lost_before = net.stats().total_lost_packets();
+        let n = allocations(|| {
+            let (_, mut port) = net.delivery_port();
+            for _ in 0..20 {
+                for bytes in SIZES {
+                    for &kid in &kids {
+                        port.unicast_delivery(kid, base, bytes, phase);
+                        port.unicast_delivery(base, kid, bytes, phase);
+                    }
+                }
+            }
+        });
+        let packets = net.stats().total_tx_packets() - packets_before;
+        assert!(packets >= 20 * 25 * 2, "{packets} packets under {arq:?}");
+        if arq == ArqPolicy::None {
+            let lost = net.stats().total_lost_packets() - lost_before;
+            assert!(lost > 0, "30 % loss dropped nothing");
+        }
+        assert_eq!(
+            n, 0,
+            "{n} allocations over {packets} lossy unicast packets under {arq:?}"
+        );
+    }
 }
