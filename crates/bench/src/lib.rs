@@ -12,8 +12,12 @@
 //! maximizes tree depth and reproduces the paper's savings magnitudes best —
 //! see EXPERIMENTS.md for the sensitivity to this choice).
 
+pub mod ab;
 pub mod benchjson;
 pub mod experiments;
+#[path = "../../../benchmark/src/json.rs"]
+#[allow(dead_code)]
+mod json;
 pub mod report;
 
 use sensjoin_core::{JoinMethod, JoinOutcome, SensorNetwork, SensorNetworkBuilder};

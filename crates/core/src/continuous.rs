@@ -46,7 +46,7 @@ pub const MAX_ROUND_ATTEMPTS: u32 = 3;
 use sensjoin_quadtree::{Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
-use sensjoin_sim::{DeltaBatchStats, RoutingTree, Time};
+use sensjoin_sim::{DeltaBatchStats, NetworkStats, RoutingTree, Time};
 use std::collections::HashMap;
 
 /// Phase labels of the continuous rounds.
@@ -1086,9 +1086,9 @@ impl ContinuousSensJoin {
         st.rounds += 1;
         Ok(JoinOutcome {
             result: computation.result,
-            // Cumulative since `execute_round` reset them; the wrapper
-            // replaces this with the final (all-attempt) numbers.
-            stats: snet.net().stats().clone(),
+            // `execute_round` takes the network's (all-attempt) numbers
+            // once the last attempt is done.
+            stats: NetworkStats::default(),
             latency_us: rep1.timing.then(rep2.timing).then(rep3.timing).pipelined,
             latency_slotted_us: rep1.timing.then(rep2.timing).then(rep3.timing).slotted,
             contributors: computation.contributors,

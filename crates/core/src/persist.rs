@@ -212,10 +212,22 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Opens (creating if needed) the checkpoint directory.
+    /// Opens (creating if needed) the checkpoint directory and deletes the
+    /// temp snapshots a crash mid-save left (recovery never reads them, and
+    /// pruning never lists them).
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, RecoveryError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        for entry in fs::read_dir(&dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            if (name.to_string_lossy().strip_suffix(".tmp"))
+                .and_then(snapshot_seq)
+                .is_some()
+            {
+                fs::remove_file(entry.path())?;
+            }
+        }
         Ok(Self { dir, crash: None })
     }
 
@@ -297,18 +309,39 @@ impl CheckpointStore {
 
     /// Writes snapshot `seq` via temp-file + atomic rename, then prunes all
     /// but the newest [`SNAPSHOTS_KEPT`] snapshots.
+    ///
+    /// The frame is written straight from `payload`: the header, the payload
+    /// and the CRC trailer, checksummed in one streamed pass over
+    /// `seq ‖ len ‖ payload` and never copied into one buffer.
     pub fn save_snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), RecoveryError> {
-        let bytes = frame_snapshot(seq, payload);
+        let mut head = [0u8; SNAPSHOT_HEADER];
+        head[..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        head[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        head[8..16].copy_from_slice(&seq.to_le_bytes());
+        head[16..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&head[8..]);
+        crc.update(payload);
+        let tail = crc.finish().to_le_bytes();
+        let frame = [&head[..], payload, &tail[..]];
         let tmp = self.dir.join(format!("snap-{seq:010}.ckpt.tmp"));
         {
             let mut f = File::create(&tmp)?;
             if self.crash_due(CrashPoint::MidSnapshotWrite) {
-                f.write_all(&bytes[..bytes.len() / 2])?;
+                // The frame's first half.
+                let mut left = (SNAPSHOT_HEADER + payload.len() + 4) / 2;
+                for part in frame {
+                    let n = part.len().min(left);
+                    f.write_all(&part[..n])?;
+                    left -= n;
+                }
                 f.flush()?;
                 return self.crash_check(CrashPoint::MidSnapshotWrite);
             }
             self.crash_check(CrashPoint::MidSnapshotWrite)?;
-            f.write_all(&bytes)?;
+            for part in frame {
+                f.write_all(part)?;
+            }
             f.flush()?;
         }
         self.crash_check(CrashPoint::PostSnapshotTmp)?;
@@ -324,19 +357,11 @@ impl CheckpointStore {
         Ok(())
     }
 
+    /// Sequence numbers of the snapshot files in the directory, unordered.
     fn list_snapshot_seqs(&self) -> Result<Vec<u64>, RecoveryError> {
         let mut seqs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("snap-")
-                .and_then(|rest| rest.strip_suffix(".ckpt"))
-            {
-                if let Ok(seq) = num.parse::<u64>() {
-                    seqs.push(seq);
-                }
-            }
+            seqs.extend(snapshot_seq(&entry?.file_name().to_string_lossy()));
         }
         Ok(seqs)
     }
@@ -374,18 +399,17 @@ impl CheckpointStore {
     }
 }
 
-/// Frames a snapshot payload: magic, version, seq, length, payload, CRC over
-/// everything after the version field.
-fn frame_snapshot(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(4 + 4 + 8 + 8 + payload.len() + 4);
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&seq.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let crc = crc32(&bytes[8..]);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+/// Bytes of a snapshot file before its payload: magic, version, seq and
+/// payload length. A 4-byte CRC over everything after the version field
+/// follows the payload.
+const SNAPSHOT_HEADER: usize = 24;
+
+/// The sequence number of snapshot file `name` (`snap-NNNNNNNNNN.ckpt`).
+fn snapshot_seq(name: &str) -> Option<u64> {
+    name.strip_prefix("snap-")?
+        .strip_suffix(".ckpt")?
+        .parse()
+        .ok()
 }
 
 /// Validates one snapshot file; any failure means "try an older one".
@@ -396,7 +420,7 @@ fn load_snapshot(path: &Path, expect_seq: u64) -> Result<Vec<u8>, RecoveryError>
     };
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 28 {
+    if bytes.len() < SNAPSHOT_HEADER + 4 {
         return Err(corrupt("shorter than header"));
     }
     if bytes[..4] != SNAPSHOT_MAGIC {
@@ -411,15 +435,15 @@ fn load_snapshot(path: &Path, expect_seq: u64) -> Result<Vec<u8>, RecoveryError>
         return Err(corrupt("sequence number does not match file name"));
     }
     let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if len > MAX_RECORD_BYTES || bytes.len() as u64 != 28 + len {
+    if len > MAX_RECORD_BYTES || bytes.len() as u64 != SNAPSHOT_HEADER as u64 + 4 + len {
         return Err(corrupt("payload length mismatch"));
     }
-    let payload_end = 24 + len as usize;
+    let payload_end = SNAPSHOT_HEADER + len as usize;
     let stored = u32::from_le_bytes(bytes[payload_end..payload_end + 4].try_into().unwrap());
     if crc32(&bytes[8..payload_end]) != stored {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(bytes[24..payload_end].to_vec())
+    Ok(bytes[SNAPSHOT_HEADER..payload_end].to_vec())
 }
 
 /// Returns the WAL's valid-prefix payloads plus whether a torn/corrupt tail
@@ -471,12 +495,12 @@ pub fn truncate_file(path: &Path, len: u64) -> std::io::Result<()> {
 // Checksums and digests
 // ---------------------------------------------------------------------------
 
-/// Slice-by-8 tables of the reflected IEEE polynomial: `[0]` is the classic
+/// Slice-by-16 tables of the reflected IEEE polynomial: `[0]` is the classic
 /// byte table, and `[k][b]` is the CRC of byte `b` followed by `k` zero
-/// bytes, so eight input bytes fold into the state with eight independent
-/// lookups.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// bytes, so sixteen input bytes fold into the state with sixteen
+/// independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -493,7 +517,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -505,29 +529,57 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`, eight bytes a step with a
-/// bytewise tail.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A CRC-32 fed in pieces: the checksum of the pieces' concatenation,
+/// sixteen bytes a step with a bytewise tail per piece.
+#[derive(Debug, Clone, Copy)]
+struct Crc32(u32);
+
+impl Crc32 {
+    fn new() -> Self {
+        Self(0xFFFF_FFFF)
     }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+
+    fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.0;
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(lo & 0xFF) as usize]
+                ^ t[14][(lo >> 8 & 0xFF) as usize]
+                ^ t[13][(lo >> 16 & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
     }
-    c ^ 0xFFFF_FFFF
+
+    fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
 }
 
 /// FNV-1a 64-bit hash — the WAL's round-output digest.
@@ -1147,9 +1199,9 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The slice-by-8 loop computes the bytewise loop's checksum: lengths
-    /// 0–64 (every tail length, with and without a word loop before it)
-    /// and a 1 MiB buffer entered at every alignment.
+    /// The slice-by-16 loop computes the bytewise loop's checksum: lengths
+    /// 0–80 (every tail length, after zero to four 16-byte steps) and a
+    /// 1 MiB buffer entered at every alignment.
     #[test]
     fn crc32_matches_the_bytewise_loop() {
         let bytewise = |bytes: &[u8]| {
@@ -1157,22 +1209,88 @@ mod tests {
                 |c: u32, &b: &u8| CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
             bytes.iter().fold(0xFFFF_FFFFu32, step) ^ 0xFFFF_FFFF
         };
+        let buf = noise((1 << 20) + 16);
+        for len in 0..=80 {
+            assert_eq!(crc32(&buf[..len]), bytewise(&buf[..len]), "length {len}");
+        }
+        for align in 0..16 {
+            let slice = &buf[align..align + (1 << 20)];
+            assert_eq!(crc32(slice), bytewise(slice), "alignment {align}");
+        }
+    }
+
+    /// `len` bytes of a fixed pseudo-random stream.
+    fn noise(len: usize) -> Vec<u8> {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..(1 << 20) + 8)
+        (0..len)
             .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 (x >> 56) as u8
             })
-            .collect();
-        for len in 0..=64 {
-            assert_eq!(crc32(&buf[..len]), bytewise(&buf[..len]), "length {len}");
+            .collect()
+    }
+
+    /// A checksum fed in two pieces is the one-shot checksum, at every split
+    /// point, and so is one fed byte by byte.
+    #[test]
+    fn crc32_streamed_is_the_one_shot_value() {
+        let buf = noise(100);
+        let whole = crc32(&buf);
+        for at in 0..=buf.len() {
+            let mut crc = Crc32::new();
+            crc.update(&buf[..at]);
+            crc.update(&buf[at..]);
+            assert_eq!(crc.finish(), whole, "split at {at}");
         }
-        for align in 0..8 {
-            let slice = &buf[align..align + (1 << 20)];
-            assert_eq!(crc32(slice), bytewise(slice), "alignment {align}");
+        let mut crc = Crc32::new();
+        buf.chunks(1).for_each(|b| crc.update(b));
+        assert_eq!(crc.finish(), whole);
+    }
+
+    /// The frame as one buffer — magic, version, seq, length, payload, CRC
+    /// over everything after the version field — which `save_snapshot`
+    /// writes in pieces.
+    fn frame_snapshot(seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(4 + 4 + 8 + 8 + payload.len() + 4);
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        let crc = crc32(&bytes[8..]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    /// A saved snapshot is the one-buffer frame byte for byte, and a crash
+    /// mid-write leaves the frame's first half in the temp file.
+    #[test]
+    fn a_saved_snapshot_is_the_framed_payload() {
+        let dir = std::env::temp_dir().join(format!("sj-persist-frame-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        for (seq, len) in [(1, 0), (2, 1), (3, 37), (4, 4099)] {
+            let payload = noise(len);
+            let frame = frame_snapshot(seq, &payload);
+            store.save_snapshot(seq, &payload).unwrap();
+            assert_eq!(
+                fs::read(store.snapshot_path(seq)).unwrap(),
+                frame,
+                "{len} bytes"
+            );
+            let torn = frame_snapshot(seq + 10, &payload);
+            store.arm_crash(CrashPoint::MidSnapshotWrite, 1);
+            assert!(store.save_snapshot(seq + 10, &payload).is_err());
+            let tmp = dir.join(format!("snap-{:010}.ckpt.tmp", seq + 10));
+            assert_eq!(
+                fs::read(tmp).unwrap(),
+                torn[..torn.len() / 2],
+                "{len} bytes"
+            );
         }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1374,6 +1492,42 @@ mod tests {
             );
             assert!(!rec.wal.is_empty());
             assert_eq!(rec.wal[0], b"r1".to_vec());
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A crash that leaves a temp snapshot behind: reopening the directory
+    /// deletes it, and recovery finds what it found before the reopen.
+    #[test]
+    fn reopening_deletes_torn_temp_snapshots() {
+        for point in [CrashPoint::MidSnapshotWrite, CrashPoint::PostSnapshotTmp] {
+            let dir =
+                std::env::temp_dir().join(format!("sj-persist-tmp-{point}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            let mut store = CheckpointStore::open(&dir).unwrap();
+            store.save_snapshot(1, b"base").unwrap();
+            store.append_wal(b"r1").unwrap();
+            store.arm_crash(point, 1);
+            assert!(store.save_snapshot(2, b"next").is_err(), "{point}");
+            let temps = || {
+                fs::read_dir(&dir)
+                    .unwrap()
+                    .filter(|e| {
+                        e.as_ref()
+                            .unwrap()
+                            .file_name()
+                            .to_string_lossy()
+                            .ends_with(".tmp")
+                    })
+                    .count()
+            };
+            assert_eq!(temps(), 1, "{point}");
+            let before = store.recover().unwrap();
+            let after = CheckpointStore::open(&dir).unwrap().recover().unwrap();
+            assert_eq!(temps(), 0, "{point}");
+            assert_eq!(after.snapshot, before.snapshot, "{point}");
+            assert_eq!(after.snapshot, Some((1, b"base".to_vec())), "{point}");
+            assert_eq!((after.wal, after.degraded), (before.wal, before.degraded));
             fs::remove_dir_all(&dir).unwrap();
         }
     }

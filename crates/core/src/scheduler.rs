@@ -599,9 +599,9 @@ impl QueryGroup {
         EpochReport {
             epoch,
             outcomes,
-            // Cumulative since `execute_epoch` reset them; it replaces this
-            // with the final (all-attempt) numbers, and stamps `churned`.
-            stats: snet.net().stats().clone(),
+            // `execute_epoch` copies the network's (all-attempt) numbers
+            // once the last attempt is done, and stamps `churned`.
+            stats: NetworkStats::default(),
             latency_us: run.timing.pipelined,
             latency_slotted_us: run.timing.slotted,
             solo_equivalent,

@@ -215,7 +215,9 @@ impl SensorNetwork {
     /// its correlation length and its field seed (`seed` and its index, see
     /// [`FieldSampler`]), so a call that changes neither for a spec — the
     /// same field with new noise, mean, amplitude or coupling — evaluates no
-    /// cosine for it.
+    /// cosine for it. From the second call in a row at one `seed` with the
+    /// same specs noisy, it also keeps the noise stream's Box–Muller draws,
+    /// so the calls after that draw no noise afresh: they only rescale it.
     pub fn resample(&mut self, specs: &[FieldSpec], seed: u64) {
         let topology = self.net.topology();
         let sampler = self.sampler.get_or_insert_with(|| {

@@ -1,0 +1,65 @@
+//! The durable half of a continuous round allocates nothing in proportion
+//! to its bytes: a snapshot is written straight from the caller's payload,
+//! so a 1 MB image costs the allocations a 10 KB one does, and a kept field
+//! sampler's redraw at an unchanged seed — the steady state of a drifting
+//! deployment — allocates nothing at all.
+//!
+//! A counting global allocator (`counting/mod.rs`, shared with the other
+//! `alloc_light_*` binaries) wraps the calls.
+
+use sensjoin_core::persist::CheckpointStore;
+use sensjoin_field::{generate_readings, FieldSampler, FieldSpec, Position};
+
+mod counting;
+use counting::{allocations, serial};
+
+#[test]
+fn a_snapshot_write_allocates_the_same_for_any_payload_size() {
+    let _guard = serial();
+    let dir = std::env::temp_dir().join(format!("sj-alloc-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    let (small, large) = (vec![7u8; 10_000], vec![7u8; 1_000_000]);
+    // Warm the record past its pruning window first: every measured save
+    // then inserts one sequence number and prunes one.
+    for seq in 1..=3 {
+        store.save_snapshot(seq, &small).unwrap();
+    }
+    let mut save =
+        |seq, payload: &[u8]| allocations(|| store.save_snapshot(seq, payload).unwrap()).0;
+    let (a, b) = (save(4, &small), save(5, &large));
+    assert_eq!(a, b, "10 KB: {a} allocations, 1 MB: {b}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_redraw_at_an_unchanged_seed_allocates_nothing() {
+    let _guard = serial();
+    let positions: Vec<Position> = (0..700)
+        .map(|i| Position::new((i * 37 % 1000) as f64, (i * 91 % 1000) as f64))
+        .collect();
+    let base = [
+        FieldSpec::simple("temp", 21.0, 2.0, 200.0, 0.05),
+        FieldSpec::simple("hum", 40.0, 5.0, 300.0, 0.2).coupled_to(0, -1.5),
+        FieldSpec::simple("light", 300.0, 80.0, 150.0, 4.0),
+    ];
+    let drift = |by: f64| -> Vec<FieldSpec> {
+        let scale = |s: &FieldSpec| FieldSpec {
+            noise: s.noise * by,
+            ..s.clone()
+        };
+        base.iter().map(scale).collect()
+    };
+    let mut sampler = FieldSampler::new(positions.clone());
+    let mut rows = vec![vec![0.0; base.len()]; positions.len()];
+    let mut draw = |sampler: &mut FieldSampler, specs: &[FieldSpec], seed| {
+        allocations(|| sampler.draw(specs, seed, |node, row| rows[node].copy_from_slice(row))).0
+    };
+    draw(&mut sampler, &drift(1.0), 5);
+    draw(&mut sampler, &drift(1.1), 5);
+    let specs = drift(1.2);
+    assert_eq!(draw(&mut sampler, &specs, 5), 0);
+    let bits =
+        |rows: &[Vec<f64>]| -> Vec<u64> { rows.iter().flatten().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&rows), bits(&generate_readings(&positions, &specs, 5)));
+}

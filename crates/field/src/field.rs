@@ -80,6 +80,18 @@ impl CosineField {
             .sum()
     }
 
+    /// Replaces the mean and the amplitude, which the waves do not depend
+    /// on: the field [`Self::new`] builds from the same correlation length
+    /// and seed with these moments.
+    ///
+    /// # Panics
+    /// Panics if `amplitude` is negative.
+    pub(crate) fn set_moments(&mut self, mean: f64, amplitude: f64) {
+        assert!(amplitude >= 0.0, "amplitude must be non-negative");
+        self.mean = mean;
+        self.amplitude = amplitude;
+    }
+
     /// The field's value where the cosines sum to `sum`.
     pub(crate) fn at(&self, sum: f64) -> f64 {
         self.mean + self.amplitude * self.norm * sum

@@ -116,27 +116,71 @@ fn generate_readings_with(
 }
 
 /// A deployment's reading generator: the node positions and, per spec, the
-/// wave sums ([`CosineField`]'s cosines, one per node) of the last draw.
+/// field and its wave sums ([`CosineField`]'s cosines, one per node) of the
+/// last draw, plus the last noise stream's Box–Muller draws once its seed
+/// repeats.
 ///
 /// Spec `i`'s sums depend on the positions, its correlation length and its
 /// field seed `seed ^ (i + 1)` only, so they are kept under that key. A
 /// draw evaluates cosines for the specs whose key changed — a new seed, a
 /// new correlation length, a spec added — and none for the others; mean,
-/// amplitude, the cross coupling and the noise stream are applied on every
-/// draw. The readings are bit for bit those of [`generate_readings`] with
-/// the same arguments.
+/// amplitude, the cross coupling and the noise scale are applied on every
+/// draw.
+///
+/// The noise stream depends on the seed and on which specs draw from it
+/// (`noise > 0`) only. A draw that repeats the previous draw's stream keeps
+/// each Box–Muller draw's radius and cosine, and the draws after it that
+/// repeat it again evaluate no logarithm, root or cosine: a one-shot
+/// sampler, or one given a new seed every draw, keeps nothing. The readings
+/// are bit for bit those of [`generate_readings`] with the same arguments.
 #[derive(Debug, Clone)]
 pub struct FieldSampler {
     positions: Vec<Position>,
     bases: Vec<Basis>,
+    noise: NoiseMemo,
+    /// The row handed to `emit`, reused across draws.
+    row: Vec<f64>,
 }
 
-/// One spec's wave sums, one per position, and the key they were drawn
-/// for: `(correlation length bits, field seed)`, `None` before the first.
+/// One spec's field, its wave sums (one per position) and the key they were
+/// drawn for: `(correlation length bits, field seed)`.
 #[derive(Debug, Clone)]
 struct Basis {
-    key: Option<(u64, u64)>,
+    key: (u64, u64),
+    field: CosineField,
     sums: Vec<f64>,
+}
+
+/// The last draw's noise stream and, once a draw repeats it, its draws.
+#[derive(Debug, Clone, Default)]
+struct NoiseMemo {
+    /// The stream's seed, `None` before the first draw.
+    seed: Option<u64>,
+    /// Per spec, whether it drew from the stream (`noise > 0`).
+    noisy: Vec<bool>,
+    /// `(√(−2 ln u₁), cos u₂)` of each draw in stream order, kept apart so
+    /// that `noise * r * c` rounds as a fresh draw's does. Empty until the
+    /// stream repeats.
+    draws: Vec<(f64, f64)>,
+}
+
+impl NoiseMemo {
+    /// Records the stream of `specs` at `seed`. Returns whether it repeats
+    /// the last one; a new stream drops the kept draws.
+    fn repeats(&mut self, specs: &[FieldSpec], seed: u64) -> bool {
+        let noisy = |s: &FieldSpec| s.noise > 0.0;
+        if self.seed == Some(seed)
+            && self.noisy.len() == specs.len()
+            && self.noisy.iter().zip(specs).all(|(&on, s)| on == noisy(s))
+        {
+            return true;
+        }
+        self.seed = Some(seed);
+        self.noisy.clear();
+        self.noisy.extend(specs.iter().map(noisy));
+        self.draws.clear();
+        false
+    }
 }
 
 impl FieldSampler {
@@ -145,6 +189,8 @@ impl FieldSampler {
         Self {
             positions,
             bases: Vec::new(),
+            noise: NoiseMemo::default(),
+            row: Vec::new(),
         }
     }
 
@@ -174,56 +220,94 @@ impl FieldSampler {
                 );
             }
         }
-        let fields: Vec<CosineField> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                CosineField::new(
-                    s.mean,
-                    s.amplitude,
-                    s.correlation_length,
-                    seed ^ (i as u64 + 1),
-                )
-            })
-            .collect();
         let n = self.positions.len();
-        self.bases.resize_with(specs.len(), || Basis {
-            key: None,
-            sums: vec![0.0; n],
-        });
-        let mut stale = Vec::new();
-        for (i, (basis, spec)) in self.bases.iter_mut().zip(specs).enumerate() {
-            let key = Some((spec.correlation_length.to_bits(), seed ^ (i as u64 + 1)));
-            if basis.key != key {
-                basis.key = key;
-                stale.push((basis.sums.as_mut_slice(), &fields[i]));
+        self.bases.truncate(specs.len());
+        // Every new field is built before any basis changes, so a spec that
+        // panics leaves each kept basis matching its key.
+        let mut fresh = Vec::new();
+        for (i, s) in specs.iter().enumerate() {
+            let key = (s.correlation_length.to_bits(), seed ^ (i as u64 + 1));
+            match self.bases.get_mut(i) {
+                Some(basis) if basis.key == key => basis.field.set_moments(s.mean, s.amplitude),
+                _ => {
+                    let field = CosineField::new(s.mean, s.amplitude, s.correlation_length, key.1);
+                    fresh.push((i, key, field));
+                }
             }
         }
-        if !stale.is_empty() {
-            let chunks = chunks(n * stale.len() * CosineField::K);
-            fill_sums(&self.positions, stale, chunks);
+        if !fresh.is_empty() {
+            let cosines = n * fresh.len() * CosineField::K;
+            let stale: Vec<usize> = fresh.iter().map(|&(i, ..)| i).collect();
+            for (i, key, field) in fresh {
+                match self.bases.get_mut(i) {
+                    Some(basis) => (basis.key, basis.field) = (key, field),
+                    None => self.bases.push(Basis {
+                        key,
+                        field,
+                        sums: vec![0.0; n],
+                    }),
+                }
+            }
+            let stale = (self.bases.iter_mut().enumerate())
+                .filter(|(i, _)| stale.contains(i))
+                .map(|(_, b)| (b.sums.as_mut_slice(), &b.field))
+                .collect();
+            fill_sums(&self.positions, stale, chunks(cosines));
         }
         // The cross term reads the finished value of an earlier spec and the
         // noise draws come from one stream: serial, in node then spec order.
+        // A repeated stream replays its kept draws, or keeps them if it had
+        // none yet.
+        let repeats = self.noise.repeats(specs, seed);
+        let replay = repeats && !self.noise.draws.is_empty();
+        let keep = repeats && !replay;
+        let Self {
+            bases, noise, row, ..
+        } = self;
         let mut noise_rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x2545F4914F6CDD1D));
-        let mut row = vec![0.0; specs.len()];
+        let mut next = 0;
+        // Kept draws land in the memo only once the stream is complete: an
+        // `emit` that panics leaves it empty, never short.
+        let mut kept = Vec::new();
+        row.clear();
+        row.resize(specs.len(), 0.0);
         for node in 0..n {
-            for (i, (spec, field)) in specs.iter().zip(&fields).enumerate() {
-                let mut v = field.at(self.bases[i].sums[node]);
+            for (i, (spec, basis)) in specs.iter().zip(bases.iter()).enumerate() {
+                let mut v = basis.field.at(basis.sums[node]);
                 if let Some((j, coeff)) = spec.cross {
                     v += coeff * (row[j] - specs[j].mean);
                 }
                 if spec.noise > 0.0 {
-                    // Box-Muller white noise.
-                    let u1: f64 = noise_rng.gen_range(f64::EPSILON..1.0);
-                    let u2: f64 = noise_rng.gen_range(0.0..std::f64::consts::TAU);
-                    v += spec.noise * (-2.0 * u1.ln()).sqrt() * u2.cos();
+                    let (r, c) = if replay {
+                        next += 1;
+                        noise.draws[next - 1]
+                    } else {
+                        let draw = box_muller(&mut noise_rng);
+                        if keep {
+                            kept.push(draw);
+                        }
+                        draw
+                    };
+                    v += spec.noise * r * c;
                 }
                 row[i] = v;
             }
-            emit(node, &row);
+            emit(node, row);
+        }
+        if keep {
+            noise.draws = kept;
         }
     }
+}
+
+/// One Box–Muller draw of white noise: its radius `√(−2 ln u₁)` and cosine
+/// `cos u₂`, whose product with the noise scale is a normal sample.
+fn box_muller(rng: &mut SmallRng) -> (f64, f64) {
+    #[cfg(test)]
+    tests::DRAWS.with(|n| n.set(n.get() + 1));
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+    ((-2.0 * u1.ln()).sqrt(), u2.cos())
 }
 
 /// Writes each stale spec's wave sums at `positions`, in at most `chunks`
@@ -259,9 +343,15 @@ fn fill_sums(positions: &[Position], stale: Vec<(&mut [f64], &CosineField)>, chu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::field::tests::COSINES;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Box–Muller draws [`box_muller`] evaluated on this thread.
+        pub(crate) static DRAWS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn positions(n: usize) -> Vec<Position> {
         let mut rng = SmallRng::seed_from_u64(5);
@@ -397,6 +487,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A sampler keeps its noise stream's draws from the draw that repeats
+    /// the stream, and replays them on the draws after it, bit for bit:
+    /// rescaled noise, means and amplitudes replay; a new seed, or a spec
+    /// whose noise becomes 0, draws afresh.
+    #[test]
+    fn a_repeated_noise_stream_is_drawn_once() {
+        let base = vec![
+            FieldSpec::simple("temp", 21.0, 2.0, 200.0, 0.05),
+            FieldSpec::simple("hum", 40.0, 5.0, 300.0, 0.2).coupled_to(0, -1.5),
+            FieldSpec::simple("pres", 1013.0, 1.5, 600.0, 0.0).coupled_to(1, 0.3),
+        ];
+        let scaled = |by: f64| -> Vec<FieldSpec> {
+            let scale = |s: &FieldSpec| FieldSpec {
+                mean: s.mean + by,
+                amplitude: s.amplitude * by,
+                noise: s.noise * by,
+                ..s.clone()
+            };
+            base.iter().map(scale).collect()
+        };
+        let mut quiet = base.clone();
+        quiet[1].noise = 0.0;
+        // (specs, seed, Box–Muller draws per position of the draw)
+        let steps: [(&[FieldSpec], u64, usize); 9] = [
+            (&base, 11, 2),
+            (&scaled(1.25), 11, 2),
+            (&scaled(1.5), 11, 0),
+            (&base, 11, 0),
+            (&base, 12, 2),
+            (&base, 12, 2),
+            (&base, 12, 0),
+            (&quiet, 12, 1),
+            (&base, 12, 2),
+        ];
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            let row = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
+            rows.iter().map(row).collect()
+        };
+        let pos = positions(97);
+        let mut sampler = FieldSampler::new(pos.clone());
+        for (step, &(specs, seed, draws)) in steps.iter().enumerate() {
+            let fresh = generate_readings(&pos, specs, seed);
+            let mut drawn = Vec::new();
+            DRAWS.take();
+            sampler.draw(specs, seed, |_, row| drawn.push(row.to_vec()));
+            assert_eq!(DRAWS.take(), pos.len() * draws, "step {step}");
+            assert_eq!(bits(&drawn), bits(&fresh), "step {step}");
+        }
+    }
+
+    /// A draw that panics leaves nothing stale behind. On a bad spec, every
+    /// kept basis still matches its key, so a later draw of the field the
+    /// panicking one asked for recomputes it; in `emit`, while keeping the
+    /// noise draws, the memo stays empty rather than short.
+    #[test]
+    fn a_panicking_draw_leaves_no_stale_state() {
+        let pos = positions(20);
+        let temp = |corr| FieldSpec::simple("temp", 21.0, 2.0, corr, 0.05);
+        let mut bad = FieldSpec::simple("hum", 40.0, 5.0, 300.0, 0.2);
+        bad.amplitude = -1.0;
+        let good = FieldSpec::simple("hum", 40.0, 5.0, 300.0, 0.2);
+        let mut sampler = FieldSampler::new(pos.clone());
+        let panics = |sampler: &mut FieldSampler, specs: &[FieldSpec], emit_at| {
+            let draw = std::panic::AssertUnwindSafe(|| {
+                sampler.draw(specs, 1, |node, _| assert_ne!(node, emit_at))
+            });
+            assert!(std::panic::catch_unwind(draw).is_err());
+        };
+        sampler.draw(&[temp(200.0)], 1, |_, _| {});
+        panics(&mut sampler, &[temp(450.0), bad], usize::MAX);
+        let specs = [temp(450.0), good];
+        let check = |sampler: &mut FieldSampler| {
+            let mut drawn = Vec::new();
+            sampler.draw(&specs, 1, |_, row| drawn.push(row.to_vec()));
+            assert_eq!(drawn, generate_readings(&pos, &specs, 1));
+        };
+        check(&mut sampler);
+        // A repeat whose `emit` panics midway, then a repeat and a replay.
+        panics(&mut sampler, &specs, 5);
+        check(&mut sampler);
+        check(&mut sampler);
     }
 
     #[test]
