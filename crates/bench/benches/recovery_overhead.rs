@@ -9,7 +9,10 @@
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
 //!
 //! * steady-state overhead: checkpointing every round costs ≤ 10 % of the
-//!   plain per-round epoch cost;
+//!   plain per-round epoch cost — each round and the checkpoint that
+//!   follows it are timed apart over one engine, and the gate reads
+//!   Σ checkpoint / Σ round over `MEASURED_ROUNDS` rounds, so a round's own
+//!   run-to-run swing does not enter the ratio;
 //! * recovery: restoring the newest snapshot and replaying the WAL suffix
 //!   costs ≤ 0.3× re-executing the crashed run from a cold start.
 
@@ -24,7 +27,7 @@ use std::time::{Duration, Instant};
 const SQL: &str = "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
                    WHERE A.temp - B.temp > 4.0 SAMPLE PERIOD 30";
 const SEED: u64 = 11;
-const MEASURED_ROUNDS: u64 = 4;
+const MEASURED_ROUNDS: u64 = 16;
 const CRASHED_ROUNDS: u64 = 9;
 const EVERY: u64 = 2;
 const REPS: usize = 2;
@@ -92,33 +95,27 @@ fn main() {
     let mut criterion = Criterion::default();
 
     // Steady-state overhead: MEASURED_ROUNDS rounds after a warm-up
-    // round, plain vs checkpointing every round, best-of-REPS.
-    let mut plain_t = Duration::MAX;
-    let mut ckpt_t = Duration::MAX;
-    for _ in 0..REPS {
-        let (mut snet, cq, specs) = build(n);
-        let mut cont = ContinuousSensJoin::new();
-        round(&mut snet, &mut cont, &cq, &specs, 0);
-        let t0 = Instant::now();
-        for r in 1..=MEASURED_ROUNDS {
-            round(&mut snet, &mut cont, &cq, &specs, r);
-        }
-        plain_t = plain_t.min(t0.elapsed());
-
+    // round, each followed by a checkpoint, over one engine and one store.
+    let (mut round_t, mut ckpt_t) = (Duration::ZERO, Duration::ZERO);
+    {
         let dir = tmpdir("overhead");
         let mut store = CheckpointStore::open(&dir).unwrap();
         let (mut snet, cq, specs) = build(n);
         let mut cont = ContinuousSensJoin::new();
         round(&mut snet, &mut cont, &cq, &specs, 0);
-        let t0 = Instant::now();
         for r in 1..=MEASURED_ROUNDS {
+            let t0 = Instant::now();
             round(&mut snet, &mut cont, &cq, &specs, r);
+            let t1 = Instant::now();
             checkpoint(&mut store, &snet, &cont, r);
+            round_t += t1 - t0;
+            ckpt_t += t1.elapsed();
         }
-        ckpt_t = ckpt_t.min(t0.elapsed());
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let overhead = (ckpt_t.as_secs_f64() - plain_t.as_secs_f64()) / plain_t.as_secs_f64();
+    let overhead = ckpt_t.as_secs_f64() / round_t.as_secs_f64();
+    let per_round = |t: Duration| t.as_secs_f64() * 1e3 / MEASURED_ROUNDS as f64;
 
     // Crashed run: CRASHED_ROUNDS rounds, checkpoint every EVERY rounds,
     // then the process "dies". The newest snapshot covers all but the last
@@ -186,10 +183,10 @@ fn main() {
     assert!(
         overhead <= 0.10,
         "gate violated: steady-state checkpoint overhead {:.1} % > 10 % \
-         ({:.1} ms/round plain vs {:.1} ms/round checkpointed)",
+         ({:.1} ms/round, {:.2} ms/checkpoint)",
         overhead * 100.0,
-        plain_t.as_secs_f64() * 1e3 / MEASURED_ROUNDS as f64,
-        ckpt_t.as_secs_f64() * 1e3 / MEASURED_ROUNDS as f64
+        per_round(round_t),
+        per_round(ckpt_t)
     );
     assert!(
         ratio <= 0.3,
@@ -247,10 +244,10 @@ fn main() {
 
     println!(
         "recovery_overhead: checkpoint-every-round overhead {:.1} % \
-         ({:.1} → {:.1} ms/round at n = {n})",
+         ({:.1} ms/round, {:.2} ms/checkpoint at n = {n})",
         overhead * 100.0,
-        plain_t.as_secs_f64() * 1e3 / MEASURED_ROUNDS as f64,
-        ckpt_t.as_secs_f64() * 1e3 / MEASURED_ROUNDS as f64
+        per_round(round_t),
+        per_round(ckpt_t)
     );
     println!(
         "recovery_overhead: recover {:.1} ms vs cold re-execution {:.1} ms \

@@ -43,7 +43,7 @@ use crate::wave::{down_wave, up_wave, DownArrival};
 /// Maximum number of times a continuous round is (re-)executed when data
 /// loss survives the ARQ budget (first attempt included).
 pub const MAX_ROUND_ATTEMPTS: u32 = 3;
-use sensjoin_quadtree::{Point, PointSet, RelFlags};
+use sensjoin_quadtree::{merge, Merged, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeltaBatchStats, NetworkStats, RoutingTree, Time};
@@ -95,8 +95,8 @@ fn counts_to_set(counts: &CellCounts) -> PointSet {
 
 /// A round's own counted cells: the [`CellCounts`] of a delta's additions
 /// or removals, or of a node's subtree, as a vector sorted by z with no
-/// all-zero entry. Folding, sizing and pruning are then linear merges over
-/// z-sorted sequences, like the paper's `Union` and `Intersect` (§V); the
+/// all-zero entry. Folding, sizing and pruning are then closures over the
+/// z-sorted [`merge`], like the paper's `Union` and `Intersect` (§V); the
 /// hash-keyed [`CellCounts`] is what [`FilterEngine`] takes, built once per
 /// round at the base ([`Delta::net`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -120,18 +120,6 @@ impl SortedCounts {
 
     fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// Counts cell `z` once more in each bit of `flags`.
-    fn count(&mut self, z: u64, flags: u8) {
-        let at = match self.0.binary_search_by_key(&z, |e| e.0) {
-            Ok(at) => at,
-            Err(at) => {
-                self.0.insert(at, (z, [0; 8]));
-                at
-            }
-        };
-        flag_bits(flags).for_each(|b| self.0[at].1[b] += 1);
     }
 
     /// Adds `sign` times `delta`, dropping cells whose counters all return
@@ -160,48 +148,11 @@ impl SortedCounts {
 
     /// [`SortedCounts::fold`] as one merge of the two sequences.
     fn merge(&mut self, b: &[(u64, [i64; 8])], sign: i64, mut moved: impl FnMut(u64, u8)) {
-        let a = std::mem::take(&mut self.0);
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (z, old) = match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                    continue;
-                }
-                std::cmp::Ordering::Greater => (b[j].0, [0; 8]),
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    a[i - 1]
-                }
-            };
-            let mut counts = old;
-            counts
-                .iter_mut()
-                .zip(&b[j].1)
-                .for_each(|(c, d)| *c += sign * d);
-            j += 1;
-            let (was, now) = (presence(&old), presence(&counts));
-            if counts != [0; 8] {
-                out.push((z, counts));
+        self.0 = sum(&self.0, b, sign, |z, was, now| {
+            if presence(was) != presence(now) {
+                moved(z, presence(now));
             }
-            if was != now {
-                moved(z, now);
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        for &(z, d) in &b[j..] {
-            let counts = d.map(|d| sign * d);
-            let now = presence(&counts);
-            if counts != [0; 8] {
-                out.push((z, counts));
-            }
-            if now != 0 {
-                moved(z, now);
-            }
-        }
-        self.0 = out;
+        });
     }
 
     /// The present cells, each with its role presence.
@@ -214,24 +165,15 @@ impl SortedCounts {
     }
 
     /// The points of `set` at cells counted here, their flags masked by
-    /// `mask` of the cell's counters, those left empty dropped: one forward
-    /// walk of both sequences, skipping ahead by binary search where `set`
-    /// is sparse.
+    /// `mask` of the cell's counters, those left empty dropped.
     fn restrict(&self, set: &PointSet, mask: impl Fn(&[i64; 8]) -> u8) -> PointSet {
-        let (mut out, mut rest) = (Vec::new(), &self.0[..]);
-        for p in set.iter() {
-            rest = &rest[rest.partition_point(|e| e.0 < p.z)..];
-            let Some((z, counts)) = rest.first() else {
-                break;
-            };
-            let flags = p.flags.0 & mask(counts);
-            if *z == p.z && flags != 0 {
-                out.push(Point {
-                    z: p.z,
-                    flags: RelFlags(flags),
-                });
+        let mut out = Vec::new();
+        merge(set.points(), &self.0, |m| {
+            if let Merged::Both(p, (_, counts)) = m {
+                let flags = RelFlags(p.flags.0 & mask(counts));
+                out.extend((!flags.is_empty()).then_some(Point { z: p.z, flags }));
             }
-        }
+        });
         PointSet::from_sorted(out)
     }
 
@@ -246,6 +188,30 @@ impl SortedCounts {
     fn to_counts(&self) -> CellCounts {
         self.0.iter().copied().collect()
     }
+}
+
+/// Cell-wise `a + sign · b` of two counted-cell sequences, all-zero cells
+/// dropped; `each(z, was, now)` sees every cell of `b`.
+fn sum(
+    a: &[(u64, [i64; 8])],
+    b: &[(u64, [i64; 8])],
+    sign: i64,
+    mut each: impl FnMut(u64, &[i64; 8], &[i64; 8]),
+) -> Vec<(u64, [i64; 8])> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut add = |out: &mut Vec<_>, z, was: &[i64; 8], d: &[i64; 8]| {
+        let now = std::array::from_fn(|k| was[k] + sign * d[k]);
+        if now != [0; 8] {
+            out.push((z, now));
+        }
+        each(z, was, &now);
+    };
+    merge(a, b, |m| match m {
+        Merged::Left(run) => out.extend_from_slice(run),
+        Merged::Right(run) => run.iter().for_each(|(z, d)| add(&mut out, *z, &[0; 8], d)),
+        Merged::Both((z, was), (_, d)) => add(&mut out, *z, was, d),
+    });
+    out
 }
 
 /// The base station's pre-join filter over the population the nodes
@@ -315,12 +281,23 @@ impl FilterEngine {
         space: &JoinSpace,
         delta: &CellCounts,
     ) -> &PointSet {
-        let (population, mut moved) = (&mut self.population, false);
+        let mut moved = Vec::new();
         fold_delta(&mut self.counts, delta, |z, flags| {
-            population.set_flags(z, RelFlags(flags));
-            moved = true;
+            moved.push(Point {
+                z,
+                flags: RelFlags(flags),
+            })
         });
-        if moved {
+        if !moved.is_empty() {
+            // The moved cells overwrite the population's: one merge, which
+            // drops the cells no role is present in any more.
+            moved.sort_unstable_by_key(|p| p.z);
+            let mut population = Vec::with_capacity(self.population.len() + moved.len());
+            merge(self.population.points(), &moved, |m| match m {
+                Merged::Left(run) | Merged::Right(run) => population.extend_from_slice(run),
+                Merged::Both(_, p) => population.extend((!p.flags.is_empty()).then_some(*p)),
+            });
+            self.population = PointSet::from_sorted(population);
             self.filter = prejoin_filter(query, space, &self.population);
         }
         &self.filter
@@ -365,7 +342,7 @@ impl Delta {
         } else {
             &mut self.dels
         };
-        counts.count(z, flags);
+        counts.fold(&SortedCounts::of_cells([(z, flags)]), 1, |_, _| {});
     }
 
     fn merge(&mut self, other: &Delta) {
@@ -377,14 +354,9 @@ impl Delta {
     /// The net population change (adds − dels) in the form
     /// [`FilterEngine::apply_delta`] takes.
     fn net(&self) -> CellCounts {
-        let mut net = CellCounts::with_capacity(self.adds.0.len() + self.dels.0.len());
-        net.extend(self.adds.0.iter().copied());
-        for (z, d) in &self.dels.0 {
-            let c = net.entry(*z).or_insert([0; 8]);
-            c.iter_mut().zip(d).for_each(|(c, d)| *c -= d);
-        }
-        net.retain(|_, c| *c != [0; 8]);
-        net
+        sum(&self.adds.0, &self.dels.0, -1, |_, _, _| {})
+            .into_iter()
+            .collect()
     }
 
     fn is_empty(&self) -> bool {
@@ -441,39 +413,9 @@ impl FilterDelta {
     }
 
     /// Applies the delta to a node's filter view: `(view ∪ added) −
-    /// removed` in one merge pass over the three z-sorted sequences.
+    /// removed`.
     fn apply(&self, view: &mut PointSet) {
-        let (v, a, r) = (view.points(), self.added.points(), self.removed.points());
-        let mut out = Vec::with_capacity(v.len() + a.len());
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        while i < v.len() || j < a.len() {
-            let p = match (v.get(i), a.get(j)) {
-                (Some(x), Some(y)) if x.z == y.z => {
-                    (i, j) = (i + 1, j + 1);
-                    Point {
-                        z: x.z,
-                        flags: x.flags.or(y.flags),
-                    }
-                }
-                (Some(x), y) if y.is_none_or(|y| x.z < y.z) => {
-                    i += 1;
-                    *x
-                }
-                (_, y) => {
-                    j += 1;
-                    *y.expect("one side is left")
-                }
-            };
-            while k < r.len() && r[k].z < p.z {
-                k += 1;
-            }
-            let gone = r.get(k).filter(|q| q.z == p.z).map_or(0, |q| q.flags.0);
-            let flags = RelFlags(p.flags.0 & !gone);
-            if !flags.is_empty() {
-                out.push(Point { z: p.z, flags });
-            }
-        }
-        *view = PointSet::from_sorted(out);
+        *view = view.union(&self.added).minus(&self.removed);
     }
 
     /// The delta a node forwards to its children: each side narrowed to the
@@ -495,15 +437,6 @@ impl FilterDelta {
         );
         pruned
     }
-}
-
-/// The role flags of `a`'s cells that `b` does not hold for the same cell.
-fn minus(a: &PointSet, b: &PointSet) -> PointSet {
-    let points = a.iter().map(|p| Point {
-        z: p.z,
-        flags: RelFlags(p.flags.0 & !b.flags_of(p.z).map_or(0, |f| f.0)),
-    });
-    PointSet::from_points(points.filter(|p| !p.flags.is_empty()))
 }
 
 /// Final-phase message: fresh tuples plus retractions.
@@ -960,10 +893,22 @@ impl ContinuousSensJoin {
         // move), so the unchanged filter entry must flow to it again. The
         // subtree pruning then routes it exactly to the mover's branch.
         let regrown = base_delta.adds.restrict(&new_filter, |_| u8::MAX);
-        let added = minus(&new_filter, &st.filter).union(&regrown);
-        let removed = minus(&st.filter, &new_filter);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        merge(new_filter.points(), st.filter.points(), |m| match m {
+            Merged::Left(run) => added.extend_from_slice(run),
+            Merged::Right(run) => removed.extend_from_slice(run),
+            Merged::Both(new, old) => {
+                for (out, have, lack) in [(&mut added, new, old), (&mut removed, old, new)] {
+                    let flags = RelFlags(have.flags.0 & !lack.flags.0);
+                    out.extend((!flags.is_empty()).then_some(Point { z: new.z, flags }));
+                }
+            }
+        });
         st.filter = new_filter;
-        let full_delta = FilterDelta { added, removed };
+        let full_delta = FilterDelta {
+            added: PointSet::from_sorted(added).union(&regrown),
+            removed: PointSet::from_sorted(removed),
+        };
 
         // ---- Phase 2: filter-delta dissemination ----
         let node_filter = &mut st.node_filter;
@@ -1635,6 +1580,12 @@ mod tests {
                 flags: RelFlags(f),
             }))
         })
+    }
+
+    /// The role flags of `a`'s cells that `b` does not hold for the same
+    /// cell.
+    fn minus(a: &PointSet, b: &PointSet) -> PointSet {
+        a.minus(b)
     }
 
     /// `into` with `delta` folded in, and the presence changes the fold

@@ -514,7 +514,7 @@ fn filter_inputs(
 }
 
 fn collect_filter(points: &PointSet, matched: &[u8]) -> PointSet {
-    PointSet::from_points(
+    PointSet::from_sorted(
         matched
             .iter()
             .enumerate()
@@ -522,7 +522,8 @@ fn collect_filter(points: &PointSet, matched: &[u8]) -> PointSet {
             .map(|(i, &f)| Point {
                 z: points.points()[i].z,
                 flags: RelFlags(f),
-            }),
+            })
+            .collect(),
     )
 }
 

@@ -41,7 +41,7 @@ use crate::scheduler::SoloCost;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival, WaveTiming};
-use sensjoin_quadtree::{encoded_wire_size, Point, PointSet, RelFlags};
+use sensjoin_quadtree::{encoded_wire_size, merge_k, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::{NodeId, TupleBatch};
 use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
@@ -835,7 +835,7 @@ fn merged_wire_size(
         let merged = if sets == 1 {
             bytes_i + copies[0] * bitmap_of(set_i)
         } else {
-            let distinct: Vec<&PointSet> = distinct.iter().map(|&d| present[d].1).collect();
+            let distinct: Vec<&[Point]> = distinct.iter().map(|&d| present[d].1.points()).collect();
             let (union, diverging) = union_and_divergence(&distinct);
             // Members that send equal sets (a filter that prunes alike for
             // two plans) make the union the first member, already sized.
@@ -855,34 +855,23 @@ fn merged_wire_size(
 }
 
 /// The union of `sets` and, per set, how many of the union's points it
-/// does not hold with the union's flags, from one merge pass over their
-/// z-sorted points: O(sets · |union|), and the union is the one allocation
-/// that grows with the sets.
-fn union_and_divergence(sets: &[&PointSet]) -> (PointSet, Vec<usize>) {
-    let mut at = vec![0usize; sets.len()];
+/// does not hold with the union's flags, from one k-way [`merge_k`] over
+/// their z-sorted points: O(sets · |union|), and the union is the one
+/// allocation that grows with the sets.
+fn union_and_divergence(sets: &[&[Point]]) -> (PointSet, Vec<usize>) {
     let mut diverging = vec![0usize; sets.len()];
     let widest = sets.iter().map(|set| set.len()).max().unwrap_or(0);
     let mut union: Vec<Point> = Vec::with_capacity(widest);
-    loop {
-        let head = |(set, &i): (&&PointSet, &usize)| set.points().get(i).copied();
-        let Some(z) = sets.iter().zip(&at).filter_map(head).map(|p| p.z).min() else {
-            break;
-        };
-        let flags = (sets.iter().zip(&at).filter_map(head))
-            .filter(|p| p.z == z)
-            .fold(RelFlags(0), |all, p| all.or(p.flags));
-        for ((set, i), diverging) in sets.iter().zip(&mut at).zip(&mut diverging) {
-            let own = match set.points().get(*i) {
-                Some(p) if p.z == z => {
-                    *i += 1;
-                    p.flags
-                }
-                _ => RelFlags(0),
-            };
-            *diverging += usize::from(own != flags);
+    merge_k(sets, |z, heads| {
+        let own = |head: &Option<&Point>| head.map_or(RelFlags(0), |p| p.flags);
+        let flags = heads
+            .iter()
+            .fold(RelFlags(0), |all, head| all.or(own(head)));
+        for (head, diverging) in heads.iter().zip(&mut diverging) {
+            *diverging += usize::from(own(head) != flags);
         }
         union.push(Point { z, flags });
-    }
+    });
     (PointSet::from_sorted(union), diverging)
 }
 

@@ -1045,7 +1045,7 @@ impl Persist for PointSet {
         if points.windows(2).any(|w| w[0].z >= w[1].z) {
             return Err(CodecError::Invariant("points not strictly sorted"));
         }
-        Ok(PointSet::from_points(points))
+        Ok(PointSet::from_sorted(points))
     }
 }
 

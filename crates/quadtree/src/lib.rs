@@ -14,7 +14,8 @@
 //! * [`PointSet`] — the logical set: Z-numbers with per-relation membership
 //!   flags, plus [`PointSet::union`] / [`PointSet::intersect`] implementing
 //!   the paper's `Union`/`Intersect` primitives with flag-OR / flag-AND
-//!   semantics,
+//!   semantics, all closures over one z-sorted [`merge`] (and its k-way
+//!   form [`merge_k`]),
 //! * [`encode`] / [`decode`] — the pointerless bitstring (paper Fig. 9):
 //!   depth-first order; an *index node* is a `0` bit followed by a child-
 //!   presence mask; a *point list* is `1`-prefixed points encoded relative to
@@ -51,5 +52,5 @@ pub use bits::{BitReader, BitWriter};
 pub use encoding::{
     contains_encoded, decode, encode, encoded_len_bits, encoded_wire_size, DecodeError, EncodedTree,
 };
-pub use point::{Point, PointSet, RelFlags, MAX_RELATIONS};
+pub use point::{merge, merge_k, Keyed, Merged, Point, PointSet, RelFlags, MAX_RELATIONS};
 pub use shape::TreeShape;

@@ -79,13 +79,26 @@ impl PointSet {
         Self::default()
     }
 
-    /// Builds from arbitrary points, merging duplicates.
+    /// Builds from arbitrary points, merging duplicates: one sort, then one
+    /// pass that ORs the flags of equal cells.
+    ///
+    /// # Panics
+    /// Panics if a point belongs to no relation.
     pub fn from_points(points: impl IntoIterator<Item = Point>) -> Self {
-        let mut set = Self::new();
-        for p in points {
-            set.insert(p.z, p.flags);
-        }
-        set
+        let mut points: Vec<Point> = points.into_iter().collect();
+        assert!(
+            points.iter().all(|p| !p.flags.is_empty()),
+            "points must belong to at least one relation"
+        );
+        points.sort_unstable_by_key(|p| p.z);
+        points.dedup_by(|p, kept| {
+            let same = p.z == kept.z;
+            if same {
+                kept.flags = kept.flags.or(p.flags);
+            }
+            same
+        });
+        Self { points }
     }
 
     /// Builds from points already sorted by unique `z`, each with non-empty
@@ -134,28 +147,6 @@ impl PointSet {
         }
     }
 
-    /// Sets cell `z`'s membership to exactly `flags`: inserts when absent,
-    /// overwrites when present, and removes the cell when `flags` is empty.
-    /// How a counted population's presence set follows the cells whose
-    /// role presence changed (unlike [`PointSet::insert`], which can only
-    /// grow memberships).
-    pub fn set_flags(&mut self, z: u64, flags: RelFlags) {
-        match self.points.binary_search_by_key(&z, |p| p.z) {
-            Ok(i) => {
-                if flags.is_empty() {
-                    self.points.remove(i);
-                } else {
-                    self.points[i].flags = flags;
-                }
-            }
-            Err(i) => {
-                if !flags.is_empty() {
-                    self.points.insert(i, Point { z, flags });
-                }
-            }
-        }
-    }
-
     /// Number of distinct cells in the set.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -189,34 +180,17 @@ impl PointSet {
             .map(|i| self.points[i].flags)
     }
 
-    /// Set union — the paper's `Union` primitive: a single merge pass over
-    /// the two z-sorted sequences, OR-ing flags of equal cells.
+    /// Set union — the paper's `Union` primitive: one [`merge`] of the two
+    /// z-sorted sequences, OR-ing flags of equal cells.
     pub fn union(&self, other: &PointSet) -> PointSet {
         let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.points.len() && j < other.points.len() {
-            let (a, b) = (self.points[i], other.points[j]);
-            match a.z.cmp(&b.z) {
-                std::cmp::Ordering::Less => {
-                    out.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(Point {
-                        z: a.z,
-                        flags: a.flags.or(b.flags),
-                    });
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.points[i..]);
-        out.extend_from_slice(&other.points[j..]);
+        merge(&self.points, &other.points, |m| match m {
+            Merged::Left(run) | Merged::Right(run) => out.extend_from_slice(run),
+            Merged::Both(a, b) => out.push(Point {
+                z: a.z,
+                flags: a.flags.or(b.flags),
+            }),
+        });
         PointSet { points: out }
     }
 
@@ -224,23 +198,33 @@ impl PointSet {
     /// Selective Filter Forwarding: keeps cells present in both sets with the
     /// AND of the flags, dropping cells whose memberships do not overlap.
     pub fn intersect(&self, other: &PointSet) -> PointSet {
+        self.at_shared_cells(other, false, RelFlags::and)
+    }
+
+    /// Set difference: the flags of this set's cells that `other` does not
+    /// hold for the same cell, cells left without flags dropped.
+    pub fn minus(&self, other: &PointSet) -> PointSet {
+        self.at_shared_cells(other, true, |a, b| RelFlags(a.0 & !b.0))
+    }
+
+    /// One [`merge`] with `other` that keeps this set's own cells if
+    /// `keep_own`, drops `other`'s, and keeps a shared cell with
+    /// `flags(own, other's)` unless that is empty.
+    fn at_shared_cells(
+        &self,
+        other: &PointSet,
+        keep_own: bool,
+        flags: impl Fn(RelFlags, RelFlags) -> RelFlags,
+    ) -> PointSet {
         let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.points.len() && j < other.points.len() {
-            let (a, b) = (self.points[i], other.points[j]);
-            match a.z.cmp(&b.z) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let f = a.flags.and(b.flags);
-                    if !f.is_empty() {
-                        out.push(Point { z: a.z, flags: f });
-                    }
-                    i += 1;
-                    j += 1;
-                }
+        merge(&self.points, &other.points, |m| match m {
+            Merged::Left(run) if keep_own => out.extend_from_slice(run),
+            Merged::Both(a, b) => {
+                let flags = flags(a.flags, b.flags);
+                out.extend((!flags.is_empty()).then_some(Point { z: a.z, flags }));
             }
-        }
+            _ => {}
+        });
         PointSet { points: out }
     }
 
@@ -253,6 +237,101 @@ impl PointSet {
 impl FromIterator<Point> for PointSet {
     fn from_iter<I: IntoIterator<Item = Point>>(iter: I) -> Self {
         Self::from_points(iter)
+    }
+}
+
+/// An element of a slice sorted by a unique `u64` key: a [`Point`] by its
+/// Z-number, or a cell's `(z, payload)` (a counted cell's counters).
+pub trait Keyed {
+    /// The sort key.
+    fn key(&self) -> u64;
+}
+
+impl Keyed for Point {
+    #[inline]
+    fn key(&self) -> u64 {
+        self.z
+    }
+}
+
+impl<T> Keyed for (u64, T) {
+    #[inline]
+    fn key(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One step of a [`merge`]: a maximal run of one side's elements at keys
+/// the other side lacks, or the two elements at a key both sides hold.
+#[derive(Debug)]
+pub enum Merged<'a, L, R> {
+    /// Elements of the left slice only.
+    Left(&'a [L]),
+    /// Elements of the right slice only.
+    Right(&'a [R]),
+    /// The two elements at a shared key.
+    Both(&'a L, &'a R),
+}
+
+/// The merge of z-sorted streams under every set operation (paper §V):
+/// walks `left` and `right`, each sorted by a unique key, and hands `emit`
+/// each step in key order — the closure emits or drops. A one-sided run is
+/// found by a galloping search, so a routine that drops it (intersection,
+/// restriction) skips it in O(log run), and one that keeps it copies it
+/// whole.
+pub fn merge<'a, L: Keyed, R: Keyed>(
+    mut left: &'a [L],
+    mut right: &'a [R],
+    mut emit: impl FnMut(Merged<'a, L, R>),
+) {
+    while let (Some(l), Some(r)) = (left.first(), right.first()) {
+        let (kl, kr) = (l.key(), r.key());
+        if kl == kr {
+            emit(Merged::Both(l, r));
+            (left, right) = (&left[1..], &right[1..]);
+        } else if kl < kr {
+            let (run, rest) = left.split_at(run_below(left, kr));
+            emit(Merged::Left(run));
+            left = rest;
+        } else {
+            let (run, rest) = right.split_at(run_below(right, kl));
+            emit(Merged::Right(run));
+            right = rest;
+        }
+    }
+    if !left.is_empty() {
+        emit(Merged::Left(left));
+    }
+    if !right.is_empty() {
+        emit(Merged::Right(right));
+    }
+}
+
+/// The length of the prefix of `s` keyed below `key`, given that `s[0]`
+/// is: probes at 1, 2, 4, … then a binary search between the last two.
+fn run_below<T: Keyed>(s: &[T], key: u64) -> usize {
+    let mut probe = 1;
+    while probe < s.len() && s[probe].key() < key {
+        probe *= 2;
+    }
+    let from = probe / 2 + 1;
+    from + s[from..probe.min(s.len())].partition_point(|e| e.key() < key)
+}
+
+/// The k-way [`merge`]: calls `emit(key, heads)` once per key any slice
+/// holds, in key order, with `heads[i]` the element of `slices[i]` at that
+/// key if it has one.
+pub fn merge_k<'a, T: Keyed>(slices: &[&'a [T]], mut emit: impl FnMut(u64, &[Option<&'a T>])) {
+    let mut rest = slices.to_vec();
+    let mut heads = vec![None; slices.len()];
+    while let Some(key) = rest.iter().filter_map(|s| s.first()).map(T::key).min() {
+        for (s, head) in rest.iter_mut().zip(&mut heads) {
+            *head = s.first().filter(|e| e.key() == key);
+            if head.is_some() {
+                *s = &s[1..];
+            }
+        }
+        emit(key, &heads);
     }
 }
 
@@ -326,14 +405,18 @@ mod tests {
     }
 
     #[test]
-    fn set_flags_inserts_overwrites_and_removes() {
-        let mut s = set(&[(3, 0b10), (7, 0b11)]);
-        s.set_flags(5, RelFlags::B); // insert between
-        assert_eq!(s, set(&[(3, 0b10), (5, 0b01), (7, 0b11)]));
-        s.set_flags(7, RelFlags::A); // overwrite (can shrink, unlike insert)
-        assert_eq!(s.flags_of(7), Some(RelFlags::A));
-        s.set_flags(3, RelFlags(0)); // empty flags remove the cell
-        s.set_flags(100, RelFlags(0)); // removing an absent cell is a no-op
-        assert_eq!(s, set(&[(5, 0b01), (7, 0b10)]));
+    fn from_points_sorts_and_ors_duplicates() {
+        let s = set(&[(9, 0b01), (3, 0b10), (9, 0b10), (1, 0b01), (3, 0b10)]);
+        let want = [(1, 0b01), (3, 0b10), (9, 0b11)].map(|(z, f)| Point {
+            z,
+            flags: RelFlags(f),
+        });
+        assert_eq!(s.points(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one relation")]
+    fn from_points_rejects_empty_flags() {
+        set(&[(4, 0b01), (2, 0)]);
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the quadtree wire format and set primitives.
 
 use proptest::prelude::*;
-use sensjoin_quadtree::{decode, encode, encoded_len_bits, Point, PointSet, RelFlags, TreeShape};
+use sensjoin_quadtree::{
+    decode, encode, encoded_len_bits, merge, merge_k, Merged, Point, PointSet, RelFlags, TreeShape,
+};
 use std::collections::BTreeMap;
 
 /// Strategy for a tree shape with varied level structure.
@@ -114,6 +116,71 @@ proptest! {
             .collect();
         let got: BTreeMap<u64, u8> = i.iter().map(|p| (p.z, p.flags.0)).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// minus agrees with the model (a's flags less b's, dropping empties).
+    #[test]
+    fn minus_matches_model(
+        a in prop::collection::vec((0u64..512, 1u8..=3), 0..60),
+        b in prop::collection::vec((0u64..512, 1u8..=3), 0..60),
+    ) {
+        let d = build(&a).minus(&build(&b));
+        let mb = model(&b);
+        let want: BTreeMap<u64, u8> = model(&a)
+            .into_iter()
+            .map(|(z, fa)| (z, fa & !mb.get(&z).copied().unwrap_or(0)))
+            .filter(|(_, f)| *f != 0)
+            .collect();
+        prop_assert!(d.points().windows(2).all(|w| w[0].z < w[1].z));
+        let got: BTreeMap<u64, u8> = d.iter().map(|p| (p.z, p.flags.0)).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// The two-way merge hands out every element of both sides once, in key
+    /// order: one-sided runs hold keys the other side lacks, and no run
+    /// follows one of the same side (runs are maximal). The k-way merge
+    /// visits every key of any slice once, in order, with each slice's
+    /// element there.
+    #[test]
+    fn merges_visit_every_key_once_in_order(
+        a in prop::collection::vec((0u64..256, 1u8..=3), 0..80),
+        b in prop::collection::vec((0u64..256, 1u8..=3), 0..80),
+        c in prop::collection::vec((0u64..256, 1u8..=3), 0..80),
+    ) {
+        let (sa, sb, sc) = (build(&a), build(&b), build(&c));
+        // Each step as (side, its left elements, its right elements).
+        let mut steps: Vec<(u8, Vec<Point>, Vec<Point>)> = vec![];
+        merge(sa.points(), sb.points(), |m| {
+            steps.push(match m {
+                Merged::Left(run) => (1, run.to_vec(), vec![]),
+                Merged::Right(run) => (2, vec![], run.to_vec()),
+                Merged::Both(l, r) => (3, vec![*l], vec![*r]),
+            })
+        });
+        let (ma, mb) = (model(&a), model(&b));
+        for (i, (side, l, r)) in steps.iter().enumerate() {
+            prop_assert!(!(l.is_empty() && r.is_empty()));
+            prop_assert!(*side == 3 || i == 0 || steps[i - 1].0 != *side, "a run is not maximal");
+            prop_assert!(l.iter().all(|p| (*side == 3) == mb.contains_key(&p.z)));
+            prop_assert!(r.iter().all(|p| (*side == 3) == ma.contains_key(&p.z)));
+        }
+        let lefts: Vec<Point> = steps.iter().flat_map(|s| s.1.clone()).collect();
+        let rights: Vec<Point> = steps.iter().flat_map(|s| s.2.clone()).collect();
+        prop_assert_eq!(&lefts[..], sa.points());
+        prop_assert_eq!(&rights[..], sb.points());
+        let keys: Vec<u64> = steps.iter().map(|s| s.1.first().or(s.2.first()).unwrap().z).collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+
+        let sets = [&sa, &sb, &sc];
+        let mut visited = vec![];
+        merge_k(&sets.map(|s| s.points()), |z, heads| {
+            for (set, head) in sets.iter().zip(heads) {
+                assert_eq!(head.map(|p| p.flags), set.flags_of(z));
+            }
+            visited.push(z);
+        });
+        let want: Vec<u64> = sa.union(&sb).union(&sc).iter().map(|p| p.z).collect();
+        prop_assert_eq!(visited, want);
     }
 
     /// Union and intersection survive an encode/decode round-trip: operating
