@@ -8,11 +8,13 @@
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
 //!
-//! * steady-state overhead: checkpointing every round costs ≤ 10 % of the
+//! * steady-state overhead: checkpointing every round costs ≤ 6 % of the
 //!   plain per-round epoch cost — each round and the checkpoint that
 //!   follows it are timed apart over one engine, and the gate reads
 //!   Σ checkpoint / Σ round over `MEASURED_ROUNDS` rounds, so a round's own
-//!   run-to-run swing does not enter the ratio;
+//!   run-to-run swing does not enter the ratio. The bound sits between 70
+//!   runs of the gated code (3.6–5.1 %) and 40 of a build whose
+//!   `save_snapshot` writes its framed image twice (6.8–9.3 %);
 //! * recovery: restoring the newest snapshot and replaying the WAL suffix
 //!   costs ≤ 0.3× re-executing the crashed run from a cold start.
 
@@ -31,6 +33,8 @@ const MEASURED_ROUNDS: u64 = 16;
 const CRASHED_ROUNDS: u64 = 9;
 const EVERY: u64 = 2;
 const REPS: usize = 2;
+/// The steady-state gate: Σ checkpoint / Σ round.
+const MAX_OVERHEAD: f64 = 0.06;
 
 fn nodes() -> usize {
     std::env::var("SENSJOIN_N")
@@ -181,10 +185,11 @@ fn main() {
 
     // Gates.
     assert!(
-        overhead <= 0.10,
-        "gate violated: steady-state checkpoint overhead {:.1} % > 10 % \
+        overhead <= MAX_OVERHEAD,
+        "gate violated: steady-state checkpoint overhead {:.1} % > {:.0} % \
          ({:.1} ms/round, {:.2} ms/checkpoint)",
         overhead * 100.0,
+        MAX_OVERHEAD * 100.0,
         per_round(round_t),
         per_round(ckpt_t)
     );
@@ -271,7 +276,7 @@ fn main() {
         ("recovery_ratio", format!("{ratio:.3}")),
         (
             "gate",
-            "\"checkpoint-every-round overhead <= 10% of epoch cost, \
+            "\"checkpoint-every-round overhead <= 6% of epoch cost, \
              recovery <= 0.3x cold re-execution\""
                 .to_string(),
         ),

@@ -267,30 +267,12 @@ impl Claim {
 pub fn report(header: &str, pairs: &[Pair], claim: Option<&Claim>) -> (bool, String) {
     let mut out = String::new();
     let _ = writeln!(out, "{header}\n");
-    let _ = writeln!(
-        out,
-        "| metric | parent median | parent q1–q3 | change median | change q1–q3 | change/parent | lower | higher | sign-test p |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "{TABLE_HEAD}");
     let mut met = true;
     let mut verdict = None;
     for m in metrics() {
         let s = MetricSummary::of(pairs, m);
-        let _ = writeln!(
-            out,
-            "| `{}` | {} | {}–{} | {} | {}–{} | {:.3}× | {} | {} | {:.4} |",
-            m,
-            sig(s.parent.median),
-            sig(s.parent.q1),
-            sig(s.parent.q3),
-            sig(s.change.median),
-            sig(s.change.q1),
-            sig(s.change.q3),
-            s.ratio(),
-            s.wins,
-            s.losses,
-            s.p,
-        );
+        row(&mut out, m, &s);
         if let Some(c) = claim.filter(|c| c.metric == m) {
             let (ok, line) = c.verdict(&s);
             met &= ok;
@@ -301,6 +283,48 @@ pub fn report(header: &str, pairs: &[Pair], claim: Option<&Claim>) -> (bool, Str
         let _ = writeln!(out, "\n{line}");
     }
     (met, out)
+}
+
+/// The per-layer block printed under [`report`]'s: one row for every
+/// metric that every traced run of both sides reports, in name order (so
+/// grouped by layer). "Lower" and "higher" count pairs whatever the
+/// metric's direction; a layer's unit and direction are in the benchmark's
+/// table.
+pub fn layer_report(header: &str, traced: &[Pair]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "\n{header}\n");
+    let _ = writeln!(out, "{TABLE_HEAD}");
+    let runs = || traced.iter().flat_map(|p| [&p.parent, &p.change]);
+    let Some(first) = runs().next() else {
+        return out;
+    };
+    for m in first.metrics.keys() {
+        if runs().all(|r| r.metrics.contains_key(m)) {
+            row(&mut out, m, &MetricSummary::of(traced, m));
+        }
+    }
+    out
+}
+
+const TABLE_HEAD: &str = "| metric | parent median | parent q1–q3 | change median | change q1–q3 | change/parent | lower | higher | sign-test p |\n|---|---|---|---|---|---|---|---|---|";
+
+/// One metric's row of a table.
+fn row(out: &mut String, metric: &str, s: &MetricSummary) {
+    let _ = writeln!(
+        out,
+        "| `{}` | {} | {}–{} | {} | {}–{} | {:.3}× | {} | {} | {:.4} |",
+        metric,
+        sig(s.parent.median),
+        sig(s.parent.q1),
+        sig(s.parent.q3),
+        sig(s.change.median),
+        sig(s.change.q1),
+        sig(s.change.q3),
+        s.ratio(),
+        s.wins,
+        s.losses,
+        s.p,
+    );
 }
 
 /// `v` to four significant digits.
@@ -445,6 +469,43 @@ mod tests {
         assert!(Claim::parse("op_ms_p50").is_err());
         assert!(Claim::parse("nope:0.9").is_err());
         assert!(Claim::parse("op_ms_p50:-1").is_err());
+    }
+
+    /// A traced run's result line: per-layer metrics only.
+    fn traced(encode_ms: f64, extra: &str) -> Run {
+        let line = format!(
+            "{{\"correct\": true, \"attempted\": 9, \"failed\": 0, \"metrics\": {{\
+             \"core.persist.encode_ms\": {{\"value\": {encode_ms}, \"unit\": \"ms\"}}, \
+             \"core.persist.snapshot_bytes\": {{\"value\": 239487, \"unit\": \"bytes\"}}, \
+             \"core.wave.residual_ms\": {{\"value\": -0.5, \"unit\": \"ms\"}}{extra}}}}}"
+        );
+        Run::from_output(&line).unwrap()
+    }
+
+    #[test]
+    fn the_layer_report_has_a_row_per_metric_every_run_reports() {
+        let only_parent = ", \"serve.tick_ms\": {\"value\": 3, \"unit\": \"ms\"}";
+        let pairs: Vec<Pair> = (0..4)
+            .map(|i| Pair {
+                seed: i,
+                parent: traced(0.7 + 0.01 * i as f64, only_parent),
+                change: traced(0.5 + 0.01 * i as f64, ""),
+            })
+            .collect();
+        let text = layer_report("per layer", &pairs);
+        assert!(text.starts_with("\nper layer\n\n| metric |"), "{text}");
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("| `")).collect();
+        assert_eq!(
+            rows,
+            [
+                "| `core.persist.encode_ms` | 0.7150 | 0.7025–0.7275 | 0.5150 | 0.5025–0.5275 | 0.720× | 4 | 0 | 0.1250 |",
+                "| `core.persist.snapshot_bytes` | 239487 | 239487–239487 | 239487 | 239487–239487 | 1.000× | 0 | 0 | 1.0000 |",
+                "| `core.wave.residual_ms` | -0.5000 | -0.5000–-0.5000 | -0.5000 | -0.5000–-0.5000 | 1.000× | 0 | 0 | 1.0000 |",
+            ],
+            "{text}"
+        );
+        assert!(!text.contains("serve.tick_ms"));
+        assert_eq!(layer_report("none", &[]).lines().count(), 5);
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! `ab`: compares two built benchmark binaries by alternated pairs.
 //!
 //! ```text
-//! ab --parent BIN --change BIN --workload W --seeds 41-50 [--seconds 16] [--claim op_ms_p50:0.88]
+//! ab --parent BIN --change BIN --workload W --seeds 41-50 [--seconds 16] [--claim op_ms_p50:0.88] [--trace]
 //! ```
 //!
 //! Each seed is one pair: both binaries run `--workload W --seed S
 //! --seconds N --trace 0`, one after the other, the parent first on the
-//! first pair and the change first on the next. Every run's result line is
-//! echoed to stderr as it lands. The comparison stops with an error on a run
-//! that is not `correct` or a pair whose `sim_*` metrics differ. At the end
-//! it prints the Markdown block a CHANGES.md entry carries (per metric:
-//! medians, quartiles, wins, sign-test p) and, with `--claim`, the verdict,
-//! exiting non-zero if the claim is not met.
+//! first pair and the change first on the next. With `--trace` both then
+//! run again with `--trace 1`, in the same order, for the per-layer
+//! metrics. Every run's result line is echoed to stderr as it lands. The
+//! comparison stops with an error on a run that is not `correct` or a pair
+//! whose `sim_*` metrics differ. At the end it prints the Markdown block a
+//! CHANGES.md entry carries (per metric: medians, quartiles, wins, sign-test
+//! p), with `--trace` the per-layer block under it, and, with `--claim`,
+//! the verdict, exiting non-zero if the claim is not met.
 //!
 //! Only one comparison runs on a host at a time: a second one started
 //! while the first holds `sensjoin-ab.lock` in the temp directory refuses
 //! to start, because overlapping runs slow each other down.
 
-use sensjoin_bench::ab::{report, Claim, Pair, Run};
+use sensjoin_bench::ab::{layer_report, report, Claim, Pair, Run};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -28,10 +30,11 @@ struct Args {
     seeds: Vec<u64>,
     seconds: u64,
     claim: Option<Claim>,
+    trace: bool,
 }
 
 const USAGE: &str = "usage: ab --parent BIN --change BIN --workload W --seeds A-B|A,B,.. \
-                     [--seconds N] [--claim METRIC:RATIO]";
+                     [--seconds N] [--claim METRIC:RATIO] [--trace]";
 
 fn parse_seeds(text: &str) -> Result<Vec<u64>, String> {
     let num = |s: &str| s.parse::<u64>().map_err(|e| format!("--seeds {text}: {e}"));
@@ -47,7 +50,7 @@ fn parse_seeds(text: &str) -> Result<Vec<u64>, String> {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let (mut parent, mut change, mut workload, mut seeds) = (None, None, None, None);
-    let (mut seconds, mut claim) = (16, None);
+    let (mut seconds, mut claim, mut trace) = (16, None, false);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or(format!("{flag} needs a value"));
@@ -58,6 +61,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--seeds" => seeds = Some(parse_seeds(value()?)?),
             "--seconds" => seconds = value()?.parse().map_err(|e| format!("--seconds: {e}"))?,
             "--claim" => claim = Some(Claim::parse(value()?)?),
+            "--trace" => trace = true,
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
@@ -69,6 +73,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         seeds: seeds.ok_or_else(|| missing("--seeds"))?,
         seconds,
         claim,
+        trace,
     })
 }
 
@@ -114,12 +119,12 @@ impl Drop for Lock {
     }
 }
 
-fn run(bin: &Path, args: &Args, seed: u64) -> Result<Run, String> {
+fn run(bin: &Path, args: &Args, seed: u64, traced: bool) -> Result<Run, String> {
     let out = Command::new(bin)
         .args(["--workload", &args.workload])
         .args(["--seed", &seed.to_string()])
         .args(["--seconds", &args.seconds.to_string()])
-        .args(["--trace", "0"])
+        .args(["--trace", if traced { "1" } else { "0" }])
         .output()
         .map_err(|e| format!("{}: {e}", bin.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -133,43 +138,52 @@ fn run(bin: &Path, args: &Args, seed: u64) -> Result<Run, String> {
     })
 }
 
+/// The `i`-th pair, on `seed`: the parent first on even pairs.
+fn run_pair(args: &Args, i: usize, seed: u64, traced: bool) -> Result<Pair, String> {
+    let parent_first = i.is_multiple_of(2);
+    let mut sides = [("parent", &args.parent), ("change", &args.change)];
+    if !parent_first {
+        sides.reverse();
+    }
+    let mut runs = Vec::new();
+    for (side, bin) in sides {
+        let r = run(bin, args, seed, traced)?;
+        let shown: Vec<String> = r.metrics.iter().map(|(k, v)| format!("{k} {v}")).collect();
+        eprintln!(
+            "pair {}/{} seed {seed} {side}{}: correct {}, {}",
+            i + 1,
+            args.seeds.len(),
+            if traced { " traced" } else { "" },
+            r.correct,
+            shown.join(", ")
+        );
+        runs.push(r);
+    }
+    let (first, second) = (runs.remove(0), runs.remove(0));
+    let (parent, change) = if parent_first {
+        (first, second)
+    } else {
+        (second, first)
+    };
+    let pair = Pair {
+        seed,
+        parent,
+        change,
+    };
+    match pair.fault() {
+        Some(fault) => Err(fault),
+        None => Ok(pair),
+    }
+}
+
 fn compare(args: &Args) -> Result<bool, String> {
     let _lock = Lock::take()?;
-    let mut pairs = Vec::new();
+    let (mut pairs, mut traced) = (Vec::new(), Vec::new());
     for (i, &seed) in args.seeds.iter().enumerate() {
-        let parent_first = i % 2 == 0;
-        let mut sides = [("parent", &args.parent), ("change", &args.change)];
-        if !parent_first {
-            sides.reverse();
+        pairs.push(run_pair(args, i, seed, false)?);
+        if args.trace {
+            traced.push(run_pair(args, i, seed, true)?);
         }
-        let mut runs = Vec::new();
-        for (side, bin) in sides {
-            let r = run(bin, args, seed)?;
-            let shown: Vec<String> = r.metrics.iter().map(|(k, v)| format!("{k} {v}")).collect();
-            eprintln!(
-                "pair {}/{} seed {seed} {side}: correct {}, {}",
-                i + 1,
-                args.seeds.len(),
-                r.correct,
-                shown.join(", ")
-            );
-            runs.push(r);
-        }
-        let (first, second) = (runs.remove(0), runs.remove(0));
-        let (parent, change) = if parent_first {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        let pair = Pair {
-            seed,
-            parent,
-            change,
-        };
-        if let Some(fault) = pair.fault() {
-            return Err(fault);
-        }
-        pairs.push(pair);
     }
     let seeds = match (args.seeds.first(), args.seeds.last()) {
         (Some(a), Some(b)) => format!("{a}–{b}"),
@@ -185,6 +199,10 @@ fn compare(args: &Args) -> Result<bool, String> {
     );
     let (met, text) = report(&header, &pairs, args.claim.as_ref());
     print!("{text}");
+    if args.trace {
+        let header = "Per layer, from a `--trace 1` run of each binary after each pair:";
+        print!("{}", layer_report(header, &traced));
+    }
     Ok(met)
 }
 
@@ -241,10 +259,11 @@ mod tests {
             "1-2",
             "--claim",
             "op_ms_p50:0.9",
+            "--trace",
         ]))
         .unwrap();
         assert_eq!((a.seeds.len(), a.seconds), (2, 16));
-        assert!(a.claim.is_some());
+        assert!(a.claim.is_some() && a.trace);
         assert!(parse_args(&strings(&["--parent", "p", "--change", "c"])).is_err());
         assert!(parse_args(&strings(&["--bogus"])).is_err());
         assert!(parse_args(&strings(&["--seeds"])).is_err());

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -1063,12 +1063,41 @@ persist_struct!(NodeStats {
     energy_uj: f64,
 });
 
-/// The per-node array, then the charged phases as `(label, totals)`.
+/// Whether any of `s`'s counters has a non-zero bit pattern (a −0.0 or NaN
+/// energy does).
+fn charged(s: &NodeStats) -> bool {
+    let counts = [
+        s.tx_packets,
+        s.tx_bytes,
+        s.rx_packets,
+        s.rx_bytes,
+        s.retx_packets,
+        s.retx_bytes,
+        s.ack_packets,
+        s.ack_bytes,
+        s.lost_packets,
+        s.deaths,
+        s.energy_uj.to_bits(),
+    ];
+    counts.iter().any(|&c| c != 0)
+}
+
+/// The node count; a presence bitmap of ⌈n/8⌉ bytes, bit `v % 8` of byte
+/// `v / 8` marking node `v` as [`charged`]; the marked nodes' counters in
+/// id order; then the charged phases as `(label, totals)`. The bytes
+/// depend on the counter values alone, so a network between rounds, whose
+/// counters are all zero, writes no per-node counter.
 impl Persist for NetworkStats {
     const MIN_BYTES: usize = 16;
     fn put(&self, w: &mut Writer) {
-        w.put_usize(self.per_node().len());
-        for node in self.per_node() {
+        let n = self.per_node().len();
+        w.put_usize(n);
+        let mut nodes = self.per_node();
+        for _ in 0..n.div_ceil(8) {
+            let eight = nodes.by_ref().take(8).enumerate();
+            w.put_u8(eight.fold(0, |byte, (i, s)| byte | (u8::from(charged(s)) << i)));
+        }
+        for node in self.per_node().filter(|s| charged(s)) {
             node.put(w);
         }
         let phases: Vec<(String, NodeStats)> =
@@ -1076,7 +1105,26 @@ impl Persist for NetworkStats {
         phases.put(w);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(NetworkStats::from_parts(Vec::get(r)?, Vec::get(r)?))
+        let n = r.get_usize()?;
+        // The bitmap bounds `n` by the input: ⌈n/8⌉ bytes must follow.
+        let bitmap = r.take(n.div_ceil(8))?;
+        if n > u32::MAX as usize {
+            return Err(CodecError::Oversize);
+        }
+        if bitmap
+            .last()
+            .is_some_and(|&b| n % 8 != 0 && b >> (n % 8) != 0)
+        {
+            return Err(CodecError::Invariant("presence bit of no node"));
+        }
+        let marked = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+        let counters = r.get_items::<NodeStats>(marked)?;
+        if !counters.iter().all(charged) {
+            return Err(CodecError::Invariant("marked node with zero counters"));
+        }
+        let ids = (0..n as u32).filter(|&v| (bitmap[v as usize / 8] >> (v % 8)) & 1 == 1);
+        let nodes = ids.map(NodeId).zip(counters);
+        Ok(NetworkStats::from_nodes(n, nodes, Vec::get(r)?))
     }
 }
 
@@ -1191,6 +1239,130 @@ pub fn stream_engine_from_tuples(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A node's counters, by `kind`: zero; a −0.0 energy alone; a NaN
+    /// energy with a payload; or counts and an energy drawn from `bits`.
+    fn node_stats(kind: u8, bits: u64) -> NodeStats {
+        let count = |shift: u32| (bits >> shift) & 0xff;
+        match kind {
+            0 => NodeStats::default(),
+            1 => NodeStats {
+                energy_uj: -0.0,
+                ..NodeStats::default()
+            },
+            2 => NodeStats {
+                energy_uj: f64::from_bits(0x7ff8_0000_0000_0000 | (bits & 0xf_ffff)),
+                ..NodeStats::default()
+            },
+            _ => NodeStats {
+                tx_packets: count(0),
+                tx_bytes: count(8) * 48,
+                rx_packets: count(16),
+                retx_packets: count(24) % 3,
+                ack_bytes: count(32) % 5,
+                lost_packets: count(40) % 2,
+                deaths: count(48) % 2,
+                energy_uj: (bits % 10_000) as f64 / 7.0,
+                ..NodeStats::default()
+            },
+        }
+    }
+
+    /// Every bit of a node's counters.
+    fn bits(s: &NodeStats) -> [u64; 11] {
+        [
+            s.tx_packets,
+            s.tx_bytes,
+            s.rx_packets,
+            s.rx_bytes,
+            s.retx_packets,
+            s.retx_bytes,
+            s.ack_packets,
+            s.ack_bytes,
+            s.lost_packets,
+            s.deaths,
+            s.energy_uj.to_bits(),
+        ]
+    }
+
+    fn node_bits(s: &NetworkStats) -> Vec<[u64; 11]> {
+        s.per_node().map(bits).collect()
+    }
+
+    fn phase_bits(s: &NetworkStats) -> Vec<(String, [u64; 11])> {
+        s.phases().map(|(l, p)| (l.to_owned(), bits(p))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Network counters round-trip bit for bit, whether a node is
+        /// zero, −0.0, NaN or counted, and their bytes do not depend on how
+        /// they are stored: the dense parts, the sparse ones and, when every
+        /// node is zero, counters of no per-node array write the same.
+        #[test]
+        fn network_stats_round_trip_bit_for_bit(
+            nodes in prop::collection::vec((0u8..6, any::<u64>()), 0..=300),
+            phases in prop::collection::vec((0u8..4, 0u8..4, any::<u64>()), 0..4),
+            all_zero in any::<bool>(),
+        ) {
+            let per_node: Vec<NodeStats> = nodes
+                .iter()
+                .map(|&(kind, b)| node_stats(if all_zero { 0 } else { kind % 4 }, b))
+                .collect();
+            let per_phase: Vec<(String, NodeStats)> = phases
+                .iter()
+                .map(|&(label, kind, b)| (format!("phase-{label}"), node_stats(kind, b)))
+                .collect();
+            let dense = NetworkStats::from_parts(per_node.clone(), per_phase.clone());
+            let bytes = dense.to_bytes();
+            let back = NetworkStats::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(node_bits(&back), node_bits(&dense));
+            prop_assert_eq!(phase_bits(&back), phase_bits(&dense));
+            prop_assert_eq!(back.to_bytes(), bytes.clone());
+
+            let marked = per_node.iter().filter(|s| charged(s)).count();
+            let n = per_node.len();
+            prop_assert_eq!(bytes.len(), 16 + n.div_ceil(8) + 88 * marked
+                + phase_bits(&dense).iter().map(|(l, _)| 8 + l.len() + 88).sum::<usize>());
+            let sparse = per_node.iter().enumerate().filter(|(_, s)| charged(s));
+            let sparse = sparse.map(|(v, s)| (NodeId(v as u32), *s));
+            let sparse = NetworkStats::from_nodes(n, sparse, per_phase.clone());
+            prop_assert_eq!(sparse.to_bytes(), bytes.clone());
+            if marked == 0 {
+                let unlaid = NetworkStats::from_nodes(n, [], per_phase);
+                prop_assert_eq!(unlaid.to_bytes(), bytes);
+            }
+        }
+    }
+
+    /// The bitmap holds no bit past the last node, and a marked node has a
+    /// non-zero counter: anything else is not an encoding.
+    #[test]
+    fn network_stats_have_one_encoding() {
+        let one = NodeStats {
+            deaths: 1,
+            ..NodeStats::default()
+        };
+        let stats = NetworkStats::from_nodes(3, [(NodeId(1), one)], Vec::new());
+        let bytes = stats.to_bytes();
+        assert_eq!(bytes[8], 0b010);
+        let mut stray = bytes.clone();
+        stray[8] |= 0b1000;
+        assert_eq!(
+            NetworkStats::from_bytes(&stray).err(),
+            Some(CodecError::Invariant("presence bit of no node"))
+        );
+        let zero = NetworkStats::from_parts(vec![NodeStats::default(); 3], Vec::new());
+        let mut hollow = zero.to_bytes();
+        hollow[8] = 0b100;
+        hollow.splice(9..9, NodeStats::default().to_bytes());
+        assert_eq!(
+            NetworkStats::from_bytes(&hollow).err(),
+            Some(CodecError::Invariant("marked node with zero counters"))
+        );
+    }
 
     #[test]
     fn crc32_known_answer() {
@@ -1460,8 +1632,15 @@ mod tests {
     /// carried each node's routing `depth` beside its `parent`.
     #[test]
     fn v6_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 7);
         assert_version_refused(6);
+    }
+
+    /// Version 7: a network image that carried every node's counters, all
+    /// of them zero between the rounds of a continuous run.
+    #[test]
+    fn v7_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 8);
+        assert_version_refused(7);
     }
 
     #[test]

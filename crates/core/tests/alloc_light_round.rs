@@ -1,14 +1,16 @@
 //! The durable half of a continuous round allocates nothing in proportion
 //! to its bytes: a snapshot is written straight from the caller's payload,
-//! so a 1 MB image costs the allocations a 10 KB one does, and a kept field
+//! so a 1 MB image costs the allocations a 10 KB one does; the zeroed
+//! counters a round leaves behind export without a copy; and a kept field
 //! sampler's redraw at an unchanged seed — the steady state of a drifting
 //! deployment — allocates nothing at all.
 //!
 //! A counting global allocator (`counting/mod.rs`, shared with the other
 //! `alloc_light_*` binaries) wraps the calls.
 
-use sensjoin_core::persist::CheckpointStore;
-use sensjoin_field::{generate_readings, FieldSampler, FieldSpec, Position};
+use sensjoin_core::persist::{CheckpointStore, CodecError, Persist, Reader};
+use sensjoin_field::{generate_readings, Area, FieldSampler, FieldSpec, Placement, Position};
+use sensjoin_sim::{NetworkBuilder, NetworkStats, NodeStats};
 
 mod counting;
 use counting::{allocations, serial};
@@ -62,4 +64,47 @@ fn a_redraw_at_an_unchanged_seed_allocates_nothing() {
     let bits =
         |rows: &[Vec<f64>]| -> Vec<u64> { rows.iter().flatten().map(|v| v.to_bits()).collect() };
     assert_eq!(bits(&rows), bits(&generate_readings(&positions, &specs, 5)));
+}
+
+/// The counters `take_stats` leaves behind — what a checkpoint between two
+/// rounds exports — clone without an allocation at any node count, and so
+/// do the ones their image decodes to.
+#[test]
+fn counters_left_by_a_round_clone_for_nothing() {
+    let _guard = serial();
+    for n in [80, 1500] {
+        let side = (n as f64 * 200.0 * 200.0 / 60.0).sqrt();
+        let area = Area::new(side, side);
+        let positions = Placement::UniformRandom { n }.generate(area, 3);
+        let mut net = NetworkBuilder::new().build(positions, area).unwrap();
+        let base = net.base();
+        let child = net.routing().children(base)[0];
+        net.unicast(child, base, 100, "p");
+        assert_eq!(net.take_stats().total_tx_packets(), 3);
+        let (allocs, copy) = allocations(|| net.stats().clone());
+        assert_eq!(allocs, 0, "{n} nodes: {allocs} allocations");
+        assert_eq!(copy.per_node().len(), n);
+        assert!(copy.per_node().all(|s| *s == NodeStats::default()));
+        let image = copy.to_bytes();
+        assert_eq!(image.len(), 16 + n.div_ceil(8), "{n} nodes");
+        let back = NetworkStats::from_bytes(&image).unwrap();
+        assert_eq!(allocations(|| back.clone()).0, 0, "{n} nodes, decoded");
+        // The next charge lays the counters out again.
+        net.unicast(child, base, 100, "p");
+        assert_eq!(net.stats().node(child).tx_packets, 3);
+    }
+}
+
+/// A node count with fewer than ⌈n/8⌉ bytes behind it — too few for its
+/// presence bitmap — is refused before anything is allocated for it.
+#[test]
+fn a_node_count_the_input_cannot_back_allocates_nothing() {
+    let _guard = serial();
+    for (n, behind) in [(9u64, 1), (1500, 187), (1 << 40, 4096), (u64::MAX, 64)] {
+        let mut image = n.to_le_bytes().to_vec();
+        image.resize(8 + behind, 0);
+        let (allocs, got) = allocations(|| NetworkStats::get(&mut Reader::new(&image)).err());
+        assert_eq!(got, Some(CodecError::Truncated), "{n} nodes");
+        assert_eq!(allocs, 0, "{n} nodes: {allocs} allocations");
+    }
 }

@@ -368,9 +368,9 @@ fn lossy_snapshot_bytes_are_pinned() {
     );
 }
 
-const GOLDEN_SNAPSHOT: &str = r#"28409 bytes, fnv1a 0xc9d55aa03bbb3fce, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result", "repair"]
+const GOLDEN_SNAPSHOT: &str = r#"2487 bytes, fnv1a 0x61521d654162ff30, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result", "repair"]
 "#;
-const GOLDEN_LOSSY_SNAPSHOT: &str = r#"29053 bytes, fnv1a 0x070f1bf691954ded, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result"], 18 link states
+const GOLDEN_LOSSY_SNAPSHOT: &str = r#"3571 bytes, fnv1a 0xd2da5f91b6a3ea8d, phases ["1-join-attribute-collection", "2-filter-dissemination", "3-final-result"], 18 link states
 "#;
 const GOLDEN_Q3: &str = r"one-shot, 5498 rows
   1-join-attribute-collection: tx 9659B/409p rx 9659B/409p retx 0B/0p ack 0B/0p lost 0 energy 0x4110576b3333332a

@@ -20,7 +20,10 @@ use std::sync::Arc;
 /// per-link channel streams, the undrained churn schedule and boundary
 /// clock, and the battery bank. Construction-time configuration is *not*
 /// included — a restore replays this on top of an identically-configured
-/// network.
+/// network. Exported between rounds, after [`Network::take_stats`], the
+/// statistics are zero counters of no per-node array: the export copies no
+/// counter, and the checkpoint codec writes only the nodes with a non-zero
+/// one.
 #[derive(Debug, Clone)]
 pub struct NetSnapshot {
     /// Per-node liveness flags.
@@ -285,15 +288,20 @@ impl Network {
         self.topology.is_empty()
     }
 
-    /// Moves the accumulated statistics out, leaving fresh counters — what
+    /// Moves the accumulated statistics out, leaving zeroed counters — what
     /// per-round executors want at round end, without cloning the per-node
-    /// vectors (the next round resets anyway).
+    /// vectors (the next round resets anyway). The counters left behind
+    /// have no per-node array until the next charge lays one out, so a
+    /// checkpoint taken between rounds neither copies nor writes a counter
+    /// per node.
     pub fn take_stats(&mut self) -> NetworkStats {
-        let fresh = NetworkStats::in_order(Arc::clone(self.topology.slot_of()));
+        let fresh = NetworkStats::unlaid(Arc::clone(self.topology.slot_of()));
         std::mem::replace(&mut self.stats, fresh)
     }
 
-    /// Resets statistics and the trace (e.g. between repetitions).
+    /// Resets statistics and the trace (e.g. between repetitions). The
+    /// per-node counters are zeroed in place, keeping their memory; the
+    /// zeroed counters [`Network::take_stats`] leaves stay free.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         if let Some(t) = &mut self.trace {

@@ -39,6 +39,22 @@ pub struct NodeStats {
     pub energy_uj: f64,
 }
 
+/// Counters that nothing was charged to: what every node of unlaid
+/// statistics reads as.
+static ZERO: NodeStats = NodeStats {
+    tx_packets: 0,
+    tx_bytes: 0,
+    rx_packets: 0,
+    rx_bytes: 0,
+    retx_packets: 0,
+    retx_bytes: 0,
+    ack_packets: 0,
+    ack_bytes: 0,
+    lost_packets: 0,
+    deaths: 0,
+    energy_uj: 0.0,
+};
+
 impl NodeStats {
     /// Reliability overhead bytes (retransmissions + control frames).
     pub fn overhead_bytes(&self) -> u64 {
@@ -97,11 +113,18 @@ struct PhaseEntry {
 /// cache lines — and everything observable is by id: accessors take a
 /// [`NodeId`], exports and the float total iterate in id order, and two
 /// objects combine whatever order each is in.
+///
+/// The per-node array is laid out by the first charge: counters a network
+/// hands over at the end of a round ([`crate::Network::take_stats`]) leave
+/// behind counters of no array, which read as zero everywhere, clone and
+/// reset for nothing, and cost a checkpoint no per-node bytes.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkStats {
     /// Node `v`'s counters are `per_node[slot_of[v]]`. Shared with whoever
     /// fixed the order, so a clone copies the counters and nothing else.
     slot_of: Arc<[u32]>,
+    /// Either one entry per node or, until the first charge lays it out,
+    /// none: every node's counters are then zero.
     per_node: Vec<NodeStats>,
     /// Indexed by [`PhaseId`], in interning order.
     phases: Vec<PhaseEntry>,
@@ -116,11 +139,31 @@ impl NetworkStats {
     /// Zeroed statistics stored in the order `slot_of` (a permutation of
     /// the node ids).
     pub(crate) fn in_order(slot_of: Arc<[u32]>) -> Self {
+        let mut stats = Self::unlaid(slot_of);
+        stats.lay_out();
+        stats
+    }
+
+    /// Zeroed statistics stored in the order `slot_of`, without their
+    /// per-node array: the first charge lays it out.
+    pub(crate) fn unlaid(slot_of: Arc<[u32]>) -> Self {
         Self {
-            per_node: vec![NodeStats::default(); slot_of.len()],
             slot_of,
+            per_node: Vec::new(),
             phases: Vec::new(),
         }
+    }
+
+    /// Lays out the zeroed per-node array of unlaid statistics.
+    #[cold]
+    #[inline(never)]
+    fn lay_out(&mut self) {
+        self.per_node = vec![NodeStats::default(); self.slot_of.len()];
+    }
+
+    /// Whether the per-node array is laid out (always, with no nodes).
+    fn is_laid(&self) -> bool {
+        self.per_node.len() == self.slot_of.len()
     }
 
     /// Re-lays the counters out in the order `slot_of` (a permutation of
@@ -129,9 +172,13 @@ impl NetworkStats {
     pub(crate) fn adopt_order(&mut self, slot_of: &Arc<[u32]>) {
         assert_eq!(
             slot_of.len(),
-            self.per_node.len(),
+            self.slot_of.len(),
             "an order of the same nodes"
         );
+        if !self.is_laid() {
+            self.slot_of = Arc::clone(slot_of);
+            return;
+        }
         let mut moved = vec![NodeStats::default(); slot_of.len()];
         for (s, to) in self.per_node().zip(slot_of.iter()) {
             moved[*to as usize] = *s;
@@ -148,7 +195,8 @@ impl NetworkStats {
 
     /// Zeroes every counter and forgets every phase, in place: the state of
     /// a fresh object of the same order, without returning the counters'
-    /// memory to the allocator and faulting it back in.
+    /// memory to the allocator and faulting it back in. Unlaid counters
+    /// stay unlaid.
     pub(crate) fn reset(&mut self) {
         self.per_node.fill(NodeStats::default());
         self.phases.clear();
@@ -159,18 +207,46 @@ impl NetworkStats {
     /// indexed by node id, and the result is stored in id order) and
     /// [`NetworkStats::phases`]. A label listed twice keeps its last entry.
     pub fn from_parts(per_node: Vec<NodeStats>, per_phase: Vec<(String, NodeStats)>) -> Self {
-        let mut stats = Self {
+        let stats = Self {
             slot_of: (0..per_node.len() as u32).collect(),
             per_node,
             phases: Vec::new(),
         };
+        stats.with_phases(per_phase)
+    }
+
+    /// Rebuilds statistics of `n` nodes, stored in id order, from the
+    /// counters of the nodes `nodes` lists — every other node's are zero —
+    /// and [`NetworkStats::phases`]: the sparse form of
+    /// [`NetworkStats::from_parts`]. A node listed twice keeps its last
+    /// entry, like a label does.
+    ///
+    /// # Panics
+    /// Panics on a node id of `n` or more.
+    pub fn from_nodes(
+        n: usize,
+        nodes: impl IntoIterator<Item = (NodeId, NodeStats)>,
+        per_phase: Vec<(String, NodeStats)>,
+    ) -> Self {
+        let mut stats = Self::unlaid((0..n as u32).collect());
+        for (v, s) in nodes {
+            if !stats.is_laid() {
+                stats.lay_out();
+            }
+            stats.per_node[v.0 as usize] = s;
+        }
+        stats.with_phases(per_phase)
+    }
+
+    /// Charges each `(label, totals)` of `per_phase` as a phase.
+    fn with_phases(mut self, per_phase: Vec<(String, NodeStats)>) -> Self {
         for (label, s) in per_phase {
-            let id = stats.intern(&label);
-            let entry = &mut stats.phases[usize::from(id.0)];
+            let id = self.intern(&label);
+            let entry = &mut self.phases[usize::from(id.0)];
             entry.stats = s;
             entry.charged = true;
         }
-        stats
+        self
     }
 
     /// The id of phase `label` in this object's table, adding it if new.
@@ -199,6 +275,9 @@ impl NetworkStats {
     /// The two counter sets a charge lands on.
     #[inline]
     fn charge(&mut self, node: NodeId, phase: PhaseId) -> (&mut NodeStats, &mut NodeStats) {
+        if self.per_node.is_empty() {
+            self.lay_out();
+        }
         let entry = &mut self.phases[usize::from(phase.0)];
         entry.charged = true;
         let slot = self.slot_of[node.0 as usize] as usize;
@@ -273,13 +352,16 @@ impl NetworkStats {
 
     /// Counters of one node.
     pub fn node(&self, node: NodeId) -> &NodeStats {
-        &self.per_node[self.slot_of[node.0 as usize] as usize]
+        let slot = self.slot_of[node.0 as usize] as usize;
+        self.per_node.get(slot).unwrap_or(&ZERO)
     }
 
     /// Every node's counters, in id order — the export (the storage is in
     /// another order, so there is no slice to hand out).
     pub fn per_node(&self) -> impl ExactSizeIterator<Item = &NodeStats> {
-        self.slot_of.iter().map(|&s| &self.per_node[s as usize])
+        self.slot_of
+            .iter()
+            .map(|&s| self.per_node.get(s as usize).unwrap_or(&ZERO))
     }
 
     /// Counters aggregated for a phase label (zeroes if unseen).
@@ -358,9 +440,16 @@ impl NetworkStats {
     /// Sums another statistics object into this one (same node count; each
     /// may be stored in its own order).
     pub fn merge(&mut self, other: &NetworkStats) {
-        assert_eq!(self.per_node.len(), other.per_node.len());
-        for (mine, theirs) in self.slot_of.iter().zip(other.per_node()) {
-            self.per_node[*mine as usize].add(theirs);
+        assert_eq!(self.slot_of.len(), other.slot_of.len());
+        // Adding zeros to zeros changes nothing; adding them to laid
+        // counters still turns a -0.0 energy into +0.0.
+        if self.is_laid() || other.is_laid() {
+            if !self.is_laid() {
+                self.lay_out();
+            }
+            for (mine, theirs) in self.slot_of.iter().zip(other.per_node()) {
+                self.per_node[*mine as usize].add(theirs);
+            }
         }
         // The two tables may have interned their labels in different
         // orders: match by label, never by id.
@@ -664,5 +753,62 @@ mod tests {
         assert!(back.per_node().eq(NetworkStats::new(5).per_node()));
         assert_eq!(back.phases().count(), 0);
         assert_same(&charge(back), &reference);
+    }
+
+    /// Every node's counters, bit for bit.
+    fn node_bits(s: &NetworkStats) -> Vec<(u64, u64, u64)> {
+        let bits = |s: &NodeStats| (s.tx_packets, s.deaths, s.energy_uj.to_bits());
+        s.per_node().map(bits).collect()
+    }
+
+    #[test]
+    fn unlaid_counters_read_as_zeroed_laid_ones() {
+        let order: Arc<[u32]> = [1, 4, 3, 0, 2].into();
+        let unlaid = NetworkStats::unlaid(Arc::clone(&order));
+        let laid = NetworkStats::in_order(Arc::clone(&order));
+        assert!(unlaid.per_node.is_empty() && laid.is_laid());
+        assert_same(&unlaid, &laid);
+        assert_eq!(unlaid.per_node().len(), 5);
+        assert_eq!(unlaid.most_loaded(), Some((NodeId(0), 0)));
+        assert_eq!(node_bits(&unlaid), node_bits(&laid));
+
+        // A clone or a reset leaves them unlaid, an adoption too.
+        let mut copy = unlaid.clone();
+        copy.reset();
+        copy.adopt_order(&[0, 1, 2, 3, 4].into());
+        assert!(copy.per_node.is_empty());
+        assert_same(&copy, &laid);
+
+        // The first charge lays them out in their order.
+        let charged = charge(unlaid.clone());
+        assert!(Arc::ptr_eq(&charged.slot_of, &order));
+        assert_same(&charged, &charge(laid.clone()));
+
+        // Merging either way round, with the other unlaid or laid.
+        let signed = NetworkStats::from_parts(
+            (0..5)
+                .map(|v| NodeStats {
+                    energy_uj: if v % 2 == 0 { -0.0 } else { 0.5 },
+                    ..NodeStats::default()
+                })
+                .collect(),
+            vec![("p".into(), NodeStats::default())],
+        );
+        for other in [&charged, &signed, &unlaid, &laid] {
+            let (mut a, mut b) = (unlaid.clone(), laid.clone());
+            a.merge(other);
+            b.merge(other);
+            assert_same(&a, &b);
+            assert_eq!(node_bits(&a), node_bits(&b));
+            let (mut a, mut b) = (other.clone(), other.clone());
+            a.merge(&unlaid);
+            b.merge(&laid);
+            assert_same(&a, &b);
+            // Adding zeros turns a −0.0 energy into +0.0 either way.
+            assert_eq!(node_bits(&a), node_bits(&b));
+        }
+        let mut both = unlaid.clone();
+        both.merge(&unlaid);
+        assert!(both.per_node.is_empty());
     }
 }
