@@ -7,7 +7,10 @@
 //! parent's and the change's run on one seed; which binary runs first
 //! alternates from pair to pair. Per metric the report gives both sides'
 //! median and quartiles, how many pairs the change won, and the exact
-//! two-sided sign-test p-value of that count. A run that is not `correct`,
+//! two-sided sign-test p-value of that count; an end-to-end metric also
+//! says whether it held — the change's median at most the parent's upper
+//! quartile, the bar every metric a change does not claim must meet. A run
+//! that is not `correct`,
 //! or a pair whose simulated metrics (`sim_*`, deterministic in the seed)
 //! differ, makes the comparison fail: the two binaries then do not run the
 //! same protocol, and their times mean nothing side by side.
@@ -205,6 +208,13 @@ impl MetricSummary {
     pub fn ratio(&self) -> f64 {
         self.change.median / self.parent.median
     }
+
+    /// Whether the metric held: the change's median is at most the
+    /// parent's upper quartile. `None` when a side did not report it.
+    pub fn held(&self) -> Option<bool> {
+        let (change, bar) = (self.change.median, self.parent.q3);
+        (!change.is_nan() && !bar.is_nan()).then_some(change <= bar)
+    }
 }
 
 /// A claimed gain: `metric`'s change median at most `ratio` times the
@@ -263,16 +273,22 @@ impl Claim {
 }
 
 /// The Markdown block a CHANGES.md entry carries: the setting, one row per
-/// metric, and the claim's verdict if there is one.
+/// metric with whether it held ([`MetricSummary::held`]), and the claim's
+/// verdict if there is one.
 pub fn report(header: &str, pairs: &[Pair], claim: Option<&Claim>) -> (bool, String) {
     let mut out = String::new();
     let _ = writeln!(out, "{header}\n");
-    let _ = writeln!(out, "{TABLE_HEAD}");
+    let _ = writeln!(out, "{TABLE_HEAD} held |\n{TABLE_RULE}---|");
     let mut met = true;
     let mut verdict = None;
     for m in metrics() {
         let s = MetricSummary::of(pairs, m);
-        row(&mut out, m, &s);
+        let held = match s.held() {
+            Some(true) => "held",
+            Some(false) => "**moved**",
+            None => "—",
+        };
+        let _ = writeln!(out, "{} {held} |", row(m, &s));
         if let Some(c) = claim.filter(|c| c.metric == m) {
             let (ok, line) = c.verdict(&s);
             met &= ok;
@@ -293,25 +309,25 @@ pub fn report(header: &str, pairs: &[Pair], claim: Option<&Claim>) -> (bool, Str
 pub fn layer_report(header: &str, traced: &[Pair]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "\n{header}\n");
-    let _ = writeln!(out, "{TABLE_HEAD}");
+    let _ = writeln!(out, "{TABLE_HEAD}\n{TABLE_RULE}");
     let runs = || traced.iter().flat_map(|p| [&p.parent, &p.change]);
     let Some(first) = runs().next() else {
         return out;
     };
     for m in first.metrics.keys() {
         if runs().all(|r| r.metrics.contains_key(m)) {
-            row(&mut out, m, &MetricSummary::of(traced, m));
+            let _ = writeln!(out, "{}", row(m, &MetricSummary::of(traced, m)));
         }
     }
     out
 }
 
-const TABLE_HEAD: &str = "| metric | parent median | parent q1–q3 | change median | change q1–q3 | change/parent | lower | higher | sign-test p |\n|---|---|---|---|---|---|---|---|---|";
+const TABLE_HEAD: &str = "| metric | parent median | parent q1–q3 | change median | change q1–q3 | change/parent | lower | higher | sign-test p |";
+const TABLE_RULE: &str = "|---|---|---|---|---|---|---|---|---|";
 
-/// One metric's row of a table.
-fn row(out: &mut String, metric: &str, s: &MetricSummary) {
-    let _ = writeln!(
-        out,
+/// One metric's row of a table, without a line end.
+fn row(metric: &str, s: &MetricSummary) -> String {
+    format!(
         "| `{}` | {} | {}–{} | {} | {}–{} | {:.3}× | {} | {} | {:.4} |",
         metric,
         sig(s.parent.median),
@@ -324,7 +340,7 @@ fn row(out: &mut String, metric: &str, s: &MetricSummary) {
         s.wins,
         s.losses,
         s.p,
-    );
+    )
 }
 
 /// `v` to four significant digits.
@@ -508,6 +524,38 @@ mod tests {
         assert_eq!(layer_report("none", &[]).lines().count(), 5);
     }
 
+    /// An end-to-end metric held when the change's median is at most the
+    /// parent's upper quartile, over fixed result lines.
+    #[test]
+    fn a_metric_held_when_the_change_median_is_within_the_parent_quartiles() {
+        let pairs = |change: [f64; 4]| -> Vec<Pair> {
+            (change.iter().enumerate())
+                .map(|(i, &c)| Pair {
+                    seed: i as u64,
+                    parent: run(10.0 + i as f64, 5.0),
+                    change: run(c, 5.0),
+                })
+                .collect()
+        };
+        // The parent reads 10–13: quartiles 10.25 and 12.75.
+        let held = |change| MetricSummary::of(&pairs(change), "op_ms_p50").held();
+        assert_eq!(held([9.0, 9.5, 10.0, 10.5]), Some(true));
+        assert_eq!(held([12.0, 12.5, 13.0, 13.5]), Some(true), "median 12.75");
+        assert_eq!(held([12.5, 13.0, 13.0, 14.0]), Some(false), "median 13");
+        let (_, text) = report("`ab`: held", &pairs([12.5, 13.0, 13.0, 14.0]), None);
+        let row = |metric: &str| {
+            let head = format!("| `{metric}` |");
+            text.lines()
+                .find(|l| l.starts_with(&head))
+                .unwrap_or_default()
+        };
+        assert!(row("op_ms_p50").ends_with(" | **moved** |"), "{text}");
+        assert!(row("sim_bytes_per_op").ends_with(" | held |"), "{text}");
+        // The test runs report no `peak_rss_mib`.
+        assert!(row("peak_rss_mib").ends_with(" | — |"), "{text}");
+        assert!(text.contains("| sign-test p | held |\n|---|---|---|---|---|---|---|---|---|---|"));
+    }
+
     #[test]
     fn the_report_has_a_row_per_metric_and_the_verdict() {
         let pairs: Vec<Pair> = (0..4)
@@ -521,7 +569,7 @@ mod tests {
         let (met, text) = report("`ab`: test", &pairs, Some(&claim));
         assert!(met, "{text}");
         assert!(text.starts_with("`ab`: test\n"));
-        assert!(text.contains("| `op_ms_p50` | 11.50 | 10.25–12.75 | 7.500 | 6.250–8.750 | 0.652× | 4 | 0 | 0.1250 |"), "{text}");
+        assert!(text.contains("| `op_ms_p50` | 11.50 | 10.25–12.75 | 7.500 | 6.250–8.750 | 0.652× | 4 | 0 | 0.1250 | held |"), "{text}");
         assert_eq!(text.matches("\n| `").count(), metrics().count());
         assert!(text.contains("claim `op_ms_p50` ≤ 0.9×: **met**"));
     }

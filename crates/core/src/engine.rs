@@ -8,7 +8,7 @@
 //! membership tests, so the level scans the **intersection** of all indexed
 //! candidate sets. In the filter the
 //! unchanged residual interval check still runs on every survivor that could
-//! still mark something (see [`FilterRun::step`]). In the exact join a
+//! still mark something (see [`FilterRun::descend`]). In the exact join a
 //! pruning probe is an exact window (`partition` module docs), so a level
 //! evaluates only the predicates no index decided for the binding — once
 //! per candidate batch, column at a time ([`ExactRun::batch`]): its
@@ -33,7 +33,9 @@ use crate::config::SensJoinConfig;
 use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
 #[cfg(debug_assertions)]
 use crate::partition::decided;
-use crate::partition::{candidates, exact_plan, plan, LevelIndex, PosSet, Probe};
+use crate::partition::{
+    candidates, exact_plan, plan, unmarked_candidates, LevelIndex, PosSet, Probe, Unmarked,
+};
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape, MAX_RELATIONS};
 use sensjoin_query::{eval, holds, BatchEval, Columns, CompiledQuery, Interval, NumExpr};
@@ -226,11 +228,15 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
 const PAR_MIN_WORK: usize = 1 << 16;
 
 /// [`PAR_MIN_WORK`] of the pre-join filter, whose counted step is a
-/// last-level candidate: when most cells find a partner, all but O(cells) of
-/// them are skipped on their role bits at some 3 ns each, and every chunk
-/// repeats those O(cells) residual checks on marks of its own. Two chunks
-/// measured a wash at 335 k candidates (1.8 ms either way) and 0.68× at
-/// 1.3 M (5.4 → 3.7 ms).
+/// last-level candidate. The count cannot tell the two regimes apart. When
+/// most cells find a partner, the witness search visits O(cells) of the
+/// candidates and every chunk repeats that on marks of its own: on the
+/// paper's Q3 two chunks read 1.61× at 25 k candidates (0.38 → 0.62 ms),
+/// 1.13× at 242 k (1.43 → 1.61 ms) and 1.03–1.04× at 0.85–2.3 M (2.8 and
+/// 4.3 ms). When few do (`distance < 10` under a wide band), every candidate
+/// up to a cell's first witness is checked: 0.67× at 64 k (6.0 → 4.0 ms),
+/// 0.62× at 242 k (23 → 14 ms) and 0.58–0.67× at 0.43–1.7 M. The bar keeps
+/// Q3-sized populations on one chunk, where two lose the most.
 const FILTER_PAR_MIN_WORK: usize = 1 << 19;
 
 /// The level-1 probes of every outer position, taken ahead of the descent
@@ -365,8 +371,9 @@ fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
 /// [`prejoin_filter_nested`]'s because candidate pruning only removes points
 /// whose residual interval check is definitely false. The output is a set of
 /// cells, not of pairs, so the last level only looks for witnesses: a
-/// binding that could mark nothing new is skipped unchecked, and the
-/// residual checks follow the cells rather than the candidate pairs.
+/// binding that could mark nothing new is stepped over unvisited, and both
+/// the visits and the residual checks follow the cells rather than the
+/// candidate pairs.
 pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> PointSet {
     prejoin_filter_in(query, space, points, host_threads(), FILTER_PAR_MIN_WORK)
 }
@@ -417,14 +424,18 @@ fn prejoin_filter_in(
         };
         let deeper = deeper_space(lists.iter().map(Vec::len));
         let cuts = hoisted.cuts(deeper, threads, min_work);
+        let last = lists.len() - 1;
         let parts = run_chunked(&cuts, |_, range| {
             let mut st = FilterChunk {
                 matched: vec![0; points.len()],
                 binding: Vec::with_capacity(lists.len()),
                 outer: 0,
                 probes: vec![Vec::new(); lists.len()],
+                unmarked: Unmarked::new(&plan[last], lists[last].len()),
                 #[cfg(test)]
                 evals: 0,
+                #[cfg(test)]
+                visits: 0,
             };
             for pos in range {
                 st.outer = pos;
@@ -435,6 +446,8 @@ fn prejoin_filter_in(
         for part in parts {
             #[cfg(test)]
             tests::RESIDUAL_EVALS.with(|n| n.set(n.get() + part.evals));
+            #[cfg(test)]
+            tests::LAST_LEVEL_VISITS.with(|n| n.set(n.get() + part.visits));
             for (m, p) in matched.iter_mut().zip(part.matched) {
                 *m |= p;
             }
@@ -551,21 +564,21 @@ struct FilterChunk {
     /// Per level: the probes of the open binding, parallel to its plan
     /// entry (level 1 reads its hoisted probes instead).
     probes: Vec<Vec<Probe>>,
-    /// Residual interval checks run (the work-bound test's tally).
+    /// The last level's positions whose cells lack its role bit in
+    /// `matched`: its witness search's skip arrays.
+    unmarked: Unmarked,
+    /// Residual interval checks run (the work-bound tests' tally).
     #[cfg(test)]
     evals: usize,
+    /// Last-level candidates handed to [`FilterRun::step`].
+    #[cfg(test)]
+    visits: usize,
 }
 
 impl FilterRun<'_> {
+    /// Walks the candidates of the level below the bound ones.
     fn descend(&self, st: &mut FilterChunk) {
         let rel = st.binding.len();
-        if rel == self.lists.len() {
-            // Full binding survived every predicate: mark all roles.
-            for (&idx, &role) in st.binding.iter().zip(self.roles) {
-                st.matched[idx] |= role;
-            }
-            return;
-        }
         // Intersect the candidate windows of every index on this level, in
         // the driver's key order — `matched` is an OR-bitmask, so emission
         // order is free.
@@ -581,32 +594,37 @@ impl FilterRun<'_> {
             own.extend(indexes.iter().map(|ix| ix.probe(&env)));
             &own
         };
-        candidates(indexes, probes, self.lists[rel].len(), |pos| {
-            self.step(rel, pos as usize, st)
-        });
+        if rel + 1 == self.lists.len() {
+            // The witness search (DESIGN §4.5): a full binding only ORs
+            // role bits into `matched`, which never clears, so once every
+            // bound cell holds its bit a candidate whose own bit is set can
+            // change nothing, and the walk steps over it.
+            let settled =
+                (st.binding.iter().zip(self.roles)).all(|(&b, &r)| st.matched[b] & r != 0);
+            let mut unmarked = std::mem::take(&mut st.unmarked);
+            unmarked_candidates(indexes, probes, &mut unmarked, settled, |pos| {
+                #[cfg(test)]
+                {
+                    st.visits += 1;
+                }
+                self.step(rel, pos as usize, st)
+            });
+            st.unmarked = unmarked;
+        } else {
+            candidates(indexes, probes, self.lists[rel].len(), |pos| {
+                self.step(rel, pos as usize, st);
+            });
+        }
         own.clear();
         st.probes[rel] = own;
     }
 
     /// Binds role-list position `pos` at level `rel`, applies the residual
     /// interval check (identical to the nested reference) and recurses.
-    ///
-    /// The last level is a witness search. The filter is a semi-join: all a
-    /// full binding does is OR one role bit into each of its points, and
-    /// `matched` only ever gains bits — so a last-level candidate whose own
-    /// bit and every bound point's bit are already set cannot change the
-    /// output, and is skipped before any interval is looked at. Checked per
-    /// role bit (a self-join point can hold one role and still lack the
-    /// other) against the chunk's own marks.
-    fn step(&self, rel: usize, pos: usize, st: &mut FilterChunk) {
-        let idx = self.lists[rel][pos];
-        let last = rel + 1 == self.lists.len();
-        let marked = |idx: usize, role: u8| st.matched[idx] & role != 0;
-        let mut bound = st.binding.iter().zip(self.roles);
-        if last && marked(idx, self.roles[rel]) && bound.all(|(&b, &r)| marked(b, r)) {
-            return;
-        }
-        st.binding.push(idx);
+    /// A full binding that survives marks every bound point in its role;
+    /// returns whether this was one.
+    fn step(&self, rel: usize, pos: usize, st: &mut FilterChunk) -> bool {
+        st.binding.push(self.lists[rel][pos]);
         #[cfg(test)]
         {
             st.evals += 1;
@@ -623,10 +641,16 @@ impl FilterRun<'_> {
                 .filter(|&(_, &maxrel)| maxrel == rel)
                 .all(|(p, _)| holds(p, &env).possible())
         };
-        if ok {
+        let full = ok && rel + 1 == self.lists.len();
+        if full {
+            for (&idx, &role) in st.binding.iter().zip(self.roles) {
+                st.matched[idx] |= role;
+            }
+        } else if ok {
             self.descend(st);
         }
         st.binding.pop();
+        full
     }
 }
 
@@ -1441,6 +1465,7 @@ fn exact_descend_nested(
 mod tests {
     use super::*;
     use crate::snetwork::SensorNetworkBuilder;
+    use proptest::prelude::*;
     use sensjoin_field::{Area, Placement};
     use sensjoin_query::parse;
     use std::cell::{Cell, RefCell};
@@ -1449,6 +1474,9 @@ mod tests {
         /// Bindings whose residual interval check ran in the
         /// [`prejoin_filter_in`] calls of this thread, all chunks summed.
         pub(super) static RESIDUAL_EVALS: Cell<usize> = const { Cell::new(0) };
+        /// Last-level candidates the witness search visited in the
+        /// [`prejoin_filter_in`] calls of this thread, all chunks summed.
+        pub(super) static LAST_LEVEL_VISITS: Cell<usize> = const { Cell::new(0) };
         /// Per join predicate: its residual evaluations in the
         /// [`exact_join_in`] calls of this thread, all chunks summed.
         pub(super) static PRED_EVALS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
@@ -2034,6 +2062,77 @@ mod tests {
         }
     }
 
+    /// Query shapes for the witness search's random populations, each with
+    /// a band bound `{c}` (of `temp`), `{h}` (of `hum`) and a distance
+    /// `{d}`: what the last level holds — one index; two; a complement
+    /// band's two rays; a band that prunes nothing, beside a pruning one and
+    /// alone; no index — in two-way joins, then in three-way ones with one
+    /// index and with two.
+    const WITNESS_SHAPES: [&str; 8] = [
+        "|A.temp - B.temp| < {c} AND distance(A.x, A.y, B.x, B.y) > {d}",
+        "|A.temp - B.temp| < {c} AND |A.hum - B.hum| <= {h}",
+        "|A.temp - B.temp| > {c} AND distance(A.x, A.y, B.x, B.y) < {d}",
+        "|A.temp - B.temp| >= -1.0 AND A.hum - B.hum > {h}",
+        "|A.temp - B.temp| >= 0.0 AND distance(A.x, A.y, B.x, B.y) < {d}",
+        "distance(A.x, A.y, B.x, B.y) < {d}",
+        "|A.temp - B.temp| < {c} AND |B.temp - C.temp| < {c} AND \
+         distance(A.x, A.y, C.x, C.y) > {d}",
+        "|A.temp - B.temp| < {c} AND |A.temp - C.temp| < {c} AND |B.hum - C.hum| < {h}",
+    ];
+
+    proptest! {
+        /// The witness search against the nested reference on random
+        /// populations, one to seven chunks: random cells holding random
+        /// role subsets (single roles included), under every shape of
+        /// [`WITNESS_SHAPES`], and bounds from ones no cell meets to ones
+        /// every cell does.
+        #[test]
+        fn witness_search_matches_nested_on_random_populations(
+            shape in 0..WITNESS_SHAPES.len(),
+            cells in prop::collection::vec((any::<u64>(), 1u8..=255), 1..48),
+            bounds in (0u32..=1000, 0u32..=1000, 0u32..=1000),
+        ) {
+            let spread = |per_mille: u32, span: f64| span * per_mille as f64 / 1000.0;
+            let (c, h, d) = (spread(bounds.0, 1.0), spread(bounds.1, 30.0), spread(bounds.2, 430.0));
+            let pred = WITNESS_SHAPES[shape];
+            let from = if pred.contains("C.") {
+                "Sensors A, Sensors B, Sensors C"
+            } else {
+                "Sensors A, Sensors B"
+            };
+            let pred = pred
+                .replace("{c}", &format!("{c:?}"))
+                .replace("{h}", &format!("{h:?}"))
+                .replace("{d}", &format!("{d:?}"));
+            let sql = format!("SELECT A.hum FROM {from} WHERE {pred} ONCE");
+            let (_, cq, space) = setup_nodes(&sql, 40);
+            let dims = space.zspace().dims();
+            let points = PointSet::from_points(cells.iter().map(|&(at, drawn)| {
+                let mut at = at;
+                let coords: Vec<u64> = dims
+                    .iter()
+                    .map(|dim| {
+                        let coord = at % dim.cells();
+                        at /= dim.cells();
+                        coord
+                    })
+                    .collect();
+                let roles = (0..cq.num_relations())
+                    .filter(|r| drawn & (1 << r) != 0)
+                    .fold(0, |f, r| f | space.flag(r).0);
+                Point {
+                    z: space.zspace().encode_cells(&coords),
+                    flags: RelFlags(if roles == 0 { space.flag(0).0 } else { roles }),
+                }
+            }));
+            let reference = prejoin_filter_nested(&cq, &space, &points);
+            for threads in 1..=7 {
+                let got = prejoin_filter_in(&cq, &space, &points, threads, 0);
+                prop_assert_eq!(got.points(), reference.points(), "{} chunks: {}", threads, sql);
+            }
+        }
+    }
+
     /// Brute force over all pairs: how many `(A, B)` cell pairs the first
     /// (band) predicate alone lets through — the candidates the partitioned
     /// descent walks, each of which paid a residual check before the last
@@ -2095,6 +2194,38 @@ mod tests {
             assert!(
                 chunks > 1 || candidates >= 20 * evals,
                 "{evals} residual checks against {candidates} candidate pairs"
+            );
+        }
+    }
+
+    /// The witness search's walk as a count, on the population of
+    /// `residual_checks_follow_cells_not_candidate_pairs`: once a binding's
+    /// cells hold their bits, the last level jumps from one unmarked
+    /// candidate to the next, so its visits follow the cells and the checks
+    /// rather than the 241 882 candidate pairs a per-candidate walk visits.
+    /// The checks themselves are those of that walk, witness for witness.
+    #[test]
+    fn last_level_visits_follow_cells_and_checks() {
+        let (snet, cq, space) = setup_in(
+            "SELECT A.hum, B.hum FROM Sensors A, Sensors B \
+             WHERE |A.temp - B.temp| < 0.3 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE",
+            1500,
+            Area::for_constant_density(1500),
+        );
+        let points = all_points(&snet, &cq, &space);
+        let cells = points.len();
+        let reference = prejoin_filter_nested(&cq, &space, &points);
+        for (chunks, checks) in [(1, 5_515), (2, 7_998), (7, 15_815)] {
+            RESIDUAL_EVALS.with(|n| n.set(0));
+            LAST_LEVEL_VISITS.with(|n| n.set(0));
+            let got = prejoin_filter_in(&cq, &space, &points, chunks, 0);
+            let evals = RESIDUAL_EVALS.with(Cell::get);
+            let visits = LAST_LEVEL_VISITS.with(Cell::get);
+            assert_eq!(got.points(), reference.points(), "{chunks} chunks");
+            assert_eq!(evals, checks, "{chunks} chunks: residual checks");
+            assert!(
+                visits <= 2 * (cells * chunks + evals),
+                "{chunks} chunks: {visits} last-level visits for {cells} cells and {evals} checks"
             );
         }
     }

@@ -17,7 +17,10 @@
 //! *intersect* their candidate sets ([`candidates`]): the probe with the
 //! fewest candidates drives the scan and every other probe degrades to an
 //! O(1) membership test per candidate (a stored rank), so the scan cost is
-//! `min` over the predicates' windows rather than the first one's.
+//! `min` over the predicates' windows rather than the first one's. The
+//! pre-join filter's last level, a semi-join, walks the same intersection
+//! through [`unmarked_candidates`], which jumps over positions it has
+//! already marked.
 //!
 //! # One window derivation
 //!
@@ -563,14 +566,8 @@ pub(crate) fn candidates<K: Key>(
     len: usize,
     mut f: impl FnMut(u32),
 ) {
-    let driver = (probes.iter().map(Probe::count).enumerate())
-        .filter(|&(_, count)| count != usize::MAX)
-        .min_by_key(|&(_, count)| count);
-    let Some((di, _)) = driver else {
+    let Some((di, runs)) = driving_probe(probes) else {
         return (0..len as u32).for_each(f);
-    };
-    let Probe::Runs(runs) = &probes[di] else {
-        unreachable!("a driving probe prunes");
     };
     let entries = runs
         .iter()
@@ -584,6 +581,130 @@ pub(crate) fn candidates<K: Key>(
                 .all(|(i, (ix, probe))| i == di || ix.contains(probe, pos))
         })
         .for_each(|&(_, pos)| f(pos));
+}
+
+/// The pruning probe with the fewest candidates, the first on a tie, and
+/// its runs: the one a level's walk drives.
+fn driving_probe(probes: &[Probe]) -> Option<(usize, &Runs)> {
+    (probes.iter().enumerate())
+        .filter_map(|(i, probe)| match probe {
+            Probe::All => None,
+            Probe::Runs(runs) => Some((i, runs)),
+        })
+        .min_by_key(|&(_, runs)| runs_len(runs))
+}
+
+/// The slots `0..len` of one walk order, some of them marked, as a
+/// path-halved successor array: `next[i] == i` iff slot `i` is unmarked,
+/// and every slot in `i..next[i]` is marked. Slot `len` is never marked and
+/// ends every walk.
+#[derive(Default)]
+struct NextUnmarked(Vec<u32>);
+
+impl NextUnmarked {
+    fn new(len: usize) -> Self {
+        Self((0..=len as u32).collect())
+    }
+
+    /// The number of slots.
+    fn len(&self) -> usize {
+        self.0.len() - 1
+    }
+
+    /// The first unmarked slot at or after `i`.
+    #[inline]
+    fn find(&mut self, mut i: usize) -> usize {
+        let next = &mut self.0;
+        while next[i] as usize != i {
+            next[i] = next[next[i] as usize];
+            i = next[i] as usize;
+        }
+        i
+    }
+
+    /// Marks slot `i`: it unions with the slot after it.
+    fn mark(&mut self, i: usize) {
+        if self.0[i] as usize == i {
+            self.0[i] += 1;
+        }
+    }
+}
+
+/// The positions of a semi-join's last level that are not yet marked, in
+/// each order the level is walked in: ascending positions, and the key
+/// order of each of its indexes. Marking a position marks it in all of them.
+#[derive(Default)]
+pub(crate) struct Unmarked {
+    by_pos: NextUnmarked,
+    /// Parallel to the level's indexes: over their ranks.
+    by_rank: Vec<NextUnmarked>,
+}
+
+impl Unmarked {
+    /// Every position of a level with `len` positions and `indexes`, none
+    /// of them marked.
+    pub(crate) fn new<K: Key>(indexes: &[LevelIndex<K>], len: usize) -> Self {
+        Self {
+            by_pos: NextUnmarked::new(len),
+            by_rank: (indexes.iter())
+                .map(|ix| NextUnmarked::new(ix.keys.entries.len()))
+                .collect(),
+        }
+    }
+
+    fn mark<K: Key>(&mut self, indexes: &[LevelIndex<K>], pos: u32) {
+        self.by_pos.mark(pos as usize);
+        for (ix, ranks) in indexes.iter().zip(&mut self.by_rank) {
+            let rank = ix.rank_of[pos as usize];
+            if rank != u32::MAX {
+                ranks.mark(rank as usize);
+            }
+        }
+    }
+}
+
+/// [`candidates`] of a semi-join's last level, whose walk marks positions
+/// as it goes: `f(pos)` checks candidate `pos` and returns whether its
+/// binding held, which marks `pos` and every bound position. A marked
+/// candidate can change nothing once every bound position is marked
+/// (`settled`, or from the first binding that holds). Until then the walk
+/// visits every candidate, in [`candidates`]' order; from then on it jumps
+/// from one unmarked position of the driving order to the next, and the
+/// other indexes stay membership tests. Marks never clear, so a position
+/// skipped once is never needed again — in this walk or any later one over
+/// the same `unmarked`.
+pub(crate) fn unmarked_candidates<K: Key>(
+    indexes: &[LevelIndex<K>],
+    probes: &[Probe],
+    unmarked: &mut Unmarked,
+    mut settled: bool,
+    mut f: impl FnMut(u32) -> bool,
+) {
+    let driving = driving_probe(probes);
+    let di = driving.map(|(di, _)| di);
+    let every = [0..unmarked.by_pos.len(), 0..0];
+    for run in driving.map_or(&every, |(_, runs)| runs) {
+        let mut slot = run.start;
+        loop {
+            if settled {
+                slot = match di {
+                    Some(di) => unmarked.by_rank[di].find(slot),
+                    None => unmarked.by_pos.find(slot),
+                };
+            }
+            if slot >= run.end {
+                break;
+            }
+            let pos = di.map_or(slot as u32, |di| indexes[di].keys.entries[slot].1);
+            let admitted = (indexes.iter().zip(probes).enumerate())
+                .all(|(i, (ix, probe))| Some(i) == di || ix.contains(probe, pos));
+            if admitted && f(pos) {
+                settled = true;
+                unmarked.mark(indexes, pos);
+            }
+            slot += 1;
+        }
+    }
 }
 
 /// Builds the per-level index lists (empty list: full scan) of a join whose
