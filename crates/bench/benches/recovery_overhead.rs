@@ -8,13 +8,16 @@
 //!
 //! Acceptance gates (asserted here, recorded in `BENCH_engine.json`):
 //!
-//! * steady-state overhead: checkpointing every round costs ≤ 6 % of the
+//! * steady-state overhead: checkpointing every round costs ≤ 3.1 % of the
 //!   plain per-round epoch cost — each round and the checkpoint that
 //!   follows it are timed apart over one engine, and the gate reads
 //!   Σ checkpoint / Σ round over `MEASURED_ROUNDS` rounds, so a round's own
-//!   run-to-run swing does not enter the ratio. The bound sits between 70
-//!   runs of the gated code (3.6–5.1 %) and 40 of a build whose
-//!   `save_snapshot` writes its framed image twice (6.8–9.3 %);
+//!   run-to-run swing does not enter the ratio. The bound sits between 48
+//!   `--quick` runs of the gated code (2.2–3.0 %) and 48 alternated with
+//!   them of a build whose `save_snapshot` writes its framed image twice
+//!   (3.2–12.3 %): since the executor's image is packed columns, a
+//!   checkpoint is ~1 ms against a ~46 ms round, and the doubled write adds
+//!   about one point;
 //! * recovery: restoring the newest snapshot and replaying the WAL suffix
 //!   costs ≤ 0.3× re-executing the crashed run from a cold start.
 
@@ -34,7 +37,7 @@ const CRASHED_ROUNDS: u64 = 9;
 const EVERY: u64 = 2;
 const REPS: usize = 2;
 /// The steady-state gate: Σ checkpoint / Σ round.
-const MAX_OVERHEAD: f64 = 0.06;
+const MAX_OVERHEAD: f64 = 0.031;
 
 fn nodes() -> usize {
     std::env::var("SENSJOIN_N")
@@ -276,7 +279,7 @@ fn main() {
         ("recovery_ratio", format!("{ratio:.3}")),
         (
             "gate",
-            "\"checkpoint-every-round overhead <= 6% of epoch cost, \
+            "\"checkpoint-every-round overhead <= 3.1% of epoch cost, \
              recovery <= 0.3x cold re-execution\""
                 .to_string(),
         ),

@@ -21,6 +21,7 @@ use crate::JoinMethod;
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::RoutingTree;
+use std::vec::Drain;
 
 /// Phase label of the tuple collection towards the mediator.
 pub const PHASE_MEDIATED_COLLECTION: &str = "mediated-collection";
@@ -115,7 +116,7 @@ impl JoinMethod for MediatedJoin {
             snet.net_mut(),
             &tree,
             &|_| true,
-            |v, received: Vec<Shipment<_>>| {
+            |v, received: Drain<Shipment<_>>| {
                 let mut batch = Shipment::merged(received);
                 if let Some(rec) = table.tuple(v) {
                     batch.bytes += rec.bytes as usize;

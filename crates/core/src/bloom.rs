@@ -29,6 +29,7 @@ use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
 use crate::JoinMethod;
 use sensjoin_query::{CmpOp, CompiledQuery, NumExpr, Pred};
+use std::vec::Drain;
 
 /// Phase labels.
 pub const PHASE_BLOOM_COLLECTION: &str = "1-bloom-collection";
@@ -205,7 +206,7 @@ impl JoinMethod for BloomSemiJoin {
         let (pair, rep1) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<BloomPair>| {
+            |v, received: Drain<BloomPair>| {
                 let mut out = BloomPair {
                     a: BloomFilter::new(bits, hashes),
                     b: BloomFilter::new(bits, hashes),
@@ -269,7 +270,7 @@ impl JoinMethod for BloomSemiJoin {
         let (batch, rep3) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<Shipment<_>>| {
+            |v, received: Drain<Shipment<_>>| {
                 let mut batch = Shipment::merged(received);
                 if let Some(rec) = table.tuple(v) {
                     let survives = collection_damaged

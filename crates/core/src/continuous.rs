@@ -39,6 +39,7 @@ use crate::persist::{self, Persist};
 use crate::repr::{JoinAttrMsg, NodeTable};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
+use std::vec::Drain;
 
 /// Maximum number of times a continuous round is (re-)executed when data
 /// loss survives the ARQ budget (first attempt included).
@@ -47,6 +48,7 @@ use sensjoin_quadtree::{merge, Merged, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeltaBatchStats, NetworkStats, RoutingTree, Time};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Phase labels of the continuous rounds.
@@ -113,7 +115,10 @@ impl SortedCounts {
                 out.push((z, [0; 8]));
             }
             let counts = &mut out.last_mut().expect("just pushed").1;
-            flag_bits(flags).for_each(|b| counts[b] += 1);
+            counts
+                .iter_mut()
+                .zip(once(flags))
+                .for_each(|(c, d)| *c += d);
         }
         Self(out)
     }
@@ -127,18 +132,18 @@ impl SortedCounts {
     /// presence changed — [`fold_delta`] over sorted cells. Cells counted
     /// here before and after are updated in place; the first cell to
     /// appear or vanish sends the rest of `delta` through one merge.
-    fn fold(&mut self, delta: &SortedCounts, sign: i64, mut moved: impl FnMut(u64, u8)) {
+    fn fold(&mut self, delta: &[(u64, [i64; 8])], sign: i64, mut moved: impl FnMut(u64, u8)) {
         let mut at = 0;
-        for (j, (z, d)) in delta.0.iter().enumerate() {
+        for (j, (z, d)) in delta.iter().enumerate() {
             at += self.0[at..].partition_point(|e| e.0 < *z);
             let Some((_, counts)) = self.0.get_mut(at).filter(|e| e.0 == *z) else {
-                return self.merge(&delta.0[j..], sign, moved);
+                return self.merge(&delta[j..], sign, moved);
             };
             let was = *counts;
             counts.iter_mut().zip(d).for_each(|(c, d)| *c += sign * d);
             if *counts == [0; 8] {
                 *counts = was;
-                return self.merge(&delta.0[j..], sign, moved);
+                return self.merge(&delta[j..], sign, moved);
             }
             if presence(&was) != presence(counts) {
                 moved(*z, presence(counts));
@@ -304,8 +309,9 @@ impl FilterEngine {
     }
 }
 
-fn flag_bits(flags: u8) -> impl Iterator<Item = usize> {
-    (0..8).filter(move |&b| flags & (1 << b) != 0)
+/// The counters of a cell held once in each role of `flags`.
+fn once(flags: u8) -> [i64; 8] {
+    std::array::from_fn(|b| i64::from(flags >> b & 1))
 }
 
 /// Folds one engine batch's counters into the cumulative accounting.
@@ -335,20 +341,20 @@ struct Delta {
 }
 
 impl Delta {
-    fn record(&mut self, z: u64, flags: u8, sign: i64) {
+    fn record(&mut self, cell: Point, sign: i64) {
         self.bytes = None;
         let counts = if sign > 0 {
             &mut self.adds
         } else {
             &mut self.dels
         };
-        counts.fold(&SortedCounts::of_cells([(z, flags)]), 1, |_, _| {});
+        counts.fold(&[(cell.z, once(cell.flags.0))], 1, |_, _| {});
     }
 
     fn merge(&mut self, other: &Delta) {
         self.bytes = None;
-        self.adds.fold(&other.adds, 1, |_, _| {});
-        self.dels.fold(&other.dels, 1, |_, _| {});
+        self.adds.fold(&other.adds.0, 1, |_, _| {});
+        self.dels.fold(&other.dels.0, 1, |_, _| {});
     }
 
     /// The net population change (adds − dels) in the form
@@ -396,11 +402,28 @@ impl Delta {
 struct FilterDelta {
     added: PointSet,
     removed: PointSet,
+    /// Per cell either side holds, its `[added, removed]` flags: what
+    /// [`FilterDelta::apply`] merges a view with.
+    change: Vec<(u64, [u8; 2])>,
 }
 
 impl FilterDelta {
+    fn new(added: PointSet, removed: PointSet) -> Self {
+        let mut change = Vec::with_capacity(added.len() + removed.len());
+        merge(added.points(), removed.points(), |m| match m {
+            Merged::Left(run) => change.extend(run.iter().map(|p| (p.z, [p.flags.0, 0]))),
+            Merged::Right(run) => change.extend(run.iter().map(|p| (p.z, [0, p.flags.0]))),
+            Merged::Both(a, r) => change.push((a.z, [a.flags.0, r.flags.0])),
+        });
+        Self {
+            added,
+            removed,
+            change,
+        }
+    }
+
     fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
+        self.change.is_empty()
     }
 
     fn wire_size(&self, space: &JoinSpace) -> usize {
@@ -412,10 +435,20 @@ impl FilterDelta {
             + 1
     }
 
-    /// Applies the delta to a node's filter view: `(view ∪ added) −
-    /// removed`.
-    fn apply(&self, view: &mut PointSet) {
-        *view = view.union(&self.added).minus(&self.removed);
+    /// Appends a node's filter view with the delta applied, `(view ∪
+    /// added) − removed`, to `out`: one merge of the view with `change`.
+    fn apply(&self, view: &[Point], out: &mut Vec<Point>) {
+        let put = |out: &mut Vec<Point>, z, flags: u8| {
+            out.extend((flags != 0).then_some(Point {
+                z,
+                flags: RelFlags(flags),
+            }))
+        };
+        merge(view, &self.change, |m| match m {
+            Merged::Left(run) => out.extend_from_slice(run),
+            Merged::Right(run) => run.iter().for_each(|&(z, [a, r])| put(out, z, a & !r)),
+            Merged::Both(p, &(z, [a, r])) => put(out, z, (p.flags.0 | a) & !r),
+        });
     }
 
     /// The delta a node forwards to its children: each side narrowed to the
@@ -423,10 +456,7 @@ impl FilterDelta {
     /// Forwarding on deltas). Debug builds derive it the old way as well —
     /// intersecting with the subtree's presence set — and must agree.
     fn prune(&self, sub: &SortedCounts) -> FilterDelta {
-        let pruned = FilterDelta {
-            added: sub.prune(&self.added),
-            removed: sub.prune(&self.removed),
-        };
+        let pruned = FilterDelta::new(sub.prune(&self.added), sub.prune(&self.removed));
         debug_assert!(
             {
                 let cells = counts_to_set(&sub.to_counts());
@@ -439,14 +469,150 @@ impl FilterDelta {
     }
 }
 
-/// Final-phase message: fresh tuples plus retractions.
-#[derive(Default)]
-struct FinalDelta {
-    /// Origins of the fresh tuples (the base reads their values from the
-    /// snapshot, which does not change within a round).
-    tuples: Vec<NodeId>,
-    retractions: Vec<NodeId>,
-    bytes: usize,
+/// A per-node table as one column: a presence bitmap — bit `v % 8` of
+/// byte `v / 8` marks node `v`, the layout the image writes — and one flat
+/// buffer of `width` values a node, node `v`'s row at `v · width`. A
+/// decoded column is *packed* — its marked rows back to back, as the image
+/// holds them, so it allocates no more than the image backs — until
+/// [`NodeRows::spread`] lays it out per node, once a round's network has
+/// confirmed its shape.
+#[derive(Debug, Clone)]
+struct NodeRows<T> {
+    present: Vec<u8>,
+    nodes: usize,
+    width: usize,
+    data: Vec<T>,
+    packed: bool,
+}
+
+impl<T: Copy> NodeRows<T> {
+    /// `nodes` unmarked rows of `width` values `fill`.
+    fn new(nodes: usize, width: usize, fill: T) -> Self {
+        Self {
+            present: vec![0; nodes.div_ceil(8)],
+            nodes,
+            width,
+            data: vec![fill; nodes * width],
+            packed: false,
+        }
+    }
+
+    fn has(&self, v: usize) -> bool {
+        self.present[v / 8] >> (v % 8) & 1 == 1
+    }
+
+    /// Node `v`'s row, if marked.
+    fn row(&self, v: usize) -> Option<&[T]> {
+        debug_assert!(!self.packed, "a packed column is indexed by rank");
+        let at = v * self.width;
+        self.has(v).then(|| &self.data[at..at + self.width])
+    }
+
+    /// Marks node `v` and overwrites its row with `row`.
+    fn set(&mut self, v: usize, row: &[T]) {
+        debug_assert!(!self.packed, "a packed column is indexed by rank");
+        self.present[v / 8] |= 1 << (v % 8);
+        self.data[v * self.width..(v + 1) * self.width].copy_from_slice(row);
+    }
+
+    /// Unmarks node `v`; returns whether it was marked.
+    fn clear(&mut self, v: usize) -> bool {
+        let was = self.has(v);
+        self.present[v / 8] &= !(1 << (v % 8));
+        was
+    }
+
+    /// The column a decoded `present` bitmap and its marked rows make.
+    fn packed(nodes: usize, present: &[u8], width: usize, data: Vec<T>) -> Self {
+        Self {
+            present: present.to_vec(),
+            nodes,
+            width,
+            data,
+            packed: true,
+        }
+    }
+
+    fn marked(&self) -> usize {
+        ones(&self.present)
+    }
+
+    /// The marked nodes in id order, each with its row.
+    fn rows(&self) -> impl Iterator<Item = (usize, &[T])> {
+        let marked = (0..self.nodes).filter(|&v| self.has(v));
+        marked.enumerate().map(|(rank, v)| {
+            let at = if self.packed { rank } else { v } * self.width;
+            (v, &self.data[at..at + self.width])
+        })
+    }
+
+    /// Lays a packed column out per node, unmarked rows `fill`.
+    fn spread(&mut self, fill: T) {
+        if self.packed {
+            let mut data = vec![fill; self.nodes * self.width];
+            for (v, row) in self.rows() {
+                data[v * self.width..(v + 1) * self.width].copy_from_slice(row);
+            }
+            (self.data, self.packed) = (data, false);
+        }
+    }
+}
+
+/// How many nodes a presence bitmap marks.
+fn ones(bitmap: &[u8]) -> usize {
+    bitmap.iter().map(|b| b.count_ones() as usize).sum()
+}
+
+/// Every node's filter view in one buffer (CSR): node `v`'s z-sorted view
+/// is `points[offsets[v]..offsets[v + 1]]`. A round rewrites every view in
+/// one pass into the spare buffers, then swaps them in.
+#[derive(Debug, Clone, Default)]
+struct Views {
+    offsets: Vec<u32>,
+    points: Vec<Point>,
+    spare: (Vec<u32>, Vec<Point>),
+}
+
+impl Views {
+    /// `nodes` empty views.
+    fn new(nodes: usize) -> Self {
+        Self {
+            offsets: vec![0; nodes + 1],
+            ..Self::default()
+        }
+    }
+
+    fn nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn row(&self, v: usize) -> &[Point] {
+        &self.points[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
+    /// Whether node `v`'s view holds cell `z` in a role of `flags`.
+    fn matches(&self, v: usize, z: u64, flags: RelFlags) -> bool {
+        let view = self.row(v);
+        let at = view.binary_search_by_key(&z, |p| p.z);
+        at.is_ok_and(|i| view[i].flags.intersects(flags))
+    }
+
+    /// Rewrites every view: `view(v, old, out)` appends node `v`'s new view,
+    /// given its old one, to `out`.
+    fn rebuild(&mut self, mut view: impl FnMut(usize, &[Point], &mut Vec<Point>)) {
+        let (mut offsets, mut points) = std::mem::take(&mut self.spare);
+        offsets.clear();
+        points.clear();
+        offsets.push(0);
+        for v in 0..self.nodes() {
+            view(v, self.row(v), &mut points);
+            offsets.push(u32::try_from(points.len()).expect("views fit u32 offsets"));
+        }
+        self.spare = (
+            std::mem::replace(&mut self.offsets, offsets),
+            std::mem::replace(&mut self.points, points),
+        );
+    }
 }
 
 /// Per-round persistent state. A checkpoint holds the inputs — `space`'s
@@ -454,14 +620,14 @@ struct FinalDelta {
 /// and a restore derives the rest.
 struct State {
     space: JoinSpace,
-    /// Per node: (z, flags) last reported into the population.
-    last_cell: Vec<Option<(u64, u8)>>,
-    /// Per node: master values last shipped to the base; `Some` exactly
-    /// while the node's tuple is live in `stream`, which holds their
-    /// projection ([`shipped_tuples`]).
-    last_values: Vec<Option<Vec<f64>>>,
+    /// Per node: the cell last reported into the population.
+    last_cell: NodeRows<Point>,
+    /// Per node: master values last shipped to the base, a row of the
+    /// master arity; marked exactly while the node's tuple is live in
+    /// `stream`, which holds their projection ([`shipped_tuples`]).
+    last_values: NodeRows<f64>,
     /// Per node: current (delta-maintained) filter view.
-    node_filter: Vec<PointSet>,
+    node_filter: Views,
     /// Per node: counted cell population of its subtree (incl. itself) —
     /// [`subtree_counts`] of `last_cell` over the routing tree. Empty after
     /// a restore, until the next round rebuilds it.
@@ -479,19 +645,32 @@ struct State {
     rounds: u64,
 }
 
+/// The unmarked row of a cell column.
+const NO_CELL: Point = Point {
+    z: 0,
+    flags: RelFlags(0),
+};
+
+/// The nodes of `last_cell` that reported a cell, each with its
+/// `(z, flags)`.
+fn cells(last_cell: &NodeRows<Point>) -> impl Iterator<Item = (usize, (u64, u8))> + '_ {
+    last_cell
+        .rows()
+        .map(|(v, row)| (v, (row[0].z, row[0].flags.0)))
+}
+
 /// Per node, the counted cell population of its subtree: every reported
 /// cell counts at its node and at each of the node's ancestors.
-fn subtree_counts(last_cell: &[Option<(u64, u8)>], routing: &RoutingTree) -> Vec<SortedCounts> {
-    let mut cells: Vec<Vec<(u64, u8)>> = vec![Vec::new(); last_cell.len()];
-    for (i, cell) in last_cell.iter().enumerate() {
-        let Some(cell) = *cell else { continue };
+fn subtree_counts(last_cell: &NodeRows<Point>, routing: &RoutingTree) -> Vec<SortedCounts> {
+    let mut counted: Vec<Vec<(u64, u8)>> = vec![Vec::new(); last_cell.nodes];
+    for (i, cell) in cells(last_cell) {
         let mut at = Some(NodeId(i as u32));
         while let Some(u) = at {
-            cells[u.0 as usize].push(cell);
+            counted[u.0 as usize].push(cell);
             at = routing.parent(u);
         }
     }
-    cells.into_iter().map(SortedCounts::of_cells).collect()
+    counted.into_iter().map(SortedCounts::of_cells).collect()
 }
 
 /// The `per_rel` of node `v`'s [`StreamOp::Upsert`] when its master row is
@@ -516,11 +695,11 @@ pub fn node_tuples(
 /// What the nodes shipped, as the stream holds it: per node with shipped
 /// values, in origin order, its [`node_tuples`] of those values.
 fn shipped_tuples(st: &State, snet: &SensorNetwork, query: &CompiledQuery) -> Vec<LiveTuple> {
-    let origins = (0..st.last_values.len() as u32).map(NodeId);
-    origins
-        .zip(&st.last_values)
-        .filter_map(|(v, row)| Some((v, node_tuples(snet, query, v, row.as_deref()?))))
-        .collect()
+    let tuples = st.last_values.rows().map(|(v, row)| {
+        let v = NodeId(v as u32);
+        (v, node_tuples(snet, query, v, row))
+    });
+    tuples.collect()
 }
 
 /// Master indices of the attributes `query` references: the columns whose
@@ -619,16 +798,46 @@ impl ContinuousSensJoin {
     /// deterministically and passes the query to
     /// [`ContinuousSensJoin::restore_state`] — and neither is anything
     /// derived from the inputs, so an image cannot disagree with itself.
+    ///
+    /// Each per-node column is one bulk write: the node count; the cells'
+    /// presence bitmap and the marked cells bit-packed at the space's key
+    /// width ([`persist::put_points`]); the values' bitmap, the row width
+    /// and the marked rows as raw `f64` bits; the view lengths as `u32`s
+    /// and every view's points packed like the cells.
     pub fn encode_state(&self, w: &mut persist::Writer) {
         self.delta_stats.put(w);
         w.put_u64(self.last_latency_us);
         w.put_bool(self.state.is_some());
         if let Some(st) = &self.state {
             st.space.to_parts().put(w);
-            st.last_cell.put(w);
-            st.last_values.put(w);
-            st.node_filter.put(w);
+            let shape = st.space.shape();
+            let (cells, values, views) = (&st.last_cell, &st.last_values, &st.node_filter);
+            let packed = |count: usize| 8 + (count * shape.total_bits() as usize).div_ceil(8);
+            let bitmap = cells.present.len();
+            let reserved = 8
+                + bitmap
+                + packed(cells.marked())
+                + bitmap
+                + 8
+                + 8 * values.marked() * values.width
+                + 8
+                + 4 * views.nodes()
+                + packed(views.points.len())
+                + 8;
+            w.reserve(reserved);
+            let start = w.len();
+            w.put_usize(cells.nodes);
+            w.put_raw(&cells.present);
+            let marked = cells.rows().map(|(_, row)| &row[0]);
+            persist::put_points(w, shape, cells.marked(), marked);
+            w.put_raw(&values.present);
+            w.put_usize(values.width);
+            values.rows().for_each(|(_, row)| w.put_f64s(row));
+            let lens = views.offsets.windows(2).map(|o| o[1] - o[0]);
+            w.put_fixed(lens, u32::to_le_bytes);
+            persist::put_points(w, shape, views.points.len(), &views.points);
             w.put_u64(st.rounds);
+            debug_assert_eq!(w.len() - start, reserved, "the columns' reserved size");
         }
     }
 
@@ -649,27 +858,43 @@ impl ContinuousSensJoin {
         let last_latency_us = r.get_u64()?;
         let state = if r.get_bool()? {
             let space = persist::join_space_from_parts(query, Persist::get(r)?)?;
-            let last_cell: Vec<Option<(u64, u8)>> = Persist::get(r)?;
-            let last_values: Vec<Option<Vec<f64>>> = Persist::get(r)?;
-            let node_filter: Vec<PointSet> = Persist::get(r)?;
-            let rounds = r.get_u64()?;
-            if last_values.len() != last_cell.len() || node_filter.len() != last_cell.len() {
-                return Err(CodecError::Invariant("per-node tables differ in length"));
-            }
-            // Every cell a node reported or was told of is a point of `space`.
             let shape = space.shape();
-            let in_space = |z: u64, flags: u8| {
-                (shape.z_bits() == 64 || z >> shape.z_bits() == 0)
-                    && flags != 0
-                    && u32::from(flags) >> shape.flag_bits() == 0
-            };
-            let told = node_filter.iter().flat_map(|f| f.iter());
-            if !last_cell.iter().flatten().all(|&(z, f)| in_space(z, f))
-                || !told.into_iter().all(|p| in_space(p.z, p.flags.0))
-            {
-                return Err(CodecError::Invariant("cell outside the join space"));
+            let nodes = r.get_usize()?;
+            // Every node has a bit in each bitmap, so the input bounds it.
+            let present = r.get_bitmap(nodes)?;
+            if nodes > u32::MAX as usize {
+                return Err(CodecError::Oversize);
             }
-            let population = SortedCounts::of_cells(last_cell.iter().flatten().copied());
+            let mut reported = Vec::new();
+            persist::get_points(r, shape, ones(present), &mut reported)?;
+            let last_cell = NodeRows::packed(nodes, present, 1, reported);
+            let present = r.get_bitmap(nodes)?;
+            let width = r.get_usize()?;
+            let values = ones(present).checked_mul(width);
+            let values = r.get_f64s(values.ok_or(CodecError::Oversize)?)?;
+            let last_values = NodeRows::packed(nodes, present, width, values);
+            if r.get_usize()? != nodes {
+                return Err(CodecError::Invariant("view lengths of another node count"));
+            }
+            let lens = r.get_raw(nodes.checked_mul(4).ok_or(CodecError::Oversize)?)?;
+            let mut offsets = Vec::with_capacity(nodes + 1);
+            offsets.push(0u32);
+            for len in lens.chunks_exact(4) {
+                let len = u32::from_le_bytes(len.try_into().expect("four bytes"));
+                let end = offsets[offsets.len() - 1].checked_add(len);
+                offsets.push(end.ok_or(CodecError::Oversize)?);
+            }
+            let mut node_filter = Views {
+                offsets,
+                ..Views::default()
+            };
+            let total = node_filter.offsets[nodes] as usize;
+            persist::get_points(r, shape, total, &mut node_filter.points)?;
+            let rounds = r.get_u64()?;
+            if (0..nodes).any(|v| node_filter.row(v).windows(2).any(|p| p[0].z >= p[1].z)) {
+                return Err(CodecError::Invariant("view not strictly sorted"));
+            }
+            let population = SortedCounts::of_cells(cells(&last_cell).map(|(_, cell)| cell));
             let mut engine = FilterEngine::new(query, &space);
             let filter = engine
                 .apply_delta(query, &space, &population.to_counts())
@@ -760,12 +985,12 @@ impl ContinuousSensJoin {
         let Some(st) = self.state.as_mut().filter(|st| st.subtree.is_empty()) else {
             return Ok(());
         };
-        let arity = snet.master_schema().arity();
-        if st.last_cell.len() != snet.len()
-            || st.last_values.iter().flatten().any(|v| v.len() != arity)
+        if st.last_cell.nodes != snet.len() || st.last_values.width != snet.master_schema().arity()
         {
             return Err(ProtocolError::ForeignCheckpoint);
         }
+        st.last_cell.spread(NO_CELL);
+        st.last_values.spread(0.0);
         st.subtree = subtree_counts(&st.last_cell, snet.net().routing());
         st.stream = StreamJoinEngine::restore(query.clone(), &shipped_tuples(st, snet, query));
         Ok(())
@@ -789,17 +1014,22 @@ impl ContinuousSensJoin {
         let routing = net.routing();
         let mut departed = Vec::new();
         let mut expirations: Vec<StreamOp> = Vec::new();
-        for i in 0..st.last_cell.len() {
-            let v = NodeId(i as u32);
-            if net.is_alive(v) && routing.depth(v).is_some() {
-                continue;
-            }
-            departed.extend(st.last_cell[i].take());
-            st.node_filter[i] = PointSet::new();
-            if st.last_values[i].take().is_some() {
-                expirations.push(StreamOp::Expire { origin: v });
+        let attached =
+            |i: usize| net.is_alive(NodeId(i as u32)) && routing.depth(NodeId(i as u32)).is_some();
+        for i in (0..st.last_cell.nodes).filter(|&i| !attached(i)) {
+            departed.extend(st.last_cell.row(i).map(|row| (row[0].z, row[0].flags.0)));
+            st.last_cell.clear(i);
+            if st.last_values.clear(i) {
+                expirations.push(StreamOp::Expire {
+                    origin: NodeId(i as u32),
+                });
             }
         }
+        st.node_filter.rebuild(|i, view, out| {
+            if attached(i) {
+                out.extend_from_slice(view);
+            }
+        });
         if !expirations.is_empty() {
             let b = st.stream.apply_batch(&expirations);
             record_batch(&mut self.delta_stats, &b);
@@ -829,9 +1059,9 @@ impl ContinuousSensJoin {
                 engine: FilterEngine::new(query, &space),
                 stream: StreamJoinEngine::new(query.clone()),
                 space,
-                last_cell: vec![None; n],
-                last_values: vec![None; n],
-                node_filter: vec![PointSet::new(); n],
+                last_cell: NodeRows::new(n, 1, NO_CELL),
+                last_values: NodeRows::new(n, snet.master_schema().arity(), 0.0),
+                node_filter: Views::new(n),
                 subtree: vec![SortedCounts::default(); n],
                 filter: PointSet::new(),
                 rounds: 0,
@@ -848,7 +1078,7 @@ impl ContinuousSensJoin {
         let (base_delta, rep1) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<Delta>| {
+            |v, received: Drain<Delta>| {
                 // The first child's delta is taken as it is (with the size
                 // its sender computed); merging the rest, or recording an
                 // own change, re-sizes.
@@ -857,21 +1087,28 @@ impl ContinuousSensJoin {
                 for d in received {
                     merged.merge(&d);
                 }
-                let cur = table.tuple(v).map(|r| (r.z, r.flags.0));
-                let last = &mut last_cell[v.0 as usize];
-                if cur != *last {
-                    if let Some((z, f)) = *last {
-                        merged.record(z, f, -1);
+                let i = v.0 as usize;
+                let cur = table.tuple(v).map(|r| Point {
+                    z: r.z,
+                    flags: r.flags,
+                });
+                let last = last_cell.row(i).map(|row| row[0]);
+                if cur != last {
+                    if let Some(cell) = last {
+                        merged.record(cell, -1);
                     }
-                    if let Some((z, f)) = cur {
-                        merged.record(z, f, 1);
+                    match cur {
+                        Some(cell) => {
+                            merged.record(cell, 1);
+                            last_cell.set(i, &[cell]);
+                        }
+                        None => _ = last_cell.clear(i),
                     }
-                    *last = cur;
                 }
                 // Adds first: the synopsis never dips below zero on the way.
-                let sub = &mut subtree[v.0 as usize];
-                sub.fold(&merged.adds, 1, |_, _| {});
-                sub.fold(&merged.dels, -1, |_, _| {});
+                let sub = &mut subtree[i];
+                sub.fold(&merged.adds.0, 1, |_, _| {});
+                sub.fold(&merged.dels.0, -1, |_, _| {});
                 merged
             },
             |d| d.wire_size(space),
@@ -905,90 +1142,122 @@ impl ContinuousSensJoin {
             }
         });
         st.filter = new_filter;
-        let full_delta = FilterDelta {
-            added: PointSet::from_sorted(added).union(&regrown),
-            removed: PointSet::from_sorted(removed),
-        };
+        let full_delta = FilterDelta::new(
+            PointSet::from_sorted(added).union(&regrown),
+            PointSet::from_sorted(removed),
+        );
 
         // ---- Phase 2: filter-delta dissemination ----
-        let node_filter = &mut st.node_filter;
+        // A message is the index of its delta in `deltas`, with its wire
+        // size once sized: a broadcast's children share the one delta. Each
+        // node notes the delta it received; its view takes it after the
+        // wave, when every view is rewritten in one pass.
+        const NOT_REACHED: u32 = u32::MAX;
+        let deltas = RefCell::new(vec![full_delta]);
+        let mut delivered = vec![NOT_REACHED; n];
         let subtree = &st.subtree;
         let rep2 = down_wave(
             snet.net_mut(),
             &|_| true,
-            |v, arrival: DownArrival<'_, FilterDelta>| {
-                let fd: &FilterDelta = match arrival {
-                    DownArrival::Intact(fd) => {
-                        fd.apply(&mut node_filter[v.0 as usize]);
-                        fd
+            |v, arrival: DownArrival<'_, (u32, Option<usize>)>| {
+                let at = match arrival {
+                    DownArrival::Intact(&(at, _)) => {
+                        delivered[v.0 as usize] = at;
+                        at
                     }
-                    DownArrival::Origin => &full_delta, // base station originates
+                    DownArrival::Origin => 0, // base station originates
                     // The delta is gone and this node's filter view is now
                     // stale; the round-level resync rebuilds everything, so
                     // don't forward anything further.
                     DownArrival::Damaged => return None,
                 };
+                let mut deltas = deltas.borrow_mut();
+                let fd = &deltas[at as usize];
                 if fd.is_empty() {
                     return None;
                 }
                 // Prune to the child subtrees' cells (Selective Filter
                 // Forwarding on deltas).
                 let pruned = fd.prune(&subtree[v.0 as usize]);
-                (!pruned.is_empty()).then_some(pruned)
+                if pruned.is_empty() {
+                    return None;
+                }
+                deltas.push(pruned);
+                Some((deltas.len() as u32 - 1, None))
             },
-            |fd| fd.wire_size(space),
+            |(at, bytes)| {
+                *bytes.get_or_insert_with(|| deltas.borrow()[*at as usize].wire_size(space))
+            },
             PHASE_FILTER_DELTA,
         );
-        // The base's own filter view is the filter itself.
-        st.node_filter[base.0 as usize] = st.filter.clone();
+        let deltas = deltas.into_inner();
+        let filter = st.filter.points();
+        st.node_filter.rebuild(|v, view, out| {
+            if v == base.0 as usize {
+                // The base's own filter view is the filter itself.
+                out.extend_from_slice(filter);
+            } else if let Some(fd) = deltas.get(delivered[v] as usize) {
+                fd.apply(view, out);
+            } else {
+                out.extend_from_slice(view);
+            }
+        });
 
         // ---- Phase 3: ε-suppressed final phase ----
+        // A node's message is its subtree's wire bytes; the origins it
+        // ships or retracts go to `shipped` in wave order, which is the
+        // order the base would read them off the merged messages.
         let epsilon = self.epsilon;
         let node_filter = &st.node_filter;
         let last_values = &mut st.last_values;
         let drift_attrs = drift_attrs(snet, query);
         let (net, readings) = snet.net_mut_and_readings();
-        let (final_delta, rep3) = up_wave(
+        let mut shipped: Vec<(NodeId, bool)> = Vec::new();
+        let (_, rep3) = up_wave(
             net,
             &|_| true,
-            |v, received: Vec<FinalDelta>| {
-                let mut out = FinalDelta::default();
-                for mut f in received {
-                    out.bytes += f.bytes;
-                    out.tuples.append(&mut f.tuples);
-                    out.retractions.append(&mut f.retractions);
-                }
+            |v, received: Drain<usize>| {
+                let mut bytes: usize = received.sum();
                 let i = v.0 as usize;
                 let rec = table.rec(v);
-                let matching = node_filter[i].contains_matching(rec.z, rec.flags);
-                let last = &mut last_values[i];
-                if matching {
+                if node_filter.matches(i, rec.z, rec.flags) {
                     let values = &readings[i];
                     // A node that did not match last round has shipped
                     // nothing: it reports as if everything had drifted.
-                    let drifted = last.as_ref().is_none_or(|old| {
+                    let drifted = last_values.row(i).is_none_or(|old| {
                         drift_attrs
                             .iter()
                             .any(|&a| (old[a] - values[a]).abs() > epsilon)
                     });
                     if drifted {
-                        *last = Some(values.to_vec());
+                        last_values.set(i, values);
                         if v != base {
-                            out.bytes += rec.bytes as usize;
+                            bytes += rec.bytes as usize;
                         }
-                        out.tuples.push(v);
+                        shipped.push((v, true));
                     }
-                } else if last.take().is_some() {
+                } else if last_values.clear(i) {
                     if v != base {
-                        out.bytes += 2; // origin id retraction
+                        bytes += 2; // origin id retraction
                     }
-                    out.retractions.push(v);
+                    shipped.push((v, false));
                 }
-                out
+                bytes
             },
-            |f| f.bytes,
+            |bytes| *bytes,
             PHASE_FINAL_DELTA,
         );
+        if !rep3.damaged.is_empty() {
+            // A lost message took its sender's whole subtree with it.
+            let routing = snet.net().routing();
+            let mut lost = vec![false; n];
+            rep3.damaged.iter().for_each(|d| lost[d.0 as usize] = true);
+            let reached = |v: NodeId| {
+                let mut path = std::iter::successors(Some(v), |&u| routing.parent(u));
+                !path.any(|u| lost[u.0 as usize])
+            };
+            shipped.retain(|&(v, _)| reached(v));
+        }
 
         // ---- Base station: streaming join ----
         // The round's tuple deltas feed the persistent streaming engine,
@@ -1000,19 +1269,16 @@ impl ContinuousSensJoin {
         let (snet, table) = (&*snet, &table);
         let project =
             |origin| (0..query.num_relations()).map(move |r| table.project(snet, origin, r));
-        let ops: Vec<StreamOp> = final_delta
-            .tuples
+        let upserts = shipped
             .iter()
-            .map(|&origin| StreamOp::Upsert {
+            .filter(|s| s.1)
+            .map(|&(origin, _)| StreamOp::Upsert {
                 origin,
                 per_rel: project(origin).collect(),
-            })
-            .chain(
-                final_delta
-                    .retractions
-                    .iter()
-                    .map(|&origin| StreamOp::Expire { origin }),
-            )
+            });
+        let expiries = shipped.iter().filter(|s| !s.1);
+        let ops: Vec<StreamOp> = upserts
+            .chain(expiries.map(|&(origin, _)| StreamOp::Expire { origin }))
             .collect();
         let batch = st.stream.apply_batch(&ops);
         record_batch(&mut self.delta_stats, &batch);
@@ -1151,9 +1417,8 @@ mod tests {
             // Every shipped value is within eps of the node's true reading
             // on the referenced attributes.
             let st = cont.state.as_ref().unwrap();
-            assert!(st.last_values.iter().any(Option::is_some));
-            for (i, shipped) in st.last_values.iter().enumerate() {
-                let Some(shipped) = shipped else { continue };
+            assert!(st.last_values.marked() > 0);
+            for (i, shipped) in st.last_values.rows() {
                 let origin = NodeId(i as u32);
                 for a in drift_attrs(&s, &cq) {
                     let truth = s.readings(origin)[a];
@@ -1185,9 +1450,8 @@ mod tests {
         cont.execute_round(&mut s, &cq).unwrap();
         // The base holds exactly the currently matched nodes' tuples.
         let st = cont.state.as_ref().unwrap();
-        let shipped: Vec<NodeId> = (0..st.last_values.len())
-            .filter(|&i| st.last_values[i].is_some())
-            .map(|i| NodeId(i as u32))
+        let shipped: Vec<NodeId> = (st.last_values.rows())
+            .map(|(i, _)| NodeId(i as u32))
             .collect();
         assert_eq!(live_origins(&cont), shipped);
     }
@@ -1278,9 +1542,7 @@ mod tests {
                 stale += (0..live_net.len())
                     .filter(|&i| {
                         let row = live_net.readings(NodeId(i as u32));
-                        last_values[i]
-                            .as_deref()
-                            .is_some_and(|shipped| shipped != row)
+                        last_values.row(i).is_some_and(|shipped| shipped != row)
                     })
                     .count();
             }
@@ -1596,7 +1858,7 @@ mod tests {
         sign: i64,
     ) -> (SortedCounts, Vec<(u64, u8)>) {
         let mut moved = Vec::new();
-        into.fold(delta, sign, |z, f| moved.push((z, f)));
+        into.fold(&delta.0, sign, |z, f| moved.push((z, f)));
         moved.sort_unstable();
         (into.clone(), moved)
     }
@@ -1659,10 +1921,10 @@ mod tests {
                 prop_assert_eq!(counts.prune(&set), set.intersect(&cells));
             }
 
-            let fd = FilterDelta { added, removed };
-            let mut applied = view.clone();
-            fd.apply(&mut applied);
-            prop_assert_eq!(applied, minus(&view.union(&fd.added), &fd.removed));
+            let fd = FilterDelta::new(added, removed);
+            let mut applied = Vec::new();
+            fd.apply(view.points(), &mut applied);
+            prop_assert_eq!(applied, minus(&view.union(&fd.added), &fd.removed).points());
         }
     }
 }

@@ -46,6 +46,7 @@ use sensjoin_query::CompiledQuery;
 use sensjoin_relation::{NodeId, TupleBatch};
 use sensjoin_sim::{ChurnOutcome, Network, RoutingTree, Time};
 use std::sync::Arc;
+use std::vec::Drain;
 
 /// One query of the epoch, with its quantization space.
 pub(crate) struct Slot<'a> {
@@ -407,7 +408,7 @@ pub(crate) fn run_epoch<R>(
     let (base_msg, rep1) = up_wave(
         snet.net_mut(),
         &|_| true,
-        |v, received: Vec<UpMsg>| {
+        |v, received: Drain<UpMsg>| {
             let vi = at(v);
             // The first message of a kind is the accumulator the rest are
             // merged into (Fig. 2 line 10): a lone structure is taken as it
@@ -631,7 +632,7 @@ pub(crate) fn run_epoch<R>(
     let (mut shipped, rep3) = up_wave(
         snet.net_mut(),
         &|v| nodes.active[at(v)],
-        |v, inbox: Vec<Batch>| {
+        |v, inbox: Drain<Batch>| {
             let vi = at(v);
             let mut out = Batch::merged(inbox);
             let received = &nodes.received[vi * k..(vi + 1) * k];

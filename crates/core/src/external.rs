@@ -8,6 +8,7 @@ use crate::snetwork::SensorNetwork;
 use crate::wave::up_wave;
 use crate::JoinMethod;
 use sensjoin_query::CompiledQuery;
+use std::vec::Drain;
 
 /// Sends both input relations to the base station and joins there.
 ///
@@ -39,7 +40,7 @@ impl JoinMethod for ExternalJoin {
         let (base_batch, rep) = up_wave(
             snet.net_mut(),
             &|_| true,
-            |v, received: Vec<Shipment<_>>| {
+            |v, received: Drain<Shipment<_>>| {
                 let mut batch = Shipment::merged(received);
                 if let Some(rec) = table.tuple(v) {
                     batch.bytes += rec.bytes as usize;

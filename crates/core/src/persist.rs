@@ -30,12 +30,12 @@
 
 use crate::engine::JoinSpace;
 use crate::ingest::{BatchStats, LiveTuple, StreamJoinEngine};
-use sensjoin_quadtree::{Point, PointSet, RelFlags};
+use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{
     BatterySnapshot, ChannelLinkState, ChurnAction, DeltaBatchStats, NetSnapshot, NetworkStats,
-    NodeStats, Time, TraceRecord,
+    NodeStats, TraceRecord,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk snapshot format version. Bump on any incompatible layout change;
 /// recovery rejects (degrades past) snapshots of other versions.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SJSN";
@@ -623,6 +623,12 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    /// Makes room for `additional` more bytes, so writing that many
+    /// allocates nothing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -663,6 +669,64 @@ impl Writer {
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_usize(b.len());
         self.buf.extend_from_slice(b);
+    }
+
+    /// Writes raw bytes, without a length (the reader knows it).
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Writes `items` as an element count and `N` bytes each, `bytes` of
+    /// every item in one reserved pass: the bytes `put_seq` writes for a
+    /// type whose encoding is `bytes`.
+    pub fn put_fixed<T, const N: usize>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        bytes: impl Fn(T) -> [u8; N],
+    ) {
+        self.put_usize(items.len());
+        self.buf.reserve(N * items.len());
+        for item in items {
+            self.buf.extend_from_slice(&bytes(item));
+        }
+    }
+
+    /// Writes `values` as their IEEE-754 bit patterns back to back, without
+    /// a count.
+    pub fn put_f64s(&mut self, values: &[f64]) {
+        self.buf.reserve(8 * values.len());
+        for v in values {
+            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Writes the `count` `keys`, each below `2^width`, as one
+    /// little-endian bit stream — key `i` at bits `i·width ..` — behind its
+    /// byte length (`⌈count · width / 8⌉`); the last byte's unused bits are
+    /// zero.
+    pub fn put_packed(&mut self, width: u32, count: usize, keys: impl Iterator<Item = u64>) {
+        debug_assert!((1..=64).contains(&width));
+        let bytes = (count * width as usize).div_ceil(8);
+        self.put_usize(bytes);
+        self.buf.reserve(bytes);
+        let (mut acc, mut bits) = (0u128, 0);
+        let mut written = 0;
+        for key in keys {
+            debug_assert!(
+                width == 64 || key >> width == 0,
+                "key wider than its column"
+            );
+            written += 1;
+            acc |= u128::from(key) << bits;
+            bits += width;
+            if bits >= 64 {
+                self.buf.extend_from_slice(&(acc as u64).to_le_bytes());
+                (acc, bits) = (acc >> 64, bits - 64);
+            }
+        }
+        self.buf
+            .extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
+        assert_eq!(written, count, "packed column length");
     }
 
     /// Writes `items` back to back, without a count (the reader knows it).
@@ -774,6 +838,72 @@ impl<'a> Reader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let n = self.get_count(1)?;
         Ok(self.take(n)?.to_vec())
+    }
+
+    /// Reads `n` raw bytes.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.take(n)
+    }
+
+    /// Reads a presence bitmap of `n` nodes — ⌈n/8⌉ bytes, bit `v % 8` of
+    /// byte `v / 8` marking node `v` — refusing a bit past the last node.
+    /// The bytes must be in the input, so `n` is bounded by it.
+    pub fn get_bitmap(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let bitmap = self.take(n.div_ceil(8))?;
+        if bitmap
+            .last()
+            .is_some_and(|&b| !n.is_multiple_of(8) && b >> (n % 8) != 0)
+        {
+            return Err(CodecError::Invariant("presence bit of no node"));
+        }
+        Ok(bitmap)
+    }
+
+    /// Reads `n` `f64`s written by [`Writer::put_f64s`].
+    pub fn get_f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        let bytes = self.take(n.checked_mul(8).ok_or(CodecError::Oversize)?)?;
+        let words = bytes.chunks_exact(8);
+        Ok(words
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("eight bytes"))))
+            .collect())
+    }
+
+    /// Reads `count` keys of `width` bits written by
+    /// [`Writer::put_packed`], handing each to `each` in order. A stream of
+    /// another length than `count` keys of `width` bits take, or with a set
+    /// padding bit, is refused before any key is read, so nothing `each`
+    /// allocates can exceed what the input backs.
+    pub fn get_packed(
+        &mut self,
+        width: u32,
+        count: usize,
+        mut each: impl FnMut(u64) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        debug_assert!((1..=64).contains(&width));
+        let stated = self.get_usize()?;
+        let bits = count.checked_mul(width as usize);
+        if bits.map(|b| b.div_ceil(8)) != Some(stated) {
+            return Err(CodecError::Invariant("packed column of another length"));
+        }
+        let bytes = self.take(stated)?;
+        let padding = (stated * 8 - count * width as usize) as u32;
+        if bytes
+            .last()
+            .is_some_and(|&b| padding > 0 && b >> (8 - padding) != 0)
+        {
+            return Err(CodecError::Invariant("packed column with padding set"));
+        }
+        let mask = u64::MAX >> (64 - width);
+        let (mut acc, mut have, mut next) = (0u128, 0, bytes.iter());
+        for _ in 0..count {
+            while have < width {
+                acc |= u128::from(*next.next().expect("length checked")) << have;
+                have += 8;
+            }
+            each(acc as u64 & mask)?;
+            (acc, have) = (acc >> width, have - width);
+        }
+        Ok(())
     }
 
     /// Reads `n` elements written back to back. `n` is bounded by the
@@ -1107,15 +1237,9 @@ impl Persist for NetworkStats {
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let n = r.get_usize()?;
         // The bitmap bounds `n` by the input: ⌈n/8⌉ bytes must follow.
-        let bitmap = r.take(n.div_ceil(8))?;
+        let bitmap = r.get_bitmap(n)?;
         if n > u32::MAX as usize {
             return Err(CodecError::Oversize);
-        }
-        if bitmap
-            .last()
-            .is_some_and(|&b| n % 8 != 0 && b >> (n % 8) != 0)
-        {
-            return Err(CodecError::Invariant("presence bit of no node"));
         }
         let marked = bitmap.iter().map(|b| b.count_ones() as usize).sum();
         let counters = r.get_items::<NodeStats>(marked)?;
@@ -1148,18 +1272,58 @@ persist_struct!(BatterySnapshot {
     death_order: Vec<NodeId>,
 });
 
-persist_struct!(NetSnapshot {
-    alive: Vec<bool>,
-    parent: Vec<u32>,
-    stats: NetworkStats,
-    trace: Option<Vec<TraceRecord>>,
-    channel_states: Option<Vec<ChannelLinkState>>,
-    churn_timed: Option<Vec<(Time, NodeId, ChurnAction)>>,
-    churn_boundary_events: Vec<(u32, Vec<(NodeId, ChurnAction)>)>,
-    churn_boundary: u32,
-    churn_clock: Time,
-    battery: Option<BatterySnapshot>,
-});
+/// The fields in order, each in its own `Persist` encoding. The per-node
+/// and per-link columns — liveness, parents, channel link states — are
+/// written in one reserved pass each ([`Writer::put_fixed`]), to the bytes
+/// their element-wise encodings give, which is how they are read.
+impl Persist for NetSnapshot {
+    const MIN_BYTES: usize = 8 + 8 + NetworkStats::MIN_BYTES + 1 + 1 + 1 + 8 + 4 + 8 + 1;
+    fn put(&self, w: &mut Writer) {
+        // Room for the columns and the counters' bitmap at once, so the
+        // buffer grows once for them.
+        let (n, links) = (
+            self.alive.len(),
+            self.channel_states.as_ref().map_or(0, Vec::len),
+        );
+        w.reserve(8 + n + 8 + 4 * n + 16 + n.div_ceil(8) + 1 + 8 + 41 * links);
+        w.put_fixed(self.alive.iter(), |&alive| [u8::from(alive)]);
+        w.put_fixed(self.parent.iter(), |parent| parent.to_le_bytes());
+        self.stats.put(w);
+        self.trace.put(w);
+        w.put_bool(self.channel_states.is_some());
+        if let Some(states) = &self.channel_states {
+            w.put_fixed(states.iter(), |&(from, to, words, bad)| {
+                let mut b = [0u8; 41];
+                b[..4].copy_from_slice(&from.0.to_le_bytes());
+                b[4..8].copy_from_slice(&to.0.to_le_bytes());
+                for (at, word) in words.iter().enumerate() {
+                    b[8 + 8 * at..16 + 8 * at].copy_from_slice(&word.to_le_bytes());
+                }
+                b[40] = u8::from(bad);
+                b
+            });
+        }
+        self.churn_timed.put(w);
+        self.churn_boundary_events.put(w);
+        w.put_u32(self.churn_boundary);
+        w.put_u64(self.churn_clock);
+        self.battery.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(NetSnapshot {
+            alive: Persist::get(r)?,
+            parent: Persist::get(r)?,
+            stats: Persist::get(r)?,
+            trace: Persist::get(r)?,
+            channel_states: Option::<Vec<ChannelLinkState>>::get(r)?,
+            churn_timed: Persist::get(r)?,
+            churn_boundary_events: Persist::get(r)?,
+            churn_boundary: r.get_u32()?,
+            churn_clock: r.get_u64()?,
+            battery: Persist::get(r)?,
+        })
+    }
+}
 
 persist_struct!(BatchStats {
     ops: usize,
@@ -1188,6 +1352,44 @@ pub fn put_net_snapshot(w: &mut Writer, s: &NetSnapshot) {
 /// Decodes a [`NetSnapshot`].
 pub fn get_net_snapshot(r: &mut Reader<'_>) -> Result<NetSnapshot, CodecError> {
     NetSnapshot::get(r)
+}
+
+/// Writes `count` cells of `shape` as their tree keys ([`TreeShape::key`]: the
+/// flags above the z-number) packed at the shape's total bits
+/// ([`Writer::put_packed`]): 9 bits a cell under two relations and a 7-bit
+/// z-number.
+pub fn put_points<'a>(
+    w: &mut Writer,
+    shape: &TreeShape,
+    count: usize,
+    points: impl IntoIterator<Item = &'a Point>,
+) {
+    let keys = points.into_iter().map(|p| shape.key(p.z, p.flags.0));
+    w.put_packed(shape.total_bits(), count, keys);
+}
+
+/// Reads `count` cells written by [`put_points`] onto the end of `out`.
+/// A key unpacks to a z-number below `2^z_bits` by construction, and one
+/// whose flags name no relation is refused.
+pub fn get_points(
+    r: &mut Reader<'_>,
+    shape: &TreeShape,
+    count: usize,
+    out: &mut Vec<Point>,
+) -> Result<(), CodecError> {
+    let z_bits = shape.z_bits();
+    let z_mask = 1u64.checked_shl(z_bits).map_or(u64::MAX, |b| b - 1);
+    r.get_packed(shape.total_bits(), count, |key| {
+        let flags = RelFlags(key.checked_shr(z_bits).unwrap_or(0) as u8);
+        if flags.is_empty() {
+            return Err(CodecError::Invariant("cell of no relation"));
+        }
+        out.push(Point {
+            z: key & z_mask,
+            flags,
+        });
+        Ok(())
+    })
 }
 
 /// Rebuilds the [`JoinSpace`] of `query` from the dimension ranges an image
@@ -1503,6 +1705,12 @@ mod tests {
         assert_eq!(r.get_count(9), Err(CodecError::Oversize));
         let mut r2 = Reader::new(&bytes);
         assert!(PointSet::get(&mut r2).is_err());
+        // A packed column whose stated length no key count fits.
+        let mut r3 = Reader::new(&bytes);
+        assert_eq!(
+            r3.get_packed(9, 3, |_| Ok(())),
+            Err(CodecError::Invariant("packed column of another length"))
+        );
     }
 
     #[test]
@@ -1526,6 +1734,78 @@ mod tests {
         w.put_u8(1);
         let bytes = w.into_bytes();
         assert!(PointSet::get(&mut Reader::new(&bytes)).is_err());
+    }
+
+    /// Cells round-trip through their packed keys at every width up to a
+    /// full word; a set padding bit, a cell of no relation and a column
+    /// cut short are refused.
+    #[test]
+    fn packed_cells_roundtrip_and_invariants() {
+        for (z_bits, flag_bits) in [(7, 2), (0, 1), (13, 3), (56, 8), (63, 1)] {
+            let schedule: Vec<u8> = std::iter::repeat_n(1, z_bits).collect();
+            let shape = TreeShape::new(&schedule, flag_bits);
+            let top = (1u64 << z_bits) - 1;
+            let points: Vec<Point> = [
+                (0, 1),
+                (top / 3, 1 << (flag_bits - 1)),
+                (top, (1 << flag_bits) - 1),
+            ]
+            .into_iter()
+            .map(|(z, f): (u64, u16)| Point {
+                z,
+                flags: RelFlags(f as u8),
+            })
+            .collect();
+            let mut w = Writer::new();
+            put_points(&mut w, &shape, points.len(), &points);
+            let bytes = w.into_bytes();
+            let width = z_bits + usize::from(flag_bits);
+            assert_eq!(bytes.len(), 8 + (3 * width).div_ceil(8), "{width} bits");
+            let mut back = Vec::new();
+            let mut r = Reader::new(&bytes);
+            get_points(&mut r, &shape, points.len(), &mut back).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(back, points, "{width} bits");
+            let mut cut = Vec::new();
+            let short = get_points(
+                &mut Reader::new(&bytes[..bytes.len() - 1]),
+                &shape,
+                3,
+                &mut cut,
+            );
+            assert_eq!(short, Err(CodecError::Truncated));
+        }
+        let shape = TreeShape::new(&[2, 2, 2], 2);
+        let cell = |z, f| Point {
+            z,
+            flags: RelFlags(f),
+        };
+        let mut w = Writer::new();
+        put_points(&mut w, &shape, 2, &[cell(5, 1), cell(9, 2)]);
+        let bytes = w.into_bytes();
+        // Two 8-bit keys, flags in each byte's top two bits: setting bit 6
+        // of the second turns its flags from 0b10 to 0b11 ...
+        let mut both = bytes.clone();
+        both[9] |= 0x40;
+        let mut back = Vec::new();
+        get_points(&mut Reader::new(&both), &shape, 2, &mut back).unwrap();
+        assert_eq!(back, [cell(5, 1), cell(9, 3)]);
+        // ... clearing its flags leaves a cell of no relation.
+        let mut none = bytes.clone();
+        none[9] &= 0x3f;
+        let got = get_points(&mut Reader::new(&none), &shape, 2, &mut Vec::new());
+        assert_eq!(got, Err(CodecError::Invariant("cell of no relation")));
+        // One cell of 8 bits in one byte has no padding; one of 6 bits has two.
+        let shape = TreeShape::new(&[2, 2], 2);
+        let mut w = Writer::new();
+        put_points(&mut w, &shape, 1, &[cell(5, 1)]);
+        let mut padded = w.into_bytes();
+        padded[8] |= 0x80;
+        let got = get_points(&mut Reader::new(&padded), &shape, 1, &mut Vec::new());
+        assert_eq!(
+            got,
+            Err(CodecError::Invariant("packed column with padding set"))
+        );
     }
 
     #[test]
@@ -1639,8 +1919,16 @@ mod tests {
     /// of them zero between the rounds of a continuous run.
     #[test]
     fn v7_image_is_an_unsupported_version() {
-        assert_eq!(SNAPSHOT_VERSION, 8);
         assert_version_refused(7);
+    }
+
+    /// Version 8: a continuous image that wrote its per-node tables element
+    /// by element — an optional cell, an optional value vector and a
+    /// counted point set per node — where v9 writes packed columns.
+    #[test]
+    fn v8_image_is_an_unsupported_version() {
+        assert_eq!(SNAPSHOT_VERSION, 9);
+        assert_version_refused(8);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeliveryPort, Network, PhaseId, RoutingTree, Time};
+use std::vec::Drain;
 
 /// A phase's latency under the two scheduling models.
 ///
@@ -171,17 +172,18 @@ struct InFlight<M> {
 /// in-network mediator).
 ///
 /// For each node, `produce(node, received_from_children)` builds the message
-/// to forward; `size_of` gives its wire size in bytes (0-byte messages cost
-/// nothing) and is called once per message, before it leaves — it may cache
-/// the size in the message, so a relay that forwards the content unchanged
-/// need not cost it again. A child message lost on the lossy channel is
+/// to forward, draining what it received from one inbox the wave reuses;
+/// `size_of` gives its wire size in bytes (0-byte messages cost nothing) and
+/// is called once per message, before it leaves — it may cache the size in
+/// the message, so a relay that forwards the content unchanged need not cost
+/// it again. A child message lost on the lossy channel is
 /// dropped whole (the parent receives fewer messages) and the child lands in
 /// [`WaveReport::damaged`]. Returns the message produced at the root and the
 /// wave's report.
 pub fn up_wave<M>(
     net: &mut Network,
     participates: &dyn Fn(NodeId) -> bool,
-    produce: impl FnMut(NodeId, Vec<M>) -> M,
+    produce: impl FnMut(NodeId, Drain<'_, M>) -> M,
     size_of: impl FnMut(&mut M) -> usize,
     phase: &str,
 ) -> (M, WaveReport) {
@@ -196,7 +198,7 @@ pub fn up_wave_on<M>(
     net: &mut Network,
     tree: &RoutingTree,
     participates: &dyn Fn(NodeId) -> bool,
-    produce: impl FnMut(NodeId, Vec<M>) -> M,
+    produce: impl FnMut(NodeId, Drain<'_, M>) -> M,
     size_of: impl FnMut(&mut M) -> usize,
     phase: &str,
 ) -> (M, WaveReport) {
@@ -213,13 +215,13 @@ pub fn up_wave_on<M>(
 /// the last of its children's subtrees, each of which consumed its own
 /// children's messages — so a node's inbox is exactly the top of one stack
 /// of in-flight messages. No per-node table, no lookup; scratch is the
-/// stack, at most as deep as the wave has participants.
+/// stack, at most as deep as the wave has participants, and one inbox.
 fn up_run<M>(
     n: usize,
     tree: &RoutingTree,
     mut port: DeliveryPort<'_>,
     participates: &dyn Fn(NodeId) -> bool,
-    mut produce: impl FnMut(NodeId, Vec<M>) -> M,
+    mut produce: impl FnMut(NodeId, Drain<'_, M>) -> M,
     mut size_of: impl FnMut(&mut M) -> usize,
     phase: PhaseId,
 ) -> (M, WaveReport) {
@@ -228,6 +230,7 @@ fn up_run<M>(
     let mut level_max = LevelMax::default();
     let mut damaged = Vec::new();
     let mut in_flight: Vec<InFlight<M>> = Vec::new();
+    let mut inbox: Vec<M> = Vec::new();
     for (v, parent, level) in tree.bottom_up_links() {
         if v == root || !participates(v) {
             continue;
@@ -238,12 +241,11 @@ fn up_run<M>(
             .map_or(0, |i| i + 1);
         // When v's slowest child transfer finished.
         let mut ready: Time = 0;
-        let mut received = Vec::with_capacity(in_flight.len() - mine);
         for m in in_flight.drain(mine..) {
             ready = ready.max(m.done);
-            received.extend(m.msg);
+            inbox.extend(m.msg);
         }
-        let mut msg = produce(v, received);
+        let mut msg = produce(v, inbox.drain(..));
         // The stack discipline relies on it: a message to a parent that is
         // never visited would sit on the stack under its siblings' inboxes.
         assert!(
@@ -267,13 +269,12 @@ fn up_run<M>(
     }
     // What is still in flight is the root's inbox, in arrival order.
     let mut ready: Time = 0;
-    let mut inbox = Vec::with_capacity(in_flight.len());
     for m in in_flight {
         debug_assert!(m.to == root, "every message met its parent");
         ready = ready.max(m.done);
         inbox.extend(m.msg);
     }
-    let msg = produce(root, inbox);
+    let msg = produce(root, inbox.drain(..));
     let report = WaveReport {
         timing: WaveTiming {
             pipelined: ready,
@@ -393,7 +394,7 @@ mod tests {
         let (total, rep) = up_wave(
             &mut net,
             &|_| true,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );
@@ -419,7 +420,7 @@ mod tests {
     fn up_wave_latency_exceeds_single_hop() {
         let mut net = net();
         let depth = net.routing().max_depth() as u64;
-        let (_, rep) = up_wave(&mut net, &|_| true, |_, _: Vec<()>| (), |_| 10, "test");
+        let (_, rep) = up_wave(&mut net, &|_| true, |_, _: Drain<()>| (), |_| 10, "test");
         let t = rep.timing;
         let hop = net.radio().transfer_us(10);
         assert!(
@@ -493,7 +494,7 @@ mod tests {
         let (count, _) = up_wave(
             &mut net,
             &participates,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |_| 2,
             "test",
         );
@@ -516,7 +517,7 @@ mod tests {
         let (total, rep) = up_wave(
             &mut net,
             &|_| true,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );
@@ -534,7 +535,7 @@ mod tests {
         let (total, rep) = up_wave(
             &mut net,
             &|_| true,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );
@@ -560,7 +561,7 @@ mod tests {
         let (count, rep) = up_wave(
             &mut net,
             &|_| true,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );
@@ -620,7 +621,7 @@ mod tests {
         let (ma, ra) = up_wave(
             &mut a,
             &participates,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );
@@ -631,7 +632,7 @@ mod tests {
             &mut b,
             &tree,
             &participates,
-            |_, recv: Vec<usize>| recv.iter().sum::<usize>() + 1,
+            |_, recv: Drain<usize>| recv.sum::<usize>() + 1,
             |m| *m * 4,
             "test",
         );

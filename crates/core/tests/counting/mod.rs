@@ -1,16 +1,19 @@
 //! The counting global allocator of this crate's allocation tests. It counts
 //! the allocations (and reallocations) of the measuring thread and of the
 //! workers the measured call spawns, and none of the test harness's other
-//! threads, which start, report and exit while a test measures.
+//! threads, which start, report and exit while a test measures; and it keeps
+//! the size of each thread's largest allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// One thread's allocations, and whether a test of this binary runs on it.
+/// One thread's allocations, its largest one in bytes, and whether a test
+/// of this binary runs on it.
 struct Tally {
     allocs: Cell<u64>,
+    largest: Cell<usize>,
     test: Cell<bool>,
 }
 
@@ -28,6 +31,7 @@ thread_local! {
     static TALLY: Tally = const {
         Tally {
             allocs: Cell::new(0),
+            largest: Cell::new(0),
             test: Cell::new(false),
         }
     };
@@ -36,10 +40,13 @@ thread_local! {
 // A statistic: publishes no other data.
 static WORKERS: AtomicU64 = AtomicU64::new(0);
 
-fn bump() {
+fn bump(bytes: usize) {
     // After the thread's tally is destroyed, its last allocations go
     // uncounted.
-    let _ = TALLY.try_with(|t| t.allocs.set(t.allocs.get() + 1));
+    let _ = TALLY.try_with(|t| {
+        t.allocs.set(t.allocs.get() + 1);
+        t.largest.set(t.largest.get().max(bytes));
+    });
 }
 
 struct Counting;
@@ -50,7 +57,7 @@ struct Counting;
 // runtime, which uses its own).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -59,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -85,4 +92,14 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = count();
     let out = f();
     (count() - before, out)
+}
+
+/// The size in bytes of the largest allocation (or reallocation) `f` makes
+/// on this thread. Not every binary measures sizes.
+#[allow(dead_code)]
+pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = TALLY.with(|t| t.largest.replace(0));
+    let out = f();
+    let largest = TALLY.with(|t| t.largest.replace(before.max(t.largest.get())));
+    (largest, out)
 }

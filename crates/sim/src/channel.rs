@@ -155,7 +155,8 @@ const UNDRAWN: u32 = u32::MAX;
 /// it), naming its entry in a dense vector of the links drawn on so far: a
 /// draw is two array reads once the sender knows the rank, and once each
 /// link in use has its entry a transfer touches no allocator. Export walks
-/// the slots front to back, which is `(from, to)` order.
+/// a bitmap of the drawn slots front to back, which is `(from, to)` order,
+/// and skips the undrawn ones — most of them — a word at a time.
 #[derive(Debug, Clone)]
 pub struct Channel {
     default_model: LossModel,
@@ -173,6 +174,9 @@ pub struct Channel {
     /// Per directed link of `topology`, rows in node-id order: its index in
     /// `states`, or [`UNDRAWN`].
     slots: Vec<u32>,
+    /// The slots that are not [`UNDRAWN`], one bit each (bit `l % 64` of
+    /// word `l / 64`): what an export walks instead of every slot.
+    drawn: Vec<u64>,
     states: Vec<LinkState>,
     /// The distinct loss models of the links in `states`.
     models: Vec<LossModel>,
@@ -190,6 +194,7 @@ impl Channel {
             topology: None,
             rows: Vec::new(),
             slots: Vec::new(),
+            drawn: Vec::new(),
             states: Vec::new(),
             models: Vec::new(),
         }
@@ -232,6 +237,7 @@ impl Channel {
             self.rows.push(end);
         }
         self.slots = vec![UNDRAWN; self.rows[topology.len()] as usize];
+        self.drawn = vec![0; self.slots.len().div_ceil(64)];
         self.states.clear();
         self.topology = Some(topology);
         for (from, to, words, bad) in kept {
@@ -259,6 +265,7 @@ impl Channel {
                 // The dense entry stays behind, unreachable; the next draw
                 // on the link starts a fresh one.
                 self.slots[link] = UNDRAWN;
+                self.drawn[link / 64] &= !(1 << (link % 64));
             }
         }
     }
@@ -300,12 +307,17 @@ impl Channel {
     /// first use, so omitting them is lossless.
     pub fn export_states(&self) -> Vec<ChannelLinkState> {
         let mut out = Vec::with_capacity(self.states.len());
-        for (from, row) in self.rows.windows(2).enumerate() {
-            for &slot in &self.slots[row[0] as usize..row[1] as usize] {
-                if slot != UNDRAWN {
-                    let st = &self.states[slot as usize];
-                    out.push((NodeId(from as u32), st.to, st.rng.state(), st.bad));
+        let mut from = 0;
+        for (at, &word) in self.drawn.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let link = at * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                while self.rows[from + 1] as usize <= link {
+                    from += 1;
                 }
+                let st = &self.states[self.slots[link] as usize];
+                out.push((NodeId(from as u32), st.to, st.rng.state(), st.bad));
             }
         }
         out
@@ -346,6 +358,7 @@ impl Channel {
             None => return Err("channel bound to no topology"),
         }
         self.slots.fill(UNDRAWN);
+        self.drawn.fill(0);
         self.states.clear();
         for &(from, to, words, bad) in states {
             let link = self.link(from, to).expect("checked above");
@@ -361,6 +374,7 @@ impl Channel {
         let model = Some(self.model_for(from, to)).filter(|m| !m.is_perfect());
         let model = self.model_id(model.unwrap_or(LossModel::Perfect));
         self.slots[link] = self.states.len() as u32;
+        self.drawn[link / 64] |= 1 << (link % 64);
         self.states.push(LinkState {
             rng: SmallRng::from_state(words),
             bad,
@@ -429,6 +443,7 @@ impl Channel {
         }
         let id = self.model_id(model);
         self.slots[link] = self.states.len() as u32;
+        self.drawn[link / 64] |= 1 << (link % 64);
         let mut state = LinkState::fresh(self.seed, from, to, id);
         let delivered = state.draw(model);
         self.states.push(state);
