@@ -44,7 +44,7 @@ use std::vec::Drain;
 /// Maximum number of times a continuous round is (re-)executed when data
 /// loss survives the ARQ budget (first attempt included).
 pub const MAX_ROUND_ATTEMPTS: u32 = 3;
-use sensjoin_quadtree::{merge, Merged, Point, PointSet, RelFlags};
+use sensjoin_quadtree::{encoded_wire_size, merge, Merged, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeltaBatchStats, NetworkStats, RoutingTree, Time};
@@ -160,13 +160,13 @@ impl SortedCounts {
         });
     }
 
-    /// The present cells, each with its role presence.
-    fn presence_set(&self) -> PointSet {
+    /// The present cells, each with its role presence, in z order.
+    fn present(&self) -> impl Iterator<Item = Point> + Clone + '_ {
         let points = self.0.iter().map(|(z, c)| Point {
             z: *z,
             flags: RelFlags(presence(c)),
         });
-        PointSet::from_sorted(points.filter(|p| !p.flags.is_empty()).collect())
+        points.filter(|p| !p.flags.is_empty())
     }
 
     /// The points of `set` at cells counted here, their flags masked by
@@ -388,10 +388,8 @@ impl Delta {
             .flat_map(|(_, counts)| counts)
             .map(|&cnt| (cnt - 1).max(0))
             .sum();
-        let adds = self.adds.presence_set();
-        let dels = self.dels.presence_set();
-        JoinAttrMsg::filter_wire_size(&adds, Representation::Quadtree, space)
-            + JoinAttrMsg::filter_wire_size(&dels, Representation::Quadtree, space)
+        encoded_wire_size(self.adds.present(), space.shape())
+            + encoded_wire_size(self.dels.present(), space.shape())
             + extra as usize
             + 1 // add/del split marker
     }

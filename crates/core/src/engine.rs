@@ -1,22 +1,23 @@
 //! The base-station join engine: conservative pre-join and exact join.
 //!
-//! Both entry points ([`prejoin_filter`], [`exact_join`]) run a
-//! **partitioned** descent: per descend level, the predicate classification
-//! of [`sensjoin_query::analyze`] drives one sorted-key index *per band
-//! predicate* (equality included) on that level; the probe with the fewest
+//! Both entry points ([`prejoin_filter`], [`exact_join`]) run one
+//! **partitioned** descent ([`exact_descent`]), generic over its key domain
+//! and its sink, so each instance is a loop of its own. The exact join keys
+//! tuples by their values (`f64`); the pre-join is the same join over the
+//! quantization cells ([`Cells`], [`Interval`]). Per level, the predicate
+//! classification of [`sensjoin_query::analyze`] drives one sorted-key index
+//! *per band predicate* (equality included); the probe with the fewest
 //! candidates drives the scan and the other indexed predicates become O(1)
 //! membership tests, so the level scans the **intersection** of all indexed
-//! candidate sets. In the filter the
-//! unchanged residual interval check still runs on every survivor that could
-//! still mark something (see [`FilterRun::descend`]). In the exact join a
-//! pruning probe is an exact window (`partition` module docs), so a level
-//! evaluates only the predicates no index decided for the binding — once
-//! per candidate batch, column at a time ([`ExactRun::batch`]): its
-//! candidates drain in position order into a buffer, each undecided
-//! predicate keeps the survivors of the one before, and every verdict is bit
-//! for bit the per-binding [`holds`] ([`BatchEval`]). A last level emits
-//! what is left — all its candidates when none is undecided — as rows in
-//! one flat loop ([`ExactRun::descend`]). Levels without an indexable
+//! candidate sets. A pruning point probe is an exact window and decides its
+//! predicate; a cell window holds the possible checks only (`partition`
+//! module docs), so a cell level checks every predicate. A level's undecided
+//! checks run once per candidate batch, column at a time
+//! ([`ExactRun::batch`]), every verdict bit for bit the per-binding
+//! [`holds`] ([`BatchEval`]). The sink ([`Sink`]) says what a full binding
+//! does and walks the last level: [`Emit`] writes rows, draining the
+//! candidates in one flat loop; [`Marks`] ORs role bits, in a witness search
+//! that steps over cells already marked. Levels without an indexable
 //! predicate scan exactly like the nested-loop reference.
 //!
 //! The probes of level 1 depend on the outer tuple alone, so they are taken
@@ -25,8 +26,8 @@
 //! threads, where the chunks are cut, and how many rows a chunk reserves.
 //! Per-chunk outputs are merged in chunk order, so results — rows, their
 //! order, contributors, and the filter bitmask — are bit-identical to
-//! [`exact_join_nested`] / [`prejoin_filter_nested`], which are retained as
-//! the plain reference implementations (and as the baseline of the
+//! [`exact_join_nested`] / [`prejoin_filter_nested`], one nested loop
+//! ([`nested`]) retained as the plain reference (and as the baseline of the
 //! `engine_scaling` benchmark).
 
 use crate::config::SensJoinConfig;
@@ -34,7 +35,7 @@ use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
 #[cfg(debug_assertions)]
 use crate::partition::decided;
 use crate::partition::{
-    candidates, exact_plan, plan, unmarked_candidates, LevelIndex, PosSet, Probe, Unmarked,
+    candidates, exact_plan, unmarked_candidates, Key, LevelIndex, PosSet, Probe, Unmarked,
 };
 use crate::snetwork::SensorNetwork;
 use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape, MAX_RELATIONS};
@@ -187,24 +188,6 @@ impl JoinSpace {
             }
         }
         out
-    }
-
-    /// The interval of join attribute `attr` of relation `rel` for a point
-    /// with the given cell box.
-    pub(crate) fn attr_interval(
-        &self,
-        query: &CompiledQuery,
-        cell_box: &[(f64, f64)],
-        rel: usize,
-        attr: usize,
-    ) -> Interval {
-        let p = query
-            .join_attrs(rel)
-            .iter()
-            .position(|&a| a == attr)
-            .expect("join predicates only reference join attributes");
-        let (lo, hi) = cell_box[self.maps[rel][p]];
-        Interval::new(lo, hi)
     }
 }
 
@@ -365,15 +348,14 @@ fn deeper_space(sizes: impl Iterator<Item = usize>) -> usize {
 /// Conservative by construction — every real match survives quantization
 /// because predicates are evaluated with interval arithmetic over the cells.
 ///
-/// Partitioned evaluation: levels with a band predicate on plain
-/// column sides probe a sorted array of cell intervals instead of scanning
-/// every point; the marked bitmask is identical to
-/// [`prejoin_filter_nested`]'s because candidate pruning only removes points
-/// whose residual interval check is definitely false. The output is a set of
-/// cells, not of pairs, so the last level only looks for witnesses: a
-/// binding that could mark nothing new is stepped over unvisited, and both
-/// the visits and the residual checks follow the cells rather than the
-/// candidate pairs.
+/// The exact join's partitioned descent over the cells into the mark sink:
+/// levels with a band predicate on plain column sides probe a sorted array
+/// of cell intervals instead of scanning every point, and the marked bitmask
+/// is identical to [`prejoin_filter_nested`]'s because a cell window only
+/// leaves out points whose interval check is definitely false. The output is a set of cells, not of pairs, so the last
+/// level only looks for witnesses: a binding that could mark nothing new is
+/// stepped over unvisited, and both the visits and the checks follow the
+/// cells rather than the candidate pairs.
 pub fn prejoin_filter(query: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> PointSet {
     prejoin_filter_in(query, space, points, host_threads(), FILTER_PAR_MIN_WORK)
 }
@@ -387,73 +369,19 @@ fn prejoin_filter_in(
     threads: usize,
     min_work: usize,
 ) -> PointSet {
-    let (lists, boxes) = filter_inputs(query, space, points);
-    let pred_rels = pred_max_rels(query);
-    let mut matched: Vec<u8> = vec![0; points.len()];
-    if !query.is_const_false() && !lists.is_empty() {
-        let cell = |idx: usize, rel: usize, attr: usize| {
-            space.attr_interval(query, boxes.of(idx), rel, attr)
-        };
-        let plan = plan(
-            query,
-            &pred_rels,
-            |rel| lists[rel].len(),
-            |rel, pos, attr| cell(lists[rel][pos], rel, attr),
-        );
-        let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
-        let hoisted = Hoisted::build(lists[0].len(), level1.len(), |pos, out| {
-            let env = |rel: usize, attr: usize| cell(lists[0][pos], rel, attr);
-            let mut count = lists.get(1).map_or(0, Vec::len);
-            for ix in level1 {
-                let probe = ix.probe(&env);
-                count = count.min(probe.count());
-                out.push(probe);
-            }
-            count
-        });
-        let roles: Vec<u8> = (0..lists.len()).map(|r| space.flag(r).0).collect();
-        let run = FilterRun {
-            query,
-            space,
-            lists: &lists,
-            boxes: &boxes,
-            roles: &roles,
-            pred_rels: &pred_rels,
-            plan: &plan,
-            hoisted: &hoisted,
-        };
-        let deeper = deeper_space(lists.iter().map(Vec::len));
-        let cuts = hoisted.cuts(deeper, threads, min_work);
-        let last = lists.len() - 1;
-        let parts = run_chunked(&cuts, |_, range| {
-            let mut st = FilterChunk {
-                matched: vec![0; points.len()],
-                binding: Vec::with_capacity(lists.len()),
-                outer: 0,
-                probes: vec![Vec::new(); lists.len()],
-                unmarked: Unmarked::new(&plan[last], lists[last].len()),
-                #[cfg(test)]
-                evals: 0,
-                #[cfg(test)]
-                visits: 0,
-            };
-            for pos in range {
-                st.outer = pos;
-                run.step(0, pos, &mut st);
-            }
-            st
-        });
-        for part in parts {
-            #[cfg(test)]
-            tests::RESIDUAL_EVALS.with(|n| n.set(n.get() + part.evals));
-            #[cfg(test)]
-            tests::LAST_LEVEL_VISITS.with(|n| n.set(n.get() + part.visits));
-            for (m, p) in matched.iter_mut().zip(part.matched) {
-                *m |= p;
-            }
-        }
+    if query.is_const_false() || query.num_relations() == 0 {
+        return PointSet::new();
     }
-    collect_filter(points, &matched)
+    let cells = Cells::new(query, space, points);
+    let done = exact_descent(query, &cells, threads, min_work, |run, _, _| {
+        Marks::new(run)
+    });
+    #[cfg(test)]
+    {
+        tests::RESIDUAL_EVALS.with(|n| n.set(n.get() + done.steps));
+        tests::LAST_LEVEL_VISITS.with(|n| n.set(n.get() + done.sink.visits));
+    }
+    collect_filter(points, &done.sink.matched)
 }
 
 /// The nested-loop reference pre-join filter (the original implementation):
@@ -464,66 +392,83 @@ pub fn prejoin_filter_nested(
     space: &JoinSpace,
     points: &PointSet,
 ) -> PointSet {
-    let (lists, boxes) = filter_inputs(query, space, points);
-    let pred_rels = pred_max_rels(query);
+    let cells = Cells::new(query, space, points);
     let mut matched: Vec<u8> = vec![0; points.len()];
-    let mut binding: Vec<usize> = Vec::with_capacity(lists.len());
     // The query's truth value is binding-independent: check it once instead
     // of per loop iteration.
     if !query.is_const_false() {
-        descend_nested(
-            query,
-            space,
-            &lists,
-            &boxes,
-            &pred_rels,
-            &mut binding,
-            &mut matched,
-        );
+        let pred_rels = pred_max_rels(query);
+        nested(query, &cells, &pred_rels, &mut Vec::new(), &mut |binding| {
+            // Full binding survived every predicate: mark all roles.
+            for (r, &pos) in binding.iter().enumerate() {
+                matched[cells.lists[r][pos]] |= space.flag(r).0;
+            }
+        });
     }
     collect_filter(points, &matched)
 }
 
-/// Every point's pre-decoded cell box, `arity` intervals a point in one
-/// buffer.
-struct CellBoxes {
-    arity: usize,
-    flat: Vec<(f64, f64)>,
+/// The pre-join's input, a [`Tuples`] over cells: per relation its role
+/// list — the points that can play it — and each listed point's join
+/// attributes as the intervals of its cell, laid out once by attribute as
+/// a tuple's values are.
+struct Cells {
+    /// Points of the input.
+    points: usize,
+    /// Per relation: the point at each role-list position.
+    lists: Vec<Vec<usize>>,
+    /// Per relation: the role bit a full binding marks.
+    roles: Vec<u8>,
+    /// Per relation: the values of a position, its attributes up to its
+    /// last join attribute.
+    arity: Vec<usize>,
+    /// Per relation: `arity` intervals a position; an attribute that no
+    /// join predicate reads is the whole line.
+    values: Vec<Vec<Interval>>,
 }
 
-impl CellBoxes {
-    /// The cell box of point `idx`: one interval per dimension.
-    fn of(&self, idx: usize) -> &[(f64, f64)] {
-        &self.flat[idx * self.arity..][..self.arity]
+impl Cells {
+    fn new(query: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> Self {
+        let k = query.num_relations();
+        let join_arity = |rel: usize| query.join_attrs(rel).iter().max().map_or(0, |&a| a + 1);
+        let mut cells = Self {
+            points: points.len(),
+            lists: vec![Vec::new(); k],
+            roles: (0..k).map(|rel| space.flag(rel).0).collect(),
+            arity: (0..k).map(join_arity).collect(),
+            values: vec![Vec::new(); k],
+        };
+        let mut cell = Vec::with_capacity(space.zspace.arity());
+        for (idx, point) in points.points().iter().enumerate() {
+            cell.clear();
+            cell.extend((0..space.zspace.arity()).map(|d| space.zspace.cell_interval(point.z, d)));
+            for rel in (0..k).filter(|&rel| point.flags.0 & cells.roles[rel] != 0) {
+                cells.lists[rel].push(idx);
+                let values = &mut cells.values[rel];
+                let row = values.len();
+                values.resize(row + cells.arity[rel], Interval::whole());
+                for (&attr, dim) in query.join_attrs(rel).iter().zip(space.dims_of(rel)) {
+                    let (lo, hi) = cell[dim];
+                    values[row + attr] = Interval::new(lo, hi);
+                }
+            }
+        }
+        cells
     }
 }
 
-/// Role lists (point indices usable as each relation) and pre-decoded cell
-/// boxes — the shared setup of both filter implementations.
-fn filter_inputs(
-    query: &CompiledQuery,
-    space: &JoinSpace,
-    points: &PointSet,
-) -> (Vec<Vec<usize>>, CellBoxes) {
-    let n = query.num_relations();
-    let lists: Vec<Vec<usize>> = (0..n)
-        .map(|r| {
-            let flag = space.flag(r);
-            points
-                .points()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.flags.intersects(flag))
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .collect();
-    let arity = space.zspace.arity();
-    let mut flat = Vec::with_capacity(points.len() * arity);
-    for p in points.points() {
-        flat.extend(space.zspace.cell_box(p.z));
+impl Tuples for Cells {
+    type Key = Interval;
+
+    #[inline]
+    fn count(&self, rel: usize) -> usize {
+        self.lists[rel].len()
     }
-    (lists, CellBoxes { arity, flat })
+
+    #[inline]
+    fn values(&self, rel: usize, pos: usize) -> &[Interval] {
+        &self.values[rel][pos * self.arity[rel]..][..self.arity[rel]]
+    }
 }
 
 fn collect_filter(points: &PointSet, matched: &[u8]) -> PointSet {
@@ -540,150 +485,120 @@ fn collect_filter(points: &PointSet, matched: &[u8]) -> PointSet {
     )
 }
 
-/// Shared context of the partitioned filter descent.
-struct FilterRun<'a> {
-    query: &'a CompiledQuery,
-    space: &'a JoinSpace,
-    lists: &'a [Vec<usize>],
-    boxes: &'a CellBoxes,
-    /// Per level: the role bit a full binding marks on that level's point.
-    roles: &'a [u8],
-    pred_rels: &'a [usize],
-    plan: &'a [Vec<LevelIndex<'a, Interval>>],
-    hoisted: &'a Hoisted<Probe>,
-}
-
-/// Mutable state of one chunk of the filter descent.
-struct FilterChunk {
+/// The pre-join's sink. A full binding ORs each bound cell's role bit into
+/// `matched`, so the filter is a semi-join, and the last level is a witness
+/// search: `matched` never clears, so once every bound cell holds its bit
+/// a candidate whose own bit is set can change nothing, and the walk steps
+/// over it ([`unmarked_candidates`]; DESIGN §4.5).
+struct Marks {
     /// Per point: the relation roles it matched in.
     matched: Vec<u8>,
-    /// Point indices bound so far, one per level.
-    binding: Vec<usize>,
-    /// Role-list position of the level-0 binding.
-    outer: usize,
-    /// Per level: the probes of the open binding, parallel to its plan
-    /// entry (level 1 reads its hoisted probes instead).
-    probes: Vec<Vec<Probe>>,
     /// The last level's positions whose cells lack its role bit in
     /// `matched`: its witness search's skip arrays.
     unmarked: Unmarked,
-    /// Residual interval checks run (the work-bound tests' tally).
-    #[cfg(test)]
-    evals: usize,
-    /// Last-level candidates handed to [`FilterRun::step`].
+    /// Last-level candidates the witness search checked.
     #[cfg(test)]
     visits: usize,
 }
 
-impl FilterRun<'_> {
-    /// Walks the candidates of the level below the bound ones.
-    fn descend(&self, st: &mut FilterChunk) {
-        let rel = st.binding.len();
-        // Intersect the candidate windows of every index on this level, in
-        // the driver's key order — `matched` is an OR-bitmask, so emission
-        // order is free.
-        let indexes = &self.plan[rel];
-        let mut own = std::mem::take(&mut st.probes[rel]);
-        let probes = if rel == 1 {
-            self.hoisted.of(st.outer)
-        } else {
-            let env = |r: usize, a: usize| -> Interval {
-                self.space
-                    .attr_interval(self.query, self.boxes.of(st.binding[r]), r, a)
-            };
-            own.extend(indexes.iter().map(|ix| ix.probe(&env)));
-            &own
-        };
-        if rel + 1 == self.lists.len() {
-            // The witness search (DESIGN §4.5): a full binding only ORs
-            // role bits into `matched`, which never clears, so once every
-            // bound cell holds its bit a candidate whose own bit is set can
-            // change nothing, and the walk steps over it.
-            let settled =
-                (st.binding.iter().zip(self.roles)).all(|(&b, &r)| st.matched[b] & r != 0);
-            let mut unmarked = std::mem::take(&mut st.unmarked);
-            unmarked_candidates(indexes, probes, &mut unmarked, settled, |pos| {
-                #[cfg(test)]
-                {
-                    st.visits += 1;
-                }
-                self.step(rel, pos as usize, st)
-            });
-            st.unmarked = unmarked;
-        } else {
-            candidates(indexes, probes, self.lists[rel].len(), |pos| {
-                self.step(rel, pos as usize, st);
-            });
+impl Marks {
+    fn new(run: &ExactRun<Cells>) -> Self {
+        let last = run.k - 1;
+        Self {
+            matched: vec![0; run.tuples.points],
+            unmarked: Unmarked::new(&run.plan[last], run.tuples.count(last)),
+            #[cfg(test)]
+            visits: 0,
         }
-        own.clear();
-        st.probes[rel] = own;
     }
 
-    /// Binds role-list position `pos` at level `rel`, applies the residual
-    /// interval check (identical to the nested reference) and recurses.
-    /// A full binding that survives marks every bound point in its role;
-    /// returns whether this was one.
-    fn step(&self, rel: usize, pos: usize, st: &mut FilterChunk) -> bool {
-        st.binding.push(self.lists[rel][pos]);
-        #[cfg(test)]
-        {
-            st.evals += 1;
+    /// Marks every cell of the full binding `binding` in its role.
+    fn mark(matched: &mut [u8], cells: &Cells, binding: &[usize]) {
+        for (rel, &pos) in binding.iter().enumerate() {
+            matched[cells.lists[rel][pos]] |= cells.roles[rel];
         }
-        let ok = {
-            let env = |r: usize, a: usize| -> Interval {
-                self.space
-                    .attr_interval(self.query, self.boxes.of(st.binding[r]), r, a)
-            };
-            self.query
-                .join_preds()
-                .iter()
-                .zip(self.pred_rels)
-                .filter(|&(_, &maxrel)| maxrel == rel)
-                .all(|(p, _)| holds(p, &env).possible())
-        };
-        let full = ok && rel + 1 == self.lists.len();
-        if full {
-            for (&idx, &role) in st.binding.iter().zip(self.roles) {
-                st.matched[idx] |= role;
-            }
-        } else if ok {
-            self.descend(st);
-        }
-        st.binding.pop();
-        full
     }
 }
 
-fn descend_nested(
+impl Sink<Cells> for Marks {
+    fn full(&mut self, run: &ExactRun<Cells>, binding: &[usize]) {
+        Self::mark(&mut self.matched, run.tuples, binding);
+    }
+
+    /// Checks the last level's candidates one at a time, each against every
+    /// predicate of the level — a cell window decides none — and steps over
+    /// marked ones once every bound cell holds its bit.
+    fn last(run: &ExactRun<Cells>, st: &mut ExactChunk<Interval, Self>, base: usize, _: bool) {
+        let ExactChunk {
+            sink,
+            binding,
+            steps,
+            probes,
+            ..
+        } = st;
+        let (rel, cells, preds) = (binding.len(), run.tuples, run.query.join_preds());
+        let (indexes, probes, checks) = (&run.plan[rel], &probes[base..], &run.checks[rel]);
+        let settled = (binding.iter().enumerate())
+            .all(|(r, &pos)| sink.matched[cells.lists[r][pos]] & cells.roles[r] != 0);
+        let mut unmarked = std::mem::take(&mut sink.unmarked);
+        binding.push(0);
+        unmarked_candidates(indexes, probes, &mut unmarked, settled, |pos| {
+            #[cfg(test)]
+            {
+                sink.visits += 1;
+            }
+            *steps += 1;
+            binding[rel] = pos as usize;
+            let env = |r: usize, a: usize| cells.values(r, binding[r])[a];
+            let full = checks
+                .iter()
+                .all(|c| holds(&preds[c.pred], &env).possible());
+            if full {
+                Self::mark(&mut sink.matched, cells, binding);
+            }
+            full
+        });
+        binding.pop();
+        sink.unmarked = unmarked;
+    }
+
+    fn merge(&mut self, later: Self) {
+        for (m, p) in self.matched.iter_mut().zip(later.matched) {
+            *m |= p;
+        }
+        #[cfg(test)]
+        {
+            self.visits += later.visits;
+        }
+    }
+}
+
+/// The nested-loop reference of both joins: every position of each level
+/// in order, each level's join predicates checked per binding; `full`
+/// takes every full binding that no check made false.
+fn nested<T: Tuples + ?Sized>(
     query: &CompiledQuery,
-    space: &JoinSpace,
-    lists: &[Vec<usize>],
-    boxes: &CellBoxes,
+    tuples: &T,
     pred_rels: &[usize],
     binding: &mut Vec<usize>,
-    matched: &mut [u8],
+    full: &mut impl FnMut(&[usize]),
 ) {
     let rel = binding.len();
-    if rel == lists.len() {
-        // Full binding survived every predicate: mark all roles.
-        for (r, &idx) in binding.iter().enumerate() {
-            matched[idx] |= space.flag(r).0;
-        }
+    if rel == query.num_relations() {
+        full(binding);
         return;
     }
-    for &idx in &lists[rel] {
-        binding.push(idx);
-        let env = |r: usize, a: usize| -> Interval {
-            space.attr_interval(query, boxes.of(binding[r]), r, a)
-        };
+    for pos in 0..tuples.count(rel) {
+        binding.push(pos);
+        let env = |r: usize, a: usize| tuples.values(r, binding[r])[a];
         let ok = query
             .join_preds()
             .iter()
             .zip(pred_rels)
             .filter(|&(_, &maxrel)| maxrel == rel)
-            .all(|(p, _)| holds(p, &env).possible());
+            .all(|(p, _)| holds(p, &env) != false.into());
         if ok {
-            descend_nested(query, space, lists, boxes, pred_rels, binding, matched);
+            nested(query, tuples, pred_rels, binding, full);
         }
         binding.pop();
     }
@@ -699,21 +614,23 @@ pub struct JoinComputation<R = JoinResult> {
     pub contributors: BTreeSet<NodeId>,
 }
 
-/// The exact join's input: per relation, its tuples by position, each an
-/// origin and values aligned to the relation's schema — a [`TupleBatch`]
+/// A join's input: per relation, its tuples by position, each its values
+/// aligned to the relation's schema in the key domain — a [`TupleBatch`]
 /// per relation from the protocol executors and [`exact_join`], the
-/// streaming engine's slot stores for its rejoin. A type parameter of the
-/// descent, like [`RowSink`].
+/// streaming engine's slot stores for its rejoin, the pre-join's [`Cells`].
+/// A type parameter of the descent, like its [`Sink`].
 pub(crate) trait Tuples: Sync {
+    /// Points (`f64`) or cells ([`Interval`]).
+    type Key: Key;
     /// Tuples of relation `rel`.
     fn count(&self, rel: usize) -> usize;
     /// The values of tuple `pos` of relation `rel`.
-    fn values(&self, rel: usize, pos: usize) -> &[f64];
-    /// The origin of tuple `pos` of relation `rel`.
-    fn origin(&self, rel: usize, pos: usize) -> NodeId;
+    fn values(&self, rel: usize, pos: usize) -> &[Self::Key];
 }
 
 impl Tuples for [TupleBatch] {
+    type Key = f64;
+
     #[inline]
     fn count(&self, rel: usize) -> usize {
         self[rel].len()
@@ -722,11 +639,6 @@ impl Tuples for [TupleBatch] {
     #[inline]
     fn values(&self, rel: usize, pos: usize) -> &[f64] {
         self[rel].values(pos)
-    }
-
-    #[inline]
-    fn origin(&self, rel: usize, pos: usize) -> NodeId {
-        self[rel].origin(pos)
     }
 }
 
@@ -737,12 +649,12 @@ pub(crate) fn batches(tuples: &[Vec<(NodeId, Vec<f64>)>]) -> Vec<TupleBatch> {
     tuples.iter().map(batch).collect()
 }
 
-/// Where the exact descent writes a full binding's row: a vector per row
-/// ([`VecRows`], behind [`exact_join`]), one flat buffer ([`Rows`], behind a
-/// group epoch's [`exact_join_flat`]) or the streaming engine's cached run,
-/// which also keeps each row's binding (`ingest::RowRun`). A type parameter
-/// of the descent, so each sink gets a loop of its own with no per-row
-/// branch.
+/// Where the exact join's sink ([`Emit`]) writes a full binding's row: a
+/// vector per row ([`VecRows`], behind [`exact_join`]), one flat buffer
+/// ([`Rows`], behind a group epoch's [`exact_join_flat`]) or the streaming
+/// engine's cached run, which also keeps each row's binding
+/// (`ingest::RowRun`). A type parameter of the descent, so each sink gets a
+/// loop of its own with no per-row branch.
 pub(crate) trait RowSink: Send + Sized {
     /// The empty row and key sinks of one chunk of a join of `query`.
     fn sinks(query: &CompiledQuery) -> (Self, Self);
@@ -882,12 +794,13 @@ pub(crate) fn exact_join_flat(
 }
 
 /// [`exact_join`] into sink `S`, fanning out over at most `threads` chunks.
-fn exact_join_in<S: ResultSink, T: Tuples + ?Sized>(
+fn exact_join_in<S: ResultSink, T: AsRef<[TupleBatch]> + ?Sized>(
     query: &CompiledQuery,
     tuples: &T,
     threads: usize,
 ) -> JoinComputation<S::Result> {
-    let Some(done) = exact_descent::<S, T>(query, tuples, threads) else {
+    let tuples = tuples.as_ref();
+    let Some((rows, keys, seen, _)) = exact_emit::<S, _>(query, tuples, threads) else {
         let (rows, keys) = S::sinks(query);
         return JoinComputation {
             result: finish(query, rows, keys),
@@ -895,11 +808,11 @@ fn exact_join_in<S: ResultSink, T: Tuples + ?Sized>(
         };
     };
     let mut origins: Vec<NodeId> = Vec::new();
-    for (rel, mut seen) in done.seen.into_iter().enumerate() {
-        seen.drain(|pos| origins.push(tuples.origin(rel, pos as usize)));
+    for (rel, mut seen) in seen.into_iter().enumerate() {
+        seen.drain(|pos| origins.push(tuples[rel].origin(pos as usize)));
     }
     JoinComputation {
-        result: finish(query, done.rows, done.keys),
+        result: finish(query, rows, keys),
         contributors: origins.into_iter().collect(),
     }
 }
@@ -907,31 +820,56 @@ fn exact_join_in<S: ResultSink, T: Tuples + ?Sized>(
 /// The rows of the exact join of `tuples` into sink `S`, in emission order,
 /// and the bindings the descent examined — one per tuple it bound, at any
 /// level: the streaming engine's rejoin (`ingest` module docs).
-pub(crate) fn exact_rows<S: RowSink, T: Tuples + ?Sized>(
+pub(crate) fn exact_rows<S: RowSink, T: Tuples<Key = f64> + ?Sized>(
     query: &CompiledQuery,
     tuples: &T,
 ) -> (S, usize) {
-    match exact_descent::<S, T>(query, tuples, host_threads()) {
-        Some(done) => (done.rows, done.steps),
+    match exact_emit::<S, T>(query, tuples, host_threads()) {
+        Some((rows, _, _, steps)) => (rows, steps),
         None => (S::sinks(query).0, 0),
     }
 }
 
-/// The partitioned descent of an exact join over at most `threads` chunks,
-/// merged in chunk order; `None` for a query that is constant false.
-fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
+/// The exact join of `tuples` into row sink `S` over at most `threads`
+/// chunks: its rows and group keys in emission order, per relation the
+/// tuples that reached a row, and the tuples the descent bound at any
+/// level; `None` for a query that is constant false.
+#[allow(clippy::type_complexity)]
+fn exact_emit<S: RowSink, T: Tuples<Key = f64> + ?Sized>(
     query: &CompiledQuery,
     tuples: &T,
     threads: usize,
-) -> Option<ExactChunk<S>> {
+) -> Option<(S, S, Vec<PosSet>, usize)> {
     if query.is_const_false() {
         return None;
     }
+    let items = Projections::new(query, tuples);
+    let done = exact_descent(query, tuples, threads, PAR_MIN_WORK, |run, i, range| {
+        Emit::new(run, &items, i, range)
+    });
+    #[cfg(test)]
+    tests::ITEM_EVALS.with(|n| n.set(n.get() + done.sink.item_evals));
+    let Emit {
+        rows, keys, seen, ..
+    } = done.sink;
+    Some((rows, keys, seen, done.steps))
+}
+
+/// The partitioned descent of a join of `tuples` into sink `W` — one for
+/// both joins — over at most `threads` chunks once the counted work reaches
+/// `min_work`, merged in chunk order. `sink(run, i, range)` is the empty
+/// sink of chunk `i`, which walks the outer positions `range`.
+fn exact_descent<T: Tuples + ?Sized, W: Sink<T>>(
+    query: &CompiledQuery,
+    tuples: &T,
+    threads: usize,
+    min_work: usize,
+    sink: impl Fn(&ExactRun<T>, usize, &Range<usize>) -> W + Sync,
+) -> ExactChunk<T::Key, W> {
     let k = query.num_relations();
     let pred_rels = pred_max_rels(query);
     let plan = exact_plan(query, tuples, &pred_rels);
     let hoisted = exact_hoisted(tuples, &plan);
-    let outer = if k == 0 { 0 } else { tuples.count(0) };
     let run = ExactRun {
         query,
         k,
@@ -939,26 +877,18 @@ fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
         checks: level_checks(&pred_rels, &plan),
         plan: &plan,
         hoisted: &hoisted,
-        items: Projections::new(query, tuples),
     };
     let first = if k == 0 {
-        // Zero relations: descend's base case emits the single
-        // empty-binding row, exactly like the nested reference.
-        let mut chunk = run.chunk();
+        // Zero relations: descend's base case takes the single empty
+        // binding, exactly like the nested reference.
+        let mut chunk = run.chunk(sink(&run, 0, &(0..0)));
         run.descend(&mut chunk);
         chunk
     } else {
         let deeper = deeper_space((0..k).map(|rel| tuples.count(rel)));
-        let cuts = hoisted.cuts(deeper, threads, PAR_MIN_WORK);
+        let cuts = hoisted.cuts(deeper, threads, min_work);
         let mut parts = run_chunked(&cuts, |i, range| {
-            let mut chunk = run.chunk::<S>();
-            if k == 2 {
-                // Every row of a two-way join is a counted candidate.
-                // The first chunk's buffer becomes the result: it takes
-                // the other chunks' rows too.
-                let ahead = if i == 0 { &(0..outer) } else { &range };
-                chunk.rows.try_reserve(hoisted.candidates(ahead));
-            }
+            let mut chunk = run.chunk(sink(&run, i, &range));
             chunk.steps += range.len();
             for pos in range {
                 run.enter(0, pos, &mut chunk);
@@ -966,46 +896,39 @@ fn exact_descent<S: RowSink, T: Tuples + ?Sized>(
             chunk
         })
         .into_iter();
-        // Chunk-order merge: rows/keys concatenate to the sequential
-        // order, the contributor positions union.
+        // Chunk-order merge: rows and keys concatenate to the sequential
+        // order, contributors and marks union.
         let mut first = parts.next().expect("at least one chunk");
         for part in parts {
-            first.rows.append(part.rows);
-            first.keys.append(part.keys);
-            for (all, seen) in first.seen.iter_mut().zip(&part.seen) {
-                all.union_with(seen);
-            }
+            first.sink.merge(part.sink);
             first.steps += part.steps;
             #[cfg(test)]
-            {
-                for (all, n) in first.evals.iter_mut().zip(part.evals) {
-                    *all += n;
-                }
-                first.item_evals += part.item_evals;
+            for (all, n) in first.evals.iter_mut().zip(part.evals) {
+                *all += n;
             }
         }
         first
     };
     #[cfg(test)]
-    {
-        tests::PRED_EVALS.with(|evals| {
-            let mut evals = evals.borrow_mut();
-            evals.resize(first.evals.len(), 0);
-            for (all, n) in evals.iter_mut().zip(&first.evals) {
-                *all += n;
-            }
-        });
-        tests::ITEM_EVALS.with(|n| n.set(n.get() + first.item_evals));
-    }
-    Some(first)
+    tests::PRED_EVALS.with(|evals| {
+        let mut evals = evals.borrow_mut();
+        evals.resize(first.evals.len(), 0);
+        for (all, n) in evals.iter_mut().zip(&first.evals) {
+            *all += n;
+        }
+    });
+    first
 }
 
-/// The level-1 probes of the exact join `plan` for every outer tuple.
-fn exact_hoisted<T: Tuples + ?Sized>(tuples: &T, plan: &[Vec<LevelIndex<f64>>]) -> Hoisted<Probe> {
+/// The level-1 probes of the join `plan` for every outer tuple.
+fn exact_hoisted<T: Tuples + ?Sized>(
+    tuples: &T,
+    plan: &[Vec<LevelIndex<T::Key>>],
+) -> Hoisted<Probe> {
     let level1 = plan.get(1).map_or(&[][..], |l| l.as_slice());
     let outer = if plan.is_empty() { 0 } else { tuples.count(0) };
     Hoisted::build(outer, level1.len(), |pos, out| {
-        let env = |_: usize, a: usize| -> f64 { tuples.values(0, pos)[a] };
+        let env = |_: usize, a: usize| tuples.values(0, pos)[a];
         let mut count = if plan.len() > 1 { tuples.count(1) } else { 0 };
         for ix in level1 {
             let probe = ix.probe(&env);
@@ -1024,13 +947,28 @@ pub fn exact_join_nested(
     tuples: &[Vec<(NodeId, Vec<f64>)>],
 ) -> JoinComputation {
     assert_eq!(tuples.len(), query.num_relations());
-    let pred_rels = pred_max_rels(query);
     let mut acc = ExactAcc::default();
     // Per relation and tuple: whether it appears in a result row.
     let mut used: Vec<Vec<bool>> = tuples.iter().map(|t| vec![false; t.len()]).collect();
-    let mut binding: Vec<usize> = Vec::with_capacity(tuples.len());
     if !query.is_const_false() {
-        exact_descend_nested(query, tuples, &pred_rels, &mut binding, &mut acc, &mut used);
+        let pred_rels = pred_max_rels(query);
+        let input = batches(tuples);
+        nested(
+            query,
+            &input[..],
+            &pred_rels,
+            &mut Vec::new(),
+            &mut |binding| {
+                let env = |r: usize, a: usize| -> f64 { tuples[r][binding[r]].1[a] };
+                acc.rows.push(query.eval_select_row(&env));
+                if query.has_group_by() {
+                    acc.keys.push(query.eval_group_key(&env));
+                }
+                for (r, &idx) in binding.iter().enumerate() {
+                    used[r][idx] = true;
+                }
+            },
+        );
     }
     for (rel, used) in used.iter().enumerate() {
         for (idx, _) in used.iter().enumerate().filter(|(_, &u)| u) {
@@ -1078,18 +1016,183 @@ fn finish<S: ResultSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
     }
 }
 
-/// Shared context of the partitioned exact descent.
-struct ExactRun<'a, T: ?Sized> {
+/// Shared context of the partitioned descent.
+struct ExactRun<'a, T: Tuples + ?Sized> {
     query: &'a CompiledQuery,
     /// The relations joined.
     k: usize,
     tuples: &'a T,
     /// Per level: the join predicates checked there ([`level_checks`]).
     checks: Vec<Vec<Check>>,
-    plan: &'a [Vec<LevelIndex<'a, f64>>],
+    plan: &'a [Vec<LevelIndex<'a, T::Key>>],
     hoisted: &'a Hoisted<Probe>,
+}
+
+/// What the descent does with the bindings that pass its levels, a type
+/// parameter beside the key domain, so each gets a loop of its own:
+/// [`Emit`] writes the exact join's rows, [`Marks`] ORs the pre-join's role
+/// bits.
+trait Sink<T: Tuples + ?Sized>: Send + Sized {
+    /// Binds tuple `pos` at inner level `rel`.
+    fn bind(&mut self, _rel: usize, _pos: usize) {}
+    /// Takes the full binding `binding`, which passed every level: the
+    /// descent's base case, which a join of at most one relation reaches.
+    fn full(&mut self, run: &ExactRun<T>, binding: &[usize]);
+    /// Walks the last level for the binding in `st`, whose probes start at
+    /// `base`; `decided`: its probes decide every check of the level.
+    fn last(run: &ExactRun<T>, st: &mut ExactChunk<T::Key, Self>, base: usize, decided: bool);
+    /// Adds a later chunk's output after this one's.
+    fn merge(&mut self, later: Self);
+}
+
+/// The exact join's sink: a full binding's row into `rows` (its group key
+/// into `keys`), and its tuples into `seen`.
+struct Emit<'a, S> {
+    rows: S,
+    keys: S,
+    /// Per relation: the tuples that reached a result row.
+    seen: Vec<PosSet>,
     /// The SELECT items and GROUP BY keys a row is made of.
-    items: Projections<'a>,
+    items: &'a Projections<'a>,
+    /// The row under construction, laid out as [`Projections::row`].
+    row: Vec<f64>,
+    /// SELECT items and GROUP BY keys evaluated per row.
+    #[cfg(test)]
+    item_evals: usize,
+}
+
+impl<'a, S: RowSink> Emit<'a, S> {
+    /// The sink of chunk `i`, walking outer positions `range`.
+    fn new<T: Tuples + ?Sized>(
+        run: &ExactRun<T>,
+        items: &'a Projections<'a>,
+        i: usize,
+        range: &Range<usize>,
+    ) -> Self {
+        let (mut rows, keys) = S::sinks(run.query);
+        if run.k == 2 {
+            // Every row of a two-way join is a counted candidate. The first
+            // chunk's buffer becomes the result: it takes the other chunks'
+            // rows too.
+            let ahead = if i == 0 {
+                0..run.tuples.count(0)
+            } else {
+                range.clone()
+            };
+            rows.try_reserve(run.hoisted.candidates(&ahead));
+        }
+        Self {
+            rows,
+            keys,
+            seen: (0..run.k)
+                .map(|rel| PosSet::new(run.tuples.count(rel)))
+                .collect(),
+            items,
+            row: items.row.clone(),
+            #[cfg(test)]
+            item_evals: 0,
+        }
+    }
+
+    /// Marks the tuples of `binding` as seen.
+    fn mark_seen(&mut self, binding: &[usize]) {
+        for (seen, &pos) in self.seen.iter_mut().zip(binding) {
+            seen.insert(pos as u32);
+        }
+    }
+
+    /// Emits the row of `binding` with tuple `pos` at the last level
+    /// `rel`, whose slot the caller has pushed.
+    #[inline]
+    fn emit_last<T: Tuples<Key = f64> + ?Sized>(
+        &mut self,
+        run: &ExactRun<T>,
+        rel: usize,
+        pos: usize,
+        binding: &mut [usize],
+    ) {
+        binding[rel] = pos;
+        #[cfg(debug_assertions)]
+        run.assert_checks(rel, binding);
+        self.items.bind(rel, pos, &mut self.row);
+        self.emit(run, binding);
+    }
+
+    /// Emits the row of the full binding `binding` into the sinks
+    /// ([`RowSink::emit`]). The bound levels have written their items into
+    /// `row`; the items that read several relations are evaluated here. The
+    /// one emission of the descent: its base case and the flat last level.
+    #[inline]
+    fn emit<T: Tuples<Key = f64> + ?Sized>(&mut self, run: &ExactRun<T>, binding: &[usize]) {
+        let env = |r: usize, a: usize| -> f64 { run.tuples.values(r, binding[r])[a] };
+        for &(slot, expr) in &self.items.per_row {
+            self.row[slot] = eval(expr, &env);
+        }
+        let (select, key) = self.row.split_at(self.items.select);
+        self.rows.emit(&mut self.keys, binding, select, key);
+        #[cfg(test)]
+        {
+            self.item_evals += self.items.per_row.len();
+        }
+    }
+}
+
+impl<S: RowSink, T: Tuples<Key = f64> + ?Sized> Sink<T> for Emit<'_, S> {
+    fn bind(&mut self, rel: usize, pos: usize) {
+        self.items.bind(rel, pos, &mut self.row);
+    }
+
+    fn full(&mut self, run: &ExactRun<T>, binding: &[usize]) {
+        self.mark_seen(binding);
+        self.emit(run, binding);
+    }
+
+    /// Emits the level's candidates that pass its checks — all of them,
+    /// straight from the marks, when every check is decided — as rows in one
+    /// flat loop that also marks them seen, and marks the levels above seen
+    /// once.
+    fn last(run: &ExactRun<T>, st: &mut ExactChunk<f64, Self>, base: usize, decided: bool) {
+        let rel = st.binding.len();
+        let mut marks = run.marked(rel, base, st);
+        if decided {
+            let mut seen = std::mem::take(&mut st.sink.seen[rel]);
+            st.binding.push(0);
+            let drained = marks.drain_into(&mut seen, |pos| {
+                st.sink.emit_last(run, rel, pos as usize, &mut st.binding)
+            });
+            st.binding.pop();
+            st.sink.seen[rel] = seen;
+            st.steps += drained;
+            if drained > 0 {
+                st.sink.mark_seen(&st.binding);
+            }
+        } else {
+            let batch = run.batch(rel, &mut marks, base, st);
+            st.binding.push(0);
+            for &pos in &batch {
+                st.sink.seen[rel].insert(pos);
+                st.sink.emit_last(run, rel, pos as usize, &mut st.binding);
+            }
+            st.binding.pop();
+            if !batch.is_empty() {
+                st.sink.mark_seen(&st.binding);
+            }
+            st.batches[rel] = batch;
+        }
+        st.cand[rel] = marks;
+    }
+
+    fn merge(&mut self, later: Self) {
+        self.rows.append(later.rows);
+        self.keys.append(later.keys);
+        for (all, seen) in self.seen.iter_mut().zip(&later.seen) {
+            all.union_with(seen);
+        }
+        #[cfg(test)]
+        {
+            self.item_evals += later.item_evals;
+        }
+    }
 }
 
 /// The SELECT items and GROUP BY keys of an exact join, each evaluated at
@@ -1112,7 +1215,7 @@ struct Projections<'a> {
 }
 
 impl<'a> Projections<'a> {
-    fn new<T: Tuples + ?Sized>(query: &'a CompiledQuery, tuples: &T) -> Self {
+    fn new<T: Tuples<Key = f64> + ?Sized>(query: &'a CompiledQuery, tuples: &T) -> Self {
         let mut items = Self {
             row: Vec::new(),
             select: query.select().len(),
@@ -1157,12 +1260,13 @@ impl<'a> Projections<'a> {
     }
 }
 
-/// A join predicate the exact descent checks at one level.
+/// A join predicate the descent checks at one level.
 struct Check {
     /// Its position in `join_preds`.
     pred: usize,
-    /// The position of the index built from it in the level's plan (`None`:
-    /// a `General` predicate, which no index decides).
+    /// The position in the level's plan of the index built from it, which
+    /// decides it where it prunes (`None`: a `General` predicate, or a cell
+    /// index, which decides nothing).
     index: Option<usize>,
 }
 
@@ -1176,27 +1280,28 @@ impl Check {
 
 /// Per level: every join predicate whose highest relation is that level —
 /// where a partial binding first can check it — with its index on the
-/// level. A join predicate reads two relations or more, so the outermost
-/// level checks nothing.
-fn level_checks(pred_rels: &[usize], plan: &[Vec<LevelIndex<f64>>]) -> Vec<Vec<Check>> {
+/// level if that decides it. A join predicate reads two relations or more,
+/// so the outermost level checks nothing.
+fn level_checks<K: Key>(pred_rels: &[usize], plan: &[Vec<LevelIndex<K>>]) -> Vec<Vec<Check>> {
     let mut checks: Vec<Vec<Check>> = plan.iter().map(|_| Vec::new()).collect();
     for (pred, &rel) in pred_rels.iter().enumerate() {
         let index = plan[rel].iter().position(|ix| ix.pred() == pred);
-        checks[rel].push(Check { pred, index });
+        checks[rel].push(Check {
+            pred,
+            index: index.filter(|_| K::DECIDES),
+        });
     }
     debug_assert!(checks.first().is_none_or(Vec::is_empty));
     checks
 }
 
-/// Mutable state and outputs of one chunk of the exact descent. Everything
-/// but `rows`/`keys` is sized once per chunk: emitting a row allocates the
-/// row's own vector into a [`VecRows`] and nothing into [`Rows`] with room,
-/// binding a tuple or walking a candidate nothing.
-struct ExactChunk<S> {
-    rows: S,
-    keys: S,
-    /// Per relation: the tuples that reached a result row.
-    seen: Vec<PosSet>,
+/// Mutable state and outputs of one chunk of the descent over keys `K`
+/// into sink `W`. Everything but the sink's output is sized once per
+/// chunk: emitting a row allocates the row's own vector into a [`VecRows`]
+/// and nothing into [`Rows`] with room, binding a tuple or walking a
+/// candidate nothing.
+struct ExactChunk<K: Key, W> {
+    sink: W,
     /// Per level: the marks that put its candidates in position order
     /// ([`candidates`]; empty between bindings).
     cand: Vec<PosSet>,
@@ -1205,40 +1310,23 @@ struct ExactChunk<S> {
     /// such batch, each with room for its whole relation.
     batches: Vec<Vec<u32>>,
     /// Evaluates the undecided checks over a batch.
-    eval: BatchEval,
+    eval: BatchEval<K>,
     /// The open levels' probes, each level's parallel to its plan entry.
     probes: Vec<Probe>,
     /// Tuple positions bound so far, one per level.
     binding: Vec<usize>,
-    /// The row under construction, laid out as [`Projections::row`].
-    row: Vec<f64>,
     /// Tuples bound so far, at any level ([`exact_rows`]).
     steps: usize,
     /// Per join predicate: residual evaluations (the counter test's tally).
     #[cfg(test)]
     evals: Vec<usize>,
-    /// SELECT items and GROUP BY keys evaluated per row.
-    #[cfg(test)]
-    item_evals: usize,
-}
-
-impl<S> ExactChunk<S> {
-    /// Marks the tuples bound so far as seen.
-    fn mark_bound_seen(&mut self) {
-        for (seen, &pos) in self.seen.iter_mut().zip(&self.binding) {
-            seen.insert(pos as u32);
-        }
-    }
 }
 
 impl<T: Tuples + ?Sized> ExactRun<'_, T> {
-    fn chunk<S: RowSink>(&self) -> ExactChunk<S> {
+    fn chunk<W>(&self, sink: W) -> ExactChunk<T::Key, W> {
         let set = |rel: usize| PosSet::new(self.tuples.count(rel));
-        let (rows, keys) = S::sinks(self.query);
         ExactChunk {
-            rows,
-            keys,
-            seen: (0..self.k).map(set).collect(),
+            sink,
             cand: (0..self.k).map(set).collect(),
             batches: Vec::new(),
             eval: BatchEval::new(
@@ -1249,33 +1337,22 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
             ),
             probes: Vec::with_capacity(self.plan.iter().map(Vec::len).sum()),
             binding: Vec::with_capacity(self.k),
-            row: self.items.row.clone(),
             steps: 0,
             #[cfg(test)]
             evals: vec![0; self.query.join_preds().len()],
-            #[cfg(test)]
-            item_evals: 0,
         }
     }
 
-    /// Probes the next level for the binding in `st`, marks its candidates
-    /// and hands them on in ascending position order. A level with a check
-    /// its index did not decide for this binding drains them into a batch,
-    /// which the undecided checks thin out column at a time
-    /// ([`ExactRun::batch`]). On the last level the candidates left — all of
-    /// them when every check is decided, straight from the marks — are
-    /// emitted as rows in one flat loop that also marks them seen, and the
-    /// levels above are marked seen once; on an inner level each is bound
-    /// and the descent recurses.
-    fn descend<S: RowSink>(&self, st: &mut ExactChunk<S>) {
+    /// Probes the next level for the binding in `st` and hands its
+    /// candidates on: the sink walks the last level; an inner level marks
+    /// them and binds each in ascending position order, and the descent
+    /// recurses. A level with a check its index did not decide for this
+    /// binding drains them into a batch first, which the undecided checks
+    /// thin out column at a time ([`ExactRun::batch`]).
+    fn descend<W: Sink<T>>(&self, st: &mut ExactChunk<T::Key, W>) {
         let rel = st.binding.len();
         if rel == self.k {
-            st.mark_bound_seen();
-            self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
-            #[cfg(test)]
-            {
-                st.item_evals += self.items.per_row.len();
-            }
+            st.sink.full(self, &st.binding);
             return;
         }
         let base = st.probes.len();
@@ -1283,55 +1360,43 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
             st.probes.extend_from_slice(self.hoisted.of(st.binding[0]));
         } else {
             let binding = &st.binding;
-            let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
+            let env = |r: usize, a: usize| self.tuples.values(r, binding[r])[a];
             st.probes
                 .extend(self.plan[rel].iter().map(|ix| ix.probe(&env)));
         }
         let decided = self.checks[rel]
             .iter()
             .all(|c| c.decided(&st.probes[base..]));
-        let last = rel + 1 == self.k;
+        if rel + 1 == self.k {
+            W::last(self, st, base, decided);
+        } else {
+            let mut marks = self.marked(rel, base, st);
+            if decided {
+                marks.drain(|pos| {
+                    st.steps += 1;
+                    self.enter(rel, pos as usize, st);
+                });
+            } else {
+                let batch = self.batch(rel, &mut marks, base, st);
+                for &pos in &batch {
+                    self.enter(rel, pos as usize, st);
+                }
+                st.batches[rel] = batch;
+            }
+            st.cand[rel] = marks;
+        }
+        st.probes.truncate(base);
+    }
+
+    /// The candidates of level `rel`, whose probes start at `base`, marked
+    /// in the level's [`PosSet`], which the caller puts back once drained.
+    fn marked<W>(&self, rel: usize, base: usize, st: &mut ExactChunk<T::Key, W>) -> PosSet {
         let mut marks = std::mem::take(&mut st.cand[rel]);
         let probes = &st.probes[base..];
         candidates(&self.plan[rel], probes, self.tuples.count(rel), |pos| {
             marks.insert(pos)
         });
-        if !decided {
-            let batch = self.batch(rel, &mut marks, base, st);
-            if last {
-                st.binding.push(0);
-                for &pos in &batch {
-                    st.seen[rel].insert(pos);
-                    self.emit_last(rel, pos as usize, st);
-                }
-                st.binding.pop();
-                if !batch.is_empty() {
-                    st.mark_bound_seen();
-                }
-            } else {
-                for &pos in &batch {
-                    self.enter(rel, pos as usize, st);
-                }
-            }
-            st.batches[rel] = batch;
-        } else if last {
-            let mut seen = std::mem::take(&mut st.seen[rel]);
-            st.binding.push(0);
-            let drained = marks.drain_into(&mut seen, |pos| self.emit_last(rel, pos as usize, st));
-            st.binding.pop();
-            st.seen[rel] = seen;
-            st.steps += drained;
-            if drained > 0 {
-                st.mark_bound_seen();
-            }
-        } else {
-            marks.drain(|pos| {
-                st.steps += 1;
-                self.enter(rel, pos as usize, st);
-            });
-        }
-        st.cand[rel] = marks;
-        st.probes.truncate(base);
+        marks
     }
 
     /// Drains the candidates of level `rel` from `marks` into the level's
@@ -1340,12 +1405,12 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
     /// ([`BatchEval::retain`]) and the survivors compacted before the next,
     /// as `all` would stop at the first false; a decided one holds by
     /// construction ([`decided`]). The level's probes start at `base`.
-    fn batch<S>(
+    fn batch<W>(
         &self,
         rel: usize,
         marks: &mut PosSet,
         base: usize,
-        st: &mut ExactChunk<S>,
+        st: &mut ExactChunk<T::Key, W>,
     ) -> Vec<u32> {
         if st.batches.is_empty() {
             st.batches = (0..self.k).map(|_| Vec::new()).collect();
@@ -1356,8 +1421,8 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
         marks.drain(|pos| batch.push(pos));
         st.steps += batch.len();
         let binding = &st.binding;
-        let bound = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
-        let value = |pos: u32, a: usize| -> f64 { self.tuples.values(rel, pos as usize)[a] };
+        let bound = |r: usize, a: usize| self.tuples.values(r, binding[r])[a];
+        let value = |pos: u32, a: usize| self.tuples.values(rel, pos as usize)[a];
         for c in &self.checks[rel] {
             let pred = &self.query.join_preds()[c.pred];
             if c.decided(&st.probes[base..]) {
@@ -1374,90 +1439,25 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
 
     /// Binds tuple `pos` at level `rel`, a candidate that passed the
     /// level's checks, and descends.
-    fn enter<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
+    fn enter<W: Sink<T>>(&self, rel: usize, pos: usize, st: &mut ExactChunk<T::Key, W>) {
         st.binding.push(pos);
         #[cfg(debug_assertions)]
         self.assert_checks(rel, &st.binding);
-        self.items.bind(rel, pos, &mut st.row);
+        st.sink.bind(rel, pos);
         self.descend(st);
         st.binding.pop();
     }
 
-    /// Emits the row of the binding in `st` with tuple `pos` at the last
-    /// level `rel`, whose slot the caller has pushed.
-    #[inline]
-    fn emit_last<S: RowSink>(&self, rel: usize, pos: usize, st: &mut ExactChunk<S>) {
-        st.binding[rel] = pos;
-        #[cfg(debug_assertions)]
-        self.assert_checks(rel, &st.binding);
-        self.items.bind(rel, pos, &mut st.row);
-        self.emit(&st.binding, &mut st.row, &mut st.rows, &mut st.keys);
-        #[cfg(test)]
-        {
-            st.item_evals += self.items.per_row.len();
-        }
-    }
-
-    /// Emits the row of the full binding `binding` into the sinks
-    /// ([`RowSink::emit`]). The bound levels have written their items into
-    /// `row`; the items that read several relations are evaluated here. The
-    /// one emission of the descent: its base case and the flat last level.
-    #[inline]
-    fn emit<S: RowSink>(&self, binding: &[usize], row: &mut [f64], rows: &mut S, keys: &mut S) {
-        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
-        for &(slot, expr) in &self.items.per_row {
-            row[slot] = eval(expr, &env);
-        }
-        let (select, key) = row.split_at(self.items.select);
-        rows.emit(keys, binding, select, key);
-    }
-
     /// Evaluates, for a binding bound up to level `rel` that passed the
-    /// level, every predicate checked there, each of which must hold
+    /// level, every predicate checked there, none of which may be false
     /// ([`decided`] asserts it): by construction where an index decided
     /// it, by the batch's verdict where none did.
     #[cfg(debug_assertions)]
     fn assert_checks(&self, rel: usize, binding: &[usize]) {
-        let env = |r: usize, a: usize| -> f64 { self.tuples.values(r, binding[r])[a] };
+        let env = |r: usize, a: usize| self.tuples.values(r, binding[r])[a];
         for c in &self.checks[rel] {
             decided(&self.query.join_preds()[c.pred], &env);
         }
-    }
-}
-
-fn exact_descend_nested(
-    query: &CompiledQuery,
-    tuples: &[Vec<(NodeId, Vec<f64>)>],
-    pred_rels: &[usize],
-    binding: &mut Vec<usize>,
-    out: &mut ExactAcc,
-    used: &mut [Vec<bool>],
-) {
-    let rel = binding.len();
-    if rel == tuples.len() {
-        let env = |r: usize, a: usize| -> f64 { tuples[r][binding[r]].1[a] };
-        out.rows.push(query.eval_select_row(&env));
-        if query.has_group_by() {
-            out.keys.push(query.eval_group_key(&env));
-        }
-        for (r, &idx) in binding.iter().enumerate() {
-            used[r][idx] = true;
-        }
-        return;
-    }
-    for idx in 0..tuples[rel].len() {
-        binding.push(idx);
-        let env = |r: usize, a: usize| -> f64 { tuples[r][binding[r]].1[a] };
-        let ok = query
-            .join_preds()
-            .iter()
-            .zip(pred_rels)
-            .filter(|&(_, &maxrel)| maxrel == rel)
-            .all(|(p, _)| holds(p, &env));
-        if ok {
-            exact_descend_nested(query, tuples, pred_rels, binding, out, used);
-        }
-        binding.pop();
     }
 }
 
@@ -2138,15 +2138,12 @@ mod tests {
     /// descent walks, each of which paid a residual check before the last
     /// level became a witness search.
     fn band_candidates(cq: &CompiledQuery, space: &JoinSpace, points: &PointSet) -> usize {
-        let (lists, boxes) = filter_inputs(cq, space, points);
+        let cells = Cells::new(cq, space, points);
         let band = &cq.join_preds()[0];
         let mut candidates = 0;
-        for &a in &lists[0] {
-            for &b in &lists[1] {
-                let env = |r: usize, attr: usize| {
-                    let idx = if r == 0 { a } else { b };
-                    space.attr_interval(cq, boxes.of(idx), r, attr)
-                };
+        for a in 0..cells.count(0) {
+            for b in 0..cells.count(1) {
+                let env = |r: usize, attr: usize| cells.values(r, [a, b][r])[attr];
                 if holds(band, &env).possible() {
                     candidates += 1;
                 }

@@ -240,6 +240,8 @@ impl RelStore {
 /// The stores as the batch join reads them: positions are slots, so only a
 /// compacted store is a valid input.
 impl Tuples for [RelStore] {
+    type Key = f64;
+
     #[inline]
     fn count(&self, rel: usize) -> usize {
         self[rel].tuples.len()
@@ -248,11 +250,6 @@ impl Tuples for [RelStore] {
     #[inline]
     fn values(&self, rel: usize, pos: usize) -> &[f64] {
         self[rel].tuples.values(pos)
-    }
-
-    #[inline]
-    fn origin(&self, rel: usize, pos: usize) -> NodeId {
-        self[rel].tuples.origin(pos)
     }
 }
 

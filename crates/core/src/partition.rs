@@ -3,9 +3,9 @@
 //! For each descend level (relation) of a join, [`plan`] builds one
 //! [`LevelIndex`] **per classified predicate landing on that level**,
 //! driven by the predicate classification of [`sensjoin_query::analyze`].
-//! The exact join keys a level's tuples by their values (`f64`); the
-//! pre-join filter keys its quantized points by their cells ([`Interval`]).
-//! Either way ([`Key`]):
+//! The one join descent (`engine::exact_descent`) keys a level's tuples by
+//! their values (`f64`) in the exact join and its quantized points by their
+//! cells ([`Interval`]) in the pre-join filter. Either way ([`Key`]):
 //!
 //! * **band** predicates (direct and difference-form comparisons, equality
 //!   included as the direct band `=`) get a sorted key array
@@ -21,6 +21,9 @@
 //! pre-join filter's last level, a semi-join, walks the same intersection
 //! through [`unmarked_candidates`], which jumps over positions it has
 //! already marked.
+//!
+//! Whether a pruning probe *decides* its predicate is a property of the
+//! domain ([`Key::DECIDES`]): points yes, cells no (below).
 //!
 //! # One window derivation
 //!
@@ -54,8 +57,8 @@
 //!    keys `== p`: −0 and +0 land together, and NaN is never indexed.
 //!
 //! So a predicate whose own index pruned for a binding is **decided** there,
-//! and the exact engines evaluate it no more: the residual check runs only
-//! the predicates no index decided — `General` ones, and those whose probe
+//! and the joins over points evaluate it no more: the residual check runs
+//! only the predicates no index decided — `General` ones, and those whose probe
 //! is [`Probe::All`] for this binding (a difference form probed with ±∞, a
 //! complement band whose bound admits everything), which claims nothing.
 //! `exact_probes_decide_their_predicate` pins the window against
@@ -68,8 +71,9 @@
 //! A cell's d-image is the exact image of the compared operand over the
 //! cells, so a cell window holds precisely the entries whose interval check
 //! is not `Tri::False` — `|X| = c` included, whose window is the two points
-//! `±c`. A possible check is not a true one, so the filter still runs the
-//! residual check on every candidate. Cell keys must be plain columns: the
+//! `±c`. A possible check is not a true one, so a cell window decides
+//! nothing and the filter checks every predicate of a level on its
+//! candidates. Cell keys must be plain columns: the
 //! cells of one dimension are equal or meet at most at an endpoint, so
 //! sorting them by lower bound sorts their upper bounds too, and both image
 //! bounds stay monotone. `cell_windows_are_the_possible_checks` pins the
@@ -95,7 +99,7 @@ pub(crate) fn runs_len(runs: &Runs) -> usize {
 /// level marking the non-zero words: inserting is two ORs, and draining
 /// visits the positions **in ascending order** in time proportional to
 /// their number (plus one summary word per 4096 positions), whatever the
-/// relation's size. The exact descent uses it twice: to put a level's
+/// relation's size. The join descent uses it twice: to put a level's
 /// candidates into the nested loop's position order, whatever order its
 /// driving index holds them in, and to record which tuples reached a result
 /// row.
@@ -324,9 +328,14 @@ fn sorted_runs<K: Copy>(
     }
 }
 
-/// The key domain of a [`SortedKeys`] array: a tuple's value (`f64`) or a
-/// quantized point's cell ([`Interval`]).
-pub(crate) trait Key: Domain {
+/// The key domain of a [`SortedKeys`] array and of the join descent that
+/// probes it: a tuple's value (`f64`) or a quantized point's cell
+/// ([`Interval`]).
+pub(crate) trait Key: Domain + Send + Sync {
+    /// Whether a pruning probe decides its predicate: a point window is
+    /// exact, a cell window holds the possible checks only (module docs).
+    const DECIDES: bool;
+
     /// Its bounds `[lo, hi]`; a point's are itself.
     fn bounds(self) -> (f64, f64);
 
@@ -339,6 +348,8 @@ pub(crate) trait Key: Domain {
 }
 
 impl Key for f64 {
+    const DECIDES: bool = true;
+
     #[inline]
     fn bounds(self) -> (f64, f64) {
         (self, self)
@@ -355,6 +366,8 @@ impl Key for f64 {
 }
 
 impl Key for Interval {
+    const DECIDES: bool = false;
+
     #[inline]
     fn bounds(self) -> (f64, f64) {
         (self.lo, self.hi)
@@ -516,13 +529,14 @@ impl Probe {
     }
 }
 
-/// Stands in for the evaluation of `pred`, which an index decided for the
-/// binding `env`: true by construction. Under debug assertions it is
-/// evaluated all the same and must hold, so every debug-mode join checks
-/// the exact windows it relies on.
-pub(crate) fn decided(pred: &Pred, env: &impl Fn(usize, usize) -> f64) -> bool {
+/// Stands in for the evaluation of `pred`, which the descent decided for
+/// the binding `env` — by an exact window, or by a batch verdict: not false
+/// by construction. Under debug assertions it is evaluated all the same and
+/// must not be false, so every debug-mode join checks the windows and
+/// verdicts it relies on.
+pub(crate) fn decided<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> bool {
     debug_assert!(
-        holds(pred, env),
+        holds(pred, env) != false.into(),
         "an exact window admitted a binding its predicate rejects: {pred:?}"
     );
     true
@@ -763,12 +777,12 @@ pub(crate) fn plan<'q, K: Key>(
     levels
 }
 
-/// The exact join's index plan over `tuples`.
+/// The index plan of a join over `tuples`, in their key domain.
 pub(crate) fn exact_plan<'q, T: Tuples + ?Sized>(
     query: &'q CompiledQuery,
     tuples: &T,
     pred_rels: &[usize],
-) -> Vec<Vec<LevelIndex<'q, f64>>> {
+) -> Vec<Vec<LevelIndex<'q, T::Key>>> {
     plan(
         query,
         pred_rels,

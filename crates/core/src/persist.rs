@@ -30,7 +30,7 @@
 
 use crate::engine::JoinSpace;
 use crate::ingest::{BatchStats, LiveTuple, StreamJoinEngine};
-use sensjoin_quadtree::{Point, PointSet, RelFlags, TreeShape};
+use sensjoin_quadtree::{Point, RelFlags, TreeShape};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{
@@ -1147,38 +1147,6 @@ impl Persist for ChurnAction {
     }
 }
 
-/// `z`, then the (never empty) flags.
-impl Persist for Point {
-    const MIN_BYTES: usize = 9;
-    fn put(&self, w: &mut Writer) {
-        w.put_u64(self.z);
-        w.put_u8(self.flags.0);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let z = r.get_u64()?;
-        let flags = RelFlags(r.get_u8()?);
-        if flags.is_empty() {
-            return Err(CodecError::Invariant("point with empty flags"));
-        }
-        Ok(Point { z, flags })
-    }
-}
-
-/// The points in order; enforces the sorted-unique invariant.
-impl Persist for PointSet {
-    const MIN_BYTES: usize = 8;
-    fn put(&self, w: &mut Writer) {
-        w.put_seq(self.points());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let points = Vec::<Point>::get(r)?;
-        if points.windows(2).any(|w| w[0].z >= w[1].z) {
-            return Err(CodecError::Invariant("points not strictly sorted"));
-        }
-        Ok(PointSet::from_sorted(points))
-    }
-}
-
 persist_struct!(NodeStats {
     tx_packets: u64,
     tx_bytes: u64,
@@ -1213,7 +1181,7 @@ fn charged(s: &NodeStats) -> bool {
 }
 
 /// The node count; a presence bitmap of ⌈n/8⌉ bytes, bit `v % 8` of byte
-/// `v / 8` marking node `v` as [`charged`]; the marked nodes' counters in
+/// `v / 8` marking node `v` as `charged`; the marked nodes' counters in
 /// id order; then the charged phases as `(label, totals)`. The bytes
 /// depend on the counter values alone, so a network between rounds, whose
 /// counters are all zero, writes no per-node counter.
@@ -1703,37 +1671,12 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_count(9), Err(CodecError::Oversize));
-        let mut r2 = Reader::new(&bytes);
-        assert!(PointSet::get(&mut r2).is_err());
         // A packed column whose stated length no key count fits.
         let mut r3 = Reader::new(&bytes);
         assert_eq!(
             r3.get_packed(9, 3, |_| Ok(())),
             Err(CodecError::Invariant("packed column of another length"))
         );
-    }
-
-    #[test]
-    fn point_set_roundtrip_and_invariants() {
-        let mut set = PointSet::new();
-        set.insert(5, RelFlags(0b01));
-        set.insert(9, RelFlags(0b10));
-        set.insert(5, RelFlags(0b10)); // merges
-        let mut w = Writer::new();
-        set.put(&mut w);
-        let bytes = w.into_bytes();
-        let got = PointSet::get(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(got, set);
-
-        // Unsorted input is rejected.
-        let mut w = Writer::new();
-        w.put_usize(2);
-        w.put_u64(9);
-        w.put_u8(1);
-        w.put_u64(5);
-        w.put_u8(1);
-        let bytes = w.into_bytes();
-        assert!(PointSet::get(&mut Reader::new(&bytes)).is_err());
     }
 
     /// Cells round-trip through their packed keys at every width up to a

@@ -19,7 +19,7 @@ use sensjoin_core::{
     QueryId, SensJoinConfig, SensorNetwork, SensorNetworkBuilder, StreamJoinEngine, StreamOp,
 };
 use sensjoin_field::{presets, Area, FieldSpec, Placement};
-use sensjoin_quadtree::PointSet;
+use sensjoin_quadtree::TreeShape;
 use sensjoin_query::{parse, CompiledQuery};
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{ArqPolicy, Channel, ChurnTimeline, NetworkStats};
@@ -769,7 +769,13 @@ proptest! {
         let _ = persist::get_net_snapshot(&mut Reader::new(&bytes));
         let _ = Persist::get(&mut Reader::new(&bytes))
             .and_then(|dims| persist::join_space_from_parts(&build(5, SQL_CONT).1, dims));
-        let _ = PointSet::get(&mut Reader::new(&bytes));
+        // The cell decoder of a continuous image, over a fixed shape (9-bit
+        // keys) and a cell count read from the garbage.
+        let mut r = Reader::new(&bytes);
+        if let Ok(count) = r.get_u32() {
+            let shape = TreeShape::new(&[3, 3, 1], 2);
+            let _ = persist::get_points(&mut r, &shape, count as usize, &mut Vec::new());
+        }
         let _ = NetworkStats::get(&mut Reader::new(&bytes));
         let _ = BatchStats::get(&mut Reader::new(&bytes));
     }

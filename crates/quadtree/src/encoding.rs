@@ -18,6 +18,7 @@
 use crate::bits::{BitReader, BitWriter};
 use crate::point::{Point, PointSet, RelFlags};
 use crate::shape::TreeShape;
+use std::borrow::Borrow;
 
 /// An encoded point set: bytes plus the exact bit length.
 ///
@@ -84,7 +85,7 @@ impl std::error::Error for DecodeError {}
 /// out.
 pub fn encode(set: &PointSet, shape: &TreeShape) -> EncodedTree {
     let mut keys: Vec<u64> = Vec::with_capacity(set.len());
-    for_each_key(set, shape, |k| keys.push(k));
+    for_each_key(set.points().iter(), shape, |k| keys.push(k));
     // marks[i] bit l: the node at level l whose first key is keys[i]
     // subdivides. (A node is identified by its level and first key.)
     let mut marks = vec![0u64; keys.len()];
@@ -100,43 +101,57 @@ pub fn encode(set: &PointSet, shape: &TreeShape) -> EncodedTree {
     EncodedTree { bytes, len_bits }
 }
 
-/// The exact bit length [`encode`] would produce, without encoding: one pass
-/// over the z-sorted points, no allocation.
-pub fn encoded_len_bits(set: &PointSet, shape: &TreeShape) -> usize {
+/// The exact bit length [`encode`] would produce for the set of `points` —
+/// a [`PointSet`], or any points sorted by unique z with non-empty flags —
+/// without encoding: one pass over them per flag class, no allocation.
+pub fn encoded_len_bits<P>(points: P, shape: &TreeShape) -> usize
+where
+    P: IntoIterator,
+    P::Item: Borrow<Point>,
+    P::IntoIter: Clone,
+{
     let mut plan = Plan::new(shape, |_, _| {});
-    for_each_key(set, shape, |k| plan.push(k));
+    for_each_key(points.into_iter(), shape, |k| plan.push(k));
     plan.finish()
 }
 
 /// [`encoded_len_bits`] in whole bytes — what [`encode`]'s
 /// [`EncodedTree::wire_size`] would report.
-pub fn encoded_wire_size(set: &PointSet, shape: &TreeShape) -> usize {
-    encoded_len_bits(set, shape).div_ceil(8)
+pub fn encoded_wire_size<P>(points: P, shape: &TreeShape) -> usize
+where
+    P: IntoIterator,
+    P::Item: Borrow<Point>,
+    P::IntoIter: Clone,
+{
+    encoded_len_bits(points, shape).div_ceil(8)
 }
 
-/// Calls `f` with every tree key of `set` in ascending key order. The flag
-/// prefix is the top level, so the keys of one flag class are a subsequence
-/// of the z-sorted points: walking the classes present in ascending order
-/// yields sorted keys without materializing or sorting them.
-fn for_each_key(set: &PointSet, shape: &TreeShape, mut f: impl FnMut(u64)) {
-    let points = set.points();
+/// Calls `f` with every tree key of the z-sorted `points` in ascending key
+/// order. The flag prefix is the top level, so the keys of one flag class
+/// are a subsequence of the z-sorted points: walking the classes present in
+/// ascending order yields sorted keys without materializing or sorting them.
+fn for_each_key<I>(points: I, shape: &TreeShape, mut f: impl FnMut(u64))
+where
+    I: Iterator + Clone,
+    I::Item: Borrow<Point>,
+{
     if shape.flag_bits() == 0 {
-        points.iter().for_each(|p| f(p.z));
+        points.for_each(|p| f(p.borrow().z));
         return;
     }
     let mut classes = [0u64; 4];
-    for p in points {
-        classes[usize::from(p.flags.0 >> 6)] |= 1 << (p.flags.0 & 63);
+    for p in points.clone() {
+        let flags = p.borrow().flags.0;
+        classes[usize::from(flags >> 6)] |= 1 << (flags & 63);
     }
     for (word, &present) in classes.iter().enumerate() {
         let mut rest = present;
         while rest != 0 {
             let flags = (word * 64) as u8 + rest.trailing_zeros() as u8;
             rest &= rest - 1;
-            points
-                .iter()
-                .filter(|p| p.flags.0 == flags)
-                .for_each(|p| f(shape.key(p.z, flags)));
+            (points.clone())
+                .filter(|p| p.borrow().flags.0 == flags)
+                .for_each(|p| f(shape.key(p.borrow().z, flags)));
         }
     }
 }

@@ -234,6 +234,15 @@ impl PointSet {
     }
 }
 
+impl<'a> IntoIterator for &'a PointSet {
+    type Item = &'a Point;
+    type IntoIter = std::slice::Iter<'a, Point>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.points.iter()
+    }
+}
+
 impl FromIterator<Point> for PointSet {
     fn from_iter<I: IntoIterator<Item = Point>>(iter: I) -> Self {
         Self::from_points(iter)

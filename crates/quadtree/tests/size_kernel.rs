@@ -80,6 +80,11 @@ fn expected_back(set: &PointSet, shape: &TreeShape) -> PointSet {
 fn check(set: &PointSet, shape: &TreeShape) -> Result<(), TestCaseError> {
     let e = encode(set, shape);
     prop_assert_eq!(encoded_len_bits(set, shape), e.len_bits);
+    // Points by value, as a counted-cell walk hands them over.
+    prop_assert_eq!(
+        encoded_len_bits(set.points().iter().copied(), shape),
+        e.len_bits
+    );
     prop_assert_eq!(encoded_wire_size(set, shape), e.wire_size());
     prop_assert_eq!(e.bytes.len(), e.wire_size());
     prop_assert_eq!(decode(&e, shape).unwrap(), expected_back(set, shape));

@@ -23,6 +23,9 @@ pub trait Domain:
     /// and `|` are conjunction and disjunction, in which `false.into()` and
     /// `true.into()` absorb.
     type Truth: Copy
+        + Send
+        + Sync
+        + std::fmt::Debug
         + PartialEq
         + From<bool>
         + BitAnd<Output = Self::Truth>
@@ -116,40 +119,35 @@ pub fn holds<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> D::Tru
 }
 
 /// Column-at-a-time [`holds`] over a batch of bindings that differ only in
-/// the tuple of one relation: the exact join's residual, evaluated once per
-/// level's candidates instead of once per candidate.
+/// the tuple of one relation, in either [`Domain`]: the residual of a join
+/// level, evaluated once per level's candidates instead of once per
+/// candidate — over points in the exact join, over cells in the pre-join.
 ///
 /// The tree is walked once per batch. A column of a bound relation is read
 /// once, as a scalar; a column of the batch's relation is gathered into a
 /// column where the tree reads it; an operation on two scalars stays scalar,
-/// so constant and bound subtrees are computed once. Every element operation is the
-/// `Domain for f64` method [`eval`] and [`holds`] call, so each verdict is
-/// bit for bit the per-binding one — debug builds check every verdict
-/// against [`holds`].
+/// so constant and bound subtrees are computed once. Every element operation
+/// is the `Domain` method [`eval`] and [`holds`] call, so each verdict is bit
+/// for bit the per-binding one — debug builds check every verdict against
+/// [`holds`].
 ///
 /// Its buffers are kept between batches, each made with room for
 /// `capacity` candidates: once a tree has been evaluated, a batch of it
 /// with at most `capacity` candidates allocates nothing.
-#[derive(Debug, Default)]
-pub struct BatchEval {
+#[derive(Debug)]
+pub struct BatchEval<D: Domain = f64> {
     /// The room each new buffer is made with.
     capacity: usize,
     /// Spare number columns.
-    numbers: Vec<Vec<f64>>,
+    numbers: Vec<Vec<D>>,
     /// Spare truth columns.
-    truths: Vec<Vec<bool>>,
+    truths: Vec<Vec<D::Truth>>,
 }
 
 /// A value over a batch: one for every binding, or one per binding.
-enum Num {
-    Scalar(f64),
-    Column(Vec<f64>),
-}
-
-/// A truth over a batch, like [`Num`].
-enum Truth {
-    Scalar(bool),
-    Column(Vec<bool>),
+enum Col<T> {
+    Scalar(T),
+    Column(Vec<T>),
 }
 
 /// What a batch evaluation reads: the batch's relation, the bound
@@ -161,26 +159,28 @@ struct Batch<'a, C, B, V> {
     candidates: &'a [C],
 }
 
-impl BatchEval {
+impl<D: Domain> BatchEval<D> {
     /// An evaluator whose buffers hold `capacity` candidates; it allocates
     /// nothing until its first batch.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            ..Self::default()
+            numbers: Vec::new(),
+            truths: Vec::new(),
         }
     }
 
     /// Keeps, in order, the candidates of `batch` — tuples of relation
-    /// `rel` — whose binding satisfies `pred`. `bound(r, a)` is attribute
-    /// `a` of the tuple bound to relation `r` (every relation `pred` reads
-    /// but `rel`), `value(c, a)` attribute `a` of candidate `c`.
+    /// `rel` — whose binding `pred` does not make false (over points: that
+    /// satisfy it; over cells: that possibly do). `bound(r, a)` is
+    /// attribute `a` of the tuple bound to relation `r` (every relation
+    /// `pred` reads but `rel`), `value(c, a)` attribute `a` of candidate `c`.
     pub fn retain<C: Copy>(
         &mut self,
         pred: &Pred,
         rel: usize,
-        bound: &impl Fn(usize, usize) -> f64,
-        value: &impl Fn(C, usize) -> f64,
+        bound: &impl Fn(usize, usize) -> D,
+        value: &impl Fn(C, usize) -> D,
         batch: &mut Vec<C>,
     ) {
         let cx = Batch {
@@ -194,8 +194,8 @@ impl BatchEval {
         for (i, &c) in batch.iter().enumerate() {
             let env = |r: usize, a: usize| if r == rel { value(c, a) } else { bound(r, a) };
             let got = match &verdict {
-                Truth::Scalar(v) => *v,
-                Truth::Column(v) => v[i],
+                Col::Scalar(v) => *v,
+                Col::Column(v) => v[i],
             };
             assert_eq!(
                 got,
@@ -203,12 +203,13 @@ impl BatchEval {
                 "a batch verdict differs from holds: {pred:?}"
             );
         }
+        let no = D::Truth::from(false);
         match verdict {
-            Truth::Scalar(true) => {}
-            Truth::Scalar(false) => batch.clear(),
-            Truth::Column(keep) => {
+            Col::Scalar(v) if v == no => batch.clear(),
+            Col::Scalar(_) => {}
+            Col::Column(keep) => {
                 let mut verdicts = keep.iter();
-                batch.retain(|_| verdicts.next() == Some(&true));
+                batch.retain(|_| verdicts.next() != Some(&no));
                 self.truths.push(keep);
             }
         }
@@ -217,27 +218,31 @@ impl BatchEval {
     fn truth<C: Copy>(
         &mut self,
         pred: &Pred,
-        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
-    ) -> Truth {
+        cx: &Batch<C, impl Fn(usize, usize) -> D, impl Fn(C, usize) -> D>,
+    ) -> Col<D::Truth> {
+        // `AND` stops at a false left side and `OR` at a true one, as in
+        // `holds`; a scalar that does not absorb is the identity (`true`,
+        // `false`) or combines with every verdict of the right side.
+        let (yes, no) = (D::Truth::from(true), D::Truth::from(false));
         match pred {
             Pred::Cmp { op, lhs, rhs } => {
                 let (l, r) = (self.num(lhs, cx), self.num(rhs, cx));
-                self.compare(l, r, |a, b| <f64 as Domain>::cmp(*op, a, b))
+                self.compare(l, r, |a, b| D::cmp(*op, a, b))
             }
             Pred::And(a, b) => match self.truth(a, cx) {
-                Truth::Scalar(false) => Truth::Scalar(false),
-                Truth::Scalar(true) => self.truth(b, cx),
-                Truth::Column(l) => {
+                Col::Scalar(l) if l == no => Col::Scalar(l),
+                Col::Scalar(l) if l == yes => self.truth(b, cx),
+                l => {
                     let r = self.truth(b, cx);
-                    self.combine(l, r, |x, y| x & y)
+                    zip(&mut self.truths, l, r, |x, y| x & y)
                 }
             },
             Pred::Or(a, b) => match self.truth(a, cx) {
-                Truth::Scalar(true) => Truth::Scalar(true),
-                Truth::Scalar(false) => self.truth(b, cx),
-                Truth::Column(l) => {
+                Col::Scalar(l) if l == yes => Col::Scalar(l),
+                Col::Scalar(l) if l == no => self.truth(b, cx),
+                l => {
                     let r = self.truth(b, cx);
-                    self.combine(l, r, |x, y| x | y)
+                    zip(&mut self.truths, l, r, |x, y| x | y)
                 }
             },
         }
@@ -246,73 +251,53 @@ impl BatchEval {
     fn num<C: Copy>(
         &mut self,
         expr: &NumExpr,
-        cx: &Batch<C, impl Fn(usize, usize) -> f64, impl Fn(C, usize) -> f64>,
-    ) -> Num {
+        cx: &Batch<C, impl Fn(usize, usize) -> D, impl Fn(C, usize) -> D>,
+    ) -> Col<D> {
         match expr {
-            NumExpr::Number(n) => Num::Scalar(<f64 as Domain>::number(*n)),
-            NumExpr::Col { rel, attr } if *rel != cx.rel => Num::Scalar((cx.bound)(*rel, *attr)),
-            NumExpr::Col { attr, .. } => Num::Column(spare(
+            NumExpr::Number(n) => Col::Scalar(D::number(*n)),
+            NumExpr::Col { rel, attr } if *rel != cx.rel => Col::Scalar((cx.bound)(*rel, *attr)),
+            NumExpr::Col { attr, .. } => Col::Column(spare(
                 &mut self.numbers,
                 self.capacity,
                 cx.candidates.iter().map(|&c| (cx.value)(c, *attr)),
             )),
             NumExpr::Neg(e) => map(self.num(e, cx), |v| -v),
-            NumExpr::Abs(e) => map(self.num(e, cx), <f64 as Domain>::abs),
+            NumExpr::Abs(e) => map(self.num(e, cx), D::abs),
             NumExpr::Bin { op, lhs, rhs } => {
                 let (l, r) = (self.num(lhs, cx), self.num(rhs, cx));
                 match op {
-                    BinOp::Add => self.zip(l, r, |a, b| a + b),
-                    BinOp::Sub => self.zip(l, r, |a, b| a - b),
-                    BinOp::Mul => self.zip(l, r, |a, b| a * b),
-                    BinOp::Div => self.zip(l, r, |a, b| a / b),
+                    BinOp::Add => zip(&mut self.numbers, l, r, |a, b| a + b),
+                    BinOp::Sub => zip(&mut self.numbers, l, r, |a, b| a - b),
+                    BinOp::Mul => zip(&mut self.numbers, l, r, |a, b| a * b),
+                    BinOp::Div => zip(&mut self.numbers, l, r, |a, b| a / b),
                 }
             }
             NumExpr::Distance { args } => {
                 let [x1, y1, x2, y2] = args.as_ref();
                 let (a, b) = (self.num(x1, cx), self.num(x2, cx));
-                let dx = map(self.zip(a, b, |a, b| a - b), <f64 as Domain>::square);
+                let dx = map(zip(&mut self.numbers, a, b, |a, b| a - b), D::square);
                 let (a, b) = (self.num(y1, cx), self.num(y2, cx));
-                let dy = map(self.zip(a, b, |a, b| a - b), <f64 as Domain>::square);
-                map(self.zip(dx, dy, |a, b| a + b), <f64 as Domain>::sqrt)
-            }
-        }
-    }
-
-    /// `f(l, r)` per binding, into a column of `l` or `r`.
-    fn zip(&mut self, l: Num, r: Num, f: impl Fn(f64, f64) -> f64) -> Num {
-        match (l, r) {
-            (Num::Scalar(a), Num::Scalar(b)) => Num::Scalar(f(a, b)),
-            (Num::Column(mut l), Num::Scalar(b)) => {
-                l.iter_mut().for_each(|a| *a = f(*a, b));
-                Num::Column(l)
-            }
-            (Num::Scalar(a), Num::Column(mut r)) => {
-                r.iter_mut().for_each(|b| *b = f(a, *b));
-                Num::Column(r)
-            }
-            (Num::Column(mut l), Num::Column(r)) => {
-                l.iter_mut().zip(&r).for_each(|(a, &b)| *a = f(*a, b));
-                self.numbers.push(r);
-                Num::Column(l)
+                let dy = map(zip(&mut self.numbers, a, b, |a, b| a - b), D::square);
+                map(zip(&mut self.numbers, dx, dy, |a, b| a + b), D::sqrt)
             }
         }
     }
 
     /// `f(l, r)` per binding, into a truth column.
-    fn compare(&mut self, l: Num, r: Num, f: impl Fn(f64, f64) -> bool) -> Truth {
+    fn compare(&mut self, l: Col<D>, r: Col<D>, f: impl Fn(D, D) -> D::Truth) -> Col<D::Truth> {
         let verdicts = match (l, r) {
-            (Num::Scalar(a), Num::Scalar(b)) => return Truth::Scalar(f(a, b)),
-            (Num::Column(l), Num::Scalar(b)) => {
+            (Col::Scalar(a), Col::Scalar(b)) => return Col::Scalar(f(a, b)),
+            (Col::Column(l), Col::Scalar(b)) => {
                 let verdicts = spare(&mut self.truths, self.capacity, l.iter().map(|&a| f(a, b)));
                 self.numbers.push(l);
                 verdicts
             }
-            (Num::Scalar(a), Num::Column(r)) => {
+            (Col::Scalar(a), Col::Column(r)) => {
                 let verdicts = spare(&mut self.truths, self.capacity, r.iter().map(|&b| f(a, b)));
                 self.numbers.push(r);
                 verdicts
             }
-            (Num::Column(l), Num::Column(r)) => {
+            (Col::Column(l), Col::Column(r)) => {
                 let verdicts = spare(
                     &mut self.truths,
                     self.capacity,
@@ -322,19 +307,28 @@ impl BatchEval {
                 verdicts
             }
         };
-        Truth::Column(verdicts)
+        Col::Column(verdicts)
     }
+}
 
-    /// `f(l, r)` per binding, into `l`.
-    fn combine(&mut self, mut l: Vec<bool>, r: Truth, f: impl Fn(bool, bool) -> bool) -> Truth {
-        match r {
-            Truth::Scalar(b) => l.iter_mut().for_each(|a| *a = f(*a, b)),
-            Truth::Column(r) => {
-                l.iter_mut().zip(&r).for_each(|(a, &b)| *a = f(*a, b));
-                self.truths.push(r);
-            }
+/// `f(l, r)` per binding, into a column of `l` or `r`; a column it frees
+/// goes back to `pool`.
+fn zip<T: Copy>(pool: &mut Vec<Vec<T>>, l: Col<T>, r: Col<T>, f: impl Fn(T, T) -> T) -> Col<T> {
+    match (l, r) {
+        (Col::Scalar(a), Col::Scalar(b)) => Col::Scalar(f(a, b)),
+        (Col::Column(mut l), Col::Scalar(b)) => {
+            l.iter_mut().for_each(|a| *a = f(*a, b));
+            Col::Column(l)
         }
-        Truth::Column(l)
+        (Col::Scalar(a), Col::Column(mut r)) => {
+            r.iter_mut().for_each(|b| *b = f(a, *b));
+            Col::Column(r)
+        }
+        (Col::Column(mut l), Col::Column(r)) => {
+            l.iter_mut().zip(&r).for_each(|(a, &b)| *a = f(*a, b));
+            pool.push(r);
+            Col::Column(l)
+        }
     }
 }
 
@@ -348,12 +342,12 @@ fn spare<T>(pool: &mut Vec<Vec<T>>, capacity: usize, items: impl Iterator<Item =
 }
 
 /// `f(v)` per binding, in place.
-fn map(v: Num, f: impl Fn(f64) -> f64) -> Num {
+fn map<T: Copy>(v: Col<T>, f: impl Fn(T) -> T) -> Col<T> {
     match v {
-        Num::Scalar(a) => Num::Scalar(f(a)),
-        Num::Column(mut c) => {
+        Col::Scalar(a) => Col::Scalar(f(a)),
+        Col::Column(mut c) => {
             c.iter_mut().for_each(|a| *a = f(*a));
-            Num::Column(c)
+            Col::Column(c)
         }
     }
 }

@@ -195,11 +195,15 @@ impl ZSpace {
     /// (see [`Dimension::cell_interval`]) so a conservative pre-join never
     /// misses clamped values.
     pub fn cell_box(&self, z: ZNumber) -> Vec<(f64, f64)> {
-        self.decode(z)
-            .iter()
-            .zip(&self.dims)
-            .map(|(&c, d)| d.cell_interval(c))
+        (0..self.dims.len())
+            .map(|d| self.cell_interval(z, d))
             .collect()
+    }
+
+    /// Dimension `d`'s interval of [`ZSpace::cell_box`], with nothing
+    /// allocated.
+    pub fn cell_interval(&self, z: ZNumber, d: usize) -> (f64, f64) {
+        self.dims[d].cell_interval(extract(z, self.dim_masks[d]))
     }
 
     /// Convenience: quantize a point and return the *representative* value of
