@@ -32,8 +32,6 @@
 
 use crate::config::SensJoinConfig;
 use crate::outcome::{cmp_bits, GroupResult, JoinResult, Rows};
-#[cfg(debug_assertions)]
-use crate::partition::decided;
 use crate::partition::{
     candidates, exact_plan, unmarked_candidates, Key, LevelIndex, PosSet, Probe, Unmarked,
 };
@@ -208,7 +206,7 @@ pub(crate) fn pred_max_rels(query: &CompiledQuery) -> Vec<usize> {
 /// joins — a serve tick's per-plan joins — already run on one thread per
 /// deployment. Two chunks measured a wash into the flat sink at 36 k steps
 /// (0.56–0.58 → 0.60–0.67 ms) and 0.67–0.69× into either sink at 71 k.
-const PAR_MIN_WORK: usize = 1 << 16;
+pub(crate) const PAR_MIN_WORK: usize = 1 << 16;
 
 /// [`PAR_MIN_WORK`] of the pre-join filter, whose counted step is a
 /// last-level candidate. The count cannot tell the two regimes apart. When
@@ -271,7 +269,7 @@ impl<P> Hoisted<P> {
 /// this process. Read once, at the first join or filter — asking again
 /// re-reads the cgroup files, some 20 µs a call — and a `taskset -c 0` run
 /// sets its affinity before that, so it is single-threaded.
-fn host_threads() -> usize {
+pub(crate) fn host_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
@@ -373,7 +371,8 @@ fn prejoin_filter_in(
         return PointSet::new();
     }
     let cells = Cells::new(query, space, points);
-    let done = exact_descent(query, &cells, threads, min_work, |run, _, _| {
+    let plan = |pred_rels: &[usize]| exact_plan(query, &cells, pred_rels);
+    let done = exact_descent(query, &cells, plan, threads, min_work, |run, _, _| {
         Marks::new(run)
     });
     #[cfg(test)]
@@ -617,8 +616,8 @@ pub struct JoinComputation<R = JoinResult> {
 /// A join's input: per relation, its tuples by position, each its values
 /// aligned to the relation's schema in the key domain — a [`TupleBatch`]
 /// per relation from the protocol executors and [`exact_join`], the
-/// streaming engine's slot stores for its rejoin, the pre-join's [`Cells`].
-/// A type parameter of the descent, like its [`Sink`].
+/// streaming engine's slot stores, the pre-join's [`Cells`]. A type
+/// parameter of the descent, like its [`Sink`].
 pub(crate) trait Tuples: Sync {
     /// Points (`f64`) or cells ([`Interval`]).
     type Key: Key;
@@ -626,6 +625,12 @@ pub(crate) trait Tuples: Sync {
     fn count(&self, rel: usize) -> usize;
     /// The values of tuple `pos` of relation `rel`.
     fn values(&self, rel: usize, pos: usize) -> &[Self::Key];
+    /// Whether tuple `pos` of inner relation `rel` may bind (every outer one
+    /// does): `true` but in the streaming engine's anchored batch.
+    #[inline]
+    fn admits(&self, _rel: usize, _pos: u32) -> bool {
+        true
+    }
 }
 
 impl Tuples for [TupleBatch] {
@@ -844,9 +849,9 @@ fn exact_emit<S: RowSink, T: Tuples<Key = f64> + ?Sized>(
         return None;
     }
     let items = Projections::new(query, tuples);
-    let done = exact_descent(query, tuples, threads, PAR_MIN_WORK, |run, i, range| {
-        Emit::new(run, &items, i, range)
-    });
+    let plan = |pred_rels: &[usize]| exact_plan(query, tuples, pred_rels);
+    let sink = |run: &ExactRun<T>, i, range: &Range<usize>| Emit::new(run, &items, i, range);
+    let done = exact_descent(query, tuples, plan, threads, PAR_MIN_WORK, sink);
     #[cfg(test)]
     tests::ITEM_EVALS.with(|n| n.set(n.get() + done.sink.item_evals));
     let Emit {
@@ -856,19 +861,22 @@ fn exact_emit<S: RowSink, T: Tuples<Key = f64> + ?Sized>(
 }
 
 /// The partitioned descent of a join of `tuples` into sink `W` — one for
-/// both joins — over at most `threads` chunks once the counted work reaches
+/// both joins and the streaming engine's anchored batch — with the level
+/// indexes `plan(pred_rels)` hands over for the levels where the predicates
+/// close, over at most `threads` chunks once the counted work reaches
 /// `min_work`, merged in chunk order. `sink(run, i, range)` is the empty
 /// sink of chunk `i`, which walks the outer positions `range`.
-fn exact_descent<T: Tuples + ?Sized, W: Sink<T>>(
-    query: &CompiledQuery,
-    tuples: &T,
+pub(crate) fn exact_descent<'a, T: Tuples + ?Sized, W: Sink<T>>(
+    query: &'a CompiledQuery,
+    tuples: &'a T,
+    plan: impl FnOnce(&[usize]) -> Vec<Vec<LevelIndex<'a, T::Key>>>,
     threads: usize,
     min_work: usize,
     sink: impl Fn(&ExactRun<T>, usize, &Range<usize>) -> W + Sync,
 ) -> ExactChunk<T::Key, W> {
     let k = query.num_relations();
     let pred_rels = pred_max_rels(query);
-    let plan = exact_plan(query, tuples, &pred_rels);
+    let plan = plan(&pred_rels);
     let hoisted = exact_hoisted(tuples, &plan);
     let run = ExactRun {
         query,
@@ -1017,11 +1025,11 @@ fn finish<S: ResultSink>(query: &CompiledQuery, rows: S, keys: S) -> S::Result {
 }
 
 /// Shared context of the partitioned descent.
-struct ExactRun<'a, T: Tuples + ?Sized> {
+pub(crate) struct ExactRun<'a, T: Tuples + ?Sized> {
     query: &'a CompiledQuery,
     /// The relations joined.
     k: usize,
-    tuples: &'a T,
+    pub(crate) tuples: &'a T,
     /// Per level: the join predicates checked there ([`level_checks`]).
     checks: Vec<Vec<Check>>,
     plan: &'a [Vec<LevelIndex<'a, T::Key>>],
@@ -1031,16 +1039,19 @@ struct ExactRun<'a, T: Tuples + ?Sized> {
 /// What the descent does with the bindings that pass its levels, a type
 /// parameter beside the key domain, so each gets a loop of its own:
 /// [`Emit`] writes the exact join's rows, [`Marks`] ORs the pre-join's role
-/// bits.
-trait Sink<T: Tuples + ?Sized>: Send + Sized {
+/// bits, the streaming engine's anchored batch keeps the bindings.
+pub(crate) trait Sink<T: Tuples + ?Sized>: Send + Sized {
     /// Binds tuple `pos` at inner level `rel`.
     fn bind(&mut self, _rel: usize, _pos: usize) {}
     /// Takes the full binding `binding`, which passed every level: the
-    /// descent's base case, which a join of at most one relation reaches.
+    /// descent's base case.
     fn full(&mut self, run: &ExactRun<T>, binding: &[usize]);
     /// Walks the last level for the binding in `st`, whose probes start at
-    /// `base`; `decided`: its probes decide every check of the level.
-    fn last(run: &ExactRun<T>, st: &mut ExactChunk<T::Key, Self>, base: usize, decided: bool);
+    /// `base`; `decided`: its probes decide every check of the level. By
+    /// default as an inner level, down to [`Sink::full`].
+    fn last(run: &ExactRun<T>, st: &mut ExactChunk<T::Key, Self>, base: usize, decided: bool) {
+        run.walk(st, base, decided);
+    }
     /// Adds a later chunk's output after this one's.
     fn merge(&mut self, later: Self);
 }
@@ -1300,8 +1311,8 @@ fn level_checks<K: Key>(pred_rels: &[usize], plan: &[Vec<LevelIndex<K>>]) -> Vec
 /// chunk: emitting a row allocates the row's own vector into a [`VecRows`]
 /// and nothing into [`Rows`] with room, binding a tuple or walking a
 /// candidate nothing.
-struct ExactChunk<K: Key, W> {
-    sink: W,
+pub(crate) struct ExactChunk<K: Key, W> {
+    pub(crate) sink: W,
     /// Per level: the marks that put its candidates in position order
     /// ([`candidates`]; empty between bindings).
     cand: Vec<PosSet>,
@@ -1316,7 +1327,7 @@ struct ExactChunk<K: Key, W> {
     /// Tuple positions bound so far, one per level.
     binding: Vec<usize>,
     /// Tuples bound so far, at any level ([`exact_rows`]).
-    steps: usize,
+    pub(crate) steps: usize,
     /// Per join predicate: residual evaluations (the counter test's tally).
     #[cfg(test)]
     evals: Vec<usize>,
@@ -1370,31 +1381,41 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
         if rel + 1 == self.k {
             W::last(self, st, base, decided);
         } else {
-            let mut marks = self.marked(rel, base, st);
-            if decided {
-                marks.drain(|pos| {
-                    st.steps += 1;
-                    self.enter(rel, pos as usize, st);
-                });
-            } else {
-                let batch = self.batch(rel, &mut marks, base, st);
-                for &pos in &batch {
-                    self.enter(rel, pos as usize, st);
-                }
-                st.batches[rel] = batch;
-            }
-            st.cand[rel] = marks;
+            self.walk(st, base, decided);
         }
         st.probes.truncate(base);
     }
 
-    /// The candidates of level `rel`, whose probes start at `base`, marked
-    /// in the level's [`PosSet`], which the caller puts back once drained.
+    /// Walks the level the binding in `st` reaches, whose probes start at
+    /// `base`: binds each candidate that passes, ascending, and recurses.
+    fn walk<W: Sink<T>>(&self, st: &mut ExactChunk<T::Key, W>, base: usize, decided: bool) {
+        let rel = st.binding.len();
+        let mut marks = self.marked(rel, base, st);
+        if decided {
+            marks.drain(|pos| {
+                st.steps += 1;
+                self.enter(rel, pos as usize, st);
+            });
+        } else {
+            let batch = self.batch(rel, &mut marks, base, st);
+            for &pos in &batch {
+                self.enter(rel, pos as usize, st);
+            }
+            st.batches[rel] = batch;
+        }
+        st.cand[rel] = marks;
+    }
+
+    /// The candidates of level `rel` that the input admits, whose probes
+    /// start at `base`, marked in the level's [`PosSet`], which the caller
+    /// puts back once drained.
     fn marked<W>(&self, rel: usize, base: usize, st: &mut ExactChunk<T::Key, W>) -> PosSet {
         let mut marks = std::mem::take(&mut st.cand[rel]);
         let probes = &st.probes[base..];
         candidates(&self.plan[rel], probes, self.tuples.count(rel), |pos| {
-            marks.insert(pos)
+            if self.tuples.admits(rel, pos) {
+                marks.insert(pos)
+            }
         });
         marks
     }
@@ -1404,7 +1425,7 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
     /// an undecided check is evaluated over the whole batch
     /// ([`BatchEval::retain`]) and the survivors compacted before the next,
     /// as `all` would stop at the first false; a decided one holds by
-    /// construction ([`decided`]). The level's probes start at `base`.
+    /// construction. The level's probes start at `base`.
     fn batch<W>(
         &self,
         rel: usize,
@@ -1449,14 +1470,16 @@ impl<T: Tuples + ?Sized> ExactRun<'_, T> {
     }
 
     /// Evaluates, for a binding bound up to level `rel` that passed the
-    /// level, every predicate checked there, none of which may be false
-    /// ([`decided`] asserts it): by construction where an index decided
-    /// it, by the batch's verdict where none did.
+    /// level, every predicate checked there, none of which may be false:
+    /// by construction where a window decided it, by the batch's verdict
+    /// where none did. So every debug-mode join checks what it relies on.
     #[cfg(debug_assertions)]
     fn assert_checks(&self, rel: usize, binding: &[usize]) {
         let env = |r: usize, a: usize| self.tuples.values(r, binding[r])[a];
         for c in &self.checks[rel] {
-            decided(&self.query.join_preds()[c.pred], &env);
+            let pred = &self.query.join_preds()[c.pred];
+            let msg = "an exact window admitted a binding its predicate rejects";
+            assert!(holds(pred, &env) != false.into(), "{msg}: {pred:?}");
         }
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! When a level carries several indexable predicates, the engines
 //! *intersect* their candidate sets ([`candidates`]): the probe with the
-//! fewest candidates drives the scan and every other probe degrades to an
-//! O(1) membership test per candidate (a stored rank), so the scan cost is
-//! `min` over the predicates' windows rather than the first one's. The
+//! fewest candidates drives the scan and every other probe degrades to a
+//! membership test per candidate ([`Entry`]: a stored rank, or the binary
+//! search of a kept index's key), so the scan cost is `min` over the
+//! predicates' windows rather than the first one's. The
 //! pre-join filter's last level, a semi-join, walks the same intersection
 //! through [`unmarked_candidates`], which jumps over positions it has
 //! already marked.
@@ -81,17 +82,18 @@
 
 use crate::engine::Tuples;
 use sensjoin_query::{
-    eval, holds, BandForm, CmpOp, CompiledQuery, Domain, Interval, NumExpr, Pred, PredClass,
+    eval, BandForm, CmpOp, CompiledQuery, Domain, Interval, NumExpr, PredClass, PredSide,
 };
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// At most two disjoint runs of a sorted key array, ascending; an unused
 /// slot is the empty `0..0`. Two is the most any indexed predicate accepts
 /// (`|d| > c` and `|d| = c`), so a probe result is plain data.
-pub(crate) type Runs = [Range<usize>; 2];
+type Runs = [Range<usize>; 2];
 
 /// Number of array positions covered by `runs`.
-pub(crate) fn runs_len(runs: &Runs) -> usize {
+fn runs_len(runs: &Runs) -> usize {
     runs[0].len() + runs[1].len()
 }
 
@@ -389,10 +391,10 @@ impl Key for Interval {
 /// position)` ascending by (lower) key, ties by position, no NaN key (no
 /// comparison with a NaN operand is ever true, so such a tuple can never
 /// pass). The joins build one per level and predicate ([`LevelIndex`]);
-/// the streaming join keeps one per side under upsert/expire
-/// (`ingest.rs`). Equality is the direct band `=`, whose point window is
-/// the closed [p, p].
-#[derive(Debug)]
+/// the streaming join keeps one per side across batches, moving entries
+/// as tuples change (`ingest.rs`). Equality is the direct band `=`, whose
+/// point window is the closed [p, p].
+#[derive(Debug, Clone)]
 pub(crate) struct SortedKeys<K> {
     pub(crate) form: BandForm,
     /// Whether the indexed relation is the `lhs` side of the form.
@@ -429,19 +431,31 @@ impl<K: Key> SortedKeys<K> {
         (self.entries).partition_point(|e| key_order(e, &(key, pos)).is_lt())
     }
 
-    /// Adds `(key, pos)`; a NaN key needs no entry.
-    pub(crate) fn insert(&mut self, key: K, pos: u32) {
-        if !key.bounds().0.is_nan() {
-            self.entries.insert(self.at(key, pos), (key, pos));
-        }
-    }
-
-    /// Removes `(key, pos)`, which [`SortedKeys::insert`] added.
-    pub(crate) fn remove(&mut self, key: K, pos: u32) {
-        if !key.bounds().0.is_nan() {
-            let at = self.at(key, pos);
-            debug_assert_eq!(self.entries.get(at).map(|e| e.1), Some(pos));
-            self.entries.remove(at);
+    /// Moves position `pos` from key `from` to key `to`, where a NaN key
+    /// has no entry (an insert, a removal). Only the entries between the
+    /// old place and the new one shift, so a key that stays moves nothing.
+    pub(crate) fn shift(&mut self, from: K, to: K, pos: u32) {
+        let entry = |key: K| (!key.bounds().0.is_nan()).then_some(key);
+        let old = entry(from).map(|key| self.at(key, pos));
+        debug_assert!(old.is_none_or(|at| self.entries.get(at).map(|e| e.1) == Some(pos)));
+        match (old, entry(to)) {
+            (Some(old), Some(to)) => {
+                // `at` counts the old entry when it lies below.
+                let at = self.at(to, pos);
+                let at = if at > old {
+                    self.entries[old..at].rotate_left(1);
+                    at - 1
+                } else {
+                    self.entries[at..=old].rotate_right(1);
+                    at
+                };
+                self.entries[at] = (to, pos);
+            }
+            (Some(old), None) => {
+                self.entries.remove(old);
+            }
+            (None, Some(to)) => self.entries.insert(self.at(to, pos), (to, pos)),
+            (None, None) => {}
         }
     }
 
@@ -486,17 +500,28 @@ impl<K: Key> SortedKeys<K> {
 // ---------------------------------------------------------------------------
 
 /// One index of a join level: the sorted keys of the level's relation
-/// under one band predicate, and the other side's expression, which probes
-/// them.
-pub(crate) struct LevelIndex<'q, K> {
+/// under one band predicate — built with the plan, or kept by the streaming
+/// join — and the other side's expression, which probes them.
+pub(crate) struct LevelIndex<'q, K: Clone> {
     /// The join predicate (position in `join_preds`) it was built from.
     pred: usize,
     /// Probe-side expression (references already bound relations only).
     probe: &'q NumExpr,
-    keys: SortedKeys<K>,
-    /// Per position: its rank in `keys` (`u32::MAX` for dropped NaN keys).
-    /// Used for O(1) membership tests.
-    rank_of: Vec<u32>,
+    keys: Cow<'q, SortedKeys<K>>,
+    /// How a position's entry is found, for the membership test.
+    entry: Entry<'q, K>,
+}
+
+/// The keys of a [`LevelIndex`] and how it finds a position's entry.
+pub(crate) type Keys<'q, K> = (Cow<'q, SortedKeys<K>>, Entry<'q, K>);
+
+/// How a [`LevelIndex`] finds a position's entry.
+pub(crate) enum Entry<'q, K> {
+    /// Per position: its rank (`u32::MAX` for a NaN key, which has none).
+    Rank(Vec<u32>),
+    /// Per position: its key, whose entry a binary search finds: a kept
+    /// index's ranks shift on every insert.
+    Key(&'q [K]),
 }
 
 /// The outcome of probing one [`LevelIndex`] for a partial binding: an
@@ -529,19 +554,6 @@ impl Probe {
     }
 }
 
-/// Stands in for the evaluation of `pred`, which the descent decided for
-/// the binding `env` — by an exact window, or by a batch verdict: not false
-/// by construction. Under debug assertions it is evaluated all the same and
-/// must not be false, so every debug-mode join checks the windows and
-/// verdicts it relies on.
-pub(crate) fn decided<D: Domain>(pred: &Pred, env: &impl Fn(usize, usize) -> D) -> bool {
-    debug_assert!(
-        holds(pred, env) != false.into(),
-        "an exact window admitted a binding its predicate rejects: {pred:?}"
-    );
-    true
-}
-
 impl<K: Key> LevelIndex<'_, K> {
     /// The join predicate (position in `join_preds`) the index was built from.
     pub(crate) fn pred(&self) -> usize {
@@ -556,14 +568,26 @@ impl<K: Key> LevelIndex<'_, K> {
         }
     }
 
-    /// Whether position `pos` is a candidate of `probe` — the O(1)
-    /// membership test used when another index drives the scan.
+    /// Whether position `pos` is a candidate of `probe` — the membership
+    /// test used when another index drives the scan.
     fn contains(&self, probe: &Probe, pos: u32) -> bool {
         match probe {
             Probe::All => true,
-            Probe::Runs(runs) => {
-                let rank = self.rank_of[pos as usize];
-                rank != u32::MAX && runs.iter().any(|r| r.contains(&(rank as usize)))
+            Probe::Runs(runs) => self
+                .rank(pos)
+                .is_some_and(|rank| runs.iter().any(|r| r.contains(&rank))),
+        }
+    }
+
+    /// The rank of position `pos`'s entry, if it has one.
+    fn rank(&self, pos: u32) -> Option<usize> {
+        match &self.entry {
+            Entry::Rank(rank_of) => {
+                (rank_of[pos as usize] != u32::MAX).then_some(rank_of[pos as usize] as usize)
+            }
+            Entry::Key(keys) => {
+                let at = self.keys.at(keys[pos as usize], pos);
+                (self.keys.entries.get(at).map(|e| e.1) == Some(pos)).then_some(at)
             }
         }
     }
@@ -669,9 +693,8 @@ impl Unmarked {
     fn mark<K: Key>(&mut self, indexes: &[LevelIndex<K>], pos: u32) {
         self.by_pos.mark(pos as usize);
         for (ix, ranks) in indexes.iter().zip(&mut self.by_rank) {
-            let rank = ix.rank_of[pos as usize];
-            if rank != u32::MAX {
-                ranks.mark(rank as usize);
+            if let Some(rank) = ix.rank(pos) {
+                ranks.mark(rank);
             }
         }
     }
@@ -721,19 +744,16 @@ pub(crate) fn unmarked_candidates<K: Key>(
     }
 }
 
-/// Builds the per-level index lists (empty list: full scan) of a join whose
-/// relation `rel` has `count(rel)` positions, and whose position `pos` of
-/// relation `rel` has value `value(rel, pos, attr)` for attribute `attr`.
-/// Level `rel` receives one index per classified predicate whose highest
-/// relation is `rel` — the level where the nested descent first evaluates
-/// it — and whose `rel` side can key one ([`Key::can_key`]), so a level
-/// constrained by several indexable predicates intersects all of their
-/// candidate sets.
-pub(crate) fn plan<'q, K: Key>(
+/// The per-level index lists (empty list: full scan) of a join of `query`
+/// whose predicates close at `pred_rels`. Level `rel` receives one index per
+/// classified predicate whose highest relation is `rel` — the level where
+/// the nested descent first evaluates it — for which `source(pred, key,
+/// key_is_lhs, form)` hands keys over the `key` side, so a level constrained by
+/// several indexable predicates intersects all of their candidate sets.
+pub(crate) fn levels<'q, K: Key>(
     query: &'q CompiledQuery,
     pred_rels: &[usize],
-    count: impl Fn(usize) -> usize,
-    value: impl Fn(usize, usize, usize) -> K,
+    mut source: impl FnMut(usize, &'q PredSide, bool, BandForm) -> Option<Keys<'q, K>>,
 ) -> Vec<Vec<LevelIndex<'q, K>>> {
     let mut levels: Vec<Vec<LevelIndex<'q, K>>> =
         (0..query.num_relations()).map(|_| Vec::new()).collect();
@@ -742,19 +762,39 @@ pub(crate) fn plan<'q, K: Key>(
         let PredClass::Band { lhs, rhs, form } = class else {
             continue;
         };
-        debug_assert_eq!(
-            lhs.rel.max(rhs.rel),
-            rel,
-            "classified predicates span two relations"
-        );
+        debug_assert_eq!(lhs.rel.max(rhs.rel), rel, "a band spans two relations");
         let (key, probe, key_is_lhs) = if rhs.rel == rel {
             (rhs, lhs, false)
         } else {
             (lhs, rhs, true)
         };
-        if !K::can_key(&key.expr) {
-            continue;
+        if let Some((keys, entry)) = source(pi, key, key_is_lhs, *form) {
+            levels[rel].push(LevelIndex {
+                pred: pi,
+                probe: &probe.expr,
+                keys,
+                entry,
+            });
         }
+    }
+    levels
+}
+
+/// [`levels`] with each index built here over a join whose relation `rel`
+/// has `count(rel)` positions, and whose position `pos` of relation `rel`
+/// has value `value(rel, pos, attr)` for attribute `attr` — where its side
+/// can key one ([`Key::can_key`]).
+pub(crate) fn plan<'q, K: Key>(
+    query: &'q CompiledQuery,
+    pred_rels: &[usize],
+    count: impl Fn(usize) -> usize,
+    value: impl Fn(usize, usize, usize) -> K,
+) -> Vec<Vec<LevelIndex<'q, K>>> {
+    levels(query, pred_rels, |_, key, key_is_lhs, form| {
+        if !K::can_key(&key.expr) {
+            return None;
+        }
+        let rel = key.rel;
         let keyed = (0..count(rel)).map(|pos| {
             let env = |r: usize, a: usize| -> K {
                 debug_assert_eq!(r, rel);
@@ -762,19 +802,13 @@ pub(crate) fn plan<'q, K: Key>(
             };
             (eval(&key.expr, &env), pos as u32)
         });
-        let keys = SortedKeys::build(*form, key_is_lhs, keyed);
+        let keys = SortedKeys::build(form, key_is_lhs, keyed);
         let mut rank_of = vec![u32::MAX; count(rel)];
         for (rank, &(_, pos)) in keys.entries.iter().enumerate() {
             rank_of[pos as usize] = rank as u32;
         }
-        levels[rel].push(LevelIndex {
-            pred: pi,
-            probe: &probe.expr,
-            keys,
-            rank_of,
-        });
-    }
-    levels
+        Some((Cow::Owned(keys), Entry::Rank(rank_of)))
+    })
 }
 
 /// The index plan of a join over `tuples`, in their key domain.
@@ -796,6 +830,7 @@ mod tests {
     use super::*;
     use crate::ingest::{StreamJoinEngine, StreamOp};
     use proptest::prelude::*;
+    use sensjoin_query::holds;
     use sensjoin_relation::NodeId;
 
     fn point(k: f64) -> (f64, f64) {
@@ -1196,6 +1231,30 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// Moving entries in place leaves the array a rebuild sorts: keys
+        /// changed, added (from NaN) and removed (to NaN) one position at a
+        /// time, over adversarial keys.
+        #[test]
+        fn shifted_keys_are_the_rebuilt_keys(
+            start in prop::collection::vec(adversarial(), 0..16),
+            moves in prop::collection::vec((0..16usize, adversarial()), 0..32),
+        ) {
+            let mut keys = start.clone();
+            keys.resize(16, f64::NAN);
+            let build = |keys: &[f64]| {
+                SortedKeys::build(BandForm::Direct(CmpOp::Lt), true, keys.iter().copied().zip(0..))
+            };
+            let mut kept = build(&keys);
+            for (pos, key) in moves {
+                kept.shift(keys[pos], key, pos as u32);
+                keys[pos] = key;
+            }
+            let bits = |e: &[(f64, u32)]| e.iter().map(|&(k, p)| (k.to_bits(), p)).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&kept.entries), bits(&build(&keys).entries));
         }
     }
 
