@@ -224,6 +224,101 @@ fn group_epoch_of(copies: usize) -> String {
     out
 }
 
+/// [`snet`] with loss on one link only: the base's `child`-th child and the
+/// base lose 60 % of their packets both ways, under an ARQ budget of two
+/// retransmissions, so a wave through that link can lose data for good and
+/// an executor has to retry.
+fn one_lossy_link(child: usize, seed: u64) -> SensorNetwork {
+    let mut s = snet();
+    let base = s.base();
+    let kid = s.net().routing().children(base)[child];
+    let mut channel = Channel::bernoulli(0.0, seed);
+    channel.set_link_model(kid, base, LossModel::Bernoulli { p: 0.6 });
+    s.net_mut().set_channel(Some(channel));
+    s.net_mut().set_arq(ArqPolicy::ack(2));
+    s
+}
+
+/// `rounds` continuous rounds of `BAND_1D_CONT` on `s`, each line with
+/// whether the round is complete and how many rounds the executor's state
+/// has seen: a round that had to resync counts from a cold start again.
+fn continuous_rounds(mut s: SensorNetwork, rounds: u64) -> String {
+    let cq = s.compile(&parse(BAND_1D_CONT).unwrap()).unwrap();
+    let mut cont = ContinuousSensJoin::new();
+    let specs = presets::indoor_climate();
+    let mut out = String::new();
+    for round in 0..rounds {
+        if round > 0 {
+            s.resample(&specs, 1000 + round);
+        }
+        let o = cont.execute_round(&mut s, &cq).unwrap();
+        ledger(
+            &mut out,
+            &format!(
+                "round {round}, {} rows, complete {}, state of {} rounds",
+                o.result.len(),
+                o.complete,
+                cont.rounds()
+            ),
+            &o.stats,
+            o.latency_us,
+            o.latency_slotted_us,
+        );
+    }
+    out
+}
+
+/// A continuous round that retries once. Round 0 gets through at its first
+/// attempt. Round 1's first attempt, a delta round, loses final data for
+/// good; the retry drops the delta state and runs as a cold full
+/// collection, which gets through. The round charges both attempts'
+/// traffic and the sum of their latencies, and its state counts one round.
+/// An instrumented build counted one attempt for round 0 and two for
+/// round 1.
+fn continuous_retried() -> String {
+    continuous_rounds(one_lossy_link(0, 5), 2)
+}
+
+/// A continuous round that fails all its attempts, then a cold round.
+/// Round 0 gets through at its first attempt. Round 1 loses final data in
+/// all three attempts: it reports `complete = false` and drops its state.
+/// Round 2 is therefore a cold full collection again. An instrumented build
+/// counted one attempt for round 0, three for round 1 and one for round 2.
+fn continuous_failed() -> String {
+    continuous_rounds(one_lossy_link(0, 14), 3)
+}
+
+/// A k = 4 group epoch that retries once: its first attempt loses final
+/// tuples for good and its second gets through. The epoch charges both
+/// attempts' traffic, the sum of their latencies and, per slot, the sum of
+/// both attempts' solo costs. An instrumented build counted two attempts.
+fn group_retried() -> String {
+    let mut s = one_lossy_link(2, 5);
+    let mut group = QueryGroup::new(SensJoinConfig::default());
+    for sql in GROUP {
+        let cq = s.compile(&parse(sql).unwrap()).unwrap();
+        group.register(&s, cq, 1);
+    }
+    let r = group.execute_epoch(&mut s).unwrap();
+    let mut out = String::new();
+    ledger(
+        &mut out,
+        &format!("k = {} epoch, complete {}", r.plans, r.complete),
+        &r.stats,
+        r.latency_us,
+        r.latency_slotted_us,
+    );
+    for c in &r.solo_equivalent {
+        writeln!(
+            out,
+            "  solo {:?}: collection {} filter {} final {}",
+            c.id, c.collection_bytes, c.filter_bytes, c.final_bytes
+        )
+        .unwrap();
+    }
+    out
+}
+
 /// The checkpoint image of a network's mutable state: its length and FNV-1a
 /// hash. Phases are charged in an order that is not label order (`repair`
 /// first, then `3-…` before `1-…`); the per-phase table is written in label
@@ -355,6 +450,29 @@ fn query_group_duplicates_charge_the_distinct_ledger() {
 }
 
 #[test]
+fn continuous_retried_round_charges_are_pinned() {
+    pinned(
+        "continuous-retried",
+        continuous_retried,
+        GOLDEN_CONTINUOUS_RETRIED,
+    );
+}
+
+#[test]
+fn continuous_failed_round_charges_are_pinned() {
+    pinned(
+        "continuous-failed",
+        continuous_failed,
+        GOLDEN_CONTINUOUS_FAILED,
+    );
+}
+
+#[test]
+fn query_group_retried_epoch_charges_are_pinned() {
+    pinned("group-retried", group_retried, GOLDEN_GROUP_RETRIED);
+}
+
+#[test]
 fn snapshot_bytes_are_pinned() {
     pinned("snapshot", snapshot_image, GOLDEN_SNAPSHOT);
 }
@@ -435,4 +553,44 @@ const GOLDEN_GROUP_DUP_SOLO: &str = r"  solo QueryId(0): collection 2107 filter 
   solo QueryId(9): collection 2107 filter 497 final 9284
   solo QueryId(10): collection 2107 filter 629 final 12428
   solo QueryId(11): collection 3532 filter 2324 final 12228
+";
+
+const GOLDEN_CONTINUOUS_RETRIED: &str = r"round 0, 10113 rows, complete true, state of 1 rounds
+  1-delta-collection: tx 5845B/365p rx 5845B/365p retx 0B/0p ack 730B/365p lost 0 energy 0x411ad2d7ffffffc7
+  2-filter-delta: tx 1088B/120p rx 2905B/298p retx 39B/1p ack 598B/299p lost 0 energy 0x411218bb3333334f
+  3-final-delta: tx 13844B/519p rx 13844B/519p retx 4B/1p ack 1040B/520p lost 0 energy 0x4123b267333332e6
+  total energy 0x4135141866666669 latency 547488 slotted 572960
+round 1, 7640 rows, complete true, state of 1 rounds
+  1-delta-collection: tx 16402B/816p rx 16397B/815p retx 16B/4p ack 1632B/816p lost 1 energy 0x412e5cab999998d8
+  2-filter-delta: tx 2756B/240p rx 7539B/596p retx 154B/4p ack 1194B/597p lost 0 energy 0x4122391f99999978
+  3-final-delta: tx 27598B/1032p rx 27598B/1032p retx 8B/2p ack 2066B/1033p lost 0 energy 0x41339403ffffffe6
+  total energy 0x4145ef74cccccccb latency 1191488 slotted 1245440
+";
+
+const GOLDEN_CONTINUOUS_FAILED: &str = r"round 0, 10113 rows, complete true, state of 1 rounds
+  1-delta-collection: tx 5845B/365p rx 5845B/365p retx 3B/1p ack 730B/365p lost 0 energy 0x411ad797333332fa
+  2-filter-delta: tx 1088B/120p rx 2905B/298p retx 78B/2p ack 598B/299p lost 0 energy 0x41121e6f3333334f
+  3-final-delta: tx 13844B/519p rx 13844B/519p retx 8B/2p ack 1042B/521p lost 0 energy 0x4123b72dffffffb2
+  total energy 0x413519189999999c latency 551088 slotted 576560
+round 1, 7499 rows, complete false, state of 0 rounds
+  1-delta-collection: tx 21903B/1181p rx 21895B/1179p retx 16B/4p ack 2358B/1179p lost 2 energy 0x4135dac4999999e9
+  2-filter-delta: tx 3879B/360p rx 10506B/892p retx 216B/6p ack 1788B/894p lost 2 energy 0x412b408f66666598
+  3-final-delta: tx 41346B/1543p rx 41346B/1543p retx 0B/0p ack 3086B/1543p lost 0 energy 0x413d432ccccccda8
+  total energy 0x41502f8e46666664 latency 1734896 slotted 1813328
+round 2, 6832 rows, complete true, state of 1 rounds
+  1-delta-collection: tx 11678B/738p rx 11678B/738p retx 12B/4p ack 1482B/741p lost 0 energy 0x412b2899666665b1
+  2-filter-delta: tx 1756B/238p rx 4670B/591p retx 48B/2p ack 1182B/591p lost 1 energy 0x4121d754ffffffd8
+  3-final-delta: tx 24388B/915p rx 24388B/915p retx 8B/2p ack 1834B/917p lost 0 energy 0x41315d33cccccc7c
+  total energy 0x4143ee957fffffff latency 974432 slotted 1063328
+";
+
+const GOLDEN_GROUP_RETRIED: &str = r"k = 4 epoch, complete true
+  1-join-attribute-collection: tx 9328B/666p rx 9232B/664p retx 369B/10p ack 1332B/666p lost 2 energy 0x41286409333332aa
+  2-filter-dissemination: tx 2808B/155p rx 3557B/186p retx 497B/13p ack 378B/189p lost 3 energy 0x410b0c933333333a
+  3-final-result: tx 31070B/714p rx 30974B/712p retx 1464B/31p ack 1454B/727p lost 2 energy 0x412cd870999998d7
+  total energy 0x413dffcf4cccccab latency 1178512 slotted 1321504
+  solo QueryId(0): collection 4214 filter 464 final 24856
+  solo QueryId(1): collection 4214 filter 306 final 21948
+  solo QueryId(2): collection 4214 filter 418 final 24856
+  solo QueryId(3): collection 7064 filter 1532 final 24716
 ";
