@@ -33,23 +33,20 @@
 
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{prejoin_filter, JoinSpace};
+use crate::epoch::{live_attached, standing_epoch};
 use crate::ingest::{LiveTuple, StreamJoinEngine, StreamOp};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::persist::{self, Persist};
 use crate::repr::{JoinAttrMsg, NodeTable};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival};
-use std::vec::Drain;
-
-/// Maximum number of times a continuous round is (re-)executed when data
-/// loss survives the ARQ budget (first attempt included).
-pub const MAX_ROUND_ATTEMPTS: u32 = 3;
 use sensjoin_quadtree::{encoded_wire_size, merge, Merged, Point, PointSet, RelFlags};
 use sensjoin_query::CompiledQuery;
 use sensjoin_relation::NodeId;
 use sensjoin_sim::{DeltaBatchStats, NetworkStats, RoutingTree, Time};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::vec::Drain;
 
 /// Phase labels of the continuous rounds.
 pub const PHASE_DELTA_COLLECTION: &str = "1-delta-collection";
@@ -753,8 +750,8 @@ pub struct ContinuousSensJoin {
     /// Streaming-ingestion accounting, cumulative across rounds (survives
     /// re-execution resyncs, which rebuild the engine).
     delta_stats: DeltaBatchStats,
-    /// Previous round's latency — the simulated time that elapsed since the
-    /// last churn boundary (rounds are the continuous executor's boundaries).
+    /// The previous round's latency: the churn clock's step to the next
+    /// boundary.
     last_latency_us: Time,
 }
 
@@ -916,59 +913,27 @@ impl ContinuousSensJoin {
         Ok(())
     }
 
-    /// Executes one round on the network's current snapshot.
-    ///
-    /// On a lossy channel, a permanently lost delta (after the ARQ budget)
-    /// desynchronizes the distributed per-node state the incremental
-    /// protocol relies on. The recovery is the paper's §IV-F re-execution:
-    /// drop all state and re-run the round as a cold full collection, up to
-    /// [`MAX_ROUND_ATTEMPTS`] times. All attempts' traffic is charged to the
-    /// returned stats; `complete` is `false` only if even the last attempt
-    /// lost data.
+    /// Executes one round on the network's current snapshot, as an epoch of
+    /// `epoch.rs`'s standing skeleton: the boundary reconciles the round
+    /// state with churn, and attempts run to `MAX_ATTEMPTS`, every attempt's
+    /// traffic and latency charged. A delta lost past the ARQ budget leaves
+    /// baselines the base never saw, so a failed attempt drops all state (the
+    /// paper's §IV-F re-execution) and the retry, or the next round, collects
+    /// cold; `complete` is `false` only if the last attempt lost data too.
     pub fn execute_round(
         &mut self,
         snet: &mut SensorNetwork,
         query: &CompiledQuery,
     ) -> Result<JoinOutcome, ProtocolError> {
-        snet.net_mut().reset_stats();
         self.adopt_restored(snet, query)?;
-        // Rounds are the continuous executor's churn boundaries: crashes and
-        // revivals take effect between rounds, never mid-round, so every
-        // round's contributing set is the population alive at its start.
-        let mut churned = false;
-        if snet.net().has_churn() {
-            let out = snet.net_mut().apply_churn(self.last_latency_us);
-            churned = !out.crashed.is_empty() || !out.revived.is_empty();
-            if !out.is_empty() {
-                self.reconcile_churn(snet, query);
-            }
-        }
-        let mut out = self.round_once(snet, query)?;
-        let mut attempts = 1;
-        while !out.complete && attempts < MAX_ROUND_ATTEMPTS {
-            attempts += 1;
-            // Resync: discard every node's delta baseline and the base's
-            // tuples, then replay the round as a first (full) round.
-            self.state = None;
-            let prev = out;
-            out = self.round_once(snet, query)?;
-            // Re-execution is sequential: latencies add up. Stats are
-            // cumulative already (reset only happens above).
-            out.latency_us += prev.latency_us;
-            out.latency_slotted_us += prev.latency_slotted_us;
-        }
-        if !out.complete {
-            // Even the last attempt lost data: nodes advanced their delta
-            // baselines for messages the base never saw, so the distributed
-            // state is desynchronized. Drop it — the next round cold-starts
-            // as a full collection instead of trusting poisoned baselines
-            // (whose retractions could underflow the base's cell counts).
-            self.state = None;
-        }
-        out.stats = snet.net_mut().take_stats();
-        out.churned = churned;
-        self.last_latency_us = out.latency_us;
-        Ok(out)
+        standing_epoch(
+            self,
+            snet,
+            |c| &mut c.last_latency_us,
+            |c, snet| c.reconcile_churn(snet, query),
+            |c| c.state = None,
+            |c, snet| c.round_once(snet, query),
+        )
     }
 
     /// First round after a restore: checks that the restored per-node
@@ -1012,9 +977,8 @@ impl ContinuousSensJoin {
         let routing = net.routing();
         let mut departed = Vec::new();
         let mut expirations: Vec<StreamOp> = Vec::new();
-        let attached =
-            |i: usize| net.is_alive(NodeId(i as u32)) && routing.depth(NodeId(i as u32)).is_some();
-        for i in (0..st.last_cell.nodes).filter(|&i| !attached(i)) {
+        let attached = live_attached(net);
+        for i in (0..st.last_cell.nodes).filter(|&i| !attached[i]) {
             departed.extend(st.last_cell.row(i).map(|row| (row[0].z, row[0].flags.0)));
             st.last_cell.clear(i);
             if st.last_values.clear(i) {
@@ -1024,7 +988,7 @@ impl ContinuousSensJoin {
             }
         }
         st.node_filter.rebuild(|i, view, out| {
-            if attached(i) {
+            if attached[i] {
                 out.extend_from_slice(view);
             }
         });
@@ -1295,14 +1259,12 @@ impl ContinuousSensJoin {
         st.rounds += 1;
         Ok(JoinOutcome {
             result: computation.result,
-            // `execute_round` takes the network's (all-attempt) numbers
-            // once the last attempt is done.
+            // The epoch's close stamps the stats and `churned`.
             stats: NetworkStats::default(),
             latency_us: rep1.timing.then(rep2.timing).then(rep3.timing).pipelined,
             latency_slotted_us: rep1.timing.then(rep2.timing).then(rep3.timing).slotted,
             contributors: computation.contributors,
             complete,
-            // The wrapper stamps the real value after applying boundaries.
             churned: false,
         })
     }

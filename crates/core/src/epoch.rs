@@ -11,7 +11,8 @@
 //! [`JoinResult`](crate::JoinResult), a group's flat join a
 //! [`GroupResult`](crate::GroupResult)). Everything else — the wire format,
 //! the phase labels, the base-station filter step, the loss fallback, the
-//! churn reconciliation — is written here once.
+//! churn reconciliation — is written here once, and so is the epoch a
+//! standing executor runs it or its delta wire in, [`standing_epoch`].
 //!
 //! **What k adds.** Messages identify complete tuples by origin node; each
 //! slot's projection of a node is in that slot's [`NodeTable`], and tuple
@@ -36,8 +37,9 @@
 
 use crate::config::{Representation, SensJoinConfig};
 use crate::engine::{prejoin_filter, JoinComputation, JoinSpace};
+use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::repr::{columns, CellTable, JoinAttrMsg, NodeTable, Shipment, SizedSet};
-use crate::scheduler::SoloCost;
+use crate::scheduler::{EpochReport, SoloCost};
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 use crate::snetwork::SensorNetwork;
 use crate::wave::{down_wave, up_wave, DownArrival, WaveTiming};
@@ -248,30 +250,137 @@ impl Nodes {
             }
         }
     }
-
-    /// Polls one mid-epoch churn boundary `elapsed` after the previous one
-    /// and reconciles. Returns whether a crash or revival was applied.
-    fn churn_boundary(
-        &mut self,
-        snet: &mut SensorNetwork,
-        elapsed: Time,
-        contributes: impl Fn(NodeId) -> bool,
-        p0: &[bool],
-    ) -> bool {
-        let out = snet.net_mut().apply_churn(elapsed);
-        if !out.is_empty() {
-            self.reconcile_churn(&out, snet.net(), contributes, p0);
-        }
-        !out.crashed.is_empty() || !out.revived.is_empty()
-    }
 }
 
 /// Per node: alive and attached to the routing tree.
-fn live_attached(net: &Network) -> Vec<bool> {
+pub(crate) fn live_attached(net: &Network) -> Vec<bool> {
     (0..net.len() as u32)
         .map(NodeId)
         .map(|v| net.is_alive(v) && net.routing().depth(v).is_some())
         .collect()
+}
+
+/// Polls churn at one boundary, `elapsed` after the previous one, and hands
+/// a non-empty outcome to `reconcile`. Returns whether a node crashed or
+/// revived.
+fn churn_boundary(
+    snet: &mut SensorNetwork,
+    elapsed: Time,
+    reconcile: impl FnOnce(&ChurnOutcome, &SensorNetwork),
+) -> bool {
+    let out = snet.net_mut().apply_churn(elapsed);
+    if !out.is_empty() {
+        reconcile(&out, snet);
+    }
+    !out.crashed.is_empty() || !out.revived.is_empty()
+}
+
+/// The attempt cap of a standing executor's epoch, the first included.
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
+
+/// A standing executor's outcome, as [`standing_epoch`] folds and closes it.
+pub(crate) trait Report {
+    fn complete(&self) -> bool;
+    /// Adds the costs of `prev`, the attempt before: latencies add up.
+    fn fold(&mut self, prev: Self);
+    /// Closes the epoch's stats window into the report and stamps `churned`.
+    /// Returns the latency to record, `None` for an epoch that ran no wave.
+    fn close(&mut self, net: &mut Network, churned: bool) -> Option<Time>;
+}
+
+/// A continuous round takes the window's stats.
+impl Report for JoinOutcome {
+    fn complete(&self) -> bool {
+        self.complete
+    }
+    fn fold(&mut self, prev: Self) {
+        self.latency_us += prev.latency_us;
+        self.latency_slotted_us += prev.latency_slotted_us;
+    }
+    fn close(&mut self, net: &mut Network, churned: bool) -> Option<Time> {
+        (self.stats, self.churned) = (net.take_stats(), churned);
+        Some(self.latency_us)
+    }
+}
+
+/// A group epoch clones the window's stats, and one with nothing due keeps
+/// the recorded latency. A solo execution would have retried too: each
+/// slot's solo costs add up as well.
+impl Report for EpochReport {
+    fn complete(&self) -> bool {
+        self.complete
+    }
+    fn fold(&mut self, prev: Self) {
+        self.latency_us += prev.latency_us;
+        self.latency_slotted_us += prev.latency_slotted_us;
+        for (a, b) in self.solo_equivalent.iter_mut().zip(&prev.solo_equivalent) {
+            a.collection_bytes += b.collection_bytes;
+            a.filter_bytes += b.filter_bytes;
+            a.final_bytes += b.final_bytes;
+        }
+    }
+    fn close(&mut self, net: &mut Network, churned: bool) -> Option<Time> {
+        (self.stats, self.churned) = (net.stats().clone(), churned);
+        (self.plans > 0).then_some(self.latency_us)
+    }
+}
+
+/// Runs `attempt` until `retry` lets its outcome stand or `max_attempts`
+/// ran, with `before_retry` before each retry. Returns the last outcome,
+/// each earlier one folded into it by `fold(last, earlier)`, and the number
+/// of attempts.
+pub(crate) fn attempts<C, T>(
+    cx: &mut C,
+    max_attempts: u32,
+    retry: impl Fn(&T) -> bool,
+    mut before_retry: impl FnMut(&mut C),
+    mut attempt: impl FnMut(&mut C) -> Result<T, ProtocolError>,
+    fold: impl Fn(&mut T, T),
+) -> Result<(T, u32), ProtocolError> {
+    assert!(max_attempts >= 1, "at least one attempt is needed");
+    let mut out = attempt(cx)?;
+    let mut attempts = 1;
+    while retry(&out) && attempts < max_attempts {
+        attempts += 1;
+        before_retry(cx);
+        let prev = std::mem::replace(&mut out, attempt(cx)?);
+        fold(&mut out, prev);
+    }
+    Ok((out, attempts))
+}
+
+/// One epoch of a standing executor `x` around its `attempt` body: resets
+/// the stats; polls churn once at the boundary, the recorded latency after
+/// the last one, and hands a non-empty outcome to `reconcile`; runs
+/// attempts until one is complete or [`MAX_ATTEMPTS`] ran, with `reset`
+/// before each retry and after a last failed one; and closes the one stats
+/// window over every attempt and records the epoch's latency.
+pub(crate) fn standing_epoch<X, T: Report>(
+    x: &mut X,
+    snet: &mut SensorNetwork,
+    last_latency_us: fn(&mut X) -> &mut Time,
+    reconcile: impl FnOnce(&mut X, &SensorNetwork),
+    mut reset: impl FnMut(&mut X),
+    mut attempt: impl FnMut(&mut X, &mut SensorNetwork) -> Result<T, ProtocolError>,
+) -> Result<T, ProtocolError> {
+    snet.net_mut().reset_stats();
+    let elapsed = *last_latency_us(x);
+    let churned = snet.net().has_churn() && churn_boundary(snet, elapsed, |_, s| reconcile(x, s));
+    let (mut report, _) = attempts(
+        &mut (&mut *x, &mut *snet),
+        MAX_ATTEMPTS,
+        |r: &T| !r.complete(),
+        |(x, _)| reset(x),
+        |(x, snet)| attempt(x, snet),
+        T::fold,
+    )?;
+    if !report.complete() {
+        reset(x);
+    }
+    if let Some(latency) = report.close(snet.net_mut(), churned) {
+        *last_latency_us(x) = latency;
+    }
+    Ok(report)
 }
 
 /// Runs collection → dissemination → final for `slots` on the network's
@@ -279,9 +388,9 @@ fn live_attached(net: &Network) -> Vec<bool> {
 ///
 /// `poll_churn` says whether the churn timeline is polled before the first
 /// phase and after each of the first two (with state reconciliation); a
-/// caller with a next epoch to defer liveness changes to passes `false` and
-/// polls between epochs itself. `join` is the base station's exact join,
-/// run once per slot.
+/// caller with a next epoch to defer liveness changes to passes `false`, and
+/// [`standing_epoch`] polls between its epochs. `join` is the base station's
+/// exact join, run once per slot.
 ///
 /// Slots whose nodes' cells coincide form one collection class
 /// ([`collection_classes`]): the class has one cell table, and a
@@ -382,10 +491,8 @@ pub(crate) fn run_epoch<R>(
     // the population the completeness guarantee is measured against.
     let churn = poll_churn && snet.net().has_churn();
     let mut churned = false;
-    if churn {
-        snet.net_mut().apply_churn(0);
-    }
     let p0 = if churn {
+        churn_boundary(snet, 0, |_, _| {});
         live_attached(snet.net())
     } else {
         Vec::new()
@@ -532,9 +639,10 @@ pub(crate) fn run_epoch<R>(
     // re-election restores each at its (surviving) origin, dead origins'
     // tuples are dropped everywhere, and the subtree the repair machinery
     // re-homed switches to pass-through.
-    if churn {
-        churned |= nodes.churn_boundary(snet, rep1.timing.pipelined, contributes, &p0);
-    }
+    churned |= churn
+        && churn_boundary(snet, rep1.timing.pipelined, |out, snet| {
+            nodes.reconcile_churn(out, snet.net(), contributes, &p0);
+        });
 
     // ---- Base station: conservative pre-join (step 1a), per slot ----
     let UpMsg::Attrs(collected) = base_msg else {
@@ -621,9 +729,10 @@ pub(crate) fn run_epoch<R>(
     // The stale filter stays sound: it was computed over a superset of the
     // surviving population, and a superset filter never prunes a tuple that
     // still joins. Only re-homed nodes must ignore it.
-    if churn {
-        churned |= nodes.churn_boundary(snet, rep2.timing.pipelined, contributes, &p0);
-    }
+    churned |= churn
+        && churn_boundary(snet, rep2.timing.pipelined, |out, snet| {
+            nodes.reconcile_churn(out, snet.net(), contributes, &p0);
+        });
 
     // ---- Phase 3: Final-Result-Computation (§IV-D) ----
     // A node's tuple ships once, with a mask of the slots whose received

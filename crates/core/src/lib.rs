@@ -86,8 +86,8 @@ pub use bloom::{
 };
 pub use config::{QuantizationConfig, Representation, SensJoinConfig};
 pub use continuous::{
-    node_tuples, CellCounts, ContinuousSensJoin, FilterEngine, MAX_ROUND_ATTEMPTS,
-    PHASE_DELTA_COLLECTION, PHASE_FILTER_DELTA, PHASE_FINAL_DELTA,
+    node_tuples, CellCounts, ContinuousSensJoin, FilterEngine, PHASE_DELTA_COLLECTION,
+    PHASE_FILTER_DELTA, PHASE_FINAL_DELTA,
 };
 pub use costmodel::{CostEstimate, CostModel, MethodChoice};
 pub use engine::{
@@ -106,7 +106,7 @@ pub use recovery::{
 pub use repr::{JoinAttrMsg, NodeRec, NodeTable, SizedSet};
 pub use scheduler::{
     EpochReport, GroupFull, GroupOutcome, GroupRunner, QueryGroup, QueryId, SoloCost,
-    MAX_EPOCH_ATTEMPTS, MAX_GROUP_QUERIES,
+    MAX_GROUP_QUERIES,
 };
 pub use sensjoin::{SensJoin, PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
 pub use sensjoin_simd::kernels_active;

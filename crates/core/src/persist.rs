@@ -256,11 +256,6 @@ impl CheckpointStore {
         });
     }
 
-    /// Disarms any pending crash plan.
-    pub fn disarm_crash(&mut self) {
-        self.crash = None;
-    }
-
     /// Driver-visible injection site: call at a named point; returns
     /// `Err(Crash)` iff that site is armed and due.
     pub fn crash_check(&mut self, point: CrashPoint) -> Result<(), RecoveryError> {

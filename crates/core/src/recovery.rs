@@ -12,6 +12,7 @@
 //! The returned result is the exact result; the returned statistics include
 //! the wasted traffic.
 
+use crate::epoch::{attempts, Report};
 use crate::outcome::{JoinOutcome, ProtocolError};
 use crate::snetwork::SensorNetwork;
 use crate::JoinMethod;
@@ -43,42 +44,26 @@ pub fn execute_with_recovery(
     failures: &LinkFailures,
 ) -> Result<RecoveryOutcome, ProtocolError> {
     // Which tree links are affected?
-    let affected: usize = snet
-        .net()
-        .topology()
-        .nodes()
-        .filter(|&v| {
-            snet.net()
-                .routing()
-                .parent(v)
-                .is_some_and(|p| failures.is_down(v, p))
-        })
+    let routing = snet.net().routing();
+    let affected = (snet.net().topology().nodes())
+        .filter(|&v| routing.parent(v).is_some_and(|p| failures.is_down(v, p)))
         .count();
-    if affected == 0 {
-        let outcome = method.execute(snet, query)?;
-        return Ok(RecoveryOutcome {
-            outcome,
-            attempts: 1,
-            affected_links: affected,
-        });
-    }
     // Aborted attempt: traffic sent before the outage is detected. We charge
-    // a full attempt over the stale tree — an upper bound on the waste.
-    let wasted = method.execute(snet, query)?;
-    // CTP repairs the tree around the failed links; re-execute.
-    let f = failures.clone();
-    snet.net_mut().rebuild_routing(&move |a, b| f.is_down(a, b));
-    let mut outcome = method.execute(snet, query)?;
-    let mut stats = wasted.stats;
-    stats.merge(&outcome.stats);
-    outcome.stats = stats;
-    outcome.latency_us += wasted.latency_us;
-    outcome.latency_slotted_us += wasted.latency_slotted_us;
-    Ok(RecoveryOutcome {
-        outcome,
-        attempts: 2,
-        affected_links: affected,
-    })
+    // a full attempt over the stale tree — an upper bound on the waste. CTP
+    // then repairs the tree around the failed links, and the query re-runs.
+    let mut run = reexecute_while(
+        method,
+        snet,
+        query,
+        2,
+        |_| affected > 0,
+        |snet| {
+            snet.net_mut()
+                .rebuild_routing(&|a, b| failures.is_down(a, b))
+        },
+    )?;
+    run.affected_links = affected;
+    Ok(run)
 }
 
 /// The paper's §IV-F recipe applied to *per-packet* loss: no hop-by-hop
@@ -100,7 +85,7 @@ pub fn execute_with_reexecution(
 ) -> Result<RecoveryOutcome, ProtocolError> {
     let saved = snet.net().arq();
     snet.net_mut().set_arq(ArqPolicy::None);
-    let run = reexecute_while(method, snet, query, max_attempts, |o| !o.complete);
+    let run = reexecute_while(method, snet, query, max_attempts, |o| !o.complete, |_| {});
     snet.net_mut().set_arq(saved);
     run
 }
@@ -126,34 +111,37 @@ pub fn execute_with_rebuild_reexecution(
     let saved = snet.net().repair_strategy();
     snet.net_mut()
         .set_repair_strategy(RepairStrategy::FullRebuild);
-    let run = reexecute_while(method, snet, query, max_attempts, |o| o.churned);
+    let run = reexecute_while(method, snet, query, max_attempts, |o| o.churned, |_| {});
     snet.net_mut().set_repair_strategy(saved);
     run
 }
 
 /// Executes `method`, and again for as long as `retry` says the last
-/// outcome will not do, `max_attempts` times at most. The returned outcome
-/// is the last attempt's, with every attempt's traffic merged into its
-/// statistics and the latencies added up.
+/// outcome will not do, `max_attempts` times at most, with `before_retry`
+/// before each retry. The returned outcome is the last attempt's, carrying
+/// every attempt's traffic and latency: each [`JoinMethod::execute`] opens a
+/// stats window of its own, so the windows merge, earliest first.
 fn reexecute_while(
     method: &dyn JoinMethod,
     snet: &mut SensorNetwork,
     query: &CompiledQuery,
     max_attempts: u32,
     retry: impl Fn(&JoinOutcome) -> bool,
+    before_retry: impl FnMut(&mut SensorNetwork),
 ) -> Result<RecoveryOutcome, ProtocolError> {
-    assert!(max_attempts >= 1, "at least one attempt is needed");
-    let mut attempts = 1;
-    let mut outcome = method.execute(snet, query)?;
-    while retry(&outcome) && attempts < max_attempts {
-        attempts += 1;
-        let prev = std::mem::replace(&mut outcome, method.execute(snet, query)?);
-        let mut stats = prev.stats;
-        stats.merge(&outcome.stats);
-        outcome.stats = stats;
-        outcome.latency_us += prev.latency_us;
-        outcome.latency_slotted_us += prev.latency_slotted_us;
-    }
+    let (outcome, attempts) = attempts(
+        snet,
+        max_attempts,
+        retry,
+        before_retry,
+        |snet| method.execute(snet, query),
+        |out, mut prev| {
+            let mut stats = std::mem::take(&mut prev.stats);
+            stats.merge(&out.stats);
+            out.stats = stats;
+            out.fold(prev);
+        },
+    )?;
     Ok(RecoveryOutcome {
         outcome,
         attempts,

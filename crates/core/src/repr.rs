@@ -34,11 +34,6 @@ impl SizedSet {
         Self { set, bytes: None }
     }
 
-    /// Unwraps the set.
-    pub fn into_set(self) -> PointSet {
-        self.set
-    }
-
     /// Size of the set's quadtree encoding under `shape`, in bytes. A set
     /// only ever travels under one shape — its join space's.
     pub fn wire_size(&mut self, shape: &TreeShape) -> usize {

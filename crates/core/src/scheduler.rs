@@ -37,12 +37,13 @@
 //! The three phases themselves are [`crate::epoch`]'s — the same body a
 //! one-shot [`SensJoin`](crate::SensJoin) runs with one query, under the
 //! same phase labels and the same loss policy. What this module adds is
-//! what makes a query *standing*: registration, the due schedule, the
-//! quantization space fixed at registration, and the epoch retry loop.
+//! what makes a query *standing*: registration, the due schedule and the
+//! quantization space fixed at registration. Its epochs, like a continuous
+//! query's rounds, run in [`crate::epoch`]'s standing skeleton.
 
 use crate::config::SensJoinConfig;
 use crate::engine::{exact_join_flat, JoinSpace};
-use crate::epoch::{run_epoch, Slot};
+use crate::epoch::{run_epoch, standing_epoch, Slot};
 use crate::outcome::{GroupResult, ProtocolError};
 use crate::persist::Persist;
 use crate::sensjoin::{PHASE_COLLECTION, PHASE_FILTER, PHASE_FINAL};
@@ -132,12 +133,8 @@ impl SoloCost {
     }
 }
 
-/// Maximum number of times an epoch is (re-)executed when the final wave
-/// loses data despite the ARQ budget (first attempt included).
-pub const MAX_EPOCH_ATTEMPTS: u32 = 3;
-
 /// Everything one epoch of a [`QueryGroup`] produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EpochReport {
     /// The epoch index this report covers (0-based).
     pub epoch: u64,
@@ -156,8 +153,8 @@ pub struct EpochReport {
     /// station. `outcomes.len() / plans` is the epoch's sharing ratio.
     pub plans: usize,
     /// Whether every due query's result is guaranteed exact. `false` only
-    /// when the final wave lost data despite both the ARQ budget and the
-    /// epoch retry loop (see [`MAX_EPOCH_ATTEMPTS`]) — loss in the first two
+    /// when the final wave lost data despite the ARQ budget in every one of
+    /// the epoch's attempts (three, `MAX_ATTEMPTS`) — loss in the first two
     /// phases only costs filter savings; always `true` on a lossless network.
     /// Under node churn, `true` means every due query's result is exact over
     /// the population alive and attached at the epoch boundary.
@@ -259,8 +256,8 @@ pub struct QueryGroup {
     /// One entry per registration ever made, indexed by [`QueryId`].
     subscribers: Vec<Subscriber>,
     epoch: u64,
-    /// Previous epoch's latency — the simulated time that elapsed since the
-    /// last churn boundary (epochs are the group's churn boundaries).
+    /// The previous epoch's latency: the churn clock's step to the next
+    /// boundary.
     last_latency_us: Time,
 }
 
@@ -494,71 +491,42 @@ impl QueryGroup {
     ///
     /// On a lossy channel the epoch degrades per subtree exactly as a
     /// one-shot does (damaged collection or filter traffic costs filter
-    /// savings, never a result row). Only an epoch whose *final* wave was
-    /// permanently damaged (after the ARQ budget) is re-executed in place,
-    /// up to [`MAX_EPOCH_ATTEMPTS`] times: an attempt leaves nothing behind
-    /// at the base station, so no state reset is needed. All attempts'
-    /// traffic is charged to the returned stats and solo-equivalent costs.
+    /// savings, never a result row). The epoch is one of `epoch.rs`'s
+    /// standing skeleton, with hooks that do nothing: a collection is a full
+    /// presence snapshot, and an attempt leaves nothing at the base. An
+    /// epoch whose final wave lost data for good runs again, to
+    /// `MAX_ATTEMPTS` in all, and every attempt's traffic, latency and solo
+    /// costs are charged.
     pub fn execute_epoch(
         &mut self,
         snet: &mut SensorNetwork,
     ) -> Result<EpochReport, ProtocolError> {
         let epoch = self.epoch;
         self.epoch += 1;
-        snet.net_mut().reset_stats();
-        // Epochs are the group's churn boundaries: crashes and revivals take
-        // effect between epochs, never mid-epoch. No state reconciliation is
-        // needed beyond the tree repair the network performs itself — each
-        // due query's collection is a full per-epoch presence snapshot, so
-        // departed nodes' cells are simply absent from it and revived ones
-        // present again.
-        let mut churned = false;
-        if snet.net().has_churn() {
-            let out = snet.net_mut().apply_churn(self.last_latency_us);
-            churned = !out.crashed.is_empty() || !out.revived.is_empty();
-        }
         let due: Vec<usize> = (0..self.subscribers.len())
             .filter(|&i| self.subscribers[i].due_at(epoch))
             .collect();
-        if due.is_empty() {
-            return Ok(EpochReport {
-                epoch,
-                outcomes: Vec::new(),
-                stats: snet.net().stats().clone(),
-                latency_us: 0,
-                latency_slotted_us: 0,
-                solo_equivalent: Vec::new(),
-                plans: 0,
-                complete: true,
-                churned,
-            });
-        }
-        let mut report = self.epoch_once(snet, epoch, &due);
-        let mut attempts = 1;
-        while !report.complete && attempts < MAX_EPOCH_ATTEMPTS {
-            attempts += 1;
-            let prev = report;
-            report = self.epoch_once(snet, epoch, &due);
-            // Re-execution is sequential, and a solo execution would have
-            // had to retry too: latencies and solo costs accumulate.
-            report.latency_us += prev.latency_us;
-            report.latency_slotted_us += prev.latency_slotted_us;
-            for (a, b) in report.solo_equivalent.iter_mut().zip(&prev.solo_equivalent) {
-                a.collection_bytes += b.collection_bytes;
-                a.filter_bytes += b.filter_bytes;
-                a.final_bytes += b.final_bytes;
-            }
-        }
-        report.stats = snet.net().stats().clone();
-        report.churned = churned;
-        self.last_latency_us = report.latency_us;
-        Ok(report)
+        standing_epoch(
+            self,
+            snet,
+            |g| &mut g.last_latency_us,
+            |_, _| {},
+            |_| {},
+            |g, snet| Ok(g.epoch_once(snet, epoch, &due)),
+        )
     }
 
     /// One attempt of an epoch for the due subscribers: the full-wire epoch
     /// of [`crate::epoch`] over their distinct plans, with no mid-epoch
     /// churn poll. Every due subscriber receives its plan's one result.
     fn epoch_once(&self, snet: &mut SensorNetwork, epoch: u64, due: &[usize]) -> EpochReport {
+        if due.is_empty() {
+            return EpochReport {
+                epoch,
+                complete: true,
+                ..EpochReport::default()
+            };
+        }
         // A plan is due when any subscriber is, and takes the epoch slot of
         // its first due subscriber — so pairwise-distinct queries lay out
         // in `QueryId` order.
@@ -599,15 +567,12 @@ impl QueryGroup {
         EpochReport {
             epoch,
             outcomes,
-            // `execute_epoch` copies the network's (all-attempt) numbers
-            // once the last attempt is done, and stamps `churned`.
-            stats: NetworkStats::default(),
             latency_us: run.timing.pipelined,
             latency_slotted_us: run.timing.slotted,
             solo_equivalent,
             plans: slots.len(),
             complete: run.complete,
-            churned: false,
+            ..EpochReport::default()
         }
     }
 }

@@ -462,17 +462,6 @@ impl CompiledQuery {
         &self.referenced[rel]
     }
 
-    /// Wire size of a projected (complete) tuple of `rel`.
-    pub fn tuple_wire_size(&self, rel: usize) -> usize {
-        self.schemas[rel].projected_wire_size(&self.referenced[rel])
-    }
-
-    /// Wire size of a raw join-attribute tuple of `rel` (without the
-    /// quadtree representation).
-    pub fn join_attr_wire_size(&self, rel: usize) -> usize {
-        self.schemas[rel].projected_wire_size(&self.join_attrs[rel])
-    }
-
     /// The temporal clause.
     pub fn temporal(&self) -> Temporal {
         self.temporal
@@ -770,8 +759,6 @@ mod tests {
         // Referenced: x, y (select) + temp (join) = 3 of 5 -> the paper's
         // "33% join attributes" default (1 join attr of 3 overall).
         assert_eq!(cq.referenced_attrs(0), &[0, 1, 2]);
-        assert_eq!(cq.tuple_wire_size(0), 6);
-        assert_eq!(cq.join_attr_wire_size(0), 2);
     }
 
     #[test]

@@ -136,13 +136,6 @@ impl Schema {
         self.attrs.iter().map(Attribute::wire_size).sum()
     }
 
-    /// Wire size of a projection of this schema on the attribute indices
-    /// `indices` — the size of a *join-attribute tuple* (paper Def. 1) when
-    /// `indices` are the join attributes.
-    pub fn projected_wire_size(&self, indices: &[usize]) -> usize {
-        indices.iter().map(|&i| self.attrs[i].wire_size()).sum()
-    }
-
     /// Builds a derived schema containing only the attributes at `indices`,
     /// in the given order. Used for join-attribute tuples.
     pub fn project(&self, indices: &[usize]) -> Schema {
@@ -173,7 +166,6 @@ mod tests {
     fn wire_sizes() {
         let s = schema();
         assert_eq!(s.wire_size(), 2 + 2 + 2 + 4);
-        assert_eq!(s.projected_wire_size(&[0, 2]), 4);
     }
 
     #[test]
